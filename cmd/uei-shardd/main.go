@@ -95,8 +95,7 @@ func run() error {
 		return err
 	}
 	defer idx.Close()
-	coord := idx.ShardCoordinator()
-	if coord == nil {
+	if !idx.Sharded() {
 		return fmt.Errorf("%s holds a flat store; uei-shardd serves the sharded layout: %w", dir, shard.ErrShardUnavailable)
 	}
 
@@ -108,6 +107,7 @@ func run() error {
 	if *quiet {
 		logf = func(string, ...any) {}
 	}
+	coord := idx.ShardCoordinator()
 	srv := &http.Server{Addr: *addr, Handler: remote.NewServer(coord, man, logf)}
 
 	meta := coord.Meta()

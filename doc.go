@@ -44,8 +44,7 @@
 //
 // Errors crossing this boundary wrap the exported sentinels (ErrClosed,
 // ErrNotFitted, ErrBudgetExceeded, ErrNoCandidates), so errors.Is works
-// without reaching into internal packages. The v1 entry points survive as
-// deprecated *V1 shims.
+// without reaching into internal packages.
 //
 // See the examples/ directory for runnable programs and cmd/uei-bench for
 // the harness that regenerates the paper's tables and figures.

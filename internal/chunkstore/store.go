@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -83,10 +84,12 @@ type Store struct {
 	bytesRead  atomic.Int64
 	chunksRead atomic.Int64
 
-	// Observability instruments (nil until Instrument; nil-safe no-ops).
-	mBytes  *obs.Counter
-	mChunks *obs.Counter
-	hRead   *obs.Histogram
+	// Observability instruments (nil until Instrument; nil-safe no-ops),
+	// bound once: the read path loads them without synchronization.
+	instrument sync.Once
+	mBytes     *obs.Counter
+	mChunks    *obs.Counter
+	hRead      *obs.Histogram
 }
 
 // Build creates a chunk store in dir (which must be empty or absent) from
@@ -309,11 +312,17 @@ func (s *Store) ChunksOverlapping(dim int, lo, hi float64) ([]ChunkMeta, error) 
 // chunkstore_read_bytes_total, chunkstore_chunk_opens_total, and the
 // per-chunk read latency histogram chunkstore_chunk_read_seconds
 // (throttled reads included, so the histogram reflects the I/O the
-// exploration loop actually waits on).
+// exploration loop actually waits on). Whoever opens the store calls it
+// before sharing the store; the first registry wins and later calls are
+// no-ops, so a reader handed an already-shared store (a coordinator
+// rebuilt over live segments other epochs still read) cannot race the
+// read path by instrumenting it again.
 func (s *Store) Instrument(reg *obs.Registry) {
-	s.mBytes = reg.Counter("chunkstore_read_bytes_total")
-	s.mChunks = reg.Counter("chunkstore_chunk_opens_total")
-	s.hRead = reg.Histogram("chunkstore_chunk_read_seconds", nil)
+	s.instrument.Do(func() {
+		s.mBytes = reg.Counter("chunkstore_read_bytes_total")
+		s.mChunks = reg.Counter("chunkstore_chunk_opens_total")
+		s.hRead = reg.Histogram("chunkstore_chunk_read_seconds", nil)
+	})
 }
 
 // SetWorkers bounds the fan-out of concurrent chunk reads during cell

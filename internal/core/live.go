@@ -7,9 +7,7 @@ import (
 
 	"github.com/uei-db/uei/internal/chunkstore"
 	"github.com/uei-db/uei/internal/memcache"
-	"github.com/uei-db/uei/internal/obs"
 	"github.com/uei-db/uei/internal/pool"
-	"github.com/uei-db/uei/internal/prefetch"
 	"github.com/uei-db/uei/internal/shard"
 	"github.com/uei-db/uei/internal/stream"
 )
@@ -36,36 +34,22 @@ func openLive(ctx context.Context, dir string, opts Options) (*Index, error) {
 	if opts.Shards > 1 && man.Shards != opts.Shards {
 		return nil, fmt.Errorf("core: %s holds a %d-shard live store but %d shards were requested: %w", dir, man.Shards, opts.Shards, chunkstore.ErrLayoutMismatch)
 	}
-	if opts.SegmentsPerDim == 0 {
-		opts.SegmentsPerDim = man.SegmentsPerDim
-	} else if opts.SegmentsPerDim != man.SegmentsPerDim {
-		return nil, fmt.Errorf("core: live store was created over %d segments per dimension; cannot open with %d (cell geometry is pinned)", man.SegmentsPerDim, opts.SegmentsPerDim)
+	if err := opts.pinSegments(man.SegmentsPerDim); err != nil {
+		return nil, err
 	}
 	opts, err = opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	reg := opts.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	opts.Registry = reg
-	var bc *chunkstore.BlockCache
-	if opts.BlockCacheBytes > 0 {
-		cacheBudget, err := memcache.NewBudget(opts.BlockCacheBytes)
-		if err != nil {
-			return nil, err
-		}
-		bc, err = chunkstore.NewBlockCache(cacheBudget)
-		if err != nil {
-			return nil, err
-		}
+	bc, err := newBlockCache(opts.BlockCacheBytes)
+	if err != nil {
+		return nil, err
 	}
 	sdb, err := stream.Open(dir, stream.Options{
 		Limiter:         opts.Limiter,
 		Workers:         opts.Workers,
 		BlockCache:      bc,
-		Registry:        reg,
+		Registry:        opts.Registry,
 		Tracer:          opts.Tracer,
 		MemtableBytes:   opts.MemtableBytes,
 		FlushInterval:   opts.FlushInterval,
@@ -81,107 +65,32 @@ func openLive(ctx context.Context, dir string, opts Options) (*Index, error) {
 	}
 	pl := pool.New(opts.Workers)
 	var idx *Index
-	if man.Shards > 1 {
-		coord, err := buildLiveCoordinator(snap, opts, pl, bc)
-		if err == nil {
-			idx, err = newShardedIndex(opts, coord, pl, bc)
-		}
-		if err != nil {
-			pl.Close()
-			snap.Release()
-			sdb.Close()
-			return nil, err
-		}
-	} else {
-		idx, err = newLiveFlatIndex(opts, snap, pl, bc, reg)
-		if err != nil {
-			pl.Close()
-			snap.Release()
-			sdb.Close()
-			return nil, err
-		}
+	coord, err := buildLiveCoordinator(snap, opts, pl, bc)
+	if err == nil {
+		idx, err = newIndex(opts, coord, pl)
+	}
+	if err != nil {
+		pl.Close()
+		snap.Release()
+		sdb.Close()
+		return nil, err
 	}
 	idx.live = sdb
 	idx.snap = snap
-	idx.liveBC = bc
-	return idx, nil
-}
-
-// newLiveFlatIndex wires a flat live index: no chunk store or mapping —
-// every storage touch goes through the pinned snapshot's multi-part
-// helpers instead.
-func newLiveFlatIndex(opts Options, snap *stream.Snapshot, pl *pool.Pool, bc *chunkstore.BlockCache, reg *obs.Registry) (*Index, error) {
-	g := snap.Grid()
-	budget, err := memcache.NewBudget(opts.MemoryBudgetBytes)
-	if err != nil {
-		return nil, err
-	}
-	cache, err := memcache.NewCache(budget, snap.Dims())
-	if err != nil {
-		return nil, err
-	}
-	if err := cache.SetMaxRegions(opts.ResidentRegions); err != nil {
-		return nil, err
-	}
-	if bc != nil {
-		bc.Instrument(reg)
-	}
-	budget.Instrument(reg)
-	pl.Instrument(reg)
-	idx := &Index{
-		opts:        opts,
-		pool:        pl,
-		grid:        g,
-		budget:      budget,
-		cache:       cache,
-		centers:     g.Centers(),
-		uncertainty: make([]float64, g.NumCells()),
-		pendingCell: memcache.NoRegion,
-		reg:         reg,
-		tracer:      opts.Tracer,
-		mSwaps:      reg.Counter("uei_region_swaps_total"),
-		mDeferred:   reg.Counter("uei_swaps_deferred_total"),
-		mPrefHits:   reg.Counter("uei_prefetch_hits_total"),
-		mEntries:    reg.Counter("uei_entries_visited_total"),
-		hScore:      reg.Histogram(obs.PhaseHistName(obs.PhaseScore), nil),
-		hLoad:       reg.Histogram(obs.PhaseHistName(obs.PhaseLoad), nil),
-		hSwap:       reg.Histogram(obs.PhaseHistName(obs.PhaseSwap), nil),
-	}
-	idx.initScoreKernel()
-	if opts.EnablePrefetch {
-		pf, err := prefetch.New(idx.loadCell)
-		if err != nil {
-			return nil, err
-		}
-		pf.Instrument(reg)
-		idx.pf = pf
-	}
 	return idx, nil
 }
 
 // buildLiveCoordinator assembles a local scatter-gather coordinator over
-// one snapshot epoch of a sharded live store: the synthesized manifest
-// carries the same grid geometry and hash contract a build-time
-// shards.json would, so routing, scoring, and retrieval behave exactly as
-// over a static sharded layout of the same rows.
+// one snapshot epoch of a live store, one part per flushed segment: the
+// synthesized manifest carries the same grid geometry and hash contract a
+// build-time layout would, so routing, scoring, and retrieval behave
+// exactly as over a static layout of the same rows.
 func buildLiveCoordinator(snap *stream.Snapshot, opts Options, pl *pool.Pool, bc *chunkstore.BlockCache) (*shard.Coordinator, error) {
 	man, err := snap.ShardManifest()
 	if err != nil {
 		return nil, err
 	}
-	shards, err := snap.Shards()
-	if err != nil {
-		return nil, err
-	}
-	return shard.NewLocalCoordinator(man, shards, shard.OpenOptions{
-		Limiter:    opts.Limiter,
-		Workers:    opts.Workers,
-		Pool:       pl,
-		Deadline:   opts.ShardDeadline,
-		BlockCache: bc,
-		Replicas:   opts.Replication,
-		HedgeDelay: opts.HedgeDelay,
-	})
+	return shard.NewLocalCoordinator(man, snap.Shards(), localOptions(opts, pl, bc))
 }
 
 // Live returns the streaming write store backing this index, or nil for a
@@ -193,7 +102,7 @@ func (x *Index) Live() *stream.DB { return x.live }
 // for a static layout. Views report the epoch pinned at their creation
 // until they AdvanceSnapshot.
 func (x *Index) LiveEpoch() uint64 {
-	if x.snap == nil {
+	if x.live == nil {
 		return 0
 	}
 	return x.snap.Epoch()
@@ -259,15 +168,18 @@ func (x *Index) AdvanceSnapshot() (bool, error) {
 		snap.Release()
 		return false, nil
 	}
-	if x.coord != nil {
-		coord, err := buildLiveCoordinator(snap, x.opts, x.pool, x.liveBC)
-		if err != nil {
-			snap.Release()
-			return false, err
-		}
-		coord.Instrument(x.reg)
-		x.coord = coord
+	// The next epoch's coordinator shares the epoch-invariant grid,
+	// ownership and packed centers with the current one.
+	var coord *shard.Coordinator
+	man, err := snap.ShardManifest()
+	if err == nil {
+		coord, err = x.coord.NextEpoch(man, snap.Shards())
 	}
+	if err != nil {
+		snap.Release()
+		return false, err
+	}
+	x.coord = coord
 	old := x.snap
 	x.snap = snap
 	old.Release()
@@ -276,12 +188,9 @@ func (x *Index) AdvanceSnapshot() (bool, error) {
 	// cancelled and forgotten.
 	if x.pf != nil {
 		x.pf.Close()
-		pf, err := prefetch.New(x.loadCell)
-		if err != nil {
+		if err := x.startPrefetcher(); err != nil {
 			return true, err
 		}
-		pf.Instrument(x.reg)
-		x.pf = pf
 	}
 	x.cache.DropRegion()
 	x.scoresValid = false

@@ -72,14 +72,14 @@ type Options struct {
 	// per-shard key prefixes.
 	BlockCacheBytes int64
 	// Shards selects the store layout Open requires: 0 auto-detects from
-	// the directory, 1 requires the legacy flat layout, and a value > 1
+	// the directory, 1 requires the flat on-disk layout, and a value > 1
 	// requires a sharded layout with exactly that many shards. A layout
 	// (or shard-count) mismatch fails with chunkstore.ErrLayoutMismatch.
 	Shards int
-	// ShardDeadline bounds every per-shard operation of a sharded index;
-	// shards that miss it are skipped for the iteration (the step degrades
-	// instead of failing). Zero disables the deadline. Ignored by the flat
-	// layout.
+	// ShardDeadline bounds every per-shard operation of the index (a flat
+	// store is one shard); shards that miss it are skipped for the
+	// iteration (the step degrades instead of failing). Zero disables the
+	// deadline.
 	ShardDeadline time.Duration
 	// ShardEndpoints, when non-empty, serves the index through remote
 	// uei-shardd workers instead of opening the store directory locally:
@@ -199,6 +199,9 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.BoundedStaleness < 0 {
 		return o, fmt.Errorf("core: bounded staleness %d must not be negative", o.BoundedStaleness)
+	}
+	if o.Registry == nil {
+		o.Registry = obs.NewRegistry()
 	}
 	return o, nil
 }

@@ -37,8 +37,9 @@ type BuildOptions struct {
 	TargetChunkBytes int
 	// Shards partitions the dataset into this many self-contained shard
 	// stores by hashing grid-cell coordinates. 0 and 1 both produce the
-	// exact legacy flat layout; values > 1 produce the sharded layout
-	// (shards.json + shard-NNN/ directories).
+	// flat on-disk layout (one chunk store, no idmap); values > 1 produce
+	// the sharded layout (shards.json + shard-NNN/ directories). Either
+	// way Open reads the directory through one shard coordinator.
 	Shards int
 	// SegmentsPerDim fixes the grid cells are hashed over when Shards > 1
 	// (it must match the grid used at open; the sharded manifest records
@@ -88,27 +89,23 @@ func Build(dir string, ds *dataset.Dataset, opts BuildOptions) error {
 
 // Index is an opened Uncertainty Estimation Index.
 type Index struct {
-	opts    Options
-	store   *chunkstore.Store
-	grid    *grid.Grid
-	mapping *grid.Mapping
-	budget  *memcache.Budget
-	cache   *memcache.Cache
-	pf      *prefetch.Prefetcher
-	// coord, when non-nil, is the sharded data plane: store and mapping
-	// are nil and every storage touch goes through the coordinator's
-	// scatter-gather instead. Views share the parent's coordinator.
+	opts   Options
+	grid   *grid.Grid
+	budget *memcache.Budget
+	cache  *memcache.Cache
+	pf     *prefetch.Prefetcher
+	// coord is the data plane: every storage touch — scoring, selection,
+	// cell loads, row fetches, the retrieval scan — goes through the
+	// coordinator's scatter-gather. A flat directory is its one-shard,
+	// one-part case and a live snapshot one part per segment. Views share
+	// the parent's coordinator.
 	coord *shard.Coordinator
 	// live, when non-nil, is the streaming write path (LSM store) and snap
-	// the epoch this index currently reads. A flat live index has nil
-	// store/mapping and reads through snap's multi-part helpers; a sharded
-	// live index reads through coord, rebuilt per snapshot. Views borrow
+	// the epoch this index currently reads: coord serves exactly snap's
+	// segments and is rebuilt when the snapshot advances. Views borrow
 	// live and pin their own clone of the parent's snapshot.
 	live *stream.DB
 	snap *stream.Snapshot
-	// liveBC is the shared block cache of a live layout (store-less, so
-	// the flat accessor can't reach it through the chunk store).
-	liveBC *chunkstore.BlockCache
 	// degradedShards lists the shards skipped by the latest scoring pass
 	// (their uncertainty slots are stale); selection excludes their cells
 	// until a later pass succeeds. Per-view state, like uncertainty.
@@ -185,18 +182,6 @@ type Index struct {
 	hSwap         *obs.Histogram
 }
 
-// initScoreKernel packs the columnar block over the symbolic points and
-// wires the score-skip instruments. Every constructor calls it after the
-// struct literal; views arrive with the parent's block already set and
-// keep it.
-func (x *Index) initScoreKernel() {
-	if x.blk == nil {
-		x.blk = kernel.Pack(x.centers)
-	}
-	x.mCellsScored = x.reg.Counter("uei_score_scored_cells_total")
-	x.mCellsSkipped = x.reg.Counter("uei_score_skipped_cells_total")
-}
-
 // resetKernelState drops the incremental-rescore state so the next
 // scoring pass runs in full. Called when the snapshot epoch moves (the
 // conservative choice: the symbolic points cannot change, but a full
@@ -207,10 +192,11 @@ func (x *Index) resetKernelState() {
 	x.staleRetrains = 0
 }
 
-// Open loads the index over a directory produced by Build, flat or
-// sharded. Options.Shards pins the expected layout (0 auto-detects); a
-// mismatch fails with chunkstore.ErrLayoutMismatch. I/O throttling and
-// worker-pool sizing come from Options (Limiter, Workers).
+// Open loads the index over a directory produced by Build — flat, sharded
+// or live — or over a remote shard fleet. Options.Shards pins the expected
+// layout (0 auto-detects); a mismatch fails with
+// chunkstore.ErrLayoutMismatch. I/O throttling and worker-pool sizing come
+// from Options (Limiter, Workers).
 func Open(ctx context.Context, dir string, opts Options) (*Index, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -237,6 +223,51 @@ func Open(ctx context.Context, dir string, opts Options) (*Index, error) {
 	if sharded {
 		return openSharded(ctx, dir, opts)
 	}
+	return openFlat(dir, opts)
+}
+
+// newBlockCache builds the shared decoded-chunk cache of
+// Options.BlockCacheBytes, or nil when caching is off.
+func newBlockCache(bytes int64) (*chunkstore.BlockCache, error) {
+	if bytes <= 0 {
+		return nil, nil
+	}
+	budget, err := memcache.NewBudget(bytes)
+	if err != nil {
+		return nil, err
+	}
+	return chunkstore.NewBlockCache(budget)
+}
+
+// localOptions maps the index options onto an in-process coordinator.
+func localOptions(opts Options, pl *pool.Pool, bc *chunkstore.BlockCache) shard.OpenOptions {
+	return shard.OpenOptions{
+		Limiter:    opts.Limiter,
+		Workers:    opts.Workers,
+		Pool:       pl,
+		Deadline:   opts.ShardDeadline,
+		BlockCache: bc,
+		Replicas:   opts.Replication,
+		HedgeDelay: opts.HedgeDelay,
+	}
+}
+
+// pinSegments resolves SegmentsPerDim against a layout that recorded its
+// own: cell ownership and live cell geometry are grid-dependent, so a
+// different count cannot be honored and is rejected.
+func (o *Options) pinSegments(recorded int) error {
+	if o.SegmentsPerDim != 0 && o.SegmentsPerDim != recorded {
+		return fmt.Errorf("core: store was laid out over %d segments per dimension; cannot open with %d (cell ownership and geometry are grid-dependent)", recorded, o.SegmentsPerDim)
+	}
+	o.SegmentsPerDim = recorded
+	return nil
+}
+
+// openFlat opens a flat store directory as the one-shard case of the
+// coordinator: the store is the only part of the only shard, with the
+// identity idmap (local row ids are the global ids). The grid is free —
+// nothing on disk depends on it — so Options.SegmentsPerDim picks it.
+func openFlat(dir string, opts Options) (*Index, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
@@ -246,18 +277,13 @@ func Open(ctx context.Context, dir string, opts Options) (*Index, error) {
 		return nil, err
 	}
 	store.SetWorkers(opts.Workers)
-	if opts.BlockCacheBytes > 0 {
-		cacheBudget, err := memcache.NewBudget(opts.BlockCacheBytes)
-		if err != nil {
-			return nil, err
-		}
-		bc, err := chunkstore.NewBlockCache(cacheBudget)
-		if err != nil {
-			return nil, err
-		}
-		store.SetBlockCache(bc)
+	bc, err := newBlockCache(opts.BlockCacheBytes)
+	if err != nil {
+		return nil, err
 	}
-	g, err := grid.New(store.Bounds(), opts.SegmentsPerDim)
+	store.SetBlockCache(bc)
+	bounds := store.Bounds()
+	g, err := grid.New(bounds, opts.SegmentsPerDim)
 	if err != nil {
 		return nil, err
 	}
@@ -265,65 +291,23 @@ func Open(ctx context.Context, dir string, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	budget, err := memcache.NewBudget(opts.MemoryBudgetBytes)
+	man, err := shard.NewManifest(1, opts.SegmentsPerDim, store.Columns(), bounds.Min, bounds.Max, 0, []int{store.RowCount()})
 	if err != nil {
 		return nil, err
 	}
-	cache, err := memcache.NewCache(budget, store.Dims())
-	if err != nil {
-		return nil, err
-	}
-	if err := cache.SetMaxRegions(opts.ResidentRegions); err != nil {
-		return nil, err
-	}
-	reg := opts.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	store.Instrument(reg)
-	if bc := store.BlockCache(); bc != nil {
-		bc.Instrument(reg)
-	}
-	budget.Instrument(reg)
 	pl := pool.New(opts.Workers)
-	pl.Instrument(reg)
-	idx := &Index{
-		opts:        opts,
-		store:       store,
-		pool:        pl,
-		grid:        g,
-		mapping:     mapping,
-		budget:      budget,
-		cache:       cache,
-		centers:     g.Centers(),
-		uncertainty: make([]float64, g.NumCells()),
-		pendingCell: memcache.NoRegion,
-		reg:         reg,
-		tracer:      opts.Tracer,
-		mSwaps:      reg.Counter("uei_region_swaps_total"),
-		mDeferred:   reg.Counter("uei_swaps_deferred_total"),
-		mPrefHits:   reg.Counter("uei_prefetch_hits_total"),
-		mEntries:    reg.Counter("uei_entries_visited_total"),
-		hScore:      reg.Histogram(obs.PhaseHistName(obs.PhaseScore), nil),
-		hLoad:       reg.Histogram(obs.PhaseHistName(obs.PhaseLoad), nil),
-		hSwap:       reg.Histogram(obs.PhaseHistName(obs.PhaseSwap), nil),
+	one := []*shard.Shard{{Parts: []shard.Part{{Store: store, Mapping: mapping}}}}
+	coord, err := shard.NewLocalCoordinator(man, one, localOptions(opts, pl, bc))
+	if err != nil {
+		pl.Close()
+		return nil, err
 	}
-	idx.initScoreKernel()
-	if opts.EnablePrefetch {
-		pf, err := prefetch.New(idx.loadCell)
-		if err != nil {
-			return nil, err
-		}
-		pf.Instrument(reg)
-		idx.pf = pf
-	}
-	return idx, nil
+	return newIndex(opts, coord, pl)
 }
 
 // openSharded opens a sharded store through a coordinator. The grid is
 // rebuilt from the shard manifest's global bounds and the segment count
-// recorded at ingest — cell ownership is grid-dependent, so a different
-// SegmentsPerDim cannot be honored and is rejected.
+// recorded at ingest.
 func openSharded(ctx context.Context, dir string, opts Options) (*Index, error) {
 	man, err := shard.LoadManifest(dir)
 	if err != nil {
@@ -332,41 +316,24 @@ func openSharded(ctx context.Context, dir string, opts Options) (*Index, error) 
 	if opts.Shards > 1 && man.Shards != opts.Shards {
 		return nil, fmt.Errorf("core: %s has %d shards but %d were requested: %w", dir, man.Shards, opts.Shards, chunkstore.ErrLayoutMismatch)
 	}
-	if opts.SegmentsPerDim == 0 {
-		opts.SegmentsPerDim = man.SegmentsPerDim
-	} else if opts.SegmentsPerDim != man.SegmentsPerDim {
-		return nil, fmt.Errorf("core: store was sharded over %d segments per dimension; cannot open with %d (cell ownership is grid-dependent)", man.SegmentsPerDim, opts.SegmentsPerDim)
+	if err := opts.pinSegments(man.SegmentsPerDim); err != nil {
+		return nil, err
 	}
 	opts, err = opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	var bc *chunkstore.BlockCache
-	if opts.BlockCacheBytes > 0 {
-		cacheBudget, err := memcache.NewBudget(opts.BlockCacheBytes)
-		if err != nil {
-			return nil, err
-		}
-		bc, err = chunkstore.NewBlockCache(cacheBudget)
-		if err != nil {
-			return nil, err
-		}
+	bc, err := newBlockCache(opts.BlockCacheBytes)
+	if err != nil {
+		return nil, err
 	}
 	pl := pool.New(opts.Workers)
-	coord, err := shard.Open(ctx, dir, shard.OpenOptions{
-		Limiter:    opts.Limiter,
-		Workers:    opts.Workers,
-		Pool:       pl,
-		Deadline:   opts.ShardDeadline,
-		BlockCache: bc,
-		Replicas:   opts.Replication,
-		HedgeDelay: opts.HedgeDelay,
-	})
+	coord, err := shard.Open(ctx, dir, localOptions(opts, pl, bc))
 	if err != nil {
 		pl.Close()
 		return nil, err
 	}
-	return newShardedIndex(opts, coord, pl, bc)
+	return newIndex(opts, coord, pl)
 }
 
 // openRemote serves the index through uei-shardd workers: the fleet
@@ -389,48 +356,53 @@ func openRemote(ctx context.Context, opts Options) (*Index, error) {
 	if opts.Shards > 1 && meta.Shards != opts.Shards {
 		return nil, fmt.Errorf("core: fleet serves %d shards but %d were requested: %w", meta.Shards, opts.Shards, chunkstore.ErrLayoutMismatch)
 	}
-	if opts.SegmentsPerDim == 0 {
-		opts.SegmentsPerDim = meta.SegmentsPerDim
-	} else if opts.SegmentsPerDim != meta.SegmentsPerDim {
-		return nil, fmt.Errorf("core: store was sharded over %d segments per dimension; cannot open with %d (cell ownership is grid-dependent)", meta.SegmentsPerDim, opts.SegmentsPerDim)
+	if err := opts.pinSegments(meta.SegmentsPerDim); err != nil {
+		return nil, err
 	}
 	opts, err = opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	pl := pool.New(opts.Workers)
-	return newShardedIndex(opts, coord, pl, nil)
+	return newIndex(opts, coord, pool.New(opts.Workers))
 }
 
-// newShardedIndex finishes an Open over any coordinator transport: memory
-// budget, unlabeled cache, metrics wiring, optional prefetcher.
-func newShardedIndex(opts Options, coord *shard.Coordinator, pl *pool.Pool, bc *chunkstore.BlockCache) (*Index, error) {
-	meta := coord.Meta()
-	g := meta.Grid
+// newUnlabeledCache builds the memory ledger and the unlabeled cache U an
+// index or view explores through.
+func newUnlabeledCache(opts Options, dims int) (*memcache.Budget, *memcache.Cache, error) {
 	budget, err := memcache.NewBudget(opts.MemoryBudgetBytes)
 	if err != nil {
-		pl.Close()
-		return nil, err
+		return nil, nil, err
 	}
-	cache, err := memcache.NewCache(budget, meta.Dims())
+	cache, err := memcache.NewCache(budget, dims)
 	if err != nil {
-		pl.Close()
-		return nil, err
+		return nil, nil, err
 	}
 	if err := cache.SetMaxRegions(opts.ResidentRegions); err != nil {
+		return nil, nil, err
+	}
+	return budget, cache, nil
+}
+
+// newIndex finishes an Open over any coordinator — flat, sharded, live or
+// remote: memory budget, unlabeled cache, metrics wiring, optional
+// prefetcher. opts has been through withDefaults. It owns pl, closing it
+// when construction fails.
+func newIndex(opts Options, coord *shard.Coordinator, pl *pool.Pool) (*Index, error) {
+	meta := coord.Meta()
+	g := meta.Grid
+	budget, cache, err := newUnlabeledCache(opts, meta.Dims())
+	if err != nil {
 		pl.Close()
 		return nil, err
 	}
 	reg := opts.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	coord.Instrument(reg)
-	if bc != nil {
+	if bc := coord.BlockCache(); bc != nil {
 		bc.Instrument(reg)
 	}
 	budget.Instrument(reg)
 	pl.Instrument(reg)
+	centers := g.Centers()
 	idx := &Index{
 		opts:        opts,
 		coord:       coord,
@@ -438,29 +410,47 @@ func newShardedIndex(opts Options, coord *shard.Coordinator, pl *pool.Pool, bc *
 		grid:        g,
 		budget:      budget,
 		cache:       cache,
-		centers:     g.Centers(),
+		centers:     centers,
+		blk:         kernel.Pack(centers),
 		uncertainty: make([]float64, g.NumCells()),
 		pendingCell: memcache.NoRegion,
 		reg:         reg,
 		tracer:      opts.Tracer,
-		mSwaps:      reg.Counter("uei_region_swaps_total"),
-		mDeferred:   reg.Counter("uei_swaps_deferred_total"),
-		mPrefHits:   reg.Counter("uei_prefetch_hits_total"),
-		mEntries:    reg.Counter("uei_entries_visited_total"),
-		hScore:      reg.Histogram(obs.PhaseHistName(obs.PhaseScore), nil),
-		hLoad:       reg.Histogram(obs.PhaseHistName(obs.PhaseLoad), nil),
-		hSwap:       reg.Histogram(obs.PhaseHistName(obs.PhaseSwap), nil),
 	}
-	idx.initScoreKernel()
+	idx.instrument()
 	if opts.EnablePrefetch {
-		pf, err := prefetch.New(idx.loadCell)
-		if err != nil {
+		if err := idx.startPrefetcher(); err != nil {
+			pl.Close()
 			return nil, err
 		}
-		pf.Instrument(reg)
-		idx.pf = pf
 	}
 	return idx, nil
+}
+
+// instrument binds the index's counters and phase histograms. The
+// registry's instruments are get-or-create by name, so every view's
+// series aggregate into the parent's.
+func (x *Index) instrument() {
+	x.mSwaps = x.reg.Counter("uei_region_swaps_total")
+	x.mDeferred = x.reg.Counter("uei_swaps_deferred_total")
+	x.mPrefHits = x.reg.Counter("uei_prefetch_hits_total")
+	x.mEntries = x.reg.Counter("uei_entries_visited_total")
+	x.mCellsScored = x.reg.Counter("uei_score_scored_cells_total")
+	x.mCellsSkipped = x.reg.Counter("uei_score_skipped_cells_total")
+	x.hScore = x.reg.Histogram(obs.PhaseHistName(obs.PhaseScore), nil)
+	x.hLoad = x.reg.Histogram(obs.PhaseHistName(obs.PhaseLoad), nil)
+	x.hSwap = x.reg.Histogram(obs.PhaseHistName(obs.PhaseSwap), nil)
+}
+
+// startPrefetcher (re)creates the background region loader over loadCell.
+func (x *Index) startPrefetcher() error {
+	pf, err := prefetch.New(x.loadCell)
+	if err != nil {
+		return err
+	}
+	pf.Instrument(x.reg)
+	x.pf = pf
+	return nil
 }
 
 // Registry returns the index's metrics registry (the one passed in
@@ -482,13 +472,13 @@ func (x *Index) Close() {
 		if x.pf != nil {
 			x.pf.Close()
 		}
-		if x.snap != nil {
+		if x.live != nil {
 			x.snap.Release()
-		}
-		if !x.isView {
-			if x.live != nil {
+			if !x.isView {
 				x.live.Close()
 			}
+		}
+		if !x.isView {
 			x.pool.Close()
 		}
 	})
@@ -497,147 +487,63 @@ func (x *Index) Close() {
 // Grid returns the symbolic-point lattice.
 func (x *Index) Grid() *grid.Grid { return x.grid }
 
-// Store returns the underlying chunk store of a flat index, or nil for a
-// sharded one (each shard has its own store; use the Index-level
-// accessors — RowCount, Bounds, FetchRows, IOStats — which work for both
-// layouts).
-func (x *Index) Store() *chunkstore.Store { return x.store }
-
-// ShardCoordinator returns the sharded data plane, or nil for a flat
-// index. It is the seam for fault injection and shard inspection.
+// ShardCoordinator returns the data plane (one shard for a flat store).
+// It is the seam for fault injection and shard inspection.
 func (x *Index) ShardCoordinator() *shard.Coordinator { return x.coord }
 
-// Sharded reports whether the index runs over the sharded layout.
-func (x *Index) Sharded() bool { return x.coord != nil }
+// Sharded reports whether the index runs over more than one shard.
+func (x *Index) Sharded() bool { return x.NumShards() > 1 }
 
-// NumShards returns S for a sharded index and 1 for a flat one.
-func (x *Index) NumShards() int {
-	if x.coord != nil {
-		return x.coord.NumShards()
-	}
-	return 1
-}
+// NumShards returns S (1 for a flat store).
+func (x *Index) NumShards() int { return x.coord.NumShards() }
 
 // BlockCache returns the shared decoded-chunk cache installed via
 // Options.BlockCacheBytes, or nil when caching is disabled. Views share
-// the parent's cache; in the sharded layout one cache backs every shard.
-func (x *Index) BlockCache() *chunkstore.BlockCache {
-	if x.coord != nil {
-		return x.coord.BlockCache()
-	}
-	if x.snap != nil {
-		return x.liveBC
-	}
-	return x.store.BlockCache()
-}
+// the parent's cache; one cache backs every shard and segment.
+func (x *Index) BlockCache() *chunkstore.BlockCache { return x.coord.BlockCache() }
 
 // RowCount returns the number of tuples visible to this index: the store
 // row count for static layouts (all shards), the pinned snapshot's
 // flushed row count for live ones.
-func (x *Index) RowCount() int {
-	if x.coord != nil {
-		return x.coord.Meta().RowCount
-	}
-	if x.snap != nil {
-		return x.snap.RowCount()
-	}
-	return x.store.RowCount()
-}
+func (x *Index) RowCount() int { return x.coord.Meta().RowCount }
 
 // Dims returns the dimensionality.
-func (x *Index) Dims() int {
-	if x.coord != nil {
-		return x.coord.Meta().Dims()
-	}
-	if x.snap != nil {
-		return x.snap.Dims()
-	}
-	return x.store.Dims()
-}
+func (x *Index) Dims() int { return x.coord.Meta().Dims() }
 
 // Columns returns the attribute names in dimension order (read-only).
-func (x *Index) Columns() []string {
-	if x.coord != nil {
-		return x.coord.Meta().Columns
-	}
-	if x.snap != nil {
-		return x.snap.Columns()
-	}
-	return x.store.Columns()
-}
+func (x *Index) Columns() []string { return x.coord.Meta().Columns }
 
 // Bounds returns the per-dimension value bounds recorded at build time
 // (for live layouts, pinned at creation).
-func (x *Index) Bounds() vec.Box {
-	if x.coord != nil {
-		return x.coord.Meta().Bounds
-	}
-	if x.snap != nil {
-		return x.snap.Bounds()
-	}
-	return x.store.Bounds()
-}
+func (x *Index) Bounds() vec.Box { return x.coord.Meta().Bounds }
 
 // TotalBytes returns the on-disk payload size of all chunks (all shards,
 // or all segments of the pinned snapshot).
-func (x *Index) TotalBytes() int64 {
-	if x.coord != nil {
-		return x.coord.Meta().TotalBytes
-	}
-	if x.snap != nil {
-		return x.snap.TotalBytes()
-	}
-	return x.store.TotalBytes()
-}
+func (x *Index) TotalBytes() int64 { return x.coord.Meta().TotalBytes }
 
 // IOStats returns cumulative bytes and chunk files read (summed across
-// shards or snapshot segments).
-func (x *Index) IOStats() (bytes int64, chunks int64) {
-	if x.coord != nil {
-		return x.coord.IOStats()
-	}
-	if x.snap != nil {
-		return x.snap.IOStats()
-	}
-	return x.store.IOStats()
-}
+// shards and snapshot segments).
+func (x *Index) IOStats() (bytes int64, chunks int64) { return x.coord.IOStats() }
 
 // ResetIOStats zeroes the I/O counters (between experiment phases).
-func (x *Index) ResetIOStats() {
-	if x.coord != nil {
-		x.coord.ResetIOStats()
-		return
-	}
-	if x.snap != nil {
-		x.snap.ResetIOStats()
-		return
-	}
-	x.store.ResetIOStats()
-}
+func (x *Index) ResetIOStats() { x.coord.ResetIOStats() }
 
 // FetchRows reconstructs the tuples with the given (global) row ids,
-// routing to the owning shards in the sharded layout. Results are sorted
-// by id with duplicates collapsed, either way.
+// routing to the owning shards. Results are sorted by id with duplicates
+// collapsed.
 func (x *Index) FetchRows(ctx context.Context, ids []uint32) ([]chunkstore.MergedRow, error) {
 	if x.closed.Load() {
 		return nil, ErrClosed
 	}
-	if x.coord != nil {
-		return x.coord.FetchRows(ctx, ids)
-	}
-	if x.snap != nil {
-		return x.snap.FetchRows(ctx, ids)
-	}
-	return x.store.FetchRows(ctx, ids)
+	return x.coord.FetchRows(ctx, ids)
 }
 
 // LastStepDegraded reports whether the most recent EnsureRegion (or
 // scoring pass) had to skip shards or fall back from the winning cell.
-// Always false for a flat index.
 func (x *Index) LastStepDegraded() bool { return x.stepDegraded }
 
 // DegradedShards returns the shards skipped by the latest scoring pass,
-// ascending (nil when all shards are healthy or the index is flat).
+// ascending (nil when all shards are healthy).
 func (x *Index) DegradedShards() []int {
 	if len(x.degradedShards) == 0 {
 		return nil
@@ -689,54 +595,39 @@ func (x *Index) InitExploration(ctx context.Context) error {
 }
 
 // UpdateUncertainty re-scores every symbolic index point against the
-// current model (Algorithm 2 line 17, P <- updateUncertainty(P, M)).
-// Scoring shards across the worker pool: each shard writes a disjoint
-// contiguous slice of the uncertainty vector, so the result is
-// byte-identical to the serial pass regardless of worker count.
-//
-// On a sharded index the pass scatters to every shard under the per-shard
-// deadline; shards that miss it or fail keep stale scores and are
+// current model (Algorithm 2 line 17, P <- updateUncertainty(P, M)). The
+// pass scatters to every shard under the per-shard deadline; each shard's
+// scores are published into its own cells' slots only on success, so the
+// result is byte-identical to a serial pass at any worker and shard
+// count. Shards that miss the deadline or fail keep stale scores and are
 // recorded as degraded, excluding their cells from selection until a
 // later pass succeeds.
 func (x *Index) UpdateUncertainty(ctx context.Context, model learn.Classifier) error {
 	if x.closed.Load() {
 		return ErrClosed
 	}
-	if !x.opts.scoreKernelEnabled() {
-		x.resetKernelState()
-		return x.updateUncertaintyLegacy(ctx, model)
+	if x.opts.scoreKernelEnabled() {
+		return x.updateUncertaintyKernel(ctx, model)
 	}
-	return x.updateUncertaintyKernel(ctx, model)
-}
-
-// updateUncertaintyLegacy is the pre-kernel scoring pass, preserved
-// verbatim as the WithScoreKernel(false) escape hatch: per-row batch
-// scoring over the center slice, sharded across the pool (flat) or the
-// coordinator (sharded).
-func (x *Index) updateUncertaintyLegacy(ctx context.Context, model learn.Classifier) error {
+	// The WithScoreKernel(false) escape hatch: per-row batch scoring.
+	x.resetKernelState()
 	x.lastSkipped = 0
-	if x.coord != nil {
-		degraded, err := x.coord.ScoreAll(ctx, model, x.uncertainty)
-		if err != nil {
-			return fmt.Errorf("core: scoring index points: %w", err)
-		}
-		x.degradedShards = degraded
-		if len(degraded) > 0 {
-			x.stepDegraded = true
-		}
-		x.mCellsScored.Add(int64(len(x.centers)))
-		x.scoresValid = true
-		return nil
-	}
-	err := x.pool.Do(ctx, len(x.centers), func(lo, hi int) error {
-		return learn.UncertaintiesInto(ctx, model, x.centers[lo:hi], x.uncertainty[lo:hi])
-	})
+	degraded, err := x.coord.ScoreAll(ctx, model, x.uncertainty)
 	if err != nil {
 		return fmt.Errorf("core: scoring index points: %w", err)
 	}
+	x.setDegraded(degraded)
 	x.mCellsScored.Add(int64(len(x.centers)))
 	x.scoresValid = true
 	return nil
+}
+
+// setDegraded records the shards a scoring pass skipped.
+func (x *Index) setDegraded(degraded []int) {
+	x.degradedShards = degraded
+	if len(degraded) > 0 {
+		x.stepDegraded = true
+	}
 }
 
 // updateUncertaintyKernel is the columnar scoring pass. Three routes, all
@@ -774,43 +665,21 @@ func (x *Index) updateUncertaintyKernel(ctx context.Context, model learn.Classif
 	}
 
 	// Route 3: full columnar pass.
+	pass := shard.ScorePass{Kernel: true}
 	if isDW {
 		if cap(x.dk2) < n {
 			x.dk2 = make([]float64, n)
 		}
 		x.dk2 = x.dk2[:n]
+		pass.NeedDK = true
+		pass.DK2 = x.dk2
 	}
-	if x.coord != nil {
-		pass := shard.ScorePass{Kernel: true}
-		if isDW {
-			pass.NeedDK = true
-			pass.DK2 = x.dk2
-		}
-		degraded, err := x.coord.ScoreAllPass(ctx, model, x.uncertainty, pass)
-		if err != nil {
-			return fmt.Errorf("core: scoring index points: %w", err)
-		}
-		x.degradedShards = degraded
-		if len(degraded) > 0 {
-			x.stepDegraded = true
-		}
-		x.finishFullPass(dw, isDW && len(degraded) == 0, len(degraded) == 0, n)
-		return nil
-	}
-	var err error
-	if isDW {
-		err = x.pool.Do(ctx, n, func(lo, hi int) error {
-			return learn.BlockUncertaintiesDKInto(ctx, dw, x.blk, lo, hi, x.uncertainty[lo:hi], x.dk2[lo:hi])
-		})
-	} else {
-		err = x.pool.Do(ctx, n, func(lo, hi int) error {
-			return learn.BlockUncertaintiesInto(ctx, model, x.blk, lo, hi, x.uncertainty[lo:hi])
-		})
-	}
+	degraded, err := x.coord.ScoreAllPass(ctx, model, x.uncertainty, pass)
 	if err != nil {
 		return fmt.Errorf("core: scoring index points: %w", err)
 	}
-	x.finishFullPass(dw, isDW, true, n)
+	x.setDegraded(degraded)
+	x.finishFullPass(dw, isDW && len(degraded) == 0, len(degraded) == 0, n)
 	return nil
 }
 
@@ -858,41 +727,24 @@ func (x *Index) rescoreDirty(ctx context.Context, model learn.Classifier, dw *le
 		x.scoresValid = true
 		return nil
 	}
-	if x.coord != nil {
-		degraded, err := x.coord.ScoreAllPass(ctx, model, x.uncertainty, shard.ScorePass{
-			Kernel: true,
-			Dirty:  dirty,
-			NeedDK: true,
-			DK2:    x.dk2,
-		})
-		if err != nil {
-			return fmt.Errorf("core: scoring index points: %w", err)
-		}
-		x.degradedShards = degraded
-		if len(degraded) > 0 {
-			// Some dirty cells kept stale scores and stale d_k² bounds:
-			// selection already excludes them, and dropping the retained
-			// model forces the next pass to rescore in full.
-			x.stepDegraded = true
-			x.lastDW = nil
-			x.lastComplete = false
-			x.scoresValid = true
-			return nil
-		}
-	} else {
-		scores := make([]float64, len(dirty))
-		dks := make([]float64, len(dirty))
-		maxShards := (len(dirty) + dirtyShardRows - 1) / dirtyShardRows
-		err := x.pool.DoCapped(ctx, len(dirty), maxShards, func(lo, hi int) error {
-			return learn.BlockUncertaintiesDKAt(ctx, dw, x.blk, dirty[lo:hi], scores[lo:hi], dks[lo:hi])
-		})
-		if err != nil {
-			return fmt.Errorf("core: scoring index points: %w", err)
-		}
-		for i, cell := range dirty {
-			x.uncertainty[cell] = scores[i]
-			x.dk2[cell] = dks[i]
-		}
+	degraded, err := x.coord.ScoreAllPass(ctx, model, x.uncertainty, shard.ScorePass{
+		Kernel: true,
+		Dirty:  dirty,
+		NeedDK: true,
+		DK2:    x.dk2,
+	})
+	if err != nil {
+		return fmt.Errorf("core: scoring index points: %w", err)
+	}
+	x.setDegraded(degraded)
+	if len(degraded) > 0 {
+		// Some dirty cells kept stale scores and stale d_k² bounds:
+		// selection already excludes them, and dropping the retained
+		// model forces the next pass to rescore in full.
+		x.lastDW = nil
+		x.lastComplete = false
+		x.scoresValid = true
+		return nil
 	}
 	x.lastDW = dw
 	x.lastSkipped = n - len(dirty)
@@ -902,16 +754,12 @@ func (x *Index) rescoreDirty(ctx context.Context, model learn.Classifier, dw *le
 	return nil
 }
 
-// dirtyShardRows is the minimum dirty-cell count per pool shard: small
-// dirty sets stay on few goroutines (often one), since fan-out overhead
-// would dwarf the work.
-const dirtyShardRows = 2048
-
 // MostUncertainCells returns the top-k cells by symbolic-point uncertainty,
 // descending, with cell id as the deterministic tie-breaker. k is clamped
-// to |P|. Selection shards across the worker pool: each shard reduces to
-// its local top-k and the merged candidates are re-ranked with the same
-// comparator, so the result equals the serial full sort's first k.
+// to |P|. Selection is a scatter-gather: each shard reduces its owned
+// cells to a local top-k and the merged candidates are re-ranked with the
+// same comparator, so the result equals a full sort's first k — minus the
+// cells of shards whose scores are stale.
 func (x *Index) MostUncertainCells(k int) ([]grid.CellID, error) {
 	return x.mostUncertainCells(context.Background(), k)
 }
@@ -922,70 +770,19 @@ func (x *Index) mostUncertainCells(ctx context.Context, k int) ([]grid.CellID, e
 	if !x.scoresValid {
 		return nil, fmt.Errorf("core: UpdateUncertainty has not run for the current model: %w", learn.ErrNotFitted)
 	}
-	if x.coord != nil {
-		// Scatter-gather selection: per-shard local top-k through the
-		// backends, merged with the same comparator — exactly the global
-		// top-k, minus the cells of shards whose scores are stale. A shard
-		// failing the top-k call itself joins the degraded set until the
-		// next successful scoring pass.
-		cells, newlyDegraded, err := x.coord.MostUncertain(ctx, x.uncertainty, k, x.degradedShards)
-		if err != nil {
-			return nil, err
-		}
-		if len(newlyDegraded) > 0 {
-			x.stepDegraded = true
-			merged := append(append([]int(nil), x.degradedShards...), newlyDegraded...)
-			sort.Ints(merged)
-			n := 0
-			for i, s := range merged {
-				if i > 0 && s == merged[n-1] {
-					continue
-				}
-				merged[n] = s
-				n++
-			}
-			x.degradedShards = merged[:n]
-		}
-		return cells, nil
-	}
-	if k < 1 {
-		k = 1
-	}
-	if k > len(x.uncertainty) {
-		k = len(x.uncertainty)
-	}
-	less := func(a, b int) bool {
-		ua, ub := x.uncertainty[a], x.uncertainty[b]
-		if ua != ub {
-			return ua > ub
-		}
-		return a < b
-	}
-	var mu sync.Mutex
-	var candidates []int
-	err := x.pool.Do(ctx, len(x.uncertainty), func(lo, hi int) error {
-		local := make([]int, hi-lo)
-		for i := range local {
-			local[i] = lo + i
-		}
-		sort.Slice(local, func(a, b int) bool { return less(local[a], local[b]) })
-		if len(local) > k {
-			local = local[:k]
-		}
-		mu.Lock()
-		candidates = append(candidates, local...)
-		mu.Unlock()
-		return nil
-	})
+	cells, newlyDegraded, err := x.coord.MostUncertain(ctx, x.uncertainty, k, x.degradedShards)
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(candidates, func(a, b int) bool { return less(candidates[a], candidates[b]) })
-	out := make([]grid.CellID, k)
-	for i := 0; i < k; i++ {
-		out[i] = grid.CellID(candidates[i])
+	// A shard failing the top-k call itself joins the degraded set until
+	// the next successful scoring pass (it cannot be in the set already:
+	// skipped shards are not contacted).
+	if len(newlyDegraded) > 0 {
+		x.stepDegraded = true
+		x.degradedShards = append(append([]int(nil), x.degradedShards...), newlyDegraded...)
+		sort.Ints(x.degradedShards)
 	}
-	return out, nil
+	return cells, nil
 }
 
 // CellUncertainty returns the last computed uncertainty of a cell.
@@ -996,56 +793,20 @@ func (x *Index) CellUncertainty(id grid.CellID) (float64, error) {
 	return x.uncertainty[id], nil
 }
 
-// loadCell reconstructs one cell's tuples via the mapping method m and the
-// chunk-store hash merge. It is the prefetcher's LoadFunc and the
-// synchronous load path; ctx aborts it at the next chunk boundary. On a
-// sharded index the cell loads from its owning shard (ids remapped to
-// global); a failing or slow owner surfaces shard.ErrShardUnavailable,
-// which EnsureRegion degrades on instead of failing the step.
+// loadCell reconstructs one cell's tuples from its owning shard via the
+// mapping method m and the chunk-store hash merge, under global row ids.
+// It is the prefetcher's LoadFunc and the synchronous load path; ctx
+// aborts it at the next chunk boundary. A failing or slow owner surfaces
+// shard.ErrShardUnavailable, which EnsureRegion degrades on instead of
+// failing the step.
 func (x *Index) loadCell(ctx context.Context, cell int) ([]uint32, [][]float64, error) {
-	if x.coord != nil {
-		ids, vals, visited, err := x.coord.LoadCell(ctx, grid.CellID(cell))
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: loading cell %d: %w", cell, err)
-		}
-		x.mEntries.Add(int64(visited))
-		return ids, vals, nil
-	}
-	if x.snap != nil {
-		rows, visited, err := x.snap.LoadCell(ctx, grid.CellID(cell))
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: loading cell %d: %w", cell, err)
-		}
-		x.mEntries.Add(int64(visited))
-		ids := make([]uint32, len(rows))
-		vals := make([][]float64, len(rows))
-		for i, r := range rows {
-			ids[i] = r.ID
-			vals[i] = r.Vals
-		}
-		return ids, vals, nil
-	}
-	box, err := x.grid.CellBox(grid.CellID(cell))
-	if err != nil {
-		return nil, nil, err
-	}
-	chunks, err := x.mapping.Chunks(grid.CellID(cell))
-	if err != nil {
-		return nil, nil, err
-	}
-	rows, visited, err := x.store.MergeChunks(ctx, box, chunks)
+	ids, vals, visited, err := x.coord.LoadCell(ctx, grid.CellID(cell))
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: loading cell %d: %w", cell, err)
 	}
 	// loadCell also runs on the prefetcher goroutine; the counter is
 	// atomic, so this is safe concurrent with Stats().
 	x.mEntries.Add(int64(visited))
-	ids := make([]uint32, len(rows))
-	vals := make([][]float64, len(rows))
-	for i, r := range rows {
-		ids[i] = r.ID
-		vals[i] = r.Vals
-	}
 	return ids, vals, nil
 }
 
@@ -1112,30 +873,30 @@ func (x *Index) EnsureRegion(ctx context.Context, model learn.Classifier) (grid.
 			"degraded":      boolAttr(outcome == "degraded"),
 		}))
 	}
-	// finishDegradedLoad resolves a load that failed because the target
-	// cell's shard is unavailable: fall back to the runner-up cell, then
-	// to the resident region, before giving up. ok=false propagates the
-	// original error.
-	finishDegradedLoad := func() (grid.CellID, bool, error) {
-		x.stepDegraded = true
-		if len(top) > 1 {
-			if ids, rows, err := x.loadCell(lctx, int(top[1])); err == nil {
-				target = top[1]
-				endLoad("degraded")
-				if err := x.installRegion(ctx, int(top[1]), ids, rows); err != nil {
-					return 0, true, err
+	// failLoad resolves a failed load of the target cell. When the cell's
+	// shard is unavailable the step degrades instead of failing: fall back
+	// to the runner-up cell, then to the resident region. Any other error,
+	// or nothing to fall back to, propagates.
+	failLoad := func(err error) (grid.CellID, error) {
+		if errors.Is(err, shard.ErrShardUnavailable) {
+			x.stepDegraded = true
+			if len(top) > 1 {
+				if ids, rows, lerr := x.loadCell(lctx, int(top[1])); lerr == nil {
+					target = top[1]
+					endLoad("degraded")
+					if err := x.installRegion(ctx, int(top[1]), ids, rows); err != nil {
+						return 0, err
+					}
+					return top[1], nil
 				}
-				return top[1], true, nil
+			}
+			if resident != memcache.NoRegion {
+				endLoad("degraded")
+				return grid.CellID(resident), nil
 			}
 		}
-		if resident != memcache.NoRegion {
-			endLoad("degraded")
-			return grid.CellID(resident), true, nil
-		}
-		return 0, false, nil
-	}
-	degradable := func(err error) bool {
-		return err != nil && x.coord != nil && errors.Is(err, shard.ErrShardUnavailable)
+		load.End(nil)
+		return 0, err
 	}
 	if x.cache.HasRegion(int(target)) {
 		x.deferredFor = 0
@@ -1148,13 +909,7 @@ func (x *Index) EnsureRegion(ctx context.Context, model learn.Classifier) (grid.
 		// Synchronous path: load and swap immediately.
 		ids, rows, err := x.loadCell(lctx, int(target))
 		if err != nil {
-			if degradable(err) {
-				if cell, ok, ferr := finishDegradedLoad(); ok {
-					return cell, ferr
-				}
-			}
-			load.End(nil)
-			return 0, err
+			return failLoad(err)
 		}
 		endLoad("load")
 		if err := x.installRegion(ctx, int(target), ids, rows); err != nil {
@@ -1166,13 +921,7 @@ func (x *Index) EnsureRegion(ctx context.Context, model learn.Classifier) (grid.
 	// Prefetching path. A completed background load wins instantly.
 	if r, ok := x.pf.TryTake(int(target)); ok {
 		if r.Err != nil {
-			if degradable(r.Err) {
-				if cell, ok, ferr := finishDegradedLoad(); ok {
-					return cell, ferr
-				}
-			}
-			load.End(nil)
-			return 0, r.Err
+			return failLoad(r.Err)
 		}
 		x.mPrefHits.Inc()
 		endLoad("prefetch_hit")
@@ -1201,13 +950,7 @@ func (x *Index) EnsureRegion(ctx context.Context, model learn.Classifier) (grid.
 	// Deferral budget exhausted (or nothing resident yet): block.
 	r := x.pf.Await(lctx, int(target))
 	if r.Err != nil {
-		if degradable(r.Err) {
-			if cell, ok, ferr := finishDegradedLoad(); ok {
-				return cell, ferr
-			}
-		}
-		load.End(nil)
-		return 0, r.Err
+		return failLoad(r.Err)
 	}
 	endLoad("load")
 	if err := x.installRegion(ctx, int(target), r.IDs, r.Rows); err != nil {
@@ -1364,21 +1107,13 @@ func (x *Index) ResultRetrieval(ctx context.Context, model learn.Classifier, min
 	// Stream each dimension's relevant chunks once, accumulating partial
 	// rows; a row materializes only if a marked segment hits it on every
 	// dimension (a superset of the passing-cell union, trimmed below).
-	// Sharded indexes run the same scan on every backend concurrently (each
-	// shard is a self-contained store over its own rows) and merge the rows
-	// under global ids. Retrieval is the final answer, so the scatter is
-	// strict: a failing shard fails the call rather than silently dropping
-	// its rows. Both paths share shard.ScanMarked, so the row set is
-	// byte-identical across layouts and transports.
-	var rows []shard.RetrievedRow
-	var entries int
-	if x.coord != nil {
-		rows, entries, err = x.coord.Retrieve(ctx, markedSeg)
-	} else if x.snap != nil {
-		rows, entries, err = x.snap.ScanMarked(ctx, markedSeg)
-	} else {
-		rows, entries, err = shard.ScanMarked(ctx, x.grid, x.store, markedSeg)
-	}
+	// Every backend runs the same scan concurrently (each shard is a
+	// self-contained store over its own rows) and the rows merge under
+	// global ids. Retrieval is the final answer, so the scatter is strict:
+	// a failing shard fails the call rather than silently dropping its
+	// rows. shard.ScanMarked is the one scan every layout and transport
+	// runs, so the row set is byte-identical across them.
+	rows, entries, err := x.coord.Retrieve(ctx, markedSeg)
 	if err != nil {
 		return nil, err
 	}
@@ -1409,16 +1144,10 @@ func (x *Index) ResultRetrieval(ctx context.Context, model learn.Classifier, min
 	return out, nil
 }
 
-// CellEstimate exposes the mapping's I/O cost estimate for a cell (for a
-// sharded index, the estimate from the cell's owning shard).
+// CellEstimate exposes the mapping's I/O cost estimate for a cell (the
+// estimate from the cell's owning shard, summed over its parts).
 func (x *Index) CellEstimate(id grid.CellID) (bytes int64, entries int, err error) {
-	if x.coord != nil {
-		return x.coord.CostEstimate(id)
-	}
-	if x.snap != nil {
-		return x.snap.CostEstimate(id)
-	}
-	return x.mapping.CostEstimate(id)
+	return x.coord.CostEstimate(id)
 }
 
 // MeanCellBytes reports the average estimated load cost across all cells —

@@ -405,7 +405,7 @@ func TestResultRetrievalMatchesOracle(t *testing.T) {
 	}
 	// Pruned retrieval must be a subset of exact retrieval and much
 	// cheaper (fewer cells loaded).
-	idx.Store().ResetIOStats()
+	idx.ResetIOStats()
 	pruned, err := idx.ResultRetrieval(context.Background(), model, 0.05)
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 
 	"github.com/uei-db/uei/internal/memcache"
 	"github.com/uei-db/uei/internal/obs"
-	"github.com/uei-db/uei/internal/prefetch"
 )
 
 // ViewOptions configures a per-session view of a shared Index. Zero values
@@ -31,10 +30,11 @@ type ViewOptions struct {
 }
 
 // NewView derives an independent exploration state over the parent's
-// storage: the chunk store, grid, chunk mapping, symbolic index point set,
-// worker pool, and metrics registry are shared (they are immutable or
-// concurrency-safe), while the memory budget, unlabeled cache, uncertainty
-// vector, and prefetcher are private to the view. This is what lets many
+// storage: the shard coordinator (stores and chunk mappings), grid,
+// symbolic index point set, worker pool, and metrics registry are shared
+// (they are immutable or concurrency-safe), while the memory budget,
+// unlabeled cache, uncertainty vector, and prefetcher are private to the
+// view. This is what lets many
 // concurrent sessions explore one index: each gets its own U, L-driven
 // scores, and region residency, but storage is opened (and the pool's
 // goroutines started) exactly once.
@@ -63,48 +63,29 @@ func (x *Index) NewView(vo ViewOptions) (*Index, error) {
 	if _, err := opts.withDefaults(); err != nil {
 		return nil, err
 	}
-	budget, err := memcache.NewBudget(opts.MemoryBudgetBytes)
+	budget, cache, err := newUnlabeledCache(opts, x.Dims())
 	if err != nil {
-		return nil, err
-	}
-	cache, err := memcache.NewCache(budget, x.Dims())
-	if err != nil {
-		return nil, err
-	}
-	if err := cache.SetMaxRegions(opts.ResidentRegions); err != nil {
 		return nil, err
 	}
 	v := &Index{
 		opts:    opts,
-		store:   x.store,
 		coord:   x.coord,
 		grid:    x.grid,
-		mapping: x.mapping,
 		budget:  budget,
 		cache:   cache,
 		centers: x.centers,
 		// The packed column block is immutable and shared like centers;
 		// incremental-rescore state (lastDW, dk2) stays private and cold,
 		// because it tracks the view's own uncertainty vector.
-		blk: x.blk,
-		// The registry's instruments are get-or-create by name, so every
-		// view's swap/prefetch counters and phase histograms aggregate into
-		// the same server-wide series.
+		blk:         x.blk,
 		pool:        x.pool,
 		isView:      true,
 		uncertainty: make([]float64, x.grid.NumCells()),
 		pendingCell: memcache.NoRegion,
 		reg:         x.reg,
 		tracer:      vo.Tracer,
-		mSwaps:      x.reg.Counter("uei_region_swaps_total"),
-		mDeferred:   x.reg.Counter("uei_swaps_deferred_total"),
-		mPrefHits:   x.reg.Counter("uei_prefetch_hits_total"),
-		mEntries:    x.reg.Counter("uei_entries_visited_total"),
-		hScore:      x.reg.Histogram(obs.PhaseHistName(obs.PhaseScore), nil),
-		hLoad:       x.reg.Histogram(obs.PhaseHistName(obs.PhaseLoad), nil),
-		hSwap:       x.reg.Histogram(obs.PhaseHistName(obs.PhaseSwap), nil),
 	}
-	v.initScoreKernel()
+	v.instrument()
 	if x.live != nil {
 		// Pin the PARENT's epoch, not the latest: the serving layer's
 		// lazily-derived per-index state (oracle datasets, admission
@@ -118,15 +99,11 @@ func (x *Index) NewView(vo ViewOptions) (*Index, error) {
 		}
 		v.live = x.live
 		v.snap = snap
-		v.liveBC = x.liveBC
 	}
 	if opts.EnablePrefetch {
-		pf, err := prefetch.New(v.loadCell)
-		if err != nil {
+		if err := v.startPrefetcher(); err != nil {
 			return nil, err
 		}
-		pf.Instrument(x.reg)
-		v.pf = pf
 	}
 	return v, nil
 }

@@ -576,11 +576,6 @@ func (s *Session) Finish(ctx context.Context) (*Result, error) {
 	}, nil
 }
 
-// RunV1 runs the session without cancellation.
-//
-// Deprecated: use Run with a context.
-func (s *Session) RunV1() (*Result, error) { return s.Run(context.Background()) }
-
 // Model returns the current predictive model (nil before the first fit).
 func (s *Session) Model() learn.Classifier { return s.model }
 

@@ -19,8 +19,8 @@ const defaultSegmentsPerDim = 5
 
 // BuildOptions configures Build.
 type BuildOptions struct {
-	// Shards is S, in [2, MaxShards]. (S = 1 is the flat layout; callers
-	// route it to chunkstore.Build.)
+	// Shards is S, in [2, MaxShards]. (S = 1 is the flat on-disk layout;
+	// callers route it to chunkstore.Build.)
 	Shards int
 	// SegmentsPerDim fixes the grid cells are hashed over. Zero selects
 	// the core default (5).

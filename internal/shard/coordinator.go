@@ -43,7 +43,9 @@ type FaultHook func(ctx context.Context, shard, replica int, op string) error
 // Part is one immutable data part of a shard: a private flat chunk store
 // (local ids 0..n-1), the mapping of global grid cells to that store's
 // chunks, and the strictly ascending local→global idmap — so local id
-// order and global id order agree within a part.
+// order and global id order agree within a part. A nil IDMap is the
+// identity: the part's local ids are the global ids (a flat store opened
+// as the only part of the only shard), so no table is held in memory.
 type Part struct {
 	Store   *chunkstore.Store
 	Mapping *grid.Mapping
@@ -52,6 +54,39 @@ type Part struct {
 
 // RowCount returns the part's row count.
 func (p *Part) RowCount() int { return p.Store.RowCount() }
+
+// globalID translates one of the part's local row ids to its global id.
+func (p *Part) globalID(local uint32) uint32 {
+	if p.IDMap == nil {
+		return local
+	}
+	return p.IDMap[local]
+}
+
+// localIDs returns the local ids (positions in the idmap) of the global
+// ids this part holds, by merging the two sorted sequences. globalIDs must
+// be ascending; so is the result.
+func (p *Part) localIDs(globalIDs []uint32) []uint32 {
+	if p.IDMap == nil {
+		n := uint32(p.RowCount())
+		return globalIDs[:sort.Search(len(globalIDs), func(i int) bool { return globalIDs[i] >= n })]
+	}
+	var local []uint32
+	li := 0
+	for _, g := range globalIDs {
+		for li < len(p.IDMap) && p.IDMap[li] < g {
+			li++
+		}
+		if li == len(p.IDMap) {
+			break
+		}
+		if p.IDMap[li] == g {
+			local = append(local, uint32(li))
+			li++
+		}
+	}
+	return local
+}
 
 // Shard is one self-contained slice of the sharded store. Build-time
 // layouts hold exactly one part per shard; live (stream) snapshots hold
@@ -119,8 +154,9 @@ type CoordinatorOptions struct {
 // answers. It speaks only the Backend interface, so shards may live
 // in-process (Open) or behind remote workers (NewCoordinator with remote
 // client backends). With all shards healthy its results are exactly those
-// of a flat store over the same dataset; with some shards degraded it
-// returns the healthy subset and reports which shards were skipped.
+// of one store over the same dataset (S = 1 is how a flat store is read);
+// with some shards degraded it returns the healthy subset and reports
+// which shards were skipped.
 //
 // Replication: each shard may have R backends. An operation runs on the
 // primary first, fails over to the next replica on error, and — when a
@@ -156,11 +192,16 @@ type Coordinator struct {
 	hedgeDelay atomic.Int64 // nanoseconds; 0 = no hedging
 	hook       atomic.Pointer[FaultHook]
 
-	// mDegraded counts shard skips (shard_degraded_total); nil-safe. The
-	// cause-split counters attribute each skip to a deadline miss vs a
-	// shard error, and mSkip[i] counts skips of shard i specifically.
-	// mHedged counts hedged second attempts, mFailover error-triggered
-	// replica failovers.
+	instruments
+}
+
+// instruments are the coordinator's counters, bound by Instrument and
+// shared by the epochs of one store (NextEpoch). mDegraded counts shard
+// skips (shard_degraded_total); nil-safe. The cause-split counters
+// attribute each skip to a deadline miss vs a shard error, and mSkip[i]
+// counts skips of shard i specifically. mHedged counts hedged second
+// attempts, mFailover error-triggered replica failovers.
+type instruments struct {
 	mDegraded         *obs.Counter
 	mDegradedDeadline *obs.Counter
 	mDegradedError    *obs.Counter
@@ -171,7 +212,8 @@ type Coordinator struct {
 
 // Open loads a sharded store built by Build and serves it through
 // in-process backends. A flat store directory fails with
-// chunkstore.ErrLayoutMismatch.
+// chunkstore.ErrLayoutMismatch (core opens one as a single shard through
+// NewLocalCoordinator).
 func Open(ctx context.Context, dir string, opts OpenOptions) (*Coordinator, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -219,10 +261,11 @@ func Open(ctx context.Context, dir string, opts OpenOptions) (*Coordinator, erro
 }
 
 // NewLocalCoordinator assembles a coordinator over already-open in-process
-// shards — the tail of Open, also the entry point for live (stream)
-// snapshots, whose multi-part shards are opened and cached by the stream
-// DB rather than loaded from a build-time directory. Shard IDs and owned
-// cells are (re)assigned here from the manifest's grid.
+// shards — the tail of Open, also the entry point for a flat store (one
+// shard, one part, nil idmap) and for live (stream) snapshots, whose
+// multi-part shards are opened and cached by the stream DB rather than
+// loaded from a build-time directory. Shard IDs and owned cells are
+// (re)assigned here from the manifest's grid.
 func NewLocalCoordinator(man *Manifest, shards []*Shard, opts OpenOptions) (*Coordinator, error) {
 	if err := man.validate(); err != nil {
 		return nil, err
@@ -237,10 +280,6 @@ func NewLocalCoordinator(man *Manifest, shards []*Shard, opts OpenOptions) (*Coo
 	owners, err := CellOwners(g, man.Shards)
 	if err != nil {
 		return nil, err
-	}
-	p := opts.Pool
-	if p == nil {
-		p = pool.New(1)
 	}
 	centers := g.Centers()
 	ownedCenters := make([][]vec.Point, man.Shards)
@@ -258,7 +297,7 @@ func NewLocalCoordinator(man *Manifest, shards []*Shard, opts OpenOptions) (*Coo
 	}
 	backends := make([][]Backend, man.Shards)
 	for s, sh := range shards {
-		lb := NewLocalBackend(sh, g, sh.Cells, ownedCenters[s], p)
+		lb := NewLocalBackend(sh, g, sh.Cells, ownedCenters[s], opts.Pool)
 		for i := 0; i < rep; i++ {
 			// In-process replicas share the backend: the store is
 			// concurrency-safe, and one I/O counter per shard keeps stats
@@ -276,6 +315,41 @@ func NewLocalCoordinator(man *Manifest, shards []*Shard, opts OpenOptions) (*Coo
 	c.shards = shards
 	c.cache = opts.BlockCache
 	return c, nil
+}
+
+// NextEpoch returns a coordinator over another epoch of the local store c
+// serves (a live snapshot advance): shards carry the new epoch's parts and
+// man its row counts, while everything an epoch cannot change — grid, cell
+// ownership, every shard's owned centers and packed block, pool, block
+// cache, deadlines, instruments — is shared with c instead of rebuilt, so
+// an advance costs O(S), not O(cells), in time and memory.
+func (c *Coordinator) NextEpoch(man *Manifest, shards []*Shard) (*Coordinator, error) {
+	if c.shards == nil || man.Shards != len(c.shards) || len(shards) != len(c.shards) {
+		return nil, fmt.Errorf("shard: next epoch has %d shards (manifest: %d), the local coordinator %d", len(shards), man.Shards, len(c.shards))
+	}
+	next := &Coordinator{
+		meta:        c.meta,
+		shards:      shards,
+		replicas:    make([][]Backend, len(shards)),
+		ownerByCell: c.ownerByCell,
+		ownedCells:  c.ownedCells,
+		cellLocal:   c.cellLocal,
+		cache:       c.cache,
+		instruments: c.instruments,
+	}
+	next.meta.RowCount, next.meta.TotalBytes = man.RowCount, 0
+	for s, sh := range shards {
+		lb := *c.replicas[s][0].(*LocalBackend)
+		sh.ID, sh.Cells, lb.shard = s, lb.cells, sh
+		for range c.replicas[s] {
+			next.replicas[s] = append(next.replicas[s], &lb)
+		}
+		next.statBackends = append(next.statBackends, &lb)
+		next.meta.TotalBytes += lb.Stats().TotalBytes
+	}
+	next.deadline.Store(c.deadline.Load())
+	next.hedgeDelay.Store(c.hedgeDelay.Load())
+	return next, nil
 }
 
 // NewCoordinator assembles a coordinator over caller-provided backends —
@@ -675,10 +749,10 @@ func (c *Coordinator) ScatterStrict(ctx context.Context, op string, fn func(ctx 
 // backends. Each shard's scores come back aligned with its owned-cell
 // list and are published into unc only on success, so a shard that fails
 // mid-pass leaves its slots untouched (fully stale, never torn) — and the
-// values are byte-identical to a flat scoring pass. Shards whose replicas
-// all missed the deadline or failed are skipped and returned as degraded,
-// sorted ascending; callers must exclude their cells from selection until
-// the next successful pass. An error is returned only when the caller's
+// values are byte-identical to one serial scoring pass. Shards whose
+// replicas all missed the deadline or failed are skipped and returned as
+// degraded, sorted ascending; callers must exclude their cells from
+// selection until the next successful pass. An error is returned only when the caller's
 // ctx is cancelled or every shard failed.
 func (c *Coordinator) ScoreAll(ctx context.Context, model learn.Classifier, unc []float64) (degraded []int, err error) {
 	return c.ScoreAllPass(ctx, model, unc, ScorePass{})
@@ -777,8 +851,8 @@ func (c *Coordinator) ScoreAllPass(ctx context.Context, model learn.Classifier, 
 }
 
 // lessUncertain is the selection order: higher uncertainty first, lower
-// cell id breaking ties — identical to the flat index's comparator, so
-// the merged global top-k matches a flat top-k exactly.
+// cell id breaking ties. Every shard ranks with it, so the merged global
+// top-k equals the first k of a full sort.
 func lessUncertain(a, b CellScore) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score
@@ -787,7 +861,7 @@ func lessUncertain(a, b CellScore) bool {
 }
 
 // MostUncertain returns the k most uncertain cells, fanning per-shard
-// top-k selection across backends and merging with the flat comparator.
+// top-k selection across backends and merging with lessUncertain.
 // Shards listed in skip (the degraded set from the latest ScoreAll) are
 // excluded entirely — their scores are stale and their backends are not
 // contacted. Shards that fail the top-k call itself are skipped for this
@@ -969,9 +1043,12 @@ func (c *Coordinator) FetchRows(ctx context.Context, ids []uint32) ([]chunkstore
 	}
 	var out []chunkstore.MergedRow
 	for _, rows := range perShard {
-		out = append(out, rows...)
+		out = gather(out, rows)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	// One shard's rows arrive ascending; only a union needs the re-sort.
+	if len(perShard) > 1 {
+		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	}
 	if len(out) != len(uniq) {
 		return nil, fmt.Errorf("shard: fetched %d of %d requested rows; store is inconsistent", len(out), len(uniq))
 	}
@@ -994,34 +1071,16 @@ func (c *Coordinator) Retrieve(ctx context.Context, marked [][]bool) (rows []Ret
 			return scanned{r, n}, err
 		},
 		func(id int, s scanned) {
-			rows = append(rows, s.rows...)
+			rows = gather(rows, s.rows)
 			entries += s.entries
 		})
 	if err != nil {
 		return nil, 0, err
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].ID < rows[j].ID })
-	return rows, entries, nil
-}
-
-// intersectLocal returns the local ids (positions in idmap) of the global
-// ids present in this shard, by merging the two sorted sequences.
-func intersectLocal(globalIDs []uint32, idmap []uint32) []uint32 {
-	var local []uint32
-	li := 0
-	for _, g := range globalIDs {
-		for li < len(idmap) && idmap[li] < g {
-			li++
-		}
-		if li == len(idmap) {
-			break
-		}
-		if idmap[li] == g {
-			local = append(local, uint32(li))
-			li++
-		}
+	if len(c.replicas) > 1 {
+		sort.Slice(rows, func(i, j int) bool { return rows[i].ID < rows[j].ID })
 	}
-	return local
+	return rows, entries, nil
 }
 
 // CostEstimate returns the bytes and posting entries loading the cell

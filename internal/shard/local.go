@@ -14,17 +14,16 @@ import (
 )
 
 // LocalBackend adapts one in-process *Shard to the Backend interface —
-// the transport-free implementation whose behavior is byte-identical to
-// the pre-interface coordinator. Replicated local coordinators reuse one
-// LocalBackend per shard (the underlying store is concurrency-safe), so
-// hedged duplicate calls race only on immutable state.
+// the transport-free implementation. Replicated local coordinators reuse
+// one LocalBackend per shard (the underlying store is concurrency-safe),
+// so hedged duplicate calls race only on immutable state.
 //
 // A shard holds one part for build-time layouts and several for live
-// (stream) snapshots. Single-part calls take the exact pre-refactor code
-// path; multi-part calls merge per-part results by global id, which
-// yields the same row set a flat store over the union of the parts'
-// rows would produce (chunk reconstruction is per-row value containment,
-// and every part's idmap is strictly ascending).
+// (stream) snapshots. A single part's rows are already in global id
+// order; multi-part calls merge per-part results by global id, which
+// yields the same row set one store over the union of the parts' rows
+// would produce (chunk reconstruction is per-row value containment, and
+// every part's idmap is strictly ascending).
 type LocalBackend struct {
 	shard *Shard
 	g     *grid.Grid
@@ -222,11 +221,22 @@ func (b *LocalBackend) ResetIOStats() {
 	}
 }
 
+// gather adds one part's (or one shard's) rows to out, adopting the first
+// batch instead of copying it: with one part in one shard the store's own
+// slice reaches the caller (a terminal scan can return every row of the
+// dataset).
+func gather[T any](out, rows []T) []T {
+	if out == nil {
+		return rows
+	}
+	return append(out, rows...)
+}
+
 // MergePartsCell reconstructs one grid cell across parts: each part
 // hash-merges its own chunks, local ids remap through the part's idmap,
 // and the per-part row sets (disjoint — every global row lives in exactly
 // one part) concatenate into one id-sorted slice. With a single part this
-// is exactly the flat MergeChunks path plus the remap.
+// is exactly the store's MergeChunks plus the remap.
 func MergePartsCell(ctx context.Context, parts []Part, box vec.Box, cell grid.CellID) ([]chunkstore.MergedRow, int, error) {
 	var out []chunkstore.MergedRow
 	var entries int
@@ -242,9 +252,9 @@ func MergePartsCell(ctx context.Context, parts []Part, box vec.Box, cell grid.Ce
 		}
 		entries += pe
 		for j := range rows {
-			rows[j].ID = p.IDMap[rows[j].ID]
+			rows[j].ID = p.globalID(rows[j].ID)
 		}
-		out = append(out, rows...)
+		out = gather(out, rows)
 	}
 	if len(parts) > 1 {
 		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -258,7 +268,7 @@ func FetchPartsRows(ctx context.Context, parts []Part, ids []uint32) ([]chunksto
 	var out []chunkstore.MergedRow
 	for i := range parts {
 		p := &parts[i]
-		local := intersectLocal(ids, p.IDMap)
+		local := p.localIDs(ids)
 		if len(local) == 0 {
 			continue
 		}
@@ -267,9 +277,9 @@ func FetchPartsRows(ctx context.Context, parts []Part, ids []uint32) ([]chunksto
 			return nil, err
 		}
 		for j := range rows {
-			rows[j].ID = p.IDMap[rows[j].ID]
+			rows[j].ID = p.globalID(rows[j].ID)
 		}
-		out = append(out, rows...)
+		out = gather(out, rows)
 	}
 	if len(parts) > 1 {
 		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -290,9 +300,9 @@ func ScanPartsMarked(ctx context.Context, g *grid.Grid, parts []Part, marked [][
 		}
 		entries += pe
 		for j := range rows {
-			rows[j].ID = p.IDMap[rows[j].ID]
+			rows[j].ID = p.globalID(rows[j].ID)
 		}
-		out = append(out, rows...)
+		out = gather(out, rows)
 	}
 	if len(parts) > 1 {
 		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })

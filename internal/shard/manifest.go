@@ -104,8 +104,8 @@ func (m *Manifest) validate() error {
 	if m.FormatVersion != manifestFormatVersion {
 		return fmt.Errorf("shard: manifest format %d, want %d", m.FormatVersion, manifestFormatVersion)
 	}
-	if m.Shards < 2 || m.Shards > MaxShards {
-		return fmt.Errorf("shard: manifest has %d shards, want 2..%d", m.Shards, MaxShards)
+	if m.Shards < 1 || m.Shards > MaxShards {
+		return fmt.Errorf("shard: manifest has %d shards, want 1..%d", m.Shards, MaxShards)
 	}
 	if m.Hash != hashName {
 		return fmt.Errorf("shard: manifest uses assignment %q, this build understands %q", m.Hash, hashName)

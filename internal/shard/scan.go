@@ -11,10 +11,11 @@ import (
 // ScanMarked streams one store's chunks overlapping the marked segments
 // (one flag slice per dimension of g), dimension by dimension, and returns
 // the rows a marked segment hit on every dimension, keyed by the store's
-// own row ids, ascending. It is the per-store body of result retrieval,
-// shared by the flat index, the local shard backend, and the uei-shardd
-// worker — all three layouts must scan identically for the result sets to
-// be byte-identical. entries counts the posting entries visited.
+// own row ids, ascending. It is the per-store body of result retrieval:
+// every layout reaches it through ScanPartsMarked (a flat store is one
+// part, a live snapshot one part per segment, a uei-shardd worker serves
+// local backends), so result sets are byte-identical across layouts and
+// transports. entries counts the posting entries visited.
 func ScanMarked(ctx context.Context, g *grid.Grid, st *chunkstore.Store, markedSeg [][]bool) (rows []RetrievedRow, entries int, err error) {
 	dims := g.Dims()
 	type partial struct {

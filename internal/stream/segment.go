@@ -80,6 +80,7 @@ func (db *DB) openSegment(meta SegmentMeta) (*segment, error) {
 		return nil, fmt.Errorf("stream: segment %d has %d dims, manifest says %d", meta.ID, st.Dims(), len(db.columns))
 	}
 	st.SetWorkers(db.opts.Workers)
+	st.Instrument(db.opts.Registry)
 	if db.opts.BlockCache != nil {
 		st.SetCacheKeyPrefix(SegmentDirName(meta.ID) + "/")
 		st.SetBlockCache(db.opts.BlockCache)

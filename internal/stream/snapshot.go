@@ -6,9 +6,7 @@ import (
 	"sync/atomic"
 
 	"github.com/uei-db/uei/internal/chunkstore"
-	"github.com/uei-db/uei/internal/grid"
 	"github.com/uei-db/uei/internal/shard"
-	"github.com/uei-db/uei/internal/vec"
 )
 
 // Snapshot is one pinned epoch: an immutable view over the segment set the
@@ -57,46 +55,6 @@ func (s *Snapshot) Clone() (*Snapshot, error) {
 // resolvable through this snapshot).
 func (s *Snapshot) RowCount() int { return s.man.FlushedRows }
 
-// Columns returns the attribute names in dimension order.
-func (s *Snapshot) Columns() []string { return s.db.columns }
-
-// Dims returns the dimensionality.
-func (s *Snapshot) Dims() int { return len(s.db.columns) }
-
-// Bounds returns the grid bounds pinned at creation.
-func (s *Snapshot) Bounds() vec.Box { return s.db.bounds }
-
-// Grid returns the fixed grid shared by every epoch.
-func (s *Snapshot) Grid() *grid.Grid { return s.db.grid }
-
-// TotalBytes sums the on-disk chunk payload of the snapshot's segments.
-func (s *Snapshot) TotalBytes() int64 {
-	var total int64
-	for _, seg := range s.segs {
-		total += seg.part.Store.TotalBytes()
-	}
-	return total
-}
-
-// IOStats sums cumulative read counters across the snapshot's segments.
-// Segments are shared between snapshots of overlapping epochs, so this is
-// a store-level measure, not a per-snapshot one.
-func (s *Snapshot) IOStats() (bytes int64, chunks int64) {
-	for _, seg := range s.segs {
-		b, c := seg.part.Store.IOStats()
-		bytes += b
-		chunks += c
-	}
-	return bytes, chunks
-}
-
-// ResetIOStats zeroes the read counters of the snapshot's segments.
-func (s *Snapshot) ResetIOStats() {
-	for _, seg := range s.segs {
-		seg.part.Store.ResetIOStats()
-	}
-}
-
 // parts returns the snapshot's segments as shard parts, id-ascending by
 // construction of the manifest's segment order.
 func (s *Snapshot) parts() []shard.Part {
@@ -114,44 +72,11 @@ func (s *Snapshot) FetchRows(ctx context.Context, ids []uint32) ([]chunkstore.Me
 	return shard.FetchPartsRows(ctx, s.parts(), ids)
 }
 
-// LoadCell reconstructs one grid cell's tuples under global ids, sorted
-// ascending, plus the posting entries visited.
-func (s *Snapshot) LoadCell(ctx context.Context, cell grid.CellID) ([]chunkstore.MergedRow, int, error) {
-	box, err := s.db.grid.CellBox(cell)
-	if err != nil {
-		return nil, 0, err
-	}
-	return shard.MergePartsCell(ctx, s.parts(), box, cell)
-}
-
-// ScanMarked streams the segments' chunks over the marked per-dimension
-// grid segments and returns the surviving rows sorted by global id — the
-// retrieval scan of Algorithm 2 line 26, per snapshot.
-func (s *Snapshot) ScanMarked(ctx context.Context, marked [][]bool) ([]shard.RetrievedRow, int, error) {
-	return shard.ScanPartsMarked(ctx, s.db.grid, s.parts(), marked)
-}
-
-// CostEstimate sums the mapping I/O estimates for a cell across segments.
-func (s *Snapshot) CostEstimate(cell grid.CellID) (bytes int64, entries int, err error) {
-	for _, seg := range s.segs {
-		b, e, err := seg.part.Mapping.CostEstimate(cell)
-		if err != nil {
-			return 0, 0, err
-		}
-		bytes += b
-		entries += e
-	}
-	return bytes, entries, nil
-}
-
-// ShardManifest synthesizes the static sharded manifest equivalent of
-// this epoch, for layouts created with Shards > 1: the same grid
-// geometry, bounds, and hash contract a build-time shards.json would
-// carry, with per-shard row counts summed over the epoch's segments.
+// ShardManifest synthesizes the static shard manifest equivalent of this
+// epoch: the same grid geometry, bounds, and hash contract a build-time
+// shards.json would carry (one shard for a flat live layout), with
+// per-shard row counts summed over the epoch's segments.
 func (s *Snapshot) ShardManifest() (*shard.Manifest, error) {
-	if s.db.shards < 2 {
-		return nil, fmt.Errorf("stream: flat layout has no shard manifest")
-	}
 	counts := make([]int, s.db.shards)
 	for _, seg := range s.segs {
 		counts[seg.meta.Shard] += seg.meta.Rows
@@ -164,10 +89,7 @@ func (s *Snapshot) ShardManifest() (*shard.Manifest, error) {
 // for a local coordinator (shard s's parts in segment-id order, so rows
 // within a shard merge back into global-id order exactly as a build-time
 // partition would have laid them out).
-func (s *Snapshot) Shards() ([]*shard.Shard, error) {
-	if s.db.shards < 2 {
-		return nil, fmt.Errorf("stream: flat layout has no shards")
-	}
+func (s *Snapshot) Shards() []*shard.Shard {
 	shards := make([]*shard.Shard, s.db.shards)
 	for i := range shards {
 		shards[i] = &shard.Shard{ID: i}
@@ -176,5 +98,5 @@ func (s *Snapshot) Shards() ([]*shard.Shard, error) {
 		sh := shards[seg.meta.Shard]
 		sh.Parts = append(sh.Parts, seg.part)
 	}
-	return shards, nil
+	return shards
 }

@@ -257,7 +257,7 @@ func TestSnapshotMatchesStaticStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := snap.LoadCell(ctx, grid.CellID(cell))
+		got, _, err := shard.MergePartsCell(ctx, snap.parts(), box, grid.CellID(cell))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -462,10 +462,7 @@ func TestZeroRowSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards, err := snap.Shards()
-	if err != nil {
-		t.Fatal(err)
-	}
+	shards := snap.Shards()
 	if len(shards) != 2 {
 		t.Fatalf("got %d shards, want 2", len(shards))
 	}
@@ -484,7 +481,11 @@ func TestZeroRowSegments(t *testing.T) {
 		t.Fatalf("want one rowless and one full shard, got %d/%d", zero, full)
 	}
 	// No phantom rows in cell reconstruction or fetches.
-	got, _, err := snap.LoadCell(context.Background(), 0)
+	box, err := db.Grid().CellBox(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := shard.MergePartsCell(context.Background(), snap.parts(), box, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,10 +537,7 @@ func TestShardedFlushRoutesByCellOwner(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer snap.Release()
-	shards, err := snap.Shards()
-	if err != nil {
-		t.Fatal(err)
-	}
+	shards := snap.Shards()
 	// Every flushed row must sit in the shard that owns its grid cell —
 	// the same assignment the coordinator routes reads by.
 	owners, err := shard.CellOwners(db.Grid(), 2)

@@ -101,16 +101,16 @@ func WithRegistry(r *Registry) Option { return func(c *apiConfig) { c.registry =
 // takes precedence over Options.Tracer when both are set.
 func WithTracer(t *Tracer) Option { return func(c *apiConfig) { c.tracer = t } }
 
-// WithShards pins the store layout Open requires: 1 requires the legacy
-// flat layout, n > 1 requires a sharded layout with exactly n shards. The
+// WithShards pins the store layout Open requires: 1 requires the flat
+// on-disk layout, n > 1 requires a sharded layout with exactly n shards. The
 // default (auto-detect) opens whichever layout the directory holds. A
 // mismatch fails with ErrLayoutMismatch. It takes precedence over
 // Options.Shards when both are set.
 func WithShards(n int) Option { return func(c *apiConfig) { c.shards = n } }
 
-// WithShardDeadline bounds every per-shard operation of a sharded index;
-// shards that miss the deadline are skipped for the iteration (the step
-// degrades instead of failing). Ignored by flat stores. It takes
+// WithShardDeadline bounds every per-shard operation of the index (a flat
+// store is one shard); shards that miss the deadline are skipped for the
+// iteration (the step degrades instead of failing). It takes
 // precedence over Options.ShardDeadline when both are set.
 func WithShardDeadline(d time.Duration) Option { return func(c *apiConfig) { c.shardDeadline = d } }
 
@@ -296,20 +296,6 @@ func Open(ctx context.Context, dir string, opts Options, o ...Option) (*Index, e
 		opts.BoundedStaleness = c.boundedStale
 	}
 	return core.Open(ctx, dir, opts)
-}
-
-// BuildV1 is the pre-context Build.
-//
-// Deprecated: use Build with a context.
-func BuildV1(dir string, ds *Dataset, opts BuildOptions) error {
-	return Build(context.Background(), dir, ds, opts)
-}
-
-// OpenV1 is the pre-context Open with its positional limiter.
-//
-// Deprecated: use Open with a context and WithIOLimiter.
-func OpenV1(dir string, opts Options, limiter *IOLimiter) (*Index, error) {
-	return Open(context.Background(), dir, opts, WithIOLimiter(limiter))
 }
 
 // --- the exploration engine (internal/ide) ---
@@ -515,27 +501,6 @@ func BuildBTree(ctx context.Context, dir, column string, ds *Dataset, poolFrames
 	}
 	c := applyOptions(o)
 	return dbms.BuildIndex(dir, column, ds, poolFrames, c.limiter)
-}
-
-// CreateTableV1 is the pre-context CreateTable with its positional limiter.
-//
-// Deprecated: use CreateTable with a context and WithIOLimiter.
-func CreateTableV1(dir string, ds *Dataset, poolFrames int, limiter *IOLimiter) (*Table, error) {
-	return CreateTable(context.Background(), dir, ds, poolFrames, WithIOLimiter(limiter))
-}
-
-// OpenTableV1 is the pre-context OpenTable with its positional limiter.
-//
-// Deprecated: use OpenTable with a context and WithIOLimiter.
-func OpenTableV1(dir string, poolFrames int, limiter *IOLimiter) (*Table, error) {
-	return OpenTable(context.Background(), dir, poolFrames, WithIOLimiter(limiter))
-}
-
-// BuildBTreeV1 is the pre-context BuildBTree with its positional limiter.
-//
-// Deprecated: use BuildBTree with a context and WithIOLimiter.
-func BuildBTreeV1(dir, column string, ds *Dataset, poolFrames int, limiter *IOLimiter) (*BTree, error) {
-	return BuildBTree(context.Background(), dir, column, ds, poolFrames, WithIOLimiter(limiter))
 }
 
 // --- I/O bandwidth model (internal/iothrottle) ---
