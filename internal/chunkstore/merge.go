@@ -1,10 +1,11 @@
 package chunkstore
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/uei-db/uei/internal/vec"
 )
@@ -14,6 +15,10 @@ type MergedRow struct {
 	ID   uint32
 	Vals []float64
 }
+
+// CompareRowID orders reconstructed tuples by row id, for slices.SortFunc.
+// Ids are unique within any one result, so the sorted order is unique too.
+func CompareRowID(a, b MergedRow) int { return cmp.Compare(a.ID, b.ID) }
 
 // partial accumulates a tuple during the hash merge. hits counts how many
 // dimensions have landed a value; a row is complete only when hits equals
@@ -130,7 +135,7 @@ func (s *Store) MergeChunks(ctx context.Context, box vec.Box, chunks []ChunkMeta
 			rows = append(rows, MergedRow{ID: id, Vals: p.vals})
 		}
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].ID < rows[j].ID })
+	slices.SortFunc(rows, CompareRowID)
 	return rows, entriesVisited, nil
 }
 
@@ -174,7 +179,7 @@ func (s *Store) FetchRows(ctx context.Context, ids []uint32) ([]MergedRow, error
 		}
 		out = append(out, MergedRow{ID: id, Vals: p.vals})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, CompareRowID)
 	return out, nil
 }
 

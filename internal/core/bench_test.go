@@ -198,3 +198,51 @@ func BenchmarkCellReconstruction(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkResultRetrieval measures the terminal step's ResultRetrieval —
+// scan, reconstruct, classify — on the two static layouts the end-to-end
+// benchmark serves (a flat 50k-row store; 150k rows over S = 4), at the
+// exact cutoff 0 the server runs and at a pruning cutoff. Run with -cpu 1
+// to compare commits: B/op and allocs/op are the reconstruction's.
+func BenchmarkResultRetrieval(b *testing.B) {
+	ctx := context.Background()
+	for _, lay := range []struct {
+		name         string
+		rows, shards int
+	}{
+		{"flat-50k", 50_000, 0},
+		{"S=4-150k", 150_000, 4},
+	} {
+		ds, err := dataset.GenerateSky(dataset.SkyConfig{N: lay.rows, Seed: 21})
+		if err != nil {
+			b.Fatal(err)
+		}
+		dir := b.TempDir()
+		if err := Build(dir, ds, BuildOptions{TargetChunkBytes: 64 << 10, Shards: lay.shards}); err != nil {
+			b.Fatal(err)
+		}
+		model := boundaryModel(b, ds, testRegion(b, ds), 44)
+		for _, cutoff := range []float64{0, 0.05} {
+			b.Run(fmt.Sprintf("%s/cutoff=%g", lay.name, cutoff), func(b *testing.B) {
+				idx, err := Open(ctx, dir, Options{MemoryBudgetBytes: 8 << 20})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer idx.Close()
+				b.ReportAllocs()
+				b.ResetTimer()
+				var ids []uint32
+				for i := 0; i < b.N; i++ {
+					if ids, err = idx.ResultRetrieval(ctx, model, cutoff); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				if len(ids) == 0 {
+					b.Fatal("retrieval returned no rows")
+				}
+				b.ReportMetric(float64(len(ids)), "ids/op")
+			})
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -102,12 +103,58 @@ func TestDataPlaneAgainstBruteForce(t *testing.T) {
 		t.Fatal("reference model classifies nothing positive")
 	}
 	wantUnc := make([]float64, g.NumCells())
+	centerPost := make([]float64, g.NumCells())
 	ranked := make([]grid.CellID, g.NumCells())
 	for i, c := range g.Centers() {
 		if wantUnc[i], err = learn.Uncertainty(model, c); err != nil {
 			t.Fatal(err)
 		}
+		if centerPost[i], err = model.PosteriorPositive(c); err != nil {
+			t.Fatal(err)
+		}
 		ranked[i] = grid.CellID(i)
+	}
+	// Pruned retrieval, as specified: a row is returned when its cell's
+	// center posterior is not below the cutoff and the model classifies the
+	// row positive. Cutoff 0 prunes nothing.
+	wantAt := map[float64][]uint32{0: wantPositive}
+	for _, cutoff := range []float64{0.05, 0.3} {
+		pruned := 0
+		for _, p := range centerPost {
+			if p < cutoff {
+				pruned++
+			}
+		}
+		if pruned == 0 || pruned == g.NumCells() {
+			t.Fatalf("cutoff %g prunes %d of %d cells; the fixture must prune some", cutoff, pruned, g.NumCells())
+		}
+		var want []uint32
+		for _, id := range wantPositive {
+			if !(centerPost[cellOf[id]] < cutoff) {
+				want = append(want, id)
+			}
+		}
+		wantAt[cutoff] = want
+	}
+	// Marked-segment masks for the raw scan: everything, two seeded random
+	// ones (rows drop out on every dimension, so survivors are compacted),
+	// and one segment per dimension.
+	maskRng := rand.New(rand.NewSource(9))
+	mask := func(on func(seg int) bool) [][]bool {
+		m := make([][]bool, g.Dims())
+		for d := range m {
+			m[d] = make([]bool, referenceSegments)
+			for seg := range m[d] {
+				m[d][seg] = on(seg)
+			}
+		}
+		return m
+	}
+	masks := [][][]bool{
+		mask(func(int) bool { return true }),
+		mask(func(int) bool { return maskRng.Intn(4) > 0 }),
+		mask(func(int) bool { return maskRng.Intn(2) > 0 }),
+		mask(func(seg int) bool { return seg == 1 }),
 	}
 	sort.Slice(ranked, func(a, b int) bool {
 		ua, ub := wantUnc[ranked[a]], wantUnc[ranked[b]]
@@ -245,12 +292,83 @@ func TestDataPlaneAgainstBruteForce(t *testing.T) {
 				}
 			}
 
-			got, err := idx.ResultRetrieval(ctx, model, 0)
-			if err != nil {
-				t.Fatal(err)
+			// The raw scan: per part, ascending global ids beside their
+			// values; over the parts, exactly the rows whose every coordinate
+			// lies in a marked segment.
+			compacted := false
+			for m, marked := range masks {
+				var want []uint32
+				for i := 0; i < all.Len(); i++ {
+					hit := true
+					for d, v := range all.Row(dataset.RowID(i)) {
+						sg, err := g.SegmentOf(d, v)
+						if err != nil {
+							t.Fatal(err)
+						}
+						hit = hit && marked[d][sg]
+					}
+					if hit {
+						want = append(want, uint32(i))
+					}
+				}
+				parts, _, err := idx.ShardCoordinator().Retrieve(ctx, marked)
+				if err != nil {
+					t.Fatalf("mask %d: %v", m, err)
+				}
+				var got []uint32
+				row := make([]float64, g.Dims())
+				for pi, part := range parts {
+					if err := part.Check(g.Dims()); err != nil {
+						t.Fatalf("mask %d part %d: %v", m, pi, err)
+					}
+					for j, id := range part.IDs {
+						for d, v := range part.Blk.Row(j, row) {
+							if ref := all.Row(dataset.RowID(id))[d]; math.Float64bits(v) != math.Float64bits(ref) {
+								t.Fatalf("mask %d part %d: row %d dimension %d = %v, dataset has %v", m, pi, id, d, v, ref)
+							}
+						}
+					}
+					got = append(got, part.IDs...)
+				}
+				slices.Sort(got)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("mask %d: scan returned %d rows, the dataset has %d in the marked segments", m, len(got), len(want))
+				}
+				compacted = compacted || (len(want) > 0 && len(want) < all.Len())
 			}
-			if !reflect.DeepEqual(got, wantPositive) {
-				t.Fatalf("retrieved %d ids, predict-every-row reference has %d", len(got), len(wantPositive))
+			if !compacted {
+				t.Fatal("no mask kept some rows and dropped others; the compaction branch did not run")
+			}
+
+			for cutoff, want := range wantAt {
+				got, err := idx.ResultRetrieval(ctx, model, cutoff)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("cutoff %g: retrieved %d ids, the row-at-a-time reference has %d", cutoff, len(got), len(want))
+				}
+			}
+
+			// The final classification runs on the worker pool: any pool
+			// size must give the same ids. Everything is flushed, so a
+			// reopened live store serves the same rows.
+			idx.Close()
+			for _, workers := range []int{1, 4, 8} {
+				re, err := Open(ctx, dir, Options{MemoryBudgetBytes: 1 << 20, SegmentsPerDim: referenceSegments, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for cutoff, want := range wantAt {
+					got, err := re.ResultRetrieval(ctx, model, cutoff)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("workers %d cutoff %g: retrieved %d ids, want %d", workers, cutoff, len(got), len(want))
+					}
+				}
+				re.Close()
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -1052,9 +1053,12 @@ func (x *Index) Stats() Stats {
 // over the store: per dimension, only the chunks overlapping the union of
 // the passing cells' segments are read, and each such chunk is read
 // exactly once (unlike loading cells one by one, which re-reads shared
-// chunk slabs per cell). Fully reconstructed rows are kept when the model
-// classifies them positive. Setting minCellPosterior to 0 disables
-// pruning and yields the exact answer set of the model.
+// chunk slabs per cell). The scan hands back columns, one kernel.Block per
+// data part; they are classified through the block kernels on the worker
+// pool, and a row is kept when its posterior reaches 0.5 (the learn.Predict
+// rule, bit for bit). The returned ids ascend. Setting minCellPosterior to
+// 0 disables pruning and yields the exact answer set of the model; the
+// centers are then not scored at all.
 func (x *Index) ResultRetrieval(ctx context.Context, model learn.Classifier, minCellPosterior float64) ([]uint32, error) {
 	if x.closed.Load() {
 		return nil, ErrClosed
@@ -1066,29 +1070,35 @@ func (x *Index) ResultRetrieval(ctx context.Context, model learn.Classifier, min
 	segs := x.grid.Segments()
 
 	// Score every cell center in one sharded batch pass; the posteriors are
-	// reused for the final trim below.
-	post := make([]float64, x.grid.NumCells())
-	score := func(lo, hi int) error {
-		return learn.PosteriorsInto(ctx, model, x.centers[lo:hi], post[lo:hi])
-	}
-	if x.opts.scoreKernelEnabled() {
-		score = func(lo, hi int) error {
-			return learn.BlockPosteriorsInto(ctx, model, x.blk, lo, hi, post[lo:hi])
+	// reused for the final trim below. No posterior is below a cutoff of 0
+	// (NaN included), so post stays nil then and every cell passes.
+	var post []float64
+	if minCellPosterior > 0 {
+		post = make([]float64, x.grid.NumCells())
+		score := func(lo, hi int) error {
+			return learn.PosteriorsInto(ctx, model, x.centers[lo:hi], post[lo:hi])
+		}
+		if x.opts.scoreKernelEnabled() {
+			score = func(lo, hi int) error {
+				return learn.BlockPosteriorsInto(ctx, model, x.blk, lo, hi, post[lo:hi])
+			}
+		}
+		if err := x.pool.Do(ctx, len(x.centers), score); err != nil {
+			return nil, err
 		}
 	}
-	err := x.pool.Do(ctx, len(x.centers), score)
-	if err != nil {
-		return nil, err
-	}
 
-	// Mark passing cells and the per-dimension segments they touch.
-	anyPassing := false
+	// Mark passing cells and the per-dimension segments they touch. pruned
+	// records that some cell failed: only then can the scan return a row of
+	// a failing cell, and only then does the trim below look cells up.
+	anyPassing, pruned := false, false
 	markedSeg := make([][]bool, dims)
 	for d := 0; d < dims; d++ {
 		markedSeg[d] = make([]bool, segs[d])
 	}
 	for cell := 0; cell < x.grid.NumCells(); cell++ {
-		if post[cell] < minCellPosterior {
+		if post != nil && post[cell] < minCellPosterior {
+			pruned = true
 			continue
 		}
 		anyPassing = true
@@ -1104,43 +1114,57 @@ func (x *Index) ResultRetrieval(ctx context.Context, model learn.Classifier, min
 		return nil, nil
 	}
 
-	// Stream each dimension's relevant chunks once, accumulating partial
-	// rows; a row materializes only if a marked segment hits it on every
-	// dimension (a superset of the passing-cell union, trimmed below).
-	// Every backend runs the same scan concurrently (each shard is a
-	// self-contained store over its own rows) and the rows merge under
-	// global ids. Retrieval is the final answer, so the scatter is strict:
-	// a failing shard fails the call rather than silently dropping its
-	// rows. shard.ScanMarked is the one scan every layout and transport
-	// runs, so the row set is byte-identical across them.
-	rows, entries, err := x.coord.Retrieve(ctx, markedSeg)
+	// Stream each dimension's relevant chunks once; a row materializes only
+	// if a marked segment hits it on every dimension (a superset of the
+	// passing-cell union, trimmed below). Every backend runs the same scan
+	// concurrently (each shard is a self-contained store over its own rows)
+	// and answers with one columnar part per data part. Retrieval is the
+	// final answer, so the scatter is strict: a failing shard fails the
+	// call rather than silently dropping its rows. shard.ScanMarked is the
+	// one scan every layout and transport runs, so the row set is
+	// byte-identical across them.
+	parts, entries, err := x.coord.Retrieve(ctx, markedSeg)
 	if err != nil {
 		return nil, err
 	}
 	x.mEntries.Add(int64(entries))
 
-	// Final trim: exact passing-cell membership, then the classifier. rows
-	// arrive sorted by global id, so out stays ascending.
+	// Final trim: the classifier over each part's block, then — for the
+	// positives, when a cell failed — exact passing-cell membership.
 	var out []uint32
-	for _, r := range rows {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	var rowPost []float64
+	row := make([]float64, dims)
+	for _, part := range parts {
+		blk := part.Blk
+		if cap(rowPost) < blk.N {
+			rowPost = make([]float64, blk.N)
 		}
-		cell, err := x.grid.CellOf(r.Vals)
+		rowPost = rowPost[:blk.N]
+		err := x.pool.Do(ctx, blk.N, func(lo, hi int) error {
+			return learn.BlockPosteriorsInto(ctx, model, blk, lo, hi, rowPost[lo:hi])
+		})
 		if err != nil {
 			return nil, err
 		}
-		if post[cell] < minCellPosterior {
-			continue
-		}
-		cls, err := learn.Predict(model, r.Vals)
-		if err != nil {
-			return nil, err
-		}
-		if cls == learn.ClassPositive {
-			out = append(out, r.ID)
+		for i, p := range rowPost {
+			if !(p >= 0.5) {
+				continue
+			}
+			if pruned {
+				cell, err := x.grid.CellOf(blk.Row(i, row))
+				if err != nil {
+					return nil, err
+				}
+				if post[cell] < minCellPosterior {
+					continue
+				}
+			}
+			out = append(out, part.IDs[i])
 		}
 	}
+	// Ids ascend within a part and parts are disjoint; only the kept ids are
+	// put in order, never the scanned rows.
+	slices.Sort(out)
 	return out, nil
 }
 

@@ -37,7 +37,7 @@ func openTestIndex(t *testing.T, n int, opts Options) (*Index, *dataset.Dataset)
 
 // boundaryModel trains a DWKNN whose decision boundary crosses the data:
 // positives inside a target region, negatives outside.
-func boundaryModel(t *testing.T, ds *dataset.Dataset, region oracle.Region, nLabels int) learn.Classifier {
+func boundaryModel(t testing.TB, ds *dataset.Dataset, region oracle.Region, nLabels int) learn.Classifier {
 	t.Helper()
 	bounds, err := ds.Bounds()
 	if err != nil {
@@ -82,7 +82,7 @@ func boundaryModel(t *testing.T, ds *dataset.Dataset, region oracle.Region, nLab
 	return m
 }
 
-func testRegion(t *testing.T, ds *dataset.Dataset) oracle.Region {
+func testRegion(t testing.TB, ds *dataset.Dataset) oracle.Region {
 	t.Helper()
 	r, err := oracle.FindRegion(ds, 0.02, 0.5, 3, 8)
 	if err != nil {

@@ -210,6 +210,15 @@ func TestLiveSessionFollowLive(t *testing.T) {
 		t.Fatal("FollowsLive = false on a FollowLive open")
 	}
 	epoch := idx.LiveEpoch()
+	// One epoch is committed before the session starts, so there is
+	// something to advance to at the first iteration boundary however the
+	// concurrent appender below is scheduled against the session.
+	if _, err := idx.Live().Append([][]float64{f.prefix.CopyRow(0)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.Live().Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	tr := f.runLiveSession(t, idx, true)
 	if len(tr.picks) == 0 {
 		t.Fatal("follow-live session made no iterations")

@@ -3,6 +3,7 @@ package kernel
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -41,6 +42,57 @@ func TestPackRoundTrip(t *testing.T) {
 					t.Fatalf("col %d row %d mismatch", d, i)
 				}
 			}
+		}
+	}
+}
+
+// Keep must leave exactly the block Pack builds from the kept points:
+// same stride, same words, zero padding — whatever the overlap between the
+// old and the new column positions.
+func TestKeepMatchesPackOfSubset(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{1, 8, 9, 100, 1000} {
+		for _, keepOneIn := range []int{1, 2, 9, n} {
+			pts := randPoints(rng, n, 4)
+			var idx []uint32
+			var kept [][]float64
+			for i, p := range pts {
+				if rng.Intn(keepOneIn) == 0 {
+					idx = append(idx, uint32(i))
+					kept = append(kept, p)
+				}
+			}
+			b := Pack(pts)
+			b.Keep(idx)
+			want := Pack(kept)
+			want.Dims = 4 // Pack of no points cannot know the dimensionality
+			if err := b.Check(); err != nil {
+				t.Fatalf("n=%d: %v", n, err)
+			}
+			if b.N != want.N || b.Dims != want.Dims || b.Stride != want.Stride || !reflect.DeepEqual(b.Data, want.Data) {
+				t.Fatalf("n=%d kept %d: Keep left N=%d Stride=%d, Pack of the subset has N=%d Stride=%d (or the words differ)",
+					n, len(idx), b.N, b.Stride, want.N, want.Stride)
+			}
+		}
+	}
+}
+
+func TestCheckRejectsInconsistentBlocks(t *testing.T) {
+	if err := NewBlock(9, 3).Check(); err != nil {
+		t.Fatal(err)
+	}
+	if err := (&Block{}).Check(); err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range map[string]*Block{
+		"negative n":        {N: -1, Dims: 1, Stride: 8, Data: make([]float64, 8)},
+		"n beyond stride":   {N: 9, Dims: 1, Stride: 8, Data: make([]float64, 8)},
+		"short data":        {N: 3, Dims: 2, Stride: 8, Data: make([]float64, 15)},
+		"data without dims": {N: 0, Dims: 0, Stride: 8, Data: make([]float64, 8)},
+		"wrapping product":  {N: 3, Dims: 4, Stride: 1 << 62, Data: nil},
+	} {
+		if b.Check() == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }

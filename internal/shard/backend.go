@@ -51,9 +51,10 @@ type Backend interface {
 	FetchRows(ctx context.Context, ids []uint32) ([]chunkstore.MergedRow, error)
 	// Retrieve streams the shard's chunks overlapping the marked segments
 	// (one flag slice per dimension) and returns the rows hit on every
-	// dimension, under global ids, ascending — the per-shard body of
-	// result retrieval.
-	Retrieve(ctx context.Context, marked [][]bool) (rows []RetrievedRow, entries int, err error)
+	// dimension as one columnar RetrievedPart per data part — global ids,
+	// ascending within a part — the per-shard body of result retrieval.
+	// entries counts the posting entries streamed.
+	Retrieve(ctx context.Context, marked [][]bool) (parts []RetrievedPart, entries int, err error)
 	// CostEstimate returns the bytes and posting entries loading the cell
 	// would read from this shard.
 	CostEstimate(ctx context.Context, cell grid.CellID) (bytes int64, entries int, err error)
@@ -127,13 +128,6 @@ func (m *modelBlob) UnwrapClassifier() learn.Classifier { return m.Classifier }
 type CellScore struct {
 	Cell  grid.CellID `json:"cell"`
 	Score float64     `json:"score"`
-}
-
-// RetrievedRow is one fully reconstructed row of a marked-segment scan,
-// under its global id.
-type RetrievedRow struct {
-	ID   uint32    `json:"id"`
-	Vals []float64 `json:"vals"`
 }
 
 // BackendStats is a point-in-time snapshot of one backend's I/O activity.

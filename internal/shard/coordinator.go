@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -860,6 +861,18 @@ func lessUncertain(a, b CellScore) bool {
 	return a.Cell < b.Cell
 }
 
+// compareUncertain is lessUncertain as a three-way comparison, for
+// slices.SortFunc.
+func compareUncertain(a, b CellScore) int {
+	switch {
+	case lessUncertain(a, b):
+		return -1
+	case lessUncertain(b, a):
+		return 1
+	}
+	return 0
+}
+
 // MostUncertain returns the k most uncertain cells, fanning per-shard
 // top-k selection across backends and merging with lessUncertain.
 // Shards listed in skip (the degraded set from the latest ScoreAll) are
@@ -934,7 +947,7 @@ func (c *Coordinator) MostUncertain(ctx context.Context, unc []float64, k int, s
 	if len(degraded) == len(active) {
 		return nil, degraded, fmt.Errorf("shard: all %d shards unavailable for %s: %w", len(active), OpTopK, ErrShardUnavailable)
 	}
-	sort.Slice(merged, func(i, j int) bool { return lessUncertain(merged[i], merged[j]) })
+	slices.SortFunc(merged, compareUncertain)
 	if len(merged) > k {
 		merged = merged[:k]
 	}
@@ -1017,16 +1030,8 @@ func (c *Coordinator) FetchRows(ctx context.Context, ids []uint32) ([]chunkstore
 		return nil, nil
 	}
 	uniq := append([]uint32(nil), ids...)
-	sort.Slice(uniq, func(i, j int) bool { return uniq[i] < uniq[j] })
-	n := 0
-	for i, id := range uniq {
-		if i > 0 && id == uniq[n-1] {
-			continue
-		}
-		uniq[n] = id
-		n++
-	}
-	uniq = uniq[:n]
+	slices.Sort(uniq)
+	uniq = slices.Compact(uniq)
 	if int(uniq[len(uniq)-1]) >= c.meta.RowCount {
 		return nil, fmt.Errorf("shard: row %d out of range [0,%d)", uniq[len(uniq)-1], c.meta.RowCount)
 	}
@@ -1047,7 +1052,7 @@ func (c *Coordinator) FetchRows(ctx context.Context, ids []uint32) ([]chunkstore
 	}
 	// One shard's rows arrive ascending; only a union needs the re-sort.
 	if len(perShard) > 1 {
-		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+		slices.SortFunc(out, chunkstore.CompareRowID)
 	}
 	if len(out) != len(uniq) {
 		return nil, fmt.Errorf("shard: fetched %d of %d requested rows; store is inconsistent", len(out), len(uniq))
@@ -1055,32 +1060,32 @@ func (c *Coordinator) FetchRows(ctx context.Context, ids []uint32) ([]chunkstore
 	return out, nil
 }
 
-// Retrieve runs the marked-segment scan on every shard and merges the
-// fully reconstructed rows under global ids, ascending. Retrieval is the
-// final answer, so the scatter is strict: a shard whose replicas are all
-// unavailable fails the call rather than silently dropping its rows.
-// entries sums the posting entries every shard visited.
-func (c *Coordinator) Retrieve(ctx context.Context, marked [][]bool) (rows []RetrievedRow, entries int, err error) {
+// Retrieve runs the marked-segment scan on every shard and returns the
+// shards' columnar parts, in shard then part order, neither merged nor
+// sorted: parts hold disjoint rows, each ascending by global id, and the
+// caller orders only the ids it keeps. Retrieval is the final answer, so
+// the scatter is strict: a shard whose replicas are all unavailable fails
+// the call rather than silently dropping its rows. entries sums the posting
+// entries every shard visited.
+func (c *Coordinator) Retrieve(ctx context.Context, marked [][]bool) (parts []RetrievedPart, entries int, err error) {
 	type scanned struct {
-		rows    []RetrievedRow
+		parts   []RetrievedPart
 		entries int
 	}
+	perShard := make([][]RetrievedPart, len(c.replicas))
 	_, err = scatterGather(c, ctx, OpRetrieve, true,
 		func(sctx context.Context, id int, b Backend) (scanned, error) {
 			r, n, err := b.Retrieve(sctx, marked)
 			return scanned{r, n}, err
 		},
 		func(id int, s scanned) {
-			rows = gather(rows, s.rows)
+			perShard[id] = s.parts
 			entries += s.entries
 		})
 	if err != nil {
 		return nil, 0, err
 	}
-	if len(c.replicas) > 1 {
-		sort.Slice(rows, func(i, j int) bool { return rows[i].ID < rows[j].ID })
-	}
-	return rows, entries, nil
+	return slices.Concat(perShard...), entries, nil
 }
 
 // CostEstimate returns the bytes and posting entries loading the cell

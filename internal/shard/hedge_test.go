@@ -83,7 +83,7 @@ func (s *stubBackend) FetchRows(context.Context, []uint32) ([]chunkstore.MergedR
 	return nil, nil
 }
 
-func (s *stubBackend) Retrieve(context.Context, [][]bool) ([]RetrievedRow, int, error) {
+func (s *stubBackend) Retrieve(context.Context, [][]bool) ([]RetrievedPart, int, error) {
 	return nil, 0, nil
 }
 

@@ -3,7 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/uei-db/uei/internal/chunkstore"
 	"github.com/uei-db/uei/internal/grid"
@@ -20,10 +20,11 @@ import (
 //
 // A shard holds one part for build-time layouts and several for live
 // (stream) snapshots. A single part's rows are already in global id
-// order; multi-part calls merge per-part results by global id, which
-// yields the same row set one store over the union of the parts' rows
-// would produce (chunk reconstruction is per-row value containment, and
-// every part's idmap is strictly ascending).
+// order; multi-part loads and fetches merge per-part results by global id,
+// which yields the same row set one store over the union of the parts'
+// rows would produce (chunk reconstruction is per-row value containment,
+// and every part's idmap is strictly ascending). Retrieve returns the
+// parts' results side by side instead.
 type LocalBackend struct {
 	shard *Shard
 	g     *grid.Grid
@@ -179,8 +180,8 @@ func (b *LocalBackend) FetchRows(ctx context.Context, ids []uint32) ([]chunkstor
 }
 
 // Retrieve implements Backend: the shared marked-segment scan over each
-// part's store, remapped to global ids and merged.
-func (b *LocalBackend) Retrieve(ctx context.Context, marked [][]bool) ([]RetrievedRow, int, error) {
+// part's store, one columnar result per part.
+func (b *LocalBackend) Retrieve(ctx context.Context, marked [][]bool) ([]RetrievedPart, int, error) {
 	return ScanPartsMarked(ctx, b.g, b.shard.Parts, marked)
 }
 
@@ -223,8 +224,7 @@ func (b *LocalBackend) ResetIOStats() {
 
 // gather adds one part's (or one shard's) rows to out, adopting the first
 // batch instead of copying it: with one part in one shard the store's own
-// slice reaches the caller (a terminal scan can return every row of the
-// dataset).
+// slice reaches the caller.
 func gather[T any](out, rows []T) []T {
 	if out == nil {
 		return rows
@@ -257,7 +257,7 @@ func MergePartsCell(ctx context.Context, parts []Part, box vec.Box, cell grid.Ce
 		out = gather(out, rows)
 	}
 	if len(parts) > 1 {
-		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+		slices.SortFunc(out, chunkstore.CompareRowID)
 	}
 	return out, entries, nil
 }
@@ -282,30 +282,25 @@ func FetchPartsRows(ctx context.Context, parts []Part, ids []uint32) ([]chunksto
 		out = gather(out, rows)
 	}
 	if len(parts) > 1 {
-		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+		slices.SortFunc(out, chunkstore.CompareRowID)
 	}
 	return out, nil
 }
 
 // ScanPartsMarked runs the shared marked-segment scan over each part's
-// store and merges the remapped results by global id.
-func ScanPartsMarked(ctx context.Context, g *grid.Grid, parts []Part, marked [][]bool) ([]RetrievedRow, int, error) {
-	var out []RetrievedRow
+// store. Parts hold disjoint rows and nothing downstream needs them
+// interleaved, so the per-part results are returned as they are, in part
+// order, not merged.
+func ScanPartsMarked(ctx context.Context, g *grid.Grid, parts []Part, marked [][]bool) ([]RetrievedPart, int, error) {
+	out := make([]RetrievedPart, 0, len(parts))
 	var entries int
 	for i := range parts {
-		p := &parts[i]
-		rows, pe, err := ScanMarked(ctx, g, p.Store, marked)
+		r, pe, err := ScanMarked(ctx, g, &parts[i], marked)
 		if err != nil {
 			return nil, 0, err
 		}
 		entries += pe
-		for j := range rows {
-			rows[j].ID = p.globalID(rows[j].ID)
-		}
-		out = gather(out, rows)
-	}
-	if len(parts) > 1 {
-		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+		out = append(out, r)
 	}
 	return out, entries, nil
 }

@@ -201,13 +201,20 @@ func (b *ShardClient) FetchRows(ctx context.Context, ids []uint32) ([]chunkstore
 	return resp.Rows, nil
 }
 
-// Retrieve implements shard.Backend.
-func (b *ShardClient) Retrieve(ctx context.Context, marked [][]bool) ([]shard.RetrievedRow, int, error) {
+// Retrieve implements shard.Backend. The caller indexes the returned
+// blocks, so a part whose ids, header and backing array disagree is an
+// error here rather than a panic there.
+func (b *ShardClient) Retrieve(ctx context.Context, marked [][]bool) ([]shard.RetrievedPart, int, error) {
 	resp, err := post[RetrieveRequest, RetrieveResponse](ctx, b, "retrieve", RetrieveRequest{Marked: marked})
 	if err != nil {
 		return nil, 0, err
 	}
-	return resp.Rows, resp.Entries, nil
+	for i := range resp.Parts {
+		if err := resp.Parts[i].Check(len(marked)); err != nil {
+			return nil, 0, fmt.Errorf("worker %s shard %d retrieve: part %d: %w", b.c.base, b.shard, i, err)
+		}
+	}
+	return resp.Parts, resp.Entries, nil
 }
 
 // CostEstimate implements shard.Backend.

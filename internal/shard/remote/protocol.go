@@ -17,7 +17,7 @@
 //	POST /v1/shards/{id}/topk       aligned scores -> per-shard top-k
 //	POST /v1/shards/{id}/load       cell -> ids, values, entries visited
 //	POST /v1/shards/{id}/fetch      global ids -> owned row subset
-//	POST /v1/shards/{id}/retrieve   marked segments -> rows, entries
+//	POST /v1/shards/{id}/retrieve   marked segments -> per-part columns, entries
 //	POST /v1/shards/{id}/estimate   cell -> bytes, entries
 //
 // Every request may carry an X-Uei-Trace-Id header; the worker echoes it
@@ -108,11 +108,13 @@ type RetrieveRequest struct {
 	Marked [][]bool `json:"marked"`
 }
 
-// RetrieveResponse returns the shard's fully reconstructed rows under
-// global ids, ascending, and the posting entries visited.
+// RetrieveResponse returns the shard's fully reconstructed rows, one
+// columnar part per data part (ascending global ids beside a kernel.Block
+// with its stride padding), and the posting entries visited. The client
+// checks every part's shape before handing it on.
 type RetrieveResponse struct {
-	Rows    []shard.RetrievedRow `json:"rows"`
-	Entries int                  `json:"entries"`
+	Parts   []shard.RetrievedPart `json:"parts"`
+	Entries int                   `json:"entries"`
 }
 
 // EstimateRequest names the cell to cost.

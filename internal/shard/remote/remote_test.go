@@ -14,6 +14,7 @@ import (
 	"github.com/uei-db/uei/internal/core"
 	"github.com/uei-db/uei/internal/dataset"
 	"github.com/uei-db/uei/internal/grid"
+	"github.com/uei-db/uei/internal/kernel"
 	"github.com/uei-db/uei/internal/learn"
 	"github.com/uei-db/uei/internal/obs"
 	"github.com/uei-db/uei/internal/shard"
@@ -392,5 +393,57 @@ func TestKillWorkerFailover(t *testing.T) {
 	}
 	if !errors.Is(err, shard.ErrReplicaExhausted) || !errors.Is(err, shard.ErrShardUnavailable) {
 		t.Fatalf("err = %v, want ErrReplicaExhausted and ErrShardUnavailable in the chain", err)
+	}
+}
+
+// TestRetrieveRejectsMalformedParts: core indexes a retrieved part's block
+// by point and its ids by position, so a worker's reply whose ids, block
+// header and backing array disagree must fail in ShardClient.Retrieve with
+// an error, not later with an index panic in the caller.
+func TestRetrieveRejectsMalformedParts(t *testing.T) {
+	const dims = 2
+	// A well-formed part: 3 points, 2 dims, stride 8.
+	good := func() remote.RetrieveResponse {
+		data := make([]float64, dims*8)
+		return remote.RetrieveResponse{Entries: 6, Parts: []shard.RetrievedPart{{
+			IDs: []uint32{4, 9, 17},
+			Blk: &kernel.Block{N: 3, Dims: dims, Stride: 8, Data: data},
+		}}}
+	}
+	cases := []struct {
+		name   string
+		mangle func(*shard.RetrievedPart)
+		ok     bool
+	}{
+		{"well formed", func(*shard.RetrievedPart) {}, true},
+		{"short data", func(p *shard.RetrievedPart) { p.Blk.Data = p.Blk.Data[:dims*8-1] }, false},
+		{"fewer ids than points", func(p *shard.RetrievedPart) { p.IDs = p.IDs[:2] }, false},
+		{"more points than ids", func(p *shard.RetrievedPart) { p.Blk.N = 5 }, false},
+		{"points beyond the stride", func(p *shard.RetrievedPart) {
+			p.IDs = []uint32{1, 2, 3, 4, 5, 6, 7, 8, 9}
+			p.Blk.N = 9
+		}, false},
+		{"wrong dims", func(p *shard.RetrievedPart) { p.Blk.Dims, p.Blk.Stride = 1, 16 }, false},
+		{"descending ids", func(p *shard.RetrievedPart) { p.IDs = []uint32{4, 17, 9} }, false},
+		{"repeated id", func(p *shard.RetrievedPart) { p.IDs = []uint32{4, 9, 9} }, false},
+		{"no block", func(p *shard.RetrievedPart) { p.Blk = nil }, false},
+	}
+	var reply remote.RetrieveResponse
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		json.NewEncoder(w).Encode(reply)
+	}))
+	defer srv.Close()
+	backend := remote.NewShardClient(remote.NewClient(srv.URL, nil), 0, 0)
+	marked := make([][]bool, dims)
+	for _, tc := range cases {
+		reply = good()
+		tc.mangle(&reply.Parts[0])
+		parts, entries, err := backend.Retrieve(context.Background(), marked)
+		switch {
+		case tc.ok && (err != nil || len(parts) != 1 || entries != 6):
+			t.Errorf("%s: Retrieve = %d parts, %d entries, %v", tc.name, len(parts), entries, err)
+		case !tc.ok && err == nil:
+			t.Errorf("%s: Retrieve accepted the reply", tc.name)
+		}
 	}
 }

@@ -66,8 +66,8 @@ func NewServer(coord *shard.Coordinator, man *shard.Manifest, logf func(format s
 		return FetchResponse{Rows: rows}, err
 	})
 	handleOp(s, "retrieve", func(ctx context.Context, b shard.Backend, req RetrieveRequest) (RetrieveResponse, error) {
-		rows, entries, err := b.Retrieve(ctx, req.Marked)
-		return RetrieveResponse{Rows: rows, Entries: entries}, err
+		parts, entries, err := b.Retrieve(ctx, req.Marked)
+		return RetrieveResponse{Parts: parts, Entries: entries}, err
 	})
 	handleOp(s, "estimate", func(ctx context.Context, b shard.Backend, req EstimateRequest) (EstimateResponse, error) {
 		bytes, entries, err := b.CostEstimate(ctx, req.Cell)
