@@ -60,13 +60,9 @@ func run() error {
 		shards  = flag.Int("shards", 1, "store layout: 1 = legacy flat (the paper's configuration), >1 = sharded scatter-gather with that many shards")
 		repl    = flag.Int("replication", 1, "replicas per shard on the sharded layout (puts failover/hedging machinery on the measured path)")
 		hedge   = flag.Duration("hedge-delay", 0, "fire per-shard calls on a second replica after this delay (0 disables; needs -replication > 1)")
-		skern   = flag.String("score-kernel", "on", "symbolic-point scoring path: on = columnar kernels with exact incremental rescoring (bit-identical), off = legacy per-row ablation")
 	)
 	flag.Parse()
 
-	if *skern != "on" && *skern != "off" {
-		return fmt.Errorf("-score-kernel %q must be on or off", *skern)
-	}
 	if *shards < 1 {
 		return fmt.Errorf("-shards %d must be at least 1", *shards)
 	}
@@ -145,10 +141,6 @@ func run() error {
 	}
 	if *hedge > 0 {
 		cfg.HedgeDelay = *hedge
-	}
-	if *skern == "off" {
-		off := false
-		cfg.ScoreKernel = &off
 	}
 	cfg.WorkDir = *workdir
 

@@ -103,13 +103,13 @@ func run() error {
 		metrAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :8080)")
 		summary  = flag.Bool("summary", false, "print a phase-latency breakdown table at the end")
 		cacheByt = flag.Int64("block-cache-bytes", 0, "shared decoded-chunk block cache budget in bytes (0 disables)")
-		shards   = flag.Int("shards", 1, "store layout: 1 = legacy flat, >1 = sharded with exactly that many shards (with -gen, builds that many shards)")
+		shards   = flag.Int("shards", 0, "store layout: 0 = whatever -store holds (flat with -gen), 1 = require flat, >1 = require (with -gen, build) exactly that many shards")
 		shardDl  = flag.Duration("shard-deadline", 0, "per-shard operation deadline; slow shards are skipped and the step degrades (0 disables)")
 	)
 	flag.Parse()
 
-	if *shards < 1 {
-		return fmt.Errorf("-shards %d must be at least 1", *shards)
+	if *shards < 0 {
+		return fmt.Errorf("-shards %d must not be negative", *shards)
 	}
 	if *shardDl < 0 {
 		return fmt.Errorf("-shard-deadline %v must not be negative", *shardDl)

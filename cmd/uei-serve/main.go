@@ -59,7 +59,7 @@ func run() error {
 		prefetch    = flag.Bool("prefetch", false, "enable per-session background region prefetch (trades resume determinism for latency)")
 		workers     = flag.Int("workers", 0, "shared worker pool size (0 = GOMAXPROCS)")
 		cacheBytes  = flag.Int64("block-cache-bytes", 0, "shared decoded-chunk block cache budget in bytes, carved from -budget and yielded back under session pressure (0 disables)")
-		shards      = flag.Int("shards", 1, "store layout: 1 = legacy flat, >1 = sharded with exactly that many shards (with -gen, builds that many shards)")
+		shards      = flag.Int("shards", 0, "store layout: 0 = whatever -store holds (flat with -gen), 1 = require flat, >1 = require (with -gen, build) exactly that many shards")
 		shardDl     = flag.Duration("shard-deadline", 0, "per-shard operation deadline; slow shards are skipped and steps report degraded (0 disables)")
 		traceFile   = flag.String("trace", "", "write one hierarchical step trace per request to this JSONL file (analyze with uei-trace)")
 		sloBudget   = flag.Duration("slo", 0, "per-step interactivity budget for SLO accounting (0 = the 500ms default)")
@@ -72,18 +72,13 @@ func run() error {
 	)
 	flag.Parse()
 
-	if *shards < 1 {
-		return fmt.Errorf("-shards %d must be at least 1", *shards)
+	if *shards < 0 {
+		return fmt.Errorf("-shards %d must not be negative", *shards)
 	}
 	if *shardDl < 0 {
 		return fmt.Errorf("-shard-deadline %v must not be negative", *shardDl)
 	}
 	eps := splitEndpoints(*endpoints)
-	if len(eps) > 0 && *shards == 1 {
-		// Remote serving is always sharded; let the fleet's manifest decide
-		// unless a specific count was demanded.
-		*shards = 0
-	}
 
 	// SIGINT/SIGTERM starts the graceful drain: the listener stops
 	// accepting, in-flight steps finish, and live sessions are evicted to

@@ -22,8 +22,8 @@
 //   - the data substrate (Dataset, GenerateSky, CSV I/O), and
 //   - the evaluation oracle (Region, Oracle) for simulated users.
 //
-// A minimal end-to-end exploration (v2 API: context-first, functional
-// options, worker pool sized to GOMAXPROCS by default):
+// A minimal end-to-end exploration (v2 API: context-first, every knob an
+// Options field, worker pool sized to GOMAXPROCS by default):
 //
 //	ctx := context.Background()
 //	ds, _ := uei.GenerateSky(uei.SkyConfig{N: 100_000, Seed: 1})
@@ -31,7 +31,8 @@
 //	idx, _ := uei.Open(ctx, "store", uei.Options{
 //		MemoryBudgetBytes: ds.SizeBytes() / 100,
 //		EnablePrefetch:    true,
-//	}, uei.WithWorkers(8))
+//		Workers:           8,
+//	})
 //	defer idx.Close()
 //
 //	provider, _ := uei.NewUEIProvider(idx)

@@ -145,13 +145,16 @@ func TestErrLayoutMismatchRoundTrip(t *testing.T) {
 	}
 	opts := uei.Options{MemoryBudgetBytes: ds.SizeBytes()}
 
-	if _, err := uei.Open(ctx, shardedDir, opts, uei.WithShards(1)); !errors.Is(err, uei.ErrLayoutMismatch) {
-		t.Errorf("sharded dir with WithShards(1): want ErrLayoutMismatch, got %v", err)
+	opts.Shards = 1
+	if _, err := uei.Open(ctx, shardedDir, opts); !errors.Is(err, uei.ErrLayoutMismatch) {
+		t.Errorf("sharded dir with Shards 1: want ErrLayoutMismatch, got %v", err)
 	}
-	if _, err := uei.Open(ctx, flatDir, opts, uei.WithShards(2)); !errors.Is(err, uei.ErrLayoutMismatch) {
-		t.Errorf("flat dir with WithShards(2): want ErrLayoutMismatch, got %v", err)
+	opts.Shards = 2
+	if _, err := uei.Open(ctx, flatDir, opts); !errors.Is(err, uei.ErrLayoutMismatch) {
+		t.Errorf("flat dir with Shards 2: want ErrLayoutMismatch, got %v", err)
 	}
-	idx, err := uei.Open(ctx, shardedDir, opts, uei.WithShards(2), uei.WithShardDeadline(time.Second))
+	opts.ShardDeadline = time.Second
+	idx, err := uei.Open(ctx, shardedDir, opts)
 	if err != nil {
 		t.Fatalf("matching layout: %v", err)
 	}
@@ -170,7 +173,7 @@ func TestOwnerOfCellLayoutMismatch(t *testing.T) {
 	if err := uei.Build(ctx, dir, ds, uei.BuildOptions{TargetChunkBytes: 4096, Shards: 2}); err != nil {
 		t.Fatal(err)
 	}
-	idx, err := uei.Open(ctx, dir, uei.Options{MemoryBudgetBytes: ds.SizeBytes()}, uei.WithShards(2))
+	idx, err := uei.Open(ctx, dir, uei.Options{MemoryBudgetBytes: ds.SizeBytes(), Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,13 +13,12 @@ import (
 // BenchmarkScorePhase measures the per-iteration hot path: re-scoring
 // every symbolic index point with the current model (Algorithm 2's
 // updateUncertainty). SegmentsPerDim = 10 over the 5-dimensional sky
-// schema gives 100,000 symbolic points. Three modes bracket the scoring
-// stack: "legacy" is the per-row path (WithScoreKernel(false)), "kernel"
-// the columnar block path forced to a full rescore every op by rotating
-// between two unrelated models, and "incremental" the kernel path under
-// the IDE's real refit pattern — one label appended per retrain, so the
-// exact dirty rule skips almost every cell. CI's benchmark smoke job
-// compares the mode=kernel workers=1 and workers=8 lines.
+// schema gives 100,000 symbolic points. Two modes bracket the scoring
+// pass: "kernel" is forced to a full rescore every op by rotating between
+// two unrelated models, and "incremental" runs the IDE's real refit
+// pattern — one label appended per retrain, so the exact dirty rule skips
+// almost every cell. CI's benchmark smoke job compares the mode=kernel
+// workers=1 and workers=8 lines.
 func BenchmarkScorePhase(b *testing.B) {
 	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 4000, Seed: 21})
 	if err != nil {
@@ -52,7 +51,7 @@ func BenchmarkScorePhase(b *testing.B) {
 	}
 	// Full-rescore rotation: the two models sample different rows, so
 	// neither is an append-only refit of the other and every op pays a
-	// complete pass in every mode.
+	// complete pass.
 	full := []learn.Classifier{fitOn(50), fitOn(51)}
 
 	// Incremental chain: a fresh model per retrain on a growing labeled
@@ -74,17 +73,13 @@ func BenchmarkScorePhase(b *testing.B) {
 	}
 
 	ctx := context.Background()
-	for _, mode := range []string{"legacy", "kernel", "incremental"} {
+	for _, mode := range []string{"kernel", "incremental"} {
 		for _, workers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("mode=%s/workers=%d", mode, workers), func(b *testing.B) {
 				opts := Options{
 					MemoryBudgetBytes: 1 << 24,
 					SegmentsPerDim:    10, // 10^5 = 100k symbolic index points
 					Workers:           workers,
-				}
-				if mode == "legacy" {
-					off := false
-					opts.ScoreKernel = &off
 				}
 				idx, err := Open(ctx, dir, opts)
 				if err != nil {

@@ -46,14 +46,12 @@ func openLive(ctx context.Context, dir string, opts Options) (*Index, error) {
 		return nil, err
 	}
 	sdb, err := stream.Open(dir, stream.Options{
-		Limiter:         opts.Limiter,
-		Workers:         opts.Workers,
-		BlockCache:      bc,
-		Registry:        opts.Registry,
-		Tracer:          opts.Tracer,
-		MemtableBytes:   opts.MemtableBytes,
-		FlushInterval:   opts.FlushInterval,
-		CompactSegments: opts.CompactSegments,
+		Limiter:       opts.Limiter,
+		Workers:       opts.Workers,
+		BlockCache:    bc,
+		Registry:      opts.Registry,
+		Tracer:        opts.Tracer,
+		FlushInterval: opts.FlushInterval,
 	})
 	if err != nil {
 		return nil, err

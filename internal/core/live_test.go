@@ -198,9 +198,8 @@ func TestLiveCloseNoGoroutineLeak(t *testing.T) {
 			MemoryBudgetBytes: 1 << 20,
 			EnablePrefetch:    true,
 			Workers:           2,
-			// A tiny memtable and a fast timer keep the background flush
-			// and compaction loops genuinely busy across the close.
-			MemtableBytes: 1 << 10,
+			// A fast timer keeps the background flush and compaction
+			// loops genuinely busy across the close.
 			FlushInterval: time.Millisecond,
 		})
 		if err != nil {

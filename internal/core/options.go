@@ -113,38 +113,9 @@ type Options struct {
 	// byte-identical to a static index over the same rows, no matter how
 	// many appends land meanwhile.
 	FollowLive bool
-	// MemtableBytes is the live write store's freeze threshold (zero
-	// selects the stream default). Ignored by static layouts.
-	MemtableBytes int64
 	// FlushInterval additionally flushes the live memtable on a timer so
 	// trickle appends become visible; zero flushes on size/demand only.
 	FlushInterval time.Duration
-	// CompactSegments is the per-shard segment count that triggers
-	// background compaction on a live layout (zero selects the stream
-	// default).
-	CompactSegments int
-	// ScoreKernel routes symbolic-point scoring through the columnar
-	// kernel path (contiguous column blocks packed at Open, batched
-	// distance/dot-product kernels, and — for DWKNN models refit on
-	// append-only labeled sets — exact incremental rescoring of only the
-	// cells whose k-nearest-neighbor set can have changed). The kernel
-	// path is bit-identical to the legacy per-row path; nil selects
-	// enabled. Set to a false pointer to force the legacy path.
-	ScoreKernel *bool
-	// BoundedStaleness, when > 1, lets models without an exact
-	// incremental rule (everything but DWKNN) reuse the previous
-	// iteration's full score vector for N-1 consecutive retrains,
-	// rescoring in full every Nth. This is an opt-in approximation — it
-	// trades bounded score staleness for iteration latency — and is
-	// ignored by the exact DWKNN delta path and by the legacy path.
-	// Zero and 1 both mean every retrain rescores.
-	BoundedStaleness int
-}
-
-// scoreKernelEnabled reports whether the columnar kernel path is on
-// (nil defaults to enabled).
-func (o Options) scoreKernelEnabled() bool {
-	return o.ScoreKernel == nil || *o.ScoreKernel
 }
 
 // withDefaults validates and fills zero values.
@@ -196,9 +167,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if len(o.ShardEndpoints) > 0 && o.Replication > len(o.ShardEndpoints) {
 		return o, fmt.Errorf("core: replication %d exceeds %d shard endpoints", o.Replication, len(o.ShardEndpoints))
-	}
-	if o.BoundedStaleness < 0 {
-		return o, fmt.Errorf("core: bounded staleness %d must not be negative", o.BoundedStaleness)
 	}
 	if o.Registry == nil {
 		o.Registry = obs.NewRegistry()

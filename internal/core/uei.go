@@ -116,14 +116,12 @@ type Index struct {
 	// engine per iteration.
 	stepDegraded bool
 
-	// centers is the symbolic index point set P, in cell-id order.
-	centers []vec.Point
-	// blk is the columnar packing of centers for the kernel scoring path
-	// (Options.ScoreKernel). Packed once per Open and shared by views —
-	// the symbolic point set is immutable, even under live ingest (cell
-	// geometry is pinned at store creation).
+	// blk is the symbolic index point set P, in cell-id order, packed by
+	// column. Packed once per Open and shared by views — the point set is
+	// immutable, even under live ingest (cell geometry is pinned at store
+	// creation).
 	blk *kernel.Block
-	// uncertainty[i] is the last computed uncertainty of centers[i].
+	// uncertainty[i] is the last computed uncertainty of point i of blk.
 	uncertainty []float64
 	// scoresValid records whether uncertainty reflects the current model.
 	scoresValid bool
@@ -140,12 +138,9 @@ type Index struct {
 	lastDW       *learn.DWKNN
 	dk2          []float64
 	lastComplete bool
-	// staleRetrains counts consecutive scoring passes reused under
-	// Options.BoundedStaleness for models without an exact delta rule.
-	staleRetrains int
 	// lastSkipped is how many of the |P| cells the most recent
-	// UpdateUncertainty pass skipped (exact delta or bounded staleness);
-	// dirtyBuf is its reused dirty-cell scratch.
+	// UpdateUncertainty pass skipped under the exact delta rule; dirtyBuf
+	// is its reused dirty-cell scratch.
 	lastSkipped int
 	dirtyBuf    []int
 
@@ -190,7 +185,6 @@ type Index struct {
 func (x *Index) resetKernelState() {
 	x.lastDW = nil
 	x.lastComplete = false
-	x.staleRetrains = 0
 }
 
 // Open loads the index over a directory produced by Build — flat, sharded
@@ -403,7 +397,6 @@ func newIndex(opts Options, coord *shard.Coordinator, pl *pool.Pool) (*Index, er
 	}
 	budget.Instrument(reg)
 	pl.Instrument(reg)
-	centers := g.Centers()
 	idx := &Index{
 		opts:        opts,
 		coord:       coord,
@@ -411,8 +404,7 @@ func newIndex(opts Options, coord *shard.Coordinator, pl *pool.Pool) (*Index, er
 		grid:        g,
 		budget:      budget,
 		cache:       cache,
-		centers:     centers,
-		blk:         kernel.Pack(centers),
+		blk:         kernel.Pack(g.Centers()),
 		uncertainty: make([]float64, g.NumCells()),
 		pendingCell: memcache.NoRegion,
 		reg:         reg,
@@ -556,7 +548,7 @@ func (x *Index) DegradedShards() []int {
 func (x *Index) Budget() *memcache.Budget { return x.budget }
 
 // NumIndexPoints returns |P|.
-func (x *Index) NumIndexPoints() int { return len(x.centers) }
+func (x *Index) NumIndexPoints() int { return x.blk.N }
 
 // sampleSize resolves γ.
 func (x *Index) sampleSize() int {
@@ -595,11 +587,20 @@ func (x *Index) InitExploration(ctx context.Context) error {
 	return nil
 }
 
-// UpdateUncertainty re-scores every symbolic index point against the
-// current model (Algorithm 2 line 17, P <- updateUncertainty(P, M)). The
-// pass scatters to every shard under the per-shard deadline; each shard's
-// scores are published into its own cells' slots only on success, so the
-// result is byte-identical to a serial pass at any worker and shard
+// UpdateUncertainty re-scores the symbolic index points against the
+// current model (Algorithm 2 line 17, P <- updateUncertainty(P, M)) through
+// the block kernels, by one of two routes that are bit-identical on the
+// cells they score:
+//
+//  1. Exact incremental (DWKNN refit on an append-only labeled set): the
+//     retained d_k² bounds prove which cells' k-nearest-neighbor sets can
+//     have changed; only that dirty subset is rescored.
+//  2. Full pass over every point, capturing fresh d_k² bounds when the
+//     model is a DWKNN.
+//
+// The pass scatters to every shard under the per-shard deadline; each
+// shard's scores are published into its own cells' slots only on success,
+// so the result is byte-identical to a serial pass at any worker and shard
 // count. Shards that miss the deadline or fail keep stale scores and are
 // recorded as degraded, excluding their cells from selection until a
 // later pass succeeds.
@@ -607,66 +608,17 @@ func (x *Index) UpdateUncertainty(ctx context.Context, model learn.Classifier) e
 	if x.closed.Load() {
 		return ErrClosed
 	}
-	if x.opts.scoreKernelEnabled() {
-		return x.updateUncertaintyKernel(ctx, model)
-	}
-	// The WithScoreKernel(false) escape hatch: per-row batch scoring.
-	x.resetKernelState()
-	x.lastSkipped = 0
-	degraded, err := x.coord.ScoreAll(ctx, model, x.uncertainty)
-	if err != nil {
-		return fmt.Errorf("core: scoring index points: %w", err)
-	}
-	x.setDegraded(degraded)
-	x.mCellsScored.Add(int64(len(x.centers)))
-	x.scoresValid = true
-	return nil
-}
-
-// setDegraded records the shards a scoring pass skipped.
-func (x *Index) setDegraded(degraded []int) {
-	x.degradedShards = degraded
-	if len(degraded) > 0 {
-		x.stepDegraded = true
-	}
-}
-
-// updateUncertaintyKernel is the columnar scoring pass. Three routes, all
-// bit-identical on the cells they score:
-//
-//  1. Exact incremental (DWKNN refit on an append-only labeled set): the
-//     retained d_k² bounds prove which cells' k-nearest-neighbor sets can
-//     have changed; only that dirty subset is rescored.
-//  2. Bounded staleness (opt-in, non-DWKNN models): reuse the previous
-//     complete pass for N-1 consecutive retrains.
-//  3. Full columnar pass over the packed block, capturing fresh d_k²
-//     bounds when the model is a DWKNN.
-func (x *Index) updateUncertaintyKernel(ctx context.Context, model learn.Classifier) error {
-	n := len(x.centers)
+	n := x.blk.N
 	x.lastSkipped = 0
 	dw, isDW := learn.AsDWKNN(model)
 
-	// Route 1: exact delta skipping against the retained model.
 	if isDW && x.lastComplete && x.lastDW != nil {
 		if newRows, ok := dw.AppendDelta(x.lastDW); ok {
 			return x.rescoreDirty(ctx, model, dw, newRows)
 		}
 	}
 
-	// Route 2: bounded staleness for models without a delta rule.
-	if !isDW && x.opts.BoundedStaleness > 1 && x.lastComplete {
-		if x.staleRetrains < x.opts.BoundedStaleness-1 {
-			x.staleRetrains++
-			x.lastSkipped = n
-			x.mCellsSkipped.Add(int64(n))
-			x.scoresValid = true
-			return nil
-		}
-		x.staleRetrains = 0
-	}
-
-	// Route 3: full columnar pass.
-	pass := shard.ScorePass{Kernel: true}
+	var pass shard.ScorePass
 	if isDW {
 		if cap(x.dk2) < n {
 			x.dk2 = make([]float64, n)
@@ -684,7 +636,15 @@ func (x *Index) updateUncertaintyKernel(ctx context.Context, model learn.Classif
 	return nil
 }
 
-// finishFullPass records the outcome of a complete columnar rescore:
+// setDegraded records the shards a scoring pass skipped.
+func (x *Index) setDegraded(degraded []int) {
+	x.degradedShards = degraded
+	if len(degraded) > 0 {
+		x.stepDegraded = true
+	}
+}
+
+// finishFullPass records the outcome of a full rescore:
 // retain the DWKNN (with its fresh d_k² bounds) for the next delta pass
 // when every cell was scored, otherwise drop the incremental state so the
 // next pass runs in full.
@@ -695,7 +655,6 @@ func (x *Index) finishFullPass(dw *learn.DWKNN, retainDW, complete bool, n int) 
 		x.lastDW = nil
 	}
 	x.lastComplete = complete
-	x.staleRetrains = 0
 	x.mCellsScored.Add(int64(n))
 	x.scoresValid = true
 }
@@ -708,7 +667,7 @@ func (x *Index) finishFullPass(dw *learn.DWKNN, retainDW, complete bool, n int) 
 // Clean cells keep bit-identical scores by construction; dirty cells are
 // rescored through the same block kernels as a full pass.
 func (x *Index) rescoreDirty(ctx context.Context, model learn.Classifier, dw *learn.DWKNN, newRows [][]float64) error {
-	n := len(x.centers)
+	n := x.blk.N
 	if len(newRows) > 0 {
 		var err error
 		x.dirtyBuf, err = dw.DirtyCells(x.blk, newRows, x.dk2, x.dirtyBuf[:0])
@@ -729,7 +688,6 @@ func (x *Index) rescoreDirty(ctx context.Context, model learn.Classifier, dw *le
 		return nil
 	}
 	degraded, err := x.coord.ScoreAllPass(ctx, model, x.uncertainty, shard.ScorePass{
-		Kernel: true,
 		Dirty:  dirty,
 		NeedDK: true,
 		DK2:    x.dk2,
@@ -849,7 +807,7 @@ func (x *Index) EnsureRegion(ctx context.Context, model learn.Classifier) (grid.
 		return 0, fmt.Errorf("core: no selectable cells (degraded shards %v): %w", x.degradedShards, shard.ErrShardUnavailable)
 	}
 	x.hScore.ObserveDuration(score.End(map[string]float64{
-		"points":  float64(len(x.centers)),
+		"points":  float64(x.blk.N),
 		"cell":    float64(top[0]),
 		"skipped": float64(x.lastSkipped),
 	}))
@@ -1074,16 +1032,11 @@ func (x *Index) ResultRetrieval(ctx context.Context, model learn.Classifier, min
 	// (NaN included), so post stays nil then and every cell passes.
 	var post []float64
 	if minCellPosterior > 0 {
-		post = make([]float64, x.grid.NumCells())
-		score := func(lo, hi int) error {
-			return learn.PosteriorsInto(ctx, model, x.centers[lo:hi], post[lo:hi])
-		}
-		if x.opts.scoreKernelEnabled() {
-			score = func(lo, hi int) error {
-				return learn.BlockPosteriorsInto(ctx, model, x.blk, lo, hi, post[lo:hi])
-			}
-		}
-		if err := x.pool.Do(ctx, len(x.centers), score); err != nil {
+		post = make([]float64, x.blk.N)
+		err := x.pool.Do(ctx, x.blk.N, func(lo, hi int) error {
+			return learn.BlockPosteriorsInto(ctx, model, x.blk, lo, hi, post[lo:hi])
+		})
+		if err != nil {
 			return nil, err
 		}
 	}

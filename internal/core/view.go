@@ -68,13 +68,12 @@ func (x *Index) NewView(vo ViewOptions) (*Index, error) {
 		return nil, err
 	}
 	v := &Index{
-		opts:    opts,
-		coord:   x.coord,
-		grid:    x.grid,
-		budget:  budget,
-		cache:   cache,
-		centers: x.centers,
-		// The packed column block is immutable and shared like centers;
+		opts:   opts,
+		coord:  x.coord,
+		grid:   x.grid,
+		budget: budget,
+		cache:  cache,
+		// The packed symbolic points are immutable and shared;
 		// incremental-rescore state (lastDW, dk2) stays private and cold,
 		// because it tracks the view's own uncertainty vector.
 		blk:         x.blk,

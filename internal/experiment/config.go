@@ -86,10 +86,6 @@ type Config struct {
 	// HedgeDelay fires per-shard calls on a second replica after this
 	// delay (needs Replication > 1). Zero disables hedging.
 	HedgeDelay time.Duration
-	// ScoreKernel selects the symbolic-point scoring path: nil and true
-	// use the columnar kernel path (bit-identical to the per-row path),
-	// false forces the legacy path — the -score-kernel=off ablation.
-	ScoreKernel *bool
 }
 
 // DefaultConfig returns the quick-mode configuration.

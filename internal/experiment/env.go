@@ -106,15 +106,15 @@ func (e *Env) StoreDir() string { return e.storeDir }
 // TableDir returns the DBMS directory.
 func (e *Env) TableDir() string { return e.tableDir }
 
-// OpenIndex opens a fresh UEI index handle for one run. The experiment
-// harness measures the paper's serial per-iteration costs, so the worker
-// pool stays at one unless the config raises it.
-func (e *Env) OpenIndex(ctx context.Context, runSeed int64) (*core.Index, error) {
+// indexOptions maps the config onto the options every run's index opens
+// with. The experiment harness measures the paper's serial per-iteration
+// costs, so the worker pool stays at one unless the config raises it.
+func (e *Env) indexOptions(runSeed int64) core.Options {
 	workers := e.Cfg.Workers
 	if workers == 0 {
 		workers = 1
 	}
-	return core.Open(ctx, e.storeDir, core.Options{
+	return core.Options{
 		SegmentsPerDim:    e.Cfg.SegmentsPerDim,
 		MemoryBudgetBytes: e.budgetBytes,
 		LatencyThreshold:  e.Cfg.LatencyThreshold,
@@ -128,8 +128,12 @@ func (e *Env) OpenIndex(ctx context.Context, runSeed int64) (*core.Index, error)
 		Shards:            e.Cfg.Shards,
 		Replication:       e.Cfg.Replication,
 		HedgeDelay:        e.Cfg.HedgeDelay,
-		ScoreKernel:       e.Cfg.ScoreKernel,
-	})
+	}
+}
+
+// OpenIndex opens a fresh UEI index handle for one run.
+func (e *Env) OpenIndex(ctx context.Context, runSeed int64) (*core.Index, error) {
+	return core.Open(ctx, e.storeDir, e.indexOptions(runSeed))
 }
 
 // OpenTable opens a fresh DBMS handle whose buffer pool consumes the same

@@ -85,6 +85,30 @@ func TestSetupAndBudget(t *testing.T) {
 	table.Close()
 }
 
+// TestRunIndexHonorsBlockCache: the index every run and ablation opens
+// (with its per-run overrides) carries the configured block cache, like
+// Env.OpenIndex.
+func TestRunIndexHonorsBlockCache(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.WorkDir = t.TempDir()
+	cfg.BlockCacheBytes = 1 << 20
+	env, err := Setup(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := env.openIndexWith(1, 4, 0, false, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	if err := idx.InitExploration(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st := idx.Stats(); st.CacheHits+st.CacheMisses == 0 {
+		t.Error("run index reports no block-cache lookups with BlockCacheBytes set")
+	}
+}
+
 func TestRunComparisonMediumRegion(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.WorkDir = t.TempDir()

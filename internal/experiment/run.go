@@ -270,27 +270,12 @@ func (e *Env) bytesRead(scheme Scheme, provider ide.Provider) (int64, error) {
 
 // openIndexWith opens an index with per-run overrides.
 func (e *Env) openIndexWith(runSeed int64, segments, sampleSize int, prefetch bool, residentRegions int) (*core.Index, error) {
-	workers := e.Cfg.Workers
-	if workers == 0 {
-		workers = 1
-	}
-	return core.Open(context.Background(), e.storeDir, core.Options{
-		SegmentsPerDim:    segments,
-		MemoryBudgetBytes: e.budgetBytes,
-		SampleSize:        sampleSize,
-		LatencyThreshold:  e.Cfg.LatencyThreshold,
-		EnablePrefetch:    prefetch,
-		ResidentRegions:   residentRegions,
-		Seed:              runSeed,
-		Registry:          e.Cfg.Obs,
-		Tracer:            e.Cfg.Trace,
-		Workers:           workers,
-		Limiter:           e.Limiter,
-		Shards:            e.Cfg.Shards,
-		Replication:       e.Cfg.Replication,
-		HedgeDelay:        e.Cfg.HedgeDelay,
-		ScoreKernel:       e.Cfg.ScoreKernel,
-	})
+	opts := e.indexOptions(runSeed)
+	opts.SegmentsPerDim = segments
+	opts.SampleSize = sampleSize
+	opts.EnablePrefetch = prefetch
+	opts.ResidentRegions = residentRegions
+	return core.Open(context.Background(), e.storeDir, opts)
 }
 
 // RunComparison runs both schemes for one region class, averaging across

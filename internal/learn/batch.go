@@ -57,7 +57,9 @@ func PosteriorsInto(ctx context.Context, c Classifier, X [][]float64, out []floa
 }
 
 // UncertaintiesInto fills out[i] with the least-confidence uncertainty
-// min(p, 1-p) of X[i], serially (see PosteriorsInto).
+// min(p, 1-p) of X[i], serially (see PosteriorsInto). The index scores its
+// symbolic points through BlockUncertaintiesInto; this row form is the
+// specification the parity tests hold that to, bit for bit.
 func UncertaintiesInto(ctx context.Context, c Classifier, X [][]float64, out []float64) error {
 	if err := PosteriorsInto(ctx, c, X, out); err != nil {
 		return err
@@ -78,13 +80,6 @@ func UncertaintiesInto(ctx context.Context, c Classifier, X [][]float64, out []f
 func Posteriors(ctx context.Context, c Classifier, X [][]float64, out []float64, workers int) error {
 	return parallelInto(ctx, X, out, workers, func(ctx context.Context, xs [][]float64, os []float64) error {
 		return PosteriorsInto(ctx, c, xs, os)
-	})
-}
-
-// Uncertainties is Posteriors for least-confidence uncertainties.
-func Uncertainties(ctx context.Context, c Classifier, X [][]float64, out []float64, workers int) error {
-	return parallelInto(ctx, X, out, workers, func(ctx context.Context, xs [][]float64, os []float64) error {
-		return UncertaintiesInto(ctx, c, xs, os)
 	})
 }
 

@@ -90,7 +90,8 @@ func TestPosteriorsParallelParity(t *testing.T) {
 	}
 }
 
-// TestUncertaintiesFoldsPosterior checks min(p, 1-p) against Posteriors.
+// TestUncertaintiesFoldsPosterior checks UncertaintiesInto's min(p, 1-p)
+// against Posteriors.
 func TestUncertaintiesFoldsPosterior(t *testing.T) {
 	X := queryGrid(500, 17)
 	ctx := context.Background()
@@ -100,7 +101,7 @@ func TestUncertaintiesFoldsPosterior(t *testing.T) {
 	if err := Posteriors(ctx, m, X, post, 4); err != nil {
 		t.Fatal(err)
 	}
-	if err := Uncertainties(ctx, m, X, unc, 4); err != nil {
+	if err := UncertaintiesInto(ctx, m, X, unc); err != nil {
 		t.Fatal(err)
 	}
 	for i, p := range post {

@@ -92,7 +92,6 @@ func NewManager(ctx context.Context, cfg Config) (*Manager, error) {
 	// off.
 	idx, err := core.Open(ctx, cfg.StoreDir, core.Options{
 		MemoryBudgetBytes: cfg.TotalBudgetBytes,
-		SegmentsPerDim:    cfg.SegmentsPerDim,
 		Seed:              cfg.Seed,
 		Workers:           cfg.Workers,
 		Registry:          cfg.Registry,

@@ -94,8 +94,6 @@ type Config struct {
 	DefaultMaxLabels int
 	// Workers sizes the shared index worker pool. Zero selects GOMAXPROCS.
 	Workers int
-	// SegmentsPerDim configures the shared index grid. Zero selects 5.
-	SegmentsPerDim int
 	// Shards selects the store layout the manager requires from StoreDir:
 	// 0 auto-detects, 1 requires the flat layout, > 1 requires a sharded
 	// layout with exactly that many shards (see core.Options.Shards).

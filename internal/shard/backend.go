@@ -67,7 +67,7 @@ type Backend interface {
 }
 
 // ScoreSpec selects which of a shard's owned symbolic points a ScoreAll
-// pass evaluates and how.
+// pass evaluates.
 type ScoreSpec struct {
 	// Dirty, when non-nil, restricts scoring to these owned-cell-local
 	// indices (positions in the shard's ascending owned-cell list), which
@@ -76,14 +76,9 @@ type ScoreSpec struct {
 	// shards entirely).
 	Dirty []int
 	// NeedDK asks for each scored point's k-th-neighbor squared distance
-	// (DWKNN only; requires Kernel). It feeds the exact incremental
-	// rescorer's dirty-cell rule.
+	// (DWKNN only). It feeds the exact incremental rescorer's dirty-cell
+	// rule.
 	NeedDK bool
-	// Kernel routes scoring through the columnar block kernels. Off takes
-	// the legacy row path; results are bit-identical either way — the flag
-	// exists so the escape hatch (core Options.ScoreKernel) reaches every
-	// transport.
-	Kernel bool
 }
 
 // ScoreResult is one shard's answer to ScoreAll: uncertainties aligned

@@ -321,9 +321,9 @@ func NewLocalCoordinator(man *Manifest, shards []*Shard, opts OpenOptions) (*Coo
 // NextEpoch returns a coordinator over another epoch of the local store c
 // serves (a live snapshot advance): shards carry the new epoch's parts and
 // man its row counts, while everything an epoch cannot change — grid, cell
-// ownership, every shard's owned centers and packed block, pool, block
-// cache, deadlines, instruments — is shared with c instead of rebuilt, so
-// an advance costs O(S), not O(cells), in time and memory.
+// ownership, every shard's packed symbolic points, pool, block cache,
+// deadlines, instruments — is shared with c instead of rebuilt, so an
+// advance costs O(S), not O(cells), in time and memory.
 func (c *Coordinator) NextEpoch(man *Manifest, shards []*Shard) (*Coordinator, error) {
 	if c.shards == nil || man.Shards != len(c.shards) || len(shards) != len(c.shards) {
 		return nil, fmt.Errorf("shard: next epoch has %d shards (manifest: %d), the local coordinator %d", len(shards), man.Shards, len(c.shards))
@@ -759,19 +759,21 @@ func (c *Coordinator) ScoreAll(ctx context.Context, model learn.Classifier, unc 
 	return c.ScoreAllPass(ctx, model, unc, ScorePass{})
 }
 
-// ScorePass parameterizes a coordinator scoring pass: the kernel routing
-// flag, the optional global dirty-cell subset, and the optional d_k²
-// side-channel of the exact incremental rescorer.
+// ScorePass parameterizes a coordinator scoring pass: the optional global
+// dirty-cell subset and the optional d_k² side-channel of the exact
+// incremental rescorer.
 type ScorePass struct {
-	// Kernel routes every shard's scoring through the columnar block path
-	// (bit-identical results; the flag exists for the escape hatch).
+	// Kernel is unread: every pass runs the block kernels. The field stays
+	// declared because benchmark/layers.go, its only writer, sets it and a
+	// change outside benchmark/ may not edit that file; the next benchmark
+	// change drops both.
 	Kernel bool
 	// Dirty, when non-nil, lists the global cell ids to rescore, ascending.
 	// Shards owning none of them are not contacted at all. Nil rescores
 	// every cell.
 	Dirty []int
 	// NeedDK asks every shard for per-cell k-th-neighbor squared distances
-	// (DWKNN + Kernel only); they are published into DK2, indexed by global
+	// (DWKNN only); they are published into DK2, indexed by global
 	// cell id, which must then be non-nil and NumCells long.
 	NeedDK bool
 	DK2    []float64
@@ -808,7 +810,7 @@ func (c *Coordinator) ScoreAllPass(ctx context.Context, model learn.Classifier, 
 	model = &modelBlob{Classifier: model}
 	return scatterGather(c, ctx, OpScore, false,
 		func(sctx context.Context, id int, b Backend) (ScoreResult, error) {
-			spec := ScoreSpec{NeedDK: pass.NeedDK, Kernel: pass.Kernel}
+			spec := ScoreSpec{NeedDK: pass.NeedDK}
 			want := len(c.ownedCells[id])
 			if dirtyByShard != nil {
 				spec.Dirty = dirtyByShard[id]

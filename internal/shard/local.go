@@ -28,13 +28,11 @@ import (
 type LocalBackend struct {
 	shard *Shard
 	g     *grid.Grid
-	// cells and centers list the shard's owned cells ascending and their
-	// symbolic index points, aligned.
-	cells   []grid.CellID
-	centers []vec.Point
-	// blk is the columnar copy of centers, packed once at construction and
-	// shared read-only by replicas and scoring goroutines.
-	blk *kernel.Block
+	// cells lists the shard's owned cells ascending; blk holds their
+	// symbolic index points, aligned, packed by column once at
+	// construction and shared read-only by replicas and scoring goroutines.
+	cells []grid.CellID
+	blk   *kernel.Block
 	// pool shards CPU-side scoring; shared with the caller.
 	pool *pool.Pool
 }
@@ -46,28 +44,24 @@ func NewLocalBackend(s *Shard, g *grid.Grid, cells []grid.CellID, centers []vec.
 	if p == nil {
 		p = pool.New(1)
 	}
-	return &LocalBackend{shard: s, g: g, cells: cells, centers: centers, blk: kernel.Pack(centers), pool: p}
+	return &LocalBackend{shard: s, g: g, cells: cells, blk: kernel.Pack(centers), pool: p}
 }
 
 // Shard exposes the wrapped shard for inspection and tests.
 func (b *LocalBackend) Shard() *Shard { return b.shard }
 
 // ScoreAll implements Backend: model uncertainty over the owned symbolic
-// index points, computed through the worker pool exactly like the flat
-// scoring pass. The kernel flag selects the columnar block path, the
-// legacy flag the row path (chunked UncertaintiesInto); both produce
-// byte-identical scores. A non-nil spec.Dirty restricts work to that
-// ascending owned-cell-local subset, and NeedDK additionally returns each
-// scored point's k-th-neighbor squared distance (DWKNN + kernel only).
+// index points, computed by the block kernels on the worker pool. A
+// non-nil spec.Dirty restricts work to that ascending owned-cell-local
+// subset, and NeedDK additionally returns each scored point's
+// k-th-neighbor squared distance (DWKNN only).
 func (b *LocalBackend) ScoreAll(ctx context.Context, model learn.Classifier, spec ScoreSpec) (ScoreResult, error) {
-	if len(b.centers) == 0 {
+	owned := b.blk.N
+	if owned == 0 {
 		return ScoreResult{}, nil
 	}
 	var dw *learn.DWKNN
 	if spec.NeedDK {
-		if !spec.Kernel {
-			return ScoreResult{}, fmt.Errorf("shard %d: NeedDK requires the kernel path", b.shard.ID)
-		}
 		var ok bool
 		if dw, ok = learn.AsDWKNN(model); !ok {
 			return ScoreResult{}, fmt.Errorf("shard %d: NeedDK on a non-DWKNN model", b.shard.ID)
@@ -80,11 +74,11 @@ func (b *LocalBackend) ScoreAll(ctx context.Context, model learn.Classifier, spe
 			return res, nil
 		}
 		for _, i := range spec.Dirty {
-			if i < 0 || i >= len(b.centers) {
-				return ScoreResult{}, fmt.Errorf("shard %d: dirty index %d out of %d owned cells", b.shard.ID, i, len(b.centers))
+			if i < 0 || i >= owned {
+				return ScoreResult{}, fmt.Errorf("shard %d: dirty index %d out of %d owned cells", b.shard.ID, i, owned)
 			}
 		}
-		if spec.Kernel && dw != nil {
+		if dw != nil {
 			res.DK2 = make([]float64, n)
 			err := b.pool.DoCapped(ctx, n, scoreShardCap(n), func(lo, hi int) error {
 				return learn.BlockUncertaintiesDKAt(ctx, dw, b.blk, spec.Dirty[lo:hi], res.Scores[lo:hi], res.DK2[lo:hi])
@@ -94,11 +88,11 @@ func (b *LocalBackend) ScoreAll(ctx context.Context, model learn.Classifier, spe
 			}
 			return res, nil
 		}
-		// Subset scoring without dk²: gather the dirty centers and run the
-		// regular path over them (row or block — identical results).
+		// Subset scoring without dk²: the regular pass over each dirty
+		// point.
 		err := b.pool.DoCapped(ctx, n, scoreShardCap(n), func(lo, hi int) error {
 			for k, i := range spec.Dirty[lo:hi] {
-				if err := b.scoreRange(ctx, model, spec.Kernel, i, i+1, res.Scores[lo+k:lo+k+1]); err != nil {
+				if err := learn.BlockUncertaintiesInto(ctx, model, b.blk, i, i+1, res.Scores[lo+k:lo+k+1]); err != nil {
 					return err
 				}
 			}
@@ -109,29 +103,20 @@ func (b *LocalBackend) ScoreAll(ctx context.Context, model learn.Classifier, spe
 		}
 		return res, nil
 	}
-	res := ScoreResult{Scores: make([]float64, len(b.centers))}
+	res := ScoreResult{Scores: make([]float64, owned)}
 	if spec.NeedDK {
-		res.DK2 = make([]float64, len(b.centers))
+		res.DK2 = make([]float64, owned)
 	}
-	err := b.pool.Do(ctx, len(b.centers), func(lo, hi int) error {
+	err := b.pool.Do(ctx, owned, func(lo, hi int) error {
 		if spec.NeedDK {
 			return learn.BlockUncertaintiesDKInto(ctx, dw, b.blk, lo, hi, res.Scores[lo:hi], res.DK2[lo:hi])
 		}
-		return b.scoreRange(ctx, model, spec.Kernel, lo, hi, res.Scores[lo:hi])
+		return learn.BlockUncertaintiesInto(ctx, model, b.blk, lo, hi, res.Scores[lo:hi])
 	})
 	if err != nil {
 		return ScoreResult{}, err
 	}
 	return res, nil
-}
-
-// scoreRange scores owned centers [lo, hi) into out through the selected
-// path.
-func (b *LocalBackend) scoreRange(ctx context.Context, model learn.Classifier, kernelPath bool, lo, hi int, out []float64) error {
-	if kernelPath {
-		return learn.BlockUncertaintiesInto(ctx, model, b.blk, lo, hi, out)
-	}
-	return learn.UncertaintiesInto(ctx, model, b.centers[lo:hi], out)
 }
 
 // scoreShardCap bounds the worker fan-out of a dirty-subset pass so a

@@ -163,7 +163,7 @@ func (b *ShardClient) ScoreAll(ctx context.Context, model learn.Classifier, spec
 	if err != nil {
 		return shard.ScoreResult{}, fmt.Errorf("serializing model: %w", err)
 	}
-	req := ScoreRequest{Model: blob, Dirty: spec.Dirty, NeedDK: spec.NeedDK, Kernel: spec.Kernel}
+	req := ScoreRequest{Model: blob, Dirty: spec.Dirty, NeedDK: spec.NeedDK}
 	resp, err := post[ScoreRequest, ScoreResponse](ctx, b, "score", req)
 	if err != nil {
 		return shard.ScoreResult{}, err

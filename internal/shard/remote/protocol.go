@@ -45,15 +45,14 @@ type MetaResponse struct {
 }
 
 // ScoreRequest carries the serialized model (learn.MarshalModel envelope)
-// plus the pass spec: the optional ascending owned-cell-local dirty subset,
-// the d_k² request flag, and the kernel-path routing flag. The spec fields
-// are omitted when unset, so pre-kernel workers and clients interoperate on
-// full passes unchanged.
+// plus the pass spec: the optional ascending owned-cell-local dirty subset
+// and the d_k² request flag, both omitted when unset. A "kernel" field from
+// a client that still sends one is ignored (every pass runs the block
+// kernels, whose scores are bit-identical to what either value selected).
 type ScoreRequest struct {
 	Model  json.RawMessage `json:"model"`
 	Dirty  []int           `json:"dirty,omitempty"`
 	NeedDK bool            `json:"need_dk,omitempty"`
-	Kernel bool            `json:"kernel,omitempty"`
 }
 
 // ScoreResponse returns the scores aligned with the scored list — the

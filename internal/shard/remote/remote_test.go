@@ -290,6 +290,52 @@ func TestServerErrorMapping(t *testing.T) {
 	}
 }
 
+// TestScoreRequestFromOlderClient: a score body that still carries the
+// retired "kernel" routing flag, with either value, is accepted and answers
+// the scores the backend computes in-process, bit for bit; and need_dk
+// alone returns the d_k² bounds (an older worker demanded "kernel":true
+// beside it).
+func TestScoreRequestFromOlderClient(t *testing.T) {
+	dir, ds := buildStore(t, 600, 2, 11)
+	w := startWorker(t, dir, 2)
+	model := trainedModel(t, ds)
+	blob, err := learn.MarshalModel(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := w.coord.Backends(0)[0].ScoreAll(context.Background(), model, shard.ScoreSpec{NeedDK: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Scores) == 0 || len(want.DK2) != len(want.Scores) {
+		t.Fatalf("in-process pass returned %d scores, %d dk² bounds", len(want.Scores), len(want.DK2))
+	}
+
+	for _, extra := range []string{`,"kernel":true`, `,"kernel":false`, `,"need_dk":true`, `,"need_dk":true,"kernel":false`} {
+		body := `{"model":` + string(blob) + extra + `}`
+		resp, err := http.Post(w.srv.URL+"/v1/shards/0/score", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got remote.ScoreResponse
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("body with %s: status %d, decode error %v", extra, resp.StatusCode, err)
+		}
+		if !reflect.DeepEqual(got.Scores, want.Scores) {
+			t.Errorf("body with %s: scores differ from the in-process pass", extra)
+		}
+		wantDK := want.DK2
+		if !strings.Contains(extra, "need_dk") {
+			wantDK = nil
+		}
+		if !reflect.DeepEqual(got.DK2, wantDK) {
+			t.Errorf("body with %s: %d dk² bounds, want %d equal to the in-process pass", extra, len(got.DK2), len(wantDK))
+		}
+	}
+}
+
 // TestConnectReplicatedParity: a replicated remote coordinator answers a
 // scoring pass identically to the local one it proxies.
 func TestConnectReplicatedParity(t *testing.T) {

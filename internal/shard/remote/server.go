@@ -49,7 +49,7 @@ func NewServer(coord *shard.Coordinator, man *shard.Manifest, logf func(format s
 		if err != nil {
 			return ScoreResponse{}, badRequest(err)
 		}
-		spec := shard.ScoreSpec{Dirty: req.Dirty, NeedDK: req.NeedDK, Kernel: req.Kernel}
+		spec := shard.ScoreSpec{Dirty: req.Dirty, NeedDK: req.NeedDK}
 		res, err := b.ScoreAll(ctx, model, spec)
 		return ScoreResponse{Scores: res.Scores, DK2: res.DK2}, err
 	})

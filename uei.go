@@ -58,120 +58,22 @@ var (
 	ErrOutOfBounds = stream.ErrOutOfBounds
 )
 
-// --- v2 call options ---
+// --- call options ---
 
-// apiConfig collects the cross-cutting knobs the v2 constructors accept as
+// apiConfig collects what the baseline-engine constructors accept as
 // functional options.
 type apiConfig struct {
-	limiter        *IOLimiter
-	workers        int
-	registry       *Registry
-	tracer         *Tracer
-	shards         int
-	shardDeadline  time.Duration
-	shardEndpoints []string
-	replication    int
-	hedgeDelay     time.Duration
-	liveIngest     bool
-	followLive     bool
-	scoreKernel    *bool
-	boundedStale   int
+	limiter *IOLimiter
 }
 
-// Option configures a facade constructor (Open, CreateTable, OpenTable,
-// BuildBTree). Options replace the positional limiter parameters of the v1
-// API; see the README migration table.
+// Option configures the baseline-engine constructors (CreateTable,
+// OpenTable, BuildBTree), which have no options struct. Open takes every
+// knob as an Options field.
 type Option func(*apiConfig)
 
 // WithIOLimiter meters the construct's read bandwidth. nil (the default)
 // means unlimited.
 func WithIOLimiter(l *IOLimiter) Option { return func(c *apiConfig) { c.limiter = l } }
-
-// WithWorkers sizes the worker pool that parallelizes the per-iteration
-// hot path (symbolic-point scoring, chunk-read fan-out). Zero — the
-// default — selects runtime.GOMAXPROCS(0); 1 forces the serial path. It
-// takes precedence over Options.Workers when both are set.
-func WithWorkers(n int) Option { return func(c *apiConfig) { c.workers = n } }
-
-// WithRegistry exports the construct's metrics to a shared registry. It
-// takes precedence over Options.Registry when both are set.
-func WithRegistry(r *Registry) Option { return func(c *apiConfig) { c.registry = r } }
-
-// WithTracer records per-phase spans of every exploration iteration. It
-// takes precedence over Options.Tracer when both are set.
-func WithTracer(t *Tracer) Option { return func(c *apiConfig) { c.tracer = t } }
-
-// WithShards pins the store layout Open requires: 1 requires the flat
-// on-disk layout, n > 1 requires a sharded layout with exactly n shards. The
-// default (auto-detect) opens whichever layout the directory holds. A
-// mismatch fails with ErrLayoutMismatch. It takes precedence over
-// Options.Shards when both are set.
-func WithShards(n int) Option { return func(c *apiConfig) { c.shards = n } }
-
-// WithShardDeadline bounds every per-shard operation of the index (a flat
-// store is one shard); shards that miss the deadline are skipped for the
-// iteration (the step degrades instead of failing). It takes
-// precedence over Options.ShardDeadline when both are set.
-func WithShardDeadline(d time.Duration) Option { return func(c *apiConfig) { c.shardDeadline = d } }
-
-// WithShardEndpoints serves the index through remote uei-shardd workers
-// instead of a local store directory: Open handshakes the fleet, places
-// each shard on workers by consistent hashing, and routes every per-shard
-// operation over HTTP. The directory argument of Open is ignored (may be
-// empty). Results are byte-identical to a local open of the same store.
-// It takes precedence over Options.ShardEndpoints when both are set.
-func WithShardEndpoints(endpoints ...string) Option {
-	return func(c *apiConfig) { c.shardEndpoints = endpoints }
-}
-
-// WithReplication places each shard on n distinct workers (remote) or n
-// logical replicas of the in-process backend (local sharded): operations
-// fail over between replicas and a shard degrades only when all of them
-// fail (the error then wraps ErrReplicaExhausted). With remote endpoints
-// n must not exceed the endpoint count. It takes precedence over
-// Options.Replication when both are set.
-func WithReplication(n int) Option { return func(c *apiConfig) { c.replication = n } }
-
-// WithHedgeDelay fires each per-shard operation on a second replica if
-// the first has not answered within d; the first reply wins and the loser
-// is cancelled. Requires replication > 1 to have any effect. It takes
-// precedence over Options.HedgeDelay when both are set.
-func WithHedgeDelay(d time.Duration) Option { return func(c *apiConfig) { c.hedgeDelay = d } }
-
-// WithLiveIngest requires Open's directory to hold the live (stream)
-// layout — a WAL-backed write store with MVCC snapshot epochs — failing
-// with ErrLayoutMismatch otherwise. Live layouts are auto-detected either
-// way; the flag only pins the expectation, the way WithShards pins the
-// shard count. Index.Append and Index.Flush work on any index opened over
-// a live layout.
-func WithLiveIngest() Option { return func(c *apiConfig) { c.liveIngest = true } }
-
-// WithFollowLive lets exploration sessions over the opened index advance
-// their pinned snapshot to the newest committed epoch at iteration
-// boundaries. Off by default: a session then explores exactly the epoch it
-// opened, byte-identical to a static index over the same rows, no matter
-// how many appends land meanwhile. Implies nothing on static layouts.
-func WithFollowLive() Option { return func(c *apiConfig) { c.followLive = true } }
-
-// WithScoreKernel routes symbolic-point scoring through the columnar
-// kernel path: cache-friendly column blocks packed once at Open, batched
-// distance/dot-product kernels, and — for DWKNN models refit on
-// append-only labeled sets — exact incremental rescoring of only the
-// cells whose k-nearest-neighbor set can have changed. The kernel path
-// is bit-identical to the legacy per-row path and is ON by default;
-// WithScoreKernel(false) is the escape hatch that restores the old path
-// exactly. It takes precedence over Options.ScoreKernel when both are
-// set.
-func WithScoreKernel(on bool) Option { return func(c *apiConfig) { c.scoreKernel = &on } }
-
-// WithBoundedStaleness lets models without an exact incremental rule
-// (everything but DWKNN) reuse the previous complete score vector for
-// n-1 consecutive retrains, rescoring in full every nth. Opt-in
-// approximation — it trades bounded score staleness for iteration
-// latency; the exact DWKNN delta path and the legacy path ignore it.
-// Zero and 1 both mean every retrain rescores. It takes precedence over
-// Options.BoundedStaleness when both are set.
-func WithBoundedStaleness(n int) Option { return func(c *apiConfig) { c.boundedStale = n } }
 
 func applyOptions(o []Option) apiConfig {
 	var c apiConfig
@@ -251,50 +153,10 @@ func Build(ctx context.Context, dir string, ds *Dataset, opts BuildOptions) erro
 	return core.Build(dir, ds, opts)
 }
 
-// Open loads an index built by Build. Cross-cutting knobs (I/O limiter,
-// worker-pool size, metrics registry, tracer) arrive as Options fields or
-// functional options; the functional options win when both are set.
-func Open(ctx context.Context, dir string, opts Options, o ...Option) (*Index, error) {
-	c := applyOptions(o)
-	if c.limiter != nil {
-		opts.Limiter = c.limiter
-	}
-	if c.workers != 0 {
-		opts.Workers = c.workers
-	}
-	if c.registry != nil {
-		opts.Registry = c.registry
-	}
-	if c.tracer != nil {
-		opts.Tracer = c.tracer
-	}
-	if c.shards != 0 {
-		opts.Shards = c.shards
-	}
-	if c.shardDeadline != 0 {
-		opts.ShardDeadline = c.shardDeadline
-	}
-	if len(c.shardEndpoints) > 0 {
-		opts.ShardEndpoints = c.shardEndpoints
-	}
-	if c.replication != 0 {
-		opts.Replication = c.replication
-	}
-	if c.hedgeDelay != 0 {
-		opts.HedgeDelay = c.hedgeDelay
-	}
-	if c.liveIngest {
-		opts.LiveIngest = true
-	}
-	if c.followLive {
-		opts.FollowLive = true
-	}
-	if c.scoreKernel != nil {
-		opts.ScoreKernel = c.scoreKernel
-	}
-	if c.boundedStale != 0 {
-		opts.BoundedStaleness = c.boundedStale
-	}
+// Open loads an index built by Build. Every knob — I/O limiter,
+// worker-pool size, metrics registry, tracer, layout pinning, remote
+// shard endpoints — is an Options field.
+func Open(ctx context.Context, dir string, opts Options) (*Index, error) {
 	return core.Open(ctx, dir, opts)
 }
 
