@@ -89,12 +89,11 @@ func benchAccuracyFigure(b *testing.B, class oracle.SizeClass) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ueiLat, dbmsLat := res.UEI.Latency.Snapshot(), res.DBMS.Latency.Snapshot()
 		b.ReportMetric(res.UEI.FinalF1, "uei-final-f1")
 		b.ReportMetric(res.DBMS.FinalF1, "dbms-final-f1")
-		b.ReportMetric(float64(ueiLat.Mean.Nanoseconds()), "uei-ns/iter")
-		b.ReportMetric(float64(dbmsLat.Mean.Nanoseconds()), "dbms-ns/iter")
-		b.ReportMetric(float64(ueiLat.P95.Nanoseconds()), "uei-p95-ns/iter")
+		b.ReportMetric(float64(res.UEI.Latency.Mean().Nanoseconds()), "uei-ns/iter")
+		b.ReportMetric(float64(res.DBMS.Latency.Mean().Nanoseconds()), "dbms-ns/iter")
+		b.ReportMetric(float64(res.UEI.Latency.Quantile(0.95).Nanoseconds()), "uei-p95-ns/iter")
 	}
 }
 
@@ -118,7 +117,7 @@ func BenchmarkFig6ResponseTime(b *testing.B) {
 		// Response time is flat across region sizes (the paper's Fig. 6
 		// observation); surface all three means.
 		for _, r := range results {
-			b.ReportMetric(float64(r.UEI.Latency.Snapshot().Mean.Nanoseconds()), "uei-"+string(r.Class)+"-ns/iter")
+			b.ReportMetric(float64(r.UEI.Latency.Mean().Nanoseconds()), "uei-"+string(r.Class)+"-ns/iter")
 		}
 	}
 }

@@ -52,10 +52,8 @@ func run() error {
 		minBudget   = flag.Int64("min-session-budget", 256<<10, "smallest viable per-session budget share in bytes")
 		maxSessions = flag.Int("max-sessions", 16, "cap on live (non-evicted) sessions")
 		queueDepth  = flag.Int("queue-depth", 2, "per-session bound on queued+running steps")
-		stepConc    = flag.Int("step-concurrency", 0, "server-wide concurrent step cap (0 = GOMAXPROCS)")
 		idle        = flag.Duration("idle-timeout", 5*time.Minute, "evict sessions idle this long (0 disables)")
 		snapDir     = flag.String("snapshot-dir", "", "directory for evicted sessions' snapshots (default <store>/sessions)")
-		maxLabels   = flag.Int("default-max-labels", 100, "label budget for sessions that do not specify one")
 		prefetch    = flag.Bool("prefetch", false, "enable per-session background region prefetch (trades resume determinism for latency)")
 		workers     = flag.Int("workers", 0, "shared worker pool size (0 = GOMAXPROCS)")
 		cacheBytes  = flag.Int64("block-cache-bytes", 0, "shared decoded-chunk block cache budget in bytes, carved from -budget and yielded back under session pressure (0 disables)")
@@ -128,10 +126,8 @@ func run() error {
 		MinSessionBudgetBytes: *minBudget,
 		MaxSessions:           *maxSessions,
 		MaxQueuedSteps:        *queueDepth,
-		StepConcurrency:       *stepConc,
 		IdleTimeout:           *idle,
 		SnapshotDir:           *snapDir,
-		DefaultMaxLabels:      *maxLabels,
 		EnablePrefetch:        *prefetch,
 		Workers:               *workers,
 		Seed:                  *seed,

@@ -21,6 +21,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"time"
 
 	"github.com/uei-db/uei/internal/al"
 	"github.com/uei-db/uei/internal/core"
@@ -30,6 +31,7 @@ import (
 	"github.com/uei-db/uei/internal/iothrottle"
 	"github.com/uei-db/uei/internal/learn"
 	"github.com/uei-db/uei/internal/metrics"
+	"github.com/uei-db/uei/internal/obs"
 	"github.com/uei-db/uei/internal/oracle"
 )
 
@@ -91,12 +93,12 @@ func run() error {
 	fmt.Printf("memory budget: %d bytes (1%% of %d); shared I/O budget: %d B/s\n\n",
 		budget, heapBytes, int64(ioBandwidth))
 
-	run := func(name string, provider ide.Provider) (*metrics.LatencyRecorder, float64, error) {
+	run := func(name string, provider ide.Provider) (*obs.Samples, float64, error) {
 		user, err := oracle.New(ds, region)
 		if err != nil {
 			return nil, 0, err
 		}
-		lat := metrics.NewLatencyRecorder()
+		lat := &obs.Samples{}
 		sess, err := ide.NewSession(ide.Config{
 			MaxLabels:        maxLabels,
 			EstimatorFactory: func() learn.Classifier { return learn.NewDWKNN(7, scales) },
@@ -104,7 +106,7 @@ func run() error {
 			Seed:             3,
 			SeedWithPositive: true,
 			OnIteration: func(it ide.IterationInfo) {
-				lat.Record(it.ResponseTime)
+				lat.Observe(it.ResponseTime)
 			},
 			AfterPrepare: func() { limiter.Reset() },
 		}, provider, ide.OracleLabeler{O: user})
@@ -125,7 +127,10 @@ func run() error {
 			conf.Observe(got[uint32(id)], user.Relevant(id))
 			return true
 		})
-		fmt.Printf("%-5s: %s, retrieval F1 %.3f\n", name, lat.Summary(), conf.F1())
+		fmt.Printf("%-5s: n=%d mean=%v p50=%v p95=%v max=%v, retrieval F1 %.3f\n", name,
+			lat.Count(), lat.Mean().Round(time.Microsecond),
+			lat.Quantile(0.50).Round(time.Microsecond), lat.Quantile(0.95).Round(time.Microsecond),
+			lat.Max().Round(time.Microsecond), conf.F1())
 		return lat, conf.F1(), nil
 	}
 
@@ -166,6 +171,6 @@ func run() error {
 
 	speedup := float64(dbmsLat.Mean()) / float64(ueiLat.Mean())
 	fmt.Printf("\nper-iteration speedup (dbms/uei): %.1fx\n", speedup)
-	fmt.Printf("UEI iterations under 500ms: %.0f%%\n", ueiLat.FractionUnder(500_000_000)*100)
+	fmt.Printf("UEI iterations under 500ms: %.0f%%\n", ueiLat.FractionWithin(obs.DefaultSLOBudget)*100)
 	return nil
 }

@@ -24,7 +24,7 @@ import (
 	"github.com/uei-db/uei/internal/ide"
 	"github.com/uei-db/uei/internal/iothrottle"
 	"github.com/uei-db/uei/internal/learn"
-	"github.com/uei-db/uei/internal/metrics"
+	"github.com/uei-db/uei/internal/obs"
 	"github.com/uei-db/uei/internal/oracle"
 )
 
@@ -59,7 +59,7 @@ func run() error {
 	}
 
 	ctx := context.Background()
-	session := func(opts core.Options, limiter *iothrottle.Limiter) (*metrics.LatencyRecorder, core.Stats, error) {
+	session := func(opts core.Options, limiter *iothrottle.Limiter) (*obs.Samples, core.Stats, error) {
 		opts.Limiter = limiter
 		idx, err := core.Open(ctx, dir, opts)
 		if err != nil {
@@ -74,14 +74,14 @@ func run() error {
 		if err != nil {
 			return nil, core.Stats{}, err
 		}
-		lat := metrics.NewLatencyRecorder()
+		lat := &obs.Samples{}
 		sess, err := ide.NewSession(ide.Config{
 			MaxLabels:        40,
 			EstimatorFactory: func() learn.Classifier { return learn.NewDWKNN(7, scales) },
 			Strategy:         al.LeastConfidence{},
 			Seed:             31,
 			SeedWithPositive: true,
-			OnIteration:      func(it ide.IterationInfo) { lat.Record(it.ResponseTime) },
+			OnIteration:      func(it ide.IterationInfo) { lat.Observe(it.ResponseTime) },
 			AfterPrepare:     func() { limiter.Reset() },
 		}, provider, ide.OracleLabeler{O: user})
 		if err != nil {
@@ -105,7 +105,7 @@ func run() error {
 			return err
 		}
 		fmt.Printf("  prefetch=%-5v  mean %-12s p95 %-12s swaps %d deferred %d prefetch-hits %d\n",
-			prefetch, lat.Mean().Round(time.Microsecond), lat.Percentile(95).Round(time.Microsecond),
+			prefetch, lat.Mean().Round(time.Microsecond), lat.Quantile(0.95).Round(time.Microsecond),
 			st.RegionSwaps, st.SwapsDeferred, st.PrefetchHits)
 	}
 

@@ -124,7 +124,7 @@ func entriesEqual(a, b []Entry) bool {
 }
 
 // TestCodecFuzzSeedsRoundTrip keeps the fuzz harness exercised in plain
-// `go test` runs (the CI fuzz smoke runs FuzzCodecRoundTrip with a time
+// `go test` runs (CI's fuzz job runs FuzzCodecRoundTrip with a time
 // budget; this guards the harness itself).
 func TestCodecFuzzSeedsRoundTrip(t *testing.T) {
 	recipes := [][]byte{

@@ -17,8 +17,7 @@ import (
 // pass: "kernel" is forced to a full rescore every op by rotating between
 // two unrelated models, and "incremental" runs the IDE's real refit
 // pattern — one label appended per retrain, so the exact dirty rule skips
-// almost every cell. CI's benchmark smoke job compares the mode=kernel
-// workers=1 and workers=8 lines.
+// almost every cell.
 func BenchmarkScorePhase(b *testing.B) {
 	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 4000, Seed: 21})
 	if err != nil {
@@ -123,8 +122,7 @@ func BenchmarkScorePhase(b *testing.B) {
 // modes bracket the design space: "off" is the paper's strict
 // one-chunk-in-memory discipline, "cold" flushes the cache every pass (so
 // every miss still pays decode but concurrent misses coalesce), "warm"
-// lets the working set stay resident. CI's benchmark smoke job compares
-// the off and warm lines.
+// lets the working set stay resident.
 func BenchmarkCellReconstruction(b *testing.B) {
 	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 4000, Seed: 21})
 	if err != nil {

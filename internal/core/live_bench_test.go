@@ -15,7 +15,7 @@ import (
 // ingest), and a live store under continuous appends with periodic
 // flushes. The gap between static and live-idle is the cost of reading
 // through snapshot parts; the gap to live-under-append is WAL/flush
-// interference. CI records the three lines in bench/livestep.txt.
+// interference.
 func BenchmarkLiveStep(b *testing.B) {
 	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 4000, Seed: 21})
 	if err != nil {

@@ -3,37 +3,22 @@ package core
 import (
 	"context"
 	"net/http/httptest"
-	"sort"
 	"testing"
 	"time"
 
 	"github.com/uei-db/uei/internal/dataset"
 	"github.com/uei-db/uei/internal/learn"
+	"github.com/uei-db/uei/internal/obs"
 	"github.com/uei-db/uei/internal/shard"
 	"github.com/uei-db/uei/internal/shard/remote"
 )
 
-// reportStepP99 reports the tail of the per-step latencies — the figure
-// hedging exists to improve; the mean barely moves.
-func reportStepP99(b *testing.B, durs []time.Duration) {
-	if len(durs) == 0 {
-		return
-	}
-	sorted := append([]time.Duration(nil), durs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	i := (len(sorted) * 99) / 100
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	b.ReportMetric(float64(sorted[i].Nanoseconds()), "p99-ns/step")
-}
-
 // BenchmarkRemoteShardedStep measures the full per-iteration step —
 // re-score, top-k, cell load — across transports: in-process sharded,
 // remote over the wire protocol, and remote with an injected slow primary
-// replica with hedging off versus on. CI records this in
-// bench/remotestep.txt; the hedged slow-replica line's p99 must beat the
-// unhedged one.
+// replica with hedging off versus on: the hedged slow-replica line's p99
+// should beat the unhedged one (TestHedgedCallWinsAndCancelsLoser is the
+// test of the mechanism).
 func BenchmarkRemoteShardedStep(b *testing.B) {
 	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 4000, Seed: 21})
 	if err != nil {
@@ -60,7 +45,7 @@ func BenchmarkRemoteShardedStep(b *testing.B) {
 	}
 
 	step := func(b *testing.B, idx *Index) {
-		durs := make([]time.Duration, 0, b.N)
+		var lat obs.Samples
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			start := time.Now()
@@ -68,10 +53,12 @@ func BenchmarkRemoteShardedStep(b *testing.B) {
 			if _, err := idx.EnsureRegion(ctx, model); err != nil {
 				b.Fatal(err)
 			}
-			durs = append(durs, time.Since(start))
+			lat.Observe(time.Since(start))
 		}
 		b.StopTimer()
-		reportStepP99(b, durs)
+		// The tail is the figure hedging exists to improve; the mean
+		// barely moves.
+		b.ReportMetric(float64(lat.Quantile(0.99).Nanoseconds()), "p99-ns/step")
 	}
 
 	b.Run("transport=local", func(b *testing.B) {

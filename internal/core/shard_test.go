@@ -336,8 +336,7 @@ func TestShardedCancellation(t *testing.T) {
 }
 
 // BenchmarkShardedStep measures the full per-iteration step — re-score,
-// top-k, cell load — on flat and sharded layouts. CI runs the shards=4
-// line as the sharding smoke benchmark.
+// top-k, cell load — on flat and sharded layouts.
 func BenchmarkShardedStep(b *testing.B) {
 	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 4000, Seed: 21})
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/uei-db/uei/internal/dataset"
+	"github.com/uei-db/uei/internal/iothrottle"
 	"github.com/uei-db/uei/internal/learn"
 	"github.com/uei-db/uei/internal/memcache"
 	"github.com/uei-db/uei/internal/oracle"
@@ -260,6 +261,31 @@ func TestEnsureRegionSyncSwap(t *testing.T) {
 	}
 	if idx.Stats().RegionSwaps != 1 {
 		t.Error("re-ensuring the same cell must not reload")
+	}
+}
+
+// TestLimiterMetersCellLoad is the evidence for Options.Limiter: an index
+// opened with a limiter bills a region load for exactly the chunk bytes
+// IOStats reports (the bandwidth is high enough that nothing waits).
+func TestLimiterMetersCellLoad(t *testing.T) {
+	limiter := iothrottle.New(1 << 40)
+	idx, ds := openTestIndex(t, 2000, Options{SampleSize: 100, Seed: 9, Limiter: limiter})
+	ctx := context.Background()
+	if err := idx.InitExploration(ctx); err != nil {
+		t.Fatal(err)
+	}
+	limiter.Reset()
+	idx.ResetIOStats()
+	if _, err := idx.EnsureRegion(ctx, boundaryModel(t, ds, testRegion(t, ds), 150)); err != nil {
+		t.Fatal(err)
+	}
+	read, chunks := idx.IOStats()
+	metered, _ := limiter.Stats()
+	if read == 0 || chunks == 0 {
+		t.Fatal("the region load read no chunks")
+	}
+	if metered != read {
+		t.Errorf("limiter metered %d bytes, IOStats reports %d over %d chunks", metered, read, chunks)
 	}
 }
 

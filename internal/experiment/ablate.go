@@ -41,11 +41,10 @@ func ablateOne(env *Env, region oracle.Region, setting string, opt runOptions) (
 	if err != nil {
 		return AblationPoint{}, fmt.Errorf("experiment: ablation %q: %w", setting, err)
 	}
-	lat := st.latency.Snapshot()
 	return AblationPoint{
 		Setting:           setting,
-		MeanLatency:       lat.Mean,
-		P95Latency:        lat.P95,
+		MeanLatency:       st.latency.Mean(),
+		P95Latency:        st.latency.Quantile(0.95),
 		FinalF1:           st.finalF1,
 		BytesPerIteration: safeDiv(float64(st.bytesRead), float64(st.iterations)),
 		Swaps:             st.swaps,

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/uei-db/uei/internal/metrics"
+	"github.com/uei-db/uei/internal/obs"
 	"github.com/uei-db/uei/internal/oracle"
 )
 
@@ -57,20 +58,19 @@ func FormatResponseTimeFigure(results []*ComparisonResult) string {
 	fmt.Fprintf(&b, "  %-8s %14s %14s %9s %12s %12s %16s\n",
 		"region", "UEI mean", "DBMS mean", "speedup", "UEI p95", "DBMS p95", "UEI <500ms frac")
 	for _, r := range results {
-		uei := r.UEI.Latency.Snapshot()
-		dbms := r.DBMS.Latency.Snapshot()
+		uei, dbms := r.UEI.Latency, r.DBMS.Latency
 		speedup := 0.0
-		if uei.Mean > 0 {
-			speedup = float64(dbms.Mean) / float64(uei.Mean)
+		if uei.Mean() > 0 {
+			speedup = float64(dbms.Mean()) / float64(uei.Mean())
 		}
 		fmt.Fprintf(&b, "  %-8s %14s %14s %8.1fx %12s %12s %16.2f\n",
 			r.Class,
-			uei.Mean.Round(time.Microsecond),
-			dbms.Mean.Round(time.Microsecond),
+			uei.Mean().Round(time.Microsecond),
+			dbms.Mean().Round(time.Microsecond),
 			speedup,
-			uei.P95.Round(time.Microsecond),
-			dbms.P95.Round(time.Microsecond),
-			r.UEI.Latency.FractionUnder(500*time.Millisecond))
+			uei.Quantile(0.95).Round(time.Microsecond),
+			dbms.Quantile(0.95).Round(time.Microsecond),
+			uei.FractionWithin(obs.DefaultSLOBudget))
 	}
 	b.WriteString("  (I/O volume per iteration)\n")
 	for _, r := range results {

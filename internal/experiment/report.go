@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/uei-db/uei/internal/metrics"
+	"github.com/uei-db/uei/internal/obs"
 	"github.com/uei-db/uei/internal/oracle"
 )
 
@@ -90,14 +91,14 @@ func ExportComparisonCSV(dir string, res *ComparisonResult) ([]string, error) {
 		if werr != nil {
 			break
 		}
-		lat := row.r.Latency.Snapshot()
+		lat := row.r.Latency
 		werr = cw.Write([]string{
 			row.name,
-			ms(lat.Mean),
-			ms(lat.P50),
-			ms(lat.P95),
-			ms(lat.Max),
-			strconv.FormatFloat(row.r.Latency.FractionUnder(500*time.Millisecond), 'f', 3, 64),
+			ms(lat.Mean()),
+			ms(lat.Quantile(0.50)),
+			ms(lat.Quantile(0.95)),
+			ms(lat.Max()),
+			strconv.FormatFloat(lat.FractionWithin(obs.DefaultSLOBudget), 'f', 3, 64),
 			strconv.FormatFloat(row.r.BytesReadPerIteration, 'f', 0, 64),
 		})
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/uei-db/uei/internal/metrics"
+	"github.com/uei-db/uei/internal/obs"
 	"github.com/uei-db/uei/internal/oracle"
 )
 
@@ -43,12 +44,12 @@ func TestWriteSeriesCSV(t *testing.T) {
 }
 
 func TestExportComparisonCSV(t *testing.T) {
-	uei := SchemeResult{Accuracy: &metrics.Series{Name: "UEI"}, Latency: metrics.NewLatencyRecorder()}
-	dbms := SchemeResult{Accuracy: &metrics.Series{Name: "DBMS"}, Latency: metrics.NewLatencyRecorder()}
+	uei := SchemeResult{Accuracy: &metrics.Series{Name: "UEI"}, Latency: &obs.Samples{}}
+	dbms := SchemeResult{Accuracy: &metrics.Series{Name: "DBMS"}, Latency: &obs.Samples{}}
 	uei.Accuracy.Append(5, 0.4)
 	dbms.Accuracy.Append(5, 0.3)
-	uei.Latency.Record(10 * time.Millisecond)
-	dbms.Latency.Record(500 * time.Millisecond)
+	uei.Latency.Observe(10 * time.Millisecond)
+	dbms.Latency.Observe(500 * time.Millisecond)
 	res := &ComparisonResult{Class: oracle.Medium, UEI: uei, DBMS: dbms}
 
 	dir := t.TempDir()
@@ -75,6 +76,14 @@ func TestExportComparisonCSV(t *testing.T) {
 	}
 	if !strings.Contains(string(lat), "10.000") {
 		t.Errorf("latency csv missing mean:\n%s", lat)
+	}
+	// The dbms iteration took exactly 500 ms: compliant, as everywhere.
+	rows, err := csv.NewReader(bytes.NewReader(lat)).ReadAll()
+	if err != nil || len(rows) != 3 {
+		t.Fatalf("latency csv rows = %v, %v", rows, err)
+	}
+	if rows[0][5] != "frac_under_500ms" || rows[2][0] != "dbms" || rows[2][5] != "1.000" {
+		t.Errorf("dbms row = %v, want frac_under_500ms 1.000 for a 500 ms iteration", rows[2])
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"github.com/uei-db/uei/internal/learn"
 	"github.com/uei-db/uei/internal/memcache"
 	"github.com/uei-db/uei/internal/metrics"
+	"github.com/uei-db/uei/internal/obs"
 	"github.com/uei-db/uei/internal/oracle"
 )
 
@@ -29,7 +30,7 @@ type SchemeResult struct {
 	// Accuracy is the mean F-measure vs labeled-example curve.
 	Accuracy *metrics.Series
 	// Latency pools every iteration's response time across runs.
-	Latency *metrics.LatencyRecorder
+	Latency *obs.Samples
 	// FinalF1 is the mean end-of-run accuracy.
 	FinalF1 float64
 	// BytesReadPerIteration is the mean exploration-phase I/O volume per
@@ -103,7 +104,7 @@ type runOptions struct {
 // runStats captures everything one exploration run produces.
 type runStats struct {
 	accuracy   *metrics.Series
-	latency    *metrics.LatencyRecorder
+	latency    *obs.Samples
 	finalF1    float64
 	iterations int
 	bytesRead  int64
@@ -177,7 +178,7 @@ func runOne(env *Env, region oracle.Region, scheme Scheme, runSeed int64, opt ru
 
 	stats := &runStats{
 		accuracy: &metrics.Series{Name: string(scheme)},
-		latency:  metrics.NewLatencyRecorder(),
+		latency:  &obs.Samples{},
 	}
 	var evalErr, hookErr error
 	var startBytes, endBytes int64
@@ -192,7 +193,7 @@ func runOne(env *Env, region oracle.Region, scheme Scheme, runSeed int64, opt ru
 		Registry:         env.Cfg.Obs,
 		Tracer:           env.Cfg.Trace,
 		OnIteration: func(it ide.IterationInfo) {
-			stats.latency.Record(it.ResponseTime)
+			stats.latency.Observe(it.ResponseTime)
 			stats.iterations = it.Iteration
 			if it.LabelsGiven%env.Cfg.EvalEvery == 0 {
 				f1, err := ev.f1(it.Model)
@@ -288,7 +289,7 @@ func RunComparison(env *Env, class oracle.SizeClass) (*ComparisonResult, error) 
 	}
 	out := &ComparisonResult{Class: class}
 	var ueiRuns, dbmsRuns []*metrics.Series
-	ueiLat, dbmsLat := metrics.NewLatencyRecorder(), metrics.NewLatencyRecorder()
+	ueiLat, dbmsLat := &obs.Samples{}, &obs.Samples{}
 	var ueiFinal, dbmsFinal, ueiBytes, dbmsBytes float64
 	var ueiIters, dbmsIters int
 
@@ -306,13 +307,13 @@ func RunComparison(env *Env, class oracle.SizeClass) (*ComparisonResult, error) 
 			switch scheme {
 			case SchemeUEI:
 				ueiRuns = append(ueiRuns, st.accuracy)
-				mergeLatency(ueiLat, st.latency)
+				ueiLat.Merge(st.latency)
 				ueiFinal += st.finalF1
 				ueiBytes += float64(st.bytesRead)
 				ueiIters += st.iterations
 			case SchemeDBMS:
 				dbmsRuns = append(dbmsRuns, st.accuracy)
-				mergeLatency(dbmsLat, st.latency)
+				dbmsLat.Merge(st.latency)
 				dbmsFinal += st.finalF1
 				dbmsBytes += float64(st.bytesRead)
 				dbmsIters += st.iterations
@@ -333,13 +334,6 @@ func RunComparison(env *Env, class oracle.SizeClass) (*ComparisonResult, error) 
 		BytesReadPerIteration: safeDiv(dbmsBytes, float64(dbmsIters)),
 	}
 	return out, nil
-}
-
-// mergeLatency pools one run's samples into the class aggregate.
-func mergeLatency(dst, src *metrics.LatencyRecorder) {
-	for _, s := range src.Samples() {
-		dst.Record(s)
-	}
 }
 
 func safeDiv(a, b float64) float64 {

@@ -202,26 +202,9 @@ func (c *Client) Append(rows [][]float64) (server.AppendResponse, error) {
 	return resp, err
 }
 
-// Health fetches the liveness snapshot without retrying.
-func (c *Client) Health() (server.HealthInfo, error) {
-	hc := c.HTTP
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Get(c.Base + "/healthz")
-	if err != nil {
-		return server.HealthInfo{}, err
-	}
-	defer resp.Body.Close()
-	var info server.HealthInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		return server.HealthInfo{}, fmt.Errorf("loadgen: decode healthz: %w", err)
-	}
-	return info, nil
-}
-
 // WaitReady polls GET /readyz until the server reports ready or the
-// deadline passes — the supported alternative to sleeping after boot.
+// deadline passes — the supported alternative to sleeping after boot —
+// and returns the ready server's health snapshot.
 func (c *Client) WaitReady(timeout time.Duration) (server.HealthInfo, error) {
 	hc := c.HTTP
 	if hc == nil {

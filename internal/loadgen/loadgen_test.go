@@ -71,37 +71,6 @@ func smokeProfile(users int) Profile {
 	return p
 }
 
-func TestHistQuantiles(t *testing.T) {
-	var h Hist
-	for i := 1; i <= 1000; i++ {
-		h.Observe(time.Duration(i) * time.Millisecond)
-	}
-	if h.Count() != 1000 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	// Log-bucketed quantiles carry ~5% relative error.
-	for _, c := range []struct {
-		q    float64
-		want time.Duration
-	}{{0.50, 500 * time.Millisecond}, {0.95, 950 * time.Millisecond}, {0.99, 990 * time.Millisecond}} {
-		got := h.Quantile(c.q)
-		lo := time.Duration(float64(c.want) * 0.90)
-		hi := time.Duration(float64(c.want) * 1.10)
-		if got < lo || got > hi {
-			t.Errorf("q%.2f = %v, want within 10%% of %v", c.q, got, c.want)
-		}
-	}
-	if h.Quantile(1.0) != 1000*time.Millisecond {
-		t.Errorf("p100 = %v, want the exact max", h.Quantile(1.0))
-	}
-	var other Hist
-	other.Observe(5 * time.Second)
-	h.Merge(&other)
-	if h.Count() != 1001 || h.Max() != 5*time.Second {
-		t.Errorf("after merge: count=%d max=%v", h.Count(), h.Max())
-	}
-}
-
 func TestThinkSpecDeterministic(t *testing.T) {
 	for _, dist := range []string{"constant", "exponential", "lognormal"} {
 		spec := ThinkSpec{Dist: dist, MeanMs: 100, SigmaMs: 50}
@@ -365,13 +334,16 @@ func TestTraceJoin(t *testing.T) {
 	if join.Matched != len(res.TraceIDs) {
 		t.Fatalf("matched %d of %d trace ids (missing %d)", join.Matched, len(res.TraceIDs), join.Missing)
 	}
-	if len(join.PhaseMs) == 0 || join.WallMs <= 0 {
-		t.Fatalf("join has no phase attribution: %+v", join)
+	if join.Missing != 0 || len(join.Steps.Steps) != join.Matched {
+		t.Fatalf("join is incomplete: %+v", join)
 	}
 	res.Summary.TraceJoin = join
 	var human bytes.Buffer
 	res.Summary.WriteHuman(&human)
-	if !strings.Contains(human.String(), "trace_join matched=") {
-		t.Errorf("human report missing trace join:\n%s", human.String())
+	// The matched steps are rendered by uei-trace's own report.
+	for _, want := range []string{"trace_join matched=", "SLO COMPLIANCE", "PHASE BREAKDOWN", "SLOWEST STEPS"} {
+		if !strings.Contains(human.String(), want) {
+			t.Errorf("human report missing %q:\n%s", want, human.String())
+		}
 	}
 }

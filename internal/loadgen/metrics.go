@@ -1,6 +1,6 @@
 package loadgen
 
-import "time"
+import "github.com/uei-db/uei/internal/obs"
 
 // Phase names for per-phase attribution. A step belongs to the phase the
 // fleet was in when it completed: ramp_up while users are still being
@@ -16,21 +16,11 @@ const (
 // phaseOrder fixes report ordering.
 var phaseOrder = []string{PhaseRampUp, PhaseSteady, PhaseRampDown}
 
-// opStats accumulates one operation type's latency histogram, SLO
-// compliance, and error count. Not goroutine-safe: each user owns one
-// set, merged by the runner.
+// opStats accumulates one operation type's latency samples and error
+// count. Not goroutine-safe: each user owns one set, merged by the runner.
 type opStats struct {
-	hist   Hist
-	sloOK  int64
+	lat    obs.Samples
 	errors int64
-}
-
-// observe records a successful call's latency against the SLO budget.
-func (o *opStats) observe(lat time.Duration, slo time.Duration) {
-	o.hist.Observe(lat)
-	if lat <= slo {
-		o.sloOK++
-	}
 }
 
 // fail records a request that errored out (after backoff exhaustion or a
@@ -40,34 +30,24 @@ func (o *opStats) fail() { o.errors++ }
 
 // merge folds another opStats in.
 func (o *opStats) merge(x *opStats) {
-	o.hist.Merge(&x.hist)
-	o.sloOK += x.sloOK
+	o.lat.Merge(&x.lat)
 	o.errors += x.errors
 }
 
 // metrics is one user's (or the merged fleet's) measurement state.
 type metrics struct {
-	slo    time.Duration
 	create opStats
 	result opStats
 	steps  map[string]*opStats
 }
 
-func newMetrics(slo time.Duration) *metrics {
-	m := &metrics{slo: slo, steps: map[string]*opStats{}}
+func newMetrics() *metrics {
+	m := &metrics{steps: map[string]*opStats{}}
 	for _, ph := range phaseOrder {
 		m.steps[ph] = &opStats{}
 	}
 	return m
 }
-
-// step records a successful step's latency in its phase bucket.
-func (m *metrics) step(phase string, lat time.Duration) {
-	m.steps[phase].observe(lat, m.slo)
-}
-
-// stepFail records a failed step in its phase bucket.
-func (m *metrics) stepFail(phase string) { m.steps[phase].fail() }
 
 // merge folds another user's metrics in.
 func (m *metrics) merge(x *metrics) {

@@ -23,23 +23,24 @@ type LatencyStats struct {
 	Compliance float64 `json:"compliance"`
 }
 
-func latencyStats(o *opStats) LatencyStats {
-	s := LatencyStats{
-		Count:  o.hist.Count(),
-		Errors: o.errors,
-		MeanMs: Millis(o.hist.Mean()),
-		P50Ms:  Millis(o.hist.Quantile(0.50)),
-		P95Ms:  Millis(o.hist.Quantile(0.95)),
-		P99Ms:  Millis(o.hist.Quantile(0.99)),
-		MaxMs:  Millis(o.hist.Max()),
-		SLOOK:  o.sloOK,
+func latencyStats(o *opStats, slo time.Duration) LatencyStats {
+	return LatencyStats{
+		Count:      int64(o.lat.Count()),
+		Errors:     o.errors,
+		MeanMs:     millis(o.lat.Mean()),
+		P50Ms:      millis(o.lat.Quantile(0.50)),
+		P95Ms:      millis(o.lat.Quantile(0.95)),
+		P99Ms:      millis(o.lat.Quantile(0.99)),
+		MaxMs:      millis(o.lat.Max()),
+		SLOOK:      int64(o.lat.Within(slo)),
+		Compliance: o.lat.FractionWithin(slo),
 	}
-	if s.Count > 0 {
-		s.Compliance = float64(s.SLOOK) / float64(s.Count)
-	} else {
-		s.Compliance = 1
-	}
-	return s
+}
+
+// millis converts a duration to fractional milliseconds, the unit of
+// every report field.
+func millis(d time.Duration) float64 {
+	return float64(d) / float64(time.Millisecond)
 }
 
 // BackoffSummary is the backpressure ledger: how often the server said
@@ -97,34 +98,35 @@ type Summary struct {
 	// region, budget, abandonment, label sequence — ids excluded). Equal
 	// digests mean equal workflows: the reproducibility check.
 	WorkflowDigest string `json:"workflow_digest"`
-	// TraceJoin is the per-phase server-side attribution, present when
+	// TraceJoin is the server-side view of the run's steps, present when
 	// the run was joined against a trace file.
 	TraceJoin *TraceJoin `json:"trace_join,omitempty"`
 }
 
 // summarize aggregates merged metrics into a Summary.
 func summarize(p Profile, met *metrics, backoff *BackoffStats, records []SessionRecord, wall time.Duration) Summary {
+	slo := time.Duration(p.SLOMillis * float64(time.Millisecond))
 	s := Summary{
 		Profile:   p.Name,
 		Seed:      p.Seed,
 		Users:     p.Users,
 		WallSec:   wall.Seconds(),
-		Steps:     latencyStats(met.allSteps()),
+		Steps:     latencyStats(met.allSteps(), slo),
 		Phases:    map[string]LatencyStats{},
-		Create:    latencyStats(&met.create),
-		ResultOp:  latencyStats(&met.result),
+		Create:    latencyStats(&met.create, slo),
+		ResultOp:  latencyStats(&met.result, slo),
 		Regions:   map[string]int{},
 		SLOMillis: p.SLOMillis,
 		Backoff: BackoffSummary{
 			Rejects429: backoff.Rejects429.Load(),
 			Rejects503: backoff.Rejects503.Load(),
-			WaitMs:     float64(backoff.WaitNanos.Load()) / float64(time.Millisecond),
+			WaitMs:     millis(time.Duration(backoff.WaitNanos.Load())),
 			Exhausted:  backoff.Exhausted.Load(),
 		},
 	}
 	for _, ph := range phaseOrder {
-		if st := met.steps[ph]; st.hist.Count() > 0 || st.errors > 0 {
-			s.Phases[ph] = latencyStats(st)
+		if st := met.steps[ph]; st.lat.Count() > 0 || st.errors > 0 {
+			s.Phases[ph] = latencyStats(st, slo)
 		}
 	}
 	for _, r := range records {
@@ -172,8 +174,8 @@ func (s *Summary) WriteJSON(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// WriteHuman writes the operator-facing report. Lines are stable
-// `key=value` pairs so CI gates can awk them.
+// WriteHuman writes the operator-facing report as stable `key=value`
+// lines.
 func (s *Summary) WriteHuman(w io.Writer) {
 	fmt.Fprintf(w, "loadgen profile=%s seed=%d users=%d wall_sec=%.1f rows=%d shards=%d\n",
 		s.Profile, s.Seed, s.Users, s.WallSec, s.Server.Rows, s.Server.Shards)
@@ -200,6 +202,6 @@ func (s *Summary) WriteHuman(w io.Writer) {
 	}
 	fmt.Fprintf(w, "workflow digest=%s\n", s.WorkflowDigest)
 	if s.TraceJoin != nil {
-		s.TraceJoin.writeHuman(w)
+		s.TraceJoin.writeHuman(w, time.Duration(s.SLOMillis*float64(time.Millisecond)))
 	}
 }

@@ -1,7 +1,17 @@
+// Package loadgen is a closed-loop load generator for uei-serve: fleets
+// of simulated users drive the real HTTP/JSON session API through
+// realistic exploration workflows (think time, mixed session lengths,
+// early abandonment, zipfian popularity over named interest regions,
+// optional live-append writers) while honoring the server's admission
+// control. It is what the replay benchmark in benchmark/ does not do —
+// many concurrent analysts, think time, backoff — and it reports through
+// the shared summaries: latencies are obs.Samples, server-side
+// attribution is obs.Analysis. Profiles are named, seeded, and
+// reproducible: two runs with the same profile and seed produce
+// identical session workflows and label sequences.
 package loadgen
 
 import (
-	"fmt"
 	"math/rand"
 	"net/http"
 	"sync"
@@ -14,9 +24,6 @@ import (
 // Options tunes a run without changing its workload semantics. Tests use
 // the injection points to compress time.
 type Options struct {
-	// HTTP is the client used for every request (nil: a dedicated
-	// client with a generous connection pool).
-	HTTP *http.Client
 	// Sleep replaces time.Sleep for think times, stagger delays, and
 	// backoff waits. nil: time.Sleep.
 	Sleep func(time.Duration)
@@ -26,8 +33,6 @@ type Options struct {
 	MaxRetries int
 	// ReadyTimeout bounds the /readyz wait before the run (0: 60s).
 	ReadyTimeout time.Duration
-	// SkipReadyWait starts the fleet without polling /readyz.
-	SkipReadyWait bool
 }
 
 // Result is everything a run produced: the aggregate summary plus the
@@ -52,29 +57,21 @@ func Run(base string, p Profile, opts Options) (*Result, error) {
 	if sleep == nil {
 		sleep = time.Sleep
 	}
-	hc := opts.HTTP
-	if hc == nil {
-		tr := http.DefaultTransport.(*http.Transport).Clone()
-		tr.MaxIdleConnsPerHost = p.Users + p.Writers
-		hc = &http.Client{Transport: tr, Timeout: 60 * time.Second}
-	}
+	// One client for the whole fleet, with a connection per user.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = p.Users + p.Writers
+	hc := &http.Client{Transport: tr, Timeout: 60 * time.Second}
 
 	probe := &Client{Base: base, HTTP: hc, Sleep: sleep}
-	if !opts.SkipReadyWait {
-		timeout := opts.ReadyTimeout
-		if timeout == 0 {
-			timeout = 60 * time.Second
-		}
-		if _, err := probe.WaitReady(timeout); err != nil {
-			return nil, err
-		}
+	timeout := opts.ReadyTimeout
+	if timeout == 0 {
+		timeout = 60 * time.Second
 	}
-	health, err := probe.Health()
+	health, err := probe.WaitReady(timeout)
 	if err != nil {
-		return nil, fmt.Errorf("loadgen: server unreachable: %w", err)
+		return nil, err
 	}
 
-	slo := time.Duration(p.SLOMillis * float64(time.Millisecond))
 	backoff := &BackoffStats{}
 	var started, finished atomic.Int64
 	drainAfter := int64(p.Users) / 20 // >5% finished ends the steady window
@@ -98,7 +95,7 @@ func Run(base string, p Profile, opts Options) (*Result, error) {
 			MaxRetries: opts.MaxRetries,
 			Stats:      backoff,
 		}
-		users[i] = newUser(p, i, c, newMetrics(slo), phase, sleep)
+		users[i] = newUser(p, i, c, newMetrics(), phase, sleep)
 	}
 
 	t0 := time.Now()
@@ -174,7 +171,7 @@ func Run(base string, p Profile, opts Options) (*Result, error) {
 
 	// Merge per-user state in user order so records and digests are
 	// deterministic.
-	met := newMetrics(slo)
+	met := newMetrics()
 	res := &Result{}
 	for _, u := range users {
 		met.merge(u.met)

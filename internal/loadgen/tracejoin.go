@@ -4,17 +4,15 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"time"
 
 	"github.com/uei-db/uei/internal/obs"
 )
 
-// TraceJoin is the server-side view of a run: the trace ids the clients
-// collected from X-Uei-Trace-Id, joined against the server's trace JSONL
-// and decomposed into budget-attribution phases. It answers "when p95
-// blew the budget, which phase ate it" with the same machinery uei-trace
-// uses.
+// TraceJoin is the server-side view of a run: the server's trace JSONL
+// filtered to the trace ids the clients collected from X-Uei-Trace-Id.
+// It answers "when p95 blew the budget, which phase ate it" with
+// uei-trace's own report over exactly this run's steps.
 type TraceJoin struct {
 	// Matched counts client-collected trace ids found in the file;
 	// Missing counts ids the file did not contain (trace written by a
@@ -24,12 +22,8 @@ type TraceJoin struct {
 	// Unmatched counts traces present in the file but not collected by
 	// this run (other clients, warmup traffic).
 	Unmatched int `json:"unmatched"`
-	// PhaseMs sums each phase's duration across the matched steps.
-	PhaseMs map[string]float64 `json:"phase_ms"`
-	// WallMs sums the matched steps' wall time; CoverageMean is the
-	// average fraction of wall time the phase decomposition explains.
-	WallMs       float64 `json:"wall_ms"`
-	CoverageMean float64 `json:"coverage_mean"`
+	// Steps is the analysis restricted to the matched steps.
+	Steps *obs.Analysis `json:"-"`
 }
 
 // JoinTraceFile joins a run's collected trace ids against a server trace
@@ -47,57 +41,32 @@ func JoinTraceFile(path string, traceIDs []string) (*TraceJoin, error) {
 	return JoinTrace(obs.Analyze(events), traceIDs), nil
 }
 
-// JoinTrace joins collected trace ids against an analyzed trace stream.
+// JoinTrace filters an analyzed trace stream to the collected trace ids.
 func JoinTrace(a *obs.Analysis, traceIDs []string) *TraceJoin {
 	want := make(map[string]bool, len(traceIDs))
 	for _, id := range traceIDs {
 		want[id] = true
 	}
-	j := &TraceJoin{PhaseMs: map[string]float64{}}
-	var coverage float64
+	matched := &obs.Analysis{}
 	for _, st := range a.Steps {
-		if !want[st.TraceID] {
-			j.Unmatched++
-			continue
-		}
-		delete(want, st.TraceID)
-		j.Matched++
-		j.WallMs += float64(st.Wall()) / float64(time.Millisecond)
-		coverage += st.Coverage()
-		for ph, d := range st.Phases {
-			j.PhaseMs[ph] += float64(d) / float64(time.Millisecond)
+		if want[st.TraceID] {
+			matched.Steps = append(matched.Steps, st)
 		}
 	}
-	j.Missing = len(want)
-	if j.Matched > 0 {
-		j.CoverageMean = coverage / float64(j.Matched)
+	return &TraceJoin{
+		Matched:   len(matched.Steps),
+		Missing:   len(want) - len(matched.Steps),
+		Unmatched: len(a.Steps) - len(matched.Steps),
+		Steps:     matched,
 	}
-	return j
 }
 
-// writeHuman appends the join to a human report, phases sorted by cost.
-func (j *TraceJoin) writeHuman(w io.Writer) {
-	fmt.Fprintf(w, "trace_join matched=%d missing=%d unmatched=%d wall_ms=%.0f coverage=%.2f\n",
-		j.Matched, j.Missing, j.Unmatched, j.WallMs, j.CoverageMean)
-	type kv struct {
-		name string
-		ms   float64
-	}
-	phases := make([]kv, 0, len(j.PhaseMs))
-	for ph, ms := range j.PhaseMs {
-		phases = append(phases, kv{ph, ms})
-	}
-	sort.Slice(phases, func(a, b int) bool {
-		if phases[a].ms != phases[b].ms {
-			return phases[a].ms > phases[b].ms
-		}
-		return phases[a].name < phases[b].name
-	})
-	for _, p := range phases {
-		share := 0.0
-		if j.WallMs > 0 {
-			share = p.ms / j.WallMs
-		}
-		fmt.Fprintf(w, "trace_phase name=%s total_ms=%.1f share=%.3f\n", p.name, p.ms, share)
-	}
+// writeHuman appends the join counts and, for the matched steps, the
+// report uei-trace would print: SLO compliance, phase breakdown, slowest
+// steps, shard skew.
+func (j *TraceJoin) writeHuman(w io.Writer, budget time.Duration) {
+	fmt.Fprintf(w, "trace_join matched=%d missing=%d unmatched=%d\n", j.Matched, j.Missing, j.Unmatched)
+	// A write error here is an error on the report stream (stdout), like
+	// every other line of the human report.
+	_ = j.Steps.WriteReport(w, obs.ReportOptions{Budget: budget})
 }

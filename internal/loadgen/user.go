@@ -130,17 +130,17 @@ func (u *user) runSession(sess int, pl sessionPlan) SessionRecord {
 		u.met.create.fail()
 		return rec
 	}
-	u.met.create.observe(lat, u.met.slo)
+	u.met.create.lat.Observe(lat)
 
 	for {
 		resp, lat, err := u.client.Step(info.ID)
 		if err != nil {
 			rec.Error = err.Error()
-			u.met.stepFail(u.phase())
+			u.met.steps[u.phase()].fail()
 			break
 		}
 		rec.Steps++
-		u.met.step(u.phase(), lat)
+		u.met.steps[u.phase()].lat.Observe(lat)
 		if resp.TraceID != "" {
 			u.traceIDs = append(u.traceIDs, resp.TraceID)
 		}
@@ -166,7 +166,7 @@ func (u *user) runSession(sess int, pl sessionPlan) SessionRecord {
 
 	if rec.Done {
 		if res, lat, err := u.client.Result(info.ID); err == nil {
-			u.met.result.observe(lat, u.met.slo)
+			u.met.result.lat.Observe(lat)
 			rec.Positives = len(res.Positive)
 		} else {
 			rec.Error = err.Error()

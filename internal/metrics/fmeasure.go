@@ -1,7 +1,7 @@
 // Package metrics provides the measurement substrate for the experiments:
-// the F-measure the paper uses as its accuracy metric (Table 1), a latency
-// recorder with percentiles for the response-time figure, and labeled
-// experiment series for the accuracy figures.
+// the F-measure the paper uses as its accuracy metric (Table 1) and labeled
+// experiment series for the accuracy figures. Response times are
+// summarized by obs.Samples.
 package metrics
 
 import "fmt"

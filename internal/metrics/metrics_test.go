@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestConfusionCounts(t *testing.T) {
@@ -87,109 +86,6 @@ func TestQuickF1Bounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestLatencyRecorder(t *testing.T) {
-	r := NewLatencyRecorder()
-	if r.Mean() != 0 || r.Percentile(50) != 0 || r.Max() != 0 || r.Min() != 0 {
-		t.Error("empty recorder should report zeros")
-	}
-	for _, ms := range []int{10, 20, 30, 40, 50, 60, 70, 80, 90, 100} {
-		r.Record(time.Duration(ms) * time.Millisecond)
-	}
-	if r.Count() != 10 {
-		t.Errorf("Count = %d", r.Count())
-	}
-	if got := r.Mean(); got != 55*time.Millisecond {
-		t.Errorf("Mean = %v", got)
-	}
-	if got := r.Percentile(50); got != 50*time.Millisecond {
-		t.Errorf("p50 = %v", got)
-	}
-	if got := r.Percentile(90); got != 90*time.Millisecond {
-		t.Errorf("p90 = %v", got)
-	}
-	if got := r.Percentile(100); got != 100*time.Millisecond {
-		t.Errorf("p100 = %v", got)
-	}
-	if got := r.Max(); got != 100*time.Millisecond {
-		t.Errorf("Max = %v", got)
-	}
-	if got := r.Min(); got != 10*time.Millisecond {
-		t.Errorf("Min = %v", got)
-	}
-	if got := r.FractionUnder(55 * time.Millisecond); got != 0.5 {
-		t.Errorf("FractionUnder = %g", got)
-	}
-	if !strings.Contains(r.Summary(), "n=10") {
-		t.Errorf("Summary = %q", r.Summary())
-	}
-	r.Record(-time.Second)
-	if r.Min() != 0 {
-		t.Error("negative samples should clamp to zero")
-	}
-}
-
-func TestLatencyPercentileToleratesBadInput(t *testing.T) {
-	r := NewLatencyRecorder()
-	for _, ms := range []int{10, 20, 30} {
-		r.Record(time.Duration(ms) * time.Millisecond)
-	}
-	for _, p := range []float64{math.NaN(), -5, 0} {
-		if got := r.Percentile(p); got != 0 {
-			t.Errorf("Percentile(%v) = %v, want 0", p, got)
-		}
-	}
-	if got := r.Percentile(1e9); got != 30*time.Millisecond {
-		t.Errorf("Percentile(1e9) = %v, want clamp to max", got)
-	}
-	empty := NewLatencyRecorder()
-	if got := empty.Percentile(math.NaN()); got != 0 {
-		t.Errorf("empty Percentile(NaN) = %v", got)
-	}
-}
-
-func TestLatencySnapshot(t *testing.T) {
-	r := NewLatencyRecorder()
-	if s := r.Snapshot(); s.Count != 0 || s.Mean != 0 || s.Max != 0 {
-		t.Errorf("empty snapshot = %+v", s)
-	}
-	for _, ms := range []int{10, 20, 30, 40, 50, 60, 70, 80, 90, 100} {
-		r.Record(time.Duration(ms) * time.Millisecond)
-	}
-	s := r.Snapshot()
-	if s.Count != 10 {
-		t.Errorf("Count = %d", s.Count)
-	}
-	if s.Mean != 55*time.Millisecond {
-		t.Errorf("Mean = %v", s.Mean)
-	}
-	if s.P50 != 50*time.Millisecond {
-		t.Errorf("P50 = %v", s.P50)
-	}
-	if s.P95 != 100*time.Millisecond {
-		t.Errorf("P95 = %v", s.P95)
-	}
-	if s.P99 != 100*time.Millisecond {
-		t.Errorf("P99 = %v", s.P99)
-	}
-	if s.Max != 100*time.Millisecond {
-		t.Errorf("Max = %v", s.Max)
-	}
-	// The one-call snapshot must agree with the individual accessors.
-	if s.P50 != r.Percentile(50) || s.P95 != r.Percentile(95) || s.Max != r.Max() {
-		t.Error("snapshot disagrees with accessors")
-	}
-}
-
-func TestLatencyRecordAfterQuery(t *testing.T) {
-	r := NewLatencyRecorder()
-	r.Record(30 * time.Millisecond)
-	_ = r.Max()
-	r.Record(10 * time.Millisecond) // must re-sort
-	if r.Min() != 10*time.Millisecond {
-		t.Error("recorder stale after post-query record")
 	}
 }
 

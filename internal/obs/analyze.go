@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -222,31 +221,15 @@ func (a *Analysis) writeSLO(w io.Writer, budget time.Duration) {
 		fmt.Fprintf(w, "  no traced steps\n")
 		return
 	}
-	walls := make([]float64, 0, n)
-	violations := 0
+	var walls Samples
 	for _, st := range a.Steps {
-		wall := st.Wall()
-		walls = append(walls, wall.Seconds())
-		if wall > budget {
-			violations++
-		}
-	}
-	sort.Float64s(walls)
-	rank := func(q float64) float64 {
-		i := int(math.Ceil(q*float64(len(walls)))) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(walls) {
-			i = len(walls) - 1
-		}
-		return walls[i]
+		walls.Observe(st.Wall())
 	}
 	fmt.Fprintf(w, "  steps      %d\n", n)
 	fmt.Fprintf(w, "  violations %d (%.1f%% compliant)\n",
-		violations, 100*float64(n-violations)/float64(n))
+		n-walls.Within(budget), 100*walls.FractionWithin(budget))
 	fmt.Fprintf(w, "  p50 %s  p95 %s  p99 %s\n",
-		fmtSec(rank(0.50)), fmtSec(rank(0.95)), fmtSec(rank(0.99)))
+		fmtDur(walls.Quantile(0.50)), fmtDur(walls.Quantile(0.95)), fmtDur(walls.Quantile(0.99)))
 }
 
 // writePhases prints the aggregate per-phase budget attribution.

@@ -27,10 +27,15 @@
 //     stream reconstructs into one tree per step (Analyze, cmd/uei-trace).
 //     Without a trace in context the same call sites fall back to the
 //     legacy flat stream (Tracer.Phase) or to measuring-only spans.
+//   - Samples: the one latency summary — an exact sample set with
+//     nearest-rank quantiles and "within budget" meaning <=. Every report
+//     (figure CSVs, examples, uei-loadgen, uei-trace, the SLO gauges)
+//     reads it, and the Histogram's bucket lookup takes its rank from the
+//     same rule, so two tools cannot disagree about one run.
 //   - SLO: a per-step interactivity budget accountant — rolling
-//     nearest-rank p50/p95/p99 step-latency gauges, a violation counter,
-//     and per-phase attribution of violating steps' wall time, fed from
-//     Trace.PhaseTotals.
+//     p50/p95/p99 step-latency gauges (Samples over a ring of recent
+//     steps), a violation counter, and per-phase attribution of violating
+//     steps' wall time, fed from Trace.PhaseTotals.
 //   - Exporters: an expvar-style JSON snapshot, a Prometheus text-format
 //     dump (labeled series like shard_skip_total{shard="0"} grouped into
 //     one # TYPE family per base name), an http.Server bundling /metrics,

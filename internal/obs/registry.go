@@ -189,12 +189,10 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// quantile estimates the q-quantile from cumulative bucket counts.
+// quantile estimates the q-quantile from cumulative bucket counts: the
+// upper bound of the bucket holding the nearestRank sample.
 func (h *Histogram) quantile(s HistogramSnapshot, q float64) float64 {
-	rank := int64(math.Ceil(q * float64(s.Count)))
-	if rank < 1 {
-		rank = 1
-	}
+	rank := int64(nearestRank(q, int(s.Count)))
 	for i, cum := range s.Buckets {
 		if cum >= rank {
 			if i < len(h.bounds) {

@@ -2,8 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"sync"
 	"time"
 )
@@ -27,7 +25,7 @@ type SLO struct {
 	reg    *Registry
 
 	mu   sync.Mutex
-	ring []float64 // step latencies in seconds, circular
+	ring []time.Duration // recent step latencies, circular
 	next int
 	n    int
 
@@ -51,7 +49,7 @@ func NewSLO(reg *Registry, budget time.Duration, window int) *SLO {
 	s := &SLO{
 		budget: budget,
 		reg:    reg,
-		ring:   make([]float64, window),
+		ring:   make([]time.Duration, window),
 		cSteps: reg.Counter("uei_slo_steps_total"),
 		cViol:  reg.Counter("slo_violations_total"),
 		gP50:   reg.Gauge("uei_step_latency_p50_seconds"),
@@ -78,7 +76,7 @@ func (s *SLO) ObserveStep(d time.Duration, phases map[string]time.Duration) {
 		return
 	}
 	s.mu.Lock()
-	s.ring[s.next] = d.Seconds()
+	s.ring[s.next] = d
 	s.next = (s.next + 1) % len(s.ring)
 	if s.n < len(s.ring) {
 		s.n++
@@ -110,26 +108,13 @@ func (s *SLO) Percentiles() (p50, p95, p99 float64) {
 	return s.percentilesLocked()
 }
 
-// percentilesLocked computes nearest-rank percentiles over the current
-// window contents.
+// percentilesLocked summarizes the current window contents.
 func (s *SLO) percentilesLocked() (p50, p95, p99 float64) {
-	if s.n == 0 {
-		return 0, 0, 0
+	w := Samples{d: make([]time.Duration, 0, s.n)}
+	for _, d := range s.ring[:s.n] {
+		w.Observe(d)
 	}
-	sorted := make([]float64, s.n)
-	copy(sorted, s.ring[:s.n])
-	sort.Float64s(sorted)
-	rank := func(q float64) float64 {
-		i := int(math.Ceil(q*float64(s.n))) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= s.n {
-			i = s.n - 1
-		}
-		return sorted[i]
-	}
-	return rank(0.50), rank(0.95), rank(0.99)
+	return w.Quantile(0.50).Seconds(), w.Quantile(0.95).Seconds(), w.Quantile(0.99).Seconds()
 }
 
 // Violations returns the total violation count so far (0 for nil).

@@ -79,11 +79,17 @@ func TestSLOViolationAttribution(t *testing.T) {
 		t.Errorf("compliant step attributed %v", v)
 	}
 
+	// A step of exactly the budget is compliant (Samples.Within's rule).
+	s.ObserveStep(50*time.Millisecond, map[string]time.Duration{PhaseScore: 50 * time.Millisecond})
+	if s.Violations() != 0 {
+		t.Fatalf("a step equal to the budget counted as a violation")
+	}
+
 	s.ObserveStep(100*time.Millisecond, map[string]time.Duration{
 		PhaseScore: 60 * time.Millisecond,
 		PhaseLoad:  30 * time.Millisecond,
 	})
-	if s.Violations() != 1 || s.Steps() != 2 {
+	if s.Violations() != 1 || s.Steps() != 3 {
 		t.Fatalf("violations=%d steps=%d after violating step", s.Violations(), s.Steps())
 	}
 	if v := reg.Gauge(`slo_violation_phase_seconds{phase="score"}`).Value(); math.Abs(v-0.06) > 1e-9 {

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -15,8 +14,8 @@ import (
 // the fleet, so per-op time directly exposes arbitration and contention
 // overhead as the session count grows. The "-cached" variants add the
 // shared decoded-chunk block cache, so sessions=16 vs sessions=16-cached
-// is the serving-layer measure of the cache's win; CI's benchmark smoke
-// job compares exactly that pair.
+// is the serving-layer measure of the cache's win (the benchmark's
+// explore-cold vs explore-hot workloads are the recorded one).
 func BenchmarkConcurrentSessions(b *testing.B) {
 	dir, _ := buildStore(b, 4000)
 	for _, sessions := range []int{1, 4, 16} {
@@ -30,7 +29,6 @@ func BenchmarkConcurrentSessions(b *testing.B) {
 				m := newTestManager(b, dir, func(c *Config) {
 					c.MaxSessions = sessions
 					c.TotalBudgetBytes = int64(sessions) * (4 << 20)
-					c.StepConcurrency = runtime.GOMAXPROCS(0)
 					c.IdleTimeout = 0
 					if cached {
 						// Grow the pool by the cache share instead of carving

@@ -37,6 +37,9 @@ type Manager struct {
 	// fixed by the dataset's bounds.
 	scales []float64
 
+	// stepSem bounds steps (and appends) executing at once across all
+	// sessions to GOMAXPROCS, so a burst cannot oversubscribe the shared
+	// worker pool.
 	stepSem chan struct{}
 
 	mu       sync.Mutex
@@ -131,12 +134,6 @@ func newManagerWithIndex(cfg Config, idx *core.Index) (*Manager, error) {
 	if err := os.MkdirAll(cfg.SnapshotDir, 0o755); err != nil {
 		return nil, fmt.Errorf("server: snapshot dir: %w", err)
 	}
-	if cfg.StepConcurrency == 0 {
-		cfg.StepConcurrency = runtime.GOMAXPROCS(0)
-	}
-	if cfg.StepConcurrency < 0 {
-		return nil, fmt.Errorf("server: StepConcurrency must be positive")
-	}
 	arb, err := NewArbiter(cfg.TotalBudgetBytes, cfg.MinSessionBudgetBytes, cfg.Registry)
 	if err != nil {
 		return nil, err
@@ -154,7 +151,7 @@ func newManagerWithIndex(cfg Config, idx *core.Index) (*Manager, error) {
 		idx:         idx,
 		arb:         arb,
 		scales:      idx.Bounds().Widths(),
-		stepSem:     make(chan struct{}, cfg.StepConcurrency),
+		stepSem:     make(chan struct{}, runtime.GOMAXPROCS(0)),
 		sessions:    make(map[string]*hosted),
 		janitorStop: make(chan struct{}),
 		janitorDone: make(chan struct{}),
@@ -256,7 +253,7 @@ func (m *Manager) Create(ctx context.Context, spec SessionSpec) (SessionInfo, er
 		return SessionInfo{}, ErrDraining
 	}
 	if spec.MaxLabels == 0 {
-		spec.MaxLabels = m.cfg.DefaultMaxLabels
+		spec.MaxLabels = defaultMaxLabels
 	}
 	if spec.MaxLabels < 0 {
 		return SessionInfo{}, fmt.Errorf("max_labels must be positive: %w", errBadRequest)

@@ -75,10 +75,6 @@ type Config struct {
 	// MaxQueuedSteps bounds each session's work queue (queued + running).
 	// Zero selects 2.
 	MaxQueuedSteps int
-	// StepConcurrency bounds steps executing at once across all sessions,
-	// so a burst cannot oversubscribe the shared worker pool. Zero selects
-	// the index's worker count.
-	StepConcurrency int
 	// IdleTimeout evicts sessions idle this long to a snapshot on disk.
 	// Zero disables the janitor (sessions are still evicted on drain).
 	IdleTimeout time.Duration
@@ -89,9 +85,6 @@ type Config struct {
 	// Off by default: prefetch trades determinism for latency, and resumed
 	// sessions replay identically only without it.
 	EnablePrefetch bool
-	// DefaultMaxLabels is the label budget for sessions that do not ask
-	// for one. Zero selects 100.
-	DefaultMaxLabels int
 	// Workers sizes the shared index worker pool. Zero selects GOMAXPROCS.
 	Workers int
 	// Shards selects the store layout the manager requires from StoreDir:
@@ -173,12 +166,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.MaxQueuedSteps < 0 {
 		return c, errors.New("server: MaxQueuedSteps must be positive")
-	}
-	if c.DefaultMaxLabels == 0 {
-		c.DefaultMaxLabels = 100
-	}
-	if c.DefaultMaxLabels < 0 {
-		return c, errors.New("server: DefaultMaxLabels must be positive")
 	}
 	if c.Shards < 0 {
 		return c, errors.New("server: Shards must not be negative")

@@ -21,7 +21,7 @@ type SessionSpec struct {
 	// Name is an optional client label; it has no semantics server-side.
 	Name string `json:"name,omitempty"`
 	// MaxLabels is the session's total label budget, counted across
-	// evictions and resumes. Zero selects the server default.
+	// evictions and resumes. Zero selects defaultMaxLabels.
 	MaxLabels int `json:"max_labels,omitempty"`
 	// BatchSize is the retrain batch B. Zero selects 1.
 	BatchSize int `json:"batch_size,omitempty"`
@@ -97,6 +97,10 @@ type DriftSpec struct {
 	// complete. Zero selects the session's label budget.
 	OverLabels int `json:"over_labels,omitempty"`
 }
+
+// defaultMaxLabels is the label budget of a session whose spec leaves
+// MaxLabels zero.
+const defaultMaxLabels = 100
 
 // hostedState names a hosted session's lifecycle states.
 type hostedState int

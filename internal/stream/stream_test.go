@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"github.com/uei-db/uei/internal/chunkstore"
 	"github.com/uei-db/uei/internal/dataset"
@@ -325,6 +326,57 @@ func TestAppendFlushVisibilityMVCC(t *testing.T) {
 	bad[0] = db.Bounds().Max[0] + 1
 	if _, err := db.Append([][]float64{bad}); !errors.Is(err, ErrOutOfBounds) {
 		t.Fatalf("out-of-bounds append: got %v, want ErrOutOfBounds", err)
+	}
+}
+
+// TestFlushIntervalShowsTrickleAppend is the evidence for FlushInterval:
+// one appended row, far below MemtableBytes, becomes a new epoch by the
+// timer alone when the interval is set, and stays durable-but-invisible
+// over the same wait when it is 0 (only an explicit Flush shows it).
+func TestFlushIntervalShowsTrickleAppend(t *testing.T) {
+	ds := testDataset(t, 300, 4)
+	const interval = 5 * time.Millisecond
+	open := func(flushInterval time.Duration) *DB {
+		dir := t.TempDir()
+		mustCreate(t, dir, ds, CreateOptions{})
+		opts := testOptions()
+		opts.FlushInterval = flushInterval
+		db := mustOpen(t, dir, opts)
+		if _, err := db.Append([][]float64{ds.Row(0)}); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+
+	timed := open(interval)
+	start := time.Now()
+	for timed.Epoch() == 1 {
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("FlushInterval %v: the appended row never reached a new epoch", interval)
+		}
+		time.Sleep(interval)
+	}
+	took := time.Since(start)
+	snap, err := timed.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Release()
+	if snap.RowCount() != ds.Len()+1 || timed.FlushedRows() != ds.Len()+1 {
+		t.Fatalf("timer flush shows %d rows (%d flushed), want %d", snap.RowCount(), timed.FlushedRows(), ds.Len()+1)
+	}
+
+	untimed := open(0)
+	time.Sleep(took + 20*interval)
+	if untimed.Epoch() != 1 || untimed.FlushedRows() != ds.Len() || untimed.TotalRows() != ds.Len()+1 {
+		t.Fatalf("FlushInterval 0: epoch %d, %d of %d rows flushed after %v without a Flush call",
+			untimed.Epoch(), untimed.FlushedRows(), untimed.TotalRows(), took+20*interval)
+	}
+	if err := untimed.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if untimed.Epoch() != 2 || untimed.FlushedRows() != ds.Len()+1 {
+		t.Fatalf("explicit Flush: epoch %d, %d rows flushed", untimed.Epoch(), untimed.FlushedRows())
 	}
 }
 
