@@ -28,6 +28,7 @@ import (
 	"github.com/uei-db/uei/internal/experiment"
 	"github.com/uei-db/uei/internal/grid"
 	"github.com/uei-db/uei/internal/learn"
+	"github.com/uei-db/uei/internal/memcache"
 	"github.com/uei-db/uei/internal/oracle"
 	"github.com/uei-db/uei/internal/vec"
 )
@@ -222,9 +223,27 @@ func BenchmarkChunkstoreMergeRegion(b *testing.B) {
 		}
 		boxes[i] = box
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := store.MergeRegion(context.Background(), boxes[i%len(boxes)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFetchRows is the γ-sample fetch of Algorithm 2 line 12: 2000
+// uniform ids reconstructed in one pass over the store.
+func BenchmarkFetchRows(b *testing.B) {
+	_, store, _ := microFixtures(b)
+	ids, err := memcache.SampleIDs(store.RowCount(), 2000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := store.FetchRows(context.Background(), ids); err != nil {
 			b.Fatal(err)
 		}
 	}

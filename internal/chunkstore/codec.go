@@ -25,6 +25,9 @@ const (
 	chunkMagic   = "UEIC"
 	chunkVersion = 1
 	headerSize   = 4 + 2 + 2 + 4 + 8 + 8
+	// minEntrySize is the smallest encoded posting: a value, a one-byte
+	// row count and one one-byte row id.
+	minEntrySize = 8 + 1 + 1
 )
 
 // encodeChunk serializes entries for dimension dim. Entries must be sorted
@@ -100,6 +103,11 @@ func decodeChunk(data []byte) (dim int, entries []Entry, err error) {
 	// uses them without reading the payload, and decode re-derives them.
 	payload := body[headerSize:]
 
+	// Counts come from the file and a CRC only proves the writer meant
+	// them: bound each by what the bytes left can hold before allocating.
+	if uint64(count)*minEntrySize > uint64(len(payload)) {
+		return 0, nil, fmt.Errorf("chunkstore: %d entries cannot fit a %d-byte payload", count, len(payload))
+	}
 	entries = make([]Entry, 0, count)
 	off := 0
 	for i := uint32(0); i < count; i++ {
@@ -115,6 +123,9 @@ func decodeChunk(data []byte) (dim int, entries []Entry, err error) {
 		off += n
 		if rowCount == 0 {
 			return 0, nil, fmt.Errorf("chunkstore: empty posting list at entry %d", i)
+		}
+		if rowCount > uint64(len(payload)-off) {
+			return 0, nil, fmt.Errorf("chunkstore: %d postings at entry %d cannot fit the %d bytes left", rowCount, i, len(payload)-off)
 		}
 		rows := make([]uint32, rowCount)
 		prev := uint64(0)

@@ -2,7 +2,10 @@ package chunkstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -150,4 +153,67 @@ func TestCodecFuzzSeedsRoundTrip(t *testing.T) {
 			t.Fatalf("round trip failed for recipe %v", r)
 		}
 	}
+}
+
+// reseal appends the CRC a writer that meant exactly these bytes would
+// have written, so what follows the checksum in decodeChunk gets input a
+// random mutation would never carry past it.
+func reseal(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(bytes.Clone(body), crc32.ChecksumIEEE(body))
+}
+
+// oversizedCountBodies are CRC-valid chunks whose counts promise far more
+// than their bytes hold: 2⁴⁰ postings on the only entry, and 2³²−1 entries
+// ahead of a 13-byte payload. Allocating what they ask for is fatal to the
+// process, not a panic a caller could recover.
+func oversizedCountBodies(t testing.TB) [][]byte {
+	good, err := encodeChunk(0, []Entry{{Value: 1, Rows: []uint32{3, 4, 5, 6}}})
+	if err != nil {
+		t.Fatalf("seed encode: %v", err)
+	}
+	body := good[:len(good)-4]
+	postings := append(bytes.Clone(body[:headerSize+8]), binary.AppendUvarint(nil, 1<<40)...)
+	postings = append(postings, body[headerSize+9:]...)
+	entries := bytes.Clone(body)
+	binary.LittleEndian.PutUint32(entries[8:12], math.MaxUint32)
+	return [][]byte{postings, entries}
+}
+
+func TestDecodeBoundsCountsBeforeAllocating(t *testing.T) {
+	for i, body := range oversizedCountBodies(t) {
+		_, _, err := decodeChunk(reseal(body))
+		if err == nil || !strings.Contains(err.Error(), "cannot fit") {
+			t.Errorf("oversized count %d: err = %v, want a typed cannot-fit error", i, err)
+		}
+	}
+}
+
+// FuzzDecodeResealed feeds decodeChunk bodies that pass the CRC whatever
+// they say: it must return — an error or entries — without panicking and
+// without building more than the bytes can encode (an entry takes at least
+// minEntrySize bytes, a row id at least one).
+func FuzzDecodeResealed(f *testing.F) {
+	for _, body := range oversizedCountBodies(f) {
+		f.Add(body)
+	}
+	seed, err := encodeChunk(2, []Entry{{Value: -3, Rows: []uint32{1}}, {Value: 8.5, Rows: []uint32{0, 300, 70000}}})
+	if err != nil {
+		f.Fatalf("seed encode: %v", err)
+	}
+	f.Add(seed[:len(seed)-4])
+	f.Add([]byte(chunkMagic))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		_, entries, err := decodeChunk(reseal(body))
+		if err != nil {
+			return
+		}
+		rows := 0
+		for _, e := range entries {
+			rows += len(e.Rows)
+		}
+		if payload := len(body) - headerSize; len(entries)*minEntrySize > payload || rows > payload {
+			t.Fatalf("decoded %d entries with %d row ids out of a %d-byte payload", len(entries), rows, payload)
+		}
+	})
 }

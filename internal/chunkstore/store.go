@@ -84,6 +84,9 @@ type Store struct {
 	bytesRead  atomic.Int64
 	chunksRead atomic.Int64
 
+	// scratch pools the row-id tables of MergeChunks and FetchRows (*scratch).
+	scratch sync.Pool
+
 	// Observability instruments (nil until Instrument; nil-safe no-ops),
 	// bound once: the read path loads them without synchronization.
 	instrument sync.Once

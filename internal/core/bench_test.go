@@ -117,7 +117,7 @@ func BenchmarkScorePhase(b *testing.B) {
 
 // BenchmarkCellReconstruction measures the other half of the hot path the
 // block cache targets: rebuilding a cell's tuples from disk-resident
-// chunks (loadCell = mapping lookup + chunk reads + hash merge), with 1,
+// chunks (loadCell = mapping lookup + chunk reads + row-id merge), with 1,
 // 4, and 16 concurrent session views hammering the same cells. Three cache
 // modes bracket the design space: "off" is the paper's strict
 // one-chunk-in-memory discipline, "cold" flushes the cache every pass (so

@@ -753,7 +753,7 @@ func (x *Index) CellUncertainty(id grid.CellID) (float64, error) {
 }
 
 // loadCell reconstructs one cell's tuples from its owning shard via the
-// mapping method m and the chunk-store hash merge, under global row ids.
+// mapping method m and the chunk-store row-id merge, under global row ids.
 // It is the prefetcher's LoadFunc and the synchronous load path; ctx
 // aborts it at the next chunk boundary. A failing or slow owner surfaces
 // shard.ErrShardUnavailable, which EnsureRegion degrades on instead of

@@ -3,7 +3,11 @@
 // experiment's restricted memory footprint (~1% of the dataset), a uniform
 // row-id sampler for the unlabeled cache U (Algorithm 2 line 12), and the
 // cache itself, which holds the uniform sample plus at most one loaded
-// uncertain region at a time.
+// uncertain region at a time (more under SetMaxRegions). The sample and
+// each region are an ascending id slice beside a row slice — the order a
+// cell load and the sample fetch deliver — so the engine's id-ordered
+// candidate stream is a merge of a few sorted lists and a lookup is a
+// binary search; nothing is sorted per step.
 package memcache
 
 import (

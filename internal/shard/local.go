@@ -138,7 +138,7 @@ func (b *LocalBackend) MostUncertain(ctx context.Context, scores []float64, k in
 	return topKOwned(b.cells, scores, k), nil
 }
 
-// LoadCell implements Backend: hash-merge the cell's chunks from each
+// LoadCell implements Backend: merge the cell's chunks from each
 // part's store and remap row ids to global.
 func (b *LocalBackend) LoadCell(ctx context.Context, cell grid.CellID) ([]uint32, [][]float64, int, error) {
 	box, err := b.g.CellBox(cell)
@@ -218,7 +218,7 @@ func gather[T any](out, rows []T) []T {
 }
 
 // MergePartsCell reconstructs one grid cell across parts: each part
-// hash-merges its own chunks, local ids remap through the part's idmap,
+// merges its own chunks by row id, local ids remap through the part's idmap,
 // and the per-part row sets (disjoint — every global row lives in exactly
 // one part) concatenate into one id-sorted slice. With a single part this
 // is exactly the store's MergeChunks plus the remap.

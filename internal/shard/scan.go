@@ -59,6 +59,11 @@ func (r *RetrievedPart) Check(dims int) error {
 // local order is global order within a part. The transient cost is
 // n·(8·dims + 1) bytes per part. Rows that missed a dimension are squeezed
 // out in place at the end; when none did, IDs is the part's idmap itself.
+//
+// chunkstore.MergeChunks (cell loads) follows the same hit-byte protocol
+// and keeps its own body: a cell keeps about one row in 150 scanned, so it
+// holds values for the candidates only, found through a slot per row id,
+// where the dense n × dims block here is right because most rows survive.
 func ScanMarked(ctx context.Context, g *grid.Grid, p *Part, marked [][]bool) (RetrievedPart, int, error) {
 	dims, n := g.Dims(), p.RowCount()
 	if dims > math.MaxUint8 {
