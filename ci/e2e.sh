@@ -7,6 +7,7 @@
 #   3. distributed: two uei-shardd workers at R = 2, one killed mid-session,
 #                   and no step or result may report degraded
 #   4. live:        append-while-exploring over HTTP, uei-ingest -inspect
+#                   and -verify
 #
 # Every server runs under -trace and every trace must pass uei-trace -strict.
 # Run it from anywhere: bash ci/e2e.sh
@@ -120,6 +121,7 @@ strict_trace flat.jsonl
 
 echo "== sharded: S = 2 detected without -shards, short loadgen fleet"
 "$bin/uei-ingest" -gen 20000 -shards 2 -chunk 4096 -out "$work/sharded" >/dev/null
+"$bin/uei-ingest" -verify "$work/sharded" >/dev/null || fail "a freshly built sharded store fails -verify"
 pick_port port
 base=http://127.0.0.1:$port
 spawn sharded.log "$bin/uei-serve" -store "$work/sharded" -addr "127.0.0.1:$port" \
@@ -194,6 +196,7 @@ unset -f on_step
 drain "$srv"
 "$bin/uei-ingest" -inspect "$work/live" >"$work/inspect.txt"
 grep -q 'epoch' "$work/inspect.txt" || fail "inspect lost the manifest"
+"$bin/uei-ingest" -verify "$work/live" >/dev/null || fail "the live store fails -verify after appends"
 strict_trace live.jsonl
 
 echo "e2e: ok"

@@ -8,6 +8,7 @@
 //	uei-ingest -csv photoobj.csv -out ./store
 //	uei-ingest -gen 1000000 -seed 7 -out ./store -chunk 481280
 //	uei-ingest -inspect ./store
+//	uei-ingest -verify ./store                      # check every chunk against its manifest
 //	uei-ingest -gen 100000 -live -out ./live       # WAL-backed live store
 //	uei-ingest -csv grows.csv -follow -out ./live  # tail new rows into it
 package main
@@ -21,6 +22,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -49,6 +51,7 @@ func run() (err error) {
 		out      = flag.String("out", "", "output store directory (must be empty or absent)")
 		chunk    = flag.Int("chunk", chunkstore.DefaultTargetChunkBytes, "target chunk size in bytes (Table 1: 481280 = 470KB)")
 		inspect  = flag.String("inspect", "", "print a summary of an existing store and exit")
+		verify   = flag.String("verify", "", "read every chunk of an existing store (flat, sharded or live) against its manifest and exit; the first violation is the error")
 		external = flag.Bool("external", false, "stream the CSV through the external-sort builder (bounded memory, for inputs larger than RAM)")
 		spill    = flag.Int("spill", 1<<20, "external build: max (value,id) pairs buffered per dimension before spilling")
 		shards   = flag.Int("shards", 1, "partition the store into this many shards (1 = flat legacy layout)")
@@ -64,6 +67,9 @@ func run() (err error) {
 	}
 	if *inspect != "" {
 		return inspectStore(*inspect)
+	}
+	if *verify != "" {
+		return verifyStore(*verify)
 	}
 	if *follow {
 		if *csvPath == "" || *out == "" {
@@ -358,6 +364,43 @@ func inspectStore(dir string) error {
 		}
 		fmt.Printf("  dim %d (%s): %d chunks, %d bytes, %d row refs, values [%g, %g]\n",
 			d, m.Columns[d], len(chunks), bytes, refs, m.MinValues[d], m.MaxValues[d])
+	}
+	return nil
+}
+
+// verifyStore runs chunkstore.Verify over every flat store of the layout
+// under dir: the directory itself, each shard, or each live segment.
+func verifyStore(dir string) error {
+	var parts []string
+	switch {
+	case stream.IsLiveDir(dir):
+		m, err := stream.ReadManifest(dir)
+		if err != nil {
+			return err
+		}
+		for _, seg := range m.Segments {
+			parts = append(parts, filepath.Join(dir, stream.SegmentDirName(seg.ID)))
+		}
+	case shard.IsShardedDir(dir):
+		m, err := shard.LoadManifest(dir)
+		if err != nil {
+			return err
+		}
+		for s := 0; s < m.Shards; s++ {
+			parts = append(parts, filepath.Join(dir, shard.ShardDirName(s)))
+		}
+	default:
+		parts = []string{dir}
+	}
+	for _, part := range parts {
+		st, err := chunkstore.Open(part, nil)
+		if err != nil {
+			return err
+		}
+		if err := chunkstore.Verify(context.Background(), st); err != nil {
+			return fmt.Errorf("%s: %w", part, err)
+		}
+		fmt.Printf("%s: ok (%d rows, %d bytes in chunks)\n", part, st.RowCount(), st.TotalBytes())
 	}
 	return nil
 }

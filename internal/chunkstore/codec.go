@@ -79,9 +79,27 @@ func encodeChunk(dim int, entries []Entry) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// decodeBuf is the storage a decoded chunk lives in: the entry headers and
+// one row-id arena of which every posting list is a capacity-clipped
+// sub-slice, so a chunk costs two allocations fresh and none reused.
+type decodeBuf struct {
+	entries []Entry
+	arena   []uint32
+}
+
 // decodeChunk parses a chunk file and verifies its CRC. It returns the
-// dimension the chunk belongs to and its entries.
+// dimension the chunk belongs to and its entries, in storage of their own.
 func decodeChunk(data []byte) (dim int, entries []Entry, err error) {
+	return decodeChunkInto(data, new(decodeBuf), 0)
+}
+
+// decodeChunkInto is decodeChunk into buf, overwriting whatever buf held:
+// the returned entries alias buf and are valid until its next decode.
+// rowsHint is the row-id total the caller expects (ChunkMeta.RowRefs) and
+// sizes the arena once; it is a hint from a file, so it is clamped to what
+// the payload can encode, and a wrong one costs a second allocation, never
+// a wrong result.
+func decodeChunkInto(data []byte, buf *decodeBuf, rowsHint int) (dim int, entries []Entry, err error) {
 	if len(data) < headerSize+4 {
 		return 0, nil, fmt.Errorf("chunkstore: chunk truncated: %d bytes", len(data))
 	}
@@ -108,7 +126,16 @@ func decodeChunk(data []byte) (dim int, entries []Entry, err error) {
 	if uint64(count)*minEntrySize > uint64(len(payload)) {
 		return 0, nil, fmt.Errorf("chunkstore: %d entries cannot fit a %d-byte payload", count, len(payload))
 	}
-	entries = make([]Entry, 0, count)
+	entries = buf.entries[:0]
+	if cap(entries) < int(count) {
+		entries = make([]Entry, 0, count)
+	}
+	// Every entry holds at least one row id, and a row id takes at least
+	// one byte of what the entries' nine-byte minimum headers leave.
+	arena := buf.arena[:0]
+	if want := min(max(rowsHint, int(count)), len(payload)-(minEntrySize-1)*int(count)); cap(arena) < want {
+		arena = make([]uint32, 0, want)
+	}
 	off := 0
 	for i := uint32(0); i < count; i++ {
 		if off+8 > len(payload) {
@@ -116,7 +143,7 @@ func decodeChunk(data []byte) (dim int, entries []Entry, err error) {
 		}
 		value := math.Float64frombits(binary.LittleEndian.Uint64(payload[off:]))
 		off += 8
-		rowCount, n := binary.Uvarint(payload[off:])
+		rowCount, n := uvarint(payload, off)
 		if n <= 0 {
 			return 0, nil, fmt.Errorf("chunkstore: bad posting count at entry %d", i)
 		}
@@ -127,10 +154,20 @@ func decodeChunk(data []byte) (dim int, entries []Entry, err error) {
 		if rowCount > uint64(len(payload)-off) {
 			return 0, nil, fmt.Errorf("chunkstore: %d postings at entry %d cannot fit the %d bytes left", rowCount, i, len(payload)-off)
 		}
-		rows := make([]uint32, rowCount)
+		a := len(arena)
+		b := a + int(rowCount)
+		if b > cap(arena) {
+			// The hint was short. Entries already decoded keep the old
+			// array, whose contents do not change; the new one takes
+			// everything still to come, again bounded by the bytes left.
+			a, b = 0, int(rowCount)
+			arena = make([]uint32, 0, max(b, len(payload)-off-(minEntrySize-1)*int(count-1-i)))
+		}
+		arena = arena[:b]
+		rows := arena[a:b:b]
 		prev := uint64(0)
 		for j := range rows {
-			d, n := binary.Uvarint(payload[off:])
+			d, n := uvarint(payload, off)
 			if n <= 0 {
 				return 0, nil, fmt.Errorf("chunkstore: bad row delta at entry %d posting %d", i, j)
 			}
@@ -150,7 +187,27 @@ func decodeChunk(data []byte) (dim int, entries []Entry, err error) {
 	if off != len(payload) {
 		return 0, nil, fmt.Errorf("chunkstore: %d trailing payload bytes", len(payload)-off)
 	}
+	buf.entries, buf.arena = entries, arena
 	return dim, entries, nil
+}
+
+// uvarint is binary.Uvarint(buf[off:]) with the one-to-three-byte
+// encodings — posting counts and row ids below 2²¹, nearly every varint in
+// a chunk — decoded in place. Anything longer, or within three bytes of the
+// end, is binary.Uvarint's, so every error case is too.
+func uvarint(buf []byte, off int) (uint64, int) {
+	if off+3 <= len(buf) {
+		b0, b1, b2 := buf[off], buf[off+1], buf[off+2]
+		switch {
+		case b0 < 0x80:
+			return uint64(b0), 1
+		case b1 < 0x80:
+			return uint64(b0&0x7f) | uint64(b1)<<7, 2
+		case b2 < 0x80:
+			return uint64(b0&0x7f) | uint64(b1&0x7f)<<7 | uint64(b2)<<14, 3
+		}
+	}
+	return binary.Uvarint(buf[off:])
 }
 
 func writeU16(buf *bytes.Buffer, v uint16) {

@@ -191,29 +191,45 @@ func TestDecodeBoundsCountsBeforeAllocating(t *testing.T) {
 // FuzzDecodeResealed feeds decodeChunk bodies that pass the CRC whatever
 // they say: it must return — an error or entries — without panicking and
 // without building more than the bytes can encode (an entry takes at least
-// minEntrySize bytes, a row id at least one).
+// minEntrySize bytes, a row id at least one). Every body is then decoded
+// again into the buffer the previous iteration left behind, under a fuzzed
+// row-count hint: storage and hint may change where the result lives,
+// never what it is.
 func FuzzDecodeResealed(f *testing.F) {
-	for _, body := range oversizedCountBodies(f) {
-		f.Add(body)
+	for i, body := range oversizedCountBodies(f) {
+		f.Add(body, i*math.MaxInt)
 	}
 	seed, err := encodeChunk(2, []Entry{{Value: -3, Rows: []uint32{1}}, {Value: 8.5, Rows: []uint32{0, 300, 70000}}})
 	if err != nil {
 		f.Fatalf("seed encode: %v", err)
 	}
-	f.Add(seed[:len(seed)-4])
-	f.Add([]byte(chunkMagic))
+	f.Add(seed[:len(seed)-4], 4)
+	f.Add([]byte(chunkMagic), -1)
 
-	f.Fuzz(func(t *testing.T, body []byte) {
-		_, entries, err := decodeChunk(reseal(body))
+	reused := new(decodeBuf)
+	f.Fuzz(func(t *testing.T, body []byte, hint int) {
+		data, before := reseal(body), cap(reused.arena)
+		dim, entries, err := decodeChunk(data)
+		dim2, entries2, err2 := decodeChunkInto(data, reused, hint)
 		if err != nil {
+			if err2 == nil || err2.Error() != err.Error() {
+				t.Fatalf("fresh decode fails with %q, decode into a used buffer (hint %d) with %v", err, hint, err2)
+			}
 			return
+		}
+		if err2 != nil || dim2 != dim || !entriesEqual(entries2, entries) {
+			t.Fatalf("decode into a used buffer (hint %d) differs from a fresh decode: err %v", hint, err2)
 		}
 		rows := 0
 		for _, e := range entries {
 			rows += len(e.Rows)
 		}
-		if payload := len(body) - headerSize; len(entries)*minEntrySize > payload || rows > payload {
+		payload := len(body) - headerSize
+		if len(entries)*minEntrySize > payload || rows > payload {
 			t.Fatalf("decoded %d entries with %d row ids out of a %d-byte payload", len(entries), rows, payload)
+		}
+		if c := cap(reused.arena); c != before && c > payload {
+			t.Fatalf("hint %d sized an arena of %d row ids for a %d-byte payload", hint, c, payload)
 		}
 	})
 }

@@ -78,6 +78,12 @@ func (m *Manifest) validate() error {
 			if c.Dim != d || c.Seq != i {
 				return fmt.Errorf("chunkstore: chunk %s misfiled (dim %d seq %d at [%d][%d])", c.File, c.Dim, c.Seq, d, i)
 			}
+			if c.Entries < 0 || c.RowRefs < 0 || c.Bytes < 0 {
+				return fmt.Errorf("chunkstore: chunk %s has a negative count (entries %d, row refs %d, bytes %d)", c.File, c.Entries, c.RowRefs, c.Bytes)
+			}
+			if c.Bytes < headerSize+4+minEntrySize {
+				return fmt.Errorf("chunkstore: chunk %s is %d bytes, below the %d of a header, a checksum and one entry", c.File, c.Bytes, headerSize+4+minEntrySize)
+			}
 			if c.MinValue > c.MaxValue {
 				return fmt.Errorf("chunkstore: chunk %s has inverted range", c.File)
 			}

@@ -183,9 +183,11 @@ func (s *Store) MergeChunks(ctx context.Context, box vec.Box, chunks []ChunkMeta
 					hits[id]++
 				}
 			}
-			// entries goes out of scope here: the decoded chunk buffer is
-			// released (or, with a block cache installed, stays resident
-			// for other readers) and its pipeline slot reused.
+			// entries goes out of scope here, and with it the contract of
+			// ReadChunksOrdered ends: the next chunk is decoded over this
+			// one's buffer (or, with a block cache installed, the chunk
+			// stays resident for other readers). Everything kept was copied
+			// into col above.
 			return nil
 		})
 		if err != nil {

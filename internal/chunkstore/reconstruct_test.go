@@ -196,8 +196,10 @@ func TestReconstructAgainstBruteForce(t *testing.T) {
 	}
 }
 
-// overwriteChunk replaces a chunk file with hand-built entries.
-func overwriteChunk(t *testing.T, st *Store, meta ChunkMeta, entries []Entry) {
+// overwriteChunk replaces a chunk file with hand-built entries and keeps
+// the manifest's record of its size true (a file of another size is
+// refused before the decode these tests are after).
+func overwriteChunk(t *testing.T, st *Store, meta ChunkMeta, entries []Entry) ChunkMeta {
 	t.Helper()
 	data, err := encodeChunk(meta.Dim, entries)
 	if err != nil {
@@ -206,6 +208,9 @@ func overwriteChunk(t *testing.T, st *Store, meta ChunkMeta, entries []Entry) {
 	if err := os.WriteFile(filepath.Join(st.dir, meta.File), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	meta.Bytes = int64(len(data))
+	st.manifest.Chunks[meta.Dim][meta.Seq] = meta
+	return meta
 }
 
 // TestReconstructRejectsBadRowIDs: a posting id at or beyond RowCount —
@@ -218,7 +223,7 @@ func TestReconstructRejectsBadRowIDs(t *testing.T) {
 		t.Run(path, func(t *testing.T) {
 			st, ds := lumpyStore(t, 30, 1, 3, 4096, 5)
 			meta := st.Manifest().Chunks[0][0]
-			overwriteChunk(t, st, meta, []Entry{{Value: 1, Rows: []uint32{2, 30}}})
+			meta = overwriteChunk(t, st, meta, []Entry{{Value: 1, Rows: []uint32{2, 30}}})
 			bounds, _ := ds.Bounds()
 			var err error
 			if path == "MergeChunks" {

@@ -337,7 +337,8 @@ func (s *Store) SetWorkers(n int) { s.workers = n }
 // synchronized against them). With a cache installed, the entry slices
 // ReadChunk and ReadChunksOrdered return are shared between all callers
 // and must be treated as immutable — every existing consumer already only
-// reads them.
+// reads them. A miss decodes into an exactly-sized buffer of its own (two
+// allocations), which is what the cache then keeps.
 func (s *Store) SetBlockCache(c *BlockCache) { s.cache = c }
 
 // BlockCache returns the installed decoded-chunk cache, or nil.
@@ -352,10 +353,12 @@ func (s *Store) SetCacheKeyPrefix(prefix string) { s.cachePrefix = prefix }
 
 // ReadChunk loads and decodes one chunk, verifying its CRC and accounting
 // the read against the limiter and the store's I/O counters. A canceled ctx
-// aborts before the read is issued. With a block cache installed, a hit
-// costs no I/O at all and concurrent misses for the same chunk coalesce
-// into a single disk read; the returned entries are then shared and must
-// not be mutated.
+// aborts before the read is issued. Without a block cache the caller owns
+// the result: it is decoded into storage of its own (two allocations, the
+// entry headers and one row-id array every Rows is a sub-slice of). With a
+// block cache installed, a hit costs no I/O at all and concurrent misses
+// for the same chunk coalesce into a single disk read; the returned entries
+// are then shared and must not be mutated.
 func (s *Store) ReadChunk(ctx context.Context, meta ChunkMeta) ([]Entry, error) {
 	if s.cache == nil {
 		return s.readChunkDisk(ctx, meta)
@@ -369,15 +372,21 @@ func (s *Store) ReadChunk(ctx context.Context, meta ChunkMeta) ([]Entry, error) 
 	})
 }
 
-// readChunkDisk wraps the raw disk read in a "chunk_read" span when the
-// context is traced (the guard is one context lookup, so the untraced
-// hot path stays free).
+// readChunkDisk is the owning disk read: a fresh buffer sized exactly by
+// the manifest, which the result keeps.
 func (s *Store) readChunkDisk(ctx context.Context, meta ChunkMeta) ([]Entry, error) {
+	return s.readChunkInto(ctx, meta, new(decodeBuf))
+}
+
+// readChunkInto wraps the raw disk read in a "chunk_read" span when the
+// context is traced (the guard is one context lookup, so the untraced
+// hot path stays free). The entries alias buf until its next decode.
+func (s *Store) readChunkInto(ctx context.Context, meta ChunkMeta, buf *decodeBuf) ([]Entry, error) {
 	if obs.SpanFromContext(ctx) == nil {
-		return s.readChunkDiskRaw(ctx, meta)
+		return s.readChunkIntoRaw(ctx, meta, buf)
 	}
 	_, span := obs.StartSpan(ctx, "chunk_read")
-	entries, err := s.readChunkDiskRaw(ctx, meta)
+	entries, err := s.readChunkIntoRaw(ctx, meta, buf)
 	attrs := map[string]float64{"dim": float64(meta.Dim), "seq": float64(meta.Seq)}
 	if err != nil {
 		span.SetOutcome("error")
@@ -388,17 +397,17 @@ func (s *Store) readChunkDisk(ctx context.Context, meta ChunkMeta) ([]Entry, err
 	return entries, err
 }
 
-// readChunkDiskRaw is the uncached read path: pooled file read, CRC check,
-// decode, I/O accounting. The raw file buffer is recycled as soon as the
-// decode (which copies everything out) finishes.
-func (s *Store) readChunkDiskRaw(ctx context.Context, meta ChunkMeta) ([]Entry, error) {
+// readChunkIntoRaw is the uncached read path: size check, pooled file
+// read, CRC check, decode into buf, I/O accounting. The raw file buffer is
+// recycled as soon as the decode (which copies everything out) finishes.
+func (s *Store) readChunkIntoRaw(ctx context.Context, meta ChunkMeta, buf *decodeBuf) ([]Entry, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	bp, err := readFilePooled(filepath.Join(s.dir, meta.File))
+	bp, err := readFilePooled(s.dir, meta.File, meta.Bytes)
 	if err != nil {
-		return nil, fmt.Errorf("chunkstore: read chunk %s: %w", meta.File, err)
+		return nil, err
 	}
 	defer putFileBuf(bp)
 	data := *bp
@@ -408,7 +417,7 @@ func (s *Store) readChunkDiskRaw(ctx context.Context, meta ChunkMeta) ([]Entry, 
 	s.mBytes.Add(int64(len(data)))
 	s.mChunks.Inc()
 	s.hRead.ObserveDuration(time.Since(start))
-	dim, entries, err := decodeChunk(data)
+	dim, entries, err := decodeChunkInto(data, buf, meta.RowRefs)
 	if err != nil {
 		return nil, fmt.Errorf("chunkstore: chunk %s: %w", meta.File, err)
 	}
@@ -437,14 +446,21 @@ func DecodedEntriesBytes(entries []Entry) int64 {
 // results are identical to a ReadChunk loop. At most `workers` decoded
 // chunks are in memory at once (the §3.1 one-chunk discipline relaxed to
 // the configured fan-out). With workers <= 1 it degrades to the plain loop.
+//
+// entries is valid until visit returns: without a block cache it lives in
+// pooled storage the next chunk is decoded over, so a visit copies out what
+// it keeps (as §3.1 has it: one chunk in memory, released before the next).
+// With a block cache it is the cached, shared, immutable slice.
 func (s *Store) ReadChunksOrdered(ctx context.Context, metas []ChunkMeta, visit func(meta ChunkMeta, entries []Entry) error) error {
 	w := s.workers
 	if w > len(metas) {
 		w = len(metas)
 	}
 	if w <= 1 {
+		buf := decodeBufPool.Get().(*decodeBuf)
+		defer decodeBufPool.Put(buf)
 		for _, m := range metas {
-			entries, err := s.ReadChunk(ctx, m)
+			entries, err := s.readChunkFor(ctx, m, buf)
 			if err != nil {
 				return err
 			}
@@ -457,6 +473,7 @@ func (s *Store) ReadChunksOrdered(ctx context.Context, metas []ChunkMeta, visit 
 
 	type res struct {
 		entries []Entry
+		buf     *decodeBuf
 		err     error
 	}
 	results := make([]chan res, len(metas))
@@ -478,25 +495,41 @@ func (s *Store) ReadChunksOrdered(ctx context.Context, metas []ChunkMeta, visit 
 				return
 			}
 			go func(i int, m ChunkMeta) {
-				entries, err := s.ReadChunk(ctx, m)
+				buf := decodeBufPool.Get().(*decodeBuf)
+				entries, err := s.readChunkFor(ctx, m, buf)
 				select {
-				case results[i] <- res{entries, err}:
+				case results[i] <- res{entries, buf, err}:
+					// The consumer pools buf after the visit; if it has
+					// left, buf is dropped with the channel.
 				case <-done:
+					decodeBufPool.Put(buf)
 				}
 			}(i, m)
 		}
 	}()
 	for i, m := range metas {
 		r := <-results[i]
+		<-sem
+		if r.err == nil {
+			r.err = visit(m, r.entries)
+		}
+		// The reader that filled r.buf has finished and the visit is over:
+		// nothing can write or read it until the pool hands it out again.
+		decodeBufPool.Put(r.buf)
 		if r.err != nil {
 			return r.err
 		}
-		<-sem
-		if err := visit(m, r.entries); err != nil {
-			return err
-		}
 	}
 	return nil
+}
+
+// readChunkFor reads one chunk for a visit: through the block cache when
+// there is one, which then owns the decoded chunk, otherwise into buf.
+func (s *Store) readChunkFor(ctx context.Context, m ChunkMeta, buf *decodeBuf) ([]Entry, error) {
+	if s.cache != nil {
+		return s.ReadChunk(ctx, m)
+	}
+	return s.readChunkInto(ctx, m, buf)
 }
 
 // IOStats returns cumulative bytes and chunk files read through this store

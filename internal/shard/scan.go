@@ -57,7 +57,10 @@ func (r *RetrievedPart) Check(dims int) error {
 // index i of one n-point block, and hits[i] counts the leading dimensions
 // that hit the row. There is no table, no per-row allocation and no sort —
 // local order is global order within a part. The transient cost is
-// n·(8·dims + 1) bytes per part. Rows that missed a dimension are squeezed
+// n·(8·dims + 1) bytes per part, plus the one decoded chunk of the visit in
+// flight: es is valid only until the visit returns (see
+// chunkstore.ReadChunksOrdered), and every value kept is copied into the
+// block inside it. Rows that missed a dimension are squeezed
 // out in place at the end; when none did, IDs is the part's idmap itself.
 //
 // chunkstore.MergeChunks (cell loads) follows the same hit-byte protocol
