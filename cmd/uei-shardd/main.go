@@ -50,7 +50,7 @@ func run() error {
 		genShards  = flag.Int("gen-shards", 2, "shard count for -gen")
 		seed       = flag.Int64("seed", 1, "seed for -gen")
 		addr       = flag.String("addr", ":9101", "listen address for the shard protocol")
-		workers    = flag.Int("workers", 0, "per-shard read/score fan-out bound (0 = GOMAXPROCS)")
+		workers    = flag.Int("workers", 0, "per-shard chunk-read fan-out bound (0 = GOMAXPROCS)")
 		cacheBytes = flag.Int64("block-cache-bytes", 0, "shared decoded-chunk block cache budget in bytes across the served shards (0 disables)")
 		quiet      = flag.Bool("quiet", false, "suppress the per-request access log")
 	)

@@ -30,7 +30,7 @@ const blockSweepMin = 256
 // through a packed block (bit-identical to the row path); everything else
 // takes the row sweep.
 func batchPosteriors(ctx context.Context, m learn.Classifier, X [][]float64, out []float64, workers int) error {
-	if _, ok := learn.AsBlockClassifier(m); ok && len(X) >= blockSweepMin {
+	if _, ok := m.(learn.BlockClassifier); ok && len(X) >= blockSweepMin {
 		return learn.BlockPosteriors(ctx, m, kernel.Pack(X), out, workers)
 	}
 	return learn.Posteriors(ctx, m, X, out, workers)

@@ -192,8 +192,10 @@ func (x *Index) AdvanceSnapshot() (bool, error) {
 	}
 	x.cache.DropRegion()
 	x.scoresValid = false
-	x.degradedShards = nil
-	x.resetKernelState()
+	// Drop the incremental-rescore state: the symbolic points cannot
+	// change, but a full pass on the new epoch keeps the invariants
+	// trivially true.
+	x.lastDW = nil
 	x.pendingCell = memcache.NoRegion
 	x.deferredFor = 0
 	return true, nil

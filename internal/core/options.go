@@ -77,9 +77,9 @@ type Options struct {
 	// (or shard-count) mismatch fails with chunkstore.ErrLayoutMismatch.
 	Shards int
 	// ShardDeadline bounds every per-shard operation of the index (a flat
-	// store is one shard); shards that miss it are skipped for the
-	// iteration (the step degrades instead of failing). Zero disables the
-	// deadline.
+	// store is one shard). When every replica of the winning cell's shard
+	// misses it, the step falls back to another cell or the resident
+	// region (it degrades instead of failing). Zero disables the deadline.
 	ShardDeadline time.Duration
 	// ShardEndpoints, when non-empty, serves the index through remote
 	// uei-shardd workers instead of opening the store directory locally:

@@ -13,12 +13,14 @@ import (
 	"github.com/uei-db/uei/internal/shard/remote"
 )
 
-// BenchmarkRemoteShardedStep measures the full per-iteration step —
-// re-score, top-k, cell load — across transports: in-process sharded,
-// remote over the wire protocol, and remote with an injected slow primary
-// replica with hedging off versus on: the hedged slow-replica line's p99
-// should beat the unhedged one (TestHedgedCallWinsAndCancelsLoser is the
-// test of the mechanism).
+// BenchmarkRemoteShardedStep measures a per-iteration step that swaps
+// regions — re-score, top-k, cell load — across transports: in-process
+// sharded, remote over the wire protocol, and remote with an injected slow
+// primary replica with hedging off versus on: the hedged slow-replica
+// line's p99 should beat the unhedged one (TestHedgedCallWinsAndCancelsLoser
+// is the test of the mechanism). The region is dropped before every step:
+// the load is the step's only request, and a step on a resident region
+// would measure no transport at all.
 func BenchmarkRemoteShardedStep(b *testing.B) {
 	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 4000, Seed: 21})
 	if err != nil {
@@ -48,6 +50,7 @@ func BenchmarkRemoteShardedStep(b *testing.B) {
 		var lat obs.Samples
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			idx.cache.DropRegion()
 			start := time.Now()
 			idx.InvalidateScores()
 			if _, err := idx.EnsureRegion(ctx, model); err != nil {
@@ -110,8 +113,8 @@ func BenchmarkRemoteShardedStep(b *testing.B) {
 	// path, so cancellation (the hedged winner's loser-cancel) cuts it
 	// short exactly like a slow network leg. The hedge delay must sit
 	// above the healthy per-op service time (a premature hedge duplicates
-	// CPU-heavy scoring work and makes things worse) and below the fault
-	// delay, the same calibration an operator does against the op's p95.
+	// the worker's chunk reads for nothing) and below the fault delay, the
+	// same calibration an operator does against the op's p95.
 	slowPrimary := func(ctx context.Context, _, replica int, _ string) error {
 		if replica != 0 {
 			return nil

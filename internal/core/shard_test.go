@@ -11,7 +11,9 @@ import (
 
 	"github.com/uei-db/uei/internal/chunkstore"
 	"github.com/uei-db/uei/internal/dataset"
+	"github.com/uei-db/uei/internal/grid"
 	"github.com/uei-db/uei/internal/learn"
+	"github.com/uei-db/uei/internal/memcache"
 	"github.com/uei-db/uei/internal/shard"
 )
 
@@ -185,90 +187,119 @@ func TestShardedOpenLayoutMismatch(t *testing.T) {
 	}
 }
 
-// TestShardedDegradedScoreStep forces one shard to fail its scoring pass
-// and checks the step completes on the healthy subset: the response is
-// flagged degraded, the metric increments, and the degraded shard's cells
-// are never selected.
+// winnerAndFallback scores the index and returns the most uncertain cell,
+// the shard owning it, and the step's fallback for a failed load of it: the
+// most uncertain cell some other shard owns.
+func winnerAndFallback(t *testing.T, x *Index, model learn.Classifier) (winner grid.CellID, owner int, fallback grid.CellID) {
+	t.Helper()
+	if err := x.UpdateUncertainty(context.Background(), model); err != nil {
+		t.Fatal(err)
+	}
+	ranked, err := x.MostUncertainCells(x.NumIndexPoints())
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := x.ShardCoordinator()
+	owner, err = coord.OwnerOfCell(ranked[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cell := range ranked[1:] {
+		if o, _ := coord.OwnerOfCell(cell); o != owner {
+			return ranked[0], owner, cell
+		}
+	}
+	t.Fatalf("shard %d owns every cell", owner)
+	return 0, 0, 0
+}
+
+// TestShardedDegradedScoreStep fails the load of the winning cell on its
+// owning shard and checks the step completes on another shard's best cell:
+// the step is flagged degraded, the metric counts the one failed load, and
+// the chosen cell is not the failed shard's. (Scoring cannot degrade a step:
+// the symbolic index is scored in-process and contacts no shard.)
 func TestShardedDegradedScoreStep(t *testing.T) {
 	_, sharded, ds := openShardedPair(t, 2000, 4, Options{Workers: 2})
 	model := boundaryModel(t, ds, testRegion(t, ds), 40)
 	ctx := context.Background()
 	coord := sharded.ShardCoordinator()
+	degradedTotal := sharded.Registry().Counter("shard_degraded_total")
 
+	winner, victim, _ := winnerAndFallback(t, sharded, model)
 	coord.SetFaultHook(func(_ context.Context, s, _ int, op string) error {
-		if s == 2 && op == shard.OpScore {
+		if s == victim && op == shard.OpLoad {
 			return errors.New("injected shard fault")
 		}
 		return nil
 	})
-	before := sharded.Registry().Counter("shard_degraded_total").Value()
+	before := degradedTotal.Value()
 	cell, err := sharded.EnsureRegion(ctx, model)
 	if err != nil {
 		t.Fatalf("degraded step should complete, got %v", err)
 	}
 	if !sharded.LastStepDegraded() {
-		t.Error("LastStepDegraded = false after a skipped shard")
+		t.Error("LastStepDegraded = false after falling back from the winner")
 	}
-	if got := sharded.DegradedShards(); len(got) != 1 || got[0] != 2 {
-		t.Errorf("DegradedShards = %v, want [2]", got)
+	if got := degradedTotal.Value() - before; got != 1 {
+		t.Errorf("shard_degraded_total moved by %d, want 1 (one failed load, one deadline wait)", got)
 	}
-	if after := sharded.Registry().Counter("shard_degraded_total").Value(); after <= before {
-		t.Errorf("shard_degraded_total did not increment: %d -> %d", before, after)
-	}
-	if owner, err := coord.OwnerOfCell(cell); err != nil || owner == 2 {
-		t.Errorf("selected cell %d owned by degraded shard (owner %d, err %v)", cell, owner, err)
+	if owner, err := coord.OwnerOfCell(cell); err != nil || owner == victim {
+		t.Errorf("selected cell %d owned by the failed shard (owner %d, err %v)", cell, owner, err)
 	}
 
 	// Recovery: with the fault cleared the next step is clean again.
 	coord.SetFaultHook(nil)
 	sharded.InvalidateScores()
-	if _, err := sharded.EnsureRegion(ctx, model); err != nil {
+	cell, err = sharded.EnsureRegion(ctx, model)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if sharded.LastStepDegraded() {
-		t.Error("step still degraded after recovery")
-	}
-	if got := sharded.DegradedShards(); got != nil {
-		t.Errorf("DegradedShards = %v after recovery, want nil", got)
+	if sharded.LastStepDegraded() || cell != winner {
+		t.Errorf("after recovery: cell %d (winner %d), degraded %v", cell, winner, sharded.LastStepDegraded())
 	}
 
-	// Every shard failing is an error, not silent degradation. The model
-	// must genuinely change (a refit on different labels, not an
-	// append-only extension), otherwise the exact incremental rescorer
-	// correctly skips the pass without contacting any shard.
+	// Every shard failing its loads, with no region resident to stay on,
+	// is an error, not silent degradation.
 	coord.SetFaultHook(func(_ context.Context, _, _ int, op string) error {
-		if op == shard.OpScore {
+		if op == shard.OpLoad {
 			return errors.New("total outage")
 		}
 		return nil
 	})
+	fresh, err := sharded.NewView(ViewOptions{MemoryBudgetBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if _, err := fresh.EnsureRegion(ctx, model); !errors.Is(err, shard.ErrShardUnavailable) {
+		t.Errorf("all-shards-down err = %v, want ErrShardUnavailable", err)
+	}
+	// The same outage with a region resident degrades onto it.
 	sharded.InvalidateScores()
 	model2 := boundaryModel(t, ds, testRegion(t, ds), 55)
-	if _, err := sharded.EnsureRegion(ctx, model2); !errors.Is(err, shard.ErrShardUnavailable) {
-		t.Errorf("all-shards-down err = %v, want ErrShardUnavailable", err)
+	if w2, _, _ := winnerAndFallback(t, sharded, model2); w2 == winner {
+		t.Fatalf("both models rank cell %d first; the resident fallback goes untested", winner)
+	}
+	cell, err = sharded.EnsureRegion(ctx, model2)
+	if err != nil || cell != winner || !sharded.LastStepDegraded() {
+		t.Errorf("outage with cell %d resident: cell %d, degraded %v, err %v", winner, cell, sharded.LastStepDegraded(), err)
 	}
 }
 
-// TestShardedLoadFallback fails only the winning cell's load: the step
-// must fall back to the runner-up cell instead of failing.
+// TestShardedLoadFallback fails the winning cell's shard for loads: the
+// step must fall back to the best cell not owned by that shard — the
+// runner-up only when another shard owns it — after exactly one failed
+// attempt.
 func TestShardedLoadFallback(t *testing.T) {
 	_, sharded, ds := openShardedPair(t, 2000, 4, Options{Workers: 2})
 	model := boundaryModel(t, ds, testRegion(t, ds), 40)
 	ctx := context.Background()
 
-	if err := sharded.UpdateUncertainty(ctx, model); err != nil {
-		t.Fatal(err)
-	}
-	top, err := sharded.MostUncertainCells(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(top) < 2 {
-		t.Fatalf("need two candidate cells, got %v", top)
-	}
-	var loads atomic.Int32
-	sharded.ShardCoordinator().SetFaultHook(func(_ context.Context, _, _ int, op string) error {
-		if op == shard.OpLoad && loads.Add(1) == 1 {
+	winner, victim, want := winnerAndFallback(t, sharded, model)
+	var failed atomic.Int32
+	sharded.ShardCoordinator().SetFaultHook(func(_ context.Context, s, _ int, op string) error {
+		if op == shard.OpLoad && s == victim {
+			failed.Add(1)
 			return errors.New("winner's shard is down")
 		}
 		return nil
@@ -277,23 +308,27 @@ func TestShardedLoadFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cell != top[1] {
-		t.Fatalf("EnsureRegion = cell %d, want runner-up %d (winner was %d)", cell, top[1], top[0])
+	if cell != want {
+		t.Fatalf("EnsureRegion = cell %d, want %d, the best cell outside shard %d (winner was %d)", cell, want, victim, winner)
+	}
+	if got := failed.Load(); got != 1 {
+		t.Errorf("the failed shard was asked %d times, want once", got)
 	}
 	if !sharded.LastStepDegraded() {
-		t.Error("runner-up fallback must mark the step degraded")
+		t.Error("the fallback must mark the step degraded")
 	}
 }
 
-// TestShardedCancellation checks caller cancellation is not confused with
-// shard degradation and that the scatter leaves no goroutines behind.
+// TestShardedCancellation cancels a step while its cell load hangs:
+// caller cancellation is not confused with shard degradation and the
+// attempt leaves no goroutines behind.
 func TestShardedCancellation(t *testing.T) {
 	_, sharded, ds := openShardedPair(t, 1000, 4, Options{Workers: 2})
 	model := boundaryModel(t, ds, testRegion(t, ds), 30)
 	coord := sharded.ShardCoordinator()
 	release := make(chan struct{})
-	coord.SetFaultHook(func(ctx context.Context, s, _ int, op string) error {
-		if op == shard.OpScore && s != 0 {
+	coord.SetFaultHook(func(ctx context.Context, _, _ int, op string) error {
+		if op == shard.OpLoad {
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
@@ -312,9 +347,12 @@ func TestShardedCancellation(t *testing.T) {
 			cancel()
 		}()
 		sharded.InvalidateScores()
-		err := sharded.UpdateUncertainty(ctx, model)
+		_, err := sharded.EnsureRegion(ctx, model)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if errors.Is(err, shard.ErrShardUnavailable) {
+			t.Fatalf("err = %v classifies the cancellation as a shard failure", err)
 		}
 		cancel()
 	}
@@ -322,7 +360,10 @@ func TestShardedCancellation(t *testing.T) {
 		t.Errorf("cancellation counted as degradation: counter %d -> %d", counterBefore, got)
 	}
 	if sharded.LastStepDegraded() {
-		t.Error("cancelled pass marked the step degraded")
+		t.Error("cancelled step marked degraded")
+	}
+	if sharded.ResidentRegion() != memcache.NoRegion {
+		t.Error("a cancelled load installed a region")
 	}
 	close(release)
 	deadline := time.Now().Add(5 * time.Second)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -95,11 +94,11 @@ type Index struct {
 	budget *memcache.Budget
 	cache  *memcache.Cache
 	pf     *prefetch.Prefetcher
-	// coord is the data plane: every storage touch — scoring, selection,
-	// cell loads, row fetches, the retrieval scan — goes through the
-	// coordinator's scatter-gather. A flat directory is its one-shard,
-	// one-part case and a live snapshot one part per segment. Views share
-	// the parent's coordinator.
+	// coord is the data plane: it scores and ranks the symbolic index
+	// in-process and routes every storage touch — cell loads, row fetches,
+	// the retrieval scan — to the shards holding the rows. A flat directory
+	// is its one-shard, one-part case and a live snapshot one part per
+	// segment. Views share the parent's coordinator.
 	coord *shard.Coordinator
 	// live, when non-nil, is the streaming write path (LSM store) and snap
 	// the epoch this index currently reads: coord serves exactly snap's
@@ -107,19 +106,15 @@ type Index struct {
 	// live and pin their own clone of the parent's snapshot.
 	live *stream.DB
 	snap *stream.Snapshot
-	// degradedShards lists the shards skipped by the latest scoring pass
-	// (their uncertainty slots are stale); selection excludes their cells
-	// until a later pass succeeds. Per-view state, like uncertainty.
-	degradedShards []int
-	// stepDegraded records whether the most recent EnsureRegion had to
-	// skip shards or fall back from the winning cell. Surfaced to the IDE
-	// engine per iteration.
+	// stepDegraded records whether the most recent EnsureRegion fell back
+	// from the winning cell because no replica of its owner answered the
+	// load in time. Surfaced to the IDE engine per iteration.
 	stepDegraded bool
 
 	// blk is the symbolic index point set P, in cell-id order, packed by
-	// column. Packed once per Open and shared by views — the point set is
-	// immutable, even under live ingest (cell geometry is pinned at store
-	// creation).
+	// column: the coordinator's Meta().Points, packed once per Open and
+	// shared by views and epochs — the point set is immutable, even under
+	// live ingest (cell geometry is pinned at store creation).
 	blk *kernel.Block
 	// uncertainty[i] is the last computed uncertainty of point i of blk.
 	uncertainty []float64
@@ -132,12 +127,10 @@ type Index struct {
 	// next model is the same DWKNN refit on an append-only extension of
 	// the labeled set, a center's posterior can change only if a new
 	// labeled point lands strictly inside its k-th-neighbor ball, so only
-	// that dirty subset is rescored. lastComplete records that every
-	// cell's score and d_k² slot is fresh (no degraded shards) — the
-	// delta rule is sound only against a complete previous pass.
-	lastDW       *learn.DWKNN
-	dk2          []float64
-	lastComplete bool
+	// that dirty subset is rescored. A pass publishes all of its scores
+	// and bounds or none, so a non-nil lastDW always describes every slot.
+	lastDW *learn.DWKNN
+	dk2    []float64
 	// lastSkipped is how many of the |P| cells the most recent
 	// UpdateUncertainty pass skipped under the exact delta rule; dirtyBuf
 	// is its reused dirty-cell scratch.
@@ -149,8 +142,9 @@ type Index struct {
 	deferredFor int
 	pendingCell int
 
-	// pool shards symbolic-point scoring and top-k selection across
-	// Options.Workers goroutines; with one worker everything runs inline.
+	// pool shards symbolic-point scoring (through coord, which borrows it)
+	// and result classification across Options.Workers goroutines; with
+	// one worker everything runs inline.
 	pool *pool.Pool
 	// isView marks per-session views (NewView): the pool and store are
 	// borrowed from the parent, so Close must not shut them down.
@@ -176,15 +170,6 @@ type Index struct {
 	hScore        *obs.Histogram
 	hLoad         *obs.Histogram
 	hSwap         *obs.Histogram
-}
-
-// resetKernelState drops the incremental-rescore state so the next
-// scoring pass runs in full. Called when the snapshot epoch moves (the
-// conservative choice: the symbolic points cannot change, but a full
-// pass on the new epoch keeps the invariants trivially true).
-func (x *Index) resetKernelState() {
-	x.lastDW = nil
-	x.lastComplete = false
 }
 
 // Open loads the index over a directory produced by Build — flat, sharded
@@ -234,16 +219,24 @@ func newBlockCache(bytes int64) (*chunkstore.BlockCache, error) {
 	return chunkstore.NewBlockCache(budget)
 }
 
+// coordinatorOptions maps the index options onto any coordinator: pl scores
+// the symbolic index whether the rows are local or behind workers.
+func coordinatorOptions(opts Options, pl *pool.Pool) shard.CoordinatorOptions {
+	return shard.CoordinatorOptions{
+		Pool:       pl,
+		Deadline:   opts.ShardDeadline,
+		HedgeDelay: opts.HedgeDelay,
+	}
+}
+
 // localOptions maps the index options onto an in-process coordinator.
 func localOptions(opts Options, pl *pool.Pool, bc *chunkstore.BlockCache) shard.OpenOptions {
 	return shard.OpenOptions{
-		Limiter:    opts.Limiter,
-		Workers:    opts.Workers,
-		Pool:       pl,
-		Deadline:   opts.ShardDeadline,
-		BlockCache: bc,
-		Replicas:   opts.Replication,
-		HedgeDelay: opts.HedgeDelay,
+		CoordinatorOptions: coordinatorOptions(opts, pl),
+		Limiter:            opts.Limiter,
+		Workers:            opts.Workers,
+		BlockCache:         bc,
+		Replicas:           opts.Replication,
 	}
 }
 
@@ -334,15 +327,21 @@ func openSharded(ctx context.Context, dir string, opts Options) (*Index, error) 
 // openRemote serves the index through uei-shardd workers: the fleet
 // handshake fetches the store identity (so no local directory is needed),
 // consistent hashing places each shard on Replication distinct workers,
-// and every per-shard operation travels the HTTP transport with failover
-// and optional hedging. Block caching happens worker-side, so
-// BlockCacheBytes is ignored here.
-func openRemote(ctx context.Context, opts Options) (*Index, error) {
+// and every operation that needs rows travels the HTTP transport with
+// failover and optional hedging. The symbolic index is scored here, on the
+// index's own pool, exactly as over local shards. Block caching happens
+// worker-side, so BlockCacheBytes is ignored here.
+func openRemote(ctx context.Context, opts Options) (idx *Index, err error) {
+	pl := pool.New(opts.Workers)
+	defer func() {
+		if err != nil {
+			pl.Close()
+		}
+	}()
 	coord, err := remote.Connect(ctx, remote.ConnectOptions{
-		Endpoints:   opts.ShardEndpoints,
-		Replication: opts.Replication,
-		Deadline:    opts.ShardDeadline,
-		HedgeDelay:  opts.HedgeDelay,
+		Endpoints:          opts.ShardEndpoints,
+		Replication:        opts.Replication,
+		CoordinatorOptions: coordinatorOptions(opts, pl),
 	})
 	if err != nil {
 		return nil, err
@@ -358,7 +357,7 @@ func openRemote(ctx context.Context, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newIndex(opts, coord, pool.New(opts.Workers))
+	return newIndex(opts, coord, pl)
 }
 
 // newUnlabeledCache builds the memory ledger and the unlabeled cache U an
@@ -404,7 +403,7 @@ func newIndex(opts Options, coord *shard.Coordinator, pl *pool.Pool) (*Index, er
 		grid:        g,
 		budget:      budget,
 		cache:       cache,
-		blk:         kernel.Pack(g.Centers()),
+		blk:         meta.Points,
 		uncertainty: make([]float64, g.NumCells()),
 		pendingCell: memcache.NoRegion,
 		reg:         reg,
@@ -531,18 +530,9 @@ func (x *Index) FetchRows(ctx context.Context, ids []uint32) ([]chunkstore.Merge
 	return x.coord.FetchRows(ctx, ids)
 }
 
-// LastStepDegraded reports whether the most recent EnsureRegion (or
-// scoring pass) had to skip shards or fall back from the winning cell.
+// LastStepDegraded reports whether the most recent EnsureRegion fell back
+// from the winning cell because its owning shard did not answer the load.
 func (x *Index) LastStepDegraded() bool { return x.stepDegraded }
-
-// DegradedShards returns the shards skipped by the latest scoring pass,
-// ascending (nil when all shards are healthy).
-func (x *Index) DegradedShards() []int {
-	if len(x.degradedShards) == 0 {
-		return nil
-	}
-	return append([]int(nil), x.degradedShards...)
-}
 
 // Budget returns the memory ledger.
 func (x *Index) Budget() *memcache.Budget { return x.budget }
@@ -598,23 +588,21 @@ func (x *Index) InitExploration(ctx context.Context) error {
 //  2. Full pass over every point, capturing fresh d_k² bounds when the
 //     model is a DWKNN.
 //
-// The pass scatters to every shard under the per-shard deadline; each
-// shard's scores are published into its own cells' slots only on success,
-// so the result is byte-identical to a serial pass at any worker and shard
-// count. Shards that miss the deadline or fail keep stale scores and are
-// recorded as degraded, excluding their cells from selection until a
-// later pass succeeds.
+// Either way it is one in-process pass over the packed centres on the
+// worker pool — no shard is contacted, whatever the layout — published
+// only when complete, so the result is byte-identical to a serial pass at
+// any worker and shard count and a cancelled pass changes nothing.
 func (x *Index) UpdateUncertainty(ctx context.Context, model learn.Classifier) error {
 	if x.closed.Load() {
 		return ErrClosed
 	}
 	n := x.blk.N
 	x.lastSkipped = 0
-	dw, isDW := learn.AsDWKNN(model)
+	dw, isDW := model.(*learn.DWKNN)
 
-	if isDW && x.lastComplete && x.lastDW != nil {
+	if isDW && x.lastDW != nil {
 		if newRows, ok := dw.AppendDelta(x.lastDW); ok {
-			return x.rescoreDirty(ctx, model, dw, newRows)
+			return x.rescoreDirty(ctx, dw, newRows)
 		}
 	}
 
@@ -627,36 +615,15 @@ func (x *Index) UpdateUncertainty(ctx context.Context, model learn.Classifier) e
 		pass.NeedDK = true
 		pass.DK2 = x.dk2
 	}
-	degraded, err := x.coord.ScoreAllPass(ctx, model, x.uncertainty, pass)
-	if err != nil {
+	if _, err := x.coord.ScoreAllPass(ctx, model, x.uncertainty, pass); err != nil {
 		return fmt.Errorf("core: scoring index points: %w", err)
 	}
-	x.setDegraded(degraded)
-	x.finishFullPass(dw, isDW && len(degraded) == 0, len(degraded) == 0, n)
-	return nil
-}
-
-// setDegraded records the shards a scoring pass skipped.
-func (x *Index) setDegraded(degraded []int) {
-	x.degradedShards = degraded
-	if len(degraded) > 0 {
-		x.stepDegraded = true
-	}
-}
-
-// finishFullPass records the outcome of a full rescore:
-// retain the DWKNN (with its fresh d_k² bounds) for the next delta pass
-// when every cell was scored, otherwise drop the incremental state so the
-// next pass runs in full.
-func (x *Index) finishFullPass(dw *learn.DWKNN, retainDW, complete bool, n int) {
-	if retainDW {
-		x.lastDW = dw
-	} else {
-		x.lastDW = nil
-	}
-	x.lastComplete = complete
+	// Retain the DWKNN (with its fresh d_k² bounds) for the next delta
+	// pass; any other model leaves nothing to extend.
+	x.lastDW = dw
 	x.mCellsScored.Add(int64(n))
 	x.scoresValid = true
+	return nil
 }
 
 // rescoreDirty is the exact incremental pass: the refit model equals the
@@ -666,44 +633,28 @@ func (x *Index) finishFullPass(dw *learn.DWKNN, retainDW, complete bool, n int) 
 // (ties lose to the incumbent on the (distance, index) total order).
 // Clean cells keep bit-identical scores by construction; dirty cells are
 // rescored through the same block kernels as a full pass.
-func (x *Index) rescoreDirty(ctx context.Context, model learn.Classifier, dw *learn.DWKNN, newRows [][]float64) error {
+func (x *Index) rescoreDirty(ctx context.Context, dw *learn.DWKNN, newRows [][]float64) error {
 	n := x.blk.N
+	x.dirtyBuf = x.dirtyBuf[:0]
 	if len(newRows) > 0 {
 		var err error
-		x.dirtyBuf, err = dw.DirtyCells(x.blk, newRows, x.dk2, x.dirtyBuf[:0])
+		x.dirtyBuf, err = dw.DirtyCells(x.blk, newRows, x.dk2, x.dirtyBuf)
 		if err != nil {
 			return fmt.Errorf("core: computing dirty cells: %w", err)
 		}
-	} else {
-		x.dirtyBuf = x.dirtyBuf[:0]
 	}
 	dirty := x.dirtyBuf
-	if len(dirty) == 0 {
-		// The refit cannot have moved any center's neighbor set: every
-		// score and d_k² bound carries over exactly.
-		x.lastDW = dw
-		x.lastSkipped = n
-		x.mCellsSkipped.Add(int64(n))
-		x.scoresValid = true
-		return nil
-	}
-	degraded, err := x.coord.ScoreAllPass(ctx, model, x.uncertainty, shard.ScorePass{
-		Dirty:  dirty,
-		NeedDK: true,
-		DK2:    x.dk2,
-	})
-	if err != nil {
-		return fmt.Errorf("core: scoring index points: %w", err)
-	}
-	x.setDegraded(degraded)
-	if len(degraded) > 0 {
-		// Some dirty cells kept stale scores and stale d_k² bounds:
-		// selection already excludes them, and dropping the retained
-		// model forces the next pass to rescore in full.
-		x.lastDW = nil
-		x.lastComplete = false
-		x.scoresValid = true
-		return nil
+	// With no dirty cell the refit cannot have moved any center's neighbor
+	// set: every score and d_k² bound carries over exactly.
+	if len(dirty) > 0 {
+		_, err := x.coord.ScoreAllPass(ctx, dw, x.uncertainty, shard.ScorePass{
+			Dirty:  dirty,
+			NeedDK: true,
+			DK2:    x.dk2,
+		})
+		if err != nil {
+			return fmt.Errorf("core: scoring index points: %w", err)
+		}
 	}
 	x.lastDW = dw
 	x.lastSkipped = n - len(dirty)
@@ -714,34 +665,19 @@ func (x *Index) rescoreDirty(ctx context.Context, model learn.Classifier, dw *le
 }
 
 // MostUncertainCells returns the top-k cells by symbolic-point uncertainty,
-// descending, with cell id as the deterministic tie-breaker. k is clamped
-// to |P|. Selection is a scatter-gather: each shard reduces its owned
-// cells to a local top-k and the merged candidates are re-ranked with the
-// same comparator, so the result equals a full sort's first k — minus the
-// cells of shards whose scores are stale.
+// descending, with cell id as the deterministic tie-breaker — a full sort's
+// first k. k is clamped to |P|.
 func (x *Index) MostUncertainCells(k int) ([]grid.CellID, error) {
 	return x.mostUncertainCells(context.Background(), k)
 }
 
-// mostUncertainCells is MostUncertainCells with context propagation, so
-// the selection work of a traced step attributes to its score span.
+// mostUncertainCells is MostUncertainCells under the step's context.
 func (x *Index) mostUncertainCells(ctx context.Context, k int) ([]grid.CellID, error) {
 	if !x.scoresValid {
 		return nil, fmt.Errorf("core: UpdateUncertainty has not run for the current model: %w", learn.ErrNotFitted)
 	}
-	cells, newlyDegraded, err := x.coord.MostUncertain(ctx, x.uncertainty, k, x.degradedShards)
-	if err != nil {
-		return nil, err
-	}
-	// A shard failing the top-k call itself joins the degraded set until
-	// the next successful scoring pass (it cannot be in the set already:
-	// skipped shards are not contacted).
-	if len(newlyDegraded) > 0 {
-		x.stepDegraded = true
-		x.degradedShards = append(append([]int(nil), x.degradedShards...), newlyDegraded...)
-		sort.Ints(x.degradedShards)
-	}
-	return cells, nil
+	cells, _, err := x.coord.MostUncertain(ctx, x.uncertainty, k, nil)
+	return cells, err
 }
 
 // CellUncertainty returns the last computed uncertainty of a cell.
@@ -790,21 +726,10 @@ func (x *Index) EnsureRegion(ctx context.Context, model learn.Classifier) (grid.
 			return 0, err
 		}
 	}
-	// Shards skipped by the (possibly earlier) scoring pass still degrade
-	// this step: their cells are excluded from selection below.
-	if len(x.degradedShards) > 0 {
-		x.stepDegraded = true
-	}
 	top, err := x.mostUncertainCells(sctx, 2)
 	if err != nil {
 		score.End(nil)
 		return 0, err
-	}
-	if len(top) == 0 {
-		// Only possible when degraded shards own every cell with a live
-		// score; the healthy shards have nothing to offer this iteration.
-		score.End(nil)
-		return 0, fmt.Errorf("core: no selectable cells (degraded shards %v): %w", x.degradedShards, shard.ErrShardUnavailable)
 	}
 	x.hScore.ObserveDuration(score.End(map[string]float64{
 		"points":  float64(x.blk.N),
@@ -832,21 +757,23 @@ func (x *Index) EnsureRegion(ctx context.Context, model learn.Classifier) (grid.
 			"degraded":      boolAttr(outcome == "degraded"),
 		}))
 	}
-	// failLoad resolves a failed load of the target cell. When the cell's
-	// shard is unavailable the step degrades instead of failing: fall back
-	// to the runner-up cell, then to the resident region. Any other error,
-	// or nothing to fall back to, propagates.
+	// failLoad resolves a failed load of the target cell. When no replica
+	// of the cell's shard answered, the step degrades instead of failing:
+	// fall back to the most uncertain cell some other shard owns (asking
+	// the failed shard for its runner-up would only wait out a second
+	// deadline), then to the resident region. Any other error, or nothing
+	// to fall back to, propagates.
 	failLoad := func(err error) (grid.CellID, error) {
 		if errors.Is(err, shard.ErrShardUnavailable) {
 			x.stepDegraded = true
-			if len(top) > 1 {
-				if ids, rows, lerr := x.loadCell(lctx, int(top[1])); lerr == nil {
-					target = top[1]
+			if alt, ok := x.bestCellOutsideOwner(lctx, target); ok {
+				if ids, rows, lerr := x.loadCell(lctx, int(alt)); lerr == nil {
+					target = alt
 					endLoad("degraded")
-					if err := x.installRegion(ctx, int(top[1]), ids, rows); err != nil {
+					if err := x.installRegion(ctx, int(alt), ids, rows); err != nil {
 						return 0, err
 					}
-					return top[1], nil
+					return alt, nil
 				}
 			}
 			if resident != memcache.NoRegion {
@@ -917,6 +844,20 @@ func (x *Index) EnsureRegion(ctx context.Context, model learn.Classifier) (grid.
 	}
 	x.prefetchRunnerUp(top)
 	return target, nil
+}
+
+// bestCellOutsideOwner returns the most uncertain cell not owned by cell's
+// shard; ok is false when that shard owns every cell (S = 1).
+func (x *Index) bestCellOutsideOwner(ctx context.Context, cell grid.CellID) (alt grid.CellID, ok bool) {
+	owner, err := x.coord.OwnerOfCell(cell)
+	if err != nil {
+		return 0, false
+	}
+	best, _, err := x.coord.MostUncertain(ctx, x.uncertainty, 1, []int{owner})
+	if err != nil || len(best) == 0 {
+		return 0, false
+	}
+	return best[0], true
 }
 
 // boolAttr encodes a flag as a trace attribute.
@@ -1119,29 +1060,6 @@ func (x *Index) ResultRetrieval(ctx context.Context, model learn.Classifier, min
 	// put in order, never the scanned rows.
 	slices.Sort(out)
 	return out, nil
-}
-
-// CellEstimate exposes the mapping's I/O cost estimate for a cell (the
-// estimate from the cell's owning shard, summed over its parts).
-func (x *Index) CellEstimate(id grid.CellID) (bytes int64, entries int, err error) {
-	return x.coord.CostEstimate(id)
-}
-
-// MeanCellBytes reports the average estimated load cost across all cells —
-// a build-quality diagnostic surfaced by uei-ingest.
-func (x *Index) MeanCellBytes() float64 {
-	var total int64
-	for c := 0; c < x.grid.NumCells(); c++ {
-		b, _, err := x.CellEstimate(grid.CellID(c))
-		if err != nil {
-			continue
-		}
-		total += b
-	}
-	if x.grid.NumCells() == 0 {
-		return 0
-	}
-	return float64(total) / float64(x.grid.NumCells())
 }
 
 // Uncertainties returns a copy of the symbolic-point uncertainty vector,

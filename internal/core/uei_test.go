@@ -121,9 +121,6 @@ func TestOpenDefaults(t *testing.T) {
 	if idx.ResidentRegion() != memcache.NoRegion {
 		t.Error("fresh index should have no resident region")
 	}
-	if idx.MeanCellBytes() <= 0 {
-		t.Error("MeanCellBytes should be positive")
-	}
 }
 
 func TestInitExplorationRespectsGamma(t *testing.T) {

@@ -293,17 +293,3 @@ func (m *Mapping) Chunks(id CellID) ([]chunkstore.ChunkMeta, error) {
 	}
 	return out, nil
 }
-
-// CostEstimate returns the bytes and posting entries that loading the cell
-// would read — the e term of the paper's O(k·e) bound — without any I/O.
-func (m *Mapping) CostEstimate(id CellID) (bytes int64, entries int, err error) {
-	chunks, err := m.Chunks(id)
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, c := range chunks {
-		bytes += c.Bytes
-		entries += c.Entries
-	}
-	return bytes, entries, nil
-}

@@ -96,7 +96,8 @@ func (p *UEIProvider) Retrieve(ctx context.Context, model learn.Classifier) ([]u
 }
 
 // LastStepDegraded reports whether the index's latest EnsureRegion ran
-// degraded (a sharded index skipped unavailable shards); the engine
+// degraded (the winning cell's shard was unavailable and the step fell
+// back to another cell or the resident region); the engine
 // surfaces it on the iteration's Proposal and IterationInfo.
 func (p *UEIProvider) LastStepDegraded() bool { return p.idx.LastStepDegraded() }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"github.com/uei-db/uei/internal/al"
@@ -117,13 +118,20 @@ func TestShardedSessionParity(t *testing.T) {
 }
 
 // TestShardedSessionDegradedFlag drives a session over a sharded store
-// with one shard failing its scoring pass and checks the degradation flag
-// reaches the IDE layer's per-iteration surface.
+// with one shard failing its cell loads — the shard the session's first
+// load goes to, so the first winner is refused — and checks the degradation
+// flag reaches the IDE layer's per-iteration surface.
 func TestShardedSessionDegradedFlag(t *testing.T) {
 	f := newFixture(t, 1200, 0.05)
 	p := f.ueiShardedProvider(t, 150, 4)
+	var victim atomic.Int32
+	victim.Store(-1)
 	p.idx.ShardCoordinator().SetFaultHook(func(_ context.Context, s, _ int, op string) error {
-		if s == 1 && op == shard.OpScore {
+		if op != shard.OpLoad {
+			return nil
+		}
+		victim.CompareAndSwap(-1, int32(s))
+		if int32(s) == victim.Load() {
 			return errors.New("injected fault")
 		}
 		return nil

@@ -20,37 +20,6 @@ type BlockClassifier interface {
 	BlockPosterior(blk *kernel.Block, lo, hi int, out []float64) error
 }
 
-// classifierUnwrapper is implemented by decorators (e.g. the shard layer's
-// serialization memoizer) that wrap a Classifier without re-implementing
-// its optimized paths.
-type classifierUnwrapper interface{ UnwrapClassifier() Classifier }
-
-// UnwrapClassifier peels decorator layers off c until the innermost
-// classifier is reached.
-func UnwrapClassifier(c Classifier) Classifier {
-	for {
-		u, ok := c.(classifierUnwrapper)
-		if !ok {
-			return c
-		}
-		c = u.UnwrapClassifier()
-	}
-}
-
-// AsBlockClassifier reports whether c (possibly behind decorators) has a
-// columnar scoring path.
-func AsBlockClassifier(c Classifier) (BlockClassifier, bool) {
-	bc, ok := UnwrapClassifier(c).(BlockClassifier)
-	return bc, ok
-}
-
-// AsDWKNN reports whether c (possibly behind decorators) is a DWKNN — the
-// model with an exact incremental rescoring rule.
-func AsDWKNN(c Classifier) (*DWKNN, bool) {
-	dw, ok := UnwrapClassifier(c).(*DWKNN)
-	return dw, ok
-}
-
 // rowScratchPool backs the row-reconstruction fallback for classifiers
 // without a block path.
 var rowScratchPool = sync.Pool{New: func() any { return new([]float64) }}
@@ -64,7 +33,7 @@ func BlockPosteriorsInto(ctx context.Context, c Classifier, blk *kernel.Block, l
 	if hi-lo != len(out) {
 		return fmt.Errorf("learn: %d block points but %d output slots", hi-lo, len(out))
 	}
-	bc, hasBlock := AsBlockClassifier(c)
+	bc, hasBlock := c.(BlockClassifier)
 	var row []float64
 	var rowPtr *[]float64
 	if !hasBlock {

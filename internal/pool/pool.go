@@ -88,77 +88,29 @@ func (p *Pool) Close() {
 // dispatch and is returned as ctx.Err(). With one worker (or n small) fn
 // runs inline, making the serial path identical to a plain loop.
 func (p *Pool) Do(ctx context.Context, n int, fn func(lo, hi int) error) error {
+	return p.DoCapped(ctx, n, p.workers, fn)
+}
+
+// DoCapped is Do with an additional ceiling on the shard count — the seam
+// for small work items (incremental dirty-cell rescoring) where fanning a
+// few thousand floats across every worker costs more in handoff than it
+// saves in compute. maxShards <= 1 runs fn inline. The sharding math does
+// not depend on the cap (contiguous disjoint ranges, first error by shard
+// order), so results are byte-identical at any cap.
+func (p *Pool) DoCapped(ctx context.Context, n, maxShards int, fn func(lo, hi int) error) error {
 	if n <= 0 {
 		return nil
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	shards := p.workers
-	if shards > n {
-		shards = n
-	}
+	shards := min(maxShards, p.workers, n)
 	if shards <= 1 || p.tasks == nil {
 		err := fn(0, n)
 		p.observe(1, 0, 0)
 		return err
 	}
 
-	errs := make([]error, shards)
-	var busyNanos atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for s := 0; s < shards; s++ {
-		lo := s * n / shards
-		hi := (s + 1) * n / shards
-		s := s
-		wg.Add(1)
-		p.tasks <- func() {
-			defer wg.Done()
-			t0 := time.Now()
-			errs[s] = fn(lo, hi)
-			busyNanos.Add(int64(time.Since(t0)))
-		}
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	p.observe(shards, busyNanos.Load(), wall.Nanoseconds())
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return ctx.Err()
-}
-
-// DoCapped is Do with an additional ceiling on the shard count — the seam
-// for small work items (incremental dirty-cell rescoring) where fanning a
-// few thousand floats across every worker costs more in handoff than it
-// saves in compute. maxShards <= 1 runs fn inline. Sharding math is
-// identical to Do's (contiguous disjoint ranges, first error by shard
-// order), so results are byte-identical at any cap.
-func (p *Pool) DoCapped(ctx context.Context, n, maxShards int, fn func(lo, hi int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if maxShards <= 1 || p.tasks == nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		err := fn(0, n)
-		p.observe(1, 0, 0)
-		return err
-	}
-	if maxShards >= p.workers {
-		return p.Do(ctx, n, fn)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	shards := maxShards
-	if shards > n {
-		shards = n
-	}
 	errs := make([]error, shards)
 	var busyNanos atomic.Int64
 	var wg sync.WaitGroup

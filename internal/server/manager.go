@@ -364,9 +364,9 @@ type StepResponse struct {
 	Iterations int            `json:"iterations"`
 	// Positives is the final result cardinality, set when Done.
 	Positives int `json:"positives,omitempty"`
-	// Degraded marks steps a sharded index completed with one or more
-	// shards skipped (deadline missed or failed); the selection is still
-	// valid but was made over the healthy shards only.
+	// Degraded marks steps that could not load their most uncertain cell
+	// (its shard failed or missed the deadline) and explored another
+	// cell or the resident region instead; the selection is still valid.
 	Degraded bool `json:"degraded,omitempty"`
 	// TraceID identifies this step's trace in the server's trace stream
 	// (set only when the server runs with tracing enabled; also returned

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,9 +34,10 @@ func buildShardedStore(t testing.TB, n, shards int) string {
 
 // TestTracedDegradedShardedStep is the end-to-end trace acceptance test:
 // a sharded manager with tracing on takes steps while one shard is forced
-// to miss its deadline. The degraded step's trace must reconstruct with no
-// orphans, contain the failing shard's span annotated with its id and
-// "timeout" outcome, return its trace id in the step response, attribute
+// to miss its deadline on every cell load. The degraded step's trace must
+// reconstruct with no orphans, contain the failing shard's load span
+// annotated with its id and "timeout" outcome beside the fallback load the
+// other shard answered, return its trace id in the step response, attribute
 // the step wall time to phases, and feed the SLO accountant.
 func TestTracedDegradedShardedStep(t *testing.T) {
 	dir := buildShardedStore(t, 2000, 2)
@@ -48,10 +51,17 @@ func TestTracedDegradedShardedStep(t *testing.T) {
 		c.SLOBudget = time.Nanosecond // every completed step violates
 	})
 
-	// Shard 1 hangs its scoring pass until the per-shard deadline fires,
-	// so every scoring fan-out degrades with a genuine timeout.
+	// The shard the first cell load goes to — the owner of the session's
+	// first winning cell — hangs every load until the per-shard deadline
+	// fires, so that step degrades with a genuine timeout.
+	var victimShard atomic.Int32
+	victimShard.Store(-1)
 	m.Index().ShardCoordinator().SetFaultHook(func(ctx context.Context, s, _ int, op string) error {
-		if s == 1 && op == shard.OpScore {
+		if op != shard.OpLoad {
+			return nil
+		}
+		victimShard.CompareAndSwap(-1, int32(s))
+		if int32(s) == victimShard.Load() {
 			<-ctx.Done()
 			return ctx.Err()
 		}
@@ -82,6 +92,7 @@ func TestTracedDegradedShardedStep(t *testing.T) {
 	if degraded.TraceID == "" {
 		t.Fatal("no step degraded despite the hung shard")
 	}
+	victim := float64(victimShard.Load())
 
 	events, err := obs.ReadTrace(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -107,18 +118,19 @@ func TestTracedDegradedShardedStep(t *testing.T) {
 		t.Errorf("root outcome = %q, want degraded", st.Root.Ev.Outcome)
 	}
 
-	// The failing shard's span must be present, annotated with its id,
-	// deadline, and timeout outcome; the healthy shard must read ok.
+	// The failing shard's load span must be present, annotated with its
+	// id, deadline, and timeout outcome; the fallback load, on the healthy
+	// shard, must read ok.
 	var timeoutSpans, okSpans int
 	walk(st.Root, func(n *obs.SpanNode) {
-		if n.Ev.Phase != "shard_"+shard.OpScore {
+		if n.Ev.Phase != "shard_"+shard.OpLoad {
 			return
 		}
 		switch n.Ev.Outcome {
 		case "timeout":
 			timeoutSpans++
-			if n.Ev.Attrs["shard"] != 1 {
-				t.Errorf("timeout span attrs = %v, want shard 1", n.Ev.Attrs)
+			if n.Ev.Attrs["shard"] != victim {
+				t.Errorf("timeout span attrs = %v, want shard %v", n.Ev.Attrs, victim)
 			}
 			if n.Ev.Attrs["deadline_ms"] != float64(deadline/time.Millisecond) {
 				t.Errorf("timeout span deadline = %v, want %d", n.Ev.Attrs["deadline_ms"], deadline/time.Millisecond)
@@ -128,15 +140,15 @@ func TestTracedDegradedShardedStep(t *testing.T) {
 			}
 		case "ok":
 			okSpans++
-			if n.Ev.Attrs["shard"] != 0 {
-				t.Errorf("ok span attrs = %v, want shard 0", n.Ev.Attrs)
+			if n.Ev.Attrs["shard"] == victim {
+				t.Errorf("ok span attrs = %v on the hung shard %v", n.Ev.Attrs, victim)
 			}
 		default:
 			t.Errorf("unexpected shard span outcome %q", n.Ev.Outcome)
 		}
 	})
-	if timeoutSpans == 0 || okSpans == 0 {
-		t.Errorf("shard spans: %d timeout, %d ok; want both present", timeoutSpans, okSpans)
+	if timeoutSpans != 1 || okSpans != 1 {
+		t.Errorf("shard load spans: %d timeout, %d ok; want one of each (one deadline wait, then the fallback)", timeoutSpans, okSpans)
 	}
 
 	// Budget attribution: with the 150ms shard timeout dominating the
@@ -152,13 +164,13 @@ func TestTracedDegradedShardedStep(t *testing.T) {
 	if m.SLO().Steps() == 0 || m.SLO().Violations() == 0 {
 		t.Errorf("SLO steps=%d violations=%d, want both positive", m.SLO().Steps(), m.SLO().Violations())
 	}
-	if v := m.Registry().Gauge(`slo_violation_phase_seconds{phase="score"}`).Value(); v <= 0 {
-		t.Errorf("score attribution gauge = %v, want positive", v)
+	if v := m.Registry().Gauge(`slo_violation_phase_seconds{phase="load"}`).Value(); v <= 0 {
+		t.Errorf("load attribution gauge = %v, want positive", v)
 	}
 	if c := m.Registry().Counter(`shard_degraded_cause_total{cause="deadline"}`).Value(); c == 0 {
 		t.Error("deadline-miss cause counter did not increment")
 	}
-	if c := m.Registry().Counter(`shard_skip_total{shard="1"}`).Value(); c == 0 {
+	if c := m.Registry().Counter(fmt.Sprintf(`shard_skip_total{shard="%d"}`, victimShard.Load())).Value(); c == 0 {
 		t.Error("per-shard skip counter did not increment")
 	}
 }

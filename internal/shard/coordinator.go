@@ -13,6 +13,7 @@ import (
 	"github.com/uei-db/uei/internal/chunkstore"
 	"github.com/uei-db/uei/internal/grid"
 	"github.com/uei-db/uei/internal/iothrottle"
+	"github.com/uei-db/uei/internal/kernel"
 	"github.com/uei-db/uei/internal/learn"
 	"github.com/uei-db/uei/internal/obs"
 	"github.com/uei-db/uei/internal/pool"
@@ -20,16 +21,14 @@ import (
 )
 
 // ErrShardUnavailable marks a shard that missed its deadline or failed an
-// operation on every replica. Callers that can degrade (the per-iteration
-// paths) treat it as "skip this shard for now"; strict paths surface it.
-// Match with errors.Is.
+// operation on every replica. A cell load's caller degrades on it (another
+// cell, the resident region); fetches and retrieval need every shard and
+// surface it. Match with errors.Is.
 var ErrShardUnavailable = errors.New("shard unavailable")
 
 // Operation names passed to the fault hook and used in error messages and
 // span names.
 const (
-	OpScore    = "score"
-	OpTopK     = "topk"
 	OpLoad     = "load"
 	OpFetch    = "fetch"
 	OpRetrieve = "retrieve"
@@ -98,8 +97,6 @@ type Shard struct {
 	// Parts are the shard's immutable data parts. Rows are disjoint
 	// across parts (every global row rests in exactly one part).
 	Parts []Part
-	// Cells lists the grid cells this shard owns, ascending.
-	Cells []grid.CellID
 }
 
 // RowCount sums the parts' rows.
@@ -113,19 +110,14 @@ func (s *Shard) RowCount() int {
 
 // OpenOptions configures Open.
 type OpenOptions struct {
+	// CoordinatorOptions carries the transport-agnostic part: the scoring
+	// pool, the per-shard deadline and the hedge delay.
+	CoordinatorOptions
 	// Limiter, when non-nil, meters chunk reads of every shard store
 	// (one shared limiter — the shards model one storage device).
 	Limiter *iothrottle.Limiter
 	// Workers bounds each shard store's internal read fan-out.
 	Workers int
-	// Pool runs the CPU-side fan-out (scoring, top-k). Shards share the
-	// caller's pool rather than owning threads; nil falls back to an
-	// inline single-worker pool.
-	Pool *pool.Pool
-	// Deadline bounds every per-shard attempt; a shard whose replicas all
-	// miss it is skipped for the iteration (degraded) on degradable
-	// paths. Zero disables the deadline.
-	Deadline time.Duration
 	// BlockCache, when non-nil, is shared across all shard stores; each
 	// store is installed with a distinct cache key prefix so identical
 	// chunk file names in different shards cannot collide.
@@ -135,29 +127,33 @@ type OpenOptions struct {
 	// hedging and failover semantics — useful under injected faults and
 	// in tests — without extra memory. Zero and 1 both mean unreplicated.
 	Replicas int
-	// HedgeDelay, when positive and Replicas > 1, launches the operation
-	// on a second replica after this delay if the first has not answered;
-	// the first reply wins and the loser is cancelled. Zero disables
-	// hedging (failover on error still applies).
-	HedgeDelay time.Duration
 }
 
 // CoordinatorOptions configures NewCoordinator (the transport-agnostic
 // constructor; Open wraps it for the local on-disk layout).
 type CoordinatorOptions struct {
-	// Deadline bounds every per-shard attempt (zero disables).
+	// Pool runs the scoring passes over the symbolic index points. The
+	// coordinator borrows the caller's pool rather than owning threads;
+	// nil scores inline on the calling goroutine.
+	Pool *pool.Pool
+	// Deadline bounds every per-shard attempt; a cell load whose owner's
+	// replicas all miss it degrades the step. Zero disables the deadline.
 	Deadline time.Duration
-	// HedgeDelay fires the hedged second attempt (zero disables hedging).
+	// HedgeDelay, when positive and a shard has more than one replica,
+	// launches the operation on a second replica after this delay if the
+	// first has not answered; the first reply wins and the loser is
+	// cancelled. Zero disables hedging (failover on error still applies).
 	HedgeDelay time.Duration
 }
 
-// Coordinator fans per-iteration work out to every shard and merges the
-// answers. It speaks only the Backend interface, so shards may live
-// in-process (Open) or behind remote workers (NewCoordinator with remote
-// client backends). With all shards healthy its results are exactly those
-// of one store over the same dataset (S = 1 is how a flat store is read);
-// with some shards degraded it returns the healthy subset and reports
-// which shards were skipped.
+// Coordinator owns the symbolic index — the packed cell centres, scored
+// and ranked in-process on the caller's pool — and routes everything that
+// needs rows to the shards holding them: a cell load to the cell's owner,
+// fetches and retrieval to every shard. It speaks only the Backend
+// interface, so shards may live in-process (Open) or behind remote workers
+// (NewCoordinator with remote client backends); either way its results are
+// exactly those of one store over the same dataset (S = 1 is how a flat
+// store is read).
 //
 // Replication: each shard may have R backends. An operation runs on the
 // primary first, fails over to the next replica on error, and — when a
@@ -180,14 +176,9 @@ type Coordinator struct {
 	shards []*Shard
 	// ownerByCell[cell] is the owning shard of each grid cell.
 	ownerByCell []int
-	// ownedCells[s] lists shard s's cells ascending — the alignment
-	// contract of Backend.ScoreAll/MostUncertain.
-	ownedCells [][]grid.CellID
-	// cellLocal[cell] is the cell's position within its owner's ownedCells
-	// list — the global→owned-local index map dirty-set scoring routes
-	// through.
-	cellLocal []int
-	cache     *chunkstore.BlockCache
+	// pool runs the scoring passes; borrowed from the caller, never nil.
+	pool  *pool.Pool
+	cache *chunkstore.BlockCache
 
 	deadline   atomic.Int64 // nanoseconds; 0 = none
 	hedgeDelay atomic.Int64 // nanoseconds; 0 = no hedging
@@ -197,10 +188,10 @@ type Coordinator struct {
 }
 
 // instruments are the coordinator's counters, bound by Instrument and
-// shared by the epochs of one store (NextEpoch). mDegraded counts shard
-// skips (shard_degraded_total); nil-safe. The cause-split counters
-// attribute each skip to a deadline miss vs a shard error, and mSkip[i]
-// counts skips of shard i specifically. mHedged counts hedged second
+// shared by the epochs of one store (NextEpoch). mDegraded counts cell
+// loads no replica of the owner answered (shard_degraded_total); nil-safe.
+// The cause-split counters attribute each to a deadline miss vs a shard
+// error, and mSkip[i] counts those of shard i specifically. mHedged counts hedged second
 // attempts, mFailover error-triggered replica failovers.
 type instruments struct {
 	mDegraded         *obs.Counter
@@ -223,7 +214,7 @@ func Open(ctx context.Context, dir string, opts OpenOptions) (*Coordinator, erro
 	if err != nil {
 		return nil, err
 	}
-	g, err := grid.New(vec.NewBox(man.MinValues, man.MaxValues), man.SegmentsPerDim)
+	g, err := man.grid()
 	if err != nil {
 		return nil, err
 	}
@@ -265,8 +256,7 @@ func Open(ctx context.Context, dir string, opts OpenOptions) (*Coordinator, erro
 // shards — the tail of Open, also the entry point for a flat store (one
 // shard, one part, nil idmap) and for live (stream) snapshots, whose
 // multi-part shards are opened and cached by the stream DB rather than
-// loaded from a build-time directory. Shard IDs and owned cells are
-// (re)assigned here from the manifest's grid.
+// loaded from a build-time directory. Shard IDs are (re)assigned here.
 func NewLocalCoordinator(man *Manifest, shards []*Shard, opts OpenOptions) (*Coordinator, error) {
 	if err := man.validate(); err != nil {
 		return nil, err
@@ -274,23 +264,9 @@ func NewLocalCoordinator(man *Manifest, shards []*Shard, opts OpenOptions) (*Coo
 	if len(shards) != man.Shards {
 		return nil, fmt.Errorf("shard: %d shards for a %d-shard manifest", len(shards), man.Shards)
 	}
-	g, err := grid.New(vec.NewBox(man.MinValues, man.MaxValues), man.SegmentsPerDim)
+	g, err := man.grid()
 	if err != nil {
 		return nil, err
-	}
-	owners, err := CellOwners(g, man.Shards)
-	if err != nil {
-		return nil, err
-	}
-	centers := g.Centers()
-	ownedCenters := make([][]vec.Point, man.Shards)
-	for s := range shards {
-		shards[s].ID = s
-		shards[s].Cells = nil
-	}
-	for id, o := range owners {
-		shards[o].Cells = append(shards[o].Cells, grid.CellID(id))
-		ownedCenters[o] = append(ownedCenters[o], centers[id])
 	}
 	rep := opts.Replicas
 	if rep < 1 {
@@ -298,7 +274,8 @@ func NewLocalCoordinator(man *Manifest, shards []*Shard, opts OpenOptions) (*Coo
 	}
 	backends := make([][]Backend, man.Shards)
 	for s, sh := range shards {
-		lb := NewLocalBackend(sh, g, sh.Cells, ownedCenters[s], opts.Pool)
+		sh.ID = s
+		lb := NewLocalBackend(sh, g)
 		for i := 0; i < rep; i++ {
 			// In-process replicas share the backend: the store is
 			// concurrency-safe, and one I/O counter per shard keeps stats
@@ -306,10 +283,7 @@ func NewLocalCoordinator(man *Manifest, shards []*Shard, opts OpenOptions) (*Coo
 			backends[s] = append(backends[s], lb)
 		}
 	}
-	c, err := newCoordinator(man, g, owners, backends, CoordinatorOptions{
-		Deadline:   opts.Deadline,
-		HedgeDelay: opts.HedgeDelay,
-	})
+	c, err := newCoordinator(man, g, backends, opts.CoordinatorOptions)
 	if err != nil {
 		return nil, err
 	}
@@ -321,9 +295,9 @@ func NewLocalCoordinator(man *Manifest, shards []*Shard, opts OpenOptions) (*Coo
 // NextEpoch returns a coordinator over another epoch of the local store c
 // serves (a live snapshot advance): shards carry the new epoch's parts and
 // man its row counts, while everything an epoch cannot change — grid, cell
-// ownership, every shard's packed symbolic points, pool, block cache,
-// deadlines, instruments — is shared with c instead of rebuilt, so an
-// advance costs O(S), not O(cells), in time and memory.
+// ownership, the packed symbolic points, pool, block cache, deadlines,
+// instruments — is shared with c instead of rebuilt, so an advance costs
+// O(S), not O(cells), in time and memory.
 func (c *Coordinator) NextEpoch(man *Manifest, shards []*Shard) (*Coordinator, error) {
 	if c.shards == nil || man.Shards != len(c.shards) || len(shards) != len(c.shards) {
 		return nil, fmt.Errorf("shard: next epoch has %d shards (manifest: %d), the local coordinator %d", len(shards), man.Shards, len(c.shards))
@@ -333,19 +307,18 @@ func (c *Coordinator) NextEpoch(man *Manifest, shards []*Shard) (*Coordinator, e
 		shards:      shards,
 		replicas:    make([][]Backend, len(shards)),
 		ownerByCell: c.ownerByCell,
-		ownedCells:  c.ownedCells,
-		cellLocal:   c.cellLocal,
+		pool:        c.pool,
 		cache:       c.cache,
 		instruments: c.instruments,
 	}
 	next.meta.RowCount, next.meta.TotalBytes = man.RowCount, 0
 	for s, sh := range shards {
-		lb := *c.replicas[s][0].(*LocalBackend)
-		sh.ID, sh.Cells, lb.shard = s, lb.cells, sh
+		sh.ID = s
+		lb := NewLocalBackend(sh, c.meta.Grid)
 		for range c.replicas[s] {
-			next.replicas[s] = append(next.replicas[s], &lb)
+			next.replicas[s] = append(next.replicas[s], lb)
 		}
-		next.statBackends = append(next.statBackends, &lb)
+		next.statBackends = append(next.statBackends, lb)
 		next.meta.TotalBytes += lb.Stats().TotalBytes
 	}
 	next.deadline.Store(c.deadline.Load())
@@ -361,20 +334,16 @@ func NewCoordinator(man *Manifest, replicas [][]Backend, opts CoordinatorOptions
 	if man == nil {
 		return nil, fmt.Errorf("shard: nil manifest")
 	}
-	g, err := grid.New(vec.NewBox(man.MinValues, man.MaxValues), man.SegmentsPerDim)
+	g, err := man.grid()
 	if err != nil {
 		return nil, err
 	}
-	owners, err := CellOwners(g, man.Shards)
-	if err != nil {
-		return nil, err
-	}
-	return newCoordinator(man, g, owners, replicas, opts)
+	return newCoordinator(man, g, replicas, opts)
 }
 
-// newCoordinator finishes construction over a prebuilt grid and ownership
-// table.
-func newCoordinator(man *Manifest, g *grid.Grid, owners []int, replicas [][]Backend, opts CoordinatorOptions) (*Coordinator, error) {
+// newCoordinator finishes construction over the manifest's grid: cell
+// ownership and the packed symbolic points are derived here, once.
+func newCoordinator(man *Manifest, g *grid.Grid, replicas [][]Backend, opts CoordinatorOptions) (*Coordinator, error) {
 	if err := man.validate(); err != nil {
 		return nil, err
 	}
@@ -384,8 +353,13 @@ func newCoordinator(man *Manifest, g *grid.Grid, owners []int, replicas [][]Back
 	if opts.Deadline < 0 || opts.HedgeDelay < 0 {
 		return nil, fmt.Errorf("shard: negative deadline (%v) or hedge delay (%v)", opts.Deadline, opts.HedgeDelay)
 	}
+	owners, err := CellOwners(g, man.Shards)
+	if err != nil {
+		return nil, err
+	}
 	minRep := 0
 	var stat []Backend
+	var totalBytes int64
 	for s, reps := range replicas {
 		if len(reps) == 0 {
 			return nil, fmt.Errorf("shard: shard %d has no backends", s)
@@ -397,36 +371,23 @@ func newCoordinator(man *Manifest, g *grid.Grid, owners []int, replicas [][]Back
 			if b == nil {
 				return nil, fmt.Errorf("shard: shard %d has a nil backend", s)
 			}
-			dup := false
-			for _, seen := range stat {
-				if seen == b {
-					dup = true
-					break
-				}
-			}
-			if !dup {
+			if !slices.Contains(stat, b) {
 				stat = append(stat, b)
+				totalBytes += b.Stats().TotalBytes
 			}
 		}
 	}
-	ownedCells := make([][]grid.CellID, man.Shards)
-	cellLocal := make([]int, len(owners))
-	for id, o := range owners {
-		cellLocal[id] = len(ownedCells[o])
-		ownedCells[o] = append(ownedCells[o], grid.CellID(id))
-	}
-	var totalBytes int64
-	for _, b := range stat {
-		totalBytes += b.Stats().TotalBytes
+	if opts.Pool == nil {
+		opts.Pool = pool.New(1) // one worker runs inline and owns no goroutine
 	}
 	c := &Coordinator{
 		replicas:     replicas,
 		statBackends: stat,
 		ownerByCell:  owners,
-		ownedCells:   ownedCells,
-		cellLocal:    cellLocal,
+		pool:         opts.Pool,
 		meta: Meta{
 			Grid:           g,
+			Points:         kernel.Pack(g.Centers()),
 			Shards:         man.Shards,
 			Replication:    minRep,
 			SegmentsPerDim: man.SegmentsPerDim,
@@ -533,8 +494,8 @@ func (c *Coordinator) Instrument(reg *obs.Registry) {
 	}
 }
 
-// recordDegraded counts one shard skip, attributing the cause (deadline
-// miss vs shard error) and the shard identity. Nil-safe before
+// recordDegraded counts one failed cell load, attributing the cause
+// (deadline miss vs shard error) and the shard identity. Nil-safe before
 // Instrument.
 func (c *Coordinator) recordDegraded(id int, err error) {
 	c.mDegraded.Inc()
@@ -677,15 +638,15 @@ func callShard[T any](c *Coordinator, ctx context.Context, shardID int, op strin
 
 // scatterGather fans fn out to every shard — one callShard per shard, so
 // each fan-out leg gets replication, failover, and hedging — and applies
-// the successful results in the single gather goroutine (apply needs no
-// locking). In degradable mode (strict=false) shards whose replicas all
-// failed are recorded and skipped; in strict mode the first such shard
-// aborts. Cancellation of ctx propagates to every in-flight attempt, and
-// buffered channels at both levels guarantee goroutine termination even
-// when scatterGather returns early.
-func scatterGather[T any](c *Coordinator, ctx context.Context, op string, strict bool, fn func(ctx context.Context, shardID int, b Backend) (T, error), apply func(shardID int, v T)) (degraded []int, err error) {
+// the results in the single gather goroutine (apply needs no locking).
+// Its callers need every shard's rows, so the first shard whose replicas
+// all failed aborts the call with ErrShardUnavailable. Cancellation of ctx
+// propagates to every in-flight attempt, and buffered channels at both
+// levels guarantee goroutine termination even when scatterGather returns
+// early.
+func scatterGather[T any](c *Coordinator, ctx context.Context, op string, fn func(ctx context.Context, b Backend) (T, error), apply func(shardID int, v T)) error {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	scatterCtx, cancelAll := context.WithCancel(ctx)
 	defer cancelAll()
@@ -697,298 +658,173 @@ func scatterGather[T any](c *Coordinator, ctx context.Context, op string, strict
 	results := make(chan shardAnswer, len(c.replicas))
 	for id := range c.replicas {
 		go func(id int) {
-			v, err := callShard(c, scatterCtx, id, op, func(sctx context.Context, b Backend) (T, error) {
-				return fn(sctx, id, b)
-			})
+			v, err := callShard(c, scatterCtx, id, op, fn)
 			results <- shardAnswer{id, v, err}
 		}(id)
 	}
 	for range c.replicas {
 		r := <-results
 		if r.err == nil {
-			if apply != nil {
-				apply(r.id, r.v)
-			}
+			apply(r.id, r.v)
 			continue
 		}
 		if ctx.Err() != nil {
-			// The caller cancelled: that is not shard degradation. The
+			// The caller cancelled: that is not a shard failure. The
 			// deferred cancelAll stops any stragglers.
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
-		if strict {
-			return nil, fmt.Errorf("shard %d %s: %w", r.id, op, errors.Join(ErrShardUnavailable, r.err))
-		}
-		c.recordDegraded(r.id, r.err)
-		degraded = append(degraded, r.id)
+		return fmt.Errorf("shard %d %s: %w", r.id, op, errors.Join(ErrShardUnavailable, r.err))
 	}
-	sort.Ints(degraded)
-	if len(degraded) == len(c.replicas) {
-		return degraded, fmt.Errorf("shard: all %d shards unavailable for %s: %w", len(c.replicas), op, ErrShardUnavailable)
-	}
-	return degraded, nil
+	return nil
 }
 
-// scatter is the error-only form of scatterGather, kept as the test seam
-// for the fan-out semantics.
-func (c *Coordinator) scatter(ctx context.Context, op string, strict bool, fn func(ctx context.Context, b Backend) error) ([]int, error) {
-	return scatterGather(c, ctx, op, strict, func(sctx context.Context, _ int, b Backend) (struct{}, error) {
-		return struct{}{}, fn(sctx, b)
-	}, nil)
-}
-
-// ScatterStrict runs fn on every shard concurrently (with per-shard
-// replication and hedging) and fails on the first shard whose replicas
-// are all unavailable.
-func (c *Coordinator) ScatterStrict(ctx context.Context, op string, fn func(ctx context.Context, b Backend) error) error {
-	_, err := c.scatter(ctx, op, true, fn)
-	return err
-}
-
-// ScoreAll recomputes the uncertainty of every symbolic index point into
-// unc (indexed by global cell id), scattering per-shard scoring across
-// backends. Each shard's scores come back aligned with its owned-cell
-// list and are published into unc only on success, so a shard that fails
-// mid-pass leaves its slots untouched (fully stale, never torn) — and the
-// values are byte-identical to one serial scoring pass. Shards whose
-// replicas all missed the deadline or failed are skipped and returned as
-// degraded, sorted ascending; callers must exclude their cells from
-// selection until the next successful pass. An error is returned only when the caller's
-// ctx is cancelled or every shard failed.
-func (c *Coordinator) ScoreAll(ctx context.Context, model learn.Classifier, unc []float64) (degraded []int, err error) {
-	return c.ScoreAllPass(ctx, model, unc, ScorePass{})
-}
-
-// ScorePass parameterizes a coordinator scoring pass: the optional global
-// dirty-cell subset and the optional d_k² side-channel of the exact
-// incremental rescorer.
+// ScorePass parameterizes a scoring pass: the optional dirty-cell subset
+// and the optional d_k² side-channel of the exact incremental rescorer.
 type ScorePass struct {
 	// Kernel is unread: every pass runs the block kernels. The field stays
 	// declared because benchmark/layers.go, its only writer, sets it and a
 	// change outside benchmark/ may not edit that file; the next benchmark
 	// change drops both.
 	Kernel bool
-	// Dirty, when non-nil, lists the global cell ids to rescore, ascending.
-	// Shards owning none of them are not contacted at all. Nil rescores
-	// every cell.
+	// Dirty, when non-nil, lists the cell ids to rescore, ascending (DWKNN
+	// only: it is the incremental rescorer's subset). Nil rescores every
+	// cell.
 	Dirty []int
-	// NeedDK asks every shard for per-cell k-th-neighbor squared distances
-	// (DWKNN only); they are published into DK2, indexed by global
-	// cell id, which must then be non-nil and NumCells long.
+	// NeedDK asks for each scored cell's k-th-neighbor squared distance
+	// (DWKNN only); they are published into DK2, indexed by cell id, which
+	// must then be NumCells long.
 	NeedDK bool
 	DK2    []float64
 }
 
-// ScoreAllPass is ScoreAll with an explicit pass spec — the incremental
-// rescorer's entry point. Publication remains success-only and per shard:
-// only slots of cells actually scored (all owned, or the shard's dirty
-// subset) are written, so degraded shards leave stale-but-untorn scores
-// exactly as before.
+// ScoreAllPass recomputes the uncertainty of the symbolic index points —
+// all of them, or pass.Dirty — into unc (indexed by cell id) with the block
+// kernels on the coordinator's pool, over the one packed block of all
+// centres. No shard is contacted: the centres are derived from the
+// manifest's grid. unc and pass.DK2 are written only when the whole pass
+// succeeded, and then only in the slots of the cells scored, so a cancelled
+// pass leaves them as they were; the values are byte-identical to one
+// serial pass at any worker count. degraded is always nil (no shard takes
+// part); it stays in the signature for benchmark/layers.go.
 func (c *Coordinator) ScoreAllPass(ctx context.Context, model learn.Classifier, unc []float64, pass ScorePass) (degraded []int, err error) {
-	if len(unc) != c.meta.Grid.NumCells() {
-		return nil, fmt.Errorf("shard: uncertainty slice has %d slots, grid has %d cells", len(unc), c.meta.Grid.NumCells())
+	blk := c.meta.Points
+	if len(unc) != blk.N {
+		return nil, fmt.Errorf("shard: uncertainty slice has %d slots, grid has %d cells", len(unc), blk.N)
 	}
-	if pass.NeedDK && len(pass.DK2) != c.meta.Grid.NumCells() {
-		return nil, fmt.Errorf("shard: dk² slice has %d slots, grid has %d cells", len(pass.DK2), c.meta.Grid.NumCells())
+	if pass.NeedDK && len(pass.DK2) != blk.N {
+		return nil, fmt.Errorf("shard: dk² slice has %d slots, grid has %d cells", len(pass.DK2), blk.N)
 	}
-	// Route the global dirty set to per-shard owned-local index lists.
-	// Global ids ascend and cellLocal is monotone within a shard, so each
-	// shard's list is ascending, as the Backend contract requires.
-	var dirtyByShard [][]int
+	var dw *learn.DWKNN
+	if pass.NeedDK || pass.Dirty != nil {
+		var ok bool
+		if dw, ok = model.(*learn.DWKNN); !ok {
+			return nil, fmt.Errorf("shard: d_k² bounds and dirty-cell passes need a DWKNN model")
+		}
+	}
+	n := blk.N
 	if pass.Dirty != nil {
-		dirtyByShard = make([][]int, len(c.replicas))
+		n = len(pass.Dirty)
 		for _, cell := range pass.Dirty {
-			if cell < 0 || cell >= len(c.ownerByCell) {
-				return nil, fmt.Errorf("shard: dirty cell %d out of %d grid cells", cell, len(c.ownerByCell))
+			if cell < 0 || cell >= blk.N {
+				return nil, fmt.Errorf("shard: dirty cell %d out of %d grid cells", cell, blk.N)
 			}
-			o := c.ownerByCell[cell]
-			dirtyByShard[o] = append(dirtyByShard[o], c.cellLocal[cell])
 		}
 	}
-	// Wrap the model so remote backends serialize it once per pass, not
-	// once per shard call (or hedged duplicate).
-	model = &modelBlob{Classifier: model}
-	return scatterGather(c, ctx, OpScore, false,
-		func(sctx context.Context, id int, b Backend) (ScoreResult, error) {
-			spec := ScoreSpec{NeedDK: pass.NeedDK}
-			want := len(c.ownedCells[id])
-			if dirtyByShard != nil {
-				spec.Dirty = dirtyByShard[id]
-				want = len(spec.Dirty)
-			}
-			if want == 0 {
-				// Nothing to score here: an empty shard, or no dirty cells
-				// in it — the backend is not contacted.
-				return ScoreResult{}, nil
-			}
-			res, err := b.ScoreAll(sctx, model, spec)
-			if err != nil {
-				return ScoreResult{}, err
-			}
-			if len(res.Scores) != want {
-				return ScoreResult{}, fmt.Errorf("shard %d returned %d scores for %d requested cells", id, len(res.Scores), want)
-			}
-			if pass.NeedDK && len(res.DK2) != want {
-				return ScoreResult{}, fmt.Errorf("shard %d returned %d dk² bounds for %d requested cells", id, len(res.DK2), want)
-			}
-			return res, nil
-		},
-		func(id int, res ScoreResult) {
-			if dirtyByShard != nil {
-				for i, li := range dirtyByShard[id] {
-					cell := c.ownedCells[id][li]
-					unc[cell] = res.Scores[i]
-					if pass.NeedDK {
-						pass.DK2[cell] = res.DK2[i]
-					}
-				}
-				return
-			}
-			for i, cell := range c.ownedCells[id] {
-				unc[cell] = res.Scores[i]
-				if pass.NeedDK {
-					pass.DK2[cell] = res.DK2[i]
-				}
-			}
-		})
-}
-
-// lessUncertain is the selection order: higher uncertainty first, lower
-// cell id breaking ties. Every shard ranks with it, so the merged global
-// top-k equals the first k of a full sort.
-func lessUncertain(a, b CellScore) bool {
-	if a.Score != b.Score {
-		return a.Score > b.Score
+	scores := make([]float64, n)
+	var dk2 []float64
+	if dw != nil {
+		dk2 = make([]float64, n)
 	}
-	return a.Cell < b.Cell
-}
-
-// compareUncertain is lessUncertain as a three-way comparison, for
-// slices.SortFunc.
-func compareUncertain(a, b CellScore) int {
 	switch {
-	case lessUncertain(a, b):
-		return -1
-	case lessUncertain(b, a):
-		return 1
+	case pass.Dirty != nil:
+		err = c.pool.DoCapped(ctx, n, scoreShardCap(n), func(lo, hi int) error {
+			return learn.BlockUncertaintiesDKAt(ctx, dw, blk, pass.Dirty[lo:hi], scores[lo:hi], dk2[lo:hi])
+		})
+	case dw != nil:
+		err = c.pool.Do(ctx, n, func(lo, hi int) error {
+			return learn.BlockUncertaintiesDKInto(ctx, dw, blk, lo, hi, scores[lo:hi], dk2[lo:hi])
+		})
+	default:
+		err = c.pool.Do(ctx, n, func(lo, hi int) error {
+			return learn.BlockUncertaintiesInto(ctx, model, blk, lo, hi, scores[lo:hi])
+		})
 	}
-	return 0
-}
-
-// MostUncertain returns the k most uncertain cells, fanning per-shard
-// top-k selection across backends and merging with lessUncertain.
-// Shards listed in skip (the degraded set from the latest ScoreAll) are
-// excluded entirely — their scores are stale and their backends are not
-// contacted. Shards that fail the top-k call itself are skipped for this
-// selection and returned in degraded. The result can be shorter than k
-// when skipping leaves fewer candidates.
-func (c *Coordinator) MostUncertain(ctx context.Context, unc []float64, k int, skip []int) (cells []grid.CellID, degraded []int, err error) {
-	if len(unc) != c.meta.Grid.NumCells() {
-		return nil, nil, fmt.Errorf("shard: uncertainty slice has %d slots, grid has %d cells", len(unc), c.meta.Grid.NumCells())
+	if err != nil {
+		return nil, err
 	}
-	if k < 1 {
-		k = 1
+	if pass.Dirty == nil {
+		copy(unc, scores)
+		if pass.NeedDK {
+			copy(pass.DK2, dk2)
+		}
+		return nil, nil
 	}
-	skipSet := make(map[int]bool, len(skip))
-	for _, s := range skip {
-		skipSet[s] = true
-	}
-	active := make([]int, 0, len(c.replicas))
-	for id := range c.replicas {
-		if !skipSet[id] {
-			active = append(active, id)
+	for i, cell := range pass.Dirty {
+		unc[cell] = scores[i]
+		if pass.NeedDK {
+			pass.DK2[cell] = dk2[i]
 		}
 	}
-	if len(active) == 0 {
-		return nil, nil, nil
+	return nil, nil
+}
+
+// scoreShardCap bounds the worker fan-out of a dirty-subset pass so a
+// handful of dirty cells does not pay goroutine handoff for nothing.
+func scoreShardCap(n int) int {
+	const minPerShard = 2048
+	return (n + minPerShard - 1) / minPerShard
+}
+
+// MostUncertain returns the k most uncertain cells — higher uncertainty
+// first, lower cell id breaking ties, so the result equals the first k of a
+// full sort — by one bounded-insertion scan over unc (k is tiny on the hot
+// path: the winner and a runner-up). Cells owned by the shards listed in
+// skip are passed over: a step whose winner could not be loaded asks for
+// the best cell outside the shard that failed it. The result is shorter
+// than k when fewer cells qualify. degraded is always nil (no shard takes
+// part); it stays in the signature for benchmark/layers.go.
+func (c *Coordinator) MostUncertain(ctx context.Context, unc []float64, k int, skip []int) (cells []grid.CellID, degraded []int, err error) {
+	if len(unc) != len(c.ownerByCell) {
+		return nil, nil, fmt.Errorf("shard: uncertainty slice has %d slots, grid has %d cells", len(unc), len(c.ownerByCell))
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	scatterCtx, cancelAll := context.WithCancel(ctx)
-	defer cancelAll()
-	type topkAnswer struct {
-		id  int
-		top []CellScore
-		err error
-	}
-	results := make(chan topkAnswer, len(active))
-	for _, id := range active {
-		go func(id int) {
-			top, err := callShard(c, scatterCtx, id, OpTopK, func(sctx context.Context, b Backend) ([]CellScore, error) {
-				owned := c.ownedCells[id]
-				if len(owned) == 0 {
-					return nil, nil
-				}
-				// Per-shard local top-k: each shard's candidate list is
-				// its k best owned cells, so the union provably contains
-				// the global top-k.
-				scores := make([]float64, len(owned))
-				for i, cell := range owned {
-					scores[i] = unc[cell]
-				}
-				return b.MostUncertain(sctx, scores, k)
-			})
-			results <- topkAnswer{id, top, err}
-		}(id)
-	}
-	var merged []CellScore
-	for range active {
-		r := <-results
-		if r.err == nil {
-			merged = append(merged, r.top...)
-			continue
-		}
-		if ctx.Err() != nil {
-			return nil, nil, ctx.Err()
-		}
-		c.recordDegraded(r.id, r.err)
-		degraded = append(degraded, r.id)
-	}
-	sort.Ints(degraded)
-	if len(degraded) == len(active) {
-		return nil, degraded, fmt.Errorf("shard: all %d shards unavailable for %s: %w", len(active), OpTopK, ErrShardUnavailable)
-	}
-	slices.SortFunc(merged, compareUncertain)
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	cells = make([]grid.CellID, len(merged))
-	for i, m := range merged {
-		cells[i] = m.Cell
-	}
-	return cells, degraded, nil
-}
-
-// topKOwned selects the k best of one shard's owned cells by insertion
-// into a bounded slice (k is tiny on the hot path: the winner and a
-// runner-up). scores is aligned with cells.
-func topKOwned(cells []grid.CellID, scores []float64, k int) []CellScore {
-	if k > len(cells) {
-		k = len(cells)
-	}
 	if k < 1 {
-		return nil
+		k = 1
 	}
-	best := make([]CellScore, 0, k)
-	for i, cell := range cells {
-		cs := CellScore{Cell: cell, Score: scores[i]}
-		if len(best) == k && !lessUncertain(cs, best[k-1]) {
+	var skipped []bool
+	if len(skip) > 0 {
+		skipped = make([]bool, len(c.replicas))
+		for _, s := range skip {
+			if s >= 0 && s < len(skipped) {
+				skipped[s] = true
+			}
+		}
+	}
+	cells = make([]grid.CellID, 0, min(k, len(unc)))
+	for cell, u := range unc {
+		if skipped != nil && skipped[c.ownerByCell[cell]] {
 			continue
 		}
-		j := len(best)
-		if len(best) < k {
-			best = append(best, cs)
+		// Cells arrive in ascending id order, so only a strictly higher
+		// score moves a cell ahead of one already placed.
+		j := len(cells)
+		if j == k {
+			if !(u > unc[cells[k-1]]) {
+				continue
+			}
+			j--
 		} else {
-			j = k - 1
+			cells = append(cells, 0)
 		}
-		for j > 0 && lessUncertain(cs, best[j-1]) {
-			best[j] = best[j-1]
+		for j > 0 && u > unc[cells[j-1]] {
+			cells[j] = cells[j-1]
 			j--
 		}
-		best[j] = cs
+		cells[j] = grid.CellID(cell)
 	}
-	return best
+	return cells, nil, nil
 }
 
 // LoadCell reconstructs a cell's tuples from its owning shard (first
@@ -996,7 +832,8 @@ func topKOwned(cells []grid.CellID, scores []float64, k int) []CellScore {
 // sorted by global id (local and global order agree within a shard). A
 // shard whose replicas all fail yields an ErrShardUnavailable-wrapped
 // error and counts toward shard_degraded_total; callers degrade
-// (runner-up cell, resident region) rather than failing the step.
+// (another shard's best cell, the resident region) rather than failing
+// the step.
 func (c *Coordinator) LoadCell(ctx context.Context, cell grid.CellID) (ids []uint32, vals [][]float64, entriesVisited int, err error) {
 	owner, err := c.OwnerOfCell(cell)
 	if err != nil {
@@ -1038,8 +875,8 @@ func (c *Coordinator) FetchRows(ctx context.Context, ids []uint32) ([]chunkstore
 		return nil, fmt.Errorf("shard: row %d out of range [0,%d)", uniq[len(uniq)-1], c.meta.RowCount)
 	}
 	perShard := make([][]chunkstore.MergedRow, len(c.replicas))
-	_, err := scatterGather(c, ctx, OpFetch, true,
-		func(sctx context.Context, id int, b Backend) ([]chunkstore.MergedRow, error) {
+	err := scatterGather(c, ctx, OpFetch,
+		func(sctx context.Context, b Backend) ([]chunkstore.MergedRow, error) {
 			return b.FetchRows(sctx, uniq)
 		},
 		func(id int, rows []chunkstore.MergedRow) {
@@ -1075,8 +912,8 @@ func (c *Coordinator) Retrieve(ctx context.Context, marked [][]bool) (parts []Re
 		entries int
 	}
 	perShard := make([][]RetrievedPart, len(c.replicas))
-	_, err = scatterGather(c, ctx, OpRetrieve, true,
-		func(sctx context.Context, id int, b Backend) (scanned, error) {
+	err = scatterGather(c, ctx, OpRetrieve,
+		func(sctx context.Context, b Backend) (scanned, error) {
 			r, n, err := b.Retrieve(sctx, marked)
 			return scanned{r, n}, err
 		},
@@ -1088,28 +925,4 @@ func (c *Coordinator) Retrieve(ctx context.Context, marked [][]bool) (parts []Re
 		return nil, 0, err
 	}
 	return slices.Concat(perShard...), entries, nil
-}
-
-// CostEstimate returns the bytes and posting entries loading the cell
-// would read from its owning shard (the flat Mapping.CostEstimate
-// equivalent), trying replicas in order.
-func (c *Coordinator) CostEstimate(cell grid.CellID) (bytes int64, entries int, err error) {
-	owner, err := c.OwnerOfCell(cell)
-	if err != nil {
-		return 0, 0, err
-	}
-	var errs []error
-	var prev Backend
-	for _, b := range c.replicas[owner] {
-		if b == prev {
-			continue // in-process replicas share one backend
-		}
-		prev = b
-		bytes, entries, err = b.CostEstimate(context.Background(), cell)
-		if err == nil {
-			return bytes, entries, nil
-		}
-		errs = append(errs, err)
-	}
-	return 0, 0, fmt.Errorf("shard %d estimate: %w", owner, errors.Join(ErrShardUnavailable, ErrReplicaExhausted, errors.Join(errs...)))
 }

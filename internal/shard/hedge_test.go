@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,14 +13,16 @@ import (
 
 	"github.com/uei-db/uei/internal/chunkstore"
 	"github.com/uei-db/uei/internal/grid"
-	"github.com/uei-db/uei/internal/learn"
+	"github.com/uei-db/uei/internal/obs"
 )
 
 // stubBackend is a scripted in-memory Backend for replication tests: it
 // can answer instantly, fail, or block until its context is cancelled.
 type stubBackend struct {
-	scores []float64
-	fail   error
+	// row is the one row id LoadCell answers with, so a test can tell
+	// which replica's reply reached the caller.
+	row  uint32
+	fail error
 	// delay holds the answer this long; cancellation wins the race.
 	delay time.Duration
 	// block holds the answer until cancellation.
@@ -53,21 +56,6 @@ func (s *stubBackend) wait(ctx context.Context) error {
 	}
 }
 
-func (s *stubBackend) ScoreAll(ctx context.Context, _ learn.Classifier, _ ScoreSpec) (ScoreResult, error) {
-	s.calls.Add(1)
-	if err := s.wait(ctx); err != nil {
-		return ScoreResult{}, err
-	}
-	if s.fail != nil {
-		return ScoreResult{}, s.fail
-	}
-	return ScoreResult{Scores: append([]float64(nil), s.scores...)}, nil
-}
-
-func (s *stubBackend) MostUncertain(_ context.Context, scores []float64, k int) ([]CellScore, error) {
-	return nil, nil
-}
-
 func (s *stubBackend) LoadCell(ctx context.Context, _ grid.CellID) ([]uint32, [][]float64, int, error) {
 	s.calls.Add(1)
 	if err := s.wait(ctx); err != nil {
@@ -76,7 +64,7 @@ func (s *stubBackend) LoadCell(ctx context.Context, _ grid.CellID) ([]uint32, []
 	if s.fail != nil {
 		return nil, nil, 0, s.fail
 	}
-	return []uint32{1}, [][]float64{{0.5, 0.5}}, 1, nil
+	return []uint32{s.row}, [][]float64{{0.5, 0.5}}, 1, nil
 }
 
 func (s *stubBackend) FetchRows(context.Context, []uint32) ([]chunkstore.MergedRow, error) {
@@ -85,10 +73,6 @@ func (s *stubBackend) FetchRows(context.Context, []uint32) ([]chunkstore.MergedR
 
 func (s *stubBackend) Retrieve(context.Context, [][]bool) ([]RetrievedPart, int, error) {
 	return nil, 0, nil
-}
-
-func (s *stubBackend) CostEstimate(context.Context, grid.CellID) (int64, int, error) {
-	return 0, 0, nil
 }
 
 func (s *stubBackend) Stats() BackendStats { return BackendStats{} }
@@ -110,29 +94,15 @@ func stubManifest() *Manifest {
 	}
 }
 
-// stubCoordinator builds a coordinator over scripted backends and sizes
-// each stub's score vector to its shard's owned-cell count.
-func stubCoordinator(t *testing.T, replicas [][]Backend, opts CoordinatorOptions) *Coordinator {
+// stubCoordinator builds a coordinator over scripted backends and returns
+// it with a cell shard 0 owns — the shard every test replicates.
+func stubCoordinator(t *testing.T, replicas [][]Backend, opts CoordinatorOptions) (*Coordinator, grid.CellID) {
 	t.Helper()
 	c, err := NewCoordinator(stubManifest(), replicas, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for s, reps := range replicas {
-		for _, b := range reps {
-			if st, ok := b.(*stubBackend); ok && st.scores == nil {
-				st.scores = make([]float64, len(c.ownedCells[s]))
-				for i := range st.scores {
-					st.scores[i] = float64(s) + float64(i)/10
-				}
-			}
-		}
-	}
-	return c
-}
-
-func stubUnc(c *Coordinator) []float64 {
-	return make([]float64, c.Meta().Grid.NumCells())
+	return c, cellOwnedBy(t, c, 0)
 }
 
 // TestFailoverOnReplicaError: a failing primary falls over to the healthy
@@ -141,48 +111,40 @@ func TestFailoverOnReplicaError(t *testing.T) {
 	bad := newStubBackend()
 	bad.fail = errors.New("injected")
 	good := newStubBackend()
-	other := newStubBackend()
-	c := stubCoordinator(t, [][]Backend{{bad, good}, {other}}, CoordinatorOptions{})
-	unc := stubUnc(c)
-	degraded, err := c.ScoreAll(context.Background(), nil, unc)
+	good.row = 7
+	c, cell := stubCoordinator(t, [][]Backend{{bad, good}, {newStubBackend()}}, CoordinatorOptions{})
+	reg := obs.NewRegistry()
+	c.Instrument(reg)
+	ids, _, _, err := c.LoadCell(context.Background(), cell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(degraded) != 0 {
-		t.Fatalf("degraded = %v; failover should mask a single-replica failure", degraded)
+	if got := reg.Counter("shard_degraded_total").Value(); got != 0 {
+		t.Fatalf("shard_degraded_total = %d; failover should mask a single-replica failure", got)
+	}
+	if got := reg.Counter("shard_failover_total").Value(); got != 1 {
+		t.Errorf("shard_failover_total = %d, want 1", got)
 	}
 	if bad.calls.Load() != 1 || good.calls.Load() != 1 {
 		t.Errorf("calls: bad %d, good %d; want 1 and 1", bad.calls.Load(), good.calls.Load())
 	}
-	for i, cell := range c.ownedCells[0] {
-		if unc[cell] != good.scores[i] {
-			t.Fatalf("unc[%d] = %v, want the surviving replica's score %v", cell, unc[cell], good.scores[i])
-		}
+	if len(ids) != 1 || ids[0] != good.row {
+		t.Fatalf("ids = %v, want the surviving replica's row %d", ids, good.row)
 	}
 }
 
 // TestReplicaExhaustedErrorChain: when every replica fails, the error is
 // errors.Is-able for both ErrShardUnavailable and ErrReplicaExhausted and
-// names the shard.
+// names the shard, and the load counts as one degradation.
 func TestReplicaExhaustedErrorChain(t *testing.T) {
 	injected := errors.New("injected")
 	bad1, bad2 := newStubBackend(), newStubBackend()
 	bad1.fail, bad2.fail = injected, injected
-	other := newStubBackend()
-	c := stubCoordinator(t, [][]Backend{{bad1, bad2}, {other}}, CoordinatorOptions{})
+	c, cell := stubCoordinator(t, [][]Backend{{bad1, bad2}, {newStubBackend()}}, CoordinatorOptions{})
+	reg := obs.NewRegistry()
+	c.Instrument(reg)
 
-	// Degradable path: the shard is skipped, not fatal.
-	degraded, err := c.ScoreAll(context.Background(), nil, stubUnc(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(degraded) != 1 || degraded[0] != 0 {
-		t.Fatalf("degraded = %v, want [0]", degraded)
-	}
-
-	// Owner-routed path: the full chain surfaces.
-	var cell grid.CellID = c.ownedCells[0][0]
-	_, _, _, err = c.LoadCell(context.Background(), cell)
+	_, _, _, err := c.LoadCell(context.Background(), cell)
 	if err == nil {
 		t.Fatal("LoadCell on a dead shard should fail")
 	}
@@ -191,18 +153,15 @@ func TestReplicaExhaustedErrorChain(t *testing.T) {
 			t.Errorf("errors.Is(%v, %v) = false", err, sentinel)
 		}
 	}
-	if want := fmt.Sprintf("shard %d", 0); !contains(err.Error(), want) {
+	if want := fmt.Sprintf("shard %d", 0); !strings.Contains(err.Error(), want) {
 		t.Errorf("error %q does not name the shard", err)
 	}
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
+	if got := reg.Counter("shard_degraded_total").Value(); got != 1 {
+		t.Errorf("shard_degraded_total = %d, want 1", got)
 	}
-	return false
+	if got := reg.Counter(`shard_skip_total{shard="0"}`).Value(); got != 1 {
+		t.Errorf(`shard_skip_total{shard="0"} = %d, want 1`, got)
+	}
 }
 
 // TestHedgeDisabledNeverFansOut: without a hedge delay a healthy (if slow)
@@ -211,9 +170,8 @@ func TestHedgeDisabledNeverFansOut(t *testing.T) {
 	slow := newStubBackend()
 	slow.delay = 10 * time.Millisecond
 	spare := newStubBackend()
-	other := newStubBackend()
-	c := stubCoordinator(t, [][]Backend{{slow, spare}, {other}}, CoordinatorOptions{})
-	if _, err := c.ScoreAll(context.Background(), nil, stubUnc(c)); err != nil {
+	c, cell := stubCoordinator(t, [][]Backend{{slow, spare}, {newStubBackend()}}, CoordinatorOptions{})
+	if _, _, _, err := c.LoadCell(context.Background(), cell); err != nil {
 		t.Fatal(err)
 	}
 	if n := spare.calls.Load(); n != 0 {
@@ -228,17 +186,21 @@ func TestHedgedCallWinsAndCancelsLoser(t *testing.T) {
 	slow := newStubBackend()
 	slow.block = true // never answers; only cancellation releases it
 	fast := newStubBackend()
-	other := newStubBackend()
-	c := stubCoordinator(t, [][]Backend{{slow, fast}, {other}},
+	fast.row = 7
+	c, cell := stubCoordinator(t, [][]Backend{{slow, fast}, {newStubBackend()}},
 		CoordinatorOptions{HedgeDelay: 2 * time.Millisecond})
-	unc := stubUnc(c)
+	reg := obs.NewRegistry()
+	c.Instrument(reg)
 	start := time.Now()
-	degraded, err := c.ScoreAll(context.Background(), nil, unc)
+	ids, _, _, err := c.LoadCell(context.Background(), cell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(degraded) != 0 {
-		t.Fatalf("degraded = %v; the hedge should have masked the slow replica", degraded)
+	if got := reg.Counter("shard_degraded_total").Value(); got != 0 {
+		t.Fatalf("shard_degraded_total = %d; the hedge should have masked the slow replica", got)
+	}
+	if got := reg.Counter("shard_hedged_total").Value(); got != 1 {
+		t.Errorf("shard_hedged_total = %d, want 1", got)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("hedged call took %v; should not wait for the blocked primary", elapsed)
@@ -246,10 +208,8 @@ func TestHedgedCallWinsAndCancelsLoser(t *testing.T) {
 	if fast.calls.Load() != 1 || slow.calls.Load() != 1 {
 		t.Errorf("calls: slow %d, fast %d; want both attempted", slow.calls.Load(), fast.calls.Load())
 	}
-	for i, cell := range c.ownedCells[0] {
-		if unc[cell] != fast.scores[i] {
-			t.Fatalf("unc[%d] = %v, want the winner's score %v", cell, unc[cell], fast.scores[i])
-		}
+	if len(ids) != 1 || ids[0] != fast.row {
+		t.Fatalf("ids = %v, want the winner's row %d", ids, fast.row)
 	}
 	select {
 	case <-slow.cancelled:
@@ -265,11 +225,9 @@ func TestHedgingLeaksNoGoroutines(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		slow := newStubBackend()
 		slow.block = true
-		fast := newStubBackend()
-		other := newStubBackend()
-		c := stubCoordinator(t, [][]Backend{{slow, fast}, {other}},
+		c, cell := stubCoordinator(t, [][]Backend{{slow, newStubBackend()}, {newStubBackend()}},
 			CoordinatorOptions{HedgeDelay: time.Millisecond})
-		if _, err := c.ScoreAll(context.Background(), nil, stubUnc(c)); err != nil {
+		if _, _, _, err := c.LoadCell(context.Background(), cell); err != nil {
 			t.Fatal(err)
 		}
 	}

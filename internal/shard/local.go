@@ -2,14 +2,10 @@ package shard
 
 import (
 	"context"
-	"fmt"
 	"slices"
 
 	"github.com/uei-db/uei/internal/chunkstore"
 	"github.com/uei-db/uei/internal/grid"
-	"github.com/uei-db/uei/internal/kernel"
-	"github.com/uei-db/uei/internal/learn"
-	"github.com/uei-db/uei/internal/pool"
 	"github.com/uei-db/uei/internal/vec"
 )
 
@@ -28,115 +24,16 @@ import (
 type LocalBackend struct {
 	shard *Shard
 	g     *grid.Grid
-	// cells lists the shard's owned cells ascending; blk holds their
-	// symbolic index points, aligned, packed by column once at
-	// construction and shared read-only by replicas and scoring goroutines.
-	cells []grid.CellID
-	blk   *kernel.Block
-	// pool shards CPU-side scoring; shared with the caller.
-	pool *pool.Pool
 }
 
-// NewLocalBackend wraps a shard for in-process serving. cells/centers must
-// be the shard's owned cells ascending with their grid centers, and p the
-// worker pool scoring fans out on (nil falls back to an inline pool).
-func NewLocalBackend(s *Shard, g *grid.Grid, cells []grid.CellID, centers []vec.Point, p *pool.Pool) *LocalBackend {
-	if p == nil {
-		p = pool.New(1)
-	}
-	return &LocalBackend{shard: s, g: g, cells: cells, blk: kernel.Pack(centers), pool: p}
+// NewLocalBackend wraps a shard for in-process serving over the store's
+// grid.
+func NewLocalBackend(s *Shard, g *grid.Grid) *LocalBackend {
+	return &LocalBackend{shard: s, g: g}
 }
 
 // Shard exposes the wrapped shard for inspection and tests.
 func (b *LocalBackend) Shard() *Shard { return b.shard }
-
-// ScoreAll implements Backend: model uncertainty over the owned symbolic
-// index points, computed by the block kernels on the worker pool. A
-// non-nil spec.Dirty restricts work to that ascending owned-cell-local
-// subset, and NeedDK additionally returns each scored point's
-// k-th-neighbor squared distance (DWKNN only).
-func (b *LocalBackend) ScoreAll(ctx context.Context, model learn.Classifier, spec ScoreSpec) (ScoreResult, error) {
-	owned := b.blk.N
-	if owned == 0 {
-		return ScoreResult{}, nil
-	}
-	var dw *learn.DWKNN
-	if spec.NeedDK {
-		var ok bool
-		if dw, ok = learn.AsDWKNN(model); !ok {
-			return ScoreResult{}, fmt.Errorf("shard %d: NeedDK on a non-DWKNN model", b.shard.ID)
-		}
-	}
-	if spec.Dirty != nil {
-		n := len(spec.Dirty)
-		res := ScoreResult{Scores: make([]float64, n)}
-		if n == 0 {
-			return res, nil
-		}
-		for _, i := range spec.Dirty {
-			if i < 0 || i >= owned {
-				return ScoreResult{}, fmt.Errorf("shard %d: dirty index %d out of %d owned cells", b.shard.ID, i, owned)
-			}
-		}
-		if dw != nil {
-			res.DK2 = make([]float64, n)
-			err := b.pool.DoCapped(ctx, n, scoreShardCap(n), func(lo, hi int) error {
-				return learn.BlockUncertaintiesDKAt(ctx, dw, b.blk, spec.Dirty[lo:hi], res.Scores[lo:hi], res.DK2[lo:hi])
-			})
-			if err != nil {
-				return ScoreResult{}, err
-			}
-			return res, nil
-		}
-		// Subset scoring without dk²: the regular pass over each dirty
-		// point.
-		err := b.pool.DoCapped(ctx, n, scoreShardCap(n), func(lo, hi int) error {
-			for k, i := range spec.Dirty[lo:hi] {
-				if err := learn.BlockUncertaintiesInto(ctx, model, b.blk, i, i+1, res.Scores[lo+k:lo+k+1]); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return ScoreResult{}, err
-		}
-		return res, nil
-	}
-	res := ScoreResult{Scores: make([]float64, owned)}
-	if spec.NeedDK {
-		res.DK2 = make([]float64, owned)
-	}
-	err := b.pool.Do(ctx, owned, func(lo, hi int) error {
-		if spec.NeedDK {
-			return learn.BlockUncertaintiesDKInto(ctx, dw, b.blk, lo, hi, res.Scores[lo:hi], res.DK2[lo:hi])
-		}
-		return learn.BlockUncertaintiesInto(ctx, model, b.blk, lo, hi, res.Scores[lo:hi])
-	})
-	if err != nil {
-		return ScoreResult{}, err
-	}
-	return res, nil
-}
-
-// scoreShardCap bounds the worker fan-out of a dirty-subset pass so a
-// handful of dirty cells does not pay goroutine handoff for nothing.
-func scoreShardCap(n int) int {
-	const minPerShard = 2048
-	return (n + minPerShard - 1) / minPerShard
-}
-
-// MostUncertain implements Backend: bounded insertion over the owned cells
-// with the global comparator.
-func (b *LocalBackend) MostUncertain(ctx context.Context, scores []float64, k int) ([]CellScore, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if len(scores) != len(b.cells) {
-		return nil, fmt.Errorf("shard %d: %d scores for %d owned cells", b.shard.ID, len(scores), len(b.cells))
-	}
-	return topKOwned(b.cells, scores, k), nil
-}
 
 // LoadCell implements Backend: merge the cell's chunks from each
 // part's store and remap row ids to global.
@@ -168,24 +65,6 @@ func (b *LocalBackend) FetchRows(ctx context.Context, ids []uint32) ([]chunkstor
 // part's store, one columnar result per part.
 func (b *LocalBackend) Retrieve(ctx context.Context, marked [][]bool) ([]RetrievedPart, int, error) {
 	return ScanPartsMarked(ctx, b.g, b.shard.Parts, marked)
-}
-
-// CostEstimate implements Backend by summing the parts' mappings.
-func (b *LocalBackend) CostEstimate(ctx context.Context, cell grid.CellID) (int64, int, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, 0, err
-	}
-	var bytes int64
-	var entries int
-	for i := range b.shard.Parts {
-		pb, pe, err := b.shard.Parts[i].Mapping.CostEstimate(cell)
-		if err != nil {
-			return 0, 0, err
-		}
-		bytes += pb
-		entries += pe
-	}
-	return bytes, entries, nil
 }
 
 // Stats implements Backend with the part stores' disk I/O counters summed.

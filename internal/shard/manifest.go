@@ -1,12 +1,15 @@
 // Package shard partitions a UEI store into S self-contained shards and
-// coordinates per-iteration work across them as a scatter-gather: each
-// shard owns the grid cells whose hashed coordinates map to it, holds a
-// private chunk store over exactly the rows falling in those cells, and
-// answers score/top-k/load requests for its slice. The coordinator merges
-// per-shard answers into globally exact results while all shards are
-// healthy, and degrades gracefully — skipping a slow or failing shard for
-// the iteration — when they are not (ROADMAP: horizontal scaling past one
-// store, in the spirit of partial adaptive indexing).
+// coordinates work across them: each shard owns the grid cells whose
+// hashed coordinates map to it, holds a private chunk store over exactly
+// the rows falling in those cells, and answers load/fetch/retrieve
+// requests for its slice. The symbolic index itself — the cell centres,
+// their scores and their ranking — is coordinator state: compute goes
+// where its input lives, centres are manifest-derived metadata, rows are
+// shard data. The coordinator's results are exactly those of one store
+// over the same rows, and a step degrades gracefully — another cell, the
+// resident region — when the owner of the cell it wanted does not answer
+// (ROADMAP: horizontal scaling past one store, in the spirit of partial
+// adaptive indexing).
 package shard
 
 import (
@@ -17,6 +20,8 @@ import (
 	"path/filepath"
 
 	"github.com/uei-db/uei/internal/chunkstore"
+	"github.com/uei-db/uei/internal/grid"
+	"github.com/uei-db/uei/internal/vec"
 )
 
 // ManifestFile is the top-level manifest name of a sharded store
@@ -98,6 +103,12 @@ func ShardDirName(i int) string { return fmt.Sprintf("shard-%03d", i) }
 func IsShardedDir(dir string) bool {
 	_, err := os.Stat(filepath.Join(dir, ManifestFile))
 	return err == nil
+}
+
+// grid rebuilds the symbolic-point lattice the manifest records: global
+// bounds cut into SegmentsPerDim segments per dimension.
+func (m *Manifest) grid() (*grid.Grid, error) {
+	return grid.New(vec.NewBox(m.MinValues, m.MaxValues), m.SegmentsPerDim)
 }
 
 func (m *Manifest) validate() error {

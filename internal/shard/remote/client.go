@@ -9,11 +9,9 @@ import (
 	"net/http"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"github.com/uei-db/uei/internal/chunkstore"
 	"github.com/uei-db/uei/internal/grid"
-	"github.com/uei-db/uei/internal/learn"
 	"github.com/uei-db/uei/internal/obs"
 	"github.com/uei-db/uei/internal/shard"
 )
@@ -149,40 +147,9 @@ func post[Req, Resp any](ctx context.Context, b *ShardClient, op string, reqBody
 	return out, nil
 }
 
-// ScoreAll implements shard.Backend by shipping the serialized model and
-// the pass spec; the worker scores server-side and returns the aligned
-// scores (plus d_k² bounds when requested).
-func (b *ShardClient) ScoreAll(ctx context.Context, model learn.Classifier, spec shard.ScoreSpec) (shard.ScoreResult, error) {
-	var blob []byte
-	var err error
-	if mm, ok := model.(shard.ModelMarshaler); ok {
-		blob, err = mm.MarshalModel()
-	} else {
-		blob, err = learn.MarshalModel(model)
-	}
-	if err != nil {
-		return shard.ScoreResult{}, fmt.Errorf("serializing model: %w", err)
-	}
-	req := ScoreRequest{Model: blob, Dirty: spec.Dirty, NeedDK: spec.NeedDK}
-	resp, err := post[ScoreRequest, ScoreResponse](ctx, b, "score", req)
-	if err != nil {
-		return shard.ScoreResult{}, err
-	}
-	return shard.ScoreResult{Scores: resp.Scores, DK2: resp.DK2}, nil
-}
-
-// MostUncertain implements shard.Backend.
-func (b *ShardClient) MostUncertain(ctx context.Context, scores []float64, k int) ([]shard.CellScore, error) {
-	resp, err := post[TopKRequest, TopKResponse](ctx, b, "topk", TopKRequest{Scores: scores, K: k})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Top, nil
-}
-
 // LoadCell implements shard.Backend.
 func (b *ShardClient) LoadCell(ctx context.Context, cell grid.CellID) ([]uint32, [][]float64, int, error) {
-	resp, err := post[LoadRequest, LoadResponse](ctx, b, "load", LoadRequest{Cell: cell})
+	resp, err := post[LoadRequest, LoadResponse](ctx, b, shard.OpLoad, LoadRequest{Cell: cell})
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -194,7 +161,7 @@ func (b *ShardClient) LoadCell(ctx context.Context, cell grid.CellID) ([]uint32,
 
 // FetchRows implements shard.Backend.
 func (b *ShardClient) FetchRows(ctx context.Context, ids []uint32) ([]chunkstore.MergedRow, error) {
-	resp, err := post[FetchRequest, FetchResponse](ctx, b, "fetch", FetchRequest{IDs: ids})
+	resp, err := post[FetchRequest, FetchResponse](ctx, b, shard.OpFetch, FetchRequest{IDs: ids})
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +172,7 @@ func (b *ShardClient) FetchRows(ctx context.Context, ids []uint32) ([]chunkstore
 // blocks, so a part whose ids, header and backing array disagree is an
 // error here rather than a panic there.
 func (b *ShardClient) Retrieve(ctx context.Context, marked [][]bool) ([]shard.RetrievedPart, int, error) {
-	resp, err := post[RetrieveRequest, RetrieveResponse](ctx, b, "retrieve", RetrieveRequest{Marked: marked})
+	resp, err := post[RetrieveRequest, RetrieveResponse](ctx, b, shard.OpRetrieve, RetrieveRequest{Marked: marked})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -215,15 +182,6 @@ func (b *ShardClient) Retrieve(ctx context.Context, marked [][]bool) ([]shard.Re
 		}
 	}
 	return resp.Parts, resp.Entries, nil
-}
-
-// CostEstimate implements shard.Backend.
-func (b *ShardClient) CostEstimate(ctx context.Context, cell grid.CellID) (int64, int, error) {
-	resp, err := post[EstimateRequest, EstimateResponse](ctx, b, "estimate", EstimateRequest{Cell: cell})
-	if err != nil {
-		return 0, 0, err
-	}
-	return resp.Bytes, resp.Entries, nil
 }
 
 // Stats implements shard.Backend with wire counters.
@@ -249,10 +207,10 @@ type ConnectOptions struct {
 	// Replication is the per-shard replica count (distinct endpoints);
 	// zero means 1.
 	Replication int
-	// Deadline bounds every per-shard attempt (zero disables).
-	Deadline time.Duration
-	// HedgeDelay fires the hedged second replica (zero disables hedging).
-	HedgeDelay time.Duration
+	// CoordinatorOptions carries the scoring pool (the symbolic index is
+	// scored in this process, never on a worker), the per-shard deadline
+	// and the hedge delay.
+	shard.CoordinatorOptions
 	// HTTPClient overrides the shared transport (nil uses a default
 	// client with no blanket timeout).
 	HTTPClient *http.Client
@@ -306,10 +264,7 @@ func Connect(ctx context.Context, opts ConnectOptions) (*shard.Coordinator, erro
 			replicas[s] = append(replicas[s], NewShardClient(clients[e], s, ref.ShardBytes[s]))
 		}
 	}
-	return shard.NewCoordinator(ref.Manifest, replicas, shard.CoordinatorOptions{
-		Deadline:   opts.Deadline,
-		HedgeDelay: opts.HedgeDelay,
-	})
+	return shard.NewCoordinator(ref.Manifest, replicas, opts.CoordinatorOptions)
 }
 
 // readError extracts the error body of a non-2xx response.

@@ -3,22 +3,20 @@
 // Server, and Connect, which assembles a replicated shard.Coordinator
 // over a worker fleet.
 //
-// The protocol is deliberately plain — JSON bodies over HTTP/1.1, one
-// POST per shard operation — because the payloads are small (scores,
-// cell ids, row subsets) and Go's encoding/json round-trips float64
-// exactly (shortest round-trip representation), which is what keeps
-// remote results byte-identical to local ones.
+// The transport carries rows, never models: the symbolic index is scored
+// and ranked in the coordinator's process, so a worker serves only what
+// needs its shard's data. The protocol is deliberately plain — JSON bodies
+// over HTTP/1.1, one POST per shard operation — and Go's encoding/json
+// round-trips float64 exactly (shortest round-trip representation), which
+// is what keeps remote results byte-identical to local ones.
 //
 // Endpoints served by a worker:
 //
 //	GET  /healthz                   liveness ("ok")
 //	GET  /v1/meta                   manifest + per-shard byte sizes
-//	POST /v1/shards/{id}/score      model blob -> owned-cell scores
-//	POST /v1/shards/{id}/topk       aligned scores -> per-shard top-k
 //	POST /v1/shards/{id}/load       cell -> ids, values, entries visited
 //	POST /v1/shards/{id}/fetch      global ids -> owned row subset
 //	POST /v1/shards/{id}/retrieve   marked segments -> per-part columns, entries
-//	POST /v1/shards/{id}/estimate   cell -> bytes, entries
 //
 // Every request may carry an X-Uei-Trace-Id header; the worker echoes it
 // on the response and stamps it into its access log, so a traced
@@ -26,8 +24,6 @@
 package remote
 
 import (
-	"encoding/json"
-
 	"github.com/uei-db/uei/internal/chunkstore"
 	"github.com/uei-db/uei/internal/grid"
 	"github.com/uei-db/uei/internal/shard"
@@ -42,39 +38,6 @@ const TraceHeader = "X-Uei-Trace-Id"
 type MetaResponse struct {
 	Manifest   *shard.Manifest `json:"manifest"`
 	ShardBytes []int64         `json:"shard_bytes"`
-}
-
-// ScoreRequest carries the serialized model (learn.MarshalModel envelope)
-// plus the pass spec: the optional ascending owned-cell-local dirty subset
-// and the d_k² request flag, both omitted when unset. A "kernel" field from
-// a client that still sends one is ignored (every pass runs the block
-// kernels, whose scores are bit-identical to what either value selected).
-type ScoreRequest struct {
-	Model  json.RawMessage `json:"model"`
-	Dirty  []int           `json:"dirty,omitempty"`
-	NeedDK bool            `json:"need_dk,omitempty"`
-}
-
-// ScoreResponse returns the scores aligned with the scored list — the
-// shard's ascending owned-cell list, or the request's dirty subset — per
-// the Backend.ScoreAll contract, plus the per-cell k-th-neighbor squared
-// distances when requested (float64s round-trip JSON exactly, so remote
-// incremental passes stay bit-identical to local ones).
-type ScoreResponse struct {
-	Scores []float64 `json:"scores"`
-	DK2    []float64 `json:"dk2,omitempty"`
-}
-
-// TopKRequest carries the owned-cell-aligned scores back to the shard for
-// local top-k selection.
-type TopKRequest struct {
-	Scores []float64 `json:"scores"`
-	K      int       `json:"k"`
-}
-
-// TopKResponse returns the shard's best k owned cells, best first.
-type TopKResponse struct {
-	Top []shard.CellScore `json:"top"`
 }
 
 // LoadRequest names the cell to reconstruct.
@@ -114,17 +77,6 @@ type RetrieveRequest struct {
 type RetrieveResponse struct {
 	Parts   []shard.RetrievedPart `json:"parts"`
 	Entries int                   `json:"entries"`
-}
-
-// EstimateRequest names the cell to cost.
-type EstimateRequest struct {
-	Cell grid.CellID `json:"cell"`
-}
-
-// EstimateResponse returns the load cost of the cell on this shard.
-type EstimateResponse struct {
-	Bytes   int64 `json:"bytes"`
-	Entries int   `json:"entries"`
 }
 
 // ErrorResponse is the body of every non-2xx reply.

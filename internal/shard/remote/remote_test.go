@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/uei-db/uei/internal/core"
@@ -96,7 +97,7 @@ func ownedCellWithData(t *testing.T, c *shard.Coordinator, s int) grid.CellID {
 		if owner != s {
 			continue
 		}
-		if _, entries, err := c.Backends(s)[0].CostEstimate(context.Background(), grid.CellID(cell)); err == nil && entries > 0 {
+		if ids, _, _, err := c.Backends(s)[0].LoadCell(context.Background(), grid.CellID(cell)); err == nil && len(ids) > 0 {
 			return grid.CellID(cell)
 		}
 	}
@@ -109,9 +110,8 @@ func ownedCellWithData(t *testing.T, c *shard.Coordinator, s int) grid.CellID {
 // backend: the transport must be invisible.
 func TestRemoteBackendParity(t *testing.T) {
 	ctx := context.Background()
-	dir, ds := buildStore(t, 600, 2, 11)
+	dir, _ := buildStore(t, 600, 2, 11)
 	w := startWorker(t, dir, 2)
-	model := trainedModel(t, ds)
 
 	client := remote.NewClient(w.srv.URL, nil)
 	meta, err := client.Meta(ctx)
@@ -126,31 +126,6 @@ func TestRemoteBackendParity(t *testing.T) {
 	for s := 0; s < 2; s++ {
 		local := w.coord.Backends(s)[0]
 		rem := remote.NewShardClient(client, s, meta.ShardBytes[s])
-
-		lRes, err := local.ScoreAll(ctx, model, shard.ScoreSpec{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rRes, err := rem.ScoreAll(ctx, model, shard.ScoreSpec{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(lRes, rRes) {
-			t.Fatalf("shard %d: remote scores differ from local", s)
-		}
-		lScores, rScores := lRes.Scores, rRes.Scores
-
-		lTop, err := local.MostUncertain(ctx, lScores, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rTop, err := rem.MostUncertain(ctx, rScores, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(lTop, rTop) {
-			t.Fatalf("shard %d: top-k differs: local %v remote %v", s, lTop, rTop)
-		}
 
 		cell := ownedCellWithData(t, w.coord, s)
 		lIDs, lVals, lEntries, err := local.LoadCell(ctx, cell)
@@ -196,18 +171,6 @@ func TestRemoteBackendParity(t *testing.T) {
 		if !reflect.DeepEqual(lRet, rRet) || lRetEntries != rRetEntries {
 			t.Fatalf("shard %d: remote retrieve differs from local", s)
 		}
-
-		lBytes, lEnt, err := local.CostEstimate(ctx, cell)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rBytes, rEnt, err := rem.CostEstimate(ctx, cell)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lBytes != rBytes || lEnt != rEnt {
-			t.Fatalf("shard %d: remote estimate (%d, %d) differs from local (%d, %d)", s, rBytes, rEnt, lBytes, lEnt)
-		}
 	}
 }
 
@@ -218,7 +181,7 @@ func TestTraceHeaderEcho(t *testing.T) {
 	w := startWorker(t, dir, 2)
 
 	body := strings.NewReader(`{"cell":0}`)
-	req, err := http.NewRequest(http.MethodPost, w.srv.URL+"/v1/shards/0/estimate", body)
+	req, err := http.NewRequest(http.MethodPost, w.srv.URL+"/v1/shards/0/load", body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +206,7 @@ func TestTraceHeaderEcho(t *testing.T) {
 	tr := obs.NewTracer(io.Discard).NewTrace()
 	ctx := obs.ContextWithTrace(context.Background(), tr)
 	sc := remote.NewShardClient(remote.NewClient(capture.URL, nil), 0, 0)
-	if _, _, err := sc.CostEstimate(ctx, 0); err != nil {
+	if _, _, _, err := sc.LoadCell(ctx, 0); err != nil {
 		t.Fatal(err)
 	}
 	if seen == "" || seen != tr.ID() {
@@ -252,7 +215,10 @@ func TestTraceHeaderEcho(t *testing.T) {
 }
 
 // TestServerErrorMapping checks the status-code contract: unknown shard →
-// 404, undecodable request → 400, and both carry a JSON error body.
+// 404; an undecodable request, or a decodable one whose contents the worker
+// cannot serve — a cell outside the grid, ids out of order, a mask of the
+// wrong shape — → 400 (never 5xx, which a coordinator counts as a replica
+// fault); all carry a JSON error body.
 func TestServerErrorMapping(t *testing.T) {
 	dir, _ := buildStore(t, 300, 2, 5)
 	w := startWorker(t, dir, 2)
@@ -267,77 +233,43 @@ func TestServerErrorMapping(t *testing.T) {
 		return resp, string(b)
 	}
 
-	resp, body := post("/v1/shards/99/estimate", `{"cell":0}`)
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown shard: status %d, want 404", resp.StatusCode)
-	}
-	var e remote.ErrorResponse
-	if err := json.Unmarshal([]byte(body), &e); err != nil || e.Error == "" {
-		t.Errorf("unknown shard: body %q is not an error envelope", body)
+	for _, tc := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"unknown shard", "/v1/shards/99/load", `{"cell":0}`, http.StatusNotFound},
+		{"bad json", "/v1/shards/0/fetch", `{not json`, http.StatusBadRequest},
+		{"descending ids", "/v1/shards/0/fetch", `{"ids":[12,11,10,9,8,7,6,5,4,3,2,1,0]}`, http.StatusBadRequest},
+		{"repeated id", "/v1/shards/0/fetch", `{"ids":[3,3]}`, http.StatusBadRequest},
+		{"cell beyond the grid", "/v1/shards/0/load", `{"cell":999999}`, http.StatusBadRequest},
+		{"negative cell", "/v1/shards/0/load", `{"cell":-1}`, http.StatusBadRequest},
+		{"mask of the wrong shape", "/v1/shards/0/retrieve", `{"marked":[[true]]}`, http.StatusBadRequest},
+	} {
+		resp, body := post(tc.path, tc.body)
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d (body %q)", tc.name, resp.StatusCode, tc.want, body)
+		}
+		var e remote.ErrorResponse
+		if err := json.Unmarshal([]byte(body), &e); err != nil || e.Error == "" {
+			t.Errorf("%s: body %q is not an error envelope", tc.name, body)
+		}
 	}
 
-	resp, body = post("/v1/shards/0/topk", `{not json`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad json: status %d, want 400", resp.StatusCode)
+	resp, body := post("/v1/shards/0/fetch", `{"ids":[0,1,2,3,4,5,6,7,8,9,10,11,12]}`)
+	var got remote.FetchResponse
+	if err := json.Unmarshal([]byte(body), &got); resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("ascending ids: status %d, body %q", resp.StatusCode, body)
 	}
-	if err := json.Unmarshal([]byte(body), &e); err != nil || e.Error == "" {
-		t.Errorf("bad json: body %q is not an error envelope", body)
-	}
-
-	resp, body = post("/v1/shards/0/score", `{"model":{"kind":"no-such-model","spec":{}}}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad model: status %d, want 400 (got body %q)", resp.StatusCode, body)
-	}
-}
-
-// TestScoreRequestFromOlderClient: a score body that still carries the
-// retired "kernel" routing flag, with either value, is accepted and answers
-// the scores the backend computes in-process, bit for bit; and need_dk
-// alone returns the d_k² bounds (an older worker demanded "kernel":true
-// beside it).
-func TestScoreRequestFromOlderClient(t *testing.T) {
-	dir, ds := buildStore(t, 600, 2, 11)
-	w := startWorker(t, dir, 2)
-	model := trainedModel(t, ds)
-	blob, err := learn.MarshalModel(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := w.coord.Backends(0)[0].ScoreAll(context.Background(), model, shard.ScoreSpec{NeedDK: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Scores) == 0 || len(want.DK2) != len(want.Scores) {
-		t.Fatalf("in-process pass returned %d scores, %d dk² bounds", len(want.Scores), len(want.DK2))
-	}
-
-	for _, extra := range []string{`,"kernel":true`, `,"kernel":false`, `,"need_dk":true`, `,"need_dk":true,"kernel":false`} {
-		body := `{"model":` + string(blob) + extra + `}`
-		resp, err := http.Post(w.srv.URL+"/v1/shards/0/score", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got remote.ScoreResponse
-		err = json.NewDecoder(resp.Body).Decode(&got)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || err != nil {
-			t.Fatalf("body with %s: status %d, decode error %v", extra, resp.StatusCode, err)
-		}
-		if !reflect.DeepEqual(got.Scores, want.Scores) {
-			t.Errorf("body with %s: scores differ from the in-process pass", extra)
-		}
-		wantDK := want.DK2
-		if !strings.Contains(extra, "need_dk") {
-			wantDK = nil
-		}
-		if !reflect.DeepEqual(got.DK2, wantDK) {
-			t.Errorf("body with %s: %d dk² bounds, want %d equal to the in-process pass", extra, len(got.DK2), len(wantDK))
+	for _, r := range got.Rows {
+		if r.ID > 12 {
+			t.Errorf("ascending ids: row %d was not asked for", r.ID)
 		}
 	}
 }
 
-// TestConnectReplicatedParity: a replicated remote coordinator answers a
-// scoring pass identically to the local one it proxies.
+// TestConnectReplicatedParity: a replicated remote coordinator answers
+// exactly as the local one it proxies — the symbolic scores it computes
+// in-process, and every operation that crosses the wire for rows.
 func TestConnectReplicatedParity(t *testing.T) {
 	ctx := context.Background()
 	dir, ds := buildStore(t, 600, 2, 11)
@@ -357,15 +289,42 @@ func TestConnectReplicatedParity(t *testing.T) {
 	}
 
 	want := make([]float64, w1.coord.Meta().Grid.NumCells())
-	if _, err := w1.coord.ScoreAll(ctx, model, want); err != nil {
+	if _, err := w1.coord.ScoreAllPass(ctx, model, want, shard.ScorePass{}); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]float64, rcoord.Meta().Grid.NumCells())
-	if degraded, err := rcoord.ScoreAll(ctx, model, got); err != nil || len(degraded) != 0 {
-		t.Fatalf("remote ScoreAll: degraded %v, err %v", degraded, err)
+	if _, err := rcoord.ScoreAllPass(ctx, model, got, shard.ScorePass{}); err != nil {
+		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("remote replicated scoring differs from local")
+	}
+
+	for s := 0; s < 2; s++ {
+		cell := ownedCellWithData(t, w1.coord, s)
+		lIDs, lVals, lEntries, err := w1.coord.LoadCell(ctx, cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rIDs, rVals, rEntries, err := rcoord.LoadCell(ctx, cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(lIDs, rIDs) || !reflect.DeepEqual(lVals, rVals) || lEntries != rEntries {
+			t.Fatalf("cell %d: remote load differs from local", cell)
+		}
+	}
+	ids := []uint32{599, 0, 7, 7, 100, 333}
+	lRows, err := w1.coord.FetchRows(ctx, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rRows, err := rcoord.FetchRows(ctx, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(lRows, rRows) {
+		t.Fatal("remote fetch differs from local")
 	}
 }
 
@@ -491,5 +450,121 @@ func TestRetrieveRejectsMalformedParts(t *testing.T) {
 		case !tc.ok && err == nil:
 			t.Errorf("%s: Retrieve accepted the reply", tc.name)
 		}
+	}
+}
+
+// countingHandler records the path of every request it forwards.
+type countingHandler struct {
+	next  http.Handler
+	mu    sync.Mutex
+	paths []string
+}
+
+func (h *countingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	h.mu.Lock()
+	h.paths = append(h.paths, r.URL.Path)
+	h.mu.Unlock()
+	h.next.ServeHTTP(w, r)
+}
+
+// take returns the paths seen since the last take.
+func (h *countingHandler) take() []string {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	out := h.paths
+	h.paths = nil
+	return out
+}
+
+// TestRemoteStepRoundTrips counts what a step of a remote index sends its
+// worker: the symbolic index is scored and ranked in the index's own
+// process, so a step that swaps regions sends one request — the winning
+// cell's load — and a step whose winner is already resident sends none,
+// whether the model is unchanged, refit on the same labels, or refit on an
+// append-only extension of them.
+func TestRemoteStepRoundTrips(t *testing.T) {
+	ctx := context.Background()
+	dir, ds := buildStore(t, 2000, 2, 11)
+	w := startWorker(t, dir, 2)
+	counter := &countingHandler{next: w.srv.Config.Handler}
+	front := httptest.NewServer(counter)
+	defer front.Close()
+
+	idx, err := core.Open(ctx, "", core.Options{
+		MemoryBudgetBytes: 1 << 20, SampleSize: 64, Workers: 2,
+		ShardEndpoints: []string{front.URL},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	if err := idx.InitExploration(ctx); err != nil {
+		t.Fatal(err)
+	}
+	counter.take() // the handshake and the γ-sample fetch are not steps
+
+	bounds, err := ds.Bounds()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var X [][]float64
+	var y []int
+	label := func(n int) {
+		for ; n > 0; n-- {
+			i := len(X)
+			X = append(X, ds.CopyRow(dataset.RowID(i*(ds.Len()/64))))
+			y = append(y, i%2)
+		}
+	}
+	// step refits a fresh model on the labels so far and runs the region
+	// half of an iteration, returning the requests it cost and whether the
+	// resident region changed.
+	step := func() (paths []string, swapped bool) {
+		t.Helper()
+		model := learn.NewDWKNN(5, bounds.Widths())
+		if err := model.Fit(X, y); err != nil {
+			t.Fatal(err)
+		}
+		before := idx.ResidentRegion()
+		idx.InvalidateScores()
+		cell, err := idx.EnsureRegion(ctx, model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if idx.LastStepDegraded() {
+			t.Fatal("healthy worker, degraded step")
+		}
+		return counter.take(), int(cell) != before
+	}
+
+	label(10)
+	paths, swapped := step()
+	if !swapped || len(paths) != 1 || !strings.HasSuffix(paths[0], "/load") {
+		t.Fatalf("first step: swapped = %v, requests %v; want one load", swapped, paths)
+	}
+	// The same labels refit: the model is unchanged, the region resident.
+	if paths, swapped := step(); swapped || len(paths) != 0 {
+		t.Fatalf("unchanged model: swapped = %v, requests %v; want none", swapped, paths)
+	}
+	// Append-only refits: whatever the winner, a step costs one load when
+	// it swaps and nothing when it does not.
+	swaps, stays := 0, 0
+	for i := 0; i < 20; i++ {
+		label(1)
+		paths, swapped := step()
+		switch {
+		case swapped && (len(paths) != 1 || !strings.HasSuffix(paths[0], "/load")):
+			t.Fatalf("refit %d swapped regions with requests %v; want one load", i, paths)
+		case !swapped && len(paths) != 0:
+			t.Fatalf("refit %d kept its region but sent %v; want none", i, paths)
+		}
+		if swapped {
+			swaps++
+		} else {
+			stays++
+		}
+	}
+	if stays == 0 {
+		t.Errorf("no append-only refit kept its region (%d swaps); the resident case went untested", swaps)
 	}
 }

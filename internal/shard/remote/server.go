@@ -10,13 +10,12 @@ import (
 	"strconv"
 	"time"
 
-	"github.com/uei-db/uei/internal/learn"
 	"github.com/uei-db/uei/internal/shard"
 )
 
 // maxRequestBytes bounds a request body. The largest legitimate payload
-// is a fetch id list or a serialized committee; 64 MiB is far above both
-// and merely stops a runaway client from exhausting the worker.
+// is a fetch id list; 64 MiB is far above it and merely stops a runaway
+// client from exhausting the worker.
 const maxRequestBytes = 64 << 20
 
 // Server serves one opened sharded store over the wire protocol. It
@@ -44,34 +43,39 @@ func NewServer(coord *shard.Coordinator, man *shard.Manifest, logf func(format s
 		fmt.Fprintln(w, "ok")
 	})
 	s.mux.HandleFunc("GET /v1/meta", s.handleMeta)
-	handleOp(s, "score", func(ctx context.Context, b shard.Backend, req ScoreRequest) (ScoreResponse, error) {
-		model, err := learn.UnmarshalModel(req.Model)
-		if err != nil {
-			return ScoreResponse{}, badRequest(err)
+	// A request's contents are checked here, at the wire boundary, before
+	// they reach a backend that trusts its (in-process) caller: what the
+	// client got wrong answers 400, so a 5xx always means this replica is
+	// at fault and is worth failing over from.
+	g := coord.Meta().Grid
+	handleOp(s, shard.OpLoad, func(ctx context.Context, b shard.Backend, req LoadRequest) (LoadResponse, error) {
+		if req.Cell < 0 || int(req.Cell) >= g.NumCells() {
+			return LoadResponse{}, badRequest(fmt.Errorf("cell %d outside grid [0,%d)", req.Cell, g.NumCells()))
 		}
-		spec := shard.ScoreSpec{Dirty: req.Dirty, NeedDK: req.NeedDK}
-		res, err := b.ScoreAll(ctx, model, spec)
-		return ScoreResponse{Scores: res.Scores, DK2: res.DK2}, err
-	})
-	handleOp(s, "topk", func(ctx context.Context, b shard.Backend, req TopKRequest) (TopKResponse, error) {
-		top, err := b.MostUncertain(ctx, req.Scores, req.K)
-		return TopKResponse{Top: top}, err
-	})
-	handleOp(s, "load", func(ctx context.Context, b shard.Backend, req LoadRequest) (LoadResponse, error) {
 		ids, vals, entries, err := b.LoadCell(ctx, req.Cell)
 		return LoadResponse{IDs: ids, Vals: vals, Entries: entries}, err
 	})
-	handleOp(s, "fetch", func(ctx context.Context, b shard.Backend, req FetchRequest) (FetchResponse, error) {
+	handleOp(s, shard.OpFetch, func(ctx context.Context, b shard.Backend, req FetchRequest) (FetchResponse, error) {
+		for i := 1; i < len(req.IDs); i++ {
+			if req.IDs[i] <= req.IDs[i-1] {
+				return FetchResponse{}, badRequest(fmt.Errorf("ids must be strictly ascending: ids[%d] = %d follows %d", i, req.IDs[i], req.IDs[i-1]))
+			}
+		}
 		rows, err := b.FetchRows(ctx, req.IDs)
 		return FetchResponse{Rows: rows}, err
 	})
-	handleOp(s, "retrieve", func(ctx context.Context, b shard.Backend, req RetrieveRequest) (RetrieveResponse, error) {
+	handleOp(s, shard.OpRetrieve, func(ctx context.Context, b shard.Backend, req RetrieveRequest) (RetrieveResponse, error) {
+		segs := g.Segments()
+		if len(req.Marked) != len(segs) {
+			return RetrieveResponse{}, badRequest(fmt.Errorf("marked has %d dimensions, grid has %d", len(req.Marked), len(segs)))
+		}
+		for d, m := range req.Marked {
+			if len(m) != segs[d] {
+				return RetrieveResponse{}, badRequest(fmt.Errorf("marked[%d] has %d flags, dimension has %d segments", d, len(m), segs[d]))
+			}
+		}
 		parts, entries, err := b.Retrieve(ctx, req.Marked)
 		return RetrieveResponse{Parts: parts, Entries: entries}, err
-	})
-	handleOp(s, "estimate", func(ctx context.Context, b shard.Backend, req EstimateRequest) (EstimateResponse, error) {
-		bytes, entries, err := b.CostEstimate(ctx, req.Cell)
-		return EstimateResponse{Bytes: bytes, Entries: entries}, err
 	})
 	return s
 }
@@ -145,8 +149,8 @@ func handleOp[Req, Resp any](s *Server, op string, fn func(ctx context.Context, 
 // no 5xx alarm should fire.
 const statusClientClosedRequest = 499
 
-// badRequestError marks a client-side input error (bad model blob, shape
-// mismatch) so it maps to 400 rather than 500.
+// badRequestError marks a client-side input error (cell outside the grid,
+// unsorted ids, mask shape mismatch) so it maps to 400 rather than 500.
 type badRequestError struct{ err error }
 
 func (e *badRequestError) Error() string { return e.err.Error() }

@@ -7,12 +7,14 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"github.com/uei-db/uei/internal/chunkstore"
 	"github.com/uei-db/uei/internal/dataset"
 	"github.com/uei-db/uei/internal/grid"
+	"github.com/uei-db/uei/internal/learn"
 	"github.com/uei-db/uei/internal/obs"
 	"github.com/uei-db/uei/internal/pool"
 )
@@ -116,16 +118,18 @@ func TestBuildOpenRoundTrip(t *testing.T) {
 			if total != ds.Len() {
 				t.Fatalf("shards hold %d rows, want %d", total, ds.Len())
 			}
-			// Cell ownership is disjoint and matches the hash.
-			for _, s := range c.Shards() {
-				for _, cell := range s.Cells {
-					coords, err := c.Meta().Grid.Coords(cell)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if OwnerOf(coords, shards) != s.ID {
-						t.Fatalf("cell %d listed under shard %d but hashes elsewhere", cell, s.ID)
-					}
+			// Every cell has exactly one owner, and it matches the hash.
+			for cell := 0; cell < c.Meta().Grid.NumCells(); cell++ {
+				coords, err := c.Meta().Grid.Coords(grid.CellID(cell))
+				if err != nil {
+					t.Fatal(err)
+				}
+				owner, err := c.OwnerOfCell(grid.CellID(cell))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if OwnerOf(coords, shards) != owner {
+					t.Fatalf("cell %d routed to shard %d but hashes elsewhere", cell, owner)
 				}
 			}
 		})
@@ -277,6 +281,21 @@ func TestLoadCellMatchesFlat(t *testing.T) {
 	}
 }
 
+// cellOwnedBy returns the lowest cell the given shard owns.
+func cellOwnedBy(t *testing.T, c *Coordinator, shard int) grid.CellID {
+	t.Helper()
+	for cell, owner := range c.ownerByCell {
+		if owner == shard {
+			return grid.CellID(cell)
+		}
+	}
+	t.Fatalf("shard %d owns no cell", shard)
+	return 0
+}
+
+// TestScatterDegradesFailingShard: a failing shard fails what needs every
+// shard's rows, degrades a load of one of its own cells, and touches
+// nothing else — loads from other shards, scoring and ranking go on.
 func TestScatterDegradesFailingShard(t *testing.T) {
 	ds := skyDataset(t, 200)
 	c := openCoordinator(t, buildSharded(t, ds, 4), OpenOptions{Workers: 2})
@@ -289,31 +308,46 @@ func TestScatterDegradesFailingShard(t *testing.T) {
 		}
 		return nil
 	})
-	degraded, err := c.scatter(context.Background(), OpScore, false, func(context.Context, Backend) error { return nil })
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	// The scatter needs every shard: it surfaces ErrShardUnavailable.
+	_, err := c.FetchRows(ctx, []uint32{0, 1, 2})
+	if !errors.Is(err, ErrShardUnavailable) || !errors.Is(err, boom) {
+		t.Errorf("fetch err = %v, want ErrShardUnavailable wrapping boom", err)
 	}
-	if len(degraded) != 1 || degraded[0] != 2 {
-		t.Fatalf("degraded = %v, want [2]", degraded)
+	if got := reg.Counter("shard_degraded_total").Value(); got != 0 {
+		t.Errorf("shard_degraded_total = %d after a failed fetch, want 0 (nothing degraded: the call failed)", got)
+	}
+	// A load routed to the failing shard is the one degradable failure.
+	_, _, _, err = c.LoadCell(ctx, cellOwnedBy(t, c, 2))
+	if !errors.Is(err, ErrShardUnavailable) || !errors.Is(err, boom) {
+		t.Errorf("load err = %v, want ErrShardUnavailable wrapping boom", err)
 	}
 	if got := reg.Counter("shard_degraded_total").Value(); got != 1 {
 		t.Errorf("shard_degraded_total = %d, want 1", got)
 	}
-	// Strict mode surfaces the failure as ErrShardUnavailable.
-	err = c.ScatterStrict(context.Background(), OpFetch, func(context.Context, Backend) error { return nil })
-	if !errors.Is(err, ErrShardUnavailable) || !errors.Is(err, boom) {
-		t.Errorf("strict err = %v, want ErrShardUnavailable wrapping boom", err)
+	if got := reg.Counter(`shard_degraded_cause_total{cause="error"}`).Value(); got != 1 {
+		t.Errorf(`shard_degraded_cause_total{cause="error"} = %d, want 1`, got)
 	}
-	// All shards failing is an error even in degradable mode.
+	if _, _, _, err := c.LoadCell(ctx, cellOwnedBy(t, c, 1)); err != nil {
+		t.Errorf("load from a healthy shard: %v", err)
+	}
+	// With every shard failing, the symbolic index is still scored and
+	// ranked: no shard takes part.
 	c.SetFaultHook(func(context.Context, int, int, string) error { return boom })
-	if _, err := c.scatter(context.Background(), OpScore, false, func(context.Context, Backend) error { return nil }); !errors.Is(err, ErrShardUnavailable) {
-		t.Errorf("all-failed err = %v, want ErrShardUnavailable", err)
+	unc := make([]float64, c.Meta().Grid.NumCells())
+	if _, err := c.ScoreAllPass(ctx, constModel{}, unc, ScorePass{}); err != nil {
+		t.Errorf("scoring with every shard down: %v", err)
+	}
+	if top, _, err := c.MostUncertain(ctx, unc, 2, nil); err != nil || len(top) != 2 {
+		t.Errorf("ranking with every shard down: top = %v, err = %v", top, err)
 	}
 }
 
 func TestShardDeadlineSkipsSlowShard(t *testing.T) {
 	ds := skyDataset(t, 200)
-	c := openCoordinator(t, buildSharded(t, ds, 2), OpenOptions{Workers: 2, Deadline: 20 * time.Millisecond})
+	c := openCoordinator(t, buildSharded(t, ds, 2), OpenOptions{Workers: 2, CoordinatorOptions: CoordinatorOptions{Deadline: 20 * time.Millisecond}})
+	reg := obs.NewRegistry()
+	c.Instrument(reg)
 	c.SetFaultHook(func(ctx context.Context, shard, _ int, _ string) error {
 		if shard == 1 {
 			<-ctx.Done() // stuck until the per-shard deadline fires
@@ -322,15 +356,21 @@ func TestShardDeadlineSkipsSlowShard(t *testing.T) {
 		return nil
 	})
 	start := time.Now()
-	degraded, err := c.scatter(context.Background(), OpScore, false, func(context.Context, Backend) error { return nil })
-	if err != nil {
-		t.Fatal(err)
+	_, _, _, err := c.LoadCell(context.Background(), cellOwnedBy(t, c, 1))
+	if !errors.Is(err, ErrShardUnavailable) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("load err = %v, want ErrShardUnavailable wrapping the deadline", err)
 	}
-	if len(degraded) != 1 || degraded[0] != 1 {
-		t.Fatalf("degraded = %v, want [1]", degraded)
+	if got := reg.Counter(`shard_degraded_cause_total{cause="deadline"}`).Value(); got != 1 {
+		t.Errorf(`shard_degraded_cause_total{cause="deadline"} = %d, want 1`, got)
+	}
+	if _, _, _, err := c.LoadCell(context.Background(), cellOwnedBy(t, c, 0)); err != nil {
+		t.Fatalf("load from the healthy shard: %v", err)
+	}
+	if _, err := c.FetchRows(context.Background(), []uint32{0, 1}); !errors.Is(err, ErrShardUnavailable) {
+		t.Fatalf("fetch err = %v, want ErrShardUnavailable", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("deadline did not bound the scatter: %v", elapsed)
+		t.Fatalf("deadline did not bound the calls: %v", elapsed)
 	}
 }
 
@@ -356,12 +396,14 @@ func TestScatterCancellationLeaksNoGoroutines(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 			cancel()
 		}()
-		_, err := c.scatter(ctx, OpScore, false, func(context.Context, Backend) error { return nil })
+		err := scatterGather(c, ctx, OpFetch,
+			func(context.Context, Backend) (struct{}, error) { return struct{}{}, nil },
+			func(int, struct{}) {})
 		if err == nil {
 			t.Fatal("cancelled scatter should fail")
 		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled (cancellation must not classify as degradation)", err)
+		if !errors.Is(err, context.Canceled) || errors.Is(err, ErrShardUnavailable) {
+			t.Fatalf("err = %v, want bare context.Canceled (cancellation must not classify as a shard failure)", err)
 		}
 		cancel()
 	}
@@ -378,65 +420,101 @@ func TestScatterCancellationLeaksNoGoroutines(t *testing.T) {
 	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 }
 
+// TestScoreAllWritesOnlyOwnedCells pins what a scoring pass may write — a
+// full pass every slot, a dirty pass its listed cells and nothing else, a
+// failed pass nothing — and that ranking with a skip list passes over
+// exactly the cells the skipped shard owns.
 func TestScoreAllWritesOnlyOwnedCells(t *testing.T) {
 	ds := skyDataset(t, 400)
 	c := openCoordinator(t, buildSharded(t, ds, 4), OpenOptions{Workers: 2})
-	unc := make([]float64, c.Meta().Grid.NumCells())
-	for i := range unc {
-		unc[i] = -99 // sentinel
+	ctx := context.Background()
+	n := c.Meta().Grid.NumCells()
+	var X [][]float64
+	var y []int
+	for i := 0; i < 12; i++ {
+		X = append(X, ds.CopyRow(dataset.RowID(i*30)))
+		y = append(y, i%2)
 	}
-	model := constModel{}
-	degraded, err := c.ScoreAll(context.Background(), model, unc)
-	if err != nil {
+	model := learn.NewDWKNN(3, nil)
+	if err := model.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	if len(degraded) != 0 {
-		t.Fatalf("degraded = %v", degraded)
+	const sentinel = -99
+	fill := func(v []float64) {
+		for i := range v {
+			v[i] = sentinel
+		}
 	}
-	for cell, u := range unc {
-		if u == -99 {
+	full, fullDK := make([]float64, n), make([]float64, n)
+	fill(full)
+	fill(fullDK)
+	if _, err := c.ScoreAllPass(ctx, model, full, ScorePass{NeedDK: true, DK2: fullDK}); err != nil {
+		t.Fatal(err)
+	}
+	for cell := range full {
+		if full[cell] == sentinel || fullDK[cell] == sentinel {
 			t.Fatalf("cell %d never scored", cell)
 		}
 	}
-	// With shard 3 failing, its cells keep the stale sentinel.
-	c.SetFaultHook(func(_ context.Context, shard, _ int, _ string) error {
-		if shard == 3 {
-			return errors.New("down")
-		}
-		return nil
-	})
-	for i := range unc {
-		unc[i] = -99
-	}
-	degraded, err = c.ScoreAll(context.Background(), model, unc)
-	if err != nil {
+	// A dirty pass writes its cells — with the full pass's values, bit for
+	// bit — and leaves every other slot alone.
+	dirty := []int{0, 3, n / 2, n - 1}
+	unc, dk := make([]float64, n), make([]float64, n)
+	fill(unc)
+	fill(dk)
+	if _, err := c.ScoreAllPass(ctx, model, unc, ScorePass{Dirty: dirty, NeedDK: true, DK2: dk}); err != nil {
 		t.Fatal(err)
 	}
-	if len(degraded) != 1 || degraded[0] != 3 {
-		t.Fatalf("degraded = %v, want [3]", degraded)
+	for cell := range unc {
+		want, wantDK := float64(sentinel), float64(sentinel)
+		if slices.Contains(dirty, cell) {
+			want, wantDK = full[cell], fullDK[cell]
+		}
+		if unc[cell] != want || dk[cell] != wantDK {
+			t.Fatalf("cell %d: (%v, %v), want (%v, %v)", cell, unc[cell], dk[cell], want, wantDK)
+		}
 	}
-	owned := make(map[grid.CellID]bool)
-	for _, cell := range c.Shards()[3].Cells {
-		owned[cell] = true
+	// A pass that fails publishes nothing.
+	fill(unc)
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := c.ScoreAllPass(cancelled, model, unc, ScorePass{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled pass: err = %v, want context.Canceled", err)
+	}
+	if _, err := c.ScoreAllPass(ctx, model, unc, ScorePass{Dirty: []int{n}}); err == nil {
+		t.Fatal("a dirty cell outside the grid should fail")
+	}
+	if _, err := c.ScoreAllPass(ctx, constModel{}, unc, ScorePass{Dirty: dirty}); err == nil {
+		t.Fatal("a dirty pass with a non-DWKNN model should fail")
 	}
 	for cell, u := range unc {
-		if owned[grid.CellID(cell)] != (u == -99) {
-			t.Fatalf("cell %d: stale=%v owned-by-degraded=%v", cell, u == -99, owned[grid.CellID(cell)])
+		if u != sentinel {
+			t.Fatalf("cell %d written by a failed pass", cell)
 		}
 	}
-	// MostUncertain skips the degraded shard's cells entirely (and, with
-	// the remaining shards healthy, degrades nothing further).
-	top, newlyDegraded, err := c.MostUncertain(context.Background(), unc, 5, degraded)
+	// Ranking with shard 3 skipped is the full ranking minus its cells.
+	all, _, err := c.MostUncertain(ctx, full, n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(newlyDegraded) != 0 {
-		t.Fatalf("topk degraded = %v, want none", newlyDegraded)
-	}
-	for _, cell := range top {
-		if owned[cell] {
-			t.Fatalf("degraded shard's cell %d selected", cell)
+	var want []grid.CellID
+	for _, cell := range all {
+		if c.ownerByCell[cell] != 3 {
+			want = append(want, cell)
 		}
+	}
+	if len(want) == len(all) {
+		t.Fatal("shard 3 owns no cell; the skip is not exercised")
+	}
+	got, _, err := c.MostUncertain(ctx, full, n, []int{3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("skip ranking differs from the full ranking minus shard 3's cells")
+	}
+	if got, _, _ := c.MostUncertain(ctx, full, 2, []int{0, 1, 2, 3}); len(got) != 0 {
+		t.Fatalf("every shard skipped: got %v, want none", got)
 	}
 }
 

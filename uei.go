@@ -41,8 +41,9 @@ var (
 	// layout (flat vs sharded, or shard count) does not match what the
 	// caller asked for.
 	ErrLayoutMismatch = chunkstore.ErrLayoutMismatch
-	// ErrShardUnavailable classifies degraded-shard failures; step errors
-	// from a fully unavailable sharded index wrap it.
+	// ErrShardUnavailable classifies unavailable-shard failures; a step
+	// that could not load its cell and had nothing to fall back to, and a
+	// sample or retrieval that could not reach every shard, wrap it.
 	ErrShardUnavailable = shard.ErrShardUnavailable
 	// ErrReplicaExhausted marks a shard operation that failed on every
 	// replica. It always travels with ErrShardUnavailable in the chain;
