@@ -20,6 +20,37 @@ type BatchScorer interface {
 	BatchScore(ctx context.Context, m learn.Classifier, X [][]float64, out []float64, workers int) error
 }
 
+// PosteriorScorer is a Scorer whose score is a function of the positive
+// posterior alone — the three uncertainty-sampling variants. A caller that
+// already holds the posterior (the engine's neighbour table keeps every pool
+// row's) scores without a model call; FromPosterior(p) must equal Score on
+// a row whose posterior is p, bit for bit.
+type PosteriorScorer interface {
+	Scorer
+	FromPosterior(p float64) float64
+}
+
+// scoreOne is Score for a PosteriorScorer.
+func scoreOne(s PosteriorScorer, m learn.Classifier, x []float64) (float64, error) {
+	p, err := m.PosteriorPositive(x)
+	if err != nil {
+		return 0, err
+	}
+	return s.FromPosterior(p), nil
+}
+
+// batchScore is BatchScore for a PosteriorScorer: the shared posterior sweep,
+// then the strategy's fold over it.
+func batchScore(ctx context.Context, s PosteriorScorer, m learn.Classifier, X [][]float64, out []float64, workers int) error {
+	if err := batchPosteriors(ctx, m, X, out, workers); err != nil {
+		return err
+	}
+	for i, p := range out {
+		out[i] = s.FromPosterior(p)
+	}
+	return nil
+}
+
 // blockSweepMin is the candidate count above which the batch sweep packs
 // the matrix into a column block for the kernel scoring path: below it
 // the pack copy would rival the model work it saves.
@@ -49,17 +80,17 @@ func (LeastConfidence) Score(m learn.Classifier, x []float64) (float64, error) {
 	return learn.Uncertainty(m, x)
 }
 
+// FromPosterior implements PosteriorScorer (learn.Uncertainty's fold).
+func (LeastConfidence) FromPosterior(p float64) float64 {
+	if p > 0.5 {
+		return 1 - p
+	}
+	return p
+}
+
 // BatchScore implements BatchScorer.
-func (LeastConfidence) BatchScore(ctx context.Context, m learn.Classifier, X [][]float64, out []float64, workers int) error {
-	if err := batchPosteriors(ctx, m, X, out, workers); err != nil {
-		return err
-	}
-	for i, p := range out {
-		if p > 0.5 {
-			out[i] = 1 - p
-		}
-	}
-	return nil
+func (s LeastConfidence) BatchScore(ctx context.Context, m learn.Classifier, X [][]float64, out []float64, workers int) error {
+	return batchScore(ctx, s, m, X, out, workers)
 }
 
 // Margin scores by the (negated) margin between the two class posteriors:
@@ -72,23 +103,16 @@ type Margin struct{}
 func (Margin) Name() string { return "margin" }
 
 // Score implements Scorer.
-func (Margin) Score(m learn.Classifier, x []float64) (float64, error) {
-	p, err := m.PosteriorPositive(x)
-	if err != nil {
-		return 0, err
-	}
-	return 1 - math.Abs(2*p-1), nil
+func (s Margin) Score(m learn.Classifier, x []float64) (float64, error) {
+	return scoreOne(s, m, x)
 }
 
+// FromPosterior implements PosteriorScorer.
+func (Margin) FromPosterior(p float64) float64 { return 1 - math.Abs(2*p-1) }
+
 // BatchScore implements BatchScorer.
-func (Margin) BatchScore(ctx context.Context, m learn.Classifier, X [][]float64, out []float64, workers int) error {
-	if err := batchPosteriors(ctx, m, X, out, workers); err != nil {
-		return err
-	}
-	for i, p := range out {
-		out[i] = 1 - math.Abs(2*p-1)
-	}
-	return nil
+func (s Margin) BatchScore(ctx context.Context, m learn.Classifier, X [][]float64, out []float64, workers int) error {
+	return batchScore(ctx, s, m, X, out, workers)
 }
 
 // Entropy scores by the Shannon entropy of the posterior distribution,
@@ -99,23 +123,16 @@ type Entropy struct{}
 func (Entropy) Name() string { return "entropy" }
 
 // Score implements Scorer.
-func (Entropy) Score(m learn.Classifier, x []float64) (float64, error) {
-	p, err := m.PosteriorPositive(x)
-	if err != nil {
-		return 0, err
-	}
-	return binaryEntropy(p), nil
+func (s Entropy) Score(m learn.Classifier, x []float64) (float64, error) {
+	return scoreOne(s, m, x)
 }
 
+// FromPosterior implements PosteriorScorer.
+func (Entropy) FromPosterior(p float64) float64 { return binaryEntropy(p) }
+
 // BatchScore implements BatchScorer.
-func (Entropy) BatchScore(ctx context.Context, m learn.Classifier, X [][]float64, out []float64, workers int) error {
-	if err := batchPosteriors(ctx, m, X, out, workers); err != nil {
-		return err
-	}
-	for i, p := range out {
-		out[i] = binaryEntropy(p)
-	}
-	return nil
+func (s Entropy) BatchScore(ctx context.Context, m learn.Classifier, X [][]float64, out []float64, workers int) error {
+	return batchScore(ctx, s, m, X, out, workers)
 }
 
 func binaryEntropy(p float64) float64 {

@@ -351,3 +351,73 @@ func TestScoreKernelViewIsolation(t *testing.T) {
 		t.Error("interleaved views skipped no cells; their incremental state did not survive each other's passes")
 	}
 }
+
+// TestScoreStateLifetime follows the memory behind incremental scoring: the
+// table is sized to |P| by the first DWKNN pass and stays that size,
+// AdvanceSnapshot drops its lists but keeps the storage, a view holds its
+// own, and Close gives everything back — all of it visible on the
+// uei_score_state_bytes gauge and in Stats, none of it in the budget.
+func TestScoreStateLifetime(t *testing.T) {
+	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 1000, Seed: 54})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := Build(dir, ds, BuildOptions{TargetChunkBytes: 2048, LiveIngest: true}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	idx, err := Open(ctx, dir, parityOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	if got := idx.Stats().ScoreStateBytes; got != 0 {
+		t.Fatalf("a fresh index holds %d bytes of score state", got)
+	}
+	models := appendDWKNNSeq(t, ds, 4, 20, 3)
+	budgetBefore := idx.Budget().Used()
+	scoreSeq(t, idx, models[:2])
+	// K = 5 here: 12·5 + 8 bytes of list and posterior, 8 of (id, slot).
+	want := int64(idx.NumIndexPoints()) * (12*5 + 8 + 8)
+	if got := idx.Stats().ScoreStateBytes; got != want {
+		t.Fatalf("score state after two passes: %d bytes, want %d", got, want)
+	}
+	if idx.Budget().Used() != budgetBefore {
+		t.Fatalf("score state was charged to the memory budget: %d -> %d", budgetBefore, idx.Budget().Used())
+	}
+
+	if _, err := idx.Append(ctx, [][]float64{ds.CopyRow(0), ds.CopyRow(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if moved, err := idx.AdvanceSnapshot(); err != nil || !moved {
+		t.Fatalf("AdvanceSnapshot = %v, %v", moved, err)
+	}
+	if idx.ptab.Len() != 0 || idx.ptab.Bytes() != want {
+		t.Fatalf("after AdvanceSnapshot the table holds %d lists in %d bytes, want 0 in %d", idx.ptab.Len(), idx.ptab.Bytes(), want)
+	}
+	scoreSeq(t, idx, models[2:])
+	if got := idx.Stats().ScoreStateBytes; got != want {
+		t.Fatalf("score state after the epoch: %d bytes, want %d", got, want)
+	}
+
+	v, err := idx.NewView(ViewOptions{MemoryBudgetBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scoreSeq(t, v, models[:1])
+	if got := idx.Stats().ScoreStateBytes; got != 2*want {
+		t.Fatalf("index plus one view: %d bytes, want %d", got, 2*want)
+	}
+	v.Close()
+	if v.ptab.Bytes() != 0 || idx.Stats().ScoreStateBytes != want {
+		t.Fatalf("closed view keeps %d bytes; gauge %d, want %d", v.ptab.Bytes(), idx.Stats().ScoreStateBytes, want)
+	}
+	idx.Close()
+	if idx.ptab.Bytes() != 0 || idx.Stats().ScoreStateBytes != 0 {
+		t.Fatalf("closed index keeps %d bytes; gauge %d", idx.ptab.Bytes(), idx.Stats().ScoreStateBytes)
+	}
+}

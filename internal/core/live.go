@@ -192,10 +192,10 @@ func (x *Index) AdvanceSnapshot() (bool, error) {
 	}
 	x.cache.DropRegion()
 	x.scoresValid = false
-	// Drop the incremental-rescore state: the symbolic points cannot
-	// change, but a full pass on the new epoch keeps the invariants
-	// trivially true.
-	x.lastDW = nil
+	// Drop the incremental-rescore lists (the storage stays): the symbolic
+	// points cannot change, but a pass from scratch on the new epoch keeps
+	// the invariants trivially true.
+	x.ptab.Reset()
 	x.pendingCell = memcache.NoRegion
 	x.deferredFor = 0
 	return true, nil

@@ -197,4 +197,9 @@ type Stats struct {
 	// counters (both zero when no cache is installed).
 	CacheHits   int64
 	CacheMisses int64
+	// ScoreStateBytes is the memory held by incremental-scoring state —
+	// the neighbour tables of every view and session on the index's
+	// registry (the uei_score_state_bytes gauge). It is not charged to
+	// MemoryBudgetBytes.
+	ScoreStateBytes int64
 }

@@ -121,21 +121,20 @@ type Index struct {
 	// scoresValid records whether uncertainty reflects the current model.
 	scoresValid bool
 
-	// Incremental-rescore state (per-view, like uncertainty). lastDW is
-	// the DWKNN model the uncertainty vector was last fully scored with
-	// and dk2 its per-center k-th-neighbor squared distances: when the
-	// next model is the same DWKNN refit on an append-only extension of
-	// the labeled set, a center's posterior can change only if a new
-	// labeled point lands strictly inside its k-th-neighbor ball, so only
-	// that dirty subset is rescored. A pass publishes all of its scores
-	// and bounds or none, so a non-nil lastDW always describes every slot.
-	lastDW *learn.DWKNN
-	dk2    []float64
+	// ptab is the incremental-rescore state (per-view, like uncertainty):
+	// every symbolic point's k nearest labeled rows under the last DWKNN,
+	// keyed by cell id. When the next model is the same DWKNN refit on an
+	// append-only extension of the labeled set, each point's scan resumes
+	// at the first new row and only points a new row is strictly nearer to
+	// than their k-th neighbor are rescored. Its memory (stateBytes, also
+	// the view's share of the uei_score_state_bytes gauge) is outside
+	// MemoryBudgetBytes: charging it would change which region rows fit,
+	// and with them every label sequence.
+	ptab       learn.NeighborTable
+	stateBytes int64
 	// lastSkipped is how many of the |P| cells the most recent
-	// UpdateUncertainty pass skipped under the exact delta rule; dirtyBuf
-	// is its reused dirty-cell scratch.
+	// UpdateUncertainty pass carried over unchanged.
 	lastSkipped int
-	dirtyBuf    []int
 
 	// deferredFor counts consecutive iterations the swap to pendingCell
 	// has been deferred awaiting its prefetch.
@@ -164,9 +163,12 @@ type Index struct {
 	mPrefHits *obs.Counter
 	mEntries  *obs.Counter
 	// mCellsScored / mCellsSkipped split every scoring pass's |P| cells
-	// into rescored and delta-skipped, across all views of the index.
+	// into rescored and carried over unchanged, across all views of the
+	// index; gStateBytes sums the incremental-scoring state of every view
+	// and session on the registry.
 	mCellsScored  *obs.Counter
 	mCellsSkipped *obs.Counter
+	gStateBytes   *obs.Gauge
 	hScore        *obs.Histogram
 	hLoad         *obs.Histogram
 	hSwap         *obs.Histogram
@@ -429,6 +431,7 @@ func (x *Index) instrument() {
 	x.mEntries = x.reg.Counter("uei_entries_visited_total")
 	x.mCellsScored = x.reg.Counter("uei_score_scored_cells_total")
 	x.mCellsSkipped = x.reg.Counter("uei_score_skipped_cells_total")
+	x.gStateBytes = x.reg.Gauge(obs.ScoreStateBytesGauge)
 	x.hScore = x.reg.Histogram(obs.PhaseHistName(obs.PhaseScore), nil)
 	x.hLoad = x.reg.Histogram(obs.PhaseHistName(obs.PhaseLoad), nil)
 	x.hSwap = x.reg.Histogram(obs.PhaseHistName(obs.PhaseSwap), nil)
@@ -473,7 +476,17 @@ func (x *Index) Close() {
 		if !x.isView {
 			x.pool.Close()
 		}
+		x.ptab.Release()
+		x.accountState()
 	})
+}
+
+// accountState moves the index's share of the score-state gauge to what
+// ptab holds now.
+func (x *Index) accountState() {
+	b := x.ptab.Bytes()
+	x.gStateBytes.Add(float64(b - x.stateBytes))
+	x.stateBytes = b
 }
 
 // Grid returns the symbolic-point lattice.
@@ -578,91 +591,75 @@ func (x *Index) InitExploration(ctx context.Context) error {
 }
 
 // UpdateUncertainty re-scores the symbolic index points against the
-// current model (Algorithm 2 line 17, P <- updateUncertainty(P, M)) through
-// the block kernels, by one of two routes that are bit-identical on the
-// cells they score:
+// current model (Algorithm 2 line 17, P <- updateUncertainty(P, M)), by one
+// of two routes that agree bit for bit:
 //
-//  1. Exact incremental (DWKNN refit on an append-only labeled set): the
-//     retained d_k² bounds prove which cells' k-nearest-neighbor sets can
-//     have changed; only that dirty subset is rescored.
-//  2. Full pass over every point, capturing fresh d_k² bounds when the
-//     model is a DWKNN.
+//  1. DWKNN: a resumable scan. The view keeps every point's k nearest
+//     labeled rows (learn.NeighborTable, keyed by cell id); a refit on an
+//     append-only labeled set costs one distance per point per new label,
+//     and only points whose neighbor list a new label entered are rescored.
+//     Anything else about the model changing rescans from row 0.
+//  2. Any other model: one full pass through the block kernels on the
+//     worker pool.
 //
-// Either way it is one in-process pass over the packed centres on the
-// worker pool — no shard is contacted, whatever the layout — published
-// only when complete, so the result is byte-identical to a serial pass at
-// any worker and shard count and a cancelled pass changes nothing.
+// Either way no shard is contacted, whatever the layout, and the vector is
+// published only when the pass is complete, so a cancelled pass changes
+// nothing.
 func (x *Index) UpdateUncertainty(ctx context.Context, model learn.Classifier) error {
 	if x.closed.Load() {
 		return ErrClosed
 	}
-	n := x.blk.N
 	x.lastSkipped = 0
-	dw, isDW := model.(*learn.DWKNN)
-
-	if isDW && x.lastDW != nil {
-		if newRows, ok := dw.AppendDelta(x.lastDW); ok {
-			return x.rescoreDirty(ctx, dw, newRows)
-		}
-	}
-
-	var pass shard.ScorePass
-	if isDW {
-		if cap(x.dk2) < n {
-			x.dk2 = make([]float64, n)
-		}
-		x.dk2 = x.dk2[:n]
-		pass.NeedDK = true
-		pass.DK2 = x.dk2
-	}
-	if _, err := x.coord.ScoreAllPass(ctx, model, x.uncertainty, pass); err != nil {
-		return fmt.Errorf("core: scoring index points: %w", err)
-	}
-	// Retain the DWKNN (with its fresh d_k² bounds) for the next delta
-	// pass; any other model leaves nothing to extend.
-	x.lastDW = dw
-	x.mCellsScored.Add(int64(n))
-	x.scoresValid = true
-	return nil
-}
-
-// rescoreDirty is the exact incremental pass: the refit model equals the
-// retained one plus newRows appended to the labeled set, so a center's
-// k-nearest-neighbor set — and hence its posterior — can change only if
-// some new point lies strictly inside the center's k-th-neighbor ball
-// (ties lose to the incumbent on the (distance, index) total order).
-// Clean cells keep bit-identical scores by construction; dirty cells are
-// rescored through the same block kernels as a full pass.
-func (x *Index) rescoreDirty(ctx context.Context, dw *learn.DWKNN, newRows [][]float64) error {
-	n := x.blk.N
-	x.dirtyBuf = x.dirtyBuf[:0]
-	if len(newRows) > 0 {
-		var err error
-		x.dirtyBuf, err = dw.DirtyCells(x.blk, newRows, x.dk2, x.dirtyBuf)
-		if err != nil {
-			return fmt.Errorf("core: computing dirty cells: %w", err)
-		}
-	}
-	dirty := x.dirtyBuf
-	// With no dirty cell the refit cannot have moved any center's neighbor
-	// set: every score and d_k² bound carries over exactly.
-	if len(dirty) > 0 {
-		_, err := x.coord.ScoreAllPass(ctx, dw, x.uncertainty, shard.ScorePass{
-			Dirty:  dirty,
-			NeedDK: true,
-			DK2:    x.dk2,
-		})
+	scored := x.blk.N
+	if dw, ok := model.(*learn.DWKNN); ok {
+		pass, err := x.scoreResumed(ctx, dw)
 		if err != nil {
 			return fmt.Errorf("core: scoring index points: %w", err)
 		}
+		scored = pass.Scanned + pass.Changed
+		x.lastSkipped = pass.Carried - pass.Changed
+	} else if _, err := x.coord.ScoreAllPass(ctx, model, x.uncertainty, shard.ScorePass{}); err != nil {
+		return fmt.Errorf("core: scoring index points: %w", err)
 	}
-	x.lastDW = dw
-	x.lastSkipped = n - len(dirty)
-	x.mCellsScored.Add(int64(len(dirty)))
+	x.mCellsScored.Add(int64(scored))
 	x.mCellsSkipped.Add(int64(x.lastSkipped))
 	x.scoresValid = true
 	return nil
 }
+
+// scoreResumed is route 1: one serial pass over the centres through ptab,
+// checking ctx as often as the block pass does. The table's storage is
+// sized to |P| on the first pass and kept until Close.
+func (x *Index) scoreResumed(ctx context.Context, dw *learn.DWKNN) (learn.NeighborPass, error) {
+	n := x.blk.N
+	err := x.ptab.Begin(dw, n)
+	row := make([]float64, x.blk.Dims)
+	for i := 0; i < n && err == nil; i++ {
+		if i%ctxCheckEvery == 0 {
+			if err = ctx.Err(); err != nil {
+				break
+			}
+		}
+		_, err = x.ptab.Posterior(uint32(i), x.blk.Row(i, row))
+	}
+	// A pass cut short keeps no list: the next one starts over.
+	pass := x.ptab.End(err == nil)
+	x.accountState()
+	if err != nil {
+		return learn.NeighborPass{}, err
+	}
+	x.ptab.Posteriors(x.uncertainty)
+	for i, p := range x.uncertainty {
+		if p > 0.5 {
+			x.uncertainty[i] = 1 - p
+		}
+	}
+	return pass, nil
+}
+
+// ctxCheckEvery is how many symbolic points the resumed pass scores between
+// context checks (learn's block passes use the same stride).
+const ctxCheckEvery = 512
 
 // MostUncertainCells returns the top-k cells by symbolic-point uncertainty,
 // descending, with cell id as the deterministic tie-breaker — a full sort's
@@ -938,6 +935,7 @@ func (x *Index) Stats() Stats {
 	}
 	s.BytesRead, s.ChunksRead = x.IOStats()
 	s.PeakMemory = x.budget.Peak()
+	s.ScoreStateBytes = int64(x.gStateBytes.Value())
 	if bc := x.BlockCache(); bc != nil {
 		cs := bc.Stats()
 		s.CacheHits, s.CacheMisses = cs.Hits, cs.Misses

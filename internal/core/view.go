@@ -73,9 +73,9 @@ func (x *Index) NewView(vo ViewOptions) (*Index, error) {
 		grid:   x.grid,
 		budget: budget,
 		cache:  cache,
-		// The packed symbolic points are immutable and shared;
-		// incremental-rescore state (lastDW, dk2) stays private and cold,
-		// because it tracks the view's own uncertainty vector.
+		// The packed symbolic points are immutable and shared; the
+		// incremental-rescore state (ptab) stays private and cold, because
+		// it tracks the view's own model sequence.
 		blk:         x.blk,
 		pool:        x.pool,
 		isView:      true,

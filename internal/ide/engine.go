@@ -79,7 +79,9 @@ type Config struct {
 	// and the Strategy implements al.BatchScorer: the pool is materialized
 	// into a reusable scratch buffer and scored in parallel shards instead
 	// of one streaming Score call per row. Selection stays deterministic
-	// (first-seen argmax). Values <= 1 keep the streaming path.
+	// (first-seen argmax). Values <= 1 keep the streaming path. It has no
+	// effect on a DWKNN session over a resident pool, which resumes each
+	// row's k-NN scan serially whatever the value (see selectCandidate).
 	Workers int
 }
 
@@ -143,6 +145,13 @@ type Session struct {
 	mIters     *obs.Counter
 	mLabels    *obs.Counter
 	mRetrains  *obs.Counter
+	// Selection-pass tallies: pool rows whose k-NN scan was carried over
+	// from the previous selection, rows scanned from scratch, and carried
+	// rows a new label changed.
+	mCarried *obs.Counter
+	mScanned *obs.Counter
+	mChanged *obs.Counter
+	gState   *obs.Gauge
 
 	labeledIDs []uint32
 	labeledX   [][]float64
@@ -153,6 +162,15 @@ type Session struct {
 	batchIDs    []uint32
 	batchRows   [][]float64
 	batchScores []float64
+	// poolTab keeps every resident candidate's k nearest labeled rows between
+	// selections (DWKNN over a provider with a resident pool only), so a
+	// selection after one new label costs one distance per candidate.
+	// poolBytes is its share of the uei_score_state_bytes gauge, lastPass
+	// the latest selection's tally. The memory is released when the session
+	// is done, finished or Released; it is not part of any memory budget.
+	poolTab   learn.NeighborTable
+	poolBytes int64
+	lastPass  learn.NeighborPass
 	// resumed marks sessions restored from a Snapshot; Run then reports
 	// the pre-labeled tuples to the provider and skips acquisition when
 	// both classes are already present.
@@ -260,6 +278,10 @@ func NewSession(cfg Config, provider Provider, labeler Labeler) (*Session, error
 		mIters:     reg.Counter("ide_iterations_total"),
 		mLabels:    reg.Counter("ide_labels_total"),
 		mRetrains:  reg.Counter("ide_retrains_total"),
+		mCarried:   reg.Counter("uei_select_rows_carried_total"),
+		mScanned:   reg.Counter("uei_select_rows_scanned_total"),
+		mChanged:   reg.Counter("uei_select_rows_changed_total"),
+		gState:     reg.Gauge(obs.ScoreStateBytesGauge),
 	}, nil
 }
 
@@ -398,6 +420,7 @@ func (s *Session) proposeBootstrap(ctx context.Context) (*Proposal, error) {
 func (s *Session) proposeSelect(ctx context.Context) (*Proposal, error) {
 	if s.labeler.Count() >= s.cfg.MaxLabels {
 		s.phase = phaseDone
+		s.Release()
 		return nil, ErrExplorationDone
 	}
 	if err := ctx.Err(); err != nil {
@@ -424,9 +447,18 @@ func (s *Session) proposeSelect(ctx context.Context) (*Proposal, error) {
 		ispan.End(map[string]float64{"iter": float64(s.iteration)})
 		return nil, fmt.Errorf("ide: iteration %d: %w", s.iteration, err)
 	}
-	s.hSelect.ObserveDuration(sel.End(map[string]float64{"pool": float64(pool)}))
+	s.mCarried.Add(int64(s.lastPass.Carried))
+	s.mScanned.Add(int64(s.lastPass.Scanned))
+	s.mChanged.Add(int64(s.lastPass.Changed))
+	s.hSelect.ObserveDuration(sel.End(map[string]float64{
+		"pool":    float64(pool),
+		"carried": float64(s.lastPass.Carried),
+		"scanned": float64(s.lastPass.Scanned),
+		"changed": float64(s.lastPass.Changed),
+	}))
 	if pool == 0 {
 		s.phase = phaseDone // unlabeled pool exhausted
+		s.Release()
 		ispan.End(map[string]float64{"iter": float64(s.iteration), "pool": 0})
 		return nil, ErrExplorationDone
 	}
@@ -560,6 +592,9 @@ func (s *Session) Finish(ctx context.Context) (*Result, error) {
 	if s.cfg.BeforeRetrieve != nil {
 		s.cfg.BeforeRetrieve()
 	}
+	// Retrieval does not use the pool table; give its memory back before
+	// the scan allocates its own.
+	s.Release()
 	rctx, span := obs.StartSpan(ctx, obs.PhaseRetrieve)
 	positive, err := s.provider.Retrieve(rctx, s.model)
 	if err != nil {
@@ -655,15 +690,50 @@ func (s *Session) randomCandidate(ctx context.Context) (uint32, []float64, bool,
 	return id, append([]float64(nil), row...), true, nil
 }
 
+// residentPool is implemented by providers whose Candidates streams rows
+// already in memory, in ascending id order, mostly the same ones from call
+// to call (UEI's sample plus region); CandidateCount is how many. The
+// full-scan baseline does not implement it: keeping a list per table row
+// would hold in memory what that scheme streams from disk.
+type residentPool interface {
+	CandidateCount() int
+}
+
 // selectCandidate returns the argmax-scoring candidate (Eq. 2), copying
 // its row. Ties keep the first candidate seen, which combined with sorted
-// candidate streams makes selection deterministic. With Workers > 1 and a
-// BatchScorer strategy it materializes the pool and scores it in parallel
-// shards; the serial argmax over the score vector uses the same strict
-// comparison, so both paths select the same candidate.
+// candidate streams makes selection deterministic. Three routes score the
+// stream, all to the same bits:
+//
+//   - a DWKNN model, a strategy that is a function of the posterior and a
+//     resident pool: each row's k-NN scan is resumed from the previous
+//     selection through s.poolTab (learn.NeighborTable), at any Workers;
+//   - Workers > 1 and a BatchScorer strategy: the pool is materialized and
+//     scored in parallel shards (selectCandidateBatch);
+//   - otherwise one streaming Score call per row.
 func (s *Session) selectCandidate(ctx context.Context) (uint32, []float64, float64, int, error) {
-	if bs, ok := s.cfg.Strategy.(al.BatchScorer); ok && s.cfg.Workers > 1 {
-		return s.selectCandidateBatch(ctx, bs)
+	score := func(_ uint32, row []float64) (float64, error) { return s.cfg.Strategy.Score(s.model, row) }
+	dw, isDW := s.model.(*learn.DWKNN)
+	ps, fromPosterior := s.cfg.Strategy.(al.PosteriorScorer)
+	rp, resident := s.provider.(residentPool)
+	resumed := isDW && fromPosterior && resident
+	if resumed {
+		// When the table has to be (re)allocated, a sixteenth of headroom
+		// lets the pool grow by a larger region without doing it again.
+		n := rp.CandidateCount()
+		if n > s.poolTab.Cap() {
+			n += n / 16
+		}
+		if err := s.poolTab.Begin(dw, n); err != nil {
+			return 0, nil, 0, 0, err
+		}
+		score = func(id uint32, row []float64) (float64, error) {
+			p, err := s.poolTab.Posterior(id, row)
+			return ps.FromPosterior(p), err
+		}
+	} else if bs, ok := s.cfg.Strategy.(al.BatchScorer); ok && s.cfg.Workers > 1 {
+		id, row, best, pool, err := s.selectCandidateBatch(ctx, bs)
+		s.lastPass = learn.NeighborPass{Scanned: pool}
+		return id, row, best, pool, err
 	}
 	var bestID uint32
 	var bestRow []float64
@@ -671,29 +741,60 @@ func (s *Session) selectCandidate(ctx context.Context) (uint32, []float64, float
 	pool := 0
 	var scoreErr error
 	err := s.provider.Candidates(ctx, func(id uint32, row []float64) bool {
-		score, err := s.cfg.Strategy.Score(s.model, row)
+		if pool%ctxCheckEvery == 0 {
+			if scoreErr = ctx.Err(); scoreErr != nil {
+				return false
+			}
+		}
+		v, err := score(id, row)
 		if err != nil {
 			scoreErr = err
 			return false
 		}
 		pool++
-		if score > bestScore {
-			bestScore = score
+		if v > bestScore {
+			bestScore = v
 			bestID = id
 			bestRow = append(bestRow[:0], row...)
 		}
 		return true
 	})
-	if err != nil {
+	if err == nil {
+		err = scoreErr
+	}
+	s.lastPass = learn.NeighborPass{Scanned: pool}
+	if resumed {
+		// A pass cut short leaves no list behind: the next selection scans
+		// from scratch.
+		s.lastPass = s.poolTab.End(err == nil)
+		s.accountPool()
+	}
+	if err != nil || pool == 0 {
 		return 0, nil, 0, 0, err
 	}
-	if scoreErr != nil {
-		return 0, nil, 0, 0, scoreErr
-	}
-	if pool == 0 {
-		return 0, nil, 0, 0, nil
-	}
 	return bestID, append([]float64(nil), bestRow...), bestScore, pool, nil
+}
+
+// ctxCheckEvery is how many candidates selection scores between context
+// checks.
+const ctxCheckEvery = 512
+
+// Release gives back the memory the session keeps between selections (the
+// pool's neighbour table). The session stays usable — the next selection
+// rebuilds the table from scratch — so Finish and the end of exploration
+// call it themselves; a caller that drops an unfinished session should too,
+// or its share stays on the uei_score_state_bytes gauge.
+func (s *Session) Release() {
+	s.poolTab.Release()
+	s.accountPool()
+}
+
+// accountPool moves the session's share of the score-state gauge to what
+// the pool table holds now.
+func (s *Session) accountPool() {
+	b := s.poolTab.Bytes()
+	s.gState.Add(float64(b - s.poolBytes))
+	s.poolBytes = b
 }
 
 // selectCandidateBatch materializes the candidate pool into reusable

@@ -84,6 +84,11 @@ func (p *UEIProvider) Candidates(_ context.Context, fn func(id uint32, row []flo
 	return nil
 }
 
+// CandidateCount returns the size of the resident pool Candidates streams.
+// Implementing it is how a provider tells the engine its pool is in memory
+// and stable enough to keep per-row scoring state for.
+func (p *UEIProvider) CandidateCount() int { return p.idx.CandidateCount() }
+
 // OnLabeled implements Provider.
 func (p *UEIProvider) OnLabeled(id uint32) { p.idx.MarkLabeled(id) }
 

@@ -120,58 +120,3 @@ func BlockUncertaintiesInto(ctx context.Context, c Classifier, blk *kernel.Block
 	}
 	return nil
 }
-
-// BlockUncertaintiesDKInto scores block points [lo, hi) with a DWKNN,
-// writing uncertainties to out[0:hi-lo] and each point's k-th-neighbor
-// squared distance to dk2[0:hi-lo] — one pass produces both the scores and
-// the incremental rescorer's bounds.
-func BlockUncertaintiesDKInto(ctx context.Context, dw *DWKNN, blk *kernel.Block, lo, hi int, out, dk2 []float64) error {
-	if hi-lo != len(out) || hi-lo != len(dk2) {
-		return fmt.Errorf("learn: %d block points but %d/%d output slots", hi-lo, len(out), len(dk2))
-	}
-	for base := lo; base < hi; base += batchBlock {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		end := base + batchBlock
-		if end > hi {
-			end = hi
-		}
-		if err := dw.BlockPosteriorDK(blk, base, end, out[base-lo:end-lo], dk2[base-lo:end-lo]); err != nil {
-			return err
-		}
-	}
-	for i, p := range out {
-		if p > 0.5 {
-			out[i] = 1 - p
-		}
-	}
-	return nil
-}
-
-// BlockUncertaintiesDKAt is BlockUncertaintiesDKInto over an arbitrary
-// ascending subset of block points — the dirty-cell rescoring path. out
-// and dk2 align with cells.
-func BlockUncertaintiesDKAt(ctx context.Context, dw *DWKNN, blk *kernel.Block, cells []int, out, dk2 []float64) error {
-	if len(cells) != len(out) || len(cells) != len(dk2) {
-		return fmt.Errorf("learn: %d dirty cells but %d/%d output slots", len(cells), len(out), len(dk2))
-	}
-	for base := 0; base < len(cells); base += batchBlock {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		end := base + batchBlock
-		if end > len(cells) {
-			end = len(cells)
-		}
-		if err := dw.BlockPosteriorDKAt(blk, cells[base:end], out[base:end], dk2[base:end]); err != nil {
-			return err
-		}
-	}
-	for i, p := range out {
-		if p > 0.5 {
-			out[i] = 1 - p
-		}
-	}
-	return nil
-}

@@ -32,7 +32,7 @@ func topK(unc []float64, k int) []int {
 
 // FuzzBlockParity is the cross-model scoring-mode agreement property: for
 // a random dataset and query block, every classifier's columnar path —
-// and, for DWKNN, the dirty-cell delta path — must reproduce the row
+// and, for DWKNN, the resumed scan of a NeighborTable — must reproduce the row
 // path's posteriors bit for bit, and therefore the identical top-k
 // selection. Query sets deliberately include duplicates (degenerate
 // equidistant neighborhoods) and exact copies of training rows.
@@ -128,49 +128,40 @@ func FuzzBlockParity(f *testing.F) {
 			}
 		}
 
-		// DWKNN mode 3: delta rescoring. Fit an append-only predecessor,
-		// score it, then patch only the dirty cells — the patched vector
-		// must equal a from-scratch pass under the current model.
+		// DWKNN mode 3: the resumed scan. Score the block under an
+		// append-only predecessor through a NeighborTable, then under the
+		// current model: every carried posterior must equal a from-scratch
+		// pass bit for bit, whether or not its list changed.
 		nOld := nTrain - 1 - rng.Intn(4)
-		if nOld >= 5 {
+		if nOld >= 2 {
 			old := NewDWKNN(5, scales)
 			if err := old.Fit(X[:nOld], y[:nOld]); err != nil {
 				t.Fatal(err)
 			}
 			cur := models["dwknn"].(*DWKNN)
-			newRows, ok := cur.AppendDelta(old)
-			if !ok {
-				t.Fatalf("AppendDelta rejected an append-only refit (%d -> %d rows)", nOld, nTrain)
-			}
-			p := make([]float64, nq)
-			dk2 := make([]float64, nq)
-			if err := old.BlockPosteriorDK(blk, 0, nq, p, dk2); err != nil {
-				t.Fatal(err)
-			}
-			dirty, err := cur.DirtyCells(blk, newRows, dk2, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sub := make([]float64, len(dirty))
-			subDK := make([]float64, len(dirty))
-			if err := cur.BlockPosteriorDKAt(blk, dirty, sub, subDK); err != nil {
-				t.Fatal(err)
-			}
-			for i, c := range dirty {
-				p[c], dk2[c] = sub[i], subDK[i]
-			}
-			full := make([]float64, nq)
-			fullDK := make([]float64, nq)
-			if err := cur.BlockPosteriorDK(blk, 0, nq, full, fullDK); err != nil {
-				t.Fatal(err)
-			}
-			for i := range full {
-				if math.Float64bits(p[i]) != math.Float64bits(full[i]) {
-					t.Fatalf("delta query %d: patched %v != full %v", i, p[i], full[i])
+			var tab NeighborTable
+			row := make([]float64, dims)
+			for _, m := range []*DWKNN{old, cur} {
+				if err := tab.Begin(m, nq); err != nil {
+					t.Fatal(err)
 				}
-				if math.Float64bits(dk2[i]) != math.Float64bits(fullDK[i]) {
-					t.Fatalf("delta query %d: patched dk² %v != full %v", i, dk2[i], fullDK[i])
+				for i := 0; i < nq; i++ {
+					got, err := tab.Posterior(uint32(i), blk.Row(i, row))
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := m.PosteriorPositive(Q[i])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("resumed query %d at %d rows: table %v != scratch %v", i, len(m.x), got, want)
+					}
 				}
+				tab.End(true)
+			}
+			if pass := tab.pass; pass.Carried != nq || pass.Scanned != 0 {
+				t.Fatalf("append-only refit (%d -> %d rows) carried %d of %d lists, scanned %d", nOld, nTrain, pass.Carried, nq, pass.Scanned)
 			}
 		}
 	})

@@ -116,8 +116,7 @@ func TestBlockPosteriorDegenerateDWKNN(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := make([]float64, len(Q))
-		dk2 := make([]float64, len(Q))
-		if err := dw.BlockPosteriorDK(blk, 0, len(Q), got, dk2); err != nil {
+		if err := dw.BlockPosterior(blk, 0, len(Q), got); err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {
@@ -125,140 +124,5 @@ func TestBlockPosteriorDegenerateDWKNN(t *testing.T) {
 				t.Fatalf("k=%d query %d: %v != %v", k, i, got[i], want[i])
 			}
 		}
-		// Center queries: every neighbor at distance 1 → dk² == 1.
-		if dk2[0] != 1 || dk2[2] != 1 {
-			t.Fatalf("k=%d: center dk² = %v, want 1", k, dk2[0])
-		}
-	}
-}
-
-// AppendDelta must accept exactly the append-only extensions and reject
-// everything else; DirtyCells must flag every center whose posterior or
-// dk² can change — verified against a full rescore.
-func TestAppendDeltaDirtyCellsExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	scales := []float64{2, 0.5, 1.5}
-	mkRows := func(n int) ([][]float64, []int) {
-		X := make([][]float64, n)
-		y := make([]int, n)
-		for i := range X {
-			row := make([]float64, 3)
-			for d := range row {
-				row[d] = rng.NormFloat64() * 4
-			}
-			X[i] = row
-			y[i] = rng.Intn(2)
-		}
-		return X, y
-	}
-	for trial := 0; trial < 30; trial++ {
-		nOld := 10 + rng.Intn(40)
-		nNew := 1 + rng.Intn(6)
-		X, y := mkRows(nOld + nNew)
-		old := NewDWKNN(7, scales)
-		if err := old.Fit(X[:nOld], y[:nOld]); err != nil {
-			t.Fatal(err)
-		}
-		cur := NewDWKNN(7, scales)
-		if err := cur.Fit(X, y); err != nil {
-			t.Fatal(err)
-		}
-		newRows, ok := cur.AppendDelta(old)
-		if !ok || len(newRows) != nNew {
-			t.Fatalf("trial %d: AppendDelta ok=%v rows=%d want %d", trial, ok, len(newRows), nNew)
-		}
-
-		// Score a center set under the old model, then check the dirty rule
-		// against a full rescore under the new model.
-		nc := 200
-		C := make([][]float64, nc)
-		for i := range C {
-			c := make([]float64, 3)
-			for d := range c {
-				c[d] = rng.NormFloat64() * 4
-			}
-			C[i] = c
-		}
-		blk := kernel.Pack(C)
-		oldP := make([]float64, nc)
-		oldDK := make([]float64, nc)
-		if err := old.BlockPosteriorDK(blk, 0, nc, oldP, oldDK); err != nil {
-			t.Fatal(err)
-		}
-		newP := make([]float64, nc)
-		newDK := make([]float64, nc)
-		if err := cur.BlockPosteriorDK(blk, 0, nc, newP, newDK); err != nil {
-			t.Fatal(err)
-		}
-		dirty, err := cur.DirtyCells(blk, newRows, oldDK, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inDirty := make(map[int]bool, len(dirty))
-		for _, c := range dirty {
-			inDirty[c] = true
-		}
-		for i := 0; i < nc; i++ {
-			changed := math.Float64bits(oldP[i]) != math.Float64bits(newP[i]) ||
-				math.Float64bits(oldDK[i]) != math.Float64bits(newDK[i])
-			if changed && !inDirty[i] {
-				t.Fatalf("trial %d: center %d changed but not flagged dirty", trial, i)
-			}
-			if !inDirty[i] {
-				// Exactness: clean centers keep identical scores and bounds.
-				if math.Float64bits(oldP[i]) != math.Float64bits(newP[i]) {
-					t.Fatalf("trial %d: clean center %d posterior drifted", trial, i)
-				}
-			}
-		}
-
-		// Rejections: different K, different scales, mutated prefix, label flip.
-		other := NewDWKNN(5, scales)
-		if err := other.Fit(X, y); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := other.AppendDelta(old); ok {
-			t.Fatal("K mismatch accepted")
-		}
-		s2 := append([]float64(nil), scales...)
-		s2[0] = 3
-		resc := NewDWKNN(7, s2)
-		if err := resc.Fit(X, y); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := resc.AppendDelta(old); ok {
-			t.Fatal("scale drift accepted")
-		}
-		yFlip := append([]int(nil), y...)
-		yFlip[0] = 1 - yFlip[0]
-		flip := NewDWKNN(7, scales)
-		if err := flip.Fit(X, yFlip); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := flip.AppendDelta(old); ok {
-			t.Fatal("label flip accepted")
-		}
-		if _, ok := old.AppendDelta(cur); ok {
-			t.Fatal("shrinking set accepted")
-		}
-	}
-}
-
-// A model fitted with fewer rows than K must refuse AppendDelta (its
-// effective neighborhood grows with every new row, so no skip is exact).
-func TestAppendDeltaSmallTrainingSet(t *testing.T) {
-	scales := []float64{1, 1}
-	X := [][]float64{{0, 0}, {1, 1}, {2, 2}, {3, 3}, {4, 4}}
-	y := []int{0, 1, 0, 1, 0}
-	old := NewDWKNN(7, scales)
-	if err := old.Fit(X[:3], y[:3]); err != nil { // 3 < K=7
-		t.Fatal(err)
-	}
-	cur := NewDWKNN(7, scales)
-	if err := cur.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := cur.AppendDelta(old); ok {
-		t.Fatal("AppendDelta accepted an under-K base model")
 	}
 }

@@ -31,7 +31,7 @@ type DWKNN struct {
 	// from the training data extent; a caller who knows the full data
 	// domain (the IDE engine does) should set it explicitly so scaling does
 	// not drift as the labeled set grows — explicit scales are also what
-	// makes AppendDelta fire across retrains.
+	// lets a NeighborTable carry its lists across retrains.
 	Scales []float64
 
 	x      [][]float64 // scaled copies of the training rows
@@ -132,11 +132,9 @@ type dwknnScratch struct {
 	best  []neighbor
 	dists []float64
 	// Block-path strips, sized lazily: qs holds the scaled query strip
-	// (strip*dims), dist2 the per-row distance strips (strip*len(x)), and
-	// mark the per-strip dirty flags of DirtyCells.
+	// (strip*dims) and dist2 the per-row distance strips (strip*len(x)).
 	qs    []float64
 	dist2 []float64
-	mark  []bool
 }
 
 var dwknnScratchPool = sync.Pool{New: func() any { return &dwknnScratch{} }}
@@ -169,16 +167,12 @@ func (c *DWKNN) effectiveK() int {
 // posterior computes the dual-weighted positive posterior for one
 // (dimension-checked) query using the caller's scratch.
 func (c *DWKNN) posterior(x []float64, s *dwknnScratch) float64 {
-	nb := c.nearestInto(x, c.effectiveK(), s)
-	p, _ := c.posteriorFrom(nb, s.dists)
-	return p
+	return c.posteriorFrom(c.nearestInto(x, c.effectiveK(), s), s.dists)
 }
 
 // posteriorFrom turns a sorted neighbor list into the dual-weighted
-// posterior, also returning the k-th (last) neighbor's squared distance —
-// the d_k² bound the incremental rescorer keys on. dists is scratch with
-// cap >= len(nb).
-func (c *DWKNN) posteriorFrom(nb []neighbor, dists []float64) (float64, float64) {
+// posterior. dists is scratch with cap >= len(nb).
+func (c *DWKNN) posteriorFrom(nb []neighbor, dists []float64) float64 {
 	// Distances (not squared) drive the weights.
 	dists = dists[:len(nb)]
 	for i, n := range nb {
@@ -196,7 +190,6 @@ func (c *DWKNN) posteriorFrom(nb []neighbor, dists []float64) (float64, float64)
 			wPos += w
 		}
 	}
-	dk2 := nb[len(nb)-1].D2
 	if wAll == 0 {
 		// Degenerate: dk > d1 makes the farthest neighbor weightless, but
 		// the nearest always has weight 1 unless k == 1 and the point
@@ -207,30 +200,34 @@ func (c *DWKNN) posteriorFrom(nb []neighbor, dists []float64) (float64, float64)
 				pos++
 			}
 		}
-		return clampProb(float64(pos) / float64(len(nb))), dk2
+		return clampProb(float64(pos) / float64(len(nb)))
 	}
-	return clampProb(wPos / wAll), dk2
+	return clampProb(wPos / wAll)
 }
 
 // nearestInto returns the k training points closest to x (scaled space),
 // sorted by ascending distance with index as tie-breaker for determinism.
-// Selection is bounded insertion into a k-slot buffer — identical output
-// to the former full sort+truncate ((d², idx) is a strict total order, and
-// indexes ascend during the scan so ties never displace an earlier entry)
-// at O(n·k) worst case instead of O(n log n), with no sort.Slice closure
-// overhead. The result aliases s.best and is valid until the next call.
+// The result aliases s.best and is valid until the next call.
 func (c *DWKNN) nearestInto(x []float64, k int, s *dwknnScratch) []neighbor {
 	q := s.q[:c.dims]
 	for j, v := range x {
 		q[j] = v / c.scales[j]
 	}
-	best := s.best[:0]
-	for i, row := range c.x {
-		var d2 float64
-		for j, v := range row {
-			diff := v - q[j]
-			d2 += diff * diff
-		}
+	return c.scan(q, 0, k, s.best[:0])
+}
+
+// scan feeds training rows [from, len(x)) to the bounded insertion that
+// selects the k rows nearest the scaled query q, continuing from best — the
+// sorted list a scan of rows [0, from) ended with (empty for from = 0).
+// Selection is bounded insertion into a k-slot buffer — identical output
+// to a full sort+truncate ((d², idx) is a strict total order, and indexes
+// ascend during the scan so ties never displace an earlier entry) at
+// O(n·k) worst case instead of O(n log n). best after row i is the whole
+// state of the scan, which is what lets a NeighborTable keep it and resume
+// when rows are appended. The result reuses best's storage (cap >= k).
+func (c *DWKNN) scan(q []float64, from, k int, best []neighbor) []neighbor {
+	for i := from; i < len(c.x); i++ {
+		d2 := sqDist(c.x[i], q)
 		if len(best) == k {
 			if !best[k-1].Less(d2, i) {
 				continue
@@ -248,23 +245,29 @@ func (c *DWKNN) nearestInto(x []float64, k int, s *dwknnScratch) []neighbor {
 	return best
 }
 
+// sqDist is the row path's squared distance between a scaled training row
+// and a scaled query: dimensions accumulate in ascending order, the one
+// expression every DWKNN path must reproduce bit for bit.
+func sqDist(row, q []float64) float64 {
+	var d2 float64
+	for j, v := range row {
+		diff := v - q[j]
+		d2 += diff * diff
+	}
+	return d2
+}
+
 // dwknnStrip is the block-path strip width: 256 centers × 8 bytes = 16 KiB
 // per dimension column, so a strip's scaled queries plus the distance rows
 // of a typical labeled set stay L2-resident.
 const dwknnStrip = 256
 
-// BlockPosterior implements BlockClassifier over a packed columnar block.
+// BlockPosterior implements BlockClassifier over a packed columnar block:
+// it scores centers [lo, hi), writing posteriors to out[0:hi-lo].
+// Bit-identical to the row path: per (center, row) the squared distance
+// accumulates over dimensions in ascending order with the row path's exact
+// expressions, and selection shares its (d², idx) order.
 func (c *DWKNN) BlockPosterior(blk *kernel.Block, lo, hi int, out []float64) error {
-	return c.BlockPosteriorDK(blk, lo, hi, out, nil)
-}
-
-// BlockPosteriorDK scores centers [lo, hi) of the block, writing posteriors
-// to out[0:hi-lo] and, when dk2 is non-nil, each center's k-th-neighbor
-// squared distance to dk2[0:hi-lo] — the bound the exact incremental
-// rescorer needs. Bit-identical to the row path: per (center, row) the
-// squared distance accumulates over dimensions in ascending order with the
-// row path's exact expressions, and selection shares its (d², idx) order.
-func (c *DWKNN) BlockPosteriorDK(blk *kernel.Block, lo, hi int, out, dk2 []float64) error {
 	if !c.fitted {
 		return ErrNotFitted
 	}
@@ -282,47 +285,9 @@ func (c *DWKNN) BlockPosteriorDK(blk *kernel.Block, lo, hi int, out, dk2 []float
 		for d := 0; d < c.dims; d++ {
 			kernel.ScaleInto(qs[d*w:d*w+w], blk.Col(d)[base:base+w], c.scales[d])
 		}
-		c.scoreStrip(s, w, out[base-lo:], dk2Sub(dk2, base-lo))
+		c.scoreStrip(s, w, out[base-lo:])
 	}
 	return nil
-}
-
-// BlockPosteriorDKAt scores an arbitrary (ascending) subset of block
-// centers — the dirty-set path. cells indexes into the block; out and dk2
-// (optional) align with cells.
-func (c *DWKNN) BlockPosteriorDKAt(blk *kernel.Block, cells []int, out, dk2 []float64) error {
-	if !c.fitted {
-		return ErrNotFitted
-	}
-	if blk.Dims != c.dims {
-		return fmt.Errorf("learn: block has %d dims, model has %d", blk.Dims, c.dims)
-	}
-	s := getDWKNNScratch(c)
-	defer putDWKNNScratch(s)
-	for base := 0; base < len(cells); base += dwknnStrip {
-		w := len(cells) - base
-		if w > dwknnStrip {
-			w = dwknnStrip
-		}
-		qs := c.stripScratch(s, w)
-		for d := 0; d < c.dims; d++ {
-			col := blk.Col(d)
-			sc := c.scales[d]
-			qd := qs[d*w : d*w+w]
-			for i, cell := range cells[base : base+w] {
-				qd[i] = col[cell] / sc
-			}
-		}
-		c.scoreStrip(s, w, out[base:], dk2Sub(dk2, base))
-	}
-	return nil
-}
-
-func dk2Sub(dk2 []float64, off int) []float64 {
-	if dk2 == nil {
-		return nil
-	}
-	return dk2[off:]
 }
 
 // stripScratch sizes the block-path buffers for a strip of width w and
@@ -337,9 +302,9 @@ func (c *DWKNN) stripScratch(s *dwknnScratch, w int) []float64 {
 	return s.qs[:c.dims*w]
 }
 
-// scoreStrip computes posteriors (and optional dk²) for the w centers whose
-// scaled queries are staged in s.qs, writing out[0:w] / dk2[0:w].
-func (c *DWKNN) scoreStrip(s *dwknnScratch, w int, out, dk2 []float64) {
+// scoreStrip computes posteriors for the w centers whose scaled queries are
+// staged in s.qs, writing out[0:w].
+func (c *DWKNN) scoreStrip(s *dwknnScratch, w int, out []float64) {
 	qs := s.qs
 	dist2 := s.dist2[:len(c.x)*w]
 	clear(dist2)
@@ -352,108 +317,8 @@ func (c *DWKNN) scoreStrip(s *dwknnScratch, w int, out, dk2 []float64) {
 	k := c.effectiveK()
 	for i := 0; i < w; i++ {
 		nb := kernel.SelectKMin(dist2, i, w, len(c.x), k, s.best[:0])
-		p, kd2 := c.posteriorFrom(nb, s.dists)
-		out[i] = p
-		if dk2 != nil {
-			dk2[i] = kd2
-		}
+		out[i] = c.posteriorFrom(nb, s.dists)
 	}
-}
-
-// AppendDelta reports whether this model is an append-only extension of
-// old — same K, dims, and bit-identical scales, with old's scaled training
-// rows and labels a pointwise-equal prefix of this model's, and old already
-// holding at least K rows (so the effective neighborhood size is K for
-// both). When it is, the returned slice holds exactly the newly appended
-// scaled rows, and the exact skip rule applies: a query's k-NN set — hence
-// its posterior and d_k — is unchanged unless some new row lies strictly
-// within the query's old d_k (ties lose to the incumbent's smaller index).
-func (c *DWKNN) AppendDelta(old *DWKNN) ([][]float64, bool) {
-	if old == nil || !c.fitted || !old.fitted {
-		return nil, false
-	}
-	if c.K != old.K || c.dims != old.dims {
-		return nil, false
-	}
-	if len(old.x) < old.K || len(old.x) > len(c.x) {
-		return nil, false
-	}
-	for j := range c.scales {
-		if c.scales[j] != old.scales[j] {
-			return nil, false
-		}
-	}
-	for i, row := range old.x {
-		if old.y[i] != c.y[i] {
-			return nil, false
-		}
-		nrow := c.x[i]
-		for j := range row {
-			if row[j] != nrow[j] {
-				return nil, false
-			}
-		}
-	}
-	return c.x[len(old.x):], true
-}
-
-// DirtyCells scans the block and appends to out the indices of centers for
-// which some row of newRows (scaled space, as returned by AppendDelta) lies
-// strictly within the center's recorded k-th-neighbor squared distance
-// dk2[i] — exactly the centers whose k-NN set can have changed. The
-// comparison uses the same scaled-distance arithmetic as scoring, so the
-// dirty test is exact, not approximate.
-func (c *DWKNN) DirtyCells(blk *kernel.Block, newRows [][]float64, dk2 []float64, out []int) ([]int, error) {
-	if !c.fitted {
-		return nil, ErrNotFitted
-	}
-	if blk.Dims != c.dims {
-		return nil, fmt.Errorf("learn: block has %d dims, model has %d", blk.Dims, c.dims)
-	}
-	if len(dk2) != blk.N {
-		return nil, fmt.Errorf("learn: %d dk² entries for %d block centers", len(dk2), blk.N)
-	}
-	s := getDWKNNScratch(c)
-	defer putDWKNNScratch(s)
-	for base := 0; base < blk.N; base += dwknnStrip {
-		w := blk.N - base
-		if w > dwknnStrip {
-			w = dwknnStrip
-		}
-		if cap(s.qs) < c.dims*w {
-			s.qs = make([]float64, c.dims*dwknnStrip)
-		}
-		if cap(s.dist2) < w {
-			s.dist2 = make([]float64, dwknnStrip)
-		}
-		if cap(s.mark) < w {
-			s.mark = make([]bool, dwknnStrip)
-		}
-		qs := s.qs[:c.dims*w]
-		mark := s.mark[:w]
-		clear(mark)
-		for d := 0; d < c.dims; d++ {
-			kernel.ScaleInto(qs[d*w:d*w+w], blk.Col(d)[base:base+w], c.scales[d])
-		}
-		for _, row := range newRows {
-			dr := s.dist2[:w]
-			clear(dr)
-			for d, v := range row {
-				kernel.AddSquaredDiff(dr, qs[d*w:d*w+w], v)
-			}
-			for i := 0; i < w; i++ {
-				if dr[i] < dk2[base+i] {
-					mark[i] = true
-				}
-			}
-		}
-		for i := 0; i < w; i++ {
-			if mark[i] {
-				out = append(out, base+i)
-			}
-		}
-	}
-	return out, nil
 }
 
 // effectiveScales resolves the scaling vector used for the current fit.

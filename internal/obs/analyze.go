@@ -255,36 +255,51 @@ func (a *Analysis) writePhases(w io.Writer) {
 	}
 }
 
-// writeScoreSkip prints the incremental rescorer's effectiveness from the
-// score spans' points/skipped attributes: how much of the symbolic-point
-// scoring work the exact delta rule avoided. Traces recorded before the
-// kernel path (no "skipped" attribute, or no skipping) render nothing.
+// writeScoreSkip prints how much scoring work the resumable k-NN scan
+// avoided: from the score spans' points/skipped attributes, the symbolic
+// points carried over unchanged, and from the select spans'
+// carried/scanned/changed attributes, the pool rows that resumed their scan
+// instead of restarting it. Traces with neither render nothing.
 func (a *Analysis) writeScoreSkip(w io.Writer) {
-	var spans int
-	var points, skipped float64
+	var spans, selects int
+	var points, skipped, carried, scanned, changed float64
 	a.eachSpan(func(e Event) {
-		if e.Phase != PhaseScore {
-			return
+		switch e.Phase {
+		case PhaseScore:
+			if s, ok := e.Attrs["skipped"]; ok {
+				spans++
+				points += e.Attrs["points"]
+				skipped += s
+			}
+		case PhaseSelect:
+			if c, ok := e.Attrs["carried"]; ok {
+				selects++
+				carried += c
+				scanned += e.Attrs["scanned"]
+				changed += e.Attrs["changed"]
+			}
 		}
-		s, ok := e.Attrs["skipped"]
-		if !ok {
-			return
-		}
-		spans++
-		points += e.Attrs["points"]
-		skipped += s
 	})
-	if spans == 0 || skipped == 0 {
+	if skipped == 0 && carried == 0 {
 		return
 	}
-	ratio := 0.0
-	if points > 0 {
-		ratio = 100 * skipped / points
+	pct := func(part, whole float64) float64 {
+		if whole == 0 {
+			return 0
+		}
+		return 100 * part / whole
 	}
 	fmt.Fprintf(w, "\nSCORE SKIPPING\n")
-	fmt.Fprintf(w, "  score passes %d\n", spans)
-	fmt.Fprintf(w, "  cells skipped %.0f of %.0f (%.1f%%) by exact incremental rescoring\n",
-		skipped, points, ratio)
+	if skipped > 0 {
+		fmt.Fprintf(w, "  score passes %d\n", spans)
+		fmt.Fprintf(w, "  cells skipped %.0f of %.0f (%.1f%%) by exact incremental rescoring\n",
+			skipped, points, pct(skipped, points))
+	}
+	if carried > 0 {
+		fmt.Fprintf(w, "  selections %d\n", selects)
+		fmt.Fprintf(w, "  pool rows carried %.0f of %.0f (%.1f%%) by resuming their k-NN scan, %.0f changed by a new label\n",
+			carried, carried+scanned, pct(carried, carried+scanned), changed)
+	}
 }
 
 // writeSlowest prints the top-N slowest steps with their span trees.

@@ -140,3 +140,39 @@ func TestWriteReportEmpty(t *testing.T) {
 		t.Errorf("empty report:\n%s", buf.String())
 	}
 }
+
+// The SCORE SKIPPING section reports both consumers of the resumable scan:
+// symbolic points from the score spans, pool rows from the select spans —
+// and stays out of reports whose traces carry neither.
+func TestReportScoreSkipping(t *testing.T) {
+	step := func(trace string, score, sel map[string]float64) []Event {
+		return []Event{
+			{Type: "span", TraceID: trace, SpanID: "1", Phase: "step", DurNS: 10},
+			{Type: "span", TraceID: trace, SpanID: "2", ParentID: "1", Phase: PhaseScore, DurNS: 4, Attrs: score},
+			{Type: "span", TraceID: trace, SpanID: "3", ParentID: "1", Phase: PhaseSelect, StartNS: 4, DurNS: 5, Attrs: sel},
+		}
+	}
+	report := func(events []Event) string {
+		var buf bytes.Buffer
+		if err := Analyze(events).WriteReport(&buf, ReportOptions{TopN: 1}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	events := append(
+		step("a", map[string]float64{"points": 100, "skipped": 0}, map[string]float64{"pool": 50, "carried": 0, "scanned": 50, "changed": 0}),
+		step("b", map[string]float64{"points": 100, "skipped": 60}, map[string]float64{"pool": 50, "carried": 45, "scanned": 5, "changed": 9})...)
+	got := report(events)
+	for _, want := range []string{
+		"SCORE SKIPPING\n",
+		"  cells skipped 60 of 200 (30.0%) by exact incremental rescoring\n",
+		"  pool rows carried 45 of 100 (45.0%) by resuming their k-NN scan, 9 changed by a new label\n",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("report lacks %q:\n%s", want, got)
+		}
+	}
+	if got := report(events[:3]); strings.Contains(got, "SCORE SKIPPING") {
+		t.Errorf("a trace that skipped and carried nothing renders the section:\n%s", got)
+	}
+}

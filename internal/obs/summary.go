@@ -11,6 +11,12 @@ import (
 // uses as the wall-time denominator of the phase breakdown.
 const IterationHistName = "ide_iteration_seconds"
 
+// ScoreStateBytesGauge names the gauge holding the memory of all
+// incremental-scoring state on the registry: each view's symbolic-point
+// neighbour table plus each session's pool table. Owners add and subtract
+// their own share, so it is a sum over live views and sessions.
+const ScoreStateBytesGauge = "uei_score_state_bytes"
+
 // PhaseStat is one row of the phase-latency breakdown.
 type PhaseStat struct {
 	Phase string

@@ -726,6 +726,7 @@ func (m *Manager) Delete(id string) error {
 		return fmt.Errorf("session %q: %w", id, ErrUnknownSession)
 	}
 	if h.state == stateLive {
+		h.sess.Release()
 		h.view.Close()
 		h.view = nil
 		h.sess = nil

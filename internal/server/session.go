@@ -298,6 +298,7 @@ func (m *Manager) evictLocked(h *hosted) error {
 		h.labelsBase = h.sess.LabeledCount()
 	}
 	h.itersBase += h.sess.Iterations()
+	h.sess.Release()
 	h.view.Close()
 	h.view = nil
 	h.sess = nil

@@ -678,101 +678,39 @@ func scatterGather[T any](c *Coordinator, ctx context.Context, op string, fn fun
 	return nil
 }
 
-// ScorePass parameterizes a scoring pass: the optional dirty-cell subset
-// and the optional d_k² side-channel of the exact incremental rescorer.
+// ScorePass is the (empty) parameter set of a scoring pass.
 type ScorePass struct {
 	// Kernel is unread: every pass runs the block kernels. The field stays
 	// declared because benchmark/layers.go, its only writer, sets it and a
 	// change outside benchmark/ may not edit that file; the next benchmark
 	// change drops both.
 	Kernel bool
-	// Dirty, when non-nil, lists the cell ids to rescore, ascending (DWKNN
-	// only: it is the incremental rescorer's subset). Nil rescores every
-	// cell.
-	Dirty []int
-	// NeedDK asks for each scored cell's k-th-neighbor squared distance
-	// (DWKNN only); they are published into DK2, indexed by cell id, which
-	// must then be NumCells long.
-	NeedDK bool
-	DK2    []float64
 }
 
-// ScoreAllPass recomputes the uncertainty of the symbolic index points —
-// all of them, or pass.Dirty — into unc (indexed by cell id) with the block
-// kernels on the coordinator's pool, over the one packed block of all
-// centres. No shard is contacted: the centres are derived from the
-// manifest's grid. unc and pass.DK2 are written only when the whole pass
-// succeeded, and then only in the slots of the cells scored, so a cancelled
-// pass leaves them as they were; the values are byte-identical to one
-// serial pass at any worker count. degraded is always nil (no shard takes
-// part); it stays in the signature for benchmark/layers.go.
-func (c *Coordinator) ScoreAllPass(ctx context.Context, model learn.Classifier, unc []float64, pass ScorePass) (degraded []int, err error) {
+// ScoreAllPass recomputes the uncertainty of every symbolic index point
+// from scratch into unc (indexed by cell id) with the block kernels on the
+// coordinator's pool, over the one packed block of all centres. No shard is
+// contacted: the centres are derived from the manifest's grid. unc is
+// written only when the whole pass succeeded, so a cancelled pass leaves it
+// as it was; the values are byte-identical to one serial pass at any worker
+// count. (A DWKNN refit on a growing labeled set is scored incrementally by
+// core.Index through a learn.NeighborTable instead; this is the pass for
+// every other model.) degraded is always nil (no shard takes part); it
+// stays in the signature for benchmark/layers.go.
+func (c *Coordinator) ScoreAllPass(ctx context.Context, model learn.Classifier, unc []float64, _ ScorePass) (degraded []int, err error) {
 	blk := c.meta.Points
 	if len(unc) != blk.N {
 		return nil, fmt.Errorf("shard: uncertainty slice has %d slots, grid has %d cells", len(unc), blk.N)
 	}
-	if pass.NeedDK && len(pass.DK2) != blk.N {
-		return nil, fmt.Errorf("shard: dk² slice has %d slots, grid has %d cells", len(pass.DK2), blk.N)
-	}
-	var dw *learn.DWKNN
-	if pass.NeedDK || pass.Dirty != nil {
-		var ok bool
-		if dw, ok = model.(*learn.DWKNN); !ok {
-			return nil, fmt.Errorf("shard: d_k² bounds and dirty-cell passes need a DWKNN model")
-		}
-	}
-	n := blk.N
-	if pass.Dirty != nil {
-		n = len(pass.Dirty)
-		for _, cell := range pass.Dirty {
-			if cell < 0 || cell >= blk.N {
-				return nil, fmt.Errorf("shard: dirty cell %d out of %d grid cells", cell, blk.N)
-			}
-		}
-	}
-	scores := make([]float64, n)
-	var dk2 []float64
-	if dw != nil {
-		dk2 = make([]float64, n)
-	}
-	switch {
-	case pass.Dirty != nil:
-		err = c.pool.DoCapped(ctx, n, scoreShardCap(n), func(lo, hi int) error {
-			return learn.BlockUncertaintiesDKAt(ctx, dw, blk, pass.Dirty[lo:hi], scores[lo:hi], dk2[lo:hi])
-		})
-	case dw != nil:
-		err = c.pool.Do(ctx, n, func(lo, hi int) error {
-			return learn.BlockUncertaintiesDKInto(ctx, dw, blk, lo, hi, scores[lo:hi], dk2[lo:hi])
-		})
-	default:
-		err = c.pool.Do(ctx, n, func(lo, hi int) error {
-			return learn.BlockUncertaintiesInto(ctx, model, blk, lo, hi, scores[lo:hi])
-		})
-	}
+	scores := make([]float64, blk.N)
+	err = c.pool.Do(ctx, blk.N, func(lo, hi int) error {
+		return learn.BlockUncertaintiesInto(ctx, model, blk, lo, hi, scores[lo:hi])
+	})
 	if err != nil {
 		return nil, err
 	}
-	if pass.Dirty == nil {
-		copy(unc, scores)
-		if pass.NeedDK {
-			copy(pass.DK2, dk2)
-		}
-		return nil, nil
-	}
-	for i, cell := range pass.Dirty {
-		unc[cell] = scores[i]
-		if pass.NeedDK {
-			pass.DK2[cell] = dk2[i]
-		}
-	}
+	copy(unc, scores)
 	return nil, nil
-}
-
-// scoreShardCap bounds the worker fan-out of a dirty-subset pass so a
-// handful of dirty cells does not pay goroutine handoff for nothing.
-func scoreShardCap(n int) int {
-	const minPerShard = 2048
-	return (n + minPerShard - 1) / minPerShard
 }
 
 // MostUncertain returns the k most uncertain cells — higher uncertainty

@@ -420,10 +420,9 @@ func TestScatterCancellationLeaksNoGoroutines(t *testing.T) {
 	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 }
 
-// TestScoreAllWritesOnlyOwnedCells pins what a scoring pass may write — a
-// full pass every slot, a dirty pass its listed cells and nothing else, a
-// failed pass nothing — and that ranking with a skip list passes over
-// exactly the cells the skipped shard owns.
+// TestScoreAllWritesOnlyOwnedCells pins what a scoring pass may write —
+// every slot when it succeeds, nothing when it fails — and that ranking with
+// a skip list passes over exactly the cells the skipped shard owns.
 func TestScoreAllWritesOnlyOwnedCells(t *testing.T) {
 	ds := skyDataset(t, 400)
 	c := openCoordinator(t, buildSharded(t, ds, 4), OpenOptions{Workers: 2})
@@ -445,47 +444,26 @@ func TestScoreAllWritesOnlyOwnedCells(t *testing.T) {
 			v[i] = sentinel
 		}
 	}
-	full, fullDK := make([]float64, n), make([]float64, n)
+	full := make([]float64, n)
 	fill(full)
-	fill(fullDK)
-	if _, err := c.ScoreAllPass(ctx, model, full, ScorePass{NeedDK: true, DK2: fullDK}); err != nil {
+	if _, err := c.ScoreAllPass(ctx, model, full, ScorePass{}); err != nil {
 		t.Fatal(err)
 	}
 	for cell := range full {
-		if full[cell] == sentinel || fullDK[cell] == sentinel {
+		if full[cell] == sentinel {
 			t.Fatalf("cell %d never scored", cell)
 		}
 	}
-	// A dirty pass writes its cells — with the full pass's values, bit for
-	// bit — and leaves every other slot alone.
-	dirty := []int{0, 3, n / 2, n - 1}
-	unc, dk := make([]float64, n), make([]float64, n)
-	fill(unc)
-	fill(dk)
-	if _, err := c.ScoreAllPass(ctx, model, unc, ScorePass{Dirty: dirty, NeedDK: true, DK2: dk}); err != nil {
-		t.Fatal(err)
-	}
-	for cell := range unc {
-		want, wantDK := float64(sentinel), float64(sentinel)
-		if slices.Contains(dirty, cell) {
-			want, wantDK = full[cell], fullDK[cell]
-		}
-		if unc[cell] != want || dk[cell] != wantDK {
-			t.Fatalf("cell %d: (%v, %v), want (%v, %v)", cell, unc[cell], dk[cell], want, wantDK)
-		}
-	}
 	// A pass that fails publishes nothing.
+	unc := make([]float64, n)
 	fill(unc)
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
 	if _, err := c.ScoreAllPass(cancelled, model, unc, ScorePass{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled pass: err = %v, want context.Canceled", err)
 	}
-	if _, err := c.ScoreAllPass(ctx, model, unc, ScorePass{Dirty: []int{n}}); err == nil {
-		t.Fatal("a dirty cell outside the grid should fail")
-	}
-	if _, err := c.ScoreAllPass(ctx, constModel{}, unc, ScorePass{Dirty: dirty}); err == nil {
-		t.Fatal("a dirty pass with a non-DWKNN model should fail")
+	if _, err := c.ScoreAllPass(ctx, model, unc[:n-1], ScorePass{}); err == nil {
+		t.Fatal("a vector shorter than the grid should fail")
 	}
 	for cell, u := range unc {
 		if u != sentinel {
