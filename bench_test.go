@@ -337,24 +337,3 @@ func BenchmarkDBMSFullScan(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkBTreeRangeScan(b *testing.B) {
-	ds, _, _ := microFixtures(b)
-	dir, err := os.MkdirTemp("", "uei-btbench-")
-	if err != nil {
-		b.Fatal(err)
-	}
-	bt, err := dbms.BuildIndex(dir, "ra", ds, 32, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer bt.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		lo := float64(i%300) + 10
-		if err := bt.RangeScan(lo, lo+20, func(float64, uint32) bool { n++; return true }); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

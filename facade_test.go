@@ -97,18 +97,6 @@ func TestFacadeBaselineEngine(t *testing.T) {
 	if table.RowCount() != 2000 {
 		t.Errorf("RowCount = %d", table.RowCount())
 	}
-	bt, err := uei.BuildBTree(context.Background(), dir, "ra", ds, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bt.Close()
-	n := 0
-	if err := bt.RangeScan(0, 360, func(float64, uint32) bool { n++; return true }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 2000 {
-		t.Errorf("range scan visited %d entries", n)
-	}
 	if _, err := uei.NewDBMSProvider(table); err != nil {
 		t.Fatal(err)
 	}

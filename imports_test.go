@@ -92,6 +92,9 @@ func importViolations(graph map[string][]string) []string {
 	// in the coordinator's process, so no classifier crosses the wire.
 	deny("shard/remote", "stream", "core", "learn")
 	deny("stream", "core")
+	// Strategies reach models through learn's Classifier only; a strategy
+	// that packs blocks itself is a second scoring route.
+	deny("al", "kernel")
 	for pkg, imps := range graph {
 		if pkg == "." || pkg == "internal/core" || strings.HasPrefix(pkg, "cmd/") {
 			continue
@@ -123,6 +126,7 @@ func TestImportDAG(t *testing.T) {
 		{"internal/shard", "internal/stream"},
 		{"internal/shard/remote", "internal/learn"},
 		{"internal/stream", "internal/core"},
+		{"internal/al", "internal/kernel"},
 		{"internal/ide", "internal/stream", "internal/shard"},
 	} {
 		mutated := make(map[string][]string, len(graph))

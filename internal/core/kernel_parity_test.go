@@ -72,18 +72,29 @@ func scoreSeq(t testing.TB, idx *Index, models []learn.Classifier) (scores [][]f
 	return scores, tops
 }
 
+// pointwise is the row-form reference: one model call per row.
+func pointwise(t testing.TB, rows [][]float64, score func(x []float64) (float64, error)) []float64 {
+	t.Helper()
+	out := make([]float64, len(rows))
+	for i, x := range rows {
+		v, err := score(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = v
+	}
+	return out
+}
+
 // specScores is the row-form specification the block path is held to:
-// learn.UncertaintiesInto over the grid's centers, one vector per model,
+// learn.Uncertainty of each of the grid's centers, one vector per model,
 // and the first k cells of a full sort under the selection order (higher
 // uncertainty, then lower cell id).
 func specScores(t testing.TB, idx *Index, models []learn.Classifier, k int) (scores [][]float64, tops [][]int) {
 	t.Helper()
 	centers := idx.Grid().Centers()
 	for _, m := range models {
-		want := make([]float64, len(centers))
-		if err := learn.UncertaintiesInto(context.Background(), m, centers, want); err != nil {
-			t.Fatal(err)
-		}
+		want := pointwise(t, centers, func(x []float64) (float64, error) { return learn.Uncertainty(m, x) })
 		order := make([]int, len(want))
 		for i := range order {
 			order[i] = i
@@ -162,11 +173,7 @@ func TestScoreKernelParityFlat(t *testing.T) {
 	// time.
 	last := models[len(models)-1]
 	const cutoff = 0.3
-	centers := idx.Grid().Centers()
-	centerPost := make([]float64, len(centers))
-	if err := learn.PosteriorsInto(context.Background(), last, centers, centerPost); err != nil {
-		t.Fatal(err)
-	}
+	centerPost := pointwise(t, idx.Grid().Centers(), last.PosteriorPositive)
 	var wantIDs []uint32
 	for i := 0; i < ds.Len(); i++ {
 		row := ds.Row(dataset.RowID(i))

@@ -54,10 +54,12 @@ type Options struct {
 	// Tracer, when non-nil, records per-phase spans (score, load, swap)
 	// of every exploration iteration.
 	Tracer *obs.Tracer
-	// Workers sizes the index's worker pool: symbolic-point scoring shards
-	// across it and cell reconstruction fans chunk reads out up to this
-	// bound. Zero selects runtime.GOMAXPROCS(0); 1 forces the fully serial
-	// hot path.
+	// Workers sizes the index's worker pool: result-retrieval
+	// classification and a non-DWKNN model's full pass over the symbolic
+	// points shard across it (a DWKNN pass resumes each point's k-NN scan
+	// and is serial at any value), and cell reconstruction fans chunk reads
+	// out up to this bound. Zero selects runtime.GOMAXPROCS(0); 1 forces
+	// the fully serial hot path.
 	Workers int
 	// Limiter, when non-nil, meters chunk-store read bandwidth. (It was a
 	// positional parameter of Open before the v2 API.)

@@ -141,9 +141,10 @@ type Index struct {
 	deferredFor int
 	pendingCell int
 
-	// pool shards symbolic-point scoring (through coord, which borrows it)
-	// and result classification across Options.Workers goroutines; with
-	// one worker everything runs inline.
+	// pool shards result classification and, for models other than DWKNN,
+	// the full symbolic-point pass (through coord, which borrows it) across
+	// Options.Workers goroutines; a DWKNN pass is serial. With one worker
+	// everything runs inline.
 	pool *pool.Pool
 	// isView marks per-session views (NewView): the pool and store are
 	// borrowed from the parent, so Close must not shut them down.

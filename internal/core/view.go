@@ -106,7 +106,3 @@ func (x *Index) NewView(vo ViewOptions) (*Index, error) {
 	}
 	return v, nil
 }
-
-// IsView reports whether this Index is a per-session view of a shared
-// parent (its Close leaves the shared pool and store running).
-func (x *Index) IsView() bool { return x.isView }

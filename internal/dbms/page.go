@@ -1,10 +1,9 @@
 // Package dbms is a from-scratch single-table storage engine standing in
 // for MySQL as the baseline of the paper's evaluation (§4): a page-based
 // heap file behind an LRU buffer pool whose capacity is capped at the
-// experiment's memory budget, plus a bulk-loaded on-disk B+ tree index for
-// range retrieval. The active-learning baseline reads the entire table
-// through the (tiny) buffer pool every iteration, which is exactly the
-// exhaustive-scan cost profile the paper attributes to DBMS-backed IDE
+// experiment's memory budget. The active-learning baseline reads the entire
+// table through the (tiny) buffer pool every iteration, which is exactly
+// the exhaustive-scan cost profile the paper attributes to DBMS-backed IDE
 // systems.
 package dbms
 
@@ -19,9 +18,6 @@ const PageSize = 8192
 
 // PageID addresses a page within a file.
 type PageID uint32
-
-// InvalidPageID marks "no page" (e.g. next-leaf of the last B+ tree leaf).
-const InvalidPageID = PageID(0xFFFFFFFF)
 
 // Slotted page layout:
 //
@@ -119,6 +115,3 @@ func (p *Page) Delete(slot int) error {
 	binary.LittleEndian.PutUint16(p.buf[slotOff+2:], 0)
 	return nil
 }
-
-// Bytes exposes the raw page image for I/O.
-func (p *Page) Bytes() []byte { return p.buf[:] }

@@ -32,8 +32,7 @@ const tableFormatVersion = 1
 // Table is a single heap-file table of fixed-width numeric rows, read
 // through a buffer pool. Records are (rowID uint32, values [dims]float64);
 // row ids are dense and assigned in insertion order, so point lookups are
-// arithmetic rather than index-based — the B+ tree (btree.go) indexes
-// attribute values, not row ids.
+// arithmetic rather than index-based.
 type Table struct {
 	dir   string
 	meta  tableMeta

@@ -29,7 +29,7 @@ type Env struct {
 }
 
 // Setup generates the dataset (the SDSS substitute) and builds the UEI
-// chunk store and DBMS heap file + B+ tree. Build I/O is unthrottled —
+// chunk store and the DBMS heap file. Build I/O is unthrottled —
 // initialization is once per dataset in both schemes — and the limiter is
 // reset afterwards so exploration starts with a full bucket.
 func Setup(cfg Config) (*Env, error) {
@@ -74,15 +74,6 @@ func Setup(cfg Config) (*Env, error) {
 	if err := table.Close(); err != nil {
 		return nil, err
 	}
-	// Index the first attribute, as a MySQL deployment would for its
-	// result-retrieval range predicates.
-	bt, err := dbms.BuildIndex(env.tableDir, ds.Schema().Columns[0].Name, ds, 16, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := bt.Close(); err != nil {
-		return nil, err
-	}
 
 	env.budgetBytes = int64(float64(heapBytes) * cfg.MemoryBudgetFraction)
 	if env.budgetBytes < 16*dbms.PageSize {
@@ -102,9 +93,6 @@ func (e *Env) BudgetBytes() int64 { return e.budgetBytes }
 
 // StoreDir returns the chunk-store directory.
 func (e *Env) StoreDir() string { return e.storeDir }
-
-// TableDir returns the DBMS directory.
-func (e *Env) TableDir() string { return e.tableDir }
 
 // indexOptions maps the config onto the options every run's index opens
 // with. The experiment harness measures the paper's serial per-iteration

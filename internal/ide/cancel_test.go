@@ -79,45 +79,3 @@ func TestSessionRunPreCanceled(t *testing.T) {
 		t.Errorf("pre-canceled run consumed %d labels", n)
 	}
 }
-
-// TestBatchSelectionParity: a session with Workers > 1 (batch candidate
-// scoring) must label the same tuples in the same order as the serial
-// streaming path.
-func TestBatchSelectionParity(t *testing.T) {
-	run := func(workers int) []uint32 {
-		// A fresh fixture per run: the oracle counts solicited labels, so
-		// sharing it would start the second session with a spent budget.
-		f := newFixture(t, 4000, 0.01)
-		p := f.ueiProvider(t, 400)
-		var picked []uint32
-		cfg := Config{
-			MaxLabels:        60,
-			BatchSize:        1,
-			EstimatorFactory: f.estimatorFactory(t),
-			Strategy:         al.LeastConfidence{},
-			Seed:             2,
-			SeedWithPositive: true,
-			Workers:          workers,
-			OnIteration:      func(it IterationInfo) { picked = append(picked, it.SelectedID) },
-		}
-		sess, err := NewSession(cfg, p, OracleLabeler{O: f.orc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sess.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		return picked
-	}
-
-	serial := run(0)
-	batch := run(8)
-	if len(serial) != len(batch) {
-		t.Fatalf("iteration counts differ: serial %d, batch %d", len(serial), len(batch))
-	}
-	for i := range serial {
-		if serial[i] != batch[i] {
-			t.Fatalf("iteration %d: serial labeled #%d, batch labeled #%d", i, serial[i], batch[i])
-		}
-	}
-}

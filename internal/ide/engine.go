@@ -75,14 +75,6 @@ type Config struct {
 	// counters. The ide_fmeasure gauge is defined here too, for harnesses
 	// that evaluate accuracy (see FMeasureGauge).
 	Registry *obs.Registry
-	// Workers enables batch candidate scoring during selection when > 1
-	// and the Strategy implements al.BatchScorer: the pool is materialized
-	// into a reusable scratch buffer and scored in parallel shards instead
-	// of one streaming Score call per row. Selection stays deterministic
-	// (first-seen argmax). Values <= 1 keep the streaming path. It has no
-	// effect on a DWKNN session over a resident pool, which resumes each
-	// row's k-NN scan serially whatever the value (see selectCandidate).
-	Workers int
 }
 
 // FMeasureGauge returns the registry gauge harnesses set after each
@@ -109,8 +101,10 @@ type IterationInfo struct {
 	// Retrained reports whether the model was refitted this iteration.
 	Retrained bool
 	// Degraded reports that the provider completed this iteration in a
-	// reduced mode — a sharded UEI index skipped one or more unavailable
-	// shards — so the selection may be less informed than usual.
+	// reduced mode — no replica of the shard owning the most uncertain
+	// cell answered its load, so the UEI index fell back to the best cell
+	// another shard owns, or kept the resident region — and the selection
+	// may be less informed than usual.
 	Degraded bool
 	// Model is the current predictive model (read-only; evaluate, don't
 	// mutate).
@@ -157,11 +151,6 @@ type Session struct {
 	labeledX   [][]float64
 	labeledY   []int
 	model      learn.Classifier
-	// Batch-selection scratch, reused across iterations to avoid
-	// re-allocating the materialized pool every selection.
-	batchIDs    []uint32
-	batchRows   [][]float64
-	batchScores []float64
 	// poolTab keeps every resident candidate's k nearest labeled rows between
 	// selections (DWKNN over a provider with a resident pool only), so a
 	// selection after one new label costs one distance per candidate.
@@ -471,8 +460,8 @@ func (s *Session) proposeSelect(ctx context.Context) (*Proposal, error) {
 }
 
 // providerDegraded asks the provider (when it can tell) whether its last
-// per-iteration preparation ran in a reduced mode, e.g. a sharded UEI
-// index that skipped unavailable shards.
+// per-iteration preparation ran in a reduced mode (see
+// IterationInfo.Degraded).
 func (s *Session) providerDegraded() bool {
 	if d, ok := s.provider.(interface{ LastStepDegraded() bool }); ok {
 		return d.LastStepDegraded()
@@ -634,7 +623,10 @@ func (s *Session) seedPositives(ctx context.Context) error {
 		}
 		return nil
 	}
-	id, row, ok := s.findSeedPositive(ctx)
+	id, row, ok, err := s.findSeedPositive(ctx)
+	if err != nil {
+		return fmt.Errorf("ide: seeding the exploration: %w", err)
+	}
 	if !ok {
 		return fmt.Errorf("ide: no relevant tuple exists to seed the exploration")
 	}
@@ -647,12 +639,12 @@ func (s *Session) seedPositives(ctx context.Context) error {
 // findSeedPositive locates one relevant example: preferably a relevant
 // candidate already in the pool, otherwise any relevant tuple from the
 // oracle's ground truth (the "user brings an example" case).
-func (s *Session) findSeedPositive(ctx context.Context) (uint32, []float64, bool) {
+func (s *Session) findSeedPositive(ctx context.Context) (uint32, []float64, bool, error) {
 	var id uint32
 	var row []float64
 	found := false
 	seeder := s.labeler.(PositiveSeeder)
-	s.provider.Candidates(ctx, func(cid uint32, crow []float64) bool {
+	err := s.provider.Candidates(ctx, func(cid uint32, crow []float64) bool {
 		if seeder.IsRelevant(cid) {
 			id = cid
 			row = append([]float64(nil), crow...)
@@ -661,10 +653,14 @@ func (s *Session) findSeedPositive(ctx context.Context) (uint32, []float64, bool
 		}
 		return true
 	})
-	if found {
-		return id, row, true
+	if err != nil {
+		return 0, nil, false, err
 	}
-	return seeder.SeedPositive()
+	if found {
+		return id, row, true, nil
+	}
+	id, row, found = seeder.SeedPositive()
+	return id, row, found, nil
 }
 
 // randomCandidate draws one uniform candidate with a size-1 reservoir over
@@ -701,15 +697,11 @@ type residentPool interface {
 
 // selectCandidate returns the argmax-scoring candidate (Eq. 2), copying
 // its row. Ties keep the first candidate seen, which combined with sorted
-// candidate streams makes selection deterministic. Three routes score the
-// stream, all to the same bits:
-//
-//   - a DWKNN model, a strategy that is a function of the posterior and a
-//     resident pool: each row's k-NN scan is resumed from the previous
-//     selection through s.poolTab (learn.NeighborTable), at any Workers;
-//   - Workers > 1 and a BatchScorer strategy: the pool is materialized and
-//     scored in parallel shards (selectCandidateBatch);
-//   - otherwise one streaming Score call per row.
+// candidate streams makes selection deterministic. It is one streaming
+// pass; a row's score is Strategy.Score, except that with a DWKNN model, a
+// strategy that is a function of the posterior and a resident pool each
+// row's k-NN scan is resumed from the previous selection through s.poolTab
+// (learn.NeighborTable) — to the same bits.
 func (s *Session) selectCandidate(ctx context.Context) (uint32, []float64, float64, int, error) {
 	score := func(_ uint32, row []float64) (float64, error) { return s.cfg.Strategy.Score(s.model, row) }
 	dw, isDW := s.model.(*learn.DWKNN)
@@ -730,10 +722,6 @@ func (s *Session) selectCandidate(ctx context.Context) (uint32, []float64, float
 			p, err := s.poolTab.Posterior(id, row)
 			return ps.FromPosterior(p), err
 		}
-	} else if bs, ok := s.cfg.Strategy.(al.BatchScorer); ok && s.cfg.Workers > 1 {
-		id, row, best, pool, err := s.selectCandidateBatch(ctx, bs)
-		s.lastPass = learn.NeighborPass{Scanned: pool}
-		return id, row, best, pool, err
 	}
 	var bestID uint32
 	var bestRow []float64
@@ -795,46 +783,6 @@ func (s *Session) accountPool() {
 	b := s.poolTab.Bytes()
 	s.gState.Add(float64(b - s.poolBytes))
 	s.poolBytes = b
-}
-
-// selectCandidateBatch materializes the candidate pool into reusable
-// scratch buffers and scores it with one sharded BatchScore call. The
-// candidate stream's rows may be reused by the provider, so each row is
-// copied into scratch; buffers persist across iterations, making the
-// steady-state allocation cost near zero.
-func (s *Session) selectCandidateBatch(ctx context.Context, strat al.BatchScorer) (uint32, []float64, float64, int, error) {
-	n := 0
-	err := s.provider.Candidates(ctx, func(id uint32, row []float64) bool {
-		if n < len(s.batchRows) {
-			s.batchIDs[n] = id
-			s.batchRows[n] = append(s.batchRows[n][:0], row...)
-		} else {
-			s.batchIDs = append(s.batchIDs, id)
-			s.batchRows = append(s.batchRows, append([]float64(nil), row...))
-		}
-		n++
-		return true
-	})
-	if err != nil {
-		return 0, nil, 0, 0, err
-	}
-	if n == 0 {
-		return 0, nil, 0, 0, nil
-	}
-	if cap(s.batchScores) < n {
-		s.batchScores = make([]float64, n)
-	}
-	scores := s.batchScores[:n]
-	if err := strat.BatchScore(ctx, s.model, s.batchRows[:n], scores, s.cfg.Workers); err != nil {
-		return 0, nil, 0, 0, err
-	}
-	best := 0
-	for i := 1; i < n; i++ {
-		if scores[i] > scores[best] {
-			best = i
-		}
-	}
-	return s.batchIDs[best], append([]float64(nil), s.batchRows[best]...), scores[best], n, nil
 }
 
 // addLabel appends to L.

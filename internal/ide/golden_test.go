@@ -147,7 +147,6 @@ func TestGoldenSessionDigest(t *testing.T) {
 					Strategy:         al.LeastConfidence{},
 					Seed:             7,
 					SeedWithPositive: true,
-					Workers:          workers,
 					OnIteration:      func(it IterationInfo) { put32(it.SelectedID) },
 				}, p, OracleLabeler{O: orc})
 				if err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"github.com/uei-db/uei/internal/al"
 	"github.com/uei-db/uei/internal/core"
+	"github.com/uei-db/uei/internal/learn"
 	"github.com/uei-db/uei/internal/obs"
 	"github.com/uei-db/uei/internal/oracle"
 )
@@ -338,5 +339,37 @@ func TestPoolTableLifetime(t *testing.T) {
 	p.Index().Close()
 	if gauge.Value() != 0 {
 		t.Fatalf("after Close the gauge reads %v", gauge.Value())
+	}
+}
+
+// A candidate scan that fails during the seed lookup fails the step with the
+// scan's error instead of passing for a pool without a positive: no label
+// is consumed, and the same session seeds and proceeds once the scan works.
+func TestSeedLookupErrorConsumesNoLabel(t *testing.T) {
+	rs := newResumeStore(t, 3000, 0.02)
+	inner, labeler := rs.open(t, 80)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// The seed lookup is the session's first Candidates call.
+	ip := &interrupting{UEIProvider: inner, call: 1, cancel: cancel}
+	var picked []uint32
+	sess, err := NewSession(resumeConfig(t, rs.f, 8, &picked), ip, labeler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Propose(ctx); err == nil || !errors.Is(err, ctx.Err()) {
+		t.Fatalf("Propose over a failing seed scan: %v, want %v", err, ctx.Err())
+	}
+	if sess.LabeledCount() != 0 || labeler.Count() != 0 {
+		t.Fatalf("the failed seed lookup left %d labeled rows and consumed %d labels", sess.LabeledCount(), labeler.Count())
+	}
+	if _, err := sess.Run(context.Background()); err != nil {
+		t.Fatalf("Run once the scan works: %v", err)
+	}
+	if len(sess.labeledY) == 0 || sess.labeledY[0] != learn.ClassPositive {
+		t.Fatalf("the session did not start from a seeded positive: labels %v", sess.labeledY)
+	}
+	if len(picked) == 0 || labeler.Count() != 8 {
+		t.Fatalf("the session ran %d iterations and consumed %d of 8 labels", len(picked), labeler.Count())
 	}
 }

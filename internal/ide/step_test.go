@@ -3,10 +3,12 @@ package ide
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"github.com/uei-db/uei/internal/al"
 	"github.com/uei-db/uei/internal/dataset"
+	"github.com/uei-db/uei/internal/learn"
 	"github.com/uei-db/uei/internal/oracle"
 )
 
@@ -184,6 +186,95 @@ func TestStepMisuse(t *testing.T) {
 	}
 	if _, err := sess.Finish(ctx); err == nil {
 		t.Error("Finish with an outstanding proposal should fail")
+	}
+}
+
+// TestStreamingRouteIsArgmax holds the selection loop's streaming route —
+// one Strategy.Score call per candidate, what every session without a DWKNN
+// neighbour table runs — to Eq. 2: each proposal is the first-seen argmax
+// of the strategy score over the provider's candidates, id and score bits.
+// Query-by-committee's vote fractions tie constantly, so a last-seen tie
+// break does not pass.
+func TestStreamingRouteIsArgmax(t *testing.T) {
+	ctx := context.Background()
+	f := newFixture(t, 2000, 0.02)
+	bounds, err := f.ds.Bounds()
+	if err != nil {
+		t.Fatal(err)
+	}
+	widths := bounds.Widths()
+	cases := []struct {
+		name      string
+		provider  func() Provider
+		estimator func() learn.Classifier
+		strategy  al.Scorer
+	}{
+		{"uei/gnb/entropy", func() Provider { return f.ueiProvider(t, 200) },
+			func() learn.Classifier { return learn.NewGaussianNB() }, al.Entropy{}},
+		{"uei/committee/qbc", func() Provider { return f.ueiProvider(t, 200) },
+			func() learn.Classifier {
+				com, err := learn.NewCommittee(3, 5, func(i int) learn.Classifier { return learn.NewDWKNN(3+2*i, widths) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				return com
+			}, al.QueryByCommittee{}},
+		{"dbms/dwknn/least-confidence", func() Provider { return f.dbmsProvider(t, 4) },
+			f.estimatorFactory(t), al.LeastConfidence{}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			provider := tc.provider()
+			sess, err := NewSession(Config{
+				MaxLabels:        12,
+				EstimatorFactory: tc.estimator,
+				Strategy:         tc.strategy,
+				Seed:             11,
+				SeedWithPositive: true,
+			}, provider, OracleLabeler{O: mustOracle(t, f)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			selections := 0
+			for {
+				p, err := sess.Propose(ctx)
+				if errors.Is(err, ErrExplorationDone) {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !p.Bootstrap {
+					selections++
+					var bestID uint32
+					bestScore := math.Inf(-1)
+					pool := 0
+					if err := provider.Candidates(ctx, func(id uint32, row []float64) bool {
+						v, err := tc.strategy.Score(sess.Model(), row)
+						if err != nil {
+							t.Fatal(err)
+						}
+						pool++
+						if v > bestScore {
+							bestID, bestScore = id, v
+						}
+						return true
+					}); err != nil {
+						t.Fatal(err)
+					}
+					if p.ID != bestID || math.Float64bits(p.Score) != math.Float64bits(bestScore) || p.Pool != pool {
+						t.Fatalf("selection %d proposed #%d (score %v) over %d candidates; the argmax is #%d (score %v) over %d",
+							selections, p.ID, p.Score, p.Pool, bestID, bestScore, pool)
+					}
+				}
+				if _, err := sess.Resolve(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if selections < 8 {
+				t.Fatalf("only %d selections were checked", selections)
+			}
+		})
 	}
 }
 

@@ -30,12 +30,12 @@ func benchFixture(b testing.TB, nTrain, nQuery, dims int) ([][]float64, []int, [
 	return X, y, Q
 }
 
-func benchModels(b testing.TB, X [][]float64, y []int) map[string]BatchClassifier {
+func benchModels(b testing.TB, X [][]float64, y []int) map[string]Classifier {
 	com, err := NewCommittee(3, 5, func(i int) Classifier { return NewDWKNN(5+i, nil) })
 	if err != nil {
 		b.Fatal(err)
 	}
-	models := map[string]BatchClassifier{
+	models := map[string]Classifier{
 		"dwknn":     NewDWKNN(7, nil),
 		"logistic":  NewLogistic(3),
 		"gnb":       NewGaussianNB(),
@@ -47,26 +47,6 @@ func benchModels(b testing.TB, X [][]float64, y []int) map[string]BatchClassifie
 		}
 	}
 	return models
-}
-
-// BenchmarkBatchPosterior measures the row batch path per model. Run with
-// -benchmem: DWKNN's pooled scratch makes the steady state allocation-free
-// (asserted by TestBatchPosteriorZeroAlloc).
-func BenchmarkBatchPosterior(b *testing.B) {
-	X, y, Q := benchFixture(b, 100, 512, 4)
-	for name, m := range benchModels(b, X, y) {
-		b.Run(name, func(b *testing.B) {
-			out := make([]float64, len(Q))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := m.BatchPosterior(Q, out); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(Q)*b.N)/b.Elapsed().Seconds(), "queries/s")
-		})
-	}
 }
 
 // BenchmarkBlockPosterior measures the columnar path per model over a
@@ -93,10 +73,10 @@ func BenchmarkBlockPosterior(b *testing.B) {
 	}
 }
 
-// Steady-state batch scoring must not allocate: the scratch pools absorb
+// Steady-state block scoring must not allocate: the scratch pools absorb
 // per-call buffers after warmup. Averaged over runs so a stray GC clearing
 // a pool cannot flake the assertion.
-func TestBatchPosteriorZeroAlloc(t *testing.T) {
+func TestBlockPosteriorZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop items; allocation counts are meaningless")
 	}
@@ -104,30 +84,14 @@ func TestBatchPosteriorZeroAlloc(t *testing.T) {
 	blk := kernel.Pack(Q)
 	out := make([]float64, len(Q))
 	for name, m := range benchModels(t, X, y) {
+		bm := m.(BlockClassifier)
 		// Warm the pools.
-		for i := 0; i < 3; i++ {
-			if err := m.BatchPosterior(Q, out); err != nil {
-				t.Fatal(err)
-			}
-		}
-		avg := testing.AllocsPerRun(50, func() {
-			if err := m.BatchPosterior(Q, out); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if avg >= 1 {
-			t.Errorf("%s BatchPosterior: %.1f allocs/op, want amortized 0", name, avg)
-		}
-		bm, ok := m.(BlockClassifier)
-		if !ok {
-			continue
-		}
 		for i := 0; i < 3; i++ {
 			if err := bm.BlockPosterior(blk, 0, blk.N, out); err != nil {
 				t.Fatal(err)
 			}
 		}
-		avg = testing.AllocsPerRun(50, func() {
+		avg := testing.AllocsPerRun(50, func() {
 			if err := bm.BlockPosterior(blk, 0, blk.N, out); err != nil {
 				t.Fatal(err)
 			}

@@ -8,13 +8,18 @@ import (
 	"github.com/uei-db/uei/internal/kernel"
 )
 
+// batchBlock is how many block points BlockPosteriorsInto scores between
+// context checks: small enough that cancellation lands within microseconds
+// of CPU work, large enough that the check is free.
+const batchBlock = 512
+
 // BlockClassifier is implemented by classifiers with a columnar scoring
 // path over a packed kernel.Block. BlockPosterior fills out[0:hi-lo] with
 // P(positive | block point i) for i in [lo, hi). Implementations must be
 // read-only with respect to the model (disjoint ranges run concurrently)
-// and bit-identical to the row paths — the block layout may change memory
-// order, never the per-point arithmetic. All four classifiers in this
-// package comply.
+// and bit-identical to PosteriorPositive on the same point — the block
+// layout may change memory order, never the per-point arithmetic. All four
+// classifiers in this package comply.
 type BlockClassifier interface {
 	Classifier
 	BlockPosterior(blk *kernel.Block, lo, hi int, out []float64) error
@@ -25,10 +30,9 @@ type BlockClassifier interface {
 var rowScratchPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // BlockPosteriorsInto fills out[0:hi-lo] with posteriors of block points
-// [lo, hi), checking ctx between batchBlock-sized chunks exactly like
-// PosteriorsInto. Classifiers without a block path fall back to row
-// reconstruction (a pure copy), so results match the row path bit for bit
-// in every case.
+// [lo, hi), checking ctx between batchBlock-sized chunks. Classifiers
+// without a block path fall back to row reconstruction (a pure copy), so
+// results match PosteriorPositive bit for bit in every case.
 func BlockPosteriorsInto(ctx context.Context, c Classifier, blk *kernel.Block, lo, hi int, out []float64) error {
 	if hi-lo != len(out) {
 		return fmt.Errorf("learn: %d block points but %d output slots", hi-lo, len(out))
@@ -69,46 +73,8 @@ func BlockPosteriorsInto(ctx context.Context, c Classifier, blk *kernel.Block, l
 	return nil
 }
 
-// BlockPosteriors fills out[i] = P(positive | block point i) using up to
-// workers goroutines over contiguous block ranges — the columnar twin of
-// Posteriors, byte-identical to it for any worker count.
-func BlockPosteriors(ctx context.Context, c Classifier, blk *kernel.Block, out []float64, workers int) error {
-	n := blk.N
-	if n != len(out) {
-		return fmt.Errorf("learn: %d block points but %d output slots", n, len(out))
-	}
-	if n == 0 {
-		return ctx.Err()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return BlockPosteriorsInto(ctx, c, blk, 0, n, out)
-	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for s := 0; s < workers; s++ {
-		lo, hi := s*n/workers, (s+1)*n/workers
-		s := s
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[s] = BlockPosteriorsInto(ctx, c, blk, lo, hi, out[lo:hi])
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // BlockUncertaintiesInto is BlockPosteriorsInto followed by the
-// least-confidence transform min(p, 1-p) — the columnar twin of
-// UncertaintiesInto.
+// least-confidence transform min(p, 1-p) — Uncertainty's fold, per point.
 func BlockUncertaintiesInto(ctx context.Context, c Classifier, blk *kernel.Block, lo, hi int, out []float64) error {
 	if err := BlockPosteriorsInto(ctx, c, blk, lo, hi, out); err != nil {
 		return err

@@ -32,9 +32,9 @@ func topK(unc []float64, k int) []int {
 
 // FuzzBlockParity is the cross-model scoring-mode agreement property: for
 // a random dataset and query block, every classifier's columnar path —
-// and, for DWKNN, the resumed scan of a NeighborTable — must reproduce the row
-// path's posteriors bit for bit, and therefore the identical top-k
-// selection. Query sets deliberately include duplicates (degenerate
+// and, for DWKNN, the resumed scan of a NeighborTable — must reproduce
+// PosteriorPositive's posteriors bit for bit, and therefore the identical
+// top-k selection. Query sets deliberately include duplicates (degenerate
 // equidistant neighborhoods) and exact copies of training rows.
 func FuzzBlockParity(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(2), uint16(300))
@@ -101,10 +101,7 @@ func FuzzBlockParity(f *testing.F) {
 		ctx := context.Background()
 
 		for name, m := range models {
-			want := make([]float64, nq)
-			if err := m.(BatchClassifier).BatchPosterior(Q, want); err != nil {
-				t.Fatalf("%s row: %v", name, err)
-			}
+			want := pointwise(t, m, Q)
 			got := make([]float64, nq)
 			if err := BlockPosteriorsInto(ctx, m, blk, 0, nq, got); err != nil {
 				t.Fatalf("%s block: %v", name, err)

@@ -44,7 +44,7 @@ func parityModels(t *testing.T, rng *rand.Rand, n, dims int) map[string]Classifi
 	return models
 }
 
-// Every model's block path must agree bit-for-bit with its row path, on
+// Every model's block path must agree bit-for-bit with PosteriorPositive, on
 // query counts that exercise strip boundaries and unroll tails.
 func TestBlockPosteriorBitParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -60,10 +60,7 @@ func TestBlockPosteriorBitParity(t *testing.T) {
 		}
 		blk := kernel.Pack(Q)
 		for name, m := range models {
-			want := make([]float64, nq)
-			if err := m.(BatchClassifier).BatchPosterior(Q, want); err != nil {
-				t.Fatalf("%s row: %v", name, err)
-			}
+			want := pointwise(t, m, Q)
 			got := make([]float64, nq)
 			if err := BlockPosteriorsInto(context.Background(), m, blk, 0, nq, got); err != nil {
 				t.Fatalf("%s block: %v", name, err)
@@ -111,10 +108,7 @@ func TestBlockPosteriorDegenerateDWKNN(t *testing.T) {
 		}
 		Q := [][]float64{{0, 0}, {0.001, 0}, {0, 0}, {5, 5}}
 		blk := kernel.Pack(Q)
-		want := make([]float64, len(Q))
-		if err := dw.BatchPosterior(Q, want); err != nil {
-			t.Fatal(err)
-		}
+		want := pointwise(t, dw, Q)
 		got := make([]float64, len(Q))
 		if err := dw.BlockPosterior(blk, 0, len(Q), got); err != nil {
 			t.Fatal(err)

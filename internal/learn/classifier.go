@@ -29,7 +29,9 @@ var ErrNotFitted = errors.New("learn: classifier is not fitted")
 // single goroutine; after a successful Fit, PosteriorPositive must be
 // read-only with respect to the model, because the parallel scorer shards
 // query points across goroutines against one shared classifier. (All
-// classifiers in this package comply; see also BatchClassifier.)
+// classifiers in this package comply.) PosteriorPositive is the
+// specification; a model's bulk form, when it has one, is BlockClassifier
+// and must match it bit for bit.
 type Classifier interface {
 	// Fit (re)trains the model on the labeled set. X rows are copied or
 	// retained read-only; y[i] must be ClassNegative or ClassPositive, and

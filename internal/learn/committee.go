@@ -109,59 +109,12 @@ func (c *Committee) PosteriorPositive(x []float64) (float64, error) {
 	return clampProb(sum / float64(len(c.Members))), nil
 }
 
-// BatchPosterior implements BatchClassifier: the mean member posterior,
-// computed member-by-member so each member's own batch path (and scratch
-// reuse) applies. Read-only after Fit, safe on disjoint shards.
-func (c *Committee) BatchPosterior(X [][]float64, out []float64) error {
-	if !c.fitted {
-		return ErrNotFitted
-	}
-	if len(X) != len(out) {
-		return fmt.Errorf("learn: %d queries but %d output slots", len(X), len(out))
-	}
-	for i := range out {
-		out[i] = 0
-	}
-	buf := committeeTmpPool.Get().(*committeeTmp)
-	defer committeeTmpPool.Put(buf)
-	if cap(buf.tmp) < len(X) {
-		buf.tmp = make([]float64, len(X))
-	}
-	tmp := buf.tmp[:len(X)]
-	for _, m := range c.Members {
-		if bm, ok := m.(BatchClassifier); ok {
-			if err := bm.BatchPosterior(X, tmp); err != nil {
-				return err
-			}
-		} else {
-			for i, x := range X {
-				p, err := m.PosteriorPositive(x)
-				if err != nil {
-					return err
-				}
-				tmp[i] = p
-			}
-		}
-		for i, p := range tmp {
-			out[i] += p
-		}
-	}
-	// Divide (not multiply by a reciprocal) so the result is bit-identical
-	// to PosteriorPositive's sum/n — the parallel scorer's parity guarantee
-	// depends on it.
-	n := float64(len(c.Members))
-	for i := range out {
-		out[i] = clampProb(out[i] / n)
-	}
-	return nil
-}
-
 // BlockPosterior implements BlockClassifier: the mean member posterior over
 // a packed block, member-by-member in member order — the same accumulation
-// sequence as BatchPosterior, ending in the same divide — so results are
-// bit-identical to both scalar paths. Members without a block path fall
-// back to row reconstruction (a pure copy, so their arithmetic is
-// unchanged). The member buffer is pooled: zero steady-state allocation.
+// sequence as PosteriorPositive, ending in the same divide — so results are
+// bit-identical to it. Members without a block path fall back to row
+// reconstruction (a pure copy, so their arithmetic is unchanged). The
+// member buffer is pooled: zero steady-state allocation.
 func (c *Committee) BlockPosterior(blk *kernel.Block, lo, hi int, out []float64) error {
 	if !c.fitted {
 		return ErrNotFitted
@@ -198,8 +151,8 @@ func (c *Committee) BlockPosterior(blk *kernel.Block, lo, hi int, out []float64)
 			dst[i] += p
 		}
 	}
-	// Divide (not multiply by a reciprocal): same parity rationale as
-	// BatchPosterior.
+	// Divide (not multiply by a reciprocal) so the result is bit-identical
+	// to PosteriorPositive's sum/n.
 	n := float64(len(c.Members))
 	for i := range dst {
 		dst[i] = clampProb(dst[i] / n)

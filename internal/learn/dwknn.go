@@ -101,11 +101,11 @@ func (c *DWKNN) PosteriorPositive(x []float64) (float64, error) {
 	return c.posterior(x, s), nil
 }
 
-// BatchPosterior implements BatchClassifier: it reuses one pooled scratch
-// buffer across the whole batch, so the per-query cost is pure distance
-// math with zero steady-state allocation. It is read-only and safe to call
-// concurrently on disjoint shards (the parallel scorer shards query points
-// across workers).
+// BatchPosterior fills out[i] with PosteriorPositive(X[i]) through one
+// pooled scratch buffer. Nothing in the program calls it and no interface
+// names it: it stays because benchmark/layers.go times it for
+// learn.batch_posterior_ns_per_row and a change outside benchmark/ may not
+// edit that file; the next benchmark change drops both.
 func (c *DWKNN) BatchPosterior(X [][]float64, out []float64) error {
 	if !c.fitted {
 		return ErrNotFitted
@@ -125,7 +125,7 @@ func (c *DWKNN) BatchPosterior(X [][]float64, out []float64) error {
 }
 
 // dwknnScratch holds the per-call buffers of the k-NN search. Buffers are
-// pooled package-wide and grown on demand, so batch evaluation allocates
+// pooled package-wide and grown on demand, so block evaluation allocates
 // nothing in steady state.
 type dwknnScratch struct {
 	q     []float64

@@ -134,22 +134,6 @@ func (c *Logistic) PosteriorPositive(x []float64) (float64, error) {
 	return clampProb(sigmoid(s)), nil
 }
 
-// BatchPosterior implements BatchClassifier. Evaluation reads only the
-// fitted weights, so the loop is safe on disjoint shards concurrently.
-func (c *Logistic) BatchPosterior(X [][]float64, out []float64) error {
-	if len(X) != len(out) {
-		return fmt.Errorf("learn: %d queries but %d output slots", len(X), len(out))
-	}
-	for i, x := range X {
-		p, err := c.PosteriorPositive(x)
-		if err != nil {
-			return err
-		}
-		out[i] = p
-	}
-	return nil
-}
-
 // BlockPosterior implements BlockClassifier: a standardized dot-product
 // over the block's columns. Per point the accumulation runs over
 // dimensions in ascending order with the scalar path's exact

@@ -124,23 +124,6 @@ func (c *GaussianNB) PosteriorPositive(x []float64) (float64, error) {
 	return clampProb(e1 / (e0 + e1)), nil
 }
 
-// BatchPosterior implements BatchClassifier. The per-query evaluation is
-// already allocation-free, so the batch path is a plain read-only loop,
-// safe to run concurrently on disjoint shards.
-func (c *GaussianNB) BatchPosterior(X [][]float64, out []float64) error {
-	if len(X) != len(out) {
-		return fmt.Errorf("learn: %d queries but %d output slots", len(X), len(out))
-	}
-	for i, x := range X {
-		p, err := c.PosteriorPositive(x)
-		if err != nil {
-			return err
-		}
-		out[i] = p
-	}
-	return nil
-}
-
 // BlockPosterior implements BlockClassifier: per-class log-likelihood
 // strips over the block's columns. The per-dimension term precomputes
 // -0.5·log(2π·var) and 2·var once per (class, dimension) — pure functions

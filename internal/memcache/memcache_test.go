@@ -173,41 +173,6 @@ func TestSampleIDsCoverage(t *testing.T) {
 	}
 }
 
-func TestReservoir(t *testing.T) {
-	if _, err := NewReservoir(0, 1); err == nil {
-		t.Error("zero capacity should fail")
-	}
-	r, err := NewReservoir(10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 1000; i++ {
-		r.Offer(uint32(i))
-	}
-	if r.Seen() != 1000 {
-		t.Errorf("Seen = %d", r.Seen())
-	}
-	items := r.Items()
-	if len(items) != 10 {
-		t.Fatalf("len = %d", len(items))
-	}
-	seen := map[uint32]bool{}
-	for _, id := range items {
-		if id >= 1000 || seen[id] {
-			t.Errorf("bad reservoir item %d", id)
-		}
-		seen[id] = true
-	}
-	// Fewer offers than capacity keeps everything.
-	r2, _ := NewReservoir(10, 3)
-	for i := 0; i < 4; i++ {
-		r2.Offer(uint32(i))
-	}
-	if len(r2.Items()) != 4 {
-		t.Errorf("partial reservoir has %d items", len(r2.Items()))
-	}
-}
-
 func newTestCache(t *testing.T, capacityTuples int) (*Cache, *Budget) {
 	t.Helper()
 	b, err := NewBudget(int64(capacityTuples) * TupleBytes(2))

@@ -40,39 +40,3 @@ func SampleIDs(n, k int, seed int64) ([]uint32, error) {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, nil
 }
-
-// Reservoir maintains a uniform fixed-size sample over a stream of items of
-// unknown length (classic Algorithm R). It is used where the row count is
-// not known up front, e.g. sampling candidate rows while streaming chunks.
-type Reservoir struct {
-	k     int
-	seen  int
-	items []uint32
-	rng   *rand.Rand
-}
-
-// NewReservoir creates a reservoir of capacity k.
-func NewReservoir(k int, seed int64) (*Reservoir, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("memcache: reservoir capacity %d must be positive", k)
-	}
-	return &Reservoir{k: k, rng: rand.New(rand.NewSource(seed))}, nil
-}
-
-// Offer streams one item through the reservoir.
-func (r *Reservoir) Offer(id uint32) {
-	r.seen++
-	if len(r.items) < r.k {
-		r.items = append(r.items, id)
-		return
-	}
-	if j := r.rng.Intn(r.seen); j < r.k {
-		r.items[j] = id
-	}
-}
-
-// Seen returns how many items have been offered.
-func (r *Reservoir) Seen() int { return r.seen }
-
-// Items returns the current sample (aliased; callers must not modify).
-func (r *Reservoir) Items() []uint32 { return r.items }

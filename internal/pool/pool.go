@@ -1,10 +1,10 @@
 // Package pool provides the reusable worker pool behind UEI's parallel
 // per-iteration hot path. A Pool owns a fixed set of long-lived goroutines
 // (started once, at index open) and shards embarrassingly parallel loops —
-// symbolic-point scoring, posterior batches — across them without per-call
-// goroutine churn. Work is always split into contiguous shards so results
-// land in caller-owned slices with no synchronization beyond the final
-// barrier, keeping parallel output byte-identical to the serial path.
+// symbolic-point scoring, retrieval classification — across them without
+// per-call goroutine churn. Work is always split into contiguous shards so
+// results land in caller-owned slices with no synchronization beyond the
+// final barrier, keeping parallel output byte-identical to the serial path.
 package pool
 
 import (
@@ -88,23 +88,13 @@ func (p *Pool) Close() {
 // dispatch and is returned as ctx.Err(). With one worker (or n small) fn
 // runs inline, making the serial path identical to a plain loop.
 func (p *Pool) Do(ctx context.Context, n int, fn func(lo, hi int) error) error {
-	return p.DoCapped(ctx, n, p.workers, fn)
-}
-
-// DoCapped is Do with an additional ceiling on the shard count — the seam
-// for small work items (incremental dirty-cell rescoring) where fanning a
-// few thousand floats across every worker costs more in handoff than it
-// saves in compute. maxShards <= 1 runs fn inline. The sharding math does
-// not depend on the cap (contiguous disjoint ranges, first error by shard
-// order), so results are byte-identical at any cap.
-func (p *Pool) DoCapped(ctx context.Context, n, maxShards int, fn func(lo, hi int) error) error {
 	if n <= 0 {
 		return nil
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	shards := min(maxShards, p.workers, n)
+	shards := min(p.workers, n)
 	if shards <= 1 || p.tasks == nil {
 		err := fn(0, n)
 		p.observe(1, 0, 0)

@@ -162,8 +162,8 @@ type CoordinatorOptions struct {
 // when every replica fails (ErrReplicaExhausted joins the error chain).
 //
 // The coordinator is safe for concurrent use by multiple sessions once
-// constructed; SetFaultHook, SetDeadline, and SetHedgeDelay may be called
-// at any time.
+// constructed; SetFaultHook may be called at any time. The per-shard
+// attempt deadline and the hedge delay are fixed at construction.
 type Coordinator struct {
 	meta Meta
 	// replicas[s] lists shard s's backends, primary first.
@@ -180,8 +180,8 @@ type Coordinator struct {
 	pool  *pool.Pool
 	cache *chunkstore.BlockCache
 
-	deadline   atomic.Int64 // nanoseconds; 0 = none
-	hedgeDelay atomic.Int64 // nanoseconds; 0 = no hedging
+	deadline   time.Duration // per-shard attempt deadline; 0 = none
+	hedgeDelay time.Duration // 0 = no hedging
 	hook       atomic.Pointer[FaultHook]
 
 	instruments
@@ -309,6 +309,8 @@ func (c *Coordinator) NextEpoch(man *Manifest, shards []*Shard) (*Coordinator, e
 		ownerByCell: c.ownerByCell,
 		pool:        c.pool,
 		cache:       c.cache,
+		deadline:    c.deadline,
+		hedgeDelay:  c.hedgeDelay,
 		instruments: c.instruments,
 	}
 	next.meta.RowCount, next.meta.TotalBytes = man.RowCount, 0
@@ -321,8 +323,6 @@ func (c *Coordinator) NextEpoch(man *Manifest, shards []*Shard) (*Coordinator, e
 		next.statBackends = append(next.statBackends, lb)
 		next.meta.TotalBytes += lb.Stats().TotalBytes
 	}
-	next.deadline.Store(c.deadline.Load())
-	next.hedgeDelay.Store(c.hedgeDelay.Load())
 	return next, nil
 }
 
@@ -385,6 +385,8 @@ func newCoordinator(man *Manifest, g *grid.Grid, replicas [][]Backend, opts Coor
 		statBackends: stat,
 		ownerByCell:  owners,
 		pool:         opts.Pool,
+		deadline:     opts.Deadline,
+		hedgeDelay:   opts.HedgeDelay,
 		meta: Meta{
 			Grid:           g,
 			Points:         kernel.Pack(g.Centers()),
@@ -397,8 +399,6 @@ func newCoordinator(man *Manifest, g *grid.Grid, replicas [][]Backend, opts Coor
 			TotalBytes:     totalBytes,
 		},
 	}
-	c.deadline.Store(int64(opts.Deadline))
-	c.hedgeDelay.Store(int64(opts.HedgeDelay))
 	return c, nil
 }
 
@@ -451,12 +451,6 @@ func (c *Coordinator) OwnerOfCell(cell grid.CellID) (int, error) {
 	}
 	return c.ownerByCell[cell], nil
 }
-
-// SetDeadline adjusts the per-shard attempt deadline (0 disables).
-func (c *Coordinator) SetDeadline(d time.Duration) { c.deadline.Store(int64(d)) }
-
-// SetHedgeDelay adjusts the hedged-request delay (0 disables hedging).
-func (c *Coordinator) SetHedgeDelay(d time.Duration) { c.hedgeDelay.Store(int64(d)) }
 
 // SetFaultHook installs (or, with nil, removes) the per-attempt fault
 // hook. Test seam for degradation and hedging scenarios.
@@ -520,10 +514,9 @@ func runAttempt[T any](c *Coordinator, ctx context.Context, shardID, replica int
 	if obs.HasTrace(ctx) {
 		sctx, span = obs.StartSpan(ctx, "shard_"+op)
 	}
-	d := time.Duration(c.deadline.Load())
-	if d > 0 {
+	if c.deadline > 0 {
 		var cancel context.CancelFunc
-		sctx, cancel = context.WithTimeout(sctx, d)
+		sctx, cancel = context.WithTimeout(sctx, c.deadline)
 		defer cancel()
 	}
 	var v T
@@ -537,8 +530,8 @@ func runAttempt[T any](c *Coordinator, ctx context.Context, shardID, replica int
 	if span != nil {
 		span.SetOutcome(shardOutcome(ctx, err))
 		attrs := map[string]float64{"shard": float64(shardID), "replica": float64(replica)}
-		if d > 0 {
-			attrs["deadline_ms"] = float64(d) / float64(time.Millisecond)
+		if c.deadline > 0 {
+			attrs["deadline_ms"] = float64(c.deadline) / float64(time.Millisecond)
 		}
 		span.End(attrs)
 	}
@@ -598,8 +591,8 @@ func callShard[T any](c *Coordinator, ctx context.Context, shardID int, op strin
 	}
 	launch()
 	var hedgeC <-chan time.Time
-	if hd := time.Duration(c.hedgeDelay.Load()); hd > 0 && len(reps) > 1 {
-		t := time.NewTimer(hd)
+	if c.hedgeDelay > 0 && len(reps) > 1 {
+		t := time.NewTimer(c.hedgeDelay)
 		defer t.Stop()
 		hedgeC = t.C
 	}

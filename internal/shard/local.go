@@ -32,9 +32,6 @@ func NewLocalBackend(s *Shard, g *grid.Grid) *LocalBackend {
 	return &LocalBackend{shard: s, g: g}
 }
 
-// Shard exposes the wrapped shard for inspection and tests.
-func (b *LocalBackend) Shard() *Shard { return b.shard }
-
 // LoadCell implements Backend: merge the cell's chunks from each
 // part's store and remap row ids to global.
 func (b *LocalBackend) LoadCell(ctx context.Context, cell grid.CellID) ([]uint32, [][]float64, int, error) {

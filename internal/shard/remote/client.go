@@ -91,9 +91,6 @@ func NewShardClient(c *Client, shard int, totalBytes int64) *ShardClient {
 // Endpoint returns the worker this backend talks to.
 func (b *ShardClient) Endpoint() string { return b.c.base }
 
-// ShardID returns the shard this backend serves.
-func (b *ShardClient) ShardID() int { return b.shard }
-
 // post runs one shard operation round trip. The caller's trace id rides
 // the TraceHeader so worker logs correlate with the session's spans, and
 // ctx cancellation (per-attempt deadline, hedged-loser cancel) aborts the

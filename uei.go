@@ -68,7 +68,7 @@ type apiConfig struct {
 }
 
 // Option configures the baseline-engine constructors (CreateTable,
-// OpenTable, BuildBTree), which have no options struct. Open takes every
+// OpenTable), which have no options struct. Open takes every
 // knob as an Options field.
 type Option func(*apiConfig)
 
@@ -332,12 +332,8 @@ func FindMultiRegion(ds *Dataset, k int, fraction, tol float64, seed int64, maxS
 
 // --- baseline storage engine (internal/dbms) ---
 
-type (
-	// Table is the baseline heap-file table read through a buffer pool.
-	Table = dbms.Table
-	// BTree is the baseline's bulk-loaded attribute index.
-	BTree = dbms.BTree
-)
+// Table is the baseline heap-file table read through a buffer pool.
+type Table = dbms.Table
 
 // CreateTable bulk-loads a dataset into a new heap file in dir.
 func CreateTable(ctx context.Context, dir string, ds *Dataset, poolFrames int, o ...Option) (*Table, error) {
@@ -355,15 +351,6 @@ func OpenTable(ctx context.Context, dir string, poolFrames int, o ...Option) (*T
 	}
 	c := applyOptions(o)
 	return dbms.OpenTable(dir, poolFrames, c.limiter)
-}
-
-// BuildBTree bulk-loads a B+ tree over one column of the dataset.
-func BuildBTree(ctx context.Context, dir, column string, ds *Dataset, poolFrames int, o ...Option) (*BTree, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	c := applyOptions(o)
-	return dbms.BuildIndex(dir, column, ds, poolFrames, c.limiter)
 }
 
 // --- I/O bandwidth model (internal/iothrottle) ---
