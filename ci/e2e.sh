@@ -91,9 +91,11 @@ run_session() {
   fail "session $id not done after $max steps"
 }
 
-# strict_trace FILE feeds a trace through the strict analyzer: orphaned
-# spans, malformed lines and an empty SLO report all fail.
+# strict_trace FILE feeds a server trace through the strict analyzer:
+# orphaned spans, malformed lines, a line without a trace id and an empty
+# SLO report all fail.
 strict_trace() {
+  [ "$(grep -vc '"trace_id"' "$work/$1")" = 0 ] || fail "$1 holds lines without a trace_id"
   "$bin/uei-trace" -strict -top 3 "$work/$1" >"$work/$1.report" || {
     cat "$work/$1.report"
     fail "uei-trace -strict rejected $1"
@@ -120,7 +122,16 @@ drain "$srv"
 strict_trace flat.jsonl
 
 echo "== sharded: S = 2 detected without -shards, short loadgen fleet"
-"$bin/uei-ingest" -gen 20000 -shards 2 -chunk 4096 -out "$work/sharded" >/dev/null
+"$bin/uei-ingest" -gen 20000 -shards 2 -chunk 4096 -out "$work/sharded" \
+  -trace "$work/ingest.jsonl" >/dev/null
+# A non-server trace is no step: the analyzer lists it under its own root
+# and reports zero steps. Not -strict, which demands a step; the report
+# itself must be well-formed.
+"$bin/uei-trace" "$work/ingest.jsonl" >"$work/ingest.report" || fail "uei-trace rejected the ingest trace"
+grep -q '^  no traced steps$' "$work/ingest.report" || fail "an ingest trace was reported as steps"
+grep -A2 '^OTHER ROOTS$' "$work/ingest.report" | grep -q '^  ingest  *traces 1 ' ||
+  fail "the ingest trace is not listed under its own root"
+if grep -q 'ORPHANED SPANS' "$work/ingest.report"; then fail "the ingest trace has orphaned spans"; fi
 "$bin/uei-ingest" -verify "$work/sharded" >/dev/null || fail "a freshly built sharded store fails -verify"
 pick_port port
 base=http://127.0.0.1:$port

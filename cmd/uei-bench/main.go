@@ -53,7 +53,7 @@ func run() error {
 		segs    = flag.Int("segments", 0, "override grid segments per dimension (|P| = segments^5)")
 		workdir = flag.String("workdir", "", "directory for the built stores (default: temp)")
 		csvDir  = flag.String("csv", "", "also export figure data as CSV into this directory")
-		trace   = flag.String("trace", "", "write per-iteration phase spans as JSONL to this file (uei-trace reports them as legacy events)")
+		trace   = flag.String("trace", "", "write one span trace per run (root \"run\") as JSONL to this file (analyze with uei-trace)")
 		metrA   = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :8080)")
 		summary = flag.Bool("summary", false, "print a phase-latency breakdown table at the end")
 		cacheB  = flag.Int64("block-cache-bytes", 0, "shared decoded-chunk block cache budget in bytes (0 disables, the paper's discipline)")
@@ -106,7 +106,7 @@ func run() error {
 		if err := cfg.Trace.Err(); err != nil {
 			fmt.Fprintln(os.Stderr, "uei-bench: trace write:", err)
 		} else {
-			fmt.Printf("trace written to %s (flat phase stream; hierarchical step traces come from uei-serve -trace)\n", *trace)
+			fmt.Printf("trace written to %s; analyze with uei-trace\n", *trace)
 		}
 	}()
 	if *n > 0 {

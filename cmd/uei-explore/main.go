@@ -168,7 +168,6 @@ func run() error {
 		EnablePrefetch:    true,
 		Seed:              *seed,
 		Registry:          reg,
-		Tracer:            tracer,
 		BlockCacheBytes:   *cacheByt,
 		Shards:            *shards,
 		ShardDeadline:     *shardDl,
@@ -232,7 +231,6 @@ func run() error {
 		// learning. Auto mode seeds from the simulated user.
 		SeedWithPositive: seedWithPositive,
 		Registry:         reg,
-		Tracer:           tracer,
 	}
 	var sess *ide.Session
 	if *loadPath != "" {
@@ -260,26 +258,19 @@ func run() error {
 
 	fmt.Printf("\nexploring %d tuples; you will label up to %d examples.\n", idx.RowCount(), *labels)
 	fmt.Println("answer y if the shown tuple matches what you are looking for.")
-	// With tracing on, the whole run becomes one hierarchical trace: an
-	// "explore" root span with the engine's prepare/iteration/label/retrain
-	// spans beneath it, so uei-trace breaks down an interactive run the same
-	// way it does server steps.
-	runCtx := ctx
-	var root *obs.Span
-	if tracer != nil {
-		runCtx = obs.ContextWithTrace(ctx, tracer.NewTrace())
-		runCtx, root = obs.StartSpan(runCtx, "explore")
-	}
+	// With tracing on, the whole run is one trace: an "explore" root span
+	// with the engine's prepare/iteration/label/retrain spans beneath it, so
+	// uei-trace breaks down an interactive run the way it does a server
+	// step. Without it the trace is nil and the root only measures.
+	runCtx, root := obs.StartSpan(obs.ContextWithTrace(ctx, tracer.NewTrace()), "explore")
 	res, err := sess.Run(runCtx)
-	if root != nil {
-		switch {
-		case errors.Is(err, context.Canceled):
-			root.SetOutcome("cancelled")
-		case err != nil:
-			root.SetOutcome("error")
-		}
-		root.End(nil)
+	switch {
+	case errors.Is(err, context.Canceled):
+		root.SetOutcome("cancelled")
+	case err != nil:
+		root.SetOutcome("error")
 	}
+	root.End(nil)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			fmt.Println("\nexploration interrupted; exiting cleanly.")

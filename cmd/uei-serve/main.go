@@ -59,7 +59,7 @@ func run() error {
 		cacheBytes  = flag.Int64("block-cache-bytes", 0, "shared decoded-chunk block cache budget in bytes, carved from -budget and yielded back under session pressure (0 disables)")
 		shards      = flag.Int("shards", 0, "store layout: 0 = whatever -store holds (flat with -gen), 1 = require flat, >1 = require (with -gen, build) exactly that many shards")
 		shardDl     = flag.Duration("shard-deadline", 0, "per-shard operation deadline; slow shards are skipped and steps report degraded (0 disables)")
-		traceFile   = flag.String("trace", "", "write one hierarchical step trace per request to this JSONL file (analyze with uei-trace)")
+		traceFile   = flag.String("trace", "", "write one span trace per create, step and result request to this JSONL file (analyze with uei-trace)")
 		sloBudget   = flag.Duration("slo", 0, "per-step interactivity budget for SLO accounting (0 = the 500ms default)")
 		endpoints   = flag.String("shard-endpoints", "", "comma-separated uei-shardd worker URLs; serves the index remotely instead of opening -store")
 		replication = flag.Int("replication", 1, "replicas per shard across the worker fleet (shards degrade only when all replicas fail)")

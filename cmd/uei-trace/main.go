@@ -1,8 +1,10 @@
-// Command uei-trace analyzes a step trace written by uei-serve -trace (or
-// any tracer emitting the hierarchical span JSONL): it rebuilds per-step
-// span trees from parent references and prints the SLO compliance report,
-// the aggregate per-phase budget attribution, the top-N slowest steps with
-// their span trees, per-shard skew, and degradation-cause counts.
+// Command uei-trace analyzes a span trace written by uei-serve -trace (or
+// by uei-explore, uei-ingest or uei-bench -trace): it rebuilds the span
+// trees from parent references and prints the SLO compliance report and
+// the top-N slowest span trees for the traces rooted at a "step" span
+// (server step requests), one line per other root name (create, result,
+// explore, ingest, run), and, over every trace, the aggregate per-phase
+// budget attribution, per-shard skew, and degradation-cause counts.
 //
 // Usage:
 //
@@ -67,9 +69,9 @@ func run() error {
 			return fmt.Errorf("strict: %d orphaned spans (first: %s)", len(orphans), orphans[0])
 		}
 		if len(a.Steps) == 0 {
-			return fmt.Errorf("strict: no traced steps in input (%d legacy events)", a.LegacyEvents)
+			return fmt.Errorf("strict: no traced steps in input (%d traces with other roots)", len(a.Others))
 		}
-		for _, st := range a.Steps {
+		for _, st := range a.Others {
 			if st.Root == nil {
 				return fmt.Errorf("strict: trace %s has no root span", st.TraceID)
 			}

@@ -50,7 +50,6 @@ func openLive(ctx context.Context, dir string, opts Options) (*Index, error) {
 		Workers:       opts.Workers,
 		BlockCache:    bc,
 		Registry:      opts.Registry,
-		Tracer:        opts.Tracer,
 		FlushInterval: opts.FlushInterval,
 	})
 	if err != nil {

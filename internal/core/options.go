@@ -51,9 +51,6 @@ type Options struct {
 	// Nil creates a private registry, so Stats() keeps counting either
 	// way; pass a shared registry to export the metrics.
 	Registry *obs.Registry
-	// Tracer, when non-nil, records per-phase spans (score, load, swap)
-	// of every exploration iteration.
-	Tracer *obs.Tracer
 	// Workers sizes the index's worker pool: result-retrieval
 	// classification and a non-DWKNN model's full pass over the symbolic
 	// points shard across it (a DWKNN pass resumes each point's k-NN scan

@@ -383,7 +383,7 @@ func TestDataPlaneAgainstBruteForce(t *testing.T) {
 func TestOneShardObeysCoordinatorRules(t *testing.T) {
 	var trace bytes.Buffer
 	tracer := obs.NewTracer(&trace)
-	idx, ds := openTestIndex(t, 2000, Options{Workers: 2, Tracer: tracer})
+	idx, ds := openTestIndex(t, 2000, Options{Workers: 2})
 	ctx := context.Background()
 	if idx.Sharded() || idx.NumShards() != 1 {
 		t.Fatalf("flat store reports Sharded=%v NumShards=%d", idx.Sharded(), idx.NumShards())

@@ -42,10 +42,9 @@ func BenchmarkTracedStep(b *testing.B) {
 				b.Fatal(err)
 			}
 			opts := Options{MemoryBudgetBytes: 1 << 24, Workers: 4, Shards: 4}
-			var tracer *obs.Tracer
+			var tracer *obs.Tracer // nil mints nil traces: measuring-only spans
 			if mode == "on" {
 				tracer = obs.NewTracer(io.Discard)
-				opts.Tracer = tracer
 			}
 			idx, err := Open(ctx, dir, opts)
 			if err != nil {
@@ -55,23 +54,14 @@ func BenchmarkTracedStep(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				idx.InvalidateScores()
-				sctx := ctx
-				var root *obs.Span
-				if tracer != nil {
-					sctx = obs.ContextWithTrace(ctx, tracer.NewTrace())
-					sctx, root = obs.StartSpan(sctx, "step")
-				}
+				sctx, root := obs.StartSpan(obs.ContextWithTrace(ctx, tracer.NewTrace()), "step")
 				if _, err := idx.EnsureRegion(sctx, model); err != nil {
 					b.Fatal(err)
 				}
-				if root != nil {
-					root.End(nil)
-				}
+				root.End(nil)
 			}
-			if tracer != nil {
-				if err := tracer.Err(); err != nil {
-					b.Fatal(err)
-				}
+			if err := tracer.Err(); err != nil {
+				b.Fatal(err)
 			}
 		})
 	}

@@ -158,7 +158,6 @@ type Index struct {
 	// instruments below are atomic, so Stats() and a metrics endpoint can
 	// read them while the loop and the prefetcher goroutine mutate them.
 	reg       *obs.Registry
-	tracer    *obs.Tracer
 	mSwaps    *obs.Counter
 	mDeferred *obs.Counter
 	mPrefHits *obs.Counter
@@ -410,7 +409,6 @@ func newIndex(opts Options, coord *shard.Coordinator, pl *pool.Pool) (*Index, er
 		uncertainty: make([]float64, g.NumCells()),
 		pendingCell: memcache.NoRegion,
 		reg:         reg,
-		tracer:      opts.Tracer,
 	}
 	idx.instrument()
 	if opts.EnablePrefetch {
@@ -717,7 +715,7 @@ func (x *Index) EnsureRegion(ctx context.Context, model learn.Classifier) (grid.
 		return 0, ErrClosed
 	}
 	x.stepDegraded = false
-	sctx, score := x.tracer.Phase(ctx, obs.PhaseScore)
+	sctx, score := obs.StartSpan(ctx, obs.PhaseScore)
 	if !x.scoresValid {
 		if err := x.UpdateUncertainty(sctx, model); err != nil {
 			score.End(nil)
@@ -737,7 +735,7 @@ func (x *Index) EnsureRegion(ctx context.Context, model learn.Classifier) (grid.
 
 	target := top[0]
 	resident := x.cache.RegionCell()
-	lctx, load := x.tracer.Phase(ctx, obs.PhaseLoad)
+	lctx, load := obs.StartSpan(ctx, obs.PhaseLoad)
 	bytes0, chunks0 := x.IOStats()
 	// endLoad closes the load phase with the I/O delta it caused. Under
 	// concurrent prefetching the delta can include background reads — it
@@ -871,7 +869,7 @@ func boolAttr(b bool) float64 {
 // coverage). On a traced context the swap phase becomes a child span of
 // the step, sibling to the load phase that produced the region.
 func (x *Index) installRegion(ctx context.Context, cell int, ids []uint32, rows [][]float64) error {
-	_, swap := x.tracer.Phase(ctx, obs.PhaseSwap)
+	_, swap := obs.StartSpan(ctx, obs.PhaseSwap)
 	err := x.cache.SetRegion(cell, ids, rows)
 	if err != nil && !isBudgetErr(err) {
 		swap.End(nil)

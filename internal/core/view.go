@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"github.com/uei-db/uei/internal/memcache"
-	"github.com/uei-db/uei/internal/obs"
 )
 
 // ViewOptions configures a per-session view of a shared Index. Zero values
@@ -25,8 +24,6 @@ type ViewOptions struct {
 	ResidentRegions int
 	// LatencyThreshold is σ; zero inherits the parent's.
 	LatencyThreshold time.Duration
-	// Tracer, when non-nil, records this view's per-phase spans.
-	Tracer *obs.Tracer
 }
 
 // NewView derives an independent exploration state over the parent's
@@ -59,7 +56,6 @@ func (x *Index) NewView(vo ViewOptions) (*Index, error) {
 	if vo.LatencyThreshold != 0 {
 		opts.LatencyThreshold = vo.LatencyThreshold
 	}
-	opts.Tracer = vo.Tracer
 	if _, err := opts.withDefaults(); err != nil {
 		return nil, err
 	}
@@ -82,7 +78,6 @@ func (x *Index) NewView(vo ViewOptions) (*Index, error) {
 		uncertainty: make([]float64, x.grid.NumCells()),
 		pendingCell: memcache.NoRegion,
 		reg:         x.reg,
-		tracer:      vo.Tracer,
 	}
 	v.instrument()
 	if x.live != nil {

@@ -61,8 +61,8 @@ type Config struct {
 	// session the harness opens (uei-bench's -metrics-addr endpoint
 	// serves it). Runs accumulate into the same registry.
 	Obs *obs.Registry
-	// Trace, when non-nil, records per-iteration phase spans for every
-	// run (uei-bench -trace).
+	// Trace, when non-nil, receives one trace per run, rooted at a "run"
+	// span (uei-bench -trace).
 	Trace *obs.Tracer
 	// Workers sizes the index worker pool for every run. Zero keeps the
 	// paper's serial per-iteration path (1 worker), so measured latencies

@@ -109,7 +109,6 @@ func (e *Env) indexOptions(runSeed int64) core.Options {
 		EnablePrefetch:    e.Cfg.EnablePrefetch,
 		Seed:              runSeed,
 		Registry:          e.Cfg.Obs,
-		Tracer:            e.Cfg.Trace,
 		Workers:           workers,
 		Limiter:           e.Limiter,
 		BlockCacheBytes:   e.Cfg.BlockCacheBytes,

@@ -191,7 +191,6 @@ func runOne(env *Env, region oracle.Region, scheme Scheme, runSeed int64, opt ru
 		Seed:             runSeed,
 		SeedWithPositive: true,
 		Registry:         env.Cfg.Obs,
-		Tracer:           env.Cfg.Trace,
 		OnIteration: func(it ide.IterationInfo) {
 			stats.latency.Observe(it.ResponseTime)
 			stats.iterations = it.Iteration
@@ -230,7 +229,12 @@ func runOne(env *Env, region oracle.Region, scheme Scheme, runSeed int64, opt ru
 	if err != nil {
 		return nil, err
 	}
-	res, err := sess.Run(context.Background())
+	ctx, root := obs.StartSpan(obs.ContextWithTrace(context.Background(), env.Cfg.Trace.NewTrace()), "run")
+	res, err := sess.Run(ctx)
+	if err != nil {
+		root.SetOutcome("error")
+	}
+	root.End(nil)
 	if err != nil {
 		return nil, err
 	}

@@ -64,11 +64,6 @@ type Config struct {
 	// BeforeRetrieve, when set, runs after the last iteration and before
 	// result retrieval — the other boundary of the interactive loop.
 	BeforeRetrieve func()
-	// Tracer, when set, receives one root "iteration" span per iteration
-	// plus select/label/retrain child phases (providers add their own
-	// phases, e.g. UEI's score/load/swap). Share it with the provider's
-	// index so all spans land in one trace.
-	Tracer *obs.Tracer
 	// Registry, when set, receives the engine's instruments: the
 	// ide_iteration_seconds latency histogram, phase histograms for
 	// select/label/retrain, and ide_iterations_total / ide_labels_total
@@ -416,7 +411,6 @@ func (s *Session) proposeSelect(ctx context.Context) (*Proposal, error) {
 		return nil, fmt.Errorf("ide: session canceled after %d iterations: %w", s.iteration, err)
 	}
 	s.iteration++
-	s.cfg.Tracer.BeginIteration(s.iteration)
 	s.iterStart = time.Now()
 	// On a traced context the propose half of the iteration — provider
 	// preparation (score/load/swap) and candidate selection — is one
@@ -428,7 +422,7 @@ func (s *Session) proposeSelect(ctx context.Context) (*Proposal, error) {
 		ispan.End(map[string]float64{"iter": float64(s.iteration)})
 		return nil, fmt.Errorf("ide: iteration %d: %w", s.iteration, err)
 	}
-	sctx, sel := s.cfg.Tracer.Phase(ictx, obs.PhaseSelect)
+	sctx, sel := obs.StartSpan(ictx, obs.PhaseSelect)
 	id, row, score, pool, err := s.selectCandidate(sctx)
 	if err != nil {
 		sel.End(nil)
@@ -492,7 +486,7 @@ func (s *Session) Resolve(ctx context.Context) (*IterationInfo, error) {
 		return nil, nil
 	}
 	s.pending = nil
-	_, lab := s.cfg.Tracer.Phase(ctx, obs.PhaseLabel)
+	_, lab := obs.StartSpan(ctx, obs.PhaseLabel)
 	label := s.labeler.Label(p.ID, p.Row)
 	s.hLabel.ObserveDuration(lab.End(map[string]float64{"id": float64(p.ID)}))
 	return s.completeIteration(ctx, p, label)
@@ -531,7 +525,7 @@ func (s *Session) completeIteration(ctx context.Context, p *Proposal, label orac
 	retrained := false
 	s.sinceRetrain++
 	if s.sinceRetrain >= s.cfg.BatchSize {
-		_, ret := s.cfg.Tracer.Phase(ctx, obs.PhaseRetrain)
+		_, ret := obs.StartSpan(ctx, obs.PhaseRetrain)
 		if err := s.refit(); err != nil {
 			ret.End(nil)
 			return nil, fmt.Errorf("ide: iteration %d retrain: %w", p.Iteration, err)
@@ -546,11 +540,6 @@ func (s *Session) completeIteration(ctx context.Context, p *Proposal, label orac
 	elapsed := time.Since(s.iterStart)
 	s.hIteration.ObserveDuration(elapsed)
 	s.mIters.Inc()
-	s.cfg.Tracer.EndIteration(map[string]float64{
-		"labels":    float64(s.labeler.Count()),
-		"pool":      float64(p.Pool),
-		"retrained": boolAttr(retrained),
-	})
 	info := IterationInfo{
 		Iteration:    p.Iteration,
 		LabelsGiven:  s.labeler.Count(),
@@ -810,14 +799,6 @@ func (s *Session) refit() error {
 		}
 	}
 	return nil
-}
-
-// boolAttr encodes a flag as a trace attribute.
-func boolAttr(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 func (s *Session) classesPresent() (hasPos, hasNeg bool) {

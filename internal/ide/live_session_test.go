@@ -10,6 +10,7 @@ import (
 	"github.com/uei-db/uei/internal/core"
 	"github.com/uei-db/uei/internal/dataset"
 	"github.com/uei-db/uei/internal/learn"
+	"github.com/uei-db/uei/internal/obs"
 	"github.com/uei-db/uei/internal/oracle"
 )
 
@@ -85,13 +86,17 @@ func (f *liveFixture) openPrefixIndex(t *testing.T, shards int, live, follow boo
 // runLiveSession runs one full exploration over idx and returns its trace.
 // When appender is true, a goroutine hammers the live write path — appends
 // of in-bounds rows plus explicit flushes — for the whole run, so every
-// iteration races durable ingest and epoch commits.
+// iteration races durable ingest and epoch commits. The run and the
+// appender's flushes share one obs trace (startTestTrace): the flushes land
+// mid-session as flush spans under the root, from another goroutine, and
+// the stream must still come out as one well-formed tree.
 func (f *liveFixture) runLiveSession(t *testing.T, idx *core.Index, appender bool) sessionTrace {
 	t.Helper()
 	var (
 		stop = make(chan struct{})
 		wg   sync.WaitGroup
 	)
+	ctx, finish := startTestTrace(t)
 	if appender {
 		db := idx.Live()
 		if db == nil {
@@ -100,11 +105,13 @@ func (f *liveFixture) runLiveSession(t *testing.T, idx *core.Index, appender boo
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ctx := context.Background()
+			flushed := false // keep going until one flush has landed
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
-					return
+					if flushed {
+						return
+					}
 				default:
 				}
 				// Re-append existing rows: values stay inside the pinned
@@ -119,6 +126,7 @@ func (f *liveFixture) runLiveSession(t *testing.T, idx *core.Index, appender boo
 						t.Errorf("concurrent flush: %v", err)
 						return
 					}
+					flushed = true
 				}
 			}
 		}()
@@ -137,11 +145,15 @@ func (f *liveFixture) runLiveSession(t *testing.T, idx *core.Index, appender boo
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sess.Run(context.Background())
+	res, err := sess.Run(ctx)
 	close(stop)
 	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
+	}
+	tree := finish(len(tr.picks))
+	if got := countSpans(tree.Root, obs.SpanFlush); appender && got == 0 {
+		t.Error("no flush span under the root although flushes landed mid-session")
 	}
 	tr.positive = res.Positive
 	tr.labels = res.LabelsUsed

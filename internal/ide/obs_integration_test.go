@@ -3,7 +3,8 @@ package ide
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"strings"
+	"sync"
 	"testing"
 
 	"github.com/uei-db/uei/internal/al"
@@ -11,25 +12,96 @@ import (
 	"github.com/uei-db/uei/internal/obs"
 )
 
-// TestTraceSpanSequence runs a real UEI exploration with tracing on and
-// asserts the contract the -trace flag documents: every iteration emits
-// score, load and retrain spans, in that order, each with positive
-// duration, under an iteration root span that covers them.
+// startTestTrace returns a context carrying a fresh trace with its root
+// span ("explore") already open, and a finish function that ends the root
+// and requires the emitted stream to be one well-formed tree: every event
+// carrying its trace and span ids (ReadTrace rejects one that does not),
+// one trace, exactly one root, no orphans, and one "iteration" span per
+// iteration the session ran. The layout-parity runs (flat, sharded, live
+// with appends, remote) all run under it.
+func startTestTrace(t *testing.T) (context.Context, func(iterations int) *obs.StepTrace) {
+	t.Helper()
+	var (
+		mu  sync.Mutex // a straggling attempt may still write while finish reads
+		buf bytes.Buffer
+	)
+	tracer := obs.NewTracer(writerFunc(func(p []byte) (int, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		return buf.Write(p)
+	}))
+	ctx, root := obs.StartSpan(obs.ContextWithTrace(context.Background(), tracer.NewTrace()), "explore")
+	return ctx, func(iterations int) *obs.StepTrace {
+		t.Helper()
+		root.End(nil)
+		if err := tracer.Err(); err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		stream := append([]byte(nil), buf.Bytes()...)
+		mu.Unlock()
+		events, err := obs.ReadTrace(bytes.NewReader(stream))
+		if err != nil {
+			t.Fatal(err)
+		}
+		roots := 0
+		for _, e := range events {
+			if e.ParentID == "" {
+				roots++
+			}
+		}
+		a := obs.Analyze(events)
+		if len(a.Steps) != 0 || len(a.Others) != 1 || roots != 1 {
+			t.Fatalf("stream holds %d step and %d other traces with %d roots; want the one explore trace with one root",
+				len(a.Steps), len(a.Others), roots)
+		}
+		if orphans := a.Orphans(); len(orphans) != 0 {
+			t.Fatalf("orphaned spans: %v", orphans)
+		}
+		st := a.Others[0]
+		if st.Root.Ev.Phase != "explore" || st.Spans != len(events) {
+			t.Fatalf("root %q links %d of %d spans", st.Root.Ev.Phase, st.Spans, len(events))
+		}
+		if got := countSpans(st.Root, "iteration"); got != iterations {
+			t.Errorf("trace holds %d iteration spans, session ran %d", got, iterations)
+		}
+		return st
+	}
+}
+
+type writerFunc func(p []byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// countSpans counts the spans named name anywhere below n.
+func countSpans(n *obs.SpanNode, name string) int {
+	c := 0
+	if n.Ev.Phase == name {
+		c++
+	}
+	for _, ch := range n.Children {
+		c += countSpans(ch, name)
+	}
+	return c
+}
+
+// TestTraceSpanSequence runs a real UEI exploration in Run-mode under one
+// trace and asserts the contract the -trace flag documents: every
+// iteration is one "iteration" span whose children score → load → [swap] →
+// select are ordered and contained, followed by its label and retrain
+// siblings, each with positive duration.
 func TestTraceSpanSequence(t *testing.T) {
 	f := newFixture(t, 2000, 0.02)
 	dir := t.TempDir()
 	if err := core.Build(dir, f.ds, core.BuildOptions{TargetChunkBytes: 2048}); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	tracer := obs.NewTracer(&buf)
 	reg := obs.NewRegistry()
 	idx, err := core.Open(context.Background(), dir, core.Options{
 		MemoryBudgetBytes: 1 << 20,
 		SampleSize:        200,
 		Seed:              3,
 		Registry:          reg,
-		Tracer:            tracer,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,86 +121,61 @@ func TestTraceSpanSequence(t *testing.T) {
 		Seed:             2,
 		SeedWithPositive: true,
 		Registry:         reg,
-		Tracer:           tracer,
 	}
 	sess, err := NewSession(cfg, p, OracleLabeler{O: f.orc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sess.Run(context.Background())
+	ctx, finish := startTestTrace(t)
+	res, err := sess.Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tracer.Err(); err != nil {
-		t.Fatal(err)
-	}
+	tree := finish(res.Iterations)
 
-	// Parse the JSONL stream back into per-iteration span sequences.
-	type iterTrace struct {
-		phases []obs.Event
-		root   *obs.Event
-	}
-	iters := map[int]*iterTrace{}
-	dec := json.NewDecoder(&buf)
-	for dec.More() {
-		var e obs.Event
-		if err := dec.Decode(&e); err != nil {
-			t.Fatal(err)
-		}
-		if e.Iter == 0 {
-			continue // initialization activity before the loop starts
-		}
-		it := iters[e.Iter]
-		if it == nil {
-			it = &iterTrace{}
-			iters[e.Iter] = it
-		}
-		switch e.Type {
-		case "span":
-			it.phases = append(it.phases, e)
-		case "iteration":
-			ev := e
-			it.root = &ev
-		default:
-			t.Fatalf("unknown event type %q", e.Type)
+	// The root's children after initialization are, per iteration, an
+	// iteration span then its label and retrain siblings.
+	var loop []*obs.SpanNode
+	for _, n := range tree.Root.Children {
+		switch n.Ev.Phase {
+		case "iteration", obs.PhaseLabel, obs.PhaseRetrain:
+			loop = append(loop, n)
 		}
 	}
-	if len(iters) != res.Iterations {
-		t.Fatalf("traced %d iterations, session ran %d", len(iters), res.Iterations)
+	if len(loop) != 3*res.Iterations {
+		t.Fatalf("traced %d iteration/label/retrain spans, session ran %d iterations", len(loop), res.Iterations)
 	}
-
+	end := func(n *obs.SpanNode) int64 { return n.Ev.StartNS + n.Ev.DurNS }
 	for n := 1; n <= res.Iterations; n++ {
-		it := iters[n]
-		if it == nil {
-			t.Fatalf("iteration %d missing from trace", n)
+		it, label, retrain := loop[3*n-3], loop[3*n-2], loop[3*n-1]
+		if it.Ev.Phase != "iteration" || label.Ev.Phase != obs.PhaseLabel || retrain.Ev.Phase != obs.PhaseRetrain {
+			t.Fatalf("iteration %d is followed by %s, %s; want iteration, label, retrain",
+				n, label.Ev.Phase, retrain.Ev.Phase)
 		}
-		if it.root == nil {
-			t.Fatalf("iteration %d has no root span", n)
+		if it.Ev.Attrs["iter"] != float64(n) {
+			t.Errorf("iteration %d span carries iter=%v", n, it.Ev.Attrs["iter"])
 		}
-		if it.root.DurNS <= 0 {
-			t.Errorf("iteration %d root duration %d", n, it.root.DurNS)
+		if !(end(it) <= label.Ev.StartNS && end(label) <= retrain.Ev.StartNS) {
+			t.Errorf("iteration %d: iteration, label, retrain overlap or are out of order", n)
 		}
-		order := map[string]int64{}
-		for _, sp := range it.phases {
-			if sp.DurNS <= 0 {
-				t.Errorf("iteration %d phase %s duration %d, want positive", n, sp.Phase, sp.DurNS)
+		var names []string
+		prevEnd := it.Ev.StartNS
+		for _, sp := range it.Children {
+			names = append(names, sp.Ev.Phase)
+			if sp.Ev.StartNS < prevEnd || end(sp) > end(it) {
+				t.Errorf("iteration %d phase %s [%d,%d] overlaps its predecessor or leaves the iteration [%d,%d]",
+					n, sp.Ev.Phase, sp.Ev.StartNS, end(sp), it.Ev.StartNS, end(it))
 			}
-			if _, dup := order[sp.Phase]; !dup {
-				order[sp.Phase] = sp.StartNS
-			}
-			if end := sp.StartNS + sp.DurNS; sp.StartNS < it.root.StartNS || end > it.root.StartNS+it.root.DurNS {
-				t.Errorf("iteration %d phase %s [%d,%d] outside root [%d,%d]",
-					n, sp.Phase, sp.StartNS, end, it.root.StartNS, it.root.StartNS+it.root.DurNS)
-			}
+			prevEnd = end(sp)
 		}
-		for _, phase := range []string{obs.PhaseScore, obs.PhaseLoad, obs.PhaseRetrain} {
-			if _, ok := order[phase]; !ok {
-				t.Fatalf("iteration %d missing %s span (has %v)", n, phase, order)
-			}
+		got := strings.Join(names, " ")
+		if got != "score load select" && got != "score load swap select" {
+			t.Errorf("iteration %d children = %q, want score load [swap] select", n, got)
 		}
-		if !(order[obs.PhaseScore] < order[obs.PhaseLoad] && order[obs.PhaseLoad] < order[obs.PhaseRetrain]) {
-			t.Errorf("iteration %d spans out of order: score@%d load@%d retrain@%d",
-				n, order[obs.PhaseScore], order[obs.PhaseLoad], order[obs.PhaseRetrain])
+		for _, sp := range append([]*obs.SpanNode{it, label, retrain}, it.Children...) {
+			if sp.Ev.DurNS <= 0 {
+				t.Errorf("iteration %d span %s duration %d, want positive", n, sp.Ev.Phase, sp.Ev.DurNS)
+			}
 		}
 	}
 

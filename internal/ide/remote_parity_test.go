@@ -99,10 +99,12 @@ func runRemoteTracedSession(t *testing.T, shards, replication, endpoints int, on
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sess.Run(context.Background())
+	ctx, finish := startTestTrace(t)
+	res, err := sess.Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
+	finish(len(tr.picks))
 	tr.positive = res.Positive
 	tr.labels = res.LabelsUsed
 	return tr

@@ -43,7 +43,9 @@ type sessionTrace struct {
 }
 
 // runTracedSession builds a fresh fixture per run — the oracle counts
-// labels across its lifetime, so sessions must not share one.
+// labels across its lifetime, so sessions must not share one. Like every
+// layout's parity run it also runs under an obs trace (startTestTrace),
+// which must come out as one well-formed span tree.
 func runTracedSession(t *testing.T, shards int) sessionTrace {
 	t.Helper()
 	f := newFixture(t, 1500, 0.02)
@@ -69,10 +71,12 @@ func runTracedSession(t *testing.T, shards int) sessionTrace {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sess.Run(context.Background())
+	ctx, finish := startTestTrace(t)
+	res, err := sess.Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
+	finish(len(tr.picks))
 	tr.positive = res.Positive
 	tr.labels = res.LabelsUsed
 	return tr

@@ -13,9 +13,10 @@ import (
 
 // This file is the offline trace analyzer behind cmd/uei-trace: it reads
 // the JSONL span stream back, rebuilds per-trace span trees from the
-// parent references, and renders the reports the ISSUE asks for —
-// per-step phase breakdown, top-N slowest steps with span trees, shard
-// skew and degradation causes, and SLO compliance.
+// parent references, and renders the uei-trace report — SLO compliance
+// and top-N slowest span trees over the traces rooted at a "step" span,
+// one line per other root name, and the phase breakdown, shard skew and
+// degradation causes over every trace.
 
 // SpanNode is one reconstructed span with its children, ordered by start
 // offset.
@@ -24,7 +25,13 @@ type SpanNode struct {
 	Children []*SpanNode
 }
 
-// StepTrace is one reconstructed trace (one server step).
+// StepRoot is the root span name of a server step request, the unit the
+// SLO budget applies to.
+const StepRoot = "step"
+
+// StepTrace is one reconstructed trace: a server step when its root span
+// is named StepRoot, otherwise some other traced operation (a session
+// create, a result retrieval, a CLI run).
 type StepTrace struct {
 	TraceID string
 	Root    *SpanNode
@@ -67,27 +74,39 @@ func (st *StepTrace) Coverage() float64 {
 
 // Analysis is the result of reconstructing a trace stream.
 type Analysis struct {
-	// Steps holds the reconstructed traces in trace-id order.
+	// Steps holds the traces whose root span is named StepRoot, in
+	// trace-id order: what the SLO and slowest-steps sections report.
 	Steps []*StepTrace
-	// LegacyEvents counts events without trace ids (the single-session CLI
-	// stream), which the step analysis ignores.
-	LegacyEvents int
+	// Others holds every other trace (any other root name, or no root at
+	// all), in trace-id order.
+	Others []*StepTrace
 }
 
-// Orphans returns every orphaned span across all steps as
+// eachTrace visits every reconstructed trace, steps first.
+func (a *Analysis) eachTrace(fn func(*StepTrace)) {
+	for _, st := range a.Steps {
+		fn(st)
+	}
+	for _, st := range a.Others {
+		fn(st)
+	}
+}
+
+// Orphans returns every orphaned span across all traces as
 // "traceID/spanID" strings.
 func (a *Analysis) Orphans() []string {
 	var out []string
-	for _, st := range a.Steps {
+	a.eachTrace(func(st *StepTrace) {
 		for _, id := range st.Orphans {
 			out = append(out, st.TraceID+"/"+id)
 		}
-	}
+	})
 	return out
 }
 
 // ReadTrace decodes a JSONL trace stream. Blank lines are skipped; a
-// malformed line is an error (the stream is machine-written).
+// malformed line — one that is not JSON, or a span without its trace and
+// span ids — is an error (the stream is machine-written).
 func ReadTrace(r io.Reader) ([]Event, error) {
 	var events []Event
 	sc := bufio.NewScanner(r)
@@ -103,6 +122,9 @@ func ReadTrace(r io.Reader) ([]Event, error) {
 		if err := json.Unmarshal([]byte(line), &e); err != nil {
 			return nil, fmt.Errorf("obs: trace line %d: %w", lineNo, err)
 		}
+		if e.TraceID == "" || e.SpanID == "" {
+			return nil, fmt.Errorf("obs: trace line %d: span without trace_id and span_id", lineNo)
+		}
 		events = append(events, e)
 	}
 	if err := sc.Err(); err != nil {
@@ -117,10 +139,6 @@ func Analyze(events []Event) *Analysis {
 	byTrace := map[string][]Event{}
 	var order []string
 	for _, e := range events {
-		if e.TraceID == "" {
-			a.LegacyEvents++
-			continue
-		}
 		if _, ok := byTrace[e.TraceID]; !ok {
 			order = append(order, e.TraceID)
 		}
@@ -128,7 +146,12 @@ func Analyze(events []Event) *Analysis {
 	}
 	sort.Strings(order)
 	for _, id := range order {
-		a.Steps = append(a.Steps, buildStep(id, byTrace[id]))
+		st := buildStep(id, byTrace[id])
+		if st.Root != nil && st.Root.Ev.Phase == StepRoot {
+			a.Steps = append(a.Steps, st)
+		} else {
+			a.Others = append(a.Others, st)
+		}
 	}
 	return a
 }
@@ -187,9 +210,9 @@ type ReportOptions struct {
 	Budget time.Duration
 }
 
-// WriteReport renders the full uei-trace report: SLO compliance, phase
-// breakdown, slowest steps with span trees, shard skew, and degradation
-// causes.
+// WriteReport renders the full uei-trace report: SLO compliance, the
+// non-step roots, phase breakdown, slowest steps with span trees, shard
+// skew, and degradation causes.
 func (a *Analysis) WriteReport(w io.Writer, opts ReportOptions) error {
 	if opts.TopN <= 0 {
 		opts.TopN = 3
@@ -199,6 +222,7 @@ func (a *Analysis) WriteReport(w io.Writer, opts ReportOptions) error {
 	}
 	bw := bufio.NewWriter(w)
 	a.writeSLO(bw, opts.Budget)
+	a.writeOthers(bw)
 	a.writePhases(bw)
 	a.writeScoreSkip(bw)
 	a.writeSlowest(bw, opts.TopN)
@@ -232,20 +256,54 @@ func (a *Analysis) writeSLO(w io.Writer, budget time.Duration) {
 		fmtDur(walls.Quantile(0.50)), fmtDur(walls.Quantile(0.95)), fmtDur(walls.Quantile(0.99)))
 }
 
-// writePhases prints the aggregate per-phase budget attribution.
+// writeOthers prints one line per root name other than StepRoot: how many
+// traces it roots and their wall times. These traces have no per-request
+// budget, so they stay out of the SLO section.
+func (a *Analysis) writeOthers(w io.Writer) {
+	if len(a.Others) == 0 {
+		return
+	}
+	type stat struct {
+		walls Samples
+		total time.Duration
+	}
+	stats := map[string]*stat{}
+	for _, st := range a.Others {
+		name := "(no root)"
+		if st.Root != nil {
+			name = st.Root.Ev.Phase
+		}
+		s := stats[name]
+		if s == nil {
+			s = &stat{}
+			stats[name] = s
+		}
+		s.walls.Observe(st.Wall())
+		s.total += st.Wall()
+	}
+	fmt.Fprintf(w, "\nOTHER ROOTS\n")
+	for _, name := range sortedKeys(stats) {
+		s := stats[name]
+		fmt.Fprintf(w, "  %-10s traces %-4d total %10s  p50 %10s  p95 %10s\n",
+			name, s.walls.Count(), fmtDur(s.total), fmtDur(s.walls.Quantile(0.50)), fmtDur(s.walls.Quantile(0.95)))
+	}
+}
+
+// writePhases prints the aggregate per-phase budget attribution over
+// every trace.
 func (a *Analysis) writePhases(w io.Writer) {
 	totals := map[string]time.Duration{}
 	var wall time.Duration
-	for _, st := range a.Steps {
+	a.eachTrace(func(st *StepTrace) {
 		wall += st.Wall()
 		for p, d := range st.Phases {
 			totals[p] += d
 		}
-	}
+	})
 	if len(totals) == 0 {
 		return
 	}
-	fmt.Fprintf(w, "\nPHASE BREAKDOWN (all steps, wall %s)\n", fmtDur(wall))
+	fmt.Fprintf(w, "\nPHASE BREAKDOWN (all traces, wall %s)\n", fmtDur(wall))
 	for _, p := range sortedKeys(totals) {
 		pct := 0.0
 		if wall > 0 {
@@ -402,9 +460,9 @@ func (a *Analysis) writeDegradation(w io.Writer) {
 	}
 }
 
-// eachSpan visits every span event across all steps.
+// eachSpan visits every span event across all traces.
 func (a *Analysis) eachSpan(fn func(Event)) {
-	for _, st := range a.Steps {
+	a.eachTrace(func(st *StepTrace) {
 		var walk func(n *SpanNode)
 		walk = func(n *SpanNode) {
 			fn(n.Ev)
@@ -415,7 +473,7 @@ func (a *Analysis) eachSpan(fn func(Event)) {
 		if st.Root != nil {
 			walk(st.Root)
 		}
-	}
+	})
 }
 
 // fmtDur renders a duration with millisecond precision for report

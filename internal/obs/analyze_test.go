@@ -105,22 +105,21 @@ func TestAnalyzeOrphanDetection(t *testing.T) {
 	}
 }
 
-func TestAnalyzeLegacyEventsIgnored(t *testing.T) {
-	events := []Event{
-		{Type: "span", Iter: 1, Phase: PhaseScore, DurNS: 5},
-		{Type: "iteration", Iter: 1, DurNS: 10},
-	}
-	a := Analyze(events)
-	if len(a.Steps) != 0 || a.LegacyEvents != 2 {
-		t.Errorf("steps = %d, legacy = %d; want 0 and 2", len(a.Steps), a.LegacyEvents)
-	}
-}
-
 func TestReadTraceMalformed(t *testing.T) {
-	if _, err := ReadTrace(strings.NewReader("{\"type\":\"span\"}\nnot json\n")); err == nil {
+	const ok = "{\"type\":\"span\",\"trace_id\":\"t000001\",\"span_id\":\"1\",\"start_ns\":0,\"dur_ns\":1}\n"
+	if _, err := ReadTrace(strings.NewReader(ok + "not json\n")); err == nil {
 		t.Fatal("malformed line must error")
 	}
-	events, err := ReadTrace(strings.NewReader("\n\n{\"type\":\"span\",\"iter\":1,\"start_ns\":0,\"dur_ns\":1}\n"))
+	// A span without its ids belongs to no trace: malformed like any other.
+	for _, line := range []string{
+		"{\"type\":\"span\",\"phase\":\"score\",\"start_ns\":0,\"dur_ns\":1}\n",
+		"{\"type\":\"span\",\"trace_id\":\"t000001\",\"start_ns\":0,\"dur_ns\":1}\n",
+	} {
+		if _, err := ReadTrace(strings.NewReader(ok + line)); err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("id-less span must error naming its line; got %v", err)
+		}
+	}
+	events, err := ReadTrace(strings.NewReader("\n\n" + ok))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,5 +173,58 @@ func TestReportScoreSkipping(t *testing.T) {
 	}
 	if got := report(events[:3]); strings.Contains(got, "SCORE SKIPPING") {
 		t.Errorf("a trace that skipped and carried nothing renders the section:\n%s", got)
+	}
+}
+
+// Only traces rooted at a "step" span are steps: a create, a result
+// retrieval or a CLI run is listed once under OTHER ROOTS and stays out of
+// the SLO and slowest-steps sections, while its phases, shard spans and
+// orphans still count.
+func TestAnalyzeSplitsStepsFromOtherRoots(t *testing.T) {
+	ms := int64(time.Millisecond)
+	events := []Event{
+		{Type: "span", TraceID: "t000001", SpanID: "1", Phase: "create", DurNS: 12 * ms},
+		{Type: "span", TraceID: "t000001", SpanID: "2", ParentID: "1", Phase: PhasePrepare, DurNS: 9 * ms},
+		{Type: "span", TraceID: "t000002", SpanID: "1", Phase: StepRoot, Outcome: "ok", DurNS: 40 * ms},
+		{Type: "span", TraceID: "t000002", SpanID: "2", ParentID: "1", Phase: PhaseQueueWait, DurNS: 30 * ms},
+		{Type: "span", TraceID: "t000003", SpanID: "1", Phase: "create", DurNS: 20 * ms},
+		{Type: "span", TraceID: "t000004", SpanID: "1", Phase: "run", DurNS: 3000 * ms},
+		{Type: "span", TraceID: "t000004", SpanID: "5", ParentID: "9", Phase: PhaseScore, DurNS: ms},
+	}
+	a := Analyze(events)
+	if len(a.Steps) != 1 || a.Steps[0].TraceID != "t000002" || len(a.Others) != 3 {
+		t.Fatalf("steps = %d, others = %d; want the one step-rooted trace and three others", len(a.Steps), len(a.Others))
+	}
+	if got := a.Steps[0].Phases[PhaseQueueWait]; got != 30*time.Millisecond {
+		t.Errorf("queue_wait must count as a phase of its step; got %v", got)
+	}
+	if orphans := a.Orphans(); len(orphans) != 1 || orphans[0] != "t000004/5" {
+		t.Errorf("orphans = %v, want the run trace's [t000004/5]", orphans)
+	}
+	var buf bytes.Buffer
+	if err := a.WriteReport(&buf, ReportOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	got := buf.String()
+	for _, want := range []string{
+		"  steps      1\n",
+		"  violations 0 (100.0% compliant)\n",
+		"\nOTHER ROOTS\n  create     traces 2    total   32.000ms  p50   12.000ms  p95   20.000ms\n  run        traces 1 ",
+		"PHASE BREAKDOWN (all traces, wall 3072.000ms)\n",
+		"  prepare   ",
+		"SLOWEST STEPS (top 1)\n  t000002 ",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("report lacks %q:\n%s", want, got)
+		}
+	}
+
+	// A stream with no step at all reports so instead of inventing one.
+	buf.Reset()
+	if err := Analyze(events[:2]).WriteReport(&buf, ReportOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); !strings.Contains(got, "no traced steps") || strings.Contains(got, "SLOWEST STEPS") {
+		t.Errorf("a create-only stream must report no steps:\n%s", got)
 	}
 }

@@ -1,5 +1,5 @@
 // Package obs is the unified observability layer of the UEI stack: a
-// lock-cheap metrics registry, a per-iteration exploration tracer, and
+// lock-cheap metrics registry, a context-propagated span tracer, and
 // exporters that make both visible to humans and scrapers.
 //
 // The paper's headline claim is per-iteration interactivity — every
@@ -14,19 +14,20 @@
 //     single atomic operation, so they are safe (and cheap) to touch from
 //     the exploration loop and the prefetcher goroutine concurrently while
 //     an HTTP scraper snapshots them.
-//   - Tracer: span-like phase timings for the exploration loop, emitted as
-//     structured JSON Lines events to an io.Writer. Each iteration is a
-//     root span containing score/load/swap/select/label/retrain child
-//     phases with nanosecond durations and free-form numeric attributes
-//     (bytes read, pool sizes, cell ids).
-//   - Hierarchical tracing: Trace/StartSpan add context-propagated trace
-//     and span ids on top of the same tracer. The server mints one Trace
-//     per step request; every span opened under that context — engine
-//     phases, per-shard fan-out legs, chunk and cache reads — carries a
-//     parent-span reference and an outcome annotation, so the JSONL
-//     stream reconstructs into one tree per step (Analyze, cmd/uei-trace).
-//     Without a trace in context the same call sites fall back to the
-//     legacy flat stream (Tracer.Phase) or to measuring-only spans.
+//   - Tracing: one span model. A Tracer is a sink — an io.Writer taking
+//     structured JSON Lines events, a clock, a trace-id allocator — held
+//     only by the sites that mint a Trace: the server per create, step and
+//     result request, uei-explore and uei-ingest per run, the experiment
+//     harness per run. The trace rides in the context; StartSpan is the
+//     only way to open a span, and every span opened under that context —
+//     queue wait, engine phases (score/load/swap/select/label/retrain),
+//     per-shard fan-out legs, chunk and cache reads, a flush the call
+//     forced — carries trace and span ids, a parent-span reference, an
+//     outcome annotation, nanosecond durations and free-form numeric
+//     attributes, so the JSONL stream reconstructs into one tree per
+//     operation (Analyze, cmd/uei-trace). Without a trace in context the
+//     same call sites get measuring-only spans: End still returns the
+//     duration (it feeds the phase histograms), nothing is written.
 //   - Samples: the one latency summary — an exact sample set with
 //     nearest-rank quantiles and "within budget" meaning <=. Every report
 //     (figure CSVs, examples, uei-loadgen, uei-trace, the SLO gauges)

@@ -8,12 +8,12 @@ import (
 	"time"
 )
 
-// This file is the hierarchical half of the tracer: trace/span identity
-// and context propagation. The legacy per-iteration API (BeginIteration /
-// StartPhase) remains for single-session CLI runs; the serving path mints
-// one Trace per step request and threads it through context, so spans
-// emitted anywhere below — engine phases, shard fan-outs, chunk reads —
-// link back to the step that caused them via parent-span references.
+// This file is trace/span identity and context propagation. A site that
+// owns a Tracer mints one Trace per logical operation (the server per
+// request, a CLI per run) and threads it through context, so spans opened
+// anywhere below — engine phases, shard fan-outs, chunk reads, a flush the
+// call caused — link back to that operation via parent-span references.
+// A context without a trace yields measuring-only spans.
 
 // ctxKey discriminates the context values this package installs.
 type ctxKey int
@@ -24,7 +24,7 @@ const (
 )
 
 // Trace groups the spans of one logical operation — for the server, one
-// step request. It carries the identity every child span inherits and
+// request. It carries the identity every child span inherits and
 // accumulates per-phase durations for SLO budget attribution. A nil
 // *Trace is valid everywhere and disables emission.
 type Trace struct {
@@ -35,7 +35,6 @@ type Trace struct {
 	seq atomic.Uint64
 
 	mu     sync.Mutex
-	rootID string
 	phases map[string]time.Duration
 }
 
@@ -103,25 +102,15 @@ func (tr *Trace) recordPhase(name string, d time.Duration) {
 	tr.mu.Unlock()
 }
 
-// newSpan opens a child span (or a root, with parent ""). The first root
-// is remembered so analysis can anchor the step tree.
+// newSpan opens a child span (or a root, with parent "").
 func (tr *Trace) newSpan(name, parent string) *Span {
-	s := &Span{
-		t:      tr.t,
+	return &Span{
 		tr:     tr,
 		id:     strconv.FormatUint(tr.seq.Add(1), 10),
 		parent: parent,
 		name:   name,
 		begin:  tr.t.clockNow(),
 	}
-	if parent == "" {
-		tr.mu.Lock()
-		if tr.rootID == "" {
-			tr.rootID = s.id
-		}
-		tr.mu.Unlock()
-	}
-	return s
 }
 
 // ContextWithTrace attaches a trace to ctx. A nil trace returns ctx
@@ -140,21 +129,23 @@ func TraceFromContext(ctx context.Context) *Trace {
 }
 
 // SpanFromContext returns the innermost open span attached to ctx, or
-// nil. Components on hot paths (per-chunk reads) use it as the cheap
-// "is this request traced?" guard before opening their own spans.
+// nil. It is the "is this call traced?" guard — one context lookup — for
+// components that build attributes only for an emitting span (per-chunk
+// reads, cache lookups, shard attempts).
 func SpanFromContext(ctx context.Context) *Span {
 	s, _ := ctx.Value(spanCtxKey).(*Span)
 	return s
 }
 
-// StartSpan opens a hierarchical span named name. With an open span in
-// ctx the new span is its child; with only a trace in ctx it becomes the
-// trace's root; with neither it returns a measuring-only span (End still
-// reports the duration, nothing is emitted) and ctx unchanged — the
-// disabled path allocates one struct and reads the clock twice, nothing
-// more. The returned context carries the new span for further nesting.
+// StartSpan opens a span named name; it is the only way to open one. With
+// an open span in ctx the new span is its child; with only a trace in ctx
+// it becomes the trace's root; with neither it returns a measuring-only
+// span (End still reports the duration, nothing is emitted) and ctx
+// unchanged — the disabled path allocates one struct and reads the clock
+// twice, nothing more. The returned context carries the new span for
+// further nesting (only emitting spans ever ride in a context).
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	if parent := SpanFromContext(ctx); parent != nil && parent.tr != nil {
+	if parent := SpanFromContext(ctx); parent != nil {
 		s := parent.tr.newSpan(name, parent.id)
 		return context.WithValue(ctx, spanCtxKey, s), s
 	}
@@ -165,25 +156,6 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	return ctx, &Span{name: name, begin: time.Now()}
 }
 
-// HasTrace reports whether ctx carries a trace or an open span — i.e.
-// whether StartSpan would emit.
-func HasTrace(ctx context.Context) bool {
-	return SpanFromContext(ctx) != nil || TraceFromContext(ctx) != nil
-}
-
-// Phase opens a phase span in whichever mode fits the caller: a
-// hierarchical child span when ctx carries a trace (the serving path), or
-// a legacy iter-tagged span otherwise (the CLI path — byte-identical
-// output to StartPhase). Exactly one event is emitted either way, and
-// End always returns the measured duration, even on a nil tracer with an
-// untraced ctx, so phase histograms keep working in every mode.
-func (t *Tracer) Phase(ctx context.Context, name string) (context.Context, *Span) {
-	if HasTrace(ctx) {
-		return StartSpan(ctx, name)
-	}
-	return ctx, t.StartPhase(name)
-}
-
 // SetOutcome annotates the span with a terminal outcome ("ok",
 // "degraded", "timeout", "error", "cancelled", "hit", "miss", ...). Call
 // before End, from the span's own goroutine.
@@ -192,12 +164,4 @@ func (s *Span) SetOutcome(outcome string) {
 		return
 	}
 	s.outcome = outcome
-}
-
-// Name returns the span's name (phase).
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
 }

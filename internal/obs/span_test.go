@@ -69,8 +69,8 @@ func TestSpanTreeGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := Analyze(events)
-	if len(a.Steps) != 1 || a.LegacyEvents != 0 {
-		t.Fatalf("steps = %d, legacy = %d", len(a.Steps), a.LegacyEvents)
+	if len(a.Steps) != 1 || len(a.Others) != 0 {
+		t.Fatalf("steps = %d, others = %d", len(a.Steps), len(a.Others))
 	}
 	st := a.Steps[0]
 	if len(st.Orphans) != 0 {
@@ -106,7 +106,7 @@ func TestSpanTreeGolden(t *testing.T) {
 	}
 }
 
-// TestSpanContextPropagation covers the three StartSpan modes and the
+// TestSpanContextPropagation covers the StartSpan modes and the
 // nil-safety contract of the context plumbing.
 func TestSpanContextPropagation(t *testing.T) {
 	ctx := context.Background()
@@ -115,7 +115,7 @@ func TestSpanContextPropagation(t *testing.T) {
 	if got := ContextWithTrace(ctx, nil); got != ctx {
 		t.Error("ContextWithTrace(nil) must return ctx unchanged")
 	}
-	if HasTrace(ctx) || TraceFromContext(ctx) != nil || SpanFromContext(ctx) != nil {
+	if TraceFromContext(ctx) != nil || SpanFromContext(ctx) != nil {
 		t.Error("plain context must carry no trace state")
 	}
 
@@ -138,64 +138,22 @@ func TestSpanContextPropagation(t *testing.T) {
 		t.Error("nil trace accessors must return zero values")
 	}
 
-	// Hierarchical mode: trace in ctx roots the first span, nests the rest.
+	// Emitting mode: trace in ctx roots the first span, nests the rest.
 	tr := NewTracer(&bytes.Buffer{})
 	trace := tr.NewTrace()
 	tctx := ContextWithTrace(ctx, trace)
-	if !HasTrace(tctx) || TraceFromContext(tctx) != trace {
+	if TraceFromContext(tctx) != trace {
 		t.Fatal("trace must round-trip through the context")
 	}
 	sctx, root := StartSpan(tctx, "step")
 	if SpanFromContext(sctx) != root {
 		t.Error("StartSpan must install the new span in the child context")
 	}
-	if !HasTrace(sctx) {
-		t.Error("a context with an open span must report HasTrace")
-	}
 	_, child := StartSpan(sctx, PhaseScore)
 	child.End(nil)
 	root.End(nil)
 	if trace.PhaseTotals()[PhaseScore] <= 0 {
 		t.Error("phase child must feed PhaseTotals")
-	}
-}
-
-// TestTracerPhaseModes checks that Tracer.Phase emits exactly one event in
-// either mode: hierarchical with a trace in ctx, legacy without.
-func TestTracerPhaseModes(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTracer(&buf)
-	tr.SetNow(stepClock())
-
-	_, legacy := tr.Phase(context.Background(), PhaseScore)
-	if d := legacy.End(nil); d <= 0 {
-		t.Errorf("legacy phase duration = %v", d)
-	}
-	ctx := ContextWithTrace(context.Background(), tr.NewTrace())
-	_, hier := tr.Phase(ctx, PhaseScore)
-	if d := hier.End(nil); d <= 0 {
-		t.Errorf("hierarchical phase duration = %v", d)
-	}
-
-	dec := json.NewDecoder(&buf)
-	var first, second Event
-	if err := dec.Decode(&first); err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.Decode(&second); err != nil {
-		t.Fatal(err)
-	}
-	if dec.More() {
-		t.Fatal("exactly two events expected")
-	}
-	if first.TraceID != "" {
-		t.Errorf("legacy event carries trace id %q", first.TraceID)
-	}
-	if second.TraceID == "" || second.SpanID == "" {
-		t.Errorf("hierarchical event = %+v, want trace and span ids", second)
-	}
-	if first.Phase != PhaseScore || second.Phase != PhaseScore {
-		t.Errorf("phases = %q, %q", first.Phase, second.Phase)
 	}
 }
 

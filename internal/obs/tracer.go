@@ -21,12 +21,17 @@ const (
 	PhaseLabel     = "label"     // oracle / user labeling
 	PhaseRetrain   = "retrain"   // classifier refit
 	PhaseRetrieve  = "retrieve"  // final result retrieval
+	// PhaseQueueWait is the server's admission wait (per-session ticket +
+	// step-concurrency slot). It is a phase: it overlaps no other phase, and
+	// a step that misses its budget in the queue must be attributable to it.
+	PhaseQueueWait = "queue_wait"
 )
 
-// Background write-path span names. These are NOT budget-attribution
-// phases (they run outside the step, on the stream subsystem's flusher
-// and compactor goroutines), so they stay out of phaseNames — adding them
-// would double-attribute step wall time in the SLO breakdown.
+// Write-path span names. These are NOT budget-attribution phases: they
+// run on the stream subsystem's flusher and compactor goroutines
+// (measuring-only there) or nested under the traced call that forced them
+// (a synchronous Flush), so they stay out of phaseNames — adding them
+// would double-attribute wall time in the SLO breakdown.
 const (
 	SpanFlush   = "flush"   // memtable → segment flush (stream)
 	SpanCompact = "compact" // segment merge / retirement (stream)
@@ -46,6 +51,7 @@ var phaseNames = map[string]bool{
 	PhaseLabel:     true,
 	PhaseRetrain:   true,
 	PhaseRetrieve:  true,
+	PhaseQueueWait: true,
 }
 
 // IsPhaseName reports whether name is a budget-attribution phase: a span
@@ -58,27 +64,22 @@ func IsPhaseName(name string) bool { return phaseNames[name] }
 // naming contract FormatSummary scans for.
 func PhaseHistName(phase string) string { return "phase_" + phase + "_seconds" }
 
-// Event is one JSON Lines trace record. Spans carry start offsets relative
-// to tracer creation and nanosecond durations, so even sub-microsecond
-// phases have positive extent. Legacy (per-iteration) events carry Iter
-// and no ids; hierarchical events carry TraceID/SpanID (and ParentID for
-// non-roots) — every new field is omitempty, so the legacy emission is
-// byte-identical to prior releases.
+// Event is one JSON Lines trace record: a span of one trace. Spans carry
+// start offsets relative to tracer creation and nanosecond durations, so
+// even sub-microsecond phases have positive extent. Every event a Tracer
+// writes carries TraceID and SpanID (and ParentID unless it is the trace's
+// root); ReadTrace rejects a line without them.
 type Event struct {
-	// Type is "span" for phase spans and "iteration" for the per-iteration
-	// root span of the legacy API.
+	// Type is "span".
 	Type string `json:"type"`
-	// TraceID groups the spans of one traced operation (one server step).
+	// TraceID groups the spans of one traced operation (one server
+	// request, one CLI run).
 	TraceID string `json:"trace_id,omitempty"`
 	// SpanID identifies this span within its trace.
 	SpanID string `json:"span_id,omitempty"`
 	// ParentID is the enclosing span's SpanID ("" for a trace root).
 	ParentID string `json:"parent_id,omitempty"`
-	// Iter is the exploration iteration the event belongs to (0 before the
-	// interactive loop starts). Legacy-mode only.
-	Iter int `json:"iter"`
-	// Phase names the span ("score", "load", ...; legacy "iteration" roots
-	// carry the empty phase).
+	// Phase names the span ("step", "iteration", "score", "load", ...).
 	Phase string `json:"phase,omitempty"`
 	// Outcome is the span's terminal annotation ("ok", "timeout",
 	// "degraded", ...), set via Span.SetOutcome.
@@ -93,11 +94,12 @@ type Event struct {
 	Attrs map[string]float64 `json:"attrs,omitempty"`
 }
 
-// Tracer emits exploration trace events to a writer, one JSON object per
-// line. All methods are nil-receiver safe, so a nil *Tracer disables
-// tracing at zero cost beyond a branch; StartPhase on a nil tracer still
-// returns a live span whose End reports the measured duration (components
-// reuse it to feed their histograms).
+// Tracer is the sink traces write to: a writer taking one JSON object per
+// line, the clock spans read, and the allocator of trace ids. Only the
+// sites that mint a trace (NewTrace) hold one; everything below them opens
+// spans with StartSpan on the context the trace rides in. All methods are
+// nil-receiver safe: a nil *Tracer mints nil traces, which disables
+// emission at zero cost beyond a branch.
 //
 // One mutex guards the encoder, so concurrent sessions (the serving path)
 // interleave whole lines, never bytes; when the writer exposes
@@ -108,10 +110,7 @@ type Tracer struct {
 	w     io.Writer
 	now   func() time.Time
 	start time.Time
-	iter  int
-	// iterStart anchors the current iteration root span.
-	iterStart time.Time
-	err       error
+	err   error
 	// traceSeq allocates NewTrace ids.
 	traceSeq atomic.Uint64
 }
@@ -150,55 +149,20 @@ func (t *Tracer) Err() error {
 	return t.err
 }
 
-// clockNow reads the tracer clock, tolerating a nil tracer.
+// clockNow reads the tracer clock.
 func (t *Tracer) clockNow() time.Time {
-	if t == nil {
-		return time.Now()
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.now()
 }
 
-// BeginIteration opens iteration n's root span; child phases emitted until
-// EndIteration are tagged with n. Legacy API: the serving path uses
-// NewTrace/StartSpan instead, whose iteration spans nest under the step.
-func (t *Tracer) BeginIteration(n int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.iter = n
-	t.iterStart = t.now()
-}
-
-// EndIteration closes the current iteration root span, emitting an
-// "iteration" event covering its full extent.
-func (t *Tracer) EndIteration(attrs map[string]float64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	end := t.now()
-	t.emitLocked(Event{
-		Type:    "iteration",
-		Iter:    t.iter,
-		StartNS: t.iterStart.Sub(t.start).Nanoseconds(),
-		DurNS:   end.Sub(t.iterStart).Nanoseconds(),
-		Attrs:   attrs,
-	})
-}
-
-// Span is an open timing. End emits it (when a live tracer backs it) and
-// always returns the measured duration. A span is in exactly one of three
-// modes: hierarchical (tr non-nil: trace/span ids, parent reference),
-// legacy (tr nil, t non-nil: iter-tagged flat span), or measuring-only
-// (both nil: no emission). Spans are single-goroutine: start, SetOutcome,
-// and End happen on the goroutine doing the spanned work.
+// Span is an open timing. End always returns the measured duration. A
+// span is in one of two modes: emitting (tr non-nil: StartSpan found a
+// trace on its context, End writes one event with the trace and span ids
+// and the parent reference) or measuring-only (tr nil: no emission).
+// Spans are single-goroutine: start, SetOutcome, and End happen on the
+// goroutine doing the spanned work.
 type Span struct {
-	t       *Tracer
 	tr      *Trace
 	id      string
 	parent  string
@@ -207,54 +171,30 @@ type Span struct {
 	outcome string
 }
 
-// PhaseSpan is the legacy name for Span, kept for callers of StartPhase.
-type PhaseSpan = Span
-
-// StartPhase opens a legacy-mode span. Valid on a nil tracer: the
-// returned span still measures, it just doesn't emit.
-func (t *Tracer) StartPhase(phase string) *PhaseSpan {
-	return &Span{t: t, name: phase, begin: t.clockNow()}
-}
-
 // End closes the span with optional attributes and returns its duration.
 func (s *Span) End(attrs map[string]float64) time.Duration {
 	if s == nil {
 		return 0
 	}
-	end := s.t.clockNow()
-	d := end.Sub(s.begin)
-	if s.tr != nil {
-		s.tr.recordPhase(s.name, d)
-		if t := s.t; t != nil {
-			t.mu.Lock()
-			t.emitLocked(Event{
-				Type:     "span",
-				TraceID:  s.tr.id,
-				SpanID:   s.id,
-				ParentID: s.parent,
-				Phase:    s.name,
-				Outcome:  s.outcome,
-				StartNS:  s.begin.Sub(t.start).Nanoseconds(),
-				DurNS:    d.Nanoseconds(),
-				Attrs:    attrs,
-			})
-			t.mu.Unlock()
-		}
-		return d
+	if s.tr == nil {
+		return time.Since(s.begin)
 	}
-	if t := s.t; t != nil {
-		t.mu.Lock()
-		t.emitLocked(Event{
-			Type:    "span",
-			Iter:    t.iter,
-			Phase:   s.name,
-			Outcome: s.outcome,
-			StartNS: s.begin.Sub(t.start).Nanoseconds(),
-			DurNS:   d.Nanoseconds(),
-			Attrs:   attrs,
-		})
-		t.mu.Unlock()
-	}
+	t := s.tr.t
+	t.mu.Lock()
+	d := t.now().Sub(s.begin)
+	t.emitLocked(Event{
+		Type:     "span",
+		TraceID:  s.tr.id,
+		SpanID:   s.id,
+		ParentID: s.parent,
+		Phase:    s.name,
+		Outcome:  s.outcome,
+		StartNS:  s.begin.Sub(t.start).Nanoseconds(),
+		DurNS:    d.Nanoseconds(),
+		Attrs:    attrs,
+	})
+	t.mu.Unlock()
+	s.tr.recordPhase(s.name, d)
 	return d
 }
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -24,17 +25,20 @@ func stepClock() func() time.Time {
 	}
 }
 
+// TestTracerGolden pins the emitted JSONL byte for byte with an injected
+// clock: one trace, a root with two phase children, children first (a
+// span is written when it ends).
 func TestTracerGolden(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
 	tr.SetNow(stepClock()) // rebases start to tick 1
 
-	tr.BeginIteration(1)                                     // tick 2
-	score := tr.StartPhase(PhaseScore)                       // tick 3
-	score.End(map[string]float64{"points": 3125, "cell": 2}) // tick 4
-	load := tr.StartPhase(PhaseLoad)                         // tick 5
-	load.End(nil)                                            // tick 6
-	tr.EndIteration(map[string]float64{"labels": 1})         // tick 7
+	ctx, root := StartSpan(ContextWithTrace(context.Background(), tr.NewTrace()), "iteration") // tick 2
+	_, score := StartSpan(ctx, PhaseScore)                                                     // tick 3
+	score.End(map[string]float64{"points": 3125, "cell": 2})                                   // tick 4
+	_, load := StartSpan(ctx, PhaseLoad)                                                       // tick 5
+	load.End(nil)                                                                              // tick 6
+	root.End(map[string]float64{"iter": 1})                                                    // tick 7
 
 	golden := filepath.Join("testdata", "trace.golden")
 	if *update {
@@ -61,9 +65,11 @@ func TestTracerEventShape(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
 	tr.SetNow(stepClock())
-	tr.BeginIteration(3)
-	tr.StartPhase(PhaseRetrain).End(map[string]float64{"labeled": 12})
-	tr.EndIteration(nil)
+	ctx, root := StartSpan(ContextWithTrace(context.Background(), tr.NewTrace()), "iteration")
+	_, child := StartSpan(ctx, PhaseRetrain)
+	child.End(map[string]float64{"labeled": 12})
+	root.SetOutcome("ok")
+	root.End(nil)
 
 	dec := json.NewDecoder(&buf)
 	var span, iter Event
@@ -73,7 +79,7 @@ func TestTracerEventShape(t *testing.T) {
 	if err := dec.Decode(&iter); err != nil {
 		t.Fatal(err)
 	}
-	if span.Type != "span" || span.Iter != 3 || span.Phase != PhaseRetrain {
+	if span.Type != "span" || span.Phase != PhaseRetrain || span.TraceID != "t000001" || span.SpanID != "2" || span.ParentID != "1" {
 		t.Errorf("span = %+v", span)
 	}
 	if span.DurNS <= 0 {
@@ -82,27 +88,37 @@ func TestTracerEventShape(t *testing.T) {
 	if span.Attrs["labeled"] != 12 {
 		t.Errorf("attrs = %v", span.Attrs)
 	}
-	if iter.Type != "iteration" || iter.Iter != 3 || iter.Phase != "" {
+	if iter.Type != "span" || iter.Phase != "iteration" || iter.TraceID != span.TraceID || iter.SpanID != "1" || iter.ParentID != "" || iter.Outcome != "ok" {
 		t.Errorf("iteration = %+v", iter)
 	}
-	if iter.DurNS <= span.DurNS {
+	if iter.StartNS > span.StartNS || iter.StartNS+iter.DurNS < span.StartNS+span.DurNS {
 		t.Error("iteration root must cover its child span")
 	}
 }
 
+// TestNilTracerStillMeasures checks the disabled paths: a nil tracer mints
+// a nil trace, a nil trace leaves the context alone, and the spans opened
+// on it emit nothing but still report the time they measured.
 func TestNilTracerStillMeasures(t *testing.T) {
 	var tr *Tracer
-	tr.BeginIteration(1) // all no-ops, must not panic
-	tr.EndIteration(nil)
+	tr.SetNow(stepClock()) // no-op, must not panic
 	if tr.Err() != nil {
 		t.Error("nil tracer Err must be nil")
 	}
-	span := tr.StartPhase(PhaseScore)
+	ctx := ContextWithTrace(context.Background(), tr.NewTrace())
+	if ctx != context.Background() {
+		t.Error("a nil tracer's trace must not grow the context")
+	}
+	sctx, span := StartSpan(ctx, PhaseScore)
+	if sctx != ctx {
+		t.Error("a measuring-only span must not grow the context")
+	}
 	time.Sleep(time.Millisecond)
 	if d := span.End(nil); d <= 0 {
 		t.Errorf("nil-tracer span duration = %v, want positive", d)
 	}
-	var s *PhaseSpan
+	var s *Span
+	s.SetOutcome("ok")
 	if s.End(nil) != 0 {
 		t.Error("nil span End must return 0")
 	}
@@ -119,9 +135,11 @@ func TestTracerStickyWriteError(t *testing.T) {
 	fw := &failWriter{}
 	tr := NewTracer(fw)
 	tr.SetNow(stepClock())
-	tr.StartPhase(PhaseScore).End(nil)
-	tr.StartPhase(PhaseLoad).End(nil)
-	tr.StartPhase(PhaseSwap).End(nil)
+	ctx := ContextWithTrace(context.Background(), tr.NewTrace())
+	for _, phase := range []string{PhaseScore, PhaseLoad, PhaseSwap} {
+		_, span := StartSpan(ctx, phase)
+		span.End(nil)
+	}
 	if tr.Err() == nil {
 		t.Fatal("expected a write error")
 	}

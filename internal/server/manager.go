@@ -73,9 +73,9 @@ type Manager struct {
 	hStep      *obs.Histogram
 	hIteration *obs.Histogram
 
-	// tracer mints one trace per step request (nil disables tracing);
-	// slo accounts every successful step against the interactivity
-	// budget.
+	// tracer mints one trace per create, step and retrieving result
+	// request (nil disables tracing); slo accounts every successful step
+	// against the interactivity budget.
 	tracer *obs.Tracer
 	slo    *obs.SLO
 }
@@ -248,7 +248,12 @@ func (m *Manager) releaseLive() {
 // Create admits and materializes a new session. It fails with ErrSaturated
 // (HTTP 503) when the session cap is reached or the arbiter cannot carve
 // out a viable budget share.
-func (m *Manager) Create(ctx context.Context, spec SessionSpec) (SessionInfo, error) {
+func (m *Manager) Create(ctx context.Context, spec SessionSpec) (info SessionInfo, err error) {
+	ctx, _, root := m.startTrace(ctx, "create")
+	defer func() {
+		root.SetOutcome(requestOutcome(ctx, err))
+		root.End(nil)
+	}()
 	if m.draining.Load() {
 		return SessionInfo{}, ErrDraining
 	}
@@ -294,9 +299,33 @@ func (m *Manager) Create(ctx context.Context, spec SessionSpec) (SessionInfo, er
 	m.sessions[id] = h
 	m.mu.Unlock()
 	h.mu.Lock()
-	info := m.infoLocked(h)
+	info = m.infoLocked(h)
 	h.mu.Unlock()
 	return info, nil
+}
+
+// startTrace mints the trace of one request and opens its root span; ctx
+// carries both to everything the request calls. With tracing disabled the
+// trace is nil, ctx is returned unchanged and the span only measures.
+func (m *Manager) startTrace(ctx context.Context, root string) (context.Context, *obs.Trace, *obs.Span) {
+	tr := m.tracer.NewTrace()
+	ctx, span := obs.StartSpan(obs.ContextWithTrace(ctx, tr), root)
+	return ctx, tr, span
+}
+
+// requestOutcome names how a request ended, for its root span: turned
+// away by admission, given up on by its caller, failed, or served.
+func requestOutcome(ctx context.Context, err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, ErrQueueFull):
+		return "rejected"
+	case ctx.Err() != nil:
+		return "cancelled"
+	default:
+		return "error"
+	}
 }
 
 // lookup finds a session by id.
@@ -403,7 +432,33 @@ type IterationJSON struct {
 // honoring ctx), then the session mutex. Evicted sessions are transparently
 // resumed, which re-enters admission (ErrSaturated when the server has no
 // room to bring the session back yet).
+//
+// One trace per step request: the root "step" span opens before admission,
+// so it — and the SLO observation taken from it — covers the queue wait,
+// the session lock wait, a possible snapshot resume, and the engine
+// interaction, and every child span below — queue_wait, iteration phases,
+// shard fan-outs, chunk reads — links back to this request.
 func (m *Manager) Step(ctx context.Context, id string, req StepRequest) (StepResponse, error) {
+	ctx, tr, root := m.startTrace(ctx, obs.StepRoot)
+	resp, err := m.admitStep(ctx, id, req)
+	outcome := requestOutcome(ctx, err)
+	if err == nil && resp.Degraded {
+		outcome = "degraded"
+	}
+	root.SetOutcome(outcome)
+	d := root.End(nil)
+	if err == nil {
+		m.slo.ObserveStep(d, tr.PhaseTotals())
+		resp.TraceID = tr.ID()
+	}
+	return resp, err
+}
+
+// admitStep is the admission section of Step: the per-session ticket and
+// the server-wide slot, timed as one "queue_wait" span, then the step
+// itself. The root span must end on every exit path, so the section lives
+// in its own function.
+func (m *Manager) admitStep(ctx context.Context, id string, req StepRequest) (StepResponse, error) {
 	if m.draining.Load() {
 		return StepResponse{}, ErrDraining
 	}
@@ -411,11 +466,14 @@ func (m *Manager) Step(ctx context.Context, id string, req StepRequest) (StepRes
 	if err != nil {
 		return StepResponse{}, err
 	}
+	_, wait := obs.StartSpan(ctx, obs.PhaseQueueWait)
 	select {
 	case h.tickets <- struct{}{}:
 		m.gQueued.SetInt(m.queued.Add(1))
 	default:
 		m.cQueueRej.Inc()
+		wait.SetOutcome("rejected")
+		wait.End(nil)
 		return StepResponse{}, fmt.Errorf("session %q has %d steps in flight: %w", id, cap(h.tickets), ErrQueueFull)
 	}
 	defer func() {
@@ -425,39 +483,18 @@ func (m *Manager) Step(ctx context.Context, id string, req StepRequest) (StepRes
 	select {
 	case m.stepSem <- struct{}{}:
 	case <-ctx.Done():
+		wait.SetOutcome("cancelled")
+		wait.End(nil)
 		return StepResponse{}, ctx.Err()
 	}
 	defer func() { <-m.stepSem }()
-
-	// One trace per step request: the root "step" span covers the session
-	// lock wait, a possible snapshot resume, and the engine interaction,
-	// so every child span below — iteration phases, shard fan-outs, chunk
-	// reads — links back to this request. With tracing disabled the trace
-	// is nil and the span only measures.
-	tr := m.tracer.NewTrace()
-	ctx = obs.ContextWithTrace(ctx, tr)
-	sctx, root := obs.StartSpan(ctx, "step")
-	resp, err := m.lockedStep(sctx, h, req)
-	switch {
-	case err != nil:
-		root.SetOutcome("error")
-	case resp.Degraded:
-		root.SetOutcome("degraded")
-	default:
-		root.SetOutcome("ok")
-	}
-	d := root.End(nil)
-	if err == nil {
-		m.slo.ObserveStep(d, tr.PhaseTotals())
-		resp.TraceID = tr.ID()
-	}
-	return resp, err
+	wait.End(nil)
+	return m.lockedStep(ctx, h, req)
 }
 
 // lockedStep is the session-mutex section of Step: closed/evicted state
 // checks, transparent resume, the engine interaction, and per-step
-// metrics. The root "step" span must end on every exit path, so the
-// section lives in its own function.
+// metrics.
 func (m *Manager) lockedStep(ctx context.Context, h *hosted, req StepRequest) (StepResponse, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -693,16 +730,10 @@ func (m *Manager) Result(ctx context.Context, id string) (ResultInfo, error) {
 			Positive:   h.result.Positive,
 		}, nil
 	}
-	if h.state == stateEvicted {
-		if err := m.resumeLocked(ctx, h); err != nil {
-			return ResultInfo{}, err
-		}
-	}
-	h.lastUsed = time.Now()
-	if p := h.sess.Pending(); p != nil {
-		return ResultInfo{}, fmt.Errorf("session %q has an unresolved proposal for tuple %d: %w", id, p.ID, errBadRequest)
-	}
-	res, err := h.sess.Finish(ctx)
+	ctx, _, root := m.startTrace(ctx, "result")
+	res, err := m.retrieveLocked(ctx, h)
+	root.SetOutcome(requestOutcome(ctx, err))
+	root.End(nil)
 	if err != nil {
 		return ResultInfo{}, err
 	}
@@ -712,6 +743,21 @@ func (m *Manager) Result(ctx context.Context, id string) (ResultInfo, error) {
 		Iterations: h.iterationsLocked(),
 		Positive:   res.Positive,
 	}, nil
+}
+
+// retrieveLocked runs result retrieval with an unfinished session's
+// current model, resuming the session first when it is evicted.
+func (m *Manager) retrieveLocked(ctx context.Context, h *hosted) (*ide.Result, error) {
+	if h.state == stateEvicted {
+		if err := m.resumeLocked(ctx, h); err != nil {
+			return nil, err
+		}
+	}
+	h.lastUsed = time.Now()
+	if p := h.sess.Pending(); p != nil {
+		return nil, fmt.Errorf("session %q has an unresolved proposal for tuple %d: %w", h.id, p.ID, errBadRequest)
+	}
+	return h.sess.Finish(ctx)
 }
 
 // Delete closes a session and removes its snapshot.

@@ -127,10 +127,12 @@ type Config struct {
 	Seed int64
 	// Registry receives the server's metrics; nil creates a private one.
 	Registry *obs.Registry
-	// Tracer, when set, emits one hierarchical trace per step request:
-	// a "step" root span (its id returned in the response and the
-	// X-Uei-Trace-Id header), iteration phases beneath it, per-shard
-	// fan-out spans, and chunk/cache read spans. Nil disables tracing.
+	// Tracer, when set, emits one trace per step request: a "step" root
+	// span (the trace id returned in the response and the X-Uei-Trace-Id
+	// header) over a queue_wait span, iteration phases, per-shard fan-out
+	// spans, and chunk/cache read spans — and one per session create
+	// ("create" root) and per retrieving result request ("result" root).
+	// Nil disables tracing.
 	Tracer *obs.Tracer
 	// SLOBudget is the per-step interactivity budget for the SLO
 	// accountant (slo_violations_total, rolling step-latency

@@ -238,3 +238,157 @@ func TestUntracedStepNoTraceID(t *testing.T) {
 		t.Errorf("untraced step returned trace id %q", resp.TraceID)
 	}
 }
+
+// TestStepRootCoversQueueWait holds every step-concurrency slot while a
+// step arrives: the step's trace must show one queue_wait child of about
+// the hold, under a root that contains it, and the SLO accountant must have
+// been fed the whole request — wait included — not just the engine time.
+func TestStepRootCoversQueueWait(t *testing.T) {
+	dir, _ := buildStore(t, 600)
+	var buf bytes.Buffer
+	m := newTestManager(t, dir, func(c *Config) { c.Tracer = obs.NewTracer(&buf) })
+	ctx := context.Background()
+	info, err := m.Create(ctx, SessionSpec{MaxLabels: 3, Oracle: &OracleSpec{Selectivity: 0.05}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const hold = 80 * time.Millisecond
+	for i := 0; i < cap(m.stepSem); i++ {
+		m.stepSem <- struct{}{}
+	}
+	type result struct {
+		resp StepResponse
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		resp, err := m.Step(ctx, info.ID, StepRequest{})
+		done <- result{resp, err}
+	}()
+	time.Sleep(hold)
+	for i := 0; i < cap(m.stepSem); i++ {
+		<-m.stepSem
+	}
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+
+	events, err := obs.ReadTrace(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := obs.Analyze(events)
+	if len(a.Steps) != 1 || a.Steps[0].TraceID != r.resp.TraceID {
+		t.Fatalf("stream holds %d step traces, want the one queued step %s", len(a.Steps), r.resp.TraceID)
+	}
+	st := a.Steps[0]
+	var waits []*obs.SpanNode
+	for _, c := range st.Root.Children {
+		if c.Ev.Phase == obs.PhaseQueueWait {
+			waits = append(waits, c)
+		}
+	}
+	if len(waits) != 1 {
+		t.Fatalf("root has %d queue_wait children, want 1", len(waits))
+	}
+	// The step goroutine may start a little into the hold; it cannot leave
+	// the queue before the slots are released.
+	wait := time.Duration(waits[0].Ev.DurNS)
+	if wait < hold/2 || wait > st.Wall() {
+		t.Errorf("queue_wait = %v under a %v root, want about the %v hold", wait, st.Wall(), hold)
+	}
+	if st.Phases[obs.PhaseQueueWait] != wait {
+		t.Errorf("queue_wait is not attributed as a phase: %v", st.Phases)
+	}
+	if m.SLO().Steps() != 1 {
+		t.Fatalf("SLO saw %d steps, want 1", m.SLO().Steps())
+	}
+	if p50, _, _ := m.SLO().Percentiles(); p50 < wait.Seconds() {
+		t.Errorf("SLO observed %.1fms for a step that queued %v", 1000*p50, wait)
+	}
+}
+
+// TestCreateAndResultTraces checks the request surface beyond steps: a
+// session create and an unfinished session's result retrieval each mint
+// their own trace, rooted "create" and "result" with their work beneath,
+// and the analyzer keeps both out of the step SLO. A finished session's
+// cached result retrieves nothing and mints nothing.
+func TestCreateAndResultTraces(t *testing.T) {
+	dir, _ := buildStore(t, 600)
+	var buf bytes.Buffer
+	m := newTestManager(t, dir, func(c *Config) { c.Tracer = obs.NewTracer(&buf) })
+	ctx := context.Background()
+	info, err := m.Create(ctx, SessionSpec{MaxLabels: 6, Oracle: &OracleSpec{Selectivity: 0.05}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	analyze := func() *obs.Analysis {
+		t.Helper()
+		events, err := obs.ReadTrace(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := obs.Analyze(events)
+		if orphans := a.Orphans(); len(orphans) != 0 {
+			t.Fatalf("orphaned spans: %v", orphans)
+		}
+		return a
+	}
+	// Step until the model is fitted (the first selection proposal), then
+	// retrieve with the current model.
+	steps := 0
+	for {
+		resp, err := m.Step(ctx, info.ID, StepRequest{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps++
+		if resp.Done {
+			t.Fatal("session finished before its first selection iteration")
+		}
+		if resp.Iteration != nil {
+			break
+		}
+	}
+	if _, err := m.Result(ctx, info.ID); err != nil {
+		t.Fatal(err)
+	}
+	a := analyze()
+	if len(a.Steps) != steps || len(a.Others) != 2 {
+		t.Fatalf("stream holds %d step and %d other traces, want %d and 2", len(a.Steps), len(a.Others), steps)
+	}
+	for i, want := range []string{"create", "result"} {
+		st := a.Others[i]
+		if st.Root == nil || st.Root.Ev.Phase != want || st.Root.Ev.Outcome != "ok" || st.Wall() <= 0 {
+			t.Fatalf("trace %s root = %+v, want an ok %q root", st.TraceID, st.Root, want)
+		}
+	}
+	// Materializing the first oracle session reads the store, and retrieval
+	// is the result request's one phase: both land under their own roots.
+	if a.Others[0].Spans < 2 {
+		t.Errorf("create trace holds only its root; the oracle's store reads must nest under it")
+	}
+	if a.Others[1].Phases[obs.PhaseRetrieve] <= 0 {
+		t.Errorf("result trace carries no retrieve phase: %v", a.Others[1].Phases)
+	}
+
+	// Finish the session; its cached final result mints no trace.
+	for {
+		resp, err := m.Step(ctx, info.ID, StepRequest{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Done {
+			break
+		}
+	}
+	before := len(analyze().Others)
+	if _, err := m.Result(ctx, info.ID); err != nil {
+		t.Fatal(err)
+	}
+	if after := len(analyze().Others); after != before {
+		t.Errorf("a cached result minted a trace: %d other traces, then %d", before, after)
+	}
+}

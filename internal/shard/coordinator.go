@@ -511,7 +511,7 @@ func (c *Coordinator) recordDegraded(id int, err error) {
 func runAttempt[T any](c *Coordinator, ctx context.Context, shardID, replica int, op string, b Backend, fn func(ctx context.Context, b Backend) (T, error)) (T, error) {
 	var span *obs.Span
 	sctx := ctx
-	if obs.HasTrace(ctx) {
+	if obs.SpanFromContext(ctx) != nil {
 		sctx, span = obs.StartSpan(ctx, "shard_"+op)
 	}
 	if c.deadline > 0 {

@@ -78,8 +78,6 @@ type Options struct {
 	BlockCache *chunkstore.BlockCache
 	// Registry receives the stream_* instruments (nil = private registry).
 	Registry *obs.Registry
-	// Tracer emits flush/compact spans (nil = no emission).
-	Tracer *obs.Tracer
 	// MemtableBytes freezes the active memtable once its decoded payload
 	// reaches this size (0 = DefaultMemtableBytes).
 	MemtableBytes int64
@@ -155,7 +153,6 @@ type DB struct {
 
 	failpoint func(stage string) error
 
-	tracer      *obs.Tracer
 	mMemBytes   *obs.Gauge
 	mEpoch      *obs.Gauge
 	mSegments   *obs.Gauge
@@ -326,7 +323,6 @@ func Open(dir string, opts Options) (*DB, error) {
 		stop:     make(chan struct{}),
 		flushC:   make(chan struct{}, 1),
 		compactC: make(chan struct{}, 1),
-		tracer:   opts.Tracer,
 	}
 	if man.Shards > 1 {
 		if db.owners, err = shard.CellOwners(g, man.Shards); err != nil {
@@ -599,7 +595,7 @@ func (db *DB) flushOne(ctx context.Context, fm frozenMem, man *Manifest) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	_, sp := db.tracer.Phase(ctx, obs.SpanFlush)
+	_, sp := obs.StartSpan(ctx, obs.SpanFlush)
 	start := time.Now()
 	groups, err := db.partition(fm.mem.firstID, fm.mem.rows)
 	if err != nil {
@@ -720,7 +716,7 @@ func (db *DB) compact(ctx context.Context, minSegs int) error {
 		return nil
 	}
 
-	_, sp := db.tracer.Phase(ctx, obs.SpanCompact)
+	_, sp := obs.StartSpan(ctx, obs.SpanCompact)
 	start := time.Now()
 	replaced := make(map[int]bool)
 	var added []SegmentMeta

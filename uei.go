@@ -89,12 +89,14 @@ func applyOptions(o []Option) apiConfig {
 type (
 	// Registry is a metrics registry (counters, gauges, histograms).
 	Registry = obs.Registry
-	// Tracer records per-phase spans of exploration iterations.
+	// Tracer is the sink traces are written to (JSON span records); it
+	// mints traces and is otherwise passed to nothing.
 	Tracer = obs.Tracer
 	// Trace is one hierarchical trace (a tree of spans sharing a trace id);
 	// mint one per request with Tracer.NewTrace and carry it in a context.
 	Trace = obs.Trace
-	// Span is one timed operation within a trace (or a flat legacy span).
+	// Span is one timed operation: emitted into the trace its context
+	// carried, or measuring-only when the context carried none.
 	Span = obs.Span
 	// SLO accounts per-step latency against an interactivity budget:
 	// rolling percentiles, violation counts, per-phase budget attribution.
