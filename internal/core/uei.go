@@ -165,13 +165,16 @@ type Index struct {
 	// mCellsScored / mCellsSkipped split every scoring pass's |P| cells
 	// into rescored and carried over unchanged, across all views of the
 	// index; gStateBytes sums the incremental-scoring state of every view
-	// and session on the registry.
-	mCellsScored  *obs.Counter
-	mCellsSkipped *obs.Counter
-	gStateBytes   *obs.Gauge
-	hScore        *obs.Histogram
-	hLoad         *obs.Histogram
-	hSwap         *obs.Histogram
+	// and session on the registry. mRetrieveRows / mRetrieveSettled: rows
+	// result retrieval classified, and those decided without a selection.
+	mCellsScored     *obs.Counter
+	mCellsSkipped    *obs.Counter
+	mRetrieveRows    *obs.Counter
+	mRetrieveSettled *obs.Counter
+	gStateBytes      *obs.Gauge
+	hScore           *obs.Histogram
+	hLoad            *obs.Histogram
+	hSwap            *obs.Histogram
 }
 
 // Open loads the index over a directory produced by Build — flat, sharded
@@ -430,6 +433,8 @@ func (x *Index) instrument() {
 	x.mEntries = x.reg.Counter("uei_entries_visited_total")
 	x.mCellsScored = x.reg.Counter("uei_score_scored_cells_total")
 	x.mCellsSkipped = x.reg.Counter("uei_score_skipped_cells_total")
+	x.mRetrieveRows = x.reg.Counter("uei_retrieve_rows_total")
+	x.mRetrieveSettled = x.reg.Counter("uei_retrieve_rows_settled_total")
 	x.gStateBytes = x.reg.Gauge(obs.ScoreStateBytesGauge)
 	x.hScore = x.reg.Histogram(obs.PhaseHistName(obs.PhaseScore), nil)
 	x.hLoad = x.reg.Histogram(obs.PhaseHistName(obs.PhaseLoad), nil)
@@ -950,16 +955,16 @@ func (x *Index) Stats() Stats {
 // the passing cells' segments are read, and each such chunk is read
 // exactly once (unlike loading cells one by one, which re-reads shared
 // chunk slabs per cell). The scan hands back columns, one kernel.Block per
-// data part; they are classified through the block kernels on the worker
-// pool, and a row is kept when its posterior reaches 0.5 (the learn.Predict
-// rule, bit for bit). The returned ids ascend. Setting minCellPosterior to
-// 0 disables pruning and yields the exact answer set of the model; the
-// centers are then not scored at all.
+// data part; the worker pool asks the model for a decision per row, not a
+// posterior (learn.BlockPredictInto: the learn.Predict rule, bit for bit),
+// and a row is kept when the answer is positive. The returned ids ascend.
+// Setting minCellPosterior to 0 disables pruning and yields the exact answer
+// set of the model; the centers are then not scored at all.
 func (x *Index) ResultRetrieval(ctx context.Context, model learn.Classifier, minCellPosterior float64) ([]uint32, error) {
 	if x.closed.Load() {
 		return nil, ErrClosed
 	}
-	if minCellPosterior < 0 || minCellPosterior >= 0.5 {
+	if !(minCellPosterior >= 0 && minCellPosterior < 0.5) {
 		return nil, fmt.Errorf("core: minCellPosterior %g outside [0, 0.5)", minCellPosterior)
 	}
 	dims := x.grid.Dims()
@@ -1020,30 +1025,35 @@ func (x *Index) ResultRetrieval(ctx context.Context, model learn.Classifier, min
 	}
 	x.mEntries.Add(int64(entries))
 
-	// Final trim: the classifier over each part's block, then — for the
-	// positives, when a cell failed — exact passing-cell membership.
+	// Final trim: the classifier's decision over each part's block, then —
+	// for the positives, when a cell failed — exact passing-cell membership.
+	cctx, span := obs.StartSpan(ctx, obs.SpanClassify)
 	var out []uint32
-	var rowPost []float64
+	var keep []bool
+	var rows int
+	var settled atomic.Int64
 	row := make([]float64, dims)
 	for _, part := range parts {
 		blk := part.Blk
-		if cap(rowPost) < blk.N {
-			rowPost = make([]float64, blk.N)
-		}
-		rowPost = rowPost[:blk.N]
-		err := x.pool.Do(ctx, blk.N, func(lo, hi int) error {
-			return learn.BlockPosteriorsInto(ctx, model, blk, lo, hi, rowPost[lo:hi])
+		rows += blk.N
+		keep = slices.Grow(keep[:0], blk.N)[:blk.N]
+		err := x.pool.Do(cctx, blk.N, func(lo, hi int) error {
+			n, err := learn.BlockPredictInto(cctx, model, blk, lo, hi, keep[lo:hi])
+			settled.Add(int64(n))
+			return err
 		})
 		if err != nil {
+			span.End(nil)
 			return nil, err
 		}
-		for i, p := range rowPost {
-			if !(p >= 0.5) {
+		for i, positive := range keep {
+			if !positive {
 				continue
 			}
 			if pruned {
 				cell, err := x.grid.CellOf(blk.Row(i, row))
 				if err != nil {
+					span.End(nil)
 					return nil, err
 				}
 				if post[cell] < minCellPosterior {
@@ -1053,6 +1063,14 @@ func (x *Index) ResultRetrieval(ctx context.Context, model learn.Classifier, min
 			out = append(out, part.IDs[i])
 		}
 	}
+	x.mRetrieveRows.Add(int64(rows))
+	x.mRetrieveSettled.Add(settled.Load())
+	span.End(map[string]float64{
+		"rows":     float64(rows),
+		"settled":  float64(settled.Load()),
+		"selected": float64(int64(rows) - settled.Load()),
+		"positive": float64(len(out)),
+	})
 	// Ids ascend within a part and parts are disjoint; only the kept ids are
 	// put in order, never the scanned rows.
 	slices.Sort(out)

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"math"
 	"sort"
 	"testing"
 	"time"
@@ -44,7 +46,7 @@ func boundaryModel(t testing.TB, ds *dataset.Dataset, region oracle.Region, nLab
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := learn.NewDWKNN(5, bounds.Widths())
+	m := learn.NewDWKNN(0, bounds.Widths()) // the served K
 	var X [][]float64
 	var y []int
 	step := ds.Len() / nLabels
@@ -448,6 +450,48 @@ func TestResultRetrievalMatchesOracle(t *testing.T) {
 	}
 	if _, err := idx.ResultRetrieval(context.Background(), model, 0.7); err == nil {
 		t.Error("cutoff >= 0.5 should fail")
+	}
+}
+
+// The pruning cutoff is a posterior below the decision threshold; NaN
+// compares false with everything and must not slip through as "no pruning".
+func TestResultRetrievalValidatesCutoff(t *testing.T) {
+	idx, ds := openTestIndex(t, 1500, Options{SampleSize: 40, Seed: 13})
+	model := boundaryModel(t, ds, testRegion(t, ds), 100)
+	for _, tc := range []struct {
+		cutoff float64
+		ok     bool
+	}{
+		{0, true}, {0.49, true},
+		{math.NaN(), false}, {-0.1, false}, {0.5, false}, {math.Inf(1), false},
+	} {
+		if _, err := idx.ResultRetrieval(context.Background(), model, tc.cutoff); (err == nil) != tc.ok {
+			t.Errorf("cutoff %v: err = %v, want accepted = %v", tc.cutoff, err, tc.ok)
+		}
+	}
+}
+
+// cancelingModel cancels a context the first time it is asked for a
+// posterior: classification is then under way and the scan is over.
+type cancelingModel struct {
+	learn.Classifier
+	cancel context.CancelFunc
+}
+
+func (m cancelingModel) PosteriorPositive(x []float64) (float64, error) {
+	m.cancel()
+	return m.Classifier.PosteriorPositive(x)
+}
+
+// A context cancelled mid-classification fails the retrieval with the
+// context's error and hands back no ids — not the rows decided so far.
+func TestResultRetrievalCanceledMidClassification(t *testing.T) {
+	idx, ds := openTestIndex(t, 3000, Options{SampleSize: 40, Seed: 13, Workers: 2})
+	ctx, cancel := context.WithCancel(context.Background())
+	model := cancelingModel{boundaryModel(t, ds, testRegion(t, ds), 100), cancel}
+	ids, err := idx.ResultRetrieval(ctx, model, 0)
+	if !errors.Is(err, context.Canceled) || ids != nil {
+		t.Errorf("got %d ids, err %v; want none and context.Canceled", len(ids), err)
 	}
 }
 

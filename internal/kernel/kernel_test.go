@@ -134,6 +134,28 @@ func TestKernelsBitParity(t *testing.T) {
 			}
 		}
 	})
+	t.Run("SquaredDiffInto", func(t *testing.T) {
+		// The store form must equal accumulation into a cleared strip, on
+		// the values a distance can take: zero differences, overflow to
+		// +Inf, and NaNs of both signs (Inf - Inf sets the sign bit on
+		// amd64).
+		q := append([]float64(nil), col...)
+		q[0], q[1], q[2], q[3], q[4] = 1.234567, math.Inf(1), math.Inf(-1), math.NaN(), 1e200
+		for _, v := range []float64{1.234567, math.Inf(1), math.NaN(), math.Copysign(math.NaN(), -1), -1e200} {
+			dst := make([]float64, n)
+			for i := range dst {
+				dst[i] = 7 // stale strip contents must not survive
+			}
+			want := make([]float64, n)
+			SquaredDiffInto(dst, q, v)
+			AddSquaredDiff(want, q, v)
+			for i := range want {
+				if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("v=%v i=%d: stored %x, accumulated %x", v, i, math.Float64bits(dst[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
+	})
 	t.Run("AxpyStandardized", func(t *testing.T) {
 		w, mean, std := -0.7, 2.5, 1.3
 		dst := make([]float64, n)
@@ -162,6 +184,44 @@ func TestKernelsBitParity(t *testing.T) {
 			}
 		}
 	})
+}
+
+// CountBelow is defined as `if v[i] < thr[i] { cnt[i]++ }`: every pairing
+// of the values a squared distance or a running minimum can hold — both
+// zeros, both infinities, NaNs with the sign bit clear and set — must count
+// exactly when the float comparison holds, at every unroll position.
+func TestCountBelowMatchesDefinition(t *testing.T) {
+	negNaN := math.Copysign(math.NaN(), -1)
+	inf := math.Inf(1)
+	vals := []float64{0, math.Copysign(0, -1), 5e-324, 1, 1 + 1e-15, 2.5, 1e308, inf, -inf, -1, math.NaN(), negNaN, inf - inf}
+	var v, thr []float64
+	for _, a := range vals {
+		for _, b := range vals {
+			v, thr = append(v, a), append(thr, b)
+		}
+	}
+	for n := 0; n <= len(v); n += 1 + n/7 {
+		cnt := make([]int32, n+1)
+		want := make([]int32, n+1)
+		for i := range cnt {
+			cnt[i], want[i] = int32(i), int32(i)
+		}
+		for i := 0; i < n; i++ {
+			if v[i] < thr[i] {
+				want[i]++
+			}
+		}
+		if n > 0 {
+			CountBelow(cnt, v[:n], thr[:n])
+		}
+		if !reflect.DeepEqual(cnt, want) {
+			for i := range want {
+				if cnt[i] != want[i] {
+					t.Fatalf("n=%d i=%d: %v < %v counted %d, want %d", n, i, v[i], thr[i], cnt[i]-int32(i), want[i]-int32(i))
+				}
+			}
+		}
+	}
 }
 
 // SelectKMin must return exactly the prefix a full sort by (value, index)

@@ -45,6 +45,32 @@ func AddSquaredDiff(dst, q []float64, v float64) {
 	}
 }
 
+// SquaredDiffInto stores dst[i] = (v - q[i])² — the first dimension of a
+// distance strip, which then needs no clearing before AddSquaredDiff adds
+// the rest: a square is never -0, and 0 + x == x bit for bit otherwise.
+func SquaredDiffInto(dst, q []float64, v float64) {
+	dst = dst[:len(q)]
+	for i, x := range q {
+		d := v - x
+		dst[i] = d * d
+	}
+}
+
+// CountBelow increments cnt[i] where v[i] < thr[i] — the float comparison
+// exactly, so a NaN of either sign on either side counts nothing. The
+// outcome is added, not jumped on (the compiler sets b from the flags): over
+// distances it is as good as random, and a mispredicted jump costs more.
+func CountBelow(cnt []int32, v, thr []float64) {
+	cnt, thr = cnt[:len(v)], thr[:len(v)]
+	for i, x := range v {
+		var b int32
+		if x < thr[i] {
+			b = 1
+		}
+		cnt[i] += b
+	}
+}
+
 // AxpyStandardized accumulates dst[i] += w * (col[i] - mean) / std — one
 // dimension of a standardized logistic dot-product. The multiply-then-
 // divide order matches the scalar path exactly.

@@ -99,5 +99,20 @@ func TestBlockPosteriorZeroAlloc(t *testing.T) {
 		if avg >= 1 {
 			t.Errorf("%s BlockPosterior: %.1f allocs/op, want amortized 0", name, avg)
 		}
+		bd, ok := m.(BlockDecider)
+		if !ok {
+			continue
+		}
+		// The decision path shares the pooled scratch (warm by now); its
+		// per-point state lives in it too.
+		keep := make([]bool, len(Q))
+		avg = testing.AllocsPerRun(50, func() {
+			if _, err := bd.BlockPositive(blk, 0, blk.N, keep); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg >= 1 {
+			t.Errorf("%s BlockPositive: %.1f allocs/op, want amortized 0", name, avg)
+		}
 	}
 }

@@ -73,6 +73,46 @@ func BlockPosteriorsInto(ctx context.Context, c Classifier, blk *kernel.Block, l
 	return nil
 }
 
+// BlockDecider is implemented by classifiers that can tell which side of
+// the decision threshold a block point falls on for less than its posterior
+// costs: BlockPositive fills out[0:hi-lo] with Predict's answer for block
+// points [lo, hi), under BlockClassifier's contract, and reports how many
+// it settled without computing a posterior. Only DWKNN implements it.
+type BlockDecider interface {
+	Classifier
+	BlockPositive(blk *kernel.Block, lo, hi int, out []bool) (settled int, err error)
+}
+
+// BlockPredictInto fills out[0:hi-lo] with whether Predict puts block point
+// lo+i in the positive class, checking ctx between batchBlock-sized chunks,
+// and returns how many points a BlockDecider settled. Every other
+// classifier scores through BlockPosteriorsInto and compares.
+func BlockPredictInto(ctx context.Context, c Classifier, blk *kernel.Block, lo, hi int, out []bool) (settled int, err error) {
+	if hi-lo != len(out) {
+		return 0, fmt.Errorf("learn: %d block points but %d output slots", hi-lo, len(out))
+	}
+	bd, decides := c.(BlockDecider)
+	if !decides {
+		post := make([]float64, hi-lo)
+		err := BlockPosteriorsInto(ctx, c, blk, lo, hi, post)
+		for i, p := range post {
+			out[i] = positive(p)
+		}
+		return 0, err
+	}
+	for base := lo; base < hi; base += batchBlock {
+		if err := ctx.Err(); err != nil {
+			return settled, err
+		}
+		end := min(base+batchBlock, hi)
+		n, err := bd.BlockPositive(blk, base, end, out[base-lo:end-lo])
+		if settled += n; err != nil {
+			return settled, err
+		}
+	}
+	return settled, nil
+}
+
 // BlockUncertaintiesInto is BlockPosteriorsInto followed by the
 // least-confidence transform min(p, 1-p) — Uncertainty's fold, per point.
 func BlockUncertaintiesInto(ctx context.Context, c Classifier, blk *kernel.Block, lo, hi int, out []float64) error {

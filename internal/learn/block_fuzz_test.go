@@ -34,7 +34,9 @@ func topK(unc []float64, k int) []int {
 // a random dataset and query block, every classifier's columnar path —
 // and, for DWKNN, the resumed scan of a NeighborTable — must reproduce
 // PosteriorPositive's posteriors bit for bit, and therefore the identical
-// top-k selection. Query sets deliberately include duplicates (degenerate
+// top-k selection; and every classifier's decision through BlockPredictInto
+// (DWKNN's majority rule, everyone else's scored fallback) must be
+// Predict's. Query sets deliberately include duplicates (degenerate
 // equidistant neighborhoods) and exact copies of training rows.
 func FuzzBlockParity(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(2), uint16(300))
@@ -109,6 +111,15 @@ func FuzzBlockParity(f *testing.F) {
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("%s query %d: block %v != row %v", name, i, got[i], want[i])
+				}
+			}
+			dec := make([]bool, nq)
+			if _, err := BlockPredictInto(ctx, m, blk, 0, nq, dec); err != nil {
+				t.Fatalf("%s decide: %v", name, err)
+			}
+			for i, q := range Q {
+				if cls, err := Predict(m, q); err != nil || dec[i] != (cls == ClassPositive) {
+					t.Fatalf("%s query %d (posterior %v): block decision %v, Predict %d, %v", name, i, want[i], dec[i], cls, err)
 				}
 			}
 			wantU := make([]float64, nq)

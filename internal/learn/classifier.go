@@ -30,8 +30,8 @@ var ErrNotFitted = errors.New("learn: classifier is not fitted")
 // read-only with respect to the model, because the parallel scorer shards
 // query points across goroutines against one shared classifier. (All
 // classifiers in this package comply.) PosteriorPositive is the
-// specification; a model's bulk form, when it has one, is BlockClassifier
-// and must match it bit for bit.
+// specification; a model's bulk forms, when it has them, are
+// BlockClassifier and BlockDecider and must match it bit for bit.
 type Classifier interface {
 	// Fit (re)trains the model on the labeled set. X rows are copied or
 	// retained read-only; y[i] must be ClassNegative or ClassPositive, and
@@ -43,13 +43,17 @@ type Classifier interface {
 	Fitted() bool
 }
 
+// positive is the decision threshold, written here once: a posterior of at
+// least 0.5 predicts the positive class, and a NaN posterior does not.
+func positive(p float64) bool { return p >= 0.5 }
+
 // Predict applies the 0.5 decision threshold to the positive posterior.
 func Predict(c Classifier, x []float64) (int, error) {
 	p, err := c.PosteriorPositive(x)
 	if err != nil {
 		return 0, err
 	}
-	if p >= 0.5 {
+	if positive(p) {
 		return ClassPositive, nil
 	}
 	return ClassNegative, nil

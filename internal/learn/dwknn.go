@@ -39,6 +39,7 @@ type DWKNN struct {
 	scales []float64 // effective scales used at fit time
 	dims   int
 	fitted bool
+	finite bool // no scaled training coordinate is NaN or ±Inf (decideStrip)
 }
 
 // NewDWKNN returns a DWKNN with neighborhood size k (0 selects the default
@@ -65,10 +66,12 @@ func (c *DWKNN) Fit(X [][]float64, y []int) error {
 		return err
 	}
 	xs := make([][]float64, len(X))
+	c.finite = true
 	for i, row := range X {
 		s := make([]float64, dims)
 		for j, v := range row {
 			s[j] = v / scales[j]
+			c.finite = c.finite && !math.IsInf(s[j], 0) && !math.IsNaN(s[j])
 		}
 		xs[i] = s
 	}
@@ -135,6 +138,10 @@ type dwknnScratch struct {
 	// (strip*dims) and dist2 the per-row distance strips (strip*len(x)).
 	qs    []float64
 	dist2 []float64
+	// decideStrip's per-point state: the smallest squared distance to a
+	// positive row, and how many negative rows are strictly nearer.
+	minPos [dwknnStrip]float64
+	nearer [dwknnStrip]int32
 }
 
 var dwknnScratchPool = sync.Pool{New: func() any { return &dwknnScratch{} }}
@@ -268,6 +275,23 @@ const dwknnStrip = 256
 // accumulates over dimensions in ascending order with the row path's exact
 // expressions, and selection shares its (d², idx) order.
 func (c *DWKNN) BlockPosterior(blk *kernel.Block, lo, hi int, out []float64) error {
+	return c.eachStrip(blk, lo, hi, func(s *dwknnScratch, base, w int) {
+		c.scoreStrip(s, w, out[base-lo:])
+	})
+}
+
+// BlockPositive implements BlockDecider; settled counts the points decided
+// without selecting their neighbours.
+func (c *DWKNN) BlockPositive(blk *kernel.Block, lo, hi int, out []bool) (settled int, err error) {
+	err = c.eachStrip(blk, lo, hi, func(s *dwknnScratch, base, w int) {
+		settled += c.decideStrip(s, w, out[base-lo:])
+	})
+	return settled, err
+}
+
+// eachStrip calls fn per strip [base, base+w) of block points [lo, hi), its
+// scaled queries staged in s.qs, layout [d*w+i].
+func (c *DWKNN) eachStrip(blk *kernel.Block, lo, hi int, fn func(s *dwknnScratch, base, w int)) error {
 	if !c.fitted {
 		return ErrNotFitted
 	}
@@ -276,49 +300,86 @@ func (c *DWKNN) BlockPosterior(blk *kernel.Block, lo, hi int, out []float64) err
 	}
 	s := getDWKNNScratch(c)
 	defer putDWKNNScratch(s)
+	if cap(s.qs) < c.dims*dwknnStrip || cap(s.dist2) < len(c.x)*dwknnStrip {
+		s.qs, s.dist2 = make([]float64, c.dims*dwknnStrip), make([]float64, len(c.x)*dwknnStrip)
+	}
 	for base := lo; base < hi; base += dwknnStrip {
-		w := hi - base
-		if w > dwknnStrip {
-			w = dwknnStrip
-		}
-		qs := c.stripScratch(s, w)
+		w := min(hi-base, dwknnStrip)
 		for d := 0; d < c.dims; d++ {
-			kernel.ScaleInto(qs[d*w:d*w+w], blk.Col(d)[base:base+w], c.scales[d])
+			kernel.ScaleInto(s.qs[d*w:d*w+w], blk.Col(d)[base:base+w], c.scales[d])
 		}
-		c.scoreStrip(s, w, out[base-lo:])
+		fn(s, base, w)
 	}
 	return nil
 }
 
-// stripScratch sizes the block-path buffers for a strip of width w and
-// returns the scaled-query strip (layout [d*w+i]).
-func (c *DWKNN) stripScratch(s *dwknnScratch, w int) []float64 {
-	if cap(s.qs) < c.dims*w {
-		s.qs = make([]float64, c.dims*dwknnStrip)
+// stripDistances fills s.dist2[r*w : r*w+w] with the squared distances from
+// training row r to the w staged queries, and returns that strip row.
+func (c *DWKNN) stripDistances(s *dwknnScratch, r, w int) []float64 {
+	dr := s.dist2[r*w : r*w+w]
+	row := c.x[r]
+	kernel.SquaredDiffInto(dr, s.qs[:w], row[0])
+	for d := 1; d < len(row); d++ {
+		kernel.AddSquaredDiff(dr, s.qs[d*w:d*w+w], row[d])
 	}
-	if cap(s.dist2) < len(c.x)*w {
-		s.dist2 = make([]float64, len(c.x)*dwknnStrip)
-	}
-	return s.qs[:c.dims*w]
+	return dr
 }
 
 // scoreStrip computes posteriors for the w centers whose scaled queries are
 // staged in s.qs, writing out[0:w].
 func (c *DWKNN) scoreStrip(s *dwknnScratch, w int, out []float64) {
-	qs := s.qs
-	dist2 := s.dist2[:len(c.x)*w]
-	clear(dist2)
-	for r, row := range c.x {
-		dr := dist2[r*w : r*w+w]
-		for d, v := range row {
-			kernel.AddSquaredDiff(dr, qs[d*w:d*w+w], v)
-		}
+	for r := range c.x {
+		c.stripDistances(s, r, w)
 	}
 	k := c.effectiveK()
 	for i := 0; i < w; i++ {
-		nb := kernel.SelectKMin(dist2, i, w, len(c.x), k, s.best[:0])
-		out[i] = c.posteriorFrom(nb, s.dists)
+		out[i] = c.posteriorFrom(kernel.SelectKMin(s.dist2, i, w, len(c.x), k, s.best[:0]), s.dists)
 	}
+}
+
+// decideStrip decides the w staged centers against the threshold, writing
+// out[0:w], and returns how many it settled without a selection: a center
+// with a majority of its k neighbours — n > k/2 negative rows — strictly
+// nearer than its nearest positive row is negative. Those rows hold the
+// first n ranks of the (d², idx) order under any tie-break, at most k-n < n
+// positives follow, and posteriorFrom's weight does not increase with rank,
+// so the posterior is at most (k-n)/k <= 1/2 - 1/(2k). Every other center
+// is selected, on the distances already in the strip. The ranks need a
+// total order and a NaN distance is below and above nothing, so next to a
+// non-finite training row no count is a majority (DESIGN.md §17).
+func (c *DWKNN) decideStrip(s *dwknnScratch, w int, out []bool) (settled int) {
+	minPos, nearer := s.minPos[:w], s.nearer[:w]
+	for i := range minPos {
+		minPos[i], nearer[i] = math.Inf(1), 0
+	}
+	for r, label := range c.y {
+		if label == ClassPositive {
+			for i, v := range c.stripDistances(s, r, w) {
+				if v < minPos[i] {
+					minPos[i] = v
+				}
+			}
+		}
+	}
+	for r, label := range c.y {
+		if label != ClassPositive {
+			kernel.CountBelow(nearer, c.stripDistances(s, r, w), minPos)
+		}
+	}
+	k := c.effectiveK()
+	majority := k/2 + 1
+	if !c.finite {
+		majority = len(c.x) + 1
+	}
+	for i, n := range nearer {
+		if int(n) >= majority {
+			out[i] = false
+			settled++
+			continue
+		}
+		out[i] = positive(c.posteriorFrom(kernel.SelectKMin(s.dist2, i, w, len(c.x), k, s.best[:0]), s.dists))
+	}
+	return settled
 }
 
 // effectiveScales resolves the scaling vector used for the current fit.

@@ -317,10 +317,12 @@ func (a *Analysis) writePhases(w io.Writer) {
 // avoided: from the score spans' points/skipped attributes, the symbolic
 // points carried over unchanged, and from the select spans'
 // carried/scanned/changed attributes, the pool rows that resumed their scan
-// instead of restarting it. Traces with neither render nothing.
+// instead of restarting it — and, from the classify spans' rows/settled
+// attributes, the rows the terminal step decided without selecting their
+// neighbours. Traces with none of the three render nothing.
 func (a *Analysis) writeScoreSkip(w io.Writer) {
 	var spans, selects int
-	var points, skipped, carried, scanned, changed float64
+	var points, skipped, carried, scanned, changed, rows, settled float64
 	a.eachSpan(func(e Event) {
 		switch e.Phase {
 		case PhaseScore:
@@ -336,9 +338,12 @@ func (a *Analysis) writeScoreSkip(w io.Writer) {
 				scanned += e.Attrs["scanned"]
 				changed += e.Attrs["changed"]
 			}
+		case SpanClassify:
+			rows += e.Attrs["rows"]
+			settled += e.Attrs["settled"]
 		}
 	})
-	if skipped == 0 && carried == 0 {
+	if skipped == 0 && carried == 0 && settled == 0 {
 		return
 	}
 	pct := func(part, whole float64) float64 {
@@ -357,6 +362,10 @@ func (a *Analysis) writeScoreSkip(w io.Writer) {
 		fmt.Fprintf(w, "  selections %d\n", selects)
 		fmt.Fprintf(w, "  pool rows carried %.0f of %.0f (%.1f%%) by resuming their k-NN scan, %.0f changed by a new label\n",
 			carried, carried+scanned, pct(carried, carried+scanned), changed)
+	}
+	if settled > 0 {
+		fmt.Fprintf(w, "  terminal rows settled without selection: %.0f of %.0f (%.1f%%)\n",
+			settled, rows, pct(settled, rows))
 	}
 }
 

@@ -140,9 +140,10 @@ func TestWriteReportEmpty(t *testing.T) {
 	}
 }
 
-// The SCORE SKIPPING section reports both consumers of the resumable scan:
+// The SCORE SKIPPING section reports both consumers of the resumable scan —
 // symbolic points from the score spans, pool rows from the select spans —
-// and stays out of reports whose traces carry neither.
+// and the terminal rows a classify span settled without a selection; it
+// stays out of reports whose traces carry none of them.
 func TestReportScoreSkipping(t *testing.T) {
 	step := func(trace string, score, sel map[string]float64) []Event {
 		return []Event{
@@ -161,11 +162,17 @@ func TestReportScoreSkipping(t *testing.T) {
 	events := append(
 		step("a", map[string]float64{"points": 100, "skipped": 0}, map[string]float64{"pool": 50, "carried": 0, "scanned": 50, "changed": 0}),
 		step("b", map[string]float64{"points": 100, "skipped": 60}, map[string]float64{"pool": 50, "carried": 45, "scanned": 5, "changed": 9})...)
+	events = append(events,
+		Event{Type: "span", TraceID: "c", SpanID: "1", Phase: "result", DurNS: 9},
+		Event{Type: "span", TraceID: "c", SpanID: "2", ParentID: "1", Phase: PhaseRetrieve, DurNS: 8},
+		Event{Type: "span", TraceID: "c", SpanID: "3", ParentID: "2", Phase: SpanClassify, StartNS: 3, DurNS: 5,
+			Attrs: map[string]float64{"rows": 400, "settled": 300, "selected": 100, "positive": 7}})
 	got := report(events)
 	for _, want := range []string{
 		"SCORE SKIPPING\n",
 		"  cells skipped 60 of 200 (30.0%) by exact incremental rescoring\n",
 		"  pool rows carried 45 of 100 (45.0%) by resuming their k-NN scan, 9 changed by a new label\n",
+		"  terminal rows settled without selection: 300 of 400 (75.0%)\n",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("report lacks %q:\n%s", want, got)

@@ -37,6 +37,12 @@ const (
 	SpanCompact = "compact" // segment merge / retirement (stream)
 )
 
+// SpanClassify is result retrieval's decision pass over the scanned rows.
+// It nests inside the retrieve phase, beside the scan's shard_retrieve
+// legs, so it is not a phase either; its attributes (rows, settled,
+// selected, positive) feed the report's SCORE SKIPPING section.
+const SpanClassify = "classify"
+
 // phaseNames is the closed set IsPhaseName recognizes: the spans whose
 // durations are additive within a step. Container spans ("step",
 // "iteration") and storage spans (shard_*, chunk_read, bcache_get) nest
