@@ -118,6 +118,7 @@ run_session "$base" "$(new_session "$base" "$oracle")" 12
 curl -sf "$base/metrics" >"$work/metrics.txt"
 grep -q 'uei_slo_steps_total' "$work/metrics.txt" || fail "uei_slo_steps_total missing from /metrics"
 grep -q 'uei_step_latency_p95_seconds' "$work/metrics.txt" || fail "step latency percentiles missing from /metrics"
+grep -q '^uei_kernel_vector_width [14]$' "$work/metrics.txt" || fail "uei_kernel_vector_width missing from /metrics"
 drain "$srv"
 strict_trace flat.jsonl
 

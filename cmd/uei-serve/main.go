@@ -31,6 +31,7 @@ import (
 
 	"github.com/uei-db/uei/internal/core"
 	"github.com/uei-db/uei/internal/dataset"
+	"github.com/uei-db/uei/internal/kernel"
 	"github.com/uei-db/uei/internal/obs"
 	"github.com/uei-db/uei/internal/server"
 )
@@ -154,8 +155,8 @@ func run() error {
 	} else if m.Index().Sharded() {
 		fmt.Printf("sharded store: %d shards (per-shard deadline %v)\n", m.Index().NumShards(), *shardDl)
 	}
-	fmt.Printf("serving %d tuples on http://%s/v1/sessions (budget %d bytes, %d session slots)\n",
-		m.Index().RowCount(), *addr, *budget, *maxSessions)
+	fmt.Printf("serving %d tuples on http://%s/v1/sessions (budget %d bytes, %d session slots, distance kernels %d float64 wide)\n",
+		m.Index().RowCount(), *addr, *budget, *maxSessions, kernel.VectorWidth())
 	if m.Index().Live() != nil {
 		mode := "sessions pin their opening epoch"
 		if *followLive {

@@ -436,6 +436,9 @@ func (x *Index) instrument() {
 	x.mRetrieveRows = x.reg.Counter("uei_retrieve_rows_total")
 	x.mRetrieveSettled = x.reg.Counter("uei_retrieve_rows_settled_total")
 	x.gStateBytes = x.reg.Gauge(obs.ScoreStateBytesGauge)
+	// What the CPU answered, so a host whose terminal steps are slower can
+	// be told from one whose strip kernels run the portable loops.
+	x.reg.Gauge("uei_kernel_vector_width").SetInt(int64(kernel.VectorWidth()))
 	x.hScore = x.reg.Histogram(obs.PhaseHistName(obs.PhaseScore), nil)
 	x.hLoad = x.reg.Histogram(obs.PhaseHistName(obs.PhaseLoad), nil)
 	x.hSwap = x.reg.Histogram(obs.PhaseHistName(obs.PhaseSwap), nil)

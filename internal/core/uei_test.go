@@ -10,6 +10,7 @@ import (
 
 	"github.com/uei-db/uei/internal/dataset"
 	"github.com/uei-db/uei/internal/iothrottle"
+	"github.com/uei-db/uei/internal/kernel"
 	"github.com/uei-db/uei/internal/learn"
 	"github.com/uei-db/uei/internal/memcache"
 	"github.com/uei-db/uei/internal/oracle"
@@ -122,6 +123,10 @@ func TestOpenDefaults(t *testing.T) {
 	}
 	if idx.ResidentRegion() != memcache.NoRegion {
 		t.Error("fresh index should have no resident region")
+	}
+	// The registry says which body the strip kernels run on this CPU.
+	if got := idx.Registry().Gauge("uei_kernel_vector_width").Value(); got != float64(kernel.VectorWidth()) {
+		t.Errorf("uei_kernel_vector_width = %v, kernel.VectorWidth() = %d", got, kernel.VectorWidth())
 	}
 }
 

@@ -167,15 +167,17 @@ func (g *Grid) Center(id CellID) (vec.Point, error) {
 }
 
 // CellOf returns the cell containing p. Points outside the domain are an
-// error; points on an interior boundary map to the higher segment (standard
-// half-open intervals), and the domain maximum maps to the last segment.
+// error — a NaN coordinate is inside no interval, hence the negated form of
+// the test; points on an interior boundary map to the higher segment
+// (standard half-open intervals), and the domain maximum maps to the last
+// segment.
 func (g *Grid) CellOf(p vec.Point) (CellID, error) {
 	if len(p) != g.Dims() {
 		return 0, fmt.Errorf("grid: point has %d dims, grid has %d", len(p), g.Dims())
 	}
 	coords := make([]int, g.Dims())
 	for i, v := range p {
-		if v < g.bounds.Min[i] || v > g.bounds.Max[i] {
+		if !(v >= g.bounds.Min[i] && v <= g.bounds.Max[i]) {
 			return 0, fmt.Errorf("grid: coordinate %d = %g outside domain [%g,%g]", i, v, g.bounds.Min[i], g.bounds.Max[i])
 		}
 		c := int((v - g.bounds.Min[i]) / g.widths[i])
@@ -193,7 +195,7 @@ func (g *Grid) SegmentOf(dim int, v float64) (int, error) {
 	if dim < 0 || dim >= g.Dims() {
 		return 0, fmt.Errorf("grid: dimension %d out of range [0,%d)", dim, g.Dims())
 	}
-	if v < g.bounds.Min[dim] || v > g.bounds.Max[dim] {
+	if !(v >= g.bounds.Min[dim] && v <= g.bounds.Max[dim]) {
 		return 0, fmt.Errorf("grid: value %g outside domain [%g,%g] on dimension %d", v, g.bounds.Min[dim], g.bounds.Max[dim], dim)
 	}
 	c := int((v - g.bounds.Min[dim]) / g.widths[dim])

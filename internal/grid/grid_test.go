@@ -2,6 +2,7 @@ package grid
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -163,6 +164,52 @@ func TestCellOfAndCenters(t *testing.T) {
 	}
 	if _, err := g.CellOf(vec.Point{0.5}); err == nil {
 		t.Error("dims mismatch should fail")
+	}
+}
+
+// domainEdgeCases is what a domain [2, 6] must say about the values at and
+// around its edges and about the values that are not numbers: NaN compares
+// false with everything, so only a test of the form !(v >= min && v <= max)
+// keeps it out.
+var domainEdgeCases = []struct {
+	v      float64
+	inside bool
+}{
+	{2, true}, {6, true}, {4, true},
+	{math.Nextafter(2, 1), false}, {math.Nextafter(6, 7), false},
+	{math.Inf(1), false}, {math.Inf(-1), false},
+	{math.NaN(), false}, {math.Copysign(math.NaN(), -1), false},
+}
+
+func TestSegmentOfRejectsNonFinite(t *testing.T) {
+	g, err := New(vec.NewBox(vec.Point{0, 2}, vec.Point{1, 6}), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range domainEdgeCases {
+		seg, err := g.SegmentOf(1, c.v)
+		if (err == nil) != c.inside {
+			t.Errorf("SegmentOf(1, %v) = %d, %v; inside the domain: %v", c.v, seg, err, c.inside)
+		}
+		if err == nil && (seg < 0 || seg >= 4) {
+			t.Errorf("SegmentOf(1, %v) = %d, not a segment", c.v, seg)
+		}
+	}
+}
+
+func TestCellOfRejectsNonFinite(t *testing.T) {
+	g, err := New(vec.NewBox(vec.Point{0, 2}, vec.Point{1, 6}), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range domainEdgeCases {
+		// The second coordinate maps to segment 0 of a 4-segment dimension
+		// when truncated as int(NaN) is on arm64, so only the bounds test
+		// can reject it.
+		id, err := g.CellOf(vec.Point{0.5, c.v})
+		if (err == nil) != c.inside {
+			t.Errorf("CellOf({0.5, %v}) = %d, %v; inside the domain: %v", c.v, id, err, c.inside)
+		}
 	}
 }
 

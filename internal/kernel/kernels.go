@@ -5,6 +5,21 @@ package kernel
 // WHICH element is touched next, never the operations applied to one
 // element — the bit-parity contract). None of them allocate; callers own
 // and reuse every destination and scratch slice.
+//
+// The three DWKNN strip kernels — AddSquaredDiff, SquaredDiffInto,
+// CountBelow — run their first len&^3 elements four to an instruction where
+// the CPU has AVX2 (strip_amd64.s). Their Go loops finish the tail, are the
+// whole body everywhere else, and are what the tests hold the assembly to,
+// bit for bit.
+
+// VectorWidth is how many float64 the strip kernels process per
+// instruction on this CPU: 4 with the AVX2 bodies live, 1 otherwise.
+func VectorWidth() int {
+	if hasAVX2 {
+		return 4
+	}
+	return 1
+}
 
 // ScaleInto writes dst[i] = src[i] / scale. Division — not a precomputed
 // reciprocal multiply — because the scalar scoring paths divide, and
@@ -27,7 +42,19 @@ func ScaleInto(dst, src []float64, scale float64) {
 // contribution to a scaled-L2 distance strip, v being the training row's
 // coordinate and q the pre-scaled query column.
 func AddSquaredDiff(dst, q []float64, v float64) {
-	_ = dst[len(q)-1]
+	dst = dst[:len(q)]
+	n := 0
+	if hasAVX2 {
+		n = len(q) &^ 3
+		addSquaredDiffAVX2(dst, q, v)
+	}
+	if n < len(q) { // not inlined, unlike the other two: no tail, no call
+		addSquaredDiffGo(dst[n:], q[n:], v)
+	}
+}
+
+func addSquaredDiffGo(dst, q []float64, v float64) {
+	dst = dst[:len(q)]
 	i := 0
 	for ; i+4 <= len(q); i += 4 {
 		d0 := v - q[i]
@@ -50,6 +77,16 @@ func AddSquaredDiff(dst, q []float64, v float64) {
 // the rest: a square is never -0, and 0 + x == x bit for bit otherwise.
 func SquaredDiffInto(dst, q []float64, v float64) {
 	dst = dst[:len(q)]
+	n := 0
+	if hasAVX2 {
+		n = len(q) &^ 3
+		squaredDiffIntoAVX2(dst, q, v)
+	}
+	squaredDiffIntoGo(dst[n:], q[n:], v)
+}
+
+func squaredDiffIntoGo(dst, q []float64, v float64) {
+	dst = dst[:len(q)]
 	for i, x := range q {
 		d := v - x
 		dst[i] = d * d
@@ -61,6 +98,16 @@ func SquaredDiffInto(dst, q []float64, v float64) {
 // outcome is added, not jumped on (the compiler sets b from the flags): over
 // distances it is as good as random, and a mispredicted jump costs more.
 func CountBelow(cnt []int32, v, thr []float64) {
+	cnt, thr = cnt[:len(v)], thr[:len(v)]
+	n := 0
+	if hasAVX2 {
+		n = len(v) &^ 3
+		countBelowAVX2(cnt, v, thr)
+	}
+	countBelowGo(cnt[n:], v[n:], thr[n:])
+}
+
+func countBelowGo(cnt []int32, v, thr []float64) {
 	cnt, thr = cnt[:len(v)], thr[:len(v)]
 	for i, x := range v {
 		var b int32

@@ -1,6 +1,7 @@
 package learn
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -99,13 +100,24 @@ func TestBlockPosteriorZeroAlloc(t *testing.T) {
 		if avg >= 1 {
 			t.Errorf("%s BlockPosterior: %.1f allocs/op, want amortized 0", name, avg)
 		}
+		// BlockPredictInto borrows the chunk of posteriors a classifier
+		// that only scores needs from a pool (warmed by the first run,
+		// which AllocsPerRun does not count).
+		keep := make([]bool, len(Q))
+		avg = testing.AllocsPerRun(50, func() {
+			if _, err := BlockPredictInto(context.Background(), m, blk, 0, blk.N, keep); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg >= 1 {
+			t.Errorf("%s BlockPredictInto: %.1f allocs/op, want amortized 0", name, avg)
+		}
 		bd, ok := m.(BlockDecider)
 		if !ok {
 			continue
 		}
 		// The decision path shares the pooled scratch (warm by now); its
 		// per-point state lives in it too.
-		keep := make([]bool, len(Q))
 		avg = testing.AllocsPerRun(50, func() {
 			if _, err := bd.BlockPositive(blk, 0, blk.N, keep); err != nil {
 				t.Fatal(err)

@@ -83,29 +83,41 @@ type BlockDecider interface {
 	BlockPositive(blk *kernel.Block, lo, hi int, out []bool) (settled int, err error)
 }
 
+// postScratchPool holds one chunk of posteriors for BlockPredictInto's
+// classifiers that only score. The array cannot live on the stack: it is
+// handed to an interface method, so it escapes.
+var postScratchPool = sync.Pool{New: func() any { return new([batchBlock]float64) }}
+
 // BlockPredictInto fills out[0:hi-lo] with whether Predict puts block point
 // lo+i in the positive class, checking ctx between batchBlock-sized chunks,
 // and returns how many points a BlockDecider settled. Every other
-// classifier scores through BlockPosteriorsInto and compares.
+// classifier scores a chunk through BlockPosteriorsInto and compares.
 func BlockPredictInto(ctx context.Context, c Classifier, blk *kernel.Block, lo, hi int, out []bool) (settled int, err error) {
 	if hi-lo != len(out) {
 		return 0, fmt.Errorf("learn: %d block points but %d output slots", hi-lo, len(out))
 	}
 	bd, decides := c.(BlockDecider)
+	var post *[batchBlock]float64
 	if !decides {
-		post := make([]float64, hi-lo)
-		err := BlockPosteriorsInto(ctx, c, blk, lo, hi, post)
-		for i, p := range post {
-			out[i] = positive(p)
-		}
-		return 0, err
+		post = postScratchPool.Get().(*[batchBlock]float64)
+		defer postScratchPool.Put(post)
 	}
 	for base := lo; base < hi; base += batchBlock {
 		if err := ctx.Err(); err != nil {
 			return settled, err
 		}
 		end := min(base+batchBlock, hi)
-		n, err := bd.BlockPositive(blk, base, end, out[base-lo:end-lo])
+		chunk := out[base-lo : end-lo]
+		if !decides {
+			if err := BlockPosteriorsInto(ctx, c, blk, base, end, post[:end-base]); err != nil {
+				return 0, err
+			}
+			for i := range chunk {
+				chunk[i] = positive(post[i])
+			}
+			continue
+		}
+		n, err := bd.BlockPositive(blk, base, end, chunk)
 		if settled += n; err != nil {
 			return settled, err
 		}

@@ -93,9 +93,9 @@ func ScanMarked(ctx context.Context, g *grid.Grid, p *Part, marked [][]bool) (Re
 			for _, e := range es {
 				if all {
 					// Every segment is marked, so which one holds the value
-					// cannot matter; a value outside the domain still fails
-					// as SegmentOf fails it.
-					if e.Value < lo || e.Value > hi {
+					// cannot matter; a value outside the domain, NaN included,
+					// still fails as SegmentOf fails it.
+					if !(e.Value >= lo && e.Value <= hi) {
 						if _, err := g.SegmentOf(d, e.Value); err != nil {
 							return err
 						}

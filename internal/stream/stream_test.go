@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -321,11 +322,14 @@ func TestAppendFlushVisibilityMVCC(t *testing.T) {
 	}
 	checkRowsMatch(t, allRows(t, fresh), ds, extra)
 
-	// Out-of-bounds appends are rejected: live grids never regrow.
-	bad := make([]float64, len(db.Columns()))
-	bad[0] = db.Bounds().Max[0] + 1
-	if _, err := db.Append([][]float64{bad}); !errors.Is(err, ErrOutOfBounds) {
-		t.Fatalf("out-of-bounds append: got %v, want ErrOutOfBounds", err)
+	// Out-of-bounds appends are rejected: live grids never regrow. A NaN is
+	// inside no domain, on every architecture.
+	for _, v := range []float64{db.Bounds().Max[0] + 1, math.NaN(), math.Copysign(math.NaN(), -1)} {
+		bad := append([]float64(nil), db.Bounds().Min...)
+		bad[0] = v
+		if _, err := db.Append([][]float64{bad}); !errors.Is(err, ErrOutOfBounds) {
+			t.Fatalf("append of a row with coordinate %v: got %v, want ErrOutOfBounds", v, err)
+		}
 	}
 }
 
