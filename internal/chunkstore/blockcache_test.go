@@ -63,7 +63,7 @@ func TestBlockCacheSingleFlightOneDiskRead(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("goroutine %d: %v", i, errs[i])
 		}
-		if !reflect.DeepEqual(results[i], want) {
+		if !reflect.DeepEqual(results[i], want.Entries()) {
 			t.Fatalf("goroutine %d decoded entries differ from uncached read", i)
 		}
 	}
@@ -75,26 +75,30 @@ func TestBlockCacheSingleFlightOneDiskRead(t *testing.T) {
 
 // TestBlockCacheWarmHitNoDiskRead verifies the warm path costs no I/O:
 // after the first read, re-reading the same chunk moves neither the byte
-// nor the chunk counter.
+// nor the chunk counter, returns the resident arrays themselves, and the
+// cache charges them Postings.Bytes.
 func TestBlockCacheWarmHitNoDiskRead(t *testing.T) {
 	st, _ := buildTestStore(t, 2000, 11)
-	withBlockCache(t, st, 64<<20)
+	c := withBlockCache(t, st, 64<<20)
 	ctx := context.Background()
 	meta := st.Manifest().Chunks[1][0]
-	first, err := st.ReadChunk(ctx, meta)
+	first, err := st.readChunkFor(ctx, meta, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.ResetIOStats()
-	second, err := st.ReadChunk(ctx, meta)
+	second, err := st.readChunkFor(ctx, meta, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bytes, chunks := st.IOStats(); bytes != 0 || chunks != 0 {
 		t.Fatalf("warm hit cost %d bytes / %d chunk reads, want 0/0", bytes, chunks)
 	}
-	if !reflect.DeepEqual(first, second) {
-		t.Fatal("warm hit returned different entries")
+	if !samePostings(first, second) {
+		t.Fatal("warm hit returned arrays other than the resident ones")
+	}
+	if want := int64(12*meta.Entries + 4*meta.RowRefs); first.Bytes() != want || c.ResidentBytes() != want {
+		t.Fatalf("resident chunk charged %d (Bytes %d), want %d", c.ResidentBytes(), first.Bytes(), want)
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 )
 
 // fileBufPool recycles the raw file buffers chunk reads decode from. A
-// chunk file lives only from read to decode — decodeChunk copies every
-// value and row id out, into the decodeBuf it is given, never aliasing the
+// chunk file lives only from read to decode — decodeChunkInto copies every
+// value and row id out, into the Postings it is given, never aliasing the
 // file bytes — so the buffer can go straight back to the pool,
 // cutting one len(chunk) allocation per read on the hot path. Buffers are
 // sized for the default chunk target; larger chunks grow their pooled
@@ -59,8 +59,8 @@ func readFilePooled(dir, name string, size int64) (*[]byte, error) {
 // be referenced afterwards.
 func putFileBuf(bp *[]byte) { fileBufPool.Put(bp) }
 
-// decodeBufPool recycles the storage ReadChunksOrdered decodes cold chunks
-// into when no block cache keeps them: a buffer is held for one visit (the
-// sequential path: one call) and grows to the largest chunk it has met,
-// ≈ 36 bytes per posting, per concurrent reader.
-var decodeBufPool = sync.Pool{New: func() any { return new(decodeBuf) }}
+// postingsPool recycles the storage ReadChunksOrdered decodes cold chunks
+// into when no block cache keeps them: a Postings is held for one visit
+// (the sequential path: one call) and grows to the largest chunk it has
+// met, ≈ 16 bytes per one-row posting, per concurrent reader.
+var postingsPool = sync.Pool{New: func() any { return new(Postings) }}

@@ -28,7 +28,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	if dim != 2 {
 		t.Errorf("dim = %d", dim)
 	}
-	assertEntriesEqual(t, in, out)
+	assertEntriesEqual(t, in, out.Entries())
 }
 
 func assertEntriesEqual(t *testing.T, want, got []Entry) {
@@ -63,6 +63,14 @@ func TestEncodeRejectsBadInput(t *testing.T) {
 	}
 	if _, err := encodeChunk(0, []Entry{{Value: 2, Rows: []uint32{1}}, {Value: 1, Rows: []uint32{2}}}); err == nil {
 		t.Error("descending values should fail")
+	}
+	// NaN compares false either way, so it must not pass as ascending —
+	// nor let a descending value after it through.
+	if _, err := encodeChunk(0, []Entry{{Value: 1, Rows: []uint32{1}}, {Value: math.NaN(), Rows: []uint32{2}}, {Value: 0.5, Rows: []uint32{3}}}); err == nil {
+		t.Error("NaN value should fail")
+	}
+	if _, err := encodeChunk(0, []Entry{{Value: math.NaN(), Rows: []uint32{1}}}); err == nil {
+		t.Error("a lone NaN value should fail")
 	}
 	if _, err := encodeChunk(0, []Entry{{Value: 1, Rows: []uint32{5, 5}}}); err == nil {
 		t.Error("non-increasing posting list should fail")
@@ -164,7 +172,8 @@ func TestQuickCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		gotDim, out, err := decodeChunk(data)
+		gotDim, p, err := decodeChunk(data)
+		out := p.Entries()
 		if err != nil || gotDim != dim || len(out) != len(in) {
 			return false
 		}

@@ -32,19 +32,23 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Property 1: decode is total — it may error, never panic — and
 		// any chunk it accepts round-trips through encode.
-		if dim, entries, err := decodeChunk(data); err == nil {
+		if dim, p, err := decodeChunk(data); err == nil {
+			entries := p.Entries()
 			reenc, err := encodeChunk(dim, entries)
 			if err != nil {
-				// decode is laxer than encode (it does not require
-				// strictly increasing values), so some accepted inputs
-				// are not re-encodable; that is fine.
-				t.Skipf("decoded chunk not re-encodable: %v", err)
+				// decode checks what encode checks — values and row ids
+				// strictly ascending, no empty posting — but accepts a
+				// chunk of no entries, which encode refuses.
+				if len(entries) == 0 {
+					return
+				}
+				t.Fatalf("decoded chunk not re-encodable: %v", err)
 			}
-			dim2, entries2, err := decodeChunk(reenc)
+			dim2, p2, err := decodeChunk(reenc)
 			if err != nil {
 				t.Fatalf("re-decode failed: %v", err)
 			}
-			if dim2 != dim || !entriesEqual(entries, entries2) {
+			if dim2 != dim || !entriesEqual(entries, p2.Entries()) {
 				t.Fatalf("decode(encode(decode(x))) != decode(x)")
 			}
 		}
@@ -66,7 +70,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if gotDim != dim {
 			t.Fatalf("dim round-trip: got %d, want %d", gotDim, dim)
 		}
-		if !entriesEqual(entries, got) {
+		if !entriesEqual(entries, got.Entries()) {
 			t.Fatalf("entries did not round-trip")
 		}
 	})
@@ -149,7 +153,7 @@ func TestCodecFuzzSeedsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		if gotDim != dim || !entriesEqual(entries, got) {
+		if gotDim != dim || !entriesEqual(entries, got.Entries()) {
 			t.Fatalf("round trip failed for recipe %v", r)
 		}
 	}
@@ -188,13 +192,15 @@ func TestDecodeBoundsCountsBeforeAllocating(t *testing.T) {
 	}
 }
 
-// FuzzDecodeResealed feeds decodeChunk bodies that pass the CRC whatever
-// they say: it must return — an error or entries — without panicking and
+// FuzzDecodeResealed feeds the decoder bodies that pass the CRC whatever
+// they say: it must return — an error or postings — without panicking and
 // without building more than the bytes can encode (an entry takes at least
-// minEntrySize bytes, a row id at least one). Every body is then decoded
-// again into the buffer the previous iteration left behind, under a fuzzed
+// minEntrySize bytes, a row id at least one), and agree with referenceDecode
+// on the postings or the error text. Every body is decoded fresh and again
+// into the buffer the previous iteration left behind, under a fuzzed
 // row-count hint: storage and hint may change where the result lives,
-// never what it is.
+// never what it is. testdata/fuzz/FuzzDecodeResealed holds the chunks the
+// ordering checks refuse (unorderedBodies).
 func FuzzDecodeResealed(f *testing.F) {
 	for i, body := range oversizedCountBodies(f) {
 		f.Add(body, i*math.MaxInt)
@@ -206,30 +212,19 @@ func FuzzDecodeResealed(f *testing.F) {
 	f.Add(seed[:len(seed)-4], 4)
 	f.Add([]byte(chunkMagic), -1)
 
-	reused := new(decodeBuf)
+	reused := new(Postings)
 	f.Fuzz(func(t *testing.T, body []byte, hint int) {
-		data, before := reseal(body), cap(reused.arena)
-		dim, entries, err := decodeChunk(data)
-		dim2, entries2, err2 := decodeChunkInto(data, reused, hint)
-		if err != nil {
-			if err2 == nil || err2.Error() != err.Error() {
-				t.Fatalf("fresh decode fails with %q, decode into a used buffer (hint %d) with %v", err, hint, err2)
-			}
+		data, before := reseal(body), cap(reused.Rows)
+		requireDecodeMatchesReference(t, "fresh", data, new(Postings), 0)
+		if requireDecodeMatchesReference(t, "into a used buffer", data, reused, hint) != nil {
 			return
 		}
-		if err2 != nil || dim2 != dim || !entriesEqual(entries2, entries) {
-			t.Fatalf("decode into a used buffer (hint %d) differs from a fresh decode: err %v", hint, err2)
-		}
-		rows := 0
-		for _, e := range entries {
-			rows += len(e.Rows)
-		}
 		payload := len(body) - headerSize
-		if len(entries)*minEntrySize > payload || rows > payload {
-			t.Fatalf("decoded %d entries with %d row ids out of a %d-byte payload", len(entries), rows, payload)
+		if len(reused.Values)*minEntrySize > payload || len(reused.Rows) > payload {
+			t.Fatalf("decoded %d entries with %d row ids out of a %d-byte payload", len(reused.Values), len(reused.Rows), payload)
 		}
-		if c := cap(reused.arena); c != before && c > payload {
-			t.Fatalf("hint %d sized an arena of %d row ids for a %d-byte payload", hint, c, payload)
+		if c := cap(reused.Rows); c != before && c > payload {
+			t.Fatalf("hint %d sized %d row ids for a %d-byte payload", hint, c, payload)
 		}
 	})
 }

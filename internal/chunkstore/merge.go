@@ -155,16 +155,19 @@ func (s *Store) MergeChunks(ctx context.Context, box vec.Box, chunks []ChunkMeta
 		// Dimension 0 appends a value per candidate it opens; a later one
 		// has a place for every candidate still standing.
 		col := slices.Grow(sc.cols[d][:0], len(sc.cand))[:len(sc.cand)]
-		err := s.ReadChunksOrdered(ctx, byDim[d], func(_ ChunkMeta, entries []Entry) error {
-			for _, e := range entries {
+		err := s.ReadChunksOrdered(ctx, byDim[d], func(_ ChunkMeta, p Postings) error {
+			start := uint32(0)
+			for i, v := range p.Values {
+				ids := p.Rows[start:p.Ends[i]]
+				start = p.Ends[i]
 				entriesVisited++
-				if e.Value < lo {
+				if v < lo {
 					continue
 				}
-				if e.Value > hi {
-					break // entries are sorted; nothing further matches
+				if v > hi {
+					break // values are sorted; nothing further matches
 				}
-				for _, id := range e.Rows {
+				for _, id := range ids {
 					if int(id) >= n {
 						return errRowRange(id, n)
 					}
@@ -176,16 +179,16 @@ func (s *Store) MergeChunks(ctx context.Context, box vec.Box, chunks []ChunkMeta
 					if seen == 0 {
 						slot[id] = int32(len(sc.cand))
 						sc.cand = append(sc.cand, id)
-						col = append(col, e.Value)
+						col = append(col, v)
 					} else {
-						col[slot[id]] = e.Value
+						col[slot[id]] = v
 					}
 					hits[id]++
 				}
 			}
-			// entries goes out of scope here, and with it the contract of
+			// p goes out of scope here, and with it the contract of
 			// ReadChunksOrdered ends: the next chunk is decoded over this
-			// one's buffer (or, with a block cache installed, the chunk
+			// one's arrays (or, with a block cache installed, the chunk
 			// stays resident for other readers). Everything kept was copied
 			// into col above.
 			return nil
@@ -245,17 +248,19 @@ func (s *Store) FetchRows(ctx context.Context, ids []uint32) ([]MergedRow, error
 	vals := make([]float64, len(sc.cand)*dims)
 	for d := 0; d < dims; d++ {
 		want := uint8(d + 1)
-		err := s.ReadChunksOrdered(ctx, s.manifest.Chunks[d], func(_ ChunkMeta, entries []Entry) error {
-			for _, e := range entries {
-				for _, id := range e.Rows {
+		err := s.ReadChunksOrdered(ctx, s.manifest.Chunks[d], func(_ ChunkMeta, p Postings) error {
+			start := uint32(0)
+			for i, v := range p.Values {
+				for _, id := range p.Rows[start:p.Ends[i]] {
 					if int(id) >= n {
 						return errRowRange(id, n)
 					}
 					if hits[id] == want {
-						vals[int(slot[id])*dims+d] = e.Value
+						vals[int(slot[id])*dims+d] = v
 						hits[id]++
 					}
 				}
+				start = p.Ends[i]
 			}
 			return nil
 		})

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -69,19 +70,21 @@ func TestReadChunkRefusesResizedFile(t *testing.T) {
 	requireRows(t, "merge after the file is restored", rows, ds, ds.Select(st.Bounds()))
 }
 
-func cloneEntries(entries []Entry) []Entry {
-	out := make([]Entry, len(entries))
-	for i, e := range entries {
-		out[i] = Entry{Value: e.Value, Rows: append([]uint32(nil), e.Rows...)}
-	}
-	return out
+func clonePostings(p Postings) Postings {
+	return Postings{Values: slices.Clone(p.Values), Ends: slices.Clone(p.Ends), Rows: slices.Clone(p.Rows)}
+}
+
+// samePostings reports whether a and b are the same three arrays, not
+// merely equal ones.
+func samePostings(a, b Postings) bool {
+	return &a.Values[0] == &b.Values[0] && &a.Ends[0] == &b.Ends[0] && &a.Rows[0] == &b.Rows[0]
 }
 
 // TestReadChunksOrderedVisitScope pins the lifetime contract. Without a
-// block cache the entries of a visit live in storage the next visit is
+// block cache the postings of a visit live in arrays the next visit is
 // decoded over — the same memory, so the reuse is real — and a copy taken
-// inside the visit is what ReadChunk, the owning read, returns. With a
-// cache the visit sees the cached slice itself, which stays valid.
+// inside the visit is what readChunkDisk, the owning read, returns. With a
+// cache the visit sees the cached arrays themselves, which stay valid.
 func TestReadChunksOrderedVisitScope(t *testing.T) {
 	ctx := context.Background()
 	st, _ := lumpyStore(t, 900, 2, 40, 128, 31)
@@ -93,41 +96,40 @@ func TestReadChunksOrderedVisitScope(t *testing.T) {
 		t.Fatalf("store has %d chunks, the test wants several", len(metas))
 	}
 
-	// The same chunk three times: after the first visit the buffer is large
-	// enough, so nothing may move.
-	var heads []*Entry
-	var rows []*uint32
+	// The same chunk three times: after the first visit the arrays are
+	// large enough, so nothing may move.
+	var seen []Postings
 	m := metas[0]
-	err := st.ReadChunksOrdered(ctx, []ChunkMeta{m, m, m}, func(_ ChunkMeta, entries []Entry) error {
-		heads = append(heads, &entries[0])
-		rows = append(rows, &entries[0].Rows[0])
+	err := st.ReadChunksOrdered(ctx, []ChunkMeta{m, m, m}, func(_ ChunkMeta, p Postings) error {
+		seen = append(seen, p)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if heads[1] != heads[0] || heads[2] != heads[0] || rows[1] != rows[0] || rows[2] != rows[0] {
-		t.Fatalf("consecutive visits decoded into different memory: entries %p %p %p, row ids %p %p %p",
-			heads[0], heads[1], heads[2], rows[0], rows[1], rows[2])
+	if !samePostings(seen[1], seen[0]) || !samePostings(seen[2], seen[0]) {
+		t.Fatalf("consecutive visits decoded into different memory: values %p %p %p, ends %p %p %p, row ids %p %p %p",
+			&seen[0].Values[0], &seen[1].Values[0], &seen[2].Values[0], &seen[0].Ends[0], &seen[1].Ends[0], &seen[2].Ends[0],
+			&seen[0].Rows[0], &seen[1].Rows[0], &seen[2].Rows[0])
 	}
 
 	for _, workers := range []int{0, 3} {
 		st.SetWorkers(workers)
-		var copies [][]Entry
-		err := st.ReadChunksOrdered(ctx, metas, func(_ ChunkMeta, entries []Entry) error {
-			copies = append(copies, cloneEntries(entries))
+		var copies []Postings
+		err := st.ReadChunksOrdered(ctx, metas, func(_ ChunkMeta, p Postings) error {
+			copies = append(copies, clonePostings(p))
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, m := range metas {
-			own, err := st.ReadChunk(ctx, m)
+			own, err := st.readChunkDisk(ctx, m)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(copies[i], own) {
-				t.Fatalf("workers %d: the copy taken in visit %d differs from ReadChunk(%s)", workers, i, m.File)
+				t.Fatalf("workers %d: the copy taken in visit %d differs from the owning read of %s", workers, i, m.File)
 			}
 		}
 	}
@@ -135,28 +137,28 @@ func TestReadChunksOrderedVisitScope(t *testing.T) {
 	withBlockCache(t, st, 64<<20)
 	for _, workers := range []int{0, 3} {
 		st.SetWorkers(workers)
-		var kept [][]Entry
-		err := st.ReadChunksOrdered(ctx, metas, func(_ ChunkMeta, entries []Entry) error {
-			kept = append(kept, entries)
+		var kept []Postings
+		err := st.ReadChunksOrdered(ctx, metas, func(_ ChunkMeta, p Postings) error {
+			kept = append(kept, p)
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, m := range metas {
-			cached, err := st.ReadChunk(ctx, m)
+			cached, err := st.readChunkFor(ctx, m, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if &kept[i][0] != &cached[0] {
-				t.Fatalf("workers %d: visit %d saw a slice that is not the cached one", workers, i)
+			if !samePostings(kept[i], cached) {
+				t.Fatalf("workers %d: visit %d saw arrays that are not the cached ones", workers, i)
 			}
 			disk, err := st.readChunkDisk(ctx, m)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(kept[i], disk) {
-				t.Fatalf("workers %d: the slice kept from visit %d no longer equals chunk %s", workers, i, m.File)
+				t.Fatalf("workers %d: the arrays kept from visit %d no longer equal chunk %s", workers, i, m.File)
 			}
 		}
 	}
@@ -251,7 +253,7 @@ func TestPipelinedReadFailuresAndLeaks(t *testing.T) {
 	injected := errors.New("injected visit failure")
 	for k := range all {
 		seen := 0
-		err := st.ReadChunksOrdered(ctx, all, func(ChunkMeta, []Entry) error {
+		err := st.ReadChunksOrdered(ctx, all, func(ChunkMeta, Postings) error {
 			if seen == k {
 				return injected
 			}

@@ -50,16 +50,16 @@ type BuildOptions struct {
 }
 
 // BlockCache is the store's shared decoded-chunk cache type: decoded
-// entry slices keyed by chunk file name, SIEVE-evicted under a byte
-// budget, with single-flight miss deduplication.
-type BlockCache = blockcache.Cache[[]Entry]
+// chunks keyed by chunk file name, SIEVE-evicted under a byte budget, with
+// single-flight miss deduplication.
+type BlockCache = blockcache.Cache[Postings]
 
 // NewBlockCache builds a decoded-chunk cache over a byte-budget ledger.
 // Install it with SetBlockCache; one cache may back many stores as long as
 // their chunk file names cannot collide (stores over distinct directories
 // should use distinct caches).
 func NewBlockCache(budget *memcache.Budget) (*BlockCache, error) {
-	return blockcache.New[[]Entry](budget)
+	return blockcache.New[Postings](budget)
 }
 
 // Store is an opened chunk store. Reads are safe for concurrent use; the
@@ -334,11 +334,9 @@ func (s *Store) SetWorkers(n int) { s.workers = n }
 
 // SetBlockCache installs a shared decoded-chunk cache on every read path
 // of this store. It must be called before reads begin (it is not
-// synchronized against them). With a cache installed, the entry slices
-// ReadChunk and ReadChunksOrdered return are shared between all callers
-// and must be treated as immutable — every existing consumer already only
-// reads them. A miss decodes into an exactly-sized buffer of its own (two
-// allocations), which is what the cache then keeps.
+// synchronized against them). With a cache installed, the decoded chunks
+// ReadChunk and ReadChunksOrdered deliver are shared between all callers
+// and must be treated as immutable — every consumer only reads them.
 func (s *Store) SetBlockCache(c *BlockCache) { s.cache = c }
 
 // BlockCache returns the installed decoded-chunk cache, or nil.
@@ -351,63 +349,71 @@ func (s *Store) BlockCache() *BlockCache { return s.cache }
 // called before reads begin.
 func (s *Store) SetCacheKeyPrefix(prefix string) { s.cachePrefix = prefix }
 
-// ReadChunk loads and decodes one chunk, verifying its CRC and accounting
-// the read against the limiter and the store's I/O counters. A canceled ctx
-// aborts before the read is issued. Without a block cache the caller owns
-// the result: it is decoded into storage of its own (two allocations, the
-// entry headers and one row-id array every Rows is a sub-slice of). With a
-// block cache installed, a hit costs no I/O at all and concurrent misses
-// for the same chunk coalesce into a single disk read; the returned entries
-// are then shared and must not be mutated.
+// ReadChunk loads and decodes one chunk as one Entry per value: the read
+// every other path makes (through the block cache when there is one) plus
+// the Postings.Entries view of it. Nothing in the program calls it: it
+// stays because benchmark/layers.go times it for chunkstore.read_chunk_us,
+// chunkstore.decode_mb_s and blockcache.get_hit_ns — so those time the view
+// too — and a change outside benchmark/ may not edit that file; the next
+// benchmark change drops it. With a block cache installed the row ids are
+// the cached, shared ones and must not be mutated.
 func (s *Store) ReadChunk(ctx context.Context, meta ChunkMeta) ([]Entry, error) {
-	if s.cache == nil {
-		return s.readChunkDisk(ctx, meta)
+	p, err := s.readChunkFor(ctx, meta, new(Postings))
+	if err != nil {
+		return nil, err
 	}
-	return s.cache.GetOrLoad(ctx, s.cachePrefix+meta.File, func(ctx context.Context) ([]Entry, int64, error) {
-		entries, err := s.readChunkDisk(ctx, meta)
-		if err != nil {
-			return nil, 0, err
-		}
-		return entries, DecodedEntriesBytes(entries), nil
+	return p.Entries(), nil
+}
+
+// readChunkFor reads one chunk: through the block cache when there is one,
+// which then owns the decoded chunk, otherwise into p. A miss decodes into
+// storage of its own sized exactly from the manifest (three allocations),
+// which is what the cache keeps.
+func (s *Store) readChunkFor(ctx context.Context, m ChunkMeta, p *Postings) (Postings, error) {
+	if s.cache == nil {
+		return s.readChunkInto(ctx, m, p)
+	}
+	return s.cache.GetOrLoad(ctx, s.cachePrefix+m.File, func(ctx context.Context) (Postings, int64, error) {
+		p, err := s.readChunkDisk(ctx, m)
+		return p, p.Bytes(), err
 	})
 }
 
-// readChunkDisk is the owning disk read: a fresh buffer sized exactly by
-// the manifest, which the result keeps.
-func (s *Store) readChunkDisk(ctx context.Context, meta ChunkMeta) ([]Entry, error) {
-	return s.readChunkInto(ctx, meta, new(decodeBuf))
+// readChunkDisk is the owning disk read, into storage of its own.
+func (s *Store) readChunkDisk(ctx context.Context, meta ChunkMeta) (Postings, error) {
+	return s.readChunkInto(ctx, meta, new(Postings))
 }
 
 // readChunkInto wraps the raw disk read in a "chunk_read" span when the
 // context is traced (the guard is one context lookup, so the untraced
-// hot path stays free). The entries alias buf until its next decode.
-func (s *Store) readChunkInto(ctx context.Context, meta ChunkMeta, buf *decodeBuf) ([]Entry, error) {
+// hot path stays free). The result aliases p until its next decode.
+func (s *Store) readChunkInto(ctx context.Context, meta ChunkMeta, p *Postings) (Postings, error) {
 	if obs.SpanFromContext(ctx) == nil {
-		return s.readChunkIntoRaw(ctx, meta, buf)
+		return s.readChunkIntoRaw(ctx, meta, p)
 	}
 	_, span := obs.StartSpan(ctx, "chunk_read")
-	entries, err := s.readChunkIntoRaw(ctx, meta, buf)
+	got, err := s.readChunkIntoRaw(ctx, meta, p)
 	attrs := map[string]float64{"dim": float64(meta.Dim), "seq": float64(meta.Seq)}
 	if err != nil {
 		span.SetOutcome("error")
 	} else {
-		attrs["bytes"] = float64(DecodedEntriesBytes(entries))
+		attrs["bytes"] = float64(got.Bytes())
 	}
 	span.End(attrs)
-	return entries, err
+	return got, err
 }
 
 // readChunkIntoRaw is the uncached read path: size check, pooled file
-// read, CRC check, decode into buf, I/O accounting. The raw file buffer is
+// read, CRC check, decode into p, I/O accounting. The raw file buffer is
 // recycled as soon as the decode (which copies everything out) finishes.
-func (s *Store) readChunkIntoRaw(ctx context.Context, meta ChunkMeta, buf *decodeBuf) ([]Entry, error) {
+func (s *Store) readChunkIntoRaw(ctx context.Context, meta ChunkMeta, p *Postings) (Postings, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return Postings{}, err
 	}
 	start := time.Now()
 	bp, err := readFilePooled(s.dir, meta.File, meta.Bytes)
 	if err != nil {
-		return nil, err
+		return Postings{}, err
 	}
 	defer putFileBuf(bp)
 	data := *bp
@@ -417,20 +423,22 @@ func (s *Store) readChunkIntoRaw(ctx context.Context, meta ChunkMeta, buf *decod
 	s.mBytes.Add(int64(len(data)))
 	s.mChunks.Inc()
 	s.hRead.ObserveDuration(time.Since(start))
-	dim, entries, err := decodeChunkInto(data, buf, meta.RowRefs)
+	dim, err := decodeChunkInto(data, p, meta.RowRefs)
 	if err != nil {
-		return nil, fmt.Errorf("chunkstore: chunk %s: %w", meta.File, err)
+		return Postings{}, fmt.Errorf("chunkstore: chunk %s: %w", meta.File, err)
 	}
 	if dim != meta.Dim {
-		return nil, fmt.Errorf("chunkstore: chunk %s belongs to dimension %d, manifest says %d", meta.File, dim, meta.Dim)
+		return Postings{}, fmt.Errorf("chunkstore: chunk %s belongs to dimension %d, manifest says %d", meta.File, dim, meta.Dim)
 	}
-	return entries, nil
+	return *p, nil
 }
 
-// DecodedEntriesBytes estimates the resident footprint of a decoded chunk:
-// per entry the value, the Rows slice header, and four bytes per row id,
-// plus the outer slice header. It is the byte size the block cache
-// reserves against its budget per resident chunk.
+// DecodedEntriesBytes is the footprint of a chunk decoded as entries: per
+// entry the value and the Rows slice header, four bytes per row id, plus
+// the outer slice header. Nothing in the program calls it (the block cache
+// charges Postings.Bytes): it stays because benchmark/layers.go divides by
+// it for chunkstore.decode_mb_s and a change outside benchmark/ may not
+// edit that file; the next benchmark change drops it.
 func DecodedEntriesBytes(entries []Entry) int64 {
 	n := int64(24) // outer slice header
 	for i := range entries {
@@ -443,28 +451,28 @@ func DecodedEntriesBytes(entries []Entry) int64 {
 // fan-out bounded by SetWorkers — and delivers them to visit strictly in
 // slice order, one at a time. It overlaps chunk I/O and CRC/decode with the
 // caller's merge CPU while preserving the sequential merge semantics, so
-// results are identical to a ReadChunk loop. At most `workers` decoded
+// results are identical to a sequential loop. At most `workers` decoded
 // chunks are in memory at once (the §3.1 one-chunk discipline relaxed to
 // the configured fan-out). With workers <= 1 it degrades to the plain loop.
 //
-// entries is valid until visit returns: without a block cache it lives in
+// p is valid until visit returns: without a block cache its arrays are
 // pooled storage the next chunk is decoded over, so a visit copies out what
 // it keeps (as §3.1 has it: one chunk in memory, released before the next).
-// With a block cache it is the cached, shared, immutable slice.
-func (s *Store) ReadChunksOrdered(ctx context.Context, metas []ChunkMeta, visit func(meta ChunkMeta, entries []Entry) error) error {
+// With a block cache they are the cached, shared, immutable arrays.
+func (s *Store) ReadChunksOrdered(ctx context.Context, metas []ChunkMeta, visit func(meta ChunkMeta, p Postings) error) error {
 	w := s.workers
 	if w > len(metas) {
 		w = len(metas)
 	}
 	if w <= 1 {
-		buf := decodeBufPool.Get().(*decodeBuf)
-		defer decodeBufPool.Put(buf)
+		buf := postingsPool.Get().(*Postings)
+		defer postingsPool.Put(buf)
 		for _, m := range metas {
-			entries, err := s.readChunkFor(ctx, m, buf)
+			p, err := s.readChunkFor(ctx, m, buf)
 			if err != nil {
 				return err
 			}
-			if err := visit(m, entries); err != nil {
+			if err := visit(m, p); err != nil {
 				return err
 			}
 		}
@@ -472,9 +480,9 @@ func (s *Store) ReadChunksOrdered(ctx context.Context, metas []ChunkMeta, visit 
 	}
 
 	type res struct {
-		entries []Entry
-		buf     *decodeBuf
-		err     error
+		p   Postings
+		buf *Postings
+		err error
 	}
 	results := make([]chan res, len(metas))
 	for i := range results {
@@ -495,14 +503,14 @@ func (s *Store) ReadChunksOrdered(ctx context.Context, metas []ChunkMeta, visit 
 				return
 			}
 			go func(i int, m ChunkMeta) {
-				buf := decodeBufPool.Get().(*decodeBuf)
-				entries, err := s.readChunkFor(ctx, m, buf)
+				buf := postingsPool.Get().(*Postings)
+				p, err := s.readChunkFor(ctx, m, buf)
 				select {
-				case results[i] <- res{entries, buf, err}:
+				case results[i] <- res{p, buf, err}:
 					// The consumer pools buf after the visit; if it has
 					// left, buf is dropped with the channel.
 				case <-done:
-					decodeBufPool.Put(buf)
+					postingsPool.Put(buf)
 				}
 			}(i, m)
 		}
@@ -511,25 +519,16 @@ func (s *Store) ReadChunksOrdered(ctx context.Context, metas []ChunkMeta, visit 
 		r := <-results[i]
 		<-sem
 		if r.err == nil {
-			r.err = visit(m, r.entries)
+			r.err = visit(m, r.p)
 		}
 		// The reader that filled r.buf has finished and the visit is over:
 		// nothing can write or read it until the pool hands it out again.
-		decodeBufPool.Put(r.buf)
+		postingsPool.Put(r.buf)
 		if r.err != nil {
 			return r.err
 		}
 	}
 	return nil
-}
-
-// readChunkFor reads one chunk for a visit: through the block cache when
-// there is one, which then owns the decoded chunk, otherwise into buf.
-func (s *Store) readChunkFor(ctx context.Context, m ChunkMeta, buf *decodeBuf) ([]Entry, error) {
-	if s.cache != nil {
-		return s.ReadChunk(ctx, m)
-	}
-	return s.readChunkInto(ctx, m, buf)
 }
 
 // IOStats returns cumulative bytes and chunk files read through this store

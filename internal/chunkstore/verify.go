@@ -11,9 +11,10 @@ import (
 // VerifyError is the first broken invariant Verify met: the chunk file it
 // is about (empty when it concerns a whole dimension) and the manifest
 // field the chunks contradict — "bytes", "entries", "row_refs",
-// "min_value", "max_value", "row_count" — or "order" for values that do not
-// ascend, "rows" for a row id out of range or posted twice on a dimension,
-// and "file" for a chunk that cannot be read or decoded at all.
+// "min_value", "max_value", "row_count" — or "order" for values (or a
+// posting's row ids) that do not ascend, "rows" for a row id out of range or
+// posted twice on a dimension, and "file" for a chunk that cannot be read or
+// decoded at all.
 type VerifyError struct {
 	File  string
 	Field string
@@ -53,40 +54,38 @@ func Verify(ctx context.Context, s *Store) error {
 		clear(seen)
 		visited, posted := 0, 0
 		var last float64
-		err := s.ReadChunksOrdered(ctx, metas, func(m ChunkMeta, entries []Entry) error {
+		err := s.ReadChunksOrdered(ctx, metas, func(m ChunkMeta, p Postings) error {
 			fail := func(field, format string, args ...any) error {
 				return &VerifyError{m.File, field, fmt.Errorf(format, args...)}
 			}
-			if len(entries) != m.Entries || len(entries) == 0 {
-				return fail("entries", "decoded %d, manifest says %d", len(entries), m.Entries)
+			entries := len(p.Values)
+			if entries != m.Entries || entries == 0 {
+				return fail("entries", "decoded %d, manifest says %d", entries, m.Entries)
 			}
-			refs := 0
-			for _, e := range entries {
-				refs += len(e.Rows)
-			}
+			refs := len(p.Rows)
 			if refs != m.RowRefs {
 				return fail("row_refs", "decoded %d, manifest says %d", refs, m.RowRefs)
 			}
-			if v := entries[0].Value; v != m.MinValue {
+			if v := p.Values[0]; v != m.MinValue {
 				return fail("min_value", "first value %g, manifest says %g", v, m.MinValue)
 			}
-			if v := entries[len(entries)-1].Value; v != m.MaxValue {
+			if v := p.Values[entries-1]; v != m.MaxValue {
 				return fail("max_value", "last value %g, manifest says %g", v, m.MaxValue)
 			}
-			for i, e := range entries {
-				if (visited > 0 || i > 0) && !(e.Value > last) {
-					return fail("order", "entry %d value %g does not ascend from %g", i, e.Value, last)
+			// The decoder refused values out of order inside the chunk; what
+			// is left is the step from the chunk before.
+			if visited > 0 && !(p.Values[0] > last) {
+				return fail("order", "entry 0 value %g does not ascend from %g", p.Values[0], last)
+			}
+			last = p.Values[entries-1]
+			for _, id := range p.Rows {
+				if int(id) >= n {
+					return fail("rows", "row %d out of range [0,%d)", id, n)
 				}
-				last = e.Value
-				for _, id := range e.Rows {
-					if int(id) >= n {
-						return fail("rows", "row %d out of range [0,%d)", id, n)
-					}
-					if seen[id] {
-						return fail("rows", "row %d posted twice on dimension %d", id, d)
-					}
-					seen[id] = true
+				if seen[id] {
+					return fail("rows", "row %d posted twice on dimension %d", id, d)
 				}
+				seen[id] = true
 			}
 			visited++
 			posted += refs
@@ -98,6 +97,8 @@ func Verify(ctx context.Context, s *Store) error {
 			return ve
 		case err != nil && ctx.Err() != nil:
 			return err
+		case errors.Is(err, errUnordered):
+			return &VerifyError{metas[visited].File, "order", err}
 		case err != nil:
 			// Chunks are delivered in order, so the one that failed to read
 			// is the one after the last visited.

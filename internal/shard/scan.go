@@ -58,7 +58,7 @@ func (r *RetrievedPart) Check(dims int) error {
 // that hit the row. There is no table, no per-row allocation and no sort —
 // local order is global order within a part. The transient cost is
 // n·(8·dims + 1) bytes per part, plus the one decoded chunk of the visit in
-// flight: es is valid only until the visit returns (see
+// flight: ps is valid only until the visit returns (see
 // chunkstore.ReadChunksOrdered), and every value kept is copied into the
 // block inside it. Rows that missed a dimension are squeezed
 // out in place at the end; when none did, IDs is the part's idmap itself.
@@ -88,20 +88,23 @@ func ScanMarked(ctx context.Context, g *grid.Grid, p *Part, marked [][]bool) (Re
 		}
 		mk, col, seen := marked[d], blk.Col(d), uint8(d)
 		lo, hi := g.Bounds().Min[d], g.Bounds().Max[d]
-		err = p.Store.ReadChunksOrdered(ctx, metas, func(_ chunkstore.ChunkMeta, es []chunkstore.Entry) error {
-			entries += len(es)
-			for _, e := range es {
+		err = p.Store.ReadChunksOrdered(ctx, metas, func(_ chunkstore.ChunkMeta, ps chunkstore.Postings) error {
+			entries += len(ps.Values)
+			start := uint32(0)
+			for i, v := range ps.Values {
+				ids := ps.Rows[start:ps.Ends[i]]
+				start = ps.Ends[i]
 				if all {
 					// Every segment is marked, so which one holds the value
 					// cannot matter; a value outside the domain, NaN included,
 					// still fails as SegmentOf fails it.
-					if !(e.Value >= lo && e.Value <= hi) {
-						if _, err := g.SegmentOf(d, e.Value); err != nil {
+					if !(v >= lo && v <= hi) {
+						if _, err := g.SegmentOf(d, v); err != nil {
 							return err
 						}
 					}
 				} else {
-					seg, err := g.SegmentOf(d, e.Value)
+					seg, err := g.SegmentOf(d, v)
 					if err != nil {
 						return err
 					}
@@ -109,14 +112,14 @@ func ScanMarked(ctx context.Context, g *grid.Grid, p *Part, marked [][]bool) (Re
 						continue
 					}
 				}
-				for _, id := range e.Rows {
+				for _, id := range ids {
 					if int(id) >= n {
 						return fmt.Errorf("shard: row %d out of range [0,%d)", id, n)
 					}
 					// A row that missed an earlier dimension stays behind for
 					// good; one posted twice on this dimension counts once.
 					if hits[id] == seen {
-						col[id] = e.Value
+						col[id] = v
 						hits[id]++
 					}
 				}
