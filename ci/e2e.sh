@@ -8,6 +8,8 @@
 #                   and no step or result may report degraded
 #   4. live:        append-while-exploring over HTTP, uei-ingest -inspect
 #                   and -verify
+#   5. old format:  a store whose manifest says format 1 fails -verify,
+#                   naming the rebuild
 #
 # Every server runs under -trace and every trace must pass uei-trace -strict.
 # Run it from anywhere: bash ci/e2e.sh
@@ -210,5 +212,14 @@ drain "$srv"
 grep -q 'epoch' "$work/inspect.txt" || fail "inspect lost the manifest"
 "$bin/uei-ingest" -verify "$work/live" >/dev/null || fail "the live store fails -verify after appends"
 strict_trace live.jsonl
+
+echo "== old format: refused, naming the rebuild"
+"$bin/uei-ingest" -gen 6000 -chunk 4096 -out "$work/old" >/dev/null
+sed -i 's/"format_version": 2/"format_version": 1/' "$work/old/manifest.json"
+grep -q '"format_version": 1' "$work/old/manifest.json" || fail "the manifest was not rewritten to format 1"
+if "$bin/uei-ingest" -verify "$work/old" >"$work/old.txt" 2>&1; then
+  fail "-verify accepted a format-1 store"
+fi
+grep -q 'rebuild the store with uei-ingest' "$work/old.txt" || fail "-verify did not name the rebuild: $(cat "$work/old.txt")"
 
 echo "e2e: ok"

@@ -353,7 +353,8 @@ func inspectStore(dir string) error {
 	fmt.Printf("store %s:\n", dir)
 	fmt.Printf("  rows:          %d\n", st.RowCount())
 	fmt.Printf("  dimensions:    %d (%v)\n", st.Dims(), m.Columns)
-	fmt.Printf("  total bytes:   %d\n", st.TotalBytes())
+	fmt.Printf("  total bytes:   %d (%.2f B/row)\n", st.TotalBytes(), perRow(st.TotalBytes(), st.RowCount()))
+	fmt.Printf("  chunk format:  v%d\n", chunkstore.ChunkVersion)
 	fmt.Printf("  chunk target:  %d bytes\n", m.TargetChunkBytes)
 	for d, chunks := range m.Chunks {
 		var bytes int64
@@ -362,10 +363,18 @@ func inspectStore(dir string) error {
 			bytes += c.Bytes
 			refs += c.RowRefs
 		}
-		fmt.Printf("  dim %d (%s): %d chunks, %d bytes, %d row refs, values [%g, %g]\n",
-			d, m.Columns[d], len(chunks), bytes, refs, m.MinValues[d], m.MaxValues[d])
+		fmt.Printf("  dim %d (%s): %d chunks, %d bytes (%.2f B/row), %d row refs, values [%g, %g]\n",
+			d, m.Columns[d], len(chunks), bytes, perRow(bytes, st.RowCount()), refs, m.MinValues[d], m.MaxValues[d])
 	}
 	return nil
+}
+
+// perRow is bytes spread over rows, 0 for a store without rows.
+func perRow(bytes int64, rows int) float64 {
+	if rows == 0 {
+		return 0
+	}
+	return float64(bytes) / float64(rows)
 }
 
 // verifyStore runs chunkstore.Verify over every flat store of the layout
@@ -400,7 +409,7 @@ func verifyStore(dir string) error {
 		if err := chunkstore.Verify(context.Background(), st); err != nil {
 			return fmt.Errorf("%s: %w", part, err)
 		}
-		fmt.Printf("%s: ok (%d rows, %d bytes in chunks)\n", part, st.RowCount(), st.TotalBytes())
+		fmt.Printf("%s: ok (%d rows, %d bytes in chunks, %.2f B/row)\n", part, st.RowCount(), st.TotalBytes(), perRow(st.TotalBytes(), st.RowCount()))
 	}
 	return nil
 }

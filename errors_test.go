@@ -2,12 +2,17 @@ package uei_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/uei-db/uei"
+	"github.com/uei-db/uei/internal/chunkstore"
 )
 
 // buildSmallStore builds a small store and returns its directory.
@@ -191,5 +196,82 @@ func TestOwnerOfCellLayoutMismatch(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "1073741824") {
 		t.Errorf("error %q does not name the offending cell id", err)
+	}
+}
+
+// setFormatVersion rewrites the format_version of every flat-store
+// manifest under dir — the store itself, each shard, each live segment —
+// and returns their paths.
+func setFormatVersion(t *testing.T, dir string, version int) []string {
+	t.Helper()
+	var parts []string
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.Name() != "manifest.json" {
+			return err
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		var m map[string]any
+		if err := json.Unmarshal(raw, &m); err != nil {
+			return err
+		}
+		m["format_version"] = version
+		if raw, err = json.Marshal(m); err != nil {
+			return err
+		}
+		parts = append(parts, filepath.Dir(path))
+		return os.WriteFile(path, raw, 0o644)
+	})
+	if err != nil || len(parts) == 0 {
+		t.Fatalf("doctoring %s: %d manifests, err %v", dir, len(parts), err)
+	}
+	return parts
+}
+
+// TestErrFormatVersionRoundTrip: a store whose manifests say format 1 —
+// written before chunk version 2 — fails to open with uei.ErrFormatVersion
+// and names the rebuild, on every layout, and a chunk whose header says
+// version 1 is refused by name when it is read.
+func TestErrFormatVersionRoundTrip(t *testing.T) {
+	ctx := context.Background()
+	_, ds := buildSmallStore(t, 500)
+	for name, opts := range map[string]uei.BuildOptions{
+		"flat":    {TargetChunkBytes: 4096},
+		"sharded": {TargetChunkBytes: 4096, Shards: 2},
+		"live":    {TargetChunkBytes: 4096, Shards: 2, LiveIngest: true},
+	} {
+		dir := t.TempDir()
+		if err := uei.Build(ctx, dir, ds, opts); err != nil {
+			t.Fatal(err)
+		}
+		parts := setFormatVersion(t, dir, 1)
+		if _, err := chunkstore.Open(parts[0], nil); !errors.Is(err, uei.ErrFormatVersion) || !strings.Contains(err.Error(), "uei-ingest") {
+			t.Errorf("%s: chunkstore.Open: err = %v, want ErrFormatVersion naming uei-ingest", name, err)
+		}
+		if _, err := uei.Open(ctx, dir, uei.Options{MemoryBudgetBytes: ds.SizeBytes()}); !errors.Is(err, uei.ErrFormatVersion) {
+			t.Errorf("%s: Open: err = %v, want ErrFormatVersion", name, err)
+		}
+		setFormatVersion(t, dir, 2)
+		if name != "flat" {
+			continue
+		}
+		st, err := chunkstore.Open(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, st.Manifest().Chunks[0][0].File)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[4] = 1
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := chunkstore.Verify(ctx, st); err == nil || !strings.Contains(err.Error(), "unsupported chunk version 1") {
+			t.Errorf("a version-1 chunk header: Verify err = %v", err)
+		}
 	}
 }

@@ -1,36 +1,64 @@
 package chunkstore
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
+	"slices"
 )
 
-// Chunk file layout (little endian):
+// Chunk file layout, version 2 (little endian):
 //
-//	magic   [4]byte  "UEIC"
-//	version uint16   (currently 1)
-//	dim     uint16   dimension index the chunk belongs to
-//	entries uint32   number of postings
-//	min     float64  smallest value in the chunk
-//	max     float64  largest value in the chunk
-//	payload entries × { value float64, rowCount uvarint, row-id deltas uvarint… }
-//	crc32   uint32   IEEE CRC of everything before it
+//	magic    [4]byte  "UEIC"
+//	version  uint16   2
+//	dim      uint16   dimension index the chunk belongs to
+//	entries  uint32   number of postings
+//	rows     uint32   number of row ids over all postings
+//	w        uint8    row-id width in bits, 1…32
+//	c        uint8    posting-count width in bits, 0…32
+//	reserved uint16   0
+//	min      float64  smallest value in the chunk
+//	max      float64  largest value in the chunk
+//	values   [entries]float64, strictly ascending
+//	counts   each posting's row count − 1, packed at c bits (absent when c = 0)
+//	ids      every row id in posting order, packed at w bits
+//	crc32    uint32   CRC-32C of everything before it
 //
-// Posting lists are delta-encoded ascending row ids. Values are strictly
-// increasing within a chunk (they are distinct by construction); the
-// decoder refuses a chunk where they, or a posting's row ids, are not.
+// Packed sections are LSB-first, item k at bits [k·w, (k+1)·w), and end on
+// a byte with its unused bits zero. c = 0 means every posting holds one
+// row. Ids are absolute, so no field's position depends on another's
+// value: decode is a copy of the values, a prefix sum of the counts and a
+// fixed-stride unpack of the ids. The decoder refuses a chunk whose values,
+// or whose postings' row ids, do not strictly ascend.
 const (
-	chunkMagic   = "UEIC"
-	chunkVersion = 1
-	headerSize   = 4 + 2 + 2 + 4 + 8 + 8
-	// minEntrySize is the smallest encoded posting: a value, a one-byte
-	// row count and one one-byte row id.
-	minEntrySize = 8 + 1 + 1
+	chunkMagic = "UEIC"
+	headerSize = 4 + 2 + 2 + 4 + 4 + 1 + 1 + 2 + 8 + 8
+	// minEntrySize is the smallest encoded posting: a value and one
+	// one-bit row id, which takes a byte of its own.
+	minEntrySize = 8 + 1
 )
+
+// ChunkVersion is the one chunk file version this package writes and
+// reads.
+const ChunkVersion = 2
+
+// castagnoli is the CRC-32C table of the chunk checksum.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// chunkWidths returns the row-id and posting-count widths of a chunk whose
+// largest row id is maxID and whose longest posting holds maxCount ids.
+func chunkWidths(maxID uint32, maxCount int) (w, c uint) {
+	return uint(max(1, bits.Len32(maxID))), uint(bits.Len32(uint32(maxCount - 1)))
+}
+
+// payloadSize is the exact byte size of a payload of the given entries and
+// rows at widths w and c.
+func payloadSize(entries, rows uint64, w, c uint) uint64 {
+	return 8*entries + (entries*uint64(c)+7)/8 + (rows*uint64(w)+7)/8
+}
 
 // encodeChunk serializes entries for dimension dim. Entries must be sorted
 // ascending by value and non-empty.
@@ -41,15 +69,7 @@ func encodeChunk(dim int, entries []Entry) ([]byte, error) {
 	if dim < 0 || dim > math.MaxUint16 {
 		return nil, fmt.Errorf("chunkstore: dimension %d out of uint16 range", dim)
 	}
-	var buf bytes.Buffer
-	buf.WriteString(chunkMagic)
-	writeU16(&buf, chunkVersion)
-	writeU16(&buf, uint16(dim))
-	writeU32(&buf, uint32(len(entries)))
-	writeF64(&buf, entries[0].Value)
-	writeF64(&buf, entries[len(entries)-1].Value)
-
-	var tmp [binary.MaxVarintLen64]byte
+	rows, maxID, maxCount := 0, uint32(0), 0
 	prevValue := math.Inf(-1)
 	for i, e := range entries {
 		if len(e.Rows) == 0 {
@@ -59,33 +79,91 @@ func encodeChunk(dim int, entries []Entry) ([]byte, error) {
 			return nil, fmt.Errorf("chunkstore: entry %d value %g not strictly increasing after %g", i, e.Value, prevValue)
 		}
 		prevValue = e.Value
-		writeF64(&buf, e.Value)
-		n := binary.PutUvarint(tmp[:], uint64(len(e.Rows)))
-		buf.Write(tmp[:n])
-		prev := uint32(0)
-		for j, r := range e.Rows {
-			if j > 0 && r <= prev {
+		for j := 1; j < len(e.Rows); j++ {
+			if e.Rows[j] <= e.Rows[j-1] {
 				return nil, fmt.Errorf("chunkstore: entry %d posting list not strictly increasing at %d", i, j)
 			}
-			d := r
-			if j > 0 {
-				d = r - prev
-			}
-			n := binary.PutUvarint(tmp[:], uint64(d))
-			buf.Write(tmp[:n])
-			prev = r
+		}
+		rows += len(e.Rows)
+		maxID = max(maxID, e.Rows[len(e.Rows)-1])
+		maxCount = max(maxCount, len(e.Rows))
+	}
+	if len(entries) > math.MaxUint32 || rows > math.MaxUint32 {
+		return nil, fmt.Errorf("chunkstore: %d entries with %d row ids overflow a chunk header", len(entries), rows)
+	}
+	w, c := chunkWidths(maxID, maxCount)
+	size := headerSize + int(payloadSize(uint64(len(entries)), uint64(rows), w, c)) + 4
+	buf := make([]byte, headerSize, size)
+	copy(buf, chunkMagic)
+	binary.LittleEndian.PutUint16(buf[4:], ChunkVersion)
+	binary.LittleEndian.PutUint16(buf[6:], uint16(dim))
+	binary.LittleEndian.PutUint32(buf[8:], uint32(len(entries)))
+	binary.LittleEndian.PutUint32(buf[12:], uint32(rows))
+	buf[16], buf[17] = byte(w), byte(c)
+	binary.LittleEndian.PutUint64(buf[20:], math.Float64bits(entries[0].Value))
+	binary.LittleEndian.PutUint64(buf[28:], math.Float64bits(entries[len(entries)-1].Value))
+	for _, e := range entries {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Value))
+	}
+	if c > 0 {
+		var bw bitWriter
+		for _, e := range entries {
+			buf = bw.append(buf, uint32(len(e.Rows)-1), c)
+		}
+		buf = bw.flush(buf)
+	}
+	var bw bitWriter
+	for _, e := range entries {
+		for _, r := range e.Rows {
+			buf = bw.append(buf, r, w)
 		}
 	}
-	crc := crc32.ChecksumIEEE(buf.Bytes())
-	writeU32(&buf, crc)
-	return buf.Bytes(), nil
+	buf = bw.flush(buf)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli)), nil
+}
+
+// bitWriter packs values LSB-first: acc holds the n bits not yet written.
+type bitWriter struct {
+	acc uint64
+	n   uint
+}
+
+func (b *bitWriter) append(buf []byte, v uint32, width uint) []byte {
+	b.acc |= uint64(v) << b.n
+	for b.n += width; b.n >= 8; b.n -= 8 {
+		buf = append(buf, byte(b.acc))
+		b.acc >>= 8
+	}
+	return buf
+}
+
+// flush writes the last partial byte, its unused bits zero.
+func (b *bitWriter) flush(buf []byte) []byte {
+	if b.n > 0 {
+		buf = append(buf, byte(b.acc))
+	}
+	*b = bitWriter{}
+	return buf
 }
 
 // errUnordered marks a CRC-valid chunk whose values or row ids do not
-// strictly ascend. Every reader trusts that order — MergeChunks stops at the
-// first value past the box — so the decoder refuses such a chunk, and Verify
-// reports it as "order".
+// strictly ascend. Every reader trusts that order — MergeChunks starts at
+// the box's lower edge by binary search and stops at the first value past
+// it — so the decoder refuses such a chunk, and Verify reports it as
+// "order".
 var errUnordered = errors.New("not strictly ascending")
+
+// headerMismatch is a chunk whose header disagrees with its manifest
+// record on field — "dim", "entries" or "row_refs" — which Verify reports
+// under that name.
+type headerMismatch struct {
+	field     string
+	got, want int
+}
+
+func (e *headerMismatch) Error() string {
+	return fmt.Sprintf("chunkstore: chunk header says %s %d, manifest says %d", e.field, e.got, e.want)
+}
 
 // Postings is a decoded chunk as three flat columns: value Values[i] posts
 // the ascending row ids Rows[Ends[i-1]:Ends[i]] (Rows[:Ends[0]] for i = 0).
@@ -123,190 +201,129 @@ func (p Postings) Entries() []Entry {
 // decodeChunk parses a chunk file and verifies its CRC. It returns the
 // dimension the chunk belongs to and its postings, in storage of their own.
 func decodeChunk(data []byte) (dim int, p Postings, err error) {
-	dim, err = decodeChunkInto(data, &p, 0)
+	dim, err = decodeChunkInto(data, &p, nil)
 	return dim, p, err
 }
 
 // decodeChunkInto is decodeChunk into p, overwriting whatever p held and
-// reusing its arrays where they are large enough. rowsHint is the row-id
-// total the caller expects (ChunkMeta.RowRefs) and sizes Rows once; it is a
-// hint from a file, so it is clamped to what the payload can encode, and a
-// wrong one costs a second allocation, never a wrong result.
-func decodeChunkInto(data []byte, p *Postings, rowsHint int) (dim int, err error) {
+// reusing its arrays where they are large enough. When want is non-nil the
+// header's dimension, entries and rows must be its Dim, Entries and
+// RowRefs. Every count is checked against the payload's exact size before
+// anything is allocated.
+func decodeChunkInto(data []byte, p *Postings, want *ChunkMeta) (dim int, err error) {
 	if len(data) < headerSize+4 {
 		return 0, fmt.Errorf("chunkstore: chunk truncated: %d bytes", len(data))
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	wantCRC := binary.LittleEndian.Uint32(tail)
-	if got := crc32.ChecksumIEEE(body); got != wantCRC {
-		return 0, fmt.Errorf("chunkstore: chunk corrupted: crc %#x, want %#x", got, wantCRC)
+	if string(data[:4]) != chunkMagic {
+		return 0, fmt.Errorf("chunkstore: bad magic %q", data[:4])
 	}
-	if string(body[:4]) != chunkMagic {
-		return 0, fmt.Errorf("chunkstore: bad magic %q", body[:4])
-	}
-	version := binary.LittleEndian.Uint16(body[4:6])
-	if version != chunkVersion {
+	if version := binary.LittleEndian.Uint16(data[4:6]); version != ChunkVersion {
 		return 0, fmt.Errorf("chunkstore: unsupported chunk version %d", version)
 	}
+	body, tail := data[:len(data)-4], data[len(data)-4:]
+	if got, wantCRC := crc32.Checksum(body, castagnoli), binary.LittleEndian.Uint32(tail); got != wantCRC {
+		return 0, fmt.Errorf("chunkstore: chunk corrupted: crc %#x, want %#x", got, wantCRC)
+	}
 	dim = int(binary.LittleEndian.Uint16(body[6:8]))
-	count := binary.LittleEndian.Uint32(body[8:12])
-	// min/max at body[12:28] are redundant with the entries; the manifest
-	// uses them without reading the payload, and decode re-derives them.
+	entries := binary.LittleEndian.Uint32(body[8:12])
+	rows := binary.LittleEndian.Uint32(body[12:16])
+	w, c := uint(body[16]), uint(body[17])
+	// min/max at body[20:36] are redundant with the values; the manifest
+	// records them from the entries, and decode re-derives them.
+	if w < 1 || w > 32 || c > 32 || body[18]|body[19] != 0 {
+		return 0, fmt.Errorf("chunkstore: bad widths: ids %d bits, counts %d bits, reserved %#x", w, c, body[18:20])
+	}
+	if want != nil {
+		for _, f := range [...]headerMismatch{{"dim", dim, want.Dim}, {"entries", int(entries), want.Entries}, {"row_refs", int(rows), want.RowRefs}} {
+			if f.got != f.want {
+				return 0, &f
+			}
+		}
+	}
 	payload := body[headerSize:]
+	if size := payloadSize(uint64(entries), uint64(rows), w, c); size != uint64(len(payload)) {
+		return 0, fmt.Errorf("chunkstore: %d entries with %d row ids at %d+%d bits take %d bytes, payload has %d", entries, rows, w, c, size, len(payload))
+	}
+	if c == 0 && rows != entries {
+		return 0, fmt.Errorf("chunkstore: %d row ids in %d one-row postings", rows, entries)
+	}
+	vals := payload[:8*uint64(entries)]
+	counts := payload[len(vals) : uint64(len(vals))+(uint64(entries)*uint64(c)+7)/8]
+	ids := payload[len(vals)+len(counts):]
+	if !paddingZero(counts, uint64(entries)*uint64(c)) || !paddingZero(ids, uint64(rows)*uint64(w)) {
+		return 0, fmt.Errorf("chunkstore: nonzero padding bits")
+	}
 
-	// Counts come from the file and a CRC only proves the writer meant
-	// them: bound each by what the bytes left can hold before allocating.
-	if uint64(count)*minEntrySize > uint64(len(payload)) {
-		return 0, fmt.Errorf("chunkstore: %d entries cannot fit a %d-byte payload", count, len(payload))
-	}
-	// Ends are uint32: a row id takes at least a byte, so a payload below
-	// 4 GiB cannot post more.
-	if uint64(len(payload)) > math.MaxUint32 {
-		return 0, fmt.Errorf("chunkstore: %d-byte payload exceeds 4 GiB", len(payload))
-	}
-	values, ends := p.Values[:0], p.Ends[:0]
-	if cap(values) < int(count) {
-		values = make([]float64, 0, count)
-	}
-	if cap(ends) < int(count) {
-		ends = make([]uint32, 0, count)
-	}
-	// Every entry holds at least one row id, and a row id takes at least
-	// one byte of what the entries' nine-byte minimum headers leave.
-	rows := p.Rows[:0]
-	if want := min(max(rowsHint, int(count)), len(payload)-(minEntrySize-1)*int(count)); cap(rows) < want {
-		rows = make([]uint32, 0, want)
-	}
-	off := 0
+	values := slices.Grow(p.Values[:0], int(entries))[:entries]
 	last := math.Inf(-1)
-	for i := uint32(0); i < count; i++ {
-		if off+8 > len(payload) {
-			return 0, fmt.Errorf("chunkstore: payload truncated at entry %d", i)
-		}
-		value := math.Float64frombits(binary.LittleEndian.Uint64(payload[off:]))
-		off += 8
+	for i := range values {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(vals[8*i:]))
 		// NaN ascends from nothing and nothing ascends from it.
-		if !(value > last) {
-			return 0, fmt.Errorf("chunkstore: entry %d value %g after %g: %w", i, value, last, errUnordered)
+		if !(v > last) {
+			return 0, fmt.Errorf("chunkstore: entry %d value %g after %g: %w", i, v, last, errUnordered)
 		}
-		last = value
-		var rowCount uint64
-		var n int
-		if off < len(payload) && payload[off] < 0x80 {
-			rowCount, n = uint64(payload[off]), 1
-		} else if rowCount, n = binary.Uvarint(payload[off:]); n <= 0 {
-			return 0, fmt.Errorf("chunkstore: bad posting count at entry %d", i)
-		}
-		off += n
-		if rowCount == 0 {
-			return 0, fmt.Errorf("chunkstore: empty posting list at entry %d", i)
-		}
-		if rowCount > uint64(len(payload)-off) {
-			return 0, fmt.Errorf("chunkstore: %d postings at entry %d cannot fit the %d bytes left", rowCount, i, len(payload)-off)
-		}
-		a := len(rows)
-		b := a + int(rowCount)
-		if b > cap(rows) {
-			// The hint was short. Rows stays contiguous, so it grows by
-			// copying, to room for everything still to come, again bounded
-			// by the bytes left.
-			rows = append(make([]uint32, 0, a+max(int(rowCount), len(payload)-off-(minEntrySize-1)*int(count-1-i))), rows...)
-		}
-		rows = rows[:b]
-		// The first row id is absolute and parsed here, so a one-row
-		// posting — every posting of a real-valued dimension — makes no
-		// call; decodeDeltas parses the deltas after it.
-		id, n := uint64(0), 0
-		if off+3 <= len(payload) {
-			id, n = uvarint3(payload[off], payload[off+1], payload[off+2])
-		}
-		if n == 0 {
-			if id, n = binary.Uvarint(payload[off:]); n <= 0 {
-				return 0, fmt.Errorf("chunkstore: bad row delta at entry %d posting 0", i)
-			}
-		}
-		off += n
-		if id > math.MaxUint32 {
-			return 0, fmt.Errorf("chunkstore: row id overflow at entry %d", i)
-		}
-		rows[a] = uint32(id)
-		if rowCount > 1 {
-			var err error
-			if off, err = decodeDeltas(payload, off, rows[a:b], i); err != nil {
-				return 0, err
-			}
-		}
-		values = append(values, value)
-		ends = append(ends, uint32(b))
+		values[i], last = v, v
 	}
-	if off != len(payload) {
-		return 0, fmt.Errorf("chunkstore: %d trailing payload bytes", len(payload)-off)
+	ends := slices.Grow(p.Ends[:0], int(entries))[:entries]
+	if c == 0 {
+		for i := range ends {
+			ends[i] = uint32(i + 1)
+		}
+	} else {
+		unpack(ends, counts, c)
+		sum := uint64(0)
+		for i, n := range ends {
+			sum += uint64(n) + 1
+			ends[i] = uint32(sum)
+		}
+		if sum != uint64(rows) {
+			return 0, fmt.Errorf("chunkstore: posting counts sum to %d, header says %d rows", sum, rows)
+		}
 	}
-	*p = Postings{Values: values, Ends: ends, Rows: rows}
+	ids32 := slices.Grow(p.Rows[:0], int(rows))[:rows]
+	unpack(ids32, ids, w)
+	if c > 0 {
+		start := uint32(0)
+		for i, end := range ends {
+			for j := start + 1; j < end; j++ {
+				if ids32[j] <= ids32[j-1] {
+					return 0, fmt.Errorf("chunkstore: entry %d posting %d: row %d after %d: %w", i, j-start, ids32[j], ids32[j-1], errUnordered)
+				}
+			}
+			start = end
+		}
+	}
+	*p = Postings{Values: values, Ends: ends, Rows: ids32}
 	return dim, nil
 }
 
-// decodeDeltas parses the delta-coded row ids of entry i's posting after
-// the first, which dst[0] holds, from payload[off:] into dst[1:], and
-// returns the offset after them.
-func decodeDeltas(payload []byte, off int, dst []uint32, i uint32) (int, error) {
-	prev := uint64(dst[0])
-	for j := 1; j < len(dst); j++ {
-		var d uint64
-		var n int
-		if off+3 <= len(payload) {
-			d, n = uvarint3(payload[off], payload[off+1], payload[off+2])
+// paddingZero reports whether the bits of section past its first n are
+// zero.
+func paddingZero(section []byte, n uint64) bool {
+	return n%8 == 0 || section[len(section)-1]>>(n%8) == 0
+}
+
+// unpack fills dst with the len(dst) values packed LSB-first at width bits
+// in src. Item k is one unaligned 8-byte load at byte k·width/8, a shift
+// and a mask — no item's position waits on another's value — and the items
+// whose load would run past src read a zero-padded copy of its tail.
+func unpack(dst []uint32, src []byte, width uint) {
+	mask := uint64(1)<<width - 1
+	k, bit := 0, uint(0)
+	if len(src) >= 8 {
+		for fast := min(len(dst), ((len(src)-8)*8+7)/int(width)+1); k < fast; k++ {
+			dst[k] = uint32(binary.LittleEndian.Uint64(src[bit>>3:bit>>3+8]) >> (bit & 7) & mask)
+			bit += width
 		}
-		if n == 0 {
-			if d, n = binary.Uvarint(payload[off:]); n <= 0 {
-				return 0, fmt.Errorf("chunkstore: bad row delta at entry %d posting %d", i, j)
-			}
-		}
-		off += n
-		if d == 0 {
-			return 0, fmt.Errorf("chunkstore: entry %d posting %d repeats row %d: %w", i, j, prev, errUnordered)
-		}
-		// Written so that no delta can wrap prev past 2⁶⁴ back into range.
-		if d > math.MaxUint32-prev {
-			return 0, fmt.Errorf("chunkstore: row id overflow at entry %d", i)
-		}
-		prev += d
-		dst[j] = uint32(prev)
 	}
-	return off, nil
-}
-
-// uvarint3 decodes a varint of one to three bytes — row ids and deltas
-// below 2²¹, nearly every varint in a chunk — from its first three bytes
-// without a branch on its length: the continuation bits of the first two
-// mask what the next ones contribute, so the next varint's offset waits on
-// three loads and a few ALU ops, never on a mispredicted length. It returns
-// n = 0 for a longer encoding, which is binary.Uvarint's. It takes bytes,
-// not a slice and an offset, to stay under the inliner's budget.
-func uvarint3(b0, b1, b2 byte) (v uint64, n int) {
-	x0, x1, x2 := uint64(b0), uint64(b1), uint64(b2)
-	c0 := x0 >> 7
-	c1 := c0 & (x1 >> 7)
-	if c1&(x2>>7) != 0 {
-		return 0, 0
+	if k == len(dst) {
+		return
 	}
-	return x0&0x7f | (x1&0x7f)<<7&-c0 | x2<<14&-c1, int(1 + c0 + c1)
-}
-
-func writeU16(buf *bytes.Buffer, v uint16) {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeU32(buf *bytes.Buffer, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeF64(buf *bytes.Buffer, v float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	buf.Write(b[:])
+	var pad [16]byte
+	base := bit >> 3
+	copy(pad[:], src[base:])
+	for bit -= base * 8; k < len(dst); k++ {
+		dst[k] = uint32(binary.LittleEndian.Uint64(pad[bit>>3:]) >> (bit & 7) & mask)
+		bit += width
+	}
 }

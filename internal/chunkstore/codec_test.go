@@ -1,8 +1,12 @@
 package chunkstore
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -105,42 +109,69 @@ func TestDecodeDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsWrongMagicAndVersion: a bad magic is refused under a
+// valid CRC, and a chunk a version-1 writer made — varint postings, an IEEE
+// CRC — is refused by its version, before a checksum of another polynomial
+// could call it corrupt.
 func TestDecodeRejectsWrongMagicAndVersion(t *testing.T) {
-	data, _ := encodeChunk(0, sampleEntries())
-	bad := append([]byte(nil), data...)
-	copy(bad, "NOPE")
-	// Recompute nothing: CRC check fires first, which is fine — corrupting
-	// the magic is corruption. To test the magic branch specifically we
-	// would need a valid CRC over a bad magic, so rebuild it by hand.
-	if _, _, err := decodeChunk(bad); err == nil {
-		t.Error("bad magic should fail")
-	}
-}
-
-func TestEntryEncodedSizeMatchesCodec(t *testing.T) {
-	entries := sampleEntries()
-	var want int
-	for _, e := range entries {
-		want += entryEncodedSize(e)
-	}
-	data, err := encodeChunk(0, entries)
+	data, err := encodeChunk(0, sampleEntries())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := len(data) - headerSize - 4 // strip header and CRC
-	if got != want {
-		t.Errorf("payload %d bytes, entryEncodedSize sums to %d", got, want)
+	bad := bytes.Clone(data[:len(data)-4])
+	copy(bad, "NOPE")
+	if _, _, err := decodeChunk(reseal(bad)); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Errorf("bad magic: err = %v", err)
+	}
+	if _, _, err := decodeChunk(v1Chunk(0, sampleEntries())); err == nil || err.Error() != "chunkstore: unsupported chunk version 1" {
+		t.Errorf("version-1 chunk: err = %v", err)
 	}
 }
 
-func TestUvarintLen(t *testing.T) {
-	cases := []struct {
-		v    uint64
-		want int
-	}{{0, 1}, {127, 1}, {128, 2}, {16383, 2}, {16384, 3}, {math.MaxUint64, 10}}
-	for _, c := range cases {
-		if got := uvarintLen(c.v); got != c.want {
-			t.Errorf("uvarintLen(%d) = %d, want %d", c.v, got, c.want)
+// v1Chunk lays entries out as a version-1 writer did: a 28-byte header
+// (magic, version, dim, entries, min, max), per posting a value, a varint
+// row count and varint row-id deltas, then an IEEE CRC.
+func v1Chunk(dim int, entries []Entry) []byte {
+	b := []byte(chunkMagic)
+	b = binary.LittleEndian.AppendUint16(b, 1)
+	b = binary.LittleEndian.AppendUint16(b, uint16(dim))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(entries)))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(entries[0].Value))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(entries[len(entries)-1].Value))
+	for _, e := range entries {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.Value))
+		b = binary.AppendUvarint(b, uint64(len(e.Rows)))
+		prev := uint32(0)
+		for _, r := range e.Rows {
+			b = binary.AppendUvarint(b, uint64(r-prev))
+			prev = r
+		}
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// TestEntryEncodedSizeMatchesCodec: the payload size the chunk cutter
+// tracks for its pending entries is the encoder's, byte for byte, for
+// one-row and multi-row chunks at every id width.
+func TestEntryEncodedSizeMatchesCodec(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	sets := append([][]Entry{sampleEntries()}, boundaryChunks(rng)...)
+	for _, target := range []int{64, 300, 4 << 10} {
+		sets = append(sets, genChunk(rng, target, 1, 1<<22), genChunk(rng, target, 50, 1<<22))
+	}
+	for i, entries := range sets {
+		cut := chunkCutter{target: math.MaxInt}
+		for _, e := range entries {
+			if err := cut.add(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		data, err := encodeChunk(0, entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := cut.payload(), uint64(len(data)-headerSize-4); got != want {
+			t.Errorf("chunk %d: the cutter counts %d payload bytes, the encoder writes %d", i, got, want)
 		}
 	}
 }

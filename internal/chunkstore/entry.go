@@ -9,6 +9,7 @@
 package chunkstore
 
 import (
+	"fmt"
 	"sort"
 
 	"github.com/uei-db/uei/internal/dataset"
@@ -34,36 +35,57 @@ func decompose(ds *dataset.Dataset, dim int) []Entry {
 	entries := make([]Entry, 0, len(byValue))
 	for v, rows := range byValue {
 		// Scan visits ids in ascending order, so posting lists arrive
-		// sorted; keep that invariant explicit for the codec's delta
-		// encoding.
+		// sorted, as the codec requires.
 		entries = append(entries, Entry{Value: v, Rows: rows})
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Value < entries[j].Value })
 	return entries
 }
 
-// entryEncodedSize returns the exact byte size the codec will use for the
-// entry, so the writer can cut equal-size chunks without encoding twice.
-func entryEncodedSize(e Entry) int {
-	n := 8 + uvarintLen(uint64(len(e.Rows)))
-	prev := uint32(0)
-	for i, r := range e.Rows {
-		d := r
-		if i > 0 {
-			d = r - prev
-		}
-		n += uvarintLen(uint64(d))
-		prev = r
-	}
-	return n
+// chunkCutter splits one dimension's ascending entries into chunk files:
+// it cuts as soon as the exact encoded payload of the pending entries, at
+// the widths they need so far, reaches the target. Both build paths write
+// through it, so they cut the same chunks.
+type chunkCutter struct {
+	dir         string
+	dim, target int
+	metas       []ChunkMeta
+	pending     []Entry
+	rows        int
+	maxID       uint32
+	maxCount    int
 }
 
-// uvarintLen returns the encoded length of v in unsigned varint form.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
+func (k *chunkCutter) add(e Entry) error {
+	if len(e.Rows) == 0 {
+		return fmt.Errorf("chunkstore: value %g has an empty posting list", e.Value)
 	}
-	return n
+	k.pending = append(k.pending, e)
+	k.rows += len(e.Rows)
+	k.maxID = max(k.maxID, e.Rows[len(e.Rows)-1])
+	k.maxCount = max(k.maxCount, len(e.Rows))
+	if k.payload() >= uint64(k.target) {
+		return k.flush()
+	}
+	return nil
+}
+
+// payload is the encoded payload size of the pending entries.
+func (k *chunkCutter) payload() uint64 {
+	w, c := chunkWidths(k.maxID, k.maxCount)
+	return payloadSize(uint64(len(k.pending)), uint64(k.rows), w, c)
+}
+
+// flush writes the pending entries, if any, as the dimension's next chunk.
+func (k *chunkCutter) flush() error {
+	if len(k.pending) == 0 {
+		return nil
+	}
+	meta, err := writeChunkFile(k.dir, k.dim, len(k.metas), k.pending)
+	if err != nil {
+		return err
+	}
+	k.metas = append(k.metas, meta)
+	k.pending, k.rows, k.maxID, k.maxCount = k.pending[:0], 0, 0, 0
+	return nil
 }

@@ -171,34 +171,11 @@ func BuildExternal(dir string, columns []string, rows RowIterator, opts External
 }
 
 // writeChunksFromPairs groups a (value,id)-sorted pair stream into entries
-// and cuts equal-size chunks, mirroring writeDimensionChunks.
+// and cuts them into chunks as Build does.
 func writeChunksFromPairs(dir string, dim, target int, next func() (pair, bool, error)) ([]ChunkMeta, error) {
-	var metas []ChunkMeta
-	var pending []Entry
-	pendingBytes := 0
-	flush := func() error {
-		if len(pending) == 0 {
-			return nil
-		}
-		meta, err := writeChunkFile(dir, dim, len(metas), pending)
-		if err != nil {
-			return err
-		}
-		metas = append(metas, meta)
-		pending = pending[:0]
-		pendingBytes = 0
-		return nil
-	}
+	cut := chunkCutter{dir: dir, dim: dim, target: target}
 	var cur Entry
 	haveCur := false
-	emit := func(e Entry) error {
-		pending = append(pending, e)
-		pendingBytes += entryEncodedSize(e)
-		if pendingBytes >= target {
-			return flush()
-		}
-		return nil
-	}
 	for {
 		p, ok, err := next()
 		if err != nil {
@@ -217,21 +194,21 @@ func writeChunksFromPairs(dir string, dim, target int, next func() (pair, bool, 
 			if p.value < cur.Value {
 				return nil, fmt.Errorf("chunkstore: merge produced unsorted values (%g after %g)", p.value, cur.Value)
 			}
-			if err := emit(cur); err != nil {
+			if err := cut.add(cur); err != nil {
 				return nil, err
 			}
 			cur = Entry{Value: p.value, Rows: []uint32{p.id}}
 		}
 	}
 	if haveCur {
-		if err := emit(cur); err != nil {
+		if err := cut.add(cur); err != nil {
 			return nil, err
 		}
 	}
-	if err := flush(); err != nil {
+	if err := cut.flush(); err != nil {
 		return nil, err
 	}
-	return metas, nil
+	return cut.metas, nil
 }
 
 // spiller accumulates pairs for one dimension, spilling sorted runs.

@@ -3,6 +3,7 @@ package chunkstore
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"hash/crc32"
 	"math"
 	"strings"
@@ -163,68 +164,99 @@ func TestCodecFuzzSeedsRoundTrip(t *testing.T) {
 // have written, so what follows the checksum in decodeChunk gets input a
 // random mutation would never carry past it.
 func reseal(body []byte) []byte {
-	return binary.LittleEndian.AppendUint32(bytes.Clone(body), crc32.ChecksumIEEE(body))
+	return binary.LittleEndian.AppendUint32(bytes.Clone(body), crc32.Checksum(body, castagnoli))
 }
 
 // oversizedCountBodies are CRC-valid chunks whose counts promise far more
-// than their bytes hold: 2⁴⁰ postings on the only entry, and 2³²−1 entries
-// ahead of a 13-byte payload. Allocating what they ask for is fatal to the
-// process, not a panic a caller could recover.
+// than their bytes hold: 2³²−1 row ids in one posting, and 2³²−1 entries
+// ahead of a 9-byte payload. Allocating what they ask for would take tens
+// of gigabytes.
 func oversizedCountBodies(t testing.TB) [][]byte {
-	good, err := encodeChunk(0, []Entry{{Value: 1, Rows: []uint32{3, 4, 5, 6}}})
+	good, err := encodeChunk(0, []Entry{{Value: 1, Rows: []uint32{3}}})
 	if err != nil {
 		t.Fatalf("seed encode: %v", err)
 	}
-	body := good[:len(good)-4]
-	postings := append(bytes.Clone(body[:headerSize+8]), binary.AppendUvarint(nil, 1<<40)...)
-	postings = append(postings, body[headerSize+9:]...)
-	entries := bytes.Clone(body)
+	rows := bytes.Clone(good[:len(good)-4])
+	binary.LittleEndian.PutUint32(rows[12:16], math.MaxUint32)
+	rows[17] = 32
+	entries := bytes.Clone(good[:len(good)-4])
 	binary.LittleEndian.PutUint32(entries[8:12], math.MaxUint32)
-	return [][]byte{postings, entries}
+	return [][]byte{rows, entries}
 }
 
+// TestDecodeBoundsCountsBeforeAllocating: the payload's exact size, from
+// the header's counts and widths in 64-bit arithmetic, is checked before
+// anything is sized from them.
 func TestDecodeBoundsCountsBeforeAllocating(t *testing.T) {
 	for i, body := range oversizedCountBodies(t) {
 		_, _, err := decodeChunk(reseal(body))
-		if err == nil || !strings.Contains(err.Error(), "cannot fit") {
-			t.Errorf("oversized count %d: err = %v, want a typed cannot-fit error", i, err)
+		if err == nil || !strings.Contains(err.Error(), "payload has 9") {
+			t.Errorf("oversized count %d: err = %v, want the exact-size refusal", i, err)
 		}
 	}
 }
 
 // FuzzDecodeResealed feeds the decoder bodies that pass the CRC whatever
 // they say: it must return — an error or postings — without panicking and
-// without building more than the bytes can encode (an entry takes at least
-// minEntrySize bytes, a row id at least one), and agree with referenceDecode
-// on the postings or the error text. Every body is decoded fresh and again
-// into the buffer the previous iteration left behind, under a fuzzed
-// row-count hint: storage and hint may change where the result lives,
-// never what it is. testdata/fuzz/FuzzDecodeResealed holds the chunks the
-// ordering checks refuse (unorderedBodies).
+// without building more than the bytes can encode (an entry takes eight
+// bytes and a row id at least one bit), and agree with referenceDecode on
+// the postings or the error text. Every body is decoded fresh and again
+// into the buffer the previous iteration left behind: storage may change
+// where the result lives, never what it is.
+// testdata/fuzz/FuzzDecodeResealed holds the chunks the ordering, padding
+// and count checks refuse (unorderedBodies).
 func FuzzDecodeResealed(f *testing.F) {
-	for i, body := range oversizedCountBodies(f) {
-		f.Add(body, i*math.MaxInt)
+	for _, body := range oversizedCountBodies(f) {
+		f.Add(body)
 	}
 	seed, err := encodeChunk(2, []Entry{{Value: -3, Rows: []uint32{1}}, {Value: 8.5, Rows: []uint32{0, 300, 70000}}})
 	if err != nil {
 		f.Fatalf("seed encode: %v", err)
 	}
-	f.Add(seed[:len(seed)-4], 4)
-	f.Add([]byte(chunkMagic), -1)
+	f.Add(seed[:len(seed)-4])
+	f.Add([]byte(chunkMagic))
 
 	reused := new(Postings)
-	f.Fuzz(func(t *testing.T, body []byte, hint int) {
-		data, before := reseal(body), cap(reused.Rows)
-		requireDecodeMatchesReference(t, "fresh", data, new(Postings), 0)
-		if requireDecodeMatchesReference(t, "into a used buffer", data, reused, hint) != nil {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		data := reseal(body)
+		requireDecodeMatchesReference(t, "fresh", data, new(Postings))
+		if requireDecodeMatchesReference(t, "into a used buffer", data, reused) != nil {
 			return
 		}
-		payload := len(body) - headerSize
-		if len(reused.Values)*minEntrySize > payload || len(reused.Rows) > payload {
-			t.Fatalf("decoded %d entries with %d row ids out of a %d-byte payload", len(reused.Values), len(reused.Rows), payload)
+		if need := payloadSize(uint64(len(reused.Values)), uint64(len(reused.Rows)), 1, 0); need > uint64(len(body)-headerSize) {
+			t.Fatalf("decoded %d entries with %d row ids out of a %d-byte payload", len(reused.Values), len(reused.Rows), len(body)-headerSize)
 		}
-		if c := cap(reused.Rows); c != before && c > payload {
-			t.Fatalf("hint %d sized %d row ids for a %d-byte payload", hint, c, payload)
+	})
+}
+
+// FuzzLoadManifest feeds JSON bodies to the manifest loader, which must
+// return without panicking; a manifest it accepts names every chunk as
+// writeChunkFile does, files it under its own dimension and sequence, and keeps
+// each dimension's value ranges disjoint and ascending.
+func FuzzLoadManifest(f *testing.F) {
+	st, _ := lumpyStore(f, 300, 2, 40, 128, 1)
+	good, err := json.Marshal(st.manifest)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add(bytes.Replace(good, []byte(`"format_version":2`), []byte(`"format_version":1`), 1))
+	f.Add(bytes.Replace(good, []byte(`"d00_c00001.chk"`), []byte(`"../x"`), 1))
+	f.Add([]byte(`{"format_version":2,"columns":["a"],"row_count":1,"chunks":[[{"file":"d00_c00000.chk","entries":1,"row_refs":1,"bytes":49}]],"min_values":[0],"max_values":[0]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := parseManifest(data)
+		if err != nil {
+			return
+		}
+		for d, chunks := range m.Chunks {
+			for i, c := range chunks {
+				if c.File != chunkFileName(d, i) || c.Dim != d || c.Seq != i {
+					t.Fatalf("accepted chunk %q (dim %d seq %d) at [%d][%d]", c.File, c.Dim, c.Seq, d, i)
+				}
+				if !(c.MinValue <= c.MaxValue) || i > 0 && !(chunks[i-1].MaxValue < c.MinValue) {
+					t.Fatalf("accepted dimension %d chunk %d over [%g, %g] after one ending at %g", d, i, c.MinValue, c.MaxValue, chunks[max(i-1, 0)].MaxValue)
+				}
+			}
 		}
 	})
 }

@@ -2,6 +2,7 @@ package chunkstore
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -52,13 +53,18 @@ type Manifest struct {
 	MaxValues []float64 `json:"max_values"`
 }
 
-// manifestFormatVersion is bumped on incompatible layout changes.
-const manifestFormatVersion = 1
+// manifestFormatVersion is bumped on incompatible layout changes. Format 2
+// is the first whose chunks are chunk version 2.
+const manifestFormatVersion = 2
+
+// ErrFormatVersion reports a store written in a format this program does
+// not read; the remedy is to rebuild it. Match with errors.Is.
+var ErrFormatVersion = errors.New("unsupported store format")
 
 // validate checks internal consistency after load.
 func (m *Manifest) validate() error {
 	if m.FormatVersion != manifestFormatVersion {
-		return fmt.Errorf("chunkstore: manifest format %d, want %d", m.FormatVersion, manifestFormatVersion)
+		return fmt.Errorf("chunkstore: manifest format %d, want %d (rebuild the store with uei-ingest): %w", m.FormatVersion, manifestFormatVersion, ErrFormatVersion)
 	}
 	dims := len(m.Columns)
 	if dims == 0 {
@@ -75,11 +81,13 @@ func (m *Manifest) validate() error {
 			return fmt.Errorf("chunkstore: dimension %d has no chunks", d)
 		}
 		for i, c := range chunks {
-			if c.Dim != d || c.Seq != i {
-				return fmt.Errorf("chunkstore: chunk %s misfiled (dim %d seq %d at [%d][%d])", c.File, c.Dim, c.Seq, d, i)
+			// The one name writeChunkFile gives it: never a path out of
+			// the directory, never two records over one file or cache key.
+			if c.Dim != d || c.Seq != i || c.File != chunkFileName(d, i) {
+				return fmt.Errorf("chunkstore: chunk %q misfiled (dim %d seq %d at [%d][%d])", c.File, c.Dim, c.Seq, d, i)
 			}
-			if c.Entries < 0 || c.RowRefs < 0 || c.Bytes < 0 {
-				return fmt.Errorf("chunkstore: chunk %s has a negative count (entries %d, row refs %d, bytes %d)", c.File, c.Entries, c.RowRefs, c.Bytes)
+			if c.Entries < 1 || c.RowRefs < c.Entries {
+				return fmt.Errorf("chunkstore: chunk %s has an impossible count (entries %d, row refs %d)", c.File, c.Entries, c.RowRefs)
 			}
 			if c.Bytes < headerSize+4+minEntrySize {
 				return fmt.Errorf("chunkstore: chunk %s is %d bytes, below the %d of a header, a checksum and one entry", c.File, c.Bytes, headerSize+4+minEntrySize)
@@ -118,6 +126,11 @@ func loadManifest(dir string) (*Manifest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chunkstore: read manifest: %w", err)
 	}
+	return parseManifest(data)
+}
+
+// parseManifest decodes and validates a manifest's JSON.
+func parseManifest(data []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("chunkstore: parse manifest: %w", err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 
 	"github.com/uei-db/uei/internal/vec"
 )
@@ -156,14 +157,19 @@ func (s *Store) MergeChunks(ctx context.Context, box vec.Box, chunks []ChunkMeta
 		// has a place for every candidate still standing.
 		col := slices.Grow(sc.cols[d][:0], len(sc.cand))[:len(sc.cand)]
 		err := s.ReadChunksOrdered(ctx, byDim[d], func(_ ChunkMeta, p Postings) error {
+			// Values ascend strictly, so the postings below the box are a
+			// prefix, skipped by one search but still counted in e.
+			first := sort.SearchFloat64s(p.Values, lo)
+			entriesVisited += first
 			start := uint32(0)
-			for i, v := range p.Values {
+			if first > 0 {
+				start = p.Ends[first-1]
+			}
+			for i := first; i < len(p.Values); i++ {
+				v := p.Values[i]
 				ids := p.Rows[start:p.Ends[i]]
 				start = p.Ends[i]
 				entriesVisited++
-				if v < lo {
-					continue
-				}
 				if v > hi {
 					break // values are sorted; nothing further matches
 				}

@@ -197,18 +197,14 @@ func TestReconstructAgainstBruteForce(t *testing.T) {
 }
 
 // overwriteChunk replaces a chunk file with hand-built entries and keeps
-// the manifest's record of its size true (a file of another size is
-// refused before the decode these tests are after).
+// the manifest's record of it true (a file of another size or header is
+// refused before the merge these tests are after).
 func overwriteChunk(t *testing.T, st *Store, meta ChunkMeta, entries []Entry) ChunkMeta {
 	t.Helper()
-	data, err := encodeChunk(meta.Dim, entries)
+	meta, err := writeChunkFile(st.dir, meta.Dim, meta.Seq, entries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(st.dir, meta.File), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	meta.Bytes = int64(len(data))
 	st.manifest.Chunks[meta.Dim][meta.Seq] = meta
 	return meta
 }

@@ -135,12 +135,16 @@ func Build(dir string, ds *dataset.Dataset, opts BuildOptions) (*Store, error) {
 	}
 
 	for d := 0; d < dims; d++ {
-		entries := decompose(ds, d)
-		chunks, err := writeDimensionChunks(dir, d, entries, target)
-		if err != nil {
+		cut := chunkCutter{dir: dir, dim: d, target: target}
+		for _, e := range decompose(ds, d) {
+			if err := cut.add(e); err != nil {
+				return nil, err
+			}
+		}
+		if err := cut.flush(); err != nil {
 			return nil, err
 		}
-		m.Chunks[d] = chunks
+		m.Chunks[d] = cut.metas
 	}
 	if err := saveManifest(dir, m); err != nil {
 		return nil, err
@@ -148,44 +152,13 @@ func Build(dir string, ds *dataset.Dataset, opts BuildOptions) (*Store, error) {
 	return &Store{dir: dir, manifest: m, limiter: opts.Limiter}, nil
 }
 
-// writeDimensionChunks splits one dimension's sorted entries into
-// equal-size chunk files and returns their metadata.
-func writeDimensionChunks(dir string, dim int, entries []Entry, target int) ([]ChunkMeta, error) {
-	var metas []ChunkMeta
-	var pending []Entry
-	pendingBytes := 0
-	flush := func() error {
-		if len(pending) == 0 {
-			return nil
-		}
-		meta, err := writeChunkFile(dir, dim, len(metas), pending)
-		if err != nil {
-			return err
-		}
-		metas = append(metas, meta)
-		pending = pending[:0]
-		pendingBytes = 0
-		return nil
-	}
-	for _, e := range entries {
-		pending = append(pending, e)
-		pendingBytes += entryEncodedSize(e)
-		if pendingBytes >= target {
-			if err := flush(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	return metas, nil
-}
+// chunkFileName is the one name a store gives chunk seq of dimension dim.
+func chunkFileName(dim, seq int) string { return fmt.Sprintf("d%02d_c%05d.chk", dim, seq) }
 
 // writeChunkFile encodes and persists one chunk, returning its metadata.
 // It is shared by the in-memory and external build paths.
 func writeChunkFile(dir string, dim, seq int, entries []Entry) (ChunkMeta, error) {
-	name := fmt.Sprintf("d%02d_c%05d.chk", dim, seq)
+	name := chunkFileName(dim, seq)
 	data, err := encodeChunk(dim, entries)
 	if err != nil {
 		return ChunkMeta{}, err
@@ -367,7 +340,7 @@ func (s *Store) ReadChunk(ctx context.Context, meta ChunkMeta) ([]Entry, error) 
 
 // readChunkFor reads one chunk: through the block cache when there is one,
 // which then owns the decoded chunk, otherwise into p. A miss decodes into
-// storage of its own sized exactly from the manifest (three allocations),
+// storage of its own sized exactly from the header (three allocations),
 // which is what the cache keeps.
 func (s *Store) readChunkFor(ctx context.Context, m ChunkMeta, p *Postings) (Postings, error) {
 	if s.cache == nil {
@@ -404,8 +377,9 @@ func (s *Store) readChunkInto(ctx context.Context, meta ChunkMeta, p *Postings) 
 }
 
 // readChunkIntoRaw is the uncached read path: size check, pooled file
-// read, CRC check, decode into p, I/O accounting. The raw file buffer is
-// recycled as soon as the decode (which copies everything out) finishes.
+// read, CRC check, header check against meta, decode into p, I/O
+// accounting. The raw file buffer is recycled as soon as the decode (which
+// copies everything out) finishes.
 func (s *Store) readChunkIntoRaw(ctx context.Context, meta ChunkMeta, p *Postings) (Postings, error) {
 	if err := ctx.Err(); err != nil {
 		return Postings{}, err
@@ -423,12 +397,8 @@ func (s *Store) readChunkIntoRaw(ctx context.Context, meta ChunkMeta, p *Posting
 	s.mBytes.Add(int64(len(data)))
 	s.mChunks.Inc()
 	s.hRead.ObserveDuration(time.Since(start))
-	dim, err := decodeChunkInto(data, p, meta.RowRefs)
-	if err != nil {
+	if _, err := decodeChunkInto(data, p, &meta); err != nil {
 		return Postings{}, fmt.Errorf("chunkstore: chunk %s: %w", meta.File, err)
-	}
-	if dim != meta.Dim {
-		return Postings{}, fmt.Errorf("chunkstore: chunk %s belongs to dimension %d, manifest says %d", meta.File, dim, meta.Dim)
 	}
 	return *p, nil
 }

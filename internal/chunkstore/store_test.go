@@ -288,13 +288,24 @@ func TestChunkSizesRoughlyEqual(t *testing.T) {
 	const target = 2048
 	for d, chunks := range st.Manifest().Chunks {
 		for i, c := range chunks {
-			// Every chunk except a dimension's last must have reached the
-			// target (the writer cuts at >= target); headers add slack.
-			if i < len(chunks)-1 && c.Bytes < target {
-				t.Errorf("dim %d chunk %d is %d bytes, below target %d", d, i, c.Bytes, target)
+			// The writer cuts as soon as the exact payload reaches the
+			// target: every chunk but a dimension's last has reached it,
+			// and none had reached it one entry earlier.
+			if payload := c.Bytes - headerSize - 4; i < len(chunks)-1 && payload < target {
+				t.Errorf("dim %d chunk %d has a %d-byte payload, below target %d", d, i, payload, target)
 			}
-			if c.Bytes > 3*target {
-				t.Errorf("dim %d chunk %d is %d bytes, way above target %d", d, i, c.Bytes, target)
+			entries, err := st.ReadChunk(context.Background(), c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut := chunkCutter{target: math.MaxInt}
+			for _, e := range entries[:len(entries)-1] {
+				if err := cut.add(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if cut.payload() >= target {
+				t.Errorf("dim %d chunk %d: %d bytes of payload before its last entry, the writer should have cut there", d, i, cut.payload())
 			}
 		}
 	}

@@ -10,7 +10,7 @@ import (
 
 // VerifyError is the first broken invariant Verify met: the chunk file it
 // is about (empty when it concerns a whole dimension) and the manifest
-// field the chunks contradict — "bytes", "entries", "row_refs",
+// field the chunks contradict — "bytes", "dim", "entries", "row_refs",
 // "min_value", "max_value", "row_count" — or "order" for values (or a
 // posting's row ids) that do not ascend, "rows" for a row id out of range or
 // posted twice on a dimension, and "file" for a chunk that cannot be read or
@@ -58,14 +58,9 @@ func Verify(ctx context.Context, s *Store) error {
 			fail := func(field, format string, args ...any) error {
 				return &VerifyError{m.File, field, fmt.Errorf(format, args...)}
 			}
+			// The read held the header's counts to the manifest's, which
+			// has at least one entry, and the payload to the header.
 			entries := len(p.Values)
-			if entries != m.Entries || entries == 0 {
-				return fail("entries", "decoded %d, manifest says %d", entries, m.Entries)
-			}
-			refs := len(p.Rows)
-			if refs != m.RowRefs {
-				return fail("row_refs", "decoded %d, manifest says %d", refs, m.RowRefs)
-			}
 			if v := p.Values[0]; v != m.MinValue {
 				return fail("min_value", "first value %g, manifest says %g", v, m.MinValue)
 			}
@@ -88,15 +83,18 @@ func Verify(ctx context.Context, s *Store) error {
 				seen[id] = true
 			}
 			visited++
-			posted += refs
+			posted += len(p.Rows)
 			return nil
 		})
 		var ve *VerifyError
+		var hm *headerMismatch
 		switch {
 		case errors.As(err, &ve):
 			return ve
 		case err != nil && ctx.Err() != nil:
 			return err
+		case errors.As(err, &hm):
+			return &VerifyError{metas[visited].File, hm.field, err}
 		case errors.Is(err, errUnordered):
 			return &VerifyError{metas[visited].File, "order", err}
 		case err != nil:

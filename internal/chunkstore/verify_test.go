@@ -149,6 +149,22 @@ func TestVerify(t *testing.T) {
 	entries[0].Rows = entries[0].Rows[1:]
 	requireVerifyField(t, "row never posted", rewriteChunk(t, st, meta, entries), "row_count", "")
 
+	// A chunk of another dimension under this one's name: same entries,
+	// same size, only the header's dimension differs.
+	st = fresh()
+	meta = st.manifest.Chunks[0][1]
+	if entries, err = st.ReadChunk(ctx, meta); err != nil {
+		t.Fatal(err)
+	}
+	other, err := encodeChunk(1, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(st.dir, meta.File), other, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	requireVerifyField(t, "chunk of another dimension", st, "dim", meta.File)
+
 	// Bytes that are not a chunk, and no bytes at all.
 	st = fresh()
 	meta = st.manifest.Chunks[1][2]
@@ -168,8 +184,8 @@ func TestVerify(t *testing.T) {
 	requireVerifyField(t, "missing file", st, "file", meta.File)
 
 	// Values out of order inside a chunk whose counts, range, size and CRC
-	// all hold: 100 distinct values on 100 rows make every posting ten
-	// bytes, so two can trade places.
+	// all hold: 100 distinct values on 100 rows make every posting one
+	// row, so two values can trade places in the value column.
 	ds := dataset.New(dataset.MustSchema("x"), 100)
 	for i := 0; i < 100; i++ {
 		if _, err := ds.Append([]float64{float64(i)}); err != nil {
@@ -189,7 +205,7 @@ func TestVerify(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := data[:len(data)-4]
-	a, b := body[headerSize+minEntrySize:headerSize+2*minEntrySize], body[headerSize+2*minEntrySize:headerSize+3*minEntrySize]
+	a, b := body[headerSize+8:headerSize+16], body[headerSize+16:headerSize+24]
 	for i := range a {
 		a[i], b[i] = b[i], a[i]
 	}
@@ -220,6 +236,31 @@ func TestManifestRejectsImpossibleCounts(t *testing.T) {
 		st, _ := buildTestStore(t, 300, 9)
 		if _, err := reopenDoctored(t, st, func(m *Manifest) { doctor(&m.Chunks[2][0]) }); err == nil || !strings.Contains(err.Error(), "d02_c00000.chk") {
 			t.Errorf("%s: Open err = %v, want a refusal naming the chunk", name, err)
+		}
+	}
+}
+
+// TestManifestRejectsForeignChunkNames: a chunk record must name the one
+// file writeChunkFile gives its place, so no manifest sends a read out of
+// the store's directory, or lets two records share a file and a block-cache
+// key.
+func TestManifestRejectsForeignChunkNames(t *testing.T) {
+	outside := filepath.Join(t.TempDir(), "x.chk")
+	for name, doctor := range map[string]func(m *Manifest){
+		"parent directory": func(m *Manifest) { m.Chunks[0][1].File = "../x" },
+		"absolute path":    func(m *Manifest) { m.Chunks[0][1].File = outside },
+		"duplicate name":   func(m *Manifest) { m.Chunks[0][1].File = m.Chunks[0][0].File },
+		"swapped seqs": func(m *Manifest) {
+			a, b := &m.Chunks[0][1], &m.Chunks[0][2]
+			a.File, b.File = b.File, a.File
+		},
+	} {
+		st, _ := buildTestStore(t, 800, 9)
+		if len(st.manifest.Chunks[0]) < 3 {
+			t.Fatalf("store has %d chunks on dimension 0, the test wants three", len(st.manifest.Chunks[0]))
+		}
+		if _, err := reopenDoctored(t, st, doctor); err == nil || !strings.Contains(err.Error(), "misfiled") {
+			t.Errorf("%s: Open err = %v, want a misfiled-chunk refusal", name, err)
 		}
 	}
 }

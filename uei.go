@@ -41,6 +41,10 @@ var (
 	// layout (flat vs sharded, or shard count) does not match what the
 	// caller asked for.
 	ErrLayoutMismatch = chunkstore.ErrLayoutMismatch
+	// ErrFormatVersion is returned by Open when a store (flat, any shard,
+	// or any live segment) was written in an on-disk format this build does
+	// not read; rebuild it with uei-ingest.
+	ErrFormatVersion = chunkstore.ErrFormatVersion
 	// ErrShardUnavailable classifies unavailable-shard failures; a step
 	// that could not load its cell and had nothing to fall back to, and a
 	// sample or retrieval that could not reach every shard, wrap it.
