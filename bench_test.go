@@ -149,8 +149,17 @@ func BenchmarkAblationIndexPoints(b *testing.B) {
 	}
 }
 
+// BenchmarkAblationPrefetch runs A3 under FullConfig's 64 MiB/s limiter:
+// prefetch derives θ from the limiter's rate, so the unthrottled shared
+// environment has no prefetch arm.
 func BenchmarkAblationPrefetch(b *testing.B) {
-	env := sharedEnv(b)
+	cfg := benchConfig()
+	cfg.WorkDir = b.TempDir()
+	cfg.IOBandwidthBytesPerSec = 64 << 20
+	env, err := experiment.Setup(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiment.AblatePrefetch(env); err != nil {

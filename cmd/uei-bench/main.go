@@ -17,6 +17,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -49,7 +50,7 @@ func run() error {
 		labels  = flag.Int("labels", 0, "override label budget per run")
 		seed    = flag.Int64("seed", 0, "override base seed")
 		bw      = flag.Int64("iobw", -1, "override shared I/O bandwidth in bytes/sec (0 = unthrottled)")
-		prefec  = flag.Bool("prefetch", false, "enable §3.2 background region prefetching")
+		prefec  = flag.Bool("prefetch", false, "enable §3.2 background region prefetching (needs -iobw: θ is derived from the I/O rate)")
 		segs    = flag.Int("segments", 0, "override grid segments per dimension (|P| = segments^5)")
 		workdir = flag.String("workdir", "", "directory for the built stores (default: temp)")
 		csvDir  = flag.String("csv", "", "also export figure data as CSV into this directory")
@@ -58,19 +59,11 @@ func run() error {
 		summary = flag.Bool("summary", false, "print a phase-latency breakdown table at the end")
 		cacheB  = flag.Int64("block-cache-bytes", 0, "shared decoded-chunk block cache budget in bytes (0 disables, the paper's discipline)")
 		shards  = flag.Int("shards", 1, "store layout: 1 = legacy flat (the paper's configuration), >1 = sharded scatter-gather with that many shards")
-		repl    = flag.Int("replication", 1, "replicas per shard on the sharded layout (puts failover/hedging machinery on the measured path)")
-		hedge   = flag.Duration("hedge-delay", 0, "fire per-shard calls on a second replica after this delay (0 disables; needs -replication > 1)")
 	)
 	flag.Parse()
 
 	if *shards < 1 {
 		return fmt.Errorf("-shards %d must be at least 1", *shards)
-	}
-	if *repl < 1 {
-		return fmt.Errorf("-replication %d must be at least 1", *repl)
-	}
-	if *hedge < 0 {
-		return fmt.Errorf("-hedge-delay %v must not be negative", *hedge)
 	}
 	cfg := experiment.DefaultConfig()
 	if *full {
@@ -136,11 +129,8 @@ func run() error {
 	if *shards > 1 {
 		cfg.Shards = *shards
 	}
-	if *repl > 1 {
-		cfg.Replication = *repl
-	}
-	if *hedge > 0 {
-		cfg.HedgeDelay = *hedge
+	if cfg.EnablePrefetch && cfg.IOBandwidthBytesPerSec <= 0 {
+		return fmt.Errorf("prefetch (-prefetch, or -full) needs a positive -iobw: θ is derived from the I/O limiter's rate, and an unthrottled run has none")
 	}
 	cfg.WorkDir = *workdir
 
@@ -230,10 +220,14 @@ func runAblations(env *experiment.Env, cfg experiment.Config, which string) erro
 	}
 	if want("prefetch") {
 		pts, err := experiment.AblatePrefetch(env)
-		if err != nil {
+		switch {
+		case errors.Is(err, experiment.ErrA3NeedsLimiter):
+			fmt.Printf("Ablation A3: prefetch & latency threshold\n  skipped: A3 needs -iobw (θ is derived from the I/O limiter's rate)\n\n")
+		case err != nil:
 			return err
+		default:
+			fmt.Println(experiment.FormatAblation("Ablation A3: prefetch & latency threshold", pts))
 		}
-		fmt.Println(experiment.FormatAblation("Ablation A3: prefetch & latency threshold", pts))
 	}
 	if want("strategy") {
 		pts, err := experiment.AblateStrategy(env)

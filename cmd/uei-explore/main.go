@@ -116,8 +116,8 @@ func run() error {
 	}
 
 	// Ctrl-C cancels the exploration cleanly: the session aborts within one
-	// iteration, the prefetcher's in-flight load stops at its next chunk
-	// boundary, and deferred cleanup still runs.
+	// iteration, an in-flight region load stops at its next chunk boundary,
+	// and deferred cleanup still runs.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
@@ -165,7 +165,6 @@ func run() error {
 
 	idx, err := core.Open(ctx, dir, core.Options{
 		MemoryBudgetBytes: *budget,
-		EnablePrefetch:    true,
 		Seed:              *seed,
 		Registry:          reg,
 		BlockCacheBytes:   *cacheByt,
@@ -311,8 +310,8 @@ func run() error {
 	}
 
 	stats := idx.Stats()
-	fmt.Printf("\nindex stats: %d region swaps, %d deferred, %d prefetch hits, %d bytes read, peak memory %d bytes\n",
-		stats.RegionSwaps, stats.SwapsDeferred, stats.PrefetchHits, stats.BytesRead, stats.PeakMemory)
+	fmt.Printf("\nindex stats: %d region swaps, %d bytes read, peak memory %d bytes\n",
+		stats.RegionSwaps, stats.BytesRead, stats.PeakMemory)
 	if *summary {
 		fmt.Printf("\n%s", obs.FormatSummary(reg))
 	}

@@ -55,7 +55,6 @@ func run() error {
 		queueDepth  = flag.Int("queue-depth", 2, "per-session bound on queued+running steps")
 		idle        = flag.Duration("idle-timeout", 5*time.Minute, "evict sessions idle this long (0 disables)")
 		snapDir     = flag.String("snapshot-dir", "", "directory for evicted sessions' snapshots (default <store>/sessions)")
-		prefetch    = flag.Bool("prefetch", false, "enable per-session background region prefetch (trades resume determinism for latency)")
 		workers     = flag.Int("workers", 0, "shared worker pool size (0 = GOMAXPROCS)")
 		cacheBytes  = flag.Int64("block-cache-bytes", 0, "shared decoded-chunk block cache budget in bytes, carved from -budget and yielded back under session pressure (0 disables)")
 		shards      = flag.Int("shards", 0, "store layout: 0 = whatever -store holds (flat with -gen), 1 = require flat, >1 = require (with -gen, build) exactly that many shards")
@@ -63,7 +62,7 @@ func run() error {
 		traceFile   = flag.String("trace", "", "write one span trace per create, step and result request to this JSONL file (analyze with uei-trace)")
 		sloBudget   = flag.Duration("slo", 0, "per-step interactivity budget for SLO accounting (0 = the 500ms default)")
 		endpoints   = flag.String("shard-endpoints", "", "comma-separated uei-shardd worker URLs; serves the index remotely instead of opening -store")
-		replication = flag.Int("replication", 1, "replicas per shard across the worker fleet (shards degrade only when all replicas fail)")
+		replication = flag.Int("replication", 1, "replicas per shard across the -shard-endpoints fleet (shards degrade only when all replicas fail)")
 		hedge       = flag.Duration("hedge-delay", 0, "fire per-shard calls on a second replica after this delay, first reply wins (0 disables; needs -replication > 1)")
 		live        = flag.Bool("live", false, "require the live (streaming) layout and enable POST /v1/append (with -gen, builds a live store)")
 		followLive  = flag.Bool("follow-live", false, "sessions advance to newly flushed data at iteration boundaries (default: each session explores the epoch it opened)")
@@ -129,7 +128,6 @@ func run() error {
 		MaxQueuedSteps:        *queueDepth,
 		IdleTimeout:           *idle,
 		SnapshotDir:           *snapDir,
-		EnablePrefetch:        *prefetch,
 		Workers:               *workers,
 		Seed:                  *seed,
 		Registry:              reg,

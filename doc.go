@@ -30,7 +30,6 @@
 //	_ = uei.Build(ctx, "store", ds, uei.BuildOptions{})
 //	idx, _ := uei.Open(ctx, "store", uei.Options{
 //		MemoryBudgetBytes: ds.SizeBytes() / 100,
-//		EnablePrefetch:    true,
 //		Workers:           8,
 //	})
 //	defer idx.Close()

@@ -56,7 +56,6 @@ func run() error {
 	ctx := context.Background()
 	idx, err := core.Open(ctx, dir, core.Options{
 		MemoryBudgetBytes: ds.SizeBytes() / 50,
-		EnablePrefetch:    true,
 		Seed:              42,
 		Registry:          reg,
 	})
@@ -128,10 +127,9 @@ func run() error {
 	// obs registry that core and ide instruments have been feeding.
 	fmt.Printf("\n%s", obs.FormatSummary(reg))
 	snap := reg.Snapshot()
-	fmt.Printf("selected counters: chunk reads=%d (%d bytes), prefetch hits=%d, fmeasure=%.3f\n",
+	fmt.Printf("selected counters: chunk reads=%d (%d bytes), fmeasure=%.3f\n",
 		snap.Counters["chunkstore_chunk_opens_total"],
 		snap.Counters["chunkstore_read_bytes_total"],
-		snap.Counters["uei_prefetch_hits_total"],
 		snap.Gauges["ide_fmeasure"])
 	return nil
 }

@@ -2,8 +2,9 @@
 //
 // Part 1 shows the prefetch / latency-threshold mechanism: with a shared
 // I/O budget, region swaps stall the iteration when prefetching is off;
-// with it on, loads hide behind earlier iterations (θ = ⌈τ/σ⌉ lead time)
-// and tail latency drops.
+// with it on, loads hide behind earlier iterations (θ = ⌈τ/σ⌉ lead time,
+// τ modelled from the 1 MiB/s budget and the row count: θ = 2 here) and
+// tail latency drops.
 //
 // Part 2 shows the symbolic-index-point trade-off: more grid cells mean
 // smaller, cheaper region loads but more points to score per iteration.

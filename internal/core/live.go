@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"github.com/uei-db/uei/internal/chunkstore"
-	"github.com/uei-db/uei/internal/memcache"
 	"github.com/uei-db/uei/internal/pool"
 	"github.com/uei-db/uei/internal/shard"
 	"github.com/uei-db/uei/internal/stream"
@@ -176,26 +175,22 @@ func (x *Index) AdvanceSnapshot() (bool, error) {
 		snap.Release()
 		return false, err
 	}
+	// A background load reads x.coord and the old epoch's segments: stop
+	// it and wait for it to exit before either goes.
+	x.dropPending()
 	x.coord = coord
 	old := x.snap
 	x.snap = snap
 	old.Release()
-	// A prefetch launched under the old epoch could deliver a stale
-	// region later; recreate the prefetcher so pending loads are
-	// cancelled and forgotten.
-	if x.pf != nil {
-		x.pf.Close()
-		if err := x.startPrefetcher(); err != nil {
-			return true, err
-		}
-	}
 	x.cache.DropRegion()
 	x.scoresValid = false
 	// Drop the incremental-rescore lists (the storage stays): the symbolic
 	// points cannot change, but a pass from scratch on the new epoch keeps
 	// the invariants trivially true.
 	x.ptab.Reset()
-	x.pendingCell = memcache.NoRegion
-	x.deferredFor = 0
+	if x.pf != nil {
+		// θ follows the row count.
+		return true, x.deriveTheta()
+	}
 	return true, nil
 }

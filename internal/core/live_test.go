@@ -10,6 +10,7 @@ import (
 
 	"github.com/uei-db/uei/internal/chunkstore"
 	"github.com/uei-db/uei/internal/dataset"
+	"github.com/uei-db/uei/internal/iothrottle"
 	"github.com/uei-db/uei/internal/stream"
 )
 
@@ -197,6 +198,7 @@ func TestLiveCloseNoGoroutineLeak(t *testing.T) {
 		idx, err := Open(ctx, dir, Options{
 			MemoryBudgetBytes: 1 << 20,
 			EnablePrefetch:    true,
+			Limiter:           iothrottle.New(1 << 30),
 			Workers:           2,
 			// A fast timer keeps the background flush and compaction
 			// loops genuinely busy across the close.

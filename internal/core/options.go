@@ -37,7 +37,11 @@ type Options struct {
 	SampleSize int
 	// LatencyThreshold is σ (§3.2). Zero selects DefaultLatencyThreshold.
 	LatencyThreshold time.Duration
-	// EnablePrefetch turns on background region loading and swap deferral.
+	// EnablePrefetch turns on background region loading and swap deferral:
+	// a swap lands θ = ⌈τ̂/σ⌉ iterations after its load starts, where τ̂ is
+	// a cell load's time modelled from the row count and the Limiter's
+	// rate (prefetch.Theta). It requires a Limiter — without one there is
+	// no I/O cost to model.
 	EnablePrefetch bool
 	// ResidentRegions bounds how many uncertain regions stay cached at
 	// once. §3.2 fixes the paper's default at 1; deployments with spare
@@ -87,17 +91,16 @@ type Options struct {
 	// The directory argument of Open is ignored (may be empty). Results
 	// are byte-identical to a local open of the same store.
 	ShardEndpoints []string
-	// Replication is the per-shard replica count. With remote endpoints,
+	// Replication is the per-shard replica count across ShardEndpoints:
 	// each shard is placed on this many distinct workers and operations
 	// fail over between them (a shard degrades only when all replicas
-	// fail); it must not exceed the endpoint count. On a local sharded
-	// open, replicas share the in-process backend, which still exercises
-	// the hedging/failover machinery. Zero and 1 both mean unreplicated.
+	// fail); it must not exceed the endpoint count. Zero and 1 both mean
+	// unreplicated; more needs ShardEndpoints.
 	Replication int
 	// HedgeDelay, when positive and Replication > 1, fires each per-shard
 	// operation on a second replica if the first has not answered within
 	// the delay; the first reply wins and the loser is cancelled. Zero
-	// disables hedging.
+	// disables hedging; a positive delay needs ShardEndpoints.
 	HedgeDelay time.Duration
 	// LiveIngest requires the directory to hold the live (stream) layout:
 	// Open fails with chunkstore.ErrLayoutMismatch otherwise. Live layouts
@@ -137,6 +140,9 @@ func (o Options) withDefaults() (Options, error) {
 	if o.LatencyThreshold < 0 {
 		return o, fmt.Errorf("core: negative latency threshold %v", o.LatencyThreshold)
 	}
+	if o.EnablePrefetch && o.Limiter == nil {
+		return o, fmt.Errorf("core: prefetch needs a Limiter: θ is derived from its I/O rate, and without one no load time can be modelled")
+	}
 	if o.ResidentRegions == 0 {
 		o.ResidentRegions = 1
 	}
@@ -164,6 +170,9 @@ func (o Options) withDefaults() (Options, error) {
 	if o.HedgeDelay < 0 {
 		return o, fmt.Errorf("core: negative hedge delay %v", o.HedgeDelay)
 	}
+	if len(o.ShardEndpoints) == 0 && (o.Replication > 1 || o.HedgeDelay > 0) {
+		return o, fmt.Errorf("core: replication %d and hedge delay %v need remote workers (ShardEndpoints, uei-serve -shard-endpoints): an in-process store has one backend per shard", o.Replication, o.HedgeDelay)
+	}
 	if len(o.ShardEndpoints) > 0 && o.Replication > len(o.ShardEndpoints) {
 		return o, fmt.Errorf("core: replication %d exceeds %d shard endpoints", o.Replication, len(o.ShardEndpoints))
 	}
@@ -179,10 +188,11 @@ func (o Options) withDefaults() (Options, error) {
 type Stats struct {
 	// RegionSwaps counts distinct region loads installed into the cache.
 	RegionSwaps int
-	// SwapsDeferred counts iterations where the most-uncertain cell
-	// changed but the swap was deferred while a prefetch completed.
+	// SwapsDeferred counts iterations the resident region kept serving
+	// while the selected cell's background load had its θ iterations.
 	SwapsDeferred int
-	// PrefetchHits counts swaps satisfied by a completed background load.
+	// PrefetchHits counts swaps whose background load had finished by the
+	// time the swap asked for it (timing-dependent, unlike the swaps).
 	PrefetchHits int
 	// EntriesVisited sums the posting entries streamed during region
 	// merges — the e of the O(k·e) bound.

@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"github.com/uei-db/uei/internal/iothrottle"
+	"github.com/uei-db/uei/internal/oracle"
 )
 
 // TestParallelScoringParity is the tentpole determinism guarantee: the same
@@ -130,28 +133,49 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 }
 
-// TestCloseMidPrefetch closes the index while the prefetcher may hold an
-// in-flight background load; Close must block until the worker exits rather
-// than leak it, and a double Close afterwards stays safe.
+// TestCloseMidPrefetch closes the index while the prefetcher holds an
+// in-flight background load that only cancellation ends; Close must cancel
+// it and block until the worker exits rather than leak or wait on it, and
+// a double Close afterwards stays safe.
 func TestCloseMidPrefetch(t *testing.T) {
 	ctx := context.Background()
 	idx, ds := openTestIndex(t, 2000, Options{
 		Workers:        4,
 		EnablePrefetch: true,
+		Limiter:        iothrottle.New(1 << 30),
 		Seed:           3,
 	})
 	if err := idx.InitExploration(ctx); err != nil {
 		t.Fatal(err)
 	}
-	region := testRegion(t, ds)
-	model := boundaryModel(t, ds, region, 40)
-	if err := idx.UpdateUncertainty(ctx, model); err != nil {
+	model := boundaryModel(t, ds, testRegion(t, ds), 40)
+	// Nothing is resident yet, so the first region loads synchronously.
+	first, err := idx.EnsureRegion(ctx, model)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// EnsureRegion schedules a background prefetch of the runner-up cell;
-	// Close immediately after races against that load.
-	if _, err := idx.EnsureRegion(ctx, model); err != nil {
+	r2, err := oracle.FindRegion(ds, 0.05, 0.5, 77, 8)
+	if err != nil {
 		t.Fatal(err)
+	}
+	m2 := boundaryModel(t, ds, r2, 120)
+	idx.InvalidateScores()
+	idx.ShardCoordinator().SetFaultHook(func(ctx context.Context, _, _ int, op string) error {
+		if op == "load" {
+			<-ctx.Done()
+			return ctx.Err()
+		}
+		return nil
+	})
+	got, err := idx.EnsureRegion(ctx, m2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if top, _ := idx.MostUncertainCells(1); top[0] == first {
+		t.Skip("model change did not move the target cell")
+	}
+	if got != first {
+		t.Fatalf("EnsureRegion swapped to %d; the new target's load must defer", got)
 	}
 	idx.Close()
 	idx.Close()

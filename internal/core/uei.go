@@ -136,10 +136,14 @@ type Index struct {
 	// UpdateUncertainty pass carried over unchanged.
 	lastSkipped int
 
-	// deferredFor counts consecutive iterations the swap to pendingCell
-	// has been deferred awaiting its prefetch.
+	// pendingCell is the cell whose background load started at its
+	// selection, deferredFor the iterations its swap has been deferred
+	// since, and theta how many it is deferred before the swap waits for
+	// the load (§3.2): a function of the rows read, the limiter and σ
+	// (prefetch.Theta), so the swap iteration never depends on timing.
 	deferredFor int
 	pendingCell int
+	theta       int
 
 	// pool shards result classification and, for models other than DWKNN,
 	// the full symbolic-point pass (through coord, which borrows it) across
@@ -241,7 +245,6 @@ func localOptions(opts Options, pl *pool.Pool, bc *chunkstore.BlockCache) shard.
 		Limiter:            opts.Limiter,
 		Workers:            opts.Workers,
 		BlockCache:         bc,
-		Replicas:           opts.Replication,
 	}
 }
 
@@ -444,14 +447,31 @@ func (x *Index) instrument() {
 	x.hSwap = x.reg.Histogram(obs.PhaseHistName(obs.PhaseSwap), nil)
 }
 
-// startPrefetcher (re)creates the background region loader over loadCell.
+// startPrefetcher creates the background region loader over loadCell and
+// derives θ for the rows the index reads.
 func (x *Index) startPrefetcher() error {
+	if err := x.deriveTheta(); err != nil {
+		return err
+	}
 	pf, err := prefetch.New(x.loadCell)
 	if err != nil {
 		return err
 	}
 	pf.Instrument(x.reg)
 	x.pf = pf
+	return nil
+}
+
+// deriveTheta sets θ from the store (row count, dimensions, segments per
+// dimension), the limiter's rate and σ — inputs every layout of the same
+// rows shares. It runs again whenever the row count can change.
+func (x *Index) deriveTheta() error {
+	m := x.coord.Meta()
+	theta, err := prefetch.Theta(m.RowCount, m.Dims(), m.SegmentsPerDim, x.opts.Limiter.BytesPerSecond(), x.opts.LatencyThreshold)
+	if err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	x.theta = theta
 	return nil
 }
 
@@ -697,7 +717,9 @@ func (x *Index) CellUncertainty(id grid.CellID) (float64, error) {
 // It is the prefetcher's LoadFunc and the synchronous load path; ctx
 // aborts it at the next chunk boundary. A failing or slow owner surfaces
 // shard.ErrShardUnavailable, which EnsureRegion degrades on instead of
-// failing the step.
+// failing the step. On the prefetcher goroutine it reads x.coord, so
+// whatever replaces x.coord cancels and joins the background load first
+// (AdvanceSnapshot).
 func (x *Index) loadCell(ctx context.Context, cell int) ([]uint32, [][]float64, error) {
 	ids, vals, visited, err := x.coord.LoadCell(ctx, grid.CellID(cell))
 	if err != nil {
@@ -713,10 +735,16 @@ func (x *Index) loadCell(ctx context.Context, cell int) ([]uint32, [][]float64, 
 // (Algorithm 2 lines 18-20), applying the §3.2 swap-deferral policy when
 // prefetching is enabled. It returns the resident cell after the call.
 //
+// With prefetch on and a region resident, a newly selected cell's load
+// starts in the background at its selection, the resident region keeps
+// serving for θ iterations, and the next one waits for the load and swaps:
+// the swap lands exactly θ iterations after its load starts, however long
+// the load takes. With nothing resident the load is synchronous.
+//
 // The call is split into two observed phases: "score" covers symbolic
 // index re-scoring and top-k selection, "load" covers everything needed to
 // make the target resident (cache check, synchronous load, prefetch
-// take/defer/await) except the cache install itself, which installRegion
+// start/defer/await) except the cache install itself, which installRegion
 // reports as the "swap" phase.
 func (x *Index) EnsureRegion(ctx context.Context, model learn.Classifier) (grid.CellID, error) {
 	if x.closed.Load() {
@@ -730,7 +758,7 @@ func (x *Index) EnsureRegion(ctx context.Context, model learn.Classifier) (grid.
 			return 0, err
 		}
 	}
-	top, err := x.mostUncertainCells(sctx, 2)
+	top, err := x.mostUncertainCells(sctx, 1)
 	if err != nil {
 		score.End(nil)
 		return 0, err
@@ -746,8 +774,8 @@ func (x *Index) EnsureRegion(ctx context.Context, model learn.Classifier) (grid.
 	lctx, load := obs.StartSpan(ctx, obs.PhaseLoad)
 	bytes0, chunks0 := x.IOStats()
 	// endLoad closes the load phase with the I/O delta it caused. Under
-	// concurrent prefetching the delta can include background reads — it
-	// attributes I/O to the iteration that waited on it.
+	// prefetching the delta can include background reads — it attributes
+	// I/O to the iteration it overlapped.
 	endLoad := func(outcome string) {
 		bytes1, chunks1 := x.IOStats()
 		x.hLoad.ObserveDuration(load.End(map[string]float64{
@@ -789,13 +817,12 @@ func (x *Index) EnsureRegion(ctx context.Context, model learn.Classifier) (grid.
 		return 0, err
 	}
 	if x.cache.HasRegion(int(target)) {
-		x.deferredFor = 0
+		x.dropPending()
 		endLoad("cached")
-		x.prefetchRunnerUp(top)
 		return target, nil
 	}
 
-	if x.pf == nil {
+	if x.pf == nil || resident == memcache.NoRegion {
 		// Synchronous path: load and swap immediately.
 		ids, rows, err := x.loadCell(lctx, int(target))
 		if err != nil {
@@ -808,45 +835,35 @@ func (x *Index) EnsureRegion(ctx context.Context, model learn.Classifier) (grid.
 		return target, nil
 	}
 
-	// Prefetching path. A completed background load wins instantly.
-	if r, ok := x.pf.TryTake(int(target)); ok {
-		if r.Err != nil {
-			return failLoad(r.Err)
-		}
-		x.mPrefHits.Inc()
-		endLoad("prefetch_hit")
-		if err := x.installRegion(ctx, int(target), r.IDs, r.Rows); err != nil {
-			return 0, err
-		}
-		return target, nil
-	}
-	// Otherwise start (or continue) the background load and defer the swap
-	// for up to θ iterations, keeping the current region useful meanwhile.
-	theta := x.pf.Theta(x.opts.LatencyThreshold)
+	// Prefetching path: a newly selected cell's load starts now (cancelling
+	// a stale one), and the resident region serves θ more iterations.
 	if x.pendingCell != int(target) {
-		x.pendingCell = int(target)
-		x.deferredFor = 0
-	}
-	if x.deferredFor < theta && resident != memcache.NoRegion {
-		if _, err := x.pf.Start(int(target)); err != nil {
+		if err := x.pf.Start(int(target)); err != nil {
 			load.End(nil)
 			return 0, err
 		}
+		x.pendingCell = int(target)
+		x.deferredFor = 0
+	}
+	if x.deferredFor < x.theta {
 		x.deferredFor++
 		x.mDeferred.Inc()
 		endLoad("deferred")
 		return grid.CellID(resident), nil
 	}
-	// Deferral budget exhausted (or nothing resident yet): block.
 	r := x.pf.Await(lctx, int(target))
 	if r.Err != nil {
 		return failLoad(r.Err)
 	}
-	endLoad("load")
+	outcome := "load"
+	if r.Ready {
+		x.mPrefHits.Inc()
+		outcome = "prefetch_hit"
+	}
+	endLoad(outcome)
 	if err := x.installRegion(ctx, int(target), r.IDs, r.Rows); err != nil {
 		return 0, err
 	}
-	x.prefetchRunnerUp(top)
 	return target, nil
 }
 
@@ -893,17 +910,15 @@ func (x *Index) installRegion(ctx context.Context, cell int, ids []uint32, rows 
 	return nil
 }
 
-// prefetchRunnerUp warms the second most-uncertain cell in the background.
-func (x *Index) prefetchRunnerUp(top []grid.CellID) {
-	if x.pf == nil || len(top) < 2 {
-		return
+// dropPending forgets the pending swap, cancelling its background load and
+// waiting for it to exit, so a load only ever runs for pendingCell and a
+// reselected cell's load starts again at its selection.
+func (x *Index) dropPending() {
+	if x.pf != nil {
+		x.pf.Cancel()
 	}
-	next := int(top[1])
-	if x.cache.ContainsRegion(next) {
-		return
-	}
-	// Best effort; a busy prefetcher just drops the hint.
-	_, _ = x.pf.Start(next)
+	x.pendingCell = memcache.NoRegion
+	x.deferredFor = 0
 }
 
 func isBudgetErr(err error) bool {

@@ -107,6 +107,11 @@ func TestOptionsValidation(t *testing.T) {
 		{MemoryBudgetBytes: 100, SegmentsPerDim: -1},
 		{MemoryBudgetBytes: 100, SampleSize: -1},
 		{MemoryBudgetBytes: 100, LatencyThreshold: -time.Second},
+		// No limiter, no model of a load's time to derive θ from.
+		{MemoryBudgetBytes: 100, EnablePrefetch: true},
+		// Replicas and hedging exist only across remote workers.
+		{MemoryBudgetBytes: 100, Replication: 2},
+		{MemoryBudgetBytes: 100, HedgeDelay: time.Millisecond},
 	}
 	for i, o := range bad {
 		if _, err := Open(context.Background(), dir, o); err == nil {
@@ -348,13 +353,20 @@ func TestMarkLabeledEvicts(t *testing.T) {
 	})
 }
 
+// TestPrefetchPathEndToEnd: with a region resident, a new target's swap
+// lands exactly θ iterations after its load starts — here θ = ⌈24 µs /
+// 10 µs⌉ = 3 for 2000 rows at 1 GB/s — and never earlier or later.
 func TestPrefetchPathEndToEnd(t *testing.T) {
 	idx, ds := openTestIndex(t, 2000, Options{
 		SampleSize:       80,
 		Seed:             12,
 		EnablePrefetch:   true,
-		LatencyThreshold: time.Millisecond,
+		Limiter:          iothrottle.New(1_000_000_000),
+		LatencyThreshold: 10 * time.Microsecond,
 	})
+	if idx.theta != 3 {
+		t.Fatalf("θ = %d, want 3", idx.theta)
+	}
 	if err := idx.InitExploration(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -384,20 +396,21 @@ func TestPrefetchPathEndToEnd(t *testing.T) {
 	if int(target) == idx.ResidentRegion() {
 		t.Skip("model change did not move the target cell")
 	}
-	for i := 0; i < 50; i++ {
+	for i := 0; i <= idx.theta; i++ {
 		got, err := idx.EnsureRegion(context.Background(), m2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got == target {
-			if idx.ResidentRegion() != int(target) {
-				t.Fatal("returned target but did not install it")
-			}
-			return
+		if i < idx.theta && got != cell {
+			t.Fatalf("iteration %d of θ = %d swapped to %d early", i, idx.theta, got)
 		}
-		time.Sleep(time.Millisecond)
+		if i == idx.theta && (got != target || idx.ResidentRegion() != int(target)) {
+			t.Fatalf("iteration %d: got %d, resident %d; want the swap to %d", i, got, idx.ResidentRegion(), target)
+		}
 	}
-	t.Fatal("swap never completed under prefetch policy")
+	if st := idx.Stats(); st.SwapsDeferred != idx.theta || st.RegionSwaps != 2 {
+		t.Errorf("%d deferred, %d swaps; want %d and 2", st.SwapsDeferred, st.RegionSwaps, idx.theta)
+	}
 }
 
 func TestResultRetrievalMatchesOracle(t *testing.T) {

@@ -1,15 +1,11 @@
 package core
 
-import (
-	"time"
+import "github.com/uei-db/uei/internal/memcache"
 
-	"github.com/uei-db/uei/internal/memcache"
-)
-
-// ViewOptions configures a per-session view of a shared Index. Zero values
-// inherit the parent's setting where one exists; MemoryBudgetBytes is
-// required (it is the view's slice of the global budget, granted by the
-// serving layer's arbiter).
+// ViewOptions configures a per-session view of a shared Index: the view's
+// slice of the global budget (granted by the serving layer's arbiter) and
+// its sample. Every other option — prefetch, σ, the resident-region bound
+// — is the parent's.
 type ViewOptions struct {
 	// MemoryBudgetBytes caps the view's resident unlabeled data. Required.
 	MemoryBudgetBytes int64
@@ -18,20 +14,14 @@ type ViewOptions struct {
 	// Seed drives the view's uniform sample (per-session, so concurrent
 	// sessions explore distinct samples).
 	Seed int64
-	// EnablePrefetch turns on background region loading for this view.
-	EnablePrefetch bool
-	// ResidentRegions bounds the view's cached regions; zero selects 1.
-	ResidentRegions int
-	// LatencyThreshold is σ; zero inherits the parent's.
-	LatencyThreshold time.Duration
 }
 
 // NewView derives an independent exploration state over the parent's
 // storage: the shard coordinator (stores and chunk mappings), grid,
 // symbolic index point set, worker pool, and metrics registry are shared
 // (they are immutable or concurrency-safe), while the memory budget,
-// unlabeled cache, uncertainty vector, and prefetcher are private to the
-// view. This is what lets many
+// unlabeled cache, uncertainty vector, and prefetcher (when the parent
+// prefetches) are private to the view. This is what lets many
 // concurrent sessions explore one index: each gets its own U, L-driven
 // scores, and region residency, but storage is opened (and the pool's
 // goroutines started) exactly once.
@@ -48,14 +38,6 @@ func (x *Index) NewView(vo ViewOptions) (*Index, error) {
 	opts.MemoryBudgetBytes = vo.MemoryBudgetBytes
 	opts.SampleSize = vo.SampleSize
 	opts.Seed = vo.Seed
-	opts.EnablePrefetch = vo.EnablePrefetch
-	opts.ResidentRegions = vo.ResidentRegions
-	if opts.ResidentRegions == 0 {
-		opts.ResidentRegions = 1
-	}
-	if vo.LatencyThreshold != 0 {
-		opts.LatencyThreshold = vo.LatencyThreshold
-	}
 	if _, err := opts.withDefaults(); err != nil {
 		return nil, err
 	}
@@ -96,6 +78,7 @@ func (x *Index) NewView(vo ViewOptions) (*Index, error) {
 	}
 	if opts.EnablePrefetch {
 		if err := v.startPrefetcher(); err != nil {
+			v.Close()
 			return nil, err
 		}
 	}

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/uei-db/uei/internal/dataset"
+	"github.com/uei-db/uei/internal/iothrottle"
 	"github.com/uei-db/uei/internal/learn"
 )
 
@@ -157,5 +159,28 @@ func TestViewBudgetIsolation(t *testing.T) {
 	}
 	if parentUsed := parent.Budget().Used(); parentUsed != 0 {
 		t.Errorf("parent budget charged %d bytes by a view", parentUsed)
+	}
+}
+
+// TestViewInheritsParentOptions: a view takes the parent's prefetch
+// setting, σ (hence θ) and resident-region bound — ViewOptions only slices
+// the budget and picks the sample.
+func TestViewInheritsParentOptions(t *testing.T) {
+	parent, _ := openTestIndex(t, 1200, Options{
+		ResidentRegions:  2,
+		EnablePrefetch:   true,
+		Limiter:          iothrottle.New(1_000_000_000),
+		LatencyThreshold: 10 * time.Microsecond,
+	})
+	v, err := parent.NewView(ViewOptions{MemoryBudgetBytes: 1 << 20, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	if got := v.cache.MaxRegions(); got != 2 {
+		t.Errorf("view resident-region bound %d, parent's 2", got)
+	}
+	if v.pf == nil || v.pf == parent.pf || v.theta != parent.theta {
+		t.Errorf("view prefetcher %p (parent %p), θ %d (parent %d): want its own, at the parent's θ", v.pf, parent.pf, v.theta, parent.theta)
 	}
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -95,10 +96,18 @@ func AblateGamma(env *Env, gammas []int) ([]AblationPoint, error) {
 	return out, nil
 }
 
-// AblatePrefetch compares prefetching off vs on (§3.2) — ablation A3.
-// Prefetching should cut tail latency (swaps hide behind iterations) at
-// equal accuracy.
+// ErrA3NeedsLimiter is AblatePrefetch's answer on an unthrottled
+// environment: θ is derived from the limiter's rate, so without one there
+// is no prefetch arm to run.
+var ErrA3NeedsLimiter = errors.New("experiment: A3 needs -iobw (prefetch derives θ from the I/O limiter's rate)")
+
+// AblatePrefetch compares prefetching off vs on (§3.2) — ablation A3 —
+// with both arms under the environment's limiter. Prefetching should cut
+// tail latency (swaps hide behind iterations) at equal accuracy.
 func AblatePrefetch(env *Env) ([]AblationPoint, error) {
+	if env.Limiter == nil {
+		return nil, ErrA3NeedsLimiter
+	}
 	region, err := ablationRegion(env)
 	if err != nil {
 		return nil, err

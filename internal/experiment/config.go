@@ -41,7 +41,8 @@ type Config struct {
 	MemoryBudgetFraction float64
 	// LatencyThreshold is σ (Table 1: 500 ms).
 	LatencyThreshold time.Duration
-	// EnablePrefetch turns on §3.2 background loading.
+	// EnablePrefetch turns on §3.2 background loading. It needs
+	// IOBandwidthBytesPerSec: θ is derived from the limiter's rate.
 	EnablePrefetch bool
 	// IOBandwidthBytesPerSec throttles both storage engines identically,
 	// emulating the scaled secondary-storage bandwidth (see DESIGN.md §3).
@@ -78,14 +79,6 @@ type Config struct {
 	// that many shards and runs every iteration as a scatter-gather. 0 and
 	// 1 keep the flat layout (the paper's configuration).
 	Shards int
-	// Replication, when > 1, runs each shard with that many logical
-	// replicas (in-process backends share storage) so the failover and
-	// hedging machinery is on the measured path. 0 and 1 mean
-	// unreplicated.
-	Replication int
-	// HedgeDelay fires per-shard calls on a second replica after this
-	// delay (needs Replication > 1). Zero disables hedging.
-	HedgeDelay time.Duration
 }
 
 // DefaultConfig returns the quick-mode configuration.
@@ -145,10 +138,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("experiment: BlockCacheBytes = %d", c.BlockCacheBytes)
 	case c.Shards < 0:
 		return fmt.Errorf("experiment: Shards = %d", c.Shards)
-	case c.Replication < 0:
-		return fmt.Errorf("experiment: Replication = %d", c.Replication)
-	case c.HedgeDelay < 0:
-		return fmt.Errorf("experiment: HedgeDelay = %v", c.HedgeDelay)
 	}
 	return nil
 }

@@ -113,8 +113,6 @@ func (e *Env) indexOptions(runSeed int64) core.Options {
 		Limiter:           e.Limiter,
 		BlockCacheBytes:   e.Cfg.BlockCacheBytes,
 		Shards:            e.Cfg.Shards,
-		Replication:       e.Cfg.Replication,
-		HedgeDelay:        e.Cfg.HedgeDelay,
 	}
 }
 

@@ -2,10 +2,12 @@ package experiment
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/uei-db/uei/internal/iothrottle"
 	"github.com/uei-db/uei/internal/oracle"
 )
 
@@ -178,13 +180,20 @@ func TestAblations(t *testing.T) {
 		t.Errorf("gamma ablation: %+v", gammas)
 	}
 
+	// A3 has no prefetch arm without a limiter; with one, both arms run
+	// under it and only the prefetch arm defers swaps.
+	if _, err := AblatePrefetch(env); !errors.Is(err, ErrA3NeedsLimiter) {
+		t.Fatalf("A3 without a limiter: err = %v, want ErrA3NeedsLimiter", err)
+	}
+	env.Limiter = iothrottle.New(1 << 30)
 	pf, err := AblatePrefetch(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pf) != 2 {
+	if len(pf) != 2 || pf[0].Deferred != 0 || pf[1].Deferred == 0 {
 		t.Errorf("prefetch ablation: %+v", pf)
 	}
+	env.Limiter = nil
 
 	strat, err := AblateStrategy(env)
 	if err != nil {

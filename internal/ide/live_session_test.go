@@ -61,8 +61,9 @@ func (f *liveFixture) factory(t *testing.T) Config {
 	}
 }
 
-// openPrefixIndex builds and opens a store over the fixture's prefix.
-func (f *liveFixture) openPrefixIndex(t *testing.T, shards int, live, follow bool) *core.Index {
+// openPrefixIndex builds and opens a store over the fixture's prefix, with
+// the golden session's prefetch settings when prefetch is set.
+func (f *liveFixture) openPrefixIndex(t *testing.T, shards int, live, follow, prefetch bool) *core.Index {
 	t.Helper()
 	dir := t.TempDir()
 	if err := core.Build(dir, f.prefix, core.BuildOptions{TargetChunkBytes: 2048, Shards: shards, LiveIngest: live}); err != nil {
@@ -74,6 +75,9 @@ func (f *liveFixture) openPrefixIndex(t *testing.T, shards int, live, follow boo
 	}
 	if shards > 1 {
 		opts.Shards = shards
+	}
+	if prefetch {
+		goldenPrefetch(&opts)
 	}
 	idx, err := core.Open(context.Background(), dir, opts)
 	if err != nil {
@@ -170,7 +174,7 @@ func TestLiveSessionSnapshotIsolationParity(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("S=%d", shards), func(t *testing.T) {
 			f := newLiveFixture(t, 3000, 2000)
-			static := f.runLiveSession(t, f.openPrefixIndex(t, shards, false, false), false)
+			static := f.runLiveSession(t, f.openPrefixIndex(t, shards, false, false, false), false)
 			if len(static.picks) == 0 || len(static.positive) == 0 {
 				t.Fatalf("static session degenerate: %d picks, %d positives", len(static.picks), len(static.positive))
 			}
@@ -178,7 +182,7 @@ func TestLiveSessionSnapshotIsolationParity(t *testing.T) {
 			// The oracle counts labels across its lifetime; rebuild the
 			// fixture so the live run starts from the same state.
 			f = newLiveFixture(t, 3000, 2000)
-			idx := f.openPrefixIndex(t, shards, true, false)
+			idx := f.openPrefixIndex(t, shards, true, false, false)
 			epoch := idx.LiveEpoch()
 			live := f.runLiveSession(t, idx, true)
 
@@ -214,31 +218,39 @@ func TestLiveSessionSnapshotIsolationParity(t *testing.T) {
 // TestLiveSessionFollowLive smokes the opt-in epoch-following mode: with
 // FollowLive the provider advances the snapshot at iteration boundaries,
 // so by the end of a run under concurrent ingest the session has moved
-// past its opening epoch and completed without error.
+// past its opening epoch and completed without error. With prefetch on an
+// advance can meet a background load still reading the old epoch through
+// the index's coordinator; AdvanceSnapshot must stop that load before it
+// replaces the coordinator and releases the epoch (run under -race).
 func TestLiveSessionFollowLive(t *testing.T) {
-	f := newLiveFixture(t, 3000, 2000)
-	idx := f.openPrefixIndex(t, 1, true, true)
-	if !idx.FollowsLive() {
-		t.Fatal("FollowsLive = false on a FollowLive open")
-	}
-	epoch := idx.LiveEpoch()
-	// One epoch is committed before the session starts, so there is
-	// something to advance to at the first iteration boundary however the
-	// concurrent appender below is scheduled against the session.
-	if _, err := idx.Live().Append([][]float64{f.prefix.CopyRow(0)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.Live().Flush(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	tr := f.runLiveSession(t, idx, true)
-	if len(tr.picks) == 0 {
-		t.Fatal("follow-live session made no iterations")
-	}
-	if idx.LiveEpoch() <= epoch {
-		t.Errorf("follow-live session never advanced: epoch still %d", idx.LiveEpoch())
-	}
-	if idx.RowCount() <= f.prefix.Len() {
-		t.Errorf("follow-live RowCount = %d, want > %d", idx.RowCount(), f.prefix.Len())
+	for _, prefetch := range []bool{false, true} {
+		t.Run(fmt.Sprintf("prefetch=%v", prefetch), func(t *testing.T) {
+			f := newLiveFixture(t, 3000, 2000)
+			idx := f.openPrefixIndex(t, 1, true, true, prefetch)
+			if !idx.FollowsLive() {
+				t.Fatal("FollowsLive = false on a FollowLive open")
+			}
+			epoch := idx.LiveEpoch()
+			// One epoch is committed before the session starts, so there is
+			// something to advance to at the first iteration boundary
+			// however the concurrent appender below is scheduled against
+			// the session.
+			if _, err := idx.Live().Append([][]float64{f.prefix.CopyRow(0)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := idx.Live().Flush(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			tr := f.runLiveSession(t, idx, true)
+			if len(tr.picks) == 0 {
+				t.Fatal("follow-live session made no iterations")
+			}
+			if idx.LiveEpoch() <= epoch {
+				t.Errorf("follow-live session never advanced: epoch still %d", idx.LiveEpoch())
+			}
+			if idx.RowCount() <= f.prefix.Len() {
+				t.Errorf("follow-live RowCount = %d, want > %d", idx.RowCount(), f.prefix.Len())
+			}
+		})
 	}
 }

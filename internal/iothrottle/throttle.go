@@ -97,6 +97,15 @@ func (l *Limiter) Acquire(n int64) {
 	}
 }
 
+// BytesPerSecond returns the sustained budget New was given, or 0 for a nil
+// (unlimited) limiter.
+func (l *Limiter) BytesPerSecond() int64 {
+	if l == nil {
+		return 0
+	}
+	return int64(l.bytesPerSecond)
+}
+
 // Stats returns the total bytes metered and the total time spent waiting.
 func (l *Limiter) Stats() (bytes int64, waited time.Duration) {
 	if l == nil {

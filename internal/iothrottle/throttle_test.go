@@ -33,7 +33,13 @@ func TestNilLimiterIsNoop(t *testing.T) {
 	if b, w := l.Stats(); b != 0 || w != 0 {
 		t.Error("nil limiter stats should be zero")
 	}
+	if r := l.BytesPerSecond(); r != 0 {
+		t.Errorf("nil limiter BytesPerSecond = %d, want 0", r)
+	}
 	l.Reset()
+	if r := New(64 << 20).BytesPerSecond(); r != 64<<20 {
+		t.Errorf("BytesPerSecond = %d, want %d", r, 64<<20)
+	}
 }
 
 func TestNewPanicsOnNonPositive(t *testing.T) {

@@ -138,10 +138,6 @@ func (c *Cache) HasRegion(cell int) bool {
 	return true
 }
 
-// ContainsRegion reports residency without updating recency (a read-only
-// probe for prefetch planning).
-func (c *Cache) ContainsRegion(cell int) bool { return c.regionIndex(cell) >= 0 }
-
 // ResidentRegions returns the resident cells, least recently used first.
 func (c *Cache) ResidentRegions() []int {
 	cells := make([]int, len(c.regions))

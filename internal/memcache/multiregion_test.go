@@ -1,9 +1,13 @@
 package memcache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// resident reports whether cell's region is resident without touching it.
+func resident(c *Cache, cell int) bool { return slices.Contains(c.ResidentRegions(), cell) }
 
 func TestSetMaxRegionsValidation(t *testing.T) {
 	c, _ := newTestCache(t, 20)
@@ -29,7 +33,7 @@ func TestMultiRegionResidency(t *testing.T) {
 	if err := c.SetRegion(2, []uint32{20}, [][]float64{{2, 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if !c.ContainsRegion(1) || !c.ContainsRegion(2) {
+	if !resident(c, 1) || !resident(c, 2) {
 		t.Fatal("both regions should be resident")
 	}
 	if c.RegionLen() != 2 || b.Used() != 2*TupleBytes(2) {
@@ -39,10 +43,10 @@ func TestMultiRegionResidency(t *testing.T) {
 	if err := c.SetRegion(3, []uint32{30}, [][]float64{{3, 3}}); err != nil {
 		t.Fatal(err)
 	}
-	if c.ContainsRegion(1) {
+	if resident(c, 1) {
 		t.Error("cell 1 should have been evicted")
 	}
-	if !c.ContainsRegion(2) || !c.ContainsRegion(3) {
+	if !resident(c, 2) || !resident(c, 3) {
 		t.Error("cells 2 and 3 should be resident")
 	}
 	if b.Used() != 2*TupleBytes(2) {
@@ -60,18 +64,18 @@ func TestMultiRegionLRUTouch(t *testing.T) {
 		t.Fatal("cell 1 resident")
 	}
 	c.SetRegion(3, []uint32{30}, [][]float64{{3, 3}})
-	if !c.ContainsRegion(1) || c.ContainsRegion(2) {
+	if !resident(c, 1) || resident(c, 2) {
 		t.Errorf("LRU touch ignored: resident = %v", c.ResidentRegions())
 	}
-	// ContainsRegion must NOT touch.
+	// Reading residency must NOT touch.
 	c2, _ := newTestCache(t, 20)
 	c2.SetMaxRegions(2)
 	c2.SetRegion(1, []uint32{10}, [][]float64{{1, 1}})
 	c2.SetRegion(2, []uint32{20}, [][]float64{{2, 2}})
-	c2.ContainsRegion(1)
+	c2.ResidentRegions()
 	c2.SetRegion(3, []uint32{30}, [][]float64{{3, 3}})
-	if c2.ContainsRegion(1) {
-		t.Error("ContainsRegion must not refresh recency")
+	if resident(c2, 1) {
+		t.Error("ResidentRegions must not refresh recency")
 	}
 }
 

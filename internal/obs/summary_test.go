@@ -13,7 +13,7 @@ func summaryFixture() *Registry {
 	r.Histogram(PhaseHistName(PhaseLoad), nil).ObserveDuration(15 * time.Millisecond)
 	r.Histogram(IterationHistName, nil).ObserveDuration(100 * time.Millisecond)
 	// A histogram outside the phase naming contract must not appear.
-	r.Histogram("prefetch_load_seconds", nil).ObserveDuration(time.Second)
+	r.Histogram("chunkstore_chunk_read_seconds", nil).ObserveDuration(time.Second)
 	return r
 }
 
@@ -41,7 +41,7 @@ func TestFormatSummary(t *testing.T) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
 	}
-	if strings.Contains(out, "prefetch_load") {
+	if strings.Contains(out, "chunk_read") {
 		t.Errorf("non-phase histogram leaked into summary:\n%s", out)
 	}
 }

@@ -2,11 +2,12 @@
 // ("Tuning Interactive Exploration"): when the user sets a response-latency
 // threshold σ that a synchronous region load would violate, UEI starts
 // fetching the chunks of the anticipated next region in the background,
-// θ = ⌈τ/σ⌉ iterations ahead, where τ is the average region load time.
+// θ = ⌈τ/σ⌉ iterations ahead, where τ is the time a region load takes.
 //
-// The prefetcher keeps at most one load in flight and at most one completed
-// region buffered, matching UEI's default of one uncertain region resident
-// at a time plus one in transit.
+// τ is modelled, not measured (Theta): a clock reading would make θ, and
+// with it the label sequence of a session, depend on timing. The
+// prefetcher holds at most one load, in flight or finished and not yet
+// taken; starting another cancels it.
 package prefetch
 
 import (
@@ -23,74 +24,97 @@ import (
 // ErrClosed is returned by operations on a closed prefetcher.
 var ErrClosed = errors.New("prefetch: prefetcher is closed")
 
+// postingBytes is what Theta charges a cell load per posting it reads: an
+// uncompressed 8-byte value plus a 4-byte row id.
+const postingBytes = 12
+
+// maxTheta bounds θ where τ̂/σ leaves the int range: a swap that far off
+// never happens in a session either way.
+const maxTheta = math.MaxInt32
+
+// Theta returns θ = ⌈τ̂/σ⌉, at least 1: the iterations a swap waits after
+// its background load starts. τ̂ is the time a cell load takes under an I/O
+// rate of bytesPerSecond in the flat layout: one slab of ⌈rows/segsPerDim⌉
+// postings per dimension, postingBytes (12 B) each. The inputs are the same for
+// every layout holding the same rows, so θ is too. A non-positive rate (no
+// limiter, so no model of I/O cost) or σ is an error.
+func Theta(rows, dims, segsPerDim int, bytesPerSecond int64, sigma time.Duration) (int, error) {
+	if bytesPerSecond <= 0 {
+		return 0, fmt.Errorf("prefetch: θ needs an I/O rate to model a load's time, got %d B/s", bytesPerSecond)
+	}
+	if sigma <= 0 {
+		return 0, fmt.Errorf("prefetch: θ needs a positive latency threshold, got %v", sigma)
+	}
+	if rows < 0 || dims < 1 || segsPerDim < 1 {
+		return 0, fmt.Errorf("prefetch: θ of %d rows over %d dims at %d segments per dim", rows, dims, segsPerDim)
+	}
+	bytes := float64(dims) * math.Ceil(float64(rows)/float64(segsPerDim)) * postingBytes
+	theta := math.Ceil(bytes / float64(bytesPerSecond) / sigma.Seconds())
+	switch {
+	case theta < 1:
+		return 1, nil
+	case theta >= maxTheta:
+		return maxTheta, nil
+	}
+	return int(theta), nil
+}
+
 // LoadFunc loads a region's tuples from secondary storage. Implementations
 // must be safe to call from the prefetcher's goroutine and must honor ctx:
-// background loads receive a context the prefetcher cancels at Close, which
-// is what makes shutdown deterministic while a load is in flight.
+// background loads receive a context the prefetcher cancels on a retarget,
+// Cancel or Close, which is what lets those return promptly mid-load.
 type LoadFunc func(ctx context.Context, cell int) (ids []uint32, rows [][]float64, err error)
 
 // Result is a completed region load.
 type Result struct {
-	Cell     int
-	IDs      []uint32
-	Rows     [][]float64
-	Err      error
-	LoadTime time.Duration
+	Cell int
+	IDs  []uint32
+	Rows [][]float64
+	Err  error
+	// Ready reports that Await found the background load already done.
+	Ready bool
 }
 
-// NoCell marks "no region" in-flight or buffered.
-const NoCell = -1
+// flight is one background load. res is written by its goroutine before
+// done closes and read only after.
+type flight struct {
+	cell   int
+	cancel context.CancelFunc
+	done   chan struct{}
+	res    Result
+}
+
+// stop cancels the load and waits for its goroutine to exit. A nil flight
+// is a no-op.
+func (f *flight) stop() {
+	if f == nil {
+		return
+	}
+	f.cancel()
+	<-f.done
+}
 
 // Prefetcher coordinates asynchronous region loads.
 type Prefetcher struct {
 	load LoadFunc
-	// baseCtx parents every background load; cancel aborts an in-flight
-	// load promptly at Close.
-	baseCtx context.Context
-	cancel  context.CancelFunc
 
-	mu           sync.Mutex
-	inflightCell int
-	inflightDone chan struct{}
-	buffered     *Result
-	emaNanos     float64
-	loads        int
-	closed       bool
+	mu     sync.Mutex
+	cur    *flight // the load started and not yet taken; nil when none
+	closed bool
 
 	// Observability instruments (nil until Instrument; nil-safe no-ops).
-	mStarts  *obs.Counter
-	mDropped *obs.Counter
-	mLoads   *obs.Counter
-	hLoad    *obs.Histogram
-	gQueue   *obs.Gauge
+	mStarts *obs.Counter
+	gQueue  *obs.Gauge
 }
 
 // Instrument registers the prefetcher's metrics: prefetch_starts_total
-// (background loads accepted), prefetch_dropped_total (requests dropped
-// because a different cell was in flight), prefetch_loads_total (completed
-// loads, sync or async), the load-time histogram prefetch_load_seconds
-// backing the τ estimate, and the queue-depth gauge prefetch_queue_depth
-// (in-flight plus buffered regions, 0-2 by construction).
+// (background loads started) and the gauge prefetch_queue_depth (1 while a
+// load is in flight or finished and not yet taken, else 0).
 func (p *Prefetcher) Instrument(reg *obs.Registry) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.mStarts = reg.Counter("prefetch_starts_total")
-	p.mDropped = reg.Counter("prefetch_dropped_total")
-	p.mLoads = reg.Counter("prefetch_loads_total")
-	p.hLoad = reg.Histogram("prefetch_load_seconds", nil)
 	p.gQueue = reg.Gauge("prefetch_queue_depth")
-}
-
-// updateQueueGaugeLocked publishes the in-flight + buffered depth.
-func (p *Prefetcher) updateQueueGaugeLocked() {
-	depth := 0
-	if p.inflightCell != NoCell {
-		depth++
-	}
-	if p.buffered != nil {
-		depth++
-	}
-	p.gQueue.SetInt(int64(depth))
 }
 
 // New creates a prefetcher over the given loader.
@@ -98,161 +122,105 @@ func New(load LoadFunc) (*Prefetcher, error) {
 	if load == nil {
 		return nil, fmt.Errorf("prefetch: nil load function")
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	return &Prefetcher{load: load, baseCtx: ctx, cancel: cancel, inflightCell: NoCell}, nil
+	return &Prefetcher{load: load}, nil
 }
 
-// Start begins loading cell in the background. It reports whether a load
-// was started (or is already in flight / buffered for that cell): false
-// means the prefetcher is busy with a different cell and the request was
-// dropped — the caller will simply load synchronously later if it still
-// wants the region.
-func (p *Prefetcher) Start(cell int) (bool, error) {
+// setLocked replaces the held load, returning the one it displaced.
+func (p *Prefetcher) setLocked(f *flight) *flight {
+	old := p.cur
+	p.cur = f
+	depth := int64(0)
+	if f != nil {
+		depth = 1
+	}
+	p.gQueue.SetInt(depth)
+	return old
+}
+
+// Start begins loading cell in the background. A load of cell already held
+// is kept; a load of any other cell is cancelled and joined first, so at
+// most one load runs at a time.
+func (p *Prefetcher) Start(cell int) error {
 	if cell < 0 {
-		return false, fmt.Errorf("prefetch: invalid cell %d", cell)
+		return fmt.Errorf("prefetch: invalid cell %d", cell)
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.closed {
-		return false, ErrClosed
+		p.mu.Unlock()
+		return ErrClosed
 	}
-	if p.inflightCell == cell {
-		return true, nil
+	if p.cur != nil && p.cur.cell == cell {
+		p.mu.Unlock()
+		return nil
 	}
-	if p.buffered != nil && p.buffered.Cell == cell {
-		return true, nil
-	}
-	if p.inflightCell != NoCell {
-		p.mDropped.Inc()
-		return false, nil
-	}
-	done := make(chan struct{})
-	p.inflightCell = cell
-	p.inflightDone = done
+	ctx, cancel := context.WithCancel(context.Background())
+	f := &flight{cell: cell, cancel: cancel, done: make(chan struct{})}
+	stale := p.setLocked(f)
 	p.mStarts.Inc()
-	p.updateQueueGaugeLocked()
-	go p.run(cell, done)
-	return true, nil
-}
-
-// run executes one background load and buffers its result.
-func (p *Prefetcher) run(cell int, done chan struct{}) {
-	start := time.Now()
-	ids, rows, err := p.load(p.baseCtx, cell)
-	elapsed := time.Since(start)
-
-	p.mu.Lock()
-	p.recordLocked(elapsed)
-	p.buffered = &Result{Cell: cell, IDs: ids, Rows: rows, Err: err, LoadTime: elapsed}
-	p.inflightCell = NoCell
-	p.inflightDone = nil
-	p.updateQueueGaugeLocked()
 	p.mu.Unlock()
-	close(done)
+	stale.stop()
+	go func() {
+		defer close(f.done)
+		f.res.Cell = cell
+		f.res.IDs, f.res.Rows, f.res.Err = p.load(ctx, cell)
+	}()
+	return nil
 }
 
-// TryTake returns the buffered result for cell, if one is ready, removing
-// it from the buffer. It never blocks.
-func (p *Prefetcher) TryTake(cell int) (*Result, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.buffered != nil && p.buffered.Cell == cell {
-		r := p.buffered
-		p.buffered = nil
-		p.updateQueueGaugeLocked()
-		return r, true
-	}
-	return nil, false
-}
-
-// Await returns the region for cell, blocking on an in-flight load of that
-// cell or performing a synchronous load otherwise. The synchronous path
-// also updates τ, since it is exactly the load the prefetcher tries to
-// hide. A canceled ctx aborts the wait (and the synchronous load) and
-// returns a Result carrying ctx.Err().
+// Await returns the region for cell: the background load of cell, waiting
+// for it if it has not finished, or else a synchronous load. A canceled ctx
+// aborts the wait (and the synchronous load) and returns a Result carrying
+// ctx.Err(); the background load is then kept for a later Await.
 func (p *Prefetcher) Await(ctx context.Context, cell int) *Result {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return &Result{Cell: cell, Err: ErrClosed}
 	}
-	if p.buffered != nil && p.buffered.Cell == cell {
-		r := p.buffered
-		p.buffered = nil
-		p.updateQueueGaugeLocked()
-		p.mu.Unlock()
-		return r
-	}
-	if p.inflightCell == cell {
-		done := p.inflightDone
-		p.mu.Unlock()
+	f := p.cur
+	p.mu.Unlock()
+	if f != nil && f.cell == cell {
+		ready := false
 		select {
-		case <-done:
+		case <-f.done:
+			ready = true
+		default:
+		}
+		select {
+		case <-f.done:
 		case <-ctx.Done():
 			return &Result{Cell: cell, Err: ctx.Err()}
 		}
-		if r, ok := p.TryTake(cell); ok {
-			return r
+		p.mu.Lock()
+		taken := p.cur == f
+		if taken {
+			p.setLocked(nil)
 		}
-		// Another caller raced us to the buffer; fall through to a
-		// synchronous load.
-	} else {
+		closed := p.closed
 		p.mu.Unlock()
+		if closed {
+			return &Result{Cell: cell, Err: ErrClosed}
+		}
+		if taken {
+			f.cancel() // releases the context; the load has finished
+			r := f.res
+			r.Ready = ready
+			return &r
+		}
+		// A retarget or another caller took the load first: load here.
 	}
-
-	start := time.Now()
 	ids, rows, err := p.load(ctx, cell)
-	elapsed := time.Since(start)
+	return &Result{Cell: cell, IDs: ids, Rows: rows, Err: err}
+}
+
+// Cancel stops the held load, if any, waits for its goroutine to exit and
+// drops its result. After Cancel returns no load reads anything the loader
+// depends on until the next Start.
+func (p *Prefetcher) Cancel() {
 	p.mu.Lock()
-	p.recordLocked(elapsed)
+	f := p.setLocked(nil)
 	p.mu.Unlock()
-	return &Result{Cell: cell, IDs: ids, Rows: rows, Err: err, LoadTime: elapsed}
-}
-
-// recordLocked folds one load time into the τ estimate (EMA, α = 0.3).
-func (p *Prefetcher) recordLocked(d time.Duration) {
-	p.loads++
-	p.mLoads.Inc()
-	p.hLoad.ObserveDuration(d)
-	if p.loads == 1 {
-		p.emaNanos = float64(d.Nanoseconds())
-		return
-	}
-	const alpha = 0.3
-	p.emaNanos = alpha*float64(d.Nanoseconds()) + (1-alpha)*p.emaNanos
-}
-
-// AvgLoadTime returns the current τ estimate (0 before any load).
-func (p *Prefetcher) AvgLoadTime() time.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return time.Duration(p.emaNanos)
-}
-
-// Loads returns how many region loads (sync or async) have completed.
-func (p *Prefetcher) Loads() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.loads
-}
-
-// Theta computes θ = ⌈τ/σ⌉, the number of iterations of lead time the
-// prefetcher needs to hide a region load behind iterations of latency σ.
-// With no load history or a non-positive σ it returns 1 (start one
-// iteration ahead).
-func (p *Prefetcher) Theta(sigma time.Duration) int {
-	if sigma <= 0 {
-		return 1
-	}
-	tau := p.AvgLoadTime()
-	if tau <= 0 {
-		return 1
-	}
-	theta := int(math.Ceil(float64(tau) / float64(sigma)))
-	if theta < 1 {
-		theta = 1
-	}
-	return theta
+	f.stop()
 }
 
 // Close cancels any in-flight load, waits for its goroutine to exit, and
@@ -262,15 +230,7 @@ func (p *Prefetcher) Theta(sigma time.Duration) int {
 // idempotent and safe to call concurrently with an in-flight load.
 func (p *Prefetcher) Close() {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
 	p.closed = true
-	done := p.inflightDone
 	p.mu.Unlock()
-	p.cancel()
-	if done != nil {
-		<-done
-	}
+	p.Cancel()
 }

@@ -91,8 +91,8 @@ func NewManager(ctx context.Context, cfg Config) (*Manager, error) {
 		return nil, fmt.Errorf("server: Config.StoreDir is required (or ShardEndpoints for remote serving)")
 	}
 	// The parent index never explores itself — sessions run on views — so
-	// its own budget is only a placeholder ledger and its prefetcher stays
-	// off.
+	// its own budget is only a placeholder ledger. Nothing prefetches: the
+	// server has no I/O limiter to derive θ from.
 	idx, err := core.Open(ctx, cfg.StoreDir, core.Options{
 		MemoryBudgetBytes: cfg.TotalBudgetBytes,
 		Seed:              cfg.Seed,

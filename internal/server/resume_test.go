@@ -31,7 +31,7 @@ func runSteps(t *testing.T, m *Manager, id string, n int) (ids []uint32, done bo
 // its snapshot selects exactly the tuples an uninterrupted session selects,
 // and retrieves the same final result. The spec pins seed and sample size
 // (so the rebuilt view draws the same sample) and both managers grant the
-// same budget share; prefetch is off, which is the server default.
+// same budget share.
 func TestEvictResumeParity(t *testing.T) {
 	dir, _ := buildStore(t, 2500)
 	spec := SessionSpec{

@@ -81,10 +81,6 @@ type Config struct {
 	// SnapshotDir holds evicted sessions' labeled sets. Zero value selects
 	// a directory inside StoreDir.
 	SnapshotDir string
-	// EnablePrefetch turns on background region loading per session view.
-	// Off by default: prefetch trades determinism for latency, and resumed
-	// sessions replay identically only without it.
-	EnablePrefetch bool
 	// Workers sizes the shared index worker pool. Zero selects GOMAXPROCS.
 	Workers int
 	// Shards selects the store layout the manager requires from StoreDir:
@@ -101,9 +97,9 @@ type Config struct {
 	// becomes optional (it is only used as the default snapshot-dir
 	// parent, so set SnapshotDir when omitting it).
 	ShardEndpoints []string
-	// Replication is the per-shard replica count across the worker fleet;
-	// a shard degrades only when all of its replicas fail. Zero and 1
-	// both mean unreplicated. See core.Options.Replication.
+	// Replication is the per-shard replica count across the ShardEndpoints
+	// fleet; a shard degrades only when all of its replicas fail. Zero and
+	// 1 both mean unreplicated. See core.Options.Replication.
 	Replication int
 	// HedgeDelay fires each per-shard operation on a second replica if
 	// the first has not answered within the delay (requires Replication >

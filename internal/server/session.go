@@ -183,7 +183,6 @@ func (m *Manager) materializeLocked(ctx context.Context, h *hosted, grant int64)
 		MemoryBudgetBytes: grant,
 		SampleSize:        h.spec.SampleSize,
 		Seed:              h.spec.Seed,
-		EnablePrefetch:    m.cfg.EnablePrefetch,
 	})
 	if err != nil {
 		return fmt.Errorf("server: session %s view: %w", h.id, err)

@@ -122,11 +122,6 @@ type OpenOptions struct {
 	// store is installed with a distinct cache key prefix so identical
 	// chunk file names in different shards cannot collide.
 	BlockCache *chunkstore.BlockCache
-	// Replicas is the per-shard replica count. In-process replicas share
-	// one backend (the store is concurrency-safe), so values above 1 buy
-	// hedging and failover semantics — useful under injected faults and
-	// in tests — without extra memory. Zero and 1 both mean unreplicated.
-	Replicas int
 }
 
 // CoordinatorOptions configures NewCoordinator (the transport-agnostic
@@ -166,11 +161,9 @@ type CoordinatorOptions struct {
 // attempt deadline and the hedge delay are fixed at construction.
 type Coordinator struct {
 	meta Meta
-	// replicas[s] lists shard s's backends, primary first.
+	// replicas[s] lists shard s's backends, primary first: one local
+	// backend per shard in process, R distinct worker clients remotely.
 	replicas [][]Backend
-	// statBackends holds each distinct backend once, for I/O accounting
-	// (local replicas share one backend; remote replicas are distinct).
-	statBackends []Backend
 	// shards holds the in-process shards of a locally opened coordinator,
 	// nil when the data plane is remote. Exposed for inspection and tests.
 	shards []*Shard
@@ -268,20 +261,10 @@ func NewLocalCoordinator(man *Manifest, shards []*Shard, opts OpenOptions) (*Coo
 	if err != nil {
 		return nil, err
 	}
-	rep := opts.Replicas
-	if rep < 1 {
-		rep = 1
-	}
 	backends := make([][]Backend, man.Shards)
 	for s, sh := range shards {
 		sh.ID = s
-		lb := NewLocalBackend(sh, g)
-		for i := 0; i < rep; i++ {
-			// In-process replicas share the backend: the store is
-			// concurrency-safe, and one I/O counter per shard keeps stats
-			// exact under hedging.
-			backends[s] = append(backends[s], lb)
-		}
+		backends[s] = []Backend{NewLocalBackend(sh, g)}
 	}
 	c, err := newCoordinator(man, g, backends, opts.CoordinatorOptions)
 	if err != nil {
@@ -317,10 +300,7 @@ func (c *Coordinator) NextEpoch(man *Manifest, shards []*Shard) (*Coordinator, e
 	for s, sh := range shards {
 		sh.ID = s
 		lb := NewLocalBackend(sh, c.meta.Grid)
-		for range c.replicas[s] {
-			next.replicas[s] = append(next.replicas[s], lb)
-		}
-		next.statBackends = append(next.statBackends, lb)
+		next.replicas[s] = []Backend{lb}
 		next.meta.TotalBytes += lb.Stats().TotalBytes
 	}
 	return next, nil
@@ -358,7 +338,6 @@ func newCoordinator(man *Manifest, g *grid.Grid, replicas [][]Backend, opts Coor
 		return nil, err
 	}
 	minRep := 0
-	var stat []Backend
 	var totalBytes int64
 	for s, reps := range replicas {
 		if len(reps) == 0 {
@@ -367,26 +346,21 @@ func newCoordinator(man *Manifest, g *grid.Grid, replicas [][]Backend, opts Coor
 		if minRep == 0 || len(reps) < minRep {
 			minRep = len(reps)
 		}
-		for _, b := range reps {
-			if b == nil {
-				return nil, fmt.Errorf("shard: shard %d has a nil backend", s)
-			}
-			if !slices.Contains(stat, b) {
-				stat = append(stat, b)
-				totalBytes += b.Stats().TotalBytes
-			}
+		if slices.Contains(reps, nil) {
+			return nil, fmt.Errorf("shard: shard %d has a nil backend", s)
 		}
+		// Every replica holds the shard's rows: count them once.
+		totalBytes += reps[0].Stats().TotalBytes
 	}
 	if opts.Pool == nil {
 		opts.Pool = pool.New(1) // one worker runs inline and owns no goroutine
 	}
 	c := &Coordinator{
-		replicas:     replicas,
-		statBackends: stat,
-		ownerByCell:  owners,
-		pool:         opts.Pool,
-		deadline:     opts.Deadline,
-		hedgeDelay:   opts.HedgeDelay,
+		replicas:    replicas,
+		ownerByCell: owners,
+		pool:        opts.Pool,
+		deadline:    opts.Deadline,
+		hedgeDelay:  opts.HedgeDelay,
 		meta: Meta{
 			Grid:           g,
 			Points:         kernel.Pack(g.Centers()),
@@ -424,21 +398,25 @@ func (c *Coordinator) Backends(s int) []Backend { return c.replicas[s] }
 // coordinator, or nil (remote coordinators cache on the worker side).
 func (c *Coordinator) BlockCache() *chunkstore.BlockCache { return c.cache }
 
-// IOStats sums cumulative bytes and chunks read across all distinct
-// backends: disk I/O for local shards, wire traffic for remote ones.
+// IOStats sums cumulative bytes and chunks read across all backends: disk
+// I/O for local shards, wire traffic for remote ones.
 func (c *Coordinator) IOStats() (bytes int64, chunks int64) {
-	for _, b := range c.statBackends {
-		s := b.Stats()
-		bytes += s.BytesRead
-		chunks += s.ChunksRead
+	for _, reps := range c.replicas {
+		for _, b := range reps {
+			s := b.Stats()
+			bytes += s.BytesRead
+			chunks += s.ChunksRead
+		}
 	}
 	return bytes, chunks
 }
 
 // ResetIOStats zeroes every backend's I/O counters.
 func (c *Coordinator) ResetIOStats() {
-	for _, b := range c.statBackends {
-		b.ResetIOStats()
+	for _, reps := range c.replicas {
+		for _, b := range reps {
+			b.ResetIOStats()
+		}
 	}
 }
 
