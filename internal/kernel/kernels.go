@@ -1,16 +1,20 @@
 package kernel
 
+import "math"
+
 // The batched kernels below are plain strided float64 loops, unrolled by 4
 // where each element's update is independent (unrolling then only reorders
 // WHICH element is touched next, never the operations applied to one
 // element — the bit-parity contract). None of them allocate; callers own
 // and reuse every destination and scratch slice.
 //
-// The three DWKNN strip kernels — AddSquaredDiff, SquaredDiffInto,
-// CountBelow — run their first len&^3 elements four to an instruction where
-// the CPU has AVX2 (strip_amd64.s). Their Go loops finish the tail, are the
-// whole body everywhere else, and are what the tests hold the assembly to,
-// bit for bit.
+// The four element-wise DWKNN strip kernels — AddSquaredDiff,
+// SquaredDiffInto, CountBelow, MinInto — run their first len&^3 elements
+// four to an instruction where the CPU has AVX2 (strip_amd64.s). Their Go
+// loops finish the tail, are the whole body everywhere else, and are what
+// the tests hold the assembly to, bit for bit. The fifth, SelectLanes, runs
+// four lanes at a time there, and SelectKMin is its tail, its portable body
+// and its oracle.
 
 // VectorWidth is how many float64 the strip kernels process per
 // instruction on this CPU: 4 with the AVX2 bodies live, 1 otherwise.
@@ -118,6 +122,29 @@ func countBelowGo(cnt []int32, v, thr []float64) {
 	}
 }
 
+// MinInto lowers m[i] to v[i] where v[i] < m[i] — the float comparison
+// exactly, so a NaN of either sign on either side, or a zero meeting a zero,
+// leaves m[i] as it was: a running minimum over strip rows, such as each
+// point's nearest positive.
+func MinInto(m, v []float64) {
+	m = m[:len(v)]
+	n := 0
+	if hasAVX2 {
+		n = len(v) &^ 3
+		minIntoAVX2(m, v)
+	}
+	minIntoGo(m[n:], v[n:])
+}
+
+func minIntoGo(m, v []float64) {
+	m = m[:len(v)]
+	for i, x := range v {
+		if x < m[i] {
+			m[i] = x
+		}
+	}
+}
+
 // AxpyStandardized accumulates dst[i] += w * (col[i] - mean) / std — one
 // dimension of a standardized logistic dot-product. The multiply-then-
 // divide order matches the scalar path exactly.
@@ -200,4 +227,43 @@ func SelectKMin(d2 []float64, offset, stride, rows, k int, out []Neighbor) []Nei
 		out[j] = Neighbor{Idx: r, D2: v}
 	}
 	return out
+}
+
+// laneMaxK bounds the lists the vector selection keeps: its cost per row
+// grows with k where SelectKMin's does not (a full list rejects in one
+// compare), and four lanes' lists at the bound fill a 1 KiB stack array.
+const laneMaxK = 16
+
+// SelectLanes selects in every lane of a strip: for each i in [0, w), in
+// ascending order, it calls fn(i, SelectKMin(d2, i, w, rows, k, best[:0])).
+// The list fn gets aliases best (cap(best) >= min(k, rows)) and is valid
+// until fn returns. With AVX2 and 1 <= k <= laneMaxK, lanes go four at a time
+// through a compare-and-blend network (strip_amd64.s); the lanes after the
+// last whole four, and any lane holding a value outside [+0, +Inf] — a NaN,
+// or anything with the sign bit, where bit order and float order part — are
+// SelectKMin's own.
+func SelectLanes(d2 []float64, w, rows, k int, best []Neighbor, fn func(i int, nb []Neighbor)) {
+	i := 0
+	if hasAVX2 && rows > 0 && k >= 1 && k <= laneMaxK {
+		var lists [8 * laneMaxK]uint64
+		vals, idx := lists[:4*k], lists[4*k:8*k]
+		nb := best[:min(k, rows)]
+		for ; i+4 <= w; i += 4 {
+			_ = d2[(rows-1)*w+i+3] // the last four values the body reads
+			odd := selectLanesAVX2(d2[i:], w, rows, k, lists[:8*k])
+			for l := range 4 {
+				if odd>>l&1 != 0 {
+					fn(i+l, SelectKMin(d2, i+l, w, rows, k, best[:0]))
+					continue
+				}
+				for j := range nb {
+					nb[j] = Neighbor{Idx: int(idx[4*j+l]), D2: math.Float64frombits(vals[4*j+l])}
+				}
+				fn(i+l, nb)
+			}
+		}
+	}
+	for ; i < w; i++ {
+		fn(i, SelectKMin(d2, i, w, rows, k, best[:0]))
+	}
 }

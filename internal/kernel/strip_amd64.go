@@ -19,3 +19,13 @@ func squaredDiffIntoAVX2(dst, q []float64, v float64)
 
 //go:noescape
 func countBelowAVX2(cnt []int32, v, thr []float64)
+
+//go:noescape
+func minIntoAVX2(m, v []float64)
+
+// selectLanesAVX2 selects over lanes 0-3 of rows [0, rows) of a strip of
+// width w, into lists[:8k]; rows and k must be at least 1 and d2 must hold
+// (rows-1)*w+4 values. Bit l of odd marks a lane whose list is not valid.
+//
+//go:noescape
+func selectLanesAVX2(d2 []float64, w, rows, k int, lists []uint64) (odd int)

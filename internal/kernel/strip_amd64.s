@@ -1,11 +1,15 @@
 #include "textflag.h"
 
-// The vector bodies of the three strip kernels (DESIGN.md §17, Vector
-// bodies). Each covers len/4 blocks of four float64 and leaves the 0-3
-// remaining elements to the Go loop. VSUBPD, VMULPD and VADDPD round each
-// lane as SUBSD, MULSD and ADDSD do; an FMA rounds once where those round
-// twice and must never appear here. Loads and stores are unaligned, and
-// nothing is read or written past the last whole block.
+// The vector bodies of the five strip kernels (DESIGN.md §17, Vector
+// bodies). The four element-wise ones cover len/4 blocks of four float64 and
+// leave the 0-3 remaining elements to the Go loop; the selection takes one
+// group of four lanes per call. VSUBPD, VMULPD and VADDPD round each lane as
+// SUBSD, MULSD and ADDSD do; an FMA rounds once where those round twice and
+// must never appear here. Loads and stores are unaligned, and nothing is
+// read or written past the last whole block. Every instruction that touches
+// an X or Y register is VEX-encoded (TestVectorBodiesAreVEX): one legacy-SSE
+// instruction between 256-bit ones costs a state transition or a false
+// dependency on every execution.
 
 // func detectAVX2() bool
 TEXT ·detectAVX2(SB), NOSPLIT, $0-1
@@ -94,5 +98,103 @@ loop:
 	DECQ CX
 	JNZ  loop
 done:
+	VZEROUPPER
+	RET
+
+// func minIntoAVX2(m, v []float64)
+TEXT ·minIntoAVX2(SB), NOSPLIT, $0-48
+	MOVQ m_base+0(FP), DI
+	MOVQ v_base+24(FP), SI
+	MOVQ v_len+32(FP), CX
+	SHRQ $2, CX
+	JZ   done
+loop:
+	VMOVUPD (SI), Y0
+	VMINPD  (DI), Y0, Y0 // v < m ? v : m, v the first source: m next to a NaN or a zero
+	VMOVUPD Y0, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  loop
+done:
+	VZEROUPPER
+	RET
+
+// func selectLanesAVX2(d2 []float64, w, rows, k int, lists []uint64) (odd int)
+//
+// A k-slot list per lane for lanes 0-3 of d2, row r at d2[r*w:]: on return
+// lists[4j+l] holds the bit pattern of lane l's j-th smallest value and
+// lists[4k+4j+l] its row. Over +0 ... +Inf the int64 order of the bit
+// patterns is the float64 order, and equal bits are equal floats; a lane that
+// meets anything else (a sign bit, a NaN) gets bit l of odd and a list that
+// means nothing.
+TEXT ·selectLanesAVX2(SB), NOSPLIT, $0-80
+	MOVQ d2_base+0(FP), SI
+	MOVQ w+24(FP), R8
+	SHLQ $3, R8 // the row stride in bytes
+	MOVQ rows+32(FP), CX
+	MOVQ k+40(FP), DX
+	MOVQ lists_base+48(FP), DI
+	MOVQ DX, R9
+	SHLQ $5, R9
+	ADDQ DI, R9 // the rows' half of lists
+	MOVQ $0x7FFFFFFFFFFFFFFF, AX
+	VMOVQ AX, X15
+	VPBROADCASTQ X15, Y15 // an empty slot: above +Inf, so every lane's first k rows enter
+	MOVQ $0x7FF0000000000000, AX
+	VMOVQ AX, X14
+	VPBROADCASTQ X14, Y14 // +Inf
+	MOVQ $1, AX
+	VMOVQ AX, X11
+	VPBROADCASTQ X11, Y11
+	VPXOR Y12, Y12, Y12 // the row index r, in every lane
+	VPXOR Y13, Y13, Y13 // sign bit set: the lane met a value outside [+0, +Inf]
+	MOVQ DI, AX
+	MOVQ DX, R10
+empty:
+	VMOVDQU Y15, (AX)
+	ADDQ $32, AX
+	DECQ R10
+	JNZ  empty
+row:
+	VMOVDQU (SI), Y0 // the candidates c
+	VPCMPGTQ Y14, Y0, Y1 // c > +Inf: a NaN without its sign bit
+	VPOR Y1, Y13, Y13
+	VPOR Y0, Y13, Y13 // c's own sign bit
+	// A candidate c below slot j's value is below every later slot's too, so
+	// the slots it moves form a suffix: slot j takes c where c is below it
+	// and not below slot j-1, slot j-1's old entry where c is below both,
+	// and keeps its own where c is not below it. Equal is not below: a tie
+	// lands after the held entry, whose row is smaller. The rows follow that
+	// mask; the values need none, slot j's new one being min(old j,
+	// max(old j-1, c)). VMAXPD and VMINPD return their second source next to
+	// a NaN, which the empty slot's pattern is: max(c, empty) is empty, and
+	// min(empty, x) is x (an empty slot j-1 has an empty slot j after it).
+	VPXOR Y9, Y9, Y9 // slot j-1's old value, +0 before slot 0
+	VMOVDQA Y12, Y3
+	MOVQ DI, AX
+	MOVQ R9, BX
+	MOVQ DX, R10
+slot:
+	VMOVDQU (AX), Y4
+	VMOVDQU (BX), Y5
+	VPCMPGTQ Y0, Y4, Y6 // slot j's value > c
+	VMAXPD Y9, Y0, Y7 // c > old j-1 ? c : old j-1
+	VMINPD Y7, Y4, Y7 // old j < that ? old j : that
+	VBLENDVPD Y6, Y3, Y5, Y8
+	VMOVDQU Y7, (AX)
+	VMOVDQU Y8, (BX)
+	VBLENDVPD Y6, Y5, Y12, Y3 // slot j+1 takes slot j's old entry where c was below it
+	VMOVDQA Y4, Y9
+	ADDQ $32, AX
+	ADDQ $32, BX
+	DECQ R10
+	JNZ  slot
+	VPADDQ Y11, Y12, Y12
+	ADDQ R8, SI
+	DECQ CX
+	JNZ  row
+	VMOVMSKPD Y13, AX
+	MOVQ AX, odd+72(FP)
 	VZEROUPPER
 	RET

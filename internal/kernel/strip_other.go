@@ -9,3 +9,6 @@ const hasAVX2 = false
 func addSquaredDiffAVX2(dst, q []float64, v float64)  {}
 func squaredDiffIntoAVX2(dst, q []float64, v float64) {}
 func countBelowAVX2(cnt []int32, v, thr []float64)    {}
+func minIntoAVX2(m, v []float64)                      {}
+
+func selectLanesAVX2(d2 []float64, w, rows, k int, lists []uint64) (odd int) { return 0 }

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -56,10 +59,11 @@ func sameBits(t testing.TB, what string, off int, back, got []float64, want []ui
 	}
 }
 
-// checkStripKernels holds the three strip kernels to their Go loops on one
-// input: acc is the strip before the call (the accumulator, the stale
-// contents, the distances), term the query column (the thresholds), both
-// placed at unaligned offsets. The exported kernel must equal the Go loop
+// checkStripKernels holds the four element-wise strip kernels to their Go
+// loops on one input: acc is the strip before the call (the accumulator, the
+// stale contents, the running minima, the distances), term the query column
+// (the candidate minima, the thresholds), both placed at unaligned offsets.
+// The exported kernel must equal the Go loop
 // over the whole length. With the AVX2 bodies live, the assembly is also
 // called on its own: the first len&^3 elements must equal the Go loop's and
 // the tail must be left as it was.
@@ -83,6 +87,7 @@ func checkStripKernels(t testing.TB, off int, acc, term []uint64, vbits uint64) 
 	}{
 		{"AddSquaredDiff", addSquaredDiffGo, AddSquaredDiff, addSquaredDiffAVX2},
 		{"SquaredDiffInto", squaredDiffIntoGo, SquaredDiffInto, squaredDiffIntoAVX2},
+		{"MinInto", func(m, v []float64, _ float64) { minIntoGo(m, v) }, func(m, v []float64, _ float64) { MinInto(m, v) }, func(m, v []float64, _ float64) { minIntoAVX2(m, v) }},
 	} {
 		_, ref := guarded(acc, 0)
 		k.portable(ref, q, v)
@@ -188,16 +193,185 @@ func FuzzStripKernels(f *testing.F) {
 	})
 }
 
-// BenchmarkStripKernels times the three strip kernels per element at a full
-// strip (w = 256) and at a ragged one (w = 37: nine blocks and a tail of
-// one), the Go loop beside the exported kernel where that runs the AVX2
-// body — so a Go release that starts vectorising, or stops inlining, shows.
+// checkSelectLanes holds the lane-wise selection to SelectKMin, lane by lane,
+// on a strip of rows × w bit patterns placed one word into a canaried array:
+// SelectLanes must hand every lane, in ascending order, exactly SelectKMin's
+// list and leave the strip as it was. With the AVX2 body live it is also
+// called on each whole group of four lanes on its own: the lanes it flags
+// must be exactly those holding a value outside [+0, +Inf], every other
+// lane's list must be SelectKMin's, and nothing past its 8k list words may
+// be written.
+func checkSelectLanes(t testing.TB, vals []uint64, w, rows, k int) {
+	t.Helper()
+	back, d2 := guarded(vals, 0)
+	want := make([][]Neighbor, w)
+	for i := range want {
+		want[i] = SelectKMin(d2, i, w, rows, k, make([]Neighbor, 0, k))
+	}
+	same := func(what string, i int, got []Neighbor) {
+		t.Helper()
+		if len(got) != len(want[i]) {
+			t.Fatalf("%s: w=%d rows=%d k=%d lane %d: %d neighbours, want %d", what, w, rows, k, i, len(got), len(want[i]))
+		}
+		for j, n := range want[i] {
+			if got[j].Idx != n.Idx || math.Float64bits(got[j].D2) != math.Float64bits(n.D2) {
+				t.Fatalf("%s: w=%d rows=%d k=%d lane %d slot %d: got (%016x, row %d), want (%016x, row %d)",
+					what, w, rows, k, i, j, math.Float64bits(got[j].D2), got[j].Idx, math.Float64bits(n.D2), n.Idx)
+			}
+		}
+	}
+
+	next := 0
+	SelectLanes(d2, w, rows, k, make([]Neighbor, 0, k), func(i int, nb []Neighbor) {
+		if i != next {
+			t.Fatalf("SelectLanes: w=%d rows=%d k=%d: lane %d handed over where lane %d was due", w, rows, k, i, next)
+		}
+		next++
+		same("SelectLanes", i, nb)
+	})
+	if next != w {
+		t.Fatalf("SelectLanes: w=%d rows=%d k=%d: %d lanes handed over", w, rows, k, next)
+	}
+	sameBits(t, "SelectLanes (the strip)", 0, back, d2, vals)
+
+	if !hasAVX2 || rows == 0 {
+		return
+	}
+	for i := 0; i+4 <= w; i += 4 {
+		lists := make([]uint64, 8*k+4)
+		for j := range lists {
+			lists[j] = canary64
+		}
+		odd := selectLanesAVX2(d2[i:], w, rows, k, lists[:8*k])
+		if odd>>4 != 0 {
+			t.Fatalf("vector body alone: w=%d rows=%d k=%d lanes %d-%d: flags %#x, four lanes at most", w, rows, k, i, i+3, odd)
+		}
+		for l := range 4 {
+			outside := false
+			for r := 0; r < rows; r++ {
+				outside = outside || vals[r*w+i+l] > 0x7FF0000000000000
+			}
+			if flagged := odd>>l&1 != 0; flagged != outside {
+				t.Fatalf("vector body alone: w=%d rows=%d k=%d lane %d: flagged %v, a value outside [+0, +Inf] %v", w, rows, k, i+l, flagged, outside)
+			}
+			if outside {
+				continue
+			}
+			got := make([]Neighbor, min(k, rows))
+			for j := range got {
+				got[j] = Neighbor{Idx: int(lists[4*k+4*j+l]), D2: math.Float64frombits(lists[4*j+l])}
+			}
+			same("vector body alone", i+l, got)
+		}
+		for j, x := range lists[8*k:] {
+			if x != canary64 {
+				t.Fatalf("vector body alone: w=%d rows=%d k=%d: wrote list word %d of %d", w, rows, k, 8*k+j, 8*k)
+			}
+		}
+	}
+}
+
+// The selection against SelectKMin: every k 1-9 and the two either side of
+// laneMaxK, every row count 0-70, widths with and without a ragged group, on
+// lattice integers (ties are the common case), distinct values, one value
+// repeated, zeros and the smallest subnormal, +Inf half the time, lattice
+// strips where a rare value lies outside [+0, +Inf] (NaNs of both signs, -0,
+// -1), and the whole strip palette.
+func TestSelectLanesMatchesSelectKMin(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	lattice := func() uint64 { return math.Float64bits(float64(rng.Intn(5))) }
+	outside := []uint64{0x7FF8000000000001, 0xFFF8000000000002, 0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF, 0x8000000000000000, math.Float64bits(-1)}
+	kinds := []struct {
+		name string
+		draw func() uint64
+	}{
+		{"lattice", lattice},
+		{"distinct", func() uint64 { return math.Float64bits(rng.ExpFloat64()) }},
+		{"repeated", func() uint64 { return math.Float64bits(2) }},
+		{"zeros", func() uint64 { return uint64(rng.Intn(2)) }},
+		{"inf", func() uint64 {
+			if rng.Intn(2) == 0 {
+				return 0x7FF0000000000000
+			}
+			return lattice()
+		}},
+		{"rare-outside", func() uint64 {
+			if rng.Intn(60) == 0 {
+				return outside[rng.Intn(len(outside))]
+			}
+			return lattice()
+		}},
+		{"palette", func() uint64 { return stripPalette[rng.Intn(len(stripPalette))] }},
+	}
+	for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, laneMaxK, laneMaxK + 1} {
+		for rows := 0; rows <= 70; rows++ {
+			for _, w := range []int{1, 4, 7, 8, 13} {
+				for _, kind := range kinds {
+					vals := make([]uint64, rows*w)
+					for i := range vals {
+						vals[i] = kind.draw()
+					}
+					checkSelectLanes(t, vals, w, rows, k)
+				}
+			}
+		}
+	}
+}
+
+// FuzzSelectLanes reads bytes as (k, w, bit patterns): k is 1-18, w 1-9, and
+// the strip as many whole rows of w patterns as there are, up to 70. The
+// committed corpus under testdata/fuzz/ spells the ties, the infinities in a
+// list's first rows and the NaNs that raw bytes rarely do.
+func FuzzSelectLanes(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		k, w, data := 1+int(data[0])%18, 1+int(data[1])%9, data[2:]
+		rows := min(len(data)/8/w, 70)
+		vals := make([]uint64, rows*w)
+		for i := range vals {
+			vals[i] = binary.LittleEndian.Uint64(data[8*i:])
+		}
+		checkSelectLanes(t, vals, w, rows, k)
+	})
+}
+
+// Every instruction in strip_amd64.s that names an X or Y register must be
+// VEX-encoded: a legacy-SSE one among the 256-bit instructions computes the
+// same bits, so no differential test sees it, and costs a state transition
+// or a false dependency each time it runs.
+func TestVectorBodiesAreVEX(t *testing.T) {
+	src, err := os.ReadFile("strip_amd64.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vreg := regexp.MustCompile(`\b[XY](1[0-5]|[0-9])\b`)
+	for n, line := range strings.Split(string(src), "\n") {
+		code, _, _ := strings.Cut(line, "//")
+		if op := strings.Fields(code); len(op) > 0 && vreg.MatchString(code) && !strings.HasPrefix(op[0], "V") {
+			t.Errorf("strip_amd64.s:%d: %s is not VEX-encoded", n+1, op[0])
+		}
+	}
+}
+
+// BenchmarkStripKernels times the strip kernels per element (per lane for
+// the selection: 44 rows, k = 7) at a full strip (w = 256) and at a ragged
+// one (w = 37: nine blocks and a tail of one), the Go loop beside the
+// exported kernel where that runs the AVX2 body — so a Go release that
+// starts vectorising, or stops inlining, shows. MinInto is timed with a
+// reset of its minima, so the Go loop's branch meets fresh data each time.
 func BenchmarkStripKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
+	const rows, kNN = 44, 7
 	for _, w := range []int{256, 37} {
 		dst, q, thr, cnt := make([]float64, w), make([]float64, w), make([]float64, w), make([]int32, w)
 		for i := range q {
 			q[i], thr[i] = rng.Float64(), rng.Float64()
+		}
+		d2, nb := make([]float64, rows*w), make([]Neighbor, 0, kNN)
+		for i := range d2 {
+			d2[i] = rng.Float64()
 		}
 		for _, k := range []struct {
 			name           string
@@ -206,6 +380,12 @@ func BenchmarkStripKernels(b *testing.B) {
 			{"AddSquaredDiff", func() { addSquaredDiffGo(dst, q, 0.5) }, func() { AddSquaredDiff(dst, q, 0.5) }},
 			{"SquaredDiffInto", func() { squaredDiffIntoGo(dst, q, 0.5) }, func() { SquaredDiffInto(dst, q, 0.5) }},
 			{"CountBelow", func() { countBelowGo(cnt, q, thr) }, func() { CountBelow(cnt, q, thr) }},
+			{"MinInto", func() { copy(dst, thr); minIntoGo(dst, q) }, func() { copy(dst, thr); MinInto(dst, q) }},
+			{"SelectLanes", func() {
+				for i := range w {
+					SelectKMin(d2, i, w, rows, kNN, nb)
+				}
+			}, func() { SelectLanes(d2, w, rows, kNN, nb, func(int, []Neighbor) {}) }},
 		} {
 			run := func(impl string, fn func()) {
 				b.Run(fmt.Sprintf("%s/w=%d/%s", k.name, w, impl), func(b *testing.B) {

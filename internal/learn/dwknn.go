@@ -139,9 +139,13 @@ type dwknnScratch struct {
 	qs    []float64
 	dist2 []float64
 	// decideStrip's per-point state: the smallest squared distance to a
-	// positive row, and how many negative rows are strictly nearer.
+	// positive row, and how many negative rows are strictly nearer; then the
+	// points left open and their distance columns, gathered side by side
+	// (len(x) rows of u, u the open count rounded up to a multiple of 4).
 	minPos [dwknnStrip]float64
 	nearer [dwknnStrip]int32
+	open   [dwknnStrip]uint8
+	cols   []float64
 }
 
 var dwknnScratchPool = sync.Pool{New: func() any { return &dwknnScratch{} }}
@@ -331,10 +335,9 @@ func (c *DWKNN) scoreStrip(s *dwknnScratch, w int, out []float64) {
 	for r := range c.x {
 		c.stripDistances(s, r, w)
 	}
-	k := c.effectiveK()
-	for i := 0; i < w; i++ {
-		out[i] = c.posteriorFrom(kernel.SelectKMin(s.dist2, i, w, len(c.x), k, s.best[:0]), s.dists)
-	}
+	kernel.SelectLanes(s.dist2, w, len(c.x), c.effectiveK(), s.best, func(i int, nb []neighbor) {
+		out[i] = c.posteriorFrom(nb, s.dists)
+	})
 }
 
 // decideStrip decides the w staged centers against the threshold, writing
@@ -344,9 +347,10 @@ func (c *DWKNN) scoreStrip(s *dwknnScratch, w int, out []float64) {
 // first n ranks of the (d², idx) order under any tie-break, at most k-n < n
 // positives follow, and posteriorFrom's weight does not increase with rank,
 // so the posterior is at most (k-n)/k <= 1/2 - 1/(2k). Every other center
-// is selected, on the distances already in the strip. The ranks need a
-// total order and a NaN distance is below and above nothing, so next to a
-// non-finite training row no count is a majority (DESIGN.md §17).
+// is selected, on the distances already in the strip, gathered into
+// adjacent columns so the selection runs over open points only. The ranks
+// need a total order and a NaN distance is below and above nothing, so next
+// to a non-finite training row no count is a majority (DESIGN.md §17).
 func (c *DWKNN) decideStrip(s *dwknnScratch, w int, out []bool) (settled int) {
 	minPos, nearer := s.minPos[:w], s.nearer[:w]
 	for i := range minPos {
@@ -354,11 +358,7 @@ func (c *DWKNN) decideStrip(s *dwknnScratch, w int, out []bool) (settled int) {
 	}
 	for r, label := range c.y {
 		if label == ClassPositive {
-			for i, v := range c.stripDistances(s, r, w) {
-				if v < minPos[i] {
-					minPos[i] = v
-				}
-			}
+			kernel.MinInto(minPos, c.stripDistances(s, r, w))
 		}
 	}
 	for r, label := range c.y {
@@ -371,15 +371,37 @@ func (c *DWKNN) decideStrip(s *dwknnScratch, w int, out []bool) (settled int) {
 	if !c.finite {
 		majority = len(c.x) + 1
 	}
-	for i, n := range nearer {
-		if int(n) >= majority {
-			out[i] = false
-			settled++
-			continue
+	// Every index is written and only an open one is kept (n advances past
+	// it): the count, as good as random, is added and not jumped on.
+	n := 0
+	for i, cnt := range nearer {
+		out[i] = false
+		s.open[n] = uint8(i)
+		if int(cnt) < majority {
+			n++
 		}
-		out[i] = positive(c.posteriorFrom(kernel.SelectKMin(s.dist2, i, w, len(c.x), k, s.best[:0]), s.dists))
 	}
-	return settled
+	open := s.open[:n]
+	// The open columns side by side, padded with zeros to whole groups of
+	// four: the selection's vector body then has no lane left over.
+	u := (n + 3) &^ 3
+	if cap(s.cols) < len(c.x)*dwknnStrip {
+		s.cols = make([]float64, len(c.x)*dwknnStrip)
+	}
+	cols := s.cols[:len(c.x)*u]
+	for r := range c.x {
+		src, dst := s.dist2[r*w:r*w+w], cols[r*u:r*u+u]
+		for j, i := range open {
+			dst[j] = src[i]
+		}
+		clear(dst[n:])
+	}
+	kernel.SelectLanes(cols, u, len(c.x), k, s.best, func(j int, nb []neighbor) {
+		if j < n {
+			out[open[j]] = positive(c.posteriorFrom(nb, s.dists))
+		}
+	})
+	return w - n
 }
 
 // effectiveScales resolves the scaling vector used for the current fit.

@@ -3,6 +3,9 @@ package memcache
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -118,6 +121,61 @@ func TestSampleIDsDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds gave identical samples")
+	}
+}
+
+// sampleIDsMapSort is SampleIDs as it was written first: Floyd's draw into
+// a map[uint32]bool, the map ranged over, the ids sorted through sort.Slice.
+// It is kept here as the reference the current form must reproduce.
+func sampleIDsMapSort(n, k int, seed int64) []uint32 {
+	if n == 0 || k == 0 {
+		return nil
+	}
+	if k >= n {
+		out := make([]uint32, n)
+		for i := range out {
+			out[i] = uint32(i)
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(seed))
+	chosen := make(map[uint32]bool, k)
+	for j := n - k; j < n; j++ {
+		t := uint32(rng.Intn(j + 1))
+		if chosen[t] {
+			chosen[uint32(j)] = true
+		} else {
+			chosen[t] = true
+		}
+	}
+	out := make([]uint32, 0, k)
+	for id := range chosen {
+		out = append(out, id)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// The ids are a function of (n, k, seed) that no rewrite of SampleIDs may
+// change — every session's γ-sample, and with it every label sequence and
+// golden digest, starts here.
+func TestSampleIDsMatchesMapSort(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 10, 1000, 50_000, 1_000_000} {
+		seeds := 40
+		if n > 50_000 {
+			seeds = 1
+		}
+		for _, k := range []int{1, n / 2, min(2000, n-1), n - 1, n, n + 1} {
+			for seed := int64(0); seed < int64(seeds); seed++ {
+				got, err := SampleIDs(n, k, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := sampleIDsMapSort(n, k, seed); !slices.Equal(got, want) {
+					t.Fatalf("n=%d k=%d seed=%d: %d ids differ from the map-and-sort draw's %d", n, k, seed, len(got), len(want))
+				}
+			}
+		}
 	}
 }
 

@@ -3,7 +3,7 @@ package memcache
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // SampleIDs draws k distinct row ids uniformly from [0, n) using Floyd's
@@ -24,19 +24,18 @@ func SampleIDs(n, k int, seed int64) ([]uint32, error) {
 		return out, nil
 	}
 	rng := rand.New(rand.NewSource(seed))
-	chosen := make(map[uint32]bool, k)
+	// Each draw adds one id the set does not hold yet, so out collects the
+	// ids as they are drawn and the map only answers membership.
+	chosen := make(map[uint32]struct{}, k)
+	out := make([]uint32, 0, k)
 	for j := n - k; j < n; j++ {
 		t := uint32(rng.Intn(j + 1))
-		if chosen[t] {
-			chosen[uint32(j)] = true
-		} else {
-			chosen[t] = true
+		if _, dup := chosen[t]; dup {
+			t = uint32(j)
 		}
+		chosen[t] = struct{}{}
+		out = append(out, t)
 	}
-	out := make([]uint32, 0, k)
-	for id := range chosen {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, nil
 }

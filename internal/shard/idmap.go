@@ -34,14 +34,7 @@ const (
 // for the stream subsystem, whose flushed segments carry the same CRC'd
 // local→global translation as build-time shards.
 func SaveIDMap(dir string, ids []uint32) error {
-	buf := make([]byte, 0, 4+2+4+4*len(ids)+4)
-	buf = append(buf, idMapMagic...)
-	buf = binary.LittleEndian.AppendUint16(buf, idMapVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ids)))
-	for _, id := range ids {
-		buf = binary.LittleEndian.AppendUint32(buf, id)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	buf := encodeIDMap(ids)
 	path := filepath.Join(dir, idMapFile)
 	if err := os.WriteFile(path+".tmp", buf, 0o644); err != nil {
 		return fmt.Errorf("shard: write idmap: %w", err)
@@ -52,6 +45,18 @@ func SaveIDMap(dir string, ids []uint32) error {
 	return nil
 }
 
+// encodeIDMap returns the bytes of an idmap file holding ids.
+func encodeIDMap(ids []uint32) []byte {
+	buf := make([]byte, 0, 4+2+4+4*len(ids)+4)
+	buf = append(buf, idMapMagic...)
+	buf = binary.LittleEndian.AppendUint16(buf, idMapVersion)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ids)))
+	for _, id := range ids {
+		buf = binary.LittleEndian.AppendUint32(buf, id)
+	}
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+}
+
 // LoadIDMap reads and verifies dir's idmap file (CRC, magic, strict
 // ascension).
 func LoadIDMap(dir string) ([]uint32, error) {
@@ -59,6 +64,11 @@ func LoadIDMap(dir string) ([]uint32, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard: read idmap: %w", err)
 	}
+	return parseIDMap(data)
+}
+
+// parseIDMap decodes and verifies the bytes of an idmap file.
+func parseIDMap(data []byte) ([]uint32, error) {
 	if len(data) < 4+2+4+4 {
 		return nil, fmt.Errorf("shard: idmap truncated: %d bytes", len(data))
 	}
