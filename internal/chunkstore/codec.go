@@ -8,6 +8,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+
+	"github.com/uei-db/uei/internal/kernel"
 )
 
 // Chunk file layout, version 2 (little endian):
@@ -255,14 +257,16 @@ func decodeChunkInto(data []byte, p *Postings, want *ChunkMeta) (dim int, err er
 	}
 
 	values := slices.Grow(p.Values[:0], int(entries))[:entries]
-	last := math.Inf(-1)
-	for i := range values {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(vals[8*i:]))
-		// NaN ascends from nothing and nothing ascends from it.
-		if !(v > last) {
-			return 0, fmt.Errorf("chunkstore: entry %d value %g after %g: %w", i, v, last, errUnordered)
+	if !kernel.AscendingInto(values, vals) {
+		// Name the first value out of order. NaN ascends from nothing and
+		// nothing ascends from it.
+		last := math.Inf(-1)
+		for i, v := range values {
+			if !(v > last) {
+				return 0, fmt.Errorf("chunkstore: entry %d value %g after %g: %w", i, v, last, errUnordered)
+			}
+			last = v
 		}
-		values[i], last = v, v
 	}
 	ends := slices.Grow(p.Ends[:0], int(entries))[:entries]
 	if c == 0 {
@@ -270,7 +274,7 @@ func decodeChunkInto(data []byte, p *Postings, want *ChunkMeta) (dim int, err er
 			ends[i] = uint32(i + 1)
 		}
 	} else {
-		unpack(ends, counts, c)
+		kernel.Unpack(ends, counts, c)
 		sum := uint64(0)
 		for i, n := range ends {
 			sum += uint64(n) + 1
@@ -281,7 +285,7 @@ func decodeChunkInto(data []byte, p *Postings, want *ChunkMeta) (dim int, err er
 		}
 	}
 	ids32 := slices.Grow(p.Rows[:0], int(rows))[:rows]
-	unpack(ids32, ids, w)
+	kernel.Unpack(ids32, ids, w)
 	if c > 0 {
 		start := uint32(0)
 		for i, end := range ends {
@@ -301,29 +305,4 @@ func decodeChunkInto(data []byte, p *Postings, want *ChunkMeta) (dim int, err er
 // zero.
 func paddingZero(section []byte, n uint64) bool {
 	return n%8 == 0 || section[len(section)-1]>>(n%8) == 0
-}
-
-// unpack fills dst with the len(dst) values packed LSB-first at width bits
-// in src. Item k is one unaligned 8-byte load at byte k·width/8, a shift
-// and a mask — no item's position waits on another's value — and the items
-// whose load would run past src read a zero-padded copy of its tail.
-func unpack(dst []uint32, src []byte, width uint) {
-	mask := uint64(1)<<width - 1
-	k, bit := 0, uint(0)
-	if len(src) >= 8 {
-		for fast := min(len(dst), ((len(src)-8)*8+7)/int(width)+1); k < fast; k++ {
-			dst[k] = uint32(binary.LittleEndian.Uint64(src[bit>>3:bit>>3+8]) >> (bit & 7) & mask)
-			bit += width
-		}
-	}
-	if k == len(dst) {
-		return
-	}
-	var pad [16]byte
-	base := bit >> 3
-	copy(pad[:], src[base:])
-	for bit -= base * 8; k < len(dst); k++ {
-		dst[k] = uint32(binary.LittleEndian.Uint64(pad[bit>>3:]) >> (bit & 7) & mask)
-		bit += width
-	}
 }

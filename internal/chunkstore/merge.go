@@ -5,9 +5,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
+	"github.com/uei-db/uei/internal/kernel"
 	"github.com/uei-db/uei/internal/vec"
 )
 
@@ -31,16 +33,23 @@ func CompareRowID(a, b MergedRow) int { return cmp.Compare(a.ID, b.ID) }
 // shard.ScanMarked follows the same hit-byte protocol over a dense
 // n × dims block, which is right when most rows survive; the slot
 // indirection here is right when a cell keeps one row in ≈ 150 scanned.
+//
+// member is the same set as cand, one bit per row id (bit id&31 of word
+// id>>5), for kernel.MemberMasks: a reconstruction that keeps few of the
+// postings it reads tests eight of them to an instruction and touches the
+// table only for the ones in it. It is cleared with the hit bytes.
 type scratch struct {
-	hits []uint8
-	slot []int32
-	cand []uint32
-	cols [][]float64 // MergeChunks: cols[d][slot[id]] is candidate id's value on dimension d
+	hits   []uint8
+	slot   []int32
+	cand   []uint32
+	member []uint32
+	masks  []uint8     // one chunk's kernel.MemberMasks
+	cols   [][]float64 // MergeChunks: cols[d][slot[id]] is candidate id's value on dimension d
 }
 
-// acquireScratch takes a zeroed scratch from the store's pool (5 bytes per
-// store row for each concurrent reconstruction, outside memcache.Budget).
-// maxHit is the largest value a hit byte must hold.
+// acquireScratch takes a zeroed scratch from the store's pool (5.125 bytes
+// per store row for each concurrent reconstruction, outside
+// memcache.Budget). maxHit is the largest value a hit byte must hold.
 func (s *Store) acquireScratch(maxHit int) (*scratch, error) {
 	if maxHit > math.MaxUint8 {
 		return nil, fmt.Errorf("chunkstore: %d dimensions exceed the reconstruction's one-byte hit counter", s.Dims())
@@ -49,27 +58,29 @@ func (s *Store) acquireScratch(maxHit int) (*scratch, error) {
 		return sc, nil
 	}
 	n := s.RowCount()
-	return &scratch{hits: make([]uint8, n), slot: make([]int32, n)}, nil
+	return &scratch{hits: make([]uint8, n), slot: make([]int32, n), member: make([]uint32, n/32+1)}, nil
 }
 
-// releaseScratch zeroes the hit bytes still set and pools the scratch. It
-// runs deferred, so a cancelled context or a corrupt chunk in the middle
-// of a dimension leaves the table as clean as a completed call does.
+// releaseScratch zeroes the hit bytes and member words still set and pools
+// the scratch. It runs deferred, so a cancelled context or a corrupt chunk
+// in the middle of a dimension leaves the table as clean as a completed
+// call does.
 func (s *Store) releaseScratch(sc *scratch) {
 	for _, id := range sc.cand {
-		sc.hits[id] = 0
+		sc.hits[id], sc.member[id>>5] = 0, 0
 	}
 	sc.cand = sc.cand[:0]
 	s.scratch.Put(sc)
 }
 
 // squeeze drops the candidates that have not landed `landed` dimensions,
-// clearing their hit bytes, and closes the gaps they leave.
+// clearing their hit bytes and member bits, and closes the gaps they leave.
 func (sc *scratch) squeeze(landed int) {
 	k := 0
 	for i, id := range sc.cand {
 		if sc.hits[id] != uint8(landed) {
 			sc.hits[id] = 0
+			sc.member[id>>5] &^= 1 << (id & 31)
 			continue
 		}
 		if k != i {
@@ -81,6 +92,46 @@ func (sc *scratch) squeeze(landed int) {
 		k++
 	}
 	sc.cand = sc.cand[:k]
+}
+
+// memberMasks fills sc.masks with the member masks of ids — bit b of byte j
+// set where ids[8j+b] is in sc.member — and refuses, by the first one's
+// name, an id past the table.
+func (sc *scratch) memberMasks(ids []uint32) ([]uint8, error) {
+	n := len(sc.hits)
+	sc.masks = slices.Grow(sc.masks[:0], (len(ids)+7)/8)[:(len(ids)+7)/8]
+	if maxID := kernel.MemberMasks(sc.masks, ids, sc.member, uint32(n)); len(ids) > 0 && int(maxID) >= n {
+		for _, id := range ids {
+			if int(id) >= n {
+				return nil, errRowRange(id, n)
+			}
+		}
+	}
+	return sc.masks, nil
+}
+
+// postingOf is the index of the posting whose Ends range holds position k
+// of p.Rows — the least i with p.Ends[i] > k — given a posting at or before
+// it, from. Every posting holds a row, so i ≤ k, and in a chunk of one-row
+// postings i = k, which the first probe confirms; otherwise the search
+// walks forward from `from`. Asked for ascending positions, each with the
+// last answer as from, the walks of one chunk pass each end once at most.
+func (p Postings) postingOf(k, from int) int {
+	if i := min(k, len(p.Ends)-1); i == 0 || p.Ends[i-1] <= uint32(k) {
+		return i
+	}
+	for p.Ends[from] <= uint32(k) {
+		from++
+	}
+	return from
+}
+
+// rowStart is the position in p.Rows of posting i's first row id.
+func (p Postings) rowStart(i int) uint32 {
+	if i == 0 {
+		return 0
+	}
+	return p.Ends[i-1]
 }
 
 func errRowRange(id uint32, n int) error {
@@ -122,8 +173,9 @@ func (s *Store) MergeRegion(ctx context.Context, box vec.Box) (rows []MergedRow,
 // writes a value only on a candidate that landed every dimension before
 // it, and those it missed are squeezed out before the next, so the work
 // after dimension 0 follows the shrinking intersection rather than the
-// slabs. The survivors' values are copied into one array the returned
-// rows alias.
+// slabs: a later dimension tests its in-box row ids against the candidates
+// eight at a time (kernel.MemberMasks) and touches only the members. The
+// survivors' values are copied into one array the returned rows alias.
 //
 // Chunk reads fan out concurrently (bounded by SetWorkers) through the
 // ordered read pipeline, overlapping I/O and decode with the merge;
@@ -158,38 +210,49 @@ func (s *Store) MergeChunks(ctx context.Context, box vec.Box, chunks []ChunkMeta
 		col := slices.Grow(sc.cols[d][:0], len(sc.cand))[:len(sc.cand)]
 		err := s.ReadChunksOrdered(ctx, byDim[d], func(_ ChunkMeta, p Postings) error {
 			// Values ascend strictly, so the postings below the box are a
-			// prefix, skipped by one search but still counted in e.
+			// prefix and those above it a suffix, each found by one search.
+			// e counts what a walk from the first posting would: the prefix,
+			// the box and the first posting past it.
 			first := sort.SearchFloat64s(p.Values, lo)
-			entriesVisited += first
-			start := uint32(0)
-			if first > 0 {
-				start = p.Ends[first-1]
-			}
-			for i := first; i < len(p.Values); i++ {
-				v := p.Values[i]
-				ids := p.Rows[start:p.Ends[i]]
-				start = p.Ends[i]
-				entriesVisited++
-				if v > hi {
-					break // values are sorted; nothing further matches
-				}
-				for _, id := range ids {
-					if int(id) >= n {
-						return errRowRange(id, n)
-					}
-					// Anything else is not a candidate, missed an earlier
-					// dimension, or was already posted on this one.
-					if hits[id] != seen {
-						continue
-					}
-					if seen == 0 {
+			last := first + sort.Search(len(p.Values)-first, func(j int) bool { return p.Values[first+j] > hi })
+			entriesVisited += min(last+1, len(p.Values))
+			base := p.rowStart(first)
+			if seen == 0 {
+				for i := first; i < last; i++ {
+					v := p.Values[i]
+					for _, id := range p.Rows[base:p.Ends[i]] {
+						if int(id) >= n {
+							return errRowRange(id, n)
+						}
+						if hits[id] != 0 {
+							continue // posted twice on this dimension
+						}
 						slot[id] = int32(len(sc.cand))
 						sc.cand = append(sc.cand, id)
+						sc.member[id>>5] |= 1 << (id & 31)
 						col = append(col, v)
-					} else {
-						col[slot[id]] = v
+						hits[id] = 1
 					}
-					hits[id]++
+					base = p.Ends[i]
+				}
+				return nil
+			}
+			ids := p.Rows[base:p.rowStart(last)]
+			masks, err := sc.memberMasks(ids)
+			if err != nil {
+				return err
+			}
+			at := first
+			for j, m := range masks {
+				for ; m != 0; m &= m - 1 {
+					k := 8*j + bits.TrailingZeros8(m)
+					// A member landed every dimension before this one; one
+					// already posted on this one counts once.
+					if id := ids[k]; hits[id] == seen {
+						at = p.postingOf(int(base)+k, at)
+						col[slot[id]] = p.Values[at]
+						hits[id]++
+					}
 				}
 			}
 			// p goes out of scope here, and with it the contract of
@@ -224,8 +287,10 @@ func (s *Store) MergeChunks(ctx context.Context, box vec.Box, chunks []ChunkMeta
 // chunk once (a single full pass over the store). It backs the
 // initialization-time uniform sample of Algorithm 2 line 12; per-iteration
 // code never calls it. The wanted ids are marked in the same row-id table
-// MergeChunks uses (hit byte 1 = wanted, nothing landed yet), and each
-// posting that finds its row marked writes straight into the result.
+// MergeChunks uses (hit byte 1 = wanted, nothing landed yet, and a member
+// bit), every chunk's row ids are tested against the members eight at a
+// time (kernel.MemberMasks), and each member writes straight into the
+// result.
 func (s *Store) FetchRows(ctx context.Context, ids []uint32) ([]MergedRow, error) {
 	if len(ids) == 0 {
 		return nil, nil
@@ -245,6 +310,7 @@ func (s *Store) FetchRows(ctx context.Context, ids []uint32) ([]MergedRow, error
 		if hits[id] == 0 {
 			hits[id] = 1
 			sc.cand = append(sc.cand, id)
+			sc.member[id>>5] |= 1 << (id & 31)
 		}
 	}
 	slices.Sort(sc.cand)
@@ -255,18 +321,20 @@ func (s *Store) FetchRows(ctx context.Context, ids []uint32) ([]MergedRow, error
 	for d := 0; d < dims; d++ {
 		want := uint8(d + 1)
 		err := s.ReadChunksOrdered(ctx, s.manifest.Chunks[d], func(_ ChunkMeta, p Postings) error {
-			start := uint32(0)
-			for i, v := range p.Values {
-				for _, id := range p.Rows[start:p.Ends[i]] {
-					if int(id) >= n {
-						return errRowRange(id, n)
-					}
-					if hits[id] == want {
-						vals[int(slot[id])*dims+d] = v
+			masks, err := sc.memberMasks(p.Rows)
+			if err != nil {
+				return err
+			}
+			at := 0
+			for j, m := range masks {
+				for ; m != 0; m &= m - 1 {
+					k := 8*j + bits.TrailingZeros8(m)
+					if id := p.Rows[k]; hits[id] == want {
+						at = p.postingOf(k, at)
+						vals[int(slot[id])*dims+d] = p.Values[at]
 						hits[id]++
 					}
 				}
-				start = p.Ends[i]
 			}
 			return nil
 		})

@@ -100,7 +100,8 @@ func requireRows(t *testing.T, what string, got []MergedRow, ds *dataset.Dataset
 }
 
 // requireScratchClean takes every pooled scratch of the store and fails if
-// a hit byte is still set: the state a later reconstruction would inherit.
+// a hit byte or a member bit — MergeChunks' candidates, FetchRows' wanted
+// rows — is still set: the state a later reconstruction would inherit.
 func requireScratchClean(t *testing.T, st *Store) {
 	t.Helper()
 	var held []*scratch
@@ -116,6 +117,11 @@ func requireScratchClean(t *testing.T, st *Store) {
 		for id, h := range sc.hits {
 			if h != 0 {
 				t.Fatalf("pooled scratch is dirty: hit byte of row %d is %d", id, h)
+			}
+		}
+		for w, bits := range sc.member {
+			if bits != 0 {
+				t.Fatalf("pooled scratch is dirty: member word %d is %#x", w, bits)
 			}
 		}
 	}
@@ -284,8 +290,10 @@ func cancelAtChunk(k int) context.Context {
 }
 
 // TestReconstructSurvivesFailures: a reconstruction cancelled at every
-// possible chunk, or stopped by a chunk file truncated under it, returns
-// the error, leaves the pooled scratch zeroed, and the next one is exact.
+// possible chunk — between two chunks of dimension 0, which opens the
+// candidates, and of a later, member-filtered dimension — or stopped by a
+// chunk file truncated under it, returns the error, leaves the pooled
+// scratch zeroed, and the next one is exact.
 func TestReconstructSurvivesFailures(t *testing.T) {
 	st, ds := lumpyStore(t, 800, 3, 10, 256, 9)
 	box := vec.NewBox([]float64{2, 0, 3}, []float64{6, 9, 8})
@@ -295,6 +303,9 @@ func TestReconstructSurvivesFailures(t *testing.T) {
 		overlap, err := st.ChunksOverlapping(d, box.Min[d], box.Max[d])
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(overlap) < 2 {
+			t.Fatalf("dimension %d: the box overlaps %d chunks; a cancel inside the dimension needs two", d, len(overlap))
 		}
 		chunks = append(chunks, overlap...)
 	}

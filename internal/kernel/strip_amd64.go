@@ -29,3 +29,18 @@ func minIntoAVX2(m, v []float64)
 //
 //go:noescape
 func selectLanesAVX2(d2 []float64, w, rows, k int, lists []uint64) (odd int)
+
+// The chunk kernels' bodies (chunk_amd64.s). ascendingIntoAVX2 covers the
+// first max(len(dst)-1, 0)&^3 values and reads the one after them;
+// unpackAVX2 covers len(dst)/8 blocks, each of whose loads must end inside
+// src (unpackItems); memberMasksAVX2 covers len(ids)/8 blocks, set holding
+// bit top.
+
+//go:noescape
+func ascendingIntoAVX2(dst []float64, src []byte) (ok bool)
+
+//go:noescape
+func unpackAVX2(dst []uint32, src []byte, width uint)
+
+//go:noescape
+func memberMasksAVX2(masks []uint8, ids []uint32, set []uint32, top uint32) (maxID uint32)

@@ -3,7 +3,7 @@
 package kernel
 
 // No vector bodies on this architecture: the Go loops are the whole of each
-// strip kernel and the stubs below are never reached.
+// strip and chunk kernel and the stubs below are never reached.
 const hasAVX2 = false
 
 func addSquaredDiffAVX2(dst, q []float64, v float64)  {}
@@ -12,3 +12,7 @@ func countBelowAVX2(cnt []int32, v, thr []float64)    {}
 func minIntoAVX2(m, v []float64)                      {}
 
 func selectLanesAVX2(d2 []float64, w, rows, k int, lists []uint64) (odd int) { return 0 }
+
+func ascendingIntoAVX2(dst []float64, src []byte) (ok bool)                                { return true }
+func unpackAVX2(dst []uint32, src []byte, width uint)                                      {}
+func memberMasksAVX2(masks []uint8, ids []uint32, set []uint32, top uint32) (maxID uint32) { return 0 }

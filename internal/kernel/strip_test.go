@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -337,20 +338,26 @@ func FuzzSelectLanes(f *testing.F) {
 	})
 }
 
-// Every instruction in strip_amd64.s that names an X or Y register must be
-// VEX-encoded: a legacy-SSE one among the 256-bit instructions computes the
-// same bits, so no differential test sees it, and costs a state transition
-// or a false dependency each time it runs.
+// Every instruction in the package's .s files that names an X or Y register
+// must be VEX-encoded: a legacy-SSE one among the 256-bit instructions
+// computes the same bits, so no differential test sees it, and costs a state
+// transition or a false dependency each time it runs.
 func TestVectorBodiesAreVEX(t *testing.T) {
-	src, err := os.ReadFile("strip_amd64.s")
-	if err != nil {
-		t.Fatal(err)
+	files, err := filepath.Glob("*.s")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no assembly found: %v", err)
 	}
 	vreg := regexp.MustCompile(`\b[XY](1[0-5]|[0-9])\b`)
-	for n, line := range strings.Split(string(src), "\n") {
-		code, _, _ := strings.Cut(line, "//")
-		if op := strings.Fields(code); len(op) > 0 && vreg.MatchString(code) && !strings.HasPrefix(op[0], "V") {
-			t.Errorf("strip_amd64.s:%d: %s is not VEX-encoded", n+1, op[0])
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n, line := range strings.Split(string(src), "\n") {
+			code, _, _ := strings.Cut(line, "//")
+			if op := strings.Fields(code); len(op) > 0 && vreg.MatchString(code) && !strings.HasPrefix(op[0], "V") {
+				t.Errorf("%s:%d: %s is not VEX-encoded", file, n+1, op[0])
+			}
 		}
 	}
 }

@@ -31,7 +31,9 @@ import (
 //
 // A torn tail (short or CRC-failing frame) ends replay of that file; the
 // fsync-per-append discipline guarantees every acknowledged record
-// precedes any torn one.
+// precedes any torn one. A CRC-valid record that holds no rows, or whose
+// ids would run past 2³²−1, is refused: no writer produces one, and
+// recovery's high-water mark firstID+count−1 would wrap.
 
 // WALFileName returns the log file name of generation seq.
 func WALFileName(seq int) string { return fmt.Sprintf("wal-%06d.log", seq) }
@@ -59,19 +61,7 @@ func newWALWriter(dir string, seq int) (*walWriter, error) {
 // append writes and fsyncs one record covering rows with ids
 // firstID..firstID+len(rows)-1.
 func (w *walWriter) append(firstID uint32, rows [][]float64, dims int) error {
-	payload := 4 + 4 + 4 + 8*len(rows)*dims
-	w.buf = w.buf[:0]
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(payload))
-	w.buf = append(w.buf, 0, 0, 0, 0) // crc placeholder
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, firstID)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(rows)))
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(dims))
-	for _, row := range rows {
-		for _, v := range row {
-			w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
-		}
-	}
-	binary.LittleEndian.PutUint32(w.buf[4:8], crc32.ChecksumIEEE(w.buf[8:]))
+	w.buf = appendWALFrame(w.buf[:0], firstID, rows, dims)
 	if _, err := w.f.Write(w.buf); err != nil {
 		return fmt.Errorf("stream: wal %d write: %w", w.seq, err)
 	}
@@ -84,6 +74,23 @@ func (w *walWriter) append(firstID uint32, rows [][]float64, dims int) error {
 }
 
 func (w *walWriter) close() error { return w.f.Close() }
+
+// appendWALFrame appends the frame of one record to buf.
+func appendWALFrame(buf []byte, firstID uint32, rows [][]float64, dims int) []byte {
+	start := len(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(4+4+4+8*len(rows)*dims))
+	buf = append(buf, 0, 0, 0, 0) // crc placeholder
+	buf = binary.LittleEndian.AppendUint32(buf, firstID)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rows)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(dims))
+	for _, row := range rows {
+		for _, v := range row {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
+	}
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(buf[start+8:]))
+	return buf
+}
 
 // walRecord is one replayed record.
 type walRecord struct {
@@ -98,6 +105,13 @@ func readWALFile(path string, dims int) ([]walRecord, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stream: read wal: %w", err)
 	}
+	return parseWAL(data, dims)
+}
+
+// parseWAL is readWALFile on the file's bytes: the records of a store of
+// dims columns up to the first torn frame, or an error naming the offset
+// of a CRC-valid record the format does not allow.
+func parseWAL(data []byte, dims int) ([]walRecord, error) {
 	var recs []walRecord
 	for off := 0; off < len(data); {
 		if off+8 > len(data) {
@@ -121,8 +135,14 @@ func readWALFile(path string, dims int) ([]walRecord, error) {
 		if rdims != dims {
 			return nil, fmt.Errorf("stream: wal record has %d dims, store has %d", rdims, dims)
 		}
-		if len(payload) != 12+8*count*dims {
+		if uint64(len(payload)) != 12+8*uint64(count)*uint64(dims) {
 			return nil, fmt.Errorf("stream: wal record at %d: %d payload bytes for %d rows", off, len(payload), count)
+		}
+		if count == 0 {
+			return nil, fmt.Errorf("stream: wal record at %d holds no rows", off)
+		}
+		if uint64(firstID)+uint64(count) > math.MaxUint32+1 {
+			return nil, fmt.Errorf("stream: wal record at %d: %d rows from id %d run past id %d", off, count, firstID, uint32(math.MaxUint32))
 		}
 		rows := make([][]float64, count)
 		p := 12
