@@ -79,11 +79,20 @@ func (snap Snapshot) Save(w io.Writer) error {
 	return nil
 }
 
-// ReadSnapshot parses a snapshot written by Save.
+// ReadSnapshot parses a snapshot written by Save: the whole of r, one JSON
+// value.
 func ReadSnapshot(r io.Reader) (Snapshot, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return Snapshot{}, fmt.Errorf("ide: read snapshot: %w", err)
+	}
+	return parseSnapshot(data)
+}
+
+// parseSnapshot decodes and validates the bytes of a snapshot file.
+func parseSnapshot(data []byte) (Snapshot, error) {
 	var snap Snapshot
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&snap); err != nil {
+	if err := json.Unmarshal(data, &snap); err != nil {
 		return Snapshot{}, fmt.Errorf("ide: decode snapshot: %w", err)
 	}
 	if err := snap.validate(); err != nil {

@@ -3,6 +3,8 @@ package ide
 import (
 	"bytes"
 	"context"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -74,6 +76,61 @@ func TestSnapshotValidation(t *testing.T) {
 	if _, err := ReadSnapshot(strings.NewReader("{not json")); err == nil {
 		t.Error("garbage snapshot should fail")
 	}
+}
+
+// The parser refuses what Save cannot have written — a torn or padded file,
+// another format, arrays that disagree, a ragged row, a label that is not
+// binary — with an error naming it.
+func TestParseSnapshotRefuses(t *testing.T) {
+	good := `{"format_version":1,"ids":[4,9],"x":[[1,2],[3,4]],"y":[0,1]}`
+	if _, err := parseSnapshot([]byte(good + "\n")); err != nil {
+		t.Fatalf("a snapshot as Save writes it: %v", err)
+	}
+	for _, c := range []struct{ name, data, want string }{
+		{"torn", good[:30], "decode"},
+		{"trailing-value", good + good, "decode"},
+		{"format", strings.Replace(good, `"format_version":1`, `"format_version":2`, 1), "format"},
+		{"arrays-disagree", strings.Replace(good, `"y":[0,1]`, `"y":[0]`, 1), "disagree"},
+		{"ragged-row", strings.Replace(good, `[3,4]`, `[3]`, 1), "dims"},
+		{"label", strings.Replace(good, `"y":[0,1]`, `"y":[0,2]`, 1), "binary"},
+		{"empty", `{"format_version":1}`, "empty"},
+		{"id-out-of-range", strings.Replace(good, `[4,9]`, `[4,4294967296]`, 1), "decode"},
+	} {
+		if _, err := parseSnapshot([]byte(c.data)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got error %v, want one naming %q", c.name, err, c.want)
+		}
+	}
+}
+
+// FuzzReadSnapshot feeds bytes to the snapshot parser, which must return
+// without panicking. A snapshot it accepts must survive Save: ReadSnapshot
+// returns Save's bytes as the same value, and Save writes that value as the
+// same bytes again. The committed corpus under testdata/fuzz/ holds a
+// snapshot as Save writes it, one with −0, an exponent and a null row, keys
+// in another case and repeated, and the refusals of TestParseSnapshotRefuses.
+func FuzzReadSnapshot(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap, err := parseSnapshot(data)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := snap.Save(&buf); err != nil {
+			t.Fatalf("accepted a snapshot Save refuses: %v", err)
+		}
+		enc := slices.Clone(buf.Bytes())
+		back, err := ReadSnapshot(&buf)
+		if err != nil {
+			t.Fatalf("Save wrote %q, which ReadSnapshot refuses: %v", enc, err)
+		}
+		if !reflect.DeepEqual(back, snap) {
+			t.Fatalf("accepted %+v, read back %+v from %q", snap, back, enc)
+		}
+		var again bytes.Buffer
+		if err := back.Save(&again); err != nil || !bytes.Equal(again.Bytes(), enc) {
+			t.Fatalf("Save wrote %q, then %q (%v)", enc, again.Bytes(), err)
+		}
+	})
 }
 
 func TestResumeContinuesExploration(t *testing.T) {

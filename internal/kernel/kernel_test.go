@@ -186,41 +186,52 @@ func TestKernelsBitParity(t *testing.T) {
 	})
 }
 
-// CountBelow is defined as `if v[i] < thr[i] { cnt[i]++ }`: every pairing
-// of the values a squared distance or a running minimum can hold — both
-// zeros, both infinities, NaNs with the sign bit clear and set — must count
-// exactly when the float comparison holds, at every unroll position.
-func TestCountBelowMatchesDefinition(t *testing.T) {
+// An empty input is a call with nothing to do, for every kernel: no panic,
+// no callback, nothing written.
+func TestKernelsAcceptEmptyInput(t *testing.T) {
+	ScaleInto(nil, nil, 2)
+	SquaredDiffInto(nil, nil, 2)
+	AddSquaredDiff(nil, nil, 2)
+	AxpyStandardized(nil, nil, 1, 0, 1)
+	AddGaussianLL(nil, nil, 0, -1, 2)
+	MajorityNearer(nil, nil, 0, 3, nil, nil, 1)
+	if nb := SelectKMin(nil, 0, 1, 0, 3, nil); len(nb) != 0 {
+		t.Errorf("SelectKMin over no rows: %v", nb)
+	}
+	SelectLanes(nil, 0, 0, 3, nil, func(i int, _ []Neighbor) { t.Errorf("SelectLanes over no lanes handed over lane %d", i) })
+	if !AscendingInto(nil, nil) {
+		t.Error("AscendingInto: no values do not ascend")
+	}
+	Unpack(nil, nil, 7)
+	if top := MemberMasks(nil, nil, []uint32{1}, 1); top != 0 {
+		t.Errorf("MemberMasks over no ids: largest id %d", top)
+	}
+}
+
+// MajorityNearer is defined on the strips SquaredDiffInto and
+// AddSquaredDiff compute: a point's bit is set when at least majority
+// negative rows' distances are below (the float compare) the smallest
+// positive distance that `if d < m { m = d }` keeps from +Inf. Every value a
+// coordinate can hold — both zeros, a subnormal, squares that overflow,
+// both infinities, NaNs with the sign bit clear and set — meets every other
+// in queries and training rows alike, at every lane position of a pair of
+// groups, a lone group and the Go tail.
+func TestMajorityNearerMatchesDefinition(t *testing.T) {
 	negNaN := math.Copysign(math.NaN(), -1)
 	inf := math.Inf(1)
-	vals := []float64{0, math.Copysign(0, -1), 5e-324, 1, 1 + 1e-15, 2.5, 1e308, inf, -inf, -1, math.NaN(), negNaN, inf - inf}
-	var v, thr []float64
-	for _, a := range vals {
-		for _, b := range vals {
-			v, thr = append(v, a), append(thr, b)
+	vals := []float64{0, math.Copysign(0, -1), 5e-324, 1, 1 + 1e-15, 2.5, 1e154, 1e200, inf, -inf, -1, math.NaN(), negNaN, inf - inf}
+	rng := rand.New(rand.NewSource(30))
+	draw := func(n int) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = vals[rng.Intn(len(vals))]
 		}
+		return out
 	}
-	for n := 0; n <= len(v); n += 1 + n/7 {
-		cnt := make([]int32, n+1)
-		want := make([]int32, n+1)
-		for i := range cnt {
-			cnt[i], want[i] = int32(i), int32(i)
-		}
-		for i := 0; i < n; i++ {
-			if v[i] < thr[i] {
-				want[i]++
-			}
-		}
-		if n > 0 {
-			CountBelow(cnt, v[:n], thr[:n])
-		}
-		if !reflect.DeepEqual(cnt, want) {
-			for i := range want {
-				if cnt[i] != want[i] {
-					t.Fatalf("n=%d i=%d: %v < %v counted %d, want %d", n, i, v[i], thr[i], cnt[i]-int32(i), want[i]-int32(i))
-				}
-			}
-		}
+	for trial := 0; trial < 3000; trial++ {
+		dims, w := 1+rng.Intn(3), rng.Intn(16)
+		npos, nneg := rng.Intn(4), rng.Intn(7)
+		checkMajorityNearer(t, draw(dims*w), w, dims, draw(npos*dims), draw(nneg*dims), rng.Intn(nneg+2))
 	}
 }
 

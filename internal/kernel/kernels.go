@@ -8,13 +8,14 @@ import "math"
 // element — the bit-parity contract). None of them allocate; callers own
 // and reuse every destination and scratch slice.
 //
-// The four element-wise DWKNN strip kernels — AddSquaredDiff,
-// SquaredDiffInto, CountBelow, MinInto — run their first len&^3 elements
-// four to an instruction where the CPU has AVX2 (strip_amd64.s). Their Go
-// loops finish the tail, are the whole body everywhere else, and are what
-// the tests hold the assembly to, bit for bit. The fifth, SelectLanes, runs
-// four lanes at a time there, and SelectKMin is its tail, its portable body
-// and its oracle.
+// The five DWKNN strip kernels have an AVX2 body (strip_amd64.s) where the
+// CPU has one. The three element-wise ones — ScaleInto, SquaredDiffInto,
+// AddSquaredDiff — run their first len&^3 elements four to an instruction;
+// MajorityNearer, the decision's fused distance-minimum-count pass, runs its
+// whole groups of four points two groups at a time. Their Go loops finish
+// the tail, are the whole body everywhere else, and are what the tests hold
+// the assembly to, bit for bit. The fifth, SelectLanes, runs four lanes at a
+// time there, and SelectKMin is its tail, its portable body and its oracle.
 
 // VectorWidth is how many float64 the strip kernels process per
 // instruction on this CPU: 4 with the AVX2 bodies live, 1 otherwise.
@@ -29,16 +30,19 @@ func VectorWidth() int {
 // reciprocal multiply — because the scalar scoring paths divide, and
 // x/s and x*(1/s) differ in the last ulp for general s.
 func ScaleInto(dst, src []float64, scale float64) {
-	_ = dst[len(src)-1]
-	i := 0
-	for ; i+4 <= len(src); i += 4 {
-		dst[i] = src[i] / scale
-		dst[i+1] = src[i+1] / scale
-		dst[i+2] = src[i+2] / scale
-		dst[i+3] = src[i+3] / scale
+	dst = dst[:len(src)]
+	n := 0
+	if hasAVX2 {
+		n = len(src) &^ 3
+		scaleIntoAVX2(dst, src, scale)
 	}
-	for ; i < len(src); i++ {
-		dst[i] = src[i] / scale
+	scaleIntoGo(dst[n:], src[n:], scale)
+}
+
+func scaleIntoGo(dst, src []float64, scale float64) {
+	dst = dst[:len(src)]
+	for i, x := range src {
+		dst[i] = x / scale
 	}
 }
 
@@ -97,59 +101,77 @@ func squaredDiffIntoGo(dst, q []float64, v float64) {
 	}
 }
 
-// CountBelow increments cnt[i] where v[i] < thr[i] — the float comparison
-// exactly, so a NaN of either sign on either side counts nothing. The
-// outcome is added, not jumped on (the compiler sets b from the flags): over
-// distances it is as good as random, and a mispredicted jump costs more.
-func CountBelow(cnt []int32, v, thr []float64) {
-	cnt, thr = cnt[:len(v)], thr[:len(v)]
-	n := 0
+// MajorityNearer decides the DWKNN majority rule for the w points of a
+// staged strip, point i's coordinate d at qs[d*w+i]: it sets bit i&3 of
+// masks[i>>2] when at least majority rows of neg are strictly nearer point i
+// than every row of pos, and clears it when not, writing the ⌈w/4⌉ bytes of
+// masks whole (bits 4-7 zero). pos and neg hold dims >= 1 coordinates per
+// row, row after row. A distance is the strip's own, dimensions ascending:
+// (v − q)², then (v − q)² + acc, exactly what SquaredDiffInto and
+// AddSquaredDiff compute. Nearer is the float comparison, so a NaN distance
+// is nearer than nothing and never becomes the nearest positive: with no
+// positive row, or only NaN distances to them, the bound is +Inf.
+//
+// The counts only grow, so the work stops where the answer is known: the Go
+// loop leaves a point at its majority-th nearer negative, the vector body a
+// pair of groups once all eight points have reached theirs.
+func MajorityNearer(masks []uint8, qs []float64, w, dims int, pos, neg []float64, majority int) {
+	masks, qs = masks[:(w+3)/4], qs[:dims*w]
+	npos, nneg := len(pos)/dims, len(neg)/dims
+	pos, neg = pos[:npos*dims], neg[:nneg*dims]
+	majority = max(majority, 0) // no count is below 0: every point settles
+	from := 0
 	if hasAVX2 {
-		n = len(v) &^ 3
-		countBelowAVX2(cnt, v, thr)
+		from = w &^ 3
+		majorityNearerAVX2(masks, qs, w, dims, pos, npos, neg, nneg, majority)
 	}
-	countBelowGo(cnt[n:], v[n:], thr[n:])
+	majorityNearerGo(masks, qs, w, dims, from, pos, neg, majority)
 }
 
-func countBelowGo(cnt []int32, v, thr []float64) {
-	cnt, thr = cnt[:len(v)], thr[:len(v)]
-	for i, x := range v {
-		var b int32
-		if x < thr[i] {
-			b = 1
+// majorityNearerGo is MajorityNearer for points [from, w), from a multiple
+// of 4.
+func majorityNearerGo(masks []uint8, qs []float64, w, dims, from int, pos, neg []float64, majority int) {
+	for g := from; g < w; g += 4 {
+		var m uint8
+		for i := g; i < min(g+4, w); i++ {
+			near := math.Inf(1)
+			for r := 0; r < len(pos); r += dims {
+				if d := stripDistance(pos[r:r+dims], qs, w, i); d < near {
+					near = d
+				}
+			}
+			n := 0
+			for r := 0; r < len(neg) && n < majority; r += dims {
+				if stripDistance(neg[r:r+dims], qs, w, i) < near {
+					n++
+				}
+			}
+			if n >= majority {
+				m |= 1 << (i - g)
+			}
 		}
-		cnt[i] += b
+		masks[g/4] = m
 	}
 }
 
-// MinInto lowers m[i] to v[i] where v[i] < m[i] — the float comparison
-// exactly, so a NaN of either sign on either side, or a zero meeting a zero,
-// leaves m[i] as it was: a running minimum over strip rows, such as each
-// point's nearest positive.
-func MinInto(m, v []float64) {
-	m = m[:len(v)]
-	n := 0
-	if hasAVX2 {
-		n = len(v) &^ 3
-		minIntoAVX2(m, v)
+// stripDistance is the squared distance from a training row to staged point
+// i of a strip of width w, in the expression SquaredDiffInto and
+// AddSquaredDiff evaluate.
+func stripDistance(row, qs []float64, w, i int) float64 {
+	d := row[0] - qs[i]
+	acc := d * d
+	for j := 1; j < len(row); j++ {
+		d := row[j] - qs[j*w+i]
+		acc = d*d + acc
 	}
-	minIntoGo(m[n:], v[n:])
-}
-
-func minIntoGo(m, v []float64) {
-	m = m[:len(v)]
-	for i, x := range v {
-		if x < m[i] {
-			m[i] = x
-		}
-	}
+	return acc
 }
 
 // AxpyStandardized accumulates dst[i] += w * (col[i] - mean) / std — one
 // dimension of a standardized logistic dot-product. The multiply-then-
 // divide order matches the scalar path exactly.
 func AxpyStandardized(dst, col []float64, w, mean, std float64) {
-	_ = dst[len(col)-1]
+	dst = dst[:len(col)]
 	i := 0
 	for ; i+4 <= len(col); i += 4 {
 		dst[i] += w * (col[i] - mean) / std
@@ -168,7 +190,7 @@ func AxpyStandardized(dst, col []float64, w, mean, std float64) {
 // (both pure functions of the variance, so precomputing them changes no
 // bits; the per-element expression is the scalar path's verbatim).
 func AddGaussianLL(dst, col []float64, mean, logTerm, twoVar float64) {
-	_ = dst[len(col)-1]
+	dst = dst[:len(col)]
 	i := 0
 	for ; i+4 <= len(col); i += 4 {
 		d0 := col[i] - mean

@@ -8,8 +8,11 @@ var hasAVX2 = detectAVX2()
 // state (OSXSAVE, XCR0 bits 1-2).
 func detectAVX2() bool
 
-// The vector bodies cover the first len(q)&^3 (len(v)&^3) elements and
-// touch nothing after them; dst, cnt and thr must be at least as long.
+// The element-wise vector bodies cover the first len(q)&^3 (len(src)&^3)
+// elements and touch nothing after them; dst must be at least as long.
+
+//go:noescape
+func scaleIntoAVX2(dst, src []float64, scale float64)
 
 //go:noescape
 func addSquaredDiffAVX2(dst, q []float64, v float64)
@@ -17,11 +20,12 @@ func addSquaredDiffAVX2(dst, q []float64, v float64)
 //go:noescape
 func squaredDiffIntoAVX2(dst, q []float64, v float64)
 
+// majorityNearerAVX2 writes masks[:w/4] for points [0, w&^3) of a strip of
+// width w; qs must hold dims*w values, pos npos*dims and neg nneg*dims,
+// dims must be at least 1 and majority at least 0.
+//
 //go:noescape
-func countBelowAVX2(cnt []int32, v, thr []float64)
-
-//go:noescape
-func minIntoAVX2(m, v []float64)
+func majorityNearerAVX2(masks []uint8, qs []float64, w, dims int, pos []float64, npos int, neg []float64, nneg, majority int)
 
 // selectLanesAVX2 selects over lanes 0-3 of rows [0, rows) of a strip of
 // width w, into lists[:8k]; rows and k must be at least 1 and d2 must hold

@@ -1,11 +1,12 @@
 #include "textflag.h"
 
 // The vector bodies of the five strip kernels (DESIGN.md §17, Vector
-// bodies). The four element-wise ones cover len/4 blocks of four float64 and
-// leave the 0-3 remaining elements to the Go loop; the selection takes one
-// group of four lanes per call. VSUBPD, VMULPD and VADDPD round each lane as
-// SUBSD, MULSD and ADDSD do; an FMA rounds once where those round twice and
-// must never appear here. Loads and stores are unaligned, and nothing is
+// bodies). The three element-wise ones cover len/4 blocks of four float64
+// and leave the 0-3 remaining elements to the Go loop; the majority count
+// covers the whole groups of four points, and the selection takes one group
+// of four lanes per call. VSUBPD, VMULPD, VADDPD and VDIVPD round each lane
+// as SUBSD, MULSD, ADDSD and DIVSD do; an FMA rounds once where a multiply
+// and an add round twice and must never appear here. Loads and stores are unaligned, and nothing is
 // read or written past the last whole block. Every instruction that touches
 // an X or Y register is VEX-encoded (TestVectorBodiesAreVEX): one legacy-SSE
 // instruction between 256-bit ones costs a state transition or a false
@@ -76,46 +77,135 @@ done:
 	VZEROUPPER
 	RET
 
-// func countBelowAVX2(cnt []int32, v, thr []float64)
-TEXT ·countBelowAVX2(SB), NOSPLIT, $0-72
-	MOVQ cnt_base+0(FP), DI
-	MOVQ v_base+24(FP), SI
-	MOVQ v_len+32(FP), CX
-	MOVQ thr_base+48(FP), DX
+// func scaleIntoAVX2(dst, src []float64, scale float64)
+TEXT ·scaleIntoAVX2(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ src_len+32(FP), CX
+	VBROADCASTSD scale+48(FP), Y0
 	SHRQ $2, CX
 	JZ   done
 loop:
-	VMOVUPD (SI), Y0
-	VCMPPD  $1, (DX), Y0, Y0 // LT_OS: v < thr, false next to any NaN; -1 or 0 per lane
-	VEXTRACTF128 $1, Y0, X1
-	VSHUFPS $0x88, X1, X0, X0 // the low dword of each of the four masks
-	VMOVDQU (DI), X2
-	VPSUBD  X0, X2, X2 // cnt - (-1)
-	VMOVDQU X2, (DI)
+	VMOVUPD (SI), Y1
+	VDIVPD  Y0, Y1, Y1 // src / scale, src the first source, as in DIVSD
+	VMOVUPD Y1, (DI)
 	ADDQ $32, SI
-	ADDQ $32, DX
-	ADDQ $16, DI
+	ADDQ $32, DI
 	DECQ CX
 	JNZ  loop
 done:
 	VZEROUPPER
 	RET
 
-// func minIntoAVX2(m, v []float64)
-TEXT ·minIntoAVX2(SB), NOSPLIT, $0-48
-	MOVQ m_base+0(FP), DI
-	MOVQ v_base+24(FP), SI
-	MOVQ v_len+32(FP), CX
-	SHRQ $2, CX
+// DIST leaves in Y0 and Y1 the squared distances from the training row at
+// AX to the two groups of four staged queries at SI and BX (column d at
+// d·R8 bytes further on), dimensions ascending as stripDistances computes
+// them: (v − q)², then (v − q)² + acc. R9 holds dims − 1 and AX ends on the
+// next row. The two labels make each use's dimension loop its own.
+#define DIST(dim, last) \
+	VBROADCASTSD (AX), Y2; \
+	VSUBPD  (SI), Y2, Y0; \
+	VSUBPD  (BX), Y2, Y1; \
+	VMULPD  Y0, Y0, Y0; \
+	VMULPD  Y1, Y1, Y1; \
+	XORQ    CX, CX; \
+	MOVQ    R9, DX; \
+	TESTQ   DX, DX; \
+	JZ      last; \
+dim: \
+	ADDQ    $8, AX; \
+	ADDQ    R8, CX; \
+	VBROADCASTSD (AX), Y2; \
+	VSUBPD  (SI)(CX*1), Y2, Y3; \
+	VSUBPD  (BX)(CX*1), Y2, Y8; \
+	VMULPD  Y3, Y3, Y3; \
+	VMULPD  Y8, Y8, Y8; \
+	VADDPD  Y0, Y3, Y0; /* the term the first source, as in AddSquaredDiff */ \
+	VADDPD  Y1, Y8, Y1; \
+	DECQ    DX; \
+	JNZ     dim; \
+last: \
+	ADDQ    $8, AX
+
+// func majorityNearerAVX2(masks []uint8, qs []float64, w, dims int, pos []float64, npos int, neg []float64, nneg, majority int)
+//
+// Points 0 … 4·⌊w/4⌋−1, two groups of four a pass, the last whole group
+// alone when their number is odd (BX then reads the same queries as SI, and
+// only the first group's byte is stored). Per lane: the nearest positive by
+// VMINPD, the new distance first, so a NaN distance never replaces the
+// minimum; then each negative row strictly nearer (VCMPPD LT_OS, false next
+// to a NaN) subtracts −1 from that lane's count. After every negative row
+// the pass stops if every count of both groups exceeds majority − 1: the
+// counts only grow, so no later row changes a mask.
+TEXT ·majorityNearerAVX2(SB), NOSPLIT, $0-136
+	MOVQ masks_base+0(FP), DI
+	MOVQ qs_base+24(FP), SI
+	MOVQ w+48(FP), R12
+	MOVQ R12, R8
+	SHLQ $3, R8 // the column stride in bytes
+	SHRQ $2, R12 // whole groups left
 	JZ   done
-loop:
-	VMOVUPD (SI), Y0
-	VMINPD  (DI), Y0, Y0 // v < m ? v : m, v the first source: m next to a NaN or a zero
-	VMOVUPD Y0, (DI)
-	ADDQ $32, SI
-	ADDQ $32, DI
-	DECQ CX
-	JNZ  loop
+	MOVQ dims+56(FP), R9
+	DECQ R9
+	MOVQ majority+128(FP), AX
+	DECQ AX
+	VMOVQ AX, X15
+	VPBROADCASTQ X15, Y15 // majority − 1
+	MOVQ $0x7FF0000000000000, AX
+	VMOVQ AX, X14
+	VPBROADCASTQ X14, Y14 // +Inf
+group:
+	LEAQ 32(SI), BX
+	CMPQ R12, $1
+	JNE  positives
+	MOVQ SI, BX
+positives:
+	VMOVDQA Y14, Y4 // the nearest positive so far
+	VMOVDQA Y14, Y5
+	MOVQ pos_base+64(FP), AX
+	MOVQ npos+88(FP), R13
+	TESTQ R13, R13
+	JZ   negatives
+posrow:
+	DIST(posdim, poslast)
+	VMINPD Y4, Y0, Y4 // d < min ? d : min
+	VMINPD Y5, Y1, Y5
+	DECQ R13
+	JNZ  posrow
+negatives:
+	VPXOR Y6, Y6, Y6 // the count of nearer negatives
+	VPXOR Y7, Y7, Y7
+	MOVQ neg_base+96(FP), AX
+	MOVQ nneg+120(FP), R13
+	TESTQ R13, R13
+	JZ   store
+negrow:
+	DIST(negdim, neglast)
+	VCMPPD $1, Y4, Y0, Y0 // LT_OS: d < min; −1 or 0 per lane
+	VCMPPD $1, Y5, Y1, Y1
+	VPSUBQ Y0, Y6, Y6
+	VPSUBQ Y1, Y7, Y7
+	VPCMPGTQ Y15, Y6, Y0 // count > majority − 1
+	VPCMPGTQ Y15, Y7, Y1
+	VPAND Y0, Y1, Y0
+	VMOVMSKPD Y0, CX
+	CMPQ CX, $15
+	JEQ  store // every lane of both groups settled
+	DECQ R13
+	JNZ  negrow
+store:
+	VPCMPGTQ Y15, Y6, Y0
+	VMOVMSKPD Y0, CX
+	MOVB CX, (DI)
+	CMPQ R12, $1
+	JEQ  done
+	VPCMPGTQ Y15, Y7, Y1
+	VMOVMSKPD Y1, CX
+	MOVB CX, 1(DI)
+	ADDQ $2, DI
+	ADDQ $64, SI
+	SUBQ $2, R12
+	JNZ  group
 done:
 	VZEROUPPER
 	RET

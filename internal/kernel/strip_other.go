@@ -6,10 +6,12 @@ package kernel
 // strip and chunk kernel and the stubs below are never reached.
 const hasAVX2 = false
 
+func scaleIntoAVX2(dst, src []float64, scale float64) {}
 func addSquaredDiffAVX2(dst, q []float64, v float64)  {}
 func squaredDiffIntoAVX2(dst, q []float64, v float64) {}
-func countBelowAVX2(cnt []int32, v, thr []float64)    {}
-func minIntoAVX2(m, v []float64)                      {}
+
+func majorityNearerAVX2(masks []uint8, qs []float64, w, dims int, pos []float64, npos int, neg []float64, nneg, majority int) {
+}
 
 func selectLanesAVX2(d2 []float64, w, rows, k int, lists []uint64) (odd int) { return 0 }
 

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -27,7 +28,7 @@ var stripPalette = []uint64{
 
 const (
 	canary64 = 0xDEADBEEFCAFEF00D
-	canary32 = int32(-0x21524111)
+	canary8  = 0xA5
 )
 
 // guarded returns a copy of vals placed off+1 words into a backing array
@@ -60,14 +61,13 @@ func sameBits(t testing.TB, what string, off int, back, got []float64, want []ui
 	}
 }
 
-// checkStripKernels holds the four element-wise strip kernels to their Go
+// checkStripKernels holds the three element-wise strip kernels to their Go
 // loops on one input: acc is the strip before the call (the accumulator, the
-// stale contents, the running minima, the distances), term the query column
-// (the candidate minima, the thresholds), both placed at unaligned offsets.
-// The exported kernel must equal the Go loop
-// over the whole length. With the AVX2 bodies live, the assembly is also
-// called on its own: the first len&^3 elements must equal the Go loop's and
-// the tail must be left as it was.
+// stale contents), term the query column (the values to scale), vbits the
+// training coordinate (the scale), both slices placed at unaligned offsets.
+// The exported kernel must equal the Go loop over the whole length. With the
+// AVX2 bodies live, the assembly is also called on its own: the first len&^3
+// elements must equal the Go loop's and the tail must be left as it was.
 func checkStripKernels(t testing.TB, off int, acc, term []uint64, vbits uint64) {
 	t.Helper()
 	n, v := len(acc), math.Float64frombits(vbits)
@@ -86,9 +86,9 @@ func checkStripKernels(t testing.TB, off int, acc, term []uint64, vbits uint64) 
 		portable, full func(dst, q []float64, v float64)
 		vector         func(dst, q []float64, v float64)
 	}{
+		{"ScaleInto", scaleIntoGo, ScaleInto, scaleIntoAVX2},
 		{"AddSquaredDiff", addSquaredDiffGo, AddSquaredDiff, addSquaredDiffAVX2},
 		{"SquaredDiffInto", squaredDiffIntoGo, SquaredDiffInto, squaredDiffIntoAVX2},
-		{"MinInto", func(m, v []float64, _ float64) { minIntoGo(m, v) }, func(m, v []float64, _ float64) { MinInto(m, v) }, func(m, v []float64, _ float64) { minIntoAVX2(m, v) }},
 	} {
 		_, ref := guarded(acc, 0)
 		k.portable(ref, q, v)
@@ -104,54 +104,13 @@ func checkStripKernels(t testing.TB, off int, acc, term []uint64, vbits uint64) 
 			sameBits(t, k.name+" (vector body alone)", off, back, dst, append(want[:vec:vec], acc[vec:]...))
 		}
 	}
-
-	// CountBelow: acc holds the distances, term the running minima.
-	_, dist := guarded(acc, off)
-	start := make([]int32, n)
-	for i := range start {
-		start[i] = int32(acc[i]>>40) - 1<<22
-	}
-	countGuarded := func() (back, cnt []int32) {
-		back = make([]int32, 1+off+n+4)
-		for i := range back {
-			back[i] = canary32
-		}
-		cnt = back[1+off : 1+off+n : 1+off+n]
-		copy(cnt, start)
-		return back, cnt
-	}
-	sameCounts := func(what string, back, got, want []int32) {
-		t.Helper()
-		for i, w := range want {
-			if got[i] != w {
-				t.Fatalf("%s: n=%d off=%d i=%d: %016x < %016x counted %d, want %d", what, n, off, i, acc[i], term[i], got[i]-start[i], w-start[i])
-			}
-		}
-		for i, x := range back {
-			if (i < 1+off || i >= 1+off+n) && x != canary32 {
-				t.Fatalf("%s: n=%d off=%d: wrote backing word %d, outside the slice", what, n, off, i)
-			}
-		}
-	}
-	want := append([]int32(nil), start...)
-	countBelowGo(want, dist, q)
-
-	back, cnt := countGuarded()
-	CountBelow(cnt, dist, q)
-	sameCounts("CountBelow", back, cnt, want)
-
-	if hasAVX2 {
-		back, cnt = countGuarded()
-		countBelowAVX2(cnt, dist, q)
-		sameCounts("CountBelow (vector body alone)", back, cnt, append(want[:vec:vec], start[vec:]...))
-	}
 }
 
 // The assembly against its adversaries: every length 0..70 (whole blocks
 // and tails of 0-3), every start offset 0..3 (unaligned heads, a canary
-// word on both sides), every palette value as v, accumulator and term drawn
-// from the palette so that NaNs meet NaNs, infinities and each other in
-// both operand positions.
+// word on both sides), every palette value as v — ±0, subnormals and NaN
+// payloads as a scale too — accumulator and term drawn from the palette so
+// that NaNs meet NaNs, infinities and each other in both operand positions.
 func TestVectorKernelsMatchPortable(t *testing.T) {
 	if VectorWidth() != 4 {
 		t.Skip("this CPU has no AVX2: the Go loops are the whole of each strip kernel, there is no vector body to compare")
@@ -191,6 +150,270 @@ func FuzzStripKernels(f *testing.F) {
 			term[i] = binary.LittleEndian.Uint64(data[16*i+8:])
 		}
 		checkStripKernels(t, off, acc, term, vbits)
+	})
+}
+
+// majorityReference is MajorityNearer's definition, on the distance strips
+// SquaredDiffInto and AddSquaredDiff compute: the nearest positive kept by
+// `if d < m { m = d }` from +Inf, every negative counted by `<`. reach[i] is
+// how many negative rows point i's count needs to reach majority: 0 for a
+// majority of 0 or less, nneg+1 when it never does.
+func majorityReference(qs []float64, w, dims int, pos, neg []float64, majority int) (masks []uint8, reach []int) {
+	strip := func(row []float64) []float64 {
+		d2 := make([]float64, w)
+		SquaredDiffInto(d2, qs[:w], row[0])
+		for d := 1; d < dims; d++ {
+			AddSquaredDiff(d2, qs[d*w:d*w+w], row[d])
+		}
+		return d2
+	}
+	near := make([]float64, w)
+	for i := range near {
+		near[i] = math.Inf(1)
+	}
+	for r := 0; r < len(pos)/dims; r++ {
+		for i, d := range strip(pos[r*dims : r*dims+dims]) {
+			if d < near[i] {
+				near[i] = d
+			}
+		}
+	}
+	nneg := len(neg) / dims
+	count, reach := make([]int, w), make([]int, w)
+	for i := range reach {
+		reach[i] = nneg + 1
+		if majority <= 0 {
+			reach[i] = 0
+		}
+	}
+	for r := 0; r < nneg; r++ {
+		for i, d := range strip(neg[r*dims : r*dims+dims]) {
+			if d < near[i] {
+				if count[i]++; count[i] == majority {
+					reach[i] = r + 1
+				}
+			}
+		}
+	}
+	masks = make([]uint8, (w+3)/4)
+	for i, n := range count {
+		if n >= majority {
+			masks[i/4] |= 1 << (i % 4)
+		}
+	}
+	return masks, reach
+}
+
+// checkMajorityNearer holds MajorityNearer to its definition on one strip:
+// the Go loop over every point, the exported kernel into masks with canary
+// bytes on both sides, and — with the AVX2 body live — the body alone, which
+// must write exactly the bytes of the whole groups and leave the tail's as
+// it was. None may write to its inputs. It returns the definition's reach.
+func checkMajorityNearer(t testing.TB, qs []float64, w, dims int, pos, neg []float64, majority int) []int {
+	t.Helper()
+	want, reach := majorityReference(qs, w, dims, pos, neg, majority)
+	inputs := append(append(slices.Clone(qs), pos...), neg...)
+	npos, nneg := len(pos)/dims, len(neg)/dims
+	same := func(what string, back []uint8, upto int) {
+		t.Helper()
+		got := back[1 : 1+len(want)]
+		for i := range min(w, 4*upto) {
+			if g, x := got[i/4]>>(i%4)&1, want[i/4]>>(i%4)&1; g != x {
+				t.Fatalf("%s: w=%d dims=%d npos=%d nneg=%d majority=%d: point %d got %d, want %d (its count reaches the majority after %d negative rows)",
+					what, w, dims, npos, nneg, majority, i, g, x, reach[i])
+			}
+		}
+		for j, b := range back {
+			inside := j >= 1 && j < 1+upto
+			if !inside && b != canary8 {
+				t.Fatalf("%s: w=%d dims=%d: wrote mask byte %d of %d", what, w, dims, j-1, upto)
+			}
+			if inside && b>>4 != 0 {
+				t.Fatalf("%s: w=%d dims=%d: mask byte %d is %#x, bits 4-7 set", what, w, dims, j-1, b)
+			}
+		}
+	}
+	canaried := func() (back, masks []uint8) {
+		back = make([]uint8, 1+len(want)+4)
+		for i := range back {
+			back[i] = canary8
+		}
+		return back, back[1 : 1+len(want) : 1+len(want)]
+	}
+
+	back, masks := canaried()
+	majorityNearerGo(masks, qs, w, dims, 0, pos, neg, majority)
+	same("Go loop", back, len(want))
+
+	back, masks = canaried()
+	MajorityNearer(masks, qs, w, dims, pos, neg, majority)
+	same("MajorityNearer", back, len(want))
+
+	if hasAVX2 {
+		back, masks = canaried()
+		majorityNearerAVX2(masks, qs, w, dims, pos, npos, neg, nneg, max(majority, 0))
+		same("vector body alone", back, w/4)
+	}
+	for i, x := range append(append(slices.Clone(qs), pos...), neg...) {
+		if math.Float64bits(x) != math.Float64bits(inputs[i]) {
+			t.Fatalf("w=%d dims=%d: input word %d changed", w, dims, i)
+		}
+	}
+	return reach
+}
+
+// The fused majority pass against its Go loop and its definition: every
+// width 0-19 and 256 (pairs of groups, a lone group and a tail of 1-3, alone
+// and together), every dims 1-9, on rows and queries from the integer
+// lattice — where a negative at exactly the nearest positive's distance is
+// common — with no positive row, fewer negatives than the majority, a
+// majority of 1 and one of L+1, NaNs of both signs and ±Inf in query lanes,
+// non-finite training coordinates (a NaN positive last in its class must not
+// become the minimum), and mirrored rows: a negative that is a positive with
+// its first two coordinates swapped, at a query whose coordinates are all
+// equal, ties that positive only if no multiply and add are fused. It fails
+// unless some pair of groups settled at two different rows, where the exit
+// rule, and not the count, decides what the pass reads.
+func TestMajorityNearerMatchesPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	lattice := func(n, span int) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = float64(rng.Intn(span))
+		}
+		return out
+	}
+	nonFinite := []float64{math.NaN(), math.Copysign(math.NaN(), -1), math.Inf(1), math.Inf(-1)}
+	spoil := func(vals []float64, oneIn int) []float64 {
+		for i := range vals {
+			if rng.Intn(oneIn) == 0 {
+				vals[i] = nonFinite[rng.Intn(len(nonFinite))]
+			}
+		}
+		return vals
+	}
+	type strip struct {
+		qs, pos, neg []float64
+		majority     int
+	}
+	latticeStrip := func(w, dims, npos, nneg int) strip {
+		return strip{lattice(dims*w, 5), lattice(npos*dims, 4), lattice(nneg*dims, 4), 1 + rng.Intn(5)}
+	}
+	scenarios := []struct {
+		name string
+		gen  func(w, dims int) strip
+	}{
+		{"lattice", func(w, dims int) strip { return latticeStrip(w, dims, 1+rng.Intn(5), rng.Intn(30)) }},
+		{"no-positive", func(w, dims int) strip { return latticeStrip(w, dims, 0, rng.Intn(12)) }},
+		{"fewer-negatives-than-majority", func(w, dims int) strip {
+			s := latticeStrip(w, dims, 1+rng.Intn(3), rng.Intn(4))
+			s.majority = len(s.neg)/dims + 1 + rng.Intn(2)
+			return s
+		}},
+		{"majority-1", func(w, dims int) strip {
+			s := latticeStrip(w, dims, 1+rng.Intn(5), rng.Intn(20))
+			s.majority = 1
+			return s
+		}},
+		{"majority-L+1", func(w, dims int) strip {
+			s := latticeStrip(w, dims, rng.Intn(5), rng.Intn(20))
+			s.majority = (len(s.pos)+len(s.neg))/dims + 1
+			return s
+		}},
+		{"non-finite-queries", func(w, dims int) strip {
+			s := latticeStrip(w, dims, 1+rng.Intn(5), rng.Intn(30))
+			spoil(s.qs, 3*dims)
+			return s
+		}},
+		{"non-finite-rows", func(w, dims int) strip {
+			s := latticeStrip(w, dims, 1+rng.Intn(5), rng.Intn(30))
+			spoil(s.pos, 2*dims)
+			spoil(s.neg, 4*dims)
+			return s
+		}},
+		{"mirrored", func(w, dims int) strip {
+			if dims < 2 {
+				return latticeStrip(w, dims, 1, 1)
+			}
+			npos := 1 + rng.Intn(3)
+			s := strip{make([]float64, dims*w), make([]float64, npos*dims), nil, 1}
+			for i := range s.pos {
+				s.pos[i] = rng.Float64() * 4
+			}
+			s.neg = slices.Clone(s.pos)
+			for r := 0; r < npos; r++ {
+				s.neg[r*dims], s.neg[r*dims+1] = s.neg[r*dims+1], s.neg[r*dims]
+			}
+			for i := 0; i < w; i++ {
+				q := rng.Float64() * 4
+				for d := 0; d < dims; d++ {
+					s.qs[d*w+i] = q
+				}
+			}
+			return s
+		}},
+	}
+	widths := []int{256}
+	for w := 0; w <= 19; w++ {
+		widths = append(widths, w)
+	}
+	staggered := 0
+	for dims := 1; dims <= 9; dims++ {
+		for _, w := range widths {
+			for _, sc := range scenarios {
+				s := sc.gen(w, dims)
+				reach := checkMajorityNearer(t, s.qs, w, dims, s.pos, s.neg, s.majority)
+				for i := 0; i+8 <= w; i += 8 {
+					a, b := slices.Max(reach[i:i+4]), slices.Max(reach[i+4:i+8])
+					if a != b && max(a, b) <= len(s.neg)/dims {
+						staggered++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d pairs of groups settled at two different rows", staggered)
+	if staggered == 0 {
+		t.Error("no pair of groups settled at two different rows: the exit rule went untested")
+	}
+}
+
+// majorityPalette is what FuzzMajorityNearer's bytes below 0x80 spell, by
+// their low four bits: lattice values (ties), ±0, −1, the smallest
+// subnormal, values whose squares overflow or nearly do, ±Inf and NaNs of
+// both signs. Bytes from 0x80 on spell multiples of 0.1, which round.
+var majorityPalette = []float64{
+	0, 1, 2, 3, 4, 0.5, math.Copysign(0, -1), -1,
+	5e-324, 1e200, math.Inf(1), math.Inf(-1),
+	math.NaN(), math.Copysign(math.NaN(), -1), 1e154, 3.7,
+}
+
+// FuzzMajorityNearer reads bytes as (w, dims, npos, nneg, majority, values):
+// w is 0-40, dims 1-9, npos 0-7, nneg 0-15 and majority 0-nneg+1, and each
+// later byte is one value — the queries, layout [d*w+i], then the positive
+// rows, then the negative ones, zero where the bytes run out — and holds the
+// kernel to its definition and its Go loop on them. The committed corpus
+// under testdata/fuzz/ spells a negative tied with the nearest positive, a
+// NaN lane in the second group of a pair, a tail of three points and a pair
+// whose groups settle at different rows.
+func FuzzMajorityNearer(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		w, dims := int(data[0])%41, 1+int(data[1])%9
+		npos, nneg := int(data[2])%8, int(data[3])%16
+		majority, data := int(data[4])%(nneg+2), data[5:]
+		vals := make([]float64, dims*(w+npos+nneg))
+		for i, b := range data[:min(len(data), len(vals))] {
+			if b < 0x80 {
+				vals[i] = majorityPalette[b%16]
+			} else {
+				vals[i] = float64(b-0x80) / 10
+			}
+		}
+		qs, rows := vals[:dims*w], vals[dims*w:]
+		checkMajorityNearer(t, qs, w, dims, rows[:npos*dims], rows[npos*dims:], majority)
 	})
 }
 
@@ -362,23 +585,37 @@ func TestVectorBodiesAreVEX(t *testing.T) {
 	}
 }
 
-// BenchmarkStripKernels times the strip kernels per element (per lane for
-// the selection: 44 rows, k = 7) at a full strip (w = 256) and at a ragged
-// one (w = 37: nine blocks and a tail of one), the Go loop beside the
-// exported kernel where that runs the AVX2 body — so a Go release that
-// starts vectorising, or stops inlining, shows. MinInto is timed with a
-// reset of its minima, so the Go loop's branch meets fresh data each time.
+// BenchmarkStripKernels times the strip kernels per element (per point for
+// the majority pass and per lane for the selection: 44 rows, k = 7) at a
+// full strip (w = 256) and at a ragged one (w = 37: nine blocks and a tail
+// of one), the Go loop beside the exported kernel where that runs the AVX2
+// body — so a Go release that starts vectorising, or stops inlining, shows.
+// The majority pass runs on a terminal step's shape: 5 dimensions, 10
+// positive rows in a tight cluster, 34 negatives and the queries uniform, a
+// majority of 4.
 func BenchmarkStripKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	const rows, kNN = 44, 7
+	const dims, npos, majority = 5, 10, 4
+	pos, neg := make([]float64, npos*dims), make([]float64, (rows-npos)*dims)
+	for i := range pos {
+		pos[i] = 0.8 + 0.05*rng.Float64()
+	}
+	for i := range neg {
+		neg[i] = rng.Float64()
+	}
 	for _, w := range []int{256, 37} {
-		dst, q, thr, cnt := make([]float64, w), make([]float64, w), make([]float64, w), make([]int32, w)
+		dst, q := make([]float64, w), make([]float64, w)
 		for i := range q {
-			q[i], thr[i] = rng.Float64(), rng.Float64()
+			q[i] = rng.Float64()
 		}
 		d2, nb := make([]float64, rows*w), make([]Neighbor, 0, kNN)
 		for i := range d2 {
 			d2[i] = rng.Float64()
+		}
+		qs, masks := make([]float64, dims*w), make([]uint8, (w+3)/4)
+		for i := range qs {
+			qs[i] = rng.Float64()
 		}
 		for _, k := range []struct {
 			name           string
@@ -386,8 +623,8 @@ func BenchmarkStripKernels(b *testing.B) {
 		}{
 			{"AddSquaredDiff", func() { addSquaredDiffGo(dst, q, 0.5) }, func() { AddSquaredDiff(dst, q, 0.5) }},
 			{"SquaredDiffInto", func() { squaredDiffIntoGo(dst, q, 0.5) }, func() { SquaredDiffInto(dst, q, 0.5) }},
-			{"CountBelow", func() { countBelowGo(cnt, q, thr) }, func() { CountBelow(cnt, q, thr) }},
-			{"MinInto", func() { copy(dst, thr); minIntoGo(dst, q) }, func() { copy(dst, thr); MinInto(dst, q) }},
+			{"ScaleInto", func() { scaleIntoGo(dst, q, 0.37) }, func() { ScaleInto(dst, q, 0.37) }},
+			{"MajorityNearer", func() { majorityNearerGo(masks, qs, w, dims, 0, pos, neg, majority) }, func() { MajorityNearer(masks, qs, w, dims, pos, neg, majority) }},
 			{"SelectLanes", func() {
 				for i := range w {
 					SelectKMin(d2, i, w, rows, kNN, nb)

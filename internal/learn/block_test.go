@@ -117,6 +117,36 @@ func TestBatchUnfitted(t *testing.T) {
 	}
 }
 
+// An empty range [lo, lo) is a call with nothing to do for every block
+// classifier — a committee of members whose kernels get empty columns
+// included — and for the decision: no error, no panic.
+func TestBlockClassifiersAcceptEmptyRange(t *testing.T) {
+	models := fittedModels(t)
+	logistics, err := NewCommittee(2, 41, func(i int) Classifier { return NewLogistic(int64(43 + i)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	X, y := boxTrainingSet(300, 7)
+	if err := logistics.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	models["committee-logistic"] = logistics
+	blk := kernel.Pack(queryGrid(10, 47))
+	for name, m := range models {
+		for _, lo := range []int{0, 4, 10} {
+			if err := m.(BlockClassifier).BlockPosterior(blk, lo, lo, nil); err != nil {
+				t.Errorf("%s: BlockPosterior(%d, %d): %v", name, lo, lo, err)
+			}
+			if settled, err := BlockPredictInto(context.Background(), m, blk, lo, lo, nil); err != nil || settled != 0 {
+				t.Errorf("%s: BlockPredictInto(%d, %d): settled %d, %v", name, lo, lo, settled, err)
+			}
+		}
+	}
+	if settled, err := models["dwknn"].(BlockDecider).BlockPositive(blk, 3, 3, nil); err != nil || settled != 0 {
+		t.Errorf("dwknn: BlockPositive(3, 3): settled %d, %v", settled, err)
+	}
+}
+
 // TestBatchLengthMismatch rejects out slices of the wrong size.
 func TestBatchLengthMismatch(t *testing.T) {
 	m := fittedModels(t)["dwknn"]

@@ -34,8 +34,10 @@ type DWKNN struct {
 	// lets a NeighborTable carry its lists across retrains.
 	Scales []float64
 
-	x      [][]float64 // scaled copies of the training rows
+	x      [][]float64 // scaled copies of the training rows, views into pos and neg
 	y      []int
+	pos    []float64 // the scaled positive rows in training order, row after row
+	neg    []float64 // the scaled negative rows, likewise
 	scales []float64 // effective scales used at fit time
 	dims   int
 	fitted bool
@@ -65,10 +67,26 @@ func (c *DWKNN) Fit(X [][]float64, y []int) error {
 	if err != nil {
 		return err
 	}
+	// The scaled rows live in one array, by class in training order — pos
+	// and neg, decideStrip's operands — and x indexes them in training order.
+	npos := 0
+	for _, label := range y {
+		if label == ClassPositive {
+			npos++
+		}
+	}
+	buf := make([]float64, len(X)*dims)
+	c.pos, c.neg = buf[:npos*dims:npos*dims], buf[npos*dims:]
 	xs := make([][]float64, len(X))
+	ip, in := 0, 0
 	c.finite = true
 	for i, row := range X {
-		s := make([]float64, dims)
+		var s []float64
+		if y[i] == ClassPositive {
+			s, ip = c.pos[ip:ip+dims:ip+dims], ip+dims
+		} else {
+			s, in = c.neg[in:in+dims:in+dims], in+dims
+		}
 		for j, v := range row {
 			s[j] = v / scales[j]
 			c.finite = c.finite && !math.IsInf(s[j], 0) && !math.IsNaN(s[j])
@@ -138,14 +156,13 @@ type dwknnScratch struct {
 	// (strip*dims) and dist2 the per-row distance strips (strip*len(x)).
 	qs    []float64
 	dist2 []float64
-	// decideStrip's per-point state: the smallest squared distance to a
-	// positive row, and how many negative rows are strictly nearer; then the
-	// points left open and their distance columns, gathered side by side
-	// (len(x) rows of u, u the open count rounded up to a multiple of 4).
-	minPos [dwknnStrip]float64
-	nearer [dwknnStrip]int32
-	open   [dwknnStrip]uint8
-	cols   []float64
+	// decideStrip's per-point state: the settled masks, four points a byte;
+	// then the points left open and their queries, gathered side by side
+	// (dims columns of u, u the open count rounded up to a multiple of 4),
+	// whose distance rows go to dist2 at width u.
+	settled [dwknnStrip / 4]uint8
+	open    [dwknnStrip]uint8
+	qo      []float64
 }
 
 var dwknnScratchPool = sync.Pool{New: func() any { return &dwknnScratch{} }}
@@ -305,7 +322,8 @@ func (c *DWKNN) eachStrip(blk *kernel.Block, lo, hi int, fn func(s *dwknnScratch
 	s := getDWKNNScratch(c)
 	defer putDWKNNScratch(s)
 	if cap(s.qs) < c.dims*dwknnStrip || cap(s.dist2) < len(c.x)*dwknnStrip {
-		s.qs, s.dist2 = make([]float64, c.dims*dwknnStrip), make([]float64, len(c.x)*dwknnStrip)
+		s.qs, s.qo = make([]float64, c.dims*dwknnStrip), make([]float64, c.dims*dwknnStrip)
+		s.dist2 = make([]float64, len(c.x)*dwknnStrip)
 	}
 	for base := lo; base < hi; base += dwknnStrip {
 		w := min(hi-base, dwknnStrip)
@@ -317,24 +335,22 @@ func (c *DWKNN) eachStrip(blk *kernel.Block, lo, hi int, fn func(s *dwknnScratch
 	return nil
 }
 
-// stripDistances fills s.dist2[r*w : r*w+w] with the squared distances from
-// training row r to the w staged queries, and returns that strip row.
-func (c *DWKNN) stripDistances(s *dwknnScratch, r, w int) []float64 {
-	dr := s.dist2[r*w : r*w+w]
-	row := c.x[r]
-	kernel.SquaredDiffInto(dr, s.qs[:w], row[0])
-	for d := 1; d < len(row); d++ {
-		kernel.AddSquaredDiff(dr, s.qs[d*w:d*w+w], row[d])
+// stripDistances fills dist2[r*w : r*w+w] with the squared distances from
+// every training row r to the w queries staged in qs, layout [d*w+i].
+func (c *DWKNN) stripDistances(dist2, qs []float64, w int) {
+	for r, row := range c.x {
+		dr := dist2[r*w : r*w+w]
+		kernel.SquaredDiffInto(dr, qs[:w], row[0])
+		for d := 1; d < len(row); d++ {
+			kernel.AddSquaredDiff(dr, qs[d*w:d*w+w], row[d])
+		}
 	}
-	return dr
 }
 
 // scoreStrip computes posteriors for the w centers whose scaled queries are
 // staged in s.qs, writing out[0:w].
 func (c *DWKNN) scoreStrip(s *dwknnScratch, w int, out []float64) {
-	for r := range c.x {
-		c.stripDistances(s, r, w)
-	}
+	c.stripDistances(s.dist2, s.qs, w)
 	kernel.SelectLanes(s.dist2, w, len(c.x), c.effectiveK(), s.best, func(i int, nb []neighbor) {
 		out[i] = c.posteriorFrom(nb, s.dists)
 	})
@@ -346,57 +362,46 @@ func (c *DWKNN) scoreStrip(s *dwknnScratch, w int, out []float64) {
 // nearer than its nearest positive row is negative. Those rows hold the
 // first n ranks of the (d², idx) order under any tie-break, at most k-n < n
 // positives follow, and posteriorFrom's weight does not increase with rank,
-// so the posterior is at most (k-n)/k <= 1/2 - 1/(2k). Every other center
-// is selected, on the distances already in the strip, gathered into
-// adjacent columns so the selection runs over open points only. The ranks
-// need a total order and a NaN distance is below and above nothing, so next
-// to a non-finite training row no count is a majority (DESIGN.md §17).
+// so the posterior is at most (k-n)/k <= 1/2 - 1/(2k). One MajorityNearer
+// pass counts them; every other center is selected, its query gathered
+// beside the other open ones so that only their distances are computed and
+// the selection runs over open points only. The ranks need a total order and
+// a NaN distance is below and above nothing, so next to a non-finite
+// training row no count is a majority (DESIGN.md §17).
 func (c *DWKNN) decideStrip(s *dwknnScratch, w int, out []bool) (settled int) {
-	minPos, nearer := s.minPos[:w], s.nearer[:w]
-	for i := range minPos {
-		minPos[i], nearer[i] = math.Inf(1), 0
-	}
-	for r, label := range c.y {
-		if label == ClassPositive {
-			kernel.MinInto(minPos, c.stripDistances(s, r, w))
-		}
-	}
-	for r, label := range c.y {
-		if label != ClassPositive {
-			kernel.CountBelow(nearer, c.stripDistances(s, r, w), minPos)
-		}
-	}
 	k := c.effectiveK()
 	majority := k/2 + 1
 	if !c.finite {
 		majority = len(c.x) + 1
 	}
+	masks := s.settled[:(w+3)/4]
+	if majority <= len(c.neg)/c.dims {
+		kernel.MajorityNearer(masks, s.qs[:c.dims*w], w, c.dims, c.pos, c.neg, majority)
+	} else {
+		clear(masks) // fewer negative rows than a majority: nothing settles
+	}
 	// Every index is written and only an open one is kept (n advances past
-	// it): the count, as good as random, is added and not jumped on.
+	// it): the mask bit, as good as random, is added and not jumped on.
 	n := 0
-	for i, cnt := range nearer {
+	for i := range w {
 		out[i] = false
 		s.open[n] = uint8(i)
-		if int(cnt) < majority {
-			n++
-		}
+		n += 1 - int(masks[i>>2]>>(i&3)&1)
 	}
 	open := s.open[:n]
-	// The open columns side by side, padded with zeros to whole groups of
+	// The open queries side by side, padded with zeros to whole groups of
 	// four: the selection's vector body then has no lane left over.
 	u := (n + 3) &^ 3
-	if cap(s.cols) < len(c.x)*dwknnStrip {
-		s.cols = make([]float64, len(c.x)*dwknnStrip)
-	}
-	cols := s.cols[:len(c.x)*u]
-	for r := range c.x {
-		src, dst := s.dist2[r*w:r*w+w], cols[r*u:r*u+u]
+	qo := s.qo[:c.dims*u]
+	for d := range c.dims {
+		src, dst := s.qs[d*w:d*w+w], qo[d*u:d*u+u]
 		for j, i := range open {
 			dst[j] = src[i]
 		}
 		clear(dst[n:])
 	}
-	kernel.SelectLanes(cols, u, len(c.x), k, s.best, func(j int, nb []neighbor) {
+	c.stripDistances(s.dist2, qo, u)
+	kernel.SelectLanes(s.dist2[:len(c.x)*u], u, len(c.x), k, s.best, func(j int, nb []neighbor) {
 		if j < n {
 			out[open[j]] = positive(c.posteriorFrom(nb, s.dists))
 		}
