@@ -109,10 +109,11 @@ func TestOracleLabeler(t *testing.T) {
 	var seed uint32
 	var row []float64
 	var ok bool
-	if seed, row, ok = l.SeedPositive(); !ok {
-		t.Fatal("no seed positive in a 5% region")
+	var err error
+	if seed, row, ok, err = l.SeedPositive(); err != nil || !ok {
+		t.Fatalf("no seed positive in a 5%% region (%v)", err)
 	}
-	if !l.IsRelevant(seed) {
+	if !l.IsRelevant(seed, row) {
 		t.Error("seed positive not relevant")
 	}
 	if len(row) != f.ds.Dims() {

@@ -601,7 +601,10 @@ func (s *Session) LabeledCount() int { return len(s.labeledY) }
 func (s *Session) seedPositives(ctx context.Context) error {
 	if s.cfg.SeedCount > 1 {
 		seeder := s.labeler.(MultiPositiveSeeder)
-		ids, rows := seeder.SeedPositives(s.cfg.SeedCount)
+		ids, rows, err := seeder.SeedPositives(s.cfg.SeedCount)
+		if err != nil {
+			return fmt.Errorf("ide: seeding the exploration: %w", err)
+		}
 		if len(ids) == 0 {
 			return fmt.Errorf("ide: no relevant tuples exist to seed the exploration")
 		}
@@ -634,7 +637,7 @@ func (s *Session) findSeedPositive(ctx context.Context) (uint32, []float64, bool
 	found := false
 	seeder := s.labeler.(PositiveSeeder)
 	err := s.provider.Candidates(ctx, func(cid uint32, crow []float64) bool {
-		if seeder.IsRelevant(cid) {
+		if seeder.IsRelevant(cid, crow) {
 			id = cid
 			row = append([]float64(nil), crow...)
 			found = true
@@ -648,8 +651,7 @@ func (s *Session) findSeedPositive(ctx context.Context) (uint32, []float64, bool
 	if found {
 		return id, row, true, nil
 	}
-	id, row, found = seeder.SeedPositive()
-	return id, row, found, nil
+	return seeder.SeedPositive()
 }
 
 // randomCandidate draws one uniform candidate with a size-1 reservoir over

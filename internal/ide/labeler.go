@@ -1,7 +1,6 @@
 package ide
 
 import (
-	"github.com/uei-db/uei/internal/dataset"
 	"github.com/uei-db/uei/internal/oracle"
 )
 
@@ -18,13 +17,15 @@ type Labeler interface {
 // PositiveSeeder is implemented by labelers that can bootstrap the session
 // with one relevant example (Config.SeedWithPositive).
 type PositiveSeeder interface {
-	// IsRelevant answers ground-truth membership without counting as a
-	// solicited label; the engine uses it to find an in-pool seed.
-	IsRelevant(id uint32) bool
+	// IsRelevant answers ground-truth membership of the tuple (id, row)
+	// without counting as a solicited label; the engine uses it to find an
+	// in-pool seed.
+	IsRelevant(id uint32, row []float64) bool
 	// SeedPositive returns one relevant example (id and owned row copy)
 	// when no in-pool candidate is relevant, modeling "the user brings an
-	// example". ok is false when no relevant tuple exists at all.
-	SeedPositive() (id uint32, row []float64, ok bool)
+	// example". ok is false when no relevant tuple exists at all; err
+	// reports that the labeler could not look.
+	SeedPositive() (id uint32, row []float64, ok bool, err error)
 }
 
 // MultiPositiveSeeder is implemented by labelers that can provide several
@@ -34,7 +35,7 @@ type MultiPositiveSeeder interface {
 	PositiveSeeder
 	// SeedPositives returns up to n distinct relevant examples, spread
 	// across the target's components where possible.
-	SeedPositives(n int) (ids []uint32, rows [][]float64)
+	SeedPositives(n int) (ids []uint32, rows [][]float64, err error)
 }
 
 // ExternalLabeler adapts labels that arrive from outside the process — an
@@ -79,22 +80,22 @@ type DriftingOracleLabeler struct {
 }
 
 // Label implements Labeler against the region at the current label count.
-func (l DriftingOracleLabeler) Label(id uint32, _ []float64) oracle.Label {
-	return l.O.LabelID(dataset.RowID(id))
+func (l DriftingOracleLabeler) Label(_ uint32, row []float64) oracle.Label {
+	return l.O.LabelPoint(row)
 }
 
 // Count implements Labeler.
 func (l DriftingOracleLabeler) Count() int { return l.O.LabelsGiven() }
 
 // IsRelevant implements PositiveSeeder against the initial region.
-func (l DriftingOracleLabeler) IsRelevant(id uint32) bool {
-	return l.O.Relevant(dataset.RowID(id))
+func (l DriftingOracleLabeler) IsRelevant(_ uint32, row []float64) bool {
+	return l.O.RelevantPoint(row)
 }
 
 // SeedPositive implements PositiveSeeder.
-func (l DriftingOracleLabeler) SeedPositive() (uint32, []float64, bool) {
-	id, row, ok := l.O.SeedRelevant()
-	return uint32(id), row, ok
+func (l DriftingOracleLabeler) SeedPositive() (uint32, []float64, bool, error) {
+	id, row, ok, err := l.O.SeedRelevant()
+	return uint32(id), row, ok, err
 }
 
 // OracleLabeler adapts the §4.1 user simulation to the Labeler interface.
@@ -102,52 +103,46 @@ type OracleLabeler struct {
 	O *oracle.Oracle
 }
 
-// Label implements Labeler by ground-truth membership of the tuple id.
-func (l OracleLabeler) Label(id uint32, _ []float64) oracle.Label {
-	return l.O.LabelID(dataset.RowID(id))
+// Label implements Labeler by the target's range query on the row.
+func (l OracleLabeler) Label(_ uint32, row []float64) oracle.Label {
+	return l.O.LabelPoint(row)
 }
 
 // Count implements Labeler.
 func (l OracleLabeler) Count() int { return l.O.LabelsGiven() }
 
-// IsRelevant implements PositiveSeeder.
-func (l OracleLabeler) IsRelevant(id uint32) bool { return l.O.Relevant(dataset.RowID(id)) }
+// IsRelevant implements PositiveSeeder by the target's range query on the
+// row.
+func (l OracleLabeler) IsRelevant(_ uint32, row []float64) bool { return l.O.RelevantPoint(row) }
 
 // SeedPositive implements PositiveSeeder.
-func (l OracleLabeler) SeedPositive() (uint32, []float64, bool) {
-	id, row, ok := l.O.SeedRelevant()
-	return uint32(id), row, ok
+func (l OracleLabeler) SeedPositive() (uint32, []float64, bool, error) {
+	id, row, ok, err := l.O.SeedRelevant()
+	return uint32(id), row, ok, err
 }
 
-// SeedPositives implements MultiPositiveSeeder: one seed per target
-// region, round-robin, until n seeds are collected or the regions are
-// exhausted.
-func (l OracleLabeler) SeedPositives(n int) ([]uint32, [][]float64) {
+// SeedPositives implements MultiPositiveSeeder: the lowest-id relevant
+// tuple of each target region in turn, until n seeds are collected or the
+// regions are exhausted.
+func (l OracleLabeler) SeedPositives(n int) ([]uint32, [][]float64, error) {
 	var ids []uint32
 	var rows [][]float64
 	seen := make(map[uint32]bool)
-	regions := l.O.Targets().Regions
-	for len(ids) < n && len(regions) > 0 {
-		progressed := false
-		for _, r := range regions {
-			if len(ids) >= n {
-				break
-			}
-			id, row, ok := l.O.SeedRelevantIn(r)
-			if !ok || seen[uint32(id)] {
-				continue
-			}
-			seen[uint32(id)] = true
-			ids = append(ids, uint32(id))
-			rows = append(rows, row)
-			progressed = true
+	// One sweep: a second would re-yield the same lowest-id tuples.
+	for _, r := range l.O.Targets().Regions {
+		if len(ids) >= n {
+			break
 		}
-		if !progressed {
-			break // every region's lowest-id seed is already taken
+		id, row, ok, err := l.O.SeedRelevantIn(r)
+		if err != nil {
+			return nil, nil, err
 		}
-		// A second pass would re-yield the same lowest-id tuples; one seed
-		// per region is the useful spread, so stop after one sweep.
-		break
+		if !ok || seen[uint32(id)] {
+			continue
+		}
+		seen[uint32(id)] = true
+		ids = append(ids, uint32(id))
+		rows = append(rows, row)
 	}
-	return ids, rows
+	return ids, rows, nil
 }

@@ -227,12 +227,12 @@ func TestMultiSeedBootstrap(t *testing.T) {
 		t.Skip("generated data misses the fixed regions")
 	}
 	l := OracleLabeler{O: orc}
-	ids, rows := l.SeedPositives(2)
-	if len(ids) == 0 {
-		t.Fatal("no seeds")
+	ids, rows, err := l.SeedPositives(2)
+	if err != nil || len(ids) == 0 {
+		t.Fatalf("no seeds (%v)", err)
 	}
 	for i, id := range ids {
-		if !l.IsRelevant(id) {
+		if !l.IsRelevant(id, rows[i]) {
 			t.Errorf("seed %d not relevant", id)
 		}
 		if len(rows[i]) != ds.Dims() {

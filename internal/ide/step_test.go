@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/uei-db/uei/internal/al"
-	"github.com/uei-db/uei/internal/dataset"
 	"github.com/uei-db/uei/internal/learn"
 	"github.com/uei-db/uei/internal/oracle"
 )
@@ -140,7 +139,7 @@ func TestFeedMatchesOracleLabeler(t *testing.T) {
 			fedSelections = append(fedSelections, p.ID)
 		}
 		// The "remote user" answers from the same ground truth.
-		if _, err := sessB.Feed(ctx, orc.LabelID(dataset.RowID(p.ID))); err != nil {
+		if _, err := sessB.Feed(ctx, orc.LabelPoint(p.Row)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -62,22 +62,19 @@ func (d Drift) At(labels int) Region {
 // what they wanted when the session began.
 type DriftingOracle struct {
 	drift Drift
-	ds    *dataset.Dataset
 	// initial is the ground truth of the From region, used for seeding.
-	initial     map[dataset.RowID]bool
+	initial     *groundTruth
 	labelsGiven int
 }
 
-// NewDrifting builds a drifting-interest oracle over the dataset.
+// NewDrifting builds a drifting-interest oracle over the dataset. Like
+// New, it scans nothing until a seed call needs the initial region's set.
 func NewDrifting(ds *dataset.Dataset, d Drift) (*DriftingOracle, error) {
-	if ds.Dims() != d.From.Dims() {
-		return nil, fmt.Errorf("oracle: dataset has %d dims, drift has %d", ds.Dims(), d.From.Dims())
+	initial, err := over(ds, d.From)
+	if err != nil {
+		return nil, err
 	}
-	initial := make(map[dataset.RowID]bool)
-	for _, id := range ds.Select(d.From.Box()) {
-		initial[id] = true
-	}
-	return &DriftingOracle{drift: d, ds: ds, initial: initial}, nil
+	return &DriftingOracle{drift: d, initial: initial}, nil
 }
 
 // Drift returns the oracle's drift path.
@@ -87,37 +84,29 @@ func (o *DriftingOracle) Drift() Drift { return o.drift }
 // against.
 func (o *DriftingOracle) Current() Region { return o.drift.At(o.labelsGiven) }
 
-// LabelID answers a solicitation for tuple id against the region at the
-// current label count, then advances the count (and with it, the drift).
-func (o *DriftingOracle) LabelID(id dataset.RowID) Label {
+// LabelPoint answers a solicitation for the tuple with values x against
+// the region at the current label count, then advances the count (and
+// with it, the drift).
+func (o *DriftingOracle) LabelPoint(x vec.Point) Label {
 	r := o.drift.At(o.labelsGiven)
 	o.labelsGiven++
-	if r.Contains(o.ds.Row(id)) {
-		return Positive
-	}
-	return Negative
+	return labelOf(r.Contains(x))
 }
 
 // LabelsGiven returns how many labels the simulated user has provided.
 func (o *DriftingOracle) LabelsGiven() int { return o.labelsGiven }
 
 // Relevant reports membership in the *initial* region without counting as
-// a solicitation; the engine uses it to find an in-pool bootstrap seed.
-func (o *DriftingOracle) Relevant(id dataset.RowID) bool { return o.initial[id] }
+// a solicitation.
+func (o *DriftingOracle) Relevant(id dataset.RowID) bool { return o.initial.relevant(id) }
+
+// RelevantPoint reports whether the *initial* region holds x, without
+// counting as a solicitation; the engine uses it to find an in-pool
+// bootstrap seed.
+func (o *DriftingOracle) RelevantPoint(x vec.Point) bool { return o.drift.From.Contains(x) }
 
 // SeedRelevant returns the lowest-id tuple of the initial region's ground
 // truth (see Oracle.SeedRelevant); ok is false when the region is empty.
-func (o *DriftingOracle) SeedRelevant() (dataset.RowID, []float64, bool) {
-	if len(o.initial) == 0 {
-		return 0, nil, false
-	}
-	best := dataset.RowID(0)
-	first := true
-	for id := range o.initial {
-		if first || id < best {
-			best = id
-			first = false
-		}
-	}
-	return best, o.ds.CopyRow(best), true
+func (o *DriftingOracle) SeedRelevant() (id dataset.RowID, row []float64, ok bool, err error) {
+	return o.initial.lowest(nil)
 }

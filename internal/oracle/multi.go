@@ -83,16 +83,11 @@ func (m MultiRegion) Selectivity(ds *dataset.Dataset) float64 {
 // NewMulti builds an oracle whose ground truth is the union of several
 // regions — the multi-region exploration task.
 func NewMulti(ds *dataset.Dataset, mr MultiRegion) (*Oracle, error) {
-	if ds.Dims() != mr.Dims() {
-		return nil, fmt.Errorf("oracle: dataset has %d dims, regions have %d", ds.Dims(), mr.Dims())
+	truth, err := over(ds, mr)
+	if err != nil {
+		return nil, err
 	}
-	rel := make(map[dataset.RowID]bool)
-	for _, r := range mr.Regions {
-		for _, id := range ds.Select(r.Box()) {
-			rel[id] = true
-		}
-	}
-	return &Oracle{region: mr.Regions[0], targets: mr, ds: ds, relevant: rel}, nil
+	return &Oracle{region: mr.Regions[0], targets: mr, truth: truth}, nil
 }
 
 // Targets returns the oracle's full target union. Single-region oracles

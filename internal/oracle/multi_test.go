@@ -85,7 +85,7 @@ func TestNewMultiOracle(t *testing.T) {
 	if o.RelevantCount() != 3 {
 		t.Fatalf("RelevantCount = %d", o.RelevantCount())
 	}
-	if o.LabelID(0) != Positive || o.LabelID(1) != Positive || o.LabelID(2) != Negative {
+	if o.LabelPoint(ds.Row(0)) != Positive || o.LabelPoint(ds.Row(1)) != Positive || o.LabelPoint(ds.Row(2)) != Negative {
 		t.Error("multi-region labels wrong")
 	}
 	if o.LabelPoint(vec.Point{9, 9}) != Positive {

@@ -32,70 +32,68 @@ func (l Label) String() string {
 	}
 }
 
-// Oracle simulates the user: it executes the target region's range query
-// once against the ground-truth dataset and afterwards answers membership
-// questions exactly (§4.1, "we rely on this oracle set").
+// Oracle simulates the user (§4.1): it answers every solicitation with the
+// target's range query applied to the row in question. The ground-truth
+// set over the whole dataset ("we rely on this oracle set") is built only
+// when a question needs all of it — RelevantCount, SeedRelevant,
+// SeedRelevantIn — with the same predicate.
 type Oracle struct {
 	region Region
 	// targets is the full (possibly multi-region) target union; empty for
 	// single-region oracles built with New.
 	targets MultiRegion
-	// shape, when set, is the exact (possibly non-convex) target geometry
-	// of an oracle built with NewShape; LabelPoint prefers it over the box
-	// representations above.
-	shape    Target
-	ds       *dataset.Dataset
-	relevant map[dataset.RowID]bool
+	// truth holds the membership predicate — the region, the union of
+	// regions, or a NewShape geometry — and the lazily built set.
+	truth *groundTruth
 	// labelsGiven counts label solicitations, the x-axis of Figures 3-5
 	// (user effort).
 	labelsGiven int
 }
 
-// New builds an oracle for the given region over the given dataset. The
-// ground-truth set is materialized eagerly with a single scan.
+// New builds an oracle for the given region over the given dataset. It
+// scans nothing; see Oracle.
 func New(ds *dataset.Dataset, region Region) (*Oracle, error) {
-	if ds.Dims() != region.Dims() {
-		return nil, fmt.Errorf("oracle: dataset has %d dims, region has %d", ds.Dims(), region.Dims())
+	truth, err := over(ds, region)
+	if err != nil {
+		return nil, err
 	}
-	rel := make(map[dataset.RowID]bool)
-	for _, id := range ds.Select(region.Box()) {
-		rel[id] = true
-	}
-	return &Oracle{region: region, ds: ds, relevant: rel}, nil
+	return &Oracle{region: region, truth: truth}, nil
+}
+
+// NewDeferred builds an oracle for the given region whose dataset is
+// produced by load, called at most once and only when a question needs it:
+// a whole-set call, or Relevant. Labels and RelevantPoint never call it.
+// When load fails — or returns a dataset of another dimensionality — the
+// seed calls return the error, and RelevantCount and Relevant answer as
+// for an empty dataset.
+func NewDeferred(region Region, load func() (*dataset.Dataset, error)) *Oracle {
+	return &Oracle{region: region, truth: &groundTruth{target: region, load: load}}
 }
 
 // Region returns the target region the oracle answers for.
 func (o *Oracle) Region() Region { return o.region }
 
-// RelevantCount returns the size of the ground-truth set.
-func (o *Oracle) RelevantCount() int { return len(o.relevant) }
+// RelevantCount returns the size of the ground-truth set, building it on
+// the first call.
+func (o *Oracle) RelevantCount() int { return o.truth.count() }
 
 // Relevant reports ground-truth membership for a tuple id without counting
 // as a solicited label (used for accuracy evaluation, not exploration).
-func (o *Oracle) Relevant(id dataset.RowID) bool { return o.relevant[id] }
+func (o *Oracle) Relevant(id dataset.RowID) bool { return o.truth.relevant(id) }
 
-// LabelID answers a label solicitation for tuple id, incrementing the user
-// effort counter.
-func (o *Oracle) LabelID(id dataset.RowID) Label {
-	o.labelsGiven++
-	if o.relevant[id] {
-		return Positive
-	}
-	return Negative
-}
+// RelevantPoint reports whether the target accepts x, without counting as
+// a solicited label.
+func (o *Oracle) RelevantPoint(x vec.Point) bool { return o.truth.target.Contains(x) }
 
-// LabelPoint answers a label solicitation for an arbitrary point (used by
-// components that hold values rather than ids, e.g. symbolic index points in
-// tests). It uses the target geometry directly.
+// LabelPoint answers a label solicitation for the tuple with values x,
+// incrementing the user effort counter.
 func (o *Oracle) LabelPoint(x vec.Point) Label {
 	o.labelsGiven++
-	if o.shape != nil {
-		if o.shape.Contains(x) {
-			return Positive
-		}
-		return Negative
-	}
-	if o.Targets().Contains(x) {
+	return labelOf(o.RelevantPoint(x))
+}
+
+func labelOf(relevant bool) Label {
+	if relevant {
 		return Positive
 	}
 	return Negative
@@ -107,21 +105,11 @@ func (o *Oracle) LabelsGiven() int { return o.labelsGiven }
 // SeedRelevant returns one relevant tuple — the lowest-id member of the
 // ground-truth set — modeling the standard IDE bootstrap where the user
 // shows one example of what they are looking for. The returned row is a
-// copy. It reports false when the region is empty. The solicitation is NOT
-// counted here; the caller labels the tuple through LabelID as usual.
-func (o *Oracle) SeedRelevant() (dataset.RowID, []float64, bool) {
-	if len(o.relevant) == 0 {
-		return 0, nil, false
-	}
-	best := dataset.RowID(0)
-	first := true
-	for id := range o.relevant {
-		if first || id < best {
-			best = id
-			first = false
-		}
-	}
-	return best, o.ds.CopyRow(best), true
+// copy. ok is false when the target holds no tuple; err is the load error
+// of a NewDeferred oracle. The solicitation is NOT counted here; the
+// caller labels the tuple through LabelPoint as usual.
+func (o *Oracle) SeedRelevant() (id dataset.RowID, row []float64, ok bool, err error) {
+	return o.truth.lowest(nil)
 }
 
 // ResetEffort zeroes the label counter (used between experiment runs that
@@ -131,22 +119,8 @@ func (o *Oracle) ResetEffort() { o.labelsGiven = 0 }
 // SeedRelevantIn returns the lowest-id relevant tuple inside the given
 // region, for multi-region bootstraps where the user shows one example per
 // interest. Like SeedRelevant, it does not count as a solicited label.
-func (o *Oracle) SeedRelevantIn(r Region) (dataset.RowID, []float64, bool) {
-	best := dataset.RowID(0)
-	found := false
-	for id := range o.relevant {
-		if !r.Contains(o.ds.Row(id)) {
-			continue
-		}
-		if !found || id < best {
-			best = id
-			found = true
-		}
-	}
-	if !found {
-		return 0, nil, false
-	}
-	return best, o.ds.CopyRow(best), true
+func (o *Oracle) SeedRelevantIn(r Region) (id dataset.RowID, row []float64, ok bool, err error) {
+	return o.truth.lowest(r.Contains)
 }
 
 // SizeClass names the paper's three region-cardinality classes.

@@ -72,6 +72,34 @@ func TestContainsMatchesBox(t *testing.T) {
 	}
 }
 
+// TestContainsIsTheBoxAtFaces pins the one relevance predicate at a face
+// where rounding splits the box test from Eq. (4): c + w rounds to
+// 0.30000000000000004, which the box holds and the relative distance puts
+// just past 1. Contains, and so every label, follows the box.
+func TestContainsIsTheBoxAtFaces(t *testing.T) {
+	c, w := 0.1, 0.2
+	r, _ := NewRegion(vec.Point{c}, vec.Point{w})
+	x := vec.Point{c + w}
+	if x[0] != 0.30000000000000004 {
+		t.Fatalf("c + w = %v", x[0])
+	}
+	if !r.Box().Contains(x) || !r.Contains(x) {
+		t.Fatal("the face c + w must be inside the range query's box")
+	}
+	if d := r.RelativeDistance(x); d <= 1 {
+		t.Fatalf("RelativeDistance = %v; the example no longer shows the rounding edge", d)
+	}
+	ds := dataset.New(dataset.MustSchema("x"), 0)
+	ds.Append(x)
+	o, err := New(ds, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.LabelPoint(x) != Positive || !o.Relevant(0) || o.RelevantCount() != 1 {
+		t.Fatal("the label and the ground-truth set must agree on the face row")
+	}
+}
+
 func TestOracleLabels(t *testing.T) {
 	ds := dataset.New(dataset.MustSchema("x", "y"), 0)
 	ds.Append([]float64{0, 0})   // inside
@@ -85,8 +113,8 @@ func TestOracleLabels(t *testing.T) {
 	if o.RelevantCount() != 2 {
 		t.Fatalf("RelevantCount = %d", o.RelevantCount())
 	}
-	if o.LabelID(0) != Positive || o.LabelID(2) != Negative {
-		t.Error("LabelID wrong")
+	if o.LabelPoint(ds.Row(0)) != Positive || o.LabelPoint(ds.Row(2)) != Negative {
+		t.Error("LabelPoint of a dataset row wrong")
 	}
 	if o.LabelPoint(vec.Point{0.1, 0.1}) != Positive {
 		t.Error("LabelPoint wrong")

@@ -14,9 +14,9 @@ import (
 )
 
 // Region is a target interest region: a center point and one half-width per
-// dimension. A tuple is relevant iff its Eq. (4) relative distance to the
-// center is at most 1, i.e. iff it lies in the axis-aligned box
-// [center-width, center+width].
+// dimension. A tuple is relevant iff it lies in the axis-aligned box
+// [center-width, center+width] (Contains), which is where its Eq. (4)
+// relative distance to the center is at most 1.
 type Region struct {
 	Center vec.Point
 	// Widths holds the per-dimension half-widths w_i of Eq. (4). All must be
@@ -62,9 +62,23 @@ func (r Region) RelativeDistance(x vec.Point) float64 {
 	return d
 }
 
-// Contains reports whether x is relevant (inside the range-query box).
+// Contains reports whether x is relevant: the range query's box test,
+// c_i - w_i <= x_i <= c_i + w_i on every dimension, with the bounds
+// rounded exactly as Box rounds them. It is every oracle's one relevance
+// predicate. RelativeDistance(x) <= 1 is the same test in exact
+// arithmetic but can disagree at a face after rounding (c = 0.1, w = 0.2,
+// x = c + w is inside the box at relative distance 1.0000000000000002).
+// Like Box().Contains, it counts a NaN coordinate as inside.
 func (r Region) Contains(x vec.Point) bool {
-	return r.RelativeDistance(x) <= 1
+	if len(x) != len(r.Center) {
+		panic(fmt.Sprintf("oracle: point has %d dims, region has %d", len(x), len(r.Center)))
+	}
+	for i, v := range x {
+		if v < r.Center[i]-r.Widths[i] || v > r.Center[i]+r.Widths[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Box returns the region as an axis-aligned box.

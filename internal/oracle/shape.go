@@ -112,27 +112,20 @@ func LShape(corner vec.Point, a, b int, armLen, thick float64) (MultiRegion, err
 }
 
 // NewShape builds an oracle whose ground truth is an arbitrary Target
-// geometry, materialized with one dataset scan. The representative region
-// (Region()) is the target itself when it is a Region, the first
-// component of a MultiRegion, or the outer box of a Ring; other shapes
-// fall back to the dataset bounds so downstream consumers always have a
-// box to reason about.
+// geometry. The representative region (Region()) is the target itself
+// when it is a Region, the first component of a MultiRegion, or the outer
+// box of a Ring; other shapes fall back to the dataset bounds so
+// downstream consumers always have a box to reason about.
 func NewShape(ds *dataset.Dataset, t Target) (*Oracle, error) {
-	if ds.Dims() != t.Dims() {
-		return nil, fmt.Errorf("oracle: dataset has %d dims, target has %d", ds.Dims(), t.Dims())
+	truth, err := over(ds, t)
+	if err != nil {
+		return nil, err
 	}
-	rel := make(map[dataset.RowID]bool)
-	ds.Scan(func(id dataset.RowID, row []float64) bool {
-		if t.Contains(row) {
-			rel[id] = true
-		}
-		return true
-	})
 	rep, err := representative(ds, t)
 	if err != nil {
 		return nil, err
 	}
-	o := &Oracle{region: rep, shape: t, ds: ds, relevant: rel}
+	o := &Oracle{region: rep, truth: truth}
 	if mr, ok := t.(MultiRegion); ok {
 		o.targets = mr
 	}

@@ -95,7 +95,7 @@ func TestShapeOracleRing(t *testing.T) {
 	if o.LabelPoint(vec.Point{14, 10}) != Positive {
 		t.Fatal("an annulus point must label positive")
 	}
-	if _, _, ok := o.SeedRelevant(); !ok {
+	if _, _, ok, err := o.SeedRelevant(); err != nil || !ok {
 		t.Fatal("ring oracle must be able to seed a positive")
 	}
 }
@@ -165,22 +165,22 @@ func TestDriftingOracleLabelsMove(t *testing.T) {
 	if !o.Relevant(idFrom) {
 		t.Fatal("initial ground truth must contain the From center")
 	}
-	if o.LabelID(idFrom) != Positive {
+	if o.LabelPoint(ds.Row(idFrom)) != Positive {
 		t.Fatal("label 0: From center must be positive")
 	}
-	if o.LabelID(idTo) != Negative {
+	if o.LabelPoint(ds.Row(idTo)) != Negative {
 		t.Fatal("label 1: To center must still be negative early in the drift")
 	}
 	for o.LabelsGiven() < 4 {
-		o.LabelID(idFrom)
+		o.LabelPoint(ds.Row(idFrom))
 	}
-	if o.LabelID(idFrom) != Negative {
+	if o.LabelPoint(ds.Row(idFrom)) != Negative {
 		t.Fatal("post-drift: From center must have become negative")
 	}
-	if o.LabelID(idTo) != Positive {
+	if o.LabelPoint(ds.Row(idTo)) != Positive {
 		t.Fatal("post-drift: To center must have become positive")
 	}
-	if _, _, ok := o.SeedRelevant(); !ok {
+	if _, _, ok, err := o.SeedRelevant(); err != nil || !ok {
 		t.Fatal("drifting oracle must seed from the initial region")
 	}
 }
@@ -203,7 +203,7 @@ func TestDriftingOracleDeterministic(t *testing.T) {
 		}
 		var out []Label
 		for i := 0; i < 30; i++ {
-			out = append(out, o.LabelID(dataset.RowID((i*37)%ds.Len())))
+			out = append(out, o.LabelPoint(ds.Row(dataset.RowID((i*37)%ds.Len()))))
 		}
 		return out
 	}

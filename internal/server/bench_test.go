@@ -103,3 +103,37 @@ func BenchmarkConcurrentSessions(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCreateOracleSession times Manager.Create of a simulated session
+// with a center/width target over a 150k-row store in four shards, the
+// retrieve-heavy benchmark's shape: the index view, provider, engine and
+// simulated user a session opens with. Delete runs outside the timer.
+func BenchmarkCreateOracleSession(b *testing.B) {
+	dir := buildShardedStore(b, 150_000, 4)
+	m := newTestManager(b, dir, func(c *Config) {
+		c.Shards = 4
+		c.TotalBudgetBytes = 32 << 20
+		c.IdleTimeout = 0
+	})
+	bounds := m.Index().Bounds()
+	widths := bounds.Widths()
+	for i := range widths {
+		widths[i] *= 0.05
+	}
+	spec := SessionSpec{MaxLabels: 100, SampleSize: 2000,
+		Oracle: &OracleSpec{Center: bounds.Center(), Widths: widths}}
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		spec.Seed = int64(i + 1)
+		info, err := m.Create(ctx, spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := m.Delete(info.ID); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}

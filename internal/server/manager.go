@@ -56,8 +56,9 @@ type Manager struct {
 	janitorStop chan struct{}
 	janitorDone chan struct{}
 
-	// Oracle-mode sessions need ground truth over the full dataset, which
-	// is reconstructed from the chunk store at most once.
+	// The full dataset, reconstructed from the chunk store at most once:
+	// only for oracle specs that need the data distribution, and for the
+	// seed fallback of a session whose sample holds no relevant row.
 	dsOnce sync.Once
 	ds     *dataset.Dataset
 	dsErr  error
@@ -863,8 +864,8 @@ func (m *Manager) Close(ctx context.Context) error {
 	return firstErr
 }
 
-// dataset lazily reconstructs the full dataset from the chunk store (used
-// only by oracle-mode sessions, which need ground truth).
+// dataset lazily reconstructs the full dataset from the chunk store, at
+// the parent index's epoch (see oracleFor for who reads it).
 func (m *Manager) dataset(ctx context.Context) (*dataset.Dataset, error) {
 	m.dsOnce.Do(func() {
 		ids := make([]uint32, m.idx.RowCount())

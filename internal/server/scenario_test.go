@@ -138,6 +138,7 @@ func TestOracleSpecValidation(t *testing.T) {
 		{"ring_and_drift", OracleSpec{Selectivity: 0.05, Ring: &RingSpec{}, Drift: &DriftSpec{OffsetFrac: 0.1}}},
 		{"drift_without_destination", OracleSpec{Selectivity: 0.05, Drift: &DriftSpec{}}},
 		{"ring_bad_fraction", OracleSpec{Selectivity: 0.05, Ring: &RingSpec{InnerFrac: 1.5}}},
+		{"center_width_wrong_dims", OracleSpec{Center: []float64{1, 2}, Widths: []float64{1, 1}}},
 		{"empty", OracleSpec{}},
 	}
 	for _, c := range cases {

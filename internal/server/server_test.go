@@ -503,7 +503,7 @@ func TestHTTPInteractiveSession(t *testing.T) {
 			t.Fatalf("step returned neither proposal nor done: %+v", step)
 		}
 		label := "negative"
-		if user.LabelID(dataset.RowID(step.Proposal.ID)) == oracle.Positive {
+		if user.LabelPoint(step.Proposal.Row) == oracle.Positive {
 			label = "positive"
 		}
 		answered++

@@ -10,6 +10,7 @@ import (
 
 	"github.com/uei-db/uei/internal/al"
 	"github.com/uei-db/uei/internal/core"
+	"github.com/uei-db/uei/internal/dataset"
 	"github.com/uei-db/uei/internal/ide"
 	"github.com/uei-db/uei/internal/learn"
 	"github.com/uei-db/uei/internal/oracle"
@@ -309,15 +310,14 @@ func (m *Manager) evictLocked(h *hosted) error {
 	return nil
 }
 
-// oracleFor builds a simulated user for the spec's target scenario, lazily
-// reconstructing the dataset from the chunk store the first time any
-// oracle-mode session needs it. It returns the labeler and the bootstrap
-// seed count (one positive per disjoint target component).
+// oracleFor builds a simulated user for the spec's target scenario. It
+// returns the labeler and the bootstrap seed count (one positive per
+// disjoint target component). The user labels from the rows the session
+// holds; the dataset reconstructed from the store (m.dataset) is read
+// here only by specs that need the data distribution — a selectivity,
+// several regions, a ring or a drift — and otherwise only by the seed
+// fallback, when the session's sample holds no relevant row.
 func (m *Manager) oracleFor(ctx context.Context, spec SessionSpec) (ide.Labeler, int, error) {
-	ds, err := m.dataset(ctx)
-	if err != nil {
-		return nil, 0, err
-	}
 	osp := spec.Oracle
 	tol := osp.Tolerance
 	if tol == 0 {
@@ -334,6 +334,10 @@ func (m *Manager) oracleFor(ctx context.Context, spec SessionSpec) (ide.Labeler,
 		if osp.Selectivity <= 0 {
 			return nil, 0, fmt.Errorf("oracle regions > 1 needs a selectivity: %w", errBadRequest)
 		}
+		ds, err := m.dataset(ctx)
+		if err != nil {
+			return nil, 0, err
+		}
 		mr, err := oracle.FindMultiRegion(ds, osp.Regions, osp.Selectivity, tol, seed, 12)
 		if err != nil {
 			return nil, 0, fmt.Errorf("%s: %w", err, errBadRequest)
@@ -346,10 +350,15 @@ func (m *Manager) oracleFor(ctx context.Context, spec SessionSpec) (ide.Labeler,
 	}
 
 	var region oracle.Region
+	var err error
 	switch {
 	case len(osp.Center) > 0 || len(osp.Widths) > 0:
 		region, err = oracle.NewRegion(osp.Center, osp.Widths)
 	case osp.Selectivity > 0:
+		ds, derr := m.dataset(ctx)
+		if derr != nil {
+			return nil, 0, derr
+		}
 		region, err = oracle.FindRegion(ds, osp.Selectivity, tol, seed, 12)
 	default:
 		return nil, 0, fmt.Errorf("oracle spec needs center+widths or a selectivity: %w", errBadRequest)
@@ -357,10 +366,27 @@ func (m *Manager) oracleFor(ctx context.Context, spec SessionSpec) (ide.Labeler,
 	if err != nil {
 		return nil, 0, fmt.Errorf("%s: %w", err, errBadRequest)
 	}
+	if dims := len(m.idx.Columns()); region.Dims() != dims {
+		return nil, 0, fmt.Errorf("oracle region has %d dims, the store %d: %w", region.Dims(), dims, errBadRequest)
+	}
 
-	switch {
-	case osp.Ring != nil && osp.Drift != nil:
+	if osp.Ring != nil && osp.Drift != nil {
 		return nil, 0, fmt.Errorf("oracle ring and drift cannot be combined: %w", errBadRequest)
+	}
+	if osp.Ring == nil && osp.Drift == nil {
+		// Only the seed fallback calls this, behind a labeler that carries
+		// no context; and the reconstruction is shared by every later
+		// session, so no one request's cancellation may end it.
+		user := oracle.NewDeferred(region, func() (*dataset.Dataset, error) {
+			return m.dataset(context.Background())
+		})
+		return ide.OracleLabeler{O: user}, 0, nil
+	}
+	ds, err := m.dataset(ctx)
+	if err != nil {
+		return nil, 0, err
+	}
+	switch {
 	case osp.Ring != nil:
 		frac := osp.Ring.InnerFrac
 		if frac == 0 {
@@ -375,7 +401,7 @@ func (m *Manager) oracleFor(ctx context.Context, spec SessionSpec) (ide.Labeler,
 			return nil, 0, err
 		}
 		return ide.OracleLabeler{O: user}, 0, nil
-	case osp.Drift != nil:
+	default:
 		drift, err := m.driftFor(region, osp.Drift, spec)
 		if err != nil {
 			return nil, 0, err
@@ -386,11 +412,6 @@ func (m *Manager) oracleFor(ctx context.Context, spec SessionSpec) (ide.Labeler,
 		}
 		return ide.DriftingOracleLabeler{O: user}, 0, nil
 	}
-	user, err := oracle.New(ds, region)
-	if err != nil {
-		return nil, 0, err
-	}
-	return ide.OracleLabeler{O: user}, 0, nil
 }
 
 // driftFor resolves a DriftSpec against the base region and the store's

@@ -64,8 +64,9 @@ func (p *Part) globalID(local uint32) uint32 {
 }
 
 // localIDs returns the local ids (positions in the idmap) of the global
-// ids this part holds, by merging the two sorted sequences. globalIDs must
-// be ascending; so is the result.
+// ids this part holds. Each id is binary-searched in the idmap past the
+// previous match, so a fetch of k ids costs O(k log(rows)), not a walk of
+// the whole idmap. globalIDs must be ascending; so is the result.
 func (p *Part) localIDs(globalIDs []uint32) []uint32 {
 	if p.IDMap == nil {
 		n := uint32(p.RowCount())
@@ -74,9 +75,8 @@ func (p *Part) localIDs(globalIDs []uint32) []uint32 {
 	var local []uint32
 	li := 0
 	for _, g := range globalIDs {
-		for li < len(p.IDMap) && p.IDMap[li] < g {
-			li++
-		}
+		rest := p.IDMap[li:]
+		li += sort.Search(len(rest), func(i int) bool { return rest[i] >= g })
 		if li == len(p.IDMap) {
 			break
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -78,4 +79,72 @@ func FuzzLoadIDMap(f *testing.F) {
 			t.Fatalf("accepted %d bytes holding %d ids, which SaveIDMap writes as %d other bytes", len(data), len(ids), len(enc))
 		}
 	})
+}
+
+// mergeLocalIDs is the linear merge localIDs replaced: it walks the idmap
+// and the ascending global ids side by side.
+func mergeLocalIDs(idmap, globalIDs []uint32) []uint32 {
+	var local []uint32
+	li := 0
+	for _, g := range globalIDs {
+		for li < len(idmap) && idmap[li] < g {
+			li++
+		}
+		if li == len(idmap) {
+			break
+		}
+		if idmap[li] == g {
+			local = append(local, uint32(li))
+			li++
+		}
+	}
+	return local
+}
+
+// TestLocalIDsMatchesMerge holds the binary-searching localIDs to the
+// linear merge on generated idmaps and fetches: empty on either side, ids
+// the part does not hold, every id the part holds, and random mixes.
+func TestLocalIDsMatchesMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	ascending := func(n, span int) []uint32 {
+		seen := map[uint32]bool{}
+		for len(seen) < n {
+			seen[uint32(rng.Intn(span))] = true
+		}
+		out := make([]uint32, 0, n)
+		for id := range seen {
+			out = append(out, id)
+		}
+		slices.Sort(out)
+		return out
+	}
+	for trial := 0; trial < 500; trial++ {
+		span := 1 + rng.Intn(2000)
+		idmap := ascending(rng.Intn(span+1), span)
+		var fetch []uint32
+		switch trial % 5 {
+		case 0: // nothing asked for
+		case 1: // every id the part holds
+			fetch = slices.Clone(idmap)
+		case 2: // only ids the part does not hold
+			for g := uint32(0); g < uint32(span)+10; g++ {
+				if _, held := slices.BinarySearch(idmap, g); !held && rng.Intn(3) == 0 {
+					fetch = append(fetch, g)
+				}
+			}
+		default: // a mix, reaching past the part's last id
+			fetch = ascending(rng.Intn(span+1), span+50)
+		}
+		p := &Part{IDMap: idmap}
+		got, want := p.localIDs(fetch), mergeLocalIDs(idmap, fetch)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: idmap of %d, fetch of %d: localIDs %v, merge %v", trial, len(idmap), len(fetch), got, want)
+		}
+		if trial%5 == 1 && len(got) != len(idmap) {
+			t.Fatalf("trial %d: fetching all %d held ids found %d", trial, len(idmap), len(got))
+		}
+		if trial%5 == 2 && len(got) != 0 {
+			t.Fatalf("trial %d: a disjoint fetch found %v", trial, got)
+		}
+	}
 }
