@@ -2,8 +2,9 @@
 # End-to-end check of the binaries, the one script behind CI's `e2e` job:
 #
 #   1. flat:        uei-serve -gen boots, serves a session, drains on SIGTERM
-#   2. sharded:     an S = 2 store is detected without -shards; a short
-#                   uei-loadgen fleet runs against it and joins its trace
+#   2. sharded:     an S = 2 store is detected without -shards; four oracle
+#                   sessions step against it at once, and every step's
+#                   X-Uei-Trace-Id must be a step in the server's trace
 #   3. distributed: two uei-shardd workers at R = 2, one killed mid-session,
 #                   and no step or result may report degraded
 #   4. live:        append-while-exploring over HTTP, uei-ingest -inspect
@@ -76,19 +77,29 @@ new_session() {
   curl -sf -XPOST "$1/v1/sessions" -d "$2" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p'
 }
 
+# session_files BASE ID prints the path prefix of the session's own files:
+# its last step's headers and body, and its trace ids, one a line.
+session_files() {
+  printf '%s' "$work/${1##*:}-$2"
+}
+
 # run_session BASE ID MAXSTEPS steps the session to done, requiring a trace
-# id on every response and that no step degrades. on_step, when defined,
-# runs after each step with the step number.
+# id on every response and that no step degrades. Every file it writes is
+# the session's own (session_files), so sessions can run concurrently.
+# on_step, when defined, runs after each step with the step number.
 run_session() {
-  local base=$1 id=$2 max=$3 i
+  local base=$1 id=$2 max=$3 i tid files
+  files=$(session_files "$base" "$id")
   for i in $(seq 1 "$max"); do
-    curl -sf -D "$work/headers.txt" -XPOST "$base/v1/sessions/$id/step" -o "$work/step.json"
-    grep -qi '^x-uei-trace-id:' "$work/headers.txt" || fail "step $i response missing X-Uei-Trace-Id"
-    if grep -q '"degraded":true' "$work/step.json"; then
-      fail "step $i degraded"
+    curl -sf -D "$files.headers" -XPOST "$base/v1/sessions/$id/step" -o "$files.step.json"
+    tid=$(sed -n 's/^x-uei-trace-id: *\([^[:space:]]*\).*/\1/Ip' "$files.headers")
+    [ -n "$tid" ] || fail "session $id step $i response missing X-Uei-Trace-Id"
+    echo "$tid" >>"$files.trace-ids"
+    if grep -q '"degraded":true' "$files.step.json"; then
+      fail "session $id step $i degraded"
     fi
     if declare -F on_step >/dev/null; then on_step "$i"; fi
-    if grep -q '"done":true' "$work/step.json"; then return 0; fi
+    if grep -q '"done":true' "$files.step.json"; then return 0; fi
   done
   fail "session $id not done after $max steps"
 }
@@ -106,7 +117,7 @@ strict_trace() {
 }
 
 bin=$work/bin
-go build -o "$bin/" ./cmd/uei-serve ./cmd/uei-ingest ./cmd/uei-shardd ./cmd/uei-trace ./cmd/uei-loadgen
+go build -o "$bin/" ./cmd/uei-serve ./cmd/uei-ingest ./cmd/uei-shardd ./cmd/uei-trace
 oracle='{"max_labels":8,"oracle":{"selectivity":0.01}}'
 
 echo "== flat: boot, session, metrics, SIGTERM drain"
@@ -124,7 +135,7 @@ grep -q '^uei_kernel_vector_width [14]$' "$work/metrics.txt" || fail "uei_kernel
 drain "$srv"
 strict_trace flat.jsonl
 
-echo "== sharded: S = 2 detected without -shards, short loadgen fleet"
+echo "== sharded: S = 2 detected without -shards, four concurrent sessions"
 "$bin/uei-ingest" -gen 20000 -shards 2 -chunk 4096 -out "$work/sharded" \
   -trace "$work/ingest.jsonl" >/dev/null
 # A non-server trace is no step: the analyzer lists it under its own root
@@ -144,16 +155,31 @@ srv=$!
 wait_http "$base/readyz"
 curl -sf "$base/readyz" >"$work/ready.json"
 grep -q '"shards":2' "$work/ready.json" || fail '/readyz does not report "shards":2'
-run_session "$base" "$(new_session "$base" "$oracle")" 12
-"$bin/uei-loadgen" -addr "127.0.0.1:$port" -profile static -users 8 \
-  -join-trace "$work/sharded.jsonl" >"$work/loadgen.txt" 2>&1 || {
-  cat "$work/loadgen.txt"
-  fail "uei-loadgen exited nonzero (it does on any failed request)"
-}
-grep -E '^(loadgen|steps|slo|trace_join) ' "$work/loadgen.txt"
-grep -q '^trace_join .* missing=0 ' "$work/loadgen.txt" || fail "loadgen trace ids missing from the server trace"
+ids=()
+for seed in 1 2 3 4; do
+  ids+=("$(new_session "$base" "{\"max_labels\":8,\"seed\":$seed,\"oracle\":{\"selectivity\":0.01}}")")
+  [ -n "${ids[-1]}" ] || fail "session $seed was not created"
+done
+runners=()
+for id in "${ids[@]}"; do
+  run_session "$base" "$id" 12 &
+  runners+=($!)
+done
+for pid in "${runners[@]}"; do
+  wait "$pid" || fail "a concurrent session failed (pid $pid)"
+done
 drain "$srv"
 strict_trace sharded.jsonl
+# Every trace id a client saw must root a step trace on the server.
+matched=0
+for id in "${ids[@]}"; do
+  while read -r tid; do
+    grep -F "\"trace_id\":\"$tid\"" "$work/sharded.jsonl" >"$work/join.jsonl" || true
+    grep -q '"phase":"step"' "$work/join.jsonl" || fail "session $id trace id $tid is no step in sharded.jsonl"
+    matched=$((matched + 1))
+  done <"$(session_files "$base" "$id").trace-ids"
+done
+echo "trace_join sessions=${#ids[@]} matched=$matched missing=0"
 
 echo "== distributed: two workers at R = 2, one killed mid-session"
 pick_port w1port

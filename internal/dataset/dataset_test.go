@@ -331,43 +331,3 @@ func TestSizeBytes(t *testing.T) {
 		t.Errorf("SizeBytes = %d, want 48", got)
 	}
 }
-
-func TestGenerateSkyZipf(t *testing.T) {
-	base, err := GenerateSky(SkyConfig{N: 5000, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	skew, err := GenerateSky(SkyConfig{N: 5000, Seed: 7, ZipfS: 1.4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := GenerateSky(SkyConfig{N: 5000, Seed: 7, ZipfS: 1.4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Len() != skew.Len() || skew.Len() != again.Len() {
-		t.Fatalf("lengths differ: %d %d %d", base.Len(), skew.Len(), again.Len())
-	}
-	// Deterministic under a seed: the skewed generator reproduces itself.
-	differsFromBase := false
-	for i := 0; i < skew.Len(); i++ {
-		a, b := skew.Row(RowID(i)), again.Row(RowID(i))
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("row %d dim %d: %g vs %g across identical seeds", i, j, a[j], b[j])
-			}
-		}
-		c := base.Row(RowID(i))
-		for j := range a {
-			if a[j] != c[j] {
-				differsFromBase = true
-			}
-		}
-	}
-	if !differsFromBase {
-		t.Fatal("zipf skew produced a dataset identical to the uniform one")
-	}
-	if _, err := GenerateSky(SkyConfig{N: 10, Seed: 1, ZipfS: -1}); err == nil {
-		t.Fatal("negative zipf exponent must be rejected")
-	}
-}

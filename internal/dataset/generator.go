@@ -24,13 +24,6 @@ type SkyConfig struct {
 	// ClusterFraction is the fraction of tuples drawn from clusters rather
 	// than the uniform background. Zero selects the default of 0.35.
 	ClusterFraction float64
-	// ZipfS, when > 1, skews cluster popularity with a zipfian law of
-	// exponent s: cluster k receives mass proportional to 1/(k+1)^s, so a
-	// handful of clusters hold most of the clustered tuples — the hotspot
-	// density structure skewed real-world workloads explore. Zero (and
-	// values <= 1, which the zipf law does not define) keeps the uniform
-	// cluster choice, byte-identical to prior releases for equal seeds.
-	ZipfS float64
 }
 
 // skyRanges are the natural domains of the PhotoObjAll attributes used in
@@ -66,22 +59,8 @@ func GenerateSky(cfg SkyConfig) (*Dataset, error) {
 	if frac < 0 || frac > 1 {
 		return nil, fmt.Errorf("dataset: cluster fraction %g outside [0,1]", frac)
 	}
-	if cfg.ZipfS < 0 {
-		return nil, fmt.Errorf("dataset: negative zipf exponent %g", cfg.ZipfS)
-	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	// The zipf draw uses its own deterministic source so enabling skew
-	// does not perturb the center/scale/background draws of the shared
-	// rng: a skewed dataset differs from its uniform twin only in which
-	// cluster each clustered tuple lands in.
-	var zipf *rand.Zipf
-	if cfg.ZipfS > 1 && clusters > 0 {
-		zipf = rand.NewZipf(rand.New(rand.NewSource(cfg.Seed+1)), cfg.ZipfS, 1, uint64(clusters-1))
-		if zipf == nil {
-			return nil, fmt.Errorf("dataset: invalid zipf exponent %g", cfg.ZipfS)
-		}
-	}
 	schema := SkySchema()
 	k := schema.Dims()
 
@@ -106,9 +85,6 @@ func GenerateSky(cfg SkyConfig) (*Dataset, error) {
 	for i := 0; i < cfg.N; i++ {
 		if clusters > 0 && rng.Float64() < frac {
 			c := rng.Intn(clusters)
-			if zipf != nil {
-				c = int(zipf.Uint64())
-			}
 			for j := 0; j < k; j++ {
 				lo, hi := skyRanges[j][0], skyRanges[j][1]
 				v := centers[c][j] + rng.NormFloat64()*scales[c][j]

@@ -70,34 +70,6 @@ func (l *ExternalLabeler) stage(label oracle.Label) {
 	l.armed = true
 }
 
-// DriftingOracleLabeler adapts the drifting-interest user simulation: the
-// target region moves as labels are given (oracle.DriftingOracle), so the
-// same tuple can be judged differently early and late in a session.
-// Seeding uses the initial region — the example the user showed when the
-// session began.
-type DriftingOracleLabeler struct {
-	O *oracle.DriftingOracle
-}
-
-// Label implements Labeler against the region at the current label count.
-func (l DriftingOracleLabeler) Label(_ uint32, row []float64) oracle.Label {
-	return l.O.LabelPoint(row)
-}
-
-// Count implements Labeler.
-func (l DriftingOracleLabeler) Count() int { return l.O.LabelsGiven() }
-
-// IsRelevant implements PositiveSeeder against the initial region.
-func (l DriftingOracleLabeler) IsRelevant(_ uint32, row []float64) bool {
-	return l.O.RelevantPoint(row)
-}
-
-// SeedPositive implements PositiveSeeder.
-func (l DriftingOracleLabeler) SeedPositive() (uint32, []float64, bool, error) {
-	id, row, ok, err := l.O.SeedRelevant()
-	return uint32(id), row, ok, err
-}
-
 // OracleLabeler adapts the §4.1 user simulation to the Labeler interface.
 type OracleLabeler struct {
 	O *oracle.Oracle

@@ -30,7 +30,7 @@
 //     duration (it feeds the phase histograms), nothing is written.
 //   - Samples: the one latency summary — an exact sample set with
 //     nearest-rank quantiles and "within budget" meaning <=. Every report
-//     (figure CSVs, examples, uei-loadgen, uei-trace, the SLO gauges)
+//     (figure CSVs, examples, uei-trace, the SLO gauges)
 //     reads it, and the Histogram's bucket lookup takes its rank from the
 //     same rule, so two tools cannot disagree about one run.
 //   - SLO: a per-step interactivity budget accountant — rolling

@@ -24,9 +24,8 @@ func nearestRank(q float64, n int) int {
 // Samples is an exact latency sample set: every observation is kept, so
 // quantiles are sample values (no bucket error) and a duration equal to a
 // budget is within it. It is the summary every report in the repo reads —
-// the figure CSVs, the examples, uei-loadgen, uei-trace and the SLO
-// gauges — while the fixed-bucket Histogram remains the constant-memory
-// export form. The zero value is an empty set; it is not goroutine-safe.
+// the figure CSVs, the examples, uei-trace and the SLO gauges — while the
+// fixed-bucket Histogram remains the constant-memory export form. The zero value is an empty set; it is not goroutine-safe.
 type Samples struct {
 	d      []time.Duration
 	sorted bool

@@ -8,9 +8,8 @@ import (
 
 // TestSamplesRule pins the one latency-summary definition: nearest-rank
 // quantiles over exact samples, and "within budget" meaning <=. Every
-// report in the repo (figure CSVs, examples, uei-loadgen, uei-trace, the
-// SLO gauges) reads this type, so these cases are the cases of all of
-// them.
+// report in the repo (figure CSVs, examples, uei-trace, the SLO gauges)
+// reads this type, so these cases are the cases of all of them.
 func TestSamplesRule(t *testing.T) {
 	const ms = time.Millisecond
 	seq := func(lo, hi, step int) []time.Duration {

@@ -30,18 +30,6 @@ func selectBoxes(ds *dataset.Dataset, boxes ...vec.Box) eager {
 	return rel
 }
 
-func scanRing(ds *dataset.Dataset, ring oracle.Ring) eager {
-	rel := eager{}
-	outer, inner := ring.Outer.Box(), ring.Inner.Box()
-	ds.Scan(func(id dataset.RowID, row []float64) bool {
-		if outer.Contains(row) && !inner.Contains(row) {
-			rel[id] = true
-		}
-		return true
-	})
-	return rel
-}
-
 // lowest is the eager seed: the lowest id of the set whose row lies in
 // within (anywhere when within is nil).
 func (rel eager) lowest(ds *dataset.Dataset, within *vec.Box) (dataset.RowID, bool) {
@@ -78,7 +66,7 @@ func region(t *testing.T, center, widths []float64) oracle.Region {
 type differentialFixture struct {
 	ds         *dataset.Dataset
 	a, b, c    oracle.Region
-	ring       oracle.Ring
+	inner      oracle.Region
 	empty      oracle.Region
 	regionsAll []oracle.Region
 }
@@ -91,14 +79,10 @@ func newDifferentialFixture(t *testing.T) *differentialFixture {
 		a:     region(t, []float64{0.1, 0.5, 0.5}, []float64{0.2, 0.1, 0.15}),
 		b:     region(t, []float64{0.7, 0.3, 0.6}, []float64{0.05, 0.2, 0.1}),
 		c:     region(t, []float64{0.5, 0.5, 0.5}, []float64{0.2, 0.2, 0.2}),
+		inner: region(t, []float64{0.5, 0.5, 0.5}, []float64{0.06, 0.06, 0.06}),
 		empty: region(t, []float64{5, 5, 5}, []float64{0.1, 0.1, 0.1}),
 	}
-	ring, err := oracle.ConcentricRing(f.c, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.ring = ring
-	f.regionsAll = []oracle.Region{f.a, f.b, ring.Outer, ring.Inner}
+	f.regionsAll = []oracle.Region{f.a, f.b, f.c, f.inner}
 
 	rng := rand.New(rand.NewSource(17))
 	f.ds = dataset.New(dataset.MustSchema("x", "y", "z"), 0)
@@ -187,14 +171,13 @@ func checkOracle(t *testing.T, ds *dataset.Dataset, o *oracle.Oracle, want eager
 	}
 }
 
-// TestOraclesMatchEagerGroundTruth: New, NewMulti, NewShape and
-// NewDeferred answer exactly what an eagerly built set answers, on a
+// TestOraclesMatchEagerGroundTruth: New, NewMulti and NewDeferred answer exactly what an eagerly built set answers, on a
 // generated dataset with rows on and beside every box face and rows
 // holding NaN.
 func TestOraclesMatchEagerGroundTruth(t *testing.T) {
 	f := newDifferentialFixture(t)
 	ds := f.ds
-	probes := []oracle.Region{f.a, f.b, f.c, f.ring.Inner, f.empty}
+	probes := []oracle.Region{f.a, f.b, f.c, f.inner, f.empty}
 	mr, err := oracle.NewMultiRegion(f.a, f.b)
 	if err != nil {
 		t.Fatal(err)
@@ -207,9 +190,6 @@ func TestOraclesMatchEagerGroundTruth(t *testing.T) {
 		{"New", func() (*oracle.Oracle, error) { return oracle.New(ds, f.a) }, selectBoxes(ds, f.a.Box())},
 		{"New/empty", func() (*oracle.Oracle, error) { return oracle.New(ds, f.empty) }, selectBoxes(ds, f.empty.Box())},
 		{"NewMulti", func() (*oracle.Oracle, error) { return oracle.NewMulti(ds, mr) }, selectBoxes(ds, f.a.Box(), f.b.Box())},
-		{"NewShape/region", func() (*oracle.Oracle, error) { return oracle.NewShape(ds, f.b) }, selectBoxes(ds, f.b.Box())},
-		{"NewShape/multi", func() (*oracle.Oracle, error) { return oracle.NewShape(ds, mr) }, selectBoxes(ds, f.a.Box(), f.b.Box())},
-		{"NewShape/ring", func() (*oracle.Oracle, error) { return oracle.NewShape(ds, f.ring) }, scanRing(ds, f.ring)},
 		{"NewDeferred", func() (*oracle.Oracle, error) {
 			return oracle.NewDeferred(f.a, func() (*dataset.Dataset, error) { return ds, nil }), nil
 		}, selectBoxes(ds, f.a.Box())},
@@ -225,44 +205,6 @@ func TestOraclesMatchEagerGroundTruth(t *testing.T) {
 			}
 			checkOracle(t, ds, o, c.want, probes)
 		})
-	}
-}
-
-// TestDriftingOracleMatchesEagerGroundTruth: a drifting user labels each
-// solicitation with the box of the region at that label count, and seeds
-// and answers IsRelevant and Relevant from the initial region's set.
-func TestDriftingOracleMatchesEagerGroundTruth(t *testing.T) {
-	f := newDifferentialFixture(t)
-	ds := f.ds
-	d, err := oracle.NewDrift(f.a, f.b, 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o, err := oracle.NewDrifting(ds, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lab := ide.DriftingOracleLabeler{O: o}
-	want := selectBoxes(ds, f.a.Box())
-	labels := 0
-	ds.Scan(func(id dataset.RowID, row []float64) bool {
-		if got := lab.IsRelevant(uint32(id), row); got != want[id] {
-			t.Fatalf("IsRelevant(%d, %v) = %v, eager initial set says %v", id, row, got, want[id])
-		}
-		if got := o.Relevant(id); got != want[id] {
-			t.Fatalf("Relevant(%d) = %v, eager initial set says %v", id, got, want[id])
-		}
-		wantLabel := d.At(labels).Box().Contains(row)
-		labels++
-		if got := lab.Label(uint32(id), row) == oracle.Positive; got != wantLabel {
-			t.Fatalf("label %d of (%d, %v) positive = %v, region box says %v", labels, id, row, got, wantLabel)
-		}
-		return true
-	})
-	wantID, _ := want.lowest(ds, nil)
-	id, row, ok, err := o.SeedRelevant()
-	if err != nil || !ok || id != wantID || !sameBits(row, ds.Row(id)) {
-		t.Fatalf("SeedRelevant = %d, %v, %v; eager lowest is %d", id, ok, err, wantID)
 	}
 }
 

@@ -42,8 +42,8 @@ type Oracle struct {
 	// targets is the full (possibly multi-region) target union; empty for
 	// single-region oracles built with New.
 	targets MultiRegion
-	// truth holds the membership predicate — the region, the union of
-	// regions, or a NewShape geometry — and the lazily built set.
+	// truth holds the membership predicate — the region or the union of
+	// regions — and the lazily built set.
 	truth *groundTruth
 	// labelsGiven counts label solicitations, the x-axis of Figures 3-5
 	// (user effort).

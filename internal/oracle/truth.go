@@ -8,6 +8,14 @@ import (
 	"github.com/uei-db/uei/internal/vec"
 )
 
+// Target is any membership geometry an oracle can answer for; Region and
+// MultiRegion satisfy it. Implementations must be pure functions of the
+// point (no internal state), so membership answers are deterministic.
+type Target interface {
+	Dims() int
+	Contains(x vec.Point) bool
+}
+
 // groundTruth is the oracle set of §4.1: the ids of the dataset rows the
 // target accepts. Labels and membership questions about one row are
 // answered from the row by the target alone, so nothing is scanned until a

@@ -3,8 +3,8 @@ package server
 import "net/http"
 
 // HealthInfo is the body of GET /healthz and /readyz: a point-in-time
-// snapshot of the serving state that load generators and CI use to wait
-// for readiness instead of sleeping, and operators use to watch drains.
+// snapshot of the serving state that clients and CI use to wait for
+// readiness instead of sleeping, and operators use to watch drains.
 type HealthInfo struct {
 	// Status is "ok" when the server accepts new work and "draining"
 	// once Close has begun evicting sessions.
@@ -26,10 +26,6 @@ type HealthInfo struct {
 	Rows int `json:"rows"`
 	// Shards is the shard fan-out, zero for unsharded stores.
 	Shards int `json:"shards,omitempty"`
-	// BoundsMin and BoundsMax are the store's per-dimension domain
-	// bounds. Writers (live append clients) must stay inside them.
-	BoundsMin []float64 `json:"bounds_min,omitempty"`
-	BoundsMax []float64 `json:"bounds_max,omitempty"`
 }
 
 // Health gathers a HealthInfo snapshot. Callers treat it as advisory:
@@ -44,9 +40,6 @@ func (m *Manager) Health() HealthInfo {
 	if info.Draining {
 		info.Status = "draining"
 	}
-	bounds := m.idx.Bounds()
-	info.BoundsMin = bounds.Min
-	info.BoundsMax = bounds.Max
 	if m.idx.Sharded() {
 		info.Shards = m.idx.NumShards()
 	}
@@ -71,7 +64,7 @@ func (m *Manager) handleHealth(w http.ResponseWriter, _ *http.Request) {
 
 // handleReady is readiness: 200 with a HealthInfo body while the server
 // admits new sessions, 503 with the same body once draining begins so
-// load balancers and load generators back off before hard errors start.
+// load balancers and clients back off before hard errors start.
 func (m *Manager) handleReady(w http.ResponseWriter, _ *http.Request) {
 	info := m.Health()
 	code := http.StatusOK

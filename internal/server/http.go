@@ -27,7 +27,10 @@ var errBadRequest = errors.New("server: invalid request")
 // saturation, full queues, budget pressure, cancellation — always carries a
 // hint so well-behaved clients back off instead of hammering.
 func statusFor(err error) (status, retryAfter int) {
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge, 0
 	case errors.Is(err, errBadRequest):
 		return http.StatusBadRequest, 0
 	case errors.Is(err, ErrUnknownSession):
@@ -85,22 +88,33 @@ const (
 
 // readJSON decodes the request body into v, tolerating an empty body (all
 // request fields are optional).
-func readJSON(r *http.Request, v any) error {
-	return readJSONLimit(r, v, maxBodyBytes)
+func readJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	return readJSONLimit(w, r, v, maxBodyBytes)
 }
 
-func readJSONLimit(r *http.Request, v any, limit int64) error {
-	body, err := io.ReadAll(io.LimitReader(r.Body, limit))
-	if err != nil {
-		return fmt.Errorf("read body: %v: %w", err, errBadRequest)
+// readJSONLimit decodes one JSON value of at most limit bytes into v. A
+// field v does not have, or anything but whitespace after the value, is a
+// bad request: a client still sending a field the API dropped must hear so,
+// not get a session built without it. A body past limit is an
+// *http.MaxBytesError (413).
+func readJSONLimit(w http.ResponseWriter, r *http.Request, v any, limit int64) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == nil {
+			err = errors.New("trailing data after the JSON value")
+		}
 	}
-	if len(body) == 0 {
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == io.EOF:
 		return nil
-	}
-	if err := json.Unmarshal(body, v); err != nil {
+	case errors.As(err, &tooLarge):
+		return fmt.Errorf("read body: over the %d-byte cap: %w", limit, err)
+	default:
 		return fmt.Errorf("parse body: %v: %w", err, errBadRequest)
 	}
-	return nil
 }
 
 // Register mounts the session API on mux:
@@ -135,7 +149,7 @@ func (m *Manager) Handler() http.Handler {
 
 func (m *Manager) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var spec SessionSpec
-	if err := readJSON(r, &spec); err != nil {
+	if err := readJSON(w, r, &spec); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -162,7 +176,7 @@ func (m *Manager) handleGet(w http.ResponseWriter, r *http.Request) {
 
 func (m *Manager) handleStep(w http.ResponseWriter, r *http.Request) {
 	var req StepRequest
-	if err := readJSON(r, &req); err != nil {
+	if err := readJSON(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -196,7 +210,7 @@ func (m *Manager) handleDelete(w http.ResponseWriter, r *http.Request) {
 
 func (m *Manager) handleAppend(w http.ResponseWriter, r *http.Request) {
 	var req AppendRequest
-	if err := readJSONLimit(r, &req, maxAppendBodyBytes); err != nil {
+	if err := readJSONLimit(w, r, &req, maxAppendBodyBytes); err != nil {
 		writeError(w, err)
 		return
 	}

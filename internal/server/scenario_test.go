@@ -8,8 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-
-	"github.com/uei-db/uei/internal/ide"
 )
 
 // runScenario creates a session with the spec and steps it to completion,
@@ -41,8 +39,8 @@ func runScenario(t *testing.T, m *Manager, spec SessionSpec) ResultInfo {
 }
 
 // TestOracleSpecScenarios exercises the scenario-building OracleSpec
-// extensions end to end: multi-region, ring, and drifting targets each
-// bootstrap, explore, and retrieve through the real session machinery.
+// extensions end to end: a multi-region target bootstraps, explores, and
+// retrieves through the real session machinery.
 func TestOracleSpecScenarios(t *testing.T) {
 	dir, _ := buildStore(t, 1500)
 	m := newTestManager(t, dir, nil)
@@ -53,9 +51,6 @@ func TestOracleSpecScenarios(t *testing.T) {
 		osp  OracleSpec
 	}{
 		{"multi_region", OracleSpec{Selectivity: 0.05, Regions: 2}},
-		{"ring", OracleSpec{Selectivity: 0.08, Ring: &RingSpec{InnerFrac: 0.4}}},
-		{"drift_offset", OracleSpec{Selectivity: 0.05, Drift: &DriftSpec{OffsetFrac: 0.05}}},
-		{"drift_explicit", OracleSpec{Selectivity: 0.05, Drift: &DriftSpec{ToCenter: []float64{1024, 1024, 180, 0, 500}, OverLabels: 8}}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -70,43 +65,9 @@ func TestOracleSpecScenarios(t *testing.T) {
 	}
 }
 
-// TestOracleSpecSharedSeed pins the named-region contract load profiles
-// rely on: sessions with different session seeds but the same oracle seed
-// share one synthesized region, while different oracle seeds synthesize
-// different ones.
-func TestOracleSpecSharedSeed(t *testing.T) {
-	dir, _ := buildStore(t, 1500)
-	m := newTestManager(t, dir, nil)
-	ctx := context.Background()
-	region := func(sessionSeed, oracleSeed int64) string {
-		t.Helper()
-		lab, _, err := m.oracleFor(ctx, SessionSpec{
-			Seed:   sessionSeed,
-			Oracle: &OracleSpec{Selectivity: 0.05, Seed: oracleSeed},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		o := lab.(ide.OracleLabeler).O
-		if o.RelevantCount() == 0 {
-			t.Fatal("seeded region has no ground truth")
-		}
-		return fmt.Sprint(o.Region())
-	}
-	a := region(1, 42)
-	b := region(2, 42)
-	c := region(1, 43)
-	if a != b {
-		t.Fatalf("same oracle seed, different regions:\n%s\n%s", a, b)
-	}
-	if a == c {
-		t.Fatalf("different oracle seeds synthesized identical region %s", a)
-	}
-}
-
 // TestOracleSpecDeterministic: identical specs (session seed, sample size,
-// oracle scenario) must reproduce identical explorations — the loadgen
-// reproducibility contract, checked at the session layer.
+// oracle scenario) must reproduce identical explorations, checked at the
+// session layer.
 func TestOracleSpecDeterministic(t *testing.T) {
 	dir, _ := buildStore(t, 1500)
 	m := newTestManager(t, dir, nil)
@@ -114,7 +75,7 @@ func TestOracleSpecDeterministic(t *testing.T) {
 		MaxLabels:  10,
 		SampleSize: 200,
 		Seed:       11,
-		Oracle:     &OracleSpec{Selectivity: 0.05, Drift: &DriftSpec{OffsetFrac: 0.05, OverLabels: 6}},
+		Oracle:     &OracleSpec{Selectivity: 0.05, Regions: 2},
 	}
 	a := runScenario(t, m, spec)
 	b := runScenario(t, m, spec)
@@ -133,11 +94,7 @@ func TestOracleSpecValidation(t *testing.T) {
 		osp  OracleSpec
 	}{
 		{"regions_without_selectivity", OracleSpec{Regions: 2}},
-		{"regions_with_ring", OracleSpec{Selectivity: 0.05, Regions: 2, Ring: &RingSpec{}}},
-		{"regions_with_drift", OracleSpec{Selectivity: 0.05, Regions: 2, Drift: &DriftSpec{OffsetFrac: 0.1}}},
-		{"ring_and_drift", OracleSpec{Selectivity: 0.05, Ring: &RingSpec{}, Drift: &DriftSpec{OffsetFrac: 0.1}}},
-		{"drift_without_destination", OracleSpec{Selectivity: 0.05, Drift: &DriftSpec{}}},
-		{"ring_bad_fraction", OracleSpec{Selectivity: 0.05, Ring: &RingSpec{InnerFrac: 1.5}}},
+		{"regions_with_center", OracleSpec{Regions: 2, Center: []float64{1, 2, 3, 4, 5}, Widths: []float64{1, 1, 1, 1, 1}}},
 		{"center_width_wrong_dims", OracleSpec{Center: []float64{1, 2}, Widths: []float64{1, 1}}},
 		{"empty", OracleSpec{}},
 	}

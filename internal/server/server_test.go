@@ -276,6 +276,7 @@ func TestStatusForMap(t *testing.T) {
 		retry  int
 	}{
 		{"bad request", fmt.Errorf("spec: %w", errBadRequest), http.StatusBadRequest, 0},
+		{"body too large", fmt.Errorf("read body: %w", &http.MaxBytesError{Limit: maxBodyBytes}), http.StatusRequestEntityTooLarge, 0},
 		{"unknown session", fmt.Errorf("session %q: %w", "s1", ErrUnknownSession), http.StatusNotFound, 0},
 		{"queue full", fmt.Errorf("busy: %w", ErrQueueFull), http.StatusTooManyRequests, 1},
 		{"saturated", fmt.Errorf("cap: %w", ErrSaturated), http.StatusServiceUnavailable, 2},

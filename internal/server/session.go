@@ -45,10 +45,8 @@ type SessionSpec struct {
 
 // OracleSpec describes a simulated user's target, either explicitly
 // (center + half-widths) or by selectivity (the server synthesizes a region
-// holding approximately that fraction of the dataset). The scenario
-// modifiers below reshape the base target: Regions splits it into k
-// disjoint components, Ring carves a hole out of it (non-convex), and
-// Drift moves it mid-session as labels accumulate.
+// holding approximately that fraction of the dataset, from the session
+// seed). Regions splits a synthesized target into k disjoint components.
 type OracleSpec struct {
 	Center []float64 `json:"center,omitempty"`
 	Widths []float64 `json:"widths,omitempty"`
@@ -58,45 +56,10 @@ type OracleSpec struct {
 	// Tolerance is the relative cardinality slack for region synthesis.
 	// Zero selects 0.5.
 	Tolerance float64 `json:"tolerance,omitempty"`
-	// Seed drives region synthesis. Zero falls back to the session seed;
-	// set it when several sessions should share one named interest region
-	// regardless of their private sampling seeds (zipfian popularity over
-	// named regions needs exactly this).
-	Seed int64 `json:"seed,omitempty"`
 	// Regions, when > 1, synthesizes that many disjoint component regions
 	// whose combined selectivity approximates Selectivity (requires
-	// Selectivity; incompatible with Center/Widths, Ring, and Drift).
+	// Selectivity; incompatible with Center/Widths).
 	Regions int `json:"regions,omitempty"`
-	// Ring makes the target non-convex: the base region minus a
-	// concentric hole of InnerFrac times its half-widths.
-	Ring *RingSpec `json:"ring,omitempty"`
-	// Drift moves the target while the user labels.
-	Drift *DriftSpec `json:"drift,omitempty"`
-}
-
-// RingSpec carves a concentric hole out of the base region.
-type RingSpec struct {
-	// InnerFrac is the hole's half-widths as a fraction of the base
-	// region's, in (0,1). Zero selects 0.5.
-	InnerFrac float64 `json:"inner_frac,omitempty"`
-}
-
-// DriftSpec moves the target region linearly from its base placement to a
-// destination over the first OverLabels solicited labels.
-type DriftSpec struct {
-	// ToCenter is the destination center. When absent, the destination is
-	// the base center offset by OffsetFrac of the domain width per
-	// dimension (clamped to the domain).
-	ToCenter []float64 `json:"to_center,omitempty"`
-	// ToWidths is the destination half-widths (defaults to the base
-	// region's).
-	ToWidths []float64 `json:"to_widths,omitempty"`
-	// OffsetFrac shifts every dimension by this fraction of its domain
-	// width when ToCenter is absent.
-	OffsetFrac float64 `json:"offset_frac,omitempty"`
-	// OverLabels is how many solicited labels the drift takes to
-	// complete. Zero selects the session's label budget.
-	OverLabels int `json:"over_labels,omitempty"`
 }
 
 // defaultMaxLabels is the label budget of a session whose spec leaves
@@ -310,25 +273,21 @@ func (m *Manager) evictLocked(h *hosted) error {
 	return nil
 }
 
-// oracleFor builds a simulated user for the spec's target scenario. It
-// returns the labeler and the bootstrap seed count (one positive per
-// disjoint target component). The user labels from the rows the session
-// holds; the dataset reconstructed from the store (m.dataset) is read
-// here only by specs that need the data distribution — a selectivity,
-// several regions, a ring or a drift — and otherwise only by the seed
-// fallback, when the session's sample holds no relevant row.
+// oracleFor builds a simulated user for the spec's target. It returns the
+// labeler and the bootstrap seed count (one positive per disjoint target
+// component). The user labels from the rows the session holds; the dataset
+// reconstructed from the store (m.dataset) is read here only by specs that
+// need the data distribution — a selectivity or several regions — and
+// otherwise only by the seed fallback, when the session's sample holds no
+// relevant row.
 func (m *Manager) oracleFor(ctx context.Context, spec SessionSpec) (ide.Labeler, int, error) {
 	osp := spec.Oracle
 	tol := osp.Tolerance
 	if tol == 0 {
 		tol = 0.5
 	}
-	seed := osp.Seed
-	if seed == 0 {
-		seed = spec.Seed
-	}
 	if osp.Regions > 1 {
-		if osp.Ring != nil || osp.Drift != nil || len(osp.Center) > 0 || len(osp.Widths) > 0 {
+		if len(osp.Center) > 0 || len(osp.Widths) > 0 {
 			return nil, 0, fmt.Errorf("oracle regions > 1 requires a bare selectivity spec: %w", errBadRequest)
 		}
 		if osp.Selectivity <= 0 {
@@ -338,7 +297,7 @@ func (m *Manager) oracleFor(ctx context.Context, spec SessionSpec) (ide.Labeler,
 		if err != nil {
 			return nil, 0, err
 		}
-		mr, err := oracle.FindMultiRegion(ds, osp.Regions, osp.Selectivity, tol, seed, 12)
+		mr, err := oracle.FindMultiRegion(ds, osp.Regions, osp.Selectivity, tol, spec.Seed, 12)
 		if err != nil {
 			return nil, 0, fmt.Errorf("%s: %w", err, errBadRequest)
 		}
@@ -359,7 +318,7 @@ func (m *Manager) oracleFor(ctx context.Context, spec SessionSpec) (ide.Labeler,
 		if derr != nil {
 			return nil, 0, derr
 		}
-		region, err = oracle.FindRegion(ds, osp.Selectivity, tol, seed, 12)
+		region, err = oracle.FindRegion(ds, osp.Selectivity, tol, spec.Seed, 12)
 	default:
 		return nil, 0, fmt.Errorf("oracle spec needs center+widths or a selectivity: %w", errBadRequest)
 	}
@@ -369,87 +328,11 @@ func (m *Manager) oracleFor(ctx context.Context, spec SessionSpec) (ide.Labeler,
 	if dims := len(m.idx.Columns()); region.Dims() != dims {
 		return nil, 0, fmt.Errorf("oracle region has %d dims, the store %d: %w", region.Dims(), dims, errBadRequest)
 	}
-
-	if osp.Ring != nil && osp.Drift != nil {
-		return nil, 0, fmt.Errorf("oracle ring and drift cannot be combined: %w", errBadRequest)
-	}
-	if osp.Ring == nil && osp.Drift == nil {
-		// Only the seed fallback calls this, behind a labeler that carries
-		// no context; and the reconstruction is shared by every later
-		// session, so no one request's cancellation may end it.
-		user := oracle.NewDeferred(region, func() (*dataset.Dataset, error) {
-			return m.dataset(context.Background())
-		})
-		return ide.OracleLabeler{O: user}, 0, nil
-	}
-	ds, err := m.dataset(ctx)
-	if err != nil {
-		return nil, 0, err
-	}
-	switch {
-	case osp.Ring != nil:
-		frac := osp.Ring.InnerFrac
-		if frac == 0 {
-			frac = 0.5
-		}
-		ring, err := oracle.ConcentricRing(region, frac)
-		if err != nil {
-			return nil, 0, fmt.Errorf("%s: %w", err, errBadRequest)
-		}
-		user, err := oracle.NewShape(ds, ring)
-		if err != nil {
-			return nil, 0, err
-		}
-		return ide.OracleLabeler{O: user}, 0, nil
-	default:
-		drift, err := m.driftFor(region, osp.Drift, spec)
-		if err != nil {
-			return nil, 0, err
-		}
-		user, err := oracle.NewDrifting(ds, drift)
-		if err != nil {
-			return nil, 0, err
-		}
-		return ide.DriftingOracleLabeler{O: user}, 0, nil
-	}
-}
-
-// driftFor resolves a DriftSpec against the base region and the store's
-// domain bounds.
-func (m *Manager) driftFor(base oracle.Region, dsp *DriftSpec, spec SessionSpec) (oracle.Drift, error) {
-	over := dsp.OverLabels
-	if over == 0 {
-		over = spec.MaxLabels
-	}
-	toWidths := dsp.ToWidths
-	if len(toWidths) == 0 {
-		toWidths = base.Widths
-	}
-	toCenter := dsp.ToCenter
-	if len(toCenter) == 0 {
-		if dsp.OffsetFrac == 0 {
-			return oracle.Drift{}, fmt.Errorf("oracle drift needs to_center or offset_frac: %w", errBadRequest)
-		}
-		bounds := m.idx.Bounds()
-		widths := bounds.Widths()
-		toCenter = make([]float64, len(base.Center))
-		for i := range toCenter {
-			toCenter[i] = base.Center[i] + dsp.OffsetFrac*widths[i]
-			if toCenter[i] > bounds.Max[i] {
-				toCenter[i] = bounds.Max[i]
-			}
-			if toCenter[i] < bounds.Min[i] {
-				toCenter[i] = bounds.Min[i]
-			}
-		}
-	}
-	to, err := oracle.NewRegion(toCenter, toWidths)
-	if err != nil {
-		return oracle.Drift{}, fmt.Errorf("%s: %w", err, errBadRequest)
-	}
-	drift, err := oracle.NewDrift(base, to, over)
-	if err != nil {
-		return oracle.Drift{}, fmt.Errorf("%s: %w", err, errBadRequest)
-	}
-	return drift, nil
+	// Only the seed fallback calls this, behind a labeler that carries no
+	// context; and the reconstruction is shared by every later session, so
+	// no one request's cancellation may end it.
+	user := oracle.NewDeferred(region, func() (*dataset.Dataset, error) {
+		return m.dataset(context.Background())
+	})
+	return ide.OracleLabeler{O: user}, 0, nil
 }
