@@ -61,9 +61,7 @@ func run() error {
 		shardDl     = flag.Duration("shard-deadline", 0, "per-shard operation deadline; slow shards are skipped and steps report degraded (0 disables)")
 		traceFile   = flag.String("trace", "", "write one span trace per create, step and result request to this JSONL file (analyze with uei-trace)")
 		sloBudget   = flag.Duration("slo", 0, "per-step interactivity budget for SLO accounting (0 = the 500ms default)")
-		endpoints   = flag.String("shard-endpoints", "", "comma-separated uei-shardd worker URLs; serves the index remotely instead of opening -store")
-		replication = flag.Int("replication", 1, "replicas per shard across the -shard-endpoints fleet (shards degrade only when all replicas fail)")
-		hedge       = flag.Duration("hedge-delay", 0, "fire per-shard calls on a second replica after this delay, first reply wins (0 disables; needs -replication > 1)")
+		endpoints   = flag.String("shard-endpoints", "", "comma-separated uei-shardd worker URLs (shard s is read from the URL at index s mod count); serves the index remotely instead of opening -store")
 		live        = flag.Bool("live", false, "require the live (streaming) layout and enable POST /v1/append (with -gen, builds a live store)")
 		followLive  = flag.Bool("follow-live", false, "sessions advance to newly flushed data at iteration boundaries (default: each session explores the epoch it opened)")
 		flushEvery  = flag.Duration("flush-interval", 0, "live store: also flush the memtable on this period so trickle appends become visible (0 = size/demand only)")
@@ -135,8 +133,6 @@ func run() error {
 		Shards:                *shards,
 		ShardDeadline:         *shardDl,
 		ShardEndpoints:        eps,
-		Replication:           *replication,
-		HedgeDelay:            *hedge,
 		Tracer:                tracer,
 		SLOBudget:             *sloBudget,
 		LiveIngest:            *live,
@@ -148,8 +144,8 @@ func run() error {
 	}
 
 	if len(eps) > 0 {
-		fmt.Printf("remote data plane: %d shards over %d workers (replication %d, hedge delay %v)\n",
-			m.Index().NumShards(), len(eps), *replication, *hedge)
+		fmt.Printf("remote data plane: %d shards over %d workers (shard s on worker s mod %d, per-shard deadline %v)\n",
+			m.Index().NumShards(), len(eps), len(eps), *shardDl)
 	} else if m.Index().Sharded() {
 		fmt.Printf("sharded store: %d shards (per-shard deadline %v)\n", m.Index().NumShards(), *shardDl)
 	}

@@ -1,10 +1,12 @@
 // Command uei-shardd serves the shards of one sharded UEI store over the
 // HTTP/JSON shard protocol, as the data-plane worker behind a remote
 // uei-serve (or any client of internal/shard/remote). Several workers can
-// point at the same store directory (or byte-identical copies of it);
-// the coordinator places shards — and their replicas — across the fleet
-// by consistent hashing and fails over between workers, so killing one
-// worker of a replicated fleet mid-session costs nothing but a failover.
+// point at the same store directory (or byte-identical copies of it); the
+// coordinator asks worker s mod E (in its -shard-endpoints order) for shard
+// s, so each worker serves only its own shards. Killing a worker mid-session
+// leaves its shards unavailable until it returns: steps whose winning cell
+// it owns degrade, and what needs every shard (a session's sample, result
+// retrieval) answers 503.
 //
 // Usage:
 //

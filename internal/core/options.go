@@ -80,28 +80,18 @@ type Options struct {
 	// (or shard-count) mismatch fails with chunkstore.ErrLayoutMismatch.
 	Shards int
 	// ShardDeadline bounds every per-shard operation of the index (a flat
-	// store is one shard). When every replica of the winning cell's shard
-	// misses it, the step falls back to another cell or the resident
-	// region (it degrades instead of failing). Zero disables the deadline.
+	// store is one shard). When the winning cell's shard misses it, the
+	// step falls back to another cell or the resident region (it degrades
+	// instead of failing). Zero disables the deadline.
 	ShardDeadline time.Duration
 	// ShardEndpoints, when non-empty, serves the index through remote
 	// uei-shardd workers instead of opening the store directory locally:
-	// the fleet is handshaken, shards are placed on endpoints by
-	// consistent hashing, and every per-shard operation goes over HTTP.
-	// The directory argument of Open is ignored (may be empty). Results
-	// are byte-identical to a local open of the same store.
+	// the fleet is handshaken, shard s is served by endpoint s mod
+	// len(ShardEndpoints), and every per-shard operation goes over HTTP. A
+	// dead worker's shards are unavailable until it returns. The directory
+	// argument of Open is ignored (may be empty). Results are
+	// byte-identical to a local open of the same store.
 	ShardEndpoints []string
-	// Replication is the per-shard replica count across ShardEndpoints:
-	// each shard is placed on this many distinct workers and operations
-	// fail over between them (a shard degrades only when all replicas
-	// fail); it must not exceed the endpoint count. Zero and 1 both mean
-	// unreplicated; more needs ShardEndpoints.
-	Replication int
-	// HedgeDelay, when positive and Replication > 1, fires each per-shard
-	// operation on a second replica if the first has not answered within
-	// the delay; the first reply wins and the loser is cancelled. Zero
-	// disables hedging; a positive delay needs ShardEndpoints.
-	HedgeDelay time.Duration
 	// LiveIngest requires the directory to hold the live (stream) layout:
 	// Open fails with chunkstore.ErrLayoutMismatch otherwise. Live layouts
 	// are auto-detected either way; the flag only pins the expectation,
@@ -163,18 +153,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.ShardDeadline < 0 {
 		return o, fmt.Errorf("core: negative shard deadline %v", o.ShardDeadline)
-	}
-	if o.Replication < 0 {
-		return o, fmt.Errorf("core: replication %d must not be negative", o.Replication)
-	}
-	if o.HedgeDelay < 0 {
-		return o, fmt.Errorf("core: negative hedge delay %v", o.HedgeDelay)
-	}
-	if len(o.ShardEndpoints) == 0 && (o.Replication > 1 || o.HedgeDelay > 0) {
-		return o, fmt.Errorf("core: replication %d and hedge delay %v need remote workers (ShardEndpoints, uei-serve -shard-endpoints): an in-process store has one backend per shard", o.Replication, o.HedgeDelay)
-	}
-	if len(o.ShardEndpoints) > 0 && o.Replication > len(o.ShardEndpoints) {
-		return o, fmt.Errorf("core: replication %d exceeds %d shard endpoints", o.Replication, len(o.ShardEndpoints))
 	}
 	if o.Registry == nil {
 		o.Registry = obs.NewRegistry()

@@ -15,12 +15,9 @@ import (
 
 // BenchmarkRemoteShardedStep measures a per-iteration step that swaps
 // regions — re-score, top-k, cell load — across transports: in-process
-// sharded, remote over the wire protocol, and remote with an injected slow
-// primary replica with hedging off versus on: the hedged slow-replica
-// line's p99 should beat the unhedged one (TestHedgedCallWinsAndCancelsLoser
-// is the test of the mechanism). The region is dropped before every step:
-// the load is the step's only request, and a step on a resident region
-// would measure no transport at all.
+// sharded and remote over the wire protocol. The region is dropped before
+// every step: the load is the step's only request, and a step on a
+// resident region would measure no transport at all.
 func BenchmarkRemoteShardedStep(b *testing.B) {
 	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 4000, Seed: 21})
 	if err != nil {
@@ -59,8 +56,6 @@ func BenchmarkRemoteShardedStep(b *testing.B) {
 			lat.Observe(time.Since(start))
 		}
 		b.StopTimer()
-		// The tail is the figure hedging exists to improve; the mean
-		// barely moves.
 		b.ReportMetric(float64(lat.Quantile(0.99).Nanoseconds()), "p99-ns/step")
 	}
 
@@ -89,55 +84,16 @@ func BenchmarkRemoteShardedStep(b *testing.B) {
 	defer w1.Close()
 	w2 := httptest.NewServer(handler)
 	defer w2.Close()
-	endpoints := []string{w1.URL, w2.URL}
 
-	openRemoteIdx := func(b *testing.B, replication int, hedge time.Duration) *Index {
+	b.Run("transport=remote", func(b *testing.B) {
 		idx, err := Open(ctx, "", Options{
 			MemoryBudgetBytes: 1 << 24, Workers: 4,
-			ShardEndpoints: endpoints, Replication: replication, HedgeDelay: hedge,
+			ShardEndpoints: []string{w1.URL, w2.URL},
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		return idx
-	}
-
-	b.Run("transport=remote", func(b *testing.B) {
-		idx := openRemoteIdx(b, 1, 0)
 		defer idx.Close()
-		step(b, idx)
-	})
-
-	// A primary replica that answers, but slowly — the grey-failure mode
-	// hedging targets. The delay is injected client-side in the attempt
-	// path, so cancellation (the hedged winner's loser-cancel) cuts it
-	// short exactly like a slow network leg. The hedge delay must sit
-	// above the healthy per-op service time (a premature hedge duplicates
-	// the worker's chunk reads for nothing) and below the fault delay, the
-	// same calibration an operator does against the op's p95.
-	slowPrimary := func(ctx context.Context, _, replica int, _ string) error {
-		if replica != 0 {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(25 * time.Millisecond):
-			return nil
-		}
-	}
-
-	b.Run("transport=remote/slowreplica/hedge=off", func(b *testing.B) {
-		idx := openRemoteIdx(b, 2, 0)
-		defer idx.Close()
-		idx.ShardCoordinator().SetFaultHook(slowPrimary)
-		step(b, idx)
-	})
-
-	b.Run("transport=remote/slowreplica/hedge=8ms", func(b *testing.B) {
-		idx := openRemoteIdx(b, 2, 8*time.Millisecond)
-		defer idx.Close()
-		idx.ShardCoordinator().SetFaultHook(slowPrimary)
 		step(b, idx)
 	})
 }

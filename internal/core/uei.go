@@ -29,6 +29,11 @@ import (
 // boundary.
 var ErrClosed = errors.New("uei: index is closed")
 
+// ErrShardUnavailable is shard.ErrShardUnavailable, named here for the
+// serving layer, which reaches shards only through the index: a sample,
+// result retrieval or cell load that could not reach a shard wraps it.
+var ErrShardUnavailable = shard.ErrShardUnavailable
+
 // BuildOptions configures the once-per-dataset index initialization phase
 // (Algorithm 2 lines 1-11).
 type BuildOptions struct {
@@ -107,8 +112,8 @@ type Index struct {
 	live *stream.DB
 	snap *stream.Snapshot
 	// stepDegraded records whether the most recent EnsureRegion fell back
-	// from the winning cell because no replica of its owner answered the
-	// load in time. Surfaced to the IDE engine per iteration.
+	// from the winning cell because its owner did not answer the load in
+	// time. Surfaced to the IDE engine per iteration.
 	stepDegraded bool
 
 	// blk is the symbolic index point set P, in cell-id order, packed by
@@ -232,9 +237,8 @@ func newBlockCache(bytes int64) (*chunkstore.BlockCache, error) {
 // the symbolic index whether the rows are local or behind workers.
 func coordinatorOptions(opts Options, pl *pool.Pool) shard.CoordinatorOptions {
 	return shard.CoordinatorOptions{
-		Pool:       pl,
-		Deadline:   opts.ShardDeadline,
-		HedgeDelay: opts.HedgeDelay,
+		Pool:     pl,
+		Deadline: opts.ShardDeadline,
 	}
 }
 
@@ -334,10 +338,9 @@ func openSharded(ctx context.Context, dir string, opts Options) (*Index, error) 
 
 // openRemote serves the index through uei-shardd workers: the fleet
 // handshake fetches the store identity (so no local directory is needed),
-// consistent hashing places each shard on Replication distinct workers,
-// and every operation that needs rows travels the HTTP transport with
-// failover and optional hedging. The symbolic index is scored here, on the
-// index's own pool, exactly as over local shards. Block caching happens
+// shard s is served by endpoint s mod E, and every operation that needs
+// rows travels the HTTP transport. The symbolic index is scored here, on
+// the index's own pool, exactly as over local shards. Block caching happens
 // worker-side, so BlockCacheBytes is ignored here.
 func openRemote(ctx context.Context, opts Options) (idx *Index, err error) {
 	pl := pool.New(opts.Workers)
@@ -348,7 +351,6 @@ func openRemote(ctx context.Context, opts Options) (idx *Index, err error) {
 	}()
 	coord, err := remote.Connect(ctx, remote.ConnectOptions{
 		Endpoints:          opts.ShardEndpoints,
-		Replication:        opts.Replication,
 		CoordinatorOptions: coordinatorOptions(opts, pl),
 	})
 	if err != nil {
@@ -789,8 +791,8 @@ func (x *Index) EnsureRegion(ctx context.Context, model learn.Classifier) (grid.
 			"degraded":      boolAttr(outcome == "degraded"),
 		}))
 	}
-	// failLoad resolves a failed load of the target cell. When no replica
-	// of the cell's shard answered, the step degrades instead of failing:
+	// failLoad resolves a failed load of the target cell. When the cell's
+	// shard did not answer, the step degrades instead of failing:
 	// fall back to the most uncertain cell some other shard owns (asking
 	// the failed shard for its runner-up would only wait out a second
 	// deadline), then to the resident region. Any other error, or nothing

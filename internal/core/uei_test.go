@@ -109,9 +109,6 @@ func TestOptionsValidation(t *testing.T) {
 		{MemoryBudgetBytes: 100, LatencyThreshold: -time.Second},
 		// No limiter, no model of a load's time to derive θ from.
 		{MemoryBudgetBytes: 100, EnablePrefetch: true},
-		// Replicas and hedging exist only across remote workers.
-		{MemoryBudgetBytes: 100, Replication: 2},
-		{MemoryBudgetBytes: 100, HedgeDelay: time.Millisecond},
 	}
 	for i, o := range bad {
 		if _, err := Open(context.Background(), dir, o); err == nil {

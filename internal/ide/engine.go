@@ -96,8 +96,8 @@ type IterationInfo struct {
 	// Retrained reports whether the model was refitted this iteration.
 	Retrained bool
 	// Degraded reports that the provider completed this iteration in a
-	// reduced mode — no replica of the shard owning the most uncertain
-	// cell answered its load, so the UEI index fell back to the best cell
+	// reduced mode — the shard owning the most uncertain cell did not
+	// answer its load, so the UEI index fell back to the best cell
 	// another shard owns, or kept the resident region — and the selection
 	// may be less informed than usual.
 	Degraded bool

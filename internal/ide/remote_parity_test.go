@@ -2,10 +2,10 @@ package ide
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"github.com/uei-db/uei/internal/al"
 	"github.com/uei-db/uei/internal/core"
@@ -14,8 +14,8 @@ import (
 )
 
 // remoteCluster is a worker fleet over one sharded store: every endpoint
-// serves the full store (as uei-shardd does), placement picks who answers
-// for which shard.
+// serves the full store (as uei-shardd does), and endpoint s mod E answers
+// for shard s.
 type remoteCluster struct {
 	servers []*httptest.Server
 	urls    []string
@@ -53,13 +53,11 @@ func (f *fixture) startRemoteCluster(t *testing.T, shards, n int) *remoteCluster
 
 // ueiRemoteProvider opens the index over the cluster's wire protocol —
 // no local store directory at all.
-func (f *fixture) ueiRemoteProvider(t *testing.T, sample, replication int, cl *remoteCluster, hedge time.Duration) *UEIProvider {
+func (f *fixture) ueiRemoteProvider(t *testing.T, sample int, cl *remoteCluster) *UEIProvider {
 	t.Helper()
 	idx, err := core.Open(context.Background(), "", core.Options{
 		MemoryBudgetBytes: 1 << 20, SampleSize: sample, Seed: 3, Workers: 2,
 		ShardEndpoints: cl.urls,
-		Replication:    replication,
-		HedgeDelay:     hedge,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -74,12 +72,13 @@ func (f *fixture) ueiRemoteProvider(t *testing.T, sample, replication int, cl *r
 
 // runRemoteTracedSession mirrors runTracedSession over the remote
 // transport. onIteration, when non-nil, sees each iteration as it lands
-// (for mid-session fault injection).
-func runRemoteTracedSession(t *testing.T, shards, replication, endpoints int, onIteration func(n int, cl *remoteCluster)) sessionTrace {
+// (for mid-session fault injection). A failed Run returns the iterations
+// that landed before it beside Run's error.
+func runRemoteTracedSession(t *testing.T, shards, endpoints int, onIteration func(n int, cl *remoteCluster)) (sessionTrace, error) {
 	t.Helper()
 	f := newFixture(t, 1500, 0.02)
 	cl := f.startRemoteCluster(t, shards, endpoints)
-	p := f.ueiRemoteProvider(t, 200, replication, cl, 0)
+	p := f.ueiRemoteProvider(t, 200, cl)
 	var tr sessionTrace
 	cfg := Config{
 		MaxLabels:        25,
@@ -102,12 +101,12 @@ func runRemoteTracedSession(t *testing.T, shards, replication, endpoints int, on
 	ctx, finish := startTestTrace(t)
 	res, err := sess.Run(ctx)
 	if err != nil {
-		t.Fatal(err)
+		return tr, err
 	}
 	finish(len(tr.picks))
 	tr.positive = res.Positive
 	tr.labels = res.LabelsUsed
-	return tr
+	return tr, nil
 }
 
 func requireTraceEqual(t *testing.T, got, want sessionTrace) {
@@ -134,18 +133,21 @@ func requireTraceEqual(t *testing.T, got, want sessionTrace) {
 }
 
 // TestRemoteSessionParity runs complete exploration sessions over the wire
-// protocol at S∈{2,4} × R∈{1,2} and requires byte-identical decisions to
-// the local flat run: the network transport, like the sharded layout, is a
-// deployment choice, not a semantic one.
+// protocol at S∈{2,4} × E∈{1,2} endpoints and requires byte-identical
+// decisions to the local flat run: the network transport, like the sharded
+// layout, is a deployment choice, not a semantic one.
 func TestRemoteSessionParity(t *testing.T) {
 	want := runTracedSession(t, 1)
 	if len(want.picks) == 0 || len(want.positive) == 0 {
 		t.Fatalf("local session degenerate: %d picks, %d positives", len(want.picks), len(want.positive))
 	}
 	for _, shards := range []int{2, 4} {
-		for _, repl := range []int{1, 2} {
-			t.Run(fmt.Sprintf("S=%d/R=%d", shards, repl), func(t *testing.T) {
-				got := runRemoteTracedSession(t, shards, repl, 2, nil)
+		for _, endpoints := range []int{1, 2} {
+			t.Run(fmt.Sprintf("S=%d/E=%d", shards, endpoints), func(t *testing.T) {
+				got, err := runRemoteTracedSession(t, shards, endpoints, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
 				for i, d := range got.degraded {
 					if d {
 						t.Errorf("iteration %d flagged degraded on a healthy fleet", i)
@@ -157,65 +159,32 @@ func TestRemoteSessionParity(t *testing.T) {
 	}
 }
 
-// TestRemoteSessionSurvivesWorkerKill kills one of two workers mid-session
-// with R=2: every shard still has a live replica, so the session must
-// finish with zero degraded iterations and the same results as a healthy
-// run.
+// TestRemoteSessionSurvivesWorkerKill kills the worker serving shard 0 of
+// two mid-session. The iterations before the kill match the local run, and
+// the labeling loop survives it: later steps degrade rather than fail. The
+// result cannot be retrieved without shard 0, so Run fails with
+// ErrShardUnavailable in the chain.
 func TestRemoteSessionSurvivesWorkerKill(t *testing.T) {
+	const killAfter = 5
 	want := runTracedSession(t, 1)
-	killed := false
-	got := runRemoteTracedSession(t, 2, 2, 2, func(n int, cl *remoteCluster) {
-		if n == 5 && !killed {
-			killed = true
+	got, err := runRemoteTracedSession(t, 2, 2, func(n int, cl *remoteCluster) {
+		if n == killAfter {
 			cl.servers[0].CloseClientConnections()
 			cl.servers[0].Close()
 		}
 	})
-	if !killed {
-		t.Fatal("session too short to kill a worker mid-flight")
+	if len(got.picks) < killAfter {
+		t.Fatalf("session ran %d iterations; too short to kill a worker mid-flight", len(got.picks))
 	}
-	for i, d := range got.degraded {
-		if d {
-			t.Errorf("iteration %d degraded despite a surviving replica", i)
+	for i := 0; i < killAfter; i++ {
+		if got.picks[i] != want.picks[i] || got.degraded[i] {
+			t.Fatalf("iteration %d before the kill labeled row %d (degraded %v), local labeled %d", i, got.picks[i], got.degraded[i], want.picks[i])
 		}
 	}
-	requireTraceEqual(t, got, want)
-}
-
-// TestRemoteSessionHedgedParity runs the S=2 R=2 session with an
-// aggressive hedge delay: duplicated attempts must not change a single
-// decision.
-func TestRemoteSessionHedgedParity(t *testing.T) {
-	want := runTracedSession(t, 1)
-	f := newFixture(t, 1500, 0.02)
-	cl := f.startRemoteCluster(t, 2, 2)
-	p := f.ueiRemoteProvider(t, 200, 2, cl, time.Millisecond)
-	var tr sessionTrace
-	cfg := Config{
-		MaxLabels:        25,
-		EstimatorFactory: f.estimatorFactory(t),
-		Strategy:         al.LeastConfidence{},
-		Seed:             7,
-		SeedWithPositive: true,
-		OnIteration: func(it IterationInfo) {
-			tr.picks = append(tr.picks, it.SelectedID)
-			tr.degraded = append(tr.degraded, it.Degraded)
-		},
+	if len(got.picks) == killAfter {
+		t.Error("no iteration landed after the kill; a dead shard should degrade steps, not fail them")
 	}
-	sess, err := NewSession(cfg, p, OracleLabeler{O: f.orc})
-	if err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, shard.ErrShardUnavailable) {
+		t.Fatalf("Run err = %v, want ErrShardUnavailable in the chain", err)
 	}
-	res, err := sess.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.positive = res.Positive
-	tr.labels = res.LabelsUsed
-	for i, d := range tr.degraded {
-		if d {
-			t.Errorf("iteration %d degraded under hedging on a healthy fleet", i)
-		}
-	}
-	requireTraceEqual(t, tr, want)
 }

@@ -45,6 +45,10 @@ func statusFor(err error) (status, retryAfter int) {
 		return http.StatusServiceUnavailable, 2
 	case errors.Is(err, memcache.ErrBudgetExceeded):
 		return http.StatusServiceUnavailable, 1
+	case errors.Is(err, core.ErrShardUnavailable):
+		// A dead or slow shard: a sample, a terminal step or a result that
+		// needs every shard cannot be served until it answers again.
+		return http.StatusServiceUnavailable, 1
 	case errors.Is(err, core.ErrClosed):
 		return http.StatusGone, 0
 	case errors.Is(err, learn.ErrNotFitted):

@@ -56,12 +56,13 @@ type Manager struct {
 	janitorStop chan struct{}
 	janitorDone chan struct{}
 
-	// The full dataset, reconstructed from the chunk store at most once:
-	// only for oracle specs that need the data distribution, and for the
-	// seed fallback of a session whose sample holds no relevant row.
-	dsOnce sync.Once
-	ds     *dataset.Dataset
-	dsErr  error
+	// The full dataset, reconstructed from the chunk store once it is
+	// first needed: only for oracle specs that need the data distribution,
+	// and for the seed fallback of a session whose sample holds no relevant
+	// row. A failed reconstruction (a shard down) is not kept, so the next
+	// caller retries it.
+	dsMu sync.Mutex
+	ds   *dataset.Dataset
 
 	gLive      *obs.Gauge
 	gQueued    *obs.Gauge
@@ -103,8 +104,6 @@ func NewManager(ctx context.Context, cfg Config) (*Manager, error) {
 		Shards:            cfg.Shards,
 		ShardDeadline:     cfg.ShardDeadline,
 		ShardEndpoints:    cfg.ShardEndpoints,
-		Replication:       cfg.Replication,
-		HedgeDelay:        cfg.HedgeDelay,
 		LiveIngest:        cfg.LiveIngest,
 		FollowLive:        cfg.FollowLive,
 		FlushInterval:     cfg.FlushInterval,
@@ -867,26 +866,27 @@ func (m *Manager) Close(ctx context.Context) error {
 // dataset lazily reconstructs the full dataset from the chunk store, at
 // the parent index's epoch (see oracleFor for who reads it).
 func (m *Manager) dataset(ctx context.Context) (*dataset.Dataset, error) {
-	m.dsOnce.Do(func() {
-		ids := make([]uint32, m.idx.RowCount())
-		for i := range ids {
-			ids[i] = uint32(i)
+	m.dsMu.Lock()
+	defer m.dsMu.Unlock()
+	if m.ds != nil {
+		return m.ds, nil
+	}
+	ids := make([]uint32, m.idx.RowCount())
+	for i := range ids {
+		ids[i] = uint32(i)
+	}
+	rows, err := m.idx.FetchRows(ctx, ids)
+	if err != nil {
+		return nil, fmt.Errorf("server: reconstruct dataset: %w", err)
+	}
+	ds := dataset.New(dataset.MustSchema(m.idx.Columns()...), len(rows))
+	for _, r := range rows {
+		if _, err := ds.Append(r.Vals); err != nil {
+			return nil, fmt.Errorf("server: reconstruct dataset: %w", err)
 		}
-		rows, err := m.idx.FetchRows(ctx, ids)
-		if err != nil {
-			m.dsErr = fmt.Errorf("server: reconstruct dataset: %w", err)
-			return
-		}
-		ds := dataset.New(dataset.MustSchema(m.idx.Columns()...), len(rows))
-		for _, r := range rows {
-			if _, err := ds.Append(r.Vals); err != nil {
-				m.dsErr = fmt.Errorf("server: reconstruct dataset: %w", err)
-				return
-			}
-		}
-		m.ds = ds
-	})
-	return m.ds, m.dsErr
+	}
+	m.ds = ds
+	return ds, nil
 }
 
 // parseLabel maps the wire label to the oracle's.

@@ -8,6 +8,7 @@ import (
 	"github.com/uei-db/uei/internal/core"
 	"github.com/uei-db/uei/internal/dataset"
 	"github.com/uei-db/uei/internal/oracle"
+	"github.com/uei-db/uei/internal/shard"
 )
 
 // sample returns the rows of the uniform sample a session with this seed
@@ -68,7 +69,7 @@ func TestCenterWidthSessionReadsNoDataset(t *testing.T) {
 	if res := runScenario(t, m, spec); res.LabelsUsed == 0 {
 		t.Fatal("the session solicited no labels")
 	}
-	if m.ds != nil || m.dsErr != nil {
+	if m.ds != nil {
 		t.Fatal("a center/width session whose sample holds a relevant row reconstructed the dataset")
 	}
 }
@@ -117,12 +118,17 @@ func TestCenterWidthSessionSeedFallback(t *testing.T) {
 	}
 
 	broken := newTestManager(t, dir, nil)
-	unreadable := errors.New("store unreadable")
-	broken.dsOnce.Do(func() { broken.dsErr = unreadable })
 	info, err = broken.Create(ctx, spec)
 	if err != nil {
 		t.Fatalf("create must not read the dataset: %v", err)
 	}
+	unreadable := errors.New("store unreadable")
+	broken.Index().ShardCoordinator().SetFaultHook(func(_ context.Context, _, _ int, op string) error {
+		if op == shard.OpFetch {
+			return unreadable
+		}
+		return nil
+	})
 	if _, err := broken.Step(ctx, info.ID, StepRequest{}); !errors.Is(err, unreadable) {
 		t.Fatalf("step over a failed reconstruction: err = %v, want the load error", err)
 	}

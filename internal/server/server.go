@@ -97,14 +97,6 @@ type Config struct {
 	// becomes optional (it is only used as the default snapshot-dir
 	// parent, so set SnapshotDir when omitting it).
 	ShardEndpoints []string
-	// Replication is the per-shard replica count across the ShardEndpoints
-	// fleet; a shard degrades only when all of its replicas fail. Zero and
-	// 1 both mean unreplicated. See core.Options.Replication.
-	Replication int
-	// HedgeDelay fires each per-shard operation on a second replica if
-	// the first has not answered within the delay (requires Replication >
-	// 1). Zero disables hedging.
-	HedgeDelay time.Duration
 	// LiveIngest requires StoreDir to hold the live (stream) layout and
 	// enables the ingest API (POST /v1/append). Live layouts are
 	// auto-detected either way; the flag pins the expectation the way
@@ -170,12 +162,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.ShardDeadline < 0 {
 		return c, errors.New("server: ShardDeadline must not be negative")
-	}
-	if c.Replication < 0 {
-		return c, errors.New("server: Replication must not be negative")
-	}
-	if c.HedgeDelay < 0 {
-		return c, errors.New("server: HedgeDelay must not be negative")
 	}
 	if c.SLOBudget < 0 {
 		return c, errors.New("server: SLOBudget must not be negative")

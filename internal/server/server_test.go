@@ -19,6 +19,7 @@ import (
 	"github.com/uei-db/uei/internal/memcache"
 	"github.com/uei-db/uei/internal/obs"
 	"github.com/uei-db/uei/internal/oracle"
+	"github.com/uei-db/uei/internal/shard"
 )
 
 // buildStore builds a small synthetic store and returns its directory plus
@@ -282,6 +283,7 @@ func TestStatusForMap(t *testing.T) {
 		{"saturated", fmt.Errorf("cap: %w", ErrSaturated), http.StatusServiceUnavailable, 2},
 		{"draining", ErrDraining, http.StatusServiceUnavailable, 2},
 		{"budget", fmt.Errorf("region: %w", memcache.ErrBudgetExceeded), http.StatusServiceUnavailable, 1},
+		{"shard unavailable", fmt.Errorf("shard 0 fetch: %w", errors.Join(core.ErrShardUnavailable, errors.New("connection refused"))), http.StatusServiceUnavailable, 1},
 		{"closed", fmt.Errorf("index: %w", core.ErrClosed), http.StatusGone, 0},
 		{"not fitted", fmt.Errorf("finish: %w", learn.ErrNotFitted), http.StatusConflict, 0},
 		{"no candidates", fmt.Errorf("acquire: %w", ide.ErrNoCandidates), http.StatusUnprocessableEntity, 0},
@@ -571,6 +573,65 @@ func TestQueueFull(t *testing.T) {
 	if got := m.Registry().Snapshot().Counters["uei_server_queue_rejects_total"]; got != 1 {
 		t.Errorf("uei_server_queue_rejects_total = %d, want 1", got)
 	}
+}
+
+// TestHTTPDeadShardIs503: an operation that needs a shard the server
+// cannot reach answers 503 with Retry-After, naming the shard, not 500: a
+// create whose oracle needs the dataset, which cannot be fetched, and a
+// retrieving /result whose scan fails. The failed fetch is not remembered:
+// once the shard answers, the next create succeeds.
+func TestHTTPDeadShardIs503(t *testing.T) {
+	dir, _ := buildStore(t, 1500)
+	m := newTestManager(t, dir, nil)
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+	client := srv.Client()
+	failing := func(op string) shard.FaultHook {
+		return func(_ context.Context, _, _ int, got string) error {
+			if got == op {
+				return errors.New("worker gone")
+			}
+			return nil
+		}
+	}
+	require503 := func(what string, resp *http.Response) {
+		t.Helper()
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("%s: status %d, Retry-After %q; want 503 with a hint (body %s)", what, resp.StatusCode, resp.Header.Get("Retry-After"), body)
+		}
+		if !bytes.Contains(body, []byte("shard unavailable")) {
+			t.Errorf("%s: body %s does not name the unavailable shard", what, body)
+		}
+	}
+	spec := `{"max_labels":20,"sample_size":150,"seed":3,"oracle":{"selectivity":0.05}}`
+	coord := m.Index().ShardCoordinator()
+
+	coord.SetFaultHook(failing(shard.OpFetch))
+	resp, err := client.Post(srv.URL+"/v1/sessions", "application/json", bytes.NewReader([]byte(spec)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	require503("create with the sample unfetchable", resp)
+
+	coord.SetFaultHook(nil)
+	// The failure is not remembered: once the shard answers, create works.
+	var info SessionInfo
+	if status := postJSON(t, client, srv.URL+"/v1/sessions", spec, &info); status != http.StatusCreated {
+		t.Fatalf("create once the shard answers again: status %d", status)
+	}
+	for i := 0; i < 5; i++ {
+		if status := postJSON(t, client, srv.URL+"/v1/sessions/"+info.ID+"/step", `{}`, nil); status != http.StatusOK {
+			t.Fatalf("step %d: status %d", i, status)
+		}
+	}
+	coord.SetFaultHook(failing(shard.OpRetrieve))
+	resp, err = client.Get(srv.URL + "/v1/sessions/" + info.ID + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	require503("result with the scan failing", resp)
 }
 
 // TestDrain: Close rejects new work, evicts live sessions to snapshots,

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"errors"
 
 	"github.com/uei-db/uei/internal/chunkstore"
 	"github.com/uei-db/uei/internal/grid"
@@ -10,23 +9,16 @@ import (
 	"github.com/uei-db/uei/internal/vec"
 )
 
-// ErrReplicaExhausted marks a shard operation that failed on every replica.
-// It always travels together with ErrShardUnavailable in the error chain,
-// so existing degradation logic keeps working; match with errors.Is to
-// distinguish "all copies down" from a single-copy miss.
-var ErrReplicaExhausted = errors.New("all shard replicas failed")
-
-// Backend is one transport-agnostic replica of one shard: the coordinator
+// Backend is the transport-agnostic access to one shard: the coordinator
 // speaks only this interface, whether the shard's data lives in-process
 // (LocalBackend) or behind a uei-shardd worker (remote.Client backends).
 // It holds exactly the operations that need the shard's rows; the symbolic
 // index — cell centres, their scores, their ranking — is coordinator
 // state and never crosses it.
 //
-// All methods are pure request/response — they return fresh values and
-// never mutate coordinator state — because the hedging layer may run the
-// same call on two replicas concurrently and discard the loser. Results
-// must be byte-identical across replicas of the same shard.
+// All methods are pure request/response: they return fresh values and
+// never mutate coordinator state. Results must be byte-identical whether
+// the shard is served in-process or by a worker.
 type Backend interface {
 	// LoadCell reconstructs one owned cell's tuples. Returned ids are
 	// global row ids, ascending; entries is the posting-entry count the
@@ -74,9 +66,6 @@ type Meta struct {
 	Points *kernel.Block
 	// Shards is S, the shard count.
 	Shards int
-	// Replication is the minimum replica count across shards (1 without
-	// replication).
-	Replication int
 	// SegmentsPerDim is the per-dimension segment count the cell→shard
 	// hash was computed over.
 	SegmentsPerDim int

@@ -21,9 +21,9 @@ import (
 )
 
 // ErrShardUnavailable marks a shard that missed its deadline or failed an
-// operation on every replica. A cell load's caller degrades on it (another
-// cell, the resident region); fetches and retrieval need every shard and
-// surface it. Match with errors.Is.
+// operation. A cell load's caller degrades on it (another cell, the
+// resident region); fetches and retrieval need every shard and surface it.
+// Match with errors.Is.
 var ErrShardUnavailable = errors.New("shard unavailable")
 
 // Operation names passed to the fault hook and used in error messages and
@@ -35,10 +35,15 @@ const (
 )
 
 // FaultHook intercepts every shard attempt before it runs — the test seam
-// for forcing timeouts and failures, per replica. Hooks must honor ctx:
-// the per-attempt deadline, caller cancellation, and hedged-loser
-// cancellation reach a stuck attempt only through it.
-type FaultHook func(ctx context.Context, shard, replica int, op string) error
+// for forcing timeouts and failures. Hooks must honor ctx: the per-attempt
+// deadline and caller cancellation reach a stuck attempt only through it.
+//
+// The second int is always 0: a shard has one backend. It stays only
+// because internal/ide/golden_test.go and internal/core/reference_test.go
+// pass hooks of this shape, and those files, which hold the recorded
+// session digests and the brute-force reference, are changed only with
+// them; the next change to them drops it.
+type FaultHook func(ctx context.Context, shard, _ int, op string) error
 
 // Part is one immutable data part of a shard: a private flat chunk store
 // (local ids 0..n-1), the mapping of global grid cells to that store's
@@ -111,7 +116,7 @@ func (s *Shard) RowCount() int {
 // OpenOptions configures Open.
 type OpenOptions struct {
 	// CoordinatorOptions carries the transport-agnostic part: the scoring
-	// pool, the per-shard deadline and the hedge delay.
+	// pool and the per-shard deadline.
 	CoordinatorOptions
 	// Limiter, when non-nil, meters chunk reads of every shard store
 	// (one shared limiter — the shards model one storage device).
@@ -131,14 +136,9 @@ type CoordinatorOptions struct {
 	// coordinator borrows the caller's pool rather than owning threads;
 	// nil scores inline on the calling goroutine.
 	Pool *pool.Pool
-	// Deadline bounds every per-shard attempt; a cell load whose owner's
-	// replicas all miss it degrades the step. Zero disables the deadline.
+	// Deadline bounds every per-shard attempt; a cell load whose owner
+	// misses it degrades the step. Zero disables the deadline.
 	Deadline time.Duration
-	// HedgeDelay, when positive and a shard has more than one replica,
-	// launches the operation on a second replica after this delay if the
-	// first has not answered; the first reply wins and the loser is
-	// cancelled. Zero disables hedging (failover on error still applies).
-	HedgeDelay time.Duration
 }
 
 // Coordinator owns the symbolic index — the packed cell centres, scored
@@ -150,20 +150,18 @@ type CoordinatorOptions struct {
 // exactly those of one store over the same dataset (S = 1 is how a flat
 // store is read).
 //
-// Replication: each shard may have R backends. An operation runs on the
-// primary first, fails over to the next replica on error, and — when a
-// hedge delay is configured — races a second replica after the delay,
-// taking the first reply and cancelling the loser. A shard degrades only
-// when every replica fails (ErrReplicaExhausted joins the error chain).
+// Each shard has exactly one backend. When it fails or misses its
+// deadline, a cell load degrades (the caller falls back to another shard's
+// cell) and fetches and retrieval fail with ErrShardUnavailable.
 //
 // The coordinator is safe for concurrent use by multiple sessions once
 // constructed; SetFaultHook may be called at any time. The per-shard
-// attempt deadline and the hedge delay are fixed at construction.
+// attempt deadline is fixed at construction.
 type Coordinator struct {
 	meta Meta
-	// replicas[s] lists shard s's backends, primary first: one local
-	// backend per shard in process, R distinct worker clients remotely.
-	replicas [][]Backend
+	// backends[s] is shard s's one backend: in-process for a local store,
+	// a worker client for a remote one.
+	backends []Backend
 	// shards holds the in-process shards of a locally opened coordinator,
 	// nil when the data plane is remote. Exposed for inspection and tests.
 	shards []*Shard
@@ -173,26 +171,22 @@ type Coordinator struct {
 	pool  *pool.Pool
 	cache *chunkstore.BlockCache
 
-	deadline   time.Duration // per-shard attempt deadline; 0 = none
-	hedgeDelay time.Duration // 0 = no hedging
-	hook       atomic.Pointer[FaultHook]
+	deadline time.Duration // per-shard attempt deadline; 0 = none
+	hook     atomic.Pointer[FaultHook]
 
 	instruments
 }
 
 // instruments are the coordinator's counters, bound by Instrument and
 // shared by the epochs of one store (NextEpoch). mDegraded counts cell
-// loads no replica of the owner answered (shard_degraded_total); nil-safe.
-// The cause-split counters attribute each to a deadline miss vs a shard
-// error, and mSkip[i] counts those of shard i specifically. mHedged counts hedged second
-// attempts, mFailover error-triggered replica failovers.
+// loads the owner did not answer (shard_degraded_total); nil-safe. The
+// cause-split counters attribute each to a deadline miss vs a shard error,
+// and mSkip[i] counts those of shard i specifically.
 type instruments struct {
 	mDegraded         *obs.Counter
 	mDegradedDeadline *obs.Counter
 	mDegradedError    *obs.Counter
 	mSkip             []*obs.Counter
-	mHedged           *obs.Counter
-	mFailover         *obs.Counter
 }
 
 // Open loads a sharded store built by Build and serves it through
@@ -261,10 +255,10 @@ func NewLocalCoordinator(man *Manifest, shards []*Shard, opts OpenOptions) (*Coo
 	if err != nil {
 		return nil, err
 	}
-	backends := make([][]Backend, man.Shards)
+	backends := make([]Backend, man.Shards)
 	for s, sh := range shards {
 		sh.ID = s
-		backends[s] = []Backend{NewLocalBackend(sh, g)}
+		backends[s] = NewLocalBackend(sh, g)
 	}
 	c, err := newCoordinator(man, g, backends, opts.CoordinatorOptions)
 	if err != nil {
@@ -288,19 +282,18 @@ func (c *Coordinator) NextEpoch(man *Manifest, shards []*Shard) (*Coordinator, e
 	next := &Coordinator{
 		meta:        c.meta,
 		shards:      shards,
-		replicas:    make([][]Backend, len(shards)),
+		backends:    make([]Backend, len(shards)),
 		ownerByCell: c.ownerByCell,
 		pool:        c.pool,
 		cache:       c.cache,
 		deadline:    c.deadline,
-		hedgeDelay:  c.hedgeDelay,
 		instruments: c.instruments,
 	}
 	next.meta.RowCount, next.meta.TotalBytes = man.RowCount, 0
 	for s, sh := range shards {
 		sh.ID = s
 		lb := NewLocalBackend(sh, c.meta.Grid)
-		next.replicas[s] = []Backend{lb}
+		next.backends[s] = lb
 		next.meta.TotalBytes += lb.Stats().TotalBytes
 	}
 	return next, nil
@@ -308,9 +301,8 @@ func (c *Coordinator) NextEpoch(man *Manifest, shards []*Shard) (*Coordinator, e
 
 // NewCoordinator assembles a coordinator over caller-provided backends —
 // the remote-transport entry point. man must be the store's manifest
-// (validated again here); replicas[s] lists shard s's backends, primary
-// first, and must cover every shard.
-func NewCoordinator(man *Manifest, replicas [][]Backend, opts CoordinatorOptions) (*Coordinator, error) {
+// (validated again here); backends[s] serves shard s, one per shard.
+func NewCoordinator(man *Manifest, backends []Backend, opts CoordinatorOptions) (*Coordinator, error) {
 	if man == nil {
 		return nil, fmt.Errorf("shard: nil manifest")
 	}
@@ -318,54 +310,44 @@ func NewCoordinator(man *Manifest, replicas [][]Backend, opts CoordinatorOptions
 	if err != nil {
 		return nil, err
 	}
-	return newCoordinator(man, g, replicas, opts)
+	return newCoordinator(man, g, backends, opts)
 }
 
 // newCoordinator finishes construction over the manifest's grid: cell
 // ownership and the packed symbolic points are derived here, once.
-func newCoordinator(man *Manifest, g *grid.Grid, replicas [][]Backend, opts CoordinatorOptions) (*Coordinator, error) {
+func newCoordinator(man *Manifest, g *grid.Grid, backends []Backend, opts CoordinatorOptions) (*Coordinator, error) {
 	if err := man.validate(); err != nil {
 		return nil, err
 	}
-	if len(replicas) != man.Shards {
-		return nil, fmt.Errorf("shard: %d backend groups for %d shards", len(replicas), man.Shards)
+	if len(backends) != man.Shards {
+		return nil, fmt.Errorf("shard: %d backends for %d shards", len(backends), man.Shards)
 	}
-	if opts.Deadline < 0 || opts.HedgeDelay < 0 {
-		return nil, fmt.Errorf("shard: negative deadline (%v) or hedge delay (%v)", opts.Deadline, opts.HedgeDelay)
+	if opts.Deadline < 0 {
+		return nil, fmt.Errorf("shard: negative deadline %v", opts.Deadline)
 	}
 	owners, err := CellOwners(g, man.Shards)
 	if err != nil {
 		return nil, err
 	}
-	minRep := 0
 	var totalBytes int64
-	for s, reps := range replicas {
-		if len(reps) == 0 {
-			return nil, fmt.Errorf("shard: shard %d has no backends", s)
-		}
-		if minRep == 0 || len(reps) < minRep {
-			minRep = len(reps)
-		}
-		if slices.Contains(reps, nil) {
+	for s, b := range backends {
+		if b == nil {
 			return nil, fmt.Errorf("shard: shard %d has a nil backend", s)
 		}
-		// Every replica holds the shard's rows: count them once.
-		totalBytes += reps[0].Stats().TotalBytes
+		totalBytes += b.Stats().TotalBytes
 	}
 	if opts.Pool == nil {
 		opts.Pool = pool.New(1) // one worker runs inline and owns no goroutine
 	}
 	c := &Coordinator{
-		replicas:    replicas,
+		backends:    backends,
 		ownerByCell: owners,
 		pool:        opts.Pool,
 		deadline:    opts.Deadline,
-		hedgeDelay:  opts.HedgeDelay,
 		meta: Meta{
 			Grid:           g,
 			Points:         kernel.Pack(g.Centers()),
 			Shards:         man.Shards,
-			Replication:    minRep,
 			SegmentsPerDim: man.SegmentsPerDim,
 			Columns:        man.Columns,
 			RowCount:       man.RowCount,
@@ -377,22 +359,23 @@ func newCoordinator(man *Manifest, g *grid.Grid, replicas [][]Backend, opts Coor
 }
 
 // Meta returns the store's immutable identity in one value — grid, shard
-// and replica counts, columns, bounds, row count, on-disk bytes.
+// count, columns, bounds, row count, on-disk bytes.
 func (c *Coordinator) Meta() Meta { return c.meta }
 
 // NumShards returns S.
-func (c *Coordinator) NumShards() int { return len(c.replicas) }
-
-// Replication returns the minimum per-shard replica count.
-func (c *Coordinator) Replication() int { return c.meta.Replication }
+func (c *Coordinator) NumShards() int { return len(c.backends) }
 
 // Shards returns the in-process shard slice of a locally opened
 // coordinator (read-only; exposed for inspection and tests), or nil when
 // the data plane is remote.
 func (c *Coordinator) Shards() []*Shard { return c.shards }
 
-// Backends returns shard s's backends, primary first (read-only).
-func (c *Coordinator) Backends(s int) []Backend { return c.replicas[s] }
+// Backends returns shard s's one backend as a one-element slice
+// (read-only). The slice type stays because benchmark/layers.go, its only
+// reader besides tests and the worker, indexes [0] and a change outside
+// benchmark/ may not edit that file; the next benchmark change makes it
+// return the Backend.
+func (c *Coordinator) Backends(s int) []Backend { return c.backends[s : s+1 : s+1] }
 
 // BlockCache returns the shared decoded-chunk cache of a locally opened
 // coordinator, or nil (remote coordinators cache on the worker side).
@@ -401,22 +384,18 @@ func (c *Coordinator) BlockCache() *chunkstore.BlockCache { return c.cache }
 // IOStats sums cumulative bytes and chunks read across all backends: disk
 // I/O for local shards, wire traffic for remote ones.
 func (c *Coordinator) IOStats() (bytes int64, chunks int64) {
-	for _, reps := range c.replicas {
-		for _, b := range reps {
-			s := b.Stats()
-			bytes += s.BytesRead
-			chunks += s.ChunksRead
-		}
+	for _, b := range c.backends {
+		s := b.Stats()
+		bytes += s.BytesRead
+		chunks += s.ChunksRead
 	}
 	return bytes, chunks
 }
 
 // ResetIOStats zeroes every backend's I/O counters.
 func (c *Coordinator) ResetIOStats() {
-	for _, reps := range c.replicas {
-		for _, b := range reps {
-			b.ResetIOStats()
-		}
+	for _, b := range c.backends {
+		b.ResetIOStats()
 	}
 }
 
@@ -431,7 +410,7 @@ func (c *Coordinator) OwnerOfCell(cell grid.CellID) (int, error) {
 }
 
 // SetFaultHook installs (or, with nil, removes) the per-attempt fault
-// hook. Test seam for degradation and hedging scenarios.
+// hook. Test seam for degradation scenarios.
 func (c *Coordinator) SetFaultHook(h FaultHook) {
 	if h == nil {
 		c.hook.Store(nil)
@@ -442,23 +421,19 @@ func (c *Coordinator) SetFaultHook(h FaultHook) {
 
 // Instrument registers shard metrics — shard_degraded_total, its
 // cause-split family shard_degraded_cause_total{cause=...}, the per-shard
-// shard_skip_total{shard=i} set, hedging counters (shard_hedged_total,
-// shard_failover_total), the uei_shards and uei_shard_replicas gauges —
-// and, for a locally opened coordinator, each shard store's I/O
-// instruments (shared by name, so chunkstore counters aggregate across
-// shards exactly like the flat layout).
+// shard_skip_total{shard=i} set, the uei_shards gauge — and, for a locally
+// opened coordinator, each shard store's I/O instruments (shared by name,
+// so chunkstore counters aggregate across shards exactly like the flat
+// layout).
 func (c *Coordinator) Instrument(reg *obs.Registry) {
 	c.mDegraded = reg.Counter("shard_degraded_total")
 	c.mDegradedDeadline = reg.Counter(`shard_degraded_cause_total{cause="deadline"}`)
 	c.mDegradedError = reg.Counter(`shard_degraded_cause_total{cause="error"}`)
-	c.mHedged = reg.Counter("shard_hedged_total")
-	c.mFailover = reg.Counter("shard_failover_total")
-	c.mSkip = make([]*obs.Counter, len(c.replicas))
-	for i := range c.replicas {
+	c.mSkip = make([]*obs.Counter, len(c.backends))
+	for i := range c.backends {
 		c.mSkip[i] = reg.Counter(fmt.Sprintf("shard_skip_total{shard=\"%d\"}", i))
 	}
-	reg.Gauge("uei_shards").SetInt(int64(len(c.replicas)))
-	reg.Gauge("uei_shard_replicas").SetInt(int64(c.meta.Replication))
+	reg.Gauge("uei_shards").SetInt(int64(len(c.backends)))
 	for _, s := range c.shards {
 		for i := range s.Parts {
 			s.Parts[i].Store.Instrument(reg)
@@ -481,12 +456,12 @@ func (c *Coordinator) recordDegraded(id int, err error) {
 	}
 }
 
-// runAttempt applies the per-attempt deadline and fault hook around one
-// backend call. On a traced context it wraps the call in a "shard_<op>"
-// span annotated with the shard id, the replica, the deadline, and the
-// outcome (ok / timeout / error / cancelled) — the per-shard fan-out
-// level of a step trace, one span per replica attempt.
-func runAttempt[T any](c *Coordinator, ctx context.Context, shardID, replica int, op string, b Backend, fn func(ctx context.Context, b Backend) (T, error)) (T, error) {
+// runAttempt runs one operation on shard shardID's backend, on the
+// caller's goroutine, under the per-attempt deadline and the fault hook.
+// On a traced context it wraps the call in a "shard_<op>" span annotated
+// with the shard id, the deadline, and the outcome (ok / timeout / error /
+// cancelled) — the per-shard fan-out level of a step trace.
+func runAttempt[T any](c *Coordinator, ctx context.Context, shardID int, op string, fn func(ctx context.Context, b Backend) (T, error)) (T, error) {
 	var span *obs.Span
 	sctx := ctx
 	if obs.SpanFromContext(ctx) != nil {
@@ -500,14 +475,14 @@ func runAttempt[T any](c *Coordinator, ctx context.Context, shardID, replica int
 	var v T
 	var err error
 	if h := c.hook.Load(); h != nil {
-		err = (*h)(sctx, shardID, replica, op)
+		err = (*h)(sctx, shardID, 0, op)
 	}
 	if err == nil {
-		v, err = fn(sctx, b)
+		v, err = fn(sctx, c.backends[shardID])
 	}
 	if span != nil {
 		span.SetOutcome(shardOutcome(ctx, err))
-		attrs := map[string]float64{"shard": float64(shardID), "replica": float64(replica)}
+		attrs := map[string]float64{"shard": float64(shardID)}
 		if c.deadline > 0 {
 			attrs["deadline_ms"] = float64(c.deadline) / float64(time.Millisecond)
 		}
@@ -518,8 +493,8 @@ func runAttempt[T any](c *Coordinator, ctx context.Context, shardID, replica int
 
 // shardOutcome classifies a shard attempt result for span annotation.
 // callerCtx is the context *outside* the per-attempt deadline: when it is
-// cancelled the caller gave up (or a hedged sibling already won), which is
-// not shard degradation.
+// cancelled the caller (or a scatter whose other leg failed) gave up,
+// which is not shard degradation.
 func shardOutcome(callerCtx context.Context, err error) string {
 	switch {
 	case err == nil:
@@ -533,88 +508,13 @@ func shardOutcome(callerCtx context.Context, err error) string {
 	}
 }
 
-// attemptResult carries one replica attempt's answer.
-type attemptResult[T any] struct {
-	v       T
-	replica int
-	err     error
-}
-
-// callShard runs one operation against shard shardID's replicas with
-// failover and hedging: the primary goes first; an error fails over to
-// the next replica immediately; with a hedge delay configured, a second
-// replica is raced after the delay even without an error. The first
-// success wins and the deferred cancel stops the losers — each attempt
-// writes to a buffered channel, so losers terminate on their own (no
-// goroutine leaks). The error return means every replica failed
-// (ErrReplicaExhausted in the chain) or the caller's ctx ended.
-func callShard[T any](c *Coordinator, ctx context.Context, shardID int, op string, fn func(ctx context.Context, b Backend) (T, error)) (T, error) {
-	var zero T
-	if err := ctx.Err(); err != nil {
-		return zero, err
-	}
-	reps := c.replicas[shardID]
-	attemptCtx, cancelAll := context.WithCancel(ctx)
-	defer cancelAll()
-	results := make(chan attemptResult[T], len(reps))
-	launched := 0
-	launch := func() {
-		replica := launched
-		launched++
-		b := reps[replica]
-		go func() {
-			v, err := runAttempt(c, attemptCtx, shardID, replica, op, b, fn)
-			results <- attemptResult[T]{v, replica, err}
-		}()
-	}
-	launch()
-	var hedgeC <-chan time.Time
-	if c.hedgeDelay > 0 && len(reps) > 1 {
-		t := time.NewTimer(c.hedgeDelay)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-	var errs []error
-	finished := 0
-	for {
-		select {
-		case <-hedgeC:
-			hedgeC = nil
-			if launched < len(reps) {
-				c.mHedged.Inc()
-				launch()
-			}
-		case r := <-results:
-			if r.err == nil {
-				return r.v, nil
-			}
-			finished++
-			if ctx.Err() != nil {
-				// The caller gave up; attempt failures racing the
-				// cancellation are not replica failures.
-				return zero, ctx.Err()
-			}
-			errs = append(errs, fmt.Errorf("replica %d: %w", r.replica, r.err))
-			if launched < len(reps) {
-				// Fail over immediately: an error is a stronger signal
-				// than the hedge timer.
-				c.mFailover.Inc()
-				launch()
-			} else if finished == launched {
-				return zero, errors.Join(ErrReplicaExhausted, errors.Join(errs...))
-			}
-		}
-	}
-}
-
-// scatterGather fans fn out to every shard — one callShard per shard, so
-// each fan-out leg gets replication, failover, and hedging — and applies
-// the results in the single gather goroutine (apply needs no locking).
-// Its callers need every shard's rows, so the first shard whose replicas
-// all failed aborts the call with ErrShardUnavailable. Cancellation of ctx
-// propagates to every in-flight attempt, and buffered channels at both
-// levels guarantee goroutine termination even when scatterGather returns
-// early.
+// scatterGather fans fn out to every shard — one goroutine per shard runs
+// its runAttempt — and applies the results in the single gather goroutine
+// (apply needs no locking). Its callers need every shard's rows, so the
+// first shard that fails aborts the call with ErrShardUnavailable and
+// cancels the others. Cancellation of ctx propagates to every in-flight
+// attempt, and the buffered channel guarantees goroutine termination even
+// when scatterGather returns early.
 func scatterGather[T any](c *Coordinator, ctx context.Context, op string, fn func(ctx context.Context, b Backend) (T, error), apply func(shardID int, v T)) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -626,14 +526,14 @@ func scatterGather[T any](c *Coordinator, ctx context.Context, op string, fn fun
 		v   T
 		err error
 	}
-	results := make(chan shardAnswer, len(c.replicas))
-	for id := range c.replicas {
+	results := make(chan shardAnswer, len(c.backends))
+	for id := range c.backends {
 		go func(id int) {
-			v, err := callShard(c, scatterCtx, id, op, fn)
+			v, err := runAttempt(c, scatterCtx, id, op, fn)
 			results <- shardAnswer{id, v, err}
 		}(id)
 	}
-	for range c.replicas {
+	for range c.backends {
 		r := <-results
 		if r.err == nil {
 			apply(r.id, r.v)
@@ -704,7 +604,7 @@ func (c *Coordinator) MostUncertain(ctx context.Context, unc []float64, k int, s
 	}
 	var skipped []bool
 	if len(skip) > 0 {
-		skipped = make([]bool, len(c.replicas))
+		skipped = make([]bool, len(c.backends))
 		for _, s := range skip {
 			if s >= 0 && s < len(skipped) {
 				skipped[s] = true
@@ -736,13 +636,12 @@ func (c *Coordinator) MostUncertain(ctx context.Context, unc []float64, k int, s
 	return cells, nil, nil
 }
 
-// LoadCell reconstructs a cell's tuples from its owning shard (first
-// healthy replica), with row ids remapped to global. Rows come back
-// sorted by global id (local and global order agree within a shard). A
-// shard whose replicas all fail yields an ErrShardUnavailable-wrapped
-// error and counts toward shard_degraded_total; callers degrade
-// (another shard's best cell, the resident region) rather than failing
-// the step.
+// LoadCell reconstructs a cell's tuples from its owning shard, with row
+// ids remapped to global. Rows come back sorted by global id (local and
+// global order agree within a shard). A failed owner yields an
+// ErrShardUnavailable-wrapped error and counts toward
+// shard_degraded_total; callers degrade (another shard's best cell, the
+// resident region) rather than failing the step.
 func (c *Coordinator) LoadCell(ctx context.Context, cell grid.CellID) (ids []uint32, vals [][]float64, entriesVisited int, err error) {
 	owner, err := c.OwnerOfCell(cell)
 	if err != nil {
@@ -753,7 +652,7 @@ func (c *Coordinator) LoadCell(ctx context.Context, cell grid.CellID) (ids []uin
 		vals    [][]float64
 		entries int
 	}
-	r, err := callShard(c, ctx, owner, OpLoad, func(sctx context.Context, b Backend) (loaded, error) {
+	r, err := runAttempt(c, ctx, owner, OpLoad, func(sctx context.Context, b Backend) (loaded, error) {
 		ids, vals, entries, err := b.LoadCell(sctx, cell)
 		return loaded{ids, vals, entries}, err
 	})
@@ -771,8 +670,8 @@ func (c *Coordinator) LoadCell(ctx context.Context, cell grid.CellID) (ids []uin
 // to every shard (each returns the subset it holds) and merging. It
 // matches the flat store's FetchRows contract: duplicates are collapsed,
 // the result is sorted by (global) id, and out-of-range ids are an error.
-// Sampling must see every shard, so this path is strict — a shard whose
-// replicas are all unavailable fails the call.
+// Sampling must see every shard, so this path is strict — an unavailable
+// shard fails the call.
 func (c *Coordinator) FetchRows(ctx context.Context, ids []uint32) ([]chunkstore.MergedRow, error) {
 	if len(ids) == 0 {
 		return nil, nil
@@ -783,7 +682,7 @@ func (c *Coordinator) FetchRows(ctx context.Context, ids []uint32) ([]chunkstore
 	if int(uniq[len(uniq)-1]) >= c.meta.RowCount {
 		return nil, fmt.Errorf("shard: row %d out of range [0,%d)", uniq[len(uniq)-1], c.meta.RowCount)
 	}
-	perShard := make([][]chunkstore.MergedRow, len(c.replicas))
+	perShard := make([][]chunkstore.MergedRow, len(c.backends))
 	err := scatterGather(c, ctx, OpFetch,
 		func(sctx context.Context, b Backend) ([]chunkstore.MergedRow, error) {
 			return b.FetchRows(sctx, uniq)
@@ -812,15 +711,15 @@ func (c *Coordinator) FetchRows(ctx context.Context, ids []uint32) ([]chunkstore
 // shards' columnar parts, in shard then part order, neither merged nor
 // sorted: parts hold disjoint rows, each ascending by global id, and the
 // caller orders only the ids it keeps. Retrieval is the final answer, so
-// the scatter is strict: a shard whose replicas are all unavailable fails
-// the call rather than silently dropping its rows. entries sums the posting
+// the scatter is strict: an unavailable shard fails the call rather than
+// silently dropping its rows. entries sums the posting
 // entries every shard visited.
 func (c *Coordinator) Retrieve(ctx context.Context, marked [][]bool) (parts []RetrievedPart, entries int, err error) {
 	type scanned struct {
 		parts   []RetrievedPart
 		entries int
 	}
-	perShard := make([][]RetrievedPart, len(c.replicas))
+	perShard := make([][]RetrievedPart, len(c.backends))
 	err = scatterGather(c, ctx, OpRetrieve,
 		func(sctx context.Context, b Backend) (scanned, error) {
 			r, n, err := b.Retrieve(sctx, marked)

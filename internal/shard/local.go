@@ -10,9 +10,7 @@ import (
 )
 
 // LocalBackend adapts one in-process *Shard to the Backend interface —
-// the transport-free implementation. Replicated local coordinators reuse
-// one LocalBackend per shard (the underlying store is concurrency-safe),
-// so hedged duplicate calls race only on immutable state.
+// the transport-free implementation.
 //
 // A shard holds one part for build-time layouts and several for live
 // (stream) snapshots. A single part's rows are already in global id

@@ -93,8 +93,9 @@ func (b *ShardClient) Endpoint() string { return b.c.base }
 
 // post runs one shard operation round trip. The caller's trace id rides
 // the TraceHeader so worker logs correlate with the session's spans, and
-// ctx cancellation (per-attempt deadline, hedged-loser cancel) aborts the
-// request in flight.
+// ctx cancellation (per-attempt deadline, a failed scatter's cancel) aborts
+// the request in flight. A reply past maxBodyBytes fails naming the cap
+// rather than being cut short and misread as malformed JSON.
 func post[Req, Resp any](ctx context.Context, b *ShardClient, op string, reqBody Req) (Resp, error) {
 	var out Resp
 	payload, err := json.Marshal(reqBody)
@@ -122,13 +123,16 @@ func post[Req, Resp any](ctx context.Context, b *ShardClient, op string, reqBody
 		return out, fmt.Errorf("worker %s shard %d %s: %w", b.c.base, b.shard, op, err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxRequestBytes))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1))
 	b.bytesRead.Add(int64(len(body)))
 	if err != nil {
 		if ctx.Err() != nil {
 			return out, ctx.Err()
 		}
 		return out, fmt.Errorf("worker %s shard %d %s: reading response: %w", b.c.base, b.shard, op, err)
+	}
+	if len(body) > maxBodyBytes {
+		return out, fmt.Errorf("worker %s shard %d %s: reply exceeds the %d-byte cap", b.c.base, b.shard, op, maxBodyBytes)
 	}
 	if resp.StatusCode != http.StatusOK {
 		var e ErrorResponse
@@ -198,26 +202,23 @@ func (b *ShardClient) ResetIOStats() {
 
 // ConnectOptions configures Connect.
 type ConnectOptions struct {
-	// Endpoints lists the worker base URLs (scheme optional). Order does
-	// not affect placement — the consistent-hash ring is keyed by name.
+	// Endpoints lists the worker base URLs (scheme optional). Shard s is
+	// served by Endpoints[s mod len(Endpoints)].
 	Endpoints []string
-	// Replication is the per-shard replica count (distinct endpoints);
-	// zero means 1.
-	Replication int
 	// CoordinatorOptions carries the scoring pool (the symbolic index is
-	// scored in this process, never on a worker), the per-shard deadline
-	// and the hedge delay.
+	// scored in this process, never on a worker) and the per-shard
+	// deadline.
 	shard.CoordinatorOptions
 	// HTTPClient overrides the shared transport (nil uses a default
 	// client with no blanket timeout).
 	HTTPClient *http.Client
 }
 
-// Connect performs the fleet handshake and assembles a replicated
-// coordinator over remote backends: fetch /v1/meta from every endpoint,
-// require a single store identity across the fleet, place shards on
-// endpoints by consistent hashing, and wire one ShardClient per (shard,
-// endpoint) assignment.
+// Connect performs the fleet handshake and assembles a coordinator over
+// remote backends: fetch /v1/meta from every endpoint, require a single
+// store identity across the fleet, and wire shard s to one ShardClient of
+// endpoint s mod E, in the order given. Placement is fixed for the
+// coordinator's life.
 func Connect(ctx context.Context, opts ConnectOptions) (*shard.Coordinator, error) {
 	if len(opts.Endpoints) == 0 {
 		return nil, fmt.Errorf("remote: no endpoints")
@@ -247,21 +248,11 @@ func Connect(ctx context.Context, opts ConnectOptions) (*shard.Coordinator, erro
 			return nil, fmt.Errorf("remote: workers disagree on the store: %s and %s serve different manifests", endpoints[0], ep)
 		}
 	}
-	rep := opts.Replication
-	if rep < 1 {
-		rep = 1
+	backends := make([]shard.Backend, ref.Manifest.Shards)
+	for s := range backends {
+		backends[s] = NewShardClient(clients[s%len(clients)], s, ref.ShardBytes[s])
 	}
-	placement, err := shard.PlaceReplicas(ref.Manifest.Shards, endpoints, rep)
-	if err != nil {
-		return nil, err
-	}
-	replicas := make([][]shard.Backend, ref.Manifest.Shards)
-	for s, eps := range placement {
-		for _, e := range eps {
-			replicas[s] = append(replicas[s], NewShardClient(clients[e], s, ref.ShardBytes[s]))
-		}
-	}
-	return shard.NewCoordinator(ref.Manifest, replicas, opts.CoordinatorOptions)
+	return shard.NewCoordinator(ref.Manifest, backends, opts.CoordinatorOptions)
 }
 
 // readError extracts the error body of a non-2xx response.

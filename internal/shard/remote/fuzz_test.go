@@ -15,8 +15,8 @@ import (
 // FuzzServerRequests posts arbitrary bodies to the three shard operations of
 // a worker over a healthy two-shard store. Whatever arrives, the worker
 // answers 200 or a 4xx JSON error envelope: a 5xx would tell a coordinator
-// the replica is at fault (failover, shard_degraded_total) when the request
-// was, and a panic would take the worker down for every session.
+// the worker is at fault (shard_degraded_total) when the request was, and a
+// panic would take the worker down for every session.
 func FuzzServerRequests(f *testing.F) {
 	dir, _ := buildStore(f, 300, 2, 5)
 	w := startWorker(f, dir, 2)

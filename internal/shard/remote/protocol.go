@@ -1,7 +1,7 @@
 // Package remote is the HTTP/JSON shard transport: a Client that
 // implements shard.Backend against a uei-shardd worker, the worker-side
-// Server, and Connect, which assembles a replicated shard.Coordinator
-// over a worker fleet.
+// Server, and Connect, which assembles a shard.Coordinator over a worker
+// fleet, shard s on endpoint s mod E.
 //
 // The transport carries rows, never models: the symbolic index is scored
 // and ranked in the coordinator's process, so a worker serves only what

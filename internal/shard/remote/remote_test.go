@@ -217,7 +217,7 @@ func TestTraceHeaderEcho(t *testing.T) {
 // TestServerErrorMapping checks the status-code contract: unknown shard →
 // 404; an undecodable request, or a decodable one whose contents the worker
 // cannot serve — a cell outside the grid, ids out of order, a mask of the
-// wrong shape — → 400 (never 5xx, which a coordinator counts as a replica
+// wrong shape — → 400 (never 5xx, which a coordinator counts as a worker
 // fault); all carry a JSON error body.
 func TestServerErrorMapping(t *testing.T) {
 	dir, _ := buildStore(t, 300, 2, 5)
@@ -267,10 +267,10 @@ func TestServerErrorMapping(t *testing.T) {
 	}
 }
 
-// TestConnectReplicatedParity: a replicated remote coordinator answers
-// exactly as the local one it proxies — the symbolic scores it computes
-// in-process, and every operation that crosses the wire for rows.
-func TestConnectReplicatedParity(t *testing.T) {
+// TestConnectParity: a remote coordinator over two workers answers exactly
+// as the local one it proxies — the symbolic scores it computes in-process,
+// and every operation that crosses the wire for rows.
+func TestConnectParity(t *testing.T) {
 	ctx := context.Background()
 	dir, ds := buildStore(t, 600, 2, 11)
 	w1 := startWorker(t, dir, 2)
@@ -278,14 +278,13 @@ func TestConnectReplicatedParity(t *testing.T) {
 	model := trainedModel(t, ds)
 
 	rcoord, err := remote.Connect(ctx, remote.ConnectOptions{
-		Endpoints:   []string{w1.srv.URL, w2.srv.URL},
-		Replication: 2,
+		Endpoints: []string{w1.srv.URL, w2.srv.URL},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rcoord.NumShards() != 2 || rcoord.Replication() != 2 {
-		t.Fatalf("remote coordinator: %d shards, replication %d", rcoord.NumShards(), rcoord.Replication())
+	if rcoord.NumShards() != 2 {
+		t.Fatalf("remote coordinator: %d shards", rcoord.NumShards())
 	}
 
 	want := make([]float64, w1.coord.Meta().Grid.NumCells())
@@ -297,7 +296,7 @@ func TestConnectReplicatedParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("remote replicated scoring differs from local")
+		t.Fatal("remote scoring differs from local")
 	}
 
 	for s := 0; s < 2; s++ {
@@ -328,6 +327,33 @@ func TestConnectReplicatedParity(t *testing.T) {
 	}
 }
 
+// TestConnectPlacement: shard s is served by Endpoints[s mod E], in the
+// order given, whatever the endpoints are called.
+func TestConnectPlacement(t *testing.T) {
+	for _, shards := range []int{2, 4} {
+		dir, _ := buildStore(t, 300, shards, 5)
+		w := startWorker(t, dir, shards)
+		var urls []string
+		for e := 0; e < 3; e++ {
+			srv := httptest.NewServer(w.srv.Config.Handler)
+			t.Cleanup(srv.Close)
+			urls = append(urls, srv.URL)
+		}
+		for e := 1; e <= 3; e++ {
+			c, err := remote.Connect(context.Background(), remote.ConnectOptions{Endpoints: urls[:e]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := 0; s < shards; s++ {
+				got := c.Backends(s)[0].(*remote.ShardClient).Endpoint()
+				if want := urls[s%e]; got != want {
+					t.Errorf("S=%d E=%d: shard %d served by %s, want %s", shards, e, s, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestConnectMetaMismatch: a fleet serving two different stores is
 // rejected at handshake.
 func TestConnectMetaMismatch(t *testing.T) {
@@ -347,20 +373,12 @@ func TestConnectValidation(t *testing.T) {
 	if _, err := remote.Connect(context.Background(), remote.ConnectOptions{}); err == nil {
 		t.Error("no endpoints: want error")
 	}
-	dir, _ := buildStore(t, 300, 2, 5)
-	w := startWorker(t, dir, 2)
-	_, err := remote.Connect(context.Background(), remote.ConnectOptions{
-		Endpoints:   []string{w.srv.URL},
-		Replication: 2,
-	})
-	if err == nil {
-		t.Error("replication 2 over 1 endpoint: want error")
-	}
 }
 
-// TestKillWorkerFailover: with R=2, losing one worker mid-flight degrades
-// nothing — the surviving replica answers identically; losing both
-// exhausts the replicas.
+// TestKillWorkerFailover: with two workers, killing the one that serves
+// shard 0 leaves that shard unavailable — a fetch, which needs every
+// shard, fails with ErrShardUnavailable — while the live worker's cells
+// still load unchanged.
 func TestKillWorkerFailover(t *testing.T) {
 	ctx := context.Background()
 	dir, _ := buildStore(t, 600, 2, 11)
@@ -368,36 +386,30 @@ func TestKillWorkerFailover(t *testing.T) {
 	w2 := startWorker(t, dir, 2)
 
 	rcoord, err := remote.Connect(ctx, remote.ConnectOptions{
-		Endpoints:   []string{w1.srv.URL, w2.srv.URL},
-		Replication: 2,
+		Endpoints: []string{w1.srv.URL, w2.srv.URL},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := []uint32{0, 3, 9, 100, 599}
-	want, err := rcoord.FetchRows(ctx, ids)
+	live := ownedCellWithData(t, w2.coord, 1)
+	wantIDs, wantVals, _, err := rcoord.LoadCell(ctx, live)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	w1.srv.CloseClientConnections()
 	w1.srv.Close()
-	got, err := rcoord.FetchRows(ctx, ids)
-	if err != nil {
-		t.Fatalf("fetch after killing one of two replicas: %v", err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("failover changed the result set")
-	}
-
-	w2.srv.CloseClientConnections()
-	w2.srv.Close()
+	ids := []uint32{0, 3, 9, 100, 599}
 	_, err = rcoord.FetchRows(ctx, ids)
-	if err == nil {
-		t.Fatal("fetch with every worker dead should fail")
+	if !errors.Is(err, shard.ErrShardUnavailable) || !strings.Contains(err.Error(), "shard 0") {
+		t.Fatalf("fetch with shard 0's worker dead: err = %v, want shard 0 unavailable", err)
 	}
-	if !errors.Is(err, shard.ErrReplicaExhausted) || !errors.Is(err, shard.ErrShardUnavailable) {
-		t.Fatalf("err = %v, want ErrReplicaExhausted and ErrShardUnavailable in the chain", err)
+	gotIDs, gotVals, _, err := rcoord.LoadCell(ctx, live)
+	if err != nil {
+		t.Fatalf("load from the live worker's shard: %v", err)
+	}
+	if !reflect.DeepEqual(wantIDs, gotIDs) || !reflect.DeepEqual(wantVals, gotVals) {
+		t.Fatal("the live worker's cell changed after the other worker died")
 	}
 }
 

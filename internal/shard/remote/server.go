@@ -13,10 +13,12 @@ import (
 	"github.com/uei-db/uei/internal/shard"
 )
 
-// maxRequestBytes bounds a request body. The largest legitimate payload
-// is a fetch id list; 64 MiB is far above it and merely stops a runaway
-// client from exhausting the worker.
-const maxRequestBytes = 64 << 20
+// maxBodyBytes bounds a request body on the worker and a reply body on
+// the client. The largest legitimate request is a fetch id list, far below
+// it; the largest reply is a retrieve that marks every segment, the
+// shard's every row at about 100 B a row as JSON, which passes the cap
+// near 670k rows a shard.
+const maxBodyBytes = 64 << 20
 
 // Server serves one opened sharded store over the wire protocol. It
 // answers for every shard in the store's layout; placement (which shards
@@ -45,8 +47,8 @@ func NewServer(coord *shard.Coordinator, man *shard.Manifest, logf func(format s
 	s.mux.HandleFunc("GET /v1/meta", s.handleMeta)
 	// A request's contents are checked here, at the wire boundary, before
 	// they reach a backend that trusts its (in-process) caller: what the
-	// client got wrong answers 400, so a 5xx always means this replica is
-	// at fault and is worth failing over from.
+	// client got wrong answers 400, so a 5xx always means this worker is
+	// at fault.
 	g := coord.Meta().Grid
 	handleOp(s, shard.OpLoad, func(ctx context.Context, b shard.Backend, req LoadRequest) (LoadResponse, error) {
 		if req.Cell < 0 || int(req.Cell) >= g.NumCells() {
@@ -111,8 +113,8 @@ func (s *Server) handleMeta(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleOp registers one POST /v1/shards/{id}/<op> route: decode the
-// request, run fn against the shard's primary in-process backend under
-// the request context, encode the response. A package-level generic
+// request, run fn against the shard's in-process backend under the
+// request context, encode the response. A package-level generic
 // because methods cannot have type parameters.
 func handleOp[Req, Resp any](s *Server, op string, fn func(ctx context.Context, b shard.Backend, req Req) (Resp, error)) {
 	s.mux.HandleFunc("POST /v1/shards/{id}/"+op, func(w http.ResponseWriter, r *http.Request) {
@@ -122,7 +124,7 @@ func handleOp[Req, Resp any](s *Server, op string, fn func(ctx context.Context, 
 			return
 		}
 		var req Req
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		if err := dec.Decode(&req); err != nil {
 			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "decoding request: " + err.Error()})
 			return
@@ -135,7 +137,7 @@ func handleOp[Req, Resp any](s *Server, op string, fn func(ctx context.Context, 
 			case errors.As(err, &br):
 				status = http.StatusBadRequest
 			case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-				// The client hung up (hedged loser, deadline): 499-style.
+				// The client hung up (deadline, cancelled scatter): 499-style.
 				status = statusClientClosedRequest
 			}
 			writeJSON(w, status, ErrorResponse{Error: err.Error()})

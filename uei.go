@@ -49,11 +49,6 @@ var (
 	// that could not load its cell and had nothing to fall back to, and a
 	// sample or retrieval that could not reach every shard, wrap it.
 	ErrShardUnavailable = shard.ErrShardUnavailable
-	// ErrReplicaExhausted marks a shard operation that failed on every
-	// replica. It always travels with ErrShardUnavailable in the chain;
-	// errors.Is against it to distinguish "all copies down" from a
-	// single-copy miss.
-	ErrReplicaExhausted = shard.ErrReplicaExhausted
 	// ErrNotLive is returned by the write-path methods (Index.Append,
 	// Index.Flush, Index.AdvanceSnapshot) of an index opened over a static
 	// layout.
