@@ -15,6 +15,10 @@
 #                   and -verify
 #   5. old format:  a store whose manifest says format 1 fails -verify,
 #                   naming the rebuild
+#   6. csv:         a 20 000-row CSV streamed into a flat store and read
+#                   into an S = 2 one both pass -verify; a nan field fails
+#                   the build naming its row and column and leaves no
+#                   manifest; -external is an unknown flag
 #
 # Every server runs under -trace and every trace must pass uei-trace -strict.
 # Run it from anywhere: bash ci/e2e.sh
@@ -300,5 +304,24 @@ if "$bin/uei-ingest" -verify "$work/old" >"$work/old.txt" 2>&1; then
   fail "-verify accepted a format-1 store"
 fi
 grep -q 'rebuild the store with uei-ingest' "$work/old.txt" || fail "-verify did not name the rebuild: $(cat "$work/old.txt")"
+
+echo "== csv: streamed flat build, sharded build, a non-finite field refused"
+awk 'BEGIN { srand(6); print "a,b,c,d,e"
+  for (i = 0; i < 20000; i++) printf "%.4f,%.4f,%.4f,%.4f,%.4f\n", rand()*100, rand()*50, rand()*10, rand(), rand()*1000 }' >"$work/rows.csv"
+"$bin/uei-ingest" -csv "$work/rows.csv" -chunk 4096 -out "$work/csvflat" >/dev/null
+"$bin/uei-ingest" -verify "$work/csvflat" >/dev/null || fail "a streamed -csv store fails -verify"
+"$bin/uei-ingest" -inspect "$work/csvflat" | grep -Eq 'rows: +20000$' || fail "-inspect does not report 20000 rows"
+"$bin/uei-ingest" -csv "$work/rows.csv" -shards 2 -chunk 4096 -out "$work/csvsharded" >/dev/null
+"$bin/uei-ingest" -verify "$work/csvsharded" >/dev/null || fail "a sharded -csv store fails -verify"
+awk -F, -v OFS=, 'NR == 101 { $3 = "nan" } 1' "$work/rows.csv" >"$work/nan.csv"
+if "$bin/uei-ingest" -csv "$work/nan.csv" -chunk 4096 -out "$work/csvnan" >"$work/nan.txt" 2>&1; then
+  fail "a CSV with a nan field was ingested"
+fi
+grep -q 'row 99 column "c": non-finite value' "$work/nan.txt" || fail "the nan refusal names no row and column: $(cat "$work/nan.txt")"
+[ ! -e "$work/csvnan/manifest.json" ] || fail "the refused build left a manifest"
+if "$bin/uei-ingest" -external -csv "$work/rows.csv" -out "$work/csvext" >"$work/ext.txt" 2>&1; then
+  fail "-external is still accepted"
+fi
+grep -q 'flag provided but not defined: -external' "$work/ext.txt" || fail "-external is not an unknown flag: $(cat "$work/ext.txt")"
 
 echo "e2e: ok"

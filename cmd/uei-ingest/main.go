@@ -1,11 +1,14 @@
 // Command uei-ingest builds a UEI index (columnar inverted chunk store +
 // manifest) from a numeric CSV file, or from the built-in synthetic SDSS
 // generator. It corresponds to UEI's once-per-dataset Index Initialization
-// phase (Algorithm 2 lines 1-11).
+// phase (Algorithm 2 lines 1-11). A flat -csv build streams the file into
+// the store in bounded memory, so the file may be larger than RAM; with
+// -shards or -live the file is read into memory first, because the
+// partition needs the dataset's bounds before the first row is placed.
 //
 // Usage:
 //
-//	uei-ingest -csv photoobj.csv -out ./store
+//	uei-ingest -csv photoobj.csv -out ./store       # streamed, bounded memory
 //	uei-ingest -gen 1000000 -seed 7 -out ./store -chunk 481280
 //	uei-ingest -inspect ./store
 //	uei-ingest -verify ./store                      # check every chunk against its manifest
@@ -16,7 +19,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/csv"
 	"flag"
 	"fmt"
 	"io"
@@ -52,8 +54,6 @@ func run() (err error) {
 		chunk    = flag.Int("chunk", chunkstore.DefaultTargetChunkBytes, "target chunk size in bytes (Table 1: 481280 = 470KB)")
 		inspect  = flag.String("inspect", "", "print a summary of an existing store and exit")
 		verify   = flag.String("verify", "", "read every chunk of an existing store (flat, sharded or live) against its manifest and exit; the first violation is the error")
-		external = flag.Bool("external", false, "stream the CSV through the external-sort builder (bounded memory, for inputs larger than RAM)")
-		spill    = flag.Int("spill", 1<<20, "external build: max (value,id) pairs buffered per dimension before spilling")
 		shards   = flag.Int("shards", 1, "partition the store into this many shards (1 = flat legacy layout)")
 		segments = flag.Int("segments", 0, "sharded build: grid segments per dimension cells are hashed over (0 = default 5)")
 		traceFl  = flag.String("trace", "", "write a hierarchical span trace of the ingest as JSONL to this file (analyze with uei-trace)")
@@ -80,8 +80,11 @@ func run() (err error) {
 	if *out == "" {
 		return fmt.Errorf("-out is required")
 	}
-	if *live && *external {
-		return fmt.Errorf("-live does not support -external (the live builder seeds from an in-memory dataset)")
+	if *csvPath != "" && *gen > 0 {
+		return fmt.Errorf("-csv and -gen are mutually exclusive")
+	}
+	if *csvPath == "" && *gen <= 0 {
+		return fmt.Errorf("one of -csv or -gen is required")
 	}
 
 	// With -trace, the whole ingest is one hierarchical trace: an "ingest"
@@ -109,56 +112,40 @@ func run() (err error) {
 		root.End(nil)
 	}()
 
-	if *external {
-		if *shards > 1 {
-			return fmt.Errorf("-external does not support -shards > 1 (the sharded builder partitions in memory)")
-		}
-		if *csvPath == "" {
-			return fmt.Errorf("-external requires -csv (streamed input)")
-		}
+	// A flat store is written straight from the file, in bounded memory. A
+	// sharded or live build partitions by the dataset's bounds, so it reads
+	// the file into memory first.
+	streamed := *csvPath != "" && *shards == 1 && !*live
+	var ds *dataset.Dataset
+	if !streamed {
 		start := time.Now()
-		fmt.Printf("streaming %s through the external-sort builder...\n", *csvPath)
-		_, build := obs.StartSpan(ctx, "build")
-		st, err := buildExternalFromCSV(*csvPath, *out, *chunk, *spill)
+		_, read := obs.StartSpan(ctx, "read")
+		if *csvPath != "" {
+			fmt.Printf("reading %s...\n", *csvPath)
+			ds, err = dataset.ReadCSVFile(*csvPath)
+		} else {
+			fmt.Printf("generating %d synthetic SDSS-like tuples (seed %d)...\n", *gen, *seed)
+			ds, err = dataset.GenerateSky(dataset.SkyConfig{N: *gen, Seed: *seed})
+		}
 		if err != nil {
-			build.SetOutcome("error")
-			build.End(nil)
+			read.SetOutcome("error")
+			read.End(nil)
 			return err
 		}
-		build.End(map[string]float64{"rows": float64(st.RowCount())})
-		fmt.Printf("index built in %v (%d rows, bounded memory)\n", time.Since(start).Round(time.Millisecond), st.RowCount())
-		return inspectStore(*out)
+		read.End(map[string]float64{"rows": float64(ds.Len())})
+		fmt.Printf("dataset: %d tuples x %d attributes (%s), %d bytes raw, loaded in %v\n",
+			ds.Len(), ds.Dims(), ds.Schema(), ds.SizeBytes(), time.Since(start).Round(time.Millisecond))
 	}
 
-	var ds *dataset.Dataset
 	start := time.Now()
-	_, read := obs.StartSpan(ctx, "read")
-	switch {
-	case *csvPath != "" && *gen > 0:
-		read.End(nil)
-		return fmt.Errorf("-csv and -gen are mutually exclusive")
-	case *csvPath != "":
-		fmt.Printf("reading %s...\n", *csvPath)
-		ds, err = dataset.ReadCSVFile(*csvPath)
-	case *gen > 0:
-		fmt.Printf("generating %d synthetic SDSS-like tuples (seed %d)...\n", *gen, *seed)
-		ds, err = dataset.GenerateSky(dataset.SkyConfig{N: *gen, Seed: *seed})
-	default:
-		read.End(nil)
-		return fmt.Errorf("one of -csv or -gen is required")
+	_, build := obs.StartSpan(ctx, "build")
+	if streamed {
+		fmt.Printf("streaming %s into the store...\n", *csvPath)
+		err = buildFromCSV(*csvPath, *out, *chunk)
+	} else {
+		err = core.Build(*out, ds, core.BuildOptions{TargetChunkBytes: *chunk, Shards: *shards, SegmentsPerDim: *segments, LiveIngest: *live})
 	}
 	if err != nil {
-		read.SetOutcome("error")
-		read.End(nil)
-		return err
-	}
-	read.End(map[string]float64{"rows": float64(ds.Len())})
-	fmt.Printf("dataset: %d tuples x %d attributes (%s), %d bytes raw, loaded in %v\n",
-		ds.Len(), ds.Dims(), ds.Schema(), ds.SizeBytes(), time.Since(start).Round(time.Millisecond))
-
-	start = time.Now()
-	_, build := obs.StartSpan(ctx, "build")
-	if err := core.Build(*out, ds, core.BuildOptions{TargetChunkBytes: *chunk, Shards: *shards, SegmentsPerDim: *segments, LiveIngest: *live}); err != nil {
 		build.SetOutcome("error")
 		build.End(nil)
 		return err
@@ -175,48 +162,20 @@ func run() (err error) {
 	return inspectStore(*out)
 }
 
-// buildExternalFromCSV streams a headered numeric CSV row by row into the
-// external-sort builder, never holding the dataset in memory.
-func buildExternalFromCSV(path, out string, chunk, spill int) (*chunkstore.Store, error) {
+// buildFromCSV streams a headered numeric CSV row by row into a flat
+// store, never holding the dataset in memory.
+func buildFromCSV(path, out string, chunk int) error {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("open %s: %w", path, err)
+		return fmt.Errorf("open %s: %w", path, err)
 	}
 	defer f.Close()
-	cr := csv.NewReader(f)
-	cr.ReuseRecord = true
-	header, err := cr.Read()
+	cr, err := dataset.NewCSVReader(f)
 	if err != nil {
-		return nil, fmt.Errorf("read csv header: %w", err)
+		return err
 	}
-	columns := append([]string(nil), header...)
-	row := make([]float64, len(columns))
-	line := 1
-	iter := func() ([]float64, bool, error) {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return nil, false, nil
-		}
-		line++
-		if err != nil {
-			return nil, false, fmt.Errorf("csv line %d: %w", line, err)
-		}
-		if len(rec) != len(columns) {
-			return nil, false, fmt.Errorf("csv line %d has %d fields, want %d", line, len(rec), len(columns))
-		}
-		for i, field := range rec {
-			v, err := strconv.ParseFloat(field, 64)
-			if err != nil {
-				return nil, false, fmt.Errorf("csv line %d field %q: %w", line, columns[i], err)
-			}
-			row[i] = v
-		}
-		return row, true, nil
-	}
-	return chunkstore.BuildExternal(out, columns, iter, chunkstore.ExternalBuildOptions{
-		TargetChunkBytes: chunk,
-		MaxPairsInMemory: spill,
-	})
+	_, err = chunkstore.BuildRows(out, cr.Schema().Names(), cr.Next, chunkstore.BuildOptions{TargetChunkBytes: chunk})
+	return err
 }
 
 // followCSV tails a headered numeric CSV into an existing live store:

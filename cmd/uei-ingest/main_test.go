@@ -12,10 +12,10 @@ import (
 	"github.com/uei-db/uei/internal/stream"
 )
 
-// TestVerifyEveryLayout: -verify passes on a store from every builder —
-// in-memory, external sort, sharded, live (seed segments plus a flushed
-// append) — and on each, once one chunk is damaged, fails naming the part,
-// the chunk and the field.
+// TestVerifyEveryLayout: -verify passes on a store of every layout — flat
+// from a dataset and from a streamed -csv file, sharded, live (seed
+// segments plus a flushed append) — and on each, once one chunk is
+// damaged, fails naming the part, the chunk and the field.
 func TestVerifyEveryLayout(t *testing.T) {
 	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 4000, Seed: 3})
 	if err != nil {
@@ -50,8 +50,8 @@ func TestVerifyEveryLayout(t *testing.T) {
 	if err := dataset.WriteCSVFile(csv, ds); err != nil {
 		t.Fatal(err)
 	}
-	dirs["external"] = filepath.Join(root, "external")
-	if _, err := buildExternalFromCSV(csv, dirs["external"], 4096, 500); err != nil {
+	dirs["csv"] = filepath.Join(root, "csv")
+	if err := buildFromCSV(csv, dirs["csv"], 4096); err != nil {
 		t.Fatal(err)
 	}
 

@@ -2,6 +2,7 @@ package chunkstore
 
 import (
 	"bufio"
+	"cmp"
 	"container/heap"
 	"encoding/binary"
 	"fmt"
@@ -9,18 +10,29 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"github.com/uei-db/uei/internal/dataset"
 )
 
-// The external build path constructs the same chunk store as Build without
-// ever materializing the dataset in memory: one streaming pass over the
-// input appends (value, rowID) pairs to bounded in-memory buffers that
-// spill to sorted run files; a k-way merge per dimension then streams the
-// globally sorted postings straight into chunk files. This is the build
-// path a deployment actually uses for the paper's scenario, where the
-// dataset is 100x the available memory before it is ever indexed.
+// BuildRows is the one writer of chunk files: every store — a dataset, a
+// streamed CSV, a shard's partition, a live flush or compaction — is
+// written by it (Algorithm 2 lines 2-6). One pass over the rows appends
+// each value with its row id to its dimension's pair buffer; a buffer that
+// reaches spillPairs is sorted and spilled to a run file. Then, dimension
+// by dimension, a k-way merge of the runs and the sorted residual buffer
+// streams the pairs in (value, id) order into entries, which chunkCutter
+// cuts into equal-size chunk files. Memory stays bounded by spillPairs
+// pairs per dimension whatever the input size: the paper's dataset is 100x
+// the available memory before it is ever indexed.
+
+// spillThreshold is the number of (value, id) pairs one dimension buffers
+// before it spills a sorted run: 16 MiB a dimension.
+const spillThreshold = 1 << 20
+
+// spillPairs is spillThreshold; tests lower it to exercise the spill and
+// merge paths on small inputs.
+var spillPairs = spillThreshold
 
 // pairSize is the on-disk size of one spill pair (float64 value + uint32
 // row id).
@@ -32,46 +44,45 @@ type pair struct {
 	id    uint32
 }
 
-// ExternalBuildOptions configures BuildExternal.
-type ExternalBuildOptions struct {
-	// TargetChunkBytes is the equal-size chunk target (Table 1);
-	// zero selects DefaultTargetChunkBytes.
-	TargetChunkBytes int
-	// MaxPairsInMemory bounds the per-dimension spill buffer; the build's
-	// peak memory is roughly dims x MaxPairsInMemory x 16 bytes. Zero
-	// selects 1<<20 pairs (~16 MiB per dimension).
-	MaxPairsInMemory int
-	// TempDir hosts the spill run files; empty uses the OS temp dir. The
-	// directory's transient usage is about the size of the final store.
-	TempDir string
-}
-
 // RowIterator yields rows in ascending id order; it returns ok=false at
-// the end of the stream. Implementations need not be resettable: the build
-// makes exactly one pass.
+// the end of the stream. The writer copies what it keeps, so a row may be
+// reused by the next call. Implementations need not be resettable: the
+// build makes exactly one pass.
 type RowIterator func() (row []float64, ok bool, err error)
 
-// DatasetIterator adapts an in-memory dataset to a RowIterator (used by
-// tests to compare the two build paths).
-func DatasetIterator(ds *dataset.Dataset) RowIterator {
-	i := 0
-	return func() ([]float64, bool, error) {
-		if i >= ds.Len() {
-			return nil, false, nil
-		}
-		row := ds.Row(dataset.RowID(i))
-		i++
-		return row, true, nil
-	}
+// Build creates a chunk store in dir (which must be empty or absent) from
+// the dataset's rows, in id order.
+func Build(dir string, ds *dataset.Dataset, opts BuildOptions) (*Store, error) {
+	return BuildIndexed(dir, ds.Schema().Names(), ds.Len(), func(i int) []float64 { return ds.Row(dataset.RowID(i)) }, opts)
 }
 
-// BuildExternal creates a chunk store in dir from a single streaming pass
-// over rows, using external sorting so memory stays bounded regardless of
-// input size. The resulting store is byte-for-byte equivalent in content
-// to Build over the same data (chunk boundaries and manifest included).
-func BuildExternal(dir string, columns []string, rows RowIterator, opts ExternalBuildOptions) (*Store, error) {
+// BuildIndexed is BuildRows over row(0), ..., row(n-1). Knowing n up
+// front, the writer sizes its pair buffers once instead of growing them.
+func BuildIndexed(dir string, columns []string, n int, row func(i int) []float64, opts BuildOptions) (*Store, error) {
+	next := 0
+	rows := func() ([]float64, bool, error) {
+		if next == n {
+			return nil, false, nil
+		}
+		next++
+		return row(next - 1), true, nil
+	}
+	return buildRows(dir, columns, rows, n, opts)
+}
+
+// BuildRows creates a chunk store in dir (which must be empty or absent)
+// from a single pass over rows, each holding one value per column. A row
+// with the wrong number of values or a non-finite value fails the build
+// before any chunk file is written.
+func BuildRows(dir string, columns []string, rows RowIterator, opts BuildOptions) (*Store, error) {
+	return buildRows(dir, columns, rows, 0, opts)
+}
+
+// buildRows is BuildRows whose pair buffers start with room for sizeHint
+// rows, up to spillPairs.
+func buildRows(dir string, columns []string, rows RowIterator, sizeHint int, opts BuildOptions) (*Store, error) {
 	if len(columns) == 0 {
-		return nil, fmt.Errorf("chunkstore: external build needs at least one column")
+		return nil, fmt.Errorf("chunkstore: a store needs at least one column")
 	}
 	if rows == nil {
 		return nil, fmt.Errorf("chunkstore: nil row iterator")
@@ -83,13 +94,6 @@ func BuildExternal(dir string, columns []string, rows RowIterator, opts External
 	if target < 64 {
 		return nil, fmt.Errorf("chunkstore: target chunk size %d below 64-byte minimum", target)
 	}
-	maxPairs := opts.MaxPairsInMemory
-	if maxPairs == 0 {
-		maxPairs = 1 << 20
-	}
-	if maxPairs < 1 {
-		return nil, fmt.Errorf("chunkstore: MaxPairsInMemory %d must be positive", maxPairs)
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("chunkstore: create %s: %w", dir, err)
 	}
@@ -98,17 +102,13 @@ func BuildExternal(dir string, columns []string, rows RowIterator, opts External
 	} else if len(entries) > 0 {
 		return nil, fmt.Errorf("chunkstore: directory %s is not empty", dir)
 	}
-	tempDir, err := os.MkdirTemp(opts.TempDir, "uei-extsort-")
-	if err != nil {
-		return nil, fmt.Errorf("chunkstore: temp dir: %w", err)
-	}
-	defer os.RemoveAll(tempDir)
 
 	dims := len(columns)
-	spillers := make([]*spiller, dims)
-	for d := range spillers {
-		spillers[d] = newSpiller(tempDir, d, maxPairs)
+	w := &writer{bufs: make([][]pair, dims), runs: make([][]string, dims)}
+	for d := range w.bufs {
+		w.bufs[d] = make([]pair, 0, min(sizeHint, spillPairs))
 	}
+	defer w.removeRuns()
 	minVals := make([]float64, dims)
 	maxVals := make([]float64, dims)
 	rowCount := 0
@@ -127,20 +127,23 @@ func BuildExternal(dir string, columns []string, rows RowIterator, opts External
 			return nil, fmt.Errorf("chunkstore: row count exceeds uint32 id space")
 		}
 		for d, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("chunkstore: row %d column %q: non-finite value", rowCount, columns[d])
+			}
 			if rowCount == 0 || v < minVals[d] {
 				minVals[d] = v
 			}
 			if rowCount == 0 || v > maxVals[d] {
 				maxVals[d] = v
 			}
-			if err := spillers[d].add(pair{value: v, id: uint32(rowCount)}); err != nil {
+			if err := w.add(d, pair{value: v, id: uint32(rowCount)}); err != nil {
 				return nil, err
 			}
 		}
 		rowCount++
 	}
 	if rowCount == 0 {
-		return nil, fmt.Errorf("chunkstore: refusing to build from an empty stream")
+		return nil, fmt.Errorf("chunkstore: refusing to build a store without rows")
 	}
 
 	m := &Manifest{
@@ -153,7 +156,7 @@ func BuildExternal(dir string, columns []string, rows RowIterator, opts External
 		MaxValues:        maxVals,
 	}
 	for d := 0; d < dims; d++ {
-		merged, cleanup, err := spillers[d].mergedStream()
+		merged, cleanup, err := w.merged(d)
 		if err != nil {
 			return nil, err
 		}
@@ -162,20 +165,20 @@ func BuildExternal(dir string, columns []string, rows RowIterator, opts External
 		if err != nil {
 			return nil, err
 		}
+		w.bufs[d] = nil
 		m.Chunks[d] = metas
 	}
 	if err := saveManifest(dir, m); err != nil {
 		return nil, err
 	}
-	return &Store{dir: dir, manifest: m}, nil
+	return &Store{dir: dir, manifest: m, limiter: opts.Limiter}, nil
 }
 
 // writeChunksFromPairs groups a (value,id)-sorted pair stream into entries
-// and cuts them into chunks as Build does.
+// and cuts them into chunks.
 func writeChunksFromPairs(dir string, dim, target int, next func() (pair, bool, error)) ([]ChunkMeta, error) {
 	cut := chunkCutter{dir: dir, dim: dim, target: target}
-	var cur Entry
-	haveCur := false
+	var cur Entry // no current entry while cur.Rows is nil
 	for {
 		p, ok, err := next()
 		if err != nil {
@@ -185,9 +188,8 @@ func writeChunksFromPairs(dir string, dim, target int, next func() (pair, bool, 
 			break
 		}
 		switch {
-		case !haveCur:
+		case cur.Rows == nil:
 			cur = Entry{Value: p.value, Rows: []uint32{p.id}}
-			haveCur = true
 		case p.value == cur.Value:
 			cur.Rows = append(cur.Rows, p.id)
 		default:
@@ -200,7 +202,7 @@ func writeChunksFromPairs(dir string, dim, target int, next func() (pair, bool, 
 			cur = Entry{Value: p.value, Rows: []uint32{p.id}}
 		}
 	}
-	if haveCur {
+	if cur.Rows != nil {
 		if err := cut.add(cur); err != nil {
 			return nil, err
 		}
@@ -211,87 +213,93 @@ func writeChunksFromPairs(dir string, dim, target int, next func() (pair, bool, 
 	return cut.metas, nil
 }
 
-// spiller accumulates pairs for one dimension, spilling sorted runs.
-type spiller struct {
-	dir      string
-	dim      int
-	maxPairs int
-	buf      []pair
-	runs     []string
+// writer holds a build's pairs: per dimension the buffered pairs and the
+// sorted runs spilled so far, in a temporary directory made on the first
+// spill.
+type writer struct {
+	bufs [][]pair
+	runs [][]string
+	tmp  string
 }
 
-func newSpiller(dir string, dim, maxPairs int) *spiller {
-	return &spiller{dir: dir, dim: dim, maxPairs: maxPairs}
-}
-
-func (s *spiller) add(p pair) error {
-	s.buf = append(s.buf, p)
-	if len(s.buf) >= s.maxPairs {
-		return s.spill()
+func (w *writer) add(d int, p pair) error {
+	w.bufs[d] = append(w.bufs[d], p)
+	if len(w.bufs[d]) >= spillPairs {
+		return w.spill(d)
 	}
 	return nil
 }
 
-// spill sorts the buffer and writes it as one run file.
-func (s *spiller) spill() error {
-	if len(s.buf) == 0 {
-		return nil
+// spill sorts dimension d's buffer and writes it as one run file.
+func (w *writer) spill(d int) error {
+	if w.tmp == "" {
+		tmp, err := os.MkdirTemp("", "uei-spill-")
+		if err != nil {
+			return fmt.Errorf("chunkstore: spill dir: %w", err)
+		}
+		w.tmp = tmp
 	}
-	sortPairs(s.buf)
-	name := filepath.Join(s.dir, fmt.Sprintf("d%02d_run%05d.spill", s.dim, len(s.runs)))
+	buf := w.bufs[d]
+	sortPairs(buf)
+	name := filepath.Join(w.tmp, fmt.Sprintf("d%02d_run%05d.spill", d, len(w.runs[d])))
 	f, err := os.Create(name)
 	if err != nil {
 		return fmt.Errorf("chunkstore: create run file: %w", err)
 	}
-	w := bufio.NewWriterSize(f, 1<<16)
+	bw := bufio.NewWriterSize(f, 1<<16)
 	var rec [pairSize]byte
-	for _, p := range s.buf {
+	for _, p := range buf {
 		binary.LittleEndian.PutUint64(rec[0:8], math.Float64bits(p.value))
 		binary.LittleEndian.PutUint32(rec[8:12], p.id)
-		if _, err := w.Write(rec[:]); err != nil {
-			f.Close()
-			return fmt.Errorf("chunkstore: write run file: %w", err)
-		}
+		bw.Write(rec[:]) // a write error sticks and is returned by Flush
 	}
-	if err := w.Flush(); err != nil {
+	if err := bw.Flush(); err != nil {
 		f.Close()
 		return fmt.Errorf("chunkstore: flush run file: %w", err)
 	}
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("chunkstore: close run file: %w", err)
 	}
-	s.runs = append(s.runs, name)
-	s.buf = s.buf[:0]
+	w.runs[d] = append(w.runs[d], name)
+	w.bufs[d] = buf[:0]
 	return nil
 }
 
-// sortPairs orders by (value, id) so merged streams group duplicates with
-// ascending posting lists.
-func sortPairs(v []pair) {
-	sort.Slice(v, func(i, j int) bool {
-		if v[i].value != v[j].value {
-			return v[i].value < v[j].value
-		}
-		return v[i].id < v[j].id
-	})
+// removeRuns deletes the spill directory, if the build made one.
+func (w *writer) removeRuns() {
+	if w.tmp != "" {
+		os.RemoveAll(w.tmp)
+	}
 }
 
-// mergedStream returns a pull iterator over the k-way merge of all runs
-// plus the residual buffer, and a cleanup func closing the run readers.
-func (s *spiller) mergedStream() (func() (pair, bool, error), func(), error) {
+// comparePairs orders by (value, id) so merged streams group duplicates
+// with ascending posting lists.
+func comparePairs(a, b pair) int {
+	if c := cmp.Compare(a.value, b.value); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
+func sortPairs(v []pair) { slices.SortFunc(v, comparePairs) }
+
+// merged returns a pull iterator over the k-way merge of dimension d's
+// runs and its residual buffer, and a cleanup func closing the run
+// readers.
+func (w *writer) merged(d int) (func() (pair, bool, error), func(), error) {
 	// The residual (unspilled) buffer becomes an in-memory "run".
-	sortPairs(s.buf)
-	residual := s.buf
+	residual := w.bufs[d]
+	sortPairs(residual)
 	ri := 0
 
-	readers := make([]*runReader, 0, len(s.runs))
+	readers := make([]*runReader, 0, len(w.runs[d]))
 	cleanup := func() {
 		for _, r := range readers {
 			r.close()
 		}
 	}
 	h := &mergeHeap{}
-	for _, name := range s.runs {
+	for _, name := range w.runs[d] {
 		r, err := openRunReader(name)
 		if err != nil {
 			cleanup()
@@ -318,7 +326,7 @@ func (s *spiller) mergedStream() (func() (pair, bool, error), func(), error) {
 			return p, true, nil
 		}
 		top := (*h)[0]
-		if ri < len(residual) && pairLess(residual[ri], top.pair) {
+		if ri < len(residual) && comparePairs(residual[ri], top.pair) < 0 {
 			p := residual[ri]
 			ri++
 			return p, true, nil
@@ -332,13 +340,6 @@ func (s *spiller) mergedStream() (func() (pair, bool, error), func(), error) {
 		return item.pair, true, nil
 	}
 	return next, cleanup, nil
-}
-
-func pairLess(a, b pair) bool {
-	if a.value != b.value {
-		return a.value < b.value
-	}
-	return a.id < b.id
 }
 
 // runReader streams one spilled run file.
@@ -380,7 +381,7 @@ type mergeItem struct {
 type mergeHeap []mergeItem
 
 func (h mergeHeap) Len() int            { return len(h) }
-func (h mergeHeap) Less(i, j int) bool  { return pairLess(h[i].pair, h[j].pair) }
+func (h mergeHeap) Less(i, j int) bool  { return comparePairs(h[i].pair, h[j].pair) < 0 }
 func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(mergeItem)) }
 func (h *mergeHeap) Pop() interface{} {

@@ -8,12 +8,7 @@
 // consults to find the chunks that rebuild a subspace.
 package chunkstore
 
-import (
-	"fmt"
-	"sort"
-
-	"github.com/uei-db/uei/internal/dataset"
-)
+import "fmt"
 
 // Entry is one inverted-index posting: a distinct attribute value and the
 // ascending ids of the rows holding it.
@@ -22,30 +17,9 @@ type Entry struct {
 	Rows  []uint32
 }
 
-// decompose performs the vertical decomposition of Algorithm 2 (lines 2-4)
-// for a single dimension: it groups row ids by value and returns the
-// entries sorted ascending by value, each posting list sorted ascending.
-func decompose(ds *dataset.Dataset, dim int) []Entry {
-	byValue := make(map[float64][]uint32)
-	ds.Scan(func(id dataset.RowID, row []float64) bool {
-		v := row[dim]
-		byValue[v] = append(byValue[v], uint32(id))
-		return true
-	})
-	entries := make([]Entry, 0, len(byValue))
-	for v, rows := range byValue {
-		// Scan visits ids in ascending order, so posting lists arrive
-		// sorted, as the codec requires.
-		entries = append(entries, Entry{Value: v, Rows: rows})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Value < entries[j].Value })
-	return entries
-}
-
 // chunkCutter splits one dimension's ascending entries into chunk files:
 // it cuts as soon as the exact encoded payload of the pending entries, at
-// the widths they need so far, reaches the target. Both build paths write
-// through it, so they cut the same chunks.
+// the widths they need so far, reaches the target.
 type chunkCutter struct {
 	dir         string
 	dim, target int

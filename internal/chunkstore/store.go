@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"github.com/uei-db/uei/internal/blockcache"
-	"github.com/uei-db/uei/internal/dataset"
 	"github.com/uei-db/uei/internal/iothrottle"
 	"github.com/uei-db/uei/internal/memcache"
 	"github.com/uei-db/uei/internal/obs"
@@ -37,7 +36,7 @@ var ErrLayoutMismatch = errors.New("store layout does not match requested mode")
 // "Table 1" and ablation A1 for the measured size trade-off.
 const DefaultTargetChunkBytes = 470 * 1024
 
-// BuildOptions configures Build.
+// BuildOptions configures Build and BuildRows.
 type BuildOptions struct {
 	// TargetChunkBytes is the equal-size chunk target; chunks are cut as
 	// soon as their encoded payload reaches it. Zero selects
@@ -95,68 +94,10 @@ type Store struct {
 	hRead      *obs.Histogram
 }
 
-// Build creates a chunk store in dir (which must be empty or absent) from
-// the dataset, implementing Algorithm 2 lines 2-6: vertical decomposition,
-// per-dimension sort, split into equal-size chunk files, plus the manifest
-// the mapping method m is derived from.
-func Build(dir string, ds *dataset.Dataset, opts BuildOptions) (*Store, error) {
-	if ds.Len() == 0 {
-		return nil, fmt.Errorf("chunkstore: refusing to build from an empty dataset")
-	}
-	target := opts.TargetChunkBytes
-	if target == 0 {
-		target = DefaultTargetChunkBytes
-	}
-	if target < 64 {
-		return nil, fmt.Errorf("chunkstore: target chunk size %d below 64-byte minimum", target)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("chunkstore: create %s: %w", dir, err)
-	}
-	if entries, err := os.ReadDir(dir); err != nil {
-		return nil, fmt.Errorf("chunkstore: inspect %s: %w", dir, err)
-	} else if len(entries) > 0 {
-		return nil, fmt.Errorf("chunkstore: directory %s is not empty", dir)
-	}
-
-	dims := ds.Dims()
-	bounds, err := ds.Bounds()
-	if err != nil {
-		return nil, err
-	}
-	m := &Manifest{
-		FormatVersion:    manifestFormatVersion,
-		Columns:          ds.Schema().Names(),
-		RowCount:         ds.Len(),
-		TargetChunkBytes: target,
-		Chunks:           make([][]ChunkMeta, dims),
-		MinValues:        bounds.Min,
-		MaxValues:        bounds.Max,
-	}
-
-	for d := 0; d < dims; d++ {
-		cut := chunkCutter{dir: dir, dim: d, target: target}
-		for _, e := range decompose(ds, d) {
-			if err := cut.add(e); err != nil {
-				return nil, err
-			}
-		}
-		if err := cut.flush(); err != nil {
-			return nil, err
-		}
-		m.Chunks[d] = cut.metas
-	}
-	if err := saveManifest(dir, m); err != nil {
-		return nil, err
-	}
-	return &Store{dir: dir, manifest: m, limiter: opts.Limiter}, nil
-}
-
 // chunkFileName is the one name a store gives chunk seq of dimension dim.
 func chunkFileName(dim, seq int) string { return fmt.Sprintf("d%02d_c%05d.chk", dim, seq) }
 
 // writeChunkFile encodes and persists one chunk, returning its metadata.
-// It is shared by the in-memory and external build paths.
 func writeChunkFile(dir string, dim, seq int, entries []Entry) (ChunkMeta, error) {
 	name := chunkFileName(dim, seq)
 	data, err := encodeChunk(dim, entries)
@@ -202,8 +143,8 @@ func Open(dir string, limiter *iothrottle.Limiter) (*Store, error) {
 // BuildEmpty writes a valid zero-row store into dir: a manifest carrying
 // the schema and (externally supplied) bounds, and no chunk files. Sharded
 // builds use it for shards that own no rows, so every shard directory
-// opens uniformly; Build keeps refusing empty datasets for user-facing
-// stores.
+// opens uniformly; BuildRows keeps refusing an empty input for
+// user-facing stores.
 func BuildEmpty(dir string, columns []string, bounds vec.Box, targetChunkBytes int) (*Store, error) {
 	if len(columns) == 0 {
 		return nil, fmt.Errorf("chunkstore: empty store needs at least one column")

@@ -70,24 +70,19 @@ func requireVerifyField(t *testing.T, what string, st *Store, field, file string
 // violation, by field and by chunk.
 func TestVerify(t *testing.T) {
 	ctx := context.Background()
-	sky, err := dataset.GenerateSky(dataset.SkyConfig{N: 3000, Seed: 5})
+	mem, sky := buildTestStore(t, 3000, 5)
+	lowerSpillPairs(t, 257)
+	spilled, err := Build(t.TempDir(), sky, BuildOptions{TargetChunkBytes: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, err := BuildExternal(t.TempDir(), sky.Schema().Names(), DatasetIterator(sky), ExternalBuildOptions{
-		TargetChunkBytes: 2048, MaxPairsInMemory: 257, TempDir: t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem, _ := buildTestStore(t, 3000, 5)
 	empty, err := BuildEmpty(t.TempDir(), []string{"a", "b"}, mem.Bounds(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	piped, _ := lumpyStore(t, 900, 3, 12, 256, 3)
 	piped.SetWorkers(3)
-	for name, st := range map[string]*Store{"Build": mem, "BuildExternal": ext, "BuildEmpty": empty, "pipelined": piped} {
+	for name, st := range map[string]*Store{"Build": mem, "spilled": spilled, "BuildEmpty": empty, "pipelined": piped} {
 		if err := Verify(ctx, st); err != nil {
 			t.Errorf("%s: a freshly built store fails Verify: %v", name, err)
 		}

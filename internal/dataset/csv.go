@@ -33,9 +33,19 @@ func WriteCSV(w io.Writer, d *Dataset) error {
 	return cw.Error()
 }
 
-// ReadCSV reads a dataset written by WriteCSV (or any numeric CSV with a
-// header). Every field must parse as a float64.
-func ReadCSV(r io.Reader) (*Dataset, error) {
+// CSVReader streams the rows of a numeric CSV with a header row, one row
+// at a time, so a file larger than memory can be read through it. Every
+// field must parse as a float64.
+type CSVReader struct {
+	cr     *csv.Reader
+	schema Schema
+	row    []float64
+	line   int
+}
+
+// NewCSVReader reads the header row and returns a reader positioned at the
+// first data row.
+func NewCSVReader(r io.Reader) (*CSVReader, error) {
 	cr := csv.NewReader(r)
 	cr.ReuseRecord = true
 	header, err := cr.Read()
@@ -46,31 +56,57 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds := New(schema, 0)
-	row := make([]float64, schema.Dims())
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
+	return &CSVReader{cr: cr, schema: schema, row: make([]float64, schema.Dims()), line: 1}, nil
+}
+
+// Schema returns the columns the header names.
+func (r *CSVReader) Schema() Schema { return r.schema }
+
+// Next returns the next row, or ok=false at the end of the input. The row
+// is overwritten by the next call. Errors name the line and, for a field
+// that does not parse, the column.
+func (r *CSVReader) Next() (row []float64, ok bool, err error) {
+	rec, err := r.cr.Read()
+	if err == io.EOF {
+		return nil, false, nil
+	}
+	r.line++
+	if err != nil {
+		return nil, false, fmt.Errorf("dataset: read csv line %d: %w", r.line, err)
+	}
+	if len(rec) != len(r.row) {
+		return nil, false, fmt.Errorf("dataset: csv line %d has %d fields, want %d", r.line, len(rec), len(r.row))
+	}
+	for i, f := range rec {
+		v, err := strconv.ParseFloat(f, 64)
 		if err != nil {
-			return nil, fmt.Errorf("dataset: read csv line %d: %w", line, err)
+			return nil, false, fmt.Errorf("dataset: csv line %d field %q: %w", r.line, r.schema.Columns[i].Name, err)
 		}
-		if len(rec) != schema.Dims() {
-			return nil, fmt.Errorf("dataset: csv line %d has %d fields, want %d", line, len(rec), schema.Dims())
+		r.row[i] = v
+	}
+	return r.row, true, nil
+}
+
+// ReadCSV reads a dataset written by WriteCSV (or any numeric CSV with a
+// header) into memory.
+func ReadCSV(r io.Reader) (*Dataset, error) {
+	cr, err := NewCSVReader(r)
+	if err != nil {
+		return nil, err
+	}
+	ds := New(cr.Schema(), 0)
+	for {
+		row, ok, err := cr.Next()
+		if err != nil {
+			return nil, err
 		}
-		for i, f := range rec {
-			v, err := strconv.ParseFloat(f, 64)
-			if err != nil {
-				return nil, fmt.Errorf("dataset: csv line %d field %q: %w", line, schema.Columns[i].Name, err)
-			}
-			row[i] = v
+		if !ok {
+			return ds, nil
 		}
 		if _, err := ds.Append(row); err != nil {
 			return nil, err
 		}
 	}
-	return ds, nil
 }
 
 // WriteCSVFile writes the dataset to path, creating or truncating it.

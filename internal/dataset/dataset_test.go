@@ -278,15 +278,15 @@ func TestCSVFileRoundTrip(t *testing.T) {
 }
 
 func TestReadCSVErrors(t *testing.T) {
-	cases := []string{
-		"",                    // no header
-		"a,b\n1\n",            // short row
-		"a,b\n1,notanumber\n", // bad float
-		"a,a\n1,2\n",          // duplicate header
+	cases := []struct{ in, want string }{
+		{"", "read csv header"},                              // no header
+		{"a,b\n1\n", "read csv line 2"},                      // short row
+		{"a,b\n1,2\n3,notanumber\n", `csv line 3 field "b"`}, // bad float
+		{"a,a\n1,2\n", "duplicate"},                          // duplicate header
 	}
-	for i, in := range cases {
-		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
-			t.Errorf("case %d: expected error for %q", i, in)
+	for i, c := range cases {
+		if _, err := ReadCSV(strings.NewReader(c.in)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("case %d: err = %v for %q, want it to contain %q", i, err, c.in, c.want)
 		}
 	}
 }

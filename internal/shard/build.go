@@ -83,28 +83,20 @@ func Build(dir string, ds *dataset.Dataset, opts BuildOptions) error {
 		return err
 	}
 
-	// Partition rows by the owner of their cell. The scan runs in global
-	// id order, so each shard's sub-dataset and idmap come out ascending.
+	// Assign rows to the owner of their cell. The scan runs in global id
+	// order, so each shard's idmap comes out ascending; it is also the list
+	// of rows the shard's store is written from.
 	ownerByCell, err := CellOwners(g, opts.Shards)
 	if err != nil {
 		return err
 	}
-	subs := make([]*dataset.Dataset, opts.Shards)
 	idmaps := make([][]uint32, opts.Shards)
-	hint := ds.Len()/opts.Shards + 1
-	for i := range subs {
-		subs[i] = dataset.New(ds.Schema(), hint)
-	}
 	for i := 0; i < ds.Len(); i++ {
-		row := ds.Row(dataset.RowID(i))
-		cell, err := g.CellOf(row)
+		cell, err := g.CellOf(ds.Row(dataset.RowID(i)))
 		if err != nil {
 			return fmt.Errorf("shard: row %d: %w", i, err)
 		}
 		owner := ownerByCell[cell]
-		if _, err := subs[owner].Append(row); err != nil {
-			return fmt.Errorf("shard: row %d: %w", i, err)
-		}
 		idmaps[owner] = append(idmaps[owner], uint32(i))
 	}
 
@@ -122,7 +114,8 @@ func Build(dir string, ds *dataset.Dataset, opts BuildOptions) error {
 	}
 	for s := 0; s < opts.Shards; s++ {
 		sdir := filepath.Join(dir, ShardDirName(s))
-		if subs[s].Len() == 0 {
+		ids := idmaps[s]
+		if len(ids) == 0 {
 			// Hash partitioning can leave a shard with no rows (small
 			// datasets, unlucky cell assignment). An explicit empty store
 			// keeps every shard directory uniform.
@@ -130,14 +123,15 @@ func Build(dir string, ds *dataset.Dataset, opts BuildOptions) error {
 				return err
 			}
 		} else {
-			if _, err := chunkstore.Build(sdir, subs[s], chunkstore.BuildOptions{TargetChunkBytes: target}); err != nil {
+			row := func(i int) []float64 { return ds.Row(dataset.RowID(ids[i])) }
+			if _, err := chunkstore.BuildIndexed(sdir, m.Columns, len(ids), row, chunkstore.BuildOptions{TargetChunkBytes: target}); err != nil {
 				return err
 			}
 		}
-		if err := SaveIDMap(sdir, idmaps[s]); err != nil {
+		if err := SaveIDMap(sdir, ids); err != nil {
 			return err
 		}
-		m.ShardRowCounts[s] = subs[s].Len()
+		m.ShardRowCounts[s] = len(ids)
 	}
 	// The top-level manifest is the commit point: a crash before this
 	// leaves a directory neither layout will open.

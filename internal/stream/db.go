@@ -119,7 +119,6 @@ type DB struct {
 	opts Options
 
 	// Fixed at creation (epoch-invariant).
-	schema  dataset.Schema
 	columns []string
 	bounds  vec.Box
 	grid    *grid.Grid
@@ -221,7 +220,7 @@ func Create(dir string, ds *dataset.Dataset, opts CreateOptions) error {
 		FlushedRows:      ds.Len(),
 	}
 	scratch := &DB{
-		dir: dir, schema: ds.Schema(), columns: man.Columns,
+		dir: dir, columns: man.Columns,
 		bounds: bounds, grid: g, shards: shards, segsPD: segsPD, target: target,
 	}
 	if shards > 1 {
@@ -302,14 +301,13 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	schema, err := dataset.NewSchema(man.Columns...)
-	if err != nil {
+	// The columns must still form a schema: distinct, non-empty names.
+	if _, err := dataset.NewSchema(man.Columns...); err != nil {
 		return nil, err
 	}
 	db := &DB{
 		dir:      dir,
 		opts:     opts,
-		schema:   schema,
 		columns:  man.Columns,
 		bounds:   bounds,
 		grid:     g,

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 
 	"github.com/uei-db/uei/internal/chunkstore"
-	"github.com/uei-db/uei/internal/dataset"
 	"github.com/uei-db/uei/internal/grid"
 	"github.com/uei-db/uei/internal/shard"
 )
@@ -47,13 +46,8 @@ func (db *DB) buildSegment(id int, shardID int, ids []uint32, rows [][]float64) 
 	if len(rows) == 0 {
 		st, err = chunkstore.BuildEmpty(sdir, db.columns, db.bounds, db.target)
 	} else {
-		sub := dataset.New(db.schema, len(rows))
-		for i, row := range rows {
-			if _, aerr := sub.Append(row); aerr != nil {
-				return SegmentMeta{}, fmt.Errorf("stream: segment %d row %d: %w", id, i, aerr)
-			}
-		}
-		st, err = chunkstore.Build(sdir, sub, chunkstore.BuildOptions{TargetChunkBytes: db.target})
+		row := func(i int) []float64 { return rows[i] }
+		st, err = chunkstore.BuildIndexed(sdir, db.columns, len(rows), row, chunkstore.BuildOptions{TargetChunkBytes: db.target})
 	}
 	if err != nil {
 		return SegmentMeta{}, err
