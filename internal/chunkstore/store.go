@@ -36,7 +36,7 @@ var ErrLayoutMismatch = errors.New("store layout does not match requested mode")
 // "Table 1" and ablation A1 for the measured size trade-off.
 const DefaultTargetChunkBytes = 470 * 1024
 
-// BuildOptions configures Build and BuildRows.
+// BuildOptions configures Build, BuildIndexed and BuildRows.
 type BuildOptions struct {
 	// TargetChunkBytes is the equal-size chunk target; chunks are cut as
 	// soon as their encoded payload reaches it. Zero selects
