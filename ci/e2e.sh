@@ -19,6 +19,8 @@
 #                   into an S = 2 one both pass -verify; a nan field fails
 #                   the build naming its row and column and leaves no
 #                   manifest; -external is an unknown flag
+#   7. idmap:       one flipped byte of shard-001/idmap fails -verify,
+#                   naming the file
 #
 # Every server runs under -trace and every trace must pass uei-trace -strict.
 # Run it from anywhere: bash ci/e2e.sh
@@ -323,5 +325,14 @@ if "$bin/uei-ingest" -external -csv "$work/rows.csv" -out "$work/csvext" >"$work
   fail "-external is still accepted"
 fi
 grep -q 'flag provided but not defined: -external' "$work/ext.txt" || fail "-external is not an unknown flag: $(cat "$work/ext.txt")"
+
+echo "== idmap: a flipped byte fails -verify, naming the file"
+idmap="$work/csvsharded/shard-001/idmap"
+byte=$(od -An -tu1 -j12 -N1 "$idmap" | tr -d ' ')
+printf "\\$(printf '%03o' $((byte ^ 1)))" | dd of="$idmap" bs=1 seek=12 conv=notrunc status=none
+if "$bin/uei-ingest" -verify "$work/csvsharded" >"$work/idmap.txt" 2>&1; then
+  fail "-verify accepted a store with a flipped idmap byte"
+fi
+grep -q 'shard-001: shard: idmap corrupted' "$work/idmap.txt" || fail "-verify did not name the idmap: $(cat "$work/idmap.txt")"
 
 echo "e2e: ok"

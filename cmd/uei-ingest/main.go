@@ -33,9 +33,11 @@ import (
 	"github.com/uei-db/uei/internal/chunkstore"
 	"github.com/uei-db/uei/internal/core"
 	"github.com/uei-db/uei/internal/dataset"
+	"github.com/uei-db/uei/internal/grid"
 	"github.com/uei-db/uei/internal/obs"
 	"github.com/uei-db/uei/internal/shard"
 	"github.com/uei-db/uei/internal/stream"
+	"github.com/uei-db/uei/internal/vec"
 )
 
 func main() {
@@ -53,7 +55,7 @@ func run() (err error) {
 		out      = flag.String("out", "", "output store directory (must be empty or absent)")
 		chunk    = flag.Int("chunk", chunkstore.DefaultTargetChunkBytes, "target chunk size in bytes (Table 1: 481280 = 470KB)")
 		inspect  = flag.String("inspect", "", "print a summary of an existing store and exit")
-		verify   = flag.String("verify", "", "read every chunk of an existing store (flat, sharded or live) against its manifest and exit; the first violation is the error")
+		verify   = flag.String("verify", "", "open every part of an existing store (flat, sharded or live) as serving does — idmap and row count against the manifest — read every chunk against its manifest, and exit; the first violation is the error")
 		shards   = flag.Int("shards", 1, "partition the store into this many shards (1 = flat legacy layout)")
 		segments = flag.Int("segments", 0, "sharded build: grid segments per dimension cells are hashed over (0 = default 5)")
 		traceFl  = flag.String("trace", "", "write a hierarchical span trace of the ingest as JSONL to this file (analyze with uei-trace)")
@@ -336,40 +338,65 @@ func perRow(bytes int64, rows int) float64 {
 	return float64(bytes) / float64(rows)
 }
 
-// verifyStore runs chunkstore.Verify over every flat store of the layout
-// under dir: the directory itself, each shard, or each live segment.
+// verifyStore checks every part of the layout under dir — each shard,
+// each live segment, or the flat directory itself — as serving would open
+// it, store and idmap against the manifest (shard.OpenPart), and then runs
+// chunkstore.Verify over its chunks.
 func verifyStore(dir string) error {
-	var parts []string
+	type part struct {
+		dir  string
+		rows int
+	}
+	var parts []part
+	var g *grid.Grid
 	switch {
 	case stream.IsLiveDir(dir):
 		m, err := stream.ReadManifest(dir)
 		if err != nil {
 			return err
 		}
+		if g, err = grid.New(vec.NewBox(m.MinValues, m.MaxValues), m.SegmentsPerDim); err != nil {
+			return err
+		}
 		for _, seg := range m.Segments {
-			parts = append(parts, filepath.Join(dir, stream.SegmentDirName(seg.ID)))
+			parts = append(parts, part{filepath.Join(dir, stream.SegmentDirName(seg.ID)), seg.Rows})
 		}
 	case shard.IsShardedDir(dir):
 		m, err := shard.LoadManifest(dir)
 		if err != nil {
 			return err
 		}
-		for s := 0; s < m.Shards; s++ {
-			parts = append(parts, filepath.Join(dir, shard.ShardDirName(s)))
+		if g, err = m.Grid(); err != nil {
+			return err
+		}
+		for s, rows := range m.ShardRowCounts {
+			parts = append(parts, part{filepath.Join(dir, shard.ShardDirName(s)), rows})
 		}
 	default:
-		parts = []string{dir}
-	}
-	for _, part := range parts {
-		st, err := chunkstore.Open(part, nil)
+		st, err := chunkstore.Open(dir, nil)
 		if err != nil {
 			return err
 		}
-		if err := chunkstore.Verify(context.Background(), st); err != nil {
-			return fmt.Errorf("%s: %w", part, err)
-		}
-		fmt.Printf("%s: ok (%d rows, %d bytes in chunks, %.2f B/row)\n", part, st.RowCount(), st.TotalBytes(), perRow(st.TotalBytes(), st.RowCount()))
+		return verifyPart(dir, st)
 	}
+	for _, p := range parts {
+		opened, err := shard.OpenPart(p.dir, g, p.rows, "", shard.OpenOptions{})
+		if err != nil {
+			return fmt.Errorf("%s: %w", p.dir, err)
+		}
+		if err := verifyPart(p.dir, opened.Store); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// verifyPart reads every chunk of one store against its manifest.
+func verifyPart(dir string, st *chunkstore.Store) error {
+	if err := chunkstore.Verify(context.Background(), st); err != nil {
+		return fmt.Errorf("%s: %w", dir, err)
+	}
+	fmt.Printf("%s: ok (%d rows, %d bytes in chunks, %.2f B/row)\n", dir, st.RowCount(), st.TotalBytes(), perRow(st.TotalBytes(), st.RowCount()))
 	return nil
 }
 

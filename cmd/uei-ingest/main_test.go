@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,13 +10,16 @@ import (
 
 	"github.com/uei-db/uei/internal/core"
 	"github.com/uei-db/uei/internal/dataset"
+	"github.com/uei-db/uei/internal/shard"
 	"github.com/uei-db/uei/internal/stream"
 )
 
 // TestVerifyEveryLayout: -verify passes on a store of every layout — flat
 // from a dataset and from a streamed -csv file, sharded, live (seed
 // segments plus a flushed append) — and on each, once one chunk is
-// damaged, fails naming the part, the chunk and the field.
+// damaged, fails naming the part, the chunk and the field; on a sharded
+// and a live store it also fails over a damaged idmap and over a manifest
+// row count its part does not hold.
 func TestVerifyEveryLayout(t *testing.T) {
 	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 4000, Seed: 3})
 	if err != nil {
@@ -93,6 +97,75 @@ func TestVerifyEveryLayout(t *testing.T) {
 		}
 		if err := verifyStore(dir); err == nil || !strings.Contains(err.Error(), filepath.Base(victim)+": bytes") {
 			t.Errorf("%s: -verify over a truncated chunk: err = %v", name, err)
+		}
+	}
+
+	// -verify opens every part as serving does, so what serving refuses
+	// beyond the chunks fails it too, naming the part: one flipped idmap
+	// byte, and a manifest row count the part does not hold (the
+	// manifest's totals moved with it, so only the part disagrees).
+	flipIDMap := func(part string) func(dir string) string {
+		return func(dir string) string {
+			path := filepath.Join(dir, part, "idmap")
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[12] ^= 1
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return part
+		}
+	}
+	writeJSON := func(path string, v any) {
+		data, err := json.MarshalIndent(v, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sharded := core.BuildOptions{TargetChunkBytes: 4096, Shards: 3}
+	live := core.BuildOptions{TargetChunkBytes: 4096, Shards: 2, LiveIngest: true}
+	for _, c := range []struct {
+		name   string
+		opts   core.BuildOptions
+		damage func(dir string) (part string)
+		want   string
+	}{
+		{"sharded idmap", sharded, flipIDMap("shard-001"), "idmap corrupted"},
+		{"live idmap", live, flipIDMap("seg-000002"), "idmap corrupted"},
+		{"sharded row count", sharded, func(dir string) string {
+			m, err := shard.LoadManifest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.ShardRowCounts[0]++
+			m.RowCount++
+			writeJSON(filepath.Join(dir, shard.ManifestFile), m)
+			return "shard-000"
+		}, "manifest says"},
+		{"live row count", live, func(dir string) string {
+			m, err := stream.ReadManifest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Segments[0].Rows++
+			m.FlushedRows++
+			writeJSON(filepath.Join(dir, stream.ManifestFileName(m.Epoch)), m)
+			return "seg-000001"
+		}, "manifest says"},
+	} {
+		dir := filepath.Join(root, strings.ReplaceAll(c.name, " ", "-"))
+		if err := core.Build(dir, ds, c.opts); err != nil {
+			t.Fatal(err)
+		}
+		part := filepath.Join(dir, c.damage(dir))
+		err := verifyStore(dir)
+		if err == nil || !strings.Contains(err.Error(), part) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: -verify err = %v, want one naming %s and %q", c.name, err, part, c.want)
 		}
 	}
 }

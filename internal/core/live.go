@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"github.com/uei-db/uei/internal/chunkstore"
 	"github.com/uei-db/uei/internal/pool"
@@ -27,13 +26,7 @@ func openLive(ctx context.Context, dir string, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.Shards == 1 && man.Shards > 1 {
-		return nil, fmt.Errorf("core: %s holds a %d-shard live store but the flat layout was requested: %w", dir, man.Shards, chunkstore.ErrLayoutMismatch)
-	}
-	if opts.Shards > 1 && man.Shards != opts.Shards {
-		return nil, fmt.Errorf("core: %s holds a %d-shard live store but %d shards were requested: %w", dir, man.Shards, opts.Shards, chunkstore.ErrLayoutMismatch)
-	}
-	if err := opts.pinSegments(man.SegmentsPerDim); err != nil {
+	if err := opts.pinLayout(dir, man.Shards, man.SegmentsPerDim); err != nil {
 		return nil, err
 	}
 	opts, err = opts.withDefaults()

@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"time"
 
+	"github.com/uei-db/uei/internal/grid"
 	"github.com/uei-db/uei/internal/iothrottle"
 	"github.com/uei-db/uei/internal/obs"
 )
@@ -25,7 +26,7 @@ const DefaultLatencyThreshold = 500 * time.Millisecond
 type Options struct {
 	// SegmentsPerDim is the number of grid segments per dimension; the
 	// symbolic index point count is SegmentsPerDim^dims (5 -> 3125 points
-	// in 5-D, Table 1). Zero selects 5.
+	// in 5-D, Table 1). Zero selects grid.DefaultSegmentsPerDim.
 	SegmentsPerDim int
 	// MemoryBudgetBytes caps the resident unlabeled data (uniform sample +
 	// loaded region). The experiments set it to ~1% of the on-disk data.
@@ -75,9 +76,10 @@ type Options struct {
 	// per-shard key prefixes.
 	BlockCacheBytes int64
 	// Shards selects the store layout Open requires: 0 auto-detects from
-	// the directory, 1 requires the flat on-disk layout, and a value > 1
-	// requires a sharded layout with exactly that many shards. A layout
-	// (or shard-count) mismatch fails with chunkstore.ErrLayoutMismatch.
+	// the directory or fleet, 1 requires the flat layout (one shard), and
+	// a value > 1 requires exactly that many shards — on disk, live or
+	// behind ShardEndpoints alike. A layout (or shard-count) mismatch
+	// fails with chunkstore.ErrLayoutMismatch.
 	Shards int
 	// ShardDeadline bounds every per-shard operation of the index (a flat
 	// store is one shard). When the winning cell's shard misses it, the
@@ -113,7 +115,7 @@ type Options struct {
 // withDefaults validates and fills zero values.
 func (o Options) withDefaults() (Options, error) {
 	if o.SegmentsPerDim == 0 {
-		o.SegmentsPerDim = 5
+		o.SegmentsPerDim = grid.DefaultSegmentsPerDim
 	}
 	if o.SegmentsPerDim < 1 {
 		return o, fmt.Errorf("core: segments per dim %d must be positive", o.SegmentsPerDim)

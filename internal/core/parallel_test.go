@@ -160,7 +160,7 @@ func TestCloseMidPrefetch(t *testing.T) {
 	}
 	m2 := boundaryModel(t, ds, r2, 120)
 	idx.InvalidateScores()
-	idx.ShardCoordinator().SetFaultHook(func(ctx context.Context, _, _ int, op string) error {
+	idx.ShardCoordinator().SetFaultHook(func(ctx context.Context, _ int, op string) error {
 		if op == "load" {
 			<-ctx.Done()
 			return ctx.Err()

@@ -396,7 +396,7 @@ func TestOneShardObeysCoordinatorRules(t *testing.T) {
 
 	// Nothing resident, every load failing: the error surfaces.
 	storeErr := errors.New("injected store failure")
-	coord.SetFaultHook(func(_ context.Context, _, _ int, op string) error {
+	coord.SetFaultHook(func(_ context.Context, _ int, op string) error {
 		if op == shard.OpLoad {
 			return storeErr
 		}
@@ -439,7 +439,7 @@ func TestOneShardObeysCoordinatorRules(t *testing.T) {
 	if top[0] == first {
 		t.Fatalf("fixture: the second model keeps cell %d on top, so no load happens to fail", first)
 	}
-	coord.SetFaultHook(func(_ context.Context, _, _ int, op string) error {
+	coord.SetFaultHook(func(_ context.Context, _ int, op string) error {
 		if op == shard.OpLoad {
 			return storeErr
 		}

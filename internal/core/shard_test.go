@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http/httptest"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"github.com/uei-db/uei/internal/learn"
 	"github.com/uei-db/uei/internal/memcache"
 	"github.com/uei-db/uei/internal/shard"
+	"github.com/uei-db/uei/internal/shard/remote"
 )
 
 // openShardedPair builds a flat and a sharded store over the same dataset
@@ -187,6 +189,51 @@ func TestShardedOpenLayoutMismatch(t *testing.T) {
 	}
 }
 
+// TestRemoteOpenLayoutMismatch: a remote open pins the shard count like a
+// local one — Shards: 1 over a two-shard fleet, or any other count that is
+// not the fleet's, fails with ErrLayoutMismatch — and so does a different
+// grid; the fleet's own count and auto-detect open.
+func TestRemoteOpenLayoutMismatch(t *testing.T) {
+	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 300, Seed: 51})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := Build(dir, ds, BuildOptions{TargetChunkBytes: 2048, Shards: 2}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	backing, err := Open(ctx, dir, Options{MemoryBudgetBytes: 1 << 20, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backing.Close()
+	man, err := shard.LoadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := httptest.NewServer(remote.NewServer(backing.ShardCoordinator(), man, func(string, ...any) {}))
+	defer w.Close()
+	remoteOpts := func(shards, segs int) Options {
+		return Options{MemoryBudgetBytes: 1 << 20, Workers: 1, Shards: shards, SegmentsPerDim: segs, ShardEndpoints: []string{w.URL}}
+	}
+	for _, n := range []int{1, 3} {
+		if _, err := Open(ctx, "", remoteOpts(n, 0)); !errors.Is(err, chunkstore.ErrLayoutMismatch) {
+			t.Errorf("Shards=%d over a 2-shard fleet: err = %v, want ErrLayoutMismatch", n, err)
+		}
+	}
+	if _, err := Open(ctx, "", remoteOpts(0, 7)); err == nil {
+		t.Error("a segment mismatch over a fleet should fail Open")
+	}
+	for _, n := range []int{0, 2} {
+		idx, err := Open(ctx, "", remoteOpts(n, 0))
+		if err != nil {
+			t.Fatalf("Shards=%d: %v", n, err)
+		}
+		idx.Close()
+	}
+}
+
 // winnerAndFallback scores the index and returns the most uncertain cell,
 // the shard owning it, and the step's fallback for a failed load of it: the
 // most uncertain cell some other shard owns.
@@ -226,7 +273,7 @@ func TestShardedDegradedScoreStep(t *testing.T) {
 	degradedTotal := sharded.Registry().Counter("shard_degraded_total")
 
 	winner, victim, _ := winnerAndFallback(t, sharded, model)
-	coord.SetFaultHook(func(_ context.Context, s, _ int, op string) error {
+	coord.SetFaultHook(func(_ context.Context, s int, op string) error {
 		if s == victim && op == shard.OpLoad {
 			return errors.New("injected shard fault")
 		}
@@ -260,7 +307,7 @@ func TestShardedDegradedScoreStep(t *testing.T) {
 
 	// Every shard failing its loads, with no region resident to stay on,
 	// is an error, not silent degradation.
-	coord.SetFaultHook(func(_ context.Context, _, _ int, op string) error {
+	coord.SetFaultHook(func(_ context.Context, _ int, op string) error {
 		if op == shard.OpLoad {
 			return errors.New("total outage")
 		}
@@ -297,7 +344,7 @@ func TestShardedLoadFallback(t *testing.T) {
 
 	winner, victim, want := winnerAndFallback(t, sharded, model)
 	var failed atomic.Int32
-	sharded.ShardCoordinator().SetFaultHook(func(_ context.Context, s, _ int, op string) error {
+	sharded.ShardCoordinator().SetFaultHook(func(_ context.Context, s int, op string) error {
 		if op == shard.OpLoad && s == victim {
 			failed.Add(1)
 			return errors.New("winner's shard is down")
@@ -327,7 +374,7 @@ func TestShardedCancellation(t *testing.T) {
 	model := boundaryModel(t, ds, testRegion(t, ds), 30)
 	coord := sharded.ShardCoordinator()
 	release := make(chan struct{})
-	coord.SetFaultHook(func(ctx context.Context, _, _ int, op string) error {
+	coord.SetFaultHook(func(ctx context.Context, _ int, op string) error {
 		if op == shard.OpLoad {
 			select {
 			case <-ctx.Done():

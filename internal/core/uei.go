@@ -48,7 +48,7 @@ type BuildOptions struct {
 	Shards int
 	// SegmentsPerDim fixes the grid cells are hashed over when Shards > 1
 	// (it must match the grid used at open; the sharded manifest records
-	// it). Zero selects the Options default (5). Ignored by flat builds,
+	// it). Zero selects grid.DefaultSegmentsPerDim. Ignored by flat builds,
 	// whose grid is chosen freely at Open — but pinned by live builds,
 	// whose cell geometry must stay epoch-invariant.
 	SegmentsPerDim int
@@ -69,13 +69,9 @@ func Build(dir string, ds *dataset.Dataset, opts BuildOptions) error {
 		return fmt.Errorf("core: shard count %d must not be negative", opts.Shards)
 	}
 	if opts.LiveIngest {
-		segsPD := opts.SegmentsPerDim
-		if segsPD == 0 {
-			segsPD = 5
-		}
 		return stream.Create(dir, ds, stream.CreateOptions{
 			Shards:           opts.Shards,
-			SegmentsPerDim:   segsPD,
+			SegmentsPerDim:   opts.SegmentsPerDim,
 			TargetChunkBytes: opts.TargetChunkBytes,
 		})
 	}
@@ -207,15 +203,11 @@ func Open(ctx context.Context, dir string, opts Options) (*Index, error) {
 	if opts.LiveIngest {
 		return nil, fmt.Errorf("core: %s does not hold a live-ingest layout: %w", dir, chunkstore.ErrLayoutMismatch)
 	}
-	sharded := shard.IsShardedDir(dir)
-	if opts.Shards == 1 && sharded {
-		return nil, fmt.Errorf("core: %s holds a sharded store but the flat layout was requested: %w", dir, chunkstore.ErrLayoutMismatch)
-	}
-	if opts.Shards > 1 && !sharded {
-		return nil, fmt.Errorf("core: %s holds a flat store but %d shards were requested: %w", dir, opts.Shards, chunkstore.ErrLayoutMismatch)
-	}
-	if sharded {
+	if shard.IsShardedDir(dir) {
 		return openSharded(ctx, dir, opts)
+	}
+	if opts.Shards > 1 {
+		return nil, fmt.Errorf("core: %s holds a flat store but %d shards were requested: %w", dir, opts.Shards, chunkstore.ErrLayoutMismatch)
 	}
 	return openFlat(dir, opts)
 }
@@ -252,14 +244,19 @@ func localOptions(opts Options, pl *pool.Pool, bc *chunkstore.BlockCache) shard.
 	}
 }
 
-// pinSegments resolves SegmentsPerDim against a layout that recorded its
-// own: cell ownership and live cell geometry are grid-dependent, so a
-// different count cannot be honored and is rejected.
-func (o *Options) pinSegments(recorded int) error {
-	if o.SegmentsPerDim != 0 && o.SegmentsPerDim != recorded {
-		return fmt.Errorf("core: store was laid out over %d segments per dimension; cannot open with %d (cell ownership and geometry are grid-dependent)", recorded, o.SegmentsPerDim)
+// pinLayout resolves Shards and SegmentsPerDim against the layout that
+// what — a sharded or live directory, or a remote fleet — recorded: a
+// shard count other than the recorded one fails with
+// chunkstore.ErrLayoutMismatch, and a different segment count fails too,
+// since cell ownership and live cell geometry are grid-dependent.
+func (o *Options) pinLayout(what string, shards, segmentsPerDim int) error {
+	if o.Shards != 0 && o.Shards != shards {
+		return fmt.Errorf("core: %s holds %d shard(s) but %d were requested: %w", what, shards, o.Shards, chunkstore.ErrLayoutMismatch)
 	}
-	o.SegmentsPerDim = recorded
+	if o.SegmentsPerDim != 0 && o.SegmentsPerDim != segmentsPerDim {
+		return fmt.Errorf("core: %s was laid out over %d segments per dimension; cannot open with %d (cell ownership and geometry are grid-dependent)", what, segmentsPerDim, o.SegmentsPerDim)
+	}
+	o.SegmentsPerDim = segmentsPerDim
 	return nil
 }
 
@@ -313,10 +310,7 @@ func openSharded(ctx context.Context, dir string, opts Options) (*Index, error) 
 	if err != nil {
 		return nil, err
 	}
-	if opts.Shards > 1 && man.Shards != opts.Shards {
-		return nil, fmt.Errorf("core: %s has %d shards but %d were requested: %w", dir, man.Shards, opts.Shards, chunkstore.ErrLayoutMismatch)
-	}
-	if err := opts.pinSegments(man.SegmentsPerDim); err != nil {
+	if err := opts.pinLayout(dir, man.Shards, man.SegmentsPerDim); err != nil {
 		return nil, err
 	}
 	opts, err = opts.withDefaults()
@@ -357,10 +351,7 @@ func openRemote(ctx context.Context, opts Options) (idx *Index, err error) {
 		return nil, err
 	}
 	meta := coord.Meta()
-	if opts.Shards > 1 && meta.Shards != opts.Shards {
-		return nil, fmt.Errorf("core: fleet serves %d shards but %d were requested: %w", meta.Shards, opts.Shards, chunkstore.ErrLayoutMismatch)
-	}
-	if err := opts.pinSegments(meta.SegmentsPerDim); err != nil {
+	if err := opts.pinLayout("the shard fleet", meta.Shards, meta.SegmentsPerDim); err != nil {
 		return nil, err
 	}
 	opts, err = opts.withDefaults()

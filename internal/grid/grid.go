@@ -13,6 +13,12 @@ import (
 	"github.com/uei-db/uei/internal/vec"
 )
 
+// DefaultSegmentsPerDim is the grid resolution used when none is given:
+// the paper's 5 segments per dimension (3125 symbolic index points in 5-D,
+// Table 1). Every layout that records its grid at build time defaults to
+// it, and so does a flat open.
+const DefaultSegmentsPerDim = 5
+
 // CellID identifies a grid cell in [0, NumCells()).
 type CellID int
 

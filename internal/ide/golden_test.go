@@ -234,7 +234,7 @@ func TestPrefetchScheduleIgnoresLoadTiming(t *testing.T) {
 	var firstPicks, firstPositive []uint32
 	for i, delay := range []time.Duration{0, time.Millisecond, 20 * time.Millisecond} {
 		idx := g.open(t, "flat", 1, goldenPrefetch)
-		idx.ShardCoordinator().SetFaultHook(func(ctx context.Context, _, _ int, op string) error {
+		idx.ShardCoordinator().SetFaultHook(func(ctx context.Context, _ int, op string) error {
 			if op != "load" || delay == 0 {
 				return nil
 			}

@@ -130,7 +130,7 @@ func TestShardedSessionDegradedFlag(t *testing.T) {
 	p := f.ueiShardedProvider(t, 150, 4)
 	var victim atomic.Int32
 	victim.Store(-1)
-	p.idx.ShardCoordinator().SetFaultHook(func(_ context.Context, s, _ int, op string) error {
+	p.idx.ShardCoordinator().SetFaultHook(func(_ context.Context, s int, op string) error {
 		if op != shard.OpLoad {
 			return nil
 		}

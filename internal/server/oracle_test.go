@@ -123,7 +123,7 @@ func TestCenterWidthSessionSeedFallback(t *testing.T) {
 		t.Fatalf("create must not read the dataset: %v", err)
 	}
 	unreadable := errors.New("store unreadable")
-	broken.Index().ShardCoordinator().SetFaultHook(func(_ context.Context, _, _ int, op string) error {
+	broken.Index().ShardCoordinator().SetFaultHook(func(_ context.Context, _ int, op string) error {
 		if op == shard.OpFetch {
 			return unreadable
 		}

@@ -587,7 +587,7 @@ func TestHTTPDeadShardIs503(t *testing.T) {
 	defer srv.Close()
 	client := srv.Client()
 	failing := func(op string) shard.FaultHook {
-		return func(_ context.Context, _, _ int, got string) error {
+		return func(_ context.Context, _ int, got string) error {
 			if got == op {
 				return errors.New("worker gone")
 			}

@@ -56,7 +56,7 @@ func TestTracedDegradedShardedStep(t *testing.T) {
 	// fires, so that step degrades with a genuine timeout.
 	var victimShard atomic.Int32
 	victimShard.Store(-1)
-	m.Index().ShardCoordinator().SetFaultHook(func(ctx context.Context, s, _ int, op string) error {
+	m.Index().ShardCoordinator().SetFaultHook(func(ctx context.Context, s int, op string) error {
 		if op != shard.OpLoad {
 			return nil
 		}

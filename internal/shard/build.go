@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -12,18 +13,13 @@ import (
 	"github.com/uei-db/uei/internal/grid"
 )
 
-// defaultSegmentsPerDim mirrors core's grid default (the paper's 5
-// segments per dimension); Build must hash cell coordinates over the same
-// grid Open will rebuild.
-const defaultSegmentsPerDim = 5
-
 // BuildOptions configures Build.
 type BuildOptions struct {
 	// Shards is S, in [2, MaxShards]. (S = 1 is the flat on-disk layout;
 	// callers route it to chunkstore.Build.)
 	Shards int
 	// SegmentsPerDim fixes the grid cells are hashed over. Zero selects
-	// the core default (5).
+	// grid.DefaultSegmentsPerDim.
 	SegmentsPerDim int
 	// TargetChunkBytes is the per-shard chunk size target. Zero selects
 	// chunkstore.DefaultTargetChunkBytes.
@@ -57,14 +53,8 @@ func Build(dir string, ds *dataset.Dataset, opts BuildOptions) error {
 	if ds.Len() == 0 {
 		return fmt.Errorf("shard: refusing to build from an empty dataset")
 	}
-	segs := opts.SegmentsPerDim
-	if segs == 0 {
-		segs = defaultSegmentsPerDim
-	}
-	target := opts.TargetChunkBytes
-	if target == 0 {
-		target = chunkstore.DefaultTargetChunkBytes
-	}
+	segs := cmp.Or(opts.SegmentsPerDim, grid.DefaultSegmentsPerDim)
+	target := cmp.Or(opts.TargetChunkBytes, chunkstore.DefaultTargetChunkBytes)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("shard: create %s: %w", dir, err)
 	}
@@ -82,22 +72,14 @@ func Build(dir string, ds *dataset.Dataset, opts BuildOptions) error {
 	if err != nil {
 		return err
 	}
-
-	// Assign rows to the owner of their cell. The scan runs in global id
-	// order, so each shard's idmap comes out ascending; it is also the list
-	// of rows the shard's store is written from.
 	ownerByCell, err := CellOwners(g, opts.Shards)
 	if err != nil {
 		return err
 	}
-	idmaps := make([][]uint32, opts.Shards)
-	for i := 0; i < ds.Len(); i++ {
-		cell, err := g.CellOf(ds.Row(dataset.RowID(i)))
-		if err != nil {
-			return fmt.Errorf("shard: row %d: %w", i, err)
-		}
-		owner := ownerByCell[cell]
-		idmaps[owner] = append(idmaps[owner], uint32(i))
+	row := func(i int) []float64 { return ds.Row(dataset.RowID(i)) }
+	idmaps, err := Partition(g, ownerByCell, opts.Shards, 0, ds.Len(), row)
+	if err != nil {
+		return err
 	}
 
 	m := &Manifest{
@@ -112,23 +94,12 @@ func Build(dir string, ds *dataset.Dataset, opts BuildOptions) error {
 		TargetChunkBytes: target,
 		ShardRowCounts:   make([]int, opts.Shards),
 	}
-	for s := 0; s < opts.Shards; s++ {
-		sdir := filepath.Join(dir, ShardDirName(s))
-		ids := idmaps[s]
-		if len(ids) == 0 {
-			// Hash partitioning can leave a shard with no rows (small
-			// datasets, unlucky cell assignment). An explicit empty store
-			// keeps every shard directory uniform.
-			if _, err := chunkstore.BuildEmpty(sdir, m.Columns, bounds, target); err != nil {
-				return err
-			}
-		} else {
-			row := func(i int) []float64 { return ds.Row(dataset.RowID(ids[i])) }
-			if _, err := chunkstore.BuildIndexed(sdir, m.Columns, len(ids), row, chunkstore.BuildOptions{TargetChunkBytes: target}); err != nil {
-				return err
-			}
-		}
-		if err := SaveIDMap(sdir, ids); err != nil {
+	for s, ids := range idmaps {
+		// Hash partitioning can leave a shard with no rows (small
+		// datasets, unlucky cell assignment); WritePart gives it an
+		// explicit empty store.
+		shardRow := func(i int) []float64 { return row(int(ids[i])) }
+		if _, err := WritePart(filepath.Join(dir, ShardDirName(s)), m.Columns, bounds, target, ids, shardRow); err != nil {
 			return err
 		}
 		m.ShardRowCounts[s] = len(ids)

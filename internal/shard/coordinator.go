@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -37,61 +36,7 @@ const (
 // FaultHook intercepts every shard attempt before it runs — the test seam
 // for forcing timeouts and failures. Hooks must honor ctx: the per-attempt
 // deadline and caller cancellation reach a stuck attempt only through it.
-//
-// The second int is always 0: a shard has one backend. It stays only
-// because internal/ide/golden_test.go and internal/core/reference_test.go
-// pass hooks of this shape, and those files, which hold the recorded
-// session digests and the brute-force reference, are changed only with
-// them; the next change to them drops it.
-type FaultHook func(ctx context.Context, shard, _ int, op string) error
-
-// Part is one immutable data part of a shard: a private flat chunk store
-// (local ids 0..n-1), the mapping of global grid cells to that store's
-// chunks, and the strictly ascending local→global idmap — so local id
-// order and global id order agree within a part. A nil IDMap is the
-// identity: the part's local ids are the global ids (a flat store opened
-// as the only part of the only shard), so no table is held in memory.
-type Part struct {
-	Store   *chunkstore.Store
-	Mapping *grid.Mapping
-	IDMap   []uint32
-}
-
-// RowCount returns the part's row count.
-func (p *Part) RowCount() int { return p.Store.RowCount() }
-
-// globalID translates one of the part's local row ids to its global id.
-func (p *Part) globalID(local uint32) uint32 {
-	if p.IDMap == nil {
-		return local
-	}
-	return p.IDMap[local]
-}
-
-// localIDs returns the local ids (positions in the idmap) of the global
-// ids this part holds. Each id is binary-searched in the idmap past the
-// previous match, so a fetch of k ids costs O(k log(rows)), not a walk of
-// the whole idmap. globalIDs must be ascending; so is the result.
-func (p *Part) localIDs(globalIDs []uint32) []uint32 {
-	if p.IDMap == nil {
-		n := uint32(p.RowCount())
-		return globalIDs[:sort.Search(len(globalIDs), func(i int) bool { return globalIDs[i] >= n })]
-	}
-	var local []uint32
-	li := 0
-	for _, g := range globalIDs {
-		rest := p.IDMap[li:]
-		li += sort.Search(len(rest), func(i int) bool { return rest[i] >= g })
-		if li == len(p.IDMap) {
-			break
-		}
-		if p.IDMap[li] == g {
-			local = append(local, uint32(li))
-			li++
-		}
-	}
-	return local
-}
+type FaultHook func(ctx context.Context, shard int, op string) error
 
 // Shard is one self-contained slice of the sharded store. Build-time
 // layouts hold exactly one part per shard; live (stream) snapshots hold
@@ -201,40 +146,17 @@ func Open(ctx context.Context, dir string, opts OpenOptions) (*Coordinator, erro
 	if err != nil {
 		return nil, err
 	}
-	g, err := man.grid()
+	g, err := man.Grid()
 	if err != nil {
 		return nil, err
 	}
 	shards := make([]*Shard, man.Shards)
-	for s := 0; s < man.Shards; s++ {
-		sdir := filepath.Join(dir, ShardDirName(s))
-		st, err := chunkstore.Open(sdir, opts.Limiter)
+	for s := range shards {
+		part, err := OpenPart(filepath.Join(dir, ShardDirName(s)), g, man.ShardRowCounts[s], fmt.Sprintf("s%03d/", s), opts)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
-		if st.RowCount() != man.ShardRowCounts[s] {
-			return nil, fmt.Errorf("shard %d: store has %d rows, manifest says %d", s, st.RowCount(), man.ShardRowCounts[s])
-		}
-		if st.Dims() != len(man.Columns) {
-			return nil, fmt.Errorf("shard %d: store has %d dims, manifest says %d", s, st.Dims(), len(man.Columns))
-		}
-		st.SetWorkers(opts.Workers)
-		if opts.BlockCache != nil {
-			st.SetCacheKeyPrefix(fmt.Sprintf("s%03d/", s))
-			st.SetBlockCache(opts.BlockCache)
-		}
-		mp, err := grid.BuildMapping(g, st)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", s, err)
-		}
-		ids, err := LoadIDMap(sdir)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", s, err)
-		}
-		if len(ids) != st.RowCount() {
-			return nil, fmt.Errorf("shard %d: idmap has %d entries, store has %d rows", s, len(ids), st.RowCount())
-		}
-		shards[s] = &Shard{ID: s, Parts: []Part{{Store: st, Mapping: mp, IDMap: ids}}}
+		shards[s] = &Shard{ID: s, Parts: []Part{part}}
 	}
 	return NewLocalCoordinator(man, shards, opts)
 }
@@ -251,7 +173,7 @@ func NewLocalCoordinator(man *Manifest, shards []*Shard, opts OpenOptions) (*Coo
 	if len(shards) != man.Shards {
 		return nil, fmt.Errorf("shard: %d shards for a %d-shard manifest", len(shards), man.Shards)
 	}
-	g, err := man.grid()
+	g, err := man.Grid()
 	if err != nil {
 		return nil, err
 	}
@@ -306,7 +228,7 @@ func NewCoordinator(man *Manifest, backends []Backend, opts CoordinatorOptions) 
 	if man == nil {
 		return nil, fmt.Errorf("shard: nil manifest")
 	}
-	g, err := man.grid()
+	g, err := man.Grid()
 	if err != nil {
 		return nil, err
 	}
@@ -475,7 +397,7 @@ func runAttempt[T any](c *Coordinator, ctx context.Context, shardID int, op stri
 	var v T
 	var err error
 	if h := c.hook.Load(); h != nil {
-		err = (*h)(sctx, shardID, 0, op)
+		err = (*h)(sctx, shardID, op)
 	}
 	if err == nil {
 		v, err = fn(sctx, c.backends[shardID])

@@ -20,6 +20,7 @@ import (
 	"path/filepath"
 
 	"github.com/uei-db/uei/internal/chunkstore"
+	"github.com/uei-db/uei/internal/dataset"
 	"github.com/uei-db/uei/internal/grid"
 	"github.com/uei-db/uei/internal/vec"
 )
@@ -105,31 +106,42 @@ func IsShardedDir(dir string) bool {
 	return err == nil
 }
 
-// grid rebuilds the symbolic-point lattice the manifest records: global
+// Grid rebuilds the symbolic-point lattice the manifest records: global
 // bounds cut into SegmentsPerDim segments per dimension.
-func (m *Manifest) grid() (*grid.Grid, error) {
+func (m *Manifest) Grid() (*grid.Grid, error) {
 	return grid.New(vec.NewBox(m.MinValues, m.MaxValues), m.SegmentsPerDim)
+}
+
+// CheckGeometry is the one check of the layout facts both multi-part
+// manifests record — shards.json here, every live epoch in stream: shards
+// in 1..MaxShards, at least one segment per dimension, columns that form a
+// dataset schema (at least one, distinct, non-empty), and one lower and
+// one upper bound per column.
+func CheckGeometry(shards, segmentsPerDim int, columns []string, minValues, maxValues []float64) error {
+	if shards < 1 || shards > MaxShards {
+		return fmt.Errorf("shard: manifest has %d shards, want 1..%d", shards, MaxShards)
+	}
+	if segmentsPerDim < 1 {
+		return fmt.Errorf("shard: manifest has %d segments per dimension", segmentsPerDim)
+	}
+	if _, err := dataset.NewSchema(columns...); err != nil {
+		return fmt.Errorf("shard: manifest columns: %w", err)
+	}
+	if len(minValues) != len(columns) || len(maxValues) != len(columns) {
+		return fmt.Errorf("shard: manifest bounds disagree with %d columns", len(columns))
+	}
+	return nil
 }
 
 func (m *Manifest) validate() error {
 	if m.FormatVersion != manifestFormatVersion {
 		return fmt.Errorf("shard: manifest format %d, want %d", m.FormatVersion, manifestFormatVersion)
 	}
-	if m.Shards < 1 || m.Shards > MaxShards {
-		return fmt.Errorf("shard: manifest has %d shards, want 1..%d", m.Shards, MaxShards)
-	}
 	if m.Hash != hashName {
 		return fmt.Errorf("shard: manifest uses assignment %q, this build understands %q", m.Hash, hashName)
 	}
-	if m.SegmentsPerDim < 1 {
-		return fmt.Errorf("shard: manifest has %d segments per dimension", m.SegmentsPerDim)
-	}
-	dims := len(m.Columns)
-	if dims == 0 {
-		return fmt.Errorf("shard: manifest has no columns")
-	}
-	if len(m.MinValues) != dims || len(m.MaxValues) != dims {
-		return fmt.Errorf("shard: manifest bounds disagree with %d columns", dims)
+	if err := CheckGeometry(m.Shards, m.SegmentsPerDim, m.Columns, m.MinValues, m.MaxValues); err != nil {
+		return err
 	}
 	if len(m.ShardRowCounts) != m.Shards {
 		return fmt.Errorf("shard: %d shard row counts for %d shards", len(m.ShardRowCounts), m.Shards)
@@ -177,6 +189,11 @@ func LoadManifest(dir string) (*Manifest, error) {
 		}
 		return nil, fmt.Errorf("shard: read manifest: %w", err)
 	}
+	return parseManifest(data)
+}
+
+// parseManifest decodes and validates the bytes of a shard manifest.
+func parseManifest(data []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("shard: parse manifest: %w", err)

@@ -302,7 +302,7 @@ func TestScatterDegradesFailingShard(t *testing.T) {
 	reg := obs.NewRegistry()
 	c.Instrument(reg)
 	boom := errors.New("boom")
-	c.SetFaultHook(func(_ context.Context, shard, _ int, _ string) error {
+	c.SetFaultHook(func(_ context.Context, shard int, _ string) error {
 		if shard == 2 {
 			return boom
 		}
@@ -333,7 +333,7 @@ func TestScatterDegradesFailingShard(t *testing.T) {
 	}
 	// With every shard failing, the symbolic index is still scored and
 	// ranked: no shard takes part.
-	c.SetFaultHook(func(context.Context, int, int, string) error { return boom })
+	c.SetFaultHook(func(context.Context, int, string) error { return boom })
 	unc := make([]float64, c.Meta().Grid.NumCells())
 	if _, err := c.ScoreAllPass(ctx, constModel{}, unc, ScorePass{}); err != nil {
 		t.Errorf("scoring with every shard down: %v", err)
@@ -348,7 +348,7 @@ func TestShardDeadlineSkipsSlowShard(t *testing.T) {
 	c := openCoordinator(t, buildSharded(t, ds, 2), OpenOptions{Workers: 2, CoordinatorOptions: CoordinatorOptions{Deadline: 20 * time.Millisecond}})
 	reg := obs.NewRegistry()
 	c.Instrument(reg)
-	c.SetFaultHook(func(ctx context.Context, shard, _ int, _ string) error {
+	c.SetFaultHook(func(ctx context.Context, shard int, _ string) error {
 		if shard == 1 {
 			<-ctx.Done() // stuck until the per-shard deadline fires
 			return ctx.Err()
@@ -378,7 +378,7 @@ func TestScatterCancellationLeaksNoGoroutines(t *testing.T) {
 	ds := skyDataset(t, 200)
 	c := openCoordinator(t, buildSharded(t, ds, 4), OpenOptions{Workers: 2})
 	release := make(chan struct{})
-	c.SetFaultHook(func(ctx context.Context, shard, _ int, _ string) error {
+	c.SetFaultHook(func(ctx context.Context, shard int, _ string) error {
 		if shard != 0 {
 			select {
 			case <-ctx.Done():

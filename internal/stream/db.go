@@ -18,6 +18,7 @@
 package stream
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -52,14 +53,11 @@ const DefaultMemtableBytes = 4 << 20
 // background compaction when Options.CompactSegments is zero.
 const DefaultCompactSegments = 6
 
-// defaultSegmentsPerDim mirrors core's grid default.
-const defaultSegmentsPerDim = 5
-
 // CreateOptions configures Create.
 type CreateOptions struct {
 	// Shards is the layout width: 1 (or 0) = flat, else [2, shard.MaxShards].
 	Shards int
-	// SegmentsPerDim fixes the grid (0 = the core default, 5).
+	// SegmentsPerDim fixes the grid (0 = grid.DefaultSegmentsPerDim).
 	SegmentsPerDim int
 	// TargetChunkBytes is the per-segment chunk size target (0 = the
 	// chunkstore default).
@@ -171,23 +169,27 @@ type DB struct {
 // dataset pins the grid bounds, so it must be non-empty and should cover
 // the value range appends will arrive in.
 func Create(dir string, ds *dataset.Dataset, opts CreateOptions) error {
-	shards := opts.Shards
-	if shards == 0 {
-		shards = 1
-	}
-	if shards != 1 && (shards < 2 || shards > shard.MaxShards) {
-		return fmt.Errorf("stream: shard count %d out of range", shards)
-	}
 	if ds.Len() == 0 {
 		return fmt.Errorf("stream: refusing to create from an empty dataset (bounds would be undefined)")
 	}
-	segsPD := opts.SegmentsPerDim
-	if segsPD == 0 {
-		segsPD = defaultSegmentsPerDim
+	bounds, err := ds.Bounds()
+	if err != nil {
+		return err
 	}
-	target := opts.TargetChunkBytes
-	if target == 0 {
-		target = chunkstore.DefaultTargetChunkBytes
+	man := &Manifest{
+		FormatVersion:    manifestFormatVersion,
+		Epoch:            1,
+		Shards:           cmp.Or(opts.Shards, 1),
+		SegmentsPerDim:   cmp.Or(opts.SegmentsPerDim, grid.DefaultSegmentsPerDim),
+		Columns:          ds.Schema().Names(),
+		MinValues:        append([]float64(nil), bounds.Min...),
+		MaxValues:        append([]float64(nil), bounds.Max...),
+		TargetChunkBytes: cmp.Or(opts.TargetChunkBytes, chunkstore.DefaultTargetChunkBytes),
+		FlushedRows:      ds.Len(),
+		NextSegmentID:    1,
+	}
+	if err := man.checkGeometry(); err != nil {
+		return err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("stream: create %s: %w", dir, err)
@@ -200,88 +202,30 @@ func Create(dir string, ds *dataset.Dataset, opts CreateOptions) error {
 	if err := os.MkdirAll(filepath.Join(dir, walDir), 0o755); err != nil {
 		return fmt.Errorf("stream: create wal dir: %w", err)
 	}
-	bounds, err := ds.Bounds()
+	g, err := grid.New(bounds, man.SegmentsPerDim)
 	if err != nil {
 		return err
 	}
-	g, err := grid.New(bounds, segsPD)
-	if err != nil {
-		return err
-	}
-	man := &Manifest{
-		FormatVersion:    manifestFormatVersion,
-		Epoch:            1,
-		Shards:           shards,
-		SegmentsPerDim:   segsPD,
-		Columns:          ds.Schema().Names(),
-		MinValues:        append([]float64(nil), bounds.Min...),
-		MaxValues:        append([]float64(nil), bounds.Max...),
-		TargetChunkBytes: target,
-		FlushedRows:      ds.Len(),
-	}
-	scratch := &DB{
-		dir: dir, columns: man.Columns,
-		bounds: bounds, grid: g, shards: shards, segsPD: segsPD, target: target,
-	}
-	if shards > 1 {
-		if scratch.owners, err = shard.CellOwners(g, shards); err != nil {
+	var owners []int
+	if man.Shards > 1 {
+		if owners, err = shard.CellOwners(g, man.Shards); err != nil {
 			return err
 		}
 	}
 	// Partition the initial rows exactly like a flush would: one segment
 	// per shard (flat = one segment total), zero-row shards get an
 	// explicit empty segment so every shard has a uniform resting place.
-	groups, err := scratch.partition(0, rowsOf(ds))
+	row := func(i int) []float64 { return ds.Row(dataset.RowID(i)) }
+	groups, err := shard.Partition(g, owners, man.Shards, 0, ds.Len(), row)
 	if err != nil {
 		return err
 	}
-	nextID := 1
-	for s := 0; s < shards; s++ {
-		meta, err := scratch.buildSegment(nextID, s, groups[s].ids, groups[s].rows)
-		if err != nil {
+	for s, ids := range groups {
+		if err := man.writeSegment(dir, s, ids, func(i int) []float64 { return row(int(ids[i])) }); err != nil {
 			return err
 		}
-		man.Segments = append(man.Segments, meta)
-		nextID++
 	}
-	man.NextSegmentID = nextID
 	return commitManifest(dir, man)
-}
-
-// rowGroup is one shard's slice of a flush: aligned global ids and rows.
-type rowGroup struct {
-	ids  []uint32
-	rows [][]float64
-}
-
-// partition splits rows (global ids firstID..firstID+n-1, in id order)
-// into per-shard groups by the owner of each row's grid cell; with a flat
-// layout everything lands in group 0. Id order is preserved, so each
-// group's ids stay strictly ascending.
-func (db *DB) partition(firstID uint32, rows [][]float64) ([]rowGroup, error) {
-	n := db.shards
-	groups := make([]rowGroup, n)
-	for i, row := range rows {
-		owner := 0
-		if n > 1 {
-			cell, err := db.grid.CellOf(row)
-			if err != nil {
-				return nil, fmt.Errorf("stream: row %d: %w", int(firstID)+i, err)
-			}
-			owner = db.owners[cell]
-		}
-		groups[owner].ids = append(groups[owner].ids, firstID+uint32(i))
-		groups[owner].rows = append(groups[owner].rows, row)
-	}
-	return groups, nil
-}
-
-func rowsOf(ds *dataset.Dataset) [][]float64 {
-	rows := make([][]float64, ds.Len())
-	for i := range rows {
-		rows[i] = ds.Row(dataset.RowID(i))
-	}
-	return rows
 }
 
 // Open opens a live store, recovering from any crash: stale manifests and
@@ -299,10 +243,6 @@ func Open(dir string, opts Options) (*DB, error) {
 	bounds := vec.NewBox(man.MinValues, man.MaxValues)
 	g, err := grid.New(bounds, man.SegmentsPerDim)
 	if err != nil {
-		return nil, err
-	}
-	// The columns must still form a schema: distinct, non-empty names.
-	if _, err := dataset.NewSchema(man.Columns...); err != nil {
 		return nil, err
 	}
 	db := &DB{
@@ -330,12 +270,12 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err := db.removeOrphans(); err != nil {
 		return nil, err
 	}
-	for _, meta := range man.Segments {
-		seg, err := db.openSegment(meta)
-		if err != nil {
-			return nil, err
-		}
-		db.segs[meta.ID] = seg
+	segs, err := db.openParts(man.Segments)
+	if err != nil {
+		return nil, err
+	}
+	for _, seg := range segs {
+		db.segs[seg.meta.ID] = seg
 	}
 	if err := db.recoverWAL(); err != nil {
 		return nil, err
@@ -595,23 +535,21 @@ func (db *DB) flushOne(ctx context.Context, fm frozenMem, man *Manifest) error {
 	}
 	_, sp := obs.StartSpan(ctx, obs.SpanFlush)
 	start := time.Now()
-	groups, err := db.partition(fm.mem.firstID, fm.mem.rows)
+	mem := fm.mem
+	groups, err := shard.Partition(db.grid, db.owners, db.shards, mem.firstID, mem.len(), func(i int) []float64 { return mem.rows[i] })
 	if err != nil {
 		sp.End(nil)
 		return err
 	}
 	man.Epoch++
-	for s := 0; s < db.shards; s++ {
-		if len(groups[s].rows) == 0 {
+	for s, ids := range groups {
+		if len(ids) == 0 {
 			continue // flushes never write empty segments
 		}
-		meta, err := db.buildSegment(man.NextSegmentID, s, groups[s].ids, groups[s].rows)
-		if err != nil {
+		if err := man.writeSegment(db.dir, s, ids, func(i int) []float64 { return mem.rows[ids[i]-mem.firstID] }); err != nil {
 			sp.End(nil)
 			return err
 		}
-		man.Segments = append(man.Segments, meta)
-		man.NextSegmentID++
 	}
 	man.FlushedRows += fm.mem.len()
 	if fp := db.failpointFn(); fp != nil {
@@ -626,15 +564,9 @@ func (db *DB) flushOne(ctx context.Context, fm frozenMem, man *Manifest) error {
 	}
 	// Open the new segments before installing the manifest so readers
 	// never observe a manifest whose segments are not servable.
-	newSegs := make([]*segment, 0, db.shards)
-	for _, meta := range man.Segments {
-		if meta.ID >= db.man.NextSegmentID {
-			seg, err := db.openSegment(meta)
-			if err != nil {
-				return fmt.Errorf("stream: reopen flushed segment: %w", err)
-			}
-			newSegs = append(newSegs, seg)
-		}
+	newSegs, err := db.openParts(man.Segments[len(db.man.Segments):])
+	if err != nil {
+		return fmt.Errorf("stream: reopen flushed segment: %w", err)
 	}
 
 	db.mu.Lock()
@@ -717,7 +649,7 @@ func (db *DB) compact(ctx context.Context, minSegs int) error {
 	_, sp := obs.StartSpan(ctx, obs.SpanCompact)
 	start := time.Now()
 	replaced := make(map[int]bool)
-	var added []SegmentMeta
+	added := 0
 	for _, s := range compactShards {
 		segs := byShard[s]
 		if len(segs) == 1 && segs[0].meta.Rows > 0 {
@@ -754,18 +686,14 @@ func (db *DB) compact(ctx context.Context, minSegs int) error {
 			}
 			sort.Slice(order, func(a, b int) bool { return ids[order[a]] < ids[order[b]] })
 			mids := make([]uint32, len(ids))
-			mrows := make([][]float64, len(rows))
 			for i, o := range order {
 				mids[i] = ids[o]
-				mrows[i] = rows[o]
 			}
-			meta, err := db.buildSegment(man.NextSegmentID, s, mids, mrows)
-			if err != nil {
+			if err := man.writeSegment(db.dir, s, mids, func(i int) []float64 { return rows[order[i]] }); err != nil {
 				sp.End(nil)
 				return err
 			}
-			added = append(added, meta)
-			man.NextSegmentID++
+			added++
 		} else if db.shards == 1 && len(segs) > 0 && allZero(segs) {
 			// A flat store must keep at least one segment so the layout
 			// stays openable and uniform; keep the first, retire the rest.
@@ -773,7 +701,7 @@ func (db *DB) compact(ctx context.Context, minSegs int) error {
 			delete(replaced, keep)
 		}
 	}
-	if len(replaced) == 0 && len(added) == 0 {
+	if len(replaced) == 0 && added == 0 {
 		sp.End(nil)
 		return nil
 	}
@@ -784,18 +712,14 @@ func (db *DB) compact(ctx context.Context, minSegs int) error {
 			kept = append(kept, meta)
 		}
 	}
-	man.Segments = append(kept, added...)
+	man.Segments = kept
 	if err := commitManifest(db.dir, man); err != nil {
 		sp.End(nil)
 		return err
 	}
-	newSegs := make([]*segment, 0, len(added))
-	for _, meta := range added {
-		seg, err := db.openSegment(meta)
-		if err != nil {
-			return fmt.Errorf("stream: reopen compacted segment: %w", err)
-		}
-		newSegs = append(newSegs, seg)
+	newSegs, err := db.openParts(man.Segments[len(man.Segments)-added:])
+	if err != nil {
+		return fmt.Errorf("stream: reopen compacted segment: %w", err)
 	}
 
 	db.mu.Lock()
@@ -815,7 +739,7 @@ func (db *DB) compact(ctx context.Context, minSegs int) error {
 	db.mu.Unlock()
 
 	db.hCompact.ObserveDuration(time.Since(start))
-	sp.End(map[string]float64{"replaced": float64(len(replaced)), "added": float64(len(added)), "epoch": float64(man.Epoch)})
+	sp.End(map[string]float64{"replaced": float64(len(replaced)), "added": float64(added), "epoch": float64(man.Epoch)})
 	return nil
 }
 

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"github.com/uei-db/uei/internal/shard"
 )
 
 const (
@@ -70,6 +72,14 @@ type Manifest struct {
 	Segments    []SegmentMeta `json:"segments"`
 }
 
+// checkGeometry runs the layout check the static sharded manifest shares.
+func (m *Manifest) checkGeometry() error {
+	if err := shard.CheckGeometry(m.Shards, m.SegmentsPerDim, m.Columns, m.MinValues, m.MaxValues); err != nil {
+		return fmt.Errorf("stream: %w", err)
+	}
+	return nil
+}
+
 func (m *Manifest) validate() error {
 	if m.FormatVersion != manifestFormatVersion {
 		return fmt.Errorf("stream: manifest format %d, want %d", m.FormatVersion, manifestFormatVersion)
@@ -77,18 +87,8 @@ func (m *Manifest) validate() error {
 	if m.Epoch == 0 {
 		return fmt.Errorf("stream: manifest epoch 0 (epochs start at 1)")
 	}
-	if m.Shards < 1 {
-		return fmt.Errorf("stream: manifest has %d shards", m.Shards)
-	}
-	if m.SegmentsPerDim < 1 {
-		return fmt.Errorf("stream: manifest has %d segments per dimension", m.SegmentsPerDim)
-	}
-	dims := len(m.Columns)
-	if dims == 0 {
-		return fmt.Errorf("stream: manifest has no columns")
-	}
-	if len(m.MinValues) != dims || len(m.MaxValues) != dims {
-		return fmt.Errorf("stream: manifest bounds disagree with %d columns", dims)
+	if err := m.checkGeometry(); err != nil {
+		return err
 	}
 	total := 0
 	seen := make(map[int]bool, len(m.Segments))
@@ -196,15 +196,24 @@ func loadCurrentManifest(dir string) (*Manifest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stream: read %s: %w", name, err)
 	}
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("stream: parse %s: %w", name, err)
-	}
-	if err := m.validate(); err != nil {
+	m, err := parseManifest(data)
+	if err != nil {
 		return nil, err
 	}
 	if ManifestFileName(m.Epoch) != name {
 		return nil, fmt.Errorf("stream: %s records epoch %d", name, m.Epoch)
+	}
+	return m, nil
+}
+
+// parseManifest decodes and validates the bytes of an epoch manifest.
+func parseManifest(data []byte) (*Manifest, error) {
+	var m Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		return nil, fmt.Errorf("stream: parse manifest: %w", err)
+	}
+	if err := m.validate(); err != nil {
+		return nil, err
 	}
 	return &m, nil
 }

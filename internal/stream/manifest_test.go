@@ -1,0 +1,114 @@
+package stream
+
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"github.com/uei-db/uei/internal/shard"
+)
+
+// goodManifest is a valid two-shard epoch for the parser tests.
+func goodManifest() Manifest {
+	return Manifest{
+		FormatVersion:    manifestFormatVersion,
+		Epoch:            1,
+		Shards:           2,
+		SegmentsPerDim:   5,
+		Columns:          []string{"a", "b"},
+		MinValues:        []float64{0, -1},
+		MaxValues:        []float64{1, 2},
+		TargetChunkBytes: 4096,
+		NextSegmentID:    3,
+		FlushedRows:      3,
+		Segments:         []SegmentMeta{{ID: 1, Shard: 0, Rows: 1, Bytes: 100}, {ID: 2, Shard: 1, Rows: 2, Bytes: 200}},
+	}
+}
+
+// manifestRefusal is an epoch manifest the reader must refuse, with a word
+// its error must name.
+type manifestRefusal struct {
+	name, want string
+	data       []byte
+}
+
+// manifestRefusals are the files testdata/fuzz/FuzzReadLiveManifest holds:
+// epochs valid but for their geometry.
+func manifestRefusals(t testing.TB) []manifestRefusal {
+	edit := func(f func(m *Manifest)) []byte {
+		m := goodManifest()
+		f(&m)
+		data, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	return []manifestRefusal{
+		{"shards-past-max", "want 1..1024", edit(func(m *Manifest) { m.Shards = 1 << 40 })},
+		{"duplicate-column", "duplicate column", edit(func(m *Manifest) { m.Columns[1] = "a" })},
+		{"empty-column", "empty column", edit(func(m *Manifest) { m.Columns[0] = "" })},
+		{"bound-missing", "bounds disagree", edit(func(m *Manifest) { m.MinValues = m.MinValues[:1] })},
+	}
+}
+
+// TestReadManifestRefusesBadGeometry: every epoch goes through the
+// geometry check shards.json shares. A shard count past shard.MaxShards
+// used to be read, and a flush then allocated per-shard slices of that
+// length; duplicate or empty column names failed only a full Open.
+func TestReadManifestRefusesBadGeometry(t *testing.T) {
+	write := func(data []byte) string {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, ManifestFileName(1)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, CurrentFile), []byte(ManifestFileName(1)+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	good, err := json.Marshal(goodManifest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadManifest(write(good)); err != nil {
+		t.Fatalf("a valid manifest: %v", err)
+	}
+	for _, c := range manifestRefusals(t) {
+		if _, err := ReadManifest(write(c.data)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one naming %q", c.name, err, c.want)
+		}
+	}
+}
+
+// FuzzReadLiveManifest feeds JSON bodies to the epoch manifest parser,
+// which must return without panicking; a manifest it accepts passes the
+// geometry check and survives a write and a re-read unchanged. The
+// committed corpus under testdata/fuzz/ holds manifestRefusals.
+func FuzzReadLiveManifest(f *testing.F) {
+	good, err := json.Marshal(goodManifest())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := parseManifest(data)
+		if err != nil {
+			return
+		}
+		if err := shard.CheckGeometry(m.Shards, m.SegmentsPerDim, m.Columns, m.MinValues, m.MaxValues); err != nil {
+			t.Fatalf("accepted a manifest the geometry check refuses: %v", err)
+		}
+		enc, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := parseManifest(enc)
+		if err != nil || !reflect.DeepEqual(again, m) {
+			t.Fatalf("accepted manifest re-reads as %+v, %v; want %+v", again, err, m)
+		}
+	})
+}

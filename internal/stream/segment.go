@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"path/filepath"
 
-	"github.com/uei-db/uei/internal/chunkstore"
-	"github.com/uei-db/uei/internal/grid"
 	"github.com/uei-db/uei/internal/shard"
+	"github.com/uei-db/uei/internal/vec"
 )
 
 // memtable is the in-memory ordered write store absorbing appends between
@@ -36,63 +35,36 @@ type segment struct {
 	part shard.Part
 }
 
-// buildSegment materializes rows (global ids `ids`, ascending) as segment
-// id under db.dir and returns its meta. Zero rows build an explicit empty
-// store so every segment directory is uniform.
-func (db *DB) buildSegment(id int, shardID int, ids []uint32, rows [][]float64) (SegmentMeta, error) {
-	sdir := filepath.Join(db.dir, SegmentDirName(id))
-	var st *chunkstore.Store
-	var err error
-	if len(rows) == 0 {
-		st, err = chunkstore.BuildEmpty(sdir, db.columns, db.bounds, db.target)
-	} else {
-		row := func(i int) []float64 { return rows[i] }
-		st, err = chunkstore.BuildIndexed(sdir, db.columns, len(rows), row, chunkstore.BuildOptions{TargetChunkBytes: db.target})
-	}
+// writeSegment writes the next segment of shard s under dir — the part
+// over the rows ids names, row(i) returning the values of ids[i] — and
+// records it in m.
+func (m *Manifest) writeSegment(dir string, s int, ids []uint32, row func(i int) []float64) error {
+	id := m.NextSegmentID
+	bounds := vec.NewBox(m.MinValues, m.MaxValues)
+	bytes, err := shard.WritePart(filepath.Join(dir, SegmentDirName(id)), m.Columns, bounds, m.TargetChunkBytes, ids, row)
 	if err != nil {
-		return SegmentMeta{}, err
+		return err
 	}
-	if err := shard.SaveIDMap(sdir, ids); err != nil {
-		return SegmentMeta{}, err
-	}
-	return SegmentMeta{ID: id, Shard: shardID, Rows: len(rows), Bytes: st.TotalBytes()}, nil
+	m.Segments = append(m.Segments, SegmentMeta{ID: id, Shard: s, Rows: len(ids), Bytes: bytes})
+	m.NextSegmentID++
+	return nil
 }
 
-// openSegment opens a committed segment directory and installs the shared
-// block cache under a per-segment key prefix (segment ids are globally
-// unique and never reused, so retired ids cannot alias cached chunks).
-func (db *DB) openSegment(meta SegmentMeta) (*segment, error) {
-	sdir := filepath.Join(db.dir, SegmentDirName(meta.ID))
-	st, err := chunkstore.Open(sdir, db.opts.Limiter)
-	if err != nil {
-		return nil, fmt.Errorf("stream: segment %d: %w", meta.ID, err)
+// openParts opens committed segments for serving. Each store is
+// block-cached under its own directory name: segment ids are never reused,
+// so a retired id cannot alias cached chunks.
+func (db *DB) openParts(metas []SegmentMeta) ([]*segment, error) {
+	opts := shard.OpenOptions{Limiter: db.opts.Limiter, Workers: db.opts.Workers, BlockCache: db.opts.BlockCache}
+	segs := make([]*segment, len(metas))
+	for i, meta := range metas {
+		name := SegmentDirName(meta.ID)
+		dir := filepath.Join(db.dir, name)
+		part, err := shard.OpenPart(dir, db.grid, meta.Rows, name+"/", opts)
+		if err != nil {
+			return nil, fmt.Errorf("stream: segment %d: %w", meta.ID, err)
+		}
+		part.Store.Instrument(db.opts.Registry)
+		segs[i] = &segment{meta: meta, dir: dir, part: part}
 	}
-	if st.RowCount() != meta.Rows {
-		return nil, fmt.Errorf("stream: segment %d holds %d rows, manifest says %d", meta.ID, st.RowCount(), meta.Rows)
-	}
-	if st.Dims() != len(db.columns) {
-		return nil, fmt.Errorf("stream: segment %d has %d dims, manifest says %d", meta.ID, st.Dims(), len(db.columns))
-	}
-	st.SetWorkers(db.opts.Workers)
-	st.Instrument(db.opts.Registry)
-	if db.opts.BlockCache != nil {
-		st.SetCacheKeyPrefix(SegmentDirName(meta.ID) + "/")
-		st.SetBlockCache(db.opts.BlockCache)
-	}
-	mp, err := grid.BuildMapping(db.grid, st)
-	if err != nil {
-		return nil, fmt.Errorf("stream: segment %d: %w", meta.ID, err)
-	}
-	ids, err := shard.LoadIDMap(sdir)
-	if err != nil {
-		return nil, fmt.Errorf("stream: segment %d: %w", meta.ID, err)
-	}
-	if len(ids) != meta.Rows {
-		return nil, fmt.Errorf("stream: segment %d idmap has %d entries, manifest says %d rows", meta.ID, len(ids), meta.Rows)
-	}
-	return &segment{
-		meta: meta,
-		dir:  sdir,
-		part: shard.Part{Store: st, Mapping: mp, IDMap: ids},
-	}, nil
+	return segs, nil
 }

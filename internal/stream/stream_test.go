@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -271,6 +272,54 @@ func TestSnapshotMatchesStaticStore(t *testing.T) {
 				t.Fatalf("cell %d row %d: snapshot %v/%v, static %v/%v", cell, i, got[i].ID, got[i].Vals, want[i].ID, want[i].Vals)
 			}
 		}
+	}
+}
+
+// TestShardAndSegmentAreOnePart: at S = 3 over one dataset, each shard
+// directory shard.Build writes and the segment Create writes for the same
+// shard hold the same files — chunk files, chunk manifest, idmap — byte for
+// byte. Both layouts write their parts through shard.WritePart.
+func TestShardAndSegmentAreOnePart(t *testing.T) {
+	ds := testDataset(t, 3000, 5)
+	shardedDir, liveDir := t.TempDir(), t.TempDir()
+	if err := shard.Build(shardedDir, ds, shard.BuildOptions{Shards: 3, TargetChunkBytes: 2048}); err != nil {
+		t.Fatal(err)
+	}
+	mustCreate(t, liveDir, ds, CreateOptions{Shards: 3, TargetChunkBytes: 2048})
+	man, err := ReadManifest(liveDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readAll := func(dir string) map[string][]byte {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := make(map[string][]byte, len(entries))
+		for _, e := range entries {
+			if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return files
+	}
+	rows := 0
+	for _, seg := range man.Segments {
+		shardDir := filepath.Join(shardedDir, shard.ShardDirName(seg.Shard))
+		segDir := filepath.Join(liveDir, SegmentDirName(seg.ID))
+		want, got := readAll(shardDir), readAll(segDir)
+		if len(got) != len(want) {
+			t.Errorf("%s holds %d files, %s %d", segDir, len(got), shardDir, len(want))
+		}
+		for name, data := range want {
+			if !bytes.Equal(got[name], data) {
+				t.Errorf("%s differs from %s", filepath.Join(segDir, name), filepath.Join(shardDir, name))
+			}
+		}
+		rows += seg.Rows
+	}
+	if len(man.Segments) != 3 || rows != ds.Len() {
+		t.Fatalf("%d segments holding %d rows, want 3 holding %d", len(man.Segments), rows, ds.Len())
 	}
 }
 
