@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -464,5 +465,51 @@ func BenchmarkShardedStep(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestRetrieveDeadShardMovesNoCounter: a shard failing its retrieval
+// after the others have classified their parts fails the terminal step with
+// ErrShardUnavailable, and none of the retrieval counters move — they count
+// only a retrieval that answered.
+func TestRetrieveDeadShardMovesNoCounter(t *testing.T) {
+	_, sharded, ds := openShardedPair(t, 2000, 4, Options{SampleSize: 40, Seed: 9, Workers: 4})
+	model := boundaryModel(t, ds, testRegion(t, ds), 100)
+	reg := sharded.Registry()
+	counters := []string{"uei_retrieve_rows_total", "uei_retrieve_rows_settled_total", "uei_entries_visited_total"}
+	read := func() []int64 {
+		v := make([]int64, len(counters))
+		for i, name := range counters {
+			v[i] = reg.Counter(name).Value()
+		}
+		return v
+	}
+	before := read()
+	sharded.ShardCoordinator().SetFaultHook(func(ctx context.Context, s int, op string) error {
+		if s != 3 || op != shard.OpRetrieve {
+			return nil
+		}
+		select {
+		case <-time.After(30 * time.Millisecond):
+			return errors.New("injected")
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	})
+	ids, err := sharded.ResultRetrieval(context.Background(), model, 0)
+	if !errors.Is(err, shard.ErrShardUnavailable) || ids != nil {
+		t.Fatalf("got %d ids, err %v; want none and ErrShardUnavailable", len(ids), err)
+	}
+	if after := read(); !slices.Equal(after, before) {
+		t.Fatalf("counters %v moved %v -> %v", counters, before, after)
+	}
+	sharded.ShardCoordinator().SetFaultHook(nil)
+	if _, err := sharded.ResultRetrieval(context.Background(), model, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range read() {
+		if v <= before[i] {
+			t.Errorf("%s did not move on a retrieval that answered", counters[i])
+		}
 	}
 }

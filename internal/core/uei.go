@@ -965,10 +965,12 @@ func (x *Index) Stats() Stats {
 // over the store: per dimension, only the chunks overlapping the union of
 // the passing cells' segments are read, and each such chunk is read
 // exactly once (unlike loading cells one by one, which re-reads shared
-// chunk slabs per cell). The scan hands back columns, one kernel.Block per
-// data part; the worker pool asks the model for a decision per row, not a
-// posterior (learn.BlockPredictInto: the learn.Predict rule, bit for bit),
-// and a row is kept when the answer is positive. The returned ids ascend.
+// chunk slabs per cell). The scan hands over columns, one kernel.Block per
+// data part, and each part is classified as soon as it is scanned, so at
+// most Workers parts are held at once (shard.Coordinator.RetrieveStream):
+// the worker pool asks the model for a decision per row, not a posterior
+// (learn.BlockPredictInto: the learn.Predict rule, bit for bit), and a row
+// is kept when the answer is positive. The returned ids ascend.
 // Setting minCellPosterior to 0 disables pruning and yields the exact answer
 // set of the model; the centers are then not scored at all.
 func (x *Index) ResultRetrieval(ctx context.Context, model learn.Classifier, minCellPosterior float64) ([]uint32, error) {
@@ -1025,67 +1027,87 @@ func (x *Index) ResultRetrieval(ctx context.Context, model learn.Classifier, min
 	// if a marked segment hits it on every dimension (a superset of the
 	// passing-cell union, trimmed below). Every backend runs the same scan
 	// concurrently (each shard is a self-contained store over its own rows)
-	// and answers with one columnar part per data part. Retrieval is the
-	// final answer, so the scatter is strict: a failing shard fails the
-	// call rather than silently dropping its rows. shard.ScanMarked is the
-	// one scan every layout and transport runs, so the row set is
-	// byte-identical across them.
-	parts, entries, err := x.coord.Retrieve(ctx, markedSeg)
+	// and hands over one columnar part per data part, which is classified
+	// before its scratch is scanned into again. Retrieval is the final
+	// answer, so the scatter is strict: a failing shard fails the call
+	// rather than silently dropping its rows. shard.ScanMarked is the one
+	// scan every layout and transport runs, so the row set is byte-identical
+	// across them.
+	var (
+		mu       sync.Mutex
+		out      []uint32
+		rows     int
+		nSettled int64
+	)
+	entries, err := x.coord.RetrieveStream(ctx, markedSeg, func(part shard.RetrievedPart) error {
+		kept, settled, err := x.classifyPart(ctx, model, part, post, minCellPosterior, pruned)
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		out = append(out, kept...)
+		rows += part.Blk.N
+		nSettled += settled
+		mu.Unlock()
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	x.mEntries.Add(int64(entries))
-
-	// Final trim: the classifier's decision over each part's block, then —
-	// for the positives, when a cell failed — exact passing-cell membership.
-	cctx, span := obs.StartSpan(ctx, obs.SpanClassify)
-	var out []uint32
-	var keep []bool
-	var rows int
-	var settled atomic.Int64
-	row := make([]float64, dims)
-	for _, part := range parts {
-		blk := part.Blk
-		rows += blk.N
-		keep = slices.Grow(keep[:0], blk.N)[:blk.N]
-		err := x.pool.Do(cctx, blk.N, func(lo, hi int) error {
-			n, err := learn.BlockPredictInto(cctx, model, blk, lo, hi, keep[lo:hi])
-			settled.Add(int64(n))
-			return err
-		})
-		if err != nil {
-			span.End(nil)
-			return nil, err
-		}
-		for i, positive := range keep {
-			if !positive {
-				continue
-			}
-			if pruned {
-				cell, err := x.grid.CellOf(blk.Row(i, row))
-				if err != nil {
-					span.End(nil)
-					return nil, err
-				}
-				if post[cell] < minCellPosterior {
-					continue
-				}
-			}
-			out = append(out, part.IDs[i])
-		}
-	}
 	x.mRetrieveRows.Add(int64(rows))
-	x.mRetrieveSettled.Add(settled.Load())
-	span.End(map[string]float64{
-		"rows":     float64(rows),
-		"settled":  float64(settled.Load()),
-		"selected": float64(int64(rows) - settled.Load()),
-		"positive": float64(len(out)),
-	})
+	x.mRetrieveSettled.Add(nSettled)
 	// Ids ascend within a part and parts are disjoint; only the kept ids are
 	// put in order, never the scanned rows.
 	slices.Sort(out)
 	return out, nil
+}
+
+// classifyPart is the final trim of one retrieved part, under its own
+// classify span: the classifier's decision over the part's block on the
+// worker pool, then — for the positives, when a cell failed (pruned) —
+// exact passing-cell membership against the center posteriors post. It
+// returns the ids kept, in a slice of its own (the part's memory is reused
+// once the visit returns), and the rows decided without a selection.
+func (x *Index) classifyPart(ctx context.Context, model learn.Classifier, part shard.RetrievedPart, post []float64, minCellPosterior float64, pruned bool) ([]uint32, int64, error) {
+	cctx, span := obs.StartSpan(ctx, obs.SpanClassify)
+	blk := part.Blk
+	keep := make([]bool, blk.N)
+	var settled atomic.Int64
+	err := x.pool.Do(cctx, blk.N, func(lo, hi int) error {
+		n, err := learn.BlockPredictInto(cctx, model, blk, lo, hi, keep[lo:hi])
+		settled.Add(int64(n))
+		return err
+	})
+	if err != nil {
+		span.End(nil)
+		return nil, 0, err
+	}
+	var out []uint32
+	row := make([]float64, blk.Dims)
+	for i, positive := range keep {
+		if !positive {
+			continue
+		}
+		if pruned {
+			cell, err := x.grid.CellOf(blk.Row(i, row))
+			if err != nil {
+				span.End(nil)
+				return nil, 0, err
+			}
+			if post[cell] < minCellPosterior {
+				continue
+			}
+		}
+		out = append(out, part.IDs[i])
+	}
+	span.End(map[string]float64{
+		"rows":     float64(blk.N),
+		"settled":  float64(settled.Load()),
+		"selected": float64(int64(blk.N) - settled.Load()),
+		"positive": float64(len(out)),
+	})
+	return out, settled.Load(), nil
 }
 
 // Uncertainties returns a copy of the symbolic-point uncertainty vector,

@@ -14,29 +14,38 @@ import (
 
 // BenchmarkTerminalStep times result retrieval the way a served session
 // ends: on the final model of a real oracle session of the retrieve-heavy
-// shape (150k rows over S = 4, selectivity 0.008, 44 labels, a sample of
-// 2000, K = 7), one sub-benchmark per interest region. What a terminal step
-// costs depends on the label geometry — a session's positives are one tight
-// cluster, and how many rows the model settles without a selection varies
-// with the region (69–98 % over the benchmark's five sessions) — which a
-// model trained on rows strided through the dataset (core's
-// BenchmarkResultRetrieval) does not have. Reports ids/op (rows retrieved)
-// and settled/op (rows decided without a selection). Run with -cpu 1 to
-// compare commits. A developer's yardstick, not a gate: the repository's
-// benchmark is benchmark/run.sh.
+// shape (150k rows, selectivity 0.008, 44 labels, a sample of 2000, K = 7),
+// one sub-benchmark per store layout — flat (S = 1) and S = 4 — and
+// interest region. What a terminal step costs depends on the label
+// geometry — a session's positives are one tight cluster, and how many rows
+// the model settles without a selection varies with the region (69–98 %
+// over the benchmark's five sessions) — which a model trained on rows
+// strided through the dataset (core's BenchmarkResultRetrieval) does not
+// have. Reports B/op and allocs/op (the scanned parts' blocks dominate
+// them), ids/op (rows retrieved) and settled/op (rows decided without a
+// selection). Run with -cpu 1 to compare commits. A developer's yardstick,
+// not a gate: the repository's benchmark is benchmark/run.sh.
 func BenchmarkTerminalStep(b *testing.B) {
-	const budget, sample = 8 << 20, 2000
-	ctx := context.Background()
 	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 150_000, Seed: 21})
 	if err != nil {
 		b.Fatal(err)
 	}
+	for _, shards := range []int{1, 4} {
+		b.Run(fmt.Sprintf("S=%d", shards), func(b *testing.B) { benchmarkTerminalStep(b, ds, shards) })
+	}
+}
+
+// benchmarkTerminalStep runs BenchmarkTerminalStep's sessions over ds
+// stored in the given number of shards.
+func benchmarkTerminalStep(b *testing.B, ds *dataset.Dataset, shards int) {
+	const budget, sample = 8 << 20, 2000
+	ctx := context.Background()
 	bounds, err := ds.Bounds()
 	if err != nil {
 		b.Fatal(err)
 	}
 	dir := b.TempDir()
-	if err := core.Build(dir, ds, core.BuildOptions{TargetChunkBytes: 64 << 10, Shards: 4}); err != nil {
+	if err := core.Build(dir, ds, core.BuildOptions{TargetChunkBytes: 64 << 10, Shards: shards}); err != nil {
 		b.Fatal(err)
 	}
 	idx, err := core.Open(ctx, dir, core.Options{MemoryBudgetBytes: budget, SampleSize: sample})
@@ -79,6 +88,7 @@ func BenchmarkTerminalStep(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("region=%d", seed), func(b *testing.B) {
 			before := settled.Value()
+			b.ReportAllocs()
 			b.ResetTimer()
 			var ids []uint32
 			for i := 0; i < b.N; i++ {

@@ -19,8 +19,9 @@ import "fmt"
 // relative to the backing array and unrolled strips never split a line.
 const blockAlign = 8
 
-// strideFor returns the column stride of an n-point block.
-func strideFor(n int) int { return (n + blockAlign - 1) / blockAlign * blockAlign }
+// StrideFor returns the column stride of an n-point block: n rounded up to
+// a whole cache line of float64 words.
+func StrideFor(n int) int { return (n + blockAlign - 1) / blockAlign * blockAlign }
 
 // Block is a columnar copy of n points in dims dimensions: column d
 // occupies Data[d*Stride : d*Stride+N]. Whoever builds it (Pack, or NewBlock
@@ -46,7 +47,7 @@ type Block struct {
 // NewBlock allocates a zeroed block of n points in dims dimensions for a
 // builder that writes the columns itself, through Col.
 func NewBlock(n, dims int) *Block {
-	stride := strideFor(n)
+	stride := StrideFor(n)
 	return &Block{N: n, Dims: dims, Stride: stride, Data: make([]float64, dims*stride)}
 }
 
@@ -89,7 +90,7 @@ func (b *Block) Row(i int, out []float64) []float64 {
 // memory is allocated; the backing array keeps its capacity until the
 // block is dropped.
 func (b *Block) Keep(idx []uint32) {
-	stride := strideFor(len(idx))
+	stride := StrideFor(len(idx))
 	for d := 0; d < b.Dims; d++ {
 		src := b.Col(d)
 		// dst never runs ahead of the reads: stride <= b.Stride and

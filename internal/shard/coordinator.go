@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -438,6 +439,16 @@ func shardOutcome(callerCtx context.Context, err error) string {
 // attempt, and the buffered channel guarantees goroutine termination even
 // when scatterGather returns early.
 func scatterGather[T any](c *Coordinator, ctx context.Context, op string, fn func(ctx context.Context, b Backend) (T, error), apply func(shardID int, v T)) error {
+	return scatterLegs(c, ctx, op, func(ctx context.Context, id int) (T, error) {
+		return runAttempt(c, ctx, id, op, fn)
+	}, apply)
+}
+
+// scatterLegs is scatterGather with the whole per-shard leg supplied by the
+// caller, for a leg that does more than one runAttempt: RetrieveStream waits
+// for a scratch slot before its attempt starts, so the wait is not charged
+// to the shard's deadline.
+func scatterLegs[T any](c *Coordinator, ctx context.Context, op string, leg func(ctx context.Context, shardID int) (T, error), apply func(shardID int, v T)) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -451,7 +462,7 @@ func scatterGather[T any](c *Coordinator, ctx context.Context, op string, fn fun
 	results := make(chan shardAnswer, len(c.backends))
 	for id := range c.backends {
 		go func(id int) {
-			v, err := runAttempt(c, scatterCtx, id, op, fn)
+			v, err := leg(scatterCtx, id)
 			results <- shardAnswer{id, v, err}
 		}(id)
 	}
@@ -631,21 +642,18 @@ func (c *Coordinator) FetchRows(ctx context.Context, ids []uint32) ([]chunkstore
 
 // Retrieve runs the marked-segment scan on every shard and returns the
 // shards' columnar parts, in shard then part order, neither merged nor
-// sorted: parts hold disjoint rows, each ascending by global id, and the
-// caller orders only the ids it keeps. Retrieval is the final answer, so
-// the scatter is strict: an unavailable shard fails the call rather than
-// silently dropping its rows. entries sums the posting
-// entries every shard visited.
+// sorted: parts hold disjoint rows, each ascending by global id. Retrieval
+// is the final answer, so the scatter is strict: an unavailable shard, or
+// one answering with a row id past the store, fails the call rather than
+// silently dropping or inventing rows. entries sums the posting entries
+// every shard visited. Every part is held at once (41 B per row at five
+// dimensions); result retrieval streams them through RetrieveStream
+// instead.
 func (c *Coordinator) Retrieve(ctx context.Context, marked [][]bool) (parts []RetrievedPart, entries int, err error) {
-	type scanned struct {
-		parts   []RetrievedPart
-		entries int
-	}
 	perShard := make([][]RetrievedPart, len(c.backends))
 	err = scatterGather(c, ctx, OpRetrieve,
 		func(sctx context.Context, b Backend) (scanned, error) {
-			r, n, err := b.Retrieve(sctx, marked)
-			return scanned{r, n}, err
+			return c.fetchParts(sctx, b, marked)
 		},
 		func(id int, s scanned) {
 			perShard[id] = s.parts
@@ -655,4 +663,153 @@ func (c *Coordinator) Retrieve(ctx context.Context, marked [][]bool) (parts []Re
 		return nil, 0, err
 	}
 	return slices.Concat(perShard...), entries, nil
+}
+
+// scanned is one shard's gathered answer to a marked-segment scan.
+type scanned struct {
+	parts   []RetrievedPart
+	entries int
+}
+
+// fetchParts asks one backend for all its parts at once and checks their
+// ids against the store.
+func (c *Coordinator) fetchParts(ctx context.Context, b Backend, marked [][]bool) (scanned, error) {
+	parts, entries, err := b.Retrieve(ctx, marked)
+	if err != nil {
+		return scanned{}, err
+	}
+	for i := range parts {
+		if err := c.checkIDs(parts[i]); err != nil {
+			return scanned{}, err
+		}
+	}
+	return scanned{parts, entries}, nil
+}
+
+// checkIDs refuses a part holding a row id the store does not have. Ids
+// ascend within a part (a transport checks what it decoded), so the last
+// one bounds them all.
+func (c *Coordinator) checkIDs(p RetrievedPart) error {
+	if n := len(p.IDs); n > 0 && int(p.IDs[n-1]) >= c.meta.RowCount {
+		return fmt.Errorf("shard: retrieved row %d out of range [0,%d)", p.IDs[n-1], c.meta.RowCount)
+	}
+	return nil
+}
+
+// RetrieveStream is Retrieve as a stream: every data part is handed to
+// visit as soon as it is scanned, and nothing is gathered. A part is valid
+// only during its visit — its block lives in a scratch the next scan
+// reuses — so visit copies whatever it keeps. visit runs concurrently for
+// different shards, never twice at once for one shard, and not at all
+// once RetrieveStream has returned; an error it returns ends the stream
+// and is returned as it is.
+//
+// Each shard's leg goes through the strict scatter like Retrieve's, under
+// the fault hook, the shard_retrieve span and the per-shard deadline. A leg
+// holds one of Workers scratch slots (the coordinator pool's worker count)
+// while it scans and visits, so at most Workers parts are in memory at once:
+// 41 B per row of the largest part per slot at five dimensions, where
+// Retrieve holds the whole store's. The slot is taken before the attempt
+// starts, so waiting for one is not charged to the deadline, which covers
+// a local leg's scans and visits. A remote leg fetches its parts as
+// Retrieve does, concurrently with the others, and takes a slot only to
+// visit them.
+func (c *Coordinator) RetrieveStream(ctx context.Context, marked [][]bool, visit func(part RetrievedPart) error) (entries int, err error) {
+	slots := make(chan *ScanScratch, c.pool.Workers())
+	for range cap(slots) {
+		slots <- new(ScanScratch)
+	}
+	take := func(ctx context.Context) (*ScanScratch, error) {
+		select {
+		case sc := <-slots:
+			return sc, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+
+	// Visits run side by side; RetrieveStream waits for those in flight
+	// and, once closed, turns every later one away. A leg the scatter gave
+	// up on may still finish a scan after the call returns.
+	var (
+		mu       sync.Mutex
+		closed   bool
+		inFlight sync.WaitGroup
+		visitErr error
+	)
+	guarded := func(p RetrievedPart) error {
+		mu.Lock()
+		if closed {
+			mu.Unlock()
+			return context.Canceled
+		}
+		inFlight.Add(1)
+		mu.Unlock()
+		defer inFlight.Done()
+		err := visit(p)
+		if err != nil {
+			mu.Lock()
+			if visitErr == nil {
+				visitErr = err
+			}
+			mu.Unlock()
+		}
+		return err
+	}
+
+	leg := func(ctx context.Context, id int) (int, error) {
+		if lb, ok := c.backends[id].(*LocalBackend); ok {
+			sc, err := take(ctx)
+			if err != nil {
+				return 0, err
+			}
+			defer func() { slots <- sc }()
+			return runAttempt(c, ctx, id, OpRetrieve, func(sctx context.Context, _ Backend) (int, error) {
+				entries := 0
+				for i := range lb.shard.Parts {
+					p, pe, err := ScanMarked(sctx, lb.g, &lb.shard.Parts[i], marked, sc)
+					if err != nil {
+						return 0, err
+					}
+					if err := c.checkIDs(p); err != nil {
+						return 0, err
+					}
+					if err := guarded(p); err != nil {
+						return 0, err
+					}
+					entries += pe
+				}
+				return entries, nil
+			})
+		}
+		s, err := runAttempt(c, ctx, id, OpRetrieve, func(sctx context.Context, b Backend) (scanned, error) {
+			return c.fetchParts(sctx, b, marked)
+		})
+		if err != nil {
+			return 0, err
+		}
+		sc, err := take(ctx)
+		if err != nil {
+			return 0, err
+		}
+		defer func() { slots <- sc }()
+		for _, p := range s.parts {
+			if err := guarded(p); err != nil {
+				return 0, err
+			}
+		}
+		return s.entries, nil
+	}
+	err = scatterLegs(c, ctx, OpRetrieve, leg, func(_ int, n int) { entries += n })
+	mu.Lock()
+	closed = true
+	mu.Unlock()
+	inFlight.Wait()
+	if visitErr != nil {
+		return 0, visitErr
+	}
+	if err != nil {
+		return 0, err
+	}
+	return entries, nil
 }

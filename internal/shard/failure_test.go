@@ -14,10 +14,12 @@ import (
 )
 
 // stubBackend is a scripted in-memory Backend for failure tests: it answers
-// at once, fails with fail, or blocks until its context is cancelled.
+// at once, fails with fail, or blocks until its context is cancelled. A
+// retrieval answers with parts.
 type stubBackend struct {
 	fail  error
 	block bool
+	parts []RetrievedPart
 }
 
 // answer returns what the stub's every operation returns.
@@ -41,7 +43,10 @@ func (s *stubBackend) FetchRows(ctx context.Context, _ []uint32) ([]chunkstore.M
 }
 
 func (s *stubBackend) Retrieve(ctx context.Context, _ [][]bool) ([]RetrievedPart, int, error) {
-	return nil, 0, s.answer(ctx)
+	if err := s.answer(ctx); err != nil {
+		return nil, 0, err
+	}
+	return s.parts, len(s.parts), nil
 }
 
 func (s *stubBackend) Stats() BackendStats { return BackendStats{} }

@@ -154,7 +154,7 @@ func ScanPartsMarked(ctx context.Context, g *grid.Grid, parts []Part, marked [][
 	out := make([]RetrievedPart, 0, len(parts))
 	var entries int
 	for i := range parts {
-		r, pe, err := ScanMarked(ctx, g, &parts[i], marked)
+		r, pe, err := ScanMarked(ctx, g, &parts[i], marked, nil)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/uei-db/uei/internal/chunkstore"
 	"github.com/uei-db/uei/internal/grid"
@@ -44,13 +45,36 @@ func (r *RetrievedPart) Check(dims int) error {
 	return nil
 }
 
+// ScanScratch is the memory a scan reconstructs one part into: the block's
+// backing array, the hit bytes and the id buffer, each grown to the part
+// being scanned and never shrunk. Scanning the parts of a store one at a
+// time through one scratch therefore holds (8·dims + 1 + 4) bytes per row of
+// the largest part, not of the store. The part a scan returns lives in the
+// scratch (unless its IDs are the part's idmap): it is valid only until the
+// next scan through the same scratch. A scratch serves one scan at a time.
+type ScanScratch struct {
+	data []float64
+	hits []uint8
+	ids  []uint32
+	blk  kernel.Block
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough. The contents are not preserved or cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // ScanMarked streams one part's chunks overlapping the marked segments (one
 // flag slice per dimension of g), dimension by dimension, and returns the
 // rows a marked segment hit on every dimension. It is the per-store body of
-// result retrieval: every layout reaches it through ScanPartsMarked (a flat
-// store is one part, a live snapshot one part per segment, a uei-shardd
-// worker serves local backends), so result sets are byte-identical across
-// layouts and transports. entries counts the posting entries visited.
+// result retrieval: every layout reaches it (a flat store is one part, a
+// live snapshot one part per segment, a uei-shardd worker serves local
+// backends), so result sets are byte-identical across layouts and
+// transports. entries counts the posting entries visited.
 //
 // The part's store numbers its rows 0..n-1, so a row is reconstructed where
 // it will be read: dimension d's value of local row i goes to column d,
@@ -60,14 +84,24 @@ func (r *RetrievedPart) Check(dims int) error {
 // n·(8·dims + 1) bytes per part, plus the one decoded chunk of the visit in
 // flight: ps is valid only until the visit returns (see
 // chunkstore.ReadChunksOrdered), and every value kept is copied into the
-// block inside it. Rows that missed a dimension are squeezed
-// out in place at the end; when none did, IDs is the part's idmap itself.
+// block inside it. Rows that missed a dimension are squeezed out in place
+// at the end; when none did, IDs is the part's idmap itself.
+//
+// sc, when non-nil, is the memory the part is reconstructed into (see
+// ScanScratch); the result is then valid only until sc's next scan. A nil
+// sc allocates the part's own.
+//
+// A chunk whose values each post one row, and whose first and last values
+// lie in marked segments, is taken whole: its values strictly ascend (the
+// decoder refuses any chunk that does not, NaN included) and SegmentOf is
+// monotone, so every value between lies in a marked segment too. Every
+// other chunk is tested value by value.
 //
 // chunkstore.MergeChunks (cell loads) follows the same hit-byte protocol
 // and keeps its own body: a cell keeps about one row in 150 scanned, so it
 // holds values for the candidates only, found through a slot per row id,
 // where the dense n × dims block here is right because most rows survive.
-func ScanMarked(ctx context.Context, g *grid.Grid, p *Part, marked [][]bool) (RetrievedPart, int, error) {
+func ScanMarked(ctx context.Context, g *grid.Grid, p *Part, marked [][]bool, sc *ScanScratch) (RetrievedPart, int, error) {
 	dims, n := g.Dims(), p.RowCount()
 	if dims > math.MaxUint8 {
 		return RetrievedPart{}, 0, fmt.Errorf("shard: %d dimensions exceed the scan's one-byte hit counter", dims)
@@ -78,8 +112,18 @@ func ScanMarked(ctx context.Context, g *grid.Grid, p *Part, marked [][]bool) (Re
 	if len(marked) != dims {
 		return RetrievedPart{}, 0, fmt.Errorf("shard: %d marked dimensions, grid has %d", len(marked), dims)
 	}
-	blk := kernel.NewBlock(n, dims)
-	hits := make([]uint8, n)
+	if sc == nil {
+		sc = new(ScanScratch)
+	}
+	// The block is rebuilt over the scratch's whole array: a Keep of the
+	// previous scan resliced only the block's view of it.
+	stride := kernel.StrideFor(n)
+	sc.data = resize(sc.data, dims*stride)
+	sc.blk = kernel.Block{N: n, Dims: dims, Stride: stride, Data: sc.data}
+	blk := &sc.blk
+	hits := resize(sc.hits, n)
+	sc.hits = hits
+	clear(hits)
 	entries := 0
 	for d := 0; d < dims; d++ {
 		metas, all, err := markedChunks(g, p.Store, d, marked[d])
@@ -88,8 +132,31 @@ func ScanMarked(ctx context.Context, g *grid.Grid, p *Part, marked [][]bool) (Re
 		}
 		mk, col, seen := marked[d], blk.Col(d), uint8(d)
 		lo, hi := g.Bounds().Min[d], g.Bounds().Max[d]
+		// wholeChunk reports whether every value of a chunk whose values
+		// run from first to last lies in a marked segment.
+		wholeChunk := func(first, last float64) bool {
+			if all {
+				return first >= lo && last <= hi
+			}
+			s0, err0 := g.SegmentOf(d, first)
+			s1, err1 := g.SegmentOf(d, last)
+			return err0 == nil && err1 == nil && !slices.Contains(mk[s0:s1+1], false)
+		}
 		err = p.Store.ReadChunksOrdered(ctx, metas, func(_ chunkstore.ChunkMeta, ps chunkstore.Postings) error {
 			entries += len(ps.Values)
+			if len(ps.Rows) == len(ps.Values) && len(ps.Values) > 0 && wholeChunk(ps.Values[0], ps.Values[len(ps.Values)-1]) {
+				// Every count is at least one, so value i posts row i.
+				for i, id := range ps.Rows {
+					if int(id) >= n {
+						return fmt.Errorf("shard: row %d out of range [0,%d)", id, n)
+					}
+					if hits[id] == seen {
+						col[id] = ps.Values[i]
+						hits[id]++
+					}
+				}
+				return nil
+			}
 			start := uint32(0)
 			for i, v := range ps.Values {
 				ids := ps.Rows[start:ps.Ends[i]]
@@ -137,10 +204,18 @@ func ScanMarked(ctx context.Context, g *grid.Grid, p *Part, marked [][]bool) (Re
 			kept++
 		}
 	}
-	if kept == n && p.IDMap != nil {
-		return RetrievedPart{IDs: p.IDMap, Blk: blk}, entries, nil
+	if kept == n {
+		// Every row wrote every column; only the padding past n may hold
+		// an earlier scan's values, and kernel.Block promises zeros there.
+		for d := 0; d < dims; d++ {
+			clear(blk.Data[d*stride+n : (d+1)*stride])
+		}
+		if p.IDMap != nil {
+			return RetrievedPart{IDs: p.IDMap, Blk: blk}, entries, nil
+		}
 	}
-	ids := make([]uint32, 0, kept)
+	ids := resize(sc.ids, kept)[:0]
+	sc.ids = ids
 	for i, h := range hits {
 		if h == full {
 			ids = append(ids, uint32(i))
