@@ -10,7 +10,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 
 	"github.com/uei-db/uei/internal/dataset"
 )
@@ -175,10 +174,11 @@ func buildRows(dir string, columns []string, rows RowIterator, sizeHint int, opt
 }
 
 // writeChunksFromPairs groups a (value,id)-sorted pair stream into entries
-// and cuts them into chunks.
+// and cuts them into chunks. The open entry's posting list lives in one
+// buffer the cutter copies from, so no posting allocates.
 func writeChunksFromPairs(dir string, dim, target int, next func() (pair, bool, error)) ([]ChunkMeta, error) {
 	cut := chunkCutter{dir: dir, dim: dim, target: target}
-	var cur Entry // no current entry while cur.Rows is nil
+	var cur Entry // no current entry while cur.Rows is empty
 	for {
 		p, ok, err := next()
 		if err != nil {
@@ -187,22 +187,21 @@ func writeChunksFromPairs(dir string, dim, target int, next func() (pair, bool, 
 		if !ok {
 			break
 		}
-		switch {
-		case cur.Rows == nil:
-			cur = Entry{Value: p.value, Rows: []uint32{p.id}}
-		case p.value == cur.Value:
-			cur.Rows = append(cur.Rows, p.id)
-		default:
+		if len(cur.Rows) != 0 && p.value != cur.Value {
 			if p.value < cur.Value {
 				return nil, fmt.Errorf("chunkstore: merge produced unsorted values (%g after %g)", p.value, cur.Value)
 			}
 			if err := cut.add(cur); err != nil {
 				return nil, err
 			}
-			cur = Entry{Value: p.value, Rows: []uint32{p.id}}
+			cur.Rows = cur.Rows[:0]
 		}
+		if len(cur.Rows) == 0 {
+			cur.Value = p.value
+		}
+		cur.Rows = append(cur.Rows, p.id)
 	}
-	if cur.Rows != nil {
+	if len(cur.Rows) != 0 {
 		if err := cut.add(cur); err != nil {
 			return nil, err
 		}
@@ -217,9 +216,10 @@ func writeChunksFromPairs(dir string, dim, target int, next func() (pair, bool, 
 // sorted runs spilled so far, in a temporary directory made on the first
 // spill.
 type writer struct {
-	bufs [][]pair
-	runs [][]string
-	tmp  string
+	bufs    [][]pair
+	runs    [][]string
+	tmp     string
+	scratch []pair // sortPairs' second buffer, reused by every sort
 }
 
 func (w *writer) add(d int, p pair) error {
@@ -240,7 +240,7 @@ func (w *writer) spill(d int) error {
 		w.tmp = tmp
 	}
 	buf := w.bufs[d]
-	sortPairs(buf)
+	w.scratch = sortPairs(buf, w.scratch)
 	name := filepath.Join(w.tmp, fmt.Sprintf("d%02d_run%05d.spill", d, len(w.runs[d])))
 	f, err := os.Create(name)
 	if err != nil {
@@ -273,7 +273,8 @@ func (w *writer) removeRuns() {
 }
 
 // comparePairs orders by (value, id) so merged streams group duplicates
-// with ascending posting lists.
+// with ascending posting lists. It is the k-way merge's order; sortPairs
+// produces the same order without calling it.
 func comparePairs(a, b pair) int {
 	if c := cmp.Compare(a.value, b.value); c != 0 {
 		return c
@@ -281,7 +282,68 @@ func comparePairs(a, b pair) int {
 	return cmp.Compare(a.id, b.id)
 }
 
-func sortPairs(v []pair) { slices.SortFunc(v, comparePairs) }
+// pairKey maps a finite value to a key whose unsigned order is the value's
+// order: negative values have every bit flipped, the others only the sign
+// bit. -0 becomes +0 first, so the two zeros tie as cmp.Compare has them.
+func pairKey(v float64) uint64 {
+	b := math.Float64bits(v)
+	if b == 1<<63 {
+		b = 0
+	}
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// sortPairs sorts v into comparePairs order with a stable LSD radix sort
+// on pairKey, one byte a pass, skipping a byte every key shares. Stability
+// gives (value, id) order because the writer appends ids ascending; v must
+// hold them so. scratch is the second buffer, grown to len(v) when short
+// and returned for the next sort.
+func sortPairs(v, scratch []pair) []pair {
+	n := len(v)
+	if n < 2 {
+		return scratch
+	}
+	if cap(scratch) < n {
+		scratch = make([]pair, n)
+	}
+	scratch = scratch[:n]
+	var counts [8][256]int
+	for _, p := range v {
+		k := pairKey(p.value)
+		counts[0][byte(k)]++
+		counts[1][byte(k>>8)]++
+		counts[2][byte(k>>16)]++
+		counts[3][byte(k>>24)]++
+		counts[4][byte(k>>32)]++
+		counts[5][byte(k>>40)]++
+		counts[6][byte(k>>48)]++
+		counts[7][byte(k>>56)]++
+	}
+	first := pairKey(v[0].value)
+	src, dst := v, scratch
+	for pass := range counts {
+		shift := 8 * pass
+		c := &counts[pass]
+		if c[byte(first>>shift)] == n {
+			continue
+		}
+		sum := 0
+		for b, k := range c {
+			c[b] = sum
+			sum += k
+		}
+		for _, p := range src {
+			b := byte(pairKey(p.value) >> shift)
+			dst[c[b]] = p
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &v[0] {
+		copy(v, src)
+	}
+	return scratch
+}
 
 // merged returns a pull iterator over the k-way merge of dimension d's
 // runs and its residual buffer, and a cleanup func closing the run
@@ -289,7 +351,7 @@ func sortPairs(v []pair) { slices.SortFunc(v, comparePairs) }
 func (w *writer) merged(d int) (func() (pair, bool, error), func(), error) {
 	// The residual (unspilled) buffer becomes an in-memory "run".
 	residual := w.bufs[d]
-	sortPairs(residual)
+	w.scratch = sortPairs(residual, w.scratch)
 	ri := 0
 
 	readers := make([]*runReader, 0, len(w.runs[d]))

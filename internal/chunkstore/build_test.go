@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -80,14 +81,38 @@ func requireSameFiles(t *testing.T, a, b string) {
 // TestSpilledBuildMatchesUnspilled: a build that spills a sorted run every
 // 257 pairs, and so k-way merges a dozen runs per dimension, writes the
 // same files byte for byte as one that sorts each dimension in memory, and
-// leaves no run file behind.
+// leaves no run file behind. Mixed -0 and +0 and values repeated across
+// run boundaries must come out as one entry each, holding every id in
+// ascending order, with the zero entry's value bits those of its lowest
+// id's row: the two zeros tie and sort by id.
 func TestSpilledBuildMatchesUnspilled(t *testing.T) {
 	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 3000, Seed: 201})
 	if err != nil {
 		t.Fatal(err)
 	}
+	negZero := math.Copysign(0, -1)
+	// Dimensions 3 and 4 hold no zero below row 240 (the generator clamps
+	// other dimensions at +0): their zero entries start at -0 and +0.
+	for i := 240; i < 280; i++ { // across the first run boundary, 257
+		ds.Row(dataset.RowID(i))[3], ds.Row(dataset.RowID(i))[4] = 0, 0
+		if i%3 == 0 {
+			ds.Row(dataset.RowID(i))[3] = negZero
+		}
+		if i%3 == 1 {
+			ds.Row(dataset.RowID(i))[4] = negZero
+		}
+	}
+	for i := 500; i < 1040; i++ { // across the boundaries at 514, 771 and 1028
+		if i < 530 || i >= 1020 {
+			ds.Row(dataset.RowID(i))[2] = 1.25
+		}
+	}
+	for i := 0; i < ds.Len(); i += 7 { // in every run
+		ds.Row(dataset.RowID(i))[0] = 3.5
+	}
 	whole := t.TempDir()
-	if _, err := Build(whole, ds, BuildOptions{TargetChunkBytes: 2048}); err != nil {
+	st, err := Build(whole, ds, BuildOptions{TargetChunkBytes: 2048})
+	if err != nil {
 		t.Fatal(err)
 	}
 	tmp := t.TempDir()
@@ -101,6 +126,52 @@ func TestSpilledBuildMatchesUnspilled(t *testing.T) {
 	if left, _ := os.ReadDir(tmp); len(left) != 0 {
 		t.Errorf("the build left %d entries in its spill directory's parent", len(left))
 	}
+
+	for _, c := range []struct {
+		dim   int
+		value float64
+	}{{3, 0}, {4, 0}, {2, 1.25}, {0, 3.5}} {
+		var want []uint32
+		for i := 0; i < ds.Len(); i++ {
+			if ds.Row(dataset.RowID(i))[c.dim] == c.value {
+				want = append(want, uint32(i))
+			}
+		}
+		e := entryOf(t, st, c.dim, c.value)
+		wantBits := math.Float64bits(ds.Row(dataset.RowID(want[0]))[c.dim])
+		if math.Float64bits(e.Value) != wantBits {
+			t.Errorf("dim %d: entry value bits %#x, want %#x, row %d's", c.dim, math.Float64bits(e.Value), wantBits, want[0])
+		}
+		if !slices.Equal(e.Rows, want) {
+			t.Errorf("dim %d value %g: entry holds %d ids, want the %d rows holding it", c.dim, c.value, len(e.Rows), len(want))
+		}
+	}
+}
+
+// entryOf returns dimension dim's entry for value v, failing the test
+// unless exactly one chunk holds it.
+func entryOf(t *testing.T, st *Store, dim int, v float64) Entry {
+	t.Helper()
+	metas, err := st.ChunksOverlapping(dim, v, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var found []Entry
+	for _, m := range metas {
+		entries, err := st.ReadChunk(context.Background(), m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.Value == v {
+				found = append(found, e)
+			}
+		}
+	}
+	if len(found) != 1 {
+		t.Fatalf("dim %d: %d entries hold %g, want 1", dim, len(found), v)
+	}
+	return found[0]
 }
 
 func TestBuildRowsReopen(t *testing.T) {

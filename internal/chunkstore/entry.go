@@ -24,18 +24,24 @@ type chunkCutter struct {
 	dir         string
 	dim, target int
 	metas       []ChunkMeta
-	pending     []Entry
-	rows        int
-	maxID       uint32
-	maxCount    int
+	// pending holds the entries of the chunk being cut. Their posting
+	// lists are copied back to back into ids, one buffer reused from chunk
+	// to chunk, so a caller may reuse e.Rows once add returns. When ids
+	// grows, the entries already pending keep pointing into the old array,
+	// which nothing writes again.
+	pending  []Entry
+	ids      []uint32
+	maxID    uint32
+	maxCount int
 }
 
 func (k *chunkCutter) add(e Entry) error {
 	if len(e.Rows) == 0 {
 		return fmt.Errorf("chunkstore: value %g has an empty posting list", e.Value)
 	}
-	k.pending = append(k.pending, e)
-	k.rows += len(e.Rows)
+	start := len(k.ids)
+	k.ids = append(k.ids, e.Rows...)
+	k.pending = append(k.pending, Entry{Value: e.Value, Rows: k.ids[start:len(k.ids):len(k.ids)]})
 	k.maxID = max(k.maxID, e.Rows[len(e.Rows)-1])
 	k.maxCount = max(k.maxCount, len(e.Rows))
 	if k.payload() >= uint64(k.target) {
@@ -47,7 +53,7 @@ func (k *chunkCutter) add(e Entry) error {
 // payload is the encoded payload size of the pending entries.
 func (k *chunkCutter) payload() uint64 {
 	w, c := chunkWidths(k.maxID, k.maxCount)
-	return payloadSize(uint64(len(k.pending)), uint64(k.rows), w, c)
+	return payloadSize(uint64(len(k.pending)), uint64(len(k.ids)), w, c)
 }
 
 // flush writes the pending entries, if any, as the dimension's next chunk.
@@ -60,6 +66,6 @@ func (k *chunkCutter) flush() error {
 		return err
 	}
 	k.metas = append(k.metas, meta)
-	k.pending, k.rows, k.maxID, k.maxCount = k.pending[:0], 0, 0, 0
+	k.pending, k.ids, k.maxID, k.maxCount = k.pending[:0], k.ids[:0], 0, 0
 	return nil
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -235,5 +237,34 @@ func BenchmarkResultRetrieval(b *testing.B) {
 				b.ReportMetric(float64(len(ids)), "ids/op")
 			})
 		}
+	}
+}
+
+// BenchmarkBuild measures the offline phase (Algorithm 2 lines 1-11's
+// store half): 150k sky rows written flat and as S = 4 partitions at the
+// end-to-end benchmark's 64 KiB chunk target. Each op writes a fresh
+// directory; removing it is not timed. allocs/op counts the writer's
+// allocations, which no longer grow with the row count.
+func BenchmarkBuild(b *testing.B) {
+	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 150_000, Seed: 21})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, shards := range []int{1, 4} {
+		b.Run(fmt.Sprintf("S=%d", shards), func(b *testing.B) {
+			root := b.TempDir()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dir := filepath.Join(root, fmt.Sprint(i))
+				if err := Build(dir, ds, BuildOptions{TargetChunkBytes: 64 << 10, Shards: shards}); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if err := os.RemoveAll(dir); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
 	}
 }

@@ -140,8 +140,10 @@ func (g *Grid) ID(coords []int) (CellID, error) {
 }
 
 // CellBox returns the axis-aligned box of a cell. Boxes of adjacent cells
-// share boundary faces; membership assignment (CellOf) resolves boundary
-// points to the lower-indexed cell except at the domain maximum.
+// share boundary faces; membership assignment (CellOf) resolves a point on
+// an interior boundary to the higher-indexed segment, and the domain
+// maximum to the last one. Its bounds on each dimension are that
+// dimension's SegmentInterval.
 func (g *Grid) CellBox(id CellID) (vec.Box, error) {
 	coords, err := g.Coords(id)
 	if err != nil {
@@ -181,7 +183,7 @@ func (g *Grid) CellOf(p vec.Point) (CellID, error) {
 	if len(p) != g.Dims() {
 		return 0, fmt.Errorf("grid: point has %d dims, grid has %d", len(p), g.Dims())
 	}
-	coords := make([]int, g.Dims())
+	id := 0
 	for i, v := range p {
 		if !(v >= g.bounds.Min[i] && v <= g.bounds.Max[i]) {
 			return 0, fmt.Errorf("grid: coordinate %d = %g outside domain [%g,%g]", i, v, g.bounds.Min[i], g.bounds.Max[i])
@@ -190,9 +192,9 @@ func (g *Grid) CellOf(p vec.Point) (CellID, error) {
 		if c >= g.segments[i] {
 			c = g.segments[i] - 1
 		}
-		coords[i] = c
+		id = id*g.segments[i] + c
 	}
-	return g.ID(coords)
+	return CellID(id), nil
 }
 
 // SegmentOf returns the segment index of value v on dimension dim, using
@@ -245,16 +247,19 @@ func (g *Grid) Centers() []vec.Point {
 }
 
 // Mapping is the mapping method m : p -> C of §3.1 (component 2): for each
-// cell it records the contiguous run of chunk sequence numbers per
-// dimension whose value ranges overlap the cell. Runs are resolved against
-// the store's manifest on demand, keeping the in-memory mapping compact
-// (two ints per dimension per cell).
+// cell, the contiguous run of chunk sequence numbers per dimension whose
+// value ranges overlap the cell. A cell's bounds on dimension d are its
+// segment's SegmentInterval, so its run there is the segment's run: the
+// mapping stores one run per (dimension, segment) and composes a cell's
+// chunks from them on demand (two ints per segment, not per cell).
 type Mapping struct {
 	grid  *Grid
 	store *chunkstore.Store
-	// runs[cell][dim] = {first, last} chunk Seq, inclusive; first > last
-	// encodes "no chunks" (possible when a cell covers empty value space).
+	// runs[dim][seg] = {first, last} chunk Seq, inclusive; first > last
+	// encodes "no chunks" (a segment covering empty value space).
 	runs [][][2]int
+	// strides[dim] is the cell-id step of one segment on dim.
+	strides []int
 }
 
 // BuildMapping computes the cell-to-chunk mapping from the store manifest.
@@ -262,38 +267,42 @@ func BuildMapping(g *Grid, st *chunkstore.Store) (*Mapping, error) {
 	if g.Dims() != st.Dims() {
 		return nil, fmt.Errorf("grid: grid has %d dims, store has %d", g.Dims(), st.Dims())
 	}
-	runs := make([][][2]int, g.NumCells())
-	for id := 0; id < g.NumCells(); id++ {
-		box, err := g.CellBox(CellID(id))
-		if err != nil {
-			return nil, err
-		}
-		cellRuns := make([][2]int, g.Dims())
-		for d := 0; d < g.Dims(); d++ {
-			chunks, err := st.ChunksOverlapping(d, box.Min[d], box.Max[d])
+	runs := make([][][2]int, g.Dims())
+	strides := make([]int, g.Dims())
+	stride := 1
+	for d := g.Dims() - 1; d >= 0; d-- {
+		strides[d] = stride
+		stride *= g.segments[d]
+		runs[d] = make([][2]int, g.segments[d])
+		for seg := range runs[d] {
+			lo, hi, err := g.SegmentInterval(d, seg)
+			if err != nil {
+				return nil, err
+			}
+			chunks, err := st.ChunksOverlapping(d, lo, hi)
 			if err != nil {
 				return nil, err
 			}
 			if len(chunks) == 0 {
-				cellRuns[d] = [2]int{1, 0}
+				runs[d][seg] = [2]int{1, 0}
 				continue
 			}
-			cellRuns[d] = [2]int{chunks[0].Seq, chunks[len(chunks)-1].Seq}
+			runs[d][seg] = [2]int{chunks[0].Seq, chunks[len(chunks)-1].Seq}
 		}
-		runs[id] = cellRuns
 	}
-	return &Mapping{grid: g, store: st, runs: runs}, nil
+	return &Mapping{grid: g, store: st, runs: runs, strides: strides}, nil
 }
 
 // Chunks returns the chunk metadata needed to reconstruct the cell, all
 // dimensions concatenated.
 func (m *Mapping) Chunks(id CellID) ([]chunkstore.ChunkMeta, error) {
-	if id < 0 || int(id) >= len(m.runs) {
-		return nil, fmt.Errorf("grid: cell %d out of range [0,%d)", id, len(m.runs))
+	if id < 0 || int(id) >= m.grid.cells {
+		return nil, fmt.Errorf("grid: cell %d out of range [0,%d)", id, m.grid.cells)
 	}
 	var out []chunkstore.ChunkMeta
 	manifest := m.store.Manifest()
-	for d, run := range m.runs[id] {
+	for d, segRuns := range m.runs {
+		run := segRuns[int(id)/m.strides[d]%len(segRuns)]
 		if run[0] > run[1] {
 			continue
 		}

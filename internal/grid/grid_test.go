@@ -2,8 +2,10 @@ package grid
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -324,5 +326,139 @@ func TestMappingChunksRange(t *testing.T) {
 	}
 	if _, err := m.Chunks(CellID(g.NumCells())); err == nil {
 		t.Error("overflow cell should fail")
+	}
+}
+
+// TestCellOfBoundaryRule pins the rule CellBox's doc states: a value
+// exactly on an interior boundary lands in the higher segment, and the
+// domain maximum in the last one. SegmentOf agrees.
+func TestCellOfBoundaryRule(t *testing.T) {
+	g, err := New(vec.NewBox(vec.Point{0, 0}, vec.Point{10, 10}), 5) // segments 2 wide
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		p    vec.Point
+		want []int
+	}{
+		{vec.Point{4, 1}, []int{2, 0}},  // on the boundary between segments 1 and 2
+		{vec.Point{10, 4}, []int{4, 2}}, // the domain maximum, and a boundary
+		{vec.Point{10, 10}, []int{4, 4}},
+	} {
+		id, err := g.CellOf(c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := g.ID(c.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != want {
+			t.Errorf("CellOf(%v) = %d, want %d (segments %v)", c.p, id, want, c.want)
+		}
+		for d, v := range c.p {
+			if seg, err := g.SegmentOf(d, v); err != nil || seg != c.want[d] {
+				t.Errorf("SegmentOf(%d, %g) = %d, %v, want %d", d, v, seg, err, c.want[d])
+			}
+		}
+	}
+}
+
+// TestCellOfAllocatesNothing: partitioning, appends and the retrieval trim
+// call CellOf once per row.
+func TestCellOfAllocatesNothing(t *testing.T) {
+	g, err := New(unitBox(5), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := vec.Point{0.1, 0.3, 0.5, 0.7, 1}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := g.CellOf(p); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("CellOf allocates %v times a call", n)
+	}
+}
+
+// TestMappingMatchesCellBoxes: the per-segment mapping gives every cell
+// the chunks its own box overlaps, as deriving them from CellBox and
+// ChunksOverlapping does. Stores: a flat one; three parts each holding the
+// rows of every third cell over the whole domain, as an S = 3 layout does;
+// and one whose grid domain reaches past its data, so a segment overlaps no
+// chunk (run {1, 0}).
+func TestMappingMatchesCellBoxes(t *testing.T) {
+	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 3000, Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds, err := ds.Bounds()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := New(bounds, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(rows [][]float64) *chunkstore.Store {
+		st, err := chunkstore.BuildIndexed(t.TempDir(), ds.Schema().Names(), len(rows), func(i int) []float64 { return rows[i] }, chunkstore.BuildOptions{TargetChunkBytes: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	all := make([][]float64, ds.Len())
+	parts := make([][][]float64, 3)
+	for i := range all {
+		all[i] = ds.Row(dataset.RowID(i))
+		cell, err := g.CellOf(all[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts[cell%3] = append(parts[cell%3], all[i])
+	}
+	check := func(name string, g *Grid, st *chunkstore.Store) (empty int) {
+		m, err := BuildMapping(g, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := CellID(0); int(id) < g.NumCells(); id++ {
+			box, err := g.CellBox(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []chunkstore.ChunkMeta
+			for d := 0; d < g.Dims(); d++ {
+				chunks, err := st.ChunksOverlapping(d, box.Min[d], box.Max[d])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(chunks) == 0 {
+					empty++
+				}
+				want = append(want, chunks...)
+			}
+			got, err := m.Chunks(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: cell %d: mapping gives %d chunks, its box overlaps %d", name, id, len(got), len(want))
+			}
+		}
+		return empty
+	}
+	check("flat", g, build(all))
+	for s, rows := range parts {
+		check(fmt.Sprintf("part %d of 3", s), g, build(rows))
+	}
+	wide := vec.NewBox(bounds.Min, bounds.Max)
+	wide.Max[0] += 2 * (bounds.Max[0] - bounds.Min[0]) // segments 2 and 3 lie past the data
+	gw, err := New(wide, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if check("wide domain", gw, build(all)) == 0 {
+		t.Error("no cell of the wide domain missed every chunk on a dimension")
 	}
 }

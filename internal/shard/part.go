@@ -132,12 +132,22 @@ func Partition(g *grid.Grid, owners []int, shards int, firstID uint32, n int, ro
 		}
 		return ids, nil
 	}
-	for i := 0; i < n; i++ {
+	// Count first, so each shard's slice is sized once.
+	owner := make([]int32, n)
+	counts := make([]int, shards)
+	for i := range owner {
 		cell, err := g.CellOf(row(i))
 		if err != nil {
 			return nil, fmt.Errorf("shard: row %d: %w", int(firstID)+i, err)
 		}
 		s := owners[cell]
+		owner[i] = int32(s)
+		counts[s]++
+	}
+	for s, c := range counts {
+		ids[s] = make([]uint32, 0, c)
+	}
+	for i, s := range owner {
 		ids[s] = append(ids[s], firstID+uint32(i))
 	}
 	return ids, nil
