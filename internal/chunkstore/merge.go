@@ -23,33 +23,47 @@ type MergedRow struct {
 // Ids are unique within any one result, so the sorted order is unique too.
 func CompareRowID(a, b MergedRow) int { return cmp.Compare(a.ID, b.ID) }
 
-// scratch is the row-id table of one reconstruction. A store numbers its
-// rows 0..n-1, so two arrays indexed by row id are §3.1's hash table
-// without hashing: hits[id] is zero for a row that is not a candidate and
-// otherwise counts what has landed on it, slot[id] (read only where
-// hits[id] != 0) is the candidate's position in cand. Every id with a
-// non-zero hit byte is in cand, so walking cand resets the table — never
-// an O(n) clear — and a pooled scratch is all zeroes between calls.
-// shard.ScanMarked follows the same hit-byte protocol over a dense
-// n × dims block, which is right when most rows survive; the slot
-// indirection here is right when a cell keeps one row in ≈ 150 scanned.
+// scratch is the row-id state of one reconstruction. A store numbers its
+// rows 0..n-1, so a bitset of n bits (bit id&31 of word id>>5) is §3.1's
+// hash table without hashing, and a row's values wait in per-dimension
+// lists until the set says which rows survive:
 //
-// member is the same set as cand, one bit per row id (bit id&31 of word
-// id>>5), for kernel.MemberMasks: a reconstruction that keeps few of the
-// postings it reads tests eight of them to an instruction and touches the
-// table only for the ones in it. It is cleared with the hit bytes.
+//   - set holds the rows still standing: MergeChunks' rows that landed
+//     every dimension so far, FetchRows' wanted rows. kernel.MemberMasks
+//     tests eight posting ids against it to an instruction.
+//   - next collects the rows the dimension under way lands, the first
+//     posting of a row winning; MergeChunks swaps it with set after each
+//     dimension, so set ends the call holding exactly the survivors.
+//   - rank[w] is the number of set bits in the words before w, written for
+//     the words that have any, so a survivor's output position is rank plus
+//     one popcount.
+//   - lists[d] is MergeChunks' (id, value) pairs of dimension d, one per
+//     row that landed it, in posting order.
+//
+// The three word arrays cost 0.375 B per store row, and a pooled scratch
+// is all zero between calls: every bit set and every rank word written
+// belongs to an id in a list (MergeChunks) or to the word span [lo, hi)
+// of the wanted ids (FetchRows), and the release clears exactly those —
+// never an O(n) clear of a table the call barely touched.
 type scratch struct {
-	hits   []uint8
-	slot   []int32
-	cand   []uint32
-	member []uint32
-	masks  []uint8     // one chunk's kernel.MemberMasks
-	cols   [][]float64 // MergeChunks: cols[d][slot[id]] is candidate id's value on dimension d
+	set, next, rank []uint32
+	lists           []dimPairs
+	lo, hi          int     // FetchRows: the words its wanted ids span
+	masks           []uint8 // one chunk's kernel.MemberMasks
 }
 
-// acquireScratch takes a zeroed scratch from the store's pool (5.125 bytes
-// per store row for each concurrent reconstruction, outside
-// memcache.Budget). maxHit is the largest value a hit byte must hold.
+// dimPairs is one dimension's (row id, value) pairs, in two columns.
+type dimPairs struct {
+	ids  []uint32
+	vals []float64
+}
+
+// acquireScratch takes a zeroed scratch from the store's pool (0.375 bytes
+// per store row for each concurrent reconstruction, plus the lists,
+// outside memcache.Budget). maxHit is the largest count of dimensions a
+// row can land plus marks: the refusal past one byte is the one
+// shard.ScanMarked's hit counter makes, so every reconstruction of a
+// store accepts the same dimensionality.
 func (s *Store) acquireScratch(maxHit int) (*scratch, error) {
 	if maxHit > math.MaxUint8 {
 		return nil, fmt.Errorf("chunkstore: %d dimensions exceed the reconstruction's one-byte hit counter", s.Dims())
@@ -57,50 +71,36 @@ func (s *Store) acquireScratch(maxHit int) (*scratch, error) {
 	if sc, ok := s.scratch.Get().(*scratch); ok {
 		return sc, nil
 	}
-	n := s.RowCount()
-	return &scratch{hits: make([]uint8, n), slot: make([]int32, n), member: make([]uint32, n/32+1)}, nil
+	words := s.RowCount()/32 + 1
+	return &scratch{set: make([]uint32, words), next: make([]uint32, words), rank: make([]uint32, words)}, nil
 }
 
-// releaseScratch zeroes the hit bytes and member words still set and pools
-// the scratch. It runs deferred, so a cancelled context or a corrupt chunk
-// in the middle of a dimension leaves the table as clean as a completed
-// call does.
+// releaseScratch zeroes every word the call touched and pools the scratch.
+// It runs deferred, so a cancelled context or a corrupt chunk in the
+// middle of a dimension leaves the table as clean as a completed call
+// does.
 func (s *Store) releaseScratch(sc *scratch) {
-	for _, id := range sc.cand {
-		sc.hits[id], sc.member[id>>5] = 0, 0
+	for i := range sc.lists {
+		l := &sc.lists[i]
+		for _, id := range l.ids {
+			w := id >> 5
+			sc.set[w], sc.next[w], sc.rank[w] = 0, 0, 0
+		}
+		l.ids, l.vals = l.ids[:0], l.vals[:0]
 	}
-	sc.cand = sc.cand[:0]
+	clear(sc.set[sc.lo:sc.hi])
+	clear(sc.next[sc.lo:sc.hi])
+	clear(sc.rank[sc.lo:sc.hi])
+	sc.lo, sc.hi = 0, 0
 	s.scratch.Put(sc)
 }
 
-// squeeze drops the candidates that have not landed `landed` dimensions,
-// clearing their hit bytes and member bits, and closes the gaps they leave.
-func (sc *scratch) squeeze(landed int) {
-	k := 0
-	for i, id := range sc.cand {
-		if sc.hits[id] != uint8(landed) {
-			sc.hits[id] = 0
-			sc.member[id>>5] &^= 1 << (id & 31)
-			continue
-		}
-		if k != i {
-			sc.cand[k], sc.slot[id] = id, int32(k)
-			for _, col := range sc.cols[:landed] {
-				col[k] = col[i]
-			}
-		}
-		k++
-	}
-	sc.cand = sc.cand[:k]
-}
-
 // memberMasks fills sc.masks with the member masks of ids — bit b of byte j
-// set where ids[8j+b] is in sc.member — and refuses, by the first one's
-// name, an id past the table.
-func (sc *scratch) memberMasks(ids []uint32) ([]uint8, error) {
-	n := len(sc.hits)
+// set where ids[8j+b] is in sc.set — and refuses, by the first one's name,
+// an id past the store.
+func (sc *scratch) memberMasks(ids []uint32, n int) ([]uint8, error) {
 	sc.masks = slices.Grow(sc.masks[:0], (len(ids)+7)/8)[:(len(ids)+7)/8]
-	if maxID := kernel.MemberMasks(sc.masks, ids, sc.member, uint32(n)); len(ids) > 0 && int(maxID) >= n {
+	if maxID := kernel.MemberMasks(sc.masks, ids, sc.set, uint32(n)); len(ids) > 0 && int(maxID) >= n {
 		for _, id := range ids {
 			if int(id) >= n {
 				return nil, errRowRange(id, n)
@@ -108,6 +108,39 @@ func (sc *scratch) memberMasks(ids []uint32) ([]uint8, error) {
 		}
 	}
 	return sc.masks, nil
+}
+
+// rankWords writes rank[w] for the words of set in [lo, hi) that hold a
+// bit, and returns the number of bits they hold.
+func (sc *scratch) rankWords(lo, hi int) int {
+	count := 0
+	for w, b := range sc.set[lo:hi] {
+		if b != 0 {
+			sc.rank[lo+w] = uint32(count)
+			count += bits.OnesCount32(b)
+		}
+	}
+	return count
+}
+
+// position is the output position of id, a member of set, among the
+// members in ascending order.
+func (sc *scratch) position(id uint32) int {
+	w := id >> 5
+	return int(sc.rank[w]) + bits.OnesCount32(sc.set[w]&(1<<(id&31)-1))
+}
+
+// wordSpan is the range of bitset words [lo, hi) that ids fall in (empty
+// for no ids).
+func wordSpan(ids []uint32) (lo, hi int) {
+	if len(ids) == 0 {
+		return 0, 0
+	}
+	minID, maxID := ids[0], ids[0]
+	for _, id := range ids[1:] {
+		minID, maxID = min(minID, id), max(maxID, id)
+	}
+	return int(minID >> 5), int(maxID>>5) + 1
 }
 
 // postingOf is the index of the posting whose Ends range holds position k
@@ -169,13 +202,17 @@ func (s *Store) MergeRegion(ctx context.Context, box vec.Box) (rows []MergedRow,
 // every chunk whose value range intersects the box on its own dimension;
 // extra chunks cost I/O but not correctness.
 //
-// Dimension 0's in-box postings open the candidates; each later dimension
-// writes a value only on a candidate that landed every dimension before
-// it, and those it missed are squeezed out before the next, so the work
-// after dimension 0 follows the shrinking intersection rather than the
-// slabs: a later dimension tests its in-box row ids against the candidates
-// eight at a time (kernel.MemberMasks) and touches only the members. The
-// survivors' values are copied into one array the returned rows alias.
+// Dimension 0's in-box postings set a bit per row in the set and append
+// their (id, value) to the dimension's list. Each later dimension tests
+// its in-box row ids against the set eight at a time (kernel.MemberMasks)
+// and touches only the members: a member's first posting on the dimension
+// sets its bit in the next set and appends its pair, and the two sets
+// swap. The work after dimension 0 thus follows the shrinking
+// intersection rather than the slabs, and nothing is rewritten between
+// dimensions. After the last one the set holds exactly the survivors:
+// walking its words yields them in ascending id order, and each list is
+// filtered through it into one array the returned rows alias, a
+// survivor's place found by a per-word prefix count.
 //
 // Chunk reads fan out concurrently (bounded by SetWorkers) through the
 // ordered read pipeline, overlapping I/O and decode with the merge;
@@ -199,15 +236,17 @@ func (s *Store) MergeChunks(ctx context.Context, box vec.Box, chunks []ChunkMeta
 	}
 	defer s.releaseScratch(sc)
 
-	hits, slot, n := sc.hits, sc.slot, len(sc.hits)
-	if sc.cols == nil {
-		sc.cols = make([][]float64, dims)
+	n := s.RowCount()
+	if len(sc.lists) < dims {
+		sc.lists = append(sc.lists, make([]dimPairs, dims-len(sc.lists))...)
 	}
 	for d := 0; d < dims; d++ {
-		lo, hi, seen := box.Min[d], box.Max[d], uint8(d)
-		// Dimension 0 appends a value per candidate it opens; a later one
-		// has a place for every candidate still standing.
-		col := slices.Grow(sc.cols[d][:0], len(sc.cand))[:len(sc.cand)]
+		lo, hi := box.Min[d], box.Max[d]
+		// Dimension 0 lands rows in the set itself; a later one in next.
+		landed, l := sc.next, &sc.lists[d]
+		if d == 0 {
+			landed = sc.set
+		}
 		err := s.ReadChunksOrdered(ctx, byDim[d], func(_ ChunkMeta, p Postings) error {
 			// Values ascend strictly, so the postings below the box are a
 			// prefix and those above it a suffix, each found by one search.
@@ -217,28 +256,31 @@ func (s *Store) MergeChunks(ctx context.Context, box vec.Box, chunks []ChunkMeta
 			last := first + sort.Search(len(p.Values)-first, func(j int) bool { return p.Values[first+j] > hi })
 			entriesVisited += min(last+1, len(p.Values))
 			base := p.rowStart(first)
-			if seen == 0 {
+			// The list grows in locals, stored back on every return: the
+			// release clears the bits of the ids it holds.
+			ids, vals := l.ids, l.vals
+			if d == 0 {
 				for i := first; i < last; i++ {
 					v := p.Values[i]
 					for _, id := range p.Rows[base:p.Ends[i]] {
 						if int(id) >= n {
+							l.ids, l.vals = ids, vals
 							return errRowRange(id, n)
 						}
-						if hits[id] != 0 {
+						w, bit := id>>5, uint32(1)<<(id&31)
+						if landed[w]&bit != 0 {
 							continue // posted twice on this dimension
 						}
-						slot[id] = int32(len(sc.cand))
-						sc.cand = append(sc.cand, id)
-						sc.member[id>>5] |= 1 << (id & 31)
-						col = append(col, v)
-						hits[id] = 1
+						landed[w] |= bit
+						ids, vals = append(ids, id), append(vals, v)
 					}
 					base = p.Ends[i]
 				}
+				l.ids, l.vals = ids, vals
 				return nil
 			}
-			ids := p.Rows[base:p.rowStart(last)]
-			masks, err := sc.memberMasks(ids)
+			rows := p.Rows[base:p.rowStart(last)]
+			masks, err := sc.memberMasks(rows, n)
 			if err != nil {
 				return err
 			}
@@ -248,36 +290,53 @@ func (s *Store) MergeChunks(ctx context.Context, box vec.Box, chunks []ChunkMeta
 					k := 8*j + bits.TrailingZeros8(m)
 					// A member landed every dimension before this one; one
 					// already posted on this one counts once.
-					if id := ids[k]; hits[id] == seen {
-						at = p.postingOf(int(base)+k, at)
-						col[slot[id]] = p.Values[at]
-						hits[id]++
+					id := rows[k]
+					w, bit := id>>5, uint32(1)<<(id&31)
+					if landed[w]&bit != 0 {
+						continue
 					}
+					landed[w] |= bit
+					at = p.postingOf(int(base)+k, at)
+					ids, vals = append(ids, id), append(vals, p.Values[at])
 				}
 			}
+			l.ids, l.vals = ids, vals
 			// p goes out of scope here, and with it the contract of
 			// ReadChunksOrdered ends: the next chunk is decoded over this
 			// one's arrays (or, with a block cache installed, the chunk
 			// stays resident for other readers). Everything kept was copied
-			// into col above.
+			// into the list above.
 			return nil
 		})
 		if err != nil {
 			return nil, 0, err
 		}
-		sc.cols[d] = col
-		sc.squeeze(d + 1)
+		if d > 0 {
+			// The rows that missed this dimension leave: clear the old set
+			// (its bits are the previous list's ids) and swap.
+			for _, id := range sc.lists[d-1].ids {
+				sc.set[id>>5] = 0
+			}
+			sc.set, sc.next = sc.next, sc.set
+		}
 	}
 
-	// Candidates were opened in dimension 0's value order; the result is
-	// in id order.
-	slices.Sort(sc.cand)
-	rows = make([]MergedRow, len(sc.cand))
-	out := make([]float64, len(sc.cand)*dims)
-	for k, id := range sc.cand {
-		rows[k] = MergedRow{ID: id, Vals: out[k*dims : (k+1)*dims : (k+1)*dims]}
-		for d, col := range sc.cols {
-			rows[k].Vals[d] = col[slot[id]]
+	lo, hi := wordSpan(sc.lists[dims-1].ids)
+	rows = make([]MergedRow, sc.rankWords(lo, hi))
+	out := make([]float64, len(rows)*dims)
+	k := 0
+	for w := lo; w < hi; w++ {
+		for b := sc.set[w]; b != 0; b &= b - 1 {
+			rows[k] = MergedRow{ID: uint32(w<<5 | bits.TrailingZeros32(b)), Vals: out[k*dims : (k+1)*dims : (k+1)*dims]}
+			k++
+		}
+	}
+	for d := range dims {
+		l := &sc.lists[d]
+		for i, id := range l.ids {
+			if sc.set[id>>5]&(1<<(id&31)) != 0 {
+				out[sc.position(id)*dims+d] = l.vals[i]
+			}
 		}
 	}
 	return rows, entriesVisited, nil
@@ -286,11 +345,11 @@ func (s *Store) MergeChunks(ctx context.Context, box vec.Box, chunks []ChunkMeta
 // FetchRows reconstructs the tuples with the given ids by streaming every
 // chunk once (a single full pass over the store). It backs the
 // initialization-time uniform sample of Algorithm 2 line 12; per-iteration
-// code never calls it. The wanted ids are marked in the same row-id table
-// MergeChunks uses (hit byte 1 = wanted, nothing landed yet, and a member
-// bit), every chunk's row ids are tested against the members eight at a
-// time (kernel.MemberMasks), and each member writes straight into the
-// result.
+// code never calls it. The wanted ids are the set of the same scratch
+// MergeChunks uses, every chunk's row ids are tested against it eight at a
+// time (kernel.MemberMasks), and a member's first posting on a dimension
+// marks it in that dimension's landed set and writes straight into the
+// result at its rank among the wanted ids.
 func (s *Store) FetchRows(ctx context.Context, ids []uint32) ([]MergedRow, error) {
 	if len(ids) == 0 {
 		return nil, nil
@@ -302,26 +361,26 @@ func (s *Store) FetchRows(ctx context.Context, ids []uint32) ([]MergedRow, error
 	}
 	defer s.releaseScratch(sc)
 
-	hits, slot, n := sc.hits, sc.slot, len(sc.hits)
+	n := s.RowCount()
 	for _, id := range ids {
 		if int(id) >= n {
 			return nil, errRowRange(id, n)
 		}
-		if hits[id] == 0 {
-			hits[id] = 1
-			sc.cand = append(sc.cand, id)
-			sc.member[id>>5] |= 1 << (id & 31)
-		}
 	}
-	slices.Sort(sc.cand)
-	for k, id := range sc.cand {
-		slot[id] = int32(k)
+	sc.lo, sc.hi = wordSpan(ids)
+	for _, id := range ids {
+		sc.set[id>>5] |= 1 << (id & 31)
 	}
-	vals := make([]float64, len(sc.cand)*dims)
+	count := sc.rankWords(sc.lo, sc.hi)
+	vals := make([]float64, count*dims)
+	// missed[k] is 1 + the first dimension the k-th wanted row did not
+	// land, the dimensions it did land counted as the rows' hit bytes did:
+	// up to the first miss. It is allocated only when a row misses.
+	var missed []uint8
+	landed := sc.next
 	for d := 0; d < dims; d++ {
-		want := uint8(d + 1)
 		err := s.ReadChunksOrdered(ctx, s.manifest.Chunks[d], func(_ ChunkMeta, p Postings) error {
-			masks, err := sc.memberMasks(p.Rows)
+			masks, err := sc.memberMasks(p.Rows, n)
 			if err != nil {
 				return err
 			}
@@ -329,11 +388,14 @@ func (s *Store) FetchRows(ctx context.Context, ids []uint32) ([]MergedRow, error
 			for j, m := range masks {
 				for ; m != 0; m &= m - 1 {
 					k := 8*j + bits.TrailingZeros8(m)
-					if id := p.Rows[k]; hits[id] == want {
-						at = p.postingOf(k, at)
-						vals[int(slot[id])*dims+d] = p.Values[at]
-						hits[id]++
+					id := p.Rows[k]
+					w, bit := id>>5, uint32(1)<<(id&31)
+					if landed[w]&bit != 0 {
+						continue
 					}
+					landed[w] |= bit
+					at = p.postingOf(k, at)
+					vals[sc.position(id)*dims+d] = p.Values[at]
 				}
 			}
 			return nil
@@ -341,13 +403,29 @@ func (s *Store) FetchRows(ctx context.Context, ids []uint32) ([]MergedRow, error
 		if err != nil {
 			return nil, err
 		}
-	}
-	out := make([]MergedRow, len(sc.cand))
-	for k, id := range sc.cand {
-		if landed := int(hits[id]) - 1; landed != dims {
-			return nil, fmt.Errorf("chunkstore: row %d incomplete after full pass (%d/%d dims); store is inconsistent", id, landed, dims)
+		for w := sc.lo; w < sc.hi; w++ {
+			for b := sc.set[w] &^ landed[w]; b != 0; b &= b - 1 {
+				if missed == nil {
+					missed = make([]uint8, count)
+				}
+				if k := sc.position(uint32(w<<5 | bits.TrailingZeros32(b))); missed[k] == 0 {
+					missed[k] = uint8(d + 1)
+				}
+			}
+			landed[w] = 0
 		}
-		out[k] = MergedRow{ID: id, Vals: vals[k*dims : (k+1)*dims : (k+1)*dims]}
+	}
+	out := make([]MergedRow, count)
+	k := 0
+	for w := sc.lo; w < sc.hi; w++ {
+		for b := sc.set[w]; b != 0; b &= b - 1 {
+			id := uint32(w<<5 | bits.TrailingZeros32(b))
+			if missed != nil && missed[k] != 0 {
+				return nil, fmt.Errorf("chunkstore: row %d incomplete after full pass (%d/%d dims); store is inconsistent", id, missed[k]-1, dims)
+			}
+			out[k] = MergedRow{ID: id, Vals: vals[k*dims : (k+1)*dims : (k+1)*dims]}
+			k++
+		}
 	}
 	return out, nil
 }

@@ -100,8 +100,9 @@ func requireRows(t *testing.T, what string, got []MergedRow, ds *dataset.Dataset
 }
 
 // requireScratchClean takes every pooled scratch of the store and fails if
-// a hit byte or a member bit — MergeChunks' candidates, FetchRows' wanted
-// rows — is still set: the state a later reconstruction would inherit.
+// a bit of either set, a rank word or a list entry — MergeChunks' rows,
+// FetchRows' wanted rows — is still there: the state a later
+// reconstruction would inherit.
 func requireScratchClean(t *testing.T, st *Store) {
 	t.Helper()
 	var held []*scratch
@@ -111,18 +112,20 @@ func requireScratchClean(t *testing.T, st *Store) {
 			break
 		}
 		held = append(held, sc)
-		if len(sc.cand) != 0 {
-			t.Fatalf("pooled scratch still lists %d candidates", len(sc.cand))
-		}
-		for id, h := range sc.hits {
-			if h != 0 {
-				t.Fatalf("pooled scratch is dirty: hit byte of row %d is %d", id, h)
+		for d, l := range sc.lists {
+			if len(l.ids) != 0 || len(l.vals) != 0 {
+				t.Fatalf("pooled scratch still lists %d rows of dimension %d", len(l.ids), d)
 			}
 		}
-		for w, bits := range sc.member {
-			if bits != 0 {
-				t.Fatalf("pooled scratch is dirty: member word %d is %#x", w, bits)
+		for name, words := range map[string][]uint32{"set": sc.set, "next": sc.next, "rank": sc.rank} {
+			for w, bits := range words {
+				if bits != 0 {
+					t.Fatalf("pooled scratch is dirty: %s word %d is %#x", name, w, bits)
+				}
 			}
+		}
+		if sc.lo != 0 || sc.hi != 0 {
+			t.Fatalf("pooled scratch still spans words [%d,%d)", sc.lo, sc.hi)
 		}
 	}
 	for _, sc := range held {

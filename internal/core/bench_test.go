@@ -192,6 +192,84 @@ func BenchmarkCellReconstruction(b *testing.B) {
 	}
 }
 
+// BenchmarkCellLoad measures one steady step's region load alone — the
+// mapping lookup, the chunk reads and the row-id merge of loadCell — on the
+// two static layouts the end-to-end benchmark serves (a flat 50k-row store;
+// 150k rows over S = 4), with the block cache off (every chunk read and
+// decoded) and warm (the merge alone). Each op loads, through one session,
+// the three cells of the default grid that hold the most rows — the dense
+// cells a session spends its steps near; rows/op is what they hold. Run
+// with -cpu 1 to compare commits.
+func BenchmarkCellLoad(b *testing.B) {
+	ctx := context.Background()
+	for _, lay := range []struct {
+		name         string
+		rows, shards int
+	}{
+		{"flat-50k", 50_000, 0},
+		{"S=4-150k", 150_000, 4},
+	} {
+		ds, err := dataset.GenerateSky(dataset.SkyConfig{N: lay.rows, Seed: 21})
+		if err != nil {
+			b.Fatal(err)
+		}
+		dir := b.TempDir()
+		if err := Build(dir, ds, BuildOptions{TargetChunkBytes: 64 << 10, Shards: lay.shards}); err != nil {
+			b.Fatal(err)
+		}
+		for _, mode := range []string{"off", "warm"} {
+			b.Run(fmt.Sprintf("%s/cache=%s", lay.name, mode), func(b *testing.B) {
+				opts := Options{MemoryBudgetBytes: 8 << 20}
+				if mode == "warm" {
+					opts.BlockCacheBytes = 64 << 20
+				}
+				idx, err := Open(ctx, dir, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer idx.Close()
+				count := make([]int, idx.Grid().NumCells())
+				for i := 0; i < ds.Len(); i++ {
+					c, err := idx.Grid().CellOf(ds.Row(dataset.RowID(i)))
+					if err != nil {
+						b.Fatal(err)
+					}
+					count[c]++
+				}
+				var cells []int
+				for range 3 {
+					best := 0
+					for c, k := range count {
+						if k > count[best] {
+							best = c
+						}
+					}
+					cells, count[best] = append(cells, best), -1
+				}
+				rows := 0
+				for _, c := range cells { // also warms the cache
+					ids, _, err := idx.loadCell(ctx, c)
+					if err != nil {
+						b.Fatal(err)
+					}
+					rows += len(ids)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, c := range cells {
+						if _, _, err := idx.loadCell(ctx, c); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(rows), "rows/op")
+			})
+		}
+	}
+}
+
 // BenchmarkResultRetrieval measures the terminal step's ResultRetrieval —
 // scan, reconstruct, classify — on the two static layouts the end-to-end
 // benchmark serves (a flat 50k-row store; 150k rows over S = 4), at the

@@ -648,22 +648,11 @@ func (x *Index) UpdateUncertainty(ctx context.Context, model learn.Classifier) e
 }
 
 // scoreResumed is route 1: one serial pass over the centres through ptab,
-// checking ctx as often as the block pass does. The table's storage is
-// sized to |P| on the first pass and kept until Close.
+// a strip of them at a time, checking ctx between strips. The table's
+// storage is sized to |P| on the first pass and kept until Close.
 func (x *Index) scoreResumed(ctx context.Context, dw *learn.DWKNN) (learn.NeighborPass, error) {
-	n := x.blk.N
-	err := x.ptab.Begin(dw, n)
-	row := make([]float64, x.blk.Dims)
-	for i := 0; i < n && err == nil; i++ {
-		if i%ctxCheckEvery == 0 {
-			if err = ctx.Err(); err != nil {
-				break
-			}
-		}
-		_, err = x.ptab.Posterior(uint32(i), x.blk.Row(i, row))
-	}
 	// A pass cut short keeps no list: the next one starts over.
-	pass := x.ptab.End(err == nil)
+	pass, err := x.ptab.ScoreBlock(ctx, dw, x.blk)
 	x.accountState()
 	if err != nil {
 		return learn.NeighborPass{}, err
@@ -676,10 +665,6 @@ func (x *Index) scoreResumed(ctx context.Context, dw *learn.DWKNN) (learn.Neighb
 	}
 	return pass, nil
 }
-
-// ctxCheckEvery is how many symbolic points the resumed pass scores between
-// context checks (learn's block passes use the same stride).
-const ctxCheckEvery = 512
 
 // MostUncertainCells returns the top-k cells by symbolic-point uncertainty,
 // descending, with cell id as the deterministic tie-breaker — a full sort's

@@ -1,6 +1,12 @@
 package learn
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+	"math"
+
+	"github.com/uei-db/uei/internal/kernel"
+)
 
 // NeighborTable keeps DWKNN's k-NN scan resumable for a set of points that
 // is scored again and again while the training set only grows: the unlabeled
@@ -18,13 +24,14 @@ import "fmt"
 // and no bound is consulted.
 //
 // A pass is Begin, then Posterior once per point in strictly ascending id
-// order, then End. Begin checks that the model extends the retained one
-// (same K, dims, bit-equal scales, old scaled rows and labels a
-// pointwise-equal prefix) and otherwise drops every list. Posterior
-// merge-walks the previous pass's ids against the stream: an id seen last
-// pass resumes, an id not seen is scanned from row 0, and an id that
-// disappeared gives its slot back — a region swap, a labeled row leaving the
-// pool or a new epoch needs no invalidation hook. A pass that ends early, or
+// order, then End — or ScoreBlock, the same pass over a packed block.
+// Begin checks that the model extends the retained one (same K, dims,
+// bit-equal scales, old scaled rows and labels a pointwise-equal prefix)
+// and otherwise drops every list. Posterior merge-walks the previous
+// pass's ids against the stream: an id seen last pass resumes, an id not
+// seen is scanned from row 0, and an id that disappeared gives its slot
+// back — a region swap, a labeled row leaving the pool or a new epoch needs
+// no invalidation hook. A pass that ends early, or
 // whose ids do not ascend, retains nothing: the next one scans from scratch.
 //
 // Lists live in slots that survive from pass to pass: K float64 distances,
@@ -76,7 +83,21 @@ type NeighborTable struct {
 	q     []float64
 	best  []neighbor
 	dists []float64
+
+	// ScoreBlock's strip scratch: the strip's scaled points, layout
+	// [d*w+i]; one new training row's squared distances to them; and per
+	// point its slot, the k-th distance a new row must beat (NaN once
+	// nothing is left to test) and the first new row that beat it (-1 for
+	// none; noList marks a point with no retained list).
+	qs    []float64
+	dr    [dwknnStrip]float64
+	dk2   [dwknnStrip]float64
+	slot  [dwknnStrip]uint32
+	start [dwknnStrip]int32
 }
+
+// noList is the start of a strip point that has no retained list.
+const noList = -2
 
 // tableEntry places one point's list.
 type tableEntry struct{ id, slot uint32 }
@@ -188,7 +209,17 @@ func (t *NeighborTable) Posterior(id uint32, row []float64) (float64, error) {
 		t.pass.Scanned++
 		return m.posteriorFrom(m.scan(q, 0, m.effectiveK(), t.best[:0]), t.dists), nil
 	}
+	s, carried := t.place(id)
+	if carried {
+		return t.resume(int(s), q), nil
+	}
+	return t.scanNew(int(s), q), nil
+}
 
+// place gives the point id, which ascends past every id placed before it
+// in the pass, its slot: the one its retained list lives in (carried), or
+// a free one.
+func (t *NeighborTable) place(id uint32) (slot uint32, carried bool) {
 	// Ids the stream has passed over left the set: their slots are free.
 	for t.rd < len(t.ent) && t.ent[t.rd].id < id {
 		t.release(t.ent[t.rd].slot)
@@ -199,8 +230,7 @@ func (t *NeighborTable) Posterior(id uint32, row []float64) (float64, error) {
 		t.rd++
 		t.ent[t.wr] = tableEntry{id, s}
 		t.wr++
-		t.pass.Carried++
-		return t.resume(int(s), q), nil
+		return s, true
 	}
 	if t.free == 0 {
 		// The stream outran Begin's capacity.
@@ -210,8 +240,14 @@ func (t *NeighborTable) Posterior(id uint32, row []float64) (float64, error) {
 	t.free = t.idx[int(s)*t.k]
 	t.ent[t.wr] = tableEntry{id, s}
 	t.wr++
+	return s, false
+}
+
+// scanNew scans the whole training set for a point without a retained
+// list, into slot s.
+func (t *NeighborTable) scanNew(s int, q []float64) float64 {
 	t.pass.Scanned++
-	return t.store(int(s), m.scan(q, 0, m.effectiveK(), t.best[:0])), nil
+	return t.store(s, t.m.scan(q, 0, t.m.effectiveK(), t.best[:0]))
 }
 
 // resume continues slot s's scan over the rows appended since its list was
@@ -220,6 +256,7 @@ func (t *NeighborTable) Posterior(id uint32, row []float64) (float64, error) {
 // makes "d² < d_k²" the whole test — and until one is, no list is touched.
 func (t *NeighborTable) resume(s int, q []float64) float64 {
 	m, k := t.m, t.k
+	t.pass.Carried++
 	r, rows := t.from, len(m.x)
 	if t.from >= k {
 		dk2 := t.d2[s*k+k-1]
@@ -230,13 +267,114 @@ func (t *NeighborTable) resume(s int, q []float64) float64 {
 	if r == rows {
 		return t.post[s]
 	}
-	n := min(k, t.from)
-	best := t.best[:n]
+	return t.rescan(s, q, r)
+}
+
+// rescan rebuilds slot s's list by continuing its scan at training row r,
+// the first new row that enters it (any new row, for a list not yet full).
+func (t *NeighborTable) rescan(s int, q []float64, r int) float64 {
+	k := t.k
+	best := t.best[:min(k, t.from)]
 	for i := range best {
 		best[i] = neighbor{Idx: int(t.idx[s*k+i]), D2: t.d2[s*k+i]}
 	}
 	t.pass.Changed++
-	return t.store(s, m.scan(q, r, m.effectiveK(), best))
+	return t.store(s, t.m.scan(q, r, t.m.effectiveK(), best))
+}
+
+// ScoreBlock runs a whole pass — Begin, the points in id order, End — under
+// model m over the points of blk, point i's id being i, and returns its
+// tally; Posteriors then reads the result. Every posterior, list, slot and
+// tally is the one the per-point pass would leave.
+//
+// The carried points take the full-list test a strip of 256 at a time: the
+// strip is scaled by the row path's division (kernel.ScaleInto), each new
+// training row's squared distance to the whole strip is computed with the
+// expression sqDist evaluates (kernel.SquaredDiffInto, AddSquaredDiff),
+// and each point's first new row nearer than its k-th neighbour is noted.
+// Only the points a new row enters, those without a retained list and
+// those whose lists are not yet full take the scalar path. A pass cut
+// short by ctx, checked every strip, returns ctx.Err() and retains
+// nothing.
+func (t *NeighborTable) ScoreBlock(ctx context.Context, m *DWKNN, blk *kernel.Block) (NeighborPass, error) {
+	if err := t.Begin(m, blk.N); err != nil {
+		return NeighborPass{}, err
+	}
+	err := t.scoreStrips(ctx, blk)
+	pass := t.End(err == nil)
+	if err != nil {
+		return NeighborPass{}, err
+	}
+	return pass, nil
+}
+
+// scoreStrips is ScoreBlock's pass body, between Begin and End.
+func (t *NeighborTable) scoreStrips(ctx context.Context, blk *kernel.Block) error {
+	m, k := t.m, t.k
+	if blk.Dims != m.dims {
+		return fmt.Errorf("learn: block has %d dims, model has %d", blk.Dims, m.dims)
+	}
+	if cap(t.qs) < m.dims*dwknnStrip {
+		t.qs = make([]float64, m.dims*dwknnStrip)
+	}
+	full := t.from >= k
+	q := t.q[:m.dims]
+	for base := 0; base < blk.N; base += dwknnStrip {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		w := min(blk.N-base, dwknnStrip)
+		qs := t.qs[:m.dims*w]
+		for d := range m.dims {
+			kernel.ScaleInto(qs[d*w:d*w+w], blk.Col(d)[base:base+w], m.scales[d])
+		}
+		for i := range w {
+			s, carried := t.place(uint32(base + i))
+			t.slot[i], t.start[i], t.dk2[i] = s, -1, math.NaN()
+			switch {
+			case !carried:
+				t.start[i] = noList
+			case full:
+				t.dk2[i] = t.d2[int(s)*k+k-1]
+			}
+		}
+		if full {
+			dr, dk2 := t.dr[:w], t.dk2[:w]
+			for r := t.from; r < len(m.x); r++ {
+				row := m.x[r]
+				kernel.SquaredDiffInto(dr, qs[:w], row[0])
+				for d := 1; d < len(row); d++ {
+					kernel.AddSquaredDiff(dr, qs[d*w:d*w+w], row[d])
+				}
+				// A NaN k-th distance is beaten by nothing, as in resume.
+				for i, d2 := range dr {
+					if d2 < dk2[i] {
+						t.start[i], dk2[i] = int32(r), math.NaN()
+					}
+				}
+			}
+		}
+		for i := range w {
+			s, r := int(t.slot[i]), t.start[i]
+			if r == -1 && full {
+				t.pass.Carried++ // no new row entered the list
+				continue
+			}
+			for d := range q {
+				q[d] = qs[d*w+i]
+			}
+			switch {
+			case r == noList:
+				t.scanNew(s, q)
+			case full:
+				t.pass.Carried++
+				t.rescan(s, q, int(r))
+			default:
+				t.resume(s, q)
+			}
+		}
+	}
+	return nil
 }
 
 // store writes a finished list into slot s and returns (and keeps) its

@@ -1,10 +1,15 @@
 package learn
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
+
+	"github.com/uei-db/uei/internal/kernel"
 )
 
 // tableWorld is the state one generated op sequence drives: a training set
@@ -417,5 +422,161 @@ func TestNeighborTableMisuse(t *testing.T) {
 	}
 	if pass := tab.End(true); pass != (NeighborPass{}) {
 		t.Fatalf("End without Begin: %+v", pass)
+	}
+}
+
+// blockPass scores every point of blk through tab one Posterior at a time,
+// point i as id i: the pass ScoreBlock must reproduce.
+func blockPass(t *testing.T, tab *NeighborTable, m *DWKNN, blk *kernel.Block) NeighborPass {
+	t.Helper()
+	if err := tab.Begin(m, blk.N); err != nil {
+		t.Fatal(err)
+	}
+	row := make([]float64, blk.Dims)
+	for i := 0; i < blk.N; i++ {
+		if _, err := tab.Posterior(uint32(i), blk.Row(i, row)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tab.End(true)
+}
+
+// cancelAfter is a context whose Err reports cancellation from its
+// (left+1)-th call on.
+type cancelAfter struct {
+	context.Context
+	left int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.left--; c.left < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestScoreBlockMatchesPosterior: ScoreBlock, which tests new training rows
+// against a strip of points at once, leaves what the per-point pass leaves —
+// every posterior bit for bit, the NeighborPass tally, the retained count
+// and the storage — for K = 1…9 over n = 1, 255, 256, 257 and 3 125 points
+// on a small lattice (exact distance ties), across passes appending 0, 1
+// and 3 rows, from lists not yet full, with ±Inf and NaN training rows, and
+// through models that do not extend the retained set (a label flip, a scale
+// change). A pass cancelled between strips returns ctx.Err() and retains
+// nothing, and steady passes allocate nothing.
+func TestScoreBlockMatchesPosterior(t *testing.T) {
+	ctx := context.Background()
+	for k := 1; k <= 9; k++ {
+		for _, n := range []int{1, 255, 256, 257, 3125} {
+			rng := rand.New(rand.NewSource(int64(100*k + n)))
+			w := &tableWorld{rng: rng, dims: 1 + rng.Intn(3), k: k}
+			w.scales = make([]float64, w.dims)
+			for d := range w.scales {
+				w.scales[d] = float64(int(1) << rng.Intn(3))
+			}
+			points := make([][]float64, n)
+			for i := range points {
+				points[i] = w.latticeRow()
+				if rng.Intn(4) == 0 {
+					points[i][0] += rng.NormFloat64()
+				}
+			}
+			blk := kernel.Pack(points)
+			// Two rows: below K from K = 3 on, so the first passes resume
+			// lists that are not yet full.
+			w.X = [][]float64{w.latticeRow(), w.latticeRow()}
+			w.y = []int{0, 1}
+
+			var strip, scalar NeighborTable
+			for step := 0; step < 12; step++ {
+				what := "append"
+				switch step {
+				case 5:
+					what = "label flip"
+					w.y = slices.Clone(w.y)
+					w.y[0] = 1 - w.y[0]
+				case 8:
+					what = "scale change"
+					w.scales = slices.Clone(w.scales)
+					w.scales[0] *= 2
+				}
+				appended := []int{0, 1, 3}[step%3]
+				for i := 0; i < appended; i++ {
+					row := w.latticeRow()
+					switch rng.Intn(12) {
+					case 0:
+						row[rng.Intn(w.dims)] = math.Inf(1 - 2*rng.Intn(2))
+					case 1:
+						if step > 8 {
+							row[rng.Intn(w.dims)] = math.NaN()
+						}
+					case 2, 3:
+						row = slices.Clone(w.X[rng.Intn(len(w.X))]) // a d² tie
+					}
+					w.X, w.y = append(w.X, row), append(w.y, rng.Intn(2))
+				}
+				m := w.fit(t)
+				got, err := strip.ScoreBlock(ctx, m, blk)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := blockPass(t, &scalar, m, blk)
+				where := fmt.Sprintf("K %d n %d step %d (%s, %d rows)", k, n, step, what, len(w.X))
+				if got != want {
+					t.Fatalf("%s: tally %+v, per-point pass %+v", where, got, want)
+				}
+				if strip.Len() != scalar.Len() || strip.Bytes() != scalar.Bytes() {
+					t.Fatalf("%s: retains %d lists in %d bytes, per-point pass %d in %d", where, strip.Len(), strip.Bytes(), scalar.Len(), scalar.Bytes())
+				}
+				gp, wp := make([]float64, n), make([]float64, n)
+				strip.Posteriors(gp)
+				scalar.Posteriors(wp)
+				for i := range gp {
+					ref, _ := m.PosteriorPositive(points[i])
+					if math.Float64bits(gp[i]) != math.Float64bits(wp[i]) || math.Float64bits(gp[i]) != math.Float64bits(ref) {
+						t.Fatalf("%s: point %d posterior %v, per-point pass %v, from scratch %v", where, i, gp[i], wp[i], ref)
+					}
+				}
+			}
+		}
+	}
+	t.Run("cancel and steady allocations", scoreBlockCancelAndAllocs)
+}
+
+func scoreBlockCancelAndAllocs(t *testing.T) {
+	X, y, Q := benchFixture(t, 60, 3125, 3)
+	scales := []float64{1, 2, 4}
+	models := make([]*DWKNN, 0, 52)
+	for n := 8; n <= 60; n++ {
+		m := NewDWKNN(7, scales)
+		if err := m.Fit(X[:n], y[:n]); err != nil {
+			t.Fatal(err)
+		}
+		models = append(models, m)
+	}
+	blk := kernel.Pack(Q)
+	var tab NeighborTable
+	if _, err := tab.ScoreBlock(context.Background(), models[0], blk); err != nil {
+		t.Fatal(err)
+	}
+	// Cancelled at the fifth of thirteen strips: the error comes back and
+	// no list survives, so the next pass scans every point.
+	if _, err := tab.ScoreBlock(&cancelAfter{Context: context.Background(), left: 4}, models[1], blk); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled pass: err = %v, want context.Canceled", err)
+	}
+	if tab.Len() != 0 {
+		t.Fatalf("cancelled pass retained %d lists", tab.Len())
+	}
+	if pass, err := tab.ScoreBlock(context.Background(), models[1], blk); err != nil || pass.Scanned != blk.N {
+		t.Fatalf("pass after a cancel: %+v, %v", pass, err)
+	}
+	i := 2
+	if avg := testing.AllocsPerRun(len(models)-3, func() {
+		if _, err := tab.ScoreBlock(context.Background(), models[i], blk); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); avg != 0 {
+		t.Errorf("steady ScoreBlock passes allocate %.1f times each, want 0", avg)
 	}
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -24,10 +25,10 @@ type SLO struct {
 	budget time.Duration
 	reg    *Registry
 
-	mu   sync.Mutex
-	ring []time.Duration // recent step latencies, circular
-	next int
-	n    int
+	mu     sync.Mutex
+	ring   []time.Duration // recent step latencies, circular
+	sorted []time.Duration // the latencies in the window, ascending
+	next   int
 
 	cSteps *Counter
 	cViol  *Counter
@@ -50,6 +51,7 @@ func NewSLO(reg *Registry, budget time.Duration, window int) *SLO {
 		budget: budget,
 		reg:    reg,
 		ring:   make([]time.Duration, window),
+		sorted: make([]time.Duration, 0, window),
 		cSteps: reg.Counter("uei_slo_steps_total"),
 		cViol:  reg.Counter("slo_violations_total"),
 		gP50:   reg.Gauge("uei_step_latency_p50_seconds"),
@@ -76,11 +78,19 @@ func (s *SLO) ObserveStep(d time.Duration, phases map[string]time.Duration) {
 		return
 	}
 	s.mu.Lock()
+	// The window is kept sorted beside the ring: the sample leaving it is
+	// deleted and the new one inserted, each found by binary search, so a
+	// step sorts nothing and allocates nothing. Negative durations are
+	// clamped to zero, as Samples.Observe clamps them.
+	d = max(d, 0)
+	if len(s.sorted) == len(s.ring) {
+		i, _ := slices.BinarySearch(s.sorted, s.ring[s.next])
+		s.sorted = slices.Delete(s.sorted, i, i+1)
+	}
+	i, _ := slices.BinarySearch(s.sorted, d)
+	s.sorted = slices.Insert(s.sorted, i, d)
 	s.ring[s.next] = d
 	s.next = (s.next + 1) % len(s.ring)
-	if s.n < len(s.ring) {
-		s.n++
-	}
 	p50, p95, p99 := s.percentilesLocked()
 	s.mu.Unlock()
 
@@ -108,13 +118,16 @@ func (s *SLO) Percentiles() (p50, p95, p99 float64) {
 	return s.percentilesLocked()
 }
 
-// percentilesLocked summarizes the current window contents.
+// percentilesLocked summarizes the current window contents by the
+// nearest-rank rule Samples.Quantile applies.
 func (s *SLO) percentilesLocked() (p50, p95, p99 float64) {
-	w := Samples{d: make([]time.Duration, 0, s.n)}
-	for _, d := range s.ring[:s.n] {
-		w.Observe(d)
+	at := func(q float64) float64 {
+		if rank := nearestRank(q, len(s.sorted)); rank > 0 {
+			return s.sorted[rank-1].Seconds()
+		}
+		return 0
 	}
-	return w.Quantile(0.50).Seconds(), w.Quantile(0.95).Seconds(), w.Quantile(0.99).Seconds()
+	return at(0.50), at(0.95), at(0.99)
 }
 
 // Violations returns the total violation count so far (0 for nil).

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -112,5 +113,54 @@ func TestSLONilSafety(t *testing.T) {
 	p50, p95, p99 := s.Percentiles()
 	if p50 != 0 || p95 != 0 || p99 != 0 {
 		t.Error("nil SLO percentiles must be zero")
+	}
+}
+
+// TestSLOWindowMatchesSort holds the sorted window to its definition: after
+// every observation of random sequences at least three windows long — with
+// ties, negative durations and window sizes 1 to 9 and the default —
+// Percentiles equals the nearest-rank quantiles of a Samples holding the
+// last window of observations.
+func TestSLOWindowMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, window := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, DefaultSLOWindow} {
+		s := NewSLO(nil, 0, window)
+		var seen []time.Duration
+		for step := 0; step < 3*window+rng.Intn(2*window+1); step++ {
+			// A few distinct values make ties common; some are negative.
+			d := time.Duration(rng.Intn(12)-3) * time.Millisecond
+			if rng.Intn(4) == 0 {
+				d = time.Duration(rng.Int63n(int64(time.Second))) - 100*time.Millisecond
+			}
+			s.ObserveStep(d, nil)
+			seen = append(seen, d)
+
+			var want Samples
+			for _, d := range seen[max(0, len(seen)-window):] {
+				want.Observe(d)
+			}
+			p50, p95, p99 := s.Percentiles()
+			if p50 != want.Quantile(0.50).Seconds() || p95 != want.Quantile(0.95).Seconds() || p99 != want.Quantile(0.99).Seconds() {
+				t.Fatalf("window %d, step %d: percentiles %v %v %v, want %v %v %v", window, step, p50, p95, p99,
+					want.Quantile(0.50).Seconds(), want.Quantile(0.95).Seconds(), want.Quantile(0.99).Seconds())
+			}
+		}
+	}
+}
+
+// TestSLOStepAllocatesNothing: a step within the budget, on a full window,
+// allocates nothing.
+func TestSLOStepAllocatesNothing(t *testing.T) {
+	s := NewSLO(NewRegistry(), time.Second, 16)
+	phases := map[string]time.Duration{"score": time.Millisecond}
+	for i := 0; i < 32; i++ {
+		s.ObserveStep(time.Duration(i)*time.Millisecond, phases)
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		i++
+		s.ObserveStep(time.Duration(i%40)*time.Millisecond, phases)
+	}); allocs != 0 {
+		t.Errorf("ObserveStep allocates %v times a step", allocs)
 	}
 }

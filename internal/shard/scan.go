@@ -97,10 +97,12 @@ func resize[T any](s []T, n int) []T {
 // monotone, so every value between lies in a marked segment too. Every
 // other chunk is tested value by value.
 //
-// chunkstore.MergeChunks (cell loads) follows the same hit-byte protocol
-// and keeps its own body: a cell keeps about one row in 150 scanned, so it
-// holds values for the candidates only, found through a slot per row id,
-// where the dense n × dims block here is right because most rows survive.
+// chunkstore.MergeChunks (cell loads) keeps its own body over the same
+// dense ids: a cell keeps about one row in 150 scanned, so it tracks the
+// rows still standing in bitsets and holds per-dimension (id, value) lists
+// until the survivors are known, where the dense n × dims block and hit
+// bytes here are right because most rows survive. Both refuse the
+// dimensionality a one-byte hit counter cannot count.
 func ScanMarked(ctx context.Context, g *grid.Grid, p *Part, marked [][]bool, sc *ScanScratch) (RetrievedPart, int, error) {
 	dims, n := g.Dims(), p.RowCount()
 	if dims > math.MaxUint8 {
