@@ -178,6 +178,15 @@ done
 for pid in "${runners[@]}"; do
   wait "$pid" || fail "a concurrent session failed (pid $pid)"
 done
+# The stores keep the chunk files they have read open: some, and never
+# more than the store has.
+curl -sf "$base/metrics" >"$work/sharded-metrics.txt"
+open_files=$(sed -n 's/^uei_chunkstore_open_files \([0-9]*\)$/\1/p' "$work/sharded-metrics.txt")
+chk_files=$(find "$work/sharded" -name '*.chk' | wc -l)
+[ -n "$open_files" ] || fail "uei_chunkstore_open_files missing from /metrics"
+[ "$open_files" -gt 0 ] && [ "$open_files" -le "$chk_files" ] ||
+  fail "uei_chunkstore_open_files = $open_files after four sessions, want 1..$chk_files"
+echo "open_files=$open_files of $chk_files chunk files"
 drain "$srv"
 strict_trace sharded.jsonl
 # Every trace id a client saw must root a step trace on the server.

@@ -310,6 +310,7 @@ func inspectStore(dir string) error {
 	if err != nil {
 		return err
 	}
+	defer st.Close()
 	m := st.Manifest()
 	fmt.Printf("store %s:\n", dir)
 	fmt.Printf("  rows:          %d\n", st.RowCount())
@@ -391,8 +392,10 @@ func verifyStore(dir string) error {
 	return nil
 }
 
-// verifyPart reads every chunk of one store against its manifest.
+// verifyPart reads every chunk of one store against its manifest, and
+// closes the store.
 func verifyPart(dir string, st *chunkstore.Store) error {
+	defer st.Close()
 	if err := chunkstore.Verify(context.Background(), st); err != nil {
 		return fmt.Errorf("%s: %w", dir, err)
 	}

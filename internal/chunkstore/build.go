@@ -170,7 +170,7 @@ func buildRows(dir string, columns []string, rows RowIterator, sizeHint int, opt
 	if err := saveManifest(dir, m); err != nil {
 		return nil, err
 	}
-	return &Store{dir: dir, manifest: m, limiter: opts.Limiter}, nil
+	return newStore(dir, m, opts.Limiter), nil
 }
 
 // writeChunksFromPairs groups a (value,id)-sorted pair stream into entries

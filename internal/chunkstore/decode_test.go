@@ -2,6 +2,7 @@ package chunkstore
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -334,12 +335,13 @@ func TestDecodeIntoDirtyBuffer(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodeChunk decodes chunks shaped like the benchmark stores'
-// (64 KB target over 50 000 rows): "one-row" is a real-valued dimension,
-// 5 400 one-row postings; "field" is the integer dimension, ≈ 50 rows per
-// value. fresh is what an owning read or a cache miss pays, reused what
-// every chunk of a ReadChunksOrdered call pays.
-func BenchmarkDecodeChunk(b *testing.B) {
+// benchChunkShapes are chunks shaped like the benchmark stores' (64 KB
+// target over 50 000 rows): "one-row" is a real-valued dimension, 5 400
+// one-row postings; "field" is the integer dimension, ≈ 50 rows per value.
+func benchChunkShapes(b *testing.B) []struct {
+	name    string
+	entries []Entry
+} {
 	rng := rand.New(rand.NewSource(1))
 	var oneRow []Entry
 	value := 0.0
@@ -357,10 +359,17 @@ func BenchmarkDecodeChunk(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	for _, shape := range []struct {
+	return []struct {
 		name    string
 		entries []Entry
-	}{{"one-row", oneRow}, {"field", field.pending}} {
+	}{{"one-row", oneRow}, {"field", field.pending}}
+}
+
+// BenchmarkDecodeChunk decodes the benchChunkShapes chunks. fresh is what
+// an owning read or a cache miss pays, reused what every chunk of a
+// ReadChunksOrdered call pays.
+func BenchmarkDecodeChunk(b *testing.B) {
+	for _, shape := range benchChunkShapes(b) {
 		data, err := encodeChunk(0, shape.entries)
 		if err != nil {
 			b.Fatal(err)
@@ -378,5 +387,41 @@ func BenchmarkDecodeChunk(b *testing.B) {
 		b.Run(shape.name+"/fresh", func(b *testing.B) { run(b, func() *Postings { return new(Postings) }) })
 		reused := new(Postings)
 		b.Run(shape.name+"/reused", func(b *testing.B) { run(b, func() *Postings { return reused }) })
+	}
+}
+
+// BenchmarkChunkRead reads each benchChunkShapes chunk from its file
+// through a Store with no block cache, as every chunk of a cold cell load
+// is read: the handle lookup, the pread, the CRC and the decode into
+// pooled postings. Less BenchmarkDecodeChunk's reused time of the same
+// shape, it is the fixed cost of a read. Run it at -cpu 1.
+func BenchmarkChunkRead(b *testing.B) {
+	ctx := context.Background()
+	for _, shape := range benchChunkShapes(b) {
+		dir := b.TempDir()
+		meta, err := writeChunkFile(dir, 0, 0, shape.entries)
+		if err != nil {
+			b.Fatal(err)
+		}
+		st := newStore(dir, &Manifest{
+			FormatVersion: manifestFormatVersion,
+			Columns:       []string{"x"},
+			RowCount:      50_000,
+			Chunks:        [][]ChunkMeta{{meta}},
+			MinValues:     []float64{meta.MinValue},
+			MaxValues:     []float64{meta.MaxValue},
+		}, nil)
+		metas := []ChunkMeta{meta}
+		visit := func(ChunkMeta, Postings) error { return nil }
+		b.Run(shape.name, func(b *testing.B) {
+			b.SetBytes(meta.Bytes)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := st.ReadChunksOrdered(ctx, metas, visit); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		st.Close()
 	}
 }

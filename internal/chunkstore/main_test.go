@@ -1,0 +1,9 @@
+package chunkstore
+
+import (
+	"testing"
+
+	"github.com/uei-db/uei/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m, leakcheck.Files) }

@@ -150,6 +150,9 @@ func FuzzMergeChunks(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Each input's store holds its chunk files open until closed: a
+		// long fuzz run would otherwise run out of descriptors.
+		defer st.Close()
 		st.SetWorkers(1 + int(r.next())%3)
 
 		rebuilt := false

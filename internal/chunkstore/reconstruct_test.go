@@ -42,6 +42,7 @@ func lumpyStore(t testing.TB, n, dims, distinct, chunkBytes int, seed int64) (*S
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 	return st, ds
 }
 

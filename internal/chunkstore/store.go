@@ -62,12 +62,18 @@ func NewBlockCache(budget *memcache.Budget) (*BlockCache, error) {
 }
 
 // Store is an opened chunk store. Reads are safe for concurrent use; the
-// store itself holds no mutable state beyond I/O counters and the
-// optional shared block cache installed before first use.
+// store's mutable state is its I/O counters, the chunk files it has read
+// (held open until Close) and the optional shared block cache installed
+// before first use.
 type Store struct {
 	dir      string
 	manifest *Manifest
 	limiter  *iothrottle.Limiter
+	// files[dim][seq] is the open handle of that manifest chunk: empty
+	// until the chunk's first read, emptied again by Close. A store that
+	// never reads a chunk never opens its file.
+	files  [][]atomic.Pointer[os.File]
+	closed atomic.Bool
 	// cache, when non-nil, holds decoded chunks so every consumer —
 	// session views, the ordered read pipeline, the prefetcher — shares
 	// one read+decode per hot chunk. Set at open time, before reads.
@@ -92,6 +98,22 @@ type Store struct {
 	mBytes     *obs.Counter
 	mChunks    *obs.Counter
 	hRead      *obs.Histogram
+	gFiles     *obs.Gauge
+}
+
+// newStore is the one constructor of an open store over manifest m: one
+// empty handle slot per chunk.
+func newStore(dir string, m *Manifest, limiter *iothrottle.Limiter) *Store {
+	n := 0
+	for _, chunks := range m.Chunks {
+		n += len(chunks)
+	}
+	slots := make([]atomic.Pointer[os.File], n)
+	files := make([][]atomic.Pointer[os.File], len(m.Chunks))
+	for d, chunks := range m.Chunks {
+		files[d], slots = slots[:len(chunks):len(chunks)], slots[len(chunks):]
+	}
+	return &Store{dir: dir, manifest: m, limiter: limiter, files: files}
 }
 
 // chunkFileName is the one name a store gives chunk seq of dimension dim.
@@ -137,7 +159,7 @@ func Open(dir string, limiter *iothrottle.Limiter) (*Store, error) {
 		}
 		return nil, err
 	}
-	return &Store{dir: dir, manifest: m, limiter: limiter}, nil
+	return newStore(dir, m, limiter), nil
 }
 
 // BuildEmpty writes a valid zero-row store into dir: a manifest carrying
@@ -167,7 +189,7 @@ func BuildEmpty(dir string, columns []string, bounds vec.Box, targetChunkBytes i
 	if err := saveManifest(dir, m); err != nil {
 		return nil, err
 	}
-	return &Store{dir: dir, manifest: m}, nil
+	return newStore(dir, m, nil), nil
 }
 
 // Manifest returns the store's metadata. Callers must treat it as
@@ -226,19 +248,21 @@ func (s *Store) ChunksOverlapping(dim int, lo, hi float64) ([]ChunkMeta, error) 
 }
 
 // Instrument registers the store's I/O metrics with a registry:
-// chunkstore_read_bytes_total, chunkstore_chunk_opens_total, and the
-// per-chunk read latency histogram chunkstore_chunk_read_seconds
-// (throttled reads included, so the histogram reflects the I/O the
-// exploration loop actually waits on). Whoever opens the store calls it
-// before sharing the store; the first registry wins and later calls are
-// no-ops, so a reader handed an already-shared store (a coordinator
-// rebuilt over live segments other epochs still read) cannot race the
-// read path by instrumenting it again.
+// chunkstore_read_bytes_total, chunkstore_chunk_opens_total (chunk reads
+// from disk), the per-chunk read latency histogram
+// chunkstore_chunk_read_seconds (the pread alone: neither the throttle's
+// wait nor the decode), and the gauge uei_chunkstore_open_files, the chunk
+// files every store instrumented on the registry holds open. Whoever
+// opens the store calls it before its first read and before sharing it;
+// the first registry wins and later calls are no-ops, so a reader handed
+// an already-shared store (a coordinator rebuilt over live segments other
+// epochs still read) cannot race the read path by instrumenting it again.
 func (s *Store) Instrument(reg *obs.Registry) {
 	s.instrument.Do(func() {
 		s.mBytes = reg.Counter("chunkstore_read_bytes_total")
 		s.mChunks = reg.Counter("chunkstore_chunk_opens_total")
 		s.hRead = reg.Histogram("chunkstore_chunk_read_seconds", nil)
+		s.gFiles = reg.Gauge("uei_chunkstore_open_files")
 	})
 }
 
@@ -282,10 +306,16 @@ func (s *Store) ReadChunk(ctx context.Context, meta ChunkMeta) ([]Entry, error) 
 // readChunkFor reads one chunk: through the block cache when there is one,
 // which then owns the decoded chunk, otherwise into p. A miss decodes into
 // storage of its own sized exactly from the header (three allocations),
-// which is what the cache keeps.
+// which is what the cache keeps. Every read, a cache hit too, first holds
+// m to the manifest's own record of its slot and fails once the store is
+// closed.
 func (s *Store) readChunkFor(ctx context.Context, m ChunkMeta, p *Postings) (Postings, error) {
+	slot, err := s.slot(&m)
+	if err != nil {
+		return Postings{}, err
+	}
 	if s.cache == nil {
-		return s.readChunkInto(ctx, m, p)
+		return s.readChunkInto(ctx, m, slot, p)
 	}
 	return s.cache.GetOrLoad(ctx, s.cachePrefix+m.File, func(ctx context.Context) (Postings, int64, error) {
 		p, err := s.readChunkDisk(ctx, m)
@@ -293,20 +323,40 @@ func (s *Store) readChunkFor(ctx context.Context, m ChunkMeta, p *Postings) (Pos
 	})
 }
 
-// readChunkDisk is the owning disk read, into storage of its own.
+// readChunkDisk is the owning disk read, into storage of its own: what a
+// block-cache miss keeps.
 func (s *Store) readChunkDisk(ctx context.Context, meta ChunkMeta) (Postings, error) {
-	return s.readChunkInto(ctx, meta, new(Postings))
+	slot, err := s.slot(&meta)
+	if err != nil {
+		return Postings{}, err
+	}
+	return s.readChunkInto(ctx, meta, slot, new(Postings))
+}
+
+// slot returns the handle slot of the chunk meta names, refusing a meta
+// that is not the manifest's record for it — callers of ReadChunk and
+// MergeChunks supply their own — so no file outside the manifest, or of
+// another size than it records, is ever opened.
+func (s *Store) slot(meta *ChunkMeta) (*atomic.Pointer[os.File], error) {
+	if s.closed.Load() {
+		return nil, fmt.Errorf("chunkstore: store %s is closed", s.dir)
+	}
+	d, q := meta.Dim, meta.Seq
+	if d < 0 || d >= len(s.files) || q < 0 || q >= len(s.files[d]) || *meta != s.manifest.Chunks[d][q] {
+		return nil, fmt.Errorf("chunkstore: chunk %s (dim %d seq %d) is not the manifest's record of %s", meta.File, d, q, s.dir)
+	}
+	return &s.files[d][q], nil
 }
 
 // readChunkInto wraps the raw disk read in a "chunk_read" span when the
 // context is traced (the guard is one context lookup, so the untraced
 // hot path stays free). The result aliases p until its next decode.
-func (s *Store) readChunkInto(ctx context.Context, meta ChunkMeta, p *Postings) (Postings, error) {
+func (s *Store) readChunkInto(ctx context.Context, meta ChunkMeta, slot *atomic.Pointer[os.File], p *Postings) (Postings, error) {
 	if obs.SpanFromContext(ctx) == nil {
-		return s.readChunkIntoRaw(ctx, meta, p)
+		return s.readChunkIntoRaw(ctx, meta, slot, p)
 	}
 	_, span := obs.StartSpan(ctx, "chunk_read")
-	got, err := s.readChunkIntoRaw(ctx, meta, p)
+	got, err := s.readChunkIntoRaw(ctx, meta, slot, p)
 	attrs := map[string]float64{"dim": float64(meta.Dim), "seq": float64(meta.Seq)}
 	if err != nil {
 		span.SetOutcome("error")
@@ -317,19 +367,24 @@ func (s *Store) readChunkInto(ctx context.Context, meta ChunkMeta, p *Postings) 
 	return got, err
 }
 
-// readChunkIntoRaw is the uncached read path: size check, pooled file
-// read, CRC check, header check against meta, decode into p, I/O
-// accounting. The raw file buffer is recycled as soon as the decode (which
-// copies everything out) finishes.
-func (s *Store) readChunkIntoRaw(ctx context.Context, meta ChunkMeta, p *Postings) (Postings, error) {
+// readChunkIntoRaw is the uncached read path: one pread through the
+// chunk's handle (which checks the size), CRC check, header check against
+// meta, decode into p, I/O accounting. The raw file buffer is recycled as
+// soon as the decode (which copies everything out) finishes.
+func (s *Store) readChunkIntoRaw(ctx context.Context, meta ChunkMeta, slot *atomic.Pointer[os.File], p *Postings) (Postings, error) {
 	if err := ctx.Err(); err != nil {
 		return Postings{}, err
 	}
-	start := time.Now()
-	bp, err := readFilePooled(s.dir, meta.File, meta.Bytes)
+	f, err := s.file(slot, &meta)
 	if err != nil {
 		return Postings{}, err
 	}
+	start := time.Now()
+	bp, err := readChunkFile(f, &meta)
+	if err != nil {
+		return Postings{}, err
+	}
+	s.hRead.ObserveDuration(time.Since(start))
 	defer putFileBuf(bp)
 	data := *bp
 	s.limiter.Acquire(int64(len(data)))
@@ -337,11 +392,66 @@ func (s *Store) readChunkIntoRaw(ctx context.Context, meta ChunkMeta, p *Posting
 	s.chunksRead.Add(1)
 	s.mBytes.Add(int64(len(data)))
 	s.mChunks.Inc()
-	s.hRead.ObserveDuration(time.Since(start))
 	if _, err := decodeChunkInto(data, p, &meta); err != nil {
 		return Postings{}, fmt.Errorf("chunkstore: chunk %s: %w", meta.File, err)
 	}
 	return *p, nil
+}
+
+// file returns the chunk's open handle, opening it at its first read. The
+// first open checks the file's size against the manifest's with one fstat,
+// before any buffer is sized. Two first reads racing on one chunk each
+// open it; the one whose handle lands in the slot keeps it and the other
+// closes its own, so the store holds one descriptor per chunk it has read.
+func (s *Store) file(slot *atomic.Pointer[os.File], meta *ChunkMeta) (*os.File, error) {
+	if f := slot.Load(); f != nil {
+		return f, nil
+	}
+	f, err := os.Open(filepath.Join(s.dir, meta.File))
+	if err != nil {
+		return nil, fmt.Errorf("chunkstore: read chunk %s: %w", meta.File, err)
+	}
+	if err := checkSize(f, meta); err != nil {
+		f.Close()
+		return nil, err
+	}
+	if !slot.CompareAndSwap(nil, f) {
+		f.Close()
+		if f = slot.Load(); f == nil {
+			return nil, fmt.Errorf("chunkstore: store %s is closed", s.dir)
+		}
+		return f, nil
+	}
+	s.gFiles.Add(1)
+	// A Close that swept the slots before the swap above has missed this
+	// handle: take it back out (unless Close got it after all).
+	if s.closed.Load() {
+		if g := slot.Swap(nil); g != nil {
+			g.Close()
+			s.gFiles.Add(-1)
+		}
+		return nil, fmt.Errorf("chunkstore: store %s is closed", s.dir)
+	}
+	return f, nil
+}
+
+// Close closes every chunk file the store holds open. Reads after it fail
+// naming the store, and open nothing; a read already past its handle
+// lookup fails on the closed file. Closing twice is harmless. The opener
+// of a store closes it; views, snapshots and coordinators sharing it do
+// not.
+func (s *Store) Close() error {
+	s.closed.Store(true)
+	var errs []error
+	for d := range s.files {
+		for q := range s.files[d] {
+			if f := s.files[d][q].Swap(nil); f != nil {
+				errs = append(errs, f.Close())
+				s.gFiles.Add(-1)
+			}
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // DecodedEntriesBytes is the footprint of a chunk decoded as entries: per

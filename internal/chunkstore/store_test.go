@@ -25,6 +25,7 @@ func buildTestStore(t *testing.T, n int, seed int64) (*Store, *dataset.Dataset) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 	return st, ds
 }
 

@@ -270,6 +270,55 @@ func BenchmarkCellLoad(b *testing.B) {
 	}
 }
 
+// BenchmarkInitExploration measures a session open's γ pass — drawing the
+// uniform sample and fetching its 2 000 rows, which reads every chunk of
+// every dimension — on the two static layouts the end-to-end benchmark
+// serves (a flat 50k-row store; 150k rows over S = 4) with the block cache
+// off. Each op is one session's view with its own seed; creating and
+// closing the view is not timed. Run with -cpu 1 to compare commits.
+func BenchmarkInitExploration(b *testing.B) {
+	ctx := context.Background()
+	for _, lay := range []struct {
+		name         string
+		rows, shards int
+	}{
+		{"flat-50k", 50_000, 0},
+		{"S=4-150k", 150_000, 4},
+	} {
+		ds, err := dataset.GenerateSky(dataset.SkyConfig{N: lay.rows, Seed: 21})
+		if err != nil {
+			b.Fatal(err)
+		}
+		dir := b.TempDir()
+		if err := Build(dir, ds, BuildOptions{TargetChunkBytes: 64 << 10, Shards: lay.shards}); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(lay.name, func(b *testing.B) {
+			idx, err := Open(ctx, dir, Options{MemoryBudgetBytes: 8 << 20})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer idx.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				view, err := idx.NewView(ViewOptions{MemoryBudgetBytes: 8 << 20, SampleSize: 2000, Seed: int64(i)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := view.InitExploration(ctx); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				view.Close()
+				b.StartTimer()
+			}
+		})
+	}
+}
+
 // BenchmarkResultRetrieval measures the terminal step's ResultRetrieval —
 // scan, reconstruct, classify — on the two static layouts the end-to-end
 // benchmark serves (a flat 50k-row store; 150k rows over S = 4), at the

@@ -475,12 +475,14 @@ func (x *Index) Registry() *obs.Registry { return x.reg }
 // Close cancels and joins every background goroutine the index owns —
 // the prefetcher (canceling any in-flight load) and, on a live layout,
 // the stream store's flusher and compactor — then shuts down the worker
-// pool and releases the pinned snapshot. It is idempotent and safe to
-// call while a prefetch load or background flush is running; subsequent
-// index operations return ErrClosed. On a view (NewView) only the view's
-// private state stops: the shared pool, store, and live write path stay
-// up for the parent and its other views (a view still releases its own
-// snapshot pin).
+// pool, releases the pinned snapshot and closes the chunk files the
+// index's stores hold open (a live layout's stores are the stream
+// store's, closed with it). It is idempotent and safe to call while a
+// prefetch load or background flush is running; subsequent index
+// operations return ErrClosed. On a view (NewView) only the view's private
+// state stops: the shared pool, stores, and live write path stay up for
+// the parent and its other views (a view still releases its own snapshot
+// pin).
 func (x *Index) Close() {
 	x.closeOnce.Do(func() {
 		x.closed.Store(true)
@@ -495,6 +497,13 @@ func (x *Index) Close() {
 		}
 		if !x.isView {
 			x.pool.Close()
+			if x.live == nil {
+				for _, sh := range x.coord.Shards() {
+					for _, p := range sh.Parts {
+						p.Store.Close()
+					}
+				}
+			}
 		}
 		x.ptab.Release()
 		x.accountState()

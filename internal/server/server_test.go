@@ -15,6 +15,7 @@ import (
 	"github.com/uei-db/uei/internal/core"
 	"github.com/uei-db/uei/internal/dataset"
 	"github.com/uei-db/uei/internal/ide"
+	"github.com/uei-db/uei/internal/leakcheck"
 	"github.com/uei-db/uei/internal/learn"
 	"github.com/uei-db/uei/internal/memcache"
 	"github.com/uei-db/uei/internal/obs"
@@ -635,7 +636,8 @@ func TestHTTPDeadShardIs503(t *testing.T) {
 }
 
 // TestDrain: Close rejects new work, evicts live sessions to snapshots,
-// and a second Close is a no-op.
+// releases every chunk file the store held open, and a second Close is a
+// no-op.
 func TestDrain(t *testing.T) {
 	dir, _ := buildStore(t, 800)
 	m := newTestManager(t, dir, nil)
@@ -649,8 +651,18 @@ func TestDrain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	openFiles := m.idx.Registry().Gauge("uei_chunkstore_open_files")
+	if openFiles.Value() <= 0 {
+		t.Fatalf("after three steps uei_chunkstore_open_files reads %g", openFiles.Value())
+	}
 	if err := m.Close(ctx); err != nil {
 		t.Fatal(err)
+	}
+	if openFiles.Value() != 0 {
+		t.Fatalf("after Close uei_chunkstore_open_files reads %g", openFiles.Value())
+	}
+	if open := leakcheck.FilesUnder(dir); len(open) != 0 {
+		t.Fatalf("after Close %d descriptors point into the store: %v", len(open), open)
 	}
 	if _, err := m.Create(ctx, SessionSpec{}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("create while drained: want ErrDraining, got %v", err)

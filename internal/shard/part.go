@@ -89,6 +89,9 @@ func WritePart(dir string, columns []string, bounds vec.Box, target int, ids []u
 // installed under cacheKeyPrefix, which must be unique to the part among
 // the stores sharing it (identical chunk file names in different parts
 // must not collide).
+//
+// The store opens chunk files as it reads them and holds them until the
+// caller, who owns the part, closes its Store.
 func OpenPart(dir string, g *grid.Grid, rows int, cacheKeyPrefix string, opts OpenOptions) (Part, error) {
 	st, err := chunkstore.Open(dir, opts.Limiter)
 	if err != nil {

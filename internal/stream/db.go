@@ -752,10 +752,11 @@ func allZero(segs []*segment) bool {
 	return true
 }
 
-// sweepRetiredLocked deletes retired segment directories no live snapshot
-// can read: a snapshot pinned at epoch E reads segments retired at epochs
-// strictly greater than E, so a retiree is reclaimable once every pinned
-// epoch is >= its retirement epoch. Caller holds mu.
+// sweepRetiredLocked closes the stores of retired segments no live
+// snapshot can read, and deletes their directories: a snapshot pinned at
+// epoch E reads segments retired at epochs strictly greater than E, so a
+// retiree is reclaimable once every pinned epoch is >= its retirement
+// epoch. Caller holds mu.
 func (db *DB) sweepRetiredLocked() {
 	minPinned := ^uint64(0)
 	for e := range db.pins {
@@ -770,6 +771,7 @@ func (db *DB) sweepRetiredLocked() {
 			continue
 		}
 		delete(db.segs, r.seg.meta.ID)
+		r.seg.part.Store.Close()
 		os.RemoveAll(r.seg.dir)
 		db.mRetired.Inc()
 	}
@@ -928,9 +930,10 @@ func (db *DB) failpointFn() func(stage string) error {
 }
 
 // Close stops and joins the background flusher and compactor, closes the
-// active WAL writer, and marks the DB closed. It does NOT flush: pending
-// memtable rows stay durable in the WAL and replay on the next Open.
-// Idempotent and safe against concurrent Append/Acquire.
+// active WAL writer and every segment store (retired ones still pinned
+// included), and marks the DB closed. It does NOT flush: pending memtable
+// rows stay durable in the WAL and replay on the next Open. Idempotent and
+// safe against concurrent Append/Acquire.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	if db.closed {
@@ -941,6 +944,13 @@ func (db *DB) Close() error {
 	close(db.stop)
 	db.mu.Unlock()
 	db.bg.Wait()
-	// The loops are joined: nothing touches the writer anymore.
+	// The loops are joined, and holding flushMu waits out an explicit
+	// flush or compaction already past its closed check: nothing touches
+	// the writer or the segment set anymore.
+	db.flushMu.Lock()
+	defer db.flushMu.Unlock()
+	for _, seg := range db.segs {
+		seg.part.Store.Close()
+	}
 	return db.wal.close()
 }
