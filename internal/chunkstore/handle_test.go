@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/uei-db/uei/internal/leakcheck"
 	"github.com/uei-db/uei/internal/obs"
@@ -179,5 +180,135 @@ func TestReadAfterCloseOpensNothing(t *testing.T) {
 	}
 	if err := st.Close(); err != nil {
 		t.Fatalf("a second Close: %v", err)
+	}
+}
+
+// readAll reads every chunk of st and fails unless each reads as want.
+func readAll(t *testing.T, st *Store, want [][]Entry) {
+	t.Helper()
+	i := 0
+	for _, chunks := range st.Manifest().Chunks {
+		for _, meta := range chunks {
+			got, err := st.ReadChunk(context.Background(), meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want[i]) {
+				t.Fatalf("%s read other entries than an unbounded store", meta.File)
+			}
+			i++
+		}
+	}
+}
+
+// TestHeldFilesBounded: once the process holds maxHeldFiles chunk files, a
+// first read reads through a file of its own and closes it. Every read
+// returns what an unbounded store reads, the store keeps only the files
+// the bound left room for, and Close gives that room back.
+func TestHeldFilesBounded(t *testing.T) {
+	built, _ := buildTestStore(t, 800, 8)
+	var want [][]Entry
+	for _, chunks := range built.Manifest().Chunks {
+		for _, meta := range chunks {
+			entries, err := built.ReadChunk(context.Background(), meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, entries)
+		}
+	}
+	if err := built.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) < 4 {
+		t.Fatalf("the store has %d chunks; the test needs a few more than the bound", len(want))
+	}
+
+	st, err := Open(built.dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	st.Instrument(reg)
+	gauge := reg.Gauge("uei_chunkstore_open_files")
+	before, bound := heldFiles.Load(), maxHeldFiles.Load()
+	t.Cleanup(func() { maxHeldFiles.Store(bound) })
+	maxHeldFiles.Store(before + 2)
+	readAll(t, st, want)
+	readAll(t, st, want)
+	if got := heldFiles.Load() - before; got != 2 {
+		t.Fatalf("the store holds %d chunk files, want the bound's 2", got)
+	}
+	if gauge.Value() != 2 {
+		t.Fatalf("the gauge reads %g, want 2", gauge.Value())
+	}
+	if leakcheck.ProcFDs() {
+		requireFilesUnder(t, "reads past the bound", st.dir, 2)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if heldFiles.Load() != before || gauge.Value() != 0 {
+		t.Fatalf("after Close: %d chunk files held (%d before), gauge %g", heldFiles.Load(), before, gauge.Value())
+	}
+}
+
+// TestGaugeUncountsWhatItCounted: a handle opened before Instrument is not
+// on the gauge, so Close does not take it off: the gauge never reads below
+// zero.
+func TestGaugeUncountsWhatItCounted(t *testing.T) {
+	st, _ := buildTestStore(t, 500, 9)
+	chunks := st.Manifest().Chunks[0]
+	if _, err := st.ReadChunk(context.Background(), chunks[0]); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	st.Instrument(reg)
+	gauge := reg.Gauge("uei_chunkstore_open_files")
+	if _, err := st.ReadChunk(context.Background(), chunks[len(chunks)-1]); err != nil {
+		t.Fatal(err)
+	}
+	if gauge.Value() != 1 {
+		t.Fatalf("the gauge reads %g, want 1: the handle opened after Instrument", gauge.Value())
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if gauge.Value() != 0 {
+		t.Fatalf("after Close the gauge reads %g, want 0", gauge.Value())
+	}
+}
+
+// TestDroppedStoreReleasesFiles: a store dropped without Close gives back
+// its chunk files, and their room under the bound, once it is collected.
+func TestDroppedStoreReleasesFiles(t *testing.T) {
+	built, _ := buildTestStore(t, 500, 10)
+	dir := built.dir
+	if err := built.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := heldFiles.Load()
+	func() {
+		st, err := Open(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := st.MergeRegion(context.Background(), st.Bounds()); err != nil {
+			t.Fatal(err)
+		}
+		if heldFiles.Load() <= before {
+			t.Fatal("a whole-store merge holds no chunk file")
+		}
+	}()
+	deadline := time.Now().Add(2 * time.Second)
+	for heldFiles.Load() > before && time.Now().Before(deadline) {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if heldFiles.Load() > before {
+		t.Fatalf("a dropped store still holds %d chunk files", heldFiles.Load()-before)
+	}
+	if leakcheck.ProcFDs() {
+		requireFilesUnder(t, "a collected store", dir, 0)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,8 +64,8 @@ func NewBlockCache(budget *memcache.Budget) (*BlockCache, error) {
 
 // Store is an opened chunk store. Reads are safe for concurrent use; the
 // store's mutable state is its I/O counters, the chunk files it has read
-// (held open until Close) and the optional shared block cache installed
-// before first use.
+// (held open until Close, within maxHeldFiles) and the optional shared
+// block cache installed before first use.
 type Store struct {
 	dir      string
 	manifest *Manifest
@@ -72,7 +73,7 @@ type Store struct {
 	// files[dim][seq] is the open handle of that manifest chunk: empty
 	// until the chunk's first read, emptied again by Close. A store that
 	// never reads a chunk never opens its file.
-	files  [][]atomic.Pointer[os.File]
+	files  [][]atomic.Pointer[handle]
 	closed atomic.Bool
 	// cache, when non-nil, holds decoded chunks so every consumer —
 	// session views, the ordered read pipeline, the prefetcher — shares
@@ -101,19 +102,50 @@ type Store struct {
 	gFiles     *obs.Gauge
 }
 
+// handle is a chunk file a store holds open, with the open-files gauge
+// that counted it (nil when the store was not yet instrumented), so its
+// release uncounts exactly what its open counted.
+type handle struct {
+	f     *os.File
+	gauge *obs.Gauge
+}
+
+// heldFiles counts the chunk files every store of the process holds open.
+// maxHeldFiles bounds it to half the process's descriptor limit, leaving
+// the rest to the program's sockets, logs and segment writes: a first read
+// past the bound reads through a handle of its own and closes it, so
+// however many chunks the open stores have, they never exhaust the
+// process's descriptors.
+var (
+	heldFiles    atomic.Int64
+	maxHeldFiles atomic.Int64
+)
+
+func init() { maxHeldFiles.Store(openFileLimit() / 2) }
+
+// release closes a held handle and uncounts it.
+func (h *handle) release() error {
+	heldFiles.Add(-1)
+	h.gauge.Add(-1)
+	return h.f.Close()
+}
+
 // newStore is the one constructor of an open store over manifest m: one
-// empty handle slot per chunk.
+// empty handle slot per chunk. A store its opener drops without Close
+// releases its handles when it is collected.
 func newStore(dir string, m *Manifest, limiter *iothrottle.Limiter) *Store {
 	n := 0
 	for _, chunks := range m.Chunks {
 		n += len(chunks)
 	}
-	slots := make([]atomic.Pointer[os.File], n)
-	files := make([][]atomic.Pointer[os.File], len(m.Chunks))
+	slots := make([]atomic.Pointer[handle], n)
+	files := make([][]atomic.Pointer[handle], len(m.Chunks))
 	for d, chunks := range m.Chunks {
 		files[d], slots = slots[:len(chunks):len(chunks)], slots[len(chunks):]
 	}
-	return &Store{dir: dir, manifest: m, limiter: limiter, files: files}
+	s := &Store{dir: dir, manifest: m, limiter: limiter, files: files}
+	runtime.SetFinalizer(s, (*Store).Close)
+	return s
 }
 
 // chunkFileName is the one name a store gives chunk seq of dimension dim.
@@ -318,26 +350,16 @@ func (s *Store) readChunkFor(ctx context.Context, m ChunkMeta, p *Postings) (Pos
 		return s.readChunkInto(ctx, m, slot, p)
 	}
 	return s.cache.GetOrLoad(ctx, s.cachePrefix+m.File, func(ctx context.Context) (Postings, int64, error) {
-		p, err := s.readChunkDisk(ctx, m)
+		p, err := s.readChunkInto(ctx, m, slot, new(Postings))
 		return p, p.Bytes(), err
 	})
-}
-
-// readChunkDisk is the owning disk read, into storage of its own: what a
-// block-cache miss keeps.
-func (s *Store) readChunkDisk(ctx context.Context, meta ChunkMeta) (Postings, error) {
-	slot, err := s.slot(&meta)
-	if err != nil {
-		return Postings{}, err
-	}
-	return s.readChunkInto(ctx, meta, slot, new(Postings))
 }
 
 // slot returns the handle slot of the chunk meta names, refusing a meta
 // that is not the manifest's record for it — callers of ReadChunk and
 // MergeChunks supply their own — so no file outside the manifest, or of
 // another size than it records, is ever opened.
-func (s *Store) slot(meta *ChunkMeta) (*atomic.Pointer[os.File], error) {
+func (s *Store) slot(meta *ChunkMeta) (*atomic.Pointer[handle], error) {
 	if s.closed.Load() {
 		return nil, fmt.Errorf("chunkstore: store %s is closed", s.dir)
 	}
@@ -351,7 +373,7 @@ func (s *Store) slot(meta *ChunkMeta) (*atomic.Pointer[os.File], error) {
 // readChunkInto wraps the raw disk read in a "chunk_read" span when the
 // context is traced (the guard is one context lookup, so the untraced
 // hot path stays free). The result aliases p until its next decode.
-func (s *Store) readChunkInto(ctx context.Context, meta ChunkMeta, slot *atomic.Pointer[os.File], p *Postings) (Postings, error) {
+func (s *Store) readChunkInto(ctx context.Context, meta ChunkMeta, slot *atomic.Pointer[handle], p *Postings) (Postings, error) {
 	if obs.SpanFromContext(ctx) == nil {
 		return s.readChunkIntoRaw(ctx, meta, slot, p)
 	}
@@ -371,16 +393,19 @@ func (s *Store) readChunkInto(ctx context.Context, meta ChunkMeta, slot *atomic.
 // chunk's handle (which checks the size), CRC check, header check against
 // meta, decode into p, I/O accounting. The raw file buffer is recycled as
 // soon as the decode (which copies everything out) finishes.
-func (s *Store) readChunkIntoRaw(ctx context.Context, meta ChunkMeta, slot *atomic.Pointer[os.File], p *Postings) (Postings, error) {
+func (s *Store) readChunkIntoRaw(ctx context.Context, meta ChunkMeta, slot *atomic.Pointer[handle], p *Postings) (Postings, error) {
 	if err := ctx.Err(); err != nil {
 		return Postings{}, err
 	}
-	f, err := s.file(slot, &meta)
+	f, held, err := s.file(slot, &meta)
 	if err != nil {
 		return Postings{}, err
 	}
 	start := time.Now()
 	bp, err := readChunkFile(f, &meta)
+	if !held {
+		f.Close()
+	}
 	if err != nil {
 		return Postings{}, err
 	}
@@ -398,41 +423,47 @@ func (s *Store) readChunkIntoRaw(ctx context.Context, meta ChunkMeta, slot *atom
 	return *p, nil
 }
 
-// file returns the chunk's open handle, opening it at its first read. The
+// file returns the chunk's open file, opening it at its first read. The
 // first open checks the file's size against the manifest's with one fstat,
 // before any buffer is sized. Two first reads racing on one chunk each
 // open it; the one whose handle lands in the slot keeps it and the other
 // closes its own, so the store holds one descriptor per chunk it has read.
-func (s *Store) file(slot *atomic.Pointer[os.File], meta *ChunkMeta) (*os.File, error) {
-	if f := slot.Load(); f != nil {
-		return f, nil
+// held is false when the process already holds maxHeldFiles chunk files:
+// the caller then reads through f once and closes it.
+func (s *Store) file(slot *atomic.Pointer[handle], meta *ChunkMeta) (f *os.File, held bool, err error) {
+	if h := slot.Load(); h != nil {
+		return h.f, true, nil
 	}
-	f, err := os.Open(filepath.Join(s.dir, meta.File))
+	f, err = os.Open(filepath.Join(s.dir, meta.File))
 	if err != nil {
-		return nil, fmt.Errorf("chunkstore: read chunk %s: %w", meta.File, err)
+		return nil, false, fmt.Errorf("chunkstore: read chunk %s: %w", meta.File, err)
 	}
 	if err := checkSize(f, meta); err != nil {
 		f.Close()
-		return nil, err
+		return nil, false, err
 	}
-	if !slot.CompareAndSwap(nil, f) {
-		f.Close()
-		if f = slot.Load(); f == nil {
-			return nil, fmt.Errorf("chunkstore: store %s is closed", s.dir)
+	if heldFiles.Add(1) > maxHeldFiles.Load() {
+		heldFiles.Add(-1)
+		return f, false, nil
+	}
+	h := &handle{f: f, gauge: s.gFiles}
+	h.gauge.Add(1)
+	if !slot.CompareAndSwap(nil, h) {
+		h.release()
+		if h = slot.Load(); h == nil {
+			return nil, false, fmt.Errorf("chunkstore: store %s is closed", s.dir)
 		}
-		return f, nil
+		return h.f, true, nil
 	}
-	s.gFiles.Add(1)
 	// A Close that swept the slots before the swap above has missed this
 	// handle: take it back out (unless Close got it after all).
 	if s.closed.Load() {
-		if g := slot.Swap(nil); g != nil {
-			g.Close()
-			s.gFiles.Add(-1)
+		if h := slot.Swap(nil); h != nil {
+			h.release()
 		}
-		return nil, fmt.Errorf("chunkstore: store %s is closed", s.dir)
+		return nil, false, fmt.Errorf("chunkstore: store %s is closed", s.dir)
 	}
-	return f, nil
+	return f, true, nil
 }
 
 // Close closes every chunk file the store holds open. Reads after it fail
@@ -445,9 +476,8 @@ func (s *Store) Close() error {
 	var errs []error
 	for d := range s.files {
 		for q := range s.files[d] {
-			if f := s.files[d][q].Swap(nil); f != nil {
-				errs = append(errs, f.Close())
-				s.gFiles.Add(-1)
+			if h := s.files[d][q].Swap(nil); h != nil {
+				errs = append(errs, h.release())
 			}
 		}
 	}

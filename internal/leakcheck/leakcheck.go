@@ -29,9 +29,14 @@ const (
 	Files
 )
 
-// settle is how long Main waits for goroutines to exit, and then for
-// unreachable files' finalizers to run, before it calls either a leak.
-const settle = 2 * time.Second
+const (
+	// goroutineSettle is how long Main waits for goroutines to exit before
+	// it calls them leaked.
+	goroutineSettle = time.Second
+	// fileSettle is how long Main collects garbage and waits for the
+	// finalizers of unreachable files to run before it calls them leaked.
+	fileSettle = 2 * time.Second
+)
 
 // Main runs the package's tests and exits with their code. A passing run
 // fails when what checks names outlives the tests, printing every
@@ -45,7 +50,7 @@ func Main(m *testing.M, checks Check) {
 		os.Exit(code)
 	}
 	if checks&Goroutines != 0 {
-		deadline := time.Now().Add(settle)
+		deadline := time.Now().Add(goroutineSettle)
 		for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
 			time.Sleep(10 * time.Millisecond)
 		}
@@ -60,7 +65,7 @@ func Main(m *testing.M, checks Check) {
 		// A store nobody closed holds its files until the collector finds
 		// it unreachable and its files' finalizers have run.
 		after, _ := openFiles()
-		deadline := time.Now().Add(settle)
+		deadline := time.Now().Add(fileSettle)
 		for len(after) > len(fds) && time.Now().Before(deadline) {
 			runtime.GC()
 			time.Sleep(10 * time.Millisecond)
