@@ -5,21 +5,15 @@
 #   2. sharded:     an S = 2 store is detected without -shards; four oracle
 #                   sessions step against it at once, and every step's
 #                   X-Uei-Trace-Id must be a step in the server's trace
-#   3. distributed: two uei-shardd workers, shard s on worker s mod 2; a
-#                   healthy session runs to done undegraded, each worker's
-#                   log holds only its own shard, then worker 1 is killed
-#                   mid-session: steps answer 200 or 503 + Retry-After, the
-#                   result and a create on a second server 503 naming the
-#                   dead shard, and nothing answers 500
-#   4. live:        append-while-exploring over HTTP, uei-ingest -inspect
+#   3. live:        append-while-exploring over HTTP, uei-ingest -inspect
 #                   and -verify
-#   5. old format:  a store whose manifest says format 1 fails -verify,
+#   4. old format:  a store whose manifest says format 1 fails -verify,
 #                   naming the rebuild
-#   6. csv:         a 20 000-row CSV streamed into a flat store and read
+#   5. csv:         a 20 000-row CSV streamed into a flat store and read
 #                   into an S = 2 one both pass -verify; a nan field fails
 #                   the build naming its row and column and leaves no
 #                   manifest; -external is an unknown flag
-#   7. idmap:       one flipped byte of shard-001/idmap fails -verify,
+#   6. idmap:       one flipped byte of shard-001/idmap fails -verify,
 #                   naming the file
 #
 # Every server runs under -trace and every trace must pass uei-trace -strict.
@@ -127,7 +121,7 @@ strict_trace() {
 }
 
 bin=$work/bin
-go build -o "$bin/" ./cmd/uei-serve ./cmd/uei-ingest ./cmd/uei-shardd ./cmd/uei-trace
+go build -o "$bin/" ./cmd/uei-serve ./cmd/uei-ingest ./cmd/uei-trace
 oracle='{"max_labels":8,"oracle":{"selectivity":0.01}}'
 
 echo "== flat: boot, session, metrics, SIGTERM drain"
@@ -199,88 +193,6 @@ for id in "${ids[@]}"; do
   done <"$(session_files "$base" "$id").trace-ids"
 done
 echo "trace_join sessions=${#ids[@]} matched=$matched missing=0"
-
-echo "== distributed: two workers, shard s on worker s mod 2, one killed mid-session"
-pick_port w1port
-pick_port w2port
-spawn w1.log "$bin/uei-shardd" -store "$work/sharded" -addr "127.0.0.1:$w1port"
-w1=$!
-spawn w2.log "$bin/uei-shardd" -store "$work/sharded" -addr "127.0.0.1:$w2port"
-w2=$!
-wait_http "http://127.0.0.1:$w1port/healthz"
-wait_http "http://127.0.0.1:$w2port/healthz"
-pick_port port
-base=http://127.0.0.1:$port
-spawn dist.log "$bin/uei-serve" -shard-endpoints "127.0.0.1:$w1port,127.0.0.1:$w2port" \
-  -addr "127.0.0.1:$port" -snapshot-dir "$work/dist-sessions" -trace "$work/dist.jsonl" -slo 500ms
-srv=$!
-# A second server over the same fleet takes no session until worker 1 is
-# dead: its first create must build the oracle's dataset, which needs every
-# shard, while the first server built its own on the healthy fleet.
-pick_port port2
-base2=http://127.0.0.1:$port2
-spawn dist2.log "$bin/uei-serve" -shard-endpoints "127.0.0.1:$w1port,127.0.0.1:$w2port" \
-  -addr "127.0.0.1:$port2" -snapshot-dir "$work/dist2-sessions"
-srv2=$!
-wait_http "$base/readyz"
-wait_http "$base2/readyz"
-id=$(new_session "$base" '{"max_labels":10,"oracle":{"selectivity":0.01}}')
-run_session "$base" "$id" 14
-curl -sf "$base/v1/sessions/$id/result" -o "$work/result.json" || fail "healthy fleet: /result failed"
-# only_shard LOG S: the worker's access log holds shard requests, all for S.
-only_shard() {
-  grep -q "POST /v1/shards/$2/" "$work/$1" || fail "$1 holds no shard $2 request"
-  if grep 'POST /v1/shards/' "$work/$1" | grep -qv "POST /v1/shards/$2/"; then
-    fail "$1 served a shard other than $2: $(grep 'POST /v1/shards/' "$work/$1" | grep -v "POST /v1/shards/$2/" | head -1)"
-  fi
-}
-only_shard w1.log 0
-only_shard w2.log 1
-
-# call NAME METHOD URL [BODY] keeps the response's headers and body in
-# $work/NAME.{headers,body} and prints its status; 500 always fails.
-call() {
-  local code
-  code=$(curl -s -D "$work/$1.headers" -o "$work/$1.body" -w '%{http_code}' -X "$2" "$3" ${4:+-d "$4"})
-  [ "$code" != 500 ] || fail "$2 $3 answered 500: $(cat "$work/$1.body")"
-  echo "$code"
-}
-# unavailable NAME CODE: the kept response is a 503 with Retry-After whose
-# body names the unavailable shard.
-unavailable() {
-  [ "$2" = 503 ] || fail "$1: status $2, want 503: $(cat "$work/$1.body")"
-  grep -qi '^retry-after:' "$work/$1.headers" || fail "$1: 503 without Retry-After"
-  grep -q 'shard unavailable' "$work/$1.body" || fail "$1: body does not name the shard: $(cat "$work/$1.body")"
-}
-id=$(new_session "$base" '{"max_labels":10,"seed":2,"oracle":{"selectivity":0.01}}')
-[ -n "$id" ] || fail "the second distributed session was not created"
-degraded=0 refused=0
-for i in $(seq 1 14); do
-  code=$(call step POST "$base/v1/sessions/$id/step")
-  case $code in
-    200)
-      grep -q '"done":true' "$work/step.body" && fail "step $i: done although shard 0's worker is dead"
-      if grep -q '"degraded":true' "$work/step.body"; then degraded=$((degraded + 1)); fi
-      ;;
-    503)
-      grep -qi '^retry-after:' "$work/step.headers" || fail "step $i: 503 without Retry-After"
-      refused=$((refused + 1))
-      ;;
-    *) fail "step $i: status $code: $(cat "$work/step.body")" ;;
-  esac
-  if [ "$i" = 3 ]; then
-    echo "killing worker 1 (shard 0) mid-session"
-    drain "$w1"
-  fi
-done
-[ "$refused" -gt 0 ] || fail "no step after the kill answered 503; the terminal step needs shard 0"
-echo "dead_worker steps=14 degraded=$degraded refused=$refused"
-unavailable result "$(call result GET "$base/v1/sessions/$id/result")"
-unavailable create "$(call create POST "$base2/v1/sessions" "$oracle")"
-drain "$srv"
-drain "$srv2"
-drain "$w2"
-strict_trace dist.jsonl
 
 echo "== live: append while exploring, inspect"
 "$bin/uei-ingest" -gen 20000 -live -chunk 4096 -out "$work/live" >/dev/null

@@ -350,6 +350,7 @@ func verifyStore(dir string) error {
 	}
 	var parts []part
 	var g *grid.Grid
+	var layoutRows int
 	switch {
 	case stream.IsLiveDir(dir):
 		m, err := stream.ReadManifest(dir)
@@ -359,6 +360,7 @@ func verifyStore(dir string) error {
 		if g, err = grid.New(vec.NewBox(m.MinValues, m.MaxValues), m.SegmentsPerDim); err != nil {
 			return err
 		}
+		layoutRows = m.FlushedRows
 		for _, seg := range m.Segments {
 			parts = append(parts, part{filepath.Join(dir, stream.SegmentDirName(seg.ID)), seg.Rows})
 		}
@@ -370,6 +372,7 @@ func verifyStore(dir string) error {
 		if g, err = m.Grid(); err != nil {
 			return err
 		}
+		layoutRows = m.RowCount
 		for s, rows := range m.ShardRowCounts {
 			parts = append(parts, part{filepath.Join(dir, shard.ShardDirName(s)), rows})
 		}
@@ -381,7 +384,7 @@ func verifyStore(dir string) error {
 		return verifyPart(dir, st)
 	}
 	for _, p := range parts {
-		opened, err := shard.OpenPart(p.dir, g, p.rows, "", shard.OpenOptions{})
+		opened, err := shard.OpenPart(p.dir, g, p.rows, layoutRows, "", shard.OpenOptions{})
 		if err != nil {
 			return fmt.Errorf("%s: %w", p.dir, err)
 		}

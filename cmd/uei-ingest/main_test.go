@@ -18,8 +18,9 @@ import (
 // from a dataset and from a streamed -csv file, sharded, live (seed
 // segments plus a flushed append) — and on each, once one chunk is
 // damaged, fails naming the part, the chunk and the field; on a sharded
-// and a live store it also fails over a damaged idmap and over a manifest
-// row count its part does not hold.
+// and a live store it also fails over a damaged idmap, over a CRC-valid
+// idmap naming a row past the layout, and over a manifest row count its
+// part does not hold.
 func TestVerifyEveryLayout(t *testing.T) {
 	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 4000, Seed: 3})
 	if err != nil {
@@ -102,8 +103,9 @@ func TestVerifyEveryLayout(t *testing.T) {
 
 	// -verify opens every part as serving does, so what serving refuses
 	// beyond the chunks fails it too, naming the part: one flipped idmap
-	// byte, and a manifest row count the part does not hold (the
-	// manifest's totals moved with it, so only the part disagrees).
+	// byte, an idmap whose last id is the layout's row count, and a
+	// manifest row count the part does not hold (the manifest's totals
+	// moved with it, so only the part disagrees).
 	flipIDMap := func(part string) func(dir string) string {
 		return func(dir string) string {
 			path := filepath.Join(dir, part, "idmap")
@@ -113,6 +115,22 @@ func TestVerifyEveryLayout(t *testing.T) {
 			}
 			data[12] ^= 1
 			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return part
+		}
+	}
+	// pastLayout rewrites part's idmap, CRC and all, with its last id
+	// moved to the layout's row count: still strictly ascending, one row
+	// past the layout.
+	pastLayout := func(part string, layoutRows func(dir string) int) func(dir string) string {
+		return func(dir string) string {
+			ids, err := shard.LoadIDMap(filepath.Join(dir, part))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids[len(ids)-1] = uint32(layoutRows(dir))
+			if err := shard.SaveIDMap(filepath.Join(dir, part), ids); err != nil {
 				t.Fatal(err)
 			}
 			return part
@@ -137,6 +155,20 @@ func TestVerifyEveryLayout(t *testing.T) {
 	}{
 		{"sharded idmap", sharded, flipIDMap("shard-001"), "idmap corrupted"},
 		{"live idmap", live, flipIDMap("seg-000002"), "idmap corrupted"},
+		{"sharded idmap past the store", sharded, pastLayout("shard-001", func(dir string) int {
+			m, err := shard.LoadManifest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m.RowCount
+		}), "past the layout"},
+		{"live idmap past the store", live, pastLayout("seg-000002", func(dir string) int {
+			m, err := stream.ReadManifest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m.FlushedRows
+		}), "past the layout"},
 		{"sharded row count", sharded, func(dir string) string {
 			m, err := shard.LoadManifest(dir)
 			if err != nil {

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -61,7 +60,6 @@ func run() error {
 		shardDl     = flag.Duration("shard-deadline", 0, "per-shard operation deadline; slow shards are skipped and steps report degraded (0 disables)")
 		traceFile   = flag.String("trace", "", "write one span trace per create, step and result request to this JSONL file (analyze with uei-trace)")
 		sloBudget   = flag.Duration("slo", 0, "per-step interactivity budget for SLO accounting (0 = the 500ms default)")
-		endpoints   = flag.String("shard-endpoints", "", "comma-separated uei-shardd worker URLs (shard s is read from the URL at index s mod count); serves the index remotely instead of opening -store")
 		live        = flag.Bool("live", false, "require the live (streaming) layout and enable POST /v1/append (with -gen, builds a live store)")
 		followLive  = flag.Bool("follow-live", false, "sessions advance to newly flushed data at iteration boundaries (default: each session explores the epoch it opened)")
 		flushEvery  = flag.Duration("flush-interval", 0, "live store: also flush the memtable on this period so trickle appends become visible (0 = size/demand only)")
@@ -74,7 +72,6 @@ func run() error {
 	if *shardDl < 0 {
 		return fmt.Errorf("-shard-deadline %v must not be negative", *shardDl)
 	}
-	eps := splitEndpoints(*endpoints)
 
 	// SIGINT/SIGTERM starts the graceful drain: the listener stops
 	// accepting, in-flight steps finish, and live sessions are evicted to
@@ -83,9 +80,9 @@ func run() error {
 	defer stop()
 
 	dir := *storeDir
-	if dir == "" && len(eps) == 0 {
+	if dir == "" {
 		if *gen <= 0 {
-			return fmt.Errorf("either -store, -gen, or -shard-endpoints is required")
+			return fmt.Errorf("either -store or -gen is required")
 		}
 		tmp, err := os.MkdirTemp("", "uei-serve-")
 		if err != nil {
@@ -132,7 +129,6 @@ func run() error {
 		BlockCacheBytes:       *cacheBytes,
 		Shards:                *shards,
 		ShardDeadline:         *shardDl,
-		ShardEndpoints:        eps,
 		Tracer:                tracer,
 		SLOBudget:             *sloBudget,
 		LiveIngest:            *live,
@@ -143,10 +139,7 @@ func run() error {
 		return err
 	}
 
-	if len(eps) > 0 {
-		fmt.Printf("remote data plane: %d shards over %d workers (shard s on worker s mod %d, per-shard deadline %v)\n",
-			m.Index().NumShards(), len(eps), len(eps), *shardDl)
-	} else if m.Index().Sharded() {
+	if m.Index().Sharded() {
 		fmt.Printf("sharded store: %d shards (per-shard deadline %v)\n", m.Index().NumShards(), *shardDl)
 	}
 	fmt.Printf("serving %d tuples on http://%s/v1/sessions (budget %d bytes, %d session slots, distance kernels %d float64 wide)\n",
@@ -167,15 +160,4 @@ func run() error {
 		fmt.Println("drained; all live sessions snapshotted.")
 	}
 	return err
-}
-
-// splitEndpoints parses a comma-separated endpoint list, trimming blanks.
-func splitEndpoints(s string) []string {
-	var eps []string
-	for _, ep := range strings.Split(s, ",") {
-		if ep = strings.TrimSpace(ep); ep != "" {
-			eps = append(eps, ep)
-		}
-	}
-	return eps
 }

@@ -88,9 +88,6 @@ func importViolations(graph map[string][]string) []string {
 		deny(low, "grid", "shard", "stream", "core", "ide", "server")
 	}
 	deny("shard", "stream", "core")
-	// The transport carries rows, never models: the symbolic index is scored
-	// in the coordinator's process, so no classifier crosses the wire.
-	deny("shard/remote", "stream", "core", "learn")
 	deny("stream", "core")
 	// Strategies reach models through learn's Classifier only; a strategy
 	// that packs blocks itself is a second scoring route.
@@ -124,7 +121,6 @@ func TestImportDAG(t *testing.T) {
 		{"internal/grid", "internal/learn"},
 		{"internal/chunkstore", "internal/grid"},
 		{"internal/shard", "internal/stream"},
-		{"internal/shard/remote", "internal/learn"},
 		{"internal/stream", "internal/core"},
 		{"internal/al", "internal/kernel"},
 		{"internal/ide", "internal/stream", "internal/shard"},

@@ -4,14 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"net/http/httptest"
 	"sort"
 	"testing"
 
 	"github.com/uei-db/uei/internal/dataset"
 	"github.com/uei-db/uei/internal/learn"
-	"github.com/uei-db/uei/internal/shard"
-	"github.com/uei-db/uei/internal/shard/remote"
 )
 
 // appendDWKNNSeq builds the IDE refit sequence: a fresh DWKNN per step,
@@ -203,8 +200,7 @@ func TestScoreKernelParityFlat(t *testing.T) {
 }
 
 // TestScoreKernelParitySharded repeats the parity check over the S=2
-// scatter-gather layout, where dirty subsets travel the per-shard
-// Backend.ScoreAll spec.
+// scatter-gather layout.
 func TestScoreKernelParitySharded(t *testing.T) {
 	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 1500, Seed: 52})
 	if err != nil {
@@ -225,45 +221,6 @@ func TestScoreKernelParitySharded(t *testing.T) {
 	requireMatchesSpec(t, idx, appendDWKNNSeq(t, ds, 6, 20, 3))
 	if idx.Registry().Counter("uei_score_skipped_cells_total").Value() == 0 {
 		t.Error("sharded index skipped no cells")
-	}
-}
-
-// TestScoreKernelParityRemote runs the same sequence with the shards
-// served over the wire protocol: dirty subsets and d_k² bounds must
-// round-trip JSON without changing a bit.
-func TestScoreKernelParityRemote(t *testing.T) {
-	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 1200, Seed: 53})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := Build(dir, ds, BuildOptions{TargetChunkBytes: 2048, Shards: 2}); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	backing, err := Open(ctx, dir, Options{MemoryBudgetBytes: 1 << 20, Workers: 2, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer backing.Close()
-	man, err := shard.LoadManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := httptest.NewServer(remote.NewServer(backing.ShardCoordinator(), man, func(string, ...any) {}))
-	defer w.Close()
-
-	rem, err := Open(ctx, "", Options{
-		MemoryBudgetBytes: 1 << 20, Workers: 2, ShardEndpoints: []string{w.URL},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rem.Close()
-
-	requireMatchesSpec(t, rem, appendDWKNNSeq(t, ds, 5, 20, 3))
-	if rem.Registry().Counter("uei_score_skipped_cells_total").Value() == 0 {
-		t.Error("remote index skipped no cells")
 	}
 }
 

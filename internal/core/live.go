@@ -79,7 +79,7 @@ func buildLiveCoordinator(snap *stream.Snapshot, opts Options, pl *pool.Pool, bc
 	if err != nil {
 		return nil, err
 	}
-	return shard.NewLocalCoordinator(man, snap.Shards(), localOptions(opts, pl, bc))
+	return shard.NewLocalCoordinator(man, snap.Shards(), openOptions(opts, pl, bc))
 }
 
 // Live returns the streaming write store backing this index, or nil for a

@@ -76,24 +76,16 @@ type Options struct {
 	// per-shard key prefixes.
 	BlockCacheBytes int64
 	// Shards selects the store layout Open requires: 0 auto-detects from
-	// the directory or fleet, 1 requires the flat layout (one shard), and
-	// a value > 1 requires exactly that many shards — on disk, live or
-	// behind ShardEndpoints alike. A layout (or shard-count) mismatch
-	// fails with chunkstore.ErrLayoutMismatch.
+	// the directory, 1 requires the flat layout (one shard), and a value
+	// > 1 requires exactly that many shards — built or live alike. A
+	// layout (or shard-count) mismatch fails with
+	// chunkstore.ErrLayoutMismatch.
 	Shards int
 	// ShardDeadline bounds every per-shard operation of the index (a flat
 	// store is one shard). When the winning cell's shard misses it, the
 	// step falls back to another cell or the resident region (it degrades
 	// instead of failing). Zero disables the deadline.
 	ShardDeadline time.Duration
-	// ShardEndpoints, when non-empty, serves the index through remote
-	// uei-shardd workers instead of opening the store directory locally:
-	// the fleet is handshaken, shard s is served by endpoint s mod
-	// len(ShardEndpoints), and every per-shard operation goes over HTTP. A
-	// dead worker's shards are unavailable until it returns. The directory
-	// argument of Open is ignored (may be empty). Results are
-	// byte-identical to a local open of the same store.
-	ShardEndpoints []string
 	// LiveIngest requires the directory to hold the live (stream) layout:
 	// Open fails with chunkstore.ErrLayoutMismatch otherwise. Live layouts
 	// are auto-detected either way; the flag only pins the expectation,

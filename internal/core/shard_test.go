@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http/httptest"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -17,7 +16,6 @@ import (
 	"github.com/uei-db/uei/internal/learn"
 	"github.com/uei-db/uei/internal/memcache"
 	"github.com/uei-db/uei/internal/shard"
-	"github.com/uei-db/uei/internal/shard/remote"
 )
 
 // openShardedPair builds a flat and a sharded store over the same dataset
@@ -187,51 +185,6 @@ func TestShardedOpenLayoutMismatch(t *testing.T) {
 	// A different grid cannot be honored: cell ownership is grid-dependent.
 	if _, err := Open(ctx, shardedDir, Options{MemoryBudgetBytes: 1 << 20, SegmentsPerDim: 7}); err == nil {
 		t.Error("segment mismatch on a sharded store should fail Open")
-	}
-}
-
-// TestRemoteOpenLayoutMismatch: a remote open pins the shard count like a
-// local one — Shards: 1 over a two-shard fleet, or any other count that is
-// not the fleet's, fails with ErrLayoutMismatch — and so does a different
-// grid; the fleet's own count and auto-detect open.
-func TestRemoteOpenLayoutMismatch(t *testing.T) {
-	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 300, Seed: 51})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := Build(dir, ds, BuildOptions{TargetChunkBytes: 2048, Shards: 2}); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	backing, err := Open(ctx, dir, Options{MemoryBudgetBytes: 1 << 20, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer backing.Close()
-	man, err := shard.LoadManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := httptest.NewServer(remote.NewServer(backing.ShardCoordinator(), man, func(string, ...any) {}))
-	defer w.Close()
-	remoteOpts := func(shards, segs int) Options {
-		return Options{MemoryBudgetBytes: 1 << 20, Workers: 1, Shards: shards, SegmentsPerDim: segs, ShardEndpoints: []string{w.URL}}
-	}
-	for _, n := range []int{1, 3} {
-		if _, err := Open(ctx, "", remoteOpts(n, 0)); !errors.Is(err, chunkstore.ErrLayoutMismatch) {
-			t.Errorf("Shards=%d over a 2-shard fleet: err = %v, want ErrLayoutMismatch", n, err)
-		}
-	}
-	if _, err := Open(ctx, "", remoteOpts(0, 7)); err == nil {
-		t.Error("a segment mismatch over a fleet should fail Open")
-	}
-	for _, n := range []int{0, 2} {
-		idx, err := Open(ctx, "", remoteOpts(n, 0))
-		if err != nil {
-			t.Fatalf("Shards=%d: %v", n, err)
-		}
-		idx.Close()
 	}
 }
 

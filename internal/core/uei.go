@@ -19,7 +19,6 @@ import (
 	"github.com/uei-db/uei/internal/pool"
 	"github.com/uei-db/uei/internal/prefetch"
 	"github.com/uei-db/uei/internal/shard"
-	"github.com/uei-db/uei/internal/shard/remote"
 	"github.com/uei-db/uei/internal/stream"
 	"github.com/uei-db/uei/internal/vec"
 )
@@ -183,9 +182,8 @@ type Index struct {
 }
 
 // Open loads the index over a directory produced by Build — flat, sharded
-// or live — or over a remote shard fleet. Options.Shards pins the expected
-// layout (0 auto-detects); a mismatch fails with
-// chunkstore.ErrLayoutMismatch. I/O throttling and worker-pool sizing come
+// or live. Options.Shards pins the expected layout (0 auto-detects); a
+// mismatch fails with chunkstore.ErrLayoutMismatch. I/O throttling and worker-pool sizing come
 // from Options (Limiter, Workers).
 func Open(ctx context.Context, dir string, opts Options) (*Index, error) {
 	if err := ctx.Err(); err != nil {
@@ -193,9 +191,6 @@ func Open(ctx context.Context, dir string, opts Options) (*Index, error) {
 	}
 	if opts.Shards < 0 {
 		return nil, fmt.Errorf("core: shard count %d must not be negative", opts.Shards)
-	}
-	if len(opts.ShardEndpoints) > 0 {
-		return openRemote(ctx, opts)
 	}
 	if stream.IsLiveDir(dir) {
 		return openLive(ctx, dir, opts)
@@ -225,30 +220,23 @@ func newBlockCache(bytes int64) (*chunkstore.BlockCache, error) {
 	return chunkstore.NewBlockCache(budget)
 }
 
-// coordinatorOptions maps the index options onto any coordinator: pl scores
-// the symbolic index whether the rows are local or behind workers.
-func coordinatorOptions(opts Options, pl *pool.Pool) shard.CoordinatorOptions {
-	return shard.CoordinatorOptions{
-		Pool:     pl,
-		Deadline: opts.ShardDeadline,
-	}
-}
-
-// localOptions maps the index options onto an in-process coordinator.
-func localOptions(opts Options, pl *pool.Pool, bc *chunkstore.BlockCache) shard.OpenOptions {
+// openOptions maps the index options onto the coordinator's: pl scores
+// the symbolic index.
+func openOptions(opts Options, pl *pool.Pool, bc *chunkstore.BlockCache) shard.OpenOptions {
 	return shard.OpenOptions{
-		CoordinatorOptions: coordinatorOptions(opts, pl),
-		Limiter:            opts.Limiter,
-		Workers:            opts.Workers,
-		BlockCache:         bc,
+		Pool:       pl,
+		Deadline:   opts.ShardDeadline,
+		Limiter:    opts.Limiter,
+		Workers:    opts.Workers,
+		BlockCache: bc,
 	}
 }
 
 // pinLayout resolves Shards and SegmentsPerDim against the layout that
-// what — a sharded or live directory, or a remote fleet — recorded: a
-// shard count other than the recorded one fails with
-// chunkstore.ErrLayoutMismatch, and a different segment count fails too,
-// since cell ownership and live cell geometry are grid-dependent.
+// what — a sharded or live directory — recorded: a shard count other than
+// the recorded one fails with chunkstore.ErrLayoutMismatch, and a
+// different segment count fails too, since cell ownership and live cell
+// geometry are grid-dependent.
 func (o *Options) pinLayout(what string, shards, segmentsPerDim int) error {
 	if o.Shards != 0 && o.Shards != shards {
 		return fmt.Errorf("core: %s holds %d shard(s) but %d were requested: %w", what, shards, o.Shards, chunkstore.ErrLayoutMismatch)
@@ -294,7 +282,7 @@ func openFlat(dir string, opts Options) (*Index, error) {
 	}
 	pl := pool.New(opts.Workers)
 	one := []*shard.Shard{{Parts: []shard.Part{{Store: store, Mapping: mapping}}}}
-	coord, err := shard.NewLocalCoordinator(man, one, localOptions(opts, pl, bc))
+	coord, err := shard.NewLocalCoordinator(man, one, openOptions(opts, pl, bc))
 	if err != nil {
 		pl.Close()
 		return nil, err
@@ -322,40 +310,9 @@ func openSharded(ctx context.Context, dir string, opts Options) (*Index, error) 
 		return nil, err
 	}
 	pl := pool.New(opts.Workers)
-	coord, err := shard.Open(ctx, dir, localOptions(opts, pl, bc))
+	coord, err := shard.Open(ctx, dir, openOptions(opts, pl, bc))
 	if err != nil {
 		pl.Close()
-		return nil, err
-	}
-	return newIndex(opts, coord, pl)
-}
-
-// openRemote serves the index through uei-shardd workers: the fleet
-// handshake fetches the store identity (so no local directory is needed),
-// shard s is served by endpoint s mod E, and every operation that needs
-// rows travels the HTTP transport. The symbolic index is scored here, on
-// the index's own pool, exactly as over local shards. Block caching happens
-// worker-side, so BlockCacheBytes is ignored here.
-func openRemote(ctx context.Context, opts Options) (idx *Index, err error) {
-	pl := pool.New(opts.Workers)
-	defer func() {
-		if err != nil {
-			pl.Close()
-		}
-	}()
-	coord, err := remote.Connect(ctx, remote.ConnectOptions{
-		Endpoints:          opts.ShardEndpoints,
-		CoordinatorOptions: coordinatorOptions(opts, pl),
-	})
-	if err != nil {
-		return nil, err
-	}
-	meta := coord.Meta()
-	if err := opts.pinLayout("the shard fleet", meta.Shards, meta.SegmentsPerDim); err != nil {
-		return nil, err
-	}
-	opts, err = opts.withDefaults()
-	if err != nil {
 		return nil, err
 	}
 	return newIndex(opts, coord, pl)
@@ -378,10 +335,10 @@ func newUnlabeledCache(opts Options, dims int) (*memcache.Budget, *memcache.Cach
 	return budget, cache, nil
 }
 
-// newIndex finishes an Open over any coordinator — flat, sharded, live or
-// remote: memory budget, unlabeled cache, metrics wiring, optional
-// prefetcher. opts has been through withDefaults. It owns pl, closing it
-// when construction fails.
+// newIndex finishes an Open over any coordinator — flat, sharded or live:
+// memory budget, unlabeled cache, metrics wiring, optional prefetcher.
+// opts has been through withDefaults. It owns pl, closing it when
+// construction fails.
 func newIndex(opts Options, coord *shard.Coordinator, pl *pool.Pool) (*Index, error) {
 	meta := coord.Meta()
 	g := meta.Grid
@@ -1019,14 +976,13 @@ func (x *Index) ResultRetrieval(ctx context.Context, model learn.Classifier, min
 
 	// Stream each dimension's relevant chunks once; a row materializes only
 	// if a marked segment hits it on every dimension (a superset of the
-	// passing-cell union, trimmed below). Every backend runs the same scan
+	// passing-cell union, trimmed below). Every shard runs the same scan
 	// concurrently (each shard is a self-contained store over its own rows)
 	// and hands over one columnar part per data part, which is classified
 	// before its scratch is scanned into again. Retrieval is the final
 	// answer, so the scatter is strict: a failing shard fails the call
 	// rather than silently dropping its rows. shard.ScanMarked is the one
-	// scan every layout and transport runs, so the row set is byte-identical
-	// across them.
+	// scan every layout runs, so the row set is byte-identical across them.
 	var (
 		mu       sync.Mutex
 		out      []uint32

@@ -18,7 +18,7 @@ import (
 // carrying its trace and span ids (ReadTrace rejects one that does not),
 // one trace, exactly one root, no orphans, and one "iteration" span per
 // iteration the session ran. The layout-parity runs (flat, sharded, live
-// with appends, remote) all run under it.
+// with appends) all run under it.
 func startTestTrace(t *testing.T) (context.Context, func(iterations int) *obs.StepTrace) {
 	t.Helper()
 	var (

@@ -2,8 +2,7 @@
 // structure-of-arrays block of float64 points plus allocation-free batched
 // float kernels over its columns. The package is a leaf — it knows nothing
 // about classifiers, grids, or shards — so every layer of the scoring
-// stack (learn models, the flat index, per-shard backends) can share one
-// layout.
+// stack (learn models, the index, result retrieval) can share one layout.
 //
 // Bit-parity contract: every kernel in this package performs exactly the
 // float64 operations the corresponding scalar row loop performs, per
@@ -27,21 +26,20 @@ func StrideFor(n int) int { return (n + blockAlign - 1) / blockAlign * blockAlig
 // occupies Data[d*Stride : d*Stride+N]. Whoever builds it (Pack, or NewBlock
 // plus column writes and Keep) finishes before sharing it; from then on it
 // is read-only, shared by every scoring goroutine. The blocks of symbolic
-// points are packed once (at index open, view creation, or backend
-// construction); under live ingest the grid geometry — and therefore the
-// block — is epoch-invariant until the layout itself is rebuilt. The JSON
-// form is the shard transport's encoding of a retrieved part.
+// points are packed once (at index open or view creation); under live
+// ingest the grid geometry — and therefore the block — is epoch-invariant
+// until the layout itself is rebuilt.
 type Block struct {
 	// N is the number of points.
-	N int `json:"n"`
+	N int
 	// Dims is the dimensionality.
-	Dims int `json:"dims"`
+	Dims int
 	// Stride is the column stride in float64 words: N rounded up to a
 	// multiple of blockAlign. The padding words at each column tail are
 	// zero and never read.
-	Stride int `json:"stride"`
+	Stride int
 	// Data is the flat backing array, len Dims*Stride.
-	Data []float64 `json:"data"`
+	Data []float64
 }
 
 // NewBlock allocates a zeroed block of n points in dims dimensions for a
@@ -105,9 +103,8 @@ func (b *Block) Keep(idx []uint32) {
 }
 
 // Check reports whether the header fields and the backing array agree, so
-// that Col and Row cannot index out of range. Blocks built in-process
-// satisfy it by construction; one decoded from the wire is checked before
-// use.
+// that Col and Row cannot index out of range. Blocks built by this
+// package's constructors satisfy it by construction.
 func (b *Block) Check() error {
 	// Divide rather than multiply: Dims*Stride of hostile fields can wrap.
 	ok := b.N >= 0 && b.N <= b.Stride

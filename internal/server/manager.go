@@ -89,8 +89,8 @@ func NewManager(ctx context.Context, cfg Config) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.StoreDir == "" && len(cfg.ShardEndpoints) == 0 {
-		return nil, fmt.Errorf("server: Config.StoreDir is required (or ShardEndpoints for remote serving)")
+	if cfg.StoreDir == "" {
+		return nil, fmt.Errorf("server: Config.StoreDir is required")
 	}
 	// The parent index never explores itself — sessions run on views — so
 	// its own budget is only a placeholder ledger. Nothing prefetches: the
@@ -103,7 +103,6 @@ func NewManager(ctx context.Context, cfg Config) (*Manager, error) {
 		BlockCacheBytes:   cfg.BlockCacheBytes,
 		Shards:            cfg.Shards,
 		ShardDeadline:     cfg.ShardDeadline,
-		ShardEndpoints:    cfg.ShardEndpoints,
 		LiveIngest:        cfg.LiveIngest,
 		FollowLive:        cfg.FollowLive,
 		FlushInterval:     cfg.FlushInterval,
@@ -123,13 +122,7 @@ func NewManager(ctx context.Context, cfg Config) (*Manager, error) {
 // (which it then owns and closes).
 func newManagerWithIndex(cfg Config, idx *core.Index) (*Manager, error) {
 	if cfg.SnapshotDir == "" {
-		if cfg.StoreDir != "" {
-			cfg.SnapshotDir = filepath.Join(cfg.StoreDir, "sessions")
-		} else {
-			// Remote data plane with no local store directory: evicted
-			// sessions still need a home on this machine.
-			cfg.SnapshotDir = filepath.Join(os.TempDir(), "uei-sessions")
-		}
+		cfg.SnapshotDir = filepath.Join(cfg.StoreDir, "sessions")
 	}
 	if err := os.MkdirAll(cfg.SnapshotDir, 0o755); err != nil {
 		return nil, fmt.Errorf("server: snapshot dir: %w", err)

@@ -92,11 +92,6 @@ type Config struct {
 	// instead of failing. Zero disables the deadline. Ignored for flat
 	// stores.
 	ShardDeadline time.Duration
-	// ShardEndpoints, when non-empty, serves the index through remote
-	// uei-shardd workers instead of opening StoreDir locally; StoreDir
-	// becomes optional (it is only used as the default snapshot-dir
-	// parent, so set SnapshotDir when omitting it).
-	ShardEndpoints []string
 	// LiveIngest requires StoreDir to hold the live (stream) layout and
 	// enables the ingest API (POST /v1/append). Live layouts are
 	// auto-detected either way; the flag pins the expectation the way

@@ -59,11 +59,15 @@ func (s *Shard) RowCount() int {
 	return n
 }
 
-// OpenOptions configures Open.
+// OpenOptions configures Open and NewLocalCoordinator.
 type OpenOptions struct {
-	// CoordinatorOptions carries the transport-agnostic part: the scoring
-	// pool and the per-shard deadline.
-	CoordinatorOptions
+	// Pool runs the scoring passes over the symbolic index points. The
+	// coordinator borrows the caller's pool rather than owning threads;
+	// nil scores inline on the calling goroutine.
+	Pool *pool.Pool
+	// Deadline bounds every per-shard attempt; a cell load whose owner
+	// misses it degrades the step. Zero disables the deadline.
+	Deadline time.Duration
 	// Limiter, when non-nil, meters chunk reads of every shard store
 	// (one shared limiter — the shards model one storage device).
 	Limiter *iothrottle.Limiter
@@ -75,42 +79,54 @@ type OpenOptions struct {
 	BlockCache *chunkstore.BlockCache
 }
 
-// CoordinatorOptions configures NewCoordinator (the transport-agnostic
-// constructor; Open wraps it for the local on-disk layout).
-type CoordinatorOptions struct {
-	// Pool runs the scoring passes over the symbolic index points. The
-	// coordinator borrows the caller's pool rather than owning threads;
-	// nil scores inline on the calling goroutine.
-	Pool *pool.Pool
-	// Deadline bounds every per-shard attempt; a cell load whose owner
-	// misses it degrades the step. Zero disables the deadline.
-	Deadline time.Duration
+// Meta bundles the immutable identity of an opened sharded store — the
+// facts the old Grid/Manifest/Bounds/Columns/Dims/RowCount/TotalBytes
+// accessor sprawl exposed one by one. It is a value: copy freely.
+type Meta struct {
+	// Grid is the global symbolic-point lattice (identical to the flat
+	// layout's grid over the same dataset).
+	Grid *grid.Grid
+	// Points is the symbolic index point set P — Grid's cell centres in
+	// cell-id order, packed by column once per store and shared read-only
+	// by every scoring pass, view and epoch.
+	Points *kernel.Block
+	// Shards is S, the shard count.
+	Shards int
+	// SegmentsPerDim is the per-dimension segment count the cell→shard
+	// hash was computed over.
+	SegmentsPerDim int
+	// Columns are the attribute names in dimension order (read-only).
+	Columns []string
+	// RowCount is the number of tuples across all shards.
+	RowCount int
+	// Bounds are the global per-dimension value bounds.
+	Bounds vec.Box
+	// TotalBytes sums the on-disk chunk payload of every shard.
+	TotalBytes int64
 }
+
+// Dims returns the dimensionality.
+func (m Meta) Dims() int { return len(m.Columns) }
 
 // Coordinator owns the symbolic index — the packed cell centres, scored
 // and ranked in-process on the caller's pool — and routes everything that
-// needs rows to the shards holding them: a cell load to the cell's owner,
-// fetches and retrieval to every shard. It speaks only the Backend
-// interface, so shards may live in-process (Open) or behind remote workers
-// (NewCoordinator with remote client backends); either way its results are
+// needs rows to the in-process shards holding them: a cell load to the
+// cell's owner, fetches and retrieval to every shard. Its results are
 // exactly those of one store over the same dataset (S = 1 is how a flat
 // store is read).
 //
-// Each shard has exactly one backend. When it fails or misses its
-// deadline, a cell load degrades (the caller falls back to another shard's
-// cell) and fetches and retrieval fail with ErrShardUnavailable.
+// When a shard fails or misses its deadline, a cell load degrades (the
+// caller falls back to another shard's cell) and fetches and retrieval
+// fail with ErrShardUnavailable.
 //
 // The coordinator is safe for concurrent use by multiple sessions once
 // constructed; SetFaultHook may be called at any time. The per-shard
 // attempt deadline is fixed at construction.
 type Coordinator struct {
 	meta Meta
-	// backends[s] is shard s's one backend: in-process for a local store,
-	// a worker client for a remote one.
-	backends []Backend
-	// shards holds the in-process shards of a locally opened coordinator,
-	// nil when the data plane is remote. Exposed for inspection and tests.
-	shards []*Shard
+	// shards[s] is shard s; backends[s] reads it over the store's grid.
+	shards   []*Shard
+	backends []*LocalBackend
 	// ownerByCell[cell] is the owning shard of each grid cell.
 	ownerByCell []int
 	// pool runs the scoring passes; borrowed from the caller, never nil.
@@ -135,10 +151,9 @@ type instruments struct {
 	mSkip             []*obs.Counter
 }
 
-// Open loads a sharded store built by Build and serves it through
-// in-process backends. A flat store directory fails with
-// chunkstore.ErrLayoutMismatch (core opens one as a single shard through
-// NewLocalCoordinator).
+// Open loads a sharded store built by Build. A flat store directory fails
+// with chunkstore.ErrLayoutMismatch (core opens one as a single shard
+// through NewLocalCoordinator).
 func Open(ctx context.Context, dir string, opts OpenOptions) (*Coordinator, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -153,7 +168,7 @@ func Open(ctx context.Context, dir string, opts OpenOptions) (*Coordinator, erro
 	}
 	shards := make([]*Shard, man.Shards)
 	for s := range shards {
-		part, err := OpenPart(filepath.Join(dir, ShardDirName(s)), g, man.ShardRowCounts[s], fmt.Sprintf("s%03d/", s), opts)
+		part, err := OpenPart(filepath.Join(dir, ShardDirName(s)), g, man.ShardRowCounts[s], man.RowCount, fmt.Sprintf("s%03d/", s), opts)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
@@ -174,98 +189,24 @@ func NewLocalCoordinator(man *Manifest, shards []*Shard, opts OpenOptions) (*Coo
 	if len(shards) != man.Shards {
 		return nil, fmt.Errorf("shard: %d shards for a %d-shard manifest", len(shards), man.Shards)
 	}
-	g, err := man.Grid()
-	if err != nil {
-		return nil, err
-	}
-	backends := make([]Backend, man.Shards)
-	for s, sh := range shards {
-		sh.ID = s
-		backends[s] = NewLocalBackend(sh, g)
-	}
-	c, err := newCoordinator(man, g, backends, opts.CoordinatorOptions)
-	if err != nil {
-		return nil, err
-	}
-	c.shards = shards
-	c.cache = opts.BlockCache
-	return c, nil
-}
-
-// NextEpoch returns a coordinator over another epoch of the local store c
-// serves (a live snapshot advance): shards carry the new epoch's parts and
-// man its row counts, while everything an epoch cannot change — grid, cell
-// ownership, the packed symbolic points, pool, block cache, deadlines,
-// instruments — is shared with c instead of rebuilt, so an advance costs
-// O(S), not O(cells), in time and memory.
-func (c *Coordinator) NextEpoch(man *Manifest, shards []*Shard) (*Coordinator, error) {
-	if c.shards == nil || man.Shards != len(c.shards) || len(shards) != len(c.shards) {
-		return nil, fmt.Errorf("shard: next epoch has %d shards (manifest: %d), the local coordinator %d", len(shards), man.Shards, len(c.shards))
-	}
-	next := &Coordinator{
-		meta:        c.meta,
-		shards:      shards,
-		backends:    make([]Backend, len(shards)),
-		ownerByCell: c.ownerByCell,
-		pool:        c.pool,
-		cache:       c.cache,
-		deadline:    c.deadline,
-		instruments: c.instruments,
-	}
-	next.meta.RowCount, next.meta.TotalBytes = man.RowCount, 0
-	for s, sh := range shards {
-		sh.ID = s
-		lb := NewLocalBackend(sh, c.meta.Grid)
-		next.backends[s] = lb
-		next.meta.TotalBytes += lb.Stats().TotalBytes
-	}
-	return next, nil
-}
-
-// NewCoordinator assembles a coordinator over caller-provided backends —
-// the remote-transport entry point. man must be the store's manifest
-// (validated again here); backends[s] serves shard s, one per shard.
-func NewCoordinator(man *Manifest, backends []Backend, opts CoordinatorOptions) (*Coordinator, error) {
-	if man == nil {
-		return nil, fmt.Errorf("shard: nil manifest")
-	}
-	g, err := man.Grid()
-	if err != nil {
-		return nil, err
-	}
-	return newCoordinator(man, g, backends, opts)
-}
-
-// newCoordinator finishes construction over the manifest's grid: cell
-// ownership and the packed symbolic points are derived here, once.
-func newCoordinator(man *Manifest, g *grid.Grid, backends []Backend, opts CoordinatorOptions) (*Coordinator, error) {
-	if err := man.validate(); err != nil {
-		return nil, err
-	}
-	if len(backends) != man.Shards {
-		return nil, fmt.Errorf("shard: %d backends for %d shards", len(backends), man.Shards)
-	}
 	if opts.Deadline < 0 {
 		return nil, fmt.Errorf("shard: negative deadline %v", opts.Deadline)
+	}
+	g, err := man.Grid()
+	if err != nil {
+		return nil, err
 	}
 	owners, err := CellOwners(g, man.Shards)
 	if err != nil {
 		return nil, err
 	}
-	var totalBytes int64
-	for s, b := range backends {
-		if b == nil {
-			return nil, fmt.Errorf("shard: shard %d has a nil backend", s)
-		}
-		totalBytes += b.Stats().TotalBytes
-	}
 	if opts.Pool == nil {
 		opts.Pool = pool.New(1) // one worker runs inline and owns no goroutine
 	}
 	c := &Coordinator{
-		backends:    backends,
 		ownerByCell: owners,
 		pool:        opts.Pool,
+		cache:       opts.BlockCache,
 		deadline:    opts.Deadline,
 		meta: Meta{
 			Grid:           g,
@@ -275,10 +216,48 @@ func newCoordinator(man *Manifest, g *grid.Grid, backends []Backend, opts Coordi
 			Columns:        man.Columns,
 			RowCount:       man.RowCount,
 			Bounds:         vec.NewBox(man.MinValues, man.MaxValues),
-			TotalBytes:     totalBytes,
 		},
 	}
+	c.setShards(shards)
 	return c, nil
+}
+
+// setShards installs the shards of c's epoch, numbering them and summing
+// their on-disk bytes.
+func (c *Coordinator) setShards(shards []*Shard) {
+	c.shards = shards
+	c.backends = make([]*LocalBackend, len(shards))
+	c.meta.TotalBytes = 0
+	for s, sh := range shards {
+		sh.ID = s
+		c.backends[s] = &LocalBackend{shard: sh, g: c.meta.Grid}
+		for i := range sh.Parts {
+			c.meta.TotalBytes += sh.Parts[i].Store.TotalBytes()
+		}
+	}
+}
+
+// NextEpoch returns a coordinator over another epoch of the local store c
+// serves (a live snapshot advance): shards carry the new epoch's parts and
+// man its row counts, while everything an epoch cannot change — grid, cell
+// ownership, the packed symbolic points, pool, block cache, deadlines,
+// instruments — is shared with c instead of rebuilt, so an advance costs
+// O(S), not O(cells), in time and memory.
+func (c *Coordinator) NextEpoch(man *Manifest, shards []*Shard) (*Coordinator, error) {
+	if man.Shards != len(c.shards) || len(shards) != len(c.shards) {
+		return nil, fmt.Errorf("shard: next epoch has %d shards (manifest: %d), the local coordinator %d", len(shards), man.Shards, len(c.shards))
+	}
+	next := &Coordinator{
+		meta:        c.meta,
+		ownerByCell: c.ownerByCell,
+		pool:        c.pool,
+		cache:       c.cache,
+		deadline:    c.deadline,
+		instruments: c.instruments,
+	}
+	next.meta.RowCount = man.RowCount
+	next.setShards(shards)
+	return next, nil
 }
 
 // Meta returns the store's immutable identity in one value — grid, shard
@@ -288,37 +267,39 @@ func (c *Coordinator) Meta() Meta { return c.meta }
 // NumShards returns S.
 func (c *Coordinator) NumShards() int { return len(c.backends) }
 
-// Shards returns the in-process shard slice of a locally opened
-// coordinator (read-only; exposed for inspection and tests), or nil when
-// the data plane is remote.
+// Shards returns the shard slice (read-only; exposed for inspection and
+// tests).
 func (c *Coordinator) Shards() []*Shard { return c.shards }
 
-// Backends returns shard s's one backend as a one-element slice
-// (read-only). The slice type stays because benchmark/layers.go, its only
-// reader besides tests and the worker, indexes [0] and a change outside
-// benchmark/ may not edit that file; the next benchmark change makes it
-// return the Backend.
-func (c *Coordinator) Backends(s int) []Backend { return c.backends[s : s+1 : s+1] }
+// Backends returns shard s's reader as a one-element slice (read-only).
+// The slice type stays because benchmark/layers.go, its only reader besides
+// tests, indexes [0] and a change outside benchmark/ may not edit that
+// file; the next benchmark change makes it return the *LocalBackend.
+func (c *Coordinator) Backends(s int) []*LocalBackend { return c.backends[s : s+1 : s+1] }
 
-// BlockCache returns the shared decoded-chunk cache of a locally opened
-// coordinator, or nil (remote coordinators cache on the worker side).
+// BlockCache returns the shared decoded-chunk cache, or nil when caching
+// is off.
 func (c *Coordinator) BlockCache() *chunkstore.BlockCache { return c.cache }
 
-// IOStats sums cumulative bytes and chunks read across all backends: disk
-// I/O for local shards, wire traffic for remote ones.
+// IOStats sums the cumulative disk bytes and chunks read across every
+// part of every shard.
 func (c *Coordinator) IOStats() (bytes int64, chunks int64) {
-	for _, b := range c.backends {
-		s := b.Stats()
-		bytes += s.BytesRead
-		chunks += s.ChunksRead
+	for _, s := range c.shards {
+		for i := range s.Parts {
+			b, n := s.Parts[i].Store.IOStats()
+			bytes += b
+			chunks += n
+		}
 	}
 	return bytes, chunks
 }
 
-// ResetIOStats zeroes every backend's I/O counters.
+// ResetIOStats zeroes every part store's I/O counters.
 func (c *Coordinator) ResetIOStats() {
-	for _, b := range c.backends {
-		b.ResetIOStats()
+	for _, s := range c.shards {
+		for i := range s.Parts {
+			s.Parts[i].Store.ResetIOStats()
+		}
 	}
 }
 
@@ -344,10 +325,9 @@ func (c *Coordinator) SetFaultHook(h FaultHook) {
 
 // Instrument registers shard metrics — shard_degraded_total, its
 // cause-split family shard_degraded_cause_total{cause=...}, the per-shard
-// shard_skip_total{shard=i} set, the uei_shards gauge — and, for a locally
-// opened coordinator, each shard store's I/O instruments (shared by name,
-// so chunkstore counters aggregate across shards exactly like the flat
-// layout).
+// shard_skip_total{shard=i} set, the uei_shards gauge — and each shard
+// store's I/O instruments (shared by name, so chunkstore counters
+// aggregate across shards exactly like the flat layout).
 func (c *Coordinator) Instrument(reg *obs.Registry) {
 	c.mDegraded = reg.Counter("shard_degraded_total")
 	c.mDegradedDeadline = reg.Counter(`shard_degraded_cause_total{cause="deadline"}`)
@@ -379,12 +359,12 @@ func (c *Coordinator) recordDegraded(id int, err error) {
 	}
 }
 
-// runAttempt runs one operation on shard shardID's backend, on the
-// caller's goroutine, under the per-attempt deadline and the fault hook.
+// runAttempt runs one operation on shard shardID, on the caller's
+// goroutine, under the per-attempt deadline and the fault hook.
 // On a traced context it wraps the call in a "shard_<op>" span annotated
 // with the shard id, the deadline, and the outcome (ok / timeout / error /
 // cancelled) — the per-shard fan-out level of a step trace.
-func runAttempt[T any](c *Coordinator, ctx context.Context, shardID int, op string, fn func(ctx context.Context, b Backend) (T, error)) (T, error) {
+func runAttempt[T any](c *Coordinator, ctx context.Context, shardID int, op string, fn func(ctx context.Context, b *LocalBackend) (T, error)) (T, error) {
 	var span *obs.Span
 	sctx := ctx
 	if obs.SpanFromContext(ctx) != nil {
@@ -438,7 +418,7 @@ func shardOutcome(callerCtx context.Context, err error) string {
 // cancels the others. Cancellation of ctx propagates to every in-flight
 // attempt, and the buffered channel guarantees goroutine termination even
 // when scatterGather returns early.
-func scatterGather[T any](c *Coordinator, ctx context.Context, op string, fn func(ctx context.Context, b Backend) (T, error), apply func(shardID int, v T)) error {
+func scatterGather[T any](c *Coordinator, ctx context.Context, op string, fn func(ctx context.Context, b *LocalBackend) (T, error), apply func(shardID int, v T)) error {
 	return scatterLegs(c, ctx, op, func(ctx context.Context, id int) (T, error) {
 		return runAttempt(c, ctx, id, op, fn)
 	}, apply)
@@ -585,7 +565,7 @@ func (c *Coordinator) LoadCell(ctx context.Context, cell grid.CellID) (ids []uin
 		vals    [][]float64
 		entries int
 	}
-	r, err := runAttempt(c, ctx, owner, OpLoad, func(sctx context.Context, b Backend) (loaded, error) {
+	r, err := runAttempt(c, ctx, owner, OpLoad, func(sctx context.Context, b *LocalBackend) (loaded, error) {
 		ids, vals, entries, err := b.LoadCell(sctx, cell)
 		return loaded{ids, vals, entries}, err
 	})
@@ -617,7 +597,7 @@ func (c *Coordinator) FetchRows(ctx context.Context, ids []uint32) ([]chunkstore
 	}
 	perShard := make([][]chunkstore.MergedRow, len(c.backends))
 	err := scatterGather(c, ctx, OpFetch,
-		func(sctx context.Context, b Backend) ([]chunkstore.MergedRow, error) {
+		func(sctx context.Context, b *LocalBackend) ([]chunkstore.MergedRow, error) {
 			return b.FetchRows(sctx, uniq)
 		},
 		func(id int, rows []chunkstore.MergedRow) {
@@ -643,17 +623,17 @@ func (c *Coordinator) FetchRows(ctx context.Context, ids []uint32) ([]chunkstore
 // Retrieve runs the marked-segment scan on every shard and returns the
 // shards' columnar parts, in shard then part order, neither merged nor
 // sorted: parts hold disjoint rows, each ascending by global id. Retrieval
-// is the final answer, so the scatter is strict: an unavailable shard, or
-// one answering with a row id past the store, fails the call rather than
-// silently dropping or inventing rows. entries sums the posting entries
-// every shard visited. Every part is held at once (41 B per row at five
-// dimensions); result retrieval streams them through RetrieveStream
-// instead.
+// is the final answer, so the scatter is strict: an unavailable shard
+// fails the call rather than silently dropping rows. entries sums the
+// posting entries every shard visited. Every part is held at once (41 B
+// per row at five dimensions); result retrieval streams them through
+// RetrieveStream instead.
 func (c *Coordinator) Retrieve(ctx context.Context, marked [][]bool) (parts []RetrievedPart, entries int, err error) {
 	perShard := make([][]RetrievedPart, len(c.backends))
 	err = scatterGather(c, ctx, OpRetrieve,
-		func(sctx context.Context, b Backend) (scanned, error) {
-			return c.fetchParts(sctx, b, marked)
+		func(sctx context.Context, b *LocalBackend) (scanned, error) {
+			parts, entries, err := b.Retrieve(sctx, marked)
+			return scanned{parts, entries}, err
 		},
 		func(id int, s scanned) {
 			perShard[id] = s.parts
@@ -671,31 +651,6 @@ type scanned struct {
 	entries int
 }
 
-// fetchParts asks one backend for all its parts at once and checks their
-// ids against the store.
-func (c *Coordinator) fetchParts(ctx context.Context, b Backend, marked [][]bool) (scanned, error) {
-	parts, entries, err := b.Retrieve(ctx, marked)
-	if err != nil {
-		return scanned{}, err
-	}
-	for i := range parts {
-		if err := c.checkIDs(parts[i]); err != nil {
-			return scanned{}, err
-		}
-	}
-	return scanned{parts, entries}, nil
-}
-
-// checkIDs refuses a part holding a row id the store does not have. Ids
-// ascend within a part (a transport checks what it decoded), so the last
-// one bounds them all.
-func (c *Coordinator) checkIDs(p RetrievedPart) error {
-	if n := len(p.IDs); n > 0 && int(p.IDs[n-1]) >= c.meta.RowCount {
-		return fmt.Errorf("shard: retrieved row %d out of range [0,%d)", p.IDs[n-1], c.meta.RowCount)
-	}
-	return nil
-}
-
 // RetrieveStream is Retrieve as a stream: every data part is handed to
 // visit as soon as it is scanned, and nothing is gathered. A part is valid
 // only during its visit — its block lives in a scratch the next scan
@@ -711,9 +666,7 @@ func (c *Coordinator) checkIDs(p RetrievedPart) error {
 // 41 B per row of the largest part per slot at five dimensions, where
 // Retrieve holds the whole store's. The slot is taken before the attempt
 // starts, so waiting for one is not charged to the deadline, which covers
-// a local leg's scans and visits. A remote leg fetches its parts as
-// Retrieve does, concurrently with the others, and takes a slot only to
-// visit them.
+// the leg's scans and visits.
 func (c *Coordinator) RetrieveStream(ctx context.Context, marked [][]bool, visit func(part RetrievedPart) error) (entries int, err error) {
 	slots := make(chan *ScanScratch, c.pool.Workers())
 	for range cap(slots) {
@@ -758,47 +711,25 @@ func (c *Coordinator) RetrieveStream(ctx context.Context, marked [][]bool, visit
 	}
 
 	leg := func(ctx context.Context, id int) (int, error) {
-		if lb, ok := c.backends[id].(*LocalBackend); ok {
-			sc, err := take(ctx)
-			if err != nil {
-				return 0, err
-			}
-			defer func() { slots <- sc }()
-			return runAttempt(c, ctx, id, OpRetrieve, func(sctx context.Context, _ Backend) (int, error) {
-				entries := 0
-				for i := range lb.shard.Parts {
-					p, pe, err := ScanMarked(sctx, lb.g, &lb.shard.Parts[i], marked, sc)
-					if err != nil {
-						return 0, err
-					}
-					if err := c.checkIDs(p); err != nil {
-						return 0, err
-					}
-					if err := guarded(p); err != nil {
-						return 0, err
-					}
-					entries += pe
-				}
-				return entries, nil
-			})
-		}
-		s, err := runAttempt(c, ctx, id, OpRetrieve, func(sctx context.Context, b Backend) (scanned, error) {
-			return c.fetchParts(sctx, b, marked)
-		})
-		if err != nil {
-			return 0, err
-		}
 		sc, err := take(ctx)
 		if err != nil {
 			return 0, err
 		}
 		defer func() { slots <- sc }()
-		for _, p := range s.parts {
-			if err := guarded(p); err != nil {
-				return 0, err
+		return runAttempt(c, ctx, id, OpRetrieve, func(sctx context.Context, b *LocalBackend) (int, error) {
+			entries := 0
+			for i := range b.shard.Parts {
+				p, pe, err := ScanMarked(sctx, b.g, &b.shard.Parts[i], marked, sc)
+				if err != nil {
+					return 0, err
+				}
+				if err := guarded(p); err != nil {
+					return 0, err
+				}
+				entries += pe
 			}
-		}
-		return s.entries, nil
+			return entries, nil
+		})
 	}
 	err = scatterLegs(c, ctx, OpRetrieve, leg, func(_ int, n int) { entries += n })
 	mu.Lock()

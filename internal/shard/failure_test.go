@@ -8,80 +8,21 @@ import (
 	"testing"
 	"time"
 
-	"github.com/uei-db/uei/internal/chunkstore"
-	"github.com/uei-db/uei/internal/grid"
 	"github.com/uei-db/uei/internal/obs"
 )
 
-// stubBackend is a scripted in-memory Backend for failure tests: it answers
-// at once, fails with fail, or blocks until its context is cancelled. A
-// retrieval answers with parts.
-type stubBackend struct {
-	fail  error
-	block bool
-	parts []RetrievedPart
-}
-
-// answer returns what the stub's every operation returns.
-func (s *stubBackend) answer(ctx context.Context) error {
-	if s.block {
-		<-ctx.Done()
-		return ctx.Err()
-	}
-	return s.fail
-}
-
-func (s *stubBackend) LoadCell(ctx context.Context, _ grid.CellID) ([]uint32, [][]float64, int, error) {
-	if err := s.answer(ctx); err != nil {
-		return nil, nil, 0, err
-	}
-	return []uint32{0}, [][]float64{{0.5, 0.5}}, 1, nil
-}
-
-func (s *stubBackend) FetchRows(ctx context.Context, _ []uint32) ([]chunkstore.MergedRow, error) {
-	return nil, s.answer(ctx)
-}
-
-func (s *stubBackend) Retrieve(ctx context.Context, _ [][]bool) ([]RetrievedPart, int, error) {
-	if err := s.answer(ctx); err != nil {
-		return nil, 0, err
-	}
-	return s.parts, len(s.parts), nil
-}
-
-func (s *stubBackend) Stats() BackendStats { return BackendStats{} }
-func (s *stubBackend) ResetIOStats()       {}
-
-// stubCoordinator builds a coordinator over a tiny two-shard store whose
-// grid exists only in memory; the scripted backends answer for the
-// (nonexistent) data.
-func stubCoordinator(t *testing.T, backends ...Backend) *Coordinator {
-	t.Helper()
-	man := &Manifest{
-		FormatVersion:  manifestFormatVersion,
-		Shards:         2,
-		SegmentsPerDim: 2,
-		Hash:           hashName,
-		Columns:        []string{"x", "y"},
-		RowCount:       2,
-		MinValues:      []float64{0, 0},
-		MaxValues:      []float64{1, 1},
-		ShardRowCounts: []int{1, 1},
-	}
-	c, err := NewCoordinator(man, backends, CoordinatorOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
-// TestDeadShardErrorChain: when a shard's one backend fails a load, the
-// error is errors.Is-able for both ErrShardUnavailable and the injected
-// cause and names the shard, and the load counts as one degradation of
-// that shard.
+// TestDeadShardErrorChain: when a shard fails a load, the error is
+// errors.Is-able for both ErrShardUnavailable and the injected cause and
+// names the shard, and the load counts as one degradation of that shard.
 func TestDeadShardErrorChain(t *testing.T) {
 	injected := errors.New("injected")
-	c := stubCoordinator(t, &stubBackend{fail: injected}, &stubBackend{})
+	c := openCoordinator(t, buildSharded(t, skyDataset(t, 200), 2), OpenOptions{Workers: 2})
+	c.SetFaultHook(func(_ context.Context, s int, op string) error {
+		if s == 0 && op == OpLoad {
+			return injected
+		}
+		return nil
+	})
 	reg := obs.NewRegistry()
 	c.Instrument(reg)
 
@@ -110,9 +51,16 @@ func TestDeadShardErrorChain(t *testing.T) {
 // leg's goroutine ends once the scatter cancels it.
 func TestScatterGatherLeaksNoGoroutines(t *testing.T) {
 	injected := errors.New("injected")
+	c := openCoordinator(t, buildSharded(t, skyDataset(t, 200), 2), OpenOptions{Workers: 2})
+	c.SetFaultHook(func(ctx context.Context, s int, _ string) error {
+		if s == 0 {
+			<-ctx.Done()
+			return ctx.Err()
+		}
+		return injected
+	})
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
-		c := stubCoordinator(t, &stubBackend{block: true}, &stubBackend{fail: injected})
 		_, err := c.FetchRows(context.Background(), []uint32{0, 1})
 		if !errors.Is(err, ErrShardUnavailable) || !errors.Is(err, injected) || !strings.Contains(err.Error(), "shard 1") {
 			t.Fatalf("fetch err = %v, want shard 1's failure", err)

@@ -9,8 +9,8 @@ import (
 	"github.com/uei-db/uei/internal/vec"
 )
 
-// LocalBackend adapts one in-process *Shard to the Backend interface —
-// the transport-free implementation.
+// LocalBackend reads one in-process *Shard over the store's grid: the
+// coordinator's per-shard leg of a cell load, a fetch and a retrieval.
 //
 // A shard holds one part for build-time layouts and several for live
 // (stream) snapshots. A single part's rows are already in global id
@@ -24,14 +24,9 @@ type LocalBackend struct {
 	g     *grid.Grid
 }
 
-// NewLocalBackend wraps a shard for in-process serving over the store's
-// grid.
-func NewLocalBackend(s *Shard, g *grid.Grid) *LocalBackend {
-	return &LocalBackend{shard: s, g: g}
-}
-
-// LoadCell implements Backend: merge the cell's chunks from each
-// part's store and remap row ids to global.
+// LoadCell merges the cell's chunks from each part's store and remaps row
+// ids to global. Returned ids are ascending; entries is the posting-entry
+// count the merge visited (the e of the O(k·e) bound).
 func (b *LocalBackend) LoadCell(ctx context.Context, cell grid.CellID) ([]uint32, [][]float64, int, error) {
 	box, err := b.g.CellBox(cell)
 	if err != nil {
@@ -50,35 +45,18 @@ func (b *LocalBackend) LoadCell(ctx context.Context, cell grid.CellID) ([]uint32
 	return ids, vals, entries, nil
 }
 
-// FetchRows implements Backend: intersect the sorted global ids with each
-// part's idmap (merge join), fetch the local rows, and remap to global.
+// FetchRows reconstructs the subset of the given global row ids (sorted
+// ascending, deduplicated) this shard holds: it intersects them with each
+// part's idmap, fetches the local rows, and remaps them to global.
 func (b *LocalBackend) FetchRows(ctx context.Context, ids []uint32) ([]chunkstore.MergedRow, error) {
 	return FetchPartsRows(ctx, b.shard.Parts, ids)
 }
 
-// Retrieve implements Backend: the shared marked-segment scan over each
-// part's store, one columnar result per part.
+// Retrieve runs the shared marked-segment scan over each part's store and
+// returns one columnar result per part; entries counts the posting entries
+// streamed.
 func (b *LocalBackend) Retrieve(ctx context.Context, marked [][]bool) ([]RetrievedPart, int, error) {
 	return ScanPartsMarked(ctx, b.g, b.shard.Parts, marked)
-}
-
-// Stats implements Backend with the part stores' disk I/O counters summed.
-func (b *LocalBackend) Stats() BackendStats {
-	var st BackendStats
-	for i := range b.shard.Parts {
-		bytes, chunks := b.shard.Parts[i].Store.IOStats()
-		st.BytesRead += bytes
-		st.ChunksRead += chunks
-		st.TotalBytes += b.shard.Parts[i].Store.TotalBytes()
-	}
-	return st
-}
-
-// ResetIOStats implements Backend.
-func (b *LocalBackend) ResetIOStats() {
-	for i := range b.shard.Parts {
-		b.shard.Parts[i].Store.ResetIOStats()
-	}
 }
 
 // gather adds one part's (or one shard's) rows to out, adopting the first

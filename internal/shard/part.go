@@ -83,8 +83,10 @@ func WritePart(dir string, columns []string, bounds vec.Box, target int, ids []u
 }
 
 // OpenPart opens the part under dir for serving over g. rows is the part's
-// row count as its layout's manifest records it; the store and the idmap
-// must both agree with it, and the store must have g's dimensionality.
+// row count and layoutRows the whole layout's, as its manifest records
+// them: the store and the idmap must both hold rows rows, every id in the
+// idmap must name a row of the layout (below layoutRows), and the store
+// must have g's dimensionality.
 // Of opts only Limiter, Workers and BlockCache apply; the cache is
 // installed under cacheKeyPrefix, which must be unique to the part among
 // the stores sharing it (identical chunk file names in different parts
@@ -92,7 +94,7 @@ func WritePart(dir string, columns []string, bounds vec.Box, target int, ids []u
 //
 // The store opens chunk files as it reads them and holds them until the
 // caller, who owns the part, closes its Store.
-func OpenPart(dir string, g *grid.Grid, rows int, cacheKeyPrefix string, opts OpenOptions) (Part, error) {
+func OpenPart(dir string, g *grid.Grid, rows, layoutRows int, cacheKeyPrefix string, opts OpenOptions) (Part, error) {
 	st, err := chunkstore.Open(dir, opts.Limiter)
 	if err != nil {
 		return Part{}, err
@@ -118,6 +120,10 @@ func OpenPart(dir string, g *grid.Grid, rows int, cacheKeyPrefix string, opts Op
 	}
 	if len(ids) != rows {
 		return Part{}, fmt.Errorf("idmap has %d entries, store has %d rows", len(ids), rows)
+	}
+	// The idmap ascends strictly, so its last id bounds them all.
+	if rows > 0 && int(ids[rows-1]) >= layoutRows {
+		return Part{}, fmt.Errorf("idmap names row %d, past the layout's %d rows", ids[rows-1], layoutRows)
 	}
 	return Part{Store: st, Mapping: mp, IDMap: ids}, nil
 }

@@ -16,14 +16,14 @@ import (
 // IDs ascends strictly. Both are read-only — IDs may be the part's own
 // idmap.
 type RetrievedPart struct {
-	IDs []uint32      `json:"ids"`
-	Blk *kernel.Block `json:"blk"`
+	IDs []uint32
+	Blk *kernel.Block
 }
 
 // Check reports whether the part is safe to index: one id per block point,
 // ids strictly ascending, a block of the given dimensionality whose header
-// matches its backing array. Parts scanned in-process satisfy it by
-// construction; a transport checks what it decoded.
+// matches its backing array. Parts ScanMarked returns satisfy it by
+// construction.
 func (r *RetrievedPart) Check(dims int) error {
 	if r.Blk == nil {
 		return fmt.Errorf("shard: retrieved part has no block")
@@ -72,9 +72,8 @@ func resize[T any](s []T, n int) []T {
 // flag slice per dimension of g), dimension by dimension, and returns the
 // rows a marked segment hit on every dimension. It is the per-store body of
 // result retrieval: every layout reaches it (a flat store is one part, a
-// live snapshot one part per segment, a uei-shardd worker serves local
-// backends), so result sets are byte-identical across layouts and
-// transports. entries counts the posting entries visited.
+// live snapshot one part per segment), so result sets are byte-identical
+// across layouts. entries counts the posting entries visited.
 //
 // The part's store numbers its rows 0..n-1, so a row is reconstructed where
 // it will be read: dimension d's value of local row i goes to column d,

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -281,6 +282,28 @@ func TestLoadCellMatchesFlat(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesIDPastStore: a shard whose idmap names a row the store
+// does not have — CRC-valid and strictly ascending, as SaveIDMap writes
+// it — fails the open, naming the shard and the row, before any session
+// can load or retrieve it.
+func TestOpenRefusesIDPastStore(t *testing.T) {
+	dir := buildSharded(t, skyDataset(t, 200), 2)
+	openCoordinator(t, dir, OpenOptions{})
+	shardDir := filepath.Join(dir, ShardDirName(1))
+	ids, err := LoadIDMap(shardDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids[len(ids)-1] = 200
+	if err := SaveIDMap(shardDir, ids); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(context.Background(), dir, OpenOptions{})
+	if err == nil || !strings.Contains(err.Error(), "shard 1") || !strings.Contains(err.Error(), "row 200") {
+		t.Fatalf("open err = %v, want shard 1 refused for row 200", err)
+	}
+}
+
 // cellOwnedBy returns the lowest cell the given shard owns.
 func cellOwnedBy(t *testing.T, c *Coordinator, shard int) grid.CellID {
 	t.Helper()
@@ -345,7 +368,7 @@ func TestScatterDegradesFailingShard(t *testing.T) {
 
 func TestShardDeadlineSkipsSlowShard(t *testing.T) {
 	ds := skyDataset(t, 200)
-	c := openCoordinator(t, buildSharded(t, ds, 2), OpenOptions{Workers: 2, CoordinatorOptions: CoordinatorOptions{Deadline: 20 * time.Millisecond}})
+	c := openCoordinator(t, buildSharded(t, ds, 2), OpenOptions{Workers: 2, Deadline: 20 * time.Millisecond})
 	reg := obs.NewRegistry()
 	c.Instrument(reg)
 	c.SetFaultHook(func(ctx context.Context, shard int, _ string) error {
@@ -397,7 +420,7 @@ func TestScatterCancellationLeaksNoGoroutines(t *testing.T) {
 			cancel()
 		}()
 		err := scatterGather(c, ctx, OpFetch,
-			func(context.Context, Backend) (struct{}, error) { return struct{}{}, nil },
+			func(context.Context, *LocalBackend) (struct{}, error) { return struct{}{}, nil },
 			func(int, struct{}) {})
 		if err == nil {
 			t.Fatal("cancelled scatter should fail")

@@ -24,9 +24,7 @@ func streamCoordinator(t *testing.T, rows, shards, workers int, deadline time.Du
 	t.Helper()
 	p := pool.New(workers)
 	t.Cleanup(p.Close)
-	return openCoordinator(t, buildSharded(t, skyDataset(t, rows), shards), OpenOptions{
-		CoordinatorOptions: CoordinatorOptions{Pool: p, Deadline: deadline},
-	})
+	return openCoordinator(t, buildSharded(t, skyDataset(t, rows), shards), OpenOptions{Pool: p, Deadline: deadline})
 }
 
 // multiPartCoordinator is a one-shard coordinator whose shard holds parts
@@ -50,7 +48,7 @@ func multiPartCoordinator(t *testing.T, rows, parts, workers int) *Coordinator {
 	}
 	p := pool.New(workers)
 	t.Cleanup(p.Close)
-	c, err := NewLocalCoordinator(man, []*Shard{{Parts: ps}}, OpenOptions{CoordinatorOptions: CoordinatorOptions{Pool: p}})
+	c, err := NewLocalCoordinator(man, []*Shard{{Parts: ps}}, OpenOptions{Pool: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +143,20 @@ func TestRetrieveStreamMatchesRetrieve(t *testing.T) {
 }
 
 // TestRetrieveStreamVisitorErrorAsIs: an error the visitor returns ends the
-// stream and comes back unwrapped — it is the caller's, not a shard's.
+// stream and comes back unwrapped — it is the caller's, not a shard's —
+// also while another shard's leg is blocked until the stream cancels it.
 func TestRetrieveStreamVisitorErrorAsIs(t *testing.T) {
+	blocked := streamCoordinator(t, 400, 2, 2, 0)
+	blocked.SetFaultHook(func(ctx context.Context, s int, op string) error {
+		if s == 1 && op == OpRetrieve {
+			<-ctx.Done()
+			return ctx.Err()
+		}
+		return nil
+	})
 	for name, c := range map[string]*Coordinator{
-		"local": streamCoordinator(t, 400, 4, 2, 0),
-		"stub":  stubCoordinator(t, &stubBackend{parts: []RetrievedPart{stubPart(0)}}, &stubBackend{parts: []RetrievedPart{stubPart(1)}}),
+		"local":                streamCoordinator(t, 400, 4, 2, 0),
+		"S=2, shard 1 blocked": blocked,
 	} {
 		boom := errors.New("boom")
 		_, err := c.RetrieveStream(context.Background(), fullMask(c), func(RetrievedPart) error { return boom })
@@ -252,38 +259,5 @@ func TestRetrieveStreamSlotWaitIsNotCharged(t *testing.T) {
 	}
 	if took := time.Since(start); took < deadline {
 		t.Fatalf("four serial legs took %v; the slot wait never exceeded the %v deadline", took, deadline)
-	}
-}
-
-// stubPart is a one-row part holding global id id.
-func stubPart(id uint32) RetrievedPart {
-	blk := kernel.NewBlock(1, 2)
-	blk.Col(0)[0], blk.Col(1)[0] = 0.25, 0.75
-	return RetrievedPart{IDs: []uint32{id}, Blk: blk}
-}
-
-// TestRetrieveRefusesIDPastStore: a backend answering with a row id the
-// store does not have (the stub store holds rows 0 and 1) fails retrieval
-// as that shard's unavailability, gathered or streamed, instead of adding
-// a row to the result set.
-func TestRetrieveRefusesIDPastStore(t *testing.T) {
-	c := stubCoordinator(t, &stubBackend{parts: []RetrievedPart{stubPart(0)}}, &stubBackend{parts: []RetrievedPart{stubPart(2)}})
-	ctx := context.Background()
-	check := func(how string, err error) {
-		t.Helper()
-		if !errors.Is(err, ErrShardUnavailable) || !strings.Contains(err.Error(), "shard 1") || !strings.Contains(err.Error(), "row 2 out of range") {
-			t.Errorf("%s: err = %v, want shard 1 unavailable for row 2", how, err)
-		}
-	}
-	_, _, err := c.Retrieve(ctx, fullMask(c))
-	check("Retrieve", err)
-	_, err = c.RetrieveStream(ctx, fullMask(c), func(RetrievedPart) error { return nil })
-	check("RetrieveStream", err)
-
-	// The same stubs with ids in range stream both parts.
-	c = stubCoordinator(t, &stubBackend{parts: []RetrievedPart{stubPart(0)}}, &stubBackend{parts: []RetrievedPart{stubPart(1)}})
-	var seen atomic.Int32
-	if _, err := c.RetrieveStream(ctx, fullMask(c), func(p RetrievedPart) error { seen.Add(1); return nil }); err != nil || seen.Load() != 2 {
-		t.Errorf("in-range stubs: %d visits, err %v", seen.Load(), err)
 	}
 }

@@ -270,7 +270,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err := db.removeOrphans(); err != nil {
 		return nil, err
 	}
-	segs, err := db.openParts(man.Segments)
+	segs, err := db.openParts(man.Segments, man.FlushedRows)
 	if err != nil {
 		return nil, err
 	}
@@ -564,7 +564,7 @@ func (db *DB) flushOne(ctx context.Context, fm frozenMem, man *Manifest) error {
 	}
 	// Open the new segments before installing the manifest so readers
 	// never observe a manifest whose segments are not servable.
-	newSegs, err := db.openParts(man.Segments[len(db.man.Segments):])
+	newSegs, err := db.openParts(man.Segments[len(db.man.Segments):], man.FlushedRows)
 	if err != nil {
 		return fmt.Errorf("stream: reopen flushed segment: %w", err)
 	}
@@ -717,7 +717,7 @@ func (db *DB) compact(ctx context.Context, minSegs int) error {
 		sp.End(nil)
 		return err
 	}
-	newSegs, err := db.openParts(man.Segments[len(man.Segments)-added:])
+	newSegs, err := db.openParts(man.Segments[len(man.Segments)-added:], man.FlushedRows)
 	if err != nil {
 		return fmt.Errorf("stream: reopen compacted segment: %w", err)
 	}

@@ -50,16 +50,17 @@ func (m *Manifest) writeSegment(dir string, s int, ids []uint32, row func(i int)
 	return nil
 }
 
-// openParts opens committed segments for serving. Each store is
-// block-cached under its own directory name: segment ids are never reused,
-// so a retired id cannot alias cached chunks.
-func (db *DB) openParts(metas []SegmentMeta) ([]*segment, error) {
+// openParts opens committed segments of a manifest flushing flushedRows
+// rows for serving: every id a segment holds must be below flushedRows.
+// Each store is block-cached under its own directory name: segment ids are
+// never reused, so a retired id cannot alias cached chunks.
+func (db *DB) openParts(metas []SegmentMeta, flushedRows int) ([]*segment, error) {
 	opts := shard.OpenOptions{Limiter: db.opts.Limiter, Workers: db.opts.Workers, BlockCache: db.opts.BlockCache}
 	segs := make([]*segment, len(metas))
 	for i, meta := range metas {
 		name := SegmentDirName(meta.ID)
 		dir := filepath.Join(db.dir, name)
-		part, err := shard.OpenPart(dir, db.grid, meta.Rows, name+"/", opts)
+		part, err := shard.OpenPart(dir, db.grid, meta.Rows, flushedRows, name+"/", opts)
 		if err != nil {
 			return nil, fmt.Errorf("stream: segment %d: %w", meta.ID, err)
 		}

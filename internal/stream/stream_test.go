@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -320,6 +322,39 @@ func TestShardAndSegmentAreOnePart(t *testing.T) {
 	}
 	if len(man.Segments) != 3 || rows != ds.Len() {
 		t.Fatalf("%d segments holding %d rows, want 3 holding %d", len(man.Segments), rows, ds.Len())
+	}
+}
+
+// TestOpenRefusesIDPastFlushedRows: a segment whose idmap names a row at or
+// past the manifest's FlushedRows — CRC-valid and strictly ascending, as
+// shard.SaveIDMap writes it — fails the open, naming the segment and the
+// row.
+func TestOpenRefusesIDPastFlushedRows(t *testing.T) {
+	dir := t.TempDir()
+	mustCreate(t, dir, testDataset(t, 600, 9), CreateOptions{Shards: 2, TargetChunkBytes: 2048})
+	man, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := man.Segments[len(man.Segments)-1]
+	segDir := filepath.Join(dir, SegmentDirName(seg.ID))
+	ids, err := shard.LoadIDMap(segDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids[len(ids)-1] = uint32(man.FlushedRows)
+	if err := shard.SaveIDMap(segDir, ids); err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(dir, testOptions())
+	if err == nil {
+		db.Close()
+		t.Fatal("a segment naming a row past the flushed rows opened")
+	}
+	for _, want := range []string{fmt.Sprintf("segment %d", seg.ID), fmt.Sprintf("row %d", man.FlushedRows)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("open err = %v, want one naming %q", err, want)
+		}
 	}
 }
 

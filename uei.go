@@ -156,8 +156,8 @@ func Build(ctx context.Context, dir string, ds *Dataset, opts BuildOptions) erro
 }
 
 // Open loads an index built by Build. Every knob — I/O limiter,
-// worker-pool size, metrics registry, tracer, layout pinning, remote
-// shard endpoints — is an Options field.
+// worker-pool size, metrics registry, tracer, layout pinning — is an
+// Options field.
 func Open(ctx context.Context, dir string, opts Options) (*Index, error) {
 	return core.Open(ctx, dir, opts)
 }
