@@ -86,29 +86,46 @@ func TestBlockCacheSingleFlightOneDiskRead(t *testing.T) {
 // TestBlockCacheWarmHitNoDiskRead verifies the warm path costs no I/O:
 // after the first read, re-reading the same chunk moves neither the byte
 // nor the chunk counter, returns the resident arrays themselves, and the
-// cache charges them Postings.Bytes.
+// cache charges them Postings.Bytes — 8 bytes a value and 4 a row id for a
+// chunk of one-row postings, whose ends are the shared identity column,
+// and 4 more a value for the "field" dimension's multi-row chunk, whose
+// ends are its own.
 func TestBlockCacheWarmHitNoDiskRead(t *testing.T) {
 	st, _ := buildTestStore(t, 2000, 11)
 	c := withBlockCache(t, st, 64<<20)
 	ctx := context.Background()
-	meta := st.Manifest().Chunks[1][0]
-	first, err := st.readChunkFor(ctx, meta, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.ResetIOStats()
-	second, err := st.readChunkFor(ctx, meta, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes, chunks := st.IOStats(); bytes != 0 || chunks != 0 {
-		t.Fatalf("warm hit cost %d bytes / %d chunk reads, want 0/0", bytes, chunks)
-	}
-	if !samePostings(first, second) {
-		t.Fatal("warm hit returned arrays other than the resident ones")
-	}
-	if want := int64(12*meta.Entries + 4*meta.RowRefs); first.Bytes() != want || c.ResidentBytes() != want {
-		t.Fatalf("resident chunk charged %d (Bytes %d), want %d", c.ResidentBytes(), first.Bytes(), want)
+	resident := int64(0)
+	for _, tc := range []struct {
+		meta     ChunkMeta
+		perEntry int
+	}{
+		{st.Manifest().Chunks[1][0], 8},
+		{st.Manifest().Chunks[4][0], 12},
+	} {
+		meta := tc.meta
+		if oneRow := meta.Entries == meta.RowRefs; oneRow != (tc.perEntry == 8) {
+			t.Fatalf("chunk %s holds %d row ids in %d postings: the wrong shape for this case", meta.File, meta.RowRefs, meta.Entries)
+		}
+		first, err := st.readChunkFor(ctx, meta, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.ResetIOStats()
+		second, err := st.readChunkFor(ctx, meta, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes, chunks := st.IOStats(); bytes != 0 || chunks != 0 {
+			t.Fatalf("%s: warm hit cost %d bytes / %d chunk reads, want 0/0", meta.File, bytes, chunks)
+		}
+		if !samePostings(first, second) {
+			t.Fatalf("%s: warm hit returned arrays other than the resident ones", meta.File)
+		}
+		want := int64(tc.perEntry*meta.Entries + 4*meta.RowRefs)
+		resident += want
+		if first.Bytes() != want || c.ResidentBytes() != resident {
+			t.Fatalf("%s: resident chunks charged %d (Bytes %d), want %d (this chunk %d)", meta.File, c.ResidentBytes(), first.Bytes(), resident, want)
+		}
 	}
 }
 

@@ -71,5 +71,5 @@ func putFileBuf(bp *[]byte) { fileBufPool.Put(bp) }
 // postingsPool recycles the storage ReadChunksOrdered decodes cold chunks
 // into when no block cache keeps them: a Postings is held for one visit
 // (the sequential path: one call) and grows to the largest chunk it has
-// met, ≈ 16 bytes per one-row posting, per concurrent reader.
+// met, ≈ 12 bytes per one-row posting, per concurrent reader.
 var postingsPool = sync.Pool{New: func() any { return new(Postings) }}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync/atomic"
 
 	"github.com/uei-db/uei/internal/kernel"
 )
@@ -169,19 +170,61 @@ func (e *headerMismatch) Error() string {
 
 // Postings is a decoded chunk as three flat columns: value Values[i] posts
 // the ascending row ids Rows[Ends[i-1]:Ends[i]] (Rows[:Ends[0]] for i = 0).
-// Its only pointers are the three arrays, which hold none, so a resident
-// chunk is nothing the garbage collector scans, and a chunk decodes into
-// three allocations fresh and none reused.
+// Its only pointers are arrays, which hold none, so a resident chunk is
+// nothing the garbage collector scans. Ends is read-only: in a chunk of
+// one-row postings it is a prefix of the process-wide identity column
+// (identityEnds), shared by every such chunk, and only a chunk with a
+// posting of several rows has ends of its own. A chunk decodes into two
+// allocations fresh (three with ends of its own) and none reused.
 type Postings struct {
 	Values []float64
 	Ends   []uint32
 	Rows   []uint32
+	// ends is the storage a multi-row chunk's Ends is unpacked into, kept
+	// across decodes so a reused buffer that alternates between one-row
+	// and multi-row chunks allocates nothing. It never aliases the
+	// identity column.
+	ends []uint32
 }
 
-// Bytes is the resident footprint of p: 8 bytes per value, 4 per end and 4
-// per row id. It is what the block cache charges a resident chunk.
+// Bytes is the resident footprint of p: 8 bytes per value and 4 per row id,
+// plus 4 per end when the ends are p's own — a chunk of one-row postings
+// (as many row ids as values) shares them. It is what the block cache
+// charges a resident chunk.
 func (p Postings) Bytes() int64 {
-	return 12*int64(len(p.Values)) + 4*int64(len(p.Rows))
+	perValue := int64(12)
+	if len(p.Rows) == len(p.Values) {
+		perValue = 8
+	}
+	return perValue*int64(len(p.Values)) + 4*int64(len(p.Rows))
+}
+
+// identity is the identity column 1, 2, 3, …: a one-row chunk's Ends is a
+// prefix of it. It grows only by publishing a longer array, filled before
+// the swap, and no published array is written again, so any number of
+// readers may hold prefixes of any generation while it grows.
+var identity atomic.Pointer[[]uint32]
+
+// identityEnds returns the ends of n one-row postings, 1…n, as a prefix of
+// the identity column clipped to length n, so an append to it moves it.
+func identityEnds(n int) []uint32 {
+	for {
+		cur := identity.Load()
+		if cur != nil && len(*cur) >= n {
+			return (*cur)[:n:n]
+		}
+		size := n
+		if cur != nil {
+			size = max(n, 2*len(*cur))
+		}
+		col := make([]uint32, size)
+		for i := range col {
+			col[i] = uint32(i + 1)
+		}
+		// A racing grower may have published first; its column is taken
+		// on the next pass if it is long enough.
+		identity.CompareAndSwap(cur, &col)
+	}
 }
 
 // Entries is p as one Entry per value, each Rows a capacity-clipped view of
@@ -201,14 +244,17 @@ func (p Postings) Entries() []Entry {
 }
 
 // decodeChunk parses a chunk file and verifies its CRC. It returns the
-// dimension the chunk belongs to and its postings, in storage of their own.
+// dimension the chunk belongs to and its postings, in storage of their own
+// but for a one-row chunk's Ends, the shared identity column.
 func decodeChunk(data []byte) (dim int, p Postings, err error) {
 	dim, err = decodeChunkInto(data, &p, nil)
 	return dim, p, err
 }
 
 // decodeChunkInto is decodeChunk into p, overwriting whatever p held and
-// reusing its arrays where they are large enough. When want is non-nil the
+// reusing its arrays where they are large enough. It never writes through
+// p.Ends, which may be the identity column: a multi-row chunk's ends are
+// unpacked into p's own end storage. When want is non-nil the
 // header's dimension, entries and rows must be its Dim, Entries and
 // RowRefs. Every count is checked against the payload's exact size before
 // anything is allocated.
@@ -268,12 +314,13 @@ func decodeChunkInto(data []byte, p *Postings, want *ChunkMeta) (dim int, err er
 			last = v
 		}
 	}
-	ends := slices.Grow(p.Ends[:0], int(entries))[:entries]
+	own := p.ends
+	var ends []uint32
 	if c == 0 {
-		for i := range ends {
-			ends[i] = uint32(i + 1)
-		}
+		ends = identityEnds(int(entries))
 	} else {
+		own = slices.Grow(own[:0], int(entries))[:entries]
+		ends = own
 		kernel.Unpack(ends, counts, c)
 		sum := uint64(0)
 		for i, n := range ends {
@@ -297,7 +344,7 @@ func decodeChunkInto(data []byte, p *Postings, want *ChunkMeta) (dim int, err er
 			start = end
 		}
 	}
-	*p = Postings{Values: values, Ends: ends, Rows: ids32}
+	*p = Postings{Values: values, Ends: ends, Rows: ids32, ends: own}
 	return dim, nil
 }
 

@@ -203,13 +203,21 @@ func TestDecodeBoundsCountsBeforeAllocating(t *testing.T) {
 // bytes and a row id at least one bit), and agree with referenceDecode on
 // the postings or the error text. Every body is decoded fresh and again
 // into the buffer the previous iteration left behind: storage may change
-// where the result lives, never what it is.
+// where the result lives, never what it is. After each decode the
+// identity column reads 1, 2, 3, …, a one-row chunk's ends are a prefix of
+// it, and the one-row ends of the previous iteration, which each iteration
+// leaves behind in an older generation of the column, still read 1…n.
 // testdata/fuzz/FuzzDecodeResealed holds the chunks the ordering, padding
 // and count checks refuse (unorderedBodies).
 func FuzzDecodeResealed(f *testing.F) {
 	for _, body := range oversizedCountBodies(f) {
 		f.Add(body)
 	}
+	oneRow, err := encodeChunk(1, []Entry{{Value: -3, Rows: []uint32{4}}, {Value: 0, Rows: []uint32{1}}, {Value: 2, Rows: []uint32{9}}})
+	if err != nil {
+		f.Fatalf("seed encode: %v", err)
+	}
+	f.Add(oneRow[:len(oneRow)-4])
 	seed, err := encodeChunk(2, []Entry{{Value: -3, Rows: []uint32{1}}, {Value: 8.5, Rows: []uint32{0, 300, 70000}}})
 	if err != nil {
 		f.Fatalf("seed encode: %v", err)
@@ -218,10 +226,33 @@ func FuzzDecodeResealed(f *testing.F) {
 	f.Add([]byte(chunkMagic))
 
 	reused := new(Postings)
+	var earlier [][]uint32
 	f.Fuzz(func(t *testing.T, body []byte) {
+		// Each iteration starts a new generation of the column, so the
+		// buffer the previous one left may hold a prefix of a generation
+		// no longer current: no decode may write through it.
+		identity.Store(nil)
 		data := reseal(body)
-		requireDecodeMatchesReference(t, "fresh", data, new(Postings))
-		if requireDecodeMatchesReference(t, "into a used buffer", data, reused) != nil {
+		fresh := new(Postings)
+		requireDecodeMatchesReference(t, "fresh", data, fresh)
+		requireIdentityPrefix(t, "fresh", fresh)
+		err := requireDecodeMatchesReference(t, "into a used buffer", data, reused)
+		if err == nil {
+			// A failed decode leaves the buffer as it was.
+			requireIdentityPrefix(t, "into a used buffer", reused)
+		}
+		for _, ends := range earlier {
+			if msg := identityBroken(ends); msg != "" {
+				t.Fatalf("the previous iteration's one-row ends changed: %s", msg)
+			}
+		}
+		earlier = earlier[:0]
+		for _, p := range []*Postings{fresh, reused} {
+			if len(p.Values) > 0 && len(p.Rows) == len(p.Values) {
+				earlier = append(earlier, p.Ends)
+			}
+		}
+		if err != nil {
 			return
 		}
 		if need := payloadSize(uint64(len(reused.Values)), uint64(len(reused.Rows)), 1, 0); need > uint64(len(body)-headerSize) {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/uei-db/uei/internal/dataset"
+	"github.com/uei-db/uei/internal/leakcheck"
 	"github.com/uei-db/uei/internal/vec"
 )
 
@@ -70,8 +71,14 @@ func TestReadChunkRefusesResizedFile(t *testing.T) {
 	requireRows(t, "merge after the file is restored", rows, ds, ds.Select(st.Bounds()))
 }
 
+// clonePostings copies p into storage of its own, as a fresh decode leaves
+// it: a multi-row chunk's ends are its own end storage.
 func clonePostings(p Postings) Postings {
-	return Postings{Values: slices.Clone(p.Values), Ends: slices.Clone(p.Ends), Rows: slices.Clone(p.Rows)}
+	c := Postings{Values: slices.Clone(p.Values), Ends: slices.Clone(p.Ends), Rows: slices.Clone(p.Rows)}
+	if len(p.Rows) != len(p.Values) {
+		c.ends = c.Ends
+	}
+	return c
 }
 
 // samePostings reports whether a and b are the same three arrays, not
@@ -273,14 +280,7 @@ func TestPipelinedReadFailuresAndLeaks(t *testing.T) {
 	wg.Wait()
 
 	// Readers still in flight when a call returned early finish on their own.
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > baseline {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("%d goroutines, %d before the calls:\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	leakcheck.WaitGoroutines(t, baseline, 10*time.Second)
 	requireScratchClean(t, st)
 }
 

@@ -372,7 +372,9 @@ func (s *Store) slot(meta *ChunkMeta) (*atomic.Pointer[handle], error) {
 
 // readChunkInto wraps the raw disk read in a "chunk_read" span when the
 // context is traced (the guard is one context lookup, so the untraced
-// hot path stays free). The result aliases p until its next decode.
+// hot path stays free). Its bytes are the file's, which a read that
+// succeeds has found to be the manifest's Bytes. The result aliases p
+// until its next decode.
 func (s *Store) readChunkInto(ctx context.Context, meta ChunkMeta, slot *atomic.Pointer[handle], p *Postings) (Postings, error) {
 	if obs.SpanFromContext(ctx) == nil {
 		return s.readChunkIntoRaw(ctx, meta, slot, p)
@@ -383,7 +385,7 @@ func (s *Store) readChunkInto(ctx context.Context, meta ChunkMeta, slot *atomic.
 	if err != nil {
 		span.SetOutcome("error")
 	} else {
-		attrs["bytes"] = float64(got.Bytes())
+		attrs["bytes"] = float64(meta.Bytes)
 	}
 	span.End(attrs)
 	return got, err

@@ -1,6 +1,7 @@
 package chunkstore
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"testing/quick"
 
 	"github.com/uei-db/uei/internal/dataset"
+	"github.com/uei-db/uei/internal/obs"
 	"github.com/uei-db/uei/internal/vec"
 )
 
@@ -351,5 +353,41 @@ func TestQuickMergeEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestChunkReadSpanReportsFileBytes: a traced chunk read's "chunk_read"
+// span carries the bytes read from the file — the manifest's Bytes — not
+// what the decoded chunk costs in memory, for a chunk of one-row postings
+// and for the "field" dimension's multi-row one alike.
+func TestChunkReadSpanReportsFileBytes(t *testing.T) {
+	st, _ := buildTestStore(t, 2000, 5)
+	var buf bytes.Buffer
+	ctx, root := obs.StartSpan(obs.ContextWithTrace(context.Background(), obs.NewTracer(&buf).NewTrace()), "test")
+	metas := []ChunkMeta{st.Manifest().Chunks[1][1], st.Manifest().Chunks[4][0]}
+	for _, meta := range metas {
+		if _, err := st.readChunkDisk(ctx, meta); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root.End(nil)
+	events, err := obs.ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reads []obs.Event
+	for _, e := range events {
+		if e.Phase == "chunk_read" {
+			reads = append(reads, e)
+		}
+	}
+	if len(reads) != len(metas) {
+		t.Fatalf("%d chunk_read spans for %d reads", len(reads), len(metas))
+	}
+	for i, e := range reads {
+		m := metas[i]
+		if e.Attrs["dim"] != float64(m.Dim) || e.Attrs["seq"] != float64(m.Seq) || e.Attrs["bytes"] != float64(m.Bytes) {
+			t.Errorf("chunk_read of %s: dim %v seq %v bytes %v, want %d %d %d", m.File, e.Attrs["dim"], e.Attrs["seq"], e.Attrs["bytes"], m.Dim, m.Seq, m.Bytes)
+		}
 	}
 }

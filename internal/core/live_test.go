@@ -11,6 +11,7 @@ import (
 	"github.com/uei-db/uei/internal/chunkstore"
 	"github.com/uei-db/uei/internal/dataset"
 	"github.com/uei-db/uei/internal/iothrottle"
+	"github.com/uei-db/uei/internal/leakcheck"
 	"github.com/uei-db/uei/internal/stream"
 )
 
@@ -213,14 +214,7 @@ func TestLiveCloseNoGoroutineLeak(t *testing.T) {
 		idx.Close()
 		idx.Close() // idempotent
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines leaked: %d before, %d after 100 open/close cycles", before, runtime.NumGoroutine())
+	leakcheck.WaitGoroutines(t, before+2, 5*time.Second)
 }
 
 // TestLiveStaticCommitPointUntouched pins the regression contract that

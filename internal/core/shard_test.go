@@ -13,6 +13,7 @@ import (
 	"github.com/uei-db/uei/internal/chunkstore"
 	"github.com/uei-db/uei/internal/dataset"
 	"github.com/uei-db/uei/internal/grid"
+	"github.com/uei-db/uei/internal/leakcheck"
 	"github.com/uei-db/uei/internal/learn"
 	"github.com/uei-db/uei/internal/memcache"
 	"github.com/uei-db/uei/internal/shard"
@@ -367,14 +368,7 @@ func TestShardedCancellation(t *testing.T) {
 		t.Error("a cancelled load installed a region")
 	}
 	close(release)
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+	leakcheck.WaitGoroutines(t, before+2, 5*time.Second)
 }
 
 // BenchmarkShardedStep measures the full per-iteration step — re-score,

@@ -951,23 +951,39 @@ func (x *Index) ResultRetrieval(ctx context.Context, model learn.Classifier, min
 	// Mark passing cells and the per-dimension segments they touch. pruned
 	// records that some cell failed: only then can the scan return a row of
 	// a failing cell, and only then does the trim below look cells up.
+	// Without a cutoff every cell passes, so every segment is marked.
+	// Otherwise the cells are walked in id order with their coordinates in
+	// one buffer, the last dimension's turning fastest, as Grid.ID composes
+	// them.
 	anyPassing, pruned := false, false
 	markedSeg := make([][]bool, dims)
 	for d := 0; d < dims; d++ {
 		markedSeg[d] = make([]bool, segs[d])
 	}
-	for cell := 0; cell < x.grid.NumCells(); cell++ {
-		if post != nil && post[cell] < minCellPosterior {
-			pruned = true
-			continue
+	if post == nil {
+		for _, marked := range markedSeg {
+			for c := range marked {
+				marked[c] = true
+			}
 		}
-		anyPassing = true
-		coords, err := x.grid.Coords(grid.CellID(cell))
-		if err != nil {
-			return nil, err
-		}
-		for d, c := range coords {
-			markedSeg[d][c] = true
+		anyPassing = x.grid.NumCells() > 0
+	} else {
+		coords := make([]int, dims)
+		for _, p := range post {
+			if p < minCellPosterior {
+				pruned = true
+			} else {
+				anyPassing = true
+				for d, c := range coords {
+					markedSeg[d][c] = true
+				}
+			}
+			for d := dims - 1; d >= 0; d-- {
+				if coords[d]++; coords[d] < segs[d] {
+					break
+				}
+				coords[d] = 0
+			}
 		}
 	}
 	if !anyPassing {

@@ -1,6 +1,7 @@
 // Package leakcheck is the TestMain of packages whose tests must not leave
-// goroutines running or files open behind them. It imports nothing of the
-// module, so any package's tests can use it:
+// goroutines running or files open behind them, and the wait a single test
+// makes for its own goroutines to exit (WaitGoroutines). It imports
+// nothing of the module, so any package's tests can use it:
 //
 //	func TestMain(m *testing.M) { leakcheck.Main(m, leakcheck.Goroutines|leakcheck.Files) }
 package leakcheck
@@ -50,14 +51,8 @@ func Main(m *testing.M, checks Check) {
 		os.Exit(code)
 	}
 	if checks&Goroutines != 0 {
-		deadline := time.Now().Add(goroutineSettle)
-		for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
-			time.Sleep(10 * time.Millisecond)
-		}
-		if n := runtime.NumGoroutine(); n > goroutines {
-			buf := make([]byte, 1<<20)
-			buf = buf[:runtime.Stack(buf, true)]
-			fmt.Fprintf(os.Stderr, "goroutines leaked: %d before the tests, %d after\n%s", goroutines, n, buf)
+		if n, ok := settleGoroutines(goroutines, goroutineSettle); !ok {
+			fmt.Fprintf(os.Stderr, "goroutines leaked: %d before the tests, %d after\n%s", goroutines, n, stacks())
 			code = 1
 		}
 	}
@@ -82,6 +77,34 @@ func Main(m *testing.M, checks Check) {
 		}
 	}
 	os.Exit(code)
+}
+
+// WaitGoroutines waits up to within for at most limit goroutines to be
+// alive — a count the test took before the work it checks, plus whatever
+// slack it allows — and fails t, printing every goroutine's stack, when
+// more still are.
+func WaitGoroutines(t testing.TB, limit int, within time.Duration) {
+	t.Helper()
+	if n, ok := settleGoroutines(limit, within); !ok {
+		t.Fatalf("goroutines leaked: %d alive after %v, at most %d allowed\n%s", n, within, limit, stacks())
+	}
+}
+
+// settleGoroutines waits up to within for at most limit goroutines to be
+// alive. It returns how many are, and whether that is few enough.
+func settleGoroutines(limit int, within time.Duration) (n int, ok bool) {
+	deadline := time.Now().Add(within)
+	for runtime.NumGoroutine() > limit && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	n = runtime.NumGoroutine()
+	return n, n <= limit
+}
+
+// stacks is every goroutine's stack.
+func stacks() []byte {
+	buf := make([]byte, 1<<20)
+	return buf[:runtime.Stack(buf, true)]
 }
 
 // openFiles maps each descriptor the process holds to what it points at,

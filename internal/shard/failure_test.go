@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/uei-db/uei/internal/leakcheck"
 	"github.com/uei-db/uei/internal/obs"
 )
 
@@ -66,12 +67,5 @@ func TestScatterGatherLeaksNoGoroutines(t *testing.T) {
 			t.Fatalf("fetch err = %v, want shard 1's failure", err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+	leakcheck.WaitGoroutines(t, before, 5*time.Second)
 }

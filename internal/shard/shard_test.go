@@ -15,6 +15,7 @@ import (
 	"github.com/uei-db/uei/internal/chunkstore"
 	"github.com/uei-db/uei/internal/dataset"
 	"github.com/uei-db/uei/internal/grid"
+	"github.com/uei-db/uei/internal/leakcheck"
 	"github.com/uei-db/uei/internal/learn"
 	"github.com/uei-db/uei/internal/obs"
 	"github.com/uei-db/uei/internal/pool"
@@ -433,14 +434,7 @@ func TestScatterCancellationLeaksNoGoroutines(t *testing.T) {
 	close(release)
 	// Shard goroutines write to a buffered channel, so they terminate on
 	// their own; give them a moment and compare.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+	leakcheck.WaitGoroutines(t, before+2, 5*time.Second)
 }
 
 // TestScoreAllWritesOnlyOwnedCells pins what a scoring pass may write —
