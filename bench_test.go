@@ -7,7 +7,7 @@
 //	BenchmarkFig4AccuracyMedium    — Figure 4 (0.4% region)
 //	BenchmarkFig5AccuracyLarge     — Figure 5 (0.8% region)
 //	BenchmarkFig6ResponseTime      — Figure 6 (per-iteration latency)
-//	BenchmarkAblation*             — ablations A1-A5 of DESIGN.md
+//	BenchmarkAblation*             — ablations A1, A2, A3 and A5 of DESIGN.md
 //	Benchmark<Substrate>*          — microbenchmarks of the building blocks
 //
 // Accuracy/latency numbers are attached to the benchmark output via
@@ -163,16 +163,6 @@ func BenchmarkAblationPrefetch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiment.AblatePrefetch(env); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationStrategy(b *testing.B) {
-	env := sharedEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.AblateStrategy(env); err != nil {
 			b.Fatal(err)
 		}
 	}

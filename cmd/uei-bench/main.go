@@ -44,7 +44,7 @@ func run() error {
 		fig4    = flag.Bool("fig4", false, "run only Figure 4 (medium region accuracy)")
 		fig5    = flag.Bool("fig5", false, "run only Figure 5 (large region accuracy)")
 		fig6    = flag.Bool("fig6", false, "run only Figure 6 (response time; uses the classes already run or medium)")
-		ablate  = flag.String("ablate", "", "ablation sweep: chunk|points|prefetch|strategy|gamma|regions|estimator|all")
+		ablate  = flag.String("ablate", "", "ablation sweep: chunk|points|prefetch|gamma|regions|all")
 		n       = flag.Int("n", 0, "override dataset cardinality")
 		runs    = flag.Int("runs", 0, "override runs per result")
 		labels  = flag.Int("labels", 0, "override label budget per run")
@@ -229,20 +229,6 @@ func runAblations(env *experiment.Env, cfg experiment.Config, which string) erro
 			fmt.Println(experiment.FormatAblation("Ablation A3: prefetch & latency threshold", pts))
 		}
 	}
-	if want("strategy") {
-		pts, err := experiment.AblateStrategy(env)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiment.FormatAblation("Ablation A4: query strategies", pts))
-	}
-	if want("estimator") {
-		pts, err := experiment.AblateEstimator(env)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiment.FormatAblation("Ablation A7: uncertainty estimators", pts))
-	}
 	if want("regions") {
 		pts, err := experiment.AblateResidentRegions(env, []int{1, 2, 4})
 		if err != nil {
@@ -258,8 +244,8 @@ func runAblations(env *experiment.Env, cfg experiment.Config, which string) erro
 		}
 		fmt.Println(experiment.FormatAblation("Ablation A1: chunk size", pts))
 	}
-	if which != "all" && !oneOf(which, "points", "gamma", "prefetch", "strategy", "chunk", "regions", "estimator") {
-		return fmt.Errorf("unknown ablation %q (chunk|points|prefetch|strategy|gamma|regions|estimator|all)", which)
+	if which != "all" && !oneOf(which, "points", "gamma", "prefetch", "chunk", "regions") {
+		return fmt.Errorf("unknown ablation %q (chunk|points|prefetch|gamma|regions|all)", which)
 	}
 	return nil
 }

@@ -16,9 +16,9 @@
 //
 //   - the index itself (Build / Open / Index),
 //   - the exploration engine (NewSession / Session / providers / Labeler),
-//   - query strategies (LeastConfidence, Margin, Entropy, Random, QBC,
-//     ExpectedErrorReduction),
-//   - classifiers (DWKNN, GaussianNB, Logistic, Committee),
+//   - the query strategy of the paper's evaluation (LeastConfidence),
+//   - its uncertainty estimator (DWKNN; a UEI index scores no other
+//     model and answers ErrUnsupportedModel),
 //   - the data substrate (Dataset, GenerateSky, CSV I/O), and
 //   - the evaluation oracle (Region, Oracle) for simulated users.
 //

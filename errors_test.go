@@ -139,6 +139,60 @@ func TestErrNoCandidatesRoundTrip(t *testing.T) {
 	}
 }
 
+// hiddenDWKNN is a DWKNN behind another type: a classifier, but not the
+// *DWKNN the index scores.
+type hiddenDWKNN struct{ uei.Classifier }
+
+// TestErrUnsupportedModelRoundTrip: a UEI session whose estimator is not a
+// *DWKNN fails its first scored step with uei.ErrUnsupportedModel, having
+// proposed nothing but bootstrap draws before it.
+func TestErrUnsupportedModelRoundTrip(t *testing.T) {
+	ctx := context.Background()
+	dir, ds := buildSmallStore(t, 3000)
+	idx, err := uei.Open(ctx, dir, uei.Options{MemoryBudgetBytes: ds.SizeBytes(), Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	provider, err := uei.NewUEIProvider(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	region, err := uei.FindRegion(ds, 0.05, 0.5, 3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	user, err := uei.NewOracle(ds, region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := uei.NewSession(uei.SessionConfig{
+		MaxLabels:        20,
+		EstimatorFactory: func() uei.Classifier { return hiddenDWKNN{uei.NewDWKNN(5, nil)} },
+		Strategy:         uei.LeastConfidence{},
+		Seed:             3,
+		SeedWithPositive: true,
+	}, provider, uei.OracleLabeler{O: user})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		p, err := sess.Propose(ctx)
+		if err != nil {
+			if !errors.Is(err, uei.ErrUnsupportedModel) {
+				t.Fatalf("want ErrUnsupportedModel, got %v", err)
+			}
+			return
+		}
+		if !p.Bootstrap {
+			t.Fatalf("proposed #%d (score %v) under a model the index does not score", p.ID, p.Score)
+		}
+		if _, err := sess.Resolve(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestErrLayoutMismatchRoundTrip: opening a store with the wrong layout
 // expectation surfaces uei.ErrLayoutMismatch across the facade boundary.
 func TestErrLayoutMismatchRoundTrip(t *testing.T) {

@@ -1,9 +1,7 @@
-// Package al implements active-learning query strategies (§2.1 of the
-// paper): uncertainty sampling in its least-confidence, margin, and entropy
-// variants, random sampling, query-by-committee (Seung et al. 1992), and an
-// expected-error-reduction strategy (Zhang et al. 2017). The IDE engine
-// selects, each iteration, the unlabeled candidate with the highest strategy
-// score (Eq. 2: x* = argmax_x u(x)).
+// Package al implements the active-learning query strategy of the paper's
+// evaluation (Table 1, §2.1): least-confidence uncertainty sampling. The
+// IDE engine selects, each iteration, the unlabeled candidate with the
+// highest strategy score (Eq. 2: x* = argmax_x u(x)).
 package al
 
 import (
@@ -21,13 +19,6 @@ type Scorer interface {
 	Name() string
 	// Score returns the informativeness of x under the current model.
 	Score(m learn.Classifier, x []float64) (float64, error)
-}
-
-// LabeledAware is implemented by strategies that need the current labeled
-// set (e.g. expected error reduction). The engine calls SetLabeled after
-// every retraining.
-type LabeledAware interface {
-	SetLabeled(X [][]float64, y []int) error
 }
 
 // Candidate pairs an opaque id with a feature vector during selection.

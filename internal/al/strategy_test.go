@@ -2,7 +2,6 @@ package al
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -38,40 +37,6 @@ func TestLeastConfidencePrefersBoundary(t *testing.T) {
 	}
 	if s.Name() != "least-confidence" {
 		t.Errorf("Name = %q", s.Name())
-	}
-}
-
-func TestMarginAndEntropyAgreeWithLC(t *testing.T) {
-	// For binary models, all three uncertainty variants must agree on the
-	// ranking of candidates.
-	m := fitKNN(t)
-	xs := [][]float64{{0}, {0.3}, {0.5}, {0.8}, {1}}
-	score := func(s Scorer) []float64 {
-		out := make([]float64, len(xs))
-		for i, x := range xs {
-			v, err := s.Score(m, x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[i] = v
-		}
-		return out
-	}
-	lc := score(LeastConfidence{})
-	mg := score(Margin{})
-	en := score(Entropy{})
-	for i := range xs {
-		for j := range xs {
-			if (lc[i] < lc[j]) != (mg[i] < mg[j]) && lc[i] != lc[j] {
-				t.Errorf("margin ranking disagrees with LC at %d,%d", i, j)
-			}
-			if (lc[i] < lc[j]) != (en[i] < en[j]) && lc[i] != lc[j] {
-				t.Errorf("entropy ranking disagrees with LC at %d,%d", i, j)
-			}
-		}
-	}
-	if (Margin{}).Name() != "margin" || (Entropy{}).Name() != "entropy" {
-		t.Error("names wrong")
 	}
 }
 
@@ -118,148 +83,14 @@ func TestSelectArgmaxDeterministicTies(t *testing.T) {
 	}
 }
 
-func TestRandomIsUniformish(t *testing.T) {
-	m := fitKNN(t)
-	r := NewRandom(3)
-	counts := map[uint64]int{}
-	pool := []Candidate{
-		{ID: 0, X: []float64{0}},
-		{ID: 1, X: []float64{0.5}},
-		{ID: 2, X: []float64{1}},
-	}
-	for i := 0; i < 900; i++ {
-		sel, err := SelectFromSlice(r, m, pool)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[sel.Candidate.ID]++
-	}
-	for id, n := range counts {
-		if n < 200 || n > 400 {
-			t.Errorf("candidate %d selected %d/900 times; not uniform", id, n)
-		}
-	}
-	if r.Name() != "random" {
-		t.Error("name wrong")
-	}
-}
-
-func TestQBCRequiresCommittee(t *testing.T) {
-	m := fitKNN(t)
-	if _, err := (QueryByCommittee{}).Score(m, []float64{0}); err == nil {
-		t.Error("QBC with a non-committee model should fail")
-	}
-}
-
-func TestQBCScoresDisagreement(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	var X [][]float64
-	var y []int
-	for i := 0; i < 200; i++ {
-		v := rng.Float64()
-		X = append(X, []float64{v})
-		if v > 0.5 {
-			y = append(y, 1)
-		} else {
-			y = append(y, 0)
-		}
-	}
-	com, err := learn.NewCommittee(7, 5, func(i int) learn.Classifier {
-		return learn.NewDWKNN(3, []float64{1})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := com.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	hard := QueryByCommittee{}
-	soft := QueryByCommittee{SoftVote: true}
-	for _, s := range []Scorer{hard, soft} {
-		db, err := s.Score(com, []float64{0.5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		df, err := s.Score(com, []float64{0.05})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if db < df {
-			t.Errorf("%s: boundary disagreement %g below far disagreement %g", s.Name(), db, df)
-		}
-	}
-	if hard.Name() != "qbc" || soft.Name() != "qbc-soft" {
-		t.Error("names wrong")
-	}
-}
-
-func TestEERValidation(t *testing.T) {
-	if _, err := NewExpectedErrorReduction(nil, [][]float64{{0}}); err == nil {
-		t.Error("nil factory should fail")
-	}
-	if _, err := NewExpectedErrorReduction(func() learn.Classifier { return learn.NewGaussianNB() }, nil); err == nil {
-		t.Error("empty eval should fail")
-	}
-	e, err := NewExpectedErrorReduction(func() learn.Classifier { return learn.NewDWKNN(3, []float64{1}) }, [][]float64{{0.2}, {0.8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := fitKNN(t)
-	if _, err := e.Score(m, []float64{0.5}); err == nil {
-		t.Error("scoring before SetLabeled should fail")
-	}
-	if err := e.SetLabeled([][]float64{{0}}, []int{0, 1}); err == nil {
-		t.Error("mismatched SetLabeled should fail")
-	}
-}
-
-func TestEERPrefersInformativeCandidate(t *testing.T) {
-	// Labeled: negatives at 0, 0.1; positives at 0.9, 1. A candidate at the
-	// boundary (0.5) reduces future uncertainty more than a redundant
-	// candidate at 0.01.
-	labeledX := [][]float64{{0}, {0.1}, {0.9}, {1}}
-	labeledY := []int{0, 0, 1, 1}
-	eval := [][]float64{{0.2}, {0.4}, {0.5}, {0.6}, {0.8}}
-	e, err := NewExpectedErrorReduction(func() learn.Classifier {
-		return learn.NewDWKNN(3, []float64{1})
-	}, eval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SetLabeled(labeledX, labeledY); err != nil {
-		t.Fatal(err)
-	}
-	m := fitKNN(t)
-	sBoundary, err := e.Score(m, []float64{0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sRedundant, err := e.Score(m, []float64{0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sBoundary <= sRedundant {
-		t.Errorf("boundary score %g should beat redundant score %g", sBoundary, sRedundant)
-	}
-	if e.Name() != "expected-error-reduction" {
-		t.Error("name wrong")
-	}
-}
-
 func TestQuickScoresFinite(t *testing.T) {
 	m := fitKNN(t)
-	scorers := []Scorer{LeastConfidence{}, Margin{}, Entropy{}, NewRandom(1)}
 	f := func(v float64) bool {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return true // skip degenerate inputs
 		}
-		for _, s := range scorers {
-			got, err := s.Score(m, []float64{v})
-			if err != nil || math.IsNaN(got) || math.IsInf(got, 0) {
-				return false
-			}
-		}
-		return true
+		got, err := LeastConfidence{}.Score(m, []float64{v})
+		return err == nil && !math.IsNaN(got) && !math.IsInf(got, 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

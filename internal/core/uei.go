@@ -28,6 +28,12 @@ import (
 // boundary.
 var ErrClosed = errors.New("uei: index is closed")
 
+// ErrUnsupportedModel is returned when the symbolic index points are
+// scored under a model other than *learn.DWKNN, the estimator of the
+// paper's evaluation (Table 1) and the only one UEI keeps resumable score
+// state for. It is re-exported by the facade.
+var ErrUnsupportedModel = errors.New("uei: the index scores only a *learn.DWKNN model")
+
 // ErrShardUnavailable is shard.ErrShardUnavailable, named here for the
 // serving layer, which reaches shards only through the index: a sample,
 // result retrieval or cell load that could not reach a shard wraps it.
@@ -577,43 +583,37 @@ func (x *Index) InitExploration(ctx context.Context) error {
 }
 
 // UpdateUncertainty re-scores the symbolic index points against the
-// current model (Algorithm 2 line 17, P <- updateUncertainty(P, M)), by one
-// of two routes that agree bit for bit:
+// current model (Algorithm 2 line 17, P <- updateUncertainty(P, M)) by a
+// resumable scan. The view keeps every point's k nearest labeled rows
+// (learn.NeighborTable, keyed by cell id); a refit on an append-only
+// labeled set costs one distance per point per new label, and only points
+// whose neighbor list a new label entered are rescored. Anything else
+// about the model changing rescans from row 0. A model other than
+// *learn.DWKNN fails with ErrUnsupportedModel.
 //
-//  1. DWKNN: a resumable scan. The view keeps every point's k nearest
-//     labeled rows (learn.NeighborTable, keyed by cell id); a refit on an
-//     append-only labeled set costs one distance per point per new label,
-//     and only points whose neighbor list a new label entered are rescored.
-//     Anything else about the model changing rescans from row 0.
-//  2. Any other model: one full pass through the block kernels on the
-//     worker pool.
-//
-// Either way no shard is contacted, whatever the layout, and the vector is
-// published only when the pass is complete, so a cancelled pass changes
-// nothing.
+// No shard is contacted, whatever the layout, and the vector is published
+// only when the pass is complete, so a cancelled pass changes nothing.
 func (x *Index) UpdateUncertainty(ctx context.Context, model learn.Classifier) error {
 	if x.closed.Load() {
 		return ErrClosed
 	}
 	x.lastSkipped = 0
-	scored := x.blk.N
-	if dw, ok := model.(*learn.DWKNN); ok {
-		pass, err := x.scoreResumed(ctx, dw)
-		if err != nil {
-			return fmt.Errorf("core: scoring index points: %w", err)
-		}
-		scored = pass.Scanned + pass.Changed
-		x.lastSkipped = pass.Carried - pass.Changed
-	} else if _, err := x.coord.ScoreAllPass(ctx, model, x.uncertainty, shard.ScorePass{}); err != nil {
+	dw, ok := model.(*learn.DWKNN)
+	if !ok {
+		return fmt.Errorf("core: scoring index points under %T: %w", model, ErrUnsupportedModel)
+	}
+	pass, err := x.scoreResumed(ctx, dw)
+	if err != nil {
 		return fmt.Errorf("core: scoring index points: %w", err)
 	}
-	x.mCellsScored.Add(int64(scored))
+	x.lastSkipped = pass.Carried - pass.Changed
+	x.mCellsScored.Add(int64(pass.Scanned + pass.Changed))
 	x.mCellsSkipped.Add(int64(x.lastSkipped))
 	x.scoresValid = true
 	return nil
 }
 
-// scoreResumed is route 1: one serial pass over the centres through ptab,
+// scoreResumed is one serial pass over the centres through ptab,
 // a strip of them at a time, checking ctx between strips. The table's
 // storage is sized to |P| on the first pass and kept until Close.
 func (x *Index) scoreResumed(ctx context.Context, dw *learn.DWKNN) (learn.NeighborPass, error) {

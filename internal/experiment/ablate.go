@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/uei-db/uei/internal/al"
-	"github.com/uei-db/uei/internal/learn"
 	"github.com/uei-db/uei/internal/metrics"
 	"github.com/uei-db/uei/internal/oracle"
 )
@@ -116,79 +114,6 @@ func AblatePrefetch(env *Env) ([]AblationPoint, error) {
 	for _, enabled := range []bool{false, true} {
 		e := enabled
 		p, err := ablateOne(env, region, fmt.Sprintf("prefetch=%v", e), runOptions{prefetch: &e})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// AblateStrategy compares query strategies (§2.1's survey) — ablation A4.
-// Uncertainty-sampling variants should dominate random; QBC should land
-// near uncertainty sampling at higher compute.
-func AblateStrategy(env *Env) ([]AblationPoint, error) {
-	region, err := ablationRegion(env)
-	if err != nil {
-		return nil, err
-	}
-	scales := env.estimatorScales
-	committeeFactory := func() learn.Classifier {
-		com, err := learn.NewCommittee(5, env.Cfg.Seed, func(i int) learn.Classifier {
-			return learn.NewDWKNN(7, scales)
-		})
-		if err != nil {
-			// NewCommittee only fails on invalid arity, which is fixed here.
-			panic(err)
-		}
-		return com
-	}
-	cases := []struct {
-		name      string
-		strategy  al.Scorer
-		estimator func() learn.Classifier
-	}{
-		{"uncertainty(lc)", al.LeastConfidence{}, nil},
-		{"margin", al.Margin{}, nil},
-		{"entropy", al.Entropy{}, nil},
-		{"random", al.NewRandom(env.Cfg.Seed), nil},
-		{"qbc", al.QueryByCommittee{}, committeeFactory},
-	}
-	var out []AblationPoint
-	for _, c := range cases {
-		p, err := ablateOne(env, region, c.name, runOptions{strategy: c.strategy, estimator: c.estimator})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// AblateEstimator compares uncertainty estimators — ablation A7. The paper
-// fixes DWKNN (Table 1) but notes UEI works "in conjunction with any
-// probabilistic-based classifiers" (§3); this sweep validates that claim
-// and shows why DWKNN fits the workload: a box-shaped relevant region is
-// not linearly separable (logistic plateaus) and violates naive Bayes'
-// unimodal-likelihood assumption.
-func AblateEstimator(env *Env) ([]AblationPoint, error) {
-	region, err := ablationRegion(env)
-	if err != nil {
-		return nil, err
-	}
-	scales := env.estimatorScales
-	cases := []struct {
-		name    string
-		factory func() learn.Classifier
-	}{
-		{"dwknn(k=7)", func() learn.Classifier { return learn.NewDWKNN(7, scales) }},
-		{"dwknn(k=3)", func() learn.Classifier { return learn.NewDWKNN(3, scales) }},
-		{"gaussian-nb", func() learn.Classifier { return learn.NewGaussianNB() }},
-		{"logistic", func() learn.Classifier { return learn.NewLogistic(env.Cfg.Seed) }},
-	}
-	var out []AblationPoint
-	for _, c := range cases {
-		p, err := ablateOne(env, region, c.name, runOptions{estimator: c.factory})
 		if err != nil {
 			return nil, err
 		}

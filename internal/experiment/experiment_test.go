@@ -195,22 +195,6 @@ func TestAblations(t *testing.T) {
 	}
 	env.Limiter = nil
 
-	strat, err := AblateStrategy(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(strat) != 5 {
-		t.Errorf("strategy ablation has %d rows", len(strat))
-	}
-
-	est, err := AblateEstimator(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(est) != 4 {
-		t.Errorf("estimator ablation has %d rows", len(est))
-	}
-
 	regions, err := AblateResidentRegions(env, []int{1, 2})
 	if err != nil {
 		t.Fatal(err)
@@ -218,8 +202,8 @@ func TestAblations(t *testing.T) {
 	if len(regions) != 2 {
 		t.Errorf("resident-region ablation has %d rows", len(regions))
 	}
-	table := FormatAblation("A4: strategies", strat)
-	if !strings.Contains(table, "random") || !strings.Contains(table, "qbc") {
+	table := FormatAblation("A6: resident regions", regions)
+	if !strings.Contains(table, "regions=1") || !strings.Contains(table, "regions=2") {
 		t.Errorf("ablation table:\n%s", table)
 	}
 }

@@ -86,10 +86,6 @@ func (ev *evaluator) f1(model learn.Classifier) (float64, error) {
 type runOptions struct {
 	// maxLabels overrides Config.MaxLabels when positive.
 	maxLabels int
-	// strategy overrides least-confidence when non-nil.
-	strategy al.Scorer
-	// estimator overrides the Table 1 DWKNN when non-nil.
-	estimator func() learn.Classifier
 	// sampleSize overrides the derived γ when positive (UEI only).
 	sampleSize int
 	// segmentsPerDim overrides Config.SegmentsPerDim when positive.
@@ -167,14 +163,6 @@ func runOne(env *Env, region oracle.Region, scheme Scheme, runSeed int64, opt ru
 	if opt.maxLabels > 0 {
 		maxLabels = opt.maxLabels
 	}
-	var strategy al.Scorer = al.LeastConfidence{}
-	if opt.strategy != nil {
-		strategy = opt.strategy
-	}
-	estimator := env.EstimatorFactory()
-	if opt.estimator != nil {
-		estimator = opt.estimator
-	}
 
 	stats := &runStats{
 		accuracy: &metrics.Series{Name: string(scheme)},
@@ -186,8 +174,8 @@ func runOne(env *Env, region oracle.Region, scheme Scheme, runSeed int64, opt ru
 	cfg := ide.Config{
 		BatchSize:        env.Cfg.BatchSize,
 		MaxLabels:        maxLabels,
-		EstimatorFactory: estimator,
-		Strategy:         strategy,
+		EstimatorFactory: env.EstimatorFactory(),
+		Strategy:         al.LeastConfidence{},
 		Seed:             runSeed,
 		SeedWithPositive: true,
 		Registry:         env.Cfg.Obs,

@@ -35,7 +35,9 @@ type Config struct {
 	// solicited labels. Required.
 	MaxLabels int
 	// EstimatorFactory builds the predictive model used as uncertainty
-	// estimator (Table 1: DWKNN). Required.
+	// estimator (Table 1: DWKNN). Required. A UEI provider's index scores
+	// only a *learn.DWKNN and fails the first scored step of any other
+	// model with core.ErrUnsupportedModel.
 	EstimatorFactory func() learn.Classifier
 	// Strategy is the query strategy (Table 1: uncertainty sampling via
 	// least confidence). Required.
@@ -689,16 +691,16 @@ type residentPool interface {
 // selectCandidate returns the argmax-scoring candidate (Eq. 2), copying
 // its row. Ties keep the first candidate seen, which combined with sorted
 // candidate streams makes selection deterministic. It is one streaming
-// pass; a row's score is Strategy.Score, except that with a DWKNN model, a
-// strategy that is a function of the posterior and a resident pool each
-// row's k-NN scan is resumed from the previous selection through s.poolTab
-// (learn.NeighborTable) — to the same bits.
+// pass; a row's score is Strategy.Score, except that with a DWKNN model,
+// least confidence and a resident pool each row's k-NN scan is resumed
+// from the previous selection through s.poolTab (learn.NeighborTable) —
+// to the same bits.
 func (s *Session) selectCandidate(ctx context.Context) (uint32, []float64, float64, int, error) {
 	score := func(_ uint32, row []float64) (float64, error) { return s.cfg.Strategy.Score(s.model, row) }
 	dw, isDW := s.model.(*learn.DWKNN)
-	ps, fromPosterior := s.cfg.Strategy.(al.PosteriorScorer)
+	lc, isLC := s.cfg.Strategy.(al.LeastConfidence)
 	rp, resident := s.provider.(residentPool)
-	resumed := isDW && fromPosterior && resident
+	resumed := isDW && isLC && resident
 	if resumed {
 		// When the table has to be (re)allocated, a sixteenth of headroom
 		// lets the pool grow by a larger region without doing it again.
@@ -711,7 +713,7 @@ func (s *Session) selectCandidate(ctx context.Context) (uint32, []float64, float
 		}
 		score = func(id uint32, row []float64) (float64, error) {
 			p, err := s.poolTab.Posterior(id, row)
-			return ps.FromPosterior(p), err
+			return lc.FromPosterior(p), err
 		}
 	}
 	var bestID uint32
@@ -787,7 +789,7 @@ func (s *Session) addLabel(id uint32, row []float64, label oracle.Label) {
 	}
 }
 
-// refit retrains the model on L and notifies the provider and strategy.
+// refit retrains the model on L and notifies the provider.
 func (s *Session) refit() error {
 	model := s.cfg.EstimatorFactory()
 	if err := model.Fit(s.labeledX, s.labeledY); err != nil {
@@ -795,11 +797,6 @@ func (s *Session) refit() error {
 	}
 	s.model = model
 	s.provider.ModelUpdated()
-	if aware, ok := s.cfg.Strategy.(al.LabeledAware); ok {
-		if err := aware.SetLabeled(s.labeledX, s.labeledY); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

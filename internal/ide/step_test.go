@@ -188,36 +188,35 @@ func TestStepMisuse(t *testing.T) {
 	}
 }
 
+// coarseConfidence is least confidence rounded down to a tenth. It is not
+// al.LeastConfidence, so a session selects with it by the streaming route
+// even over a resident pool, and its scores tie constantly.
+type coarseConfidence struct{}
+
+func (coarseConfidence) Name() string { return "coarse-confidence" }
+
+func (coarseConfidence) Score(m learn.Classifier, x []float64) (float64, error) {
+	u, err := learn.Uncertainty(m, x)
+	return math.Floor(u*10) / 10, err
+}
+
 // TestStreamingRouteIsArgmax holds the selection loop's streaming route —
 // one Strategy.Score call per candidate, what every session without a DWKNN
 // neighbour table runs — to Eq. 2: each proposal is the first-seen argmax
 // of the strategy score over the provider's candidates, id and score bits.
-// Query-by-committee's vote fractions tie constantly, so a last-seen tie
-// break does not pass.
+// coarseConfidence's tenths tie constantly, so a last-seen tie break does
+// not pass.
 func TestStreamingRouteIsArgmax(t *testing.T) {
 	ctx := context.Background()
 	f := newFixture(t, 2000, 0.02)
-	bounds, err := f.ds.Bounds()
-	if err != nil {
-		t.Fatal(err)
-	}
-	widths := bounds.Widths()
 	cases := []struct {
 		name      string
 		provider  func() Provider
 		estimator func() learn.Classifier
 		strategy  al.Scorer
 	}{
-		{"uei/gnb/entropy", func() Provider { return f.ueiProvider(t, 200) },
-			func() learn.Classifier { return learn.NewGaussianNB() }, al.Entropy{}},
-		{"uei/committee/qbc", func() Provider { return f.ueiProvider(t, 200) },
-			func() learn.Classifier {
-				com, err := learn.NewCommittee(3, 5, func(i int) learn.Classifier { return learn.NewDWKNN(3+2*i, widths) })
-				if err != nil {
-					t.Fatal(err)
-				}
-				return com
-			}, al.QueryByCommittee{}},
+		{"uei/dwknn/coarse-confidence", func() Provider { return f.ueiProvider(t, 200) },
+			f.estimatorFactory(t), coarseConfidence{}},
 		{"dbms/dwknn/least-confidence", func() Provider { return f.dbmsProvider(t, 4) },
 			f.estimatorFactory(t), al.LeastConfidence{}},
 	}

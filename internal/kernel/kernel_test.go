@@ -156,34 +156,6 @@ func TestKernelsBitParity(t *testing.T) {
 			}
 		}
 	})
-	t.Run("AxpyStandardized", func(t *testing.T) {
-		w, mean, std := -0.7, 2.5, 1.3
-		dst := make([]float64, n)
-		want := make([]float64, n)
-		AxpyStandardized(dst, col, w, mean, std)
-		for i := range want {
-			want[i] += w * (col[i] - mean) / std
-			if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("i=%d", i)
-			}
-		}
-	})
-	t.Run("AddGaussianLL", func(t *testing.T) {
-		variance := 0.81
-		mean := -1.5
-		logTerm := -0.5 * math.Log(2*math.Pi*variance)
-		twoVar := 2 * variance
-		dst := make([]float64, n)
-		want := make([]float64, n)
-		AddGaussianLL(dst, col, mean, logTerm, twoVar)
-		for i := range want {
-			d := col[i] - mean
-			want[i] += -0.5*math.Log(2*math.Pi*variance) - d*d/(2*variance)
-			if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("i=%d", i)
-			}
-		}
-	})
 }
 
 // An empty input is a call with nothing to do, for every kernel: no panic,
@@ -192,8 +164,6 @@ func TestKernelsAcceptEmptyInput(t *testing.T) {
 	ScaleInto(nil, nil, 2)
 	SquaredDiffInto(nil, nil, 2)
 	AddSquaredDiff(nil, nil, 2)
-	AxpyStandardized(nil, nil, 1, 0, 1)
-	AddGaussianLL(nil, nil, 0, -1, 2)
 	MajorityNearer(nil, nil, 0, 3, nil, nil, 1)
 	if nb := SelectKMin(nil, 0, 1, 0, 3, nil); len(nb) != 0 {
 		t.Errorf("SelectKMin over no rows: %v", nb)

@@ -167,47 +167,6 @@ func stripDistance(row, qs []float64, w, i int) float64 {
 	return acc
 }
 
-// AxpyStandardized accumulates dst[i] += w * (col[i] - mean) / std — one
-// dimension of a standardized logistic dot-product. The multiply-then-
-// divide order matches the scalar path exactly.
-func AxpyStandardized(dst, col []float64, w, mean, std float64) {
-	dst = dst[:len(col)]
-	i := 0
-	for ; i+4 <= len(col); i += 4 {
-		dst[i] += w * (col[i] - mean) / std
-		dst[i+1] += w * (col[i+1] - mean) / std
-		dst[i+2] += w * (col[i+2] - mean) / std
-		dst[i+3] += w * (col[i+3] - mean) / std
-	}
-	for ; i < len(col); i++ {
-		dst[i] += w * (col[i] - mean) / std
-	}
-}
-
-// AddGaussianLL accumulates dst[i] += logTerm - d*d/twoVar with
-// d = col[i] - mean — one dimension of a Gaussian log-likelihood, where
-// the caller precomputed logTerm = -0.5*log(2π·var) and twoVar = 2·var
-// (both pure functions of the variance, so precomputing them changes no
-// bits; the per-element expression is the scalar path's verbatim).
-func AddGaussianLL(dst, col []float64, mean, logTerm, twoVar float64) {
-	dst = dst[:len(col)]
-	i := 0
-	for ; i+4 <= len(col); i += 4 {
-		d0 := col[i] - mean
-		d1 := col[i+1] - mean
-		d2 := col[i+2] - mean
-		d3 := col[i+3] - mean
-		dst[i] += logTerm - d0*d0/twoVar
-		dst[i+1] += logTerm - d1*d1/twoVar
-		dst[i+2] += logTerm - d2*d2/twoVar
-		dst[i+3] += logTerm - d3*d3/twoVar
-	}
-	for ; i < len(col); i++ {
-		d := col[i] - mean
-		dst[i] += logTerm - d*d/twoVar
-	}
-}
-
 // Neighbor is one candidate in a k-smallest selection: a value (squared
 // distance) and the index it came from. Ordering is (D2, Idx) ascending —
 // a strict total order, so partial selection returns exactly the prefix a

@@ -32,15 +32,9 @@ func benchFixture(b testing.TB, nTrain, nQuery, dims int) ([][]float64, []int, [
 }
 
 func benchModels(b testing.TB, X [][]float64, y []int) map[string]Classifier {
-	com, err := NewCommittee(3, 5, func(i int) Classifier { return NewDWKNN(5+i, nil) })
-	if err != nil {
-		b.Fatal(err)
-	}
 	models := map[string]Classifier{
-		"dwknn":     NewDWKNN(7, nil),
-		"logistic":  NewLogistic(3),
-		"gnb":       NewGaussianNB(),
-		"committee": com,
+		"dwknn":    NewDWKNN(7, nil),
+		"fallback": rowOnly{NewDWKNN(7, nil)},
 	}
 	for name, m := range models {
 		if err := m.Fit(X, y); err != nil {
@@ -85,20 +79,19 @@ func TestBlockPosteriorZeroAlloc(t *testing.T) {
 	blk := kernel.Pack(Q)
 	out := make([]float64, len(Q))
 	for name, m := range benchModels(t, X, y) {
-		bm := m.(BlockClassifier)
 		// Warm the pools.
 		for i := 0; i < 3; i++ {
-			if err := bm.BlockPosterior(blk, 0, blk.N, out); err != nil {
+			if err := BlockPosteriorsInto(context.Background(), m, blk, 0, blk.N, out); err != nil {
 				t.Fatal(err)
 			}
 		}
 		avg := testing.AllocsPerRun(50, func() {
-			if err := bm.BlockPosterior(blk, 0, blk.N, out); err != nil {
+			if err := BlockPosteriorsInto(context.Background(), m, blk, 0, blk.N, out); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if avg >= 1 {
-			t.Errorf("%s BlockPosterior: %.1f allocs/op, want amortized 0", name, avg)
+			t.Errorf("%s BlockPosteriorsInto: %.1f allocs/op, want amortized 0", name, avg)
 		}
 		// BlockPredictInto borrows the chunk of posteriors a classifier
 		// that only scores needs from a pool (warmed by the first run,

@@ -18,8 +18,8 @@ const batchBlock = 512
 // P(positive | block point i) for i in [lo, hi). Implementations must be
 // read-only with respect to the model (disjoint ranges run concurrently)
 // and bit-identical to PosteriorPositive on the same point — the block
-// layout may change memory order, never the per-point arithmetic. All four
-// classifiers in this package comply.
+// layout may change memory order, never the per-point arithmetic. DWKNN
+// implements it.
 type BlockClassifier interface {
 	Classifier
 	BlockPosterior(blk *kernel.Block, lo, hi int, out []float64) error

@@ -25,16 +25,10 @@ func parityModels(t *testing.T, rng *rand.Rand, n, dims int) map[string]Classifi
 	for d := range scales {
 		scales[d] = 0.5 + rng.Float64()*4
 	}
-	com, err := NewCommittee(3, 7, func(i int) Classifier { return NewDWKNN(3+i, nil) })
-	if err != nil {
-		t.Fatal(err)
-	}
 	models := map[string]Classifier{
 		"dwknn":      NewDWKNN(7, scales),
 		"dwknn-auto": NewDWKNN(5, nil),
-		"logistic":   NewLogistic(11),
-		"gnb":        NewGaussianNB(),
-		"committee":  com,
+		"fallback":   rowOnly{NewDWKNN(7, scales)},
 	}
 	for name, m := range models {
 		if err := m.Fit(X, y); err != nil {
@@ -44,8 +38,10 @@ func parityModels(t *testing.T, rng *rand.Rand, n, dims int) map[string]Classifi
 	return models
 }
 
-// Every model's block path must agree bit-for-bit with PosteriorPositive, on
-// query counts that exercise strip boundaries and unroll tails.
+// Every model's block path — DWKNN's strips, and the row reconstruction
+// a classifier without them falls back to — must agree bit-for-bit with
+// PosteriorPositive, on query counts that exercise strip boundaries and
+// unroll tails.
 func TestBlockPosteriorBitParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, nq := range []int{1, 3, 511, 512, 513, 1100} {

@@ -9,20 +9,19 @@ import (
 	"github.com/uei-db/uei/internal/kernel"
 )
 
-// fittedModels returns every classifier in the package, trained on the same
-// box-shaped concept.
+// rowOnly hides a classifier's bulk methods: only Classifier's are
+// promoted through the embedded interface, so the block forms take their
+// row-reconstruction fallback on it.
+type rowOnly struct{ Classifier }
+
+// fittedModels returns DWKNN with and without its block methods, trained
+// on the same box-shaped concept.
 func fittedModels(t *testing.T) map[string]Classifier {
 	t.Helper()
 	X, y := boxTrainingSet(300, 7)
-	qbc, err := NewCommittee(3, 31, func(i int) Classifier { return NewDWKNN(3+2*i, nil) })
-	if err != nil {
-		t.Fatal(err)
-	}
 	models := map[string]Classifier{
-		"dwknn":     NewDWKNN(7, nil),
-		"gnb":       NewGaussianNB(),
-		"logistic":  NewLogistic(37),
-		"committee": qbc,
+		"dwknn":    NewDWKNN(7, nil),
+		"fallback": rowOnly{NewDWKNN(7, nil)},
 	}
 	for name, m := range models {
 		if err := m.Fit(X, y); err != nil {
@@ -98,7 +97,7 @@ func TestUncertaintiesFoldsPosterior(t *testing.T) {
 func TestBatchCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	m := fittedModels(t)["gnb"]
+	m := fittedModels(t)["fallback"]
 	X := queryGrid(600, 19)
 	out := make([]float64, len(X))
 	if err := BlockPosteriorsInto(ctx, m, kernel.Pack(X), 0, len(X), out); !errors.Is(err, context.Canceled) {
@@ -111,31 +110,26 @@ func TestBatchCanceledContext(t *testing.T) {
 func TestBatchUnfitted(t *testing.T) {
 	X := queryGrid(10, 23)
 	out := make([]float64, len(X))
-	err := BlockPosteriorsInto(context.Background(), NewGaussianNB(), kernel.Pack(X), 0, len(X), out)
+	err := BlockPosteriorsInto(context.Background(), rowOnly{NewDWKNN(3, nil)}, kernel.Pack(X), 0, len(X), out)
 	if !errors.Is(err, ErrNotFitted) {
 		t.Errorf("want ErrNotFitted, got %v", err)
 	}
 }
 
-// An empty range [lo, lo) is a call with nothing to do for every block
-// classifier — a committee of members whose kernels get empty columns
-// included — and for the decision: no error, no panic.
+// An empty range [lo, lo) is a call with nothing to do for the block
+// classifier, for the fallback and for the decision: no error, no panic.
 func TestBlockClassifiersAcceptEmptyRange(t *testing.T) {
 	models := fittedModels(t)
-	logistics, err := NewCommittee(2, 41, func(i int) Classifier { return NewLogistic(int64(43 + i)) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	X, y := boxTrainingSet(300, 7)
-	if err := logistics.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	models["committee-logistic"] = logistics
 	blk := kernel.Pack(queryGrid(10, 47))
 	for name, m := range models {
 		for _, lo := range []int{0, 4, 10} {
-			if err := m.(BlockClassifier).BlockPosterior(blk, lo, lo, nil); err != nil {
-				t.Errorf("%s: BlockPosterior(%d, %d): %v", name, lo, lo, err)
+			if bc, ok := m.(BlockClassifier); ok {
+				if err := bc.BlockPosterior(blk, lo, lo, nil); err != nil {
+					t.Errorf("%s: BlockPosterior(%d, %d): %v", name, lo, lo, err)
+				}
+			}
+			if err := BlockPosteriorsInto(context.Background(), m, blk, lo, lo, nil); err != nil {
+				t.Errorf("%s: BlockPosteriorsInto(%d, %d): %v", name, lo, lo, err)
 			}
 			if settled, err := BlockPredictInto(context.Background(), m, blk, lo, lo, nil); err != nil || settled != 0 {
 				t.Errorf("%s: BlockPredictInto(%d, %d): settled %d, %v", name, lo, lo, settled, err)

@@ -1,10 +1,10 @@
-// Package learn provides the machine-learning substrate for UEI: binary
-// probabilistic classifiers usable with uncertainty sampling. The paper's
-// evaluation uses the dual weighted k-nearest-neighbor classifier (DWKNN,
-// Gou et al. 2012) as the uncertainty estimator; Gaussian naive Bayes and
-// logistic regression are provided as alternative probability-based models
-// (§3: UEI "can be used in conjunction with any probabilistic-based
-// classifiers").
+// Package learn provides the machine-learning substrate for UEI: the
+// binary probabilistic classifier the paper's evaluation uses as its
+// uncertainty estimator (Table 1), the dual weighted k-nearest-neighbor
+// classifier (DWKNN, Gou et al. 2012), and the resumable neighbour table
+// that rescores it after an append-only refit. Classifier stays an
+// interface: the bulk forms (BlockPosteriorsInto, BlockPredictInto) accept
+// any implementation through a row-reconstruction fallback.
 package learn
 
 import (
@@ -28,8 +28,8 @@ var ErrNotFitted = errors.New("learn: classifier is not fitted")
 // Classifier is a binary probabilistic model. Fit must be called from a
 // single goroutine; after a successful Fit, PosteriorPositive must be
 // read-only with respect to the model, because the parallel scorer shards
-// query points across goroutines against one shared classifier. (All
-// classifiers in this package comply.) PosteriorPositive is the
+// query points across goroutines against one shared classifier. (DWKNN
+// complies.) PosteriorPositive is the
 // specification; a model's bulk forms, when it has them, are
 // BlockClassifier and BlockDecider and must match it bit for bit.
 type Classifier interface {

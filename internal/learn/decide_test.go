@@ -323,8 +323,8 @@ func TestBlockPositiveMatchesPredict(t *testing.T) {
 	}
 }
 
-// Every other classifier decides by scoring: BlockPredictInto must give
-// Predict's answer and report nothing settled.
+// A classifier without BlockPositive decides by scoring: BlockPredictInto
+// must give Predict's answer and report nothing settled.
 func TestBlockPredictIntoFallsBackToPosteriors(t *testing.T) {
 	Q := queryGrid(1100, 41)
 	blk := kernel.Pack(Q)
@@ -347,8 +347,22 @@ func TestBlockPredictIntoFallsBackToPosteriors(t *testing.T) {
 			}
 		}
 	}
-	if _, err := BlockPredictInto(context.Background(), NewGaussianNB(), blk, 0, len(Q), make([]bool, 9)); err == nil {
+	if _, err := BlockPredictInto(context.Background(), rowOnly{NewDWKNN(3, nil)}, blk, 0, len(Q), make([]bool, 9)); err == nil {
 		t.Error("length mismatch accepted")
+	}
+	// The threshold itself: a query equidistant from one row of each class
+	// has a posterior of exactly 0.5, which Predict calls positive.
+	half := rowOnly{NewDWKNN(2, []float64{1})}
+	if err := half.Fit([][]float64{{0}, {2}}, []int{ClassNegative, ClassPositive}); err != nil {
+		t.Fatal(err)
+	}
+	mid := [][]float64{{1}}
+	if p, err := half.PosteriorPositive(mid[0]); err != nil || p != 0.5 {
+		t.Fatalf("midpoint posterior %v, %v; want exactly 0.5", p, err)
+	}
+	got := make([]bool, 1)
+	if _, err := BlockPredictInto(context.Background(), half, kernel.Pack(mid), 0, 1, got); err != nil || !got[0] {
+		t.Errorf("posterior 0.5: BlockPredictInto %v, %v; Predict says positive", got[0], err)
 	}
 }
 
@@ -379,7 +393,7 @@ func TestBlockPredictIntoCanceled(t *testing.T) {
 	if dec.calls != 1 {
 		t.Errorf("decider ran %d chunks after cancellation, want it to stop after the first", dec.calls-1)
 	}
-	if _, err := BlockPredictInto(ctx, models["gnb"], blk, 0, len(Q), make([]bool, len(Q))); !errors.Is(err, context.Canceled) {
+	if _, err := BlockPredictInto(ctx, models["fallback"], blk, 0, len(Q), make([]bool, len(Q))); !errors.Is(err, context.Canceled) {
 		t.Errorf("scoring model: want context.Canceled, got %v", err)
 	}
 }

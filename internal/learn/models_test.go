@@ -1,7 +1,6 @@
 package learn
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -23,203 +22,9 @@ func boxTrainingSet(n int, seed int64) ([][]float64, []int) {
 	return X, y
 }
 
-// linearTrainingSet builds a labeled set separable by a hyperplane.
-func linearTrainingSet(n int, seed int64) ([][]float64, []int) {
-	rng := rand.New(rand.NewSource(seed))
-	X := make([][]float64, n)
-	y := make([]int, n)
-	for i := range X {
-		p := []float64{rng.NormFloat64(), rng.NormFloat64()}
-		X[i] = p
-		if p[0]+p[1] > 0 {
-			y[i] = 1
-		}
-	}
-	return X, y
-}
-
-func TestGaussianNBUnfitted(t *testing.T) {
-	c := NewGaussianNB()
-	if c.Fitted() {
-		t.Error("fresh model claims fitted")
-	}
-	if _, err := c.PosteriorPositive([]float64{0}); !errors.Is(err, ErrNotFitted) {
-		t.Errorf("want ErrNotFitted, got %v", err)
-	}
-}
-
-func TestGaussianNBNeedsBothClasses(t *testing.T) {
-	c := NewGaussianNB()
-	if err := c.Fit([][]float64{{0}, {1}}, []int{1, 1}); err == nil {
-		t.Error("single-class fit should fail")
-	}
-}
-
-func TestGaussianNBSeparatesGaussians(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	var X [][]float64
-	var y []int
-	for i := 0; i < 400; i++ {
-		if i%2 == 0 {
-			X = append(X, []float64{rng.NormFloat64() - 3})
-			y = append(y, 0)
-		} else {
-			X = append(X, []float64{rng.NormFloat64() + 3})
-			y = append(y, 1)
-		}
-	}
-	c := NewGaussianNB()
-	if err := c.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	pLow, _ := c.PosteriorPositive([]float64{-3})
-	pHigh, _ := c.PosteriorPositive([]float64{3})
-	if pLow > 0.1 || pHigh < 0.9 {
-		t.Errorf("posteriors not separated: P(+|-3)=%g, P(+|3)=%g", pLow, pHigh)
-	}
-	// Near the midpoint, uncertainty should be comparatively high.
-	uMid, _ := Uncertainty(c, []float64{0})
-	uFar, _ := Uncertainty(c, []float64{5})
-	if uMid <= uFar {
-		t.Errorf("uncertainty should peak near the boundary: mid=%g far=%g", uMid, uFar)
-	}
-}
-
-func TestGaussianNBDegenerateVariance(t *testing.T) {
-	// Constant feature must not produce NaN posteriors.
-	c := NewGaussianNB()
-	if err := c.Fit([][]float64{{1, 5}, {2, 5}, {3, 5}}, []int{0, 1, 0}); err != nil {
-		t.Fatal(err)
-	}
-	p, err := c.PosteriorPositive([]float64{2, 5})
-	if err != nil || math.IsNaN(p) {
-		t.Fatalf("posterior = %g, err = %v", p, err)
-	}
-}
-
-func TestGaussianNBQueryDims(t *testing.T) {
-	c := NewGaussianNB()
-	c.Fit([][]float64{{0, 0}, {1, 1}}, []int{0, 1})
-	if _, err := c.PosteriorPositive([]float64{0}); err == nil {
-		t.Error("dims mismatch should fail")
-	}
-}
-
-func TestLogisticUnfitted(t *testing.T) {
-	c := NewLogistic(1)
-	if c.Fitted() {
-		t.Error("fresh model claims fitted")
-	}
-	if _, err := c.PosteriorPositive([]float64{0}); !errors.Is(err, ErrNotFitted) {
-		t.Errorf("want ErrNotFitted, got %v", err)
-	}
-}
-
-func TestLogisticLearnsLinearBoundary(t *testing.T) {
-	X, y := linearTrainingSet(500, 3)
-	c := NewLogistic(7)
-	if err := c.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	Xt, yt := linearTrainingSet(300, 4)
-	correct := 0
-	for i, x := range Xt {
-		got, err := Predict(c, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got == yt[i] {
-			correct++
-		}
-	}
-	if acc := float64(correct) / float64(len(Xt)); acc < 0.93 {
-		t.Errorf("holdout accuracy %.3f < 0.93", acc)
-	}
-}
-
-func TestLogisticValidation(t *testing.T) {
-	c := NewLogistic(1)
-	c.L2 = -1
-	if err := c.Fit([][]float64{{0}, {1}}, []int{0, 1}); err == nil {
-		t.Error("negative L2 should fail")
-	}
-	c2 := NewLogistic(1)
-	c2.Fit([][]float64{{0, 1}, {1, 0}}, []int{0, 1})
-	if _, err := c2.PosteriorPositive([]float64{0}); err == nil {
-		t.Error("dims mismatch should fail")
-	}
-}
-
-func TestLogisticDeterministic(t *testing.T) {
-	X, y := linearTrainingSet(120, 5)
-	a := NewLogistic(42)
-	b := NewLogistic(42)
-	if err := a.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	pa, _ := a.PosteriorPositive([]float64{0.3, -0.2})
-	pb, _ := b.PosteriorPositive([]float64{0.3, -0.2})
-	if pa != pb {
-		t.Errorf("same seed, different posteriors: %g vs %g", pa, pb)
-	}
-}
-
-func TestCommitteeConstruction(t *testing.T) {
-	if _, err := NewCommittee(1, 0, func(int) Classifier { return NewGaussianNB() }); err == nil {
-		t.Error("size 1 should fail")
-	}
-	if _, err := NewCommittee(3, 0, nil); err == nil {
-		t.Error("nil factory should fail")
-	}
-	if _, err := NewCommittee(3, 0, func(int) Classifier { return nil }); err == nil {
-		t.Error("nil member should fail")
-	}
-}
-
-func TestCommitteeFitAndDisagreement(t *testing.T) {
-	X, y := boxTrainingSet(400, 6)
-	com, err := NewCommittee(5, 11, func(i int) Classifier {
-		return NewDWKNN(5, []float64{10, 10})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := com.PosteriorPositive([]float64{5, 5}); !errors.Is(err, ErrNotFitted) {
-		t.Error("unfitted committee should refuse predictions")
-	}
-	if err := com.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	pIn, _ := com.PosteriorPositive([]float64{5, 5})
-	pOut, _ := com.PosteriorPositive([]float64{0.5, 0.5})
-	if pIn < 0.6 || pOut > 0.4 {
-		t.Errorf("committee posteriors wrong: in=%g out=%g", pIn, pOut)
-	}
-	dBoundary, _ := com.VoteDisagreement([]float64{3, 5})
-	if dBoundary < 0 || dBoundary > 0.5 {
-		t.Errorf("disagreement out of range: %g", dBoundary)
-	}
-	dFar, _ := com.VoteDisagreement([]float64{0.1, 0.1})
-	if dFar > 0.4 {
-		t.Errorf("far-from-boundary disagreement suspiciously high: %g", dFar)
-	}
-}
-
-func TestCommitteeNeedsBothClasses(t *testing.T) {
-	com, _ := NewCommittee(3, 1, func(int) Classifier { return NewGaussianNB() })
-	if err := com.Fit([][]float64{{0}, {1}}, []int{0, 0}); err == nil {
-		t.Error("single-class committee fit should fail")
-	}
-}
-
 func TestQuickAllModelsPosteriorBounds(t *testing.T) {
 	models := map[string]func() Classifier{
-		"dwknn":    func() Classifier { return NewDWKNN(5, nil) },
-		"gnb":      func() Classifier { return NewGaussianNB() },
-		"logistic": func() Classifier { return NewLogistic(3) },
+		"dwknn": func() Classifier { return NewDWKNN(5, nil) },
 	}
 	for name, mk := range models {
 		f := func(seed int64) bool {

@@ -673,6 +673,11 @@ func (m *Manager) Append(ctx context.Context, req AppendRequest) (AppendResponse
 	if live == nil {
 		return AppendResponse{}, fmt.Errorf("store is not a live-ingest layout: %w", core.ErrNotLive)
 	}
+	for i, row := range req.Rows {
+		if len(row) != m.idx.Dims() {
+			return AppendResponse{}, fmt.Errorf("append row %d has %d values, store has %d dims: %w", i, len(row), m.idx.Dims(), errBadRequest)
+		}
+	}
 	select {
 	case m.stepSem <- struct{}{}:
 	case <-ctx.Done():

@@ -56,6 +56,10 @@ var (
 	// ErrOutOfBounds is returned by Index.Append for rows outside the
 	// bounds the live store's grid was pinned to at build time.
 	ErrOutOfBounds = stream.ErrOutOfBounds
+	// ErrUnsupportedModel is returned when a UEI index scores its symbolic
+	// points under a model other than *DWKNN, the paper's estimator; a
+	// session over a UEI provider hits it at its first scored step.
+	ErrUnsupportedModel = core.ErrUnsupportedModel
 )
 
 // --- call options ---
@@ -224,20 +228,7 @@ type (
 	Strategy = al.Scorer
 	// LeastConfidence is Eq. (1)'s uncertainty sampling.
 	LeastConfidence = al.LeastConfidence
-	// Margin is the posterior-margin uncertainty variant.
-	Margin = al.Margin
-	// Entropy is the posterior-entropy uncertainty variant.
-	Entropy = al.Entropy
-	// Random is the passive baseline.
-	Random = al.Random
-	// QueryByCommittee scores by committee disagreement.
-	QueryByCommittee = al.QueryByCommittee
-	// ExpectedErrorReduction scores by lookahead uncertainty reduction.
-	ExpectedErrorReduction = al.ExpectedErrorReduction
 )
-
-// NewRandom returns the seeded passive strategy.
-func NewRandom(seed int64) *Random { return al.NewRandom(seed) }
 
 // --- classifiers (internal/learn) ---
 
@@ -246,28 +237,11 @@ type (
 	Classifier = learn.Classifier
 	// DWKNN is the paper's dual weighted k-NN uncertainty estimator.
 	DWKNN = learn.DWKNN
-	// GaussianNB is a Gaussian naive Bayes classifier.
-	GaussianNB = learn.GaussianNB
-	// Logistic is an SGD logistic-regression classifier.
-	Logistic = learn.Logistic
-	// Committee is a bootstrap ensemble of classifiers.
-	Committee = learn.Committee
 )
 
 // NewDWKNN returns a DWKNN with neighborhood size k (0 selects 7) and
 // optional per-dimension distance scales.
 func NewDWKNN(k int, scales []float64) *DWKNN { return learn.NewDWKNN(k, scales) }
-
-// NewGaussianNB returns a Gaussian naive Bayes classifier.
-func NewGaussianNB() *GaussianNB { return learn.NewGaussianNB() }
-
-// NewLogistic returns a seeded logistic-regression classifier.
-func NewLogistic(seed int64) *Logistic { return learn.NewLogistic(seed) }
-
-// NewCommittee builds a bootstrap committee of n members.
-func NewCommittee(n int, seed int64, factory func(i int) Classifier) (*Committee, error) {
-	return learn.NewCommittee(n, seed, factory)
-}
 
 // --- data substrate (internal/dataset) ---
 
