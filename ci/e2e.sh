@@ -172,15 +172,14 @@ done
 for pid in "${runners[@]}"; do
   wait "$pid" || fail "a concurrent session failed (pid $pid)"
 done
-# The stores keep the chunk files they have read open: some, and never
-# more than the store has.
+# The stores hold every data file open, one per (shard, dimension).
 curl -sf "$base/metrics" >"$work/sharded-metrics.txt"
 open_files=$(sed -n 's/^uei_chunkstore_open_files \([0-9]*\)$/\1/p' "$work/sharded-metrics.txt")
 chk_files=$(find "$work/sharded" -name '*.chk' | wc -l)
 [ -n "$open_files" ] || fail "uei_chunkstore_open_files missing from /metrics"
-[ "$open_files" -gt 0 ] && [ "$open_files" -le "$chk_files" ] ||
-  fail "uei_chunkstore_open_files = $open_files after four sessions, want 1..$chk_files"
-echo "open_files=$open_files of $chk_files chunk files"
+[ "$open_files" -eq "$chk_files" ] ||
+  fail "uei_chunkstore_open_files = $open_files after four sessions, want $chk_files"
+echo "open_files=$open_files of $chk_files data files"
 drain "$srv"
 strict_trace sharded.jsonl
 # Every trace id a client saw must root a step trace on the server.
@@ -221,10 +220,10 @@ strict_trace live.jsonl
 
 echo "== old format: refused, naming the rebuild"
 "$bin/uei-ingest" -gen 6000 -chunk 4096 -out "$work/old" >/dev/null
-sed -i 's/"format_version": 2/"format_version": 1/' "$work/old/manifest.json"
-grep -q '"format_version": 1' "$work/old/manifest.json" || fail "the manifest was not rewritten to format 1"
+sed -i 's/"format_version": 3/"format_version": 2/' "$work/old/manifest.json"
+grep -q '"format_version": 2' "$work/old/manifest.json" || fail "the manifest was not rewritten to format 2"
 if "$bin/uei-ingest" -verify "$work/old" >"$work/old.txt" 2>&1; then
-  fail "-verify accepted a format-1 store"
+  fail "-verify accepted a format-2 store"
 fi
 grep -q 'rebuild the store with uei-ingest' "$work/old.txt" || fail "-verify did not name the rebuild: $(cat "$work/old.txt")"
 

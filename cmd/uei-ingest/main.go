@@ -176,8 +176,11 @@ func buildFromCSV(path, out string, chunk int) error {
 	if err != nil {
 		return err
 	}
-	_, err = chunkstore.BuildRows(out, cr.Schema().Names(), cr.Next, chunkstore.BuildOptions{TargetChunkBytes: chunk})
-	return err
+	st, err := chunkstore.BuildRows(out, cr.Schema().Names(), cr.Next, chunkstore.BuildOptions{TargetChunkBytes: chunk})
+	if err != nil {
+		return err
+	}
+	return st.Close()
 }
 
 // followCSV tails a headered numeric CSV into an existing live store:

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -64,8 +65,9 @@ func TestVerifyEveryLayout(t *testing.T) {
 		if err := verifyStore(dir); err != nil {
 			t.Errorf("%s: a freshly built store fails -verify: %v", name, err)
 		}
-		// Damage the last chunk of the layout's last part: one bit of a
-		// value, so the sizes still hold and the CRC does not.
+		// Damage the first chunk of the last data file of the layout's last
+		// part: one bit of a value, so the sizes still hold and the CRC
+		// does not.
 		chunks, err := filepath.Glob(filepath.Join(dir, "*.chk"))
 		if err != nil {
 			t.Fatal(err)
@@ -92,12 +94,12 @@ func TestVerifyEveryLayout(t *testing.T) {
 				t.Errorf("%s: -verify error %q does not name %q", name, err, want)
 			}
 		}
-		// A chunk cut short is the manifest's "bytes".
+		// A data file cut short is refused at open, naming it and its size.
 		if err := os.WriteFile(victim, data[:len(data)-1], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := verifyStore(dir); err == nil || !strings.Contains(err.Error(), filepath.Base(victim)+": bytes") {
-			t.Errorf("%s: -verify over a truncated chunk: err = %v", name, err)
+		if err := verifyStore(dir); err == nil || !strings.Contains(err.Error(), filepath.Base(victim)+fmt.Sprintf(" is %d bytes", len(data)-1)) {
+			t.Errorf("%s: -verify over a truncated data file: err = %v", name, err)
 		}
 	}
 

@@ -285,9 +285,10 @@ func setFormatVersion(t *testing.T, dir string, version int) []string {
 }
 
 // TestErrFormatVersionRoundTrip: a store whose manifests say format 1 —
-// written before chunk version 2 — fails to open with uei.ErrFormatVersion
-// and names the rebuild, on every layout, and a chunk whose header says
-// version 1 is refused by name when it is read.
+// written before chunk version 2 — or format 2 — a file per chunk — fails
+// to open with uei.ErrFormatVersion and names the rebuild, on every
+// layout, and a chunk whose header says version 1 is refused by name when
+// it is read.
 func TestErrFormatVersionRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	_, ds := buildSmallStore(t, 500)
@@ -300,14 +301,16 @@ func TestErrFormatVersionRoundTrip(t *testing.T) {
 		if err := uei.Build(ctx, dir, ds, opts); err != nil {
 			t.Fatal(err)
 		}
-		parts := setFormatVersion(t, dir, 1)
-		if _, err := chunkstore.Open(parts[0], nil); !errors.Is(err, uei.ErrFormatVersion) || !strings.Contains(err.Error(), "uei-ingest") {
-			t.Errorf("%s: chunkstore.Open: err = %v, want ErrFormatVersion naming uei-ingest", name, err)
+		for _, old := range []int{1, 2} {
+			parts := setFormatVersion(t, dir, old)
+			if _, err := chunkstore.Open(parts[0], nil); !errors.Is(err, uei.ErrFormatVersion) || !strings.Contains(err.Error(), "uei-ingest") {
+				t.Errorf("%s format %d: chunkstore.Open: err = %v, want ErrFormatVersion naming uei-ingest", name, old, err)
+			}
+			if _, err := uei.Open(ctx, dir, uei.Options{MemoryBudgetBytes: ds.SizeBytes()}); !errors.Is(err, uei.ErrFormatVersion) {
+				t.Errorf("%s format %d: Open: err = %v, want ErrFormatVersion", name, old, err)
+			}
 		}
-		if _, err := uei.Open(ctx, dir, uei.Options{MemoryBudgetBytes: ds.SizeBytes()}); !errors.Is(err, uei.ErrFormatVersion) {
-			t.Errorf("%s: Open: err = %v, want ErrFormatVersion", name, err)
-		}
-		setFormatVersion(t, dir, 2)
+		setFormatVersion(t, dir, 3)
 		if name != "flat" {
 			continue
 		}
@@ -315,7 +318,7 @@ func TestErrFormatVersionRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join(dir, st.Manifest().Chunks[0][0].File)
+		path := filepath.Join(dir, "d00.chk")
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)

@@ -29,11 +29,7 @@ func withBlockCache(t *testing.T, s *Store, capacity int64) *BlockCache {
 // readChunkDisk is the owning disk read, bypassing any block cache, into
 // storage of its own: what a block-cache miss keeps.
 func (s *Store) readChunkDisk(ctx context.Context, meta ChunkMeta) (Postings, error) {
-	slot, err := s.slot(&meta)
-	if err != nil {
-		return Postings{}, err
-	}
-	return s.readChunkInto(ctx, meta, slot, new(Postings))
+	return s.readChunkInto(ctx, meta, new(Postings))
 }
 
 // TestBlockCacheSingleFlightOneDiskRead is the single-flight stress

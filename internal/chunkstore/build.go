@@ -14,16 +14,17 @@ import (
 	"github.com/uei-db/uei/internal/dataset"
 )
 
-// BuildRows is the one writer of chunk files: every store — a dataset, a
+// BuildRows is the one writer of data files: every store — a dataset, a
 // streamed CSV, a shard's partition, a live flush or compaction — is
 // written by it (Algorithm 2 lines 2-6). One pass over the rows appends
 // each value with its row id to its dimension's pair buffer; a buffer that
 // reaches spillPairs is sorted and spilled to a run file. Then, dimension
 // by dimension, a k-way merge of the runs and the sorted residual buffer
 // streams the pairs in (value, id) order into entries, which chunkCutter
-// cuts into equal-size chunk files. Memory stays bounded by spillPairs
-// pairs per dimension whatever the input size: the paper's dataset is 100x
-// the available memory before it is ever indexed.
+// cuts into equal-size chunks appended to the dimension's data file.
+// Memory stays bounded by spillPairs pairs per dimension whatever the
+// input size: the paper's dataset is 100x the available memory before it
+// is ever indexed.
 
 // spillThreshold is the number of (value, id) pairs one dimension buffers
 // before it spills a sorted run: 16 MiB a dimension.
@@ -72,7 +73,7 @@ func BuildIndexed(dir string, columns []string, n int, row func(i int) []float64
 // BuildRows creates a chunk store in dir (which must be empty or absent)
 // from a single pass over rows, each holding one value per column. A row
 // with the wrong number of values or a non-finite value fails the build
-// before any chunk file is written.
+// before any data file is written.
 func BuildRows(dir string, columns []string, rows RowIterator, opts BuildOptions) (*Store, error) {
 	return buildRows(dir, columns, rows, 0, opts)
 }
@@ -155,29 +156,45 @@ func buildRows(dir string, columns []string, rows RowIterator, sizeHint int, opt
 		MaxValues:        maxVals,
 	}
 	for d := 0; d < dims; d++ {
-		merged, cleanup, err := w.merged(d)
-		if err != nil {
-			return nil, err
-		}
-		metas, err := writeChunksFromPairs(dir, d, target, merged)
-		cleanup()
+		metas, err := w.writeDataFile(dir, d, target)
 		if err != nil {
 			return nil, err
 		}
 		w.bufs[d] = nil
 		m.Chunks[d] = metas
 	}
+	if err := m.validate(); err != nil {
+		return nil, err
+	}
 	if err := saveManifest(dir, m); err != nil {
 		return nil, err
 	}
-	return newStore(dir, m, opts.Limiter), nil
+	return newStore(dir, m, opts.Limiter)
+}
+
+// writeDataFile writes dimension d's data file from the merge of its pairs.
+func (w *writer) writeDataFile(dir string, d, target int) ([]ChunkMeta, error) {
+	merged, cleanup, err := w.merged(d)
+	if err != nil {
+		return nil, err
+	}
+	defer cleanup()
+	f, err := os.Create(filepath.Join(dir, dataFileName(d)))
+	if err != nil {
+		return nil, fmt.Errorf("chunkstore: create data file: %w", err)
+	}
+	metas, err := writeChunksFromPairs(f, d, target, merged)
+	if cerr := f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("chunkstore: close data file: %w", cerr)
+	}
+	return metas, err
 }
 
 // writeChunksFromPairs groups a (value,id)-sorted pair stream into entries
-// and cuts them into chunks. The open entry's posting list lives in one
-// buffer the cutter copies from, so no posting allocates.
-func writeChunksFromPairs(dir string, dim, target int, next func() (pair, bool, error)) ([]ChunkMeta, error) {
-	cut := chunkCutter{dir: dir, dim: dim, target: target}
+// and cuts them into chunks appended to dst. The open entry's posting list
+// lives in one buffer the cutter copies from, so no posting allocates.
+func writeChunksFromPairs(dst io.Writer, dim, target int, next func() (pair, bool, error)) ([]ChunkMeta, error) {
+	cut := chunkCutter{w: dst, dim: dim, target: target}
 	var cur Entry // no current entry while cur.Rows is empty
 	for {
 		p, ok, err := next()

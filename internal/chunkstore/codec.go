@@ -13,7 +13,7 @@ import (
 	"github.com/uei-db/uei/internal/kernel"
 )
 
-// Chunk file layout, version 2 (little endian):
+// Chunk layout, version 2 (little endian), one chunk of a data file:
 //
 //	magic    [4]byte  "UEIC"
 //	version  uint16   2
@@ -44,7 +44,7 @@ const (
 	minEntrySize = 8 + 1
 )
 
-// ChunkVersion is the one chunk file version this package writes and
+// ChunkVersion is the one chunk version this package writes and
 // reads.
 const ChunkVersion = 2
 
@@ -243,7 +243,7 @@ func (p Postings) Entries() []Entry {
 	return out
 }
 
-// decodeChunk parses a chunk file and verifies its CRC. It returns the
+// decodeChunk parses a chunk and verifies its CRC. It returns the
 // dimension the chunk belongs to and its postings, in storage of their own
 // but for a one-row chunk's Ends, the shared identity column.
 func decodeChunk(data []byte) (dim int, p Postings, err error) {

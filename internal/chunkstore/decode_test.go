@@ -9,6 +9,8 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -390,27 +392,46 @@ func BenchmarkDecodeChunk(b *testing.B) {
 	}
 }
 
-// BenchmarkChunkRead reads each benchChunkShapes chunk from its file
+// oneChunkStore writes entries as the one chunk of a one-column store of
+// benchChunkShapes' 50 000 rows in dir, and opens it.
+func oneChunkStore(t testing.TB, dir string, entries []Entry) *Store {
+	t.Helper()
+	f, err := os.Create(filepath.Join(dir, dataFileName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := cutOne(t, f, 0, entries)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m := &Manifest{
+		FormatVersion: manifestFormatVersion,
+		Columns:       []string{"x"},
+		RowCount:      50_000,
+		Chunks:        [][]ChunkMeta{{meta}},
+		MinValues:     []float64{meta.MinValue},
+		MaxValues:     []float64{meta.MaxValue},
+	}
+	if err := m.validate(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := newStore(dir, m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// BenchmarkChunkRead reads each benchChunkShapes chunk from its data file
 // through a Store with no block cache, as every chunk of a cold cell load
-// is read: the handle lookup, the pread, the CRC and the decode into
+// is read: the manifest check, the pread, the CRC and the decode into
 // pooled postings. Less BenchmarkDecodeChunk's reused time of the same
 // shape, it is the fixed cost of a read. Run it at -cpu 1.
 func BenchmarkChunkRead(b *testing.B) {
 	ctx := context.Background()
 	for _, shape := range benchChunkShapes(b) {
-		dir := b.TempDir()
-		meta, err := writeChunkFile(dir, 0, 0, shape.entries)
-		if err != nil {
-			b.Fatal(err)
-		}
-		st := newStore(dir, &Manifest{
-			FormatVersion: manifestFormatVersion,
-			Columns:       []string{"x"},
-			RowCount:      50_000,
-			Chunks:        [][]ChunkMeta{{meta}},
-			MinValues:     []float64{meta.MinValue},
-			MaxValues:     []float64{meta.MaxValue},
-		}, nil)
+		st := oneChunkStore(b, b.TempDir(), shape.entries)
+		meta := st.manifest.Chunks[0][0]
 		metas := []ChunkMeta{meta}
 		visit := func(ChunkMeta, Postings) error { return nil }
 		b.Run(shape.name, func(b *testing.B) {

@@ -1,14 +1,20 @@
 // Package chunkstore implements UEI's secondary-storage layout (§3.1,
 // Figure 2): the dataset is vertically decomposed; each dimension is sorted
 // ascending and stored as an inverted index of <value, {row ids}> postings;
-// the postings of each dimension are split into equal-size chunks, each a
-// separate file on disk, with values in strictly increasing order across a
-// dimension's chunk sequence. A JSON manifest records, per chunk, its file,
-// entry count, and value range, which is what the grid's mapping method m
-// consults to find the chunks that rebuild a subspace.
+// the postings of each dimension are split into equal-size chunks, with
+// values in strictly increasing order across a dimension's chunk sequence.
+// Where the paper keeps each chunk in a file of its own, a store keeps a
+// dimension's chunks back to back, in sequence order, in one data file
+// (d<dim>.chk); the chunk stays the unit of read, CRC and decode. A JSON
+// manifest records, per chunk, its size, entry count and value range, from
+// which the loader derives its extent; the range is what the grid's
+// mapping method m consults to find the chunks that rebuild a subspace.
 package chunkstore
 
-import "fmt"
+import (
+	"fmt"
+	"io"
+)
 
 // Entry is one inverted-index posting: a distinct attribute value and the
 // ascending ids of the rows holding it.
@@ -17,11 +23,11 @@ type Entry struct {
 	Rows  []uint32
 }
 
-// chunkCutter splits one dimension's ascending entries into chunk files:
-// it cuts as soon as the exact encoded payload of the pending entries, at
-// the widths they need so far, reaches the target.
+// chunkCutter splits one dimension's ascending entries into chunks, which
+// it appends to w: it cuts as soon as the exact encoded payload of the
+// pending entries, at the widths they need so far, reaches the target.
 type chunkCutter struct {
-	dir         string
+	w           io.Writer
 	dim, target int
 	metas       []ChunkMeta
 	// pending holds the entries of the chunk being cut. Their posting
@@ -61,11 +67,22 @@ func (k *chunkCutter) flush() error {
 	if len(k.pending) == 0 {
 		return nil
 	}
-	meta, err := writeChunkFile(k.dir, k.dim, len(k.metas), k.pending)
+	data, err := encodeChunk(k.dim, k.pending)
 	if err != nil {
 		return err
 	}
-	k.metas = append(k.metas, meta)
+	if _, err := k.w.Write(data); err != nil {
+		return fmt.Errorf("chunkstore: write dimension %d chunk %d: %w", k.dim, len(k.metas), err)
+	}
+	k.metas = append(k.metas, ChunkMeta{
+		Dim:      k.dim,
+		Seq:      len(k.metas),
+		Entries:  len(k.pending),
+		RowRefs:  len(k.ids),
+		MinValue: k.pending[0].Value,
+		MaxValue: k.pending[len(k.pending)-1].Value,
+		Bytes:    int64(len(data)),
+	})
 	k.pending, k.ids, k.maxID, k.maxCount = k.pending[:0], k.ids[:0], 0, 0
 	return nil
 }

@@ -262,9 +262,11 @@ func FuzzDecodeResealed(f *testing.F) {
 }
 
 // FuzzLoadManifest feeds JSON bodies to the manifest loader, which must
-// return without panicking; a manifest it accepts names every chunk as
-// writeChunkFile does, files it under its own dimension and sequence, and keeps
-// each dimension's value ranges disjoint and ascending.
+// return without panicking; in a manifest it accepts, each dimension's
+// chunks are filed under their own dimension and sequence, carry the name
+// the loader gives them — whatever "file" key the JSON holds — and extents
+// that tile [0, Σ Bytes) of the data file without overflow, and keep their
+// value ranges disjoint and ascending.
 func FuzzLoadManifest(f *testing.F) {
 	st, _ := lumpyStore(f, 300, 2, 40, 128, 1)
 	good, err := json.Marshal(st.manifest)
@@ -272,19 +274,24 @@ func FuzzLoadManifest(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(good)
-	f.Add(bytes.Replace(good, []byte(`"format_version":2`), []byte(`"format_version":1`), 1))
-	f.Add(bytes.Replace(good, []byte(`"d00_c00001.chk"`), []byte(`"../x"`), 1))
-	f.Add([]byte(`{"format_version":2,"columns":["a"],"row_count":1,"chunks":[[{"file":"d00_c00000.chk","entries":1,"row_refs":1,"bytes":49}]],"min_values":[0],"max_values":[0]}`))
+	f.Add(bytes.Replace(good, []byte(`"format_version":3`), []byte(`"format_version":2`), 1))
+	f.Add(bytes.Replace(good, []byte(`{"dim":0,"seq":1,`), []byte(`{"file":"../x","dim":0,"seq":1,`), 1))
+	f.Add([]byte(`{"format_version":3,"columns":["a"],"row_count":1,"chunks":[[{"dim":0,"seq":0,"entries":1,"row_refs":1,"bytes":49}]],"min_values":[0],"max_values":[0]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := parseManifest(data)
 		if err != nil {
 			return
 		}
 		for d, chunks := range m.Chunks {
+			var end int64
 			for i, c := range chunks {
-				if c.File != chunkFileName(d, i) || c.Dim != d || c.Seq != i {
+				if c.File != chunkName(d, i) || c.Dim != d || c.Seq != i {
 					t.Fatalf("accepted chunk %q (dim %d seq %d) at [%d][%d]", c.File, c.Dim, c.Seq, d, i)
 				}
+				if c.Offset != end || c.Bytes <= 0 || c.Bytes > math.MaxInt64-end {
+					t.Fatalf("accepted dimension %d chunk %d at [%d, +%d) after extents ending at %d", d, i, c.Offset, c.Bytes, end)
+				}
+				end += c.Bytes
 				if !(c.MinValue <= c.MaxValue) || i > 0 && !(chunks[i-1].MaxValue < c.MinValue) {
 					t.Fatalf("accepted dimension %d chunk %d over [%g, %g] after one ending at %g", d, i, c.MinValue, c.MaxValue, chunks[max(i-1, 0)].MaxValue)
 				}

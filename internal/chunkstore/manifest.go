@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 )
@@ -12,11 +13,18 @@ import (
 // directory.
 const manifestFile = "manifest.json"
 
-// ChunkMeta describes one chunk file without reading it. The grid mapping m
-// works entirely on ChunkMeta value ranges.
+// ChunkMeta describes one chunk without reading it: its extent in its
+// dimension's data file and what it holds. The grid mapping m works
+// entirely on ChunkMeta value ranges.
 type ChunkMeta struct {
-	// File is the chunk file name relative to the store directory.
-	File string `json:"file"`
+	// File is the chunk's name, d<dim>_c<seq>, unique within its store: it
+	// names the chunk in errors and keys it in the block cache. Offset is
+	// where the chunk starts in its dimension's data file, the Bytes of the
+	// chunks before it summed. The loader derives both; the manifest stores
+	// neither, so no manifest can name a path or describe extents that
+	// overlap or leave gaps.
+	File   string `json:"-"`
+	Offset int64  `json:"-"`
 	// Dim is the dimension the chunk belongs to.
 	Dim int `json:"dim"`
 	// Seq is the chunk's position in its dimension's ordered sequence.
@@ -31,7 +39,7 @@ type ChunkMeta struct {
 	// (inclusive).
 	MinValue float64 `json:"min_value"`
 	MaxValue float64 `json:"max_value"`
-	// Bytes is the on-disk file size.
+	// Bytes is the chunk's encoded size: its extent's length.
 	Bytes int64 `json:"bytes"`
 }
 
@@ -54,14 +62,22 @@ type Manifest struct {
 }
 
 // manifestFormatVersion is bumped on incompatible layout changes. Format 2
-// is the first whose chunks are chunk version 2.
-const manifestFormatVersion = 2
+// is the first whose chunks are chunk version 2, format 3 the first that
+// keeps each dimension's chunks back to back in one data file.
+const manifestFormatVersion = 3
 
 // ErrFormatVersion reports a store written in a format this program does
 // not read; the remedy is to rebuild it. Match with errors.Is.
 var ErrFormatVersion = errors.New("unsupported store format")
 
-// validate checks internal consistency after load.
+// chunkName is the name the loader gives chunk seq of dimension dim.
+func chunkName(dim, seq int) string { return fmt.Sprintf("d%02d_c%05d", dim, seq) }
+
+// dataFileName is the file holding dimension dim's chunks.
+func dataFileName(dim int) string { return fmt.Sprintf("d%02d.chk", dim) }
+
+// validate checks internal consistency and derives every chunk's File and
+// Offset. Build runs it too, before it saves the manifest.
 func (m *Manifest) validate() error {
 	if m.FormatVersion != manifestFormatVersion {
 		return fmt.Errorf("chunkstore: manifest format %d, want %d (rebuild the store with uei-ingest): %w", m.FormatVersion, manifestFormatVersion, ErrFormatVersion)
@@ -80,11 +96,12 @@ func (m *Manifest) validate() error {
 		if m.RowCount > 0 && len(chunks) == 0 {
 			return fmt.Errorf("chunkstore: dimension %d has no chunks", d)
 		}
-		for i, c := range chunks {
-			// The one name writeChunkFile gives it: never a path out of
-			// the directory, never two records over one file or cache key.
-			if c.Dim != d || c.Seq != i || c.File != chunkFileName(d, i) {
-				return fmt.Errorf("chunkstore: chunk %q misfiled (dim %d seq %d at [%d][%d])", c.File, c.Dim, c.Seq, d, i)
+		var off int64
+		for i := range chunks {
+			c := &chunks[i]
+			c.File, c.Offset = chunkName(d, i), off
+			if c.Dim != d || c.Seq != i {
+				return fmt.Errorf("chunkstore: chunk %s misfiled (dim %d seq %d)", c.File, c.Dim, c.Seq)
 			}
 			if c.Entries < 1 || c.RowRefs < c.Entries {
 				return fmt.Errorf("chunkstore: chunk %s has an impossible count (entries %d, row refs %d)", c.File, c.Entries, c.RowRefs)
@@ -92,6 +109,10 @@ func (m *Manifest) validate() error {
 			if c.Bytes < headerSize+4+minEntrySize {
 				return fmt.Errorf("chunkstore: chunk %s is %d bytes, below the %d of a header, a checksum and one entry", c.File, c.Bytes, headerSize+4+minEntrySize)
 			}
+			if c.Bytes > math.MaxInt64-off {
+				return fmt.Errorf("chunkstore: chunk %s ends past the largest file offset", c.File)
+			}
+			off += c.Bytes
 			if c.MinValue > c.MaxValue {
 				return fmt.Errorf("chunkstore: chunk %s has inverted range", c.File)
 			}

@@ -168,7 +168,7 @@ func FuzzMergeChunks(f *testing.F) {
 			e := entries[int(r.next())%len(entries)]
 			id := e.Rows[int(r.next())%len(e.Rows)]
 			entries = append(entries, Entry{Value: entries[len(entries)-1].Value + float64(1+int(r.next())%3), Rows: []uint32{id}})
-			overwriteChunk(t, st, meta, entries)
+			spliceChunk(t, st, meta, entries)
 			rebuilt = true
 		}
 

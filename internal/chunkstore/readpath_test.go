@@ -18,57 +18,78 @@ import (
 	"github.com/uei-db/uei/internal/vec"
 )
 
-// TestReadChunkRefusesResizedFile: a chunk file that is not the size the
-// manifest records is refused by name before a byte is read — an over-long
-// one without allocating its size (the file here is 256 MiB, sparse), a
-// truncated one without a short read — on every read path, and the store
-// reads exactly again once the file is restored.
+// TestReadChunkRefusesResizedFile: a data file resized under an open store
+// is refused by name. Cut short, every read path fails at the first chunk
+// whose extent is past the cut, naming it and its file; grown (to 256 MiB,
+// sparse), the store still reads its extents exactly, and a reopen refuses
+// it without allocating its size. The store reads exactly again once the
+// file is restored.
 func TestReadChunkRefusesResizedFile(t *testing.T) {
 	ctx := context.Background()
 	st, ds := buildTestStore(t, 500, 4)
-	meta := st.Manifest().Chunks[1][0]
-	path := filepath.Join(st.dir, meta.File)
+	path := filepath.Join(st.dir, "d01.chk")
 	whole, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refused := func(size int64) {
+	exact := func(what string) {
 		t.Helper()
-		want := fmt.Sprintf("chunkstore: chunk %s is %d bytes, manifest says %d", meta.File, size, meta.Bytes)
+		rows, _, err := st.MergeRegion(ctx, st.Bounds())
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		requireRows(t, what, rows, ds, ds.Select(st.Bounds()))
+	}
+	reopenRefused := func(size int64) {
+		t.Helper()
+		want := fmt.Sprintf("chunkstore: data file %s is %d bytes, its chunks in the manifest %d", path, size, len(whole))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := st.ReadChunk(ctx, meta)
+		_, err := Open(st.dir, nil)
 		runtime.ReadMemStats(&after)
 		if err == nil || err.Error() != want {
-			t.Fatalf("ReadChunk of a %d-byte file: err = %v, want %q", size, err, want)
+			t.Fatalf("Open over a %d-byte file: err = %v, want %q", size, err, want)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 			t.Fatalf("refusing a %d-byte file allocated %d bytes", size, grew)
 		}
-		if _, _, err := st.MergeRegion(ctx, st.Bounds()); err == nil || err.Error() != want {
-			t.Fatalf("MergeRegion over a %d-byte file: err = %v, want %q", size, err, want)
-		}
-		if _, err := st.FetchRows(ctx, []uint32{1}); err == nil || err.Error() != want {
-			t.Fatalf("FetchRows over a %d-byte file: err = %v, want %q", size, err, want)
-		}
 	}
+
 	if err := os.Truncate(path, 256<<20); err != nil {
 		t.Fatal(err)
 	}
-	refused(256 << 20)
-	if err := os.WriteFile(path, whole[:len(whole)/2], 0o644); err != nil {
+	exact("merge over a grown file")
+	reopenRefused(256 << 20)
+
+	cut := int64(len(whole) / 2)
+	if err := os.WriteFile(path, whole[:cut], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	refused(int64(len(whole) / 2))
+	chunks := st.Manifest().Chunks[1]
+	i := 0
+	for chunks[i].Offset+chunks[i].Bytes <= cut {
+		i++
+	}
+	victim := chunks[i]
+	want := fmt.Sprintf("chunkstore: read chunk %s of d01.chk: read %d bytes of %d at %d", victim.File, cut-victim.Offset, victim.Bytes, victim.Offset)
+	if _, err := st.ReadChunk(ctx, victim); err == nil || err.Error() != want {
+		t.Fatalf("ReadChunk past the cut: err = %v, want %q", err, want)
+	}
+	if _, err := st.ReadChunk(ctx, chunks[0]); err != nil {
+		t.Fatalf("ReadChunk before the cut: %v", err)
+	}
+	if _, _, err := st.MergeRegion(ctx, st.Bounds()); err == nil || err.Error() != want {
+		t.Fatalf("MergeRegion over a cut file: err = %v, want %q", err, want)
+	}
+	if _, err := st.FetchRows(ctx, []uint32{1}); err == nil || err.Error() != want {
+		t.Fatalf("FetchRows over a cut file: err = %v, want %q", err, want)
+	}
+	reopenRefused(cut)
 
 	if err := os.WriteFile(path, whole, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := st.MergeRegion(ctx, st.Bounds())
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireRows(t, "merge after the file is restored", rows, ds, ds.Select(st.Bounds()))
+	exact("merge after the file is restored")
 }
 
 // clonePostings copies p into storage of its own, as a fresh decode leaves

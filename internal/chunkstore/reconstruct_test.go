@@ -206,19 +206,6 @@ func TestReconstructAgainstBruteForce(t *testing.T) {
 	}
 }
 
-// overwriteChunk replaces a chunk file with hand-built entries and keeps
-// the manifest's record of it true (a file of another size or header is
-// refused before the merge these tests are after).
-func overwriteChunk(t *testing.T, st *Store, meta ChunkMeta, entries []Entry) ChunkMeta {
-	t.Helper()
-	meta, err := writeChunkFile(st.dir, meta.Dim, meta.Seq, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.manifest.Chunks[meta.Dim][meta.Seq] = meta
-	return meta
-}
-
 // TestReconstructRejectsBadRowIDs: a posting id at or beyond RowCount —
 // which, repeated on every dimension, used to come back as a row that does
 // not exist — is an error on both paths, and so is a dimensionality the
@@ -229,7 +216,7 @@ func TestReconstructRejectsBadRowIDs(t *testing.T) {
 		t.Run(path, func(t *testing.T) {
 			st, ds := lumpyStore(t, 30, 1, 3, 4096, 5)
 			meta := st.Manifest().Chunks[0][0]
-			meta = overwriteChunk(t, st, meta, []Entry{{Value: 1, Rows: []uint32{2, 30}}})
+			meta = spliceChunk(t, st, meta, []Entry{{Value: 1, Rows: []uint32{2, 30}}})
 			bounds, _ := ds.Bounds()
 			var err error
 			if path == "MergeChunks" {
@@ -296,7 +283,7 @@ func cancelAtChunk(k int) context.Context {
 // TestReconstructSurvivesFailures: a reconstruction cancelled at every
 // possible chunk — between two chunks of dimension 0, which opens the
 // candidates, and of a later, member-filtered dimension — or stopped by a
-// chunk file truncated under it, returns the error, leaves the pooled
+// data file truncated under it, returns the error, leaves the pooled
 // scratch zeroed, and the next one is exact.
 func TestReconstructSurvivesFailures(t *testing.T) {
 	st, ds := lumpyStore(t, 800, 3, 10, 256, 9)
@@ -342,12 +329,13 @@ func TestReconstructSurvivesFailures(t *testing.T) {
 	}
 
 	// The last chunk of the last dimension: everything before it landed.
-	victim := filepath.Join(st.dir, chunks[len(chunks)-1].File)
+	last := chunks[len(chunks)-1]
+	victim := filepath.Join(st.dir, dataFileName(last.Dim))
 	whole, err := os.ReadFile(victim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(victim, whole[:len(whole)/2], 0o644); err != nil {
+	if err := os.WriteFile(victim, whole[:last.Offset+last.Bytes/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := st.MergeChunks(context.Background(), box, chunks); err == nil {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,30 +49,29 @@ type BuildOptions struct {
 }
 
 // BlockCache is the store's shared decoded-chunk cache type: decoded
-// chunks keyed by chunk file name, SIEVE-evicted under a byte budget, with
+// chunks keyed by chunk name, SIEVE-evicted under a byte budget, with
 // single-flight miss deduplication.
 type BlockCache = blockcache.Cache[Postings]
 
 // NewBlockCache builds a decoded-chunk cache over a byte-budget ledger.
 // Install it with SetBlockCache; one cache may back many stores as long as
-// their chunk file names cannot collide (stores over distinct directories
+// their chunk names cannot collide (stores over distinct directories
 // should use distinct caches).
 func NewBlockCache(budget *memcache.Budget) (*BlockCache, error) {
 	return blockcache.New[Postings](budget)
 }
 
 // Store is an opened chunk store. Reads are safe for concurrent use; the
-// store's mutable state is its I/O counters, the chunk files it has read
-// (held open until Close, within maxHeldFiles) and the optional shared
-// block cache installed before first use.
+// store's mutable state is its I/O counters and the optional shared block
+// cache installed before first use.
 type Store struct {
 	dir      string
 	manifest *Manifest
 	limiter  *iothrottle.Limiter
-	// files[dim][seq] is the open handle of that manifest chunk: empty
-	// until the chunk's first read, emptied again by Close. A store that
-	// never reads a chunk never opens its file.
-	files  [][]atomic.Pointer[handle]
+	// files[dim] is dimension dim's data file, open from Open to Close;
+	// nil for a dimension without chunks. held counts the open ones.
+	files  []*os.File
+	held   int
 	closed atomic.Bool
 	// cache, when non-nil, holds decoded chunks so every consumer —
 	// session views, the ordered read pipeline, the prefetcher — shares
@@ -83,8 +81,8 @@ type Store struct {
 	// pipeline (ReadChunksOrdered); <= 1 means fully sequential.
 	workers int
 	// cachePrefix namespaces this store's block-cache keys. Shard stores
-	// reuse the same chunk file names (d00_c00000.chk, ...), so sharing one
-	// cache across shards requires a distinct prefix per store.
+	// reuse the same chunk names (d00_c00000, ...), so sharing one cache
+	// across shards requires a distinct prefix per store.
 	cachePrefix string
 
 	bytesRead  atomic.Int64
@@ -102,79 +100,44 @@ type Store struct {
 	gFiles     *obs.Gauge
 }
 
-// handle is a chunk file a store holds open, with the open-files gauge
-// that counted it (nil when the store was not yet instrumented), so its
-// release uncounts exactly what its open counted.
-type handle struct {
-	f     *os.File
-	gauge *obs.Gauge
-}
-
-// heldFiles counts the chunk files every store of the process holds open.
-// maxHeldFiles bounds it to half the process's descriptor limit, leaving
-// the rest to the program's sockets, logs and segment writes: a first read
-// past the bound reads through a handle of its own and closes it, so
-// however many chunks the open stores have, they never exhaust the
-// process's descriptors.
-var (
-	heldFiles    atomic.Int64
-	maxHeldFiles atomic.Int64
-)
-
-func init() { maxHeldFiles.Store(openFileLimit() / 2) }
-
-// release closes a held handle and uncounts it.
-func (h *handle) release() error {
-	heldFiles.Add(-1)
-	h.gauge.Add(-1)
-	return h.f.Close()
-}
-
-// newStore is the one constructor of an open store over manifest m: one
-// empty handle slot per chunk. A store its opener drops without Close
-// releases its handles when it is collected.
-func newStore(dir string, m *Manifest, limiter *iothrottle.Limiter) *Store {
-	n := 0
-	for _, chunks := range m.Chunks {
-		n += len(chunks)
-	}
-	slots := make([]atomic.Pointer[handle], n)
-	files := make([][]atomic.Pointer[handle], len(m.Chunks))
+// newStore is the one constructor of an open store over manifest m, whose
+// validate has run: it opens the data file of every dimension that has
+// chunks and refuses one whose size is not its chunks' Bytes summed, with
+// one fstat, before any buffer is sized.
+func newStore(dir string, m *Manifest, limiter *iothrottle.Limiter) (*Store, error) {
+	s := &Store{dir: dir, manifest: m, limiter: limiter, files: make([]*os.File, len(m.Chunks))}
 	for d, chunks := range m.Chunks {
-		files[d], slots = slots[:len(chunks):len(chunks)], slots[len(chunks):]
+		if len(chunks) == 0 {
+			continue
+		}
+		last := chunks[len(chunks)-1]
+		f, err := openDataFile(filepath.Join(dir, dataFileName(d)), last.Offset+last.Bytes)
+		if err != nil {
+			s.Close()
+			return nil, err
+		}
+		s.files[d] = f
+		s.held++
 	}
-	s := &Store{dir: dir, manifest: m, limiter: limiter, files: files}
-	runtime.SetFinalizer(s, (*Store).Close)
-	return s
+	return s, nil
 }
 
-// chunkFileName is the one name a store gives chunk seq of dimension dim.
-func chunkFileName(dim, seq int) string { return fmt.Sprintf("d%02d_c%05d.chk", dim, seq) }
-
-// writeChunkFile encodes and persists one chunk, returning its metadata.
-func writeChunkFile(dir string, dim, seq int, entries []Entry) (ChunkMeta, error) {
-	name := chunkFileName(dim, seq)
-	data, err := encodeChunk(dim, entries)
+// openDataFile opens a dimension's data file and checks it holds size
+// bytes.
+func openDataFile(path string, size int64) (*os.File, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return ChunkMeta{}, err
+		return nil, fmt.Errorf("chunkstore: open data file: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-		return ChunkMeta{}, fmt.Errorf("chunkstore: write chunk %s: %w", name, err)
+	st, err := f.Stat()
+	if err == nil && st.Size() != size {
+		err = fmt.Errorf("chunkstore: data file %s is %d bytes, its chunks in the manifest %d", path, st.Size(), size)
 	}
-	refs := 0
-	for _, e := range entries {
-		refs += len(e.Rows)
+	if err != nil {
+		f.Close()
+		return nil, err
 	}
-	return ChunkMeta{
-		File:     name,
-		Dim:      dim,
-		Seq:      seq,
-		Entries:  len(entries),
-		RowRefs:  refs,
-		MinValue: entries[0].Value,
-		MaxValue: entries[len(entries)-1].Value,
-		Bytes:    int64(len(data)),
-	}, nil
+	return f, nil
 }
 
 // Open loads an existing store's manifest. limiter may be nil for
@@ -191,11 +154,11 @@ func Open(dir string, limiter *iothrottle.Limiter) (*Store, error) {
 		}
 		return nil, err
 	}
-	return newStore(dir, m, limiter), nil
+	return newStore(dir, m, limiter)
 }
 
 // BuildEmpty writes a valid zero-row store into dir: a manifest carrying
-// the schema and (externally supplied) bounds, and no chunk files. Sharded
+// the schema and (externally supplied) bounds, and no data files. Sharded
 // builds use it for shards that own no rows, so every shard directory
 // opens uniformly; BuildRows keeps refusing an empty input for
 // user-facing stores.
@@ -218,10 +181,13 @@ func BuildEmpty(dir string, columns []string, bounds vec.Box, targetChunkBytes i
 		MinValues:        append([]float64(nil), bounds.Min...),
 		MaxValues:        append([]float64(nil), bounds.Max...),
 	}
+	if err := m.validate(); err != nil {
+		return nil, err
+	}
 	if err := saveManifest(dir, m); err != nil {
 		return nil, err
 	}
-	return newStore(dir, m, nil), nil
+	return newStore(dir, m, nil)
 }
 
 // Manifest returns the store's metadata. Callers must treat it as
@@ -283,11 +249,12 @@ func (s *Store) ChunksOverlapping(dim int, lo, hi float64) ([]ChunkMeta, error) 
 // chunkstore_read_bytes_total, chunkstore_chunk_opens_total (chunk reads
 // from disk), the per-chunk read latency histogram
 // chunkstore_chunk_read_seconds (the pread alone: neither the throttle's
-// wait nor the decode), and the gauge uei_chunkstore_open_files, the chunk
-// files every store instrumented on the registry holds open. Whoever
-// opens the store calls it before its first read and before sharing it;
-// the first registry wins and later calls are no-ops, so a reader handed
-// an already-shared store (a coordinator rebuilt over live segments other
+// wait nor the decode), and the gauge uei_chunkstore_open_files, the data
+// files every store instrumented on the registry holds open: this store's
+// count from now until its Close. Whoever opens the store calls it before
+// its first read and before sharing it; the first registry wins and later
+// calls, and calls after Close, are no-ops, so a reader handed an
+// already-shared store (a coordinator rebuilt over live segments other
 // epochs still read) cannot race the read path by instrumenting it again.
 func (s *Store) Instrument(reg *obs.Registry) {
 	s.instrument.Do(func() {
@@ -295,6 +262,7 @@ func (s *Store) Instrument(reg *obs.Registry) {
 		s.mChunks = reg.Counter("chunkstore_chunk_opens_total")
 		s.hRead = reg.Histogram("chunkstore_chunk_read_seconds", nil)
 		s.gFiles = reg.Gauge("uei_chunkstore_open_files")
+		s.gFiles.Add(float64(s.held))
 	})
 }
 
@@ -313,7 +281,7 @@ func (s *Store) SetBlockCache(c *BlockCache) { s.cache = c }
 func (s *Store) BlockCache() *BlockCache { return s.cache }
 
 // SetCacheKeyPrefix namespaces this store's entries in a shared block
-// cache. Stores over distinct directories produce identical chunk file
+// cache. Stores over distinct directories give their chunks identical
 // names, so a cache shared between them (the sharded layout) must be
 // installed with a unique prefix per store. Like SetBlockCache it must be
 // called before reads begin.
@@ -339,48 +307,34 @@ func (s *Store) ReadChunk(ctx context.Context, meta ChunkMeta) ([]Entry, error) 
 // which then owns the decoded chunk, otherwise into p. A miss decodes into
 // storage of its own sized exactly from the header (three allocations),
 // which is what the cache keeps. Every read, a cache hit too, first holds
-// m to the manifest's own record of its slot and fails once the store is
-// closed.
+// m to the manifest's own record of its chunk — callers of ReadChunk and
+// MergeChunks supply their own — and fails once the store is closed.
 func (s *Store) readChunkFor(ctx context.Context, m ChunkMeta, p *Postings) (Postings, error) {
-	slot, err := s.slot(&m)
-	if err != nil {
-		return Postings{}, err
+	if s.closed.Load() {
+		return Postings{}, fmt.Errorf("chunkstore: store %s is closed", s.dir)
+	}
+	d, q := m.Dim, m.Seq
+	if d < 0 || d >= len(s.files) || q < 0 || q >= len(s.manifest.Chunks[d]) || m != s.manifest.Chunks[d][q] {
+		return Postings{}, fmt.Errorf("chunkstore: chunk %s (dim %d seq %d) is not the manifest's record of %s", m.File, d, q, s.dir)
 	}
 	if s.cache == nil {
-		return s.readChunkInto(ctx, m, slot, p)
+		return s.readChunkInto(ctx, m, p)
 	}
 	return s.cache.GetOrLoad(ctx, s.cachePrefix+m.File, func(ctx context.Context) (Postings, int64, error) {
-		p, err := s.readChunkInto(ctx, m, slot, new(Postings))
+		p, err := s.readChunkInto(ctx, m, new(Postings))
 		return p, p.Bytes(), err
 	})
 }
 
-// slot returns the handle slot of the chunk meta names, refusing a meta
-// that is not the manifest's record for it — callers of ReadChunk and
-// MergeChunks supply their own — so no file outside the manifest, or of
-// another size than it records, is ever opened.
-func (s *Store) slot(meta *ChunkMeta) (*atomic.Pointer[handle], error) {
-	if s.closed.Load() {
-		return nil, fmt.Errorf("chunkstore: store %s is closed", s.dir)
-	}
-	d, q := meta.Dim, meta.Seq
-	if d < 0 || d >= len(s.files) || q < 0 || q >= len(s.files[d]) || *meta != s.manifest.Chunks[d][q] {
-		return nil, fmt.Errorf("chunkstore: chunk %s (dim %d seq %d) is not the manifest's record of %s", meta.File, d, q, s.dir)
-	}
-	return &s.files[d][q], nil
-}
-
 // readChunkInto wraps the raw disk read in a "chunk_read" span when the
 // context is traced (the guard is one context lookup, so the untraced
-// hot path stays free). Its bytes are the file's, which a read that
-// succeeds has found to be the manifest's Bytes. The result aliases p
-// until its next decode.
-func (s *Store) readChunkInto(ctx context.Context, meta ChunkMeta, slot *atomic.Pointer[handle], p *Postings) (Postings, error) {
+// hot path stays free). The result aliases p until its next decode.
+func (s *Store) readChunkInto(ctx context.Context, meta ChunkMeta, p *Postings) (Postings, error) {
 	if obs.SpanFromContext(ctx) == nil {
-		return s.readChunkIntoRaw(ctx, meta, slot, p)
+		return s.readChunkIntoRaw(ctx, meta, p)
 	}
 	_, span := obs.StartSpan(ctx, "chunk_read")
-	got, err := s.readChunkIntoRaw(ctx, meta, slot, p)
+	got, err := s.readChunkIntoRaw(ctx, meta, p)
 	attrs := map[string]float64{"dim": float64(meta.Dim), "seq": float64(meta.Seq)}
 	if err != nil {
 		span.SetOutcome("error")
@@ -391,23 +345,17 @@ func (s *Store) readChunkInto(ctx context.Context, meta ChunkMeta, slot *atomic.
 	return got, err
 }
 
-// readChunkIntoRaw is the uncached read path: one pread through the
-// chunk's handle (which checks the size), CRC check, header check against
-// meta, decode into p, I/O accounting. The raw file buffer is recycled as
-// soon as the decode (which copies everything out) finishes.
-func (s *Store) readChunkIntoRaw(ctx context.Context, meta ChunkMeta, slot *atomic.Pointer[handle], p *Postings) (Postings, error) {
+// readChunkIntoRaw is the uncached read path: one pread of the chunk's
+// extent, CRC check, header check against meta, decode into p, I/O
+// accounting. The raw buffer is recycled as soon as the decode (which
+// copies everything out) finishes. A read racing Close fails on the closed
+// file.
+func (s *Store) readChunkIntoRaw(ctx context.Context, meta ChunkMeta, p *Postings) (Postings, error) {
 	if err := ctx.Err(); err != nil {
 		return Postings{}, err
 	}
-	f, held, err := s.file(slot, &meta)
-	if err != nil {
-		return Postings{}, err
-	}
 	start := time.Now()
-	bp, err := readChunkFile(f, &meta)
-	if !held {
-		f.Close()
-	}
+	bp, err := readExtent(s.files[meta.Dim], &meta)
 	if err != nil {
 		return Postings{}, err
 	}
@@ -420,67 +368,27 @@ func (s *Store) readChunkIntoRaw(ctx context.Context, meta ChunkMeta, slot *atom
 	s.mBytes.Add(int64(len(data)))
 	s.mChunks.Inc()
 	if _, err := decodeChunkInto(data, p, &meta); err != nil {
-		return Postings{}, fmt.Errorf("chunkstore: chunk %s: %w", meta.File, err)
+		return Postings{}, fmt.Errorf("chunkstore: chunk %s of %s: %w", meta.File, dataFileName(meta.Dim), err)
 	}
 	return *p, nil
 }
 
-// file returns the chunk's open file, opening it at its first read. The
-// first open checks the file's size against the manifest's with one fstat,
-// before any buffer is sized. Two first reads racing on one chunk each
-// open it; the one whose handle lands in the slot keeps it and the other
-// closes its own, so the store holds one descriptor per chunk it has read.
-// held is false when the process already holds maxHeldFiles chunk files:
-// the caller then reads through f once and closes it.
-func (s *Store) file(slot *atomic.Pointer[handle], meta *ChunkMeta) (f *os.File, held bool, err error) {
-	if h := slot.Load(); h != nil {
-		return h.f, true, nil
-	}
-	f, err = os.Open(filepath.Join(s.dir, meta.File))
-	if err != nil {
-		return nil, false, fmt.Errorf("chunkstore: read chunk %s: %w", meta.File, err)
-	}
-	if err := checkSize(f, meta); err != nil {
-		f.Close()
-		return nil, false, err
-	}
-	if heldFiles.Add(1) > maxHeldFiles.Load() {
-		heldFiles.Add(-1)
-		return f, false, nil
-	}
-	h := &handle{f: f, gauge: s.gFiles}
-	h.gauge.Add(1)
-	if !slot.CompareAndSwap(nil, h) {
-		h.release()
-		if h = slot.Load(); h == nil {
-			return nil, false, fmt.Errorf("chunkstore: store %s is closed", s.dir)
-		}
-		return h.f, true, nil
-	}
-	// A Close that swept the slots before the swap above has missed this
-	// handle: take it back out (unless Close got it after all).
-	if s.closed.Load() {
-		if h := slot.Swap(nil); h != nil {
-			h.release()
-		}
-		return nil, false, fmt.Errorf("chunkstore: store %s is closed", s.dir)
-	}
-	return f, true, nil
-}
-
-// Close closes every chunk file the store holds open. Reads after it fail
-// naming the store, and open nothing; a read already past its handle
-// lookup fails on the closed file. Closing twice is harmless. The opener
-// of a store closes it; views, snapshots and coordinators sharing it do
-// not.
+// Close closes the store's data files and takes them off the open-files
+// gauge. Reads after it fail naming the store; a read already past that
+// check fails on the closed file. Closing twice is harmless. The opener of
+// a store closes it; views, snapshots and coordinators sharing it do not.
 func (s *Store) Close() error {
-	s.closed.Store(true)
+	if s.closed.Swap(true) {
+		return nil
+	}
+	// A store closed before Instrument is never counted; one instrumented
+	// concurrently is counted before this reads the gauge.
+	s.instrument.Do(func() {})
+	s.gFiles.Add(-float64(s.held))
 	var errs []error
-	for d := range s.files {
-		for q := range s.files[d] {
-			if h := s.files[d][q].Swap(nil); h != nil {
-				errs = append(errs, h.release())
-			}
+	for _, f := range s.files {
+		if f != nil {
+			errs = append(errs, f.Close())
 		}
 	}
 	return errors.Join(errs...)
@@ -584,8 +492,7 @@ func (s *Store) ReadChunksOrdered(ctx context.Context, metas []ChunkMeta, visit 
 	return nil
 }
 
-// IOStats returns cumulative bytes and chunk files read through this store
-// handle.
+// IOStats returns cumulative bytes and chunks read through this store.
 func (s *Store) IOStats() (bytes int64, chunks int64) {
 	return s.bytesRead.Load(), s.chunksRead.Load()
 }

@@ -3,10 +3,12 @@ package chunkstore
 import (
 	"bytes"
 	"context"
+	"io"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -29,6 +31,76 @@ func buildTestStore(t *testing.T, n int, seed int64) (*Store, *dataset.Dataset) 
 	}
 	t.Cleanup(func() { st.Close() })
 	return st, ds
+}
+
+// writeExtent overwrites chunk meta's extent in its data file with data,
+// which must be as long.
+func writeExtent(t testing.TB, dir string, meta ChunkMeta, data []byte) {
+	t.Helper()
+	if int64(len(data)) != meta.Bytes {
+		t.Fatalf("%d bytes for the %d of chunk %s", len(data), meta.Bytes, meta.File)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, dataFileName(meta.Dim)), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(data, meta.Offset); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readExtentBytes returns chunk meta's bytes from its data file.
+func readExtentBytes(t testing.TB, dir string, meta ChunkMeta) []byte {
+	t.Helper()
+	whole, err := os.ReadFile(filepath.Join(dir, dataFileName(meta.Dim)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return whole[meta.Offset : meta.Offset+meta.Bytes]
+}
+
+// cutOne appends entries to w as one chunk of dimension dim and returns
+// its record, as the writer makes it.
+func cutOne(t testing.TB, w io.Writer, dim int, entries []Entry) ChunkMeta {
+	t.Helper()
+	cut := chunkCutter{w: w, dim: dim, target: math.MaxInt}
+	for _, e := range entries {
+		if err := cut.add(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cut.flush(); err != nil {
+		t.Fatal(err)
+	}
+	return cut.metas[0]
+}
+
+// spliceChunk replaces chunk meta of st with the encoding of entries, in
+// its data file — moving the chunks after it — and in st's manifest, whose
+// records of the dimension it keeps true to the file and checks nothing
+// else of. It returns the chunk's new record.
+func spliceChunk(t testing.TB, st *Store, meta ChunkMeta, entries []Entry) ChunkMeta {
+	t.Helper()
+	var buf bytes.Buffer
+	spliced := cutOne(t, &buf, meta.Dim, entries)
+	path := filepath.Join(st.dir, dataFileName(meta.Dim))
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole = slices.Replace(whole, int(meta.Offset), int(meta.Offset+meta.Bytes), buf.Bytes()...)
+	if err := os.WriteFile(path, whole, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	chunks := st.manifest.Chunks[meta.Dim]
+	chunks[meta.Seq] = spliced
+	var off int64
+	for q := range chunks {
+		chunks[q].Seq, chunks[q].File, chunks[q].Offset = q, chunkName(meta.Dim, q), off
+		off += chunks[q].Bytes
+	}
+	return chunks[meta.Seq]
 }
 
 func TestBuildValidation(t *testing.T) {
@@ -78,20 +150,37 @@ func TestBuildAndOpen(t *testing.T) {
 		t.Errorf("reopened RowCount = %d", reopened.RowCount())
 	}
 	// Every dimension's chunks must tile the value space in ascending,
-	// non-overlapping order, and chunk files must exist.
+	// non-overlapping order and their data file back to back, and the
+	// directory holds the manifest and one data file per dimension.
 	m := reopened.Manifest()
+	want := []string{manifestFile}
 	for d, chunks := range m.Chunks {
 		if len(chunks) < 2 {
 			t.Errorf("dimension %d has %d chunks; want multiple at 4 KiB target", d, len(chunks))
 		}
+		var off int64
 		for i, c := range chunks {
 			if i > 0 && chunks[i-1].MaxValue >= c.MinValue {
 				t.Errorf("dimension %d chunks %d/%d overlap", d, i-1, i)
 			}
-			if _, err := os.Stat(filepath.Join(dir, c.File)); err != nil {
-				t.Errorf("chunk file missing: %v", err)
+			if c.Offset != off || c.File != chunkName(d, i) {
+				t.Errorf("dimension %d chunk %d is %s at %d, want %s at %d", d, i, c.File, c.Offset, chunkName(d, i), off)
 			}
+			off += c.Bytes
 		}
+		want = append(want, dataFileName(d))
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("store directory holds %v, want %v", got, want)
 	}
 }
 
@@ -175,15 +264,9 @@ func TestReadChunkDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	meta := st.Manifest().Chunks[0][0]
-	path := filepath.Join(dir, meta.File)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := readExtentBytes(t, dir, meta)
 	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeExtent(t, dir, meta, data)
 	if _, err := st.ReadChunk(context.Background(), meta); err == nil {
 		t.Error("corrupted chunk read should fail")
 	}

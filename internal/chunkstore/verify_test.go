@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/uei-db/uei/internal/dataset"
+	"github.com/uei-db/uei/internal/vec"
 )
 
 // reopenDoctored saves a copy of the store's manifest after doctor has
@@ -33,34 +34,39 @@ func reopenDoctored(t *testing.T, st *Store, doctor func(m *Manifest)) (*Store, 
 	return Open(st.dir, nil)
 }
 
-// rewriteChunk replaces a chunk file and makes its manifest record agree
-// with the new contents in every field, so only what the entries themselves
+// rewriteChunk replaces a chunk and makes its manifest record agree with
+// the new contents in every field, so only what the entries themselves
 // break is left for Verify to find.
 func rewriteChunk(t *testing.T, st *Store, meta ChunkMeta, entries []Entry) *Store {
 	t.Helper()
-	got, err := writeChunkFile(st.dir, meta.Dim, meta.Seq, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	re, err := reopenDoctored(t, st, func(m *Manifest) { m.Chunks[meta.Dim][meta.Seq] = got })
+	spliceChunk(t, st, meta, entries)
+	re, err := reopenDoctored(t, st, func(*Manifest) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return re
 }
 
-func requireVerifyField(t *testing.T, what string, st *Store, field, file string) {
+// requireVerifyField fails unless Verify blames field of chunk — and, for
+// a chunk, names it and its data file.
+func requireVerifyField(t *testing.T, what string, st *Store, field, chunk string) {
 	t.Helper()
 	err := Verify(context.Background(), st)
 	var ve *VerifyError
 	if !errors.As(err, &ve) {
 		t.Fatalf("%s: err = %v, want a *VerifyError on %q", what, err, field)
 	}
-	if ve.Field != field || ve.File != file {
-		t.Fatalf("%s: Verify blames %q of chunk %q (%v), want %q of %q", what, ve.Field, ve.File, err, field, file)
+	if ve.Field != field || ve.Chunk != chunk {
+		t.Fatalf("%s: Verify blames %q of chunk %q (%v), want %q of %q", what, ve.Field, ve.Chunk, err, field, chunk)
 	}
-	if !strings.Contains(err.Error(), field) {
-		t.Fatalf("%s: message %q does not name %q", what, err, field)
+	want := []string{field}
+	if chunk != "" {
+		want = append(want, "chunk "+chunk+" of "+chunk[:3]+".chk")
+	}
+	for _, w := range want {
+		if !strings.Contains(err.Error(), w) {
+			t.Fatalf("%s: message %q does not name %q", what, err, w)
+		}
 	}
 }
 
@@ -76,7 +82,7 @@ func TestVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty, err := BuildEmpty(t.TempDir(), []string{"a", "b"}, mem.Bounds(), 0)
+	empty, err := BuildEmpty(t.TempDir(), []string{"a", "b"}, vec.NewBox([]float64{0, 0}, []float64{1, 1}), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +106,10 @@ func TestVerify(t *testing.T) {
 		field, file string
 		doctor      func(m *Manifest)
 	}{
-		{"bytes", "d01_c00001.chk", func(m *Manifest) { m.Chunks[1][1].Bytes++ }},
-		{"entries", "d00_c00001.chk", func(m *Manifest) { m.Chunks[0][1].Entries++ }},
-		{"row_refs", "d01_c00000.chk", func(m *Manifest) { m.Chunks[1][0].RowRefs-- }},
-		{"min_value", "d00_c00000.chk", func(m *Manifest) { m.Chunks[0][0].MinValue -= 0.5 }},
-		{"max_value", fmt.Sprintf("d00_c%05d.chk", last), func(m *Manifest) { m.Chunks[0][last].MaxValue += 0.5 }},
+		{"entries", "d00_c00001", func(m *Manifest) { m.Chunks[0][1].Entries++ }},
+		{"row_refs", "d01_c00000", func(m *Manifest) { m.Chunks[1][0].RowRefs-- }},
+		{"min_value", "d00_c00000", func(m *Manifest) { m.Chunks[0][0].MinValue -= 0.5 }},
+		{"max_value", fmt.Sprintf("d00_c%05d", last), func(m *Manifest) { m.Chunks[0][last].MaxValue += 0.5 }},
 		{"row_count", "", func(m *Manifest) { m.RowCount++ }},
 	}
 	for _, c := range fields {
@@ -114,9 +119,20 @@ func TestVerify(t *testing.T) {
 		}
 		requireVerifyField(t, "doctored "+c.field, st, c.field, c.file)
 	}
+	// A size the data file does not hold is refused before Verify, at Open;
+	// two sizes that trade a byte and keep the sum move the extents, so the
+	// first of them no longer reads as a chunk.
+	if _, err := reopenDoctored(t, fresh(), func(m *Manifest) { m.Chunks[1][1].Bytes++ }); err == nil || !strings.Contains(err.Error(), "d01.chk") {
+		t.Fatalf("doctored bytes: Open err = %v, want a refusal naming d01.chk", err)
+	}
+	st, err := reopenDoctored(t, fresh(), func(m *Manifest) { m.Chunks[1][1].Bytes++; m.Chunks[1][2].Bytes-- })
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireVerifyField(t, "traded bytes", st, "file", "d01_c00001")
 
 	// One row fewer than the chunks post: the largest id is out of range.
-	st, err := reopenDoctored(t, fresh(), func(m *Manifest) { m.RowCount-- })
+	st, err = reopenDoctored(t, fresh(), func(m *Manifest) { m.RowCount-- })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,28 +171,23 @@ func TestVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(st.dir, meta.File), other, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeExtent(t, st.dir, meta, other)
 	requireVerifyField(t, "chunk of another dimension", st, "dim", meta.File)
 
-	// Bytes that are not a chunk, and no bytes at all.
+	// Bytes that are not a chunk, and no data file at all, which Open
+	// refuses by name.
 	st = fresh()
 	meta = st.manifest.Chunks[1][2]
-	path := filepath.Join(st.dir, meta.File)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := readExtentBytes(t, st.dir, meta)
 	data[headerSize+3] ^= 0x40
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeExtent(t, st.dir, meta, data)
 	requireVerifyField(t, "flipped bit", st, "file", meta.File)
-	if err := os.Remove(path); err != nil {
+	if err := os.Remove(filepath.Join(st.dir, "d01.chk")); err != nil {
 		t.Fatal(err)
 	}
-	requireVerifyField(t, "missing file", st, "file", meta.File)
+	if _, err := Open(st.dir, nil); err == nil || !strings.Contains(err.Error(), "d01.chk") {
+		t.Fatalf("missing data file: Open err = %v, want a refusal naming d01.chk", err)
+	}
 
 	// Values out of order inside a chunk whose counts, range, size and CRC
 	// all hold: 100 distinct values on 100 rows make every posting one
@@ -195,18 +206,13 @@ func TestVerify(t *testing.T) {
 	if meta.Entries < 4 {
 		t.Fatalf("chunk has %d entries, the swap wants four", meta.Entries)
 	}
-	path = filepath.Join(st.dir, meta.File)
-	if data, err = os.ReadFile(path); err != nil {
-		t.Fatal(err)
-	}
+	data = readExtentBytes(t, st.dir, meta)
 	body := data[:len(data)-4]
 	a, b := body[headerSize+8:headerSize+16], body[headerSize+16:headerSize+24]
 	for i := range a {
 		a[i], b[i] = b[i], a[i]
 	}
-	if err := os.WriteFile(path, reseal(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeExtent(t, st.dir, meta, reseal(body))
 	requireVerifyField(t, "values out of order", st, "order", meta.File)
 
 	// A cancelled walk is the context's error, not a verdict on the store.
@@ -229,33 +235,8 @@ func TestManifestRejectsImpossibleCounts(t *testing.T) {
 		},
 	} {
 		st, _ := buildTestStore(t, 300, 9)
-		if _, err := reopenDoctored(t, st, func(m *Manifest) { doctor(&m.Chunks[2][0]) }); err == nil || !strings.Contains(err.Error(), "d02_c00000.chk") {
+		if _, err := reopenDoctored(t, st, func(m *Manifest) { doctor(&m.Chunks[2][0]) }); err == nil || !strings.Contains(err.Error(), "d02_c00000") {
 			t.Errorf("%s: Open err = %v, want a refusal naming the chunk", name, err)
-		}
-	}
-}
-
-// TestManifestRejectsForeignChunkNames: a chunk record must name the one
-// file writeChunkFile gives its place, so no manifest sends a read out of
-// the store's directory, or lets two records share a file and a block-cache
-// key.
-func TestManifestRejectsForeignChunkNames(t *testing.T) {
-	outside := filepath.Join(t.TempDir(), "x.chk")
-	for name, doctor := range map[string]func(m *Manifest){
-		"parent directory": func(m *Manifest) { m.Chunks[0][1].File = "../x" },
-		"absolute path":    func(m *Manifest) { m.Chunks[0][1].File = outside },
-		"duplicate name":   func(m *Manifest) { m.Chunks[0][1].File = m.Chunks[0][0].File },
-		"swapped seqs": func(m *Manifest) {
-			a, b := &m.Chunks[0][1], &m.Chunks[0][2]
-			a.File, b.File = b.File, a.File
-		},
-	} {
-		st, _ := buildTestStore(t, 800, 9)
-		if len(st.manifest.Chunks[0]) < 3 {
-			t.Fatalf("store has %d chunks on dimension 0, the test wants three", len(st.manifest.Chunks[0]))
-		}
-		if _, err := reopenDoctored(t, st, doctor); err == nil || !strings.Contains(err.Error(), "misfiled") {
-			t.Errorf("%s: Open err = %v, want a misfiled-chunk refusal", name, err)
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // TestIndexCloseReleasesChunkFiles: a session over a flat, a sharded and a
-// live store leaves its chunk files open — a view's Close does not close
+// live store leaves its data files open — a view's Close does not close
 // the stores it shares — and the index's Close releases every descriptor
 // into the store directory, with no garbage collection in between.
 func TestIndexCloseReleasesChunkFiles(t *testing.T) {
@@ -58,7 +58,7 @@ func TestIndexCloseReleasesChunkFiles(t *testing.T) {
 			}
 			view.Close()
 			if len(leakcheck.FilesUnder(dir)) == 0 {
-				t.Fatal("a session read no chunk file, or a view's Close closed the stores it shares")
+				t.Fatal("no data file is open, or a view's Close closed the stores it shares")
 			}
 			if _, err := idx.EnsureRegion(ctx, model); err != nil {
 				t.Fatalf("the parent after its view's Close: %v", err)

@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"github.com/uei-db/uei/internal/chunkstore"
 	"github.com/uei-db/uei/internal/dataset"
 )
 
@@ -27,21 +30,21 @@ func TestCorruptedChunkSurfacesDuringRegionLoad(t *testing.T) {
 	}
 	defer idx.Close()
 
-	// Corrupt every chunk file so whichever cell is loaded first fails.
-	entries, err := os.ReadDir(dir)
+	// Corrupt every chunk so whichever cell is loaded first fails.
+	st, err := chunkstore.Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		if filepath.Ext(e.Name()) != ".chk" {
-			continue
-		}
-		path := filepath.Join(dir, e.Name())
+	st.Close()
+	for d, chunks := range st.Manifest().Chunks {
+		path := filepath.Join(dir, fmt.Sprintf("d%02d.chk", d))
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		data[len(data)/2] ^= 0xAA
+		for _, c := range chunks {
+			data[c.Offset+c.Bytes/2] ^= 0xAA
+		}
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +57,8 @@ func TestCorruptedChunkSurfacesDuringRegionLoad(t *testing.T) {
 	}
 }
 
-// TestMissingChunkFileSurfaces deletes a chunk file between open and load.
+// TestMissingChunkFileSurfaces deletes a dimension's data file before
+// open: the open fails naming it.
 func TestMissingChunkFileSurfaces(t *testing.T) {
 	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 800, Seed: 72})
 	if err != nil {
@@ -64,29 +68,11 @@ func TestMissingChunkFileSurfaces(t *testing.T) {
 	if err := Build(dir, ds, BuildOptions{TargetChunkBytes: 1024}); err != nil {
 		t.Fatal(err)
 	}
-	idx, err := Open(context.Background(), dir, Options{MemoryBudgetBytes: 1 << 20, SampleSize: 20, Seed: 1})
-	if err != nil {
+	if err := os.Remove(filepath.Join(dir, "d02.chk")); err != nil {
 		t.Fatal(err)
 	}
-	defer idx.Close()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	removed := 0
-	for _, e := range entries {
-		if filepath.Ext(e.Name()) == ".chk" {
-			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
-				t.Fatal(err)
-			}
-			removed++
-		}
-	}
-	if removed == 0 {
-		t.Fatal("no chunk files found to remove")
-	}
-	if err := idx.InitExploration(context.Background()); err == nil {
-		t.Fatal("sampling over missing chunks should fail")
+	if _, err := Open(context.Background(), dir, Options{MemoryBudgetBytes: 1 << 20, SampleSize: 20, Seed: 1}); err == nil || !strings.Contains(err.Error(), "d02.chk") {
+		t.Fatalf("open over a missing data file: err = %v, want one naming d02.chk", err)
 	}
 }
 

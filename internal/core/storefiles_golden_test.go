@@ -4,11 +4,13 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"github.com/uei-db/uei/internal/chunkstore"
 	"github.com/uei-db/uei/internal/dataset"
 )
 
@@ -44,24 +46,72 @@ func storeDigest(t *testing.T, dir string) (string, int) {
 	return hex.EncodeToString(h.Sum(nil)), files
 }
 
-// TestGoldenStoreFiles pins the bytes of every file Build writes — chunk
+// chunkDigest hashes every chunk of every part under dir — each directory
+// holding a manifest.json, in lexical path order — in (part, dim, seq)
+// order: its length and its bytes, read from its extent. It does not
+// depend on how the chunks are laid out in files.
+func chunkDigest(t *testing.T, dir string) (string, int) {
+	t.Helper()
+	h := sha256.New()
+	chunks := 0
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.Name() != "manifest.json" {
+			return err
+		}
+		part := filepath.Dir(path)
+		st, err := chunkstore.Open(part, nil)
+		if err != nil {
+			return err
+		}
+		defer st.Close()
+		for dim, metas := range st.Manifest().Chunks {
+			if len(metas) == 0 {
+				continue
+			}
+			data, err := os.ReadFile(filepath.Join(part, fmt.Sprintf("d%02d.chk", dim)))
+			if err != nil {
+				return err
+			}
+			for _, m := range metas {
+				h.Write(binary.LittleEndian.AppendUint64(nil, uint64(m.Bytes)))
+				h.Write(data[m.Offset : m.Offset+m.Bytes])
+				chunks++
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hex.EncodeToString(h.Sum(nil)), chunks
+}
+
+// TestGoldenStoreFiles pins the bytes of every file Build writes — data
 // files, manifests, idmaps — for one dataset in each on-disk layout. A
 // change to how a store is built that leaves these digests alone writes
-// the same stores as before, byte for byte.
+// the same stores as before, byte for byte. The chunk digests pin the
+// chunks alone, whatever files hold them: they were recorded from the
+// per-chunk files of manifest format 2, and format 3's extents reproduce
+// them.
 func TestGoldenStoreFiles(t *testing.T) {
 	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 3000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		name   string
-		opts   BuildOptions
-		files  int
-		digest string
+		name         string
+		opts         BuildOptions
+		files        int
+		digest       string
+		chunks       int
+		chunksDigest string
 	}{
-		{"flat", BuildOptions{TargetChunkBytes: 2048}, 63, "bd1144e8ed7daf4881c421476ca73c3d9177fa33771a0dd050d9f62346e6bf83"},
-		{"sharded S=3", BuildOptions{TargetChunkBytes: 2048, Shards: 3}, 77, "dfa3ec0d415223e413699779327416233430b344604f407526fea362892c7948"},
-		{"live S=2", BuildOptions{TargetChunkBytes: 2048, Shards: 2, LiveIngest: true}, 73, "bf70d2976360015643bfecb4b855c46475a2eb7582c32fddbdb4ee411b06379d"},
+		{"flat", BuildOptions{TargetChunkBytes: 2048}, 6, "e00b1d25a336f749fb01f644ed0e2ff480618fc5a55782753519dfd084d7366c",
+			62, "58b72221defd32634fe647504f4894f38b65737745eba0bfe271ce06024c8188"},
+		{"sharded S=3", BuildOptions{TargetChunkBytes: 2048, Shards: 3}, 22, "8a362057e5eef86cbf6912eebd6a3409fbf05bc1415ef5b0b76c91adbf769f36",
+			70, "40d50bfdb2af09d770287eb3c81b45051523f39fb5add526424a0abe05e2d5b4"},
+		{"live S=2", BuildOptions{TargetChunkBytes: 2048, Shards: 2, LiveIngest: true}, 16, "2f56cc7a23d490e04ebb888d139986e013b1894f61463480aacf15ff8ebb8eb9",
+			67, "5505ffd66d15eac323e5421ef6b470db6e5ddc87a8496ca48d79cb9d5c08f1f5"},
 	}
 	for _, c := range cases {
 		dir := t.TempDir()
@@ -71,6 +121,10 @@ func TestGoldenStoreFiles(t *testing.T) {
 		digest, files := storeDigest(t, dir)
 		if digest != c.digest || files != c.files {
 			t.Errorf("%s: %d files, digest %s; want %d files, digest %s", c.name, files, digest, c.files, c.digest)
+		}
+		digest, chunks := chunkDigest(t, dir)
+		if digest != c.chunksDigest || chunks != c.chunks {
+			t.Errorf("%s: %d chunks, digest %s; want %d chunks, digest %s", c.name, chunks, digest, c.chunks, c.chunksDigest)
 		}
 	}
 }

@@ -87,10 +87,13 @@ func Build(dir string, ds *dataset.Dataset, opts BuildOptions) error {
 			TargetChunkBytes: opts.TargetChunkBytes,
 		})
 	}
-	_, err := chunkstore.Build(dir, ds, chunkstore.BuildOptions{
+	st, err := chunkstore.Build(dir, ds, chunkstore.BuildOptions{
 		TargetChunkBytes: opts.TargetChunkBytes,
 	})
-	return err
+	if err != nil {
+		return err
+	}
+	return st.Close()
 }
 
 // Index is an opened Uncertainty Estimation Index.
@@ -258,8 +261,8 @@ func (o *Options) pinLayout(what string, shards, segmentsPerDim int) error {
 // coordinator: the store is the only part of the only shard, with the
 // identity idmap (local row ids are the global ids). The grid is free —
 // nothing on disk depends on it — so Options.SegmentsPerDim picks it.
-func openFlat(dir string, opts Options) (*Index, error) {
-	opts, err := opts.withDefaults()
+func openFlat(dir string, opts Options) (_ *Index, err error) {
+	opts, err = opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
@@ -267,6 +270,11 @@ func openFlat(dir string, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			store.Close()
+		}
+	}()
 	store.SetWorkers(opts.Workers)
 	bc, err := newBlockCache(opts.BlockCacheBytes)
 	if err != nil {
@@ -438,7 +446,7 @@ func (x *Index) Registry() *obs.Registry { return x.reg }
 // Close cancels and joins every background goroutine the index owns —
 // the prefetcher (canceling any in-flight load) and, on a live layout,
 // the stream store's flusher and compactor — then shuts down the worker
-// pool, releases the pinned snapshot and closes the chunk files the
+// pool, releases the pinned snapshot and closes the data files the
 // index's stores hold open (a live layout's stores are the stream
 // store's, closed with it). It is idempotent and safe to call while a
 // prefetch load or background flush is running; subsequent index
@@ -518,7 +526,7 @@ func (x *Index) Bounds() vec.Box { return x.coord.Meta().Bounds }
 // or all segments of the pinned snapshot).
 func (x *Index) TotalBytes() int64 { return x.coord.Meta().TotalBytes }
 
-// IOStats returns cumulative bytes and chunk files read (summed across
+// IOStats returns cumulative bytes and chunks read (summed across
 // shards and snapshot segments).
 func (x *Index) IOStats() (bytes int64, chunks int64) { return x.coord.IOStats() }
 

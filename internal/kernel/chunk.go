@@ -5,7 +5,7 @@ import (
 	"math"
 )
 
-// The three chunk kernels below are the decode of a chunk file and the
+// The three chunk kernels below are the decode of a chunk and the
 // membership test of the reconstructions that keep few of the postings they
 // read (DESIGN.md §5, Region reconstruction). Like the strip kernels, each
 // runs its whole blocks in an AVX2 body where the CPU has one

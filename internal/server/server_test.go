@@ -636,7 +636,7 @@ func TestHTTPDeadShardIs503(t *testing.T) {
 }
 
 // TestDrain: Close rejects new work, evicts live sessions to snapshots,
-// releases every chunk file the store held open, and a second Close is a
+// releases every data file the store held open, and a second Close is a
 // no-op.
 func TestDrain(t *testing.T) {
 	dir, _ := buildStore(t, 800)

@@ -75,7 +75,7 @@ type OpenOptions struct {
 	Workers int
 	// BlockCache, when non-nil, is shared across all shard stores; each
 	// store is installed with a distinct cache key prefix so identical
-	// chunk file names in different shards cannot collide.
+	// chunk names in different shards cannot collide.
 	BlockCache *chunkstore.BlockCache
 }
 
@@ -170,6 +170,9 @@ func Open(ctx context.Context, dir string, opts OpenOptions) (*Coordinator, erro
 	for s := range shards {
 		part, err := OpenPart(filepath.Join(dir, ShardDirName(s)), g, man.ShardRowCounts[s], man.RowCount, fmt.Sprintf("s%03d/", s), opts)
 		if err != nil {
+			for _, sh := range shards[:s] {
+				sh.Parts[0].Store.Close()
+			}
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
 		shards[s] = &Shard{ID: s, Parts: []Part{part}}

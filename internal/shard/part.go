@@ -79,6 +79,9 @@ func WritePart(dir string, columns []string, bounds vec.Box, target int, ids []u
 	if err != nil {
 		return 0, err
 	}
+	if err := st.Close(); err != nil {
+		return 0, err
+	}
 	return st.TotalBytes(), SaveIDMap(dir, ids)
 }
 
@@ -89,16 +92,21 @@ func WritePart(dir string, columns []string, bounds vec.Box, target int, ids []u
 // must have g's dimensionality.
 // Of opts only Limiter, Workers and BlockCache apply; the cache is
 // installed under cacheKeyPrefix, which must be unique to the part among
-// the stores sharing it (identical chunk file names in different parts
-// must not collide).
+// the stores sharing it (identical chunk names in different parts must not
+// collide).
 //
-// The store opens chunk files as it reads them and holds them until the
-// caller, who owns the part, closes its Store.
-func OpenPart(dir string, g *grid.Grid, rows, layoutRows int, cacheKeyPrefix string, opts OpenOptions) (Part, error) {
+// The store holds its data files open from here until the caller, who
+// owns the part, closes its Store; a part refused here is closed.
+func OpenPart(dir string, g *grid.Grid, rows, layoutRows int, cacheKeyPrefix string, opts OpenOptions) (_ Part, err error) {
 	st, err := chunkstore.Open(dir, opts.Limiter)
 	if err != nil {
 		return Part{}, err
 	}
+	defer func() {
+		if err != nil {
+			st.Close()
+		}
+	}()
 	if st.RowCount() != rows {
 		return Part{}, fmt.Errorf("store has %d rows, manifest says %d", st.RowCount(), rows)
 	}

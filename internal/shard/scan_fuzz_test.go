@@ -209,7 +209,7 @@ func FuzzScanMarked(f *testing.F) {
 				}
 				t.Fatal(err)
 			}
-			// Each part's store holds its chunk files open until closed: a
+			// Each part's store holds its data files open until closed: a
 			// long fuzz run would otherwise run out of descriptors.
 			defer st.Close()
 			part := &Part{Store: st}

@@ -305,6 +305,45 @@ func TestOpenRefusesIDPastStore(t *testing.T) {
 	}
 }
 
+// TestRefusedOpenHoldsNoFiles: a part refused for an idmap naming a row
+// past the layout — by OpenPart, or by Open after an earlier shard opened
+// — leaves no descriptor on any file of the store.
+func TestRefusedOpenHoldsNoFiles(t *testing.T) {
+	if !leakcheck.ProcFDs() {
+		t.Skip("no /proc/self/fd to count descriptors in")
+	}
+	dir := buildSharded(t, skyDataset(t, 200), 2)
+	man, err := LoadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := man.Grid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardDir := filepath.Join(dir, ShardDirName(1))
+	ids, err := LoadIDMap(shardDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids[len(ids)-1] = uint32(man.RowCount)
+	if err := SaveIDMap(shardDir, ids); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenPart(shardDir, g, man.ShardRowCounts[1], man.RowCount, "", OpenOptions{}); err == nil || !strings.Contains(err.Error(), "past the layout") {
+		t.Fatalf("OpenPart err = %v, want an idmap past the layout", err)
+	}
+	if open := leakcheck.FilesUnder(dir); len(open) != 0 {
+		t.Fatalf("a refused OpenPart holds %v", open)
+	}
+	if _, err := Open(context.Background(), dir, OpenOptions{}); err == nil {
+		t.Fatal("Open accepted an idmap past the layout")
+	}
+	if open := leakcheck.FilesUnder(dir); len(open) != 0 {
+		t.Fatalf("a refused Open holds %v", open)
+	}
+}
+
 // cellOwnedBy returns the lowest cell the given shard owns.
 func cellOwnedBy(t *testing.T, c *Coordinator, shard int) grid.CellID {
 	t.Helper()

@@ -21,9 +21,9 @@ func deletedFilesUnder(dir string) []string {
 }
 
 // TestSweptSegmentsReleaseChunkFiles: compacted-away segments a pinned
-// snapshot still reads keep their chunk files open; releasing the last pin
+// snapshot still reads keep their data files open; releasing the last pin
 // closes their stores before their directories go, so no descriptor is
-// left on a deleted chunk file, and Close releases everything else.
+// left on a deleted data file, and Close releases everything else.
 func TestSweptSegmentsReleaseChunkFiles(t *testing.T) {
 	if !leakcheck.ProcFDs() {
 		t.Skip("no /proc/self/fd to count descriptors in")
@@ -61,7 +61,7 @@ func TestSweptSegmentsReleaseChunkFiles(t *testing.T) {
 		t.Fatalf("expected 1 segment dir after release, got %d: %v", len(got), got)
 	}
 	if open := deletedFilesUnder(dir); len(open) != 0 {
-		t.Fatalf("after the sweep %d descriptors point at deleted chunk files: %v", len(open), open)
+		t.Fatalf("after the sweep %d descriptors point at deleted data files: %v", len(open), open)
 	}
 
 	snap, err := db.Acquire()

@@ -62,6 +62,9 @@ func (db *DB) openParts(metas []SegmentMeta, flushedRows int) ([]*segment, error
 		dir := filepath.Join(db.dir, name)
 		part, err := shard.OpenPart(dir, db.grid, meta.Rows, flushedRows, name+"/", opts)
 		if err != nil {
+			for _, seg := range segs[:i] {
+				seg.part.Store.Close()
+			}
 			return nil, fmt.Errorf("stream: segment %d: %w", meta.ID, err)
 		}
 		part.Store.Instrument(db.opts.Registry)

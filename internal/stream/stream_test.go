@@ -279,7 +279,7 @@ func TestSnapshotMatchesStaticStore(t *testing.T) {
 
 // TestShardAndSegmentAreOnePart: at S = 3 over one dataset, each shard
 // directory shard.Build writes and the segment Create writes for the same
-// shard hold the same files — chunk files, chunk manifest, idmap — byte for
+// shard hold the same files — data files, chunk manifest, idmap — byte for
 // byte. Both layouts write their parts through shard.WritePart.
 func TestShardAndSegmentAreOnePart(t *testing.T) {
 	ds := testDataset(t, 3000, 5)
