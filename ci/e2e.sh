@@ -2,19 +2,23 @@
 # End-to-end check of the binaries, the one script behind CI's `e2e` job:
 #
 #   1. flat:        uei-serve -gen boots, serves a session, drains on SIGTERM
-#   2. sharded:     an S = 2 store is detected without -shards; four oracle
-#                   sessions step against it at once, and every step's
-#                   X-Uei-Trace-Id must be a step in the server's trace
-#   3. live:        append-while-exploring over HTTP, uei-ingest -inspect
-#                   and -verify
+#   2. sharded:     an S = 2 store — the multi-part layout's first epoch,
+#                   CURRENT over seg-NNNNNN/ parts, with no wal/ — is
+#                   detected without -shards; four oracle sessions step
+#                   against it at once, every step's X-Uei-Trace-Id must
+#                   be a step in the server's trace, and serving it leaves
+#                   it static (no wal/)
+#   3. live:        the same layout plus wal/: append-while-exploring over
+#                   HTTP, uei-ingest -inspect and -verify (parts, then the
+#                   WAL as opening the store would replay it)
 #   4. old format:  a store whose manifest says format 1 fails -verify,
 #                   naming the rebuild
 #   5. csv:         a 20 000-row CSV streamed into a flat store and read
 #                   into an S = 2 one both pass -verify; a nan field fails
 #                   the build naming its row and column and leaves no
 #                   manifest; -external is an unknown flag
-#   6. idmap:       one flipped byte of shard-001/idmap fails -verify,
-#                   naming the file
+#   6. idmap:       one flipped byte of seg-000002/idmap (shard 1's part)
+#                   fails -verify, naming the part
 #
 # Every server runs under -trace and every trace must pass uei-trace -strict.
 # Run it from anywhere: bash ci/e2e.sh
@@ -181,6 +185,7 @@ chk_files=$(find "$work/sharded" -name '*.chk' | wc -l)
   fail "uei_chunkstore_open_files = $open_files after four sessions, want $chk_files"
 echo "open_files=$open_files of $chk_files data files"
 drain "$srv"
+[ ! -e "$work/sharded/wal" ] || fail "serving a static store made it live (wal/ appeared)"
 strict_trace sharded.jsonl
 # Every trace id a client saw must root a step trace on the server.
 matched=0
@@ -247,12 +252,12 @@ fi
 grep -q 'flag provided but not defined: -external' "$work/ext.txt" || fail "-external is not an unknown flag: $(cat "$work/ext.txt")"
 
 echo "== idmap: a flipped byte fails -verify, naming the file"
-idmap="$work/csvsharded/shard-001/idmap"
+idmap="$work/csvsharded/seg-000002/idmap"
 byte=$(od -An -tu1 -j12 -N1 "$idmap" | tr -d ' ')
 printf "\\$(printf '%03o' $((byte ^ 1)))" | dd of="$idmap" bs=1 seek=12 conv=notrunc status=none
 if "$bin/uei-ingest" -verify "$work/csvsharded" >"$work/idmap.txt" 2>&1; then
   fail "-verify accepted a store with a flipped idmap byte"
 fi
-grep -q 'shard-001: shard: idmap corrupted' "$work/idmap.txt" || fail "-verify did not name the idmap: $(cat "$work/idmap.txt")"
+grep -q 'seg-000002: shard: idmap corrupted' "$work/idmap.txt" || fail "-verify did not name the idmap: $(cat "$work/idmap.txt")"
 
 echo "e2e: ok"

@@ -33,11 +33,9 @@ import (
 	"github.com/uei-db/uei/internal/chunkstore"
 	"github.com/uei-db/uei/internal/core"
 	"github.com/uei-db/uei/internal/dataset"
-	"github.com/uei-db/uei/internal/grid"
 	"github.com/uei-db/uei/internal/obs"
 	"github.com/uei-db/uei/internal/shard"
 	"github.com/uei-db/uei/internal/stream"
-	"github.com/uei-db/uei/internal/vec"
 )
 
 func main() {
@@ -55,7 +53,7 @@ func run() (err error) {
 		out      = flag.String("out", "", "output store directory (must be empty or absent)")
 		chunk    = flag.Int("chunk", chunkstore.DefaultTargetChunkBytes, "target chunk size in bytes (Table 1: 481280 = 470KB)")
 		inspect  = flag.String("inspect", "", "print a summary of an existing store and exit")
-		verify   = flag.String("verify", "", "open every part of an existing store (flat, sharded or live) as serving does — idmap and row count against the manifest — read every chunk against its manifest, and exit; the first violation is the error")
+		verify   = flag.String("verify", "", "open every part of an existing store (flat, sharded or live) as serving does — idmap and row count against the manifest — read every chunk against its manifest, read a live store's WAL as opening it would, and exit; the first violation is the error")
 		shards   = flag.Int("shards", 1, "partition the store into this many shards (1 = flat legacy layout)")
 		segments = flag.Int("segments", 0, "sharded build: grid segments per dimension cells are hashed over (0 = default 5)")
 		traceFl  = flag.String("trace", "", "write a hierarchical span trace of the ingest as JSONL to this file (analyze with uei-trace)")
@@ -303,11 +301,8 @@ func readFullLine(br *bufio.Reader, pending string) (string, error) {
 }
 
 func inspectStore(dir string) error {
-	if stream.IsLiveDir(dir) {
-		return inspectLiveStore(dir)
-	}
-	if shard.IsShardedDir(dir) {
-		return inspectShardedStore(dir)
+	if shard.IsMultiPartDir(dir) {
+		return inspectMultiPartStore(dir)
 	}
 	st, err := chunkstore.Open(dir, nil)
 	if err != nil {
@@ -342,59 +337,46 @@ func perRow(bytes int64, rows int) float64 {
 	return float64(bytes) / float64(rows)
 }
 
-// verifyStore checks every part of the layout under dir — each shard,
-// each live segment, or the flat directory itself — as serving would open
+// verifyStore checks every part of the layout under dir — each segment of
+// a multi-part store, or the flat directory itself — as serving would open
 // it, store and idmap against the manifest (shard.OpenPart), and then runs
-// chunkstore.Verify over its chunks.
+// chunkstore.Verify over its chunks. Of a live store it then reads the WAL
+// as Open would replay it (stream.Inspect).
 func verifyStore(dir string) error {
-	type part struct {
-		dir  string
-		rows int
-	}
-	var parts []part
-	var g *grid.Grid
-	var layoutRows int
-	switch {
-	case stream.IsLiveDir(dir):
-		m, err := stream.ReadManifest(dir)
-		if err != nil {
-			return err
-		}
-		if g, err = grid.New(vec.NewBox(m.MinValues, m.MaxValues), m.SegmentsPerDim); err != nil {
-			return err
-		}
-		layoutRows = m.FlushedRows
-		for _, seg := range m.Segments {
-			parts = append(parts, part{filepath.Join(dir, stream.SegmentDirName(seg.ID)), seg.Rows})
-		}
-	case shard.IsShardedDir(dir):
-		m, err := shard.LoadManifest(dir)
-		if err != nil {
-			return err
-		}
-		if g, err = m.Grid(); err != nil {
-			return err
-		}
-		layoutRows = m.RowCount
-		for s, rows := range m.ShardRowCounts {
-			parts = append(parts, part{filepath.Join(dir, shard.ShardDirName(s)), rows})
-		}
-	default:
+	if !shard.IsMultiPartDir(dir) {
 		st, err := chunkstore.Open(dir, nil)
 		if err != nil {
 			return err
 		}
 		return verifyPart(dir, st)
 	}
-	for _, p := range parts {
-		opened, err := shard.OpenPart(p.dir, g, p.rows, layoutRows, "", shard.OpenOptions{})
+	m, err := shard.ReadManifest(dir)
+	if err != nil {
+		return err
+	}
+	g, err := m.Grid()
+	if err != nil {
+		return err
+	}
+	for _, seg := range m.Segments {
+		part := filepath.Join(dir, shard.SegmentDirName(seg.ID))
+		opened, err := shard.OpenPart(part, g, seg.Rows, m.FlushedRows, "", shard.OpenOptions{})
 		if err != nil {
-			return fmt.Errorf("%s: %w", p.dir, err)
+			return fmt.Errorf("%s: %w", part, err)
 		}
-		if err := verifyPart(p.dir, opened.Store); err != nil {
+		if err := verifyPart(part, opened.Store); err != nil {
 			return err
 		}
 	}
+	if !stream.IsLiveDir(dir) {
+		return nil
+	}
+	wal := filepath.Join(dir, "wal")
+	info, err := stream.Inspect(dir)
+	if err != nil {
+		return fmt.Errorf("%s: %w", wal, err)
+	}
+	fmt.Printf("%s: ok (%d file(s), %d unflushed row(s))\n", wal, info.WALFiles, info.WALRows)
 	return nil
 }
 
@@ -409,41 +391,33 @@ func verifyPart(dir string, st *chunkstore.Store) error {
 	return nil
 }
 
-func inspectLiveStore(dir string) error {
+// inspectMultiPartStore prints the current epoch of a multi-part store
+// and, of a live one, its WAL.
+func inspectMultiPartStore(dir string) error {
 	info, err := stream.Inspect(dir)
 	if err != nil {
 		return err
 	}
+	live := stream.IsLiveDir(dir)
 	m := info.Manifest
-	fmt.Printf("live store %s:\n", dir)
+	if live {
+		fmt.Printf("live store %s:\n", dir)
+	} else {
+		fmt.Printf("static store %s:\n", dir)
+	}
 	fmt.Printf("  epoch:         %d\n", m.Epoch)
 	fmt.Printf("  shards:        %d\n", m.Shards)
 	fmt.Printf("  dimensions:    %d (%v)\n", len(m.Columns), m.Columns)
 	fmt.Printf("  grid:          %d segments per dim\n", m.SegmentsPerDim)
 	fmt.Printf("  chunk target:  %d bytes\n", m.TargetChunkBytes)
 	fmt.Printf("  flushed rows:  %d\n", m.FlushedRows)
-	fmt.Printf("  wal:           %d file(s), %d bytes, %d unflushed row(s)\n", info.WALFiles, info.WALBytes, info.WALRows)
-	fmt.Printf("  high water:    row id %d (%d acknowledged rows)\n", info.HighWaterID, int(info.HighWaterID)+1)
+	if live {
+		fmt.Printf("  wal:           %d file(s), %d bytes, %d unflushed row(s)\n", info.WALFiles, info.WALBytes, info.WALRows)
+		fmt.Printf("  high water:    row id %d (%d acknowledged rows)\n", info.HighWaterID, int(info.HighWaterID)+1)
+	}
 	fmt.Printf("  segments:      %d\n", len(m.Segments))
 	for _, seg := range m.Segments {
 		fmt.Printf("    seg %d (shard %d): %d rows, %d bytes\n", seg.ID, seg.Shard, seg.Rows, seg.Bytes)
-	}
-	return nil
-}
-
-func inspectShardedStore(dir string) error {
-	m, err := shard.LoadManifest(dir)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("sharded store %s:\n", dir)
-	fmt.Printf("  shards:        %d (%s)\n", m.Shards, m.Hash)
-	fmt.Printf("  rows:          %d\n", m.RowCount)
-	fmt.Printf("  dimensions:    %d (%v)\n", len(m.Columns), m.Columns)
-	fmt.Printf("  grid:          %d segments per dim\n", m.SegmentsPerDim)
-	fmt.Printf("  chunk target:  %d bytes\n", m.TargetChunkBytes)
-	for s, n := range m.ShardRowCounts {
-		fmt.Printf("  %s: %d rows\n", shard.ShardDirName(s), n)
 	}
 	return nil
 }

@@ -2,13 +2,19 @@ package main
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/uei-db/uei/internal/chunkstore"
 	"github.com/uei-db/uei/internal/core"
 	"github.com/uei-db/uei/internal/dataset"
 	"github.com/uei-db/uei/internal/shard"
@@ -21,7 +27,8 @@ import (
 // damaged, fails naming the part, the chunk and the field; on a sharded
 // and a live store it also fails over a damaged idmap, over a CRC-valid
 // idmap naming a row past the layout, and over a manifest row count its
-// part does not hold.
+// part does not hold; on a live store, over a WAL generation with a gap
+// in its row ids.
 func TestVerifyEveryLayout(t *testing.T) {
 	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 4000, Seed: 3})
 	if err != nil {
@@ -138,14 +145,30 @@ func TestVerifyEveryLayout(t *testing.T) {
 			return part
 		}
 	}
-	writeJSON := func(path string, v any) {
-		data, err := json.MarshalIndent(v, "", "  ")
+	flushedRows := func(dir string) int {
+		m, err := shard.ReadManifest(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+		return m.FlushedRows
+	}
+	// moreRows records one row more for the first segment, and for the
+	// epoch, in the manifest CURRENT names.
+	moreRows := func(dir string) string {
+		m, err := shard.ReadManifest(dir)
+		if err != nil {
 			t.Fatal(err)
 		}
+		m.Segments[0].Rows++
+		m.FlushedRows++
+		data, err := json.MarshalIndent(m, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, shard.ManifestFileName(m.Epoch)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return "seg-000001"
 	}
 	sharded := core.BuildOptions{TargetChunkBytes: 4096, Shards: 3}
 	live := core.BuildOptions{TargetChunkBytes: 4096, Shards: 2, LiveIngest: true}
@@ -155,42 +178,37 @@ func TestVerifyEveryLayout(t *testing.T) {
 		damage func(dir string) (part string)
 		want   string
 	}{
-		{"sharded idmap", sharded, flipIDMap("shard-001"), "idmap corrupted"},
+		{"sharded idmap", sharded, flipIDMap("seg-000002"), "idmap corrupted"},
 		{"live idmap", live, flipIDMap("seg-000002"), "idmap corrupted"},
-		{"sharded idmap past the store", sharded, pastLayout("shard-001", func(dir string) int {
-			m, err := shard.LoadManifest(dir)
+		{"sharded idmap past the store", sharded, pastLayout("seg-000002", flushedRows), "past the layout"},
+		{"live idmap past the store", live, pastLayout("seg-000002", flushedRows), "past the layout"},
+		{"sharded row count", sharded, moreRows, "manifest says"},
+		{"live row count", live, moreRows, "manifest says"},
+		{"live wal gap", live, func(dir string) string {
+			// Re-seal the one record of a real generation with its first
+			// row id moved up by one: CRC-valid, one row past a gap.
+			path := filepath.Join(dir, "wal", stream.WALFileName(0))
+			db, err := stream.Open(dir, stream.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return m.RowCount
-		}), "past the layout"},
-		{"live idmap past the store", live, pastLayout("seg-000002", func(dir string) int {
-			m, err := stream.ReadManifest(dir)
+			if _, err := db.Append([][]float64{ds.CopyRow(1)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return m.FlushedRows
-		}), "past the layout"},
-		{"sharded row count", sharded, func(dir string) string {
-			m, err := shard.LoadManifest(dir)
-			if err != nil {
+			binary.LittleEndian.PutUint32(data[8:], binary.LittleEndian.Uint32(data[8:])+1)
+			binary.LittleEndian.PutUint32(data[4:], crc32.ChecksumIEEE(data[8:]))
+			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			m.ShardRowCounts[0]++
-			m.RowCount++
-			writeJSON(filepath.Join(dir, shard.ManifestFile), m)
-			return "shard-000"
-		}, "manifest says"},
-		{"live row count", live, func(dir string) string {
-			m, err := stream.ReadManifest(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.Segments[0].Rows++
-			m.FlushedRows++
-			writeJSON(filepath.Join(dir, stream.ManifestFileName(m.Epoch)), m)
-			return "seg-000001"
-		}, "manifest says"},
+			return "wal"
+		}, "wal 0: row id 4001, expected 4000 (gap in the log)"},
 	} {
 		dir := filepath.Join(root, strings.ReplaceAll(c.name, " ", "-"))
 		if err := core.Build(dir, ds, c.opts); err != nil {
@@ -201,5 +219,71 @@ func TestVerifyEveryLayout(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), part) || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: -verify err = %v, want one naming %s and %q", c.name, err, part, c.want)
 		}
+	}
+}
+
+// storeFiles reads every file under dir into a map keyed by its path
+// relative to dir; a directory maps to nil.
+func storeFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := make(map[string][]byte)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || path == dir {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil || d.IsDir() {
+			files[rel] = nil
+			return err
+		}
+		files[rel], err = os.ReadFile(path)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestReadersLeaveStaticStoreUnchanged: a sharded build is a static store
+// — no wal/ — so core.Open and Close, shard.Open, -inspect and -verify
+// read it without writing: every file is byte-unchanged and none is added,
+// and opening it live fails with ErrLayoutMismatch.
+func TestReadersLeaveStaticStoreUnchanged(t *testing.T) {
+	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 3000, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := core.Build(dir, ds, core.BuildOptions{TargetChunkBytes: 4096, Shards: 3}); err != nil {
+		t.Fatal(err)
+	}
+	before := storeFiles(t, dir)
+	ctx := context.Background()
+	idx, err := core.Open(ctx, dir, core.Options{MemoryBudgetBytes: ds.SizeBytes()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx.Close()
+	if _, err := core.Open(ctx, dir, core.Options{MemoryBudgetBytes: ds.SizeBytes(), LiveIngest: true}); !errors.Is(err, chunkstore.ErrLayoutMismatch) {
+		t.Fatalf("core.Open with LiveIngest on a static store: err = %v, want ErrLayoutMismatch", err)
+	}
+	c, err := shard.Open(ctx, dir, shard.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range c.Shards() {
+		for _, p := range sh.Parts {
+			p.Store.Close()
+		}
+	}
+	if err := inspectStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := verifyStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	if after := storeFiles(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatal("reading a static store changed its files")
 	}
 }

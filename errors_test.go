@@ -284,6 +284,42 @@ func setFormatVersion(t *testing.T, dir string, version int) []string {
 	return parts
 }
 
+// TestRetiredShardedLayoutRefused: a directory of the static sharded
+// layout this program no longer reads — a top-level shards.json over
+// shard-NNN/ flat stores — fails to open with uei.ErrFormatVersion naming
+// the rebuild, whatever layout the options ask for.
+func TestRetiredShardedLayoutRefused(t *testing.T) {
+	ctx := context.Background()
+	flat, ds := buildSmallStore(t, 500)
+	dir := t.TempDir()
+	if err := os.Rename(flat, filepath.Join(dir, "shard-000")); err != nil {
+		t.Fatal(err)
+	}
+	manifest := map[string]any{
+		"format_version": 1, "shards": 1, "segments_per_dim": 5, "hash": "fnv1a-cell-coords/v1",
+		"columns": ds.Schema().Names(), "row_count": ds.Len(),
+		"target_chunk_bytes": 4096, "shard_row_counts": []int{ds.Len()},
+	}
+	bounds, err := ds.Bounds()
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifest["min_values"], manifest["max_values"] = bounds.Min, bounds.Max
+	raw, err := json.Marshal(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "shards.json"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{0, 1, 2} {
+		_, err := uei.Open(ctx, dir, uei.Options{MemoryBudgetBytes: ds.SizeBytes(), Shards: shards})
+		if !errors.Is(err, uei.ErrFormatVersion) || !strings.Contains(err.Error(), "uei-ingest") {
+			t.Errorf("Shards %d: err = %v, want ErrFormatVersion naming uei-ingest", shards, err)
+		}
+	}
+}
+
 // TestErrFormatVersionRoundTrip: a store whose manifests say format 1 —
 // written before chunk version 2 — or format 2 — a file per chunk — fails
 // to open with uei.ErrFormatVersion and names the rebuild, on every

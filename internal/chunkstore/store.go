@@ -17,14 +17,15 @@ import (
 	"github.com/uei-db/uei/internal/vec"
 )
 
-// ShardManifestFile is the top-level manifest a sharded store directory
-// carries instead of a flat manifest.json. It is defined here (not in
-// internal/shard) so layout detection has no import cycle.
-const ShardManifestFile = "shards.json"
+// CurrentFile is the commit pointer a multi-part store directory (package
+// shard) carries instead of a flat manifest.json. It is defined here (not
+// in internal/shard) so layout detection has no import cycle.
+const CurrentFile = "CURRENT"
 
 // ErrLayoutMismatch reports that a store directory holds the other layout
-// than the one the caller asked to open — a sharded directory opened flat,
-// or a flat directory opened sharded (including a shard-count mismatch).
+// than the one the caller asked to open — a multi-part directory opened
+// flat, or a flat directory opened as multi-part or live (including a
+// shard-count mismatch).
 // Match with errors.Is.
 var ErrLayoutMismatch = errors.New("store layout does not match requested mode")
 
@@ -141,15 +142,19 @@ func openDataFile(path string, size int64) (*os.File, error) {
 }
 
 // Open loads an existing store's manifest. limiter may be nil for
-// unthrottled reads. Opening a sharded store directory this way fails with
-// ErrLayoutMismatch — each shard subdirectory is a flat store, the top
-// level is not.
+// unthrottled reads. Opening a multi-part store directory this way fails
+// with ErrLayoutMismatch — each part subdirectory is a flat store, the top
+// level is not — and a directory of the static sharded layout this program
+// no longer reads (a top-level shards.json) with ErrFormatVersion.
 func Open(dir string, limiter *iothrottle.Limiter) (*Store, error) {
 	m, err := loadManifest(dir)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			if _, serr := os.Stat(filepath.Join(dir, ShardManifestFile)); serr == nil {
-				return nil, fmt.Errorf("chunkstore: %s holds a sharded store (%s present): %w", dir, ShardManifestFile, ErrLayoutMismatch)
+			if _, serr := os.Stat(filepath.Join(dir, CurrentFile)); serr == nil {
+				return nil, fmt.Errorf("chunkstore: %s holds a multi-part store (%s present): %w", dir, CurrentFile, ErrLayoutMismatch)
+			}
+			if _, serr := os.Stat(filepath.Join(dir, "shards.json")); serr == nil {
+				return nil, fmt.Errorf("chunkstore: %s holds a static sharded store (shards.json), a layout this program no longer reads (rebuild the store with uei-ingest): %w", dir, ErrFormatVersion)
 			}
 		}
 		return nil, err

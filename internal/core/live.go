@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 
-	"github.com/uei-db/uei/internal/chunkstore"
 	"github.com/uei-db/uei/internal/pool"
 	"github.com/uei-db/uei/internal/shard"
 	"github.com/uei-db/uei/internal/stream"
@@ -22,7 +21,7 @@ func openLive(ctx context.Context, dir string, opts Options) (*Index, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	man, err := stream.ReadManifest(dir)
+	man, err := shard.ReadManifest(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -54,7 +53,10 @@ func openLive(ctx context.Context, dir string, opts Options) (*Index, error) {
 	}
 	pl := pool.New(opts.Workers)
 	var idx *Index
-	coord, err := buildLiveCoordinator(snap, opts, pl, bc)
+	// One part per flushed segment on the store's fixed grid: routing,
+	// scoring and retrieval behave exactly as over a static layout of the
+	// same rows.
+	coord, err := shard.NewLocalCoordinator(sdb.Grid(), sdb.Columns(), snap.Shards(), openOptions(opts, pl, bc))
 	if err == nil {
 		idx, err = newIndex(opts, coord, pl)
 	}
@@ -67,19 +69,6 @@ func openLive(ctx context.Context, dir string, opts Options) (*Index, error) {
 	idx.live = sdb
 	idx.snap = snap
 	return idx, nil
-}
-
-// buildLiveCoordinator assembles a local scatter-gather coordinator over
-// one snapshot epoch of a live store, one part per flushed segment: the
-// synthesized manifest carries the same grid geometry and hash contract a
-// build-time layout would, so routing, scoring, and retrieval behave
-// exactly as over a static layout of the same rows.
-func buildLiveCoordinator(snap *stream.Snapshot, opts Options, pl *pool.Pool, bc *chunkstore.BlockCache) (*shard.Coordinator, error) {
-	man, err := snap.ShardManifest()
-	if err != nil {
-		return nil, err
-	}
-	return shard.NewLocalCoordinator(man, snap.Shards(), openOptions(opts, pl, bc))
 }
 
 // Live returns the streaming write store backing this index, or nil for a
@@ -159,11 +148,7 @@ func (x *Index) AdvanceSnapshot() (bool, error) {
 	}
 	// The next epoch's coordinator shares the epoch-invariant grid,
 	// ownership and packed centers with the current one.
-	var coord *shard.Coordinator
-	man, err := snap.ShardManifest()
-	if err == nil {
-		coord, err = x.coord.NextEpoch(man, snap.Shards())
-	}
+	coord, err := x.coord.NextEpoch(snap.Shards())
 	if err != nil {
 		snap.Release()
 		return false, err

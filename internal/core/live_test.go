@@ -51,6 +51,14 @@ func TestLiveLayoutPinning(t *testing.T) {
 	if _, err := Open(ctx, staticDir, Options{MemoryBudgetBytes: 1 << 20, LiveIngest: true}); !errors.Is(err, chunkstore.ErrLayoutMismatch) {
 		t.Fatalf("LiveIngest on a static dir: err = %v, want ErrLayoutMismatch", err)
 	}
+	// A sharded build is the live layout's first epoch without wal/: static.
+	shardedDir := t.TempDir()
+	if err := Build(shardedDir, ds, BuildOptions{TargetChunkBytes: 2048, Shards: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(ctx, shardedDir, Options{MemoryBudgetBytes: 1 << 20, LiveIngest: true}); !errors.Is(err, chunkstore.ErrLayoutMismatch) {
+		t.Fatalf("LiveIngest on a sharded static dir: err = %v, want ErrLayoutMismatch", err)
+	}
 	static, err := Open(ctx, staticDir, Options{MemoryBudgetBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -217,10 +225,10 @@ func TestLiveCloseNoGoroutineLeak(t *testing.T) {
 	leakcheck.WaitGoroutines(t, before+2, 5*time.Second)
 }
 
-// TestLiveStaticCommitPointUntouched pins the regression contract that
-// static layouts are byte-identical to before the live write path existed:
-// building a static store writes no live artifacts (no CURRENT, no WAL),
-// and IsLiveDir stays false for both flat and sharded static layouts.
+// TestLiveStaticCommitPointUntouched pins the contract that building a
+// static store writes no WAL — a sharded build commits the live layout's
+// first epoch, without wal/ — so IsLiveDir stays false for both flat and
+// sharded static layouts.
 func TestLiveStaticCommitPointUntouched(t *testing.T) {
 	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 300, Seed: 51})
 	if err != nil {

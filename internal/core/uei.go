@@ -48,19 +48,20 @@ type BuildOptions struct {
 	// Shards partitions the dataset into this many self-contained shard
 	// stores by hashing grid-cell coordinates. 0 and 1 both produce the
 	// flat on-disk layout (one chunk store, no idmap); values > 1 produce
-	// the sharded layout (shards.json + shard-NNN/ directories). Either
-	// way Open reads the directory through one shard coordinator.
+	// the first epoch of the multi-part layout (CURRENT, an epoch manifest
+	// and one seg-NNNNNN/ part per shard). Either way Open reads the
+	// directory through one shard coordinator.
 	Shards int
 	// SegmentsPerDim fixes the grid cells are hashed over when Shards > 1
-	// (it must match the grid used at open; the sharded manifest records
+	// (it must match the grid used at open; the epoch manifest records
 	// it). Zero selects grid.DefaultSegmentsPerDim. Ignored by flat builds,
 	// whose grid is chosen freely at Open — but pinned by live builds,
 	// whose cell geometry must stay epoch-invariant.
 	SegmentsPerDim int
 	// LiveIngest builds the live (stream) layout instead of a static one:
-	// a WAL-backed write store whose manifest epochs accept appends after
-	// the build. The dataset's bounds pin the grid; later appends must
-	// fall inside them.
+	// the same first epoch plus a wal/ directory, a write store whose
+	// manifest epochs accept appends after the build. The dataset's
+	// bounds pin the grid; later appends must fall inside them.
 	LiveIngest bool
 }
 
@@ -68,7 +69,7 @@ type BuildOptions struct {
 // sorting, chunking, and manifest persistence. The grid itself is cheap and
 // is rebuilt at Open from the manifest's bounds, so only storage work
 // happens here. With Shards > 1 the dataset is hash-partitioned into
-// self-contained per-shard stores instead.
+// self-contained per-shard parts instead.
 func Build(dir string, ds *dataset.Dataset, opts BuildOptions) error {
 	if opts.Shards < 0 {
 		return fmt.Errorf("core: shard count %d must not be negative", opts.Shards)
@@ -190,10 +191,12 @@ type Index struct {
 	hSwap            *obs.Histogram
 }
 
-// Open loads the index over a directory produced by Build — flat, sharded
-// or live. Options.Shards pins the expected layout (0 auto-detects); a
-// mismatch fails with chunkstore.ErrLayoutMismatch. I/O throttling and worker-pool sizing come
-// from Options (Limiter, Workers).
+// Open loads the index over a directory produced by Build — flat,
+// multi-part or live. Options.Shards pins the expected layout (0
+// auto-detects); a mismatch fails with chunkstore.ErrLayoutMismatch. A
+// multi-part directory (CURRENT) is live iff it holds wal/; opening a
+// static one writes nothing to it. I/O throttling and worker-pool sizing
+// come from Options (Limiter, Workers).
 func Open(ctx context.Context, dir string, opts Options) (*Index, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -204,14 +207,11 @@ func Open(ctx context.Context, dir string, opts Options) (*Index, error) {
 	if stream.IsLiveDir(dir) {
 		return openLive(ctx, dir, opts)
 	}
-	if opts.LiveIngest {
-		return nil, fmt.Errorf("core: %s does not hold a live-ingest layout: %w", dir, chunkstore.ErrLayoutMismatch)
-	}
-	if shard.IsShardedDir(dir) {
+	if shard.IsMultiPartDir(dir) {
+		if opts.LiveIngest {
+			return nil, fmt.Errorf("core: %s holds a static store, not a live-ingest layout: %w", dir, chunkstore.ErrLayoutMismatch)
+		}
 		return openSharded(ctx, dir, opts)
-	}
-	if opts.Shards > 1 {
-		return nil, fmt.Errorf("core: %s holds a flat store but %d shards were requested: %w", dir, opts.Shards, chunkstore.ErrLayoutMismatch)
 	}
 	return openFlat(dir, opts)
 }
@@ -261,6 +261,8 @@ func (o *Options) pinLayout(what string, shards, segmentsPerDim int) error {
 // coordinator: the store is the only part of the only shard, with the
 // identity idmap (local row ids are the global ids). The grid is free —
 // nothing on disk depends on it — so Options.SegmentsPerDim picks it.
+// chunkstore.Open refuses a directory that holds no flat store, naming
+// what it holds instead.
 func openFlat(dir string, opts Options) (_ *Index, err error) {
 	opts, err = opts.withDefaults()
 	if err != nil {
@@ -275,6 +277,12 @@ func openFlat(dir string, opts Options) (_ *Index, err error) {
 			store.Close()
 		}
 	}()
+	if opts.LiveIngest {
+		return nil, fmt.Errorf("core: %s holds a flat store, not a live-ingest layout: %w", dir, chunkstore.ErrLayoutMismatch)
+	}
+	if opts.Shards > 1 {
+		return nil, fmt.Errorf("core: %s holds a flat store but %d shards were requested: %w", dir, opts.Shards, chunkstore.ErrLayoutMismatch)
+	}
 	store.SetWorkers(opts.Workers)
 	bc, err := newBlockCache(opts.BlockCacheBytes)
 	if err != nil {
@@ -290,13 +298,9 @@ func openFlat(dir string, opts Options) (_ *Index, err error) {
 	if err != nil {
 		return nil, err
 	}
-	man, err := shard.NewManifest(1, opts.SegmentsPerDim, store.Columns(), bounds.Min, bounds.Max, 0, []int{store.RowCount()})
-	if err != nil {
-		return nil, err
-	}
 	pl := pool.New(opts.Workers)
 	one := []*shard.Shard{{Parts: []shard.Part{{Store: store, Mapping: mapping}}}}
-	coord, err := shard.NewLocalCoordinator(man, one, openOptions(opts, pl, bc))
+	coord, err := shard.NewLocalCoordinator(g, store.Columns(), one, openOptions(opts, pl, bc))
 	if err != nil {
 		pl.Close()
 		return nil, err
@@ -304,11 +308,11 @@ func openFlat(dir string, opts Options) (_ *Index, err error) {
 	return newIndex(opts, coord, pl)
 }
 
-// openSharded opens a sharded store through a coordinator. The grid is
-// rebuilt from the shard manifest's global bounds and the segment count
-// recorded at ingest.
+// openSharded opens a static multi-part store through a coordinator
+// (shard.Open). The grid is rebuilt from the manifest's global bounds and
+// the segment count recorded at ingest.
 func openSharded(ctx context.Context, dir string, opts Options) (*Index, error) {
-	man, err := shard.LoadManifest(dir)
+	man, err := shard.ReadManifest(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -431,7 +435,7 @@ func (x *Index) startPrefetcher() error {
 // rows shares. It runs again whenever the row count can change.
 func (x *Index) deriveTheta() error {
 	m := x.coord.Meta()
-	theta, err := prefetch.Theta(m.RowCount, m.Dims(), m.SegmentsPerDim, x.opts.Limiter.BytesPerSecond(), x.opts.LatencyThreshold)
+	theta, err := prefetch.Theta(m.RowCount, m.Dims(), x.opts.SegmentsPerDim, x.opts.Limiter.BytesPerSecond(), x.opts.LatencyThreshold)
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}

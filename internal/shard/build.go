@@ -1,22 +1,19 @@
 package shard
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"os"
-	"path/filepath"
 
-	"github.com/uei-db/uei/internal/chunkstore"
 	"github.com/uei-db/uei/internal/dataset"
 	"github.com/uei-db/uei/internal/grid"
 )
 
-// BuildOptions configures Build.
+// BuildOptions configures Build and WriteFirstEpoch.
 type BuildOptions struct {
-	// Shards is S, in [2, MaxShards]. (S = 1 is the flat on-disk layout;
-	// callers route it to chunkstore.Build.)
+	// Shards is S. Build takes [2, MaxShards] (S = 1 is the flat on-disk
+	// layout; callers route it to chunkstore.Build); WriteFirstEpoch also
+	// takes 1, and reads 0 as 1.
 	Shards int
 	// SegmentsPerDim fixes the grid cells are hashed over. Zero selects
 	// grid.DefaultSegmentsPerDim.
@@ -40,73 +37,20 @@ func OwnerOf(coords []int, shards int) int {
 	return int(h.Sum32() % uint32(shards))
 }
 
-// Build partitions the dataset into S self-contained shard stores under
-// dir (which must be empty or absent), assigning each row to the shard
-// that owns its grid cell, and commits the layout by writing the
-// top-level shards.json last. Every shard directory is a complete flat
-// chunk store (possibly zero-row) plus an idmap translating its dense
-// local row ids back to global ones.
+// Build writes a multi-part store of S shards under dir (which must be
+// empty or absent): epoch 1 of the layout, one segment per shard holding
+// the rows of the cells the shard owns, committed by CURRENT. It writes no
+// wal/ directory, so the store is static: every open reads it and none
+// writes to it.
 func Build(dir string, ds *dataset.Dataset, opts BuildOptions) error {
 	if opts.Shards < 2 || opts.Shards > MaxShards {
 		return fmt.Errorf("shard: shard count %d out of range [2,%d]", opts.Shards, MaxShards)
 	}
-	if ds.Len() == 0 {
-		return fmt.Errorf("shard: refusing to build from an empty dataset")
-	}
-	segs := cmp.Or(opts.SegmentsPerDim, grid.DefaultSegmentsPerDim)
-	target := cmp.Or(opts.TargetChunkBytes, chunkstore.DefaultTargetChunkBytes)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("shard: create %s: %w", dir, err)
-	}
-	if entries, err := os.ReadDir(dir); err != nil {
-		return fmt.Errorf("shard: inspect %s: %w", dir, err)
-	} else if len(entries) > 0 {
-		return fmt.Errorf("shard: directory %s is not empty", dir)
-	}
-
-	bounds, err := ds.Bounds()
+	m, err := WriteFirstEpoch(dir, ds, opts)
 	if err != nil {
 		return err
 	}
-	g, err := grid.New(bounds, segs)
-	if err != nil {
-		return err
-	}
-	ownerByCell, err := CellOwners(g, opts.Shards)
-	if err != nil {
-		return err
-	}
-	row := func(i int) []float64 { return ds.Row(dataset.RowID(i)) }
-	idmaps, err := Partition(g, ownerByCell, opts.Shards, 0, ds.Len(), row)
-	if err != nil {
-		return err
-	}
-
-	m := &Manifest{
-		FormatVersion:    manifestFormatVersion,
-		Shards:           opts.Shards,
-		SegmentsPerDim:   segs,
-		Hash:             hashName,
-		Columns:          ds.Schema().Names(),
-		RowCount:         ds.Len(),
-		MinValues:        append([]float64(nil), bounds.Min...),
-		MaxValues:        append([]float64(nil), bounds.Max...),
-		TargetChunkBytes: target,
-		ShardRowCounts:   make([]int, opts.Shards),
-	}
-	for s, ids := range idmaps {
-		// Hash partitioning can leave a shard with no rows (small
-		// datasets, unlucky cell assignment); WritePart gives it an
-		// explicit empty store.
-		shardRow := func(i int) []float64 { return row(int(ids[i])) }
-		if _, err := WritePart(filepath.Join(dir, ShardDirName(s)), m.Columns, bounds, target, ids, shardRow); err != nil {
-			return err
-		}
-		m.ShardRowCounts[s] = len(ids)
-	}
-	// The top-level manifest is the commit point: a crash before this
-	// leaves a directory neither layout will open.
-	return saveManifest(dir, m)
+	return CommitManifest(dir, m)
 }
 
 // CellOwners precomputes the owner shard of every cell of g. Exported for

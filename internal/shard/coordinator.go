@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -39,9 +38,9 @@ const (
 // deadline and caller cancellation reach a stuck attempt only through it.
 type FaultHook func(ctx context.Context, shard int, op string) error
 
-// Shard is one self-contained slice of the sharded store. Build-time
-// layouts hold exactly one part per shard; live (stream) snapshots hold
-// one part per flushed segment, and reads merge the parts by global id.
+// Shard is one self-contained slice of the sharded store: one part per
+// segment it owns — exactly one in a first epoch, more as a live store
+// flushes — and reads merge the parts by global id.
 type Shard struct {
 	// ID is the shard index in [0, S).
 	ID int
@@ -92,9 +91,6 @@ type Meta struct {
 	Points *kernel.Block
 	// Shards is S, the shard count.
 	Shards int
-	// SegmentsPerDim is the per-dimension segment count the cell→shard
-	// hash was computed over.
-	SegmentsPerDim int
 	// Columns are the attribute names in dimension order (read-only).
 	Columns []string
 	// RowCount is the number of tuples across all shards.
@@ -151,14 +147,17 @@ type instruments struct {
 	mSkip             []*obs.Counter
 }
 
-// Open loads a sharded store built by Build. A flat store directory fails
-// with chunkstore.ErrLayoutMismatch (core opens one as a single shard
-// through NewLocalCoordinator).
+// Open opens the current epoch of the multi-part store under dir,
+// read-only: each shard reads its segments' parts, in manifest order. It
+// opens a static build and a live store alike, and writes to neither; of a
+// live store it reads the committed segments, not rows still in its WAL. A
+// flat store directory fails with chunkstore.ErrLayoutMismatch (core opens
+// one as a single shard through NewLocalCoordinator).
 func Open(ctx context.Context, dir string, opts OpenOptions) (*Coordinator, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	man, err := LoadManifest(dir)
+	man, err := ReadManifest(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -166,40 +165,35 @@ func Open(ctx context.Context, dir string, opts OpenOptions) (*Coordinator, erro
 	if err != nil {
 		return nil, err
 	}
-	shards := make([]*Shard, man.Shards)
-	for s := range shards {
-		part, err := OpenPart(filepath.Join(dir, ShardDirName(s)), g, man.ShardRowCounts[s], man.RowCount, fmt.Sprintf("s%03d/", s), opts)
-		if err != nil {
-			for _, sh := range shards[:s] {
-				sh.Parts[0].Store.Close()
-			}
-			return nil, fmt.Errorf("shard %d: %w", s, err)
-		}
-		shards[s] = &Shard{ID: s, Parts: []Part{part}}
+	parts, err := OpenSegments(dir, g, man.Segments, man.FlushedRows, opts)
+	if err != nil {
+		return nil, err
 	}
-	return NewLocalCoordinator(man, shards, opts)
+	c, err := NewLocalCoordinator(g, man.Columns, GroupShards(man.Shards, man.Segments, parts), opts)
+	if err != nil {
+		closeParts(parts)
+		return nil, err
+	}
+	return c, nil
 }
 
 // NewLocalCoordinator assembles a coordinator over already-open in-process
-// shards — the tail of Open, also the entry point for a flat store (one
-// shard, one part, nil idmap) and for live (stream) snapshots, whose
-// multi-part shards are opened and cached by the stream DB rather than
-// loaded from a build-time directory. Shard IDs are (re)assigned here.
-func NewLocalCoordinator(man *Manifest, shards []*Shard, opts OpenOptions) (*Coordinator, error) {
-	if err := man.validate(); err != nil {
-		return nil, err
+// shards on grid g with the given columns — the tail of Open, also the
+// entry point for a flat store (one shard, one part, nil idmap) and for
+// live (stream) snapshots, whose multi-part shards are opened and cached
+// by the stream DB. Shard IDs are (re)assigned here, and cells are owned
+// by OwnerOf over len(shards).
+func NewLocalCoordinator(g *grid.Grid, columns []string, shards []*Shard, opts OpenOptions) (*Coordinator, error) {
+	if len(shards) < 1 || len(shards) > MaxShards {
+		return nil, fmt.Errorf("shard: %d shards, want 1..%d", len(shards), MaxShards)
 	}
-	if len(shards) != man.Shards {
-		return nil, fmt.Errorf("shard: %d shards for a %d-shard manifest", len(shards), man.Shards)
+	if len(columns) != g.Dims() {
+		return nil, fmt.Errorf("shard: %d columns for a %d-dimensional grid", len(columns), g.Dims())
 	}
 	if opts.Deadline < 0 {
 		return nil, fmt.Errorf("shard: negative deadline %v", opts.Deadline)
 	}
-	g, err := man.Grid()
-	if err != nil {
-		return nil, err
-	}
-	owners, err := CellOwners(g, man.Shards)
+	owners, err := CellOwners(g, len(shards))
 	if err != nil {
 		return nil, err
 	}
@@ -212,13 +206,11 @@ func NewLocalCoordinator(man *Manifest, shards []*Shard, opts OpenOptions) (*Coo
 		cache:       opts.BlockCache,
 		deadline:    opts.Deadline,
 		meta: Meta{
-			Grid:           g,
-			Points:         kernel.Pack(g.Centers()),
-			Shards:         man.Shards,
-			SegmentsPerDim: man.SegmentsPerDim,
-			Columns:        man.Columns,
-			RowCount:       man.RowCount,
-			Bounds:         vec.NewBox(man.MinValues, man.MaxValues),
+			Grid:    g,
+			Points:  kernel.Pack(g.Centers()),
+			Shards:  len(shards),
+			Columns: columns,
+			Bounds:  g.Bounds(),
 		},
 	}
 	c.setShards(shards)
@@ -226,14 +218,16 @@ func NewLocalCoordinator(man *Manifest, shards []*Shard, opts OpenOptions) (*Coo
 }
 
 // setShards installs the shards of c's epoch, numbering them and summing
-// their on-disk bytes.
+// their rows and on-disk bytes.
 func (c *Coordinator) setShards(shards []*Shard) {
 	c.shards = shards
 	c.backends = make([]*LocalBackend, len(shards))
+	c.meta.RowCount = 0
 	c.meta.TotalBytes = 0
 	for s, sh := range shards {
 		sh.ID = s
 		c.backends[s] = &LocalBackend{shard: sh, g: c.meta.Grid}
+		c.meta.RowCount += sh.RowCount()
 		for i := range sh.Parts {
 			c.meta.TotalBytes += sh.Parts[i].Store.TotalBytes()
 		}
@@ -241,14 +235,14 @@ func (c *Coordinator) setShards(shards []*Shard) {
 }
 
 // NextEpoch returns a coordinator over another epoch of the local store c
-// serves (a live snapshot advance): shards carry the new epoch's parts and
-// man its row counts, while everything an epoch cannot change — grid, cell
-// ownership, the packed symbolic points, pool, block cache, deadlines,
-// instruments — is shared with c instead of rebuilt, so an advance costs
-// O(S), not O(cells), in time and memory.
-func (c *Coordinator) NextEpoch(man *Manifest, shards []*Shard) (*Coordinator, error) {
-	if man.Shards != len(c.shards) || len(shards) != len(c.shards) {
-		return nil, fmt.Errorf("shard: next epoch has %d shards (manifest: %d), the local coordinator %d", len(shards), man.Shards, len(c.shards))
+// serves (a live snapshot advance): shards carry the new epoch's parts,
+// while everything an epoch cannot change — grid, cell ownership, the
+// packed symbolic points, pool, block cache, deadlines, instruments — is
+// shared with c instead of rebuilt, so an advance costs O(S), not
+// O(cells), in time and memory.
+func (c *Coordinator) NextEpoch(shards []*Shard) (*Coordinator, error) {
+	if len(shards) != len(c.shards) {
+		return nil, fmt.Errorf("shard: next epoch has %d shards, the local coordinator %d", len(shards), len(c.shards))
 	}
 	next := &Coordinator{
 		meta:        c.meta,
@@ -258,7 +252,6 @@ func (c *Coordinator) NextEpoch(man *Manifest, shards []*Shard) (*Coordinator, e
 		deadline:    c.deadline,
 		instruments: c.instruments,
 	}
-	next.meta.RowCount = man.RowCount
 	next.setShards(shards)
 	return next, nil
 }

@@ -1,6 +1,6 @@
 // Package shard partitions a UEI store into S self-contained shards and
 // coordinates work across them: each shard owns the grid cells whose
-// hashed coordinates map to it, holds a private chunk store over exactly
+// hashed coordinates map to it, holds private chunk stores over exactly
 // the rows falling in those cells, and answers load/fetch/retrieve
 // requests for its slice. The symbolic index itself — the cell centres,
 // their scores and their ranking — is coordinator state: compute goes
@@ -10,14 +10,23 @@
 // resident region — when the owner of the cell it wanted does not answer
 // (ROADMAP: horizontal scaling past one store, in the spirit of partial
 // adaptive indexing).
+//
+// The package also owns the multi-part on-disk layout: immutable parts
+// under seg-NNNNNN/, an epoch manifest naming them, and CURRENT, the
+// commit pointer naming the current epoch. Build writes its first epoch;
+// the live store (package stream) writes the same first epoch plus an
+// empty wal/ directory, and commits later epochs as it flushes and
+// compacts.
 package shard
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"github.com/uei-db/uei/internal/chunkstore"
 	"github.com/uei-db/uei/internal/dataset"
@@ -25,85 +34,75 @@ import (
 	"github.com/uei-db/uei/internal/vec"
 )
 
-// ManifestFile is the top-level manifest name of a sharded store
-// directory. The constant lives in chunkstore so flat opens can detect the
-// sharded layout without importing this package.
-const ManifestFile = chunkstore.ShardManifestFile
+// CurrentFile is the multi-part layout's commit pointer: it names the
+// manifest file of the newest committed epoch and is replaced atomically
+// (tmp + rename) on every commit. Its presence marks a multi-part
+// directory. The constant lives in chunkstore so flat opens can detect
+// the layout without importing this package.
+const CurrentFile = chunkstore.CurrentFile
 
-// manifestFormatVersion is bumped on incompatible sharded-layout changes.
+// manifestFormatVersion is bumped on incompatible layout changes.
 const manifestFormatVersion = 1
-
-// hashName identifies the cell→shard assignment function recorded at
-// build time; Open refuses manifests built with a different assignment
-// (ownership would silently disagree between ingest and serving).
-const hashName = "fnv1a-cell-coords/v1"
 
 // MaxShards bounds the shard count to something a single coordinator can
 // reasonably fan out to.
 const MaxShards = 1024
 
-// Manifest is the sharded store's persistent top-level metadata. The
-// global dataset facts (bounds, columns, row count) are recorded here so
-// the coordinator rebuilds the exact grid the flat layout would use,
-// independent of any one shard's local value range.
+// ManifestFileName returns the manifest file name of an epoch.
+func ManifestFileName(epoch uint64) string { return fmt.Sprintf("manifest-%06d.json", epoch) }
+
+// SegmentDirName returns the directory name of segment id.
+func SegmentDirName(id int) string { return fmt.Sprintf("seg-%06d", id) }
+
+// IsMultiPartDir reports whether dir carries the multi-part layout
+// (CURRENT present), live or not.
+func IsMultiPartDir(dir string) bool {
+	_, err := os.Stat(filepath.Join(dir, CurrentFile))
+	return err == nil
+}
+
+// SegmentMeta describes one immutable segment: a part (a self-contained
+// flat chunk store plus CRC'd idmap) under SegmentDirName(ID).
+type SegmentMeta struct {
+	// ID is globally unique and never reused (monotonic NextSegmentID).
+	ID int `json:"id"`
+	// Shard is the owning shard in [0, Shards); always 0 for flat layouts.
+	Shard int `json:"shard"`
+	// Rows is the segment's row count (zero-row segments are legal: the
+	// first epoch writes one per rowless shard).
+	Rows int `json:"rows"`
+	// Bytes is the on-disk chunk payload, for compaction ordering and
+	// inspection.
+	Bytes int64 `json:"bytes"`
+}
+
+// Manifest is one immutable epoch of a multi-part store: the fixed grid
+// geometry plus the exact segment set a reader of this epoch reads.
+// Commits write a whole new manifest file and swing CURRENT — copy on
+// write, so a pinned older epoch keeps reading its own file's segment set.
 type Manifest struct {
 	FormatVersion int `json:"format_version"`
-	// Shards is S, the number of shard subdirectories.
+	// Epoch increases by one per commit; snapshots pin it.
+	Epoch uint64 `json:"epoch"`
+	// Shards is S (1 = flat layout). Fixed at creation.
 	Shards int `json:"shards"`
-	// SegmentsPerDim fixes the grid the cell→shard hash was computed
-	// over; opening with a different grid would scramble ownership.
-	SegmentsPerDim int `json:"segments_per_dim"`
-	// Hash names the cell→shard assignment function (hashName).
-	Hash string `json:"hash"`
-	// Columns are the attribute names, in dimension order.
-	Columns []string `json:"columns"`
-	// RowCount is the number of tuples across all shards.
-	RowCount int `json:"row_count"`
-	// MinValues/MaxValues bound each dimension over the whole dataset —
-	// identical to what a flat build of the same dataset records.
-	MinValues []float64 `json:"min_values"`
-	MaxValues []float64 `json:"max_values"`
-	// TargetChunkBytes is the per-shard chunk size target used at build.
-	TargetChunkBytes int `json:"target_chunk_bytes"`
-	// ShardRowCounts[i] is shard i's row count (consistency check at open).
-	ShardRowCounts []int `json:"shard_row_counts"`
-}
-
-// NewManifest assembles and validates a manifest from the store facts.
-// Live (stream) snapshots use it to synthesize the commit point a
-// build-time layout would have written as shards.json, so the same
-// coordinator serves both.
-func NewManifest(shards, segmentsPerDim int, columns []string, minValues, maxValues []float64, targetChunkBytes int, shardRowCounts []int) (*Manifest, error) {
-	total := 0
-	for _, n := range shardRowCounts {
-		total += n
-	}
-	m := &Manifest{
-		FormatVersion:    manifestFormatVersion,
-		Shards:           shards,
-		SegmentsPerDim:   segmentsPerDim,
-		Hash:             hashName,
-		Columns:          append([]string(nil), columns...),
-		RowCount:         total,
-		MinValues:        append([]float64(nil), minValues...),
-		MaxValues:        append([]float64(nil), maxValues...),
-		TargetChunkBytes: targetChunkBytes,
-		ShardRowCounts:   append([]int(nil), shardRowCounts...),
-	}
-	if err := m.validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// ShardDirName returns the subdirectory name of shard i.
-func ShardDirName(i int) string { return fmt.Sprintf("shard-%03d", i) }
-
-// IsShardedDir reports whether dir carries a sharded store layout
-// (shards.json present).
-func IsShardedDir(dir string) bool {
-	_, err := os.Stat(filepath.Join(dir, ManifestFile))
-	return err == nil
+	// SegmentsPerDim fixes the grid; it never regrows, so cell geometry
+	// and cell→shard ownership are epoch-invariant.
+	SegmentsPerDim int      `json:"segments_per_dim"`
+	Columns        []string `json:"columns"`
+	// MinValues/MaxValues pin the grid bounds at creation. Appends
+	// outside them are rejected — the price of epoch-invariant geometry.
+	MinValues        []float64 `json:"min_values"`
+	MaxValues        []float64 `json:"max_values"`
+	TargetChunkBytes int       `json:"target_chunk_bytes"`
+	// NextSegmentID is the next unused segment id.
+	NextSegmentID int `json:"next_segment_id"`
+	// FlushedRows is the read-visibility high-water mark: rows with
+	// id < FlushedRows rest in segments; rows at or above it are durable
+	// in a live store's WAL but not yet visible to snapshots. WAL replay
+	// skips records below it.
+	FlushedRows int           `json:"flushed_rows"`
+	Segments    []SegmentMeta `json:"segments"`
 }
 
 // Grid rebuilds the symbolic-point lattice the manifest records: global
@@ -112,23 +111,21 @@ func (m *Manifest) Grid() (*grid.Grid, error) {
 	return grid.New(vec.NewBox(m.MinValues, m.MaxValues), m.SegmentsPerDim)
 }
 
-// CheckGeometry is the one check of the layout facts both multi-part
-// manifests record — shards.json here, every live epoch in stream: shards
-// in 1..MaxShards, at least one segment per dimension, columns that form a
-// dataset schema (at least one, distinct, non-empty), and one lower and
-// one upper bound per column.
-func CheckGeometry(shards, segmentsPerDim int, columns []string, minValues, maxValues []float64) error {
-	if shards < 1 || shards > MaxShards {
-		return fmt.Errorf("shard: manifest has %d shards, want 1..%d", shards, MaxShards)
+// checkGeometry checks the layout facts: shards in 1..MaxShards, at least
+// one segment per dimension, columns that form a dataset schema (at least
+// one, distinct, non-empty), and one lower and one upper bound per column.
+func (m *Manifest) checkGeometry() error {
+	if m.Shards < 1 || m.Shards > MaxShards {
+		return fmt.Errorf("shard: manifest has %d shards, want 1..%d", m.Shards, MaxShards)
 	}
-	if segmentsPerDim < 1 {
-		return fmt.Errorf("shard: manifest has %d segments per dimension", segmentsPerDim)
+	if m.SegmentsPerDim < 1 {
+		return fmt.Errorf("shard: manifest has %d segments per dimension", m.SegmentsPerDim)
 	}
-	if _, err := dataset.NewSchema(columns...); err != nil {
+	if _, err := dataset.NewSchema(m.Columns...); err != nil {
 		return fmt.Errorf("shard: manifest columns: %w", err)
 	}
-	if len(minValues) != len(columns) || len(maxValues) != len(columns) {
-		return fmt.Errorf("shard: manifest bounds disagree with %d columns", len(columns))
+	if len(m.MinValues) != len(m.Columns) || len(m.MaxValues) != len(m.Columns) {
+		return fmt.Errorf("shard: manifest bounds disagree with %d columns", len(m.Columns))
 	}
 	return nil
 }
@@ -137,62 +134,199 @@ func (m *Manifest) validate() error {
 	if m.FormatVersion != manifestFormatVersion {
 		return fmt.Errorf("shard: manifest format %d, want %d", m.FormatVersion, manifestFormatVersion)
 	}
-	if m.Hash != hashName {
-		return fmt.Errorf("shard: manifest uses assignment %q, this build understands %q", m.Hash, hashName)
+	if m.Epoch == 0 {
+		return fmt.Errorf("shard: manifest epoch 0 (epochs start at 1)")
 	}
-	if err := CheckGeometry(m.Shards, m.SegmentsPerDim, m.Columns, m.MinValues, m.MaxValues); err != nil {
+	if err := m.checkGeometry(); err != nil {
 		return err
 	}
-	if len(m.ShardRowCounts) != m.Shards {
-		return fmt.Errorf("shard: %d shard row counts for %d shards", len(m.ShardRowCounts), m.Shards)
-	}
 	total := 0
-	for i, n := range m.ShardRowCounts {
-		if n < 0 {
-			return fmt.Errorf("shard: shard %d has negative row count", i)
+	seen := make(map[int]bool, len(m.Segments))
+	for _, s := range m.Segments {
+		if s.Rows < 0 {
+			return fmt.Errorf("shard: segment %d has negative row count", s.ID)
 		}
-		total += n
+		if s.Shard < 0 || s.Shard >= m.Shards {
+			return fmt.Errorf("shard: segment %d claims shard %d of %d", s.ID, s.Shard, m.Shards)
+		}
+		if s.ID >= m.NextSegmentID {
+			return fmt.Errorf("shard: segment id %d not below next id %d", s.ID, m.NextSegmentID)
+		}
+		if seen[s.ID] {
+			return fmt.Errorf("shard: segment id %d appears twice", s.ID)
+		}
+		seen[s.ID] = true
+		total += s.Rows
 	}
-	if total != m.RowCount {
-		return fmt.Errorf("shard: shard row counts sum to %d, manifest says %d", total, m.RowCount)
+	if total != m.FlushedRows {
+		return fmt.Errorf("shard: segments hold %d rows, manifest says %d flushed", total, m.FlushedRows)
 	}
 	return nil
 }
 
-// saveManifest writes the top-level manifest atomically. It is written
-// last during Build, so its presence marks a complete sharded store.
-func saveManifest(dir string, m *Manifest) error {
+// Clone deep-copies the manifest so a commit can mutate its working copy
+// while pinned snapshots keep reading the old one.
+func (m *Manifest) Clone() *Manifest {
+	c := *m
+	c.Columns = append([]string(nil), m.Columns...)
+	c.MinValues = append([]float64(nil), m.MinValues...)
+	c.MaxValues = append([]float64(nil), m.MaxValues...)
+	c.Segments = append([]SegmentMeta(nil), m.Segments...)
+	return &c
+}
+
+// WriteSegment writes the next segment of shard s under dir — the part
+// over the rows ids names, row(i) returning the values of ids[i] — and
+// records it in m.
+func (m *Manifest) WriteSegment(dir string, s int, ids []uint32, row func(i int) []float64) error {
+	id := m.NextSegmentID
+	bounds := vec.NewBox(m.MinValues, m.MaxValues)
+	bytes, err := WritePart(filepath.Join(dir, SegmentDirName(id)), m.Columns, bounds, m.TargetChunkBytes, ids, row)
+	if err != nil {
+		return err
+	}
+	m.Segments = append(m.Segments, SegmentMeta{ID: id, Shard: s, Rows: len(ids), Bytes: bytes})
+	m.NextSegmentID++
+	return nil
+}
+
+// WriteFirstEpoch writes the parts of a new multi-part store under dir
+// (which must be empty or absent) and returns its epoch-1 manifest,
+// uncommitted: CommitManifest makes it the store. Every row goes to the
+// shard owning its grid cell, one segment per shard, and a shard owning no
+// row gets an explicit empty segment, so every shard has a uniform resting
+// place. opts.Shards of 0 means 1. The dataset pins the grid bounds, so it
+// must not be empty.
+func WriteFirstEpoch(dir string, ds *dataset.Dataset, opts BuildOptions) (*Manifest, error) {
+	if ds.Len() == 0 {
+		return nil, fmt.Errorf("shard: refusing to build from an empty dataset (bounds would be undefined)")
+	}
+	bounds, err := ds.Bounds()
+	if err != nil {
+		return nil, err
+	}
+	m := &Manifest{
+		FormatVersion:    manifestFormatVersion,
+		Epoch:            1,
+		Shards:           cmp.Or(opts.Shards, 1),
+		SegmentsPerDim:   cmp.Or(opts.SegmentsPerDim, grid.DefaultSegmentsPerDim),
+		Columns:          ds.Schema().Names(),
+		MinValues:        append([]float64(nil), bounds.Min...),
+		MaxValues:        append([]float64(nil), bounds.Max...),
+		TargetChunkBytes: cmp.Or(opts.TargetChunkBytes, chunkstore.DefaultTargetChunkBytes),
+		FlushedRows:      ds.Len(),
+		NextSegmentID:    1,
+	}
+	if err := m.checkGeometry(); err != nil {
+		return nil, err
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("shard: create %s: %w", dir, err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil {
+		return nil, fmt.Errorf("shard: inspect %s: %w", dir, err)
+	} else if len(entries) > 0 {
+		return nil, fmt.Errorf("shard: directory %s is not empty", dir)
+	}
+	g, err := m.Grid()
+	if err != nil {
+		return nil, err
+	}
+	var owners []int
+	if m.Shards > 1 {
+		if owners, err = CellOwners(g, m.Shards); err != nil {
+			return nil, err
+		}
+	}
+	row := func(i int) []float64 { return ds.Row(dataset.RowID(i)) }
+	groups, err := Partition(g, owners, m.Shards, 0, ds.Len(), row)
+	if err != nil {
+		return nil, err
+	}
+	for s, ids := range groups {
+		if err := m.WriteSegment(dir, s, ids, func(i int) []float64 { return row(int(ids[i])) }); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
+// CommitManifest durably writes the manifest for its epoch and swings
+// CURRENT to it. The CURRENT rename is the commit point: a crash before
+// it leaves the previous epoch current (or, for a first epoch, no store)
+// and the new manifest and segments as removable orphans.
+func CommitManifest(dir string, m *Manifest) error {
+	if err := m.validate(); err != nil {
+		return err
+	}
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("shard: marshal manifest: %w", err)
 	}
-	tmp := filepath.Join(dir, ManifestFile+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("shard: write manifest: %w", err)
+	name := ManifestFileName(m.Epoch)
+	if err := writeFileSync(filepath.Join(dir, name), data); err != nil {
+		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, ManifestFile)); err != nil {
-		return fmt.Errorf("shard: commit manifest: %w", err)
+	tmp := filepath.Join(dir, CurrentFile+".tmp")
+	if err := writeFileSync(tmp, []byte(name+"\n")); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, filepath.Join(dir, CurrentFile)); err != nil {
+		return fmt.Errorf("shard: commit CURRENT: %w", err)
 	}
 	return nil
 }
 
-// LoadManifest reads and validates the top-level shard manifest. A
-// directory holding a flat store instead fails with
+// writeFileSync writes data and fsyncs before closing, so the commit
+// pointer never names a manifest the filesystem might lose.
+func writeFileSync(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("shard: create %s: %w", filepath.Base(path), err)
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return fmt.Errorf("shard: write %s: %w", filepath.Base(path), err)
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return fmt.Errorf("shard: sync %s: %w", filepath.Base(path), err)
+	}
+	return f.Close()
+}
+
+// ReadManifest reads CURRENT and the manifest it names, without opening
+// any part. A directory holding a flat store instead fails with
 // chunkstore.ErrLayoutMismatch.
-func LoadManifest(dir string) (*Manifest, error) {
-	data, err := os.ReadFile(filepath.Join(dir, ManifestFile))
+func ReadManifest(dir string) (*Manifest, error) {
+	cur, err := os.ReadFile(filepath.Join(dir, CurrentFile))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			if _, serr := os.Stat(filepath.Join(dir, "manifest.json")); serr == nil {
 				return nil, fmt.Errorf("shard: %s holds a flat store (manifest.json present): %w", dir, chunkstore.ErrLayoutMismatch)
 			}
 		}
-		return nil, fmt.Errorf("shard: read manifest: %w", err)
+		return nil, fmt.Errorf("shard: read CURRENT: %w", err)
 	}
-	return parseManifest(data)
+	name := strings.TrimSpace(string(cur))
+	if name == "" || strings.ContainsAny(name, "/\\") {
+		return nil, fmt.Errorf("shard: CURRENT names %q", name)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		return nil, fmt.Errorf("shard: read %s: %w", name, err)
+	}
+	m, err := parseManifest(data)
+	if err != nil {
+		return nil, err
+	}
+	if ManifestFileName(m.Epoch) != name {
+		return nil, fmt.Errorf("shard: %s records epoch %d", name, m.Epoch)
+	}
+	return m, nil
 }
 
-// parseManifest decodes and validates the bytes of a shard manifest.
+// parseManifest decodes and validates the bytes of an epoch manifest.
 func parseManifest(data []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {

@@ -9,31 +9,32 @@ import (
 	"testing"
 )
 
-// goodManifest is a valid two-shard manifest for the parser tests.
+// goodManifest is a valid two-shard epoch for the parser tests.
 func goodManifest() Manifest {
 	return Manifest{
 		FormatVersion:    manifestFormatVersion,
+		Epoch:            1,
 		Shards:           2,
 		SegmentsPerDim:   5,
-		Hash:             hashName,
 		Columns:          []string{"a", "b"},
-		RowCount:         3,
 		MinValues:        []float64{0, -1},
 		MaxValues:        []float64{1, 2},
 		TargetChunkBytes: 4096,
-		ShardRowCounts:   []int{1, 2},
+		NextSegmentID:    3,
+		FlushedRows:      3,
+		Segments:         []SegmentMeta{{ID: 1, Shard: 0, Rows: 1, Bytes: 100}, {ID: 2, Shard: 1, Rows: 2, Bytes: 200}},
 	}
 }
 
-// manifestRefusal is a shards.json the loader must refuse, with a word its
-// error must name.
+// manifestRefusal is an epoch manifest the reader must refuse, with a word
+// its error must name.
 type manifestRefusal struct {
 	name, want string
 	data       []byte
 }
 
-// manifestRefusals are the files testdata/fuzz/FuzzLoadShardManifest
-// holds: manifests valid but for their geometry.
+// manifestRefusals are the files testdata/fuzz/FuzzReadLiveManifest holds:
+// epochs valid but for their geometry.
 func manifestRefusals(t testing.TB) []manifestRefusal {
 	edit := func(f func(m *Manifest)) []byte {
 		m := goodManifest()
@@ -45,20 +46,24 @@ func manifestRefusals(t testing.TB) []manifestRefusal {
 		return data
 	}
 	return []manifestRefusal{
+		{"shards-past-max", "want 1..1024", edit(func(m *Manifest) { m.Shards = 1 << 40 })},
 		{"duplicate-column", "duplicate column", edit(func(m *Manifest) { m.Columns[1] = "a" })},
 		{"empty-column", "empty column", edit(func(m *Manifest) { m.Columns[0] = "" })},
-		{"shards-past-max", "want 1..1024", edit(func(m *Manifest) { m.Shards = 1 << 40 })},
-		{"bound-missing", "bounds disagree", edit(func(m *Manifest) { m.MaxValues = m.MaxValues[:1] })},
+		{"bound-missing", "bounds disagree", edit(func(m *Manifest) { m.MinValues = m.MinValues[:1] })},
 	}
 }
 
-// TestLoadManifestRefusesBadGeometry: shards.json goes through the
-// geometry check the live manifest shares, so duplicate or empty column
-// names — which no schema can hold — fail the load, not a later open.
-func TestLoadManifestRefusesBadGeometry(t *testing.T) {
+// TestReadManifestRefusesBadGeometry: every epoch goes through the
+// geometry check. A shard count past MaxShards used to be read, and a
+// flush then allocated per-shard slices of that length; duplicate or empty
+// column names failed only a full Open.
+func TestReadManifestRefusesBadGeometry(t *testing.T) {
 	write := func(data []byte) string {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, ManifestFile), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, ManifestFileName(1)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, CurrentFile), []byte(ManifestFileName(1)+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return dir
@@ -67,21 +72,21 @@ func TestLoadManifestRefusesBadGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadManifest(write(good)); err != nil {
+	if _, err := ReadManifest(write(good)); err != nil {
 		t.Fatalf("a valid manifest: %v", err)
 	}
 	for _, c := range manifestRefusals(t) {
-		if _, err := LoadManifest(write(c.data)); err == nil || !strings.Contains(err.Error(), c.want) {
+		if _, err := ReadManifest(write(c.data)); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want one naming %q", c.name, err, c.want)
 		}
 	}
 }
 
-// FuzzLoadShardManifest feeds JSON bodies to the shards.json parser, which
-// must return without panicking; a manifest it accepts passes the geometry
-// check and survives a write and a re-read unchanged. The committed corpus
-// under testdata/fuzz/ holds manifestRefusals.
-func FuzzLoadShardManifest(f *testing.F) {
+// FuzzReadLiveManifest feeds JSON bodies to the epoch manifest parser,
+// which must return without panicking; a manifest it accepts passes the
+// geometry check and survives a write and a re-read unchanged. The
+// committed corpus under testdata/fuzz/ holds manifestRefusals.
+func FuzzReadLiveManifest(f *testing.F) {
 	good, err := json.Marshal(goodManifest())
 	if err != nil {
 		f.Fatal(err)
@@ -92,7 +97,7 @@ func FuzzLoadShardManifest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := CheckGeometry(m.Shards, m.SegmentsPerDim, m.Columns, m.MinValues, m.MaxValues); err != nil {
+		if err := m.checkGeometry(); err != nil {
 			t.Fatalf("accepted a manifest the geometry check refuses: %v", err)
 		}
 		enc, err := json.Marshal(m)

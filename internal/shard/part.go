@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"path/filepath"
 	"sort"
 
 	"github.com/uei-db/uei/internal/chunkstore"
@@ -11,10 +12,8 @@ import (
 
 // A part is the one storage unit on disk: a directory holding a flat chunk
 // store over dense local ids plus the idmap translating them to global
-// ids. The sharded layout keeps one part per shard (shard-NNN/), the live
-// layout one per flushed segment (seg-NNNNNN/); both write, partition and
-// open their parts through the functions below, so a shard and a segment
-// over the same rows are the same bytes.
+// ids. The multi-part layout keeps one part per segment (seg-NNNNNN/):
+// one per shard in a first epoch, more as a live store flushes.
 
 // Part is one immutable data part of a shard: a private flat chunk store
 // (local ids 0..n-1), the mapping of global grid cells to that store's
@@ -134,6 +133,48 @@ func OpenPart(dir string, g *grid.Grid, rows, layoutRows int, cacheKeyPrefix str
 		return Part{}, fmt.Errorf("idmap names row %d, past the layout's %d rows", ids[rows-1], layoutRows)
 	}
 	return Part{Store: st, Mapping: mp, IDMap: ids}, nil
+}
+
+// OpenSegments opens the parts of the segments metas names under dir for
+// serving over g, in metas order; flushedRows is the epoch's row count
+// (OpenPart). Each store is block-cached under its segment's directory
+// name: segment ids are never reused, so a retired id cannot alias cached
+// chunks. A refused part closes the parts opened before it, and the error
+// names its segment.
+func OpenSegments(dir string, g *grid.Grid, metas []SegmentMeta, flushedRows int, opts OpenOptions) ([]Part, error) {
+	parts := make([]Part, len(metas))
+	for i, meta := range metas {
+		name := SegmentDirName(meta.ID)
+		part, err := OpenPart(filepath.Join(dir, name), g, meta.Rows, flushedRows, name+"/", opts)
+		if err != nil {
+			closeParts(parts[:i])
+			return nil, fmt.Errorf("segment %d: %w", meta.ID, err)
+		}
+		parts[i] = part
+	}
+	return parts, nil
+}
+
+// closeParts closes the stores of parts.
+func closeParts(parts []Part) {
+	for _, p := range parts {
+		p.Store.Close()
+	}
+}
+
+// GroupShards groups the parts of an epoch's segments — parts[i] opened
+// from metas[i] — into its shards: shard s's parts in manifest order, so
+// rows within a shard merge back into global-id order.
+func GroupShards(shards int, metas []SegmentMeta, parts []Part) []*Shard {
+	out := make([]*Shard, shards)
+	for s := range out {
+		out[s] = &Shard{ID: s}
+	}
+	for i, meta := range metas {
+		sh := out[meta.Shard]
+		sh.Parts = append(sh.Parts, parts[i])
+	}
+	return out
 }
 
 // Partition assigns n rows with global ids firstID, firstID+1, ... to the

@@ -32,11 +32,7 @@ func flatCoordinator(t *testing.T, dir string, bounds vec.Box, segments int) *Co
 	if err != nil {
 		t.Fatal(err)
 	}
-	man, err := NewManifest(1, segments, st.Columns(), bounds.Min, bounds.Max, 0, []int{st.RowCount()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewLocalCoordinator(man, []*Shard{{Parts: []Part{{Store: st, Mapping: mp}}}}, OpenOptions{})
+	c, err := NewLocalCoordinator(g, st.Columns(), []*Shard{{Parts: []Part{{Store: st, Mapping: mp}}}}, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,8 +146,11 @@ func TestLayoutMismatchSentinels(t *testing.T) {
 	if _, err := chunkstore.Build(flat, ds, chunkstore.BuildOptions{TargetChunkBytes: 2048}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadManifest(flat); !errors.Is(err, chunkstore.ErrLayoutMismatch) {
-		t.Errorf("LoadManifest on flat dir: err = %v, want ErrLayoutMismatch", err)
+	if _, err := ReadManifest(flat); !errors.Is(err, chunkstore.ErrLayoutMismatch) {
+		t.Errorf("ReadManifest on flat dir: err = %v, want ErrLayoutMismatch", err)
+	}
+	if _, err := Open(context.Background(), flat, OpenOptions{}); !errors.Is(err, chunkstore.ErrLayoutMismatch) {
+		t.Errorf("Open on flat dir: err = %v, want ErrLayoutMismatch", err)
 	}
 
 	// Sharded store opened as flat.
@@ -283,14 +286,14 @@ func TestLoadCellMatchesFlat(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesIDPastStore: a shard whose idmap names a row the store
+// TestOpenRefusesIDPastStore: a part whose idmap names a row the store
 // does not have — CRC-valid and strictly ascending, as SaveIDMap writes
-// it — fails the open, naming the shard and the row, before any session
+// it — fails the open, naming the segment and the row, before any session
 // can load or retrieve it.
 func TestOpenRefusesIDPastStore(t *testing.T) {
 	dir := buildSharded(t, skyDataset(t, 200), 2)
 	openCoordinator(t, dir, OpenOptions{})
-	shardDir := filepath.Join(dir, ShardDirName(1))
+	shardDir := filepath.Join(dir, SegmentDirName(2))
 	ids, err := LoadIDMap(shardDir)
 	if err != nil {
 		t.Fatal(err)
@@ -300,8 +303,8 @@ func TestOpenRefusesIDPastStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = Open(context.Background(), dir, OpenOptions{})
-	if err == nil || !strings.Contains(err.Error(), "shard 1") || !strings.Contains(err.Error(), "row 200") {
-		t.Fatalf("open err = %v, want shard 1 refused for row 200", err)
+	if err == nil || !strings.Contains(err.Error(), "segment 2") || !strings.Contains(err.Error(), "row 200") {
+		t.Fatalf("open err = %v, want segment 2 refused for row 200", err)
 	}
 }
 
@@ -313,7 +316,7 @@ func TestRefusedOpenHoldsNoFiles(t *testing.T) {
 		t.Skip("no /proc/self/fd to count descriptors in")
 	}
 	dir := buildSharded(t, skyDataset(t, 200), 2)
-	man, err := LoadManifest(dir)
+	man, err := ReadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,16 +324,17 @@ func TestRefusedOpenHoldsNoFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardDir := filepath.Join(dir, ShardDirName(1))
+	seg := man.Segments[1]
+	shardDir := filepath.Join(dir, SegmentDirName(seg.ID))
 	ids, err := LoadIDMap(shardDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids[len(ids)-1] = uint32(man.RowCount)
+	ids[len(ids)-1] = uint32(man.FlushedRows)
 	if err := SaveIDMap(shardDir, ids); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenPart(shardDir, g, man.ShardRowCounts[1], man.RowCount, "", OpenOptions{}); err == nil || !strings.Contains(err.Error(), "past the layout") {
+	if _, err := OpenPart(shardDir, g, seg.Rows, man.FlushedRows, "", OpenOptions{}); err == nil || !strings.Contains(err.Error(), "past the layout") {
 		t.Fatalf("OpenPart err = %v, want an idmap past the layout", err)
 	}
 	if open := leakcheck.FilesUnder(dir); len(open) != 0 {
@@ -552,25 +556,31 @@ func TestScoreAllWritesOnlyOwnedCells(t *testing.T) {
 	}
 }
 
+// TestManifestValidation: Build commits epoch 1 of the multi-part layout,
+// one segment per shard in shard order, holding every row; a corrupted
+// idmap fails Open.
 func TestManifestValidation(t *testing.T) {
 	ds := skyDataset(t, 100)
 	dir := buildSharded(t, ds, 2)
-	m, err := LoadManifest(dir)
+	m, err := ReadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Hash != hashName {
-		t.Errorf("hash = %q, want %q", m.Hash, hashName)
+	if m.Epoch != 1 || m.NextSegmentID != 3 || len(m.Segments) != 2 {
+		t.Fatalf("epoch %d, next segment %d, %d segments; want 1, 3, 2", m.Epoch, m.NextSegmentID, len(m.Segments))
 	}
 	sum := 0
-	for _, n := range m.ShardRowCounts {
-		sum += n
+	for i, seg := range m.Segments {
+		if seg.ID != i+1 || seg.Shard != i {
+			t.Errorf("segment %d is %d of shard %d, want %d of shard %d", i, seg.ID, seg.Shard, i+1, i)
+		}
+		sum += seg.Rows
 	}
-	if sum != m.RowCount {
-		t.Errorf("shard row counts sum to %d, want %d", sum, m.RowCount)
+	if sum != ds.Len() || m.FlushedRows != ds.Len() {
+		t.Errorf("segments hold %d rows, manifest says %d; want %d", sum, m.FlushedRows, ds.Len())
 	}
 	// Opening with a corrupted idmap fails loudly.
-	bad := filepath.Join(dir, ShardDirName(0), idMapFile)
+	bad := filepath.Join(dir, SegmentDirName(1), idMapFile)
 	orig, err := os.ReadFile(bad)
 	if err != nil {
 		t.Fatal(err)

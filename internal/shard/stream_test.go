@@ -42,13 +42,9 @@ func multiPartCoordinator(t *testing.T, rows, parts, workers int) *Coordinator {
 		t.Fatal(err)
 	}
 	ps, _ := scatteredParts(t, ds, g, parts, 512, rand.New(rand.NewSource(int64(parts))))
-	man, err := NewManifest(1, segments, ds.Schema().Names(), bounds.Min, bounds.Max, 0, []int{ds.Len()})
-	if err != nil {
-		t.Fatal(err)
-	}
 	p := pool.New(workers)
 	t.Cleanup(p.Close)
-	c, err := NewLocalCoordinator(man, []*Shard{{Parts: ps}}, OpenOptions{Pool: p})
+	c, err := NewLocalCoordinator(g, ds.Schema().Names(), []*Shard{{Parts: ps}}, OpenOptions{Pool: p})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@
 package stream
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -45,24 +44,18 @@ var ErrClosed = errors.New("stream: db closed")
 // creation. Match with errors.Is.
 var ErrOutOfBounds = errors.New("stream: row outside pinned grid bounds")
 
-// DefaultMemtableBytes is the freeze threshold when Options.MemtableBytes
-// is zero.
+// DefaultMemtableBytes is the memtable size that freezes it for a flush.
 const DefaultMemtableBytes = 4 << 20
 
 // DefaultCompactSegments is the per-shard segment count that triggers
-// background compaction when Options.CompactSegments is zero.
+// background compaction.
 const DefaultCompactSegments = 6
 
-// CreateOptions configures Create.
-type CreateOptions struct {
-	// Shards is the layout width: 1 (or 0) = flat, else [2, shard.MaxShards].
-	Shards int
-	// SegmentsPerDim fixes the grid (0 = grid.DefaultSegmentsPerDim).
-	SegmentsPerDim int
-	// TargetChunkBytes is the per-segment chunk size target (0 = the
-	// chunkstore default).
-	TargetChunkBytes int
-}
+// CreateOptions configures Create: the layout width (0 or 1 = flat, else
+// [2, shard.MaxShards]), the grid's segments per dimension (0 =
+// grid.DefaultSegmentsPerDim) and the per-segment chunk size target (0 =
+// the chunkstore default).
+type CreateOptions = shard.BuildOptions
 
 // Options configures Open.
 type Options struct {
@@ -76,24 +69,20 @@ type Options struct {
 	BlockCache *chunkstore.BlockCache
 	// Registry receives the stream_* instruments (nil = private registry).
 	Registry *obs.Registry
-	// MemtableBytes freezes the active memtable once its decoded payload
-	// reaches this size (0 = DefaultMemtableBytes).
-	MemtableBytes int64
 	// FlushInterval additionally freezes+flushes on a timer regardless of
 	// size, so trickle appends become visible (0 disables the timer;
 	// size-triggered and explicit flushes still run).
 	FlushInterval time.Duration
-	// CompactSegments triggers background compaction of a shard once it
-	// holds at least this many segments (0 = DefaultCompactSegments).
-	CompactSegments int
+
+	// memtableBytes freezes the active memtable once its decoded payload
+	// reaches this size (0 = DefaultMemtableBytes). Tests raise it to keep
+	// size-triggered flushes out.
+	memtableBytes int64
 }
 
 func (o Options) withDefaults() Options {
-	if o.MemtableBytes <= 0 {
-		o.MemtableBytes = DefaultMemtableBytes
-	}
-	if o.CompactSegments <= 0 {
-		o.CompactSegments = DefaultCompactSegments
+	if o.memtableBytes <= 0 {
+		o.memtableBytes = DefaultMemtableBytes
 	}
 	if o.Registry == nil {
 		o.Registry = obs.NewRegistry()
@@ -130,7 +119,7 @@ type DB struct {
 	flushMu sync.Mutex
 
 	mu       sync.Mutex
-	man      *Manifest
+	man      *shard.Manifest
 	segs     map[int]*segment // open segments: current manifest's + retired-but-pinned
 	mem      *memtable
 	wal      *walWriter
@@ -165,67 +154,19 @@ type DB struct {
 }
 
 // Create materializes a new live store under dir (which must be empty or
-// absent) from an initial dataset, committing manifest epoch 1. The
-// dataset pins the grid bounds, so it must be non-empty and should cover
-// the value range appends will arrive in.
+// absent) from an initial dataset: the first epoch shard.Build writes,
+// plus the empty wal/ directory that makes the store live, made before
+// CURRENT commits the epoch. The dataset pins the grid bounds, so it must
+// be non-empty and should cover the value range appends will arrive in.
 func Create(dir string, ds *dataset.Dataset, opts CreateOptions) error {
-	if ds.Len() == 0 {
-		return fmt.Errorf("stream: refusing to create from an empty dataset (bounds would be undefined)")
-	}
-	bounds, err := ds.Bounds()
+	man, err := shard.WriteFirstEpoch(dir, ds, opts)
 	if err != nil {
 		return err
 	}
-	man := &Manifest{
-		FormatVersion:    manifestFormatVersion,
-		Epoch:            1,
-		Shards:           cmp.Or(opts.Shards, 1),
-		SegmentsPerDim:   cmp.Or(opts.SegmentsPerDim, grid.DefaultSegmentsPerDim),
-		Columns:          ds.Schema().Names(),
-		MinValues:        append([]float64(nil), bounds.Min...),
-		MaxValues:        append([]float64(nil), bounds.Max...),
-		TargetChunkBytes: cmp.Or(opts.TargetChunkBytes, chunkstore.DefaultTargetChunkBytes),
-		FlushedRows:      ds.Len(),
-		NextSegmentID:    1,
-	}
-	if err := man.checkGeometry(); err != nil {
-		return err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("stream: create %s: %w", dir, err)
-	}
-	if entries, err := os.ReadDir(dir); err != nil {
-		return fmt.Errorf("stream: inspect %s: %w", dir, err)
-	} else if len(entries) > 0 {
-		return fmt.Errorf("stream: directory %s is not empty", dir)
-	}
-	if err := os.MkdirAll(filepath.Join(dir, walDir), 0o755); err != nil {
+	if err := os.Mkdir(filepath.Join(dir, walDir), 0o755); err != nil {
 		return fmt.Errorf("stream: create wal dir: %w", err)
 	}
-	g, err := grid.New(bounds, man.SegmentsPerDim)
-	if err != nil {
-		return err
-	}
-	var owners []int
-	if man.Shards > 1 {
-		if owners, err = shard.CellOwners(g, man.Shards); err != nil {
-			return err
-		}
-	}
-	// Partition the initial rows exactly like a flush would: one segment
-	// per shard (flat = one segment total), zero-row shards get an
-	// explicit empty segment so every shard has a uniform resting place.
-	row := func(i int) []float64 { return ds.Row(dataset.RowID(i)) }
-	groups, err := shard.Partition(g, owners, man.Shards, 0, ds.Len(), row)
-	if err != nil {
-		return err
-	}
-	for s, ids := range groups {
-		if err := man.writeSegment(dir, s, ids, func(i int) []float64 { return row(int(ids[i])) }); err != nil {
-			return err
-		}
-	}
-	return commitManifest(dir, man)
+	return shard.CommitManifest(dir, man)
 }
 
 // Open opens a live store, recovering from any crash: stale manifests and
@@ -233,12 +174,16 @@ func Create(dir string, ds *dataset.Dataset, opts CreateOptions) error {
 // removed, and WAL records above the committed FlushedRows high-water mark
 // replay into a fresh memtable — no acknowledged append is ever lost.
 // Background flush and compaction goroutines start here and are joined by
-// Close.
+// Close. A multi-part store without wal/ is static: Open refuses it with
+// chunkstore.ErrLayoutMismatch and writes nothing to it.
 func Open(dir string, opts Options) (*DB, error) {
 	opts = opts.withDefaults()
-	man, err := loadCurrentManifest(dir)
+	man, err := shard.ReadManifest(dir)
 	if err != nil {
 		return nil, err
+	}
+	if !IsLiveDir(dir) {
+		return nil, fmt.Errorf("stream: %s holds a static store (no %s/ directory): %w", dir, walDir, chunkstore.ErrLayoutMismatch)
 	}
 	bounds := vec.NewBox(man.MinValues, man.MaxValues)
 	g, err := grid.New(bounds, man.SegmentsPerDim)
@@ -278,6 +223,9 @@ func Open(dir string, opts Options) (*DB, error) {
 		db.segs[seg.meta.ID] = seg
 	}
 	if err := db.recoverWAL(); err != nil {
+		for _, seg := range segs {
+			seg.part.Store.Close()
+		}
 		return nil, err
 	}
 	db.instrument(opts.Registry)
@@ -294,7 +242,7 @@ func Open(dir string, opts Options) (*DB, error) {
 func (db *DB) removeOrphans() error {
 	live := make(map[string]bool, len(db.man.Segments))
 	for _, s := range db.man.Segments {
-		live[SegmentDirName(s.ID)] = true
+		live[shard.SegmentDirName(s.ID)] = true
 	}
 	entries, err := os.ReadDir(db.dir)
 	if err != nil {
@@ -307,7 +255,7 @@ func (db *DB) removeOrphans() error {
 			if err := os.RemoveAll(filepath.Join(db.dir, name)); err != nil {
 				return fmt.Errorf("stream: remove orphan %s: %w", name, err)
 			}
-		case strings.HasPrefix(name, "manifest-") && strings.HasSuffix(name, ".json") && name != ManifestFileName(db.man.Epoch):
+		case strings.HasPrefix(name, "manifest-") && strings.HasSuffix(name, ".json") && name != shard.ManifestFileName(db.man.Epoch):
 			if err := os.Remove(filepath.Join(db.dir, name)); err != nil {
 				return fmt.Errorf("stream: remove stale %s: %w", name, err)
 			}
@@ -322,34 +270,19 @@ func (db *DB) removeOrphans() error {
 // are deleted; partially-covered ones stay until the next flush commit
 // retires them.
 func (db *DB) recoverWAL() error {
-	seqs, err := walSeqs(db.dir)
-	if err != nil {
-		return err
-	}
 	flushed := uint32(db.man.FlushedRows)
-	db.nextID = flushed
 	mem := &memtable{firstID: flushed}
 	maxSeq := -1
-	for _, seq := range seqs {
-		path := filepath.Join(db.dir, walDir, WALFileName(seq))
-		recs, err := readWALFile(path, len(db.columns))
-		if err != nil {
-			return fmt.Errorf("stream: wal %d: %w", seq, err)
-		}
+	next, err := replayWAL(db.dir, len(db.columns), flushed, func(seq int, path string, recs []walRecord) error {
 		var fileMax uint32
 		fileRows := 0
 		for _, rec := range recs {
 			for i, row := range rec.rows {
-				id := rec.firstID + uint32(i)
-				if id < flushed {
+				if rec.firstID+uint32(i) < flushed {
 					continue // already in a committed segment
-				}
-				if id != db.nextID {
-					return fmt.Errorf("stream: wal %d: row id %d, expected %d (gap in the log)", seq, id, db.nextID)
 				}
 				mem.rows = append(mem.rows, row)
 				mem.bytes += int64(8 * len(row))
-				db.nextID = id + 1
 			}
 			fileMax = rec.firstID + uint32(len(rec.rows)) - 1
 			fileRows += len(rec.rows)
@@ -361,13 +294,16 @@ func (db *DB) recoverWAL() error {
 			if err := os.Remove(path); err != nil {
 				return fmt.Errorf("stream: remove covered wal %d: %w", seq, err)
 			}
-			continue
+			return nil
 		}
 		db.walMax[seq] = fileMax
-		if seq > maxSeq {
-			maxSeq = seq
-		}
+		maxSeq = max(maxSeq, seq)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
+	db.nextID = next
 	db.mem = mem
 	db.nextSeq = maxSeq + 1
 	w, err := newWALWriter(db.dir, db.nextSeq)
@@ -457,7 +393,7 @@ func (db *DB) Append(rows [][]float64) (firstID uint32, err error) {
 	db.mAppends.Inc()
 	db.mAppendRows.Add(int64(len(rows)))
 	db.mMemBytes.Set(float64(db.memBytesLocked()))
-	if db.mem.bytes >= db.opts.MemtableBytes {
+	if db.mem.bytes >= db.opts.memtableBytes {
 		db.signal(db.flushC)
 	}
 	return firstID, nil
@@ -518,7 +454,7 @@ func (db *DB) flushFrozen(ctx context.Context) error {
 			return nil
 		}
 		fm := db.frozen[0]
-		man := db.man.clone()
+		man := db.man.Clone()
 		db.mu.Unlock()
 
 		if err := db.flushOne(ctx, fm, man); err != nil {
@@ -529,7 +465,7 @@ func (db *DB) flushFrozen(ctx context.Context) error {
 
 // flushOne builds fm's segments, commits the next epoch, installs it, and
 // retires fm's WAL generation(s). Caller holds flushMu.
-func (db *DB) flushOne(ctx context.Context, fm frozenMem, man *Manifest) error {
+func (db *DB) flushOne(ctx context.Context, fm frozenMem, man *shard.Manifest) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -546,7 +482,7 @@ func (db *DB) flushOne(ctx context.Context, fm frozenMem, man *Manifest) error {
 		if len(ids) == 0 {
 			continue // flushes never write empty segments
 		}
-		if err := man.writeSegment(db.dir, s, ids, func(i int) []float64 { return mem.rows[ids[i]-mem.firstID] }); err != nil {
+		if err := man.WriteSegment(db.dir, s, ids, func(i int) []float64 { return mem.rows[ids[i]-mem.firstID] }); err != nil {
 			sp.End(nil)
 			return err
 		}
@@ -558,7 +494,7 @@ func (db *DB) flushOne(ctx context.Context, fm frozenMem, man *Manifest) error {
 			return err
 		}
 	}
-	if err := commitManifest(db.dir, man); err != nil {
+	if err := shard.CommitManifest(db.dir, man); err != nil {
 		sp.End(nil)
 		return err
 	}
@@ -612,7 +548,7 @@ func (db *DB) Compact(ctx context.Context) error {
 }
 
 // compact merges shards holding at least minSegs segments (or any zero-row
-// segment). The background loop calls it with the configured threshold;
+// segment). The background loop calls it with DefaultCompactSegments;
 // Compact with 2 (full).
 func (db *DB) compact(ctx context.Context, minSegs int) error {
 	db.flushMu.Lock()
@@ -622,7 +558,7 @@ func (db *DB) compact(ctx context.Context, minSegs int) error {
 		db.mu.Unlock()
 		return ErrClosed
 	}
-	man := db.man.clone()
+	man := db.man.Clone()
 	byShard := make(map[int][]*segment)
 	for _, meta := range man.Segments {
 		byShard[meta.Shard] = append(byShard[meta.Shard], db.segs[meta.ID])
@@ -689,7 +625,7 @@ func (db *DB) compact(ctx context.Context, minSegs int) error {
 			for i, o := range order {
 				mids[i] = ids[o]
 			}
-			if err := man.writeSegment(db.dir, s, mids, func(i int) []float64 { return rows[order[i]] }); err != nil {
+			if err := man.WriteSegment(db.dir, s, mids, func(i int) []float64 { return rows[order[i]] }); err != nil {
 				sp.End(nil)
 				return err
 			}
@@ -713,7 +649,7 @@ func (db *DB) compact(ctx context.Context, minSegs int) error {
 		}
 	}
 	man.Segments = kept
-	if err := commitManifest(db.dir, man); err != nil {
+	if err := shard.CommitManifest(db.dir, man); err != nil {
 		sp.End(nil)
 		return err
 	}
@@ -811,7 +747,7 @@ func (db *DB) backgroundFlush() {
 		db.mu.Unlock()
 		return
 	}
-	if db.mem.bytes >= db.opts.MemtableBytes || (db.opts.FlushInterval > 0 && db.mem.len() > 0) {
+	if db.mem.bytes >= db.opts.memtableBytes || (db.opts.FlushInterval > 0 && db.mem.len() > 0) {
 		if err := db.freezeLocked(); err != nil {
 			db.flushErr = err
 			db.mu.Unlock()
@@ -837,7 +773,7 @@ func (db *DB) compactLoop() {
 		}
 		// Threshold compaction; errors are reported through the next
 		// explicit Compact (background compaction is advisory).
-		_ = db.compact(context.Background(), db.opts.CompactSegments)
+		_ = db.compact(context.Background(), DefaultCompactSegments)
 	}
 }
 

@@ -2,14 +2,15 @@ package stream
 
 import (
 	"os"
-	"path/filepath"
+
+	"github.com/uei-db/uei/internal/shard"
 )
 
-// Info is an offline summary of a live layout, cheap enough for CLI
-// inspection: it reads CURRENT, the manifest, and scans the WAL frames —
-// no segment stores are opened.
+// Info is an offline summary of a multi-part layout, cheap enough for CLI
+// inspection: it reads CURRENT, the manifest, and, of a live store, the
+// WAL frames — no segment stores are opened.
 type Info struct {
-	Manifest *Manifest
+	Manifest *shard.Manifest
 	// WALFiles is the number of live log generations.
 	WALFiles int
 	// WALBytes is their combined size on disk.
@@ -22,11 +23,12 @@ type Info struct {
 	HighWaterID uint32
 }
 
-// Inspect summarizes the live layout under dir without opening it for
-// writing (safe while another process owns the store, modulo a flush
-// racing the WAL scan).
+// Inspect summarizes the layout under dir without opening it for writing
+// (safe while another process owns the store, modulo a flush racing the
+// WAL scan). It reads a live store's WAL as Open would replay it, so a
+// generation Open refuses fails it, named; a static store has no WAL.
 func Inspect(dir string) (*Info, error) {
-	man, err := loadCurrentManifest(dir)
+	man, err := shard.ReadManifest(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -34,33 +36,23 @@ func Inspect(dir string) (*Info, error) {
 	if man.FlushedRows > 0 {
 		info.HighWaterID = uint32(man.FlushedRows) - 1
 	}
-	seqs, err := walSeqs(dir)
-	if err != nil {
-		return nil, err
+	if !IsLiveDir(dir) {
+		return info, nil
 	}
 	flushed := uint32(man.FlushedRows)
-	for _, seq := range seqs {
-		path := filepath.Join(dir, walDir, WALFileName(seq))
+	next, err := replayWAL(dir, len(man.Columns), flushed, func(_ int, path string, _ []walRecord) error {
 		if st, err := os.Stat(path); err == nil {
 			info.WALBytes += st.Size()
 		}
 		info.WALFiles++
-		recs, err := readWALFile(path, len(man.Columns))
-		if err != nil {
-			return nil, err
-		}
-		for _, rec := range recs {
-			for i := range rec.rows {
-				id := rec.firstID + uint32(i)
-				if id < flushed {
-					continue
-				}
-				info.WALRows++
-				if id > info.HighWaterID {
-					info.HighWaterID = id
-				}
-			}
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	info.WALRows = int(next - flushed)
+	if next > flushed {
+		info.HighWaterID = next - 1
 	}
 	return info, nil
 }

@@ -18,7 +18,7 @@ import (
 // segments on disk forever.
 type Snapshot struct {
 	db       *DB
-	man      *Manifest
+	man      *shard.Manifest
 	segs     []*segment
 	released atomic.Bool
 }
@@ -72,31 +72,8 @@ func (s *Snapshot) FetchRows(ctx context.Context, ids []uint32) ([]chunkstore.Me
 	return shard.FetchPartsRows(ctx, s.parts(), ids)
 }
 
-// ShardManifest synthesizes the static shard manifest equivalent of this
-// epoch: the same grid geometry, bounds, and hash contract a build-time
-// shards.json would carry (one shard for a flat live layout), with
-// per-shard row counts summed over the epoch's segments.
-func (s *Snapshot) ShardManifest() (*shard.Manifest, error) {
-	counts := make([]int, s.db.shards)
-	for _, seg := range s.segs {
-		counts[seg.meta.Shard] += seg.meta.Rows
-	}
-	return shard.NewManifest(s.db.shards, s.db.segsPD, s.db.columns,
-		s.db.bounds.Min, s.db.bounds.Max, s.db.target, counts)
-}
-
 // Shards groups the snapshot's segments into per-shard multi-part shards
-// for a local coordinator (shard s's parts in segment-id order, so rows
-// within a shard merge back into global-id order exactly as a build-time
-// partition would have laid them out).
+// for a local coordinator (shard.GroupShards).
 func (s *Snapshot) Shards() []*shard.Shard {
-	shards := make([]*shard.Shard, s.db.shards)
-	for i := range shards {
-		shards[i] = &shard.Shard{ID: i}
-	}
-	for _, seg := range s.segs {
-		sh := shards[seg.meta.Shard]
-		sh.Parts = append(sh.Parts, seg.part)
-	}
-	return shards
+	return shard.GroupShards(s.db.shards, s.man.Segments, s.parts())
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -16,6 +17,7 @@ import (
 	"github.com/uei-db/uei/internal/chunkstore"
 	"github.com/uei-db/uei/internal/dataset"
 	"github.com/uei-db/uei/internal/grid"
+	"github.com/uei-db/uei/internal/leakcheck"
 	"github.com/uei-db/uei/internal/shard"
 )
 
@@ -31,7 +33,7 @@ func testDataset(t *testing.T, n int, seed int64) *dataset.Dataset {
 // bigMemtable keeps size-triggered background flushes out of deterministic
 // tests; visibility changes only at explicit Flush/Compact calls.
 func testOptions() Options {
-	return Options{MemtableBytes: 1 << 30}
+	return Options{memtableBytes: 1 << 30}
 }
 
 func mustCreate(t *testing.T, dir string, ds *dataset.Dataset, opts CreateOptions) {
@@ -277,10 +279,33 @@ func TestSnapshotMatchesStaticStore(t *testing.T) {
 	}
 }
 
-// TestShardAndSegmentAreOnePart: at S = 3 over one dataset, each shard
-// directory shard.Build writes and the segment Create writes for the same
-// shard hold the same files — data files, chunk manifest, idmap — byte for
-// byte. Both layouts write their parts through shard.WritePart.
+// storeFiles reads every file under dir into a map keyed by its path
+// relative to dir; a directory maps to nil.
+func storeFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := make(map[string][]byte)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || path == dir {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil || d.IsDir() {
+			files[rel] = nil
+			return err
+		}
+		files[rel], err = os.ReadFile(path)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestShardAndSegmentAreOnePart: at S = 3 over one dataset, shard.Build
+// and Create write the same files — CURRENT, the epoch manifest, and per
+// segment its data files, chunk manifest and idmap — byte for byte; the
+// live store adds only its empty wal/ directory.
 func TestShardAndSegmentAreOnePart(t *testing.T) {
 	ds := testDataset(t, 3000, 5)
 	shardedDir, liveDir := t.TempDir(), t.TempDir()
@@ -288,40 +313,160 @@ func TestShardAndSegmentAreOnePart(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustCreate(t, liveDir, ds, CreateOptions{Shards: 3, TargetChunkBytes: 2048})
-	man, err := ReadManifest(liveDir)
+	want, got := storeFiles(t, shardedDir), storeFiles(t, liveDir)
+	if wal, ok := got[walDir]; !ok || wal != nil {
+		t.Fatalf("the live store has no %s/ directory", walDir)
+	}
+	delete(got, walDir)
+	if len(got) != len(want) {
+		t.Errorf("the live store holds %d entries besides %s/, the static one %d", len(got), walDir, len(want))
+	}
+	for name, data := range want {
+		if g, ok := got[name]; !ok || !bytes.Equal(g, data) {
+			t.Errorf("%s differs between the static and the live store", name)
+		}
+	}
+	man, err := shard.ReadManifest(liveDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	readAll := func(dir string) map[string][]byte {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files := make(map[string][]byte, len(entries))
-		for _, e := range entries {
-			if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return files
-	}
 	rows := 0
 	for _, seg := range man.Segments {
-		shardDir := filepath.Join(shardedDir, shard.ShardDirName(seg.Shard))
-		segDir := filepath.Join(liveDir, SegmentDirName(seg.ID))
-		want, got := readAll(shardDir), readAll(segDir)
-		if len(got) != len(want) {
-			t.Errorf("%s holds %d files, %s %d", segDir, len(got), shardDir, len(want))
-		}
-		for name, data := range want {
-			if !bytes.Equal(got[name], data) {
-				t.Errorf("%s differs from %s", filepath.Join(segDir, name), filepath.Join(shardDir, name))
-			}
-		}
 		rows += seg.Rows
 	}
 	if len(man.Segments) != 3 || rows != ds.Len() {
 		t.Fatalf("%d segments holding %d rows, want 3 holding %d", len(man.Segments), rows, ds.Len())
+	}
+}
+
+// TestOpenRefusesStaticStore: a multi-part store without wal/ is static.
+// Open refuses it with ErrLayoutMismatch and leaves every file as it was;
+// Inspect reads it as a store with no WAL.
+func TestOpenRefusesStaticStore(t *testing.T) {
+	ds := testDataset(t, 600, 3)
+	dir := t.TempDir()
+	if err := shard.Build(dir, ds, shard.BuildOptions{Shards: 2, TargetChunkBytes: 2048}); err != nil {
+		t.Fatal(err)
+	}
+	before := storeFiles(t, dir)
+	if IsLiveDir(dir) {
+		t.Fatal("a static build is detected as live")
+	}
+	if db, err := Open(dir, testOptions()); !errors.Is(err, chunkstore.ErrLayoutMismatch) {
+		if err == nil {
+			db.Close()
+		}
+		t.Fatalf("Open on a static store: err = %v, want ErrLayoutMismatch", err)
+	}
+	info, err := Inspect(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.WALFiles != 0 || info.WALRows != 0 || info.HighWaterID != uint32(ds.Len()-1) {
+		t.Fatalf("Inspect on a static store: %d WAL files, %d WAL rows, high water %d", info.WALFiles, info.WALRows, info.HighWaterID)
+	}
+	if after := storeFiles(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatal("opening and inspecting a static store changed its files")
+	}
+}
+
+// writeGappedWAL writes a log generation seq into the live store under dir
+// whose one record starts a row past the store's flushed rows: the gap
+// Open's replay refuses.
+func writeGappedWAL(t *testing.T, dir string, seq int) {
+	t.Helper()
+	man, err := shard.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make([]float64, len(man.Columns))
+	copy(row, man.MinValues)
+	frame := appendWALFrame(nil, uint32(man.FlushedRows)+1, [][]float64{row}, len(row))
+	if err := os.WriteFile(filepath.Join(dir, walDir, WALFileName(seq)), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenWALGapClosesSegments: a WAL generation with a gap fails Open,
+// naming the generation, and the segment stores Open had already opened
+// are closed; Inspect refuses the same generation.
+func TestOpenWALGapClosesSegments(t *testing.T) {
+	dir := t.TempDir()
+	mustCreate(t, dir, testDataset(t, 600, 4), CreateOptions{Shards: 2, TargetChunkBytes: 2048})
+	writeGappedWAL(t, dir, 3)
+	db, err := Open(dir, testOptions())
+	if err == nil {
+		db.Close()
+		t.Fatal("Open replayed a log with a gap")
+	}
+	if !strings.Contains(err.Error(), "wal 3") || !strings.Contains(err.Error(), "gap") {
+		t.Errorf("Open err = %v, want one naming wal 3 and the gap", err)
+	}
+	if leakcheck.ProcFDs() {
+		if open := leakcheck.FilesUnder(dir); len(open) != 0 {
+			t.Errorf("a refused Open holds %v", open)
+		}
+	}
+	if _, err := Inspect(dir); err == nil || !strings.Contains(err.Error(), "wal 3") || !strings.Contains(err.Error(), "gap") {
+		t.Errorf("Inspect err = %v, want one naming wal 3 and the gap", err)
+	}
+}
+
+// TestShardOpenReadsLiveEpoch: shard.Open over a live store holding
+// several segments per shard reads, read-only, the rows the store's
+// snapshot of the same epoch reads.
+func TestShardOpenReadsLiveEpoch(t *testing.T) {
+	ds := testDataset(t, 800, 6)
+	dir := t.TempDir()
+	mustCreate(t, dir, ds, CreateOptions{Shards: 2, TargetChunkBytes: 2048})
+	db := mustOpen(t, dir, testOptions())
+	ctx := context.Background()
+	for batch := 0; batch < 3; batch++ {
+		rows := make([][]float64, 40)
+		for i := range rows {
+			rows[i] = ds.CopyRow(dataset.RowID(batch*40 + i))
+		}
+		if _, err := db.Append(rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := db.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Release()
+	c, err := shard.Open(ctx, dir, shard.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, sh := range c.Shards() {
+			for _, p := range sh.Parts {
+				p.Store.Close()
+			}
+		}
+	}()
+	for _, sh := range c.Shards() {
+		if len(sh.Parts) < 2 {
+			t.Fatalf("shard %d reads %d parts, want the several segments the flushes wrote", sh.ID, len(sh.Parts))
+		}
+	}
+	if c.Meta().RowCount != snap.RowCount() {
+		t.Fatalf("shard.Open reads %d rows, the snapshot %d", c.Meta().RowCount, snap.RowCount())
+	}
+	ids := make([]uint32, snap.RowCount())
+	for i := range ids {
+		ids[i] = uint32(i)
+	}
+	got, err := c.FetchRows(ctx, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := allRows(t, snap); !reflect.DeepEqual(got, want) {
+		t.Fatal("shard.Open reads other rows than the snapshot")
 	}
 }
 
@@ -332,12 +477,12 @@ func TestShardAndSegmentAreOnePart(t *testing.T) {
 func TestOpenRefusesIDPastFlushedRows(t *testing.T) {
 	dir := t.TempDir()
 	mustCreate(t, dir, testDataset(t, 600, 9), CreateOptions{Shards: 2, TargetChunkBytes: 2048})
-	man, err := ReadManifest(dir)
+	man, err := shard.ReadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seg := man.Segments[len(man.Segments)-1]
-	segDir := filepath.Join(dir, SegmentDirName(seg.ID))
+	segDir := filepath.Join(dir, shard.SegmentDirName(seg.ID))
 	ids, err := shard.LoadIDMap(segDir)
 	if err != nil {
 		t.Fatal(err)
@@ -418,7 +563,7 @@ func TestAppendFlushVisibilityMVCC(t *testing.T) {
 }
 
 // TestFlushIntervalShowsTrickleAppend is the evidence for FlushInterval:
-// one appended row, far below MemtableBytes, becomes a new epoch by the
+// one appended row, far below memtableBytes, becomes a new epoch by the
 // timer alone when the interval is set, and stays durable-but-invisible
 // over the same wait when it is 0 (only an explicit Flush shows it).
 func TestFlushIntervalShowsTrickleAppend(t *testing.T) {
@@ -523,13 +668,13 @@ func segmentDirs(t *testing.T, dir string) []string {
 // manifest CURRENT names does not reference.
 func unreferencedSegmentDirs(t *testing.T, dir string) []string {
 	t.Helper()
-	man, err := loadCurrentManifest(dir)
+	man, err := shard.ReadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	live := make(map[string]bool, len(man.Segments))
 	for _, s := range man.Segments {
-		live[SegmentDirName(s.ID)] = true
+		live[shard.SegmentDirName(s.ID)] = true
 	}
 	var out []string
 	for _, d := range segmentDirs(t, dir) {
@@ -673,13 +818,6 @@ func TestZeroRowSegments(t *testing.T) {
 		t.Fatalf("cell 0 reconstructs %d rows, want %d", len(got), ds.Len())
 	}
 	checkRowsMatch(t, allRows(t, snap), ds, nil)
-	man, err := snap.ShardManifest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man.RowCount != ds.Len() || man.Shards != 2 {
-		t.Fatalf("synthesized manifest: rows %d shards %d", man.RowCount, man.Shards)
-	}
 	snap.Release()
 
 	// Compaction drops the zero-row segment outright.

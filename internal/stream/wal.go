@@ -10,6 +10,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"github.com/uei-db/uei/internal/shard"
 )
 
 // The write-ahead log makes appends durable before they are acknowledged:
@@ -34,6 +36,20 @@ import (
 // precedes any torn one. A CRC-valid record that holds no rows, or whose
 // ids would run past 2³²−1, is refused: no writer produces one, and
 // recovery's high-water mark firstID+count−1 would wrap.
+
+// walDir holds the write-ahead log files. A multi-part store directory is
+// live iff it holds one.
+const walDir = "wal"
+
+// IsLiveDir reports whether dir carries the live layout: a multi-part store
+// (shard.IsMultiPartDir) with a wal/ directory.
+func IsLiveDir(dir string) bool {
+	if !shard.IsMultiPartDir(dir) {
+		return false
+	}
+	st, err := os.Stat(filepath.Join(dir, walDir))
+	return err == nil && st.IsDir()
+}
 
 // WALFileName returns the log file name of generation seq.
 func WALFileName(seq int) string { return fmt.Sprintf("wal-%06d.log", seq) }
@@ -158,6 +174,43 @@ func parseWAL(data []byte, dims int) ([]walRecord, error) {
 		off += 8 + n
 	}
 	return recs, nil
+}
+
+// replayWAL reads every log generation under dir in order, as Open replays
+// them, and hands each file's records to visit with the file's seq and
+// path. The rows at or above flushed must continue from flushed with no
+// gap; a gap or a record readWALFile refuses fails the replay, naming the
+// generation. It returns the id after the last replayed row (flushed when
+// the log holds none above it).
+func replayWAL(dir string, dims int, flushed uint32, visit func(seq int, path string, recs []walRecord) error) (uint32, error) {
+	seqs, err := walSeqs(dir)
+	if err != nil {
+		return 0, err
+	}
+	next := flushed
+	for _, seq := range seqs {
+		path := filepath.Join(dir, walDir, WALFileName(seq))
+		recs, err := readWALFile(path, dims)
+		if err != nil {
+			return 0, fmt.Errorf("stream: wal %d: %w", seq, err)
+		}
+		for _, rec := range recs {
+			for i := range rec.rows {
+				id := rec.firstID + uint32(i)
+				if id < flushed {
+					continue
+				}
+				if id != next {
+					return 0, fmt.Errorf("stream: wal %d: row id %d, expected %d (gap in the log)", seq, id, next)
+				}
+				next++
+			}
+		}
+		if err := visit(seq, path, recs); err != nil {
+			return 0, err
+		}
+	}
+	return next, nil
 }
 
 // walSeqs lists the log generations present under dir, ascending.
