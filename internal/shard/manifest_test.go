@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -78,6 +79,31 @@ func TestReadManifestRefusesBadGeometry(t *testing.T) {
 	for _, c := range manifestRefusals(t) {
 		if _, err := ReadManifest(write(c.data)); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want one naming %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestLoadManifestRefusesBadGeometry: Open loads a sharded build through
+// the same epoch reader, so a build whose manifest fails the geometry
+// check is refused at load, naming the fault, before any part is opened.
+func TestLoadManifestRefusesBadGeometry(t *testing.T) {
+	dir := buildSharded(t, skyDataset(t, 300), 2)
+	c, err := Open(context.Background(), dir, OpenOptions{})
+	if err != nil {
+		t.Fatalf("the build as written: %v", err)
+	}
+	for _, sh := range c.Shards() {
+		for _, p := range sh.Parts {
+			p.Store.Close()
+		}
+	}
+	name := filepath.Join(dir, ManifestFileName(1))
+	for _, c := range manifestRefusals(t) {
+		if err := os.WriteFile(name, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(context.Background(), dir, OpenOptions{}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Open err = %v, want one naming %q", c.name, err, c.want)
 		}
 	}
 }

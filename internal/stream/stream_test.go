@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -367,6 +368,50 @@ func TestOpenRefusesStaticStore(t *testing.T) {
 	}
 	if after := storeFiles(t, dir); !reflect.DeepEqual(after, before) {
 		t.Fatal("opening and inspecting a static store changed its files")
+	}
+}
+
+// TestReadManifestRefusesBadGeometry: Open reads a live store's epoch
+// through the geometry check, so a manifest with a shard count past
+// shard.MaxShards, a repeated or empty column name, or a missing bound
+// fails Open — naming the fault — before a part is opened, and Open
+// changes no file of the store it refuses.
+func TestReadManifestRefusesBadGeometry(t *testing.T) {
+	dir := t.TempDir()
+	mustCreate(t, dir, testDataset(t, 400, 8), CreateOptions{Shards: 2, TargetChunkBytes: 2048})
+	good, err := shard.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name, want string
+		edit       func(m *shard.Manifest)
+	}{
+		{"shards-past-max", "want 1..1024", func(m *shard.Manifest) { m.Shards = 1 << 40 }},
+		{"duplicate-column", "duplicate column", func(m *shard.Manifest) { m.Columns[1] = m.Columns[0] }},
+		{"empty-column", "empty column", func(m *shard.Manifest) { m.Columns[0] = "" }},
+		{"bound-missing", "bounds disagree", func(m *shard.Manifest) { m.MinValues = m.MinValues[:1] }},
+	}
+	for _, c := range cases {
+		m := good.Clone()
+		c.edit(m)
+		data, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, shard.ManifestFileName(m.Epoch)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := storeFiles(t, dir)
+		if db, err := Open(dir, testOptions()); err == nil || !strings.Contains(err.Error(), c.want) {
+			if err == nil {
+				db.Close()
+			}
+			t.Errorf("%s: Open err = %v, want one naming %q", c.name, err, c.want)
+		}
+		if after := storeFiles(t, dir); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: a refused Open changed the store's files", c.name)
+		}
 	}
 }
 
