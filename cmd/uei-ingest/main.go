@@ -54,7 +54,7 @@ func run() (err error) {
 		chunk    = flag.Int("chunk", chunkstore.DefaultTargetChunkBytes, "target chunk size in bytes (Table 1: 481280 = 470KB)")
 		inspect  = flag.String("inspect", "", "print a summary of an existing store and exit")
 		verify   = flag.String("verify", "", "open every part of an existing store (flat, sharded or live) as serving does — idmap and row count against the manifest — read every chunk against its manifest, read a live store's WAL as opening it would, and exit; the first violation is the error")
-		shards   = flag.Int("shards", 1, "partition the store into this many shards (1 = flat legacy layout)")
+		shards   = flag.Int("shards", 1, "partition the store into this many shards (1 = one flat chunk store)")
 		segments = flag.Int("segments", 0, "sharded build: grid segments per dimension cells are hashed over (0 = default 5)")
 		traceFl  = flag.String("trace", "", "write a hierarchical span trace of the ingest as JSONL to this file (analyze with uei-trace)")
 		live     = flag.Bool("live", false, "build the live (streaming) layout: a WAL-backed write store that accepts appends after the build (see -follow)")

@@ -272,11 +272,7 @@ func TestReadersLeaveStaticStoreUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sh := range c.Shards() {
-		for _, p := range sh.Parts {
-			p.Store.Close()
-		}
-	}
+	c.Close()
 	if err := inspectStore(dir); err != nil {
 		t.Fatal(err)
 	}

@@ -348,12 +348,6 @@ func (c *Cache[V]) Len() int {
 	return len(c.entries)
 }
 
-// ResidentBytes returns the bytes currently reserved by resident entries.
-func (c *Cache[V]) ResidentBytes() int64 { return c.budget.Used() }
-
-// Capacity returns the cache's current byte capacity.
-func (c *Cache[V]) Capacity() int64 { return c.budget.Capacity() }
-
 // Stats is a point-in-time summary of cache activity.
 type Stats struct {
 	Hits          int64
@@ -362,15 +356,6 @@ type Stats struct {
 	Evictions     int64
 	ResidentBytes int64
 	ResidentLen   int
-}
-
-// HitRate returns hits / (hits + misses), or 0 before any lookup.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
 }
 
 // Stats snapshots the activity counters. Safe concurrent with loads.

@@ -55,9 +55,6 @@ func TestHitMissAndSharing(t *testing.T) {
 	if s.Hits != 1 || s.Misses != 1 || s.ResidentBytes != 10 || s.ResidentLen != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if r := s.HitRate(); r != 0.5 {
-		t.Fatalf("hit rate = %g, want 0.5", r)
-	}
 }
 
 func TestSieveEvictionPrefersUnvisited(t *testing.T) {
@@ -119,16 +116,16 @@ func TestResizeShrinkEvicts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.ResidentBytes() != 100 {
-		t.Fatalf("resident = %d, want 100", c.ResidentBytes())
+	if c.Stats().ResidentBytes != 100 {
+		t.Fatalf("resident = %d, want 100", c.Stats().ResidentBytes)
 	}
 	if err := c.Resize(40); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.ResidentBytes(); got > 40 {
+	if got := c.Stats().ResidentBytes; got > 40 {
 		t.Fatalf("resident = %d after shrink to 40", got)
 	}
-	if got := c.Capacity(); got != 40 {
+	if got := c.budget.Capacity(); got != 40 {
 		t.Fatalf("capacity = %d, want 40", got)
 	}
 	// Growing back does not resurrect anything but accepts new entries.
@@ -173,8 +170,8 @@ func TestFlush(t *testing.T) {
 		}
 	}
 	c.Flush()
-	if c.Len() != 0 || c.ResidentBytes() != 0 {
-		t.Fatalf("len=%d resident=%d after flush", c.Len(), c.ResidentBytes())
+	if c.Len() != 0 || c.Stats().ResidentBytes != 0 {
+		t.Fatalf("len=%d resident=%d after flush", c.Len(), c.Stats().ResidentBytes)
 	}
 }
 
@@ -362,7 +359,7 @@ func TestConcurrentStress(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := c.ResidentBytes(); got > c.Capacity() {
-		t.Fatalf("resident %d exceeds capacity %d", got, c.Capacity())
+	if got := c.Stats().ResidentBytes; got > c.budget.Capacity() {
+		t.Fatalf("resident %d exceeds capacity %d", got, c.budget.Capacity())
 	}
 }

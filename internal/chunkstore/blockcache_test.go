@@ -73,7 +73,7 @@ func TestBlockCacheSingleFlightOneDiskRead(t *testing.T) {
 			t.Fatalf("goroutine %d decoded entries differ from uncached read", i)
 		}
 	}
-	s := st.BlockCache().Stats()
+	s := st.cache.Stats()
 	if s.Misses != 1 {
 		t.Fatalf("cache misses = %d, want 1", s.Misses)
 	}
@@ -119,8 +119,8 @@ func TestBlockCacheWarmHitNoDiskRead(t *testing.T) {
 		}
 		want := int64(tc.perEntry*meta.Entries + 4*meta.RowRefs)
 		resident += want
-		if first.Bytes() != want || c.ResidentBytes() != resident {
-			t.Fatalf("%s: resident chunks charged %d (Bytes %d), want %d (this chunk %d)", meta.File, c.ResidentBytes(), first.Bytes(), resident, want)
+		if got := c.Stats().ResidentBytes; first.Bytes() != want || got != resident {
+			t.Fatalf("%s: resident chunks charged %d (Bytes %d), want %d (this chunk %d)", meta.File, got, first.Bytes(), resident, want)
 		}
 	}
 }
@@ -169,7 +169,7 @@ func TestBlockCacheMergeParity(t *testing.T) {
 				}
 			}
 		}
-		if s := cached.BlockCache().Stats(); s.Hits == 0 {
+		if s := cached.cache.Stats(); s.Hits == 0 {
 			t.Fatalf("workers=%d: expected warm-round cache hits, got stats %+v", workers, s)
 		}
 	}
@@ -179,7 +179,8 @@ func TestBlockCacheMergeParity(t *testing.T) {
 // store still answers correctly while the cache continuously evicts.
 func TestBlockCacheEvictionUnderPressure(t *testing.T) {
 	st, _ := buildTestStore(t, 3000, 17)
-	c := withBlockCache(t, st, 8<<10) // far smaller than the decoded working set
+	const capacity = 8 << 10 // far smaller than the decoded working set
+	c := withBlockCache(t, st, capacity)
 	ctx := context.Background()
 	for round := 0; round < 3; round++ {
 		for d := 0; d < st.Dims(); d++ {
@@ -196,9 +197,9 @@ func TestBlockCacheEvictionUnderPressure(t *testing.T) {
 	}
 	s := c.Stats()
 	if s.Evictions == 0 {
-		t.Fatalf("no evictions under a %d-byte budget: %+v", 8<<10, s)
+		t.Fatalf("no evictions under a %d-byte budget: %+v", capacity, s)
 	}
-	if s.ResidentBytes > c.Capacity() {
-		t.Fatalf("resident %d exceeds capacity %d", s.ResidentBytes, c.Capacity())
+	if s.ResidentBytes > capacity {
+		t.Fatalf("resident %d exceeds capacity %d", s.ResidentBytes, capacity)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"github.com/uei-db/uei/internal/dataset"
-	"github.com/uei-db/uei/internal/vec"
 )
 
 // lowerSpillPairs makes every build in the test spill a sorted run each n
@@ -193,7 +192,7 @@ func TestBuildRowsReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range got {
-		if !vec.Equal(r.Vals, ds.Row(dataset.RowID(r.ID))) {
+		if !slices.Equal(r.Vals, ds.Row(dataset.RowID(r.ID))) {
 			t.Errorf("row %d differs after a spilled build", r.ID)
 		}
 	}

@@ -86,7 +86,7 @@ func diffRows(got []MergedRow, ds *dataset.Dataset, want []dataset.RowID) string
 		return fmt.Sprintf("%d rows, brute force has %d", len(got), len(want))
 	}
 	for i, r := range got {
-		if r.ID != uint32(want[i]) || !vec.Equal(r.Vals, ds.Row(want[i])) {
+		if r.ID != uint32(want[i]) || !slices.Equal(r.Vals, ds.Row(want[i])) {
 			return fmt.Sprintf("row %d is %d %v, want %d %v", i, r.ID, r.Vals, want[i], ds.Row(want[i]))
 		}
 	}

@@ -282,9 +282,6 @@ func (s *Store) SetWorkers(n int) { s.workers = n }
 // and must be treated as immutable — every consumer only reads them.
 func (s *Store) SetBlockCache(c *BlockCache) { s.cache = c }
 
-// BlockCache returns the installed decoded-chunk cache, or nil.
-func (s *Store) BlockCache() *BlockCache { return s.cache }
-
 // SetCacheKeyPrefix namespaces this store's entries in a shared block
 // cache. Stores over distinct directories give their chunks identical
 // names, so a cache shared between them (the sharded layout) must be

@@ -135,7 +135,7 @@ func TestBuildAndOpen(t *testing.T) {
 		t.Fatalf("RowCount=%d Dims=%d", st.RowCount(), st.Dims())
 	}
 	wantBounds, _ := ds.Bounds()
-	if !vec.Equal(st.Bounds().Min, wantBounds.Min) || !vec.Equal(st.Bounds().Max, wantBounds.Max) {
+	if !slices.Equal(st.Bounds().Min, wantBounds.Min) || !slices.Equal(st.Bounds().Max, wantBounds.Max) {
 		t.Error("store bounds disagree with dataset bounds")
 	}
 	if st.TotalBytes() <= 0 {
@@ -309,7 +309,7 @@ func TestMergeRegionMatchesBruteForce(t *testing.T) {
 			if r.ID != uint32(want[i]) {
 				t.Fatalf("trial %d: row %d id %d, want %d", trial, i, r.ID, want[i])
 			}
-			if !vec.Equal(r.Vals, ds.Row(want[i])) {
+			if !slices.Equal(r.Vals, ds.Row(want[i])) {
 				t.Fatalf("trial %d: row %d values %v, want %v", trial, i, r.Vals, ds.Row(want[i]))
 			}
 		}
@@ -357,7 +357,7 @@ func TestFetchRows(t *testing.T) {
 		if r.ID != wantOrder[i] {
 			t.Fatalf("row %d id %d, want %d", i, r.ID, wantOrder[i])
 		}
-		if !vec.Equal(r.Vals, ds.Row(dataset.RowID(r.ID))) {
+		if !slices.Equal(r.Vals, ds.Row(dataset.RowID(r.ID))) {
 			t.Fatalf("row %d values differ", r.ID)
 		}
 	}

@@ -185,7 +185,7 @@ func BenchmarkCellReconstruction(b *testing.B) {
 				b.StopTimer()
 				if cacheBytes > 0 {
 					s := idx.BlockCache().Stats()
-					b.ReportMetric(s.HitRate()*100, "hit%")
+					b.ReportMetric(100*float64(s.Hits)/float64(max(1, s.Hits+s.Misses)), "hit%")
 				}
 			})
 		}

@@ -473,11 +473,7 @@ func (x *Index) Close() {
 		if !x.isView {
 			x.pool.Close()
 			if x.live == nil {
-				for _, sh := range x.coord.Shards() {
-					for _, p := range sh.Parts {
-						p.Store.Close()
-					}
-				}
+				x.coord.Close()
 			}
 		}
 		x.ptab.Release()

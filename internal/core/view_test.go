@@ -177,8 +177,14 @@ func TestViewInheritsParentOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer v.Close()
-	if got := v.cache.MaxRegions(); got != 2 {
-		t.Errorf("view resident-region bound %d, parent's 2", got)
+	row := make([]float64, v.Dims())
+	for cell := 0; cell < 3; cell++ {
+		if err := v.cache.SetRegion(cell, []uint32{uint32(1<<30 + cell)}, [][]float64{row}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := v.cache.ResidentRegions(); len(got) != 2 {
+		t.Errorf("view keeps regions %v of three installed, want the parent's bound of 2", got)
 	}
 	if v.pf == nil || v.pf == parent.pf || v.theta != parent.theta {
 		t.Errorf("view prefetcher %p (parent %p), θ %d (parent %d): want its own, at the parent's θ", v.pf, parent.pf, v.theta, parent.theta)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -92,7 +93,7 @@ func TestBoundsAndSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vec.Equal(b.Min, []float64{0, 1}) || !vec.Equal(b.Max, []float64{2, 5}) {
+	if !slices.Equal(b.Min, []float64{0, 1}) || !slices.Equal(b.Max, []float64{2, 5}) {
 		t.Errorf("bounds = %+v", b)
 	}
 	box := vec.NewBox([]float64{0.5, 0}, []float64{2, 3.5})
@@ -133,7 +134,7 @@ func TestGenerateSkyDeterminism(t *testing.T) {
 		t.Fatalf("len %d", a.Len())
 	}
 	for i := 0; i < a.Len(); i++ {
-		if !vec.Equal(a.Row(RowID(i)), b.Row(RowID(i))) {
+		if !slices.Equal(a.Row(RowID(i)), b.Row(RowID(i))) {
 			t.Fatalf("row %d differs between equal seeds", i)
 		}
 	}
@@ -143,7 +144,7 @@ func TestGenerateSkyDeterminism(t *testing.T) {
 	}
 	same := true
 	for i := 0; i < a.Len() && same; i++ {
-		same = vec.Equal(a.Row(RowID(i)), c.Row(RowID(i)))
+		same = slices.Equal(a.Row(RowID(i)), c.Row(RowID(i)))
 	}
 	if same {
 		t.Error("different seeds produced identical data")
@@ -215,26 +216,6 @@ func TestGenerateSkyHasClusterStructure(t *testing.T) {
 	}
 }
 
-func TestGenerateUniform(t *testing.T) {
-	box := vec.NewBox([]float64{-1, 0}, []float64{1, 10})
-	ds, err := GenerateUniform(MustSchema("x", "y"), box, 1000, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds.Scan(func(id RowID, row []float64) bool {
-		if !box.Contains(row) {
-			t.Fatalf("row %v escaped box", row)
-		}
-		return true
-	})
-	if _, err := GenerateUniform(MustSchema("x"), box, 10, 0); err == nil {
-		t.Error("dims mismatch should fail")
-	}
-	if _, err := GenerateUniform(MustSchema("x", "y"), box, 0, 0); err == nil {
-		t.Error("n=0 should fail")
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	ds, err := GenerateSky(SkyConfig{N: 200, Seed: 11})
 	if err != nil {
@@ -255,7 +236,7 @@ func TestCSVRoundTrip(t *testing.T) {
 		t.Fatalf("len %d vs %d", back.Len(), ds.Len())
 	}
 	for i := 0; i < ds.Len(); i++ {
-		if !vec.Equal(back.Row(RowID(i)), ds.Row(RowID(i))) {
+		if !slices.Equal(back.Row(RowID(i)), ds.Row(RowID(i))) {
 			t.Fatalf("row %d differs", i)
 		}
 	}
@@ -312,7 +293,7 @@ func TestQuickCSVRoundTrip(t *testing.T) {
 			return false
 		}
 		for i := 0; i < n; i++ {
-			if !vec.Equal(back.Row(RowID(i)), ds.Row(RowID(i))) {
+			if !slices.Equal(back.Row(RowID(i)), ds.Row(RowID(i))) {
 				return false
 			}
 		}

@@ -105,29 +105,6 @@ func GenerateSky(cfg SkyConfig) (*Dataset, error) {
 	return ds, nil
 }
 
-// GenerateUniform produces n tuples uniformly distributed in the given box.
-// It is used by tests and micro-benchmarks that want structure-free data.
-func GenerateUniform(schema Schema, box vec.Box, n int, seed int64) (*Dataset, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("dataset: GenerateUniform needs n > 0, got %d", n)
-	}
-	if schema.Dims() != box.Dims() {
-		return nil, fmt.Errorf("dataset: schema has %d dims, box has %d", schema.Dims(), box.Dims())
-	}
-	rng := rand.New(rand.NewSource(seed))
-	ds := New(schema, n)
-	row := make([]float64, schema.Dims())
-	for i := 0; i < n; i++ {
-		for j := range row {
-			row[j] = box.Min[j] + rng.Float64()*(box.Max[j]-box.Min[j])
-		}
-		if _, err := ds.Append(row); err != nil {
-			return nil, err
-		}
-	}
-	return ds, nil
-}
-
 // SkyBounds returns the full domain box of the sky schema. Datasets produced
 // by GenerateSky always lie inside it.
 func SkyBounds() vec.Box {

@@ -47,9 +47,6 @@ func NewBufferPool(pager *Pager, capacity int) (*BufferPool, error) {
 	}, nil
 }
 
-// Capacity returns the number of frames.
-func (bp *BufferPool) Capacity() int { return len(bp.frames) }
-
 // Fetch pins the page and returns a pointer into the pool's frame. The
 // caller must Unpin it. The returned *Page is invalidated by eviction after
 // unpinning; do not retain it.
@@ -184,6 +181,3 @@ func (bp *BufferPool) FlushAll() error {
 func (bp *BufferPool) Stats() (hits, misses, evictions int64) {
 	return bp.hits, bp.misses, bp.evictions
 }
-
-// ResetStats zeroes the counters (between experiment phases).
-func (bp *BufferPool) ResetStats() { bp.hits, bp.misses, bp.evictions = 0, 0, 0 }

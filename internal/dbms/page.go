@@ -104,14 +104,3 @@ func (p *Page) Record(slot int) ([]byte, error) {
 	}
 	return p.buf[off : off+length], nil
 }
-
-// Delete marks a slot dead. The space is not reclaimed (heap files compact
-// only on rebuild, like most real engines without VACUUM).
-func (p *Page) Delete(slot int) error {
-	if slot < 0 || slot >= p.slotCount() {
-		return fmt.Errorf("dbms: slot %d out of range [0,%d)", slot, p.slotCount())
-	}
-	slotOff := PageSize - (slot+1)*slotSize
-	binary.LittleEndian.PutUint16(p.buf[slotOff+2:], 0)
-	return nil
-}

@@ -32,6 +32,9 @@ func TestPageInsertAndRecord(t *testing.T) {
 	if err != nil || !bytes.Equal(r1, []byte("world!")) {
 		t.Errorf("Record(1) = %q, %v", r1, err)
 	}
+	if _, err := p.Record(2); err == nil {
+		t.Error("a slot past the last should not read")
+	}
 }
 
 func TestPageInsertValidation(t *testing.T) {
@@ -66,28 +69,6 @@ func TestPageFillsExactly(t *testing.T) {
 		if _, err := p.Record(i); err != nil {
 			t.Fatalf("record %d unreadable: %v", i, err)
 		}
-	}
-}
-
-func TestPageDelete(t *testing.T) {
-	var p Page
-	p.initPage()
-	p.Insert([]byte("a"))
-	p.Insert([]byte("b"))
-	if err := p.Delete(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Record(0); err == nil {
-		t.Error("dead slot should not read")
-	}
-	if r, err := p.Record(1); err != nil || !bytes.Equal(r, []byte("b")) {
-		t.Error("live slot damaged by delete")
-	}
-	if err := p.Delete(5); err == nil {
-		t.Error("deleting invalid slot should fail")
-	}
-	if _, err := p.Record(9); err == nil {
-		t.Error("invalid slot should not read")
 	}
 }
 

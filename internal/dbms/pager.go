@@ -17,9 +17,6 @@ type Pager struct {
 	// readOnly guards against writes after Open (stores are immutable once
 	// built, like the chunk store).
 	readOnly bool
-
-	pagesRead    int64
-	pagesWritten int64
 }
 
 // CreatePager creates a new, empty page file, truncating any existing one.
@@ -76,7 +73,6 @@ func (p *Pager) ReadPage(id PageID, dst *Page) error {
 	if n != PageSize {
 		return fmt.Errorf("dbms: short read of page %d: %d bytes", id, n)
 	}
-	p.pagesRead++
 	return nil
 }
 
@@ -91,7 +87,6 @@ func (p *Pager) WritePage(id PageID, src *Page) error {
 	if _, err := p.f.WriteAt(src.buf[:], int64(id)*PageSize); err != nil {
 		return fmt.Errorf("dbms: write page %d: %w", id, err)
 	}
-	p.pagesWritten++
 	return nil
 }
 
@@ -113,6 +108,3 @@ func (p *Pager) Close() error {
 	}
 	return nil
 }
-
-// Stats returns cumulative page I/O counts.
-func (p *Pager) Stats() (read, written int64) { return p.pagesRead, p.pagesWritten }

@@ -34,7 +34,6 @@ const tableFormatVersion = 1
 // row ids are dense and assigned in insertion order, so point lookups are
 // arithmetic rather than index-based.
 type Table struct {
-	dir   string
 	meta  tableMeta
 	pager *Pager
 	pool  *BufferPool
@@ -126,7 +125,7 @@ func CreateTable(dir string, ds *dataset.Dataset, poolFrames int, limiter *iothr
 		pager.Close()
 		return nil, fmt.Errorf("dbms: write table meta: %w", err)
 	}
-	return &Table{dir: dir, meta: meta, pager: pager, pool: pool}, nil
+	return &Table{meta: meta, pager: pager, pool: pool}, nil
 }
 
 // OpenTable opens an existing table read-only with a fresh buffer pool of
@@ -159,7 +158,7 @@ func OpenTable(dir string, poolFrames int, limiter *iothrottle.Limiter) (*Table,
 		pager.Close()
 		return nil, err
 	}
-	return &Table{dir: dir, meta: meta, pager: pager, pool: pool}, nil
+	return &Table{meta: meta, pager: pager, pool: pool}, nil
 }
 
 // Close releases the table's file handle.

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -91,9 +90,6 @@ func Setup(cfg Config) (*Env, error) {
 // BudgetBytes returns the resolved per-scheme memory budget.
 func (e *Env) BudgetBytes() int64 { return e.budgetBytes }
 
-// StoreDir returns the chunk-store directory.
-func (e *Env) StoreDir() string { return e.storeDir }
-
 // indexOptions maps the config onto the options every run's index opens
 // with. The experiment harness measures the paper's serial per-iteration
 // costs, so the worker pool stays at one unless the config raises it.
@@ -114,11 +110,6 @@ func (e *Env) indexOptions(runSeed int64) core.Options {
 		BlockCacheBytes:   e.Cfg.BlockCacheBytes,
 		Shards:            e.Cfg.Shards,
 	}
-}
-
-// OpenIndex opens a fresh UEI index handle for one run.
-func (e *Env) OpenIndex(ctx context.Context, runSeed int64) (*core.Index, error) {
-	return core.Open(ctx, e.storeDir, e.indexOptions(runSeed))
 }
 
 // OpenTable opens a fresh DBMS handle whose buffer pool consumes the same

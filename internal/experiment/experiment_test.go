@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/uei-db/uei/internal/core"
 	"github.com/uei-db/uei/internal/iothrottle"
 	"github.com/uei-db/uei/internal/oracle"
 )
@@ -72,7 +73,7 @@ func TestSetupAndBudget(t *testing.T) {
 	if env.BudgetBytes() <= 0 {
 		t.Error("budget not resolved")
 	}
-	idx, err := env.OpenIndex(context.Background(), 1)
+	idx, err := core.Open(context.Background(), env.storeDir, env.indexOptions(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +89,7 @@ func TestSetupAndBudget(t *testing.T) {
 }
 
 // TestRunIndexHonorsBlockCache: the index every run and ablation opens
-// (with its per-run overrides) carries the configured block cache, like
-// Env.OpenIndex.
+// (with its per-run overrides) carries the configured block cache.
 func TestRunIndexHonorsBlockCache(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.WorkDir = t.TempDir()
@@ -122,7 +122,7 @@ func TestRunComparisonMediumRegion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.UEI.Accuracy.Len() == 0 || res.DBMS.Accuracy.Len() == 0 {
+	if len(res.UEI.Accuracy.Points) == 0 || len(res.DBMS.Accuracy.Points) == 0 {
 		t.Fatal("empty accuracy series")
 	}
 	if res.UEI.Latency.Count() == 0 || res.DBMS.Latency.Count() == 0 {

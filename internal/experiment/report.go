@@ -12,7 +12,6 @@ import (
 
 	"github.com/uei-db/uei/internal/metrics"
 	"github.com/uei-db/uei/internal/obs"
-	"github.com/uei-db/uei/internal/oracle"
 )
 
 // WriteSeriesCSV writes several series as one CSV with an x column and one
@@ -120,6 +119,3 @@ func ms(d time.Duration) string {
 }
 
 func sortFloats(v []float64) { sort.Float64s(v) }
-
-// FigureClassOrder is the canonical class order for multi-figure exports.
-var FigureClassOrder = []oracle.SizeClass{oracle.Small, oracle.Medium, oracle.Large}

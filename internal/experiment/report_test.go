@@ -86,9 +86,3 @@ func TestExportComparisonCSV(t *testing.T) {
 		t.Errorf("dbms row = %v, want frac_under_500ms 1.000 for a 500 ms iteration", rows[2])
 	}
 }
-
-func TestFigureClassOrder(t *testing.T) {
-	if len(FigureClassOrder) != 3 || FigureClassOrder[0] != oracle.Small || FigureClassOrder[2] != oracle.Large {
-		t.Errorf("FigureClassOrder = %v", FigureClassOrder)
-	}
-}

@@ -81,21 +81,6 @@ func NewWithSegments(bounds vec.Box, segments []int) (*Grid, error) {
 	}, nil
 }
 
-// NewForPointBudget creates an equilateral grid whose total cell count is
-// as close as possible to (without exceeding) approxPoints, the Table 1
-// "Number of Symbolic Index Points" knob.
-func NewForPointBudget(bounds vec.Box, approxPoints int) (*Grid, error) {
-	if approxPoints < 1 {
-		return nil, fmt.Errorf("grid: point budget %d must be at least 1", approxPoints)
-	}
-	d := float64(bounds.Dims())
-	segs := int(math.Floor(math.Pow(float64(approxPoints), 1/d) + 1e-9))
-	if segs < 1 {
-		segs = 1
-	}
-	return New(bounds, segs)
-}
-
 // Dims returns the dimensionality.
 func (g *Grid) Dims() int { return g.bounds.Dims() }
 

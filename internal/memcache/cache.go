@@ -88,9 +88,6 @@ func (c *Cache) SetMaxRegions(n int) error {
 	return nil
 }
 
-// MaxRegions returns the resident-region bound.
-func (c *Cache) MaxRegions() int { return c.maxRegions }
-
 // AddSample inserts one base-sample tuple, reserving budget for it.
 // Already-present and already-labeled ids are no-ops.
 func (c *Cache) AddSample(id uint32, row []float64) error {
@@ -261,28 +258,6 @@ func (c *Cache) RegionLen() int {
 		n += len(c.regions[i].ids)
 	}
 	return n
-}
-
-// Each visits every resident tuple (sample first, then regions, least
-// recently used first) until fn returns false; use EachSorted for id
-// order.
-func (c *Cache) Each(fn func(id uint32, row []float64) bool) {
-	visit := func(s *rowSet) bool {
-		for i, id := range s.ids {
-			if !fn(id, s.rows[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	if !visit(&c.sample) {
-		return
-	}
-	for i := range c.regions {
-		if !visit(&c.regions[i].rowSet) {
-			return
-		}
-	}
 }
 
 // EachSorted visits every resident tuple in ascending id order until fn

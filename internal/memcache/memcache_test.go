@@ -403,14 +403,6 @@ func TestCacheEachSorted(t *testing.T) {
 	if n != 1 {
 		t.Errorf("early stop visited %d", n)
 	}
-	n = 0
-	c.Each(func(uint32, []float64) bool {
-		n++
-		return true
-	})
-	if n != 3 {
-		t.Errorf("Each visited %d", n)
-	}
 }
 
 func TestQuickCacheBudgetInvariant(t *testing.T) {

@@ -17,8 +17,8 @@ func TestSetMaxRegionsValidation(t *testing.T) {
 	if err := c.SetMaxRegions(3); err != nil {
 		t.Fatal(err)
 	}
-	if c.MaxRegions() != 3 {
-		t.Errorf("MaxRegions = %d", c.MaxRegions())
+	if c.maxRegions != 3 {
+		t.Errorf("MaxRegions = %d", c.maxRegions)
 	}
 }
 
@@ -142,7 +142,7 @@ func TestQuickMultiRegionBudgetInvariant(t *testing.T) {
 			if b.Used() != int64(c.Len())*TupleBytes(2) {
 				return false
 			}
-			if len(c.ResidentRegions()) > c.MaxRegions() {
+			if len(c.ResidentRegions()) > c.maxRegions {
 				return false
 			}
 		}

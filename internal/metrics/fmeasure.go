@@ -14,14 +14,6 @@ type Confusion struct {
 	FalseNegative int
 }
 
-// Add merges another confusion matrix into this one.
-func (c *Confusion) Add(o Confusion) {
-	c.TruePositive += o.TruePositive
-	c.FalsePositive += o.FalsePositive
-	c.TrueNegative += o.TrueNegative
-	c.FalseNegative += o.FalseNegative
-}
-
 // Observe records one prediction/truth pair.
 func (c *Confusion) Observe(predictedPositive, actuallyPositive bool) {
 	switch {
@@ -34,11 +26,6 @@ func (c *Confusion) Observe(predictedPositive, actuallyPositive bool) {
 	default:
 		c.TrueNegative++
 	}
-}
-
-// Total returns the number of observations.
-func (c Confusion) Total() int {
-	return c.TruePositive + c.FalsePositive + c.TrueNegative + c.FalseNegative
 }
 
 // Precision returns TP / (TP + FP), or 0 when nothing was predicted
@@ -68,30 +55,6 @@ func (c Confusion) F1() float64 {
 		return 0
 	}
 	return 2 * p * r / (p + r)
-}
-
-// FBeta returns the weighted F-measure with recall weighted beta times as
-// much as precision.
-func (c Confusion) FBeta(beta float64) float64 {
-	if beta <= 0 {
-		return 0
-	}
-	p, r := c.Precision(), c.Recall()
-	b2 := beta * beta
-	d := b2*p + r
-	if d == 0 {
-		return 0
-	}
-	return (1 + b2) * p * r / d
-}
-
-// Accuracy returns the fraction of correct predictions.
-func (c Confusion) Accuracy() float64 {
-	t := c.Total()
-	if t == 0 {
-		return 0
-	}
-	return float64(c.TruePositive+c.TrueNegative) / float64(t)
 }
 
 // String renders the matrix compactly for logs.

@@ -18,9 +18,6 @@ func TestConfusionCounts(t *testing.T) {
 	if c.TruePositive != 2 || c.FalsePositive != 1 || c.FalseNegative != 1 || c.TrueNegative != 1 {
 		t.Fatalf("counts: %+v", c)
 	}
-	if c.Total() != 5 {
-		t.Errorf("Total = %d", c.Total())
-	}
 	if got, want := c.Precision(), 2.0/3.0; math.Abs(got-want) > 1e-12 {
 		t.Errorf("Precision = %g", got)
 	}
@@ -30,9 +27,6 @@ func TestConfusionCounts(t *testing.T) {
 	if got, want := c.F1(), 2.0/3.0; math.Abs(got-want) > 1e-12 {
 		t.Errorf("F1 = %g", got)
 	}
-	if got, want := c.Accuracy(), 0.6; math.Abs(got-want) > 1e-12 {
-		t.Errorf("Accuracy = %g", got)
-	}
 	if !strings.Contains(c.String(), "tp=2") {
 		t.Errorf("String = %q", c.String())
 	}
@@ -40,35 +34,12 @@ func TestConfusionCounts(t *testing.T) {
 
 func TestConfusionEdgeCases(t *testing.T) {
 	var c Confusion
-	if c.Precision() != 0 || c.Recall() != 0 || c.F1() != 0 || c.Accuracy() != 0 {
+	if c.Precision() != 0 || c.Recall() != 0 || c.F1() != 0 {
 		t.Error("empty confusion should report zeros, not NaN")
 	}
 	c.Observe(false, false)
 	if c.F1() != 0 {
 		t.Error("all-negative F1 should be 0")
-	}
-}
-
-func TestConfusionAdd(t *testing.T) {
-	a := Confusion{TruePositive: 1, FalsePositive: 2, TrueNegative: 3, FalseNegative: 4}
-	b := Confusion{TruePositive: 10, FalsePositive: 20, TrueNegative: 30, FalseNegative: 40}
-	a.Add(b)
-	if a.TruePositive != 11 || a.FalseNegative != 44 {
-		t.Errorf("Add wrong: %+v", a)
-	}
-}
-
-func TestFBeta(t *testing.T) {
-	c := Confusion{TruePositive: 8, FalsePositive: 2, FalseNegative: 4}
-	if got := c.FBeta(1); math.Abs(got-c.F1()) > 1e-12 {
-		t.Errorf("FBeta(1) = %g, F1 = %g", got, c.F1())
-	}
-	if c.FBeta(0) != 0 || c.FBeta(-1) != 0 {
-		t.Error("non-positive beta should yield 0")
-	}
-	// beta=2 weights recall higher; here recall < precision so F2 < F1.
-	if c.FBeta(2) >= c.F1() {
-		t.Errorf("F2 = %g should be below F1 = %g when recall lags", c.FBeta(2), c.F1())
 	}
 }
 
@@ -94,8 +65,8 @@ func TestSeriesBasics(t *testing.T) {
 	s.Append(10, 0.5)
 	s.Append(20, 0.8)
 	s.Append(30, 0.9)
-	if s.Len() != 3 {
-		t.Errorf("Len = %d", s.Len())
+	if len(s.Points) != 3 {
+		t.Errorf("Len = %d", len(s.Points))
 	}
 	if y, ok := s.YAt(25); !ok || y != 0.8 {
 		t.Errorf("YAt(25) = %g, %v", y, ok)
@@ -109,9 +80,6 @@ func TestSeriesBasics(t *testing.T) {
 	if _, ok := s.FirstXReaching(0.99); ok {
 		t.Error("unreachable threshold should report false")
 	}
-	if s.MaxY() != 0.9 {
-		t.Errorf("MaxY = %g", s.MaxY())
-	}
 }
 
 func TestMeanSeries(t *testing.T) {
@@ -122,8 +90,8 @@ func TestMeanSeries(t *testing.T) {
 	b.Append(10, 0.6)
 	b.Append(20, 1.0)
 	m := MeanSeries("mean", []*Series{a, b})
-	if m.Len() != 2 {
-		t.Fatalf("Len = %d", m.Len())
+	if len(m.Points) != 2 {
+		t.Fatalf("Len = %d", len(m.Points))
 	}
 	if y, _ := m.YAt(10); math.Abs(y-0.5) > 1e-12 {
 		t.Errorf("mean at 10 = %g", y)

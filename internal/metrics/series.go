@@ -24,9 +24,6 @@ func (s *Series) Append(x, y float64) {
 	s.Points = append(s.Points, SeriesPoint{X: x, Y: y})
 }
 
-// Len returns the number of observations.
-func (s *Series) Len() int { return len(s.Points) }
-
 // YAt returns the y value at the largest recorded x that does not exceed
 // the query x (step interpolation), and false when x precedes all points.
 func (s *Series) YAt(x float64) (float64, bool) {
@@ -55,17 +52,6 @@ func (s *Series) FirstXReaching(threshold float64) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// MaxY returns the largest y observed, or 0 for an empty series.
-func (s *Series) MaxY() float64 {
-	var m float64
-	for _, p := range s.Points {
-		if p.Y > m {
-			m = p.Y
-		}
-	}
-	return m
 }
 
 // MeanSeries averages several runs of the same experiment pointwise by x.

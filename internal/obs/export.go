@@ -4,12 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // WriteJSON emits the registry snapshot as an expvar-style JSON document
@@ -110,46 +107,4 @@ func (r *Registry) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
 	})
-}
-
-// MetricsServer is a running debug/metrics HTTP endpoint.
-type MetricsServer struct {
-	srv *http.Server
-	ln  net.Listener
-}
-
-// Addr returns the bound address (useful with ":0").
-func (m *MetricsServer) Addr() string { return m.ln.Addr().String() }
-
-// Close shuts the server down immediately.
-func (m *MetricsServer) Close() error { return m.srv.Close() }
-
-// Serve starts an HTTP server on addr exposing:
-//
-//	/metrics     Prometheus text format
-//	/debug/vars  expvar-style JSON snapshot
-//	/debug/pprof net/http/pprof profiles
-//
-// It returns once the listener is bound; serving continues in the
-// background until Close.
-func Serve(addr string, r *Registry) (*MetricsServer, error) {
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", r.Handler())
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		_ = r.WriteJSON(w)
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
-	}
-	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-	go func() { _ = srv.Serve(ln) }()
-	return &MetricsServer{srv: srv, ln: ln}, nil
 }

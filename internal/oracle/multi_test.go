@@ -3,6 +3,7 @@ package oracle
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -114,7 +115,7 @@ func TestSingleRegionOracleTargets(t *testing.T) {
 	if len(targets.Regions) != 1 {
 		t.Fatalf("single-region oracle Targets has %d regions", len(targets.Regions))
 	}
-	if !vec.Equal(targets.Regions[0].Center, a.Center) {
+	if !slices.Equal(targets.Regions[0].Center, a.Center) {
 		t.Error("Targets does not carry the region")
 	}
 }

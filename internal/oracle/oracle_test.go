@@ -3,6 +3,7 @@ package oracle
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -59,7 +60,7 @@ func TestRelativeDistanceEq4(t *testing.T) {
 func TestContainsMatchesBox(t *testing.T) {
 	r, _ := NewRegion(vec.Point{5, 5}, vec.Point{1, 2})
 	box := r.Box()
-	if !vec.Equal(box.Min, vec.Point{4, 3}) || !vec.Equal(box.Max, vec.Point{6, 7}) {
+	if !slices.Equal(box.Min, vec.Point{4, 3}) || !slices.Equal(box.Max, vec.Point{6, 7}) {
 		t.Fatalf("Box = %+v", box)
 	}
 	f := func(seed int64) bool {
@@ -215,7 +216,7 @@ func TestFindRegionDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vec.Equal(a.Center, b.Center) || !vec.Equal(a.Widths, b.Widths) {
+	if !slices.Equal(a.Center, b.Center) || !slices.Equal(a.Widths, b.Widths) {
 		t.Error("FindRegion not deterministic for equal seeds")
 	}
 }

@@ -17,9 +17,10 @@ import (
 // installs truncate to fit), so rebalancing never evicts data mid-iteration
 // — it converts memory pressure into backpressure.
 //
-// Admission fails (ErrSaturated) once equal shares would drop below the
-// configured minimum: a session that cannot hold a useful sample plus a
-// region slice would thrash, so it is cheaper to make the client wait.
+// Admission fails (ErrSaturated) once the session cap is reached or equal
+// shares would drop below the configured minimum: a session that cannot
+// hold a useful sample plus a region slice would thrash, so it is cheaper
+// to make the client wait.
 //
 // An attached block cache (AttachCache) participates in the same ledger:
 // its target share is carved off the top before sessions split the rest,
@@ -36,6 +37,7 @@ type Arbiter struct {
 	mu      sync.Mutex
 	total   int64
 	min     int64
+	max     int
 	grants  map[string]int64
 	budgets map[string]*memcache.Budget
 
@@ -55,21 +57,25 @@ type cacheResizer interface {
 }
 
 // NewArbiter builds an arbiter over a total byte budget with a minimum
-// viable per-session share.
-func NewArbiter(total, min int64, reg *obs.Registry) (*Arbiter, error) {
+// viable per-session share, admitting at most max sessions.
+func NewArbiter(total, min int64, max int, reg *obs.Registry) (*Arbiter, error) {
 	if total <= 0 {
 		return nil, fmt.Errorf("server: arbiter total budget %d must be positive", total)
 	}
 	if min <= 0 || min > total {
 		return nil, fmt.Errorf("server: arbiter minimum share %d must be in (0, %d]", min, total)
 	}
+	if max <= 0 {
+		return nil, fmt.Errorf("server: arbiter session cap %d must be positive", max)
+	}
 	a := &Arbiter{
 		total:   total,
 		min:     min,
+		max:     max,
 		grants:  make(map[string]int64),
 		budgets: make(map[string]*memcache.Budget),
 		gShare:  reg.Gauge("uei_server_budget_share_bytes"),
-		gLive:   reg.Gauge("uei_server_budget_sessions"),
+		gLive:   reg.Gauge("uei_server_sessions_live"),
 		gCache:  reg.Gauge("uei_server_block_cache_share_bytes"),
 	}
 	a.gShare.SetInt(total)
@@ -96,22 +102,18 @@ func (a *Arbiter) AttachCache(c cacheResizer, target int64) error {
 	return nil
 }
 
-// CacheShare returns the cache's current effective share (0 when no cache
-// is attached or sessions have squeezed it out).
-func (a *Arbiter) CacheShare() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.cacheShare
-}
-
 // Admit reserves an equal share for a new session and shrinks every other
 // live session's share to make room. It fails with ErrSaturated when the
-// resulting share would be below the viable minimum.
+// session cap is reached or the resulting share would be below the viable
+// minimum.
 func (a *Arbiter) Admit(id string) (int64, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if _, ok := a.grants[id]; ok {
 		return 0, fmt.Errorf("server: session %s is already admitted", id)
+	}
+	if n := len(a.grants); n >= a.max {
+		return 0, fmt.Errorf("server: %d live sessions (cap %d): %w", n, a.max, ErrSaturated)
 	}
 	if share := a.total / int64(len(a.grants)+1); share < a.min {
 		return 0, fmt.Errorf("server: admitting session %s would shrink per-session budgets to %d bytes (min %d): %w",

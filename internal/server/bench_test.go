@@ -97,7 +97,7 @@ func BenchmarkConcurrentSessions(b *testing.B) {
 				}
 				if cached {
 					s := m.Index().BlockCache().Stats()
-					b.ReportMetric(s.HitRate()*100, "hit%")
+					b.ReportMetric(100*float64(s.Hits)/float64(max(1, s.Hits+s.Misses)), "hit%")
 				}
 			})
 		}

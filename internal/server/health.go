@@ -46,9 +46,7 @@ func (m *Manager) Health() HealthInfo {
 	if m.idx.Live() != nil {
 		info.Epoch = m.idx.LiveEpoch()
 	}
-	m.liveMu.Lock()
-	info.LiveSessions = m.live
-	m.liveMu.Unlock()
+	info.LiveSessions = m.arb.Sessions()
 	m.mu.Lock()
 	info.Sessions = len(m.sessions)
 	m.mu.Unlock()

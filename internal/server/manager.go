@@ -24,11 +24,11 @@ import (
 // concurrency), the budget arbiter, idle eviction, and graceful drain; the
 // HTTP layer in http.go is a thin JSON shell over its methods.
 //
-// Lock ordering: m.mu (session map) and liveMu (admission counter) are
-// leaves held only for map/counter access, never across engine work or
-// while a hosted session's mutex is held. A hosted session's h.mu is held
-// for the duration of one step (the engine is single-goroutine); the
-// arbiter's mutex is a leaf acquired under h.mu during materialize/evict.
+// Lock ordering: m.mu (session map) is a leaf held only for map access,
+// never across engine work or while a hosted session's mutex is held. A
+// hosted session's h.mu is held for the duration of one step (the engine
+// is single-goroutine); the arbiter's mutex, which also guards the
+// admission count, is a leaf acquired under h.mu during materialize/evict.
 type Manager struct {
 	cfg Config
 	idx *core.Index
@@ -46,9 +46,6 @@ type Manager struct {
 	sessions map[string]*hosted
 	idSeq    uint64
 
-	liveMu sync.Mutex
-	live   int
-
 	queued atomic.Int64
 
 	draining atomic.Bool
@@ -64,7 +61,6 @@ type Manager struct {
 	dsMu sync.Mutex
 	ds   *dataset.Dataset
 
-	gLive      *obs.Gauge
 	gQueued    *obs.Gauge
 	cSteps     *obs.Counter
 	cAppends   *obs.Counter
@@ -127,7 +123,7 @@ func newManagerWithIndex(cfg Config, idx *core.Index) (*Manager, error) {
 	if err := os.MkdirAll(cfg.SnapshotDir, 0o755); err != nil {
 		return nil, fmt.Errorf("server: snapshot dir: %w", err)
 	}
-	arb, err := NewArbiter(cfg.TotalBudgetBytes, cfg.MinSessionBudgetBytes, cfg.Registry)
+	arb, err := NewArbiter(cfg.TotalBudgetBytes, cfg.MinSessionBudgetBytes, cfg.MaxSessions, cfg.Registry)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +144,6 @@ func newManagerWithIndex(cfg Config, idx *core.Index) (*Manager, error) {
 		sessions:    make(map[string]*hosted),
 		janitorStop: make(chan struct{}),
 		janitorDone: make(chan struct{}),
-		gLive:       reg.Gauge("uei_server_sessions_live"),
 		gQueued:     reg.Gauge("uei_server_queue_depth"),
 		cSteps:      reg.Counter("uei_server_steps_total"),
 		cAppends:    reg.Counter("uei_server_appends_total"),
@@ -218,26 +213,6 @@ func (m *Manager) infoLocked(h *hosted) SessionInfo {
 	return info
 }
 
-// reserveLive admits one more live session under the cap.
-func (m *Manager) reserveLive() error {
-	m.liveMu.Lock()
-	defer m.liveMu.Unlock()
-	if m.live >= m.cfg.MaxSessions {
-		return fmt.Errorf("server: %d live sessions (cap %d): %w", m.live, m.cfg.MaxSessions, ErrSaturated)
-	}
-	m.live++
-	m.gLive.SetInt(int64(m.live))
-	return nil
-}
-
-// releaseLive returns a live slot (on evict or delete).
-func (m *Manager) releaseLive() {
-	m.liveMu.Lock()
-	defer m.liveMu.Unlock()
-	m.live--
-	m.gLive.SetInt(int64(m.live))
-}
-
 // Create admits and materializes a new session. It fails with ErrSaturated
 // (HTTP 503) when the session cap is reached or the arbiter cannot carve
 // out a viable budget share.
@@ -261,20 +236,14 @@ func (m *Manager) Create(ctx context.Context, spec SessionSpec) (info SessionInf
 	}
 
 	id := fmt.Sprintf("s%06d", atomic.AddUint64(&m.idSeq, 1))
-	if err := m.reserveLive(); err != nil {
-		m.cAdmitRej.Inc()
-		return SessionInfo{}, err
-	}
 	grant, err := m.arb.Admit(id)
 	if err != nil {
-		m.releaseLive()
 		m.cAdmitRej.Inc()
 		return SessionInfo{}, err
 	}
 	h := &hosted{
 		id:       id,
 		spec:     spec,
-		created:  time.Now(),
 		lastUsed: time.Now(),
 		tickets:  make(chan struct{}, m.cfg.MaxQueuedSteps),
 	}
@@ -285,7 +254,6 @@ func (m *Manager) Create(ctx context.Context, spec SessionSpec) (info SessionInf
 	h.mu.Unlock()
 	if err != nil {
 		m.arb.Release(id)
-		m.releaseLive()
 		return SessionInfo{}, err
 	}
 	m.mu.Lock()
@@ -516,19 +484,13 @@ func (m *Manager) lockedStep(ctx context.Context, h *hosted, req StepRequest) (S
 // resumeLocked brings an evicted session back: re-admission (live slot +
 // budget share) and re-materialization from its snapshot.
 func (m *Manager) resumeLocked(ctx context.Context, h *hosted) error {
-	if err := m.reserveLive(); err != nil {
-		m.cAdmitRej.Inc()
-		return err
-	}
 	grant, err := m.arb.Admit(h.id)
 	if err != nil {
-		m.releaseLive()
 		m.cAdmitRej.Inc()
 		return err
 	}
 	if err := m.materializeLocked(ctx, h, grant); err != nil {
 		m.arb.Release(h.id)
-		m.releaseLive()
 		return err
 	}
 	m.cResumed.Inc()
@@ -776,7 +738,6 @@ func (m *Manager) Delete(id string) error {
 		h.sess = nil
 		h.external = nil
 		m.arb.Release(h.id)
-		m.releaseLive()
 	}
 	snap := h.snapPath
 	h.snapPath = ""

@@ -61,9 +61,10 @@ func newTestManager(t testing.TB, dir string, mut func(*Config)) *Manager {
 }
 
 // TestArbiterShares: equal-share partitioning, rebalance on admit/release,
-// saturation at the minimum share, and Resize propagation into budgets.
+// saturation at the minimum share and at the session cap, and Resize
+// propagation into budgets.
 func TestArbiterShares(t *testing.T) {
-	a, err := NewArbiter(1000, 200, obs.NewRegistry())
+	a, err := NewArbiter(1000, 200, 16, obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,6 +110,23 @@ func TestArbiterShares(t *testing.T) {
 	if n := a.Sessions(); n != 4 {
 		t.Fatalf("sessions = %d, want 4", n)
 	}
+
+	reg := obs.NewRegistry()
+	capped, err := NewArbiter(1000, 1, 2, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"a", "b"} {
+		if _, err := capped.Admit(id); err != nil {
+			t.Fatalf("admit %s under the cap: %v", id, err)
+		}
+	}
+	if _, err := capped.Admit("c"); !errors.Is(err, ErrSaturated) {
+		t.Fatalf("admit past the cap: want ErrSaturated, got %v", err)
+	}
+	if g := reg.Gauge("uei_server_sessions_live").Value(); g != 2 {
+		t.Fatalf("uei_server_sessions_live = %v, want 2", g)
+	}
 }
 
 // fakeCache records the capacities the arbiter pushes into it.
@@ -138,10 +156,13 @@ func (f *fakeCache) last() int64 {
 // push equal shares toward the minimum, never changes admission capacity,
 // and grows back when sessions release.
 func TestArbiterCacheShare(t *testing.T) {
-	a, err := NewArbiter(1000, 200, obs.NewRegistry())
+	reg := obs.NewRegistry()
+	a, err := NewArbiter(1000, 200, 16, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	share := reg.Gauge("uei_server_block_cache_share_bytes")
+	cacheShare := func() int64 { return int64(share.Value()) }
 	fc := &fakeCache{}
 	if err := a.AttachCache(fc, 801); err == nil {
 		t.Fatal("cache target leaving less than one minimum share should be rejected")
@@ -149,7 +170,7 @@ func TestArbiterCacheShare(t *testing.T) {
 	if err := a.AttachCache(fc, 300); err != nil {
 		t.Fatal(err)
 	}
-	if got := a.CacheShare(); got != 300 || fc.last() != 300 {
+	if got := cacheShare(); got != 300 || fc.last() != 300 {
 		t.Fatalf("idle cache share = %d (resized to %d), want 300", got, fc.last())
 	}
 
@@ -172,7 +193,7 @@ func TestArbiterCacheShare(t *testing.T) {
 		if g != w.grant {
 			t.Fatalf("admit %s: grant %d, want %d", w.id, g, w.grant)
 		}
-		if got := a.CacheShare(); got != w.cache {
+		if got := cacheShare(); got != w.cache {
 			t.Fatalf("after admit %s: cache share %d, want %d", w.id, got, w.cache)
 		}
 	}
@@ -187,11 +208,11 @@ func TestArbiterCacheShare(t *testing.T) {
 	// Releases hand memory back to the cache before growing per-session
 	// shares past what the target allows.
 	a.Release("e")
-	if got := a.CacheShare(); got != 200 {
+	if got := cacheShare(); got != 200 {
 		t.Fatalf("cache share after one release = %d, want 200", got)
 	}
 	a.Release("d")
-	if got, grant := a.CacheShare(), a.Grant("a"); got != 300 || grant != 233 {
+	if got, grant := cacheShare(), a.Grant("a"); got != 300 || grant != 233 {
 		t.Fatalf("after two releases: cache %d grant %d, want 300/233", got, grant)
 	}
 }
@@ -254,9 +275,6 @@ func TestManagerBlockCacheParity(t *testing.T) {
 
 	if s := bc.Stats(); s.Hits == 0 {
 		t.Errorf("exploration produced no cache hits: %+v", s)
-	}
-	if share := cached.arb.CacheShare(); share <= 0 {
-		t.Errorf("cache share = %d, want positive", share)
 	}
 	snap := cached.Registry().Snapshot()
 	if g := snap.Gauges["uei_server_block_cache_share_bytes"]; g <= 0 {

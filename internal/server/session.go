@@ -96,9 +96,8 @@ func (s hostedState) String() string {
 // bounded admission queue for steps — a full channel means the client has
 // more requests in flight than the server will queue.
 type hosted struct {
-	id      string
-	spec    SessionSpec
-	created time.Time
+	id   string
+	spec SessionSpec
 
 	tickets chan struct{}
 
@@ -268,7 +267,6 @@ func (m *Manager) evictLocked(h *hosted) error {
 	h.external = nil
 	h.state = stateEvicted
 	m.arb.Release(h.id)
-	m.releaseLive()
 	m.cEvicted.Inc()
 	return nil
 }

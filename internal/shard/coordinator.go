@@ -89,8 +89,6 @@ type Meta struct {
 	// cell-id order, packed by column once per store and shared read-only
 	// by every scoring pass, view and epoch.
 	Points *kernel.Block
-	// Shards is S, the shard count.
-	Shards int
 	// Columns are the attribute names in dimension order (read-only).
 	Columns []string
 	// RowCount is the number of tuples across all shards.
@@ -208,7 +206,6 @@ func NewLocalCoordinator(g *grid.Grid, columns []string, shards []*Shard, opts O
 		meta: Meta{
 			Grid:    g,
 			Points:  kernel.Pack(g.Centers()),
-			Shards:  len(shards),
 			Columns: columns,
 			Bounds:  g.Bounds(),
 		},
@@ -256,16 +253,21 @@ func (c *Coordinator) NextEpoch(shards []*Shard) (*Coordinator, error) {
 	return next, nil
 }
 
+// Close closes the store of every part c holds; a second call is
+// harmless. Only the owner of the parts calls it: a live snapshot's parts
+// belong to the stream DB, which closes them itself.
+func (c *Coordinator) Close() {
+	for _, sh := range c.shards {
+		closeParts(sh.Parts)
+	}
+}
+
 // Meta returns the store's immutable identity in one value — grid, shard
 // count, columns, bounds, row count, on-disk bytes.
 func (c *Coordinator) Meta() Meta { return c.meta }
 
 // NumShards returns S.
 func (c *Coordinator) NumShards() int { return len(c.backends) }
-
-// Shards returns the shard slice (read-only; exposed for inspection and
-// tests).
-func (c *Coordinator) Shards() []*Shard { return c.shards }
 
 // Backends returns shard s's reader as a one-element slice (read-only).
 // The slice type stays because benchmark/layers.go, its only reader besides

@@ -92,11 +92,7 @@ func TestLoadManifestRefusesBadGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("the build as written: %v", err)
 	}
-	for _, sh := range c.Shards() {
-		for _, p := range sh.Parts {
-			p.Store.Close()
-		}
-	}
+	c.Close()
 	name := filepath.Join(dir, ManifestFileName(1))
 	for _, c := range manifestRefusals(t) {
 		if err := os.WriteFile(name, c.data, 0o644); err != nil {

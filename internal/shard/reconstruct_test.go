@@ -156,7 +156,7 @@ func requireGlobalRows(t *testing.T, what string, got []chunkstore.MergedRow, ds
 		t.Fatalf("%s: %d rows, brute force has %d", what, len(got), len(want))
 	}
 	for i, r := range got {
-		if r.ID != uint32(want[i]) || !vec.Equal(r.Vals, ds.Row(want[i])) {
+		if r.ID != uint32(want[i]) || !slices.Equal(r.Vals, ds.Row(want[i])) {
 			t.Fatalf("%s: row %d is %d %v, want %d %v", what, i, r.ID, r.Vals, want[i], ds.Row(want[i]))
 		}
 	}

@@ -50,8 +50,30 @@ func openCoordinator(t *testing.T, dir string, opts OpenOptions) *Coordinator {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(c.Close)
 	c.Instrument(obs.NewRegistry())
 	return c
+}
+
+// TestCoordinatorCloseReleasesFiles: Close releases every data file the
+// parts of an opened build hold, and a second Close is harmless.
+func TestCoordinatorCloseReleasesFiles(t *testing.T) {
+	if !leakcheck.ProcFDs() {
+		t.Skip("open descriptors cannot be listed here")
+	}
+	dir := buildSharded(t, skyDataset(t, 600), 3)
+	c, err := Open(context.Background(), dir, OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(leakcheck.FilesUnder(dir)) == 0 {
+		t.Fatal("an open build holds no data file; the check is vacuous")
+	}
+	c.Close()
+	c.Close()
+	if open := leakcheck.FilesUnder(dir); len(open) != 0 {
+		t.Fatalf("files still open after Close: %v", open)
+	}
 }
 
 func TestBuildValidation(t *testing.T) {
@@ -100,7 +122,7 @@ func TestBuildOpenRoundTrip(t *testing.T) {
 			// partition [0, n).
 			seen := make([]bool, ds.Len())
 			total := 0
-			for _, s := range c.Shards() {
+			for _, s := range c.shards {
 				prev := -1
 				if len(s.Parts) != 1 {
 					t.Fatalf("shard %d has %d parts, want 1 (build-time layout)", s.ID, len(s.Parts))
@@ -172,7 +194,7 @@ func TestEmptyShardsAreValid(t *testing.T) {
 	dir := buildSharded(t, ds, 8)
 	c := openCoordinator(t, dir, OpenOptions{})
 	emptyShards := 0
-	for _, s := range c.Shards() {
+	for _, s := range c.shards {
 		if s.RowCount() == 0 {
 			emptyShards++
 		}

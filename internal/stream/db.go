@@ -51,8 +51,8 @@ const DefaultMemtableBytes = 4 << 20
 // background compaction.
 const DefaultCompactSegments = 6
 
-// CreateOptions configures Create: the layout width (0 or 1 = flat, else
-// [2, shard.MaxShards]), the grid's segments per dimension (0 =
+// CreateOptions configures Create: the shard count (0 or 1 = one shard,
+// else [2, shard.MaxShards]), the grid's segments per dimension (0 =
 // grid.DefaultSegmentsPerDim) and the per-segment chunk size target (0 =
 // the chunkstore default).
 type CreateOptions = shard.BuildOptions
@@ -107,12 +107,9 @@ type DB struct {
 
 	// Fixed at creation (epoch-invariant).
 	columns []string
-	bounds  vec.Box
 	grid    *grid.Grid
 	shards  int
-	segsPD  int
-	target  int
-	owners  []int // cell → owning shard; nil for flat layouts
+	owners  []int // cell → owning shard; nil for a one-shard store
 
 	// flushMu serializes flush and compaction commits (mu is held only
 	// for brief state swaps, never across segment builds).
@@ -123,7 +120,7 @@ type DB struct {
 	segs     map[int]*segment // open segments: current manifest's + retired-but-pinned
 	mem      *memtable
 	wal      *walWriter
-	frozen   []frozenMem
+	frozen   []*memtable
 	nextID   uint32
 	nextSeq  int            // next WAL generation
 	walMax   map[int]uint32 // wal seq → max row id it holds (only non-empty files)
@@ -185,8 +182,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	if !IsLiveDir(dir) {
 		return nil, fmt.Errorf("stream: %s holds a static store (no %s/ directory): %w", dir, walDir, chunkstore.ErrLayoutMismatch)
 	}
-	bounds := vec.NewBox(man.MinValues, man.MaxValues)
-	g, err := grid.New(bounds, man.SegmentsPerDim)
+	g, err := grid.New(vec.NewBox(man.MinValues, man.MaxValues), man.SegmentsPerDim)
 	if err != nil {
 		return nil, err
 	}
@@ -194,11 +190,8 @@ func Open(dir string, opts Options) (*DB, error) {
 		dir:      dir,
 		opts:     opts,
 		columns:  man.Columns,
-		bounds:   bounds,
 		grid:     g,
 		shards:   man.Shards,
-		segsPD:   man.SegmentsPerDim,
-		target:   man.TargetChunkBytes,
 		man:      man,
 		segs:     make(map[int]*segment),
 		pins:     make(map[uint64]int),
@@ -317,7 +310,7 @@ func (db *DB) recoverWAL() error {
 	// it is non-empty so the next flush folds it in and retires the old
 	// files.
 	if mem.len() > 0 {
-		db.frozen = append(db.frozen, frozenMem{mem: mem, walSeq: -1})
+		db.frozen = append(db.frozen, mem)
 		db.mem = &memtable{firstID: db.nextID}
 		db.signal(db.flushC)
 	}
@@ -402,7 +395,7 @@ func (db *DB) Append(rows [][]float64) (firstID uint32, err error) {
 func (db *DB) memBytesLocked() int64 {
 	b := db.mem.bytes
 	for _, f := range db.frozen {
-		b += f.mem.bytes
+		b += f.bytes
 	}
 	return b
 }
@@ -418,7 +411,7 @@ func (db *DB) freezeLocked() error {
 		return err
 	}
 	old := db.wal
-	db.frozen = append(db.frozen, frozenMem{mem: db.mem, walSeq: old.seq})
+	db.frozen = append(db.frozen, db.mem)
 	db.mem = &memtable{firstID: db.nextID}
 	db.wal = w
 	db.nextSeq++
@@ -453,25 +446,25 @@ func (db *DB) flushFrozen(ctx context.Context) error {
 			db.mu.Unlock()
 			return nil
 		}
-		fm := db.frozen[0]
+		mem := db.frozen[0]
 		man := db.man.Clone()
 		db.mu.Unlock()
 
-		if err := db.flushOne(ctx, fm, man); err != nil {
+		if err := db.flushOne(ctx, mem, man); err != nil {
 			return err
 		}
 	}
 }
 
-// flushOne builds fm's segments, commits the next epoch, installs it, and
-// retires fm's WAL generation(s). Caller holds flushMu.
-func (db *DB) flushOne(ctx context.Context, fm frozenMem, man *shard.Manifest) error {
+// flushOne builds mem's segments, commits the next epoch, installs it, and
+// deletes the WAL generations every flushed row covers. Caller holds
+// flushMu.
+func (db *DB) flushOne(ctx context.Context, mem *memtable, man *shard.Manifest) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	_, sp := obs.StartSpan(ctx, obs.SpanFlush)
 	start := time.Now()
-	mem := fm.mem
 	groups, err := shard.Partition(db.grid, db.owners, db.shards, mem.firstID, mem.len(), func(i int) []float64 { return mem.rows[i] })
 	if err != nil {
 		sp.End(nil)
@@ -487,7 +480,7 @@ func (db *DB) flushOne(ctx context.Context, fm frozenMem, man *shard.Manifest) e
 			return err
 		}
 	}
-	man.FlushedRows += fm.mem.len()
+	man.FlushedRows += mem.len()
 	if fp := db.failpointFn(); fp != nil {
 		if err := fp("flush-before-commit"); err != nil {
 			sp.End(nil)
@@ -519,7 +512,7 @@ func (db *DB) flushOne(ctx context.Context, fm frozenMem, man *shard.Manifest) e
 	db.mu.Unlock()
 
 	db.hFlush.ObserveDuration(time.Since(start))
-	sp.End(map[string]float64{"rows": float64(fm.mem.len()), "epoch": float64(man.Epoch)})
+	sp.End(map[string]float64{"rows": float64(mem.len()), "epoch": float64(man.Epoch)})
 	db.signal(db.compactC)
 	return nil
 }
@@ -631,8 +624,9 @@ func (db *DB) compact(ctx context.Context, minSegs int) error {
 			}
 			added++
 		} else if db.shards == 1 && len(segs) > 0 && allZero(segs) {
-			// A flat store must keep at least one segment so the layout
-			// stays openable and uniform; keep the first, retire the rest.
+			// A one-shard store must keep at least one segment so the
+			// layout stays openable and uniform; keep the first, retire
+			// the rest.
 			keep := segs[0].meta.ID
 			delete(replaced, keep)
 		}
@@ -828,27 +822,11 @@ func (db *DB) TotalRows() int {
 	return int(db.nextID)
 }
 
-// FlushedRows counts the read-visible rows of the current epoch.
-func (db *DB) FlushedRows() int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.man.FlushedRows
-}
-
 // Grid returns the fixed grid (epoch-invariant).
 func (db *DB) Grid() *grid.Grid { return db.grid }
 
-// Bounds returns the pinned value bounds.
-func (db *DB) Bounds() vec.Box { return db.bounds }
-
 // Columns returns the attribute names in dimension order.
 func (db *DB) Columns() []string { return db.columns }
-
-// Shards returns the layout width (1 = flat).
-func (db *DB) Shards() int { return db.shards }
-
-// SegmentsPerDim returns the fixed per-dimension grid resolution.
-func (db *DB) SegmentsPerDim() int { return db.segsPD }
 
 // SetFailpoint installs a hook invoked at named stages of the write path
 // ("flush-before-commit"); returning an error aborts the operation there.

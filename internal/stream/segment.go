@@ -18,13 +18,6 @@ type memtable struct {
 
 func (m *memtable) len() int { return len(m.rows) }
 
-// frozenMem pairs an immutable frozen memtable with the WAL generation
-// that made it durable; flushing it retires that generation.
-type frozenMem struct {
-	mem    *memtable
-	walSeq int
-}
-
 // segment is one open flushed segment: a flat chunk store, its mapping
 // over the fixed grid, and the local→global idmap — exactly a shard.Part
 // plus bookkeeping.

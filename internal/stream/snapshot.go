@@ -51,10 +51,6 @@ func (s *Snapshot) Clone() (*Snapshot, error) {
 	return &Snapshot{db: s.db, man: s.man, segs: s.segs}, nil
 }
 
-// RowCount returns the read-visible row count (ids [0, RowCount) are
-// resolvable through this snapshot).
-func (s *Snapshot) RowCount() int { return s.man.FlushedRows }
-
 // parts returns the snapshot's segments as shard parts, id-ascending by
 // construction of the manifest's segment order.
 func (s *Snapshot) parts() []shard.Part {

@@ -57,7 +57,7 @@ func mustOpen(t *testing.T, dir string, opts Options) *DB {
 // allRows fetches every visible row of a snapshot.
 func allRows(t *testing.T, s *Snapshot) []chunkstore.MergedRow {
 	t.Helper()
-	ids := make([]uint32, s.RowCount())
+	ids := make([]uint32, s.man.FlushedRows)
 	for i := range ids {
 		ids[i] = uint32(i)
 	}
@@ -181,8 +181,8 @@ func TestCreateOpenFlat(t *testing.T) {
 	if db.Epoch() != 1 {
 		t.Fatalf("fresh store at epoch %d, want 1", db.Epoch())
 	}
-	if db.TotalRows() != ds.Len() || db.FlushedRows() != ds.Len() {
-		t.Fatalf("rows: total %d flushed %d, want %d", db.TotalRows(), db.FlushedRows(), ds.Len())
+	if db.TotalRows() != ds.Len() || flushedRows(db) != ds.Len() {
+		t.Fatalf("rows: total %d flushed %d, want %d", db.TotalRows(), flushedRows(db), ds.Len())
 	}
 	snap, err := db.Acquire()
 	if err != nil {
@@ -243,8 +243,8 @@ func TestSnapshotMatchesStaticStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer snap.Release()
-	if snap.RowCount() != combined.Len() {
-		t.Fatalf("snapshot sees %d rows, want %d", snap.RowCount(), combined.Len())
+	if snap.man.FlushedRows != combined.Len() {
+		t.Fatalf("snapshot sees %d rows, want %d", snap.man.FlushedRows, combined.Len())
 	}
 	g := db.Grid()
 	ctx := context.Background()
@@ -487,22 +487,16 @@ func TestShardOpenReadsLiveEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		for _, sh := range c.Shards() {
-			for _, p := range sh.Parts {
-				p.Store.Close()
-			}
-		}
-	}()
-	for _, sh := range c.Shards() {
+	defer c.Close()
+	for _, sh := range snap.Shards() {
 		if len(sh.Parts) < 2 {
-			t.Fatalf("shard %d reads %d parts, want the several segments the flushes wrote", sh.ID, len(sh.Parts))
+			t.Fatalf("shard %d holds %d parts, want the several segments the flushes wrote", sh.ID, len(sh.Parts))
 		}
 	}
-	if c.Meta().RowCount != snap.RowCount() {
-		t.Fatalf("shard.Open reads %d rows, the snapshot %d", c.Meta().RowCount, snap.RowCount())
+	if c.Meta().RowCount != snap.man.FlushedRows {
+		t.Fatalf("shard.Open reads %d rows, the snapshot %d", c.Meta().RowCount, snap.man.FlushedRows)
 	}
-	ids := make([]uint32, snap.RowCount())
+	ids := make([]uint32, snap.man.FlushedRows)
 	for i := range ids {
 		ids[i] = uint32(i)
 	}
@@ -569,11 +563,11 @@ func TestAppendFlushVisibilityMVCC(t *testing.T) {
 		t.Fatalf("append got first id %d, want %d", firstID, ds.Len())
 	}
 	// Durable but not visible: row counts split.
-	if db.TotalRows() != ds.Len()+3 || db.FlushedRows() != ds.Len() {
-		t.Fatalf("total %d flushed %d", db.TotalRows(), db.FlushedRows())
+	if db.TotalRows() != ds.Len()+3 || flushedRows(db) != ds.Len() {
+		t.Fatalf("total %d flushed %d", db.TotalRows(), flushedRows(db))
 	}
-	if old.RowCount() != ds.Len() {
-		t.Fatalf("held snapshot sees %d rows before flush", old.RowCount())
+	if old.man.FlushedRows != ds.Len() {
+		t.Fatalf("held snapshot sees %d rows before flush", old.man.FlushedRows)
 	}
 	if err := db.Flush(context.Background()); err != nil {
 		t.Fatal(err)
@@ -582,8 +576,8 @@ func TestAppendFlushVisibilityMVCC(t *testing.T) {
 		t.Fatalf("epoch %d after flush, want 2", db.Epoch())
 	}
 	// The held snapshot is immutable; a fresh one sees the flushed rows.
-	if old.RowCount() != ds.Len() {
-		t.Fatalf("held snapshot advanced to %d rows", old.RowCount())
+	if old.man.FlushedRows != ds.Len() {
+		t.Fatalf("held snapshot advanced to %d rows", old.man.FlushedRows)
 	}
 	checkRowsMatch(t, allRows(t, old), ds, nil)
 	fresh, err := db.Acquire()
@@ -598,8 +592,8 @@ func TestAppendFlushVisibilityMVCC(t *testing.T) {
 
 	// Out-of-bounds appends are rejected: live grids never regrow. A NaN is
 	// inside no domain, on every architecture.
-	for _, v := range []float64{db.Bounds().Max[0] + 1, math.NaN(), math.Copysign(math.NaN(), -1)} {
-		bad := append([]float64(nil), db.Bounds().Min...)
+	for _, v := range []float64{db.grid.Bounds().Max[0] + 1, math.NaN(), math.Copysign(math.NaN(), -1)} {
+		bad := append([]float64(nil), db.grid.Bounds().Min...)
 		bad[0] = v
 		if _, err := db.Append([][]float64{bad}); !errors.Is(err, ErrOutOfBounds) {
 			t.Fatalf("append of a row with coordinate %v: got %v, want ErrOutOfBounds", v, err)
@@ -640,21 +634,21 @@ func TestFlushIntervalShowsTrickleAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer snap.Release()
-	if snap.RowCount() != ds.Len()+1 || timed.FlushedRows() != ds.Len()+1 {
-		t.Fatalf("timer flush shows %d rows (%d flushed), want %d", snap.RowCount(), timed.FlushedRows(), ds.Len()+1)
+	if snap.man.FlushedRows != ds.Len()+1 || flushedRows(timed) != ds.Len()+1 {
+		t.Fatalf("timer flush shows %d rows (%d flushed), want %d", snap.man.FlushedRows, flushedRows(timed), ds.Len()+1)
 	}
 
 	untimed := open(0)
 	time.Sleep(took + 20*interval)
-	if untimed.Epoch() != 1 || untimed.FlushedRows() != ds.Len() || untimed.TotalRows() != ds.Len()+1 {
+	if untimed.Epoch() != 1 || flushedRows(untimed) != ds.Len() || untimed.TotalRows() != ds.Len()+1 {
 		t.Fatalf("FlushInterval 0: epoch %d, %d of %d rows flushed after %v without a Flush call",
-			untimed.Epoch(), untimed.FlushedRows(), untimed.TotalRows(), took+20*interval)
+			untimed.Epoch(), flushedRows(untimed), untimed.TotalRows(), took+20*interval)
 	}
 	if err := untimed.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if untimed.Epoch() != 2 || untimed.FlushedRows() != ds.Len()+1 {
-		t.Fatalf("explicit Flush: epoch %d, %d rows flushed", untimed.Epoch(), untimed.FlushedRows())
+	if untimed.Epoch() != 2 || flushedRows(untimed) != ds.Len()+1 {
+		t.Fatalf("explicit Flush: epoch %d, %d rows flushed", untimed.Epoch(), flushedRows(untimed))
 	}
 }
 
@@ -803,8 +797,8 @@ func TestCrashRecovery(t *testing.T) {
 	// Idempotent reopen: everything flushed, WAL drained.
 	db2.Close()
 	db3 := mustOpen(t, dir, testOptions())
-	if db3.TotalRows() != ds.Len()+3 || db3.FlushedRows() != ds.Len()+3 {
-		t.Fatalf("third open: total %d flushed %d, want both %d", db3.TotalRows(), db3.FlushedRows(), ds.Len()+3)
+	if db3.TotalRows() != ds.Len()+3 || flushedRows(db3) != ds.Len()+3 {
+		t.Fatalf("third open: total %d flushed %d, want both %d", db3.TotalRows(), flushedRows(db3), ds.Len()+3)
 	}
 }
 
@@ -984,4 +978,11 @@ func TestCloseIdempotentAndConcurrent(t *testing.T) {
 	if _, err := db.Acquire(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Acquire after Close: got %v, want ErrClosed", err)
 	}
+}
+
+// flushedRows counts the read-visible rows of db's current epoch.
+func flushedRows(db *DB) int {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.man.FlushedRows
 }

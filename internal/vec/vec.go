@@ -1,6 +1,6 @@
-// Package vec provides small d-dimensional vector and box utilities used
-// throughout the UEI codebase: points, axis-aligned boxes, and distance
-// metrics. All operations treat vectors as dense []float64 of equal length;
+// Package vec provides small d-dimensional point and box utilities used
+// throughout the UEI codebase. All operations treat vectors as dense
+// []float64 of equal length;
 // helpers panic on dimensionality mismatch because such a mismatch is always
 // a programming error, never a data error.
 package vec
@@ -18,60 +18,6 @@ func Clone(p Point) Point {
 	out := make(Point, len(p))
 	copy(out, p)
 	return out
-}
-
-// Equal reports whether a and b have the same dimensionality and identical
-// coordinates.
-func Equal(a, b Point) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// L2 returns the Euclidean distance between a and b.
-func L2(a, b Point) float64 {
-	return math.Sqrt(SquaredL2(a, b))
-}
-
-// SquaredL2 returns the squared Euclidean distance between a and b. It is
-// the preferred metric for nearest-neighbor ranking because it avoids the
-// square root while preserving order.
-func SquaredL2(a, b Point) float64 {
-	checkDims(len(a), len(b))
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return s
-}
-
-// L1 returns the Manhattan distance between a and b.
-func L1(a, b Point) float64 {
-	checkDims(len(a), len(b))
-	var s float64
-	for i := range a {
-		s += math.Abs(a[i] - b[i])
-	}
-	return s
-}
-
-// Linf returns the Chebyshev (maximum-coordinate) distance between a and b.
-func Linf(a, b Point) float64 {
-	checkDims(len(a), len(b))
-	var s float64
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > s {
-			s = d
-		}
-	}
-	return s
 }
 
 // Box is an axis-aligned d-dimensional box, inclusive on both ends:
@@ -123,16 +69,6 @@ func (b Box) Widths() Point {
 		w[i] = b.Max[i] - b.Min[i]
 	}
 	return w
-}
-
-// Volume returns the product of the box extents. A degenerate box has
-// volume zero.
-func (b Box) Volume() float64 {
-	v := 1.0
-	for i := range b.Min {
-		v *= b.Max[i] - b.Min[i]
-	}
-	return v
 }
 
 // Intersects reports whether the two boxes overlap (touching counts).
