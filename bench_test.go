@@ -231,8 +231,9 @@ func BenchmarkChunkstoreMergeRegion(b *testing.B) {
 	}
 }
 
-// BenchmarkFetchRows is the γ-sample fetch of Algorithm 2 line 12: 2000
-// uniform ids reconstructed in one pass over the store.
+// BenchmarkFetchRows reconstructs 2000 uniform ids in one pass over the
+// store: the kind of fetch a sample pool read makes (Algorithm 2 line 12),
+// which reads every chunk whatever the id count.
 func BenchmarkFetchRows(b *testing.B) {
 	_, store, _ := microFixtures(b)
 	ids, err := memcache.SampleIDs(store.RowCount(), 2000, 1)

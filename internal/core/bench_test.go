@@ -10,6 +10,7 @@ import (
 
 	"github.com/uei-db/uei/internal/dataset"
 	"github.com/uei-db/uei/internal/learn"
+	"github.com/uei-db/uei/internal/memcache"
 )
 
 // BenchmarkScorePhase measures the per-iteration hot path: re-scoring
@@ -270,12 +271,14 @@ func BenchmarkCellLoad(b *testing.B) {
 	}
 }
 
-// BenchmarkInitExploration measures a session open's γ pass — drawing the
-// uniform sample and fetching its 2 000 rows, which reads every chunk of
-// every dimension — on the two static layouts the end-to-end benchmark
-// serves (a flat 50k-row store; 150k rows over S = 4) with the block cache
-// off. Each op is one session's view with its own seed; creating and
-// closing the view is not timed. Run with -cpu 1 to compare commits.
+// BenchmarkInitExploration measures a session open's γ draw — 2 000 rows
+// drawn from the index's sample pool and copied into U — on the two static
+// layouts the end-to-end benchmark serves (a flat 50k-row store; 150k rows
+// over S = 4) with the block cache off. The pool's one read, which reads
+// every chunk of every dimension, happens before the timer (BenchmarkFetchRows'
+// "pool" case times a read of its size). Each op is one session's view
+// with its own seed; creating and closing the view is not timed. Run with
+// -cpu 1 to compare commits.
 func BenchmarkInitExploration(b *testing.B) {
 	ctx := context.Background()
 	for _, lay := range []struct {
@@ -299,6 +302,14 @@ func BenchmarkInitExploration(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer idx.Close()
+			warm, err := idx.NewView(ViewOptions{MemoryBudgetBytes: 8 << 20, SampleSize: 2000, Seed: -1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := warm.InitExploration(ctx); err != nil {
+				b.Fatal(err)
+			}
+			warm.Close()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -316,6 +327,66 @@ func BenchmarkInitExploration(b *testing.B) {
 				b.StartTimer()
 			}
 		})
+	}
+}
+
+// BenchmarkFetchRows measures Index.FetchRows on a 150k-row store, flat
+// and S = 4, with the block cache off: "all" fetches every row (the
+// server's oracle dataset read) and "pool" 16 000 uniform ids (a sample
+// pool read at γ = 2 000). Both read every chunk of every dimension; what
+// differs between the layouts is the per-part id translation and the
+// merge of the shards' rows. Run with -cpu 1 to compare commits.
+func BenchmarkFetchRows(b *testing.B) {
+	ctx := context.Background()
+	const rows = 150_000
+	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: rows, Seed: 21})
+	if err != nil {
+		b.Fatal(err)
+	}
+	all := make([]uint32, rows)
+	for i := range all {
+		all[i] = uint32(i)
+	}
+	pool, err := memcache.SampleIDs(rows, 16_000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, lay := range []struct {
+		name   string
+		shards int
+	}{
+		{"flat-150k", 0},
+		{"S=4-150k", 4},
+	} {
+		dir := b.TempDir()
+		if err := Build(dir, ds, BuildOptions{TargetChunkBytes: 64 << 10, Shards: lay.shards}); err != nil {
+			b.Fatal(err)
+		}
+		idx, err := Open(ctx, dir, Options{MemoryBudgetBytes: 8 << 20})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, fetch := range []struct {
+			name string
+			ids  []uint32
+		}{
+			{"all", all},
+			{"pool", pool},
+		} {
+			b.Run(lay.name+"/"+fetch.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					got, err := idx.FetchRows(ctx, fetch.ids)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if len(got) != len(fetch.ids) {
+						b.Fatalf("fetched %d of %d rows", len(got), len(fetch.ids))
+					}
+				}
+			})
+		}
+		idx.Close()
 	}
 }
 

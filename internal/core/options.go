@@ -39,7 +39,8 @@ type Options struct {
 	// LatencyThreshold is σ (§3.2). Zero selects DefaultLatencyThreshold.
 	LatencyThreshold time.Duration
 	// EnablePrefetch turns on background region loading and swap deferral:
-	// a swap lands θ = ⌈τ̂/σ⌉ iterations after its load starts, where τ̂ is
+	// a swap lands θ = ⌈τ̂/σ⌉ iterations after a cell other than the
+	// resident one is first selected (its load starts then), where τ̂ is
 	// a cell load's time modelled from the row count and the Limiter's
 	// rate (prefetch.Theta). It requires a Limiter — without one there is
 	// no I/O cost to model.
@@ -49,7 +50,7 @@ type Options struct {
 	// budget can raise it to avoid re-loading recently visited cells.
 	// Zero selects 1.
 	ResidentRegions int
-	// Seed drives the uniform sample.
+	// Seed picks the uniform sample from the index's sample pool.
 	Seed int64
 	// Registry receives the index's runtime metrics (swap/prefetch
 	// counters, phase latency histograms, chunk-store I/O, memory gauges).

@@ -147,9 +147,10 @@ type Index struct {
 	lastSkipped int
 
 	// pendingCell is the cell whose background load started at its
-	// selection, deferredFor the iterations its swap has been deferred
-	// since, and theta how many it is deferred before the swap waits for
-	// the load (§3.2): a function of the rows read, the limiter and σ
+	// selection, deferredFor the iterations a swap has been deferred since
+	// the first selection of a cell other than the resident one, and theta
+	// how many it is deferred before the swap waits for the pending load
+	// (§3.2): a function of the rows read, the limiter and σ
 	// (prefetch.Theta), so the swap iteration never depends on timing.
 	deferredFor int
 	pendingCell int
@@ -160,6 +161,9 @@ type Index struct {
 	// Options.Workers goroutines; a DWKNN pass is serial. With one worker
 	// everything runs inline.
 	pool *pool.Pool
+	// samples is the sample pool every view of the index draws U from;
+	// views share the parent's, and only the parent's Close frees it.
+	samples *samplePool
 	// isView marks per-session views (NewView): the pool and store are
 	// borrowed from the parent, so Close must not shut them down.
 	isView bool
@@ -380,6 +384,7 @@ func newIndex(opts Options, coord *shard.Coordinator, pl *pool.Pool) (*Index, er
 		budget:      budget,
 		cache:       cache,
 		blk:         meta.Points,
+		samples:     newSamplePool(meta.Dims(), reg),
 		uncertainty: make([]float64, g.NumCells()),
 		pendingCell: memcache.NoRegion,
 		reg:         reg,
@@ -454,10 +459,10 @@ func (x *Index) Registry() *obs.Registry { return x.reg }
 // index's stores hold open (a live layout's stores are the stream
 // store's, closed with it). It is idempotent and safe to call while a
 // prefetch load or background flush is running; subsequent index
-// operations return ErrClosed. On a view (NewView) only the view's private
-// state stops: the shared pool, stores, and live write path stay up for
-// the parent and its other views (a view still releases its own snapshot
-// pin).
+// operations return ErrClosed. The sample pool is freed. On a view
+// (NewView) only the view's private state stops: the shared pools, stores,
+// and live write path stay up for the parent and its other views (a view
+// still releases its own snapshot pin).
 func (x *Index) Close() {
 	x.closeOnce.Do(func() {
 		x.closed.Store(true)
@@ -471,6 +476,7 @@ func (x *Index) Close() {
 			}
 		}
 		if !x.isView {
+			x.samples.close()
 			x.pool.Close()
 			if x.live == nil {
 				x.coord.Close()
@@ -567,25 +573,34 @@ func (x *Index) sampleSize() int {
 }
 
 // InitExploration fills the unlabeled cache U with the uniform sample γ
-// (Algorithm 2 line 12). It costs one streaming pass over the store and is
-// intended to run once per exploration session.
+// (Algorithm 2 line 12), drawn from the index's sample pool: γ of the rows
+// the pool's threshold admits, chosen by Options.Seed, copied into U. Only
+// the first draw of an index — and one that needs a larger threshold or
+// rows the pool has not seen — reads the store; every other draw costs
+// O(γ) and reads no chunk. A draw whose threshold admits more rows than
+// the pool may hold reads only its γ rows. U depends only on the rows this
+// index reads, γ and the seed. A γ the memory budget cannot hold fails
+// with memcache.ErrBudgetExceeded before anything is read. It is intended
+// to run once per exploration session.
 func (x *Index) InitExploration(ctx context.Context) error {
 	if x.closed.Load() {
 		return ErrClosed
 	}
 	gamma := x.sampleSize()
-	ids, err := memcache.SampleIDs(x.RowCount(), gamma, x.opts.Seed)
-	if err != nil {
-		return err
+	// U's bytes are reserved before the draw reads anything, so a γ the
+	// budget cannot hold fails without a read; AddSamples reserves them
+	// again for the rows it installs.
+	need := int64(min(gamma, x.RowCount())) * memcache.TupleBytes(x.Dims())
+	if err := x.budget.Reserve(need); err != nil {
+		return fmt.Errorf("core: sampling U: %w", err)
 	}
-	rows, err := x.FetchRows(ctx, ids)
+	ids, rows, err := x.samples.draw(ctx, x.coord, x.RowCount(), gamma, x.opts.Seed)
+	x.budget.Release(need)
 	if err != nil {
 		return fmt.Errorf("core: sampling U: %w", err)
 	}
-	for _, r := range rows {
-		if err := x.cache.AddSample(r.ID, r.Vals); err != nil {
-			return fmt.Errorf("core: caching sample row %d: %w", r.ID, err)
-		}
+	if err := x.cache.AddSamples(ids, rows); err != nil {
+		return fmt.Errorf("core: caching the sample: %w", err)
 	}
 	return nil
 }
@@ -688,10 +703,12 @@ func (x *Index) loadCell(ctx context.Context, cell int) ([]uint32, [][]float64, 
 // prefetching is enabled. It returns the resident cell after the call.
 //
 // With prefetch on and a region resident, a newly selected cell's load
-// starts in the background at its selection, the resident region keeps
-// serving for θ iterations, and the next one waits for the load and swaps:
-// the swap lands exactly θ iterations after its load starts, however long
-// the load takes. With nothing resident the load is synchronous.
+// starts in the background at its selection (cancelling a stale one), the
+// resident region keeps serving for θ iterations from the first selection
+// of a cell other than it, and the next one waits for the then selected
+// cell's load and swaps: the swap lands exactly θ iterations after that
+// first selection, however long the loads take. With nothing resident the
+// load is synchronous.
 //
 // The call is split into two observed phases: "score" covers symbolic
 // index re-scoring and top-k selection, "load" covers everything needed to
@@ -788,14 +805,15 @@ func (x *Index) EnsureRegion(ctx context.Context, model learn.Classifier) (grid.
 	}
 
 	// Prefetching path: a newly selected cell's load starts now (cancelling
-	// a stale one), and the resident region serves θ more iterations.
+	// a stale one), and the resident region serves θ iterations from the
+	// first selection since the last swap. A retarget keeps that count, so
+	// a target that moves every few iterations still gets swapped in.
 	if x.pendingCell != int(target) {
 		if err := x.pf.Start(int(target)); err != nil {
 			load.End(nil)
 			return 0, err
 		}
 		x.pendingCell = int(target)
-		x.deferredFor = 0
 	}
 	if x.deferredFor < x.theta {
 		x.deferredFor++

@@ -11,20 +11,20 @@ type ViewOptions struct {
 	MemoryBudgetBytes int64
 	// SampleSize is the view's γ; zero derives it from the budget.
 	SampleSize int
-	// Seed drives the view's uniform sample (per-session, so concurrent
-	// sessions explore distinct samples).
+	// Seed picks the view's uniform sample from the index's sample pool
+	// (per-session, so concurrent sessions explore different samples).
 	Seed int64
 }
 
 // NewView derives an independent exploration state over the parent's
 // storage: the shard coordinator (stores and chunk mappings), grid,
-// symbolic index point set, worker pool, and metrics registry are shared
-// (they are immutable or concurrency-safe), while the memory budget,
-// unlabeled cache, uncertainty vector, and prefetcher (when the parent
-// prefetches) are private to the view. This is what lets many
+// symbolic index point set, worker pool, sample pool and metrics registry
+// are shared (they are immutable or concurrency-safe), while the memory
+// budget, unlabeled cache, uncertainty vector, and prefetcher (when the
+// parent prefetches) are private to the view. This is what lets many
 // concurrent sessions explore one index: each gets its own U, L-driven
-// scores, and region residency, but storage is opened (and the pool's
-// goroutines started) exactly once.
+// scores, and region residency, but storage is opened (and the worker
+// pool's goroutines started) exactly once.
 //
 // Views are independent of each other but not of the parent's lifetime:
 // close every view before closing the parent (a view's Close never touches
@@ -56,6 +56,7 @@ func (x *Index) NewView(vo ViewOptions) (*Index, error) {
 		// it tracks the view's own model sequence.
 		blk:         x.blk,
 		pool:        x.pool,
+		samples:     x.samples,
 		isView:      true,
 		uncertainty: make([]float64, x.grid.NumCells()),
 		pendingCell: memcache.NoRegion,

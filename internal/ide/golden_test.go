@@ -20,17 +20,19 @@ import (
 
 // goldenSessionDigest is the FNV-64a digest of (labeled row ids in order,
 // retrieved result ids, final Uncertainties() bits) of one seeded session.
-// It was recorded at commit b346c25, before the flat and flat-live readers
-// became the one-shard case of shard.Coordinator, and it is the same value
-// for every layout and worker count below: the layouts hold the same rows
-// under the same ids over the same grid, so every decision is identical.
-const goldenSessionDigest uint64 = 0x7a9d5d29dee75e1
+// It was re-recorded when U became a draw from the index's sample pool
+// (which changed the session's sample), and it is the same value for every
+// layout and worker count below: the layouts hold the same rows under the
+// same ids over the same grid, and the pool admits a row by its id alone,
+// so every decision is identical.
+const goldenSessionDigest uint64 = 0xbafd2324e8e25f93
 
 // goldenPrefetchDigest is the digest of the same session with prefetch on
 // (goldenPrefetch): every layout holds 2400 rows, so θ = ⌈28.8 µs / 10 µs⌉
-// = 3 for all of them, and each swap lands three iterations after its load
-// starts however long the load takes.
-const goldenPrefetchDigest uint64 = 0x77e04b2c5483cbd4
+// = 3 for all of them, and each swap lands three iterations after the
+// first selection of a cell other than the resident one, however long the
+// load takes.
+const goldenPrefetchDigest uint64 = 0xca45995831b4cb34
 
 // goldenPrefetch turns prefetch on under a 1 GB/s limiter and σ = 10 µs,
 // which gives θ ≥ 2 on the golden store.
@@ -228,7 +230,9 @@ func TestGoldenSessionDigest(t *testing.T) {
 // three times with every load attempt delayed by 0, 1 ms and 20 ms. The
 // labeled ids and result ids must not move, although the delays change how
 // long a swap waits for its load: the 20 ms run must wait in Await at least
-// once, and every run defers swaps.
+// once, every run defers swaps, and every run swaps again after its first
+// region: the golden session's target moves within θ iterations, and a
+// retarget must not restart the deferral count.
 func TestPrefetchScheduleIgnoresLoadTiming(t *testing.T) {
 	g := newGoldenFixture(t)
 	var firstPicks, firstPositive []uint32
@@ -253,6 +257,9 @@ func TestPrefetchScheduleIgnoresLoadTiming(t *testing.T) {
 		t.Logf("delay %v: %d swaps, %d deferred, %d found done, %d waited", delay, st.RegionSwaps, st.SwapsDeferred, st.PrefetchHits, waited)
 		if st.SwapsDeferred == 0 {
 			t.Errorf("delay %v: no swap was deferred", delay)
+		}
+		if st.RegionSwaps < 2 {
+			t.Errorf("delay %v: %d swaps; the schedule is only checked by swaps after the first", delay, st.RegionSwaps)
 		}
 		if delay == 20*time.Millisecond && waited == 0 {
 			t.Errorf("delay %v: no swap waited for its load", delay)

@@ -91,21 +91,43 @@ func (c *Cache) SetMaxRegions(n int) error {
 // AddSample inserts one base-sample tuple, reserving budget for it.
 // Already-present and already-labeled ids are no-ops.
 func (c *Cache) AddSample(id uint32, row []float64) error {
-	if len(row) != c.dims {
-		return fmt.Errorf("memcache: row has %d dims, cache expects %d", len(row), c.dims)
+	return c.AddSamples([]uint32{id}, [][]float64{row})
+}
+
+// AddSamples installs a batch of base-sample tuples under one budget
+// reservation: ids must ascend strictly, and rows[i] is the row of ids[i].
+// Already-present and already-labeled ids are skipped. When the rest does
+// not fit the budget nothing is installed and the error wraps
+// ErrBudgetExceeded. A row past every resident sample id — each row of the
+// sample a session opens with — is an append.
+func (c *Cache) AddSamples(ids []uint32, rows [][]float64) error {
+	if len(ids) != len(rows) {
+		return fmt.Errorf("memcache: %d ids for %d rows", len(ids), len(rows))
 	}
-	if c.labeled[id] {
+	keep := make([]int, 0, len(ids))
+	for i, id := range ids {
+		if len(rows[i]) != c.dims {
+			return fmt.Errorf("memcache: row has %d dims, cache expects %d", len(rows[i]), c.dims)
+		}
+		if i > 0 && id <= ids[i-1] {
+			return fmt.Errorf("memcache: sample ids must ascend strictly, %d follows %d", id, ids[i-1])
+		}
+		if _, held := c.sample.get(id); !held && !c.labeled[id] {
+			keep = append(keep, i)
+		}
+	}
+	if len(keep) == 0 {
 		return nil
 	}
-	i, ok := slices.BinarySearch(c.sample.ids, id)
-	if ok {
-		return nil
-	}
-	if err := c.budget.Reserve(TupleBytes(c.dims)); err != nil {
+	if err := c.budget.Reserve(int64(len(keep)) * TupleBytes(c.dims)); err != nil {
 		return err
 	}
-	c.sample.ids = slices.Insert(c.sample.ids, i, id)
-	c.sample.rows = slices.Insert(c.sample.rows, i, row)
+	s := &c.sample
+	for _, i := range keep {
+		at, _ := slices.BinarySearch(s.ids, ids[i])
+		s.ids = slices.Insert(s.ids, at, ids[i])
+		s.rows = slices.Insert(s.rows, at, rows[i])
+	}
 	return nil
 }
 

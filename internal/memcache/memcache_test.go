@@ -286,6 +286,44 @@ func TestCacheSampleAndBudget(t *testing.T) {
 	}
 }
 
+// TestCacheAddSamplesBatch: a batch reserves once for the ids it installs
+// (held and labeled ids skipped), a batch that does not fit installs
+// nothing, ids interleaving the resident ones keep the sample sorted, and
+// ids that do not ascend strictly are refused.
+func TestCacheAddSamplesBatch(t *testing.T) {
+	c, b := newTestCache(t, 5)
+	if err := c.AddSamples([]uint32{2, 6}, [][]float64{{2, 2}, {6, 6}}); err != nil {
+		t.Fatal(err)
+	}
+	c.Remove(4)
+	if err := c.AddSamples([]uint32{1, 2, 4, 5, 7, 8}, [][]float64{{1, 1}, {2, 2}, {4, 4}, {5, 5}, {7, 7}, {8, 8}}); !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("4 new rows into room for 3: %v", err)
+	}
+	if c.SampleLen() != 2 || b.Used() != 2*TupleBytes(2) {
+		t.Fatalf("failed batch left %d rows, %d bytes used", c.SampleLen(), b.Used())
+	}
+	if err := c.AddSamples([]uint32{1, 2, 4, 5, 7}, [][]float64{{1, 1}, {2, 2}, {4, 4}, {5, 5}, {7, 7}}); err != nil {
+		t.Fatal(err)
+	}
+	if b.Used() != 5*TupleBytes(2) {
+		t.Errorf("%d bytes used, want 5 tuples", b.Used())
+	}
+	var got []uint32
+	c.EachSorted(func(id uint32, row []float64) bool {
+		if row[0] != float64(id) {
+			t.Errorf("row %d holds %v", id, row)
+		}
+		got = append(got, id)
+		return true
+	})
+	if want := []uint32{1, 2, 5, 6, 7}; !slices.Equal(got, want) {
+		t.Errorf("sample %v, want %v", got, want)
+	}
+	if err := c.AddSamples([]uint32{9, 9}, [][]float64{{9, 9}, {9, 9}}); err == nil {
+		t.Error("repeated ids should fail")
+	}
+}
+
 func TestCacheRegionSwap(t *testing.T) {
 	c, b := newTestCache(t, 10)
 	c.AddSample(1, []float64{1, 1})

@@ -99,9 +99,14 @@ func MergePartsCell(ctx context.Context, parts []Part, box vec.Box, cell grid.Ce
 	return out, entries, nil
 }
 
-// FetchPartsRows point-fetches sorted global ids across parts and returns
-// the union sorted by global id.
+// FetchPartsRows point-fetches global ids, in any order, across parts and
+// returns the union sorted by global id, repeats collapsed.
 func FetchPartsRows(ctx context.Context, parts []Part, ids []uint32) ([]chunkstore.MergedRow, error) {
+	// Part.localIDs walks ids in ascending order.
+	if !slices.IsSorted(ids) {
+		ids = slices.Clone(ids)
+		slices.Sort(ids)
+	}
 	var out []chunkstore.MergedRow
 	for i := range parts {
 		p := &parts[i]
