@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end check of the binaries, the one script behind CI's `e2e` job:
 #
-#   1. flat:        uei-serve -gen boots, serves a session, drains on SIGTERM
+#   1. one shard:   uei-serve -gen boots over a one-shard store, serves a
+#                   session, drains on SIGTERM
 #   2. sharded:     an S = 2 store — the multi-part layout's first epoch,
 #                   CURRENT over seg-NNNNNN/ parts, with no wal/ — is
 #                   detected without -shards; four oracle sessions step
@@ -11,12 +12,15 @@
 #   3. live:        the same layout plus wal/: append-while-exploring over
 #                   HTTP, uei-ingest -inspect and -verify (parts, then the
 #                   WAL as opening the store would replay it)
-#   4. old format:  a store whose manifest says format 1 fails -verify,
-#                   naming the rebuild
-#   5. csv:         a 20 000-row CSV streamed into a flat store and read
-#                   into an S = 2 one both pass -verify; a nan field fails
-#                   the build naming its row and column and leaves no
-#                   manifest; -external is an unknown flag
+#   4. old format:  a store whose part manifest says format 2 fails
+#                   -verify, naming the rebuild; so does a store of the
+#                   retired flat layout (a one-shard store's seg-000001/
+#                   files at the top level) under -inspect and -verify
+#   5. csv:         a 20 000-row CSV streamed into a one-shard store (no
+#                   idmap) and read into an S = 2 one both pass -verify; a
+#                   nan field fails the build naming its row and column and
+#                   commits no store (no CURRENT); -external is an unknown
+#                   flag
 #   6. idmap:       one flipped byte of seg-000002/idmap (shard 1's part)
 #                   fails -verify, naming the part
 #
@@ -128,11 +132,11 @@ bin=$work/bin
 go build -o "$bin/" ./cmd/uei-serve ./cmd/uei-ingest ./cmd/uei-trace
 oracle='{"max_labels":8,"oracle":{"selectivity":0.01}}'
 
-echo "== flat: boot, session, metrics, SIGTERM drain"
+echo "== one shard: boot, session, metrics, SIGTERM drain"
 pick_port port
 base=http://127.0.0.1:$port
-spawn flat.log "$bin/uei-serve" -gen 20000 -addr "127.0.0.1:$port" -idle-timeout 1m \
-  -trace "$work/flat.jsonl" -slo 500ms
+spawn one.log "$bin/uei-serve" -gen 20000 -addr "127.0.0.1:$port" -idle-timeout 1m \
+  -trace "$work/one.jsonl" -slo 500ms
 srv=$!
 wait_http "$base/readyz"
 run_session "$base" "$(new_session "$base" "$oracle")" 12
@@ -141,7 +145,7 @@ grep -q 'uei_slo_steps_total' "$work/metrics.txt" || fail "uei_slo_steps_total m
 grep -q 'uei_step_latency_p95_seconds' "$work/metrics.txt" || fail "step latency percentiles missing from /metrics"
 grep -q '^uei_kernel_vector_width [14]$' "$work/metrics.txt" || fail "uei_kernel_vector_width missing from /metrics"
 drain "$srv"
-strict_trace flat.jsonl
+strict_trace one.jsonl
 
 echo "== sharded: S = 2 detected without -shards, four concurrent sessions"
 "$bin/uei-ingest" -gen 20000 -shards 2 -chunk 4096 -out "$work/sharded" \
@@ -225,18 +229,32 @@ strict_trace live.jsonl
 
 echo "== old format: refused, naming the rebuild"
 "$bin/uei-ingest" -gen 6000 -chunk 4096 -out "$work/old" >/dev/null
-sed -i 's/"format_version": 3/"format_version": 2/' "$work/old/manifest.json"
-grep -q '"format_version": 2' "$work/old/manifest.json" || fail "the manifest was not rewritten to format 2"
+sed -i 's/"format_version": 3/"format_version": 2/' "$work/old/seg-000001/manifest.json"
+grep -q '"format_version": 2' "$work/old/seg-000001/manifest.json" || fail "the manifest was not rewritten to format 2"
 if "$bin/uei-ingest" -verify "$work/old" >"$work/old.txt" 2>&1; then
   fail "-verify accepted a format-2 store"
 fi
 grep -q 'rebuild the store with uei-ingest' "$work/old.txt" || fail "-verify did not name the rebuild: $(cat "$work/old.txt")"
+# The retired flat layout is a one-shard store's part at the top level,
+# without the epoch around it.
+"$bin/uei-ingest" -gen 6000 -chunk 4096 -out "$work/flat" >/dev/null
+mv "$work/flat/seg-000001/"* "$work/flat/"
+rm -r "$work/flat/seg-000001" "$work/flat/CURRENT" "$work/flat/manifest-000001.json"
+[ -e "$work/flat/manifest.json" ] && [ -e "$work/flat/d00.chk" ] || fail "the flat fixture has no top-level manifest.json and d00.chk"
+for mode in -inspect -verify; do
+  if "$bin/uei-ingest" "$mode" "$work/flat" >"$work/flat.txt" 2>&1; then
+    fail "$mode accepted a flat store"
+  fi
+  grep -q 'rebuild the store with uei-ingest' "$work/flat.txt" || fail "$mode did not name the rebuild of a flat store: $(cat "$work/flat.txt")"
+done
 
-echo "== csv: streamed flat build, sharded build, a non-finite field refused"
+echo "== csv: streamed one-shard build, sharded build, a non-finite field refused"
 awk 'BEGIN { srand(6); print "a,b,c,d,e"
   for (i = 0; i < 20000; i++) printf "%.4f,%.4f,%.4f,%.4f,%.4f\n", rand()*100, rand()*50, rand()*10, rand(), rand()*1000 }' >"$work/rows.csv"
 "$bin/uei-ingest" -csv "$work/rows.csv" -chunk 4096 -out "$work/csvflat" >/dev/null
 "$bin/uei-ingest" -verify "$work/csvflat" >/dev/null || fail "a streamed -csv store fails -verify"
+[ -e "$work/csvflat/CURRENT" ] || fail "the streamed -csv build committed no store"
+[ -z "$(find "$work/csvflat" -name idmap)" ] || fail "the streamed one-shard store holds an idmap"
 "$bin/uei-ingest" -inspect "$work/csvflat" | grep -Eq 'rows: +20000$' || fail "-inspect does not report 20000 rows"
 "$bin/uei-ingest" -csv "$work/rows.csv" -shards 2 -chunk 4096 -out "$work/csvsharded" >/dev/null
 "$bin/uei-ingest" -verify "$work/csvsharded" >/dev/null || fail "a sharded -csv store fails -verify"
@@ -245,7 +263,7 @@ if "$bin/uei-ingest" -csv "$work/nan.csv" -chunk 4096 -out "$work/csvnan" >"$wor
   fail "a CSV with a nan field was ingested"
 fi
 grep -q 'row 99 column "c": non-finite value' "$work/nan.txt" || fail "the nan refusal names no row and column: $(cat "$work/nan.txt")"
-[ ! -e "$work/csvnan/manifest.json" ] || fail "the refused build left a manifest"
+[ ! -e "$work/csvnan/CURRENT" ] || fail "the refused build committed a store"
 if "$bin/uei-ingest" -external -csv "$work/rows.csv" -out "$work/csvext" >"$work/ext.txt" 2>&1; then
   fail "-external is still accepted"
 fi

@@ -58,7 +58,7 @@ func run() error {
 		metrA   = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :8080)")
 		summary = flag.Bool("summary", false, "print a phase-latency breakdown table at the end")
 		cacheB  = flag.Int64("block-cache-bytes", 0, "shared decoded-chunk block cache budget in bytes (0 disables, the paper's discipline)")
-		shards  = flag.Int("shards", 1, "store layout: 1 = one flat chunk store (the paper's configuration), >1 = sharded scatter-gather with that many shards")
+		shards  = flag.Int("shards", 1, "store layout: 1 = one shard (the paper's configuration), >1 = sharded scatter-gather with that many shards")
 	)
 	flag.Parse()
 

@@ -103,7 +103,7 @@ func run() error {
 		metrAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :8080)")
 		summary  = flag.Bool("summary", false, "print a phase-latency breakdown table at the end")
 		cacheByt = flag.Int64("block-cache-bytes", 0, "shared decoded-chunk block cache budget in bytes (0 disables)")
-		shards   = flag.Int("shards", 0, "store layout: 0 = whatever -store holds (flat with -gen), 1 = require flat, >1 = require (with -gen, build) exactly that many shards")
+		shards   = flag.Int("shards", 0, "store layout: 0 = whatever -store holds (one shard with -gen), 1 = one shard, >1 = require (with -gen, build) exactly that many shards")
 		shardDl  = flag.Duration("shard-deadline", 0, "per-shard operation deadline; slow shards are skipped and the step degrades (0 disables)")
 	)
 	flag.Parse()

@@ -1,17 +1,18 @@
-// Command uei-ingest builds a UEI index (columnar inverted chunk store +
-// manifest) from a numeric CSV file, or from the built-in synthetic SDSS
-// generator. It corresponds to UEI's once-per-dataset Index Initialization
-// phase (Algorithm 2 lines 1-11). A flat -csv build streams the file into
-// the store in bounded memory, so the file may be larger than RAM; with
-// -shards or -live the file is read into memory first, because the
-// partition needs the dataset's bounds before the first row is placed.
+// Command uei-ingest builds a UEI index (columnar inverted chunk stores,
+// one per part, under an epoch manifest) from a numeric CSV file, or from
+// the built-in synthetic SDSS generator. It corresponds to UEI's
+// once-per-dataset Index Initialization phase (Algorithm 2 lines 1-11). A
+// one-shard static -csv build streams the file into its one part in
+// bounded memory, so the file may be larger than RAM; with -shards > 1 or
+// -live the file is read into memory first, because the partition needs
+// the dataset's bounds before the first row is placed.
 //
 // Usage:
 //
-//	uei-ingest -csv photoobj.csv -out ./store       # streamed, bounded memory
+//	uei-ingest -csv photoobj.csv -out ./store       # one shard, streamed, bounded memory
 //	uei-ingest -gen 1000000 -seed 7 -out ./store -chunk 481280
 //	uei-ingest -inspect ./store
-//	uei-ingest -verify ./store                      # check every chunk against its manifest
+//	uei-ingest -verify ./store                      # open every part, check every chunk against its manifest
 //	uei-ingest -gen 100000 -live -out ./live       # WAL-backed live store
 //	uei-ingest -csv grows.csv -follow -out ./live  # tail new rows into it
 package main
@@ -53,9 +54,9 @@ func run() (err error) {
 		out      = flag.String("out", "", "output store directory (must be empty or absent)")
 		chunk    = flag.Int("chunk", chunkstore.DefaultTargetChunkBytes, "target chunk size in bytes (Table 1: 481280 = 470KB)")
 		inspect  = flag.String("inspect", "", "print a summary of an existing store and exit")
-		verify   = flag.String("verify", "", "open every part of an existing store (flat, sharded or live) as serving does — idmap and row count against the manifest — read every chunk against its manifest, read a live store's WAL as opening it would, and exit; the first violation is the error")
-		shards   = flag.Int("shards", 1, "partition the store into this many shards (1 = one flat chunk store)")
-		segments = flag.Int("segments", 0, "sharded build: grid segments per dimension cells are hashed over (0 = default 5)")
+		verify   = flag.String("verify", "", "open every part of an existing store (static or live) as serving does — idmap and row count against the manifest — read every chunk against its manifest, read a live store's WAL as opening it would, and exit; the first violation is the error")
+		shards   = flag.Int("shards", 1, "partition the store into this many shards (1 = one shard)")
+		segments = flag.Int("segments", 0, "grid segments per dimension the store records: -shards > 1 and -live hash cells over them, and readers of a one-shard store may pick another (0 = default 5)")
 		traceFl  = flag.String("trace", "", "write a hierarchical span trace of the ingest as JSONL to this file (analyze with uei-trace)")
 		live     = flag.Bool("live", false, "build the live (streaming) layout: a WAL-backed write store that accepts appends after the build (see -follow)")
 		follow   = flag.Bool("follow", false, "tail -csv into an existing live store in -out: already-ingested rows are skipped, new lines are appended and flushed as they land; Ctrl-C stops")
@@ -112,12 +113,22 @@ func run() (err error) {
 		root.End(nil)
 	}()
 
-	// A flat store is written straight from the file, in bounded memory. A
-	// sharded or live build partitions by the dataset's bounds, so it reads
-	// the file into memory first.
+	// A one-shard static store is written straight from the file, in
+	// bounded memory. A sharded or live build partitions by the dataset's
+	// bounds, so it reads the file into memory first.
 	streamed := *csvPath != "" && *shards == 1 && !*live
 	var ds *dataset.Dataset
-	if !streamed {
+	var csv *dataset.CSVReader
+	if streamed {
+		f, err := os.Open(*csvPath)
+		if err != nil {
+			return fmt.Errorf("open %s: %w", *csvPath, err)
+		}
+		defer f.Close()
+		if csv, err = dataset.NewCSVReader(f); err != nil {
+			return err
+		}
+	} else {
 		start := time.Now()
 		_, read := obs.StartSpan(ctx, "read")
 		if *csvPath != "" {
@@ -141,7 +152,14 @@ func run() (err error) {
 	_, build := obs.StartSpan(ctx, "build")
 	if streamed {
 		fmt.Printf("streaming %s into the store...\n", *csvPath)
-		err = buildFromCSV(*csvPath, *out, *chunk)
+		var m *shard.Manifest
+		m, err = shard.WriteOneShardEpoch(*out, shard.BuildOptions{TargetChunkBytes: *chunk, SegmentsPerDim: *segments},
+			func(part string, o chunkstore.BuildOptions) (*chunkstore.Store, error) {
+				return chunkstore.BuildRows(part, csv.Schema().Names(), csv.Next, o)
+			})
+		if err == nil {
+			err = shard.CommitManifest(*out, m)
+		}
 	} else {
 		err = core.Build(*out, ds, core.BuildOptions{TargetChunkBytes: *chunk, Shards: *shards, SegmentsPerDim: *segments, LiveIngest: *live})
 	}
@@ -160,25 +178,6 @@ func run() (err error) {
 		fmt.Printf("index built in %v\n", time.Since(start).Round(time.Millisecond))
 	}
 	return inspectStore(*out)
-}
-
-// buildFromCSV streams a headered numeric CSV row by row into a flat
-// store, never holding the dataset in memory.
-func buildFromCSV(path, out string, chunk int) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("open %s: %w", path, err)
-	}
-	defer f.Close()
-	cr, err := dataset.NewCSVReader(f)
-	if err != nil {
-		return err
-	}
-	st, err := chunkstore.BuildRows(out, cr.Schema().Names(), cr.Next, chunkstore.BuildOptions{TargetChunkBytes: chunk})
-	if err != nil {
-		return err
-	}
-	return st.Close()
 }
 
 // followCSV tails a headered numeric CSV into an existing live store:
@@ -300,35 +299,6 @@ func readFullLine(br *bufio.Reader, pending string) (string, error) {
 	return pending + strings.TrimSuffix(chunk, "\n"), nil
 }
 
-func inspectStore(dir string) error {
-	if shard.IsMultiPartDir(dir) {
-		return inspectMultiPartStore(dir)
-	}
-	st, err := chunkstore.Open(dir, nil)
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-	m := st.Manifest()
-	fmt.Printf("store %s:\n", dir)
-	fmt.Printf("  rows:          %d\n", st.RowCount())
-	fmt.Printf("  dimensions:    %d (%v)\n", st.Dims(), m.Columns)
-	fmt.Printf("  total bytes:   %d (%.2f B/row)\n", st.TotalBytes(), perRow(st.TotalBytes(), st.RowCount()))
-	fmt.Printf("  chunk format:  v%d\n", chunkstore.ChunkVersion)
-	fmt.Printf("  chunk target:  %d bytes\n", m.TargetChunkBytes)
-	for d, chunks := range m.Chunks {
-		var bytes int64
-		var refs int
-		for _, c := range chunks {
-			bytes += c.Bytes
-			refs += c.RowRefs
-		}
-		fmt.Printf("  dim %d (%s): %d chunks, %d bytes (%.2f B/row), %d row refs, values [%g, %g]\n",
-			d, m.Columns[d], len(chunks), bytes, perRow(bytes, st.RowCount()), refs, m.MinValues[d], m.MaxValues[d])
-	}
-	return nil
-}
-
 // perRow is bytes spread over rows, 0 for a store without rows.
 func perRow(bytes int64, rows int) float64 {
 	if rows == 0 {
@@ -337,19 +307,12 @@ func perRow(bytes int64, rows int) float64 {
 	return float64(bytes) / float64(rows)
 }
 
-// verifyStore checks every part of the layout under dir — each segment of
-// a multi-part store, or the flat directory itself — as serving would open
-// it, store and idmap against the manifest (shard.OpenPart), and then runs
-// chunkstore.Verify over its chunks. Of a live store it then reads the WAL
-// as Open would replay it (stream.Inspect).
+// verifyStore checks every part of the store under dir — each segment of
+// its current epoch — as serving would open it, store and idmap against
+// the manifest (shard.OpenPart), and then runs chunkstore.Verify over its
+// chunks. Of a live store it then reads the WAL as Open would replay it
+// (stream.Inspect).
 func verifyStore(dir string) error {
-	if !shard.IsMultiPartDir(dir) {
-		st, err := chunkstore.Open(dir, nil)
-		if err != nil {
-			return err
-		}
-		return verifyPart(dir, st)
-	}
 	m, err := shard.ReadManifest(dir)
 	if err != nil {
 		return err
@@ -360,7 +323,7 @@ func verifyStore(dir string) error {
 	}
 	for _, seg := range m.Segments {
 		part := filepath.Join(dir, shard.SegmentDirName(seg.ID))
-		opened, err := shard.OpenPart(part, g, seg.Rows, m.FlushedRows, "", shard.OpenOptions{})
+		opened, err := shard.OpenPart(part, g, seg, m.FlushedRows, "", shard.OpenOptions{})
 		if err != nil {
 			return fmt.Errorf("%s: %w", part, err)
 		}
@@ -391,9 +354,9 @@ func verifyPart(dir string, st *chunkstore.Store) error {
 	return nil
 }
 
-// inspectMultiPartStore prints the current epoch of a multi-part store
-// and, of a live one, its WAL.
-func inspectMultiPartStore(dir string) error {
+// inspectStore prints the current epoch of the store under dir — its
+// geometry and segments — and, of a live one, its WAL.
+func inspectStore(dir string) error {
 	info, err := stream.Inspect(dir)
 	if err != nil {
 		return err
@@ -417,7 +380,7 @@ func inspectMultiPartStore(dir string) error {
 	}
 	fmt.Printf("  segments:      %d\n", len(m.Segments))
 	for _, seg := range m.Segments {
-		fmt.Printf("    seg %d (shard %d): %d rows, %d bytes\n", seg.ID, seg.Shard, seg.Rows, seg.Bytes)
+		fmt.Printf("    seg %d (shard %d): %d rows, %d bytes (%.2f B/row)\n", seg.ID, seg.Shard, seg.Rows, seg.Bytes, perRow(seg.Bytes, seg.Rows))
 	}
 	return nil
 }

@@ -21,14 +21,15 @@ import (
 	"github.com/uei-db/uei/internal/stream"
 )
 
-// TestVerifyEveryLayout: -verify passes on a store of every layout — flat
-// from a dataset and from a streamed -csv file, sharded, live (seed
+// TestVerifyEveryLayout: -verify passes on a store of every layout — one
+// shard from a dataset and from a streamed -csv file, sharded, live (seed
 // segments plus a flushed append) — and on each, once one chunk is
 // damaged, fails naming the part, the chunk and the field; on a sharded
 // and a live store it also fails over a damaged idmap, over a CRC-valid
 // idmap naming a row past the layout, and over a manifest row count its
-// part does not hold; on a live store, over a WAL generation with a gap
-// in its row ids.
+// part does not hold; on a one-shard store, over a row count and over a
+// segment whose identity mark is gone (its idmap is missing); on a live
+// store, over a WAL generation with a gap in its row ids.
 func TestVerifyEveryLayout(t *testing.T) {
 	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 4000, Seed: 3})
 	if err != nil {
@@ -37,11 +38,11 @@ func TestVerifyEveryLayout(t *testing.T) {
 	root := t.TempDir()
 	dirs := map[string]string{}
 	for name, opts := range map[string]core.BuildOptions{
-		"flat":    {TargetChunkBytes: 4096},
-		"sharded": {TargetChunkBytes: 4096, Shards: 3},
-		"live":    {TargetChunkBytes: 4096, Shards: 2, LiveIngest: true},
+		"one shard": {TargetChunkBytes: 4096},
+		"sharded":   {TargetChunkBytes: 4096, Shards: 3},
+		"live":      {TargetChunkBytes: 4096, Shards: 2, LiveIngest: true},
 	} {
-		dirs[name] = filepath.Join(root, name)
+		dirs[name] = filepath.Join(root, strings.ReplaceAll(name, " ", "-"))
 		if err := core.Build(dirs[name], ds, opts); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -64,7 +65,22 @@ func TestVerifyEveryLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	dirs["csv"] = filepath.Join(root, "csv")
-	if err := buildFromCSV(csv, dirs["csv"], 4096); err != nil {
+	f, err := os.Open(csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr, err := dataset.NewCSVReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := shard.WriteOneShardEpoch(dirs["csv"], shard.BuildOptions{TargetChunkBytes: 4096}, func(part string, o chunkstore.BuildOptions) (*chunkstore.Store, error) {
+		return chunkstore.BuildRows(part, cr.Schema().Names(), cr.Next, o)
+	})
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := shard.CommitManifest(dirs["csv"], m); err != nil {
 		t.Fatal(err)
 	}
 
@@ -152,24 +168,29 @@ func TestVerifyEveryLayout(t *testing.T) {
 		}
 		return m.FlushedRows
 	}
-	// moreRows records one row more for the first segment, and for the
-	// epoch, in the manifest CURRENT names.
-	moreRows := func(dir string) string {
-		m, err := shard.ReadManifest(dir)
-		if err != nil {
-			t.Fatal(err)
+	// rewrite applies edit to the manifest CURRENT names, in place, and
+	// names the first segment's part.
+	rewrite := func(edit func(m *shard.Manifest)) func(dir string) string {
+		return func(dir string) string {
+			m, err := shard.ReadManifest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edit(m)
+			data, err := json.MarshalIndent(m, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, shard.ManifestFileName(m.Epoch)), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return "seg-000001"
 		}
-		m.Segments[0].Rows++
-		m.FlushedRows++
-		data, err := json.MarshalIndent(m, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, shard.ManifestFileName(m.Epoch)), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return "seg-000001"
 	}
+	// moreRows records one row more for the first segment and the epoch.
+	moreRows := rewrite(func(m *shard.Manifest) { m.Segments[0].Rows++; m.FlushedRows++ })
+	unmarked := rewrite(func(m *shard.Manifest) { m.Segments[0].Identity = false })
+	oneShard := core.BuildOptions{TargetChunkBytes: 4096}
 	sharded := core.BuildOptions{TargetChunkBytes: 4096, Shards: 3}
 	live := core.BuildOptions{TargetChunkBytes: 4096, Shards: 2, LiveIngest: true}
 	for _, c := range []struct {
@@ -184,6 +205,8 @@ func TestVerifyEveryLayout(t *testing.T) {
 		{"live idmap past the store", live, pastLayout("seg-000002", flushedRows), "past the layout"},
 		{"sharded row count", sharded, moreRows, "manifest says"},
 		{"live row count", live, moreRows, "manifest says"},
+		{"one-shard row count", oneShard, moreRows, "manifest says"},
+		{"one-shard identity mark removed", oneShard, unmarked, "read idmap"},
 		{"live wal gap", live, func(dir string) string {
 			// Re-seal the one record of a real generation with its first
 			// row id moved up by one: CRC-valid, one row past a gap.

@@ -56,7 +56,7 @@ func run() error {
 		snapDir     = flag.String("snapshot-dir", "", "directory for evicted sessions' snapshots (default <store>/sessions)")
 		workers     = flag.Int("workers", 0, "shared worker pool size (0 = GOMAXPROCS)")
 		cacheBytes  = flag.Int64("block-cache-bytes", 0, "shared decoded-chunk block cache budget in bytes, carved from -budget and yielded back under session pressure (0 disables)")
-		shards      = flag.Int("shards", 0, "store layout: 0 = whatever -store holds (flat with -gen), 1 = require flat, >1 = require (with -gen, build) exactly that many shards")
+		shards      = flag.Int("shards", 0, "store layout: 0 = whatever -store holds (one shard with -gen), 1 = one shard, >1 = require (with -gen, build) exactly that many shards")
 		shardDl     = flag.Duration("shard-deadline", 0, "per-shard operation deadline; slow shards are skipped and steps report degraded (0 disables)")
 		traceFile   = flag.String("trace", "", "write one span trace per create, step and result request to this JSONL file (analyze with uei-trace)")
 		sloBudget   = flag.Duration("slo", 0, "per-step interactivity budget for SLO accounting (0 = the 500ms default)")

@@ -210,7 +210,7 @@ func TestErrLayoutMismatchRoundTrip(t *testing.T) {
 	}
 	opts.Shards = 2
 	if _, err := uei.Open(ctx, flatDir, opts); !errors.Is(err, uei.ErrLayoutMismatch) {
-		t.Errorf("flat dir with Shards 2: want ErrLayoutMismatch, got %v", err)
+		t.Errorf("one-shard dir with Shards 2: want ErrLayoutMismatch, got %v", err)
 	}
 	opts.ShardDeadline = time.Second
 	idx, err := uei.Open(ctx, shardedDir, opts)
@@ -253,9 +253,9 @@ func TestOwnerOfCellLayoutMismatch(t *testing.T) {
 	}
 }
 
-// setFormatVersion rewrites the format_version of every flat-store
-// manifest under dir — the store itself, each shard, each live segment —
-// and returns their paths.
+// setFormatVersion rewrites the format_version of every chunk-store
+// manifest under dir — one per part: each shard's, each live segment's —
+// and returns their directories.
 func setFormatVersion(t *testing.T, dir string, version int) []string {
 	t.Helper()
 	var parts []string
@@ -284,10 +284,12 @@ func setFormatVersion(t *testing.T, dir string, version int) []string {
 	return parts
 }
 
-// TestRetiredShardedLayoutRefused: a directory of the static sharded
-// layout this program no longer reads — a top-level shards.json over
-// shard-NNN/ flat stores — fails to open with uei.ErrFormatVersion naming
-// the rebuild, whatever layout the options ask for.
+// TestRetiredShardedLayoutRefused: a directory of a layout this program no
+// longer reads — the static sharded layout (a top-level shards.json over
+// shard-NNN/ chunk stores) or the flat one (one chunk store, its
+// manifest.json and d*.chk files at the top level) — fails to open with
+// uei.ErrFormatVersion naming the rebuild, whatever shard count the
+// options ask for.
 func TestRetiredShardedLayoutRefused(t *testing.T) {
 	ctx := context.Background()
 	flat, ds := buildSmallStore(t, 500)
@@ -312,10 +314,18 @@ func TestRetiredShardedLayoutRefused(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "shards.json"), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{0, 1, 2} {
-		_, err := uei.Open(ctx, dir, uei.Options{MemoryBudgetBytes: ds.SizeBytes(), Shards: shards})
-		if !errors.Is(err, uei.ErrFormatVersion) || !strings.Contains(err.Error(), "uei-ingest") {
-			t.Errorf("Shards %d: err = %v, want ErrFormatVersion naming uei-ingest", shards, err)
+	flatDir := t.TempDir()
+	st, err := chunkstore.Build(flatDir, ds, chunkstore.BuildOptions{TargetChunkBytes: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	for layout, dir := range map[string]string{"sharded": dir, "flat": flatDir} {
+		for _, shards := range []int{0, 1, 2} {
+			_, err := uei.Open(ctx, dir, uei.Options{MemoryBudgetBytes: ds.SizeBytes(), Shards: shards})
+			if !errors.Is(err, uei.ErrFormatVersion) || !strings.Contains(err.Error(), "uei-ingest") {
+				t.Errorf("%s, Shards %d: err = %v, want ErrFormatVersion naming uei-ingest", layout, shards, err)
+			}
 		}
 	}
 }
@@ -329,9 +339,9 @@ func TestErrFormatVersionRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	_, ds := buildSmallStore(t, 500)
 	for name, opts := range map[string]uei.BuildOptions{
-		"flat":    {TargetChunkBytes: 4096},
-		"sharded": {TargetChunkBytes: 4096, Shards: 2},
-		"live":    {TargetChunkBytes: 4096, Shards: 2, LiveIngest: true},
+		"one shard": {TargetChunkBytes: 4096},
+		"sharded":   {TargetChunkBytes: 4096, Shards: 2},
+		"live":      {TargetChunkBytes: 4096, Shards: 2, LiveIngest: true},
 	} {
 		dir := t.TempDir()
 		if err := uei.Build(ctx, dir, ds, opts); err != nil {
@@ -346,15 +356,15 @@ func TestErrFormatVersionRoundTrip(t *testing.T) {
 				t.Errorf("%s format %d: Open: err = %v, want ErrFormatVersion", name, old, err)
 			}
 		}
-		setFormatVersion(t, dir, 3)
-		if name != "flat" {
+		parts := setFormatVersion(t, dir, 3)
+		if name != "one shard" {
 			continue
 		}
-		st, err := chunkstore.Open(dir, nil)
+		st, err := chunkstore.Open(parts[0], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join(dir, "d00.chk")
+		path := filepath.Join(parts[0], "d00.chk")
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)

@@ -17,15 +17,10 @@ import (
 	"github.com/uei-db/uei/internal/vec"
 )
 
-// CurrentFile is the commit pointer a multi-part store directory (package
-// shard) carries instead of a flat manifest.json. It is defined here (not
-// in internal/shard) so layout detection has no import cycle.
-const CurrentFile = "CURRENT"
-
-// ErrLayoutMismatch reports that a store directory holds the other layout
-// than the one the caller asked to open — a multi-part directory opened
-// flat, or a flat directory opened as multi-part or live (including a
-// shard-count mismatch).
+// ErrLayoutMismatch reports that a store directory holds another layout
+// than the one the caller asked for — a static store opened live, or a
+// shard count other than the requested one — or that a cell id lies
+// outside the store's grid.
 // Match with errors.Is.
 var ErrLayoutMismatch = errors.New("store layout does not match requested mode")
 
@@ -142,21 +137,11 @@ func openDataFile(path string, size int64) (*os.File, error) {
 }
 
 // Open loads an existing store's manifest. limiter may be nil for
-// unthrottled reads. Opening a multi-part store directory this way fails
-// with ErrLayoutMismatch — each part subdirectory is a flat store, the top
-// level is not — and a directory of the static sharded layout this program
-// no longer reads (a top-level shards.json) with ErrFormatVersion.
+// unthrottled reads. A store directory (package shard) keeps one such
+// store in each part subdirectory.
 func Open(dir string, limiter *iothrottle.Limiter) (*Store, error) {
 	m, err := loadManifest(dir)
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			if _, serr := os.Stat(filepath.Join(dir, CurrentFile)); serr == nil {
-				return nil, fmt.Errorf("chunkstore: %s holds a multi-part store (%s present): %w", dir, CurrentFile, ErrLayoutMismatch)
-			}
-			if _, serr := os.Stat(filepath.Join(dir, "shards.json")); serr == nil {
-				return nil, fmt.Errorf("chunkstore: %s holds a static sharded store (shards.json), a layout this program no longer reads (rebuild the store with uei-ingest): %w", dir, ErrFormatVersion)
-			}
-		}
 		return nil, err
 	}
 	return newStore(dir, m, limiter)

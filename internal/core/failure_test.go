@@ -31,13 +31,14 @@ func TestCorruptedChunkSurfacesDuringRegionLoad(t *testing.T) {
 	defer idx.Close()
 
 	// Corrupt every chunk so whichever cell is loaded first fails.
-	st, err := chunkstore.Open(dir, nil)
+	part := filepath.Join(dir, "seg-000001")
+	st, err := chunkstore.Open(part, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
 	for d, chunks := range st.Manifest().Chunks {
-		path := filepath.Join(dir, fmt.Sprintf("d%02d.chk", d))
+		path := filepath.Join(part, fmt.Sprintf("d%02d.chk", d))
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -68,7 +69,7 @@ func TestMissingChunkFileSurfaces(t *testing.T) {
 	if err := Build(dir, ds, BuildOptions{TargetChunkBytes: 1024}); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, "d02.chk")); err != nil {
+	if err := os.Remove(filepath.Join(dir, "seg-000001", "d02.chk")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(context.Background(), dir, Options{MemoryBudgetBytes: 1 << 20, SampleSize: 20, Seed: 1}); err == nil || !strings.Contains(err.Error(), "d02.chk") {

@@ -16,19 +16,12 @@ var ErrNotLive = errors.New("core: index was not opened over a live-ingest layou
 // openLive opens a live (stream) layout: the index reads through a pinned
 // snapshot epoch and exposes the write path (Append/Flush). Geometry is
 // fixed by the layout, so SegmentsPerDim and Shards are validated against
-// the manifest exactly like the static sharded open.
-func openLive(ctx context.Context, dir string, opts Options) (*Index, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	man, err := shard.ReadManifest(dir)
-	if err != nil {
-		return nil, err
-	}
+// the manifest man, whatever the shard count.
+func openLive(dir string, man *shard.Manifest, opts Options) (*Index, error) {
 	if err := opts.pinLayout(dir, man.Shards, man.SegmentsPerDim); err != nil {
 		return nil, err
 	}
-	opts, err = opts.withDefaults()
+	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}

@@ -4,14 +4,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"github.com/uei-db/uei/internal/chunkstore"
 	"github.com/uei-db/uei/internal/dataset"
+	"github.com/uei-db/uei/internal/grid"
 	"github.com/uei-db/uei/internal/iothrottle"
 	"github.com/uei-db/uei/internal/leakcheck"
+	"github.com/uei-db/uei/internal/shard"
 	"github.com/uei-db/uei/internal/stream"
 )
 
@@ -35,8 +40,10 @@ func buildLiveIndex(t *testing.T, ds *dataset.Dataset, shards int, opts Options)
 
 // TestLiveLayoutPinning covers the Open contract around the live layout:
 // LiveIngest on a static directory fails with ErrLayoutMismatch, live
-// directories auto-detect, and the write path on a static index fails
-// with ErrNotLive.
+// directories auto-detect, the write path on a static index fails with
+// ErrNotLive, and a live store — one shard or two — and a static store of
+// two shards refuse a grid other than the recorded one (a static one-shard
+// store takes any; TestDataPlaneAgainstBruteForce).
 func TestLiveLayoutPinning(t *testing.T) {
 	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 400, Seed: 51})
 	if err != nil {
@@ -58,6 +65,16 @@ func TestLiveLayoutPinning(t *testing.T) {
 	}
 	if _, err := Open(ctx, shardedDir, Options{MemoryBudgetBytes: 1 << 20, LiveIngest: true}); !errors.Is(err, chunkstore.ErrLayoutMismatch) {
 		t.Fatalf("LiveIngest on a sharded static dir: err = %v, want ErrLayoutMismatch", err)
+	}
+	if _, err := Open(ctx, shardedDir, Options{MemoryBudgetBytes: 1 << 20, SegmentsPerDim: 7}); err == nil {
+		t.Error("grid mismatch on a static S = 2 store should fail Open (cell ownership is grid-dependent)")
+	}
+	oneLive := t.TempDir()
+	if err := Build(oneLive, ds, BuildOptions{TargetChunkBytes: 2048, LiveIngest: true}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(ctx, oneLive, Options{MemoryBudgetBytes: 1 << 20, SegmentsPerDim: 7}); err == nil {
+		t.Error("grid mismatch on a live S = 1 store should fail Open (cell geometry is pinned)")
 	}
 	static, err := Open(ctx, staticDir, Options{MemoryBudgetBytes: 1 << 20})
 	if err != nil {
@@ -226,9 +243,9 @@ func TestLiveCloseNoGoroutineLeak(t *testing.T) {
 }
 
 // TestLiveStaticCommitPointUntouched pins the contract that building a
-// static store writes no WAL — a sharded build commits the live layout's
-// first epoch, without wal/ — so IsLiveDir stays false for both flat and
-// sharded static layouts.
+// static store writes no WAL — a build commits the live layout's first
+// epoch, without wal/ — so IsLiveDir stays false at one shard and at
+// two.
 func TestLiveStaticCommitPointUntouched(t *testing.T) {
 	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 300, Seed: 51})
 	if err != nil {
@@ -241,6 +258,108 @@ func TestLiveStaticCommitPointUntouched(t *testing.T) {
 		}
 		if stream.IsLiveDir(dir) {
 			t.Errorf("static build (shards=%d) produced a live layout", shards)
+		}
+	}
+}
+
+// TestLiveOneShardCompactsAgainstBruteForce: a live one-shard store's first
+// segment is an identity part (no idmap); appends land in two more
+// segments, and a full compaction — which reads the identity part's rows
+// through the part's id translation — merges all three back into one
+// identity part over every row. What the index then reads matches a pass
+// over the dataset: every cell's rows, every row fetched, and the pruned
+// retrieval at each cutoff.
+func TestLiveOneShardCompactsAgainstBruteForce(t *testing.T) {
+	base, extra, all := referenceRows(t)
+	ctx := context.Background()
+	dir := t.TempDir()
+	if err := Build(dir, base, BuildOptions{TargetChunkBytes: 2048, SegmentsPerDim: referenceSegments, LiveIngest: true}); err != nil {
+		t.Fatal(err)
+	}
+	identityOnly := func(when string) {
+		t.Helper()
+		man, err := shard.ReadManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(man.Segments) != 1 || !man.Segments[0].Identity || man.Segments[0].Rows != man.FlushedRows {
+			t.Fatalf("%s: segments %+v, want one identity segment over %d rows", when, man.Segments, man.FlushedRows)
+		}
+		if _, err := os.Stat(filepath.Join(dir, shard.SegmentDirName(man.Segments[0].ID), "idmap")); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s: the identity part has an idmap file (stat err %v)", when, err)
+		}
+	}
+	identityOnly("built")
+	idx, err := Open(ctx, dir, Options{MemoryBudgetBytes: 1 << 20, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	for _, part := range [][][]float64{extra[:len(extra)/2], extra[len(extra)/2:]} {
+		if _, err := idx.Append(ctx, part); err != nil {
+			t.Fatal(err)
+		}
+		if err := idx.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := idx.Live().Compact(ctx); err != nil {
+		t.Fatal(err)
+	}
+	identityOnly("compacted")
+	if moved, err := idx.AdvanceSnapshot(); err != nil || !moved {
+		t.Fatalf("AdvanceSnapshot = %v, %v", moved, err)
+	}
+
+	model := boundaryModel(t, all, testRegion(t, all), 60)
+	ref := newDataPlaneReference(t, all, model, referenceSegments)
+	if idx.RowCount() != all.Len() {
+		t.Fatalf("index holds %d rows, want %d", idx.RowCount(), all.Len())
+	}
+	for cell := 0; cell < ref.g.NumCells(); cell++ {
+		ids, vals, err := idx.loadCell(ctx, cell)
+		if err != nil {
+			t.Fatalf("cell %d: %v", cell, err)
+		}
+		box, err := ref.g.CellBox(grid.CellID(cell))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []uint32
+		for i := 0; i < all.Len(); i++ {
+			if box.Contains(all.Row(dataset.RowID(i))) {
+				want = append(want, uint32(i))
+			}
+		}
+		if !slices.Equal(ids, want) {
+			t.Fatalf("cell %d: loaded ids %v, dataset has %v", cell, ids, want)
+		}
+		for i, id := range ids {
+			if !slices.Equal(vals[i], all.Row(dataset.RowID(id))) {
+				t.Fatalf("cell %d: row %d reads %v, dataset has %v", cell, id, vals[i], all.Row(dataset.RowID(id)))
+			}
+		}
+	}
+	every := make([]uint32, all.Len())
+	for i := range every {
+		every[i] = uint32(i)
+	}
+	rows, err := idx.FetchRows(ctx, every)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rows {
+		if r.ID != uint32(i) || !slices.Equal(r.Vals, all.Row(dataset.RowID(i))) {
+			t.Fatalf("fetched[%d] = id %d %v, want id %d %v", i, r.ID, r.Vals, i, all.Row(dataset.RowID(i)))
+		}
+	}
+	for cutoff, want := range ref.wantAt {
+		got, err := idx.ResultRetrieval(ctx, model, cutoff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("cutoff %g: retrieved %d ids, the row-at-a-time reference has %d", cutoff, len(got), len(want))
 		}
 	}
 }

@@ -26,7 +26,10 @@ const DefaultLatencyThreshold = 500 * time.Millisecond
 type Options struct {
 	// SegmentsPerDim is the number of grid segments per dimension; the
 	// symbolic index point count is SegmentsPerDim^dims (5 -> 3125 points
-	// in 5-D, Table 1). Zero selects grid.DefaultSegmentsPerDim.
+	// in 5-D, Table 1). Zero selects the count the store recorded at build
+	// (BuildOptions.SegmentsPerDim). A static one-shard store opens over
+	// any count; a live store, or one of more than one shard, only over the
+	// recorded one.
 	SegmentsPerDim int
 	// MemoryBudgetBytes caps the resident unlabeled data (uniform sample +
 	// loaded region). The experiments set it to ~1% of the on-disk data.
@@ -76,14 +79,13 @@ type Options struct {
 	// In the sharded layout one cache backs every shard store, with
 	// per-shard key prefixes.
 	BlockCacheBytes int64
-	// Shards selects the store layout Open requires: 0 auto-detects from
-	// the directory, 1 requires the flat layout (one shard), and a value
-	// > 1 requires exactly that many shards — built or live alike. A
-	// layout (or shard-count) mismatch fails with
+	// Shards is the shard count Open requires of the store: 0 accepts the
+	// recorded count, and a value >= 1 requires exactly that many shards —
+	// built or live alike. A mismatch fails with
 	// chunkstore.ErrLayoutMismatch.
 	Shards int
-	// ShardDeadline bounds every per-shard operation of the index (a flat
-	// store is one shard). When the winning cell's shard misses it, the
+	// ShardDeadline bounds every per-shard operation of the index (a
+	// one-shard store included). When the winning cell's shard misses it, the
 	// step falls back to another cell or the resident region (it degrades
 	// instead of failing). Zero disables the deadline.
 	ShardDeadline time.Duration

@@ -19,8 +19,8 @@ import (
 	"github.com/uei-db/uei/internal/shard"
 )
 
-// referenceSegments is the grid every layout of the reference test uses:
-// 4^5 = 1024 cells, few enough to load each one.
+// referenceSegments is the grid the reference test builds every store
+// over: 4^5 = 1024 cells, few enough to load each one.
 const referenceSegments = 4
 
 // referenceRows returns a base dataset and in-bounds extra rows, so that
@@ -63,32 +63,44 @@ func referenceRows(t *testing.T) (base *dataset.Dataset, extra [][]float64, all 
 	return base, extra, all
 }
 
-// TestDataPlaneAgainstBruteForce checks every read of the one data plane
-// against a pass over the in-memory dataset — no chunk store, mapping or
-// coordinator in the reference — for each on-disk layout. The layout
-// parity suites compare layouts with each other; this is what anchors all
-// of them to the data.
-func TestDataPlaneAgainstBruteForce(t *testing.T) {
-	base, extra, all := referenceRows(t)
-	ctx := context.Background()
+// dataPlaneReference is what TestDataPlaneAgainstBruteForce expects of a
+// store over all read through grid g, computed without a chunk store,
+// mapping or coordinator.
+type dataPlaneReference struct {
+	g *grid.Grid
+	// cellOf is grid.CellOf of every row.
+	cellOf []grid.CellID
+	// wantUnc is every center's uncertainty, computed one point at a time,
+	// and ranked the cells in a full sort by the documented comparator.
+	wantUnc []float64
+	ranked  []grid.CellID
+	// wantAt is the pruned retrieval's result at each posterior cutoff.
+	wantAt map[float64][]uint32
+	// masks are marked-segment masks for the raw scan.
+	masks [][][]bool
+}
+
+// newDataPlaneReference computes the reference over a grid of segments per
+// dimension cut from all's bounds.
+func newDataPlaneReference(t *testing.T, all *dataset.Dataset, model learn.Classifier, segments int) *dataPlaneReference {
+	t.Helper()
 	bounds, err := all.Bounds()
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := grid.New(bounds, referenceSegments)
+	g, err := grid.New(bounds, segments)
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := boundaryModel(t, all, testRegion(t, all), 60)
+	ref := &dataPlaneReference{g: g, cellOf: make([]grid.CellID, all.Len())}
 
 	// The reference: grid.CellOf of every row, per-center uncertainty one
 	// point at a time, a full sort with the documented comparator, and
 	// learn.Predict on every row.
-	cellOf := make([]grid.CellID, all.Len())
 	var wantPositive []uint32
 	for i := 0; i < all.Len(); i++ {
 		row := all.Row(dataset.RowID(i))
-		if cellOf[i], err = g.CellOf(row); err != nil {
+		if ref.cellOf[i], err = g.CellOf(row); err != nil {
 			t.Fatal(err)
 		}
 		cls, err := learn.Predict(model, row)
@@ -102,22 +114,22 @@ func TestDataPlaneAgainstBruteForce(t *testing.T) {
 	if len(wantPositive) == 0 {
 		t.Fatal("reference model classifies nothing positive")
 	}
-	wantUnc := make([]float64, g.NumCells())
+	ref.wantUnc = make([]float64, g.NumCells())
 	centerPost := make([]float64, g.NumCells())
-	ranked := make([]grid.CellID, g.NumCells())
+	ref.ranked = make([]grid.CellID, g.NumCells())
 	for i, c := range g.Centers() {
-		if wantUnc[i], err = learn.Uncertainty(model, c); err != nil {
+		if ref.wantUnc[i], err = learn.Uncertainty(model, c); err != nil {
 			t.Fatal(err)
 		}
 		if centerPost[i], err = model.PosteriorPositive(c); err != nil {
 			t.Fatal(err)
 		}
-		ranked[i] = grid.CellID(i)
+		ref.ranked[i] = grid.CellID(i)
 	}
 	// Pruned retrieval, as specified: a row is returned when its cell's
 	// center posterior is not below the cutoff and the model classifies the
 	// row positive. Cutoff 0 prunes nothing.
-	wantAt := map[float64][]uint32{0: wantPositive}
+	ref.wantAt = map[float64][]uint32{0: wantPositive}
 	for _, cutoff := range []float64{0.05, 0.3} {
 		pruned := 0
 		for _, p := range centerPost {
@@ -130,11 +142,11 @@ func TestDataPlaneAgainstBruteForce(t *testing.T) {
 		}
 		var want []uint32
 		for _, id := range wantPositive {
-			if !(centerPost[cellOf[id]] < cutoff) {
+			if !(centerPost[ref.cellOf[id]] < cutoff) {
 				want = append(want, id)
 			}
 		}
-		wantAt[cutoff] = want
+		ref.wantAt[cutoff] = want
 	}
 	// Marked-segment masks for the raw scan: everything, two seeded random
 	// ones (rows drop out on every dimension, so survivors are compacted),
@@ -143,26 +155,41 @@ func TestDataPlaneAgainstBruteForce(t *testing.T) {
 	mask := func(on func(seg int) bool) [][]bool {
 		m := make([][]bool, g.Dims())
 		for d := range m {
-			m[d] = make([]bool, referenceSegments)
+			m[d] = make([]bool, segments)
 			for seg := range m[d] {
 				m[d][seg] = on(seg)
 			}
 		}
 		return m
 	}
-	masks := [][][]bool{
+	ref.masks = [][][]bool{
 		mask(func(int) bool { return true }),
 		mask(func(int) bool { return maskRng.Intn(4) > 0 }),
 		mask(func(int) bool { return maskRng.Intn(2) > 0 }),
 		mask(func(seg int) bool { return seg == 1 }),
 	}
-	sort.Slice(ranked, func(a, b int) bool {
-		ua, ub := wantUnc[ranked[a]], wantUnc[ranked[b]]
+	sort.Slice(ref.ranked, func(a, b int) bool {
+		ua, ub := ref.wantUnc[ref.ranked[a]], ref.wantUnc[ref.ranked[b]]
 		if ua != ub {
 			return ua > ub
 		}
-		return ranked[a] < ranked[b]
+		return ref.ranked[a] < ref.ranked[b]
 	})
+	return ref
+}
+
+// TestDataPlaneAgainstBruteForce checks every read of the one data plane
+// against a pass over the in-memory dataset — no chunk store, mapping or
+// coordinator in the reference — for each on-disk layout, and for one
+// static one-shard store reopened over grids of 3, 5 and 7 segments per
+// dimension (its cell ownership does not depend on the grid, so Open
+// takes any). The layout parity suites compare layouts with each other;
+// this is what anchors all of them to the data.
+func TestDataPlaneAgainstBruteForce(t *testing.T) {
+	base, extra, all := referenceRows(t)
+	ctx := context.Background()
+	model := boundaryModel(t, all, testRegion(t, all), 60)
+
 	rng := rand.New(rand.NewSource(5))
 	fetch := make([]uint32, 300)
 	for i := range fetch {
@@ -180,29 +207,46 @@ func TestDataPlaneAgainstBruteForce(t *testing.T) {
 	}
 	wantFetch = wantFetch[:n]
 
+	// The one-shard store the regridded layouts reopen.
+	oneShard := t.TempDir()
+	if err := Build(oneShard, all, BuildOptions{TargetChunkBytes: 2048, SegmentsPerDim: referenceSegments}); err != nil {
+		t.Fatal(err)
+	}
 	layouts := []struct {
-		name   string
-		shards int
-		live   bool
+		name     string
+		shards   int
+		live     bool
+		segments int
+		// reopen, when set, is a store built over referenceSegments and
+		// opened here over segments instead.
+		reopen string
 	}{
-		{"flat", 0, false},
-		{"S=4", 4, false},
-		{"flat-live", 0, true},
-		{"S=2-live", 2, true},
+		{"flat", 0, false, referenceSegments, ""},
+		{"S=4", 4, false, referenceSegments, ""},
+		{"flat-live", 0, true, referenceSegments, ""},
+		{"S=2-live", 2, true, referenceSegments, ""},
+		{"flat-segments=3", 0, false, 3, oneShard},
+		{"flat-segments=5", 0, false, 5, oneShard},
+		{"flat-segments=7", 0, false, 7, oneShard},
 	}
 	for _, lay := range layouts {
 		t.Run(lay.name, func(t *testing.T) {
-			dir := t.TempDir()
-			src := all
-			if lay.live {
-				src = base
+			ref := newDataPlaneReference(t, all, model, lay.segments)
+			g, cellOf, wantUnc, ranked, wantAt, masks := ref.g, ref.cellOf, ref.wantUnc, ref.ranked, ref.wantAt, ref.masks
+			dir := lay.reopen
+			if dir == "" {
+				dir = t.TempDir()
+				src := all
+				if lay.live {
+					src = base
+				}
+				if err := Build(dir, src, BuildOptions{
+					TargetChunkBytes: 2048, Shards: lay.shards, SegmentsPerDim: referenceSegments, LiveIngest: lay.live,
+				}); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if err := Build(dir, src, BuildOptions{
-				TargetChunkBytes: 2048, Shards: lay.shards, SegmentsPerDim: referenceSegments, LiveIngest: lay.live,
-			}); err != nil {
-				t.Fatal(err)
-			}
-			idx, err := Open(ctx, dir, Options{MemoryBudgetBytes: 1 << 20, SegmentsPerDim: referenceSegments, Workers: 2})
+			idx, err := Open(ctx, dir, Options{MemoryBudgetBytes: 1 << 20, SegmentsPerDim: lay.segments, Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -355,7 +399,7 @@ func TestDataPlaneAgainstBruteForce(t *testing.T) {
 			// reopened live store serves the same rows.
 			idx.Close()
 			for _, workers := range []int{1, 4, 8} {
-				re, err := Open(ctx, dir, Options{MemoryBudgetBytes: 1 << 20, SegmentsPerDim: referenceSegments, Workers: workers})
+				re, err := Open(ctx, dir, Options{MemoryBudgetBytes: 1 << 20, SegmentsPerDim: lay.segments, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -375,8 +419,8 @@ func TestDataPlaneAgainstBruteForce(t *testing.T) {
 }
 
 // TestOneShardObeysCoordinatorRules pins what changed on purpose when the
-// flat reader became the S = 1 coordinator: a flat store reports one
-// shard, a traced step carries shard_<op> spans, and failing cell loads
+// paper's one store became the S = 1 coordinator: a one-shard store
+// reports one shard, a traced step carries shard_<op> spans, and failing cell loads
 // degrade the step onto the resident region but — with nothing resident —
 // still surface the store's error, now joined with
 // shard.ErrShardUnavailable.
@@ -386,7 +430,7 @@ func TestOneShardObeysCoordinatorRules(t *testing.T) {
 	idx, ds := openTestIndex(t, 2000, Options{Workers: 2})
 	ctx := context.Background()
 	if idx.Sharded() || idx.NumShards() != 1 {
-		t.Fatalf("flat store reports Sharded=%v NumShards=%d", idx.Sharded(), idx.NumShards())
+		t.Fatalf("one-shard store reports Sharded=%v NumShards=%d", idx.Sharded(), idx.NumShards())
 	}
 	if got := idx.Registry().Gauge("uei_shards").Value(); got != 1 {
 		t.Errorf("uei_shards = %v, want 1", got)
@@ -422,7 +466,7 @@ func TestOneShardObeysCoordinatorRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(trace.String(), `"shard_`+shard.OpLoad+`"`) {
-		t.Errorf("traced step over a flat store recorded no shard_%s span:\n%s", shard.OpLoad, trace.String())
+		t.Errorf("traced step over a one-shard store recorded no shard_%s span:\n%s", shard.OpLoad, trace.String())
 	}
 
 	// Region resident, every load failing: the step stays on the resident

@@ -87,14 +87,16 @@ func chunkDigest(t *testing.T, dir string) (string, int) {
 }
 
 // TestGoldenStoreFiles pins the bytes of every file Build writes — data
-// files, manifests, idmaps — for one dataset in each on-disk layout. A
-// change to how a store is built that leaves these digests alone writes
-// the same stores as before, byte for byte. The chunk digests pin the
-// chunks alone, whatever files hold them: they were recorded from the
-// per-chunk files of manifest format 2, and format 3's extents reproduce
-// them. A static sharded build is the first epoch of the live layout, so
-// its files are a live build's over the same rows, minus the empty wal/
-// directory the digest does not see.
+// files, manifests, idmaps — for one dataset at one shard, three shards
+// and live at two shards. A change to how a store is built that leaves
+// these digests alone writes the same stores as before, byte for byte.
+// The chunk digests pin the chunks alone, whatever files hold them: they
+// were recorded from the per-chunk files of manifest format 2, and format
+// 3's extents reproduce them; the one-shard store's are those of the flat
+// store it replaced, whose files its one part holds unchanged. A static
+// build is the first epoch of the live layout, so its files are a live
+// build's over the same rows, minus the empty wal/ directory the digest
+// does not see.
 func TestGoldenStoreFiles(t *testing.T) {
 	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 3000, Seed: 1})
 	if err != nil {
@@ -108,7 +110,7 @@ func TestGoldenStoreFiles(t *testing.T) {
 		chunks       int
 		chunksDigest string
 	}{
-		{"flat", BuildOptions{TargetChunkBytes: 2048}, 6, "e00b1d25a336f749fb01f644ed0e2ff480618fc5a55782753519dfd084d7366c",
+		{"one shard", BuildOptions{TargetChunkBytes: 2048}, 8, "ccfda8651ff2480eab56e133e7e9e2964e03509ec68c794c178ac73d138d24ca",
 			62, "58b72221defd32634fe647504f4894f38b65737745eba0bfe271ce06024c8188"},
 		{"sharded S=3", BuildOptions{TargetChunkBytes: 2048, Shards: 3}, 23, "228d7387340aaf2ccbfdec409723d374aac008b858e3a91e655d53b06f72a05a",
 			70, "40d50bfdb2af09d770287eb3c81b45051523f39fb5add526424a0abe05e2d5b4"},

@@ -46,17 +46,18 @@ type BuildOptions struct {
 	// Zero selects chunkstore.DefaultTargetChunkBytes.
 	TargetChunkBytes int
 	// Shards partitions the dataset into this many self-contained shard
-	// stores by hashing grid-cell coordinates. 0 and 1 both produce the
-	// flat on-disk layout (one chunk store, no idmap); values > 1 produce
-	// the first epoch of the multi-part layout (CURRENT, an epoch manifest
-	// and one seg-NNNNNN/ part per shard). Either way Open reads the
-	// directory through one shard coordinator.
+	// stores by hashing grid-cell coordinates. Every build writes the first
+	// epoch of the one on-disk layout (CURRENT, an epoch manifest and one
+	// seg-NNNNNN/ part per shard); 0 and 1 both write one shard, whose one
+	// part holds every row and no idmap. Open reads the directory through
+	// one shard coordinator.
 	Shards int
-	// SegmentsPerDim fixes the grid cells are hashed over when Shards > 1
-	// (it must match the grid used at open; the epoch manifest records
-	// it). Zero selects grid.DefaultSegmentsPerDim. Ignored by flat builds,
-	// whose grid is chosen freely at Open — but pinned by live builds,
-	// whose cell geometry must stay epoch-invariant.
+	// SegmentsPerDim fixes the grid cells are hashed over (the epoch
+	// manifest records it). Zero selects grid.DefaultSegmentsPerDim. With
+	// more than one shard, or on a live store, Open must use the recorded
+	// count (cell ownership and live cell geometry are grid-dependent); a
+	// static one-shard store only records the grid Open uses when
+	// Options.SegmentsPerDim is zero.
 	SegmentsPerDim int
 	// LiveIngest builds the live (stream) layout instead of a static one:
 	// the same first epoch plus a wal/ directory, a write store whose
@@ -69,32 +70,20 @@ type BuildOptions struct {
 // sorting, chunking, and manifest persistence. The grid itself is cheap and
 // is rebuilt at Open from the manifest's bounds, so only storage work
 // happens here. With Shards > 1 the dataset is hash-partitioned into
-// self-contained per-shard parts instead.
+// self-contained per-shard parts.
 func Build(dir string, ds *dataset.Dataset, opts BuildOptions) error {
 	if opts.Shards < 0 {
 		return fmt.Errorf("core: shard count %d must not be negative", opts.Shards)
 	}
-	if opts.LiveIngest {
-		return stream.Create(dir, ds, stream.CreateOptions{
-			Shards:           opts.Shards,
-			SegmentsPerDim:   opts.SegmentsPerDim,
-			TargetChunkBytes: opts.TargetChunkBytes,
-		})
-	}
-	if opts.Shards > 1 {
-		return shard.Build(dir, ds, shard.BuildOptions{
-			Shards:           opts.Shards,
-			SegmentsPerDim:   opts.SegmentsPerDim,
-			TargetChunkBytes: opts.TargetChunkBytes,
-		})
-	}
-	st, err := chunkstore.Build(dir, ds, chunkstore.BuildOptions{
+	bo := shard.BuildOptions{
+		Shards:           opts.Shards,
+		SegmentsPerDim:   opts.SegmentsPerDim,
 		TargetChunkBytes: opts.TargetChunkBytes,
-	})
-	if err != nil {
-		return err
 	}
-	return st.Close()
+	if opts.LiveIngest {
+		return stream.Create(dir, ds, bo)
+	}
+	return shard.Build(dir, ds, bo)
 }
 
 // Index is an opened Uncertainty Estimation Index.
@@ -106,9 +95,9 @@ type Index struct {
 	pf     *prefetch.Prefetcher
 	// coord is the data plane: it scores and ranks the symbolic index
 	// in-process and routes every storage touch — cell loads, row fetches,
-	// the retrieval scan — to the shards holding the rows. A flat directory
-	// is its one-shard, one-part case and a live snapshot one part per
-	// segment. Views share the parent's coordinator.
+	// the retrieval scan — to the shards holding the rows: one part per
+	// shard in a static store, one part per segment in a live snapshot.
+	// Views share the parent's coordinator.
 	coord *shard.Coordinator
 	// live, when non-nil, is the streaming write path (LSM store) and snap
 	// the epoch this index currently reads: coord serves exactly snap's
@@ -195,12 +184,12 @@ type Index struct {
 	hSwap            *obs.Histogram
 }
 
-// Open loads the index over a directory produced by Build — flat,
-// multi-part or live. Options.Shards pins the expected layout (0
-// auto-detects); a mismatch fails with chunkstore.ErrLayoutMismatch. A
-// multi-part directory (CURRENT) is live iff it holds wal/; opening a
-// static one writes nothing to it. I/O throttling and worker-pool sizing
-// come from Options (Limiter, Workers).
+// Open loads the index over a directory produced by Build, static or
+// live. Options.Shards pins the expected shard count (0 accepts the
+// recorded one); a mismatch fails with chunkstore.ErrLayoutMismatch. A
+// directory is live iff it holds wal/; opening a static one writes nothing
+// to it. I/O throttling and worker-pool sizing come from Options (Limiter,
+// Workers).
 func Open(ctx context.Context, dir string, opts Options) (*Index, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -208,16 +197,17 @@ func Open(ctx context.Context, dir string, opts Options) (*Index, error) {
 	if opts.Shards < 0 {
 		return nil, fmt.Errorf("core: shard count %d must not be negative", opts.Shards)
 	}
+	man, err := shard.ReadManifest(dir)
+	if err != nil {
+		return nil, err
+	}
 	if stream.IsLiveDir(dir) {
-		return openLive(ctx, dir, opts)
+		return openLive(dir, man, opts)
 	}
-	if shard.IsMultiPartDir(dir) {
-		if opts.LiveIngest {
-			return nil, fmt.Errorf("core: %s holds a static store, not a live-ingest layout: %w", dir, chunkstore.ErrLayoutMismatch)
-		}
-		return openSharded(ctx, dir, opts)
+	if opts.LiveIngest {
+		return nil, fmt.Errorf("core: %s holds a static store, not a live-ingest layout: %w", dir, chunkstore.ErrLayoutMismatch)
 	}
-	return openFlat(dir, opts)
+	return openStatic(dir, man, opts)
 }
 
 // newBlockCache builds the shared decoded-chunk cache of
@@ -246,10 +236,9 @@ func openOptions(opts Options, pl *pool.Pool, bc *chunkstore.BlockCache) shard.O
 }
 
 // pinLayout resolves Shards and SegmentsPerDim against the layout that
-// what — a sharded or live directory — recorded: a shard count other than
-// the recorded one fails with chunkstore.ErrLayoutMismatch, and a
-// different segment count fails too, since cell ownership and live cell
-// geometry are grid-dependent.
+// what recorded: a shard count other than the recorded one fails with
+// chunkstore.ErrLayoutMismatch, and a different segment count fails too,
+// since cell ownership and live cell geometry are grid-dependent.
 func (o *Options) pinLayout(what string, shards, segmentsPerDim int) error {
 	if o.Shards != 0 && o.Shards != shards {
 		return fmt.Errorf("core: %s holds %d shard(s) but %d were requested: %w", what, shards, o.Shards, chunkstore.ErrLayoutMismatch)
@@ -261,69 +250,25 @@ func (o *Options) pinLayout(what string, shards, segmentsPerDim int) error {
 	return nil
 }
 
-// openFlat opens a flat store directory as the one-shard case of the
-// coordinator: the store is the only part of the only shard, with the
-// identity idmap (local row ids are the global ids). The grid is free —
-// nothing on disk depends on it — so Options.SegmentsPerDim picks it.
-// chunkstore.Open refuses a directory that holds no flat store, naming
-// what it holds instead.
-func openFlat(dir string, opts Options) (_ *Index, err error) {
-	opts, err = opts.withDefaults()
+// openStatic opens the static store whose current epoch is man through a
+// coordinator (shard.OpenEpoch), over a grid cut from the manifest's
+// bounds. With several shards the grid has the segment count recorded at
+// ingest. One shard owns every cell whatever the grid, so nothing on disk
+// depends on it, and Options.SegmentsPerDim picks it (the recorded count
+// when zero).
+func openStatic(dir string, man *shard.Manifest, opts Options) (*Index, error) {
+	segments := man.SegmentsPerDim
+	if man.Shards == 1 && opts.SegmentsPerDim != 0 {
+		segments = opts.SegmentsPerDim
+	}
+	if err := opts.pinLayout(dir, man.Shards, segments); err != nil {
+		return nil, err
+	}
+	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	store, err := chunkstore.Open(dir, opts.Limiter)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		if err != nil {
-			store.Close()
-		}
-	}()
-	if opts.LiveIngest {
-		return nil, fmt.Errorf("core: %s holds a flat store, not a live-ingest layout: %w", dir, chunkstore.ErrLayoutMismatch)
-	}
-	if opts.Shards > 1 {
-		return nil, fmt.Errorf("core: %s holds a flat store but %d shards were requested: %w", dir, opts.Shards, chunkstore.ErrLayoutMismatch)
-	}
-	store.SetWorkers(opts.Workers)
-	bc, err := newBlockCache(opts.BlockCacheBytes)
-	if err != nil {
-		return nil, err
-	}
-	store.SetBlockCache(bc)
-	bounds := store.Bounds()
-	g, err := grid.New(bounds, opts.SegmentsPerDim)
-	if err != nil {
-		return nil, err
-	}
-	mapping, err := grid.BuildMapping(g, store)
-	if err != nil {
-		return nil, err
-	}
-	pl := pool.New(opts.Workers)
-	one := []*shard.Shard{{Parts: []shard.Part{{Store: store, Mapping: mapping}}}}
-	coord, err := shard.NewLocalCoordinator(g, store.Columns(), one, openOptions(opts, pl, bc))
-	if err != nil {
-		pl.Close()
-		return nil, err
-	}
-	return newIndex(opts, coord, pl)
-}
-
-// openSharded opens a static multi-part store through a coordinator
-// (shard.Open). The grid is rebuilt from the manifest's global bounds and
-// the segment count recorded at ingest.
-func openSharded(ctx context.Context, dir string, opts Options) (*Index, error) {
-	man, err := shard.ReadManifest(dir)
-	if err != nil {
-		return nil, err
-	}
-	if err := opts.pinLayout(dir, man.Shards, man.SegmentsPerDim); err != nil {
-		return nil, err
-	}
-	opts, err = opts.withDefaults()
+	g, err := grid.New(vec.NewBox(man.MinValues, man.MaxValues), opts.SegmentsPerDim)
 	if err != nil {
 		return nil, err
 	}
@@ -332,7 +277,7 @@ func openSharded(ctx context.Context, dir string, opts Options) (*Index, error) 
 		return nil, err
 	}
 	pl := pool.New(opts.Workers)
-	coord, err := shard.Open(ctx, dir, openOptions(opts, pl, bc))
+	coord, err := shard.OpenEpoch(dir, man, g, openOptions(opts, pl, bc))
 	if err != nil {
 		pl.Close()
 		return nil, err
@@ -357,7 +302,7 @@ func newUnlabeledCache(opts Options, dims int) (*memcache.Budget, *memcache.Cach
 	return budget, cache, nil
 }
 
-// newIndex finishes an Open over any coordinator — flat, sharded or live:
+// newIndex finishes an Open over any coordinator, static or live:
 // memory budget, unlabeled cache, metrics wiring, optional prefetcher.
 // opts has been through withDefaults. It owns pl, closing it when
 // construction fails.
@@ -498,14 +443,14 @@ func (x *Index) accountState() {
 // Grid returns the symbolic-point lattice.
 func (x *Index) Grid() *grid.Grid { return x.grid }
 
-// ShardCoordinator returns the data plane (one shard for a flat store).
+// ShardCoordinator returns the data plane.
 // It is the seam for fault injection and shard inspection.
 func (x *Index) ShardCoordinator() *shard.Coordinator { return x.coord }
 
 // Sharded reports whether the index runs over more than one shard.
 func (x *Index) Sharded() bool { return x.NumShards() > 1 }
 
-// NumShards returns S (1 for a flat store).
+// NumShards returns S.
 func (x *Index) NumShards() int { return x.coord.NumShards() }
 
 // BlockCache returns the shared decoded-chunk cache installed via

@@ -77,7 +77,7 @@ type Config struct {
 	BlockCacheBytes int64
 	// Shards, when > 1, builds the UEI store in the sharded layout with
 	// that many shards and runs every iteration as a scatter-gather. 0 and
-	// 1 keep the flat layout (the paper's configuration).
+	// 1 build one shard (the paper's configuration).
 	Shards int
 }
 

@@ -179,6 +179,45 @@ func TestSampleIDsMatchesMapSort(t *testing.T) {
 	}
 }
 
+// TestSampleIDsRecorded pins SampleIDs' output for a few (n, k, seed),
+// recorded from the map-and-sort draw: the edges (k = 0, n = 1, k >= n, a
+// bitset word exactly full or one past full) and a few draws in the middle.
+func TestSampleIDsRecorded(t *testing.T) {
+	upTo := func(n int, skip uint32) []uint32 {
+		var out []uint32
+		for id := uint32(0); id < uint32(n); id++ {
+			if id != skip {
+				out = append(out, id)
+			}
+		}
+		return out
+	}
+	for _, c := range []struct {
+		n, k int
+		seed int64
+		want []uint32
+	}{
+		{1, 0, 1, nil},
+		{1, 1, 1, []uint32{0}},
+		{1, 5, 3, []uint32{0}},
+		{5, 10, 3, []uint32{0, 1, 2, 3, 4}},
+		{10, 3, 1, []uint32{1, 6, 7}},
+		{64, 63, 2, upTo(64, 30)},
+		{65, 64, 9, upTo(65, 9)},
+		{37, 36, -5, upTo(37, 32)},
+		{100, 10, 7, []uint32{2, 6, 11, 20, 52, 55, 70, 82, 84, 96}},
+		{1000, 20, 42, []uint32{96, 169, 242, 243, 366, 367, 393, 396, 403, 458, 504, 535, 555, 573, 592, 673, 782, 811, 840, 963}},
+	} {
+		got, err := SampleIDs(c.n, c.k, c.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("SampleIDs(%d, %d, %d) = %v, want %v", c.n, c.k, c.seed, got, c.want)
+		}
+	}
+}
+
 func TestQuickSampleIDsUniform(t *testing.T) {
 	// Property: sampled ids are distinct, in range, sorted, correct count.
 	f := func(seed int64, nRaw, kRaw uint16) bool {

@@ -2,8 +2,8 @@ package memcache
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
-	"slices"
 )
 
 // SampleIDs draws k distinct row ids uniformly from [0, n) using Floyd's
@@ -24,18 +24,23 @@ func SampleIDs(n, k int, seed int64) ([]uint32, error) {
 		return out, nil
 	}
 	rng := rand.New(rand.NewSource(seed))
-	// Each draw adds one id the set does not hold yet, so out collects the
-	// ids as they are drawn and the map only answers membership.
-	chosen := make(map[uint32]struct{}, k)
-	out := make([]uint32, 0, k)
+	// Each draw adds one id the set does not hold yet. A bitset over [0, n)
+	// answers membership, and walking it yields the ids in ascending order,
+	// so no sort follows the draw.
+	chosen := make([]uint64, (n+63)/64)
 	for j := n - k; j < n; j++ {
-		t := uint32(rng.Intn(j + 1))
-		if _, dup := chosen[t]; dup {
-			t = uint32(j)
+		t := rng.Intn(j + 1)
+		if chosen[t/64]&(1<<(t%64)) != 0 {
+			t = j
 		}
-		chosen[t] = struct{}{}
-		out = append(out, t)
+		chosen[t/64] |= 1 << (t % 64)
 	}
-	slices.Sort(out)
+	out := make([]uint32, 0, k)
+	for w, word := range chosen {
+		for word != 0 {
+			out = append(out, uint32(w*64+bits.TrailingZeros64(word)))
+			word &= word - 1
+		}
+	}
 	return out, nil
 }

@@ -34,7 +34,7 @@ const maxTheta = math.MaxInt32
 
 // Theta returns θ = ⌈τ̂/σ⌉, at least 1: the iterations a swap waits after
 // its background load starts. τ̂ is the time a cell load takes under an I/O
-// rate of bytesPerSecond in the flat layout: one slab of ⌈rows/segsPerDim⌉
+// rate of bytesPerSecond in one part over every row: one slab of ⌈rows/segsPerDim⌉
 // postings per dimension, postingBytes (12 B) each. The inputs are the same for
 // every layout holding the same rows, so θ is too. A non-positive rate (no
 // limiter, so no model of I/O cost) or σ is an error.

@@ -83,14 +83,13 @@ type Config struct {
 	SnapshotDir string
 	// Workers sizes the shared index worker pool. Zero selects GOMAXPROCS.
 	Workers int
-	// Shards selects the store layout the manager requires from StoreDir:
-	// 0 auto-detects, 1 requires the flat layout, > 1 requires a sharded
-	// layout with exactly that many shards (see core.Options.Shards).
+	// Shards is the shard count the manager requires of StoreDir: 0
+	// accepts whatever the store holds, 1 requires one shard, > 1 exactly
+	// that many shards (see core.Options.Shards).
 	Shards int
-	// ShardDeadline bounds every per-shard operation of a sharded store;
-	// shards that miss it are skipped and steps report degraded=true
-	// instead of failing. Zero disables the deadline. Ignored for flat
-	// stores.
+	// ShardDeadline bounds every per-shard operation of the store (a
+	// one-shard store included); shards that miss it are skipped and steps
+	// report degraded=true instead of failing. Zero disables the deadline.
 	ShardDeadline time.Duration
 	// LiveIngest requires StoreDir to hold the live (stream) layout and
 	// enables the ingest API (POST /v1/append). Live layouts are

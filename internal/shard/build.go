@@ -2,7 +2,6 @@ package shard
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
 
 	"github.com/uei-db/uei/internal/dataset"
@@ -11,9 +10,8 @@ import (
 
 // BuildOptions configures Build and WriteFirstEpoch.
 type BuildOptions struct {
-	// Shards is S. Build takes [2, MaxShards] (S = 1 is the flat on-disk
-	// layout; callers route it to chunkstore.Build); WriteFirstEpoch also
-	// takes 1, and reads 0 as 1.
+	// Shards is S, in [1, MaxShards]; 0 means 1. One shard is one part
+	// over every row, with no idmap.
 	Shards int
 	// SegmentsPerDim fixes the grid cells are hashed over. Zero selects
 	// grid.DefaultSegmentsPerDim.
@@ -37,15 +35,12 @@ func OwnerOf(coords []int, shards int) int {
 	return int(h.Sum32() % uint32(shards))
 }
 
-// Build writes a multi-part store of S shards under dir (which must be
-// empty or absent): epoch 1 of the layout, one segment per shard holding
-// the rows of the cells the shard owns, committed by CURRENT. It writes no
-// wal/ directory, so the store is static: every open reads it and none
-// writes to it.
+// Build writes a store of S shards under dir (which must be empty or
+// absent): epoch 1 of the layout, one segment per shard holding the rows of
+// the cells the shard owns, committed by CURRENT. It writes no wal/
+// directory, so the store is static: every open reads it and none writes
+// to it.
 func Build(dir string, ds *dataset.Dataset, opts BuildOptions) error {
-	if opts.Shards < 2 || opts.Shards > MaxShards {
-		return fmt.Errorf("shard: shard count %d out of range [2,%d]", opts.Shards, MaxShards)
-	}
 	m, err := WriteFirstEpoch(dir, ds, opts)
 	if err != nil {
 		return err

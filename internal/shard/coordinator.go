@@ -82,8 +82,8 @@ type OpenOptions struct {
 // facts the old Grid/Manifest/Bounds/Columns/Dims/RowCount/TotalBytes
 // accessor sprawl exposed one by one. It is a value: copy freely.
 type Meta struct {
-	// Grid is the global symbolic-point lattice (identical to the flat
-	// layout's grid over the same dataset).
+	// Grid is the global symbolic-point lattice (identical to a one-shard
+	// store's grid over the same dataset).
 	Grid *grid.Grid
 	// Points is the symbolic index point set P — Grid's cell centres in
 	// cell-id order, packed by column once per store and shared read-only
@@ -106,8 +106,7 @@ func (m Meta) Dims() int { return len(m.Columns) }
 // and ranked in-process on the caller's pool — and routes everything that
 // needs rows to the in-process shards holding them: a cell load to the
 // cell's owner, fetches and retrieval to every shard. Its results are
-// exactly those of one store over the same dataset (S = 1 is how a flat
-// store is read).
+// exactly those of one store over the same dataset (S = 1 is that store).
 //
 // When a shard fails or misses its deadline, a cell load degrades (the
 // caller falls back to another shard's cell) and fetches and retrieval
@@ -145,12 +144,11 @@ type instruments struct {
 	mSkip             []*obs.Counter
 }
 
-// Open opens the current epoch of the multi-part store under dir,
-// read-only: each shard reads its segments' parts, in manifest order. It
-// opens a static build and a live store alike, and writes to neither; of a
-// live store it reads the committed segments, not rows still in its WAL. A
-// flat store directory fails with chunkstore.ErrLayoutMismatch (core opens
-// one as a single shard through NewLocalCoordinator).
+// Open opens the current epoch of the store under dir, read-only, over the
+// grid its manifest records: each shard reads its segments' parts, in
+// manifest order. It opens a static build and a live store alike, and
+// writes to neither; of a live store it reads the committed segments, not
+// rows still in its WAL.
 func Open(ctx context.Context, dir string, opts OpenOptions) (*Coordinator, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -163,6 +161,14 @@ func Open(ctx context.Context, dir string, opts OpenOptions) (*Coordinator, erro
 	if err != nil {
 		return nil, err
 	}
+	return OpenEpoch(dir, man, g, opts)
+}
+
+// OpenEpoch opens the epoch man of the store under dir over grid g, as
+// Open does. g must be man.Grid() unless the store is one static shard,
+// whose cell ownership does not depend on the grid, so any grid over the
+// manifest's bounds serves it.
+func OpenEpoch(dir string, man *Manifest, g *grid.Grid, opts OpenOptions) (*Coordinator, error) {
 	parts, err := OpenSegments(dir, g, man.Segments, man.FlushedRows, opts)
 	if err != nil {
 		return nil, err
@@ -176,10 +182,9 @@ func Open(ctx context.Context, dir string, opts OpenOptions) (*Coordinator, erro
 }
 
 // NewLocalCoordinator assembles a coordinator over already-open in-process
-// shards on grid g with the given columns — the tail of Open, also the
-// entry point for a flat store (one shard, one part, nil idmap) and for
-// live (stream) snapshots, whose multi-part shards are opened and cached
-// by the stream DB. Shard IDs are (re)assigned here, and cells are owned
+// shards on grid g with the given columns — the tail of OpenEpoch, also
+// the entry point for live (stream) snapshots, whose shards are opened and
+// cached by the stream DB. Shard IDs are (re)assigned here, and cells are owned
 // by OwnerOf over len(shards).
 func NewLocalCoordinator(g *grid.Grid, columns []string, shards []*Shard, opts OpenOptions) (*Coordinator, error) {
 	if len(shards) < 1 || len(shards) > MaxShards {
@@ -325,7 +330,7 @@ func (c *Coordinator) SetFaultHook(h FaultHook) {
 // cause-split family shard_degraded_cause_total{cause=...}, the per-shard
 // shard_skip_total{shard=i} set, the uei_shards gauge — and each shard
 // store's I/O instruments (shared by name, so chunkstore counters
-// aggregate across shards exactly like the flat layout).
+// aggregate across shards as over one store).
 func (c *Coordinator) Instrument(reg *obs.Registry) {
 	c.mDegraded = reg.Counter("shard_degraded_total")
 	c.mDegradedDeadline = reg.Counter(`shard_degraded_cause_total{cause="deadline"}`)
@@ -579,7 +584,7 @@ func (c *Coordinator) LoadCell(ctx context.Context, cell grid.CellID) (ids []uin
 
 // FetchRows reconstructs the tuples with the given global ids, scattering
 // to every shard (each returns the subset it holds) and merging. It
-// matches the flat store's FetchRows contract: duplicates are collapsed,
+// matches a chunk store's FetchRows contract: duplicates are collapsed,
 // the result is sorted by (global) id, and out-of-range ids are an error.
 // Sampling must see every shard, so this path is strict — an unavailable
 // shard fails the call.

@@ -89,7 +89,7 @@ func MergePartsCell(ctx context.Context, parts []Part, box vec.Box, cell grid.Ce
 		}
 		entries += pe
 		for j := range rows {
-			rows[j].ID = p.globalID(rows[j].ID)
+			rows[j].ID = p.GlobalID(rows[j].ID)
 		}
 		out = gather(out, rows)
 	}
@@ -119,7 +119,7 @@ func FetchPartsRows(ctx context.Context, parts []Part, ids []uint32) ([]chunksto
 			return nil, err
 		}
 		for j := range rows {
-			rows[j].ID = p.globalID(rows[j].ID)
+			rows[j].ID = p.GlobalID(rows[j].ID)
 		}
 		out = gather(out, rows)
 	}

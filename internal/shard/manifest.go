@@ -11,18 +11,17 @@
 // (ROADMAP: horizontal scaling past one store, in the spirit of partial
 // adaptive indexing).
 //
-// The package also owns the multi-part on-disk layout: immutable parts
-// under seg-NNNNNN/, an epoch manifest naming them, and CURRENT, the
-// commit pointer naming the current epoch. Build writes its first epoch;
-// the live store (package stream) writes the same first epoch plus an
-// empty wal/ directory, and commits later epochs as it flushes and
-// compacts.
+// The package also owns the one on-disk layout every store has: immutable
+// parts under seg-NNNNNN/, an epoch manifest naming them, and CURRENT, the
+// commit pointer naming the current epoch. Build writes its first epoch,
+// one part per shard (one part for S = 1); the live store (package stream)
+// writes the same first epoch plus an empty wal/ directory, and commits
+// later epochs as it flushes and compacts.
 package shard
 
 import (
 	"cmp"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -34,12 +33,10 @@ import (
 	"github.com/uei-db/uei/internal/vec"
 )
 
-// CurrentFile is the multi-part layout's commit pointer: it names the
-// manifest file of the newest committed epoch and is replaced atomically
-// (tmp + rename) on every commit. Its presence marks a multi-part
-// directory. The constant lives in chunkstore so flat opens can detect
-// the layout without importing this package.
-const CurrentFile = chunkstore.CurrentFile
+// CurrentFile is the layout's commit pointer: it names the manifest file
+// of the newest committed epoch and is replaced atomically (tmp + rename)
+// on every commit.
+const CurrentFile = "CURRENT"
 
 // manifestFormatVersion is bumped on incompatible layout changes.
 const manifestFormatVersion = 1
@@ -54,19 +51,12 @@ func ManifestFileName(epoch uint64) string { return fmt.Sprintf("manifest-%06d.j
 // SegmentDirName returns the directory name of segment id.
 func SegmentDirName(id int) string { return fmt.Sprintf("seg-%06d", id) }
 
-// IsMultiPartDir reports whether dir carries the multi-part layout
-// (CURRENT present), live or not.
-func IsMultiPartDir(dir string) bool {
-	_, err := os.Stat(filepath.Join(dir, CurrentFile))
-	return err == nil
-}
-
 // SegmentMeta describes one immutable segment: a part (a self-contained
-// flat chunk store plus CRC'd idmap) under SegmentDirName(ID).
+// chunk store plus CRC'd idmap) under SegmentDirName(ID).
 type SegmentMeta struct {
 	// ID is globally unique and never reused (monotonic NextSegmentID).
 	ID int `json:"id"`
-	// Shard is the owning shard in [0, Shards); always 0 for flat layouts.
+	// Shard is the owning shard in [0, Shards); always 0 when S = 1.
 	Shard int `json:"shard"`
 	// Rows is the segment's row count (zero-row segments are legal: the
 	// first epoch writes one per rowless shard).
@@ -74,9 +64,13 @@ type SegmentMeta struct {
 	// Bytes is the on-disk chunk payload, for compaction ordering and
 	// inspection.
 	Bytes int64 `json:"bytes"`
+	// Identity marks a part over the global rows 0..Rows-1: its local ids
+	// are the global ids, so it has no idmap file (WritePart) and opens
+	// with a nil Part.IDMap. Omitted when false.
+	Identity bool `json:"identity,omitempty"`
 }
 
-// Manifest is one immutable epoch of a multi-part store: the fixed grid
+// Manifest is one immutable epoch of a store: the fixed grid
 // geometry plus the exact segment set a reader of this epoch reads.
 // Commits write a whole new manifest file and swing CURRENT — copy on
 // write, so a pinned older epoch keeps reading its own file's segment set.
@@ -84,7 +78,7 @@ type Manifest struct {
 	FormatVersion int `json:"format_version"`
 	// Epoch increases by one per commit; snapshots pin it.
 	Epoch uint64 `json:"epoch"`
-	// Shards is S (1 = flat layout). Fixed at creation.
+	// Shards is S. Fixed at creation.
 	Shards int `json:"shards"`
 	// SegmentsPerDim fixes the grid; it never regrows, so cell geometry
 	// and cell→shard ownership are epoch-invariant.
@@ -140,7 +134,7 @@ func (m *Manifest) validate() error {
 	if err := m.checkGeometry(); err != nil {
 		return err
 	}
-	total := 0
+	total, identities := 0, 0
 	seen := make(map[int]bool, len(m.Segments))
 	for _, s := range m.Segments {
 		if s.Rows < 0 {
@@ -157,6 +151,12 @@ func (m *Manifest) validate() error {
 		}
 		seen[s.ID] = true
 		total += s.Rows
+		if s.Identity {
+			identities++
+		}
+	}
+	if identities > 1 {
+		return fmt.Errorf("shard: %d identity segments (each would hold row 0)", identities)
 	}
 	if total != m.FlushedRows {
 		return fmt.Errorf("shard: segments hold %d rows, manifest says %d flushed", total, m.FlushedRows)
@@ -181,62 +181,58 @@ func (m *Manifest) Clone() *Manifest {
 func (m *Manifest) WriteSegment(dir string, s int, ids []uint32, row func(i int) []float64) error {
 	id := m.NextSegmentID
 	bounds := vec.NewBox(m.MinValues, m.MaxValues)
-	bytes, err := WritePart(filepath.Join(dir, SegmentDirName(id)), m.Columns, bounds, m.TargetChunkBytes, ids, row)
+	bytes, identity, err := WritePart(filepath.Join(dir, SegmentDirName(id)), m.Columns, bounds, m.TargetChunkBytes, ids, row)
 	if err != nil {
 		return err
 	}
-	m.Segments = append(m.Segments, SegmentMeta{ID: id, Shard: s, Rows: len(ids), Bytes: bytes})
+	m.Segments = append(m.Segments, SegmentMeta{ID: id, Shard: s, Rows: len(ids), Bytes: bytes, Identity: identity})
 	m.NextSegmentID++
 	return nil
 }
 
-// WriteFirstEpoch writes the parts of a new multi-part store under dir
-// (which must be empty or absent) and returns its epoch-1 manifest,
-// uncommitted: CommitManifest makes it the store. Every row goes to the
-// shard owning its grid cell, one segment per shard, and a shard owning no
-// row gets an explicit empty segment, so every shard has a uniform resting
-// place. opts.Shards of 0 means 1. The dataset pins the grid bounds, so it
+// WriteFirstEpoch writes the parts of a new store under dir (which must be
+// empty or absent) and returns its epoch-1 manifest, uncommitted:
+// CommitManifest makes it the store. Every row goes to the shard owning its
+// grid cell, one segment per shard, and a shard owning no row gets an
+// explicit empty segment, so every shard has a uniform resting place.
+// opts.Shards of 0 means 1: a one-shard epoch is one identity part over
+// every row (WriteOneShardEpoch). The dataset pins the grid bounds, so it
 // must not be empty.
 func WriteFirstEpoch(dir string, ds *dataset.Dataset, opts BuildOptions) (*Manifest, error) {
 	if ds.Len() == 0 {
 		return nil, fmt.Errorf("shard: refusing to build from an empty dataset (bounds would be undefined)")
 	}
+	if opts.Shards < 0 || opts.Shards > MaxShards {
+		return nil, fmt.Errorf("shard: shard count %d out of range [1,%d]", opts.Shards, MaxShards)
+	}
+	if opts.Shards <= 1 {
+		return WriteOneShardEpoch(dir, opts, func(part string, o chunkstore.BuildOptions) (*chunkstore.Store, error) {
+			return chunkstore.Build(part, ds, o)
+		})
+	}
 	bounds, err := ds.Bounds()
 	if err != nil {
 		return nil, err
 	}
-	m := &Manifest{
-		FormatVersion:    manifestFormatVersion,
-		Epoch:            1,
-		Shards:           cmp.Or(opts.Shards, 1),
-		SegmentsPerDim:   cmp.Or(opts.SegmentsPerDim, grid.DefaultSegmentsPerDim),
-		Columns:          ds.Schema().Names(),
-		MinValues:        append([]float64(nil), bounds.Min...),
-		MaxValues:        append([]float64(nil), bounds.Max...),
-		TargetChunkBytes: cmp.Or(opts.TargetChunkBytes, chunkstore.DefaultTargetChunkBytes),
-		FlushedRows:      ds.Len(),
-		NextSegmentID:    1,
-	}
+	m := firstManifest(opts)
+	m.Shards = opts.Shards
+	m.Columns = ds.Schema().Names()
+	m.MinValues = append([]float64(nil), bounds.Min...)
+	m.MaxValues = append([]float64(nil), bounds.Max...)
+	m.FlushedRows = ds.Len()
 	if err := m.checkGeometry(); err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("shard: create %s: %w", dir, err)
-	}
-	if entries, err := os.ReadDir(dir); err != nil {
-		return nil, fmt.Errorf("shard: inspect %s: %w", dir, err)
-	} else if len(entries) > 0 {
-		return nil, fmt.Errorf("shard: directory %s is not empty", dir)
+	if err := makeEmptyDir(dir); err != nil {
+		return nil, err
 	}
 	g, err := m.Grid()
 	if err != nil {
 		return nil, err
 	}
-	var owners []int
-	if m.Shards > 1 {
-		if owners, err = CellOwners(g, m.Shards); err != nil {
-			return nil, err
-		}
+	owners, err := CellOwners(g, m.Shards)
+	if err != nil {
+		return nil, err
 	}
 	row := func(i int) []float64 { return ds.Row(dataset.RowID(i)) }
 	groups, err := Partition(g, owners, m.Shards, 0, ds.Len(), row)
@@ -249,6 +245,67 @@ func WriteFirstEpoch(dir string, ds *dataset.Dataset, opts BuildOptions) (*Manif
 		}
 	}
 	return m, nil
+}
+
+// WriteOneShardEpoch writes the one part of a new one-shard store under dir
+// (which must be empty or absent) and returns its epoch-1 manifest,
+// uncommitted. build writes the part's chunk store into the directory it
+// is given, under the options it is given — chunkstore.BuildRows streams
+// an input larger than memory — and the manifest takes the columns,
+// bounds and row count of the store it built. The part holds rows 0..n-1
+// in id order, so it is an identity part and has no idmap.
+func WriteOneShardEpoch(dir string, opts BuildOptions, build func(part string, o chunkstore.BuildOptions) (*chunkstore.Store, error)) (*Manifest, error) {
+	m := firstManifest(opts)
+	if m.SegmentsPerDim < 1 {
+		return nil, fmt.Errorf("shard: %d segments per dimension", m.SegmentsPerDim)
+	}
+	if err := makeEmptyDir(dir); err != nil {
+		return nil, err
+	}
+	st, err := build(filepath.Join(dir, SegmentDirName(1)), chunkstore.BuildOptions{TargetChunkBytes: m.TargetChunkBytes})
+	if err != nil {
+		return nil, err
+	}
+	if err := st.Close(); err != nil {
+		return nil, err
+	}
+	bounds := st.Bounds()
+	m.Columns = st.Columns()
+	m.MinValues = append([]float64(nil), bounds.Min...)
+	m.MaxValues = append([]float64(nil), bounds.Max...)
+	m.FlushedRows = st.RowCount()
+	m.Segments = []SegmentMeta{{ID: 1, Rows: st.RowCount(), Bytes: st.TotalBytes(), Identity: true}}
+	m.NextSegmentID = 2
+	if err := m.checkGeometry(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// firstManifest is an epoch-1 manifest of one shard and no segments, with
+// opts' grid and chunk target or their defaults.
+func firstManifest(opts BuildOptions) *Manifest {
+	return &Manifest{
+		FormatVersion:    manifestFormatVersion,
+		Epoch:            1,
+		Shards:           1,
+		SegmentsPerDim:   cmp.Or(opts.SegmentsPerDim, grid.DefaultSegmentsPerDim),
+		TargetChunkBytes: cmp.Or(opts.TargetChunkBytes, chunkstore.DefaultTargetChunkBytes),
+		NextSegmentID:    1,
+	}
+}
+
+// makeEmptyDir creates dir, or checks that it exists empty.
+func makeEmptyDir(dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("shard: create %s: %w", dir, err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil {
+		return fmt.Errorf("shard: inspect %s: %w", dir, err)
+	} else if len(entries) > 0 {
+		return fmt.Errorf("shard: directory %s is not empty", dir)
+	}
+	return nil
 }
 
 // CommitManifest durably writes the manifest for its epoch and swings
@@ -296,16 +353,17 @@ func writeFileSync(path string, data []byte) error {
 }
 
 // ReadManifest reads CURRENT and the manifest it names, without opening
-// any part. A directory holding a flat store instead fails with
-// chunkstore.ErrLayoutMismatch.
+// any part. A directory of a retired layout — a flat store (a top-level
+// manifest.json) or a static sharded store (shards.json) — fails with
+// chunkstore.ErrFormatVersion, naming the rebuild.
 func ReadManifest(dir string) (*Manifest, error) {
+	for _, retired := range []string{"manifest.json", "shards.json"} {
+		if _, err := os.Stat(filepath.Join(dir, retired)); err == nil {
+			return nil, fmt.Errorf("shard: %s holds a store of a retired layout (%s), which this program no longer reads (rebuild the store with uei-ingest): %w", dir, retired, chunkstore.ErrFormatVersion)
+		}
+	}
 	cur, err := os.ReadFile(filepath.Join(dir, CurrentFile))
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			if _, serr := os.Stat(filepath.Join(dir, "manifest.json")); serr == nil {
-				return nil, fmt.Errorf("shard: %s holds a flat store (manifest.json present): %w", dir, chunkstore.ErrLayoutMismatch)
-			}
-		}
 		return nil, fmt.Errorf("shard: read CURRENT: %w", err)
 	}
 	name := strings.TrimSpace(string(cur))

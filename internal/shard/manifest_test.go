@@ -107,13 +107,27 @@ func TestLoadManifestRefusesBadGeometry(t *testing.T) {
 // FuzzReadLiveManifest feeds JSON bodies to the epoch manifest parser,
 // which must return without panicking; a manifest it accepts passes the
 // geometry check and survives a write and a re-read unchanged. The
-// committed corpus under testdata/fuzz/ holds manifestRefusals.
+// committed corpus under testdata/fuzz/ holds manifestRefusals; the seeds
+// add identity marks.
 func FuzzReadLiveManifest(f *testing.F) {
 	good, err := json.Marshal(goodManifest())
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(good)
+	// The identity mark on one segment, on every segment (two identity
+	// parts: refused) and on none (the good manifest).
+	for _, marked := range [][]int{{0}, {1}, {0, 1}} {
+		m := goodManifest()
+		for _, i := range marked {
+			m.Segments[i].Identity = true
+		}
+		data, err := json.Marshal(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := parseManifest(data)
 		if err != nil {

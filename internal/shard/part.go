@@ -10,17 +10,18 @@ import (
 	"github.com/uei-db/uei/internal/vec"
 )
 
-// A part is the one storage unit on disk: a directory holding a flat chunk
+// A part is the one storage unit on disk: a directory holding a chunk
 // store over dense local ids plus the idmap translating them to global
-// ids. The multi-part layout keeps one part per segment (seg-NNNNNN/):
-// one per shard in a first epoch, more as a live store flushes.
+// ids. The layout keeps one part per segment (seg-NNNNNN/): one per shard
+// in a first epoch, more as a live store flushes.
 
-// Part is one immutable data part of a shard: a private flat chunk store
+// Part is one immutable data part of a shard: a private chunk store
 // (local ids 0..n-1), the mapping of global grid cells to that store's
 // chunks, and the strictly ascending local→global idmap — so local id
 // order and global id order agree within a part. A nil IDMap is the
-// identity: the part's local ids are the global ids (a flat store opened
-// as the only part of the only shard), so no table is held in memory.
+// identity: the part holds global rows 0..n-1 (an identity segment, such
+// as a one-shard store's first part), so no table is held in memory or on
+// disk.
 type Part struct {
 	Store   *chunkstore.Store
 	Mapping *grid.Mapping
@@ -30,8 +31,8 @@ type Part struct {
 // RowCount returns the part's row count.
 func (p *Part) RowCount() int { return p.Store.RowCount() }
 
-// globalID translates one of the part's local row ids to its global id.
-func (p *Part) globalID(local uint32) uint32 {
+// GlobalID translates one of the part's local row ids to its global id.
+func (p *Part) GlobalID(local uint32) uint32 {
 	if p.IDMap == nil {
 		return local
 	}
@@ -66,29 +67,36 @@ func (p *Part) localIDs(globalIDs []uint32) []uint32 {
 // WritePart writes the part holding the rows ids names under dir: row(i)
 // returns the values of row ids[i], and ids must ascend strictly. Zero
 // rows write an explicit empty store, so every part directory is uniform.
-// It returns the store's chunk payload in bytes.
-func WritePart(dir string, columns []string, bounds vec.Box, target int, ids []uint32, row func(i int) []float64) (int64, error) {
+// It returns the store's chunk payload in bytes and whether ids are
+// exactly 0..n-1 for some n > 0: such an identity part gets no idmap file,
+// and its segment must be marked SegmentMeta.Identity.
+func WritePart(dir string, columns []string, bounds vec.Box, target int, ids []uint32, row func(i int) []float64) (bytes int64, identity bool, err error) {
 	var st *chunkstore.Store
-	var err error
 	if len(ids) == 0 {
 		st, err = chunkstore.BuildEmpty(dir, columns, bounds, target)
 	} else {
 		st, err = chunkstore.BuildIndexed(dir, columns, len(ids), row, chunkstore.BuildOptions{TargetChunkBytes: target})
 	}
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	if err := st.Close(); err != nil {
-		return 0, err
+		return 0, false, err
 	}
-	return st.TotalBytes(), SaveIDMap(dir, ids)
+	// ids ascend strictly, so its ends decide whether it is 0..n-1.
+	if n := len(ids); n > 0 && ids[0] == 0 && int(ids[n-1]) == n-1 {
+		return st.TotalBytes(), true, nil
+	}
+	return st.TotalBytes(), false, SaveIDMap(dir, ids)
 }
 
-// OpenPart opens the part under dir for serving over g. rows is the part's
-// row count and layoutRows the whole layout's, as its manifest records
-// them: the store and the idmap must both hold rows rows, every id in the
+// OpenPart opens the part of segment seg under dir for serving over g.
+// layoutRows is the whole layout's row count, as the manifest records it:
+// the store and the idmap must both hold seg.Rows rows, every id in the
 // idmap must name a row of the layout (below layoutRows), and the store
-// must have g's dimensionality.
+// must have g's dimensionality. An identity segment reads no idmap (its
+// part's IDMap is nil) and must not hold more rows than the layout; any
+// other segment fails without its idmap file, naming it.
 // Of opts only Limiter, Workers and BlockCache apply; the cache is
 // installed under cacheKeyPrefix, which must be unique to the part among
 // the stores sharing it (identical chunk names in different parts must not
@@ -96,7 +104,8 @@ func WritePart(dir string, columns []string, bounds vec.Box, target int, ids []u
 //
 // The store holds its data files open from here until the caller, who
 // owns the part, closes its Store; a part refused here is closed.
-func OpenPart(dir string, g *grid.Grid, rows, layoutRows int, cacheKeyPrefix string, opts OpenOptions) (_ Part, err error) {
+func OpenPart(dir string, g *grid.Grid, seg SegmentMeta, layoutRows int, cacheKeyPrefix string, opts OpenOptions) (_ Part, err error) {
+	rows := seg.Rows
 	st, err := chunkstore.Open(dir, opts.Limiter)
 	if err != nil {
 		return Part{}, err
@@ -120,6 +129,12 @@ func OpenPart(dir string, g *grid.Grid, rows, layoutRows int, cacheKeyPrefix str
 	mp, err := grid.BuildMapping(g, st)
 	if err != nil {
 		return Part{}, err
+	}
+	if seg.Identity {
+		if rows > layoutRows {
+			return Part{}, fmt.Errorf("identity part holds rows 0..%d, past the layout's %d rows", rows-1, layoutRows)
+		}
+		return Part{Store: st, Mapping: mp}, nil
 	}
 	ids, err := LoadIDMap(dir)
 	if err != nil {
@@ -145,7 +160,7 @@ func OpenSegments(dir string, g *grid.Grid, metas []SegmentMeta, flushedRows int
 	parts := make([]Part, len(metas))
 	for i, meta := range metas {
 		name := SegmentDirName(meta.ID)
-		part, err := OpenPart(filepath.Join(dir, name), g, meta.Rows, flushedRows, name+"/", opts)
+		part, err := OpenPart(filepath.Join(dir, name), g, meta, flushedRows, name+"/", opts)
 		if err != nil {
 			closeParts(parts[:i])
 			return nil, fmt.Errorf("segment %d: %w", meta.ID, err)

@@ -71,8 +71,8 @@ func resize[T any](s []T, n int) []T {
 // ScanMarked streams one part's chunks overlapping the marked segments (one
 // flag slice per dimension of g), dimension by dimension, and returns the
 // rows a marked segment hit on every dimension. It is the per-store body of
-// result retrieval: every layout reaches it (a flat store is one part, a
-// live snapshot one part per segment), so result sets are byte-identical
+// result retrieval: every store reaches it (a one-shard store is one part,
+// a live snapshot one part per segment), so result sets are byte-identical
 // across layouts. entries counts the posting entries visited.
 //
 // The part's store numbers its rows 0..n-1, so a row is reconstructed where

@@ -33,7 +33,7 @@ type scanCase struct {
 	g      *grid.Grid
 	marked [][]bool
 	rows   [][][]float64
-	ids    [][]uint32 // nil for the one part of a flat store
+	ids    [][]uint32 // nil for an identity part
 	chunk  int
 }
 

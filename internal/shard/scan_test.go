@@ -15,9 +15,10 @@ import (
 	"github.com/uei-db/uei/internal/vec"
 )
 
-// flatCoordinator opens the flat chunk store in dir as the one part of a
-// one-shard coordinator over a grid on the given bounds — the way core
-// opens a flat store, except that the bounds are the caller's.
+// flatCoordinator opens the chunk store in dir as the one part of a
+// one-shard coordinator over a grid on the given bounds — the way a
+// one-shard store's identity part is opened, except that the bounds are
+// the caller's.
 func flatCoordinator(t *testing.T, dir string, bounds vec.Box, segments int) *Coordinator {
 	t.Helper()
 	st, err := chunkstore.Open(dir, nil)

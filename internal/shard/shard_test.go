@@ -2,10 +2,12 @@ package shard
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -78,15 +80,25 @@ func TestCoordinatorCloseReleasesFiles(t *testing.T) {
 
 func TestBuildValidation(t *testing.T) {
 	ds := skyDataset(t, 50)
-	if err := Build(t.TempDir(), ds, BuildOptions{Shards: 1}); err == nil {
-		t.Error("Shards=1 should be rejected (that is the flat layout)")
+	if err := Build(t.TempDir(), ds, BuildOptions{Shards: -1}); err == nil {
+		t.Error("a negative shard count should be rejected")
+	}
+	// A one-shard build refuses a bad grid before it writes its part.
+	dir := t.TempDir()
+	if err := Build(dir, ds, BuildOptions{Shards: 1, SegmentsPerDim: -1}); err == nil {
+		t.Error("a negative segment count should be rejected")
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("a refused build left %d entries", len(entries))
 	}
 	if err := Build(t.TempDir(), ds, BuildOptions{Shards: MaxShards + 1}); err == nil {
 		t.Error("Shards above MaxShards should be rejected")
 	}
 	empty := dataset.New(ds.Schema(), 0)
-	if err := Build(t.TempDir(), empty, BuildOptions{Shards: 2}); err == nil {
-		t.Error("empty dataset should be rejected")
+	for _, shards := range []int{1, 2} {
+		if err := Build(t.TempDir(), empty, BuildOptions{Shards: shards}); err == nil {
+			t.Errorf("S = %d: empty dataset should be rejected", shards)
+		}
 	}
 }
 
@@ -160,30 +172,105 @@ func TestBuildOpenRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLayoutMismatchSentinels: a directory of the retired flat layout (a
+// chunk store at the top level, which a one-shard store keeps in
+// seg-000001/) fails ReadManifest and Open with ErrFormatVersion naming
+// the rebuild, not with ErrLayoutMismatch; a directory holding no store is
+// a plain not-found, neither sentinel.
 func TestLayoutMismatchSentinels(t *testing.T) {
 	ds := skyDataset(t, 80)
-
-	// Flat store opened as sharded.
 	flat := t.TempDir()
 	if _, err := chunkstore.Build(flat, ds, chunkstore.BuildOptions{TargetChunkBytes: 2048}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadManifest(flat); !errors.Is(err, chunkstore.ErrLayoutMismatch) {
-		t.Errorf("ReadManifest on flat dir: err = %v, want ErrLayoutMismatch", err)
+	if _, err := ReadManifest(flat); !errors.Is(err, chunkstore.ErrFormatVersion) || !strings.Contains(err.Error(), "uei-ingest") {
+		t.Errorf("ReadManifest on a flat dir: err = %v, want ErrFormatVersion naming uei-ingest", err)
 	}
-	if _, err := Open(context.Background(), flat, OpenOptions{}); !errors.Is(err, chunkstore.ErrLayoutMismatch) {
-		t.Errorf("Open on flat dir: err = %v, want ErrLayoutMismatch", err)
+	if _, err := Open(context.Background(), flat, OpenOptions{}); !errors.Is(err, chunkstore.ErrFormatVersion) {
+		t.Errorf("Open on a flat dir: err = %v, want ErrFormatVersion", err)
+	}
+	_, err := ReadManifest(t.TempDir())
+	if err == nil || errors.Is(err, chunkstore.ErrLayoutMismatch) || errors.Is(err, chunkstore.ErrFormatVersion) {
+		t.Errorf("ReadManifest on an empty dir: err = %v, want a plain not-found", err)
+	}
+}
+
+// TestIdentityPart: a one-shard build writes one identity part — no idmap
+// file, its segment marked — that opens with a nil IDMap and reads as the
+// sharded build of the same rows does. Without the mark the part needs
+// its idmap and fails naming it; a marked part holding more rows than its
+// epoch is refused, by the manifest reader and by OpenPart; and two
+// marked segments in one epoch are refused.
+func TestIdentityPart(t *testing.T) {
+	ds := skyDataset(t, 300)
+	dir := buildSharded(t, ds, 1)
+	man, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []SegmentMeta{{ID: 1, Shard: 0, Rows: ds.Len(), Bytes: man.Segments[0].Bytes, Identity: true}}
+	if man.Shards != 1 || !reflect.DeepEqual(man.Segments, want) {
+		t.Fatalf("one-shard epoch: %d shards, segments %+v; want 1 shard, %+v", man.Shards, man.Segments, want)
+	}
+	part := filepath.Join(dir, SegmentDirName(1))
+	if _, err := os.Stat(filepath.Join(part, "idmap")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("an identity part has an idmap file (stat err %v)", err)
+	}
+	c := openCoordinator(t, dir, OpenOptions{})
+	if p := c.shards[0].Parts[0]; p.IDMap != nil {
+		t.Fatalf("an identity part opened with a %d-entry idmap", len(p.IDMap))
+	}
+	ids := []uint32{0, 5, 5, 123, 299}
+	got, err := c.FetchRows(context.Background(), ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := openCoordinator(t, buildSharded(t, ds, 3), OpenOptions{}).FetchRows(context.Background(), ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, ref) {
+		t.Fatalf("identity part fetched %v, the S = 3 build %v", got, ref)
 	}
 
-	// Sharded store opened as flat.
-	shardedDir := buildSharded(t, ds, 2)
-	if _, err := chunkstore.Open(shardedDir, nil); !errors.Is(err, chunkstore.ErrLayoutMismatch) {
-		t.Errorf("chunkstore.Open on sharded dir: err = %v, want ErrLayoutMismatch", err)
+	g, err := man.Grid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := man.Segments[0]
+	if _, err := OpenPart(part, g, seg, seg.Rows-1, "", OpenOptions{}); err == nil || !strings.Contains(err.Error(), "past the layout") {
+		t.Errorf("OpenPart of a marked part past its layout: err = %v", err)
+	}
+	unmarked := seg
+	unmarked.Identity = false
+	if _, err := OpenPart(part, g, unmarked, man.FlushedRows, "", OpenOptions{}); err == nil || !strings.Contains(err.Error(), "idmap") {
+		t.Errorf("OpenPart of an unmarked identity part: err = %v, want one naming its idmap", err)
 	}
 
-	// A directory with neither layout is a plain not-found, not a mismatch.
-	if _, err := chunkstore.Open(t.TempDir(), nil); errors.Is(err, chunkstore.ErrLayoutMismatch) {
-		t.Error("empty dir should not classify as layout mismatch")
+	rewrite := func(edit func(m *Manifest)) error {
+		m := man.Clone()
+		edit(m)
+		data, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, ManifestFileName(1)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Open(context.Background(), dir, OpenOptions{})
+		return err
+	}
+	if err := rewrite(func(m *Manifest) { m.Segments[0].Identity = false }); err == nil || !strings.Contains(err.Error(), "segment 1") || !strings.Contains(err.Error(), "idmap") {
+		t.Errorf("Open with the identity mark removed: err = %v, want segment 1 naming its idmap", err)
+	}
+	if err := rewrite(func(m *Manifest) { m.FlushedRows-- }); err == nil || !strings.Contains(err.Error(), "flushed") {
+		t.Errorf("Open of a marked segment past its epoch's rows: err = %v", err)
+	}
+	if err := rewrite(func(m *Manifest) {
+		m.Segments = append(m.Segments, SegmentMeta{ID: 2, Rows: 0, Identity: true})
+		m.NextSegmentID = 3
+	}); err == nil || !strings.Contains(err.Error(), "identity") {
+		t.Errorf("Open of an epoch with two identity segments: err = %v", err)
 	}
 }
 
@@ -356,7 +443,7 @@ func TestRefusedOpenHoldsNoFiles(t *testing.T) {
 	if err := SaveIDMap(shardDir, ids); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenPart(shardDir, g, seg.Rows, man.FlushedRows, "", OpenOptions{}); err == nil || !strings.Contains(err.Error(), "past the layout") {
+	if _, err := OpenPart(shardDir, g, seg, man.FlushedRows, "", OpenOptions{}); err == nil || !strings.Contains(err.Error(), "past the layout") {
 		t.Fatalf("OpenPart err = %v, want an idmap past the layout", err)
 	}
 	if open := leakcheck.FilesUnder(dir); len(open) != 0 {

@@ -51,8 +51,8 @@ const DefaultMemtableBytes = 4 << 20
 // background compaction.
 const DefaultCompactSegments = 6
 
-// CreateOptions configures Create: the shard count (0 or 1 = one shard,
-// else [2, shard.MaxShards]), the grid's segments per dimension (0 =
+// CreateOptions configures Create: the shard count (0 means 1, at most
+// shard.MaxShards), the grid's segments per dimension (0 =
 // grid.DefaultSegmentsPerDim) and the per-segment chunk size target (0 =
 // the chunkstore default).
 type CreateOptions = shard.BuildOptions
@@ -171,7 +171,7 @@ func Create(dir string, ds *dataset.Dataset, opts CreateOptions) error {
 // removed, and WAL records above the committed FlushedRows high-water mark
 // replay into a fresh memtable — no acknowledged append is ever lost.
 // Background flush and compaction goroutines start here and are joined by
-// Close. A multi-part store without wal/ is static: Open refuses it with
+// Close. A store without wal/ is static: Open refuses it with
 // chunkstore.ErrLayoutMismatch and writes nothing to it.
 func Open(dir string, opts Options) (*DB, error) {
 	opts = opts.withDefaults()
@@ -601,7 +601,7 @@ func (db *DB) compact(ctx context.Context, minSegs int) error {
 				return fmt.Errorf("stream: compact segment %d: %w", seg.meta.ID, err)
 			}
 			for _, r := range got {
-				ids = append(ids, seg.part.IDMap[r.ID])
+				ids = append(ids, seg.part.GlobalID(r.ID))
 				rows = append(rows, r.Vals)
 			}
 			replaced[seg.meta.ID] = true

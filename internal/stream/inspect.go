@@ -6,7 +6,7 @@ import (
 	"github.com/uei-db/uei/internal/shard"
 )
 
-// Info is an offline summary of a multi-part layout, cheap enough for CLI
+// Info is an offline summary of a store, cheap enough for CLI
 // inspection: it reads CURRENT, the manifest, and, of a live store, the
 // WAL frames — no segment stores are opened.
 type Info struct {

@@ -18,9 +18,9 @@ type memtable struct {
 
 func (m *memtable) len() int { return len(m.rows) }
 
-// segment is one open flushed segment: a flat chunk store, its mapping
-// over the fixed grid, and the local→global idmap — exactly a shard.Part
-// plus bookkeeping.
+// segment is one open flushed segment: a chunk store, its mapping over the
+// fixed grid, and the local→global idmap (nil for an identity segment) —
+// exactly a shard.Part plus bookkeeping.
 type segment struct {
 	meta shard.SegmentMeta
 	dir  string

@@ -63,7 +63,7 @@ func (s *Snapshot) parts() []shard.Part {
 
 // FetchRows reconstructs the tuples with the given global row ids across
 // the snapshot's segments, sorted by id with duplicates collapsed —
-// the flat store's FetchRows contract.
+// a chunk store's FetchRows contract.
 func (s *Snapshot) FetchRows(ctx context.Context, ids []uint32) ([]chunkstore.MergedRow, error) {
 	return shard.FetchPartsRows(ctx, s.parts(), ids)
 }

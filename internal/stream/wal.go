@@ -10,8 +10,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"github.com/uei-db/uei/internal/shard"
 )
 
 // The write-ahead log makes appends durable before they are acknowledged:
@@ -37,16 +35,13 @@ import (
 // ids would run past 2³²−1, is refused: no writer produces one, and
 // recovery's high-water mark firstID+count−1 would wrap.
 
-// walDir holds the write-ahead log files. A multi-part store directory is
-// live iff it holds one.
+// walDir holds the write-ahead log files. A store directory is live iff
+// it holds one.
 const walDir = "wal"
 
-// IsLiveDir reports whether dir carries the live layout: a multi-part store
-// (shard.IsMultiPartDir) with a wal/ directory.
+// IsLiveDir reports whether the store directory dir is live: it holds a
+// wal/ directory.
 func IsLiveDir(dir string) bool {
-	if !shard.IsMultiPartDir(dir) {
-		return false
-	}
 	st, err := os.Stat(filepath.Join(dir, walDir))
 	return err == nil && st.IsDir()
 }

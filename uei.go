@@ -38,12 +38,13 @@ var (
 	// candidate and the pool is empty.
 	ErrNoCandidates = ide.ErrNoCandidates
 	// ErrLayoutMismatch is returned by Open when the directory's store
-	// layout (flat vs sharded, or shard count) does not match what the
+	// layout (static vs live, or shard count) does not match what the
 	// caller asked for.
 	ErrLayoutMismatch = chunkstore.ErrLayoutMismatch
-	// ErrFormatVersion is returned by Open when a store (flat, any shard,
-	// or any live segment) was written in an on-disk format this build does
-	// not read; rebuild it with uei-ingest.
+	// ErrFormatVersion is returned by Open when a store (any part of it)
+	// was written in an on-disk format this build does not read, or is of
+	// a retired layout (a flat store, a shards.json sharded store); rebuild
+	// it with uei-ingest.
 	ErrFormatVersion = chunkstore.ErrFormatVersion
 	// ErrShardUnavailable classifies unavailable-shard failures; a step
 	// that could not load its cell and had nothing to fall back to, and a
