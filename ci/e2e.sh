@@ -17,10 +17,12 @@
 #                   retired flat layout (a one-shard store's seg-000001/
 #                   files at the top level) under -inspect and -verify
 #   5. csv:         a 20 000-row CSV streamed into a one-shard store (no
-#                   idmap) and read into an S = 2 one both pass -verify; a
-#                   nan field fails the build naming its row and column and
-#                   commits no store (no CURRENT); -external is an unknown
-#                   flag
+#                   idmap), an S = 2 one and a -live one, all passing
+#                   -verify; a nan field (at one shard and at S = 2) and a
+#                   header-only file (at S = 2) fail the build naming the
+#                   physical line and the column, and leave -out as the
+#                   build found it (absent: no CURRENT, no seg-*);
+#                   -external is an unknown flag
 #   6. idmap:       one flipped byte of seg-000002/idmap (shard 1's part)
 #                   fails -verify, naming the part
 #
@@ -248,7 +250,7 @@ for mode in -inspect -verify; do
   grep -q 'rebuild the store with uei-ingest' "$work/flat.txt" || fail "$mode did not name the rebuild of a flat store: $(cat "$work/flat.txt")"
 done
 
-echo "== csv: streamed one-shard build, sharded build, a non-finite field refused"
+echo "== csv: streamed one-shard, S = 2 and live builds; bad files refused by line and column"
 awk 'BEGIN { srand(6); print "a,b,c,d,e"
   for (i = 0; i < 20000; i++) printf "%.4f,%.4f,%.4f,%.4f,%.4f\n", rand()*100, rand()*50, rand()*10, rand(), rand()*1000 }' >"$work/rows.csv"
 "$bin/uei-ingest" -csv "$work/rows.csv" -chunk 4096 -out "$work/csvflat" >/dev/null
@@ -257,13 +259,25 @@ awk 'BEGIN { srand(6); print "a,b,c,d,e"
 [ -z "$(find "$work/csvflat" -name idmap)" ] || fail "the streamed one-shard store holds an idmap"
 "$bin/uei-ingest" -inspect "$work/csvflat" | grep -Eq 'rows: +20000$' || fail "-inspect does not report 20000 rows"
 "$bin/uei-ingest" -csv "$work/rows.csv" -shards 2 -chunk 4096 -out "$work/csvsharded" >/dev/null
-"$bin/uei-ingest" -verify "$work/csvsharded" >/dev/null || fail "a sharded -csv store fails -verify"
+"$bin/uei-ingest" -verify "$work/csvsharded" >/dev/null || fail "a streamed S = 2 -csv store fails -verify"
+"$bin/uei-ingest" -inspect "$work/csvsharded" | grep -Eq 'rows: +20000$' || fail "-inspect does not report 20000 rows at S = 2"
+"$bin/uei-ingest" -csv "$work/rows.csv" -live -chunk 4096 -out "$work/csvlive" >/dev/null
+"$bin/uei-ingest" -verify "$work/csvlive" >/dev/null || fail "a streamed -live -csv store fails -verify"
+[ -d "$work/csvlive/wal" ] || fail "the streamed -live build wrote no wal/"
+# refuse NAME FILE SHARDS PATTERN: the build fails naming PATTERN and
+# leaves no trace of itself in -out.
+refuse() {
+  if "$bin/uei-ingest" -csv "$2" -shards "$3" -chunk 4096 -out "$work/$1" >"$work/$1.txt" 2>&1; then
+    fail "$1: a bad CSV was ingested"
+  fi
+  grep -q "$4" "$work/$1.txt" || fail "$1: the refusal does not name its line and column: $(cat "$work/$1.txt")"
+  [ ! -e "$work/$1" ] || fail "$1: the refused build left $(ls -A "$work/$1" | tr '\n' ' ')in -out"
+}
 awk -F, -v OFS=, 'NR == 101 { $3 = "nan" } 1' "$work/rows.csv" >"$work/nan.csv"
-if "$bin/uei-ingest" -csv "$work/nan.csv" -chunk 4096 -out "$work/csvnan" >"$work/nan.txt" 2>&1; then
-  fail "a CSV with a nan field was ingested"
-fi
-grep -q 'row 99 column "c": non-finite value' "$work/nan.txt" || fail "the nan refusal names no row and column: $(cat "$work/nan.txt")"
-[ ! -e "$work/csvnan/CURRENT" ] || fail "the refused build committed a store"
+refuse csvnan "$work/nan.csv" 1 'nan.csv line 101 field "c" (column [0-9]*): non-finite value "nan"'
+refuse csvnan2 "$work/nan.csv" 2 'nan.csv line 101 field "c" (column [0-9]*): non-finite value "nan"'
+printf 'a,b,c,d,e\n\n' >"$work/header.csv"
+refuse csvheader "$work/header.csv" 2 'header.csv line 2: no rows after the header'
 if "$bin/uei-ingest" -external -csv "$work/rows.csv" -out "$work/csvext" >"$work/ext.txt" 2>&1; then
   fail "-external is still accepted"
 fi

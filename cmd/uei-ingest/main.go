@@ -1,15 +1,17 @@
 // Command uei-ingest builds a UEI index (columnar inverted chunk stores,
 // one per part, under an epoch manifest) from a numeric CSV file, or from
 // the built-in synthetic SDSS generator. It corresponds to UEI's
-// once-per-dataset Index Initialization phase (Algorithm 2 lines 1-11). A
-// one-shard static -csv build streams the file into its one part in
-// bounded memory, so the file may be larger than RAM; with -shards > 1 or
-// -live the file is read into memory first, because the partition needs
-// the dataset's bounds before the first row is placed.
+// once-per-dataset Index Initialization phase (Algorithm 2 lines 1-11).
+// Every build, static or -live, streams its rows into the store in bounded
+// memory, so a -csv file may be larger than RAM: one shard reads the file
+// once; -shards S > 1 reads it once to pin the grid bounds, once to find
+// each row's shard and once per shard, holding one byte per row between
+// passes.
 //
 // Usage:
 //
-//	uei-ingest -csv photoobj.csv -out ./store       # one shard, streamed, bounded memory
+//	uei-ingest -csv photoobj.csv -out ./store       # one shard, one pass over the file
+//	uei-ingest -csv photoobj.csv -shards 4 -out ./s # four shards, six passes
 //	uei-ingest -gen 1000000 -seed 7 -out ./store -chunk 481280
 //	uei-ingest -inspect ./store
 //	uei-ingest -verify ./store                      # open every part, check every chunk against its manifest
@@ -48,7 +50,7 @@ func main() {
 
 func run() (err error) {
 	var (
-		csvPath  = flag.String("csv", "", "numeric CSV with a header row to ingest")
+		csvPath  = flag.String("csv", "", "numeric CSV with a header row to ingest, streamed in bounded memory (read once at -shards 1, S + 2 times at -shards S)")
 		gen      = flag.Int("gen", 0, "generate this many synthetic SDSS-like tuples instead of reading a CSV")
 		seed     = flag.Int64("seed", 1, "generator seed")
 		out      = flag.String("out", "", "output store directory (must be empty or absent)")
@@ -89,7 +91,7 @@ func run() (err error) {
 	}
 
 	// With -trace, the whole ingest is one hierarchical trace: an "ingest"
-	// root span with read and build child spans, analyzable by uei-trace
+	// root span with a build child span, analyzable by uei-trace
 	// exactly like a server step trace. Without it the span calls below are
 	// measuring-only no-ops.
 	ctx := context.Background()
@@ -113,69 +115,30 @@ func run() (err error) {
 		root.End(nil)
 	}()
 
-	// A one-shard static store is written straight from the file, in
-	// bounded memory. A sharded or live build partitions by the dataset's
-	// bounds, so it reads the file into memory first.
-	streamed := *csvPath != "" && *shards == 1 && !*live
-	var ds *dataset.Dataset
-	var csv *dataset.CSVReader
-	if streamed {
-		f, err := os.Open(*csvPath)
-		if err != nil {
-			return fmt.Errorf("open %s: %w", *csvPath, err)
-		}
-		defer f.Close()
-		if csv, err = dataset.NewCSVReader(f); err != nil {
-			return err
-		}
-	} else {
-		start := time.Now()
-		_, read := obs.StartSpan(ctx, "read")
-		if *csvPath != "" {
-			fmt.Printf("reading %s...\n", *csvPath)
-			ds, err = dataset.ReadCSVFile(*csvPath)
-		} else {
-			fmt.Printf("generating %d synthetic SDSS-like tuples (seed %d)...\n", *gen, *seed)
-			ds, err = dataset.GenerateSky(dataset.SkyConfig{N: *gen, Seed: *seed})
-		}
-		if err != nil {
-			read.SetOutcome("error")
-			read.End(nil)
-			return err
-		}
-		read.End(map[string]float64{"rows": float64(ds.Len())})
-		fmt.Printf("dataset: %d tuples x %d attributes (%s), %d bytes raw, loaded in %v\n",
-			ds.Len(), ds.Dims(), ds.Schema(), ds.SizeBytes(), time.Since(start).Round(time.Millisecond))
-	}
-
-	start := time.Now()
-	_, build := obs.StartSpan(ctx, "build")
-	if streamed {
+	// Every build streams its rows into the store: a -csv file is read
+	// once at one shard and S + 2 times at S > 1, never held in memory.
+	var src dataset.Source
+	if *csvPath != "" {
 		fmt.Printf("streaming %s into the store...\n", *csvPath)
-		var m *shard.Manifest
-		m, err = shard.WriteOneShardEpoch(*out, shard.BuildOptions{TargetChunkBytes: *chunk, SegmentsPerDim: *segments},
-			func(part string, o chunkstore.BuildOptions) (*chunkstore.Store, error) {
-				return chunkstore.BuildRows(part, csv.Schema().Names(), csv.Next, o)
-			})
-		if err == nil {
-			err = shard.CommitManifest(*out, m)
-		}
+		src, err = dataset.OpenCSVFile(*csvPath)
 	} else {
-		err = core.Build(*out, ds, core.BuildOptions{TargetChunkBytes: *chunk, Shards: *shards, SegmentsPerDim: *segments, LiveIngest: *live})
+		fmt.Printf("generating %d synthetic SDSS-like tuples (seed %d)...\n", *gen, *seed)
+		src, err = dataset.GenerateSky(dataset.SkyConfig{N: *gen, Seed: *seed})
 	}
 	if err != nil {
+		return err
+	}
+	start := time.Now()
+	_, build := obs.StartSpan(ctx, "build")
+	if err = core.Build(*out, src, core.BuildOptions{TargetChunkBytes: *chunk, Shards: *shards, SegmentsPerDim: *segments, LiveIngest: *live}); err != nil {
 		build.SetOutcome("error")
 		build.End(nil)
 		return err
 	}
 	build.End(map[string]float64{"shards": float64(*shards)})
+	fmt.Printf("index built in %v (%d shards)\n", time.Since(start).Round(time.Millisecond), *shards)
 	if *live {
-		fmt.Printf("live store built in %v (%d shards); append with -follow or POST /v1/append\n",
-			time.Since(start).Round(time.Millisecond), *shards)
-	} else if *shards > 1 {
-		fmt.Printf("index built in %v (%d shards)\n", time.Since(start).Round(time.Millisecond), *shards)
-	} else {
-		fmt.Printf("index built in %v\n", time.Since(start).Round(time.Millisecond))
+		fmt.Println("live store: append with -follow or POST /v1/append")
 	}
 	return inspectStore(*out)
 }

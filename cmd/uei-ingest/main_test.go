@@ -22,7 +22,7 @@ import (
 )
 
 // TestVerifyEveryLayout: -verify passes on a store of every layout — one
-// shard from a dataset and from a streamed -csv file, sharded, live (seed
+// shard from a dataset and from a -csv file streamed by core.Build, sharded, live (seed
 // segments plus a flushed append) — and on each, once one chunk is
 // damaged, fails naming the part, the chunk and the field; on a sharded
 // and a live store it also fails over a damaged idmap, over a CRC-valid
@@ -65,22 +65,11 @@ func TestVerifyEveryLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	dirs["csv"] = filepath.Join(root, "csv")
-	f, err := os.Open(csv)
+	src, err := dataset.OpenCSVFile(csv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr, err := dataset.NewCSVReader(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := shard.WriteOneShardEpoch(dirs["csv"], shard.BuildOptions{TargetChunkBytes: 4096}, func(part string, o chunkstore.BuildOptions) (*chunkstore.Store, error) {
-		return chunkstore.BuildRows(part, cr.Schema().Names(), cr.Next, o)
-	})
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := shard.CommitManifest(dirs["csv"], m); err != nil {
+	if err := core.Build(dirs["csv"], src, core.BuildOptions{TargetChunkBytes: 4096}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -14,10 +14,11 @@ import (
 	"github.com/uei-db/uei/internal/dataset"
 )
 
-// BuildRows is the one writer of data files: every store — a dataset, a
-// streamed CSV, a shard's partition, a live flush or compaction — is
-// written by it (Algorithm 2 lines 2-6). One pass over the rows appends
-// each value with its row id to its dimension's pair buffer; a buffer that
+// BuildRows is the one writer of data files: every part — of a first
+// epoch from any row source, a live flush or a compaction — is written by
+// it through shard's Manifest.WriteSegment, and Build over a dataset calls
+// it too (Algorithm 2 lines 2-6). One pass over the rows appends each
+// value with its row id to its dimension's pair buffer; a buffer that
 // reaches spillPairs is sorted and spilled to a run file. Then, dimension
 // by dimension, a k-way merge of the runs and the sorted residual buffer
 // streams the pairs in (value, id) order into entries, which chunkCutter
@@ -53,34 +54,17 @@ type RowIterator func() (row []float64, ok bool, err error)
 // Build creates a chunk store in dir (which must be empty or absent) from
 // the dataset's rows, in id order.
 func Build(dir string, ds *dataset.Dataset, opts BuildOptions) (*Store, error) {
-	return BuildIndexed(dir, ds.Schema().Names(), ds.Len(), func(i int) []float64 { return ds.Row(dataset.RowID(i)) }, opts)
-}
-
-// BuildIndexed is BuildRows over row(0), ..., row(n-1). Knowing n up
-// front, the writer sizes its pair buffers once instead of growing them.
-func BuildIndexed(dir string, columns []string, n int, row func(i int) []float64, opts BuildOptions) (*Store, error) {
-	next := 0
-	rows := func() ([]float64, bool, error) {
-		if next == n {
-			return nil, false, nil
-		}
-		next++
-		return row(next - 1), true, nil
-	}
-	return buildRows(dir, columns, rows, n, opts)
+	rows, _ := ds.Rows()
+	return BuildRows(dir, ds.Schema().Names(), rows.Next, ds.Len(), opts)
 }
 
 // BuildRows creates a chunk store in dir (which must be empty or absent)
 // from a single pass over rows, each holding one value per column. A row
 // with the wrong number of values or a non-finite value fails the build
-// before any data file is written.
-func BuildRows(dir string, columns []string, rows RowIterator, opts BuildOptions) (*Store, error) {
-	return buildRows(dir, columns, rows, 0, opts)
-}
-
-// buildRows is BuildRows whose pair buffers start with room for sizeHint
-// rows, up to spillPairs.
-func buildRows(dir string, columns []string, rows RowIterator, sizeHint int, opts BuildOptions) (*Store, error) {
+// before any data file is written. sizeHint is the row count when the
+// caller knows it (0 when not): the pair buffers start with room for that
+// many rows, up to spillPairs, instead of growing.
+func BuildRows(dir string, columns []string, rows RowIterator, sizeHint int, opts BuildOptions) (*Store, error) {
 	if len(columns) == 0 {
 		return nil, fmt.Errorf("chunkstore: a store needs at least one column")
 	}

@@ -32,7 +32,7 @@ var ErrLayoutMismatch = errors.New("store layout does not match requested mode")
 // "Table 1" and ablation A1 for the measured size trade-off.
 const DefaultTargetChunkBytes = 470 * 1024
 
-// BuildOptions configures Build, BuildIndexed and BuildRows.
+// BuildOptions configures Build and BuildRows.
 type BuildOptions struct {
 	// TargetChunkBytes is the equal-size chunk target; chunks are cut as
 	// soon as their encoded payload reaches it. Zero selects
@@ -186,10 +186,6 @@ func (s *Store) Manifest() *Manifest { return s.manifest }
 
 // Dims returns the number of dimensions.
 func (s *Store) Dims() int { return len(s.manifest.Columns) }
-
-// Columns returns the attribute names in dimension order. Callers must
-// treat the slice as read-only.
-func (s *Store) Columns() []string { return s.manifest.Columns }
 
 // RowCount returns the number of tuples in the store.
 func (s *Store) RowCount() int { return s.manifest.RowCount }

@@ -96,12 +96,22 @@ func chunkDigest(t *testing.T, dir string) (string, int) {
 // store it replaced, whose files its one part holds unchanged. A static
 // build is the first epoch of the live layout, so its files are a live
 // build's over the same rows, minus the empty wal/ directory the digest
-// does not see.
+// does not see. Each store is built from two row sources, the dataset and
+// a CSV file of its rows streamed from disk, to the same digests.
 func TestGoldenStoreFiles(t *testing.T) {
 	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 3000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	path := filepath.Join(t.TempDir(), "rows.csv")
+	if err := dataset.WriteCSVFile(path, ds); err != nil {
+		t.Fatal(err)
+	}
+	csv, err := dataset.OpenCSVFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := map[string]dataset.Source{"dataset": ds, "csv": csv}
 	cases := []struct {
 		name         string
 		opts         BuildOptions
@@ -118,17 +128,19 @@ func TestGoldenStoreFiles(t *testing.T) {
 			67, "5505ffd66d15eac323e5421ef6b470db6e5ddc87a8496ca48d79cb9d5c08f1f5"},
 	}
 	for _, c := range cases {
-		dir := t.TempDir()
-		if err := Build(dir, ds, c.opts); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		digest, files := storeDigest(t, dir)
-		if digest != c.digest || files != c.files {
-			t.Errorf("%s: %d files, digest %s; want %d files, digest %s", c.name, files, digest, c.files, c.digest)
-		}
-		digest, chunks := chunkDigest(t, dir)
-		if digest != c.chunksDigest || chunks != c.chunks {
-			t.Errorf("%s: %d chunks, digest %s; want %d chunks, digest %s", c.name, chunks, digest, c.chunks, c.chunksDigest)
+		for from, src := range sources {
+			dir := t.TempDir()
+			if err := Build(dir, src, c.opts); err != nil {
+				t.Fatalf("%s from %s: %v", c.name, from, err)
+			}
+			digest, files := storeDigest(t, dir)
+			if digest != c.digest || files != c.files {
+				t.Errorf("%s from %s: %d files, digest %s; want %d files, digest %s", c.name, from, files, digest, c.files, c.digest)
+			}
+			digest, chunks := chunkDigest(t, dir)
+			if digest != c.chunksDigest || chunks != c.chunks {
+				t.Errorf("%s from %s: %d chunks, digest %s; want %d chunks, digest %s", c.name, from, chunks, digest, c.chunks, c.chunksDigest)
+			}
 		}
 	}
 	static, live := t.TempDir(), t.TempDir()

@@ -69,21 +69,21 @@ type BuildOptions struct {
 // Build performs the Index Initialization phase: vertical decomposition,
 // sorting, chunking, and manifest persistence. The grid itself is cheap and
 // is rebuilt at Open from the manifest's bounds, so only storage work
-// happens here. With Shards > 1 the dataset is hash-partitioned into
-// self-contained per-shard parts.
-func Build(dir string, ds *dataset.Dataset, opts BuildOptions) error {
-	if opts.Shards < 0 {
-		return fmt.Errorf("core: shard count %d must not be negative", opts.Shards)
-	}
+// happens here. The rows come from src — a *dataset.Dataset, or a
+// *dataset.CSVFile streamed in bounded memory — which one shard reads
+// once; with Shards > 1 it is read to pin the bounds, to place each row,
+// and once per shard, whose self-contained part holds the rows of the
+// cells it owns.
+func Build(dir string, src dataset.Source, opts BuildOptions) error {
 	bo := shard.BuildOptions{
 		Shards:           opts.Shards,
 		SegmentsPerDim:   opts.SegmentsPerDim,
 		TargetChunkBytes: opts.TargetChunkBytes,
 	}
 	if opts.LiveIngest {
-		return stream.Create(dir, ds, bo)
+		return stream.Create(dir, src, bo)
 	}
-	return shard.Build(dir, ds, bo)
+	return shard.Build(dir, src, bo)
 }
 
 // Index is an opened Uncertainty Estimation Index.
@@ -145,10 +145,10 @@ type Index struct {
 	pendingCell int
 	theta       int
 
-	// pool shards result classification and, for models other than DWKNN,
-	// the full symbolic-point pass (through coord, which borrows it) across
-	// Options.Workers goroutines; a DWKNN pass is serial. With one worker
-	// everything runs inline.
+	// pool shards result retrieval's cell-centre posteriors and row
+	// classification across Options.Workers goroutines, and coord borrows
+	// it to size RetrieveStream's scratch slots; the scoring pass (DWKNN
+	// only) is serial. With one worker everything runs inline.
 	pool *pool.Pool
 	// samples is the sample pool every view of the index draws U from;
 	// views share the parent's, and only the parent's Close frees it.

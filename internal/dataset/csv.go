@@ -2,8 +2,10 @@ package dataset
 
 import (
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 )
@@ -33,68 +35,140 @@ func WriteCSV(w io.Writer, d *Dataset) error {
 	return cw.Error()
 }
 
-// CSVReader streams the rows of a numeric CSV with a header row, one row
+// csvReader streams the rows of a numeric CSV with a header row, one row
 // at a time, so a file larger than memory can be read through it. Every
-// field must parse as a float64.
-type CSVReader struct {
+// field must parse as a finite float64, and at least one row must follow
+// the header. name is what errors call the input: "csv", or a file's path.
+type csvReader struct {
 	cr     *csv.Reader
+	name   string
+	file   io.Closer // a CSVFile's, closed by Close
 	schema Schema
 	row    []float64
-	line   int
+	rows   int
 }
 
-// NewCSVReader reads the header row and returns a reader positioned at the
+// newCSVReader reads the header row and returns a reader positioned at the
 // first data row.
-func NewCSVReader(r io.Reader) (*CSVReader, error) {
+func newCSVReader(r io.Reader, name string) (*csvReader, error) {
 	cr := csv.NewReader(r)
 	cr.ReuseRecord = true
 	header, err := cr.Read()
 	if err != nil {
-		return nil, fmt.Errorf("dataset: read csv header: %w", err)
+		return nil, fmt.Errorf("dataset: read %s header: %w", name, err)
 	}
 	schema, err := NewSchema(append([]string(nil), header...)...)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dataset: %s header: %w", name, err)
 	}
-	return &CSVReader{cr: cr, schema: schema, row: make([]float64, schema.Dims()), line: 1}, nil
+	return &csvReader{cr: cr, name: name, schema: schema, row: make([]float64, schema.Dims())}, nil
 }
 
-// Schema returns the columns the header names.
-func (r *CSVReader) Schema() Schema { return r.schema }
-
 // Next returns the next row, or ok=false at the end of the input. The row
-// is overwritten by the next call. Errors name the line and, for a field
-// that does not parse, the column.
-func (r *CSVReader) Next() (row []float64, ok bool, err error) {
+// is overwritten by the next call. Errors name the physical line of the
+// input (blank lines count) and the column at fault.
+func (r *csvReader) Next() (row []float64, ok bool, err error) {
 	rec, err := r.cr.Read()
 	if err == io.EOF {
+		if r.rows == 0 {
+			line, _ := r.cr.FieldPos(0) // the header's
+			return nil, false, fmt.Errorf("dataset: %s line %d: no rows after the header", r.name, line+1)
+		}
 		return nil, false, nil
 	}
-	r.line++
-	if err != nil {
-		return nil, false, fmt.Errorf("dataset: read csv line %d: %w", r.line, err)
+	var pe *csv.ParseError
+	if errors.As(err, &pe) && pe.Err == csv.ErrFieldCount {
+		// The header fixed the width; the record came back with the error.
+		if len(rec) > len(r.row) {
+			line, col := r.cr.FieldPos(len(r.row))
+			return nil, false, fmt.Errorf("dataset: read %s line %d column %d: %d fields, the header names %d", r.name, line, col, len(rec), len(r.row))
+		}
+		return nil, false, fmt.Errorf("dataset: read %s line %d: field %q missing (%d of %d fields)", r.name, pe.Line, r.schema.Columns[len(rec)].Name, len(rec), len(r.row))
 	}
-	if len(rec) != len(r.row) {
-		return nil, false, fmt.Errorf("dataset: csv line %d has %d fields, want %d", r.line, len(rec), len(r.row))
+	if err != nil {
+		return nil, false, fmt.Errorf("dataset: read %s: %w", r.name, err)
 	}
 	for i, f := range rec {
 		v, err := strconv.ParseFloat(f, 64)
+		if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			err = fmt.Errorf("non-finite value %q", f)
+		}
 		if err != nil {
-			return nil, false, fmt.Errorf("dataset: csv line %d field %q: %w", r.line, r.schema.Columns[i].Name, err)
+			line, col := r.cr.FieldPos(i)
+			return nil, false, fmt.Errorf("dataset: %s line %d field %q (column %d): %w", r.name, line, r.schema.Columns[i].Name, col, err)
 		}
 		r.row[i] = v
 	}
+	r.rows++
 	return r.row, true, nil
+}
+
+// Close closes the file a CSVFile pass reads.
+func (r *csvReader) Close() error {
+	if r.file == nil {
+		return nil
+	}
+	return r.file.Close()
+}
+
+// CSVFile is a numeric CSV file with a header row read as a Source: every
+// pass re-reads the file, so a file larger than memory can feed a build
+// that reads it more than once.
+type CSVFile struct {
+	path   string
+	schema Schema
+}
+
+// OpenCSVFile reads the header of the CSV file at path.
+func OpenCSVFile(path string) (*CSVFile, error) {
+	f := &CSVFile{path: path}
+	r, err := f.open()
+	if err != nil {
+		return nil, err
+	}
+	f.schema = r.schema
+	return f, r.Close()
+}
+
+// Schema returns the columns the header names.
+func (f *CSVFile) Schema() Schema { return f.schema }
+
+// Rows starts a pass over the file's rows; a header changed since
+// OpenCSVFile fails it.
+func (f *CSVFile) Rows() (Rows, error) {
+	r, err := f.open()
+	if err == nil && !r.schema.Equal(f.schema) {
+		r.Close()
+		err = fmt.Errorf("dataset: %s: header changed from %v to %v", f.path, f.schema, r.schema)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+func (f *CSVFile) open() (*csvReader, error) {
+	file, err := os.Open(f.path)
+	if err != nil {
+		return nil, fmt.Errorf("dataset: open %s: %w", f.path, err)
+	}
+	r, err := newCSVReader(file, f.path)
+	if err != nil {
+		file.Close()
+		return nil, err
+	}
+	r.file = file
+	return r, nil
 }
 
 // ReadCSV reads a dataset written by WriteCSV (or any numeric CSV with a
 // header) into memory.
 func ReadCSV(r io.Reader) (*Dataset, error) {
-	cr, err := NewCSVReader(r)
+	cr, err := newCSVReader(r, "csv")
 	if err != nil {
 		return nil, err
 	}
-	ds := New(cr.Schema(), 0)
+	ds := New(cr.schema, 0)
 	for {
 		row, ok, err := cr.Next()
 		if err != nil {

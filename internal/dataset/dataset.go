@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/uei-db/uei/internal/vec"
 )
@@ -78,24 +79,79 @@ func (d *Dataset) At(id RowID, dim int) float64 {
 // returns an error when the dataset is empty, since an empty set has no
 // bounds.
 func (d *Dataset) Bounds() (vec.Box, error) {
-	if d.n == 0 {
-		return vec.Box{}, fmt.Errorf("dataset: bounds of empty dataset")
+	box, _, err := BoundsOf(d)
+	return box, err
+}
+
+// Source is a re-readable row source: every Rows call starts one pass
+// over the same rows in the same order, so a source larger than memory (a
+// CSVFile) can feed a build that reads it more than once. *Dataset and
+// *CSVFile implement it.
+type Source interface {
+	Schema() Schema
+	Rows() (Rows, error)
+}
+
+// Rows is one pass over a Source. Next returns the next row, which the
+// source may reuse or alias (a caller copies what it keeps), or ok=false
+// after the last; Close ends the pass.
+type Rows interface {
+	Next() (row []float64, ok bool, err error)
+	Close() error
+}
+
+// Rows starts a pass over the tuples in id order, aliasing their storage.
+func (d *Dataset) Rows() (Rows, error) { return &datasetRows{d: d}, nil }
+
+type datasetRows struct {
+	d    *Dataset
+	next int
+}
+
+func (r *datasetRows) Next() ([]float64, bool, error) {
+	if r.next == r.d.n {
+		return nil, false, nil
 	}
-	k := d.Dims()
-	min := vec.Clone(d.vals[:k])
-	max := vec.Clone(d.vals[:k])
-	for i := 1; i < d.n; i++ {
-		row := d.vals[i*k : (i+1)*k]
-		for j, v := range row {
-			if v < min[j] {
-				min[j] = v
+	r.next++
+	return r.d.Row(RowID(r.next - 1)), true, nil
+}
+
+func (r *datasetRows) Close() error { return nil }
+
+// BoundsOf reads one pass of src and returns the tight bounding box of its
+// rows and their count. A source without rows, or with a row of the wrong
+// width or a non-finite value, fails: it has no bounds.
+func BoundsOf(src Source) (vec.Box, int, error) {
+	rows, err := src.Rows()
+	if err != nil {
+		return vec.Box{}, 0, err
+	}
+	defer rows.Close()
+	cols := src.Schema().Columns
+	lo, hi := make(vec.Point, len(cols)), make(vec.Point, len(cols))
+	for n := 0; ; n++ {
+		row, ok, err := rows.Next()
+		if err != nil || !ok {
+			if err == nil && n == 0 {
+				err = fmt.Errorf("dataset: bounds of a source without rows")
 			}
-			if v > max[j] {
-				max[j] = v
+			return vec.NewBox(lo, hi), n, err
+		}
+		if len(row) != len(cols) {
+			return vec.Box{}, 0, fmt.Errorf("dataset: row %d has %d values, schema has %d columns", n, len(row), len(cols))
+		}
+		for j, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return vec.Box{}, 0, fmt.Errorf("dataset: row %d column %q: non-finite value", n, cols[j].Name)
+			}
+			if n == 0 || v < lo[j] {
+				lo[j] = v
+			}
+			if n == 0 || v > hi[j] {
+				hi[j] = v
 			}
 		}
 	}
-	return vec.NewBox(min, max), nil
 }
 
 // Scan calls fn for every tuple in id order, stopping early if fn returns

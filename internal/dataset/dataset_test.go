@@ -258,12 +258,20 @@ func TestCSVFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadCSVErrors: encoding/csv skips blank lines, so the count of
+// records read is not a line number. Every error names the line the fault
+// is on in the input, blank lines counted, and its column.
 func TestReadCSVErrors(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"", "read csv header"},                              // no header
 		{"a,b\n1\n", "read csv line 2"},                      // short row
 		{"a,b\n1,2\n3,notanumber\n", `csv line 3 field "b"`}, // bad float
 		{"a,a\n1,2\n", "duplicate"},                          // duplicate header
+		{"a,b\n1,2\n\n\n3,x\n", `csv line 5 field "b" (column 3): strconv.ParseFloat`},
+		{"a,b\n\n1,2\n\n3\n", `csv line 5: field "b" missing (1 of 2 fields)`},
+		{"a,b\n1,2\n\n\n3,4,5\n", "csv line 5 column 5: 3 fields, the header names 2"},
+		{"a,b\n\n1,+Inf\n", `csv line 3 field "b" (column 3): non-finite value "+Inf"`},
+		{"a,b\n\n\n", "csv line 2: no rows after the header"},
 	}
 	for i, c := range cases {
 		if _, err := ReadCSV(strings.NewReader(c.in)); err == nil || !strings.Contains(err.Error(), c.want) {

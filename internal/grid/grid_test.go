@@ -389,7 +389,11 @@ func TestMappingMatchesCellBoxes(t *testing.T) {
 		t.Fatal(err)
 	}
 	build := func(rows [][]float64) *chunkstore.Store {
-		st, err := chunkstore.BuildIndexed(t.TempDir(), ds.Schema().Names(), len(rows), func(i int) []float64 { return rows[i] }, chunkstore.BuildOptions{TargetChunkBytes: 1024})
+		part := dataset.New(ds.Schema(), len(rows))
+		for _, row := range rows {
+			part.Append(row)
+		}
+		st, err := chunkstore.Build(t.TempDir(), part, chunkstore.BuildOptions{TargetChunkBytes: 1024})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -60,9 +60,10 @@ func (s *Shard) RowCount() int {
 
 // OpenOptions configures Open and NewLocalCoordinator.
 type OpenOptions struct {
-	// Pool runs the scoring passes over the symbolic index points. The
-	// coordinator borrows the caller's pool rather than owning threads;
-	// nil scores inline on the calling goroutine.
+	// Pool is the caller's worker pool, borrowed rather than owning
+	// threads: its worker count sizes RetrieveStream's scratch slots, and
+	// ScoreAllPass shards across it. Nil means one worker, inline on the
+	// calling goroutine.
 	Pool *pool.Pool
 	// Deadline bounds every per-shard attempt; a cell load whose owner
 	// misses it degrades the step. Zero disables the deadline.
@@ -122,7 +123,7 @@ type Coordinator struct {
 	backends []*LocalBackend
 	// ownerByCell[cell] is the owning shard of each grid cell.
 	ownerByCell []int
-	// pool runs the scoring passes; borrowed from the caller, never nil.
+	// pool is OpenOptions.Pool, borrowed from the caller; never nil.
 	pool  *pool.Pool
 	cache *chunkstore.BlockCache
 

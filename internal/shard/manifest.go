@@ -20,7 +20,6 @@
 package shard
 
 import (
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -65,7 +64,7 @@ type SegmentMeta struct {
 	// inspection.
 	Bytes int64 `json:"bytes"`
 	// Identity marks a part over the global rows 0..Rows-1: its local ids
-	// are the global ids, so it has no idmap file (WritePart) and opens
+	// are the global ids, so it has no idmap file (WriteSegment) and opens
 	// with a nil Part.IDMap. Omitted when false.
 	Identity bool `json:"identity,omitempty"`
 }
@@ -173,139 +172,6 @@ func (m *Manifest) Clone() *Manifest {
 	c.MaxValues = append([]float64(nil), m.MaxValues...)
 	c.Segments = append([]SegmentMeta(nil), m.Segments...)
 	return &c
-}
-
-// WriteSegment writes the next segment of shard s under dir — the part
-// over the rows ids names, row(i) returning the values of ids[i] — and
-// records it in m.
-func (m *Manifest) WriteSegment(dir string, s int, ids []uint32, row func(i int) []float64) error {
-	id := m.NextSegmentID
-	bounds := vec.NewBox(m.MinValues, m.MaxValues)
-	bytes, identity, err := WritePart(filepath.Join(dir, SegmentDirName(id)), m.Columns, bounds, m.TargetChunkBytes, ids, row)
-	if err != nil {
-		return err
-	}
-	m.Segments = append(m.Segments, SegmentMeta{ID: id, Shard: s, Rows: len(ids), Bytes: bytes, Identity: identity})
-	m.NextSegmentID++
-	return nil
-}
-
-// WriteFirstEpoch writes the parts of a new store under dir (which must be
-// empty or absent) and returns its epoch-1 manifest, uncommitted:
-// CommitManifest makes it the store. Every row goes to the shard owning its
-// grid cell, one segment per shard, and a shard owning no row gets an
-// explicit empty segment, so every shard has a uniform resting place.
-// opts.Shards of 0 means 1: a one-shard epoch is one identity part over
-// every row (WriteOneShardEpoch). The dataset pins the grid bounds, so it
-// must not be empty.
-func WriteFirstEpoch(dir string, ds *dataset.Dataset, opts BuildOptions) (*Manifest, error) {
-	if ds.Len() == 0 {
-		return nil, fmt.Errorf("shard: refusing to build from an empty dataset (bounds would be undefined)")
-	}
-	if opts.Shards < 0 || opts.Shards > MaxShards {
-		return nil, fmt.Errorf("shard: shard count %d out of range [1,%d]", opts.Shards, MaxShards)
-	}
-	if opts.Shards <= 1 {
-		return WriteOneShardEpoch(dir, opts, func(part string, o chunkstore.BuildOptions) (*chunkstore.Store, error) {
-			return chunkstore.Build(part, ds, o)
-		})
-	}
-	bounds, err := ds.Bounds()
-	if err != nil {
-		return nil, err
-	}
-	m := firstManifest(opts)
-	m.Shards = opts.Shards
-	m.Columns = ds.Schema().Names()
-	m.MinValues = append([]float64(nil), bounds.Min...)
-	m.MaxValues = append([]float64(nil), bounds.Max...)
-	m.FlushedRows = ds.Len()
-	if err := m.checkGeometry(); err != nil {
-		return nil, err
-	}
-	if err := makeEmptyDir(dir); err != nil {
-		return nil, err
-	}
-	g, err := m.Grid()
-	if err != nil {
-		return nil, err
-	}
-	owners, err := CellOwners(g, m.Shards)
-	if err != nil {
-		return nil, err
-	}
-	row := func(i int) []float64 { return ds.Row(dataset.RowID(i)) }
-	groups, err := Partition(g, owners, m.Shards, 0, ds.Len(), row)
-	if err != nil {
-		return nil, err
-	}
-	for s, ids := range groups {
-		if err := m.WriteSegment(dir, s, ids, func(i int) []float64 { return row(int(ids[i])) }); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
-}
-
-// WriteOneShardEpoch writes the one part of a new one-shard store under dir
-// (which must be empty or absent) and returns its epoch-1 manifest,
-// uncommitted. build writes the part's chunk store into the directory it
-// is given, under the options it is given — chunkstore.BuildRows streams
-// an input larger than memory — and the manifest takes the columns,
-// bounds and row count of the store it built. The part holds rows 0..n-1
-// in id order, so it is an identity part and has no idmap.
-func WriteOneShardEpoch(dir string, opts BuildOptions, build func(part string, o chunkstore.BuildOptions) (*chunkstore.Store, error)) (*Manifest, error) {
-	m := firstManifest(opts)
-	if m.SegmentsPerDim < 1 {
-		return nil, fmt.Errorf("shard: %d segments per dimension", m.SegmentsPerDim)
-	}
-	if err := makeEmptyDir(dir); err != nil {
-		return nil, err
-	}
-	st, err := build(filepath.Join(dir, SegmentDirName(1)), chunkstore.BuildOptions{TargetChunkBytes: m.TargetChunkBytes})
-	if err != nil {
-		return nil, err
-	}
-	if err := st.Close(); err != nil {
-		return nil, err
-	}
-	bounds := st.Bounds()
-	m.Columns = st.Columns()
-	m.MinValues = append([]float64(nil), bounds.Min...)
-	m.MaxValues = append([]float64(nil), bounds.Max...)
-	m.FlushedRows = st.RowCount()
-	m.Segments = []SegmentMeta{{ID: 1, Rows: st.RowCount(), Bytes: st.TotalBytes(), Identity: true}}
-	m.NextSegmentID = 2
-	if err := m.checkGeometry(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// firstManifest is an epoch-1 manifest of one shard and no segments, with
-// opts' grid and chunk target or their defaults.
-func firstManifest(opts BuildOptions) *Manifest {
-	return &Manifest{
-		FormatVersion:    manifestFormatVersion,
-		Epoch:            1,
-		Shards:           1,
-		SegmentsPerDim:   cmp.Or(opts.SegmentsPerDim, grid.DefaultSegmentsPerDim),
-		TargetChunkBytes: cmp.Or(opts.TargetChunkBytes, chunkstore.DefaultTargetChunkBytes),
-		NextSegmentID:    1,
-	}
-}
-
-// makeEmptyDir creates dir, or checks that it exists empty.
-func makeEmptyDir(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("shard: create %s: %w", dir, err)
-	}
-	if entries, err := os.ReadDir(dir); err != nil {
-		return fmt.Errorf("shard: inspect %s: %w", dir, err)
-	} else if len(entries) > 0 {
-		return fmt.Errorf("shard: directory %s is not empty", dir)
-	}
-	return nil
 }
 
 // CommitManifest durably writes the manifest for its epoch and swings

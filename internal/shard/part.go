@@ -64,30 +64,64 @@ func (p *Part) localIDs(globalIDs []uint32) []uint32 {
 	return local
 }
 
-// WritePart writes the part holding the rows ids names under dir: row(i)
-// returns the values of row ids[i], and ids must ascend strictly. Zero
-// rows write an explicit empty store, so every part directory is uniform.
-// It returns the store's chunk payload in bytes and whether ids are
-// exactly 0..n-1 for some n > 0: such an identity part gets no idmap file,
-// and its segment must be marked SegmentMeta.Identity.
-func WritePart(dir string, columns []string, bounds vec.Box, target int, ids []uint32, row func(i int) []float64) (bytes int64, identity bool, err error) {
+// IDRows yields an ascending stream of (global id, row) pairs and
+// ok=false after the last; the writer copies what it keeps of a row.
+type IDRows func() (id uint32, row []float64, ok bool, err error)
+
+// WriteSegment is the one writer of a part: every first epoch, live flush
+// and compaction calls it. It streams the n rows of rows (n < 0: not known
+// until they end) into chunkstore.BuildRows under the next segment of
+// shard s, local ids in stream order, and records the segment in m. The
+// global ids become the part's idmap, unless they run 0..n-1: such an
+// identity part has no idmap file, and its segment is marked Identity.
+// Zero rows write an explicit empty store over m's bounds, so every part
+// directory is uniform. It returns the bounds of the rows written.
+func (m *Manifest) WriteSegment(dir string, s int, rows IDRows, n int) (vec.Box, error) {
+	seg := SegmentMeta{ID: m.NextSegmentID, Shard: s}
+	part := filepath.Join(dir, SegmentDirName(seg.ID))
+	var ids []uint32 // nil while the ids run 0, 1, ...
 	var st *chunkstore.Store
-	if len(ids) == 0 {
-		st, err = chunkstore.BuildEmpty(dir, columns, bounds, target)
+	var err error
+	if n == 0 {
+		st, err = chunkstore.BuildEmpty(part, m.Columns, vec.NewBox(m.MinValues, m.MaxValues), m.TargetChunkBytes)
 	} else {
-		st, err = chunkstore.BuildIndexed(dir, columns, len(ids), row, chunkstore.BuildOptions{TargetChunkBytes: target})
+		written := 0
+		st, err = chunkstore.BuildRows(part, m.Columns, func() ([]float64, bool, error) {
+			id, row, ok, err := rows()
+			if !ok || err != nil {
+				return nil, false, err
+			}
+			if ids == nil && id != uint32(written) {
+				ids = make([]uint32, written, max(written+1, n))
+				for i := range ids {
+					ids[i] = uint32(i)
+				}
+			}
+			if ids != nil {
+				if written > 0 && id <= ids[written-1] {
+					return nil, false, fmt.Errorf("shard: segment row id %d after %d", id, ids[written-1])
+				}
+				ids = append(ids, id)
+			}
+			written++
+			return row, true, nil
+		}, max(n, 0), chunkstore.BuildOptions{TargetChunkBytes: m.TargetChunkBytes})
 	}
 	if err != nil {
-		return 0, false, err
+		return vec.Box{}, err
 	}
 	if err := st.Close(); err != nil {
-		return 0, false, err
+		return vec.Box{}, err
 	}
-	// ids ascend strictly, so its ends decide whether it is 0..n-1.
-	if n := len(ids); n > 0 && ids[0] == 0 && int(ids[n-1]) == n-1 {
-		return st.TotalBytes(), true, nil
+	seg.Rows, seg.Bytes = st.RowCount(), st.TotalBytes()
+	if seg.Identity = ids == nil && seg.Rows > 0; !seg.Identity {
+		if err := SaveIDMap(part, ids); err != nil {
+			return vec.Box{}, err
+		}
 	}
-	return st.TotalBytes(), false, SaveIDMap(dir, ids)
+	m.Segments = append(m.Segments, seg)
+	m.NextSegmentID++
+	return st.Bounds(), nil
 }
 
 // OpenPart opens the part of segment seg under dir for serving over g.
@@ -190,38 +224,4 @@ func GroupShards(shards int, metas []SegmentMeta, parts []Part) []*Shard {
 		sh.Parts = append(sh.Parts, parts[i])
 	}
 	return out
-}
-
-// Partition assigns n rows with global ids firstID, firstID+1, ... to the
-// shards owning their grid cells and returns each shard's ids, ascending.
-// row(i) returns the values of row firstID+i and owners is CellOwners(g,
-// shards). With one shard every row is shard 0's and no cell is computed.
-func Partition(g *grid.Grid, owners []int, shards int, firstID uint32, n int, row func(i int) []float64) ([][]uint32, error) {
-	ids := make([][]uint32, shards)
-	if shards == 1 {
-		ids[0] = make([]uint32, n)
-		for i := range ids[0] {
-			ids[0][i] = firstID + uint32(i)
-		}
-		return ids, nil
-	}
-	// Count first, so each shard's slice is sized once.
-	owner := make([]int32, n)
-	counts := make([]int, shards)
-	for i := range owner {
-		cell, err := g.CellOf(row(i))
-		if err != nil {
-			return nil, fmt.Errorf("shard: row %d: %w", int(firstID)+i, err)
-		}
-		s := owners[cell]
-		owner[i] = int32(s)
-		counts[s]++
-	}
-	for s, c := range counts {
-		ids[s] = make([]uint32, 0, c)
-	}
-	for i, s := range owner {
-		ids[s] = append(ids[s], firstID+uint32(i))
-	}
-	return ids, nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/uei-db/uei/internal/chunkstore"
+	"github.com/uei-db/uei/internal/dataset"
 	"github.com/uei-db/uei/internal/grid"
 	"github.com/uei-db/uei/internal/kernel"
 	"github.com/uei-db/uei/internal/vec"
@@ -200,8 +201,11 @@ func FuzzScanMarked(f *testing.F) {
 		sc := new(ScanScratch)
 		for p := range c.rows {
 			rows := c.rows[p]
-			st, err := chunkstore.BuildIndexed(t.TempDir(), c.columns(), len(rows), func(i int) []float64 { return rows[i] },
-				chunkstore.BuildOptions{TargetChunkBytes: c.chunk})
+			src := dataset.New(dataset.MustSchema(c.columns()...), len(rows))
+			for _, row := range rows {
+				src.Append(row)
+			}
+			st, err := chunkstore.Build(t.TempDir(), src, chunkstore.BuildOptions{TargetChunkBytes: c.chunk})
 			if err != nil {
 				if slices.ContainsFunc(rows, func(r []float64) bool { return slices.ContainsFunc(r, math.IsNaN) }) &&
 					strings.Contains(err.Error(), "non-finite value") {

@@ -33,7 +33,7 @@ func flatCoordinator(t *testing.T, dir string, bounds vec.Box, segments int) *Co
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewLocalCoordinator(g, st.Columns(), []*Shard{{Parts: []Part{{Store: st, Mapping: mp}}}}, OpenOptions{})
+	c, err := NewLocalCoordinator(g, st.Manifest().Columns, []*Shard{{Parts: []Part{{Store: st, Mapping: mp}}}}, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,9 +115,12 @@ func TestOwnerOfDeterministic(t *testing.T) {
 	}
 }
 
+// TestBuildOpenRoundTrip: at every shard count — past 256 too, where a
+// build's one-byte row owners are shared by shards s and s+256 — every row
+// lands in exactly one shard and every cell routes to its hashed owner.
 func TestBuildOpenRoundTrip(t *testing.T) {
 	ds := skyDataset(t, 600)
-	for _, shards := range []int{2, 4, 8} {
+	for _, shards := range []int{2, 4, 8, 300} {
 		t.Run(fmt.Sprintf("S=%d", shards), func(t *testing.T) {
 			dir := buildSharded(t, ds, shards)
 			c := openCoordinator(t, dir, OpenOptions{Workers: 2})
@@ -139,7 +142,8 @@ func TestBuildOpenRoundTrip(t *testing.T) {
 				if len(s.Parts) != 1 {
 					t.Fatalf("shard %d has %d parts, want 1 (build-time layout)", s.ID, len(s.Parts))
 				}
-				for _, id := range s.Parts[0].IDMap {
+				for local := range s.Parts[0].RowCount() {
+					id := s.Parts[0].GlobalID(uint32(local)) // an identity part has no IDMap
 					if int(id) <= prev {
 						t.Fatalf("shard %d idmap not ascending", s.ID)
 					}

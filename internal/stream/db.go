@@ -34,7 +34,6 @@ import (
 	"github.com/uei-db/uei/internal/iothrottle"
 	"github.com/uei-db/uei/internal/obs"
 	"github.com/uei-db/uei/internal/shard"
-	"github.com/uei-db/uei/internal/vec"
 )
 
 // ErrClosed reports use of a closed DB.
@@ -106,10 +105,10 @@ type DB struct {
 	opts Options
 
 	// Fixed at creation (epoch-invariant).
-	columns []string
-	grid    *grid.Grid
-	shards  int
-	owners  []int // cell → owning shard; nil for a one-shard store
+	schema dataset.Schema
+	grid   *grid.Grid
+	shards int
+	owners []int // cell → owning shard; nil for a one-shard store
 
 	// flushMu serializes flush and compaction commits (mu is held only
 	// for brief state swaps, never across segment builds).
@@ -151,12 +150,12 @@ type DB struct {
 }
 
 // Create materializes a new live store under dir (which must be empty or
-// absent) from an initial dataset: the first epoch shard.Build writes,
+// absent) from an initial row source: the first epoch shard.Build writes,
 // plus the empty wal/ directory that makes the store live, made before
-// CURRENT commits the epoch. The dataset pins the grid bounds, so it must
-// be non-empty and should cover the value range appends will arrive in.
-func Create(dir string, ds *dataset.Dataset, opts CreateOptions) error {
-	man, err := shard.WriteFirstEpoch(dir, ds, opts)
+// CURRENT commits the epoch. The source pins the grid bounds, so it must
+// hold a row and should cover the value range appends will arrive in.
+func Create(dir string, src dataset.Source, opts CreateOptions) error {
+	man, err := shard.WriteFirstEpoch(dir, src, opts)
 	if err != nil {
 		return err
 	}
@@ -182,14 +181,18 @@ func Open(dir string, opts Options) (*DB, error) {
 	if !IsLiveDir(dir) {
 		return nil, fmt.Errorf("stream: %s holds a static store (no %s/ directory): %w", dir, walDir, chunkstore.ErrLayoutMismatch)
 	}
-	g, err := grid.New(vec.NewBox(man.MinValues, man.MaxValues), man.SegmentsPerDim)
+	g, err := man.Grid()
+	if err != nil {
+		return nil, err
+	}
+	schema, err := dataset.NewSchema(man.Columns...)
 	if err != nil {
 		return nil, err
 	}
 	db := &DB{
 		dir:      dir,
 		opts:     opts,
-		columns:  man.Columns,
+		schema:   schema,
 		grid:     g,
 		shards:   man.Shards,
 		man:      man,
@@ -264,9 +267,9 @@ func (db *DB) removeOrphans() error {
 // retires them.
 func (db *DB) recoverWAL() error {
 	flushed := uint32(db.man.FlushedRows)
-	mem := &memtable{firstID: flushed}
+	mem := db.newMemtable(flushed)
 	maxSeq := -1
-	next, err := replayWAL(db.dir, len(db.columns), flushed, func(seq int, path string, recs []walRecord) error {
+	next, err := replayWAL(db.dir, db.schema.Dims(), flushed, func(seq int, path string, recs []walRecord) error {
 		var fileMax uint32
 		fileRows := 0
 		for _, rec := range recs {
@@ -274,8 +277,7 @@ func (db *DB) recoverWAL() error {
 				if rec.firstID+uint32(i) < flushed {
 					continue // already in a committed segment
 				}
-				mem.rows = append(mem.rows, row)
-				mem.bytes += int64(8 * len(row))
+				mem.rows.Append(row)
 			}
 			fileMax = rec.firstID + uint32(len(rec.rows)) - 1
 			fileRows += len(rec.rows)
@@ -311,7 +313,7 @@ func (db *DB) recoverWAL() error {
 	// files.
 	if mem.len() > 0 {
 		db.frozen = append(db.frozen, mem)
-		db.mem = &memtable{firstID: db.nextID}
+		db.mem = db.newMemtable(db.nextID)
 		db.signal(db.flushC)
 	}
 	return nil
@@ -352,7 +354,7 @@ func (db *DB) Append(rows [][]float64) (firstID uint32, err error) {
 	if len(rows) == 0 {
 		return 0, fmt.Errorf("stream: empty append")
 	}
-	dims := len(db.columns)
+	dims := db.schema.Dims()
 	for i, row := range rows {
 		if len(row) != dims {
 			return 0, fmt.Errorf("stream: append row %d has %d values, store has %d dims", i, len(row), dims)
@@ -379,23 +381,22 @@ func (db *DB) Append(rows [][]float64) (firstID uint32, err error) {
 	db.hFsync.ObserveDuration(time.Since(start))
 	db.walMax[db.wal.seq] = db.wal.maxID
 	for _, row := range rows {
-		db.mem.rows = append(db.mem.rows, append([]float64(nil), row...))
-		db.mem.bytes += int64(8 * dims)
+		db.mem.rows.Append(row)
 	}
 	db.nextID += uint32(len(rows))
 	db.mAppends.Inc()
 	db.mAppendRows.Add(int64(len(rows)))
 	db.mMemBytes.Set(float64(db.memBytesLocked()))
-	if db.mem.bytes >= db.opts.memtableBytes {
+	if db.mem.rows.SizeBytes() >= db.opts.memtableBytes {
 		db.signal(db.flushC)
 	}
 	return firstID, nil
 }
 
 func (db *DB) memBytesLocked() int64 {
-	b := db.mem.bytes
+	b := db.mem.rows.SizeBytes()
 	for _, f := range db.frozen {
-		b += f.bytes
+		b += f.rows.SizeBytes()
 	}
 	return b
 }
@@ -412,7 +413,7 @@ func (db *DB) freezeLocked() error {
 	}
 	old := db.wal
 	db.frozen = append(db.frozen, db.mem)
-	db.mem = &memtable{firstID: db.nextID}
+	db.mem = db.newMemtable(db.nextID)
 	db.wal = w
 	db.nextSeq++
 	return old.close()
@@ -465,20 +466,11 @@ func (db *DB) flushOne(ctx context.Context, mem *memtable, man *shard.Manifest) 
 	}
 	_, sp := obs.StartSpan(ctx, obs.SpanFlush)
 	start := time.Now()
-	groups, err := shard.Partition(db.grid, db.owners, db.shards, mem.firstID, mem.len(), func(i int) []float64 { return mem.rows[i] })
-	if err != nil {
+	man.Epoch++
+	// Flushes never write empty segments.
+	if err := man.WriteShards(db.dir, db.grid, db.owners, mem.rows, mem.firstID, mem.len(), false); err != nil {
 		sp.End(nil)
 		return err
-	}
-	man.Epoch++
-	for s, ids := range groups {
-		if len(ids) == 0 {
-			continue // flushes never write empty segments
-		}
-		if err := man.WriteSegment(db.dir, s, ids, func(i int) []float64 { return mem.rows[ids[i]-mem.firstID] }); err != nil {
-			sp.End(nil)
-			return err
-		}
 	}
 	man.FlushedRows += mem.len()
 	if fp := db.failpointFn(); fp != nil {
@@ -584,8 +576,7 @@ func (db *DB) compact(ctx context.Context, minSegs int) error {
 		if len(segs) == 1 && segs[0].meta.Rows > 0 {
 			continue
 		}
-		var ids []uint32
-		var rows [][]float64
+		var merged []chunkstore.MergedRow
 		for _, seg := range segs {
 			if seg.meta.Rows == 0 {
 				replaced[seg.meta.ID] = true
@@ -601,24 +592,23 @@ func (db *DB) compact(ctx context.Context, minSegs int) error {
 				return fmt.Errorf("stream: compact segment %d: %w", seg.meta.ID, err)
 			}
 			for _, r := range got {
-				ids = append(ids, seg.part.GlobalID(r.ID))
-				rows = append(rows, r.Vals)
+				merged = append(merged, chunkstore.MergedRow{ID: seg.part.GlobalID(r.ID), Vals: r.Vals})
 			}
 			replaced[seg.meta.ID] = true
 		}
-		if len(rows) > 0 {
+		if len(merged) > 0 {
 			// Merge by global id: per-segment runs are ascending, so one
 			// sort restores the global order a build-time shard would have.
-			order := make([]int, len(ids))
-			for i := range order {
-				order[i] = i
+			sort.Slice(merged, func(a, b int) bool { return merged[a].ID < merged[b].ID })
+			next := 0
+			rows := func() (uint32, []float64, bool, error) {
+				if next == len(merged) {
+					return 0, nil, false, nil
+				}
+				next++
+				return merged[next-1].ID, merged[next-1].Vals, true, nil
 			}
-			sort.Slice(order, func(a, b int) bool { return ids[order[a]] < ids[order[b]] })
-			mids := make([]uint32, len(ids))
-			for i, o := range order {
-				mids[i] = ids[o]
-			}
-			if err := man.WriteSegment(db.dir, s, mids, func(i int) []float64 { return rows[order[i]] }); err != nil {
+			if _, err := man.WriteSegment(db.dir, s, rows, len(merged)); err != nil {
 				sp.End(nil)
 				return err
 			}
@@ -741,7 +731,7 @@ func (db *DB) backgroundFlush() {
 		db.mu.Unlock()
 		return
 	}
-	if db.mem.bytes >= db.opts.memtableBytes || (db.opts.FlushInterval > 0 && db.mem.len() > 0) {
+	if db.mem.rows.SizeBytes() >= db.opts.memtableBytes || (db.opts.FlushInterval > 0 && db.mem.len() > 0) {
 		if err := db.freezeLocked(); err != nil {
 			db.flushErr = err
 			db.mu.Unlock()
@@ -826,7 +816,7 @@ func (db *DB) TotalRows() int {
 func (db *DB) Grid() *grid.Grid { return db.grid }
 
 // Columns returns the attribute names in dimension order.
-func (db *DB) Columns() []string { return db.columns }
+func (db *DB) Columns() []string { return db.schema.Names() }
 
 // SetFailpoint installs a hook invoked at named stages of the write path
 // ("flush-before-commit"); returning an error aborts the operation there.

@@ -4,19 +4,24 @@ import (
 	"fmt"
 	"path/filepath"
 
+	"github.com/uei-db/uei/internal/dataset"
 	"github.com/uei-db/uei/internal/shard"
 )
 
 // memtable is the in-memory ordered write store absorbing appends between
-// flushes. Rows arrive in assigned-id order, so ids are contiguous and
-// ascending by construction — the same invariant build-time idmaps carry.
+// flushes: the rows with global ids firstID, firstID+1, ... — contiguous
+// and ascending by construction, the same invariant build-time idmaps
+// carry. A flush reads it as a build reads its row source.
 type memtable struct {
 	firstID uint32
-	rows    [][]float64
-	bytes   int64
+	rows    *dataset.Dataset
 }
 
-func (m *memtable) len() int { return len(m.rows) }
+func (m *memtable) len() int { return m.rows.Len() }
+
+func (db *DB) newMemtable(firstID uint32) *memtable {
+	return &memtable{firstID: firstID, rows: dataset.New(db.schema, 0)}
+}
 
 // segment is one open flushed segment: a chunk store, its mapping over the
 // fixed grid, and the local→global idmap (nil for an identity segment) —
