@@ -35,6 +35,11 @@ const spillThreshold = 1 << 20
 // merge paths on small inputs.
 var spillPairs = spillThreshold
 
+// bufStart is the pairs a dimension's buffer starts with when the caller
+// gives no size hint. A full buffer grows once, straight to spillPairs, so
+// a build leaves no outgrown arrays behind.
+const bufStart = 4096
+
 // pairSize is the on-disk size of one spill pair (float64 value + uint32
 // row id).
 const pairSize = 12
@@ -63,7 +68,7 @@ func Build(dir string, ds *dataset.Dataset, opts BuildOptions) (*Store, error) {
 // with the wrong number of values or a non-finite value fails the build
 // before any data file is written. sizeHint is the row count when the
 // caller knows it (0 when not): the pair buffers start with room for that
-// many rows, up to spillPairs, instead of growing.
+// many rows, or bufStart, up to spillPairs.
 func BuildRows(dir string, columns []string, rows RowIterator, sizeHint int, opts BuildOptions) (*Store, error) {
 	if len(columns) == 0 {
 		return nil, fmt.Errorf("chunkstore: a store needs at least one column")
@@ -90,7 +95,11 @@ func BuildRows(dir string, columns []string, rows RowIterator, sizeHint int, opt
 	dims := len(columns)
 	w := &writer{bufs: make([][]pair, dims), runs: make([][]string, dims)}
 	for d := range w.bufs {
-		w.bufs[d] = make([]pair, 0, min(sizeHint, spillPairs))
+		start := sizeHint
+		if start <= 0 {
+			start = bufStart
+		}
+		w.bufs[d] = make([]pair, 0, min(start, spillPairs))
 	}
 	defer w.removeRuns()
 	minVals := make([]float64, dims)
@@ -224,6 +233,9 @@ type writer struct {
 }
 
 func (w *writer) add(d int, p pair) error {
+	if buf := w.bufs[d]; len(buf) == cap(buf) {
+		w.bufs[d] = append(make([]pair, 0, spillPairs), buf...)
+	}
 	w.bufs[d] = append(w.bufs[d], p)
 	if len(w.bufs[d]) >= spillPairs {
 		return w.spill(d)

@@ -68,7 +68,38 @@ func newCSVReader(r io.Reader, name string) (*csvReader, error) {
 // is overwritten by the next call. Errors name the physical line of the
 // input (blank lines count) and the column at fault.
 func (r *csvReader) Next() (row []float64, ok bool, err error) {
-	rec, err := r.cr.Read()
+	rec, ok, err := r.read()
+	if !ok {
+		return nil, false, err
+	}
+	for i, f := range rec {
+		v, err := strconv.ParseFloat(f, 64)
+		if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			err = fmt.Errorf("non-finite value %q", f)
+		}
+		if err != nil {
+			line, col := r.cr.FieldPos(i)
+			return nil, false, fmt.Errorf("dataset: %s line %d field %q (column %d): %w", r.name, line, r.schema.Columns[i].Name, col, err)
+		}
+		r.row[i] = v
+	}
+	r.rows++
+	return r.row, true, nil
+}
+
+// Skip passes over the next record, checking its width but parsing none
+// of its fields.
+func (r *csvReader) Skip() (ok bool, err error) {
+	if _, ok, err = r.read(); ok {
+		r.rows++
+	}
+	return ok, err
+}
+
+// read returns the next record, or ok=false at the end of the input or on
+// an error: a missing row after the header, or a record of the wrong width.
+func (r *csvReader) read() (rec []string, ok bool, err error) {
+	rec, err = r.cr.Read()
 	if err == io.EOF {
 		if r.rows == 0 {
 			line, _ := r.cr.FieldPos(0) // the header's
@@ -88,19 +119,7 @@ func (r *csvReader) Next() (row []float64, ok bool, err error) {
 	if err != nil {
 		return nil, false, fmt.Errorf("dataset: read %s: %w", r.name, err)
 	}
-	for i, f := range rec {
-		v, err := strconv.ParseFloat(f, 64)
-		if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
-			err = fmt.Errorf("non-finite value %q", f)
-		}
-		if err != nil {
-			line, col := r.cr.FieldPos(i)
-			return nil, false, fmt.Errorf("dataset: %s line %d field %q (column %d): %w", r.name, line, r.schema.Columns[i].Name, col, err)
-		}
-		r.row[i] = v
-	}
-	r.rows++
-	return r.row, true, nil
+	return rec, true, nil
 }
 
 // Close closes the file a CSVFile pass reads.

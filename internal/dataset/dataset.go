@@ -94,9 +94,13 @@ type Source interface {
 
 // Rows is one pass over a Source. Next returns the next row, which the
 // source may reuse or alias (a caller copies what it keeps), or ok=false
-// after the last; Close ends the pass.
+// after the last; Skip passes over the next row as Next would, without
+// decoding its values, and fails only where Next would fail without
+// reading them (a CSV row of the wrong width does, an unparsable field
+// does not); Close ends the pass.
 type Rows interface {
 	Next() (row []float64, ok bool, err error)
+	Skip() (ok bool, err error)
 	Close() error
 }
 
@@ -114,6 +118,11 @@ func (r *datasetRows) Next() ([]float64, bool, error) {
 	}
 	r.next++
 	return r.d.Row(RowID(r.next - 1)), true, nil
+}
+
+func (r *datasetRows) Skip() (bool, error) {
+	_, ok, err := r.Next()
+	return ok, err
 }
 
 func (r *datasetRows) Close() error { return nil }

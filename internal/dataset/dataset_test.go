@@ -258,6 +258,57 @@ func TestCSVFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCSVSkip: a pass that skips every other row reads the rest as Next
+// would, and Skip parses no field — an unparsable one is no error to it, a
+// row of the wrong width is.
+func TestCSVSkip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sky.csv")
+	ds, _ := GenerateSky(SkyConfig{N: 50, Seed: 1})
+	if err := WriteCSVFile(path, ds); err != nil {
+		t.Fatal(err)
+	}
+	f, err := OpenCSVFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := f.Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	for i := 0; ; i++ {
+		var row []float64
+		ok, err := true, error(nil)
+		if i%2 == 0 {
+			ok, err = rows.Skip()
+		} else {
+			row, ok, err = rows.Next()
+		}
+		if err != nil {
+			t.Fatalf("row %d: %v", i, err)
+		}
+		if !ok {
+			if i != ds.Len() {
+				t.Fatalf("the pass ended after %d of %d rows", i, ds.Len())
+			}
+			break
+		}
+		if row != nil && !slices.Equal(row, ds.Row(RowID(i))) {
+			t.Fatalf("row %d: %v, want %v", i, row, ds.Row(RowID(i)))
+		}
+	}
+	r, err := newCSVReader(strings.NewReader("a,b\n1,x\n\n3\n"), "csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := r.Skip(); !ok || err != nil {
+		t.Errorf("a row with an unparsable field: Skip = %v, %v; want it passed over", ok, err)
+	}
+	if _, err := r.Skip(); err == nil || !strings.Contains(err.Error(), `csv line 4: field "b" missing`) {
+		t.Errorf("a short row: Skip err = %v", err)
+	}
+}
+
 // TestReadCSVErrors: encoding/csv skips blank lines, so the count of
 // records read is not a line number. Every error names the line the fault
 // is on in the input, blank lines counted, and its column.

@@ -164,7 +164,7 @@ func TestKernelsAcceptEmptyInput(t *testing.T) {
 	ScaleInto(nil, nil, 2)
 	SquaredDiffInto(nil, nil, 2)
 	AddSquaredDiff(nil, nil, 2)
-	MajorityNearer(nil, nil, 0, 3, nil, nil, 1)
+	MajorityNearer(nil, nil, 0, 3, nil, nil, []int{1})
 	if nb := SelectKMin(nil, 0, 1, 0, 3, nil); len(nb) != 0 {
 		t.Errorf("SelectKMin over no rows: %v", nb)
 	}
@@ -179,13 +179,14 @@ func TestKernelsAcceptEmptyInput(t *testing.T) {
 }
 
 // MajorityNearer is defined on the strips SquaredDiffInto and
-// AddSquaredDiff compute: a point's bit is set when at least majority
-// negative rows' distances are below (the float compare) the smallest
-// positive distance that `if d < m { m = d }` keeps from +Inf. Every value a
-// coordinate can hold — both zeros, a subnormal, squares that overflow,
-// both infinities, NaNs with the sign bit clear and set — meets every other
-// in queries and training rows alike, at every lane position of a pair of
-// groups, a lone group and the Go tail.
+// AddSquaredDiff compute: a point's bit is set when, at every level j of
+// need, at least need[j-1] negative rows' distances are below (the float
+// compare) the j-th smallest non-NaN positive distance, +Inf when there is
+// none. Every value a coordinate can hold — both zeros, a subnormal,
+// squares that overflow, both infinities, NaNs with the sign bit clear and
+// set — meets every other in queries and training rows alike, at every lane
+// position of a pair of groups, a lone group and the Go tail, under 1 to
+// MajorityLevels levels.
 func TestMajorityNearerMatchesDefinition(t *testing.T) {
 	negNaN := math.Copysign(math.NaN(), -1)
 	inf := math.Inf(1)
@@ -200,8 +201,12 @@ func TestMajorityNearerMatchesDefinition(t *testing.T) {
 	}
 	for trial := 0; trial < 3000; trial++ {
 		dims, w := 1+rng.Intn(3), rng.Intn(16)
-		npos, nneg := rng.Intn(4), rng.Intn(7)
-		checkMajorityNearer(t, draw(dims*w), w, dims, draw(npos*dims), draw(nneg*dims), rng.Intn(nneg+2))
+		npos, nneg := rng.Intn(5), rng.Intn(7)
+		need := make([]int, 1+rng.Intn(MajorityLevels))
+		for j := range need {
+			need[j] = rng.Intn(nneg + 2)
+		}
+		checkMajorityNearer(t, draw(dims*w), w, dims, draw(npos*dims), draw(nneg*dims), need)
 	}
 }
 

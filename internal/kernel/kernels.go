@@ -101,52 +101,84 @@ func squaredDiffIntoGo(dst, q []float64, v float64) {
 	}
 }
 
-// MajorityNearer decides the DWKNN majority rule for the w points of a
+// MajorityLevels is how many levels of a need vector MajorityNearer holds:
+// per point the vector body keeps that many nearest positive distances and
+// that many counts in registers, for two groups of four points at once.
+const MajorityLevels = 3
+
+// MajorityNearer decides DWKNN's prefix-minority rule for the w points of a
 // staged strip, point i's coordinate d at qs[d*w+i]: it sets bit i&3 of
-// masks[i>>2] when at least majority rows of neg are strictly nearer point i
-// than every row of pos, and clears it when not, writing the ⌈w/4⌉ bytes of
-// masks whole (bits 4-7 zero). pos and neg hold dims >= 1 coordinates per
-// row, row after row. A distance is the strip's own, dimensions ascending:
-// (v − q)², then (v − q)² + acc, exactly what SquaredDiffInto and
-// AddSquaredDiff compute. Nearer is the float comparison, so a NaN distance
-// is nearer than nothing and never becomes the nearest positive: with no
-// positive row, or only NaN distances to them, the bound is +Inf.
+// masks[i>>2] when, for every level j = 1 … len(need), at least need[j-1]
+// rows of neg are strictly nearer point i than its j-th nearest row of pos,
+// and clears it when not, writing the ⌈w/4⌉ bytes of masks whole (bits 4-7
+// zero). need holds 1 to MajorityLevels levels. pos and neg hold dims >= 1
+// coordinates per row, row after row. A distance is the strip's own,
+// dimensions ascending: (v − q)², then (v − q)² + acc, exactly what
+// SquaredDiffInto and AddSquaredDiff compute. Nearer is the float
+// comparison, so a NaN distance is nearer than nothing and never becomes a
+// nearest positive: with fewer than j positive rows, or fewer than j
+// non-NaN distances to them, the j-th bound is +Inf.
 //
 // The counts only grow, so the work stops where the answer is known: the Go
-// loop leaves a point at its majority-th nearer negative, the vector body a
-// pair of groups once all eight points have reached theirs.
-func MajorityNearer(masks []uint8, qs []float64, w, dims int, pos, neg []float64, majority int) {
+// loop leaves a point once it meets every level, the vector body a group of
+// four points once all four have. How many rows that takes depends on the
+// order of neg; the masks do not.
+func MajorityNearer(masks []uint8, qs []float64, w, dims int, pos, neg []float64, need []int) {
+	if len(need) < 1 || len(need) > MajorityLevels {
+		panic("kernel: MajorityNearer needs 1 to MajorityLevels levels")
+	}
 	masks, qs = masks[:(w+3)/4], qs[:dims*w]
 	npos, nneg := len(pos)/dims, len(neg)/dims
 	pos, neg = pos[:npos*dims], neg[:nneg*dims]
-	majority = max(majority, 0) // no count is below 0: every point settles
 	from := 0
 	if hasAVX2 {
 		from = w &^ 3
-		majorityNearerAVX2(masks, qs, w, dims, pos, npos, neg, nneg, majority)
+		var n [MajorityLevels]int // a missing level needs nothing: always met
+		copy(n[:], need)
+		majorityNearerAVX2(masks, qs, w, dims, pos, npos, neg, nneg, n[0], n[1], n[2])
 	}
-	majorityNearerGo(masks, qs, w, dims, from, pos, neg, majority)
+	majorityNearerGo(masks, qs, w, dims, from, pos, neg, need)
 }
 
 // majorityNearerGo is MajorityNearer for points [from, w), from a multiple
 // of 4.
-func majorityNearerGo(masks []uint8, qs []float64, w, dims, from int, pos, neg []float64, majority int) {
+func majorityNearerGo(masks []uint8, qs []float64, w, dims, from int, pos, neg []float64, need []int) {
+	var nearBuf [MajorityLevels]float64
+	var countBuf [MajorityLevels]int
+	near, count := nearBuf[:len(need)], countBuf[:len(need)]
 	for g := from; g < w; g += 4 {
 		var m uint8
 		for i := g; i < min(g+4, w); i++ {
-			near := math.Inf(1)
+			for j := range near {
+				near[j] = math.Inf(1)
+			}
 			for r := 0; r < len(pos); r += dims {
-				if d := stripDistance(pos[r:r+dims], qs, w, i); d < near {
-					near = d
+				// Insert d, dropping the farthest; a NaN is below nothing.
+				d := stripDistance(pos[r:r+dims], qs, w, i)
+				for j := range near {
+					if d < near[j] {
+						near[j], d = d, near[j]
+					}
 				}
 			}
-			n := 0
-			for r := 0; r < len(neg) && n < majority; r += dims {
-				if stripDistance(neg[r:r+dims], qs, w, i) < near {
-					n++
+			short := 0 // the levels not yet met
+			for j, n := range need {
+				count[j] = 0
+				if n > 0 {
+					short++
 				}
 			}
-			if n >= majority {
+			for r := 0; r < len(neg) && short > 0; r += dims {
+				d := stripDistance(neg[r:r+dims], qs, w, i)
+				for j, p := range near {
+					if d < p {
+						if count[j]++; count[j] == need[j] {
+							short--
+						}
+					}
+				}
+			}
+			if short == 0 {
 				m |= 1 << (i - g)
 			}
 		}

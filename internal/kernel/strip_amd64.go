@@ -21,11 +21,12 @@ func addSquaredDiffAVX2(dst, q []float64, v float64)
 func squaredDiffIntoAVX2(dst, q []float64, v float64)
 
 // majorityNearerAVX2 writes masks[:w/4] for points [0, w&^3) of a strip of
-// width w; qs must hold dims*w values, pos npos*dims and neg nneg*dims,
-// dims must be at least 1 and majority at least 0.
+// width w against the three levels need1-need3 (a level of 0 or less is
+// always met); qs must hold dims*w values, pos npos*dims and neg nneg*dims,
+// and dims must be at least 1.
 //
 //go:noescape
-func majorityNearerAVX2(masks []uint8, qs []float64, w, dims int, pos []float64, npos int, neg []float64, nneg, majority int)
+func majorityNearerAVX2(masks []uint8, qs []float64, w, dims int, pos []float64, npos int, neg []float64, nneg, need1, need2, need3 int)
 
 // selectLanesAVX2 selects over lanes 0-3 of rows [0, rows) of a strip of
 // width w, into lists[:8k]; rows and k must be at least 1 and d2 must hold

@@ -100,8 +100,9 @@ done:
 // DIST leaves in Y0 and Y1 the squared distances from the training row at
 // AX to the two groups of four staged queries at SI and BX (column d at
 // d·R8 bytes further on), dimensions ascending as stripDistances computes
-// them: (v − q)², then (v − q)² + acc. R9 holds dims − 1 and AX ends on the
-// next row. The two labels make each use's dimension loop its own.
+// them: (v − q)², then (v − q)² + acc. It writes Y0-Y3 only. R9 holds
+// dims − 1 and AX ends on the next row. The two labels make each use's
+// dimension loop its own.
 #define DIST(dim, last) \
 	VBROADCASTSD (AX), Y2; \
 	VSUBPD  (SI), Y2, Y0; \
@@ -117,27 +118,37 @@ dim: \
 	ADDQ    R8, CX; \
 	VBROADCASTSD (AX), Y2; \
 	VSUBPD  (SI)(CX*1), Y2, Y3; \
-	VSUBPD  (BX)(CX*1), Y2, Y8; \
 	VMULPD  Y3, Y3, Y3; \
-	VMULPD  Y8, Y8, Y8; \
 	VADDPD  Y0, Y3, Y0; /* the term the first source, as in AddSquaredDiff */ \
-	VADDPD  Y1, Y8, Y1; \
+	VSUBPD  (BX)(CX*1), Y2, Y3; \
+	VMULPD  Y3, Y3, Y3; \
+	VADDPD  Y1, Y3, Y1; \
 	DECQ    DX; \
 	JNZ     dim; \
 last: \
 	ADDQ    $8, AX
 
-// func majorityNearerAVX2(masks []uint8, qs []float64, w, dims int, pos []float64, npos int, neg []float64, nneg, majority int)
+// func majorityNearerAVX2(masks []uint8, qs []float64, w, dims int, pos []float64, npos int, neg []float64, nneg, need1, need2, need3 int)
 //
 // Points 0 … 4·⌊w/4⌋−1, two groups of four a pass, the last whole group
 // alone when their number is odd (BX then reads the same queries as SI, and
-// only the first group's byte is stored). Per lane: the nearest positive by
-// VMINPD, the new distance first, so a NaN distance never replaces the
-// minimum; then each negative row strictly nearer (VCMPPD LT_OS, false next
-// to a NaN) subtracts −1 from that lane's count. After every negative row
-// the pass stops if every count of both groups exceeds majority − 1: the
-// counts only grow, so no later row changes a mask.
-TEXT ·majorityNearerAVX2(SB), NOSPLIT, $0-136
+// only the first group's byte is stored). Per lane and level j the j-th
+// nearest positive, kept by a min/max network: slot j becomes min(max(slot
+// j−1, d), slot j), slot 1 min(d, slot 1), the slots updated last to first.
+// Both return their second source next to a NaN (the first operand as Go
+// lists them): the max puts d there, so a NaN d reaches the min, which puts
+// the slot there and keeps it — no slot ever holds a NaN. Then each negative row strictly nearer than slot j
+// (VCMPPD LT_OS, false next to a NaN) adds −1 to level j's counter, which
+// starts at need_j − 1 and is negative once the level is met, so a lane is
+// settled when the AND of its three counters has the sign bit. After every
+// negative row the pass stops if all eight lanes of both groups are; if
+// all four of one group's are, that group's byte is stored and the other
+// goes on alone, in the second group's registers: the counts only grow, so
+// no later row changes a settled lane's mask.
+//
+// Registers: slots Y4/Y5, Y6/Y7, Y9/Y10 (level 1, 2, 3; group 1/group 2),
+// counters Y11/Y12, Y13/Y14, Y8/Y15; Y0-Y3 are DIST's and the scratch.
+TEXT ·majorityNearerAVX2(SB), NOSPLIT, $0-152
 	MOVQ masks_base+0(FP), DI
 	MOVQ qs_base+24(FP), SI
 	MOVQ w+48(FP), R12
@@ -147,61 +158,143 @@ TEXT ·majorityNearerAVX2(SB), NOSPLIT, $0-136
 	JZ   done
 	MOVQ dims+56(FP), R9
 	DECQ R9
-	MOVQ majority+128(FP), AX
-	DECQ AX
-	VMOVQ AX, X15
-	VPBROADCASTQ X15, Y15 // majority − 1
-	MOVQ $0x7FF0000000000000, AX
-	VMOVQ AX, X14
-	VPBROADCASTQ X14, Y14 // +Inf
 group:
 	LEAQ 32(SI), BX
 	CMPQ R12, $1
 	JNE  positives
 	MOVQ SI, BX
 positives:
-	VMOVDQA Y14, Y4 // the nearest positive so far
-	VMOVDQA Y14, Y5
+	MOVQ $0x7FF0000000000000, AX
+	VMOVQ AX, X4
+	VPBROADCASTQ X4, Y4 // +Inf: no positive yet at any level
+	VMOVDQA Y4, Y5
+	VMOVDQA Y4, Y6
+	VMOVDQA Y4, Y7
+	VMOVDQA Y4, Y9
+	VMOVDQA Y4, Y10
 	MOVQ pos_base+64(FP), AX
 	MOVQ npos+88(FP), R13
 	TESTQ R13, R13
 	JZ   negatives
 posrow:
 	DIST(posdim, poslast)
-	VMINPD Y4, Y0, Y4 // d < min ? d : min
+	VMAXPD Y0, Y6, Y2 // slot 2 > d ? slot 2 : d, so a NaN d stays NaN
+	VMINPD Y9, Y2, Y9 // that < slot 3 ? that : slot 3, so a NaN keeps slot 3
+	VMAXPD Y0, Y4, Y2
+	VMINPD Y6, Y2, Y6
+	VMINPD Y4, Y0, Y4 // d < slot 1 ? d : slot 1
+	VMAXPD Y1, Y7, Y3
+	VMINPD Y10, Y3, Y10
+	VMAXPD Y1, Y5, Y3
+	VMINPD Y7, Y3, Y7
 	VMINPD Y5, Y1, Y5
 	DECQ R13
 	JNZ  posrow
 negatives:
-	VPXOR Y6, Y6, Y6 // the count of nearer negatives
-	VPXOR Y7, Y7, Y7
+	VPCMPEQQ Y2, Y2, Y2 // −1 in every lane
+	VPBROADCASTQ need1+128(FP), Y11
+	VPADDQ Y2, Y11, Y11 // need − 1
+	VMOVDQA Y11, Y12
+	VPBROADCASTQ need2+136(FP), Y13
+	VPADDQ Y2, Y13, Y13
+	VMOVDQA Y13, Y14
+	VPBROADCASTQ need3+144(FP), Y8
+	VPADDQ Y2, Y8, Y8
+	VMOVDQA Y8, Y15
 	MOVQ neg_base+96(FP), AX
 	MOVQ nneg+120(FP), R13
 	TESTQ R13, R13
 	JZ   store
 negrow:
 	DIST(negdim, neglast)
-	VCMPPD $1, Y4, Y0, Y0 // LT_OS: d < min; −1 or 0 per lane
-	VCMPPD $1, Y5, Y1, Y1
-	VPSUBQ Y0, Y6, Y6
-	VPSUBQ Y1, Y7, Y7
-	VPCMPGTQ Y15, Y6, Y0 // count > majority − 1
-	VPCMPGTQ Y15, Y7, Y1
-	VPAND Y0, Y1, Y0
+	VCMPPD $1, Y4, Y0, Y2 // LT_OS: d < slot; −1 or 0 per lane
+	VPADDQ Y2, Y11, Y11
+	VCMPPD $1, Y6, Y0, Y2
+	VPADDQ Y2, Y13, Y13
+	VCMPPD $1, Y9, Y0, Y2
+	VPADDQ Y2, Y8, Y8
+	VCMPPD $1, Y5, Y1, Y3
+	VPADDQ Y3, Y12, Y12
+	VCMPPD $1, Y7, Y1, Y3
+	VPADDQ Y3, Y14, Y14
+	VCMPPD $1, Y10, Y1, Y3
+	VPADDQ Y3, Y15, Y15
+	VPAND Y11, Y13, Y0
+	VPAND Y8, Y0, Y0 // the first group's lanes settled: the sign bits
+	VPAND Y12, Y14, Y1
+	VPAND Y15, Y1, Y1
 	VMOVMSKPD Y0, CX
-	CMPQ CX, $15
-	JEQ  store // every lane of both groups settled
+	VMOVMSKPD Y1, DX
 	DECQ R13
-	JNZ  negrow
+	JZ   store // no row left
+	CMPQ CX, $15
+	JEQ  firstsettled
+	CMPQ DX, $15
+	JNE  negrow
+	MOVB DX, 1(DI) // the second group settled: the first goes on alone
+	VMOVDQA Y4, Y5
+	VMOVDQA Y6, Y7
+	VMOVDQA Y9, Y10
+	VMOVDQA Y11, Y12
+	VMOVDQA Y13, Y14
+	VMOVDQA Y8, Y15
+	MOVQ SI, BX
+	MOVQ DI, R10 // where its byte goes
+	JMP  lone
+firstsettled:
+	CMPQ DX, $15
+	JEQ  store // every lane of both groups settled
+	MOVB CX, (DI) // the first group settled: the second goes on alone
+	LEAQ 1(DI), R10
+lone:
+	// One group, queries at BX, slots Y5/Y7/Y10, counters Y12/Y14/Y15: the
+	// second group's half of DIST and of the count.
+	VBROADCASTSD (AX), Y2
+	VSUBPD  (BX), Y2, Y1
+	VMULPD  Y1, Y1, Y1
+	XORQ    CX, CX
+	MOVQ    R9, DX
+	TESTQ   DX, DX
+	JZ      lonelast
+lonedim:
+	ADDQ    $8, AX
+	ADDQ    R8, CX
+	VBROADCASTSD (AX), Y2
+	VSUBPD  (BX)(CX*1), Y2, Y3
+	VMULPD  Y3, Y3, Y3
+	VADDPD  Y1, Y3, Y1
+	DECQ    DX
+	JNZ     lonedim
+lonelast:
+	ADDQ    $8, AX
+	VCMPPD $1, Y5, Y1, Y3
+	VPADDQ Y3, Y12, Y12
+	VCMPPD $1, Y7, Y1, Y3
+	VPADDQ Y3, Y14, Y14
+	VCMPPD $1, Y10, Y1, Y3
+	VPADDQ Y3, Y15, Y15
+	VPAND Y12, Y14, Y1
+	VPAND Y15, Y1, Y1
+	VMOVMSKPD Y1, CX
+	CMPQ CX, $15
+	JEQ  lonestore // settled
+	DECQ R13
+	JNZ  lone
+lonestore:
+	MOVB CX, (R10)
+	JMP  next
 store:
-	VPCMPGTQ Y15, Y6, Y0
+	VPAND Y11, Y13, Y0
+	VPAND Y8, Y0, Y0
 	VMOVMSKPD Y0, CX
 	MOVB CX, (DI)
 	CMPQ R12, $1
 	JEQ  done
-	VPCMPGTQ Y15, Y7, Y1
+	VPAND Y12, Y14, Y1
+	VPAND Y15, Y1, Y1
 	VMOVMSKPD Y1, CX
 	MOVB CX, 1(DI)
+next:
 	ADDQ $2, DI
 	ADDQ $64, SI
 	SUBQ $2, R12

@@ -10,7 +10,7 @@ func scaleIntoAVX2(dst, src []float64, scale float64) {}
 func addSquaredDiffAVX2(dst, q []float64, v float64)  {}
 func squaredDiffIntoAVX2(dst, q []float64, v float64) {}
 
-func majorityNearerAVX2(masks []uint8, qs []float64, w, dims int, pos []float64, npos int, neg []float64, nneg, majority int) {
+func majorityNearerAVX2(masks []uint8, qs []float64, w, dims int, pos []float64, npos int, neg []float64, nneg, need1, need2, need3 int) {
 }
 
 func selectLanesAVX2(d2 []float64, w, rows, k int, lists []uint64) (odd int) { return 0 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -154,11 +155,13 @@ func FuzzStripKernels(f *testing.F) {
 }
 
 // majorityReference is MajorityNearer's definition, on the distance strips
-// SquaredDiffInto and AddSquaredDiff compute: the nearest positive kept by
-// `if d < m { m = d }` from +Inf, every negative counted by `<`. reach[i] is
-// how many negative rows point i's count needs to reach majority: 0 for a
-// majority of 0 or less, nneg+1 when it never does.
-func majorityReference(qs []float64, w, dims int, pos, neg []float64, majority int) (masks []uint8, reach []int) {
+// SquaredDiffInto and AddSquaredDiff compute: level j's bound is the j-th
+// smallest of a point's non-NaN positive distances, found by sorting them
+// (+Inf past the last), and every negative row is counted against every
+// bound by `<`, with no exit. reach[i] is how many negative rows point i
+// reads before it meets every level: 0 when need asks for nothing, nneg+1
+// when it never does.
+func majorityReference(qs []float64, w, dims int, pos, neg []float64, need []int) (masks []uint8, reach []int) {
 	strip := func(row []float64) []float64 {
 		d2 := make([]float64, w)
 		SquaredDiffInto(d2, qs[:w], row[0])
@@ -167,37 +170,52 @@ func majorityReference(qs []float64, w, dims int, pos, neg []float64, majority i
 		}
 		return d2
 	}
-	near := make([]float64, w)
-	for i := range near {
-		near[i] = math.Inf(1)
-	}
+	bounds := make([][]float64, w)
 	for r := 0; r < len(pos)/dims; r++ {
 		for i, d := range strip(pos[r*dims : r*dims+dims]) {
-			if d < near[i] {
-				near[i] = d
+			if !math.IsNaN(d) {
+				bounds[i] = append(bounds[i], d)
 			}
 		}
 	}
+	for i := range bounds {
+		slices.Sort(bounds[i])
+		for len(bounds[i]) < len(need) {
+			bounds[i] = append(bounds[i], math.Inf(1))
+		}
+	}
 	nneg := len(neg) / dims
-	count, reach := make([]int, w), make([]int, w)
+	count, reach := make([][]int, w), make([]int, w)
+	met := func(i int) bool {
+		for j, n := range need {
+			if count[i][j] < n {
+				return false
+			}
+		}
+		return true
+	}
 	for i := range reach {
+		count[i] = make([]int, len(need))
 		reach[i] = nneg + 1
-		if majority <= 0 {
+		if met(i) {
 			reach[i] = 0
 		}
 	}
 	for r := 0; r < nneg; r++ {
 		for i, d := range strip(neg[r*dims : r*dims+dims]) {
-			if d < near[i] {
-				if count[i]++; count[i] == majority {
-					reach[i] = r + 1
+			for j := range need {
+				if d < bounds[i][j] {
+					count[i][j]++
 				}
+			}
+			if reach[i] > nneg && met(i) {
+				reach[i] = r + 1
 			}
 		}
 	}
 	masks = make([]uint8, (w+3)/4)
-	for i, n := range count {
-		if n >= majority {
+	for i := range count {
+		if met(i) {
 			masks[i/4] |= 1 << (i % 4)
 		}
 	}
@@ -206,12 +224,13 @@ func majorityReference(qs []float64, w, dims int, pos, neg []float64, majority i
 
 // checkMajorityNearer holds MajorityNearer to its definition on one strip:
 // the Go loop over every point, the exported kernel into masks with canary
-// bytes on both sides, and — with the AVX2 body live — the body alone, which
-// must write exactly the bytes of the whole groups and leave the tail's as
-// it was. None may write to its inputs. It returns the definition's reach.
-func checkMajorityNearer(t testing.TB, qs []float64, w, dims int, pos, neg []float64, majority int) []int {
+// bytes on both sides, and — with the AVX2 body live — the body alone, its
+// missing levels passed as 0, which must write exactly the bytes of the
+// whole groups and leave the tail's as it was. None may write to its
+// inputs. It returns the definition's reach.
+func checkMajorityNearer(t testing.TB, qs []float64, w, dims int, pos, neg []float64, need []int) []int {
 	t.Helper()
-	want, reach := majorityReference(qs, w, dims, pos, neg, majority)
+	want, reach := majorityReference(qs, w, dims, pos, neg, need)
 	inputs := append(append(slices.Clone(qs), pos...), neg...)
 	npos, nneg := len(pos)/dims, len(neg)/dims
 	same := func(what string, back []uint8, upto int) {
@@ -219,8 +238,8 @@ func checkMajorityNearer(t testing.TB, qs []float64, w, dims int, pos, neg []flo
 		got := back[1 : 1+len(want)]
 		for i := range min(w, 4*upto) {
 			if g, x := got[i/4]>>(i%4)&1, want[i/4]>>(i%4)&1; g != x {
-				t.Fatalf("%s: w=%d dims=%d npos=%d nneg=%d majority=%d: point %d got %d, want %d (its count reaches the majority after %d negative rows)",
-					what, w, dims, npos, nneg, majority, i, g, x, reach[i])
+				t.Fatalf("%s: w=%d dims=%d npos=%d nneg=%d need=%v: point %d got %d, want %d (it meets every level after %d negative rows)",
+					what, w, dims, npos, nneg, need, i, g, x, reach[i])
 			}
 		}
 		for j, b := range back {
@@ -242,16 +261,18 @@ func checkMajorityNearer(t testing.TB, qs []float64, w, dims int, pos, neg []flo
 	}
 
 	back, masks := canaried()
-	majorityNearerGo(masks, qs, w, dims, 0, pos, neg, majority)
+	majorityNearerGo(masks, qs, w, dims, 0, pos, neg, need)
 	same("Go loop", back, len(want))
 
 	back, masks = canaried()
-	MajorityNearer(masks, qs, w, dims, pos, neg, majority)
+	MajorityNearer(masks, qs, w, dims, pos, neg, need)
 	same("MajorityNearer", back, len(want))
 
 	if hasAVX2 {
 		back, masks = canaried()
-		majorityNearerAVX2(masks, qs, w, dims, pos, npos, neg, nneg, max(majority, 0))
+		var n [MajorityLevels]int
+		copy(n[:], need)
+		majorityNearerAVX2(masks, qs, w, dims, pos, npos, neg, nneg, n[0], n[1], n[2])
 		same("vector body alone", back, w/4)
 	}
 	for i, x := range append(append(slices.Clone(qs), pos...), neg...) {
@@ -265,15 +286,18 @@ func checkMajorityNearer(t testing.TB, qs []float64, w, dims int, pos, neg []flo
 // The fused majority pass against its Go loop and its definition: every
 // width 0-19 and 256 (pairs of groups, a lone group and a tail of 1-3, alone
 // and together), every dims 1-9, on rows and queries from the integer
-// lattice — where a negative at exactly the nearest positive's distance is
-// common — with no positive row, fewer negatives than the majority, a
-// majority of 1 and one of L+1, NaNs of both signs and ±Inf in query lanes,
-// non-finite training coordinates (a NaN positive last in its class must not
-// become the minimum), and mirrored rows: a negative that is a positive with
-// its first two coordinates swapped, at a query whose coordinates are all
-// equal, ties that positive only if no multiply and add are fused. It fails
-// unless some pair of groups settled at two different rows, where the exit
-// rule, and not the count, decides what the pass reads.
+// lattice — where a negative at exactly a level's positive distance is
+// common — with no positive row, fewer positives than levels, fewer
+// negatives than the largest need, the single level 1 and one past every
+// row, DWKNN's rule at K = 7 and 16 (2, 3, 4 and, folded, 2, 3, 9),
+// decreasing and zero needs, NaNs of both signs and ±Inf in query lanes,
+// non-finite training coordinates (a NaN positive, last in its class or
+// after finite ones, must not enter a slot), and mirrored rows: a negative that is a positive with its
+// first two coordinates swapped, at a query whose coordinates are all equal,
+// ties that positive only if no multiply and add are fused. It fails unless
+// some pair of groups settled at two different rows, where the exit rule,
+// and not the count, decides what the pass reads, and unless some point met
+// level 1 without meeting its last level.
 func TestMajorityNearerMatchesPortable(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	lattice := func(n, span int) []float64 {
@@ -292,33 +316,48 @@ func TestMajorityNearerMatchesPortable(t *testing.T) {
 		}
 		return vals
 	}
+	randomNeed := func() []int {
+		need := make([]int, 1+rng.Intn(MajorityLevels))
+		for j := range need {
+			need[j] = rng.Intn(6)
+		}
+		return need
+	}
 	type strip struct {
 		qs, pos, neg []float64
-		majority     int
+		need         []int
 	}
 	latticeStrip := func(w, dims, npos, nneg int) strip {
-		return strip{lattice(dims*w, 5), lattice(npos*dims, 4), lattice(nneg*dims, 4), 1 + rng.Intn(5)}
+		return strip{lattice(dims*w, 5), lattice(npos*dims, 4), lattice(nneg*dims, 4), randomNeed()}
 	}
+	withNeed := func(s strip, need ...int) strip { s.need = need; return s }
 	scenarios := []struct {
 		name string
 		gen  func(w, dims int) strip
 	}{
 		{"lattice", func(w, dims int) strip { return latticeStrip(w, dims, 1+rng.Intn(5), rng.Intn(30)) }},
+		{"dwknn-k7", func(w, dims int) strip {
+			return withNeed(latticeStrip(w, dims, 1+rng.Intn(6), rng.Intn(30)), 2, 3, 4)
+		}},
+		{"dwknn-k16-folded", func(w, dims int) strip {
+			return withNeed(latticeStrip(w, dims, 1+rng.Intn(6), rng.Intn(30)), 2, 3, 9)
+		}},
+		{"fewer-positives-than-levels", func(w, dims int) strip {
+			return withNeed(latticeStrip(w, dims, rng.Intn(3), rng.Intn(20)), 1+rng.Intn(2), 2+rng.Intn(2), 3+rng.Intn(2))
+		}},
+		{"decreasing-and-zero-needs", func(w, dims int) strip {
+			return withNeed(latticeStrip(w, dims, 1+rng.Intn(5), rng.Intn(20)), 4, rng.Intn(2), 2)
+		}},
 		{"no-positive", func(w, dims int) strip { return latticeStrip(w, dims, 0, rng.Intn(12)) }},
-		{"fewer-negatives-than-majority", func(w, dims int) strip {
+		{"fewer-negatives-than-need", func(w, dims int) strip {
 			s := latticeStrip(w, dims, 1+rng.Intn(3), rng.Intn(4))
-			s.majority = len(s.neg)/dims + 1 + rng.Intn(2)
+			s.need[len(s.need)-1] = len(s.neg)/dims + 1 + rng.Intn(2)
 			return s
 		}},
-		{"majority-1", func(w, dims int) strip {
-			s := latticeStrip(w, dims, 1+rng.Intn(5), rng.Intn(20))
-			s.majority = 1
-			return s
-		}},
-		{"majority-L+1", func(w, dims int) strip {
+		{"need-1", func(w, dims int) strip { return withNeed(latticeStrip(w, dims, 1+rng.Intn(5), rng.Intn(20)), 1) }},
+		{"need-L+1", func(w, dims int) strip {
 			s := latticeStrip(w, dims, rng.Intn(5), rng.Intn(20))
-			s.majority = (len(s.pos)+len(s.neg))/dims + 1
-			return s
+			return withNeed(s, (len(s.pos)+len(s.neg))/dims+1)
 		}},
 		{"non-finite-queries", func(w, dims int) strip {
 			s := latticeStrip(w, dims, 1+rng.Intn(5), rng.Intn(30))
@@ -331,12 +370,19 @@ func TestMajorityNearerMatchesPortable(t *testing.T) {
 			spoil(s.neg, 4*dims)
 			return s
 		}},
+		{"nan-positive-after-finite", func(w, dims int) strip {
+			s := latticeStrip(w, dims, 1+rng.Intn(4), 4+rng.Intn(20))
+			nan := make([]float64, dims)
+			nan[rng.Intn(dims)] = nonFinite[rng.Intn(2)]
+			s.pos = append(s.pos, nan...)
+			return withNeed(s, 1+rng.Intn(2), 2+rng.Intn(3), 3+rng.Intn(4))
+		}},
 		{"mirrored", func(w, dims int) strip {
 			if dims < 2 {
-				return latticeStrip(w, dims, 1, 1)
+				return withNeed(latticeStrip(w, dims, 1, 1), 1)
 			}
 			npos := 1 + rng.Intn(3)
-			s := strip{make([]float64, dims*w), make([]float64, npos*dims), nil, 1}
+			s := strip{make([]float64, dims*w), make([]float64, npos*dims), nil, []int{1, 2, 3}[:1+rng.Intn(3)]}
 			for i := range s.pos {
 				s.pos[i] = rng.Float64() * 4
 			}
@@ -357,24 +403,34 @@ func TestMajorityNearerMatchesPortable(t *testing.T) {
 	for w := 0; w <= 19; w++ {
 		widths = append(widths, w)
 	}
-	staggered := 0
+	staggered, partial := 0, 0
 	for dims := 1; dims <= 9; dims++ {
 		for _, w := range widths {
 			for _, sc := range scenarios {
 				s := sc.gen(w, dims)
-				reach := checkMajorityNearer(t, s.qs, w, dims, s.pos, s.neg, s.majority)
+				reach := checkMajorityNearer(t, s.qs, w, dims, s.pos, s.neg, s.need)
 				for i := 0; i+8 <= w; i += 8 {
 					a, b := slices.Max(reach[i:i+4]), slices.Max(reach[i+4:i+8])
 					if a != b && max(a, b) <= len(s.neg)/dims {
 						staggered++
 					}
 				}
+				if len(s.need) > 1 {
+					first, _ := majorityReference(s.qs, w, dims, s.pos, s.neg, s.need[:1])
+					all, _ := majorityReference(s.qs, w, dims, s.pos, s.neg, s.need)
+					for i := range first {
+						partial += bits.OnesCount8(first[i] &^ all[i])
+					}
+				}
 			}
 		}
 	}
-	t.Logf("%d pairs of groups settled at two different rows", staggered)
+	t.Logf("%d pairs of groups settled at two different rows, %d points met level 1 and not their last", staggered, partial)
 	if staggered == 0 {
 		t.Error("no pair of groups settled at two different rows: the exit rule went untested")
+	}
+	if partial == 0 {
+		t.Error("no point met level 1 without its last level: the later levels went untested")
 	}
 }
 
@@ -388,14 +444,17 @@ var majorityPalette = []float64{
 	math.NaN(), math.Copysign(math.NaN(), -1), 1e154, 3.7,
 }
 
-// FuzzMajorityNearer reads bytes as (w, dims, npos, nneg, majority, values):
-// w is 0-40, dims 1-9, npos 0-7, nneg 0-15 and majority 0-nneg+1, and each
-// later byte is one value — the queries, layout [d*w+i], then the positive
-// rows, then the negative ones, zero where the bytes run out — and holds the
-// kernel to its definition and its Go loop on them. The committed corpus
-// under testdata/fuzz/ spells a negative tied with the nearest positive, a
-// NaN lane in the second group of a pair, a tail of three points and a pair
-// whose groups settle at different rows.
+// FuzzMajorityNearer reads bytes as (w, dims, npos, nneg, levels, need,
+// values): w is 0-40, dims 1-9, npos 0-7, nneg 0-15, levels 1-MajorityLevels
+// and each of the levels' needs 0-nneg+1, and each later byte is one value —
+// the queries, layout [d*w+i], then the positive rows, then the negative
+// ones, zero where the bytes run out — and holds the kernel to its
+// definition and its Go loop on them. The committed corpus under
+// testdata/fuzz/ spells, at one level, a negative tied with the nearest
+// positive, a NaN lane in the second group of a pair, a tail of three
+// points and a pair whose groups settle at different rows; at three levels
+// (DWKNN's 2, 3, 4), lanes that meet level 1 but not level 3 and a pair
+// whose groups meet every level at different rows.
 func FuzzMajorityNearer(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {
@@ -403,7 +462,15 @@ func FuzzMajorityNearer(f *testing.F) {
 		}
 		w, dims := int(data[0])%41, 1+int(data[1])%9
 		npos, nneg := int(data[2])%8, int(data[3])%16
-		majority, data := int(data[4])%(nneg+2), data[5:]
+		need := make([]int, 1+int(data[4])%MajorityLevels)
+		data = data[5:]
+		if len(data) < len(need) {
+			return
+		}
+		for j := range need {
+			need[j] = int(data[j]) % (nneg + 2)
+		}
+		data = data[len(need):]
 		vals := make([]float64, dims*(w+npos+nneg))
 		for i, b := range data[:min(len(data), len(vals))] {
 			if b < 0x80 {
@@ -413,7 +480,7 @@ func FuzzMajorityNearer(f *testing.F) {
 			}
 		}
 		qs, rows := vals[:dims*w], vals[dims*w:]
-		checkMajorityNearer(t, qs, w, dims, rows[:npos*dims], rows[npos*dims:], majority)
+		checkMajorityNearer(t, qs, w, dims, rows[:npos*dims], rows[npos*dims:], need)
 	})
 }
 
@@ -591,12 +658,13 @@ func TestVectorBodiesAreVEX(t *testing.T) {
 // of one), the Go loop beside the exported kernel where that runs the AVX2
 // body — so a Go release that starts vectorising, or stops inlining, shows.
 // The majority pass runs on a terminal step's shape: 5 dimensions, 10
-// positive rows in a tight cluster, 34 negatives and the queries uniform, a
-// majority of 4.
+// positive rows in a tight cluster, 34 negatives and the queries uniform,
+// DWKNN's need at K = 7.
 func BenchmarkStripKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	const rows, kNN = 44, 7
-	const dims, npos, majority = 5, 10, 4
+	const dims, npos = 5, 10
+	need := []int{2, 3, 4}
 	pos, neg := make([]float64, npos*dims), make([]float64, (rows-npos)*dims)
 	for i := range pos {
 		pos[i] = 0.8 + 0.05*rng.Float64()
@@ -624,7 +692,7 @@ func BenchmarkStripKernels(b *testing.B) {
 			{"AddSquaredDiff", func() { addSquaredDiffGo(dst, q, 0.5) }, func() { AddSquaredDiff(dst, q, 0.5) }},
 			{"SquaredDiffInto", func() { squaredDiffIntoGo(dst, q, 0.5) }, func() { SquaredDiffInto(dst, q, 0.5) }},
 			{"ScaleInto", func() { scaleIntoGo(dst, q, 0.37) }, func() { ScaleInto(dst, q, 0.37) }},
-			{"MajorityNearer", func() { majorityNearerGo(masks, qs, w, dims, 0, pos, neg, majority) }, func() { MajorityNearer(masks, qs, w, dims, pos, neg, majority) }},
+			{"MajorityNearer", func() { majorityNearerGo(masks, qs, w, dims, 0, pos, neg, need) }, func() { MajorityNearer(masks, qs, w, dims, pos, neg, need) }},
 			{"SelectLanes", func() {
 				for i := range w {
 					SelectKMin(d2, i, w, rows, kNN, nb)

@@ -1,8 +1,10 @@
 package learn
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"github.com/uei-db/uei/internal/kernel"
@@ -42,6 +44,14 @@ type DWKNN struct {
 	dims   int
 	fitted bool
 	finite bool // no scaled training coordinate is NaN or ±Inf (decideStrip)
+	settle *settleRows
+}
+
+// settleRows holds decideStrip's negatives in settle order, laid out on the
+// first decision after a Fit.
+type settleRows struct {
+	once sync.Once
+	neg  []float64
 }
 
 // NewDWKNN returns a DWKNN with neighborhood size k (0 selects the default
@@ -94,6 +104,7 @@ func (c *DWKNN) Fit(X [][]float64, y []int) error {
 		xs[i] = s
 	}
 	c.x = xs
+	c.settle = &settleRows{}
 	c.y = append(c.y[:0:0], y...)
 	c.scales = scales
 	c.dims = dims
@@ -358,27 +369,26 @@ func (c *DWKNN) scoreStrip(s *dwknnScratch, w int, out []float64) {
 
 // decideStrip decides the w staged centers against the threshold, writing
 // out[0:w], and returns how many it settled without a selection: a center
-// with a majority of its k neighbours — n > k/2 negative rows — strictly
-// nearer than its nearest positive row is negative. Those rows hold the
-// first n ranks of the (d², idx) order under any tie-break, at most k-n < n
-// positives follow, and posteriorFrom's weight does not increase with rank,
-// so the posterior is at most (k-n)/k <= 1/2 - 1/(2k). One MajorityNearer
-// pass counts them; every other center is selected, its query gathered
-// beside the other open ones so that only their distances are computed and
-// the selection runs over open points only. The ranks need a total order and
-// a NaN distance is below and above nothing, so next to a non-finite
-// training row no count is a majority (DESIGN.md §17).
+// is negative when, at every level j of settleNeed(k), at least need_j
+// negative rows are strictly nearer than its j-th nearest positive row.
+// Those negatives hold ranks before that positive in the (d², idx) order
+// under any tie-break, so no prefix of the k ranks is half positive, and
+// posteriorFrom's weight does not increase with rank, so the posterior is
+// at most the largest prefix share, <= 1/2 - 1/(2k) (DESIGN.md §17). One
+// MajorityNearer pass decides it; every other center is selected, its query
+// gathered beside the other open ones so that only their distances are
+// computed and the selection runs over open points only. The ranks need a
+// total order and a NaN distance is below and above nothing, so next to a
+// non-finite training row nothing settles.
 func (c *DWKNN) decideStrip(s *dwknnScratch, w int, out []bool) (settled int) {
 	k := c.effectiveK()
-	majority := k/2 + 1
-	if !c.finite {
-		majority = len(c.x) + 1
-	}
+	var levels [kernel.MajorityLevels]int
+	need := settleNeed(k, levels[:0])
 	masks := s.settled[:(w+3)/4]
-	if majority <= len(c.neg)/c.dims {
-		kernel.MajorityNearer(masks, s.qs[:c.dims*w], w, c.dims, c.pos, c.neg, majority)
+	if c.finite && need[len(need)-1] <= len(c.neg)/c.dims {
+		kernel.MajorityNearer(masks, s.qs[:c.dims*w], w, c.dims, c.pos, c.settleNegatives(), need)
 	} else {
-		clear(masks) // fewer negative rows than a majority: nothing settles
+		clear(masks) // fewer negative rows than the last level needs: nothing settles
 	}
 	// Every index is written and only an open one is kept (n advances past
 	// it): the mask bit, as good as random, is added and not jumped on.
@@ -407,6 +417,52 @@ func (c *DWKNN) decideStrip(s *dwknnScratch, w int, out []bool) (settled int) {
 		}
 	})
 	return w - n
+}
+
+// settleNegatives returns the negative rows in settle order: nearest first,
+// in scaled distance, to the centre of the training rows' bounding box
+// (ties in training order). MajorityNearer reads them in that order and
+// stops a group of four points once all four are settled; the answer does
+// not depend on the order, but how many rows it reads does, and a central
+// negative is nearer than a point's positives for more of the space than
+// an outlying one.
+func (c *DWKNN) settleNegatives() []float64 {
+	s := c.settle
+	s.once.Do(func() {
+		mid := make([]float64, c.dims)
+		for j := range mid {
+			lo, hi := c.x[0][j], c.x[0][j]
+			for _, row := range c.x {
+				lo, hi = min(lo, row[j]), max(hi, row[j])
+			}
+			mid[j] = lo/2 + hi/2
+		}
+		n := len(c.neg) / c.dims
+		order, key := make([]int, n), make([]float64, n)
+		for r := range order {
+			order[r], key[r] = r, sqDist(c.neg[r*c.dims:r*c.dims+c.dims], mid)
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(key[a], key[b]) })
+		s.neg = make([]float64, 0, len(c.neg))
+		for _, r := range order {
+			s.neg = append(s.neg, c.neg[r*c.dims:r*c.dims+c.dims]...)
+		}
+	})
+	return s.neg
+}
+
+// settleNeed appends to need decideStrip's need vector for k neighbours:
+// level j asks for need_j = min(j+1, k+1-j) negatives before the j-th
+// positive, which is j+1 up to j = ⌊k/2⌋ — the levels after it need no more
+// than that one and follow from it. Levels past the kernel's are folded into
+// its last, which takes the largest need among them, ⌊k/2⌋+1: that only
+// settles fewer.
+func settleNeed(k int, need []int) []int {
+	levels := max(1, min(k/2, kernel.MajorityLevels))
+	for j := range levels - 1 {
+		need = append(need, j+2)
+	}
+	return append(need, k/2+1)
 }
 
 // effectiveScales resolves the scaling vector used for the current fit.

@@ -137,7 +137,7 @@ func (m *Manifest) WriteShards(dir string, g *grid.Grid, owners []int, src datas
 	var owner []byte // each row's shard mod 256; nil with one shard
 	if m.Shards > 1 {
 		counts, owner = make([]int, m.Shards), make([]byte, n)
-		err := m.pass(src, firstID, n, func(next IDRows) error {
+		err := m.pass(src, firstID, n, nil, func(next IDRows) error {
 			for {
 				id, row, ok, err := next()
 				if !ok || err != nil {
@@ -162,28 +162,28 @@ func (m *Manifest) WriteShards(dir string, g *grid.Grid, owners []int, src datas
 		if count == 0 && !keepEmpty {
 			continue
 		}
-		mine := func(id uint32, row []float64) bool {
-			switch {
-			case owner == nil:
-				return true
-			case owner[id-firstID] != byte(s):
-				return false
-			case m.Shards <= 256:
+		// A row whose owner byte is another shard's is skipped unparsed;
+		// past 256 shards a byte is shared, and the cell settles the rest
+		// (a row with none is kept for inBounds to name).
+		var keep func(id uint32) bool
+		if owner != nil {
+			keep = func(id uint32) bool { return owner[id-firstID] == byte(s) }
+		}
+		mine := func(row []float64) bool {
+			if m.Shards <= 256 {
 				return true
 			}
-			// Past 256 shards a byte is shared: the cell settles it, and a
-			// row with none is kept for inBounds to name.
 			cell, err := g.CellOf(row)
 			return err != nil || owners[cell] == s
 		}
-		err := m.pass(src, firstID, n, func(next IDRows) error {
+		err := m.pass(src, firstID, n, keep, func(next IDRows) error {
 			bounds, err := m.WriteSegment(dir, s, func() (uint32, []float64, bool, error) {
 				for {
 					id, row, ok, err := next()
 					if !ok || err != nil {
 						return 0, nil, false, err
 					}
-					if mine(id, row) {
+					if mine(row) {
 						err := m.inBounds(id, row)
 						return id, row, err == nil, err
 					}
@@ -201,11 +201,13 @@ func (m *Manifest) WriteShards(dir string, g *grid.Grid, owners []int, src datas
 	return nil
 }
 
-// pass calls fn with one pass over src's rows and their global ids. Once
-// n is pinned, a pass must hold n rows, and each row it places must lie
-// inside m's bounds (inBounds): one that does not shows the source
-// changed during the build.
-func (m *Manifest) pass(src dataset.Source, firstID uint32, n int, fn func(IDRows) error) error {
+// pass calls fn with one pass over src's rows and their global ids,
+// skipping undecoded each row whose id keep refuses (nil keeps them all; a
+// pass skips only once n is pinned). Once n is pinned, a pass must hold n
+// rows, skipped ones included, and each row it places must lie inside m's
+// bounds (inBounds): one that does not shows the source changed during the
+// build.
+func (m *Manifest) pass(src dataset.Source, firstID uint32, n int, keep func(id uint32) bool, fn func(IDRows) error) error {
 	rows, err := src.Rows()
 	if err != nil {
 		return err
@@ -213,7 +215,15 @@ func (m *Manifest) pass(src dataset.Source, firstID uint32, n int, fn func(IDRow
 	defer rows.Close()
 	i := 0
 	return fn(func() (uint32, []float64, bool, error) {
-		row, ok, err := rows.Next()
+		row, ok, err := []float64(nil), true, error(nil)
+		for ; keep != nil && i < n && !keep(firstID+uint32(i)); i++ {
+			if ok, err = rows.Skip(); !ok || err != nil {
+				break
+			}
+		}
+		if ok && err == nil {
+			row, ok, err = rows.Next()
+		}
 		switch {
 		case err != nil:
 			return 0, nil, false, err
