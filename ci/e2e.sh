@@ -10,7 +10,9 @@
 #                   be a step in the server's trace, and serving it leaves
 #                   it static (no wal/)
 #   3. live:        the same layout plus wal/: append-while-exploring over
-#                   HTTP, uei-ingest -inspect and -verify (parts, then the
+#                   HTTP, flushed on a 100 ms timer, uei-ingest -inspect (the
+#                   appends rest in flushed segments, and no chunk straddles
+#                   a grid segment boundary) and -verify (parts, then the
 #                   WAL as opening the store would replay it)
 #   4. old format:  a store whose part manifest says format 2 fails
 #                   -verify, naming the rebuild; so does a store of the
@@ -18,7 +20,10 @@
 #                   files at the top level) under -inspect and -verify
 #   5. csv:         a 20 000-row CSV streamed into a one-shard store (no
 #                   idmap), an S = 2 one and a -live one, all passing
-#                   -verify; a nan field (at one shard and at S = 2) and a
+#                   -verify, the first two with no chunk straddling a grid
+#                   segment boundary; the one-shard store recorded over
+#                   another grid straddles and still passes -verify; a nan
+#                   field (at one shard and at S = 2) and a
 #                   header-only file (at S = 2) fail the build naming the
 #                   physical line and the column, and leave -out as the
 #                   build found it (absent: no CURRENT, no seg-*);
@@ -210,7 +215,7 @@ echo "== live: append while exploring, inspect"
 pick_port port
 base=http://127.0.0.1:$port
 spawn live.log "$bin/uei-serve" -store "$work/live" -live -addr "127.0.0.1:$port" \
-  -trace "$work/live.jsonl"
+  -flush-interval 100ms -trace "$work/live.jsonl"
 srv=$!
 wait_http "$base/readyz"
 # An interactive session's first proposal is an in-bounds row to append.
@@ -226,6 +231,8 @@ unset -f on_step
 drain "$srv"
 "$bin/uei-ingest" -inspect "$work/live" >"$work/inspect.txt"
 grep -q 'epoch' "$work/inspect.txt" || fail "inspect lost the manifest"
+grep -Eq 'segments: +([2-9]|[1-9][0-9]+)$' "$work/inspect.txt" || fail "the appends reached no flushed segment: $(grep 'segments:' "$work/inspect.txt")"
+grep -Eq 'straddling: +0 chunk' "$work/inspect.txt" || fail "the live store holds chunks straddling a grid segment boundary after appends: $(grep straddling "$work/inspect.txt")"
 "$bin/uei-ingest" -verify "$work/live" >/dev/null || fail "the live store fails -verify after appends"
 strict_trace live.jsonl
 
@@ -257,10 +264,21 @@ awk 'BEGIN { srand(6); print "a,b,c,d,e"
 "$bin/uei-ingest" -verify "$work/csvflat" >/dev/null || fail "a streamed -csv store fails -verify"
 [ -e "$work/csvflat/CURRENT" ] || fail "the streamed -csv build committed no store"
 [ -z "$(find "$work/csvflat" -name idmap)" ] || fail "the streamed one-shard store holds an idmap"
-"$bin/uei-ingest" -inspect "$work/csvflat" | grep -Eq 'rows: +20000$' || fail "-inspect does not report 20000 rows"
+"$bin/uei-ingest" -inspect "$work/csvflat" >"$work/csvflat.txt"
+grep -Eq 'rows: +20000$' "$work/csvflat.txt" || fail "-inspect does not report 20000 rows"
+grep -Eq 'straddling: +0 chunk' "$work/csvflat.txt" || fail "the one-shard store holds chunks straddling a grid segment boundary"
+# Aligned chunks are a property of the writer, not a format rule: the same
+# store recorded over another grid straddles its boundaries and still
+# passes -verify.
+cp -r "$work/csvflat" "$work/regrid"
+sed -i 's/"segments_per_dim": 5/"segments_per_dim": 3/' "$work/regrid/manifest-000001.json"
+"$bin/uei-ingest" -inspect "$work/regrid" | grep -Eq 'straddling: +[1-9][0-9]* chunk' || fail "-inspect finds no straddling chunk over a grid the store was not cut on"
+"$bin/uei-ingest" -verify "$work/regrid" >/dev/null || fail "-verify refused a store whose chunks straddle a grid segment boundary"
 "$bin/uei-ingest" -csv "$work/rows.csv" -shards 2 -chunk 4096 -out "$work/csvsharded" >/dev/null
 "$bin/uei-ingest" -verify "$work/csvsharded" >/dev/null || fail "a streamed S = 2 -csv store fails -verify"
-"$bin/uei-ingest" -inspect "$work/csvsharded" | grep -Eq 'rows: +20000$' || fail "-inspect does not report 20000 rows at S = 2"
+"$bin/uei-ingest" -inspect "$work/csvsharded" >"$work/csvsharded.txt"
+grep -Eq 'rows: +20000$' "$work/csvsharded.txt" || fail "-inspect does not report 20000 rows at S = 2"
+grep -Eq 'straddling: +0 chunk' "$work/csvsharded.txt" || fail "the S = 2 store holds chunks straddling a grid segment boundary"
 "$bin/uei-ingest" -csv "$work/rows.csv" -live -chunk 4096 -out "$work/csvlive" >/dev/null
 "$bin/uei-ingest" -verify "$work/csvlive" >/dev/null || fail "a streamed -live -csv store fails -verify"
 [ -d "$work/csvlive/wal" ] || fail "the streamed -live build wrote no wal/"

@@ -36,6 +36,7 @@ import (
 	"github.com/uei-db/uei/internal/chunkstore"
 	"github.com/uei-db/uei/internal/core"
 	"github.com/uei-db/uei/internal/dataset"
+	"github.com/uei-db/uei/internal/grid"
 	"github.com/uei-db/uei/internal/obs"
 	"github.com/uei-db/uei/internal/shard"
 	"github.com/uei-db/uei/internal/stream"
@@ -318,7 +319,8 @@ func verifyPart(dir string, st *chunkstore.Store) error {
 }
 
 // inspectStore prints the current epoch of the store under dir — its
-// geometry and segments — and, of a live one, its WAL.
+// geometry, its segments with their chunks per grid segment, the chunks
+// that straddle a grid segment boundary — and, of a live one, its WAL.
 func inspectStore(dir string) error {
 	info, err := stream.Inspect(dir)
 	if err != nil {
@@ -341,9 +343,65 @@ func inspectStore(dir string) error {
 		fmt.Printf("  wal:           %d file(s), %d bytes, %d unflushed row(s)\n", info.WALFiles, info.WALBytes, info.WALRows)
 		fmt.Printf("  high water:    row id %d (%d acknowledged rows)\n", info.HighWaterID, int(info.HighWaterID)+1)
 	}
+	// A one-shard store over a column holding one value has no grid at
+	// its recorded segment count, and so no chunk layout to show.
+	g, gridErr := m.Grid()
 	fmt.Printf("  segments:      %d\n", len(m.Segments))
+	straddling := 0
 	for _, seg := range m.Segments {
 		fmt.Printf("    seg %d (shard %d): %d rows, %d bytes (%.2f B/row)\n", seg.ID, seg.Shard, seg.Rows, seg.Bytes, perRow(seg.Bytes, seg.Rows))
+		if gridErr != nil {
+			continue
+		}
+		layout, n, err := chunkLayout(filepath.Join(dir, shard.SegmentDirName(seg.ID)), g)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("      chunks per grid segment: %s; %d straddling\n", layout, n)
+		straddling += n
 	}
+	if gridErr != nil {
+		fmt.Printf("  straddling:    unknown (%v)\n", gridErr)
+		return nil
+	}
+	fmt.Printf("  straddling:    %d chunk(s) span a grid segment boundary\n", straddling)
 	return nil
+}
+
+// chunkLayout reads the chunk manifest of the part under dir and returns,
+// per dimension, how many of its chunks lie in each segment of g, and how
+// many straddle a segment boundary (counted in no segment). The writer
+// cuts at every boundary of the epoch grid, so a store it wrote has none;
+// one read over another grid may, and is still valid.
+func chunkLayout(dir string, g *grid.Grid) (string, int, error) {
+	st, err := chunkstore.Open(dir, nil)
+	if err != nil {
+		return "", 0, err
+	}
+	defer st.Close()
+	var b strings.Builder
+	straddling := 0
+	for d, metas := range st.Manifest().Chunks {
+		counts := make([]int, g.Segments()[d])
+		for _, c := range metas {
+			lo, err := g.SegmentOf(d, c.MinValue)
+			if err != nil {
+				return "", 0, fmt.Errorf("%s: %w", dir, err)
+			}
+			hi, err := g.SegmentOf(d, c.MaxValue)
+			if err != nil {
+				return "", 0, fmt.Errorf("%s: %w", dir, err)
+			}
+			if lo != hi {
+				straddling++
+				continue
+			}
+			counts[lo]++
+		}
+		if d > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "%s %v", st.Manifest().Columns[d], counts)
+	}
+	return b.String(), straddling, nil
 }

@@ -22,7 +22,9 @@ import (
 // reaches spillPairs is sorted and spilled to a run file. Then, dimension
 // by dimension, a k-way merge of the runs and the sorted residual buffer
 // streams the pairs in (value, id) order into entries, which chunkCutter
-// cuts into equal-size chunks appended to the dimension's data file.
+// cuts into chunks appended to the dimension's data file: equal-size
+// within a grid segment, and never across a segment boundary when the
+// caller names the grid (BuildRows' segments).
 // Memory stays bounded by spillPairs pairs per dimension whatever the
 // input size: the paper's dataset is 100x the available memory before it
 // is ever indexed.
@@ -60,7 +62,7 @@ type RowIterator func() (row []float64, ok bool, err error)
 // the dataset's rows, in id order.
 func Build(dir string, ds *dataset.Dataset, opts BuildOptions) (*Store, error) {
 	rows, _ := ds.Rows()
-	return BuildRows(dir, ds.Schema().Names(), rows.Next, ds.Len(), opts)
+	return BuildRows(dir, ds.Schema().Names(), rows.Next, ds.Len(), nil, opts)
 }
 
 // BuildRows creates a chunk store in dir (which must be empty or absent)
@@ -68,8 +70,12 @@ func Build(dir string, ds *dataset.Dataset, opts BuildOptions) (*Store, error) {
 // with the wrong number of values or a non-finite value fails the build
 // before any data file is written. sizeHint is the row count when the
 // caller knows it (0 when not): the pair buffers start with room for that
-// many rows, or bufStart, up to spillPairs.
-func BuildRows(dir string, columns []string, rows RowIterator, sizeHint int, opts BuildOptions) (*Store, error) {
+// many rows, or bufStart, up to spillPairs. segments, when non-nil, is
+// called once with the rows' per-dimension bounds, after the last row and
+// before any data file is written; the SegmentFunc it returns (nil: none)
+// places each value in a grid segment, and no chunk then holds values of
+// two segments. Readers assume nothing of it.
+func BuildRows(dir string, columns []string, rows RowIterator, sizeHint int, segments func(min, max []float64) SegmentFunc, opts BuildOptions) (*Store, error) {
 	if len(columns) == 0 {
 		return nil, fmt.Errorf("chunkstore: a store needs at least one column")
 	}
@@ -148,8 +154,12 @@ func BuildRows(dir string, columns []string, rows RowIterator, sizeHint int, opt
 		MinValues:        minVals,
 		MaxValues:        maxVals,
 	}
+	var segment SegmentFunc
+	if segments != nil {
+		segment = segments(minVals, maxVals)
+	}
 	for d := 0; d < dims; d++ {
-		metas, err := w.writeDataFile(dir, d, target)
+		metas, err := w.writeDataFile(dir, d, target, segment)
 		if err != nil {
 			return nil, err
 		}
@@ -165,8 +175,9 @@ func BuildRows(dir string, columns []string, rows RowIterator, sizeHint int, opt
 	return newStore(dir, m, opts.Limiter)
 }
 
-// writeDataFile writes dimension d's data file from the merge of its pairs.
-func (w *writer) writeDataFile(dir string, d, target int) ([]ChunkMeta, error) {
+// writeDataFile writes dimension d's data file from the merge of its pairs,
+// cut at segment's boundaries when it is non-nil.
+func (w *writer) writeDataFile(dir string, d, target int, segment SegmentFunc) ([]ChunkMeta, error) {
 	merged, cleanup, err := w.merged(d)
 	if err != nil {
 		return nil, err
@@ -176,7 +187,7 @@ func (w *writer) writeDataFile(dir string, d, target int) ([]ChunkMeta, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chunkstore: create data file: %w", err)
 	}
-	metas, err := writeChunksFromPairs(f, d, target, merged)
+	metas, err := writeChunksFromPairs(f, d, target, segment, merged)
 	if cerr := f.Close(); err == nil && cerr != nil {
 		err = fmt.Errorf("chunkstore: close data file: %w", cerr)
 	}
@@ -184,10 +195,11 @@ func (w *writer) writeDataFile(dir string, d, target int) ([]ChunkMeta, error) {
 }
 
 // writeChunksFromPairs groups a (value,id)-sorted pair stream into entries
-// and cuts them into chunks appended to dst. The open entry's posting list
-// lives in one buffer the cutter copies from, so no posting allocates.
-func writeChunksFromPairs(dst io.Writer, dim, target int, next func() (pair, bool, error)) ([]ChunkMeta, error) {
-	cut := chunkCutter{w: dst, dim: dim, target: target}
+// and cuts them into chunks appended to dst, at segment's boundaries when
+// it is non-nil. The open entry's posting list lives in one buffer the
+// cutter copies from, so no posting allocates.
+func writeChunksFromPairs(dst io.Writer, dim, target int, segment SegmentFunc, next func() (pair, bool, error)) ([]ChunkMeta, error) {
+	cut := chunkCutter{w: dst, dim: dim, target: target, segment: segment}
 	var cur Entry // no current entry while cur.Rows is empty
 	for {
 		p, ok, err := next()

@@ -177,7 +177,7 @@ func TestBuildRowsReopen(t *testing.T) {
 	lowerSpillPairs(t, 100)
 	ds, _ := dataset.GenerateSky(dataset.SkyConfig{N: 500, Seed: 202})
 	dir := t.TempDir()
-	if _, err := BuildRows(dir, ds.Schema().Names(), datasetRows(ds), 0, BuildOptions{TargetChunkBytes: 1024}); err != nil {
+	if _, err := BuildRows(dir, ds.Schema().Names(), datasetRows(ds), 0, nil, BuildOptions{TargetChunkBytes: 1024}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := Open(dir, nil)
@@ -201,24 +201,24 @@ func TestBuildRowsReopen(t *testing.T) {
 func TestBuildRowsValidation(t *testing.T) {
 	ds, _ := dataset.GenerateSky(dataset.SkyConfig{N: 10, Seed: 1})
 	cols := ds.Schema().Names()
-	if _, err := BuildRows(t.TempDir(), nil, datasetRows(ds), 0, BuildOptions{}); err == nil {
+	if _, err := BuildRows(t.TempDir(), nil, datasetRows(ds), 0, nil, BuildOptions{}); err == nil {
 		t.Error("no columns should fail")
 	}
-	if _, err := BuildRows(t.TempDir(), cols, nil, 0, BuildOptions{}); err == nil {
+	if _, err := BuildRows(t.TempDir(), cols, nil, 0, nil, BuildOptions{}); err == nil {
 		t.Error("nil iterator should fail")
 	}
-	if _, err := BuildRows(t.TempDir(), cols, datasetRows(ds), 0, BuildOptions{TargetChunkBytes: 8}); err == nil {
+	if _, err := BuildRows(t.TempDir(), cols, datasetRows(ds), 0, nil, BuildOptions{TargetChunkBytes: 8}); err == nil {
 		t.Error("tiny chunk target should fail")
 	}
-	if _, err := BuildRows(t.TempDir(), cols, rowsOf(), 0, BuildOptions{}); err == nil {
+	if _, err := BuildRows(t.TempDir(), cols, rowsOf(), 0, nil, BuildOptions{}); err == nil {
 		t.Error("empty stream should fail")
 	}
 	ragged := rowsOf([]float64{1, 2, 3, 4, 5}, []float64{1})
-	if _, err := BuildRows(t.TempDir(), cols, ragged, 0, BuildOptions{}); err == nil || !strings.Contains(err.Error(), "row 1 has 1 values, want 5") {
+	if _, err := BuildRows(t.TempDir(), cols, ragged, 0, nil, BuildOptions{}); err == nil || !strings.Contains(err.Error(), "row 1 has 1 values, want 5") {
 		t.Errorf("ragged rows: err = %v", err)
 	}
 	failing := func() ([]float64, bool, error) { return nil, false, fmt.Errorf("source broke") }
-	if _, err := BuildRows(t.TempDir(), cols, failing, 0, BuildOptions{}); err == nil || !strings.Contains(err.Error(), "source broke") {
+	if _, err := BuildRows(t.TempDir(), cols, failing, 0, nil, BuildOptions{}); err == nil || !strings.Contains(err.Error(), "source broke") {
 		t.Errorf("iterator error: err = %v", err)
 	}
 }

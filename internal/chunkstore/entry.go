@@ -1,8 +1,10 @@
 // Package chunkstore implements UEI's secondary-storage layout (§3.1,
 // Figure 2): the dataset is vertically decomposed; each dimension is sorted
 // ascending and stored as an inverted index of <value, {row ids}> postings;
-// the postings of each dimension are split into equal-size chunks, with
-// values in strictly increasing order across a dimension's chunk sequence.
+// the postings of each dimension are split into chunks, equal-size within
+// a grid segment and cut at every segment boundary of the grid the writer
+// is given, with values in strictly increasing order across a dimension's
+// chunk sequence.
 // Where the paper keeps each chunk in a file of its own, a store keeps a
 // dimension's chunks back to back, in sequence order, in one data file
 // (d<dim>.chk); the chunk stays the unit of read, CRC and decode. A JSON
@@ -25,10 +27,14 @@ type Entry struct {
 
 // chunkCutter splits one dimension's ascending entries into chunks, which
 // it appends to w: it cuts as soon as the exact encoded payload of the
-// pending entries, at the widths they need so far, reaches the target.
+// pending entries, at the widths they need so far, reaches the target, and,
+// when segment is non-nil, before an entry whose segment is not the
+// pending entries' one.
 type chunkCutter struct {
 	w           io.Writer
 	dim, target int
+	segment     SegmentFunc
+	seg         int // the pending entries' segment, while any are pending
 	metas       []ChunkMeta
 	// pending holds the entries of the chunk being cut. Their posting
 	// lists are copied back to back into ids, one buffer reused from chunk
@@ -44,6 +50,18 @@ type chunkCutter struct {
 func (k *chunkCutter) add(e Entry) error {
 	if len(e.Rows) == 0 {
 		return fmt.Errorf("chunkstore: value %g has an empty posting list", e.Value)
+	}
+	if k.segment != nil {
+		seg, err := k.segment(k.dim, e.Value)
+		if err != nil {
+			return fmt.Errorf("chunkstore: dimension %d: %w", k.dim, err)
+		}
+		if len(k.pending) > 0 && seg != k.seg {
+			if err := k.flush(); err != nil {
+				return err
+			}
+		}
+		k.seg = seg
 	}
 	start := len(k.ids)
 	k.ids = append(k.ids, e.Rows...)

@@ -44,6 +44,10 @@ type BuildOptions struct {
 	Limiter *iothrottle.Limiter
 }
 
+// SegmentFunc returns the grid segment of value v on dimension dim (the
+// grid's own SegmentOf; this package cannot import the grid).
+type SegmentFunc func(dim int, v float64) (int, error)
+
 // BlockCache is the store's shared decoded-chunk cache type: decoded
 // chunks keyed by chunk name, SIEVE-evicted under a byte budget, with
 // single-flight miss deduplication.

@@ -90,14 +90,13 @@ func chunkDigest(t *testing.T, dir string) (string, int) {
 // files, manifests, idmaps — for one dataset at one shard, three shards
 // and live at two shards. A change to how a store is built that leaves
 // these digests alone writes the same stores as before, byte for byte.
-// The chunk digests pin the chunks alone, whatever files hold them: they
-// were recorded from the per-chunk files of manifest format 2, and format
-// 3's extents reproduce them; the one-shard store's are those of the flat
-// store it replaced, whose files its one part holds unchanged. A static
-// build is the first epoch of the live layout, so its files are a live
-// build's over the same rows, minus the empty wal/ directory the digest
-// does not see. Each store is built from two row sources, the dataset and
-// a CSV file of its rows streamed from disk, to the same digests.
+// The chunk digests pin the chunks alone, whatever files hold them, cut
+// at the size target and at every segment boundary of the epoch grid. A
+// static build is the first epoch of the live layout, so its files are a
+// live build's over the same rows, minus the empty wal/ directory the
+// digest does not see. Each store is built from two row sources, the
+// dataset and a CSV file of its rows streamed from disk, to the same
+// digests.
 func TestGoldenStoreFiles(t *testing.T) {
 	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 3000, Seed: 1})
 	if err != nil {
@@ -120,12 +119,12 @@ func TestGoldenStoreFiles(t *testing.T) {
 		chunks       int
 		chunksDigest string
 	}{
-		{"one shard", BuildOptions{TargetChunkBytes: 2048}, 8, "ccfda8651ff2480eab56e133e7e9e2964e03509ec68c794c178ac73d138d24ca",
-			62, "58b72221defd32634fe647504f4894f38b65737745eba0bfe271ce06024c8188"},
-		{"sharded S=3", BuildOptions{TargetChunkBytes: 2048, Shards: 3}, 23, "228d7387340aaf2ccbfdec409723d374aac008b858e3a91e655d53b06f72a05a",
-			70, "40d50bfdb2af09d770287eb3c81b45051523f39fb5add526424a0abe05e2d5b4"},
-		{"live S=2", BuildOptions{TargetChunkBytes: 2048, Shards: 2, LiveIngest: true}, 16, "2f56cc7a23d490e04ebb888d139986e013b1894f61463480aacf15ff8ebb8eb9",
-			67, "5505ffd66d15eac323e5421ef6b470db6e5ddc87a8496ca48d79cb9d5c08f1f5"},
+		{"one shard", BuildOptions{TargetChunkBytes: 2048}, 8, "dca34823a56474e98cae0d6cff52123a546c2c6d7ee9dba1364591b7e9f04d98",
+			75, "39dc817dbc9196092ae6e5b99a9af21e329ad33653f51154fa5c666d418a919e"},
+		{"sharded S=3", BuildOptions{TargetChunkBytes: 2048, Shards: 3}, 23, "92920ed378d8f6305f2aaef26ff37134e29ca2734a36245f91ad57b5827e3e6c",
+			96, "fbe46ae65477211bbb2832da97614e450778ca829a36357cf7a1ce23faf16ae5"},
+		{"live S=2", BuildOptions{TargetChunkBytes: 2048, Shards: 2, LiveIngest: true}, 16, "01b5381a6ed069e03ca2b26b646571e75efcb46d88da173500f4720e7adbcc59",
+			89, "ff3d3a3c583e302048082facebdbf578dfa7c21bd2bf48cc59eb371d6fcbc110"},
 	}
 	for _, c := range cases {
 		for from, src := range sources {

@@ -49,17 +49,22 @@ type csvReader struct {
 }
 
 // newCSVReader reads the header row and returns a reader positioned at the
-// first data row.
+// first data row. Like every error of the reader, a refused header names
+// its line.
 func newCSVReader(r io.Reader, name string) (*csvReader, error) {
 	cr := csv.NewReader(r)
 	cr.ReuseRecord = true
 	header, err := cr.Read()
+	if err == io.EOF {
+		return nil, fmt.Errorf("dataset: read %s header: no header row at line 1 or after", name)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("dataset: read %s header: %w", name, err)
 	}
 	schema, err := NewSchema(append([]string(nil), header...)...)
 	if err != nil {
-		return nil, fmt.Errorf("dataset: %s header: %w", name, err)
+		line, _ := cr.FieldPos(0)
+		return nil, fmt.Errorf("dataset: %s header line %d: %w", name, line, err)
 	}
 	return &csvReader{cr: cr, name: name, schema: schema, row: make([]float64, schema.Dims())}, nil
 }

@@ -141,44 +141,50 @@ func MajorityNearer(masks []uint8, qs []float64, w, dims int, pos, neg []float64
 }
 
 // majorityNearerGo is MajorityNearer for points [from, w), from a multiple
-// of 4.
+// of 4. It holds the MajorityLevels nearest positive distances and their
+// counts in locals, a missing level needing nothing, as the vector body
+// does: a distance below the j-th nearest positive is below every later
+// one, so one nested test counts it at each level it is nearer than.
 func majorityNearerGo(masks []uint8, qs []float64, w, dims, from int, pos, neg []float64, need []int) {
-	var nearBuf [MajorityLevels]float64
-	var countBuf [MajorityLevels]int
-	near, count := nearBuf[:len(need)], countBuf[:len(need)]
+	var n [MajorityLevels]int
+	copy(n[:], need)
+	n0, n1, n2 := n[0], n[1], n[2]
 	for g := from; g < w; g += 4 {
 		var m uint8
 		for i := g; i < min(g+4, w); i++ {
-			for j := range near {
-				near[j] = math.Inf(1)
-			}
+			// Insert each distance, dropping the farthest; a NaN is below
+			// nothing.
+			p0, p1, p2 := math.Inf(1), math.Inf(1), math.Inf(1)
 			for r := 0; r < len(pos); r += dims {
-				// Insert d, dropping the farthest; a NaN is below nothing.
 				d := stripDistance(pos[r:r+dims], qs, w, i)
-				for j := range near {
-					if d < near[j] {
-						near[j], d = d, near[j]
+				if d < p2 {
+					if d < p1 {
+						p2 = p1
+						if d < p0 {
+							p0, p1 = d, p0
+						} else {
+							p1 = d
+						}
+					} else {
+						p2 = d
 					}
 				}
 			}
-			short := 0 // the levels not yet met
-			for j, n := range need {
-				count[j] = 0
-				if n > 0 {
-					short++
-				}
-			}
-			for r := 0; r < len(neg) && short > 0; r += dims {
-				d := stripDistance(neg[r:r+dims], qs, w, i)
-				for j, p := range near {
-					if d < p {
-						if count[j]++; count[j] == need[j] {
-							short--
+			c0, c1, c2 := 0, 0, 0
+			met := c0 >= n0 && c1 >= n1 && c2 >= n2
+			for r := 0; r < len(neg) && !met; r += dims {
+				if d := stripDistance(neg[r:r+dims], qs, w, i); d < p2 {
+					c2++
+					if d < p1 {
+						c1++
+						if d < p0 {
+							c0++
 						}
 					}
+					met = c0 >= n0 && c1 >= n1 && c2 >= n2
 				}
 			}
-			if short == 0 {
+			if met {
 				m |= 1 << (i - g)
 			}
 		}

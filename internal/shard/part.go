@@ -76,6 +76,11 @@ type IDRows func() (id uint32, row []float64, ok bool, err error)
 // identity part has no idmap file, and its segment is marked Identity.
 // Zero rows write an explicit empty store over m's bounds, so every part
 // directory is uniform. It returns the bounds of the rows written.
+//
+// Each dimension's chunks are cut at the segment boundaries of the epoch
+// grid (m.Grid), so a cell load reads its own segment's chunks. A one-shard
+// first epoch, whose bounds are not pinned yet, is cut on the grid over the
+// bounds its own rows pin.
 func (m *Manifest) WriteSegment(dir string, s int, rows IDRows, n int) (vec.Box, error) {
 	seg := SegmentMeta{ID: m.NextSegmentID, Shard: s}
 	part := filepath.Join(dir, SegmentDirName(seg.ID))
@@ -105,7 +110,7 @@ func (m *Manifest) WriteSegment(dir string, s int, rows IDRows, n int) (vec.Box,
 			}
 			written++
 			return row, true, nil
-		}, max(n, 0), chunkstore.BuildOptions{TargetChunkBytes: m.TargetChunkBytes})
+		}, max(n, 0), m.segments, chunkstore.BuildOptions{TargetChunkBytes: m.TargetChunkBytes})
 	}
 	if err != nil {
 		return vec.Box{}, err
@@ -122,6 +127,22 @@ func (m *Manifest) WriteSegment(dir string, s int, rows IDRows, n int) (vec.Box,
 	m.Segments = append(m.Segments, seg)
 	m.NextSegmentID++
 	return st.Bounds(), nil
+}
+
+// segments returns the segment function of the epoch grid: over m's
+// bounds, or over min/max, the bounds of the rows being written, when m
+// has none yet. Rows whose bounds no grid of m's segment count can cut (a
+// dimension holding one value) get none, and their chunks are cut by size
+// alone: such a store opens only over one segment per dimension.
+func (m *Manifest) segments(min, max []float64) chunkstore.SegmentFunc {
+	if m.MinValues != nil {
+		min, max = m.MinValues, m.MaxValues
+	}
+	g, err := grid.New(vec.NewBox(min, max), m.SegmentsPerDim)
+	if err != nil {
+		return nil
+	}
+	return g.SegmentOf
 }
 
 // OpenPart opens the part of segment seg under dir for serving over g.
