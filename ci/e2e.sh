@@ -14,14 +14,16 @@
 #                   appends rest in flushed segments, and no chunk straddles
 #                   a grid segment boundary) and -verify (parts, then the
 #                   WAL as opening the store would replay it)
-#   4. old format:  a store whose part manifest says format 2 fails
-#                   -verify, naming the rebuild; so does a store of the
+#   4. old format:  a store whose part manifest says format 3 (raw
+#                   values and raw idmaps) fails -verify, naming the
+#                   rebuild; so does a store of the
 #                   retired flat layout (a one-shard store's seg-000001/
 #                   files at the top level) under -inspect and -verify
 #   5. csv:         a 20 000-row CSV streamed into a one-shard store (no
 #                   idmap), an S = 2 one and a -live one, all passing
 #                   -verify, the first two with no chunk straddling a grid
-#                   segment boundary; the one-shard store recorded over
+#                   segment boundary, the first storing each column's
+#                   values in under 8 bytes a row (gap-coded); the one-shard store recorded over
 #                   another grid straddles and still passes -verify; a nan
 #                   field (at one shard and at S = 2) and a
 #                   header-only file (at S = 2) fail the build naming the
@@ -238,10 +240,10 @@ strict_trace live.jsonl
 
 echo "== old format: refused, naming the rebuild"
 "$bin/uei-ingest" -gen 6000 -chunk 4096 -out "$work/old" >/dev/null
-sed -i 's/"format_version": 3/"format_version": 2/' "$work/old/seg-000001/manifest.json"
-grep -q '"format_version": 2' "$work/old/seg-000001/manifest.json" || fail "the manifest was not rewritten to format 2"
+sed -i 's/"format_version": 4/"format_version": 3/' "$work/old/seg-000001/manifest.json"
+grep -q '"format_version": 3' "$work/old/seg-000001/manifest.json" || fail "the manifest was not rewritten to format 3"
 if "$bin/uei-ingest" -verify "$work/old" >"$work/old.txt" 2>&1; then
-  fail "-verify accepted a format-2 store"
+  fail "-verify accepted a format-3 store"
 fi
 grep -q 'rebuild the store with uei-ingest' "$work/old.txt" || fail "-verify did not name the rebuild: $(cat "$work/old.txt")"
 # The retired flat layout is a one-shard store's part at the top level,
@@ -267,6 +269,8 @@ awk 'BEGIN { srand(6); print "a,b,c,d,e"
 "$bin/uei-ingest" -inspect "$work/csvflat" >"$work/csvflat.txt"
 grep -Eq 'rows: +20000$' "$work/csvflat.txt" || fail "-inspect does not report 20000 rows"
 grep -Eq 'straddling: +0 chunk' "$work/csvflat.txt" || fail "the one-shard store holds chunks straddling a grid segment boundary"
+[ "$(grep -c 'value [a-e]: ' "$work/csvflat.txt")" = 5 ] || fail "-inspect does not report the values of five columns: $(cat "$work/csvflat.txt")"
+awk '/value [a-e]: / && $3 + 0 >= 8 { bad = 1; print } END { exit bad }' "$work/csvflat.txt" || fail "a column of the one-shard store takes 8 or more value bytes a row"
 # Aligned chunks are a property of the writer, not a format rule: the same
 # store recorded over another grid straddles its boundaries and still
 # passes -verify.

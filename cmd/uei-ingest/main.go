@@ -28,6 +28,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -343,28 +344,70 @@ func inspectStore(dir string) error {
 		fmt.Printf("  wal:           %d file(s), %d bytes, %d unflushed row(s)\n", info.WALFiles, info.WALBytes, info.WALRows)
 		fmt.Printf("  high water:    row id %d (%d acknowledged rows)\n", info.HighWaterID, int(info.HighWaterID)+1)
 	}
-	// A one-shard store over a column holding one value has no grid at
-	// its recorded segment count, and so no chunk layout to show.
+	// A store whose recorded bounds no grid can be built over has no
+	// chunk layout to show.
 	g, gridErr := m.Grid()
 	fmt.Printf("  segments:      %d\n", len(m.Segments))
 	straddling := 0
 	for _, seg := range m.Segments {
 		fmt.Printf("    seg %d (shard %d): %d rows, %d bytes (%.2f B/row)\n", seg.ID, seg.Shard, seg.Rows, seg.Bytes, perRow(seg.Bytes, seg.Rows))
-		if gridErr != nil {
-			continue
+		part := filepath.Join(dir, shard.SegmentDirName(seg.ID))
+		if gridErr == nil {
+			layout, n, err := chunkLayout(part, g)
+			if err != nil {
+				return err
+			}
+			fmt.Printf("      chunks per grid segment: %s; %d straddling\n", layout, n)
+			straddling += n
 		}
-		layout, n, err := chunkLayout(filepath.Join(dir, shard.SegmentDirName(seg.ID)), g)
-		if err != nil {
+		if err := printEncoding(part, seg); err != nil {
 			return err
 		}
-		fmt.Printf("      chunks per grid segment: %s; %d straddling\n", layout, n)
-		straddling += n
 	}
 	if gridErr != nil {
 		fmt.Printf("  straddling:    unknown (%v)\n", gridErr)
 		return nil
 	}
 	fmt.Printf("  straddling:    %d chunk(s) span a grid segment boundary\n", straddling)
+	return nil
+}
+
+// printEncoding prints how the part under dir stores what ascends: per
+// dimension its value bytes per row, its chunk count and the min, median
+// and max gap width of its chunks' values, and the gap width and size of
+// its idmap (none: the rows are global ids 0..n-1).
+func printEncoding(dir string, seg shard.SegmentMeta) error {
+	st, err := chunkstore.Open(dir, nil)
+	if err != nil {
+		return err
+	}
+	defer st.Close()
+	for d, column := range st.Manifest().Columns {
+		encs, err := st.ValueEncodings(d)
+		if err != nil {
+			return err
+		}
+		if len(encs) == 0 {
+			fmt.Printf("      value %s: no chunks\n", column)
+			continue
+		}
+		widths, bytes := make([]int, len(encs)), int64(0)
+		for i, e := range encs {
+			widths[i], bytes = e.GapWidth, bytes+e.Bytes
+		}
+		slices.Sort(widths)
+		fmt.Printf("      value %s: %.2f B/row in %d chunk(s), gap width min %d median %d max %d\n",
+			column, perRow(bytes, st.RowCount()), len(encs), widths[0], widths[len(widths)/2], widths[len(widths)-1])
+	}
+	if seg.Identity || seg.Rows == 0 {
+		fmt.Printf("      idmap:   none (rows 0..%d)\n", max(seg.Rows-1, 0))
+		return nil
+	}
+	width, size, err := shard.IDMapWidth(dir)
+	if err != nil {
+		return fmt.Errorf("%s: %w", dir, err)
+	}
+	fmt.Printf("      idmap:   gap width %d, %d bytes (%.2f B/row)\n", width, size, perRow(size, seg.Rows))
 	return nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -14,9 +15,13 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/uei-db/uei/internal/al"
 	"github.com/uei-db/uei/internal/chunkstore"
 	"github.com/uei-db/uei/internal/core"
 	"github.com/uei-db/uei/internal/dataset"
+	"github.com/uei-db/uei/internal/ide"
+	"github.com/uei-db/uei/internal/learn"
+	"github.com/uei-db/uei/internal/oracle"
 	"github.com/uei-db/uei/internal/shard"
 	"github.com/uei-db/uei/internal/stream"
 )
@@ -293,5 +298,158 @@ func TestReadersLeaveStaticStoreUnchanged(t *testing.T) {
 	}
 	if after := storeFiles(t, dir); !reflect.DeepEqual(after, before) {
 		t.Fatal("reading a static store changed its files")
+	}
+}
+
+// TestConstantColumnStore: a CSV whose second column holds one value
+// builds, at one shard and at two, into a store that passes -verify, whose
+// -inspect reports no straddling chunk, and that opens with default options
+// (but for a memory budget) and serves an oracle session to its end: every layer builds its grid
+// through grid.New, which gives the zero-width dimension one segment.
+func TestConstantColumnStore(t *testing.T) {
+	root := t.TempDir()
+	path := filepath.Join(root, "constant.csv")
+	var b strings.Builder
+	b.WriteString("a,b,c\n")
+	for i := 0; i < 50; i++ {
+		fmt.Fprintf(&b, "%g,7,%g\n", 1.5*float64(i), float64(i*37%50)/3)
+	}
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := dataset.ReadCSVFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	region, err := oracle.NewRegion([]float64{30, 7, 8}, []float64{20, 1, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, shards := range []int{1, 2} {
+		dir := filepath.Join(root, fmt.Sprintf("s%d", shards))
+		src, err := dataset.OpenCSVFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := core.Build(dir, src, core.BuildOptions{TargetChunkBytes: 256, Shards: shards}); err != nil {
+			t.Fatalf("shards %d: build: %v", shards, err)
+		}
+		if err := verifyStore(dir); err != nil {
+			t.Fatalf("shards %d: -verify: %v", shards, err)
+		}
+		out := captureStdout(t, func() error { return inspectStore(dir) })
+		if !strings.Contains(out, "straddling:    0 chunk(s)") {
+			t.Errorf("shards %d: -inspect does not report 0 straddling chunks:\n%s", shards, out)
+		}
+		idx, err := core.Open(ctx, dir, core.Options{MemoryBudgetBytes: ds.SizeBytes()})
+		if err != nil {
+			t.Fatalf("shards %d: open: %v", shards, err)
+		}
+		provider, err := ide.NewUEIProvider(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		user, err := oracle.New(ds, region) // it counts the labels it gives
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := ide.NewSession(ide.Config{
+			MaxLabels:        8,
+			EstimatorFactory: func() learn.Classifier { return learn.NewDWKNN(3, []float64{75, 1, 17}) },
+			Strategy:         al.LeastConfidence{},
+			Seed:             1,
+			SeedWithPositive: true,
+		}, provider, ide.OracleLabeler{O: user})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sess.Run(ctx)
+		if err != nil {
+			t.Fatalf("shards %d: session: %v", shards, err)
+		}
+		if res.LabelsUsed != 8 || len(res.Positive) == 0 {
+			t.Errorf("shards %d: %d labels used, %d rows retrieved", shards, res.LabelsUsed, len(res.Positive))
+		}
+		sess.Release()
+		idx.Close()
+	}
+}
+
+// captureStdout runs f with the process's standard output sent to a pipe
+// and returns what it printed.
+func captureStdout(t *testing.T, f func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	done := make(chan []byte)
+	go func() {
+		out, _ := io.ReadAll(r)
+		done <- out
+	}()
+	ferr := f()
+	os.Stdout = stdout
+	w.Close()
+	out := <-done
+	if ferr != nil {
+		t.Fatal(ferr)
+	}
+	return string(out)
+}
+
+// TestFormat3StoreRefusedAtOpen: a store whose part manifests say format 3
+// — raw values and raw idmaps — fails core.Open, shard.Open and -verify
+// with ErrFormatVersion naming the rebuild, at one shard and at two, and
+// before any chunk is read: every data file is overwritten with zeros of
+// its own length, so a chunk read would fail on its magic first.
+func TestFormat3StoreRefusedAtOpen(t *testing.T) {
+	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 2000, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, shards := range []int{1, 2} {
+		dir := filepath.Join(t.TempDir(), "store")
+		if err := core.Build(dir, ds, core.BuildOptions{TargetChunkBytes: 4096, Shards: shards}); err != nil {
+			t.Fatal(err)
+		}
+		manifests := 0
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			switch {
+			case d.Name() == "manifest.json" && filepath.Base(filepath.Dir(path)) != filepath.Base(dir):
+				manifests++
+				data = []byte(strings.Replace(string(data), `"format_version": 4`, `"format_version": 3`, 1))
+			case strings.HasSuffix(d.Name(), ".chk"):
+				data = make([]byte, len(data))
+			default:
+				return nil
+			}
+			return os.WriteFile(path, data, 0o644)
+		})
+		if err != nil || manifests != shards {
+			t.Fatalf("shards %d: rewrote %d part manifests, err %v", shards, manifests, err)
+		}
+		refused := func(what string, err error) {
+			t.Helper()
+			if !errors.Is(err, chunkstore.ErrFormatVersion) || !strings.Contains(err.Error(), "rebuild the store with uei-ingest") {
+				t.Errorf("shards %d: %s: err = %v, want ErrFormatVersion naming the rebuild", shards, what, err)
+			}
+		}
+		_, err = core.Open(ctx, dir, core.Options{MemoryBudgetBytes: ds.SizeBytes()})
+		refused("core.Open", err)
+		_, err = shard.Open(ctx, dir, shard.OpenOptions{})
+		refused("shard.Open", err)
+		refused("-verify", verifyStore(dir))
 	}
 }

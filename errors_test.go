@@ -331,10 +331,10 @@ func TestRetiredShardedLayoutRefused(t *testing.T) {
 }
 
 // TestErrFormatVersionRoundTrip: a store whose manifests say format 1 —
-// written before chunk version 2 — or format 2 — a file per chunk — fails
-// to open with uei.ErrFormatVersion and names the rebuild, on every
-// layout, and a chunk whose header says version 1 is refused by name when
-// it is read.
+// written before chunk version 2 — format 2 — a file per chunk — or format
+// 3 — raw values and raw idmaps — fails to open with uei.ErrFormatVersion
+// and names the rebuild, on every layout, and a chunk whose header says
+// version 2 is refused by name when it is read.
 func TestErrFormatVersionRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	_, ds := buildSmallStore(t, 500)
@@ -347,7 +347,7 @@ func TestErrFormatVersionRoundTrip(t *testing.T) {
 		if err := uei.Build(ctx, dir, ds, opts); err != nil {
 			t.Fatal(err)
 		}
-		for _, old := range []int{1, 2} {
+		for _, old := range []int{1, 2, 3} {
 			parts := setFormatVersion(t, dir, old)
 			if _, err := chunkstore.Open(parts[0], nil); !errors.Is(err, uei.ErrFormatVersion) || !strings.Contains(err.Error(), "uei-ingest") {
 				t.Errorf("%s format %d: chunkstore.Open: err = %v, want ErrFormatVersion naming uei-ingest", name, old, err)
@@ -356,7 +356,7 @@ func TestErrFormatVersionRoundTrip(t *testing.T) {
 				t.Errorf("%s format %d: Open: err = %v, want ErrFormatVersion", name, old, err)
 			}
 		}
-		parts := setFormatVersion(t, dir, 3)
+		parts := setFormatVersion(t, dir, 4)
 		if name != "one shard" {
 			continue
 		}
@@ -369,12 +369,12 @@ func TestErrFormatVersionRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data[4] = 1
+		data[4] = 2
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := chunkstore.Verify(ctx, st); err == nil || !strings.Contains(err.Error(), "unsupported chunk version 1") {
-			t.Errorf("a version-1 chunk header: Verify err = %v", err)
+		if err := chunkstore.Verify(ctx, st); err == nil || !strings.Contains(err.Error(), "unsupported chunk version 2") {
+			t.Errorf("a version-2 chunk header: Verify err = %v", err)
 		}
 	}
 }

@@ -13,40 +13,51 @@ import (
 	"github.com/uei-db/uei/internal/kernel"
 )
 
-// Chunk layout, version 2 (little endian), one chunk of a data file:
+// Chunk layout, version 3 (little endian), one chunk of a data file:
 //
 //	magic    [4]byte  "UEIC"
-//	version  uint16   2
+//	version  uint16   3
 //	dim      uint16   dimension index the chunk belongs to
-//	entries  uint32   number of postings
+//	entries  uint32   number of postings, at least 1
 //	rows     uint32   number of row ids over all postings
 //	w        uint8    row-id width in bits, 1…32
 //	c        uint8    posting-count width in bits, 0…32
-//	reserved uint16   0
-//	min      float64  smallest value in the chunk
-//	max      float64  largest value in the chunk
-//	values   [entries]float64, strictly ascending
+//	g        uint8    value-gap width in bits, 0…64
+//	reserved uint8    0
+//	min      float64  the first, smallest value
+//	max      float64  the last, largest value
+//	gaps     the entries − 1 later values, each as the gap between its
+//	         order key and the one before less one, packed at g bits
 //	counts   each posting's row count − 1, packed at c bits (absent when c = 0)
 //	ids      every row id in posting order, packed at w bits
 //	crc32    uint32   CRC-32C of everything before it
 //
 // Packed sections are LSB-first, item k at bits [k·w, (k+1)·w), and end on
-// a byte with its unused bits zero. c = 0 means every posting holds one
-// row. Ids are absolute, so no field's position depends on another's
-// value: decode is a copy of the values, a prefix sum of the counts and a
-// fixed-stride unpack of the ids. The decoder refuses a chunk whose values,
-// or whose postings' row ids, do not strictly ascend.
+// a byte with its unused bits zero. A value's order key (kernel.OrderKey)
+// is its bits with the sign bit set, or every bit flipped when negative:
+// unsigned key order is value order, so a strictly ascending run is a
+// first value and positive key gaps, and g is the width of the largest
+// gap less one. c = 0 means every posting holds one row. Ids are absolute,
+// so no field's position depends on another's value: decode is a prefix
+// sum of the gaps from min, a prefix sum of the counts and a fixed-stride
+// unpack of the ids. The decoder refuses a chunk whose values, or whose
+// postings' row ids, do not strictly ascend from −∞ — a NaN, a −∞ first
+// value, a −0 before +0 or a run whose keys wrap past 2⁶⁴ — and one whose
+// last value is not its max.
 const (
 	chunkMagic = "UEIC"
-	headerSize = 4 + 2 + 2 + 4 + 4 + 1 + 1 + 2 + 8 + 8
-	// minEntrySize is the smallest encoded posting: a value and one
-	// one-bit row id, which takes a byte of its own.
-	minEntrySize = 8 + 1
+	headerSize = 4 + 2 + 2 + 4 + 4 + 1 + 1 + 1 + 1 + 8 + 8
+	// gapWidthAt is the header byte holding g.
+	gapWidthAt = 18
+	// minEntrySize is the smallest encoded posting: a one-entry chunk's
+	// value is its header's, and its one one-bit row id takes a byte of
+	// its own.
+	minEntrySize = 1
 )
 
 // ChunkVersion is the one chunk version this package writes and
 // reads.
-const ChunkVersion = 2
+const ChunkVersion = 3
 
 // castagnoli is the CRC-32C table of the chunk checksum.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -57,10 +68,17 @@ func chunkWidths(maxID uint32, maxCount int) (w, c uint) {
 	return uint(max(1, bits.Len32(maxID))), uint(bits.Len32(uint32(maxCount - 1)))
 }
 
-// payloadSize is the exact byte size of a payload of the given entries and
-// rows at widths w and c.
-func payloadSize(entries, rows uint64, w, c uint) uint64 {
-	return 8*entries + (entries*uint64(c)+7)/8 + (rows*uint64(w)+7)/8
+// valueGap is the item the gap section stores for value v after prev: the
+// difference of their order keys less one.
+func valueGap(prev, v float64) uint64 {
+	return kernel.OrderKey(v) - kernel.OrderKey(prev) - 1
+}
+
+// payloadSize is the exact byte size of a payload of the given entries
+// (at least 1) and rows at value-gap width g, row-id width w and count
+// width c.
+func payloadSize(entries, rows uint64, g, w, c uint) uint64 {
+	return ((entries-1)*uint64(g)+7)/8 + (entries*uint64(c)+7)/8 + (rows*uint64(w)+7)/8
 }
 
 // encodeChunk serializes entries for dimension dim. Entries must be sorted
@@ -72,7 +90,7 @@ func encodeChunk(dim int, entries []Entry) ([]byte, error) {
 	if dim < 0 || dim > math.MaxUint16 {
 		return nil, fmt.Errorf("chunkstore: dimension %d out of uint16 range", dim)
 	}
-	rows, maxID, maxCount := 0, uint32(0), 0
+	rows, maxID, maxCount, gaps := 0, uint32(0), 0, uint64(0)
 	prevValue := math.Inf(-1)
 	for i, e := range entries {
 		if len(e.Rows) == 0 {
@@ -80,6 +98,9 @@ func encodeChunk(dim int, entries []Entry) ([]byte, error) {
 		}
 		if !(e.Value > prevValue) {
 			return nil, fmt.Errorf("chunkstore: entry %d value %g not strictly increasing after %g", i, e.Value, prevValue)
+		}
+		if i > 0 {
+			gaps |= valueGap(prevValue, e.Value)
 		}
 		prevValue = e.Value
 		for j := 1; j < len(e.Rows); j++ {
@@ -95,27 +116,28 @@ func encodeChunk(dim int, entries []Entry) ([]byte, error) {
 		return nil, fmt.Errorf("chunkstore: %d entries with %d row ids overflow a chunk header", len(entries), rows)
 	}
 	w, c := chunkWidths(maxID, maxCount)
-	size := headerSize + int(payloadSize(uint64(len(entries)), uint64(rows), w, c)) + 4
+	g := uint(bits.Len64(gaps))
+	size := headerSize + int(payloadSize(uint64(len(entries)), uint64(rows), g, w, c)) + 4
 	buf := make([]byte, headerSize, size)
 	copy(buf, chunkMagic)
 	binary.LittleEndian.PutUint16(buf[4:], ChunkVersion)
 	binary.LittleEndian.PutUint16(buf[6:], uint16(dim))
 	binary.LittleEndian.PutUint32(buf[8:], uint32(len(entries)))
 	binary.LittleEndian.PutUint32(buf[12:], uint32(rows))
-	buf[16], buf[17] = byte(w), byte(c)
+	buf[16], buf[17], buf[gapWidthAt] = byte(w), byte(c), byte(g)
 	binary.LittleEndian.PutUint64(buf[20:], math.Float64bits(entries[0].Value))
 	binary.LittleEndian.PutUint64(buf[28:], math.Float64bits(entries[len(entries)-1].Value))
-	for _, e := range entries {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Value))
+	var bw bitWriter
+	for i := 1; i < len(entries); i++ {
+		buf = bw.append64(buf, valueGap(entries[i-1].Value, entries[i].Value), g)
 	}
+	buf = bw.flush(buf)
 	if c > 0 {
-		var bw bitWriter
 		for _, e := range entries {
 			buf = bw.append(buf, uint32(len(e.Rows)-1), c)
 		}
 		buf = bw.flush(buf)
 	}
-	var bw bitWriter
 	for _, e := range entries {
 		for _, r := range e.Rows {
 			buf = bw.append(buf, r, w)
@@ -125,25 +147,38 @@ func encodeChunk(dim int, entries []Entry) ([]byte, error) {
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli)), nil
 }
 
-// bitWriter packs values LSB-first: acc holds the n bits not yet written.
+// bitWriter packs values LSB-first: acc holds the n bits not yet
+// written, fewer than 32 between calls, which leave it four bytes at a
+// time.
 type bitWriter struct {
 	acc uint64
 	n   uint
 }
 
+// append packs v at width bits, 0…32.
 func (b *bitWriter) append(buf []byte, v uint32, width uint) []byte {
 	b.acc |= uint64(v) << b.n
-	for b.n += width; b.n >= 8; b.n -= 8 {
-		buf = append(buf, byte(b.acc))
-		b.acc >>= 8
+	if b.n += width; b.n >= 32 {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(b.acc))
+		b.acc >>= 32
+		b.n -= 32
 	}
 	return buf
 }
 
-// flush writes the last partial byte, its unused bits zero.
+// append64 packs v at width bits, 0…64: its low half, then its high.
+func (b *bitWriter) append64(buf []byte, v uint64, width uint) []byte {
+	if width <= 32 {
+		return b.append(buf, uint32(v), width)
+	}
+	return b.append(b.append(buf, uint32(v), 32), uint32(v>>32), width-32)
+}
+
+// flush writes the last partial bytes, their unused bits zero.
 func (b *bitWriter) flush(buf []byte) []byte {
-	if b.n > 0 {
+	for ; b.n > 0; b.n -= min(b.n, 8) {
 		buf = append(buf, byte(b.acc))
+		b.acc >>= 8
 	}
 	*b = bitWriter{}
 	return buf
@@ -275,11 +310,9 @@ func decodeChunkInto(data []byte, p *Postings, want *ChunkMeta) (dim int, err er
 	dim = int(binary.LittleEndian.Uint16(body[6:8]))
 	entries := binary.LittleEndian.Uint32(body[8:12])
 	rows := binary.LittleEndian.Uint32(body[12:16])
-	w, c := uint(body[16]), uint(body[17])
-	// min/max at body[20:36] are redundant with the values; the manifest
-	// records them from the entries, and decode re-derives them.
-	if w < 1 || w > 32 || c > 32 || body[18]|body[19] != 0 {
-		return 0, fmt.Errorf("chunkstore: bad widths: ids %d bits, counts %d bits, reserved %#x", w, c, body[18:20])
+	w, c, g := uint(body[16]), uint(body[17]), uint(body[gapWidthAt])
+	if w < 1 || w > 32 || c > 32 || g > 64 || body[19] != 0 {
+		return 0, fmt.Errorf("chunkstore: bad widths: ids %d bits, counts %d bits, values %d bits, reserved %#x", w, c, g, body[19])
 	}
 	if want != nil {
 		for _, f := range [...]headerMismatch{{"dim", dim, want.Dim}, {"entries", int(entries), want.Entries}, {"row_refs", int(rows), want.RowRefs}} {
@@ -288,24 +321,29 @@ func decodeChunkInto(data []byte, p *Postings, want *ChunkMeta) (dim int, err er
 			}
 		}
 	}
+	if entries == 0 {
+		return 0, fmt.Errorf("chunkstore: a chunk of no entries")
+	}
 	payload := body[headerSize:]
-	if size := payloadSize(uint64(entries), uint64(rows), w, c); size != uint64(len(payload)) {
-		return 0, fmt.Errorf("chunkstore: %d entries with %d row ids at %d+%d bits take %d bytes, payload has %d", entries, rows, w, c, size, len(payload))
+	if size := payloadSize(uint64(entries), uint64(rows), g, w, c); size != uint64(len(payload)) {
+		return 0, fmt.Errorf("chunkstore: %d entries with %d row ids at %d+%d+%d bits take %d bytes, payload has %d", entries, rows, g, w, c, size, len(payload))
 	}
 	if c == 0 && rows != entries {
 		return 0, fmt.Errorf("chunkstore: %d row ids in %d one-row postings", rows, entries)
 	}
-	vals := payload[:8*uint64(entries)]
-	counts := payload[len(vals) : uint64(len(vals))+(uint64(entries)*uint64(c)+7)/8]
-	ids := payload[len(vals)+len(counts):]
-	if !paddingZero(counts, uint64(entries)*uint64(c)) || !paddingZero(ids, uint64(rows)*uint64(w)) {
+	gapBits := uint64(entries-1) * uint64(g)
+	gaps := payload[:(gapBits+7)/8]
+	counts := payload[len(gaps) : uint64(len(gaps))+(uint64(entries)*uint64(c)+7)/8]
+	ids := payload[len(gaps)+len(counts):]
+	if !paddingZero(gaps, gapBits) || !paddingZero(counts, uint64(entries)*uint64(c)) || !paddingZero(ids, uint64(rows)*uint64(w)) {
 		return 0, fmt.Errorf("chunkstore: nonzero padding bits")
 	}
 
 	values := slices.Grow(p.Values[:0], int(entries))[:entries]
-	if !kernel.AscendingInto(values, vals) {
+	if !kernel.AscendingGapsInto(values, math.Float64frombits(binary.LittleEndian.Uint64(body[20:28])), gaps, g) {
 		// Name the first value out of order. NaN ascends from nothing and
-		// nothing ascends from it.
+		// nothing ascends from it; a key that wraps lands below the one
+		// before it.
 		last := math.Inf(-1)
 		for i, v := range values {
 			if !(v > last) {
@@ -313,6 +351,9 @@ func decodeChunkInto(data []byte, p *Postings, want *ChunkMeta) (dim int, err er
 			}
 			last = v
 		}
+	}
+	if got, maxBits := math.Float64bits(values[entries-1]), binary.LittleEndian.Uint64(body[28:36]); got != maxBits {
+		return 0, fmt.Errorf("chunkstore: last value %g, header max %g", values[entries-1], math.Float64frombits(maxBits))
 	}
 	own := p.ends
 	var ends []uint32

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"github.com/uei-db/uei/internal/kernel"
 )
 
 func sampleEntries() []Entry {
@@ -152,7 +154,9 @@ func v1Chunk(dim int, entries []Entry) []byte {
 
 // TestEntryEncodedSizeMatchesCodec: the payload size the chunk cutter
 // tracks for its pending entries is the encoder's, byte for byte, for
-// one-row and multi-row chunks at every id width.
+// one-row and multi-row chunks at every id width — after any chunk it cut
+// before a gap wider than the vector decode takes, which it leaves no
+// wider than that.
 func TestEntryEncodedSizeMatchesCodec(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	sets := append([][]Entry{sampleEntries()}, boundaryChunks(rng)...)
@@ -160,18 +164,29 @@ func TestEntryEncodedSizeMatchesCodec(t *testing.T) {
 		sets = append(sets, genChunk(rng, target, 1, 1<<22), genChunk(rng, target, 50, 1<<22))
 	}
 	for i, entries := range sets {
-		cut := chunkCutter{target: math.MaxInt}
+		var file bytes.Buffer
+		cut := chunkCutter{w: &file, target: math.MaxInt}
 		for _, e := range entries {
 			if err := cut.add(e); err != nil {
 				t.Fatal(err)
 			}
 		}
-		data, err := encodeChunk(0, entries)
+		data, err := encodeChunk(0, cut.pending)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got, want := cut.payload(), uint64(len(data)-headerSize-4); got != want {
 			t.Errorf("chunk %d: the cutter counts %d payload bytes, the encoder writes %d", i, got, want)
+		}
+		if err := cut.flush(); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range cut.metas {
+			chunk := file.Bytes()[:m.Bytes]
+			file.Next(int(m.Bytes))
+			if g := chunk[18]; g > kernel.MaxVectorGap {
+				t.Errorf("chunk %d: the cutter wrote gaps %d bits wide", i, g)
+			}
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -18,9 +19,10 @@ import (
 )
 
 // genChunk draws a codec-valid chunk of about target payload bytes whose
-// postings hold 1..maxRows row ids below n.
+// postings hold 1..maxRows row ids below n: the cutter's pending entries,
+// after any chunk it cut before a wide gap.
 func genChunk(rng *rand.Rand, target, maxRows, n int) []Entry {
-	cut := chunkCutter{target: math.MaxInt}
+	cut := chunkCutter{w: io.Discard, target: math.MaxInt}
 	value := rng.NormFloat64()
 	for cut.payload() < uint64(target) {
 		value += rng.Float64() + 1e-9
@@ -78,20 +80,24 @@ func referenceDecode(data []byte) (dim int, entries []Entry, err error) {
 	dim = int(binary.LittleEndian.Uint16(body[6:8]))
 	n := uint64(binary.LittleEndian.Uint32(body[8:12]))
 	rows := uint64(binary.LittleEndian.Uint32(body[12:16]))
-	w, c := uint(body[16]), uint(body[17])
-	if w < 1 || w > 32 || c > 32 || body[18] != 0 || body[19] != 0 {
-		return 0, nil, fmt.Errorf("chunkstore: bad widths: ids %d bits, counts %d bits, reserved %#x", w, c, body[18:20])
+	w, c, g := uint(body[16]), uint(body[17]), uint(body[18])
+	if w < 1 || w > 32 || c > 32 || g > 64 || body[19] != 0 {
+		return 0, nil, fmt.Errorf("chunkstore: bad widths: ids %d bits, counts %d bits, values %d bits, reserved %#x", w, c, g, body[19])
+	}
+	if n == 0 {
+		return 0, nil, fmt.Errorf("chunkstore: a chunk of no entries")
 	}
 	payload := body[headerSize:]
-	countBytes, idBytes := (n*uint64(c)+7)/8, (rows*uint64(w)+7)/8
-	if size := 8*n + countBytes + idBytes; size != uint64(len(payload)) {
-		return 0, nil, fmt.Errorf("chunkstore: %d entries with %d row ids at %d+%d bits take %d bytes, payload has %d", n, rows, w, c, size, len(payload))
+	gapBytes, countBytes, idBytes := ((n-1)*uint64(g)+7)/8, (n*uint64(c)+7)/8, (rows*uint64(w)+7)/8
+	if size := gapBytes + countBytes + idBytes; size != uint64(len(payload)) {
+		return 0, nil, fmt.Errorf("chunkstore: %d entries with %d row ids at %d+%d+%d bits take %d bytes, payload has %d", n, rows, g, w, c, size, len(payload))
 	}
 	if c == 0 && rows != n {
 		return 0, nil, fmt.Errorf("chunkstore: %d row ids in %d one-row postings", rows, n)
 	}
 	r := &bitReader{b: payload}
-	for _, pad := range [][2]uint64{{64*n + n*uint64(c), 8 * (8*n + countBytes)}, {8*(8*n+countBytes) + rows*uint64(w), 8 * uint64(len(payload))}} {
+	countsAt, idsAt := 8*gapBytes, 8*(gapBytes+countBytes)
+	for _, pad := range [][2]uint64{{(n - 1) * uint64(g), countsAt}, {countsAt + n*uint64(c), idsAt}, {idsAt + rows*uint64(w), 8 * uint64(len(payload))}} {
 		for r.pos = pad[0]; r.pos < pad[1]; {
 			if r.read(1) != 0 {
 				return 0, nil, fmt.Errorf("chunkstore: nonzero padding bits")
@@ -100,14 +106,23 @@ func referenceDecode(data []byte) (dim int, entries []Entry, err error) {
 	}
 	r.pos = 0
 	values := make([]float64, n)
-	last := math.Inf(-1)
-	for i := range values {
-		values[i] = math.Float64frombits(r.read(64))
-		if !(values[i] > last) {
-			return 0, nil, fmt.Errorf("chunkstore: entry %d value %g after %g: %w", i, values[i], last, errUnordered)
-		}
-		last = values[i]
+	values[0] = math.Float64frombits(binary.LittleEndian.Uint64(body[20:28]))
+	key := refKey(values[0])
+	for i := uint64(1); i < n; i++ {
+		key += r.read(g) + 1
+		values[i] = refValue(key)
 	}
+	last := math.Inf(-1)
+	for i, v := range values {
+		if !(v > last) {
+			return 0, nil, fmt.Errorf("chunkstore: entry %d value %g after %g: %w", i, v, last, errUnordered)
+		}
+		last = v
+	}
+	if maxBits := binary.LittleEndian.Uint64(body[28:36]); math.Float64bits(last) != maxBits {
+		return 0, nil, fmt.Errorf("chunkstore: last value %g, header max %g", last, math.Float64frombits(maxBits))
+	}
+	r.pos = countsAt
 	counts, sum := make([]uint64, n), uint64(0)
 	for i := range counts {
 		counts[i] = r.read(c) + 1
@@ -116,7 +131,7 @@ func referenceDecode(data []byte) (dim int, entries []Entry, err error) {
 	if sum != rows {
 		return 0, nil, fmt.Errorf("chunkstore: posting counts sum to %d, header says %d rows", sum, rows)
 	}
-	r.pos = 8 * (8*n + countBytes)
+	r.pos = idsAt
 	for i, v := range values {
 		ids := make([]uint32, counts[i])
 		for j := range ids {
@@ -128,6 +143,25 @@ func referenceDecode(data []byte) (dim int, entries []Entry, err error) {
 		entries = append(entries, Entry{Value: v, Rows: ids})
 	}
 	return dim, entries, nil
+}
+
+// refKey is a value's order key as the format writes it down: the bits
+// of a value with its sign clear, its sign bit set; every bit of one with
+// its sign set, flipped.
+func refKey(v float64) uint64 {
+	b := math.Float64bits(v)
+	if b>>63 == 0 {
+		return b | 1<<63
+	}
+	return ^b
+}
+
+// refValue is refKey's inverse.
+func refValue(k uint64) float64 {
+	if k>>63 == 1 {
+		return math.Float64frombits(k &^ (1 << 63))
+	}
+	return math.Float64frombits(^k)
 }
 
 // requireDecodeMatchesReference decodes data into p and holds the result —
@@ -153,22 +187,30 @@ func requireDecodeMatchesReference(t *testing.T, what string, data []byte, p *Po
 }
 
 // rawBody builds a chunk body, CRC not included, field by field at widths
-// w and c: the values as given, each count (a row count − 1) at c bits
-// unless c is 0, the ids at w bits. It writes what the encoder would not:
-// wider widths than the chunk needs, and every kind of disorder.
-func rawBody(w, c uint, values []float64, counts, ids []uint32) []byte {
+// g, w and c: min and max the first and last of values, each later value
+// as the gap between its key and the one before less one, wrapped to 64
+// bits and cut to g, each count (a row count − 1) at c bits unless c is 0,
+// the ids at w bits. It writes what the encoder would not: wider widths
+// than the chunk needs, and every kind of disorder — a pair out of order
+// is a gap that wraps past 2⁶⁴, which takes g = 64.
+func rawBody(g, w, c uint, values []float64, counts, ids []uint32) []byte {
 	b := []byte(chunkMagic)
 	b = binary.LittleEndian.AppendUint16(b, ChunkVersion)
 	b = binary.LittleEndian.AppendUint16(b, 0)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(values)))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(ids)))
-	b = append(b, byte(w), byte(c), 0, 0)
-	b = binary.LittleEndian.AppendUint64(b, 0)
-	b = binary.LittleEndian.AppendUint64(b, 0)
-	for _, v := range values {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-	}
+	b = append(b, byte(w), byte(c), byte(g), 0)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(values[0]))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(values[len(values)-1]))
 	var bw bitWriter
+	for i := 1; i < len(values); i++ {
+		gap := refKey(values[i]) - refKey(values[i-1]) - 1
+		if g < 64 {
+			gap &= 1<<g - 1
+		}
+		b = bw.append64(b, gap, g)
+	}
+	b = bw.flush(b)
 	if c > 0 {
 		for _, n := range counts {
 			b = bw.append(b, n, c)
@@ -222,13 +264,16 @@ func TestDecodeMatchesReference(t *testing.T) {
 		}
 		bodies, inputs = append(bodies, data[:len(data)-4]), append(inputs, in)
 	}
-	// Counts at the widest width, ids wider than they need.
+	// Counts at the widest width, ids and gaps wider than they need, and
+	// gaps at the widest width of all.
 	bodies = append(bodies,
-		rawBody(5, 32, []float64{1, 2, 3}, []uint32{0, 2, 1}, []uint32{3, 1, 7, 9, 4, 20}),
-		rawBody(32, 32, []float64{-2}, []uint32{1}, []uint32{0, math.MaxUint32}))
+		rawBody(60, 5, 32, []float64{1, 2, 3}, []uint32{0, 2, 1}, []uint32{3, 1, 7, 9, 4, 20}),
+		rawBody(0, 32, 32, []float64{-2}, []uint32{1}, []uint32{0, math.MaxUint32}),
+		rawBody(64, 7, 0, []float64{-math.MaxFloat64, -0.5, math.Copysign(0, -1), math.SmallestNonzeroFloat64, math.Inf(1)}, nil, []uint32{5, 1, 99, 0, 3}))
 	inputs = append(inputs,
 		[]Entry{{1, []uint32{3}}, {2, []uint32{1, 7, 9}}, {3, []uint32{4, 20}}},
-		[]Entry{{-2, []uint32{0, math.MaxUint32}}})
+		[]Entry{{-2, []uint32{0, math.MaxUint32}}},
+		[]Entry{{-math.MaxFloat64, []uint32{5}}, {-0.5, []uint32{1}}, {math.Copysign(0, -1), []uint32{99}}, {math.SmallestNonzeroFloat64, []uint32{0}}, {math.Inf(1), []uint32{3}}})
 
 	p := new(Postings)
 	for ci, body := range bodies {
@@ -249,20 +294,22 @@ func TestDecodeMatchesReference(t *testing.T) {
 }
 
 // unorderedBodies are CRC-less chunk bodies the encoder never writes and a
-// CRC would not catch: equal, descending and NaN values, a row id repeated
-// or descending inside a posting, a nonzero padding bit, and counts that do
-// not sum to the header's rows.
+// CRC would not catch: a −0 before +0 (the nearest a gap comes to equal
+// values), a run whose keys wrap past 2⁶⁴ onto a smaller value that the
+// header's max names, a NaN value, a row id repeated or descending inside a
+// posting, a nonzero padding bit, and counts that do not sum to the
+// header's rows.
 func unorderedBodies() map[string][]byte {
-	padded := rawBody(3, 0, []float64{1, 2}, nil, []uint32{1, 2})
+	padded := rawBody(52, 3, 0, []float64{1, 2}, nil, []uint32{1, 2})
 	padded[len(padded)-1] |= 0x80
 	return map[string][]byte{
-		"equal-values":       rawBody(1, 0, []float64{1, 1}, nil, []uint32{0, 1}),
-		"descending-values":  rawBody(1, 0, []float64{2, 1}, nil, []uint32{0, 1}),
-		"nan-value":          rawBody(2, 0, []float64{1, math.NaN(), 2}, nil, []uint32{0, 1, 2}),
-		"repeated-row-id":    rawBody(2, 1, []float64{1}, []uint32{1}, []uint32{3, 3}),
-		"descending-row-id":  rawBody(3, 1, []float64{1}, []uint32{1}, []uint32{5, 4}),
+		"equal-values":       rawBody(0, 1, 0, []float64{math.Copysign(0, -1), 0}, nil, []uint32{0, 1}),
+		"descending-values":  rawBody(64, 1, 0, []float64{2, 1}, nil, []uint32{0, 1}),
+		"nan-value":          rawBody(64, 2, 0, []float64{1, math.NaN(), 2}, nil, []uint32{0, 1, 2}),
+		"repeated-row-id":    rawBody(0, 2, 1, []float64{1}, []uint32{1}, []uint32{3, 3}),
+		"descending-row-id":  rawBody(0, 3, 1, []float64{1}, []uint32{1}, []uint32{5, 4}),
 		"nonzero-padding":    padded,
-		"count-sum-mismatch": rawBody(2, 1, []float64{1, 2}, []uint32{0, 0}, []uint32{1, 2, 3}),
+		"count-sum-mismatch": rawBody(52, 2, 1, []float64{1, 2}, []uint32{0, 0}, []uint32{1, 2, 3}),
 	}
 }
 
@@ -351,7 +398,7 @@ func benchChunkShapes(b *testing.B) []struct {
 		value += rng.Float64() + 1e-9
 		oneRow = append(oneRow, Entry{Value: value, Rows: []uint32{uint32(rng.Intn(50_000))}})
 	}
-	field := chunkCutter{target: math.MaxInt}
+	field := chunkCutter{w: io.Discard, target: math.MaxInt} // its chunk starts at 1, after the wide gap from 0
 	for v := 0; field.payload() < 63<<10; v++ {
 		rows := make([]uint32, 0, 50)
 		for id := uint32(rng.Intn(1000)); id < 50_000 && len(rows) < cap(rows); id += 1 + uint32(rng.Intn(1999)) {

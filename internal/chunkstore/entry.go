@@ -16,6 +16,9 @@ package chunkstore
 import (
 	"fmt"
 	"io"
+	"math/bits"
+
+	"github.com/uei-db/uei/internal/kernel"
 )
 
 // Entry is one inverted-index posting: a distinct attribute value and the
@@ -27,9 +30,12 @@ type Entry struct {
 
 // chunkCutter splits one dimension's ascending entries into chunks, which
 // it appends to w: it cuts as soon as the exact encoded payload of the
-// pending entries, at the widths they need so far, reaches the target, and,
-// when segment is non-nil, before an entry whose segment is not the
-// pending entries' one.
+// pending entries, at the widths they need so far, reaches the target,
+// before an entry whose value gap is wider than kernel.MaxVectorGap bits,
+// and, when segment is non-nil, before an entry whose segment is not the
+// pending entries' one. Gaps that wide span 2⁵⁷ keys each, so a dimension
+// has at most 128 of them — a zero between values far from it, a sign
+// change — and its other chunks keep their narrow widths.
 type chunkCutter struct {
 	w           io.Writer
 	dim, target int
@@ -45,6 +51,7 @@ type chunkCutter struct {
 	ids      []uint32
 	maxID    uint32
 	maxCount int
+	gaps     uint64 // the OR of the pending values' gaps: its width is theirs
 }
 
 func (k *chunkCutter) add(e Entry) error {
@@ -63,6 +70,17 @@ func (k *chunkCutter) add(e Entry) error {
 		}
 		k.seg = seg
 	}
+	if n := len(k.pending); n > 0 {
+		if gap := valueGap(k.pending[n-1].Value, e.Value); bits.Len64(gap) > kernel.MaxVectorGap {
+			// The gap would widen every gap of the chunk past what the
+			// vector decode takes: it starts a chunk instead.
+			if err := k.flush(); err != nil {
+				return err
+			}
+		} else {
+			k.gaps |= gap
+		}
+	}
 	start := len(k.ids)
 	k.ids = append(k.ids, e.Rows...)
 	k.pending = append(k.pending, Entry{Value: e.Value, Rows: k.ids[start:len(k.ids):len(k.ids)]})
@@ -77,7 +95,7 @@ func (k *chunkCutter) add(e Entry) error {
 // payload is the encoded payload size of the pending entries.
 func (k *chunkCutter) payload() uint64 {
 	w, c := chunkWidths(k.maxID, k.maxCount)
-	return payloadSize(uint64(len(k.pending)), uint64(len(k.ids)), w, c)
+	return payloadSize(uint64(len(k.pending)), uint64(len(k.ids)), uint(bits.Len64(k.gaps)), w, c)
 }
 
 // flush writes the pending entries, if any, as the dimension's next chunk.
@@ -101,6 +119,6 @@ func (k *chunkCutter) flush() error {
 		MaxValue: k.pending[len(k.pending)-1].Value,
 		Bytes:    int64(len(data)),
 	})
-	k.pending, k.ids, k.maxID, k.maxCount = k.pending[:0], k.ids[:0], 0, 0
+	k.pending, k.ids, k.maxID, k.maxCount, k.gaps = k.pending[:0], k.ids[:0], 0, 0, 0
 	return nil
 }

@@ -38,12 +38,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			entries := p.Entries()
 			reenc, err := encodeChunk(dim, entries)
 			if err != nil {
-				// decode checks what encode checks — values and row ids
-				// strictly ascending, no empty posting — but accepts a
-				// chunk of no entries, which encode refuses.
-				if len(entries) == 0 {
-					return
-				}
+				// decode checks what encode checks: at least one entry,
+				// values and row ids strictly ascending, no empty posting.
 				t.Fatalf("decoded chunk not re-encodable: %v", err)
 			}
 			dim2, p2, err := decodeChunk(reenc)
@@ -169,8 +165,8 @@ func reseal(body []byte) []byte {
 }
 
 // oversizedCountBodies are CRC-valid chunks whose counts promise far more
-// than their bytes hold: 2³²−1 row ids in one posting, and 2³²−1 entries
-// ahead of a 9-byte payload. Allocating what they ask for would take tens
+// than their bytes hold: 2³²−1 row ids in one posting, and 2³²−1 one-row
+// entries, ahead of a 1-byte payload. Allocating what they ask for would take tens
 // of gigabytes.
 func oversizedCountBodies(t testing.TB) [][]byte {
 	good, err := encodeChunk(0, []Entry{{Value: 1, Rows: []uint32{3}}})
@@ -182,6 +178,7 @@ func oversizedCountBodies(t testing.TB) [][]byte {
 	rows[17] = 32
 	entries := bytes.Clone(good[:len(good)-4])
 	binary.LittleEndian.PutUint32(entries[8:12], math.MaxUint32)
+	binary.LittleEndian.PutUint32(entries[12:16], math.MaxUint32)
 	return [][]byte{rows, entries}
 }
 
@@ -191,7 +188,7 @@ func oversizedCountBodies(t testing.TB) [][]byte {
 func TestDecodeBoundsCountsBeforeAllocating(t *testing.T) {
 	for i, body := range oversizedCountBodies(t) {
 		_, _, err := decodeChunk(reseal(body))
-		if err == nil || !strings.Contains(err.Error(), "payload has 9") {
+		if err == nil || !strings.Contains(err.Error(), "payload has 1") {
 			t.Errorf("oversized count %d: err = %v, want the exact-size refusal", i, err)
 		}
 	}
@@ -199,8 +196,8 @@ func TestDecodeBoundsCountsBeforeAllocating(t *testing.T) {
 
 // FuzzDecodeResealed feeds the decoder bodies that pass the CRC whatever
 // they say: it must return — an error or postings — without panicking and
-// without building more than the bytes can encode (an entry takes eight
-// bytes and a row id at least one bit), and agree with referenceDecode on
+// without building more than the bytes can encode (at value-gap width 0
+// an entry's only bits are its row id's, at least one), and agree with referenceDecode on
 // the postings or the error text. Every body is decoded fresh and again
 // into the buffer the previous iteration left behind: storage may change
 // where the result lives, never what it is. After each decode the
@@ -255,7 +252,7 @@ func FuzzDecodeResealed(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if need := payloadSize(uint64(len(reused.Values)), uint64(len(reused.Rows)), 1, 0); need > uint64(len(body)-headerSize) {
+		if need := payloadSize(uint64(len(reused.Values)), uint64(len(reused.Rows)), 0, 1, 0); need > uint64(len(body)-headerSize) {
 			t.Fatalf("decoded %d entries with %d row ids out of a %d-byte payload", len(reused.Values), len(reused.Rows), len(body)-headerSize)
 		}
 	})
@@ -274,9 +271,9 @@ func FuzzLoadManifest(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(good)
-	f.Add(bytes.Replace(good, []byte(`"format_version":3`), []byte(`"format_version":2`), 1))
+	f.Add(bytes.Replace(good, []byte(`"format_version":4`), []byte(`"format_version":3`), 1))
 	f.Add(bytes.Replace(good, []byte(`{"dim":0,"seq":1,`), []byte(`{"file":"../x","dim":0,"seq":1,`), 1))
-	f.Add([]byte(`{"format_version":3,"columns":["a"],"row_count":1,"chunks":[[{"dim":0,"seq":0,"entries":1,"row_refs":1,"bytes":49}]],"min_values":[0],"max_values":[0]}`))
+	f.Add([]byte(`{"format_version":4,"columns":["a"],"row_count":1,"chunks":[[{"dim":0,"seq":0,"entries":1,"row_refs":1,"bytes":41}]],"min_values":[0],"max_values":[0]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := parseManifest(data)
 		if err != nil {

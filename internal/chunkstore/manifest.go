@@ -63,8 +63,10 @@ type Manifest struct {
 
 // manifestFormatVersion is bumped on incompatible layout changes. Format 2
 // is the first whose chunks are chunk version 2, format 3 the first that
-// keeps each dimension's chunks back to back in one data file.
-const manifestFormatVersion = 3
+// keeps each dimension's chunks back to back in one data file, format 4
+// the first whose chunks (version 3) and part idmaps (version 2) store
+// what ascends as gaps.
+const manifestFormatVersion = 4
 
 // ErrFormatVersion reports a store written in a format this program does
 // not read; the remedy is to rebuild it. Match with errors.Is.

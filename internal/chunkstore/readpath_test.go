@@ -61,16 +61,15 @@ func TestReadChunkRefusesResizedFile(t *testing.T) {
 	exact("merge over a grown file")
 	reopenRefused(256 << 20)
 
-	cut := int64(len(whole) / 2)
+	chunks := st.Manifest().Chunks[1]
+	if len(chunks) < 2 {
+		t.Fatalf("dimension 1 has %d chunk(s), the cut wants two", len(chunks))
+	}
+	victim := chunks[len(chunks)-1]
+	cut := victim.Offset + victim.Bytes/2
 	if err := os.WriteFile(path, whole[:cut], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	chunks := st.Manifest().Chunks[1]
-	i := 0
-	for chunks[i].Offset+chunks[i].Bytes <= cut {
-		i++
-	}
-	victim := chunks[i]
 	want := fmt.Sprintf("chunkstore: read chunk %s of d01.chk: read %d bytes of %d at %d", victim.File, cut-victim.Offset, victim.Bytes, victim.Offset)
 	if _, err := st.ReadChunk(ctx, victim); err == nil || err.Error() != want {
 		t.Fatalf("ReadChunk past the cut: err = %v, want %q", err, want)

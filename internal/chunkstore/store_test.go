@@ -5,6 +5,7 @@ import (
 	"context"
 	"io"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"testing/quick"
 
 	"github.com/uei-db/uei/internal/dataset"
+	"github.com/uei-db/uei/internal/kernel"
 	"github.com/uei-db/uei/internal/obs"
 	"github.com/uei-db/uei/internal/vec"
 )
@@ -61,14 +63,13 @@ func readExtentBytes(t testing.TB, dir string, meta ChunkMeta) []byte {
 }
 
 // cutOne appends entries to w as one chunk of dimension dim and returns
-// its record, as the writer makes it.
+// its record, as the writer's flush makes them — one chunk whatever its
+// value gaps, where the writer would cut before a wide one.
 func cutOne(t testing.TB, w io.Writer, dim int, entries []Entry) ChunkMeta {
 	t.Helper()
-	cut := chunkCutter{w: w, dim: dim, target: math.MaxInt}
+	cut := chunkCutter{w: w, dim: dim, target: math.MaxInt, pending: entries}
 	for _, e := range entries {
-		if err := cut.add(e); err != nil {
-			t.Fatal(err)
-		}
+		cut.ids = append(cut.ids, e.Rows...)
 	}
 	if err := cut.flush(); err != nil {
 		t.Fatal(err)
@@ -375,9 +376,11 @@ func TestChunkSizesRoughlyEqual(t *testing.T) {
 	for d, chunks := range st.Manifest().Chunks {
 		for i, c := range chunks {
 			// The writer cuts as soon as the exact payload reaches the
-			// target: every chunk but a dimension's last has reached it,
-			// and none had reached it one entry earlier.
-			if payload := c.Bytes - headerSize - 4; i < len(chunks)-1 && payload < target {
+			// target: every chunk but a dimension's last, or one cut
+			// before a wide value gap, has reached it, and none had
+			// reached it one entry earlier.
+			wideNext := i < len(chunks)-1 && bits.Len64(valueGap(c.MaxValue, chunks[i+1].MinValue)) > kernel.MaxVectorGap
+			if payload := c.Bytes - headerSize - 4; i < len(chunks)-1 && !wideNext && payload < target {
 				t.Errorf("dim %d chunk %d has a %d-byte payload, below target %d", d, i, payload, target)
 			}
 			entries, err := st.ReadChunk(context.Background(), c)

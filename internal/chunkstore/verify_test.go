@@ -2,9 +2,11 @@ package chunkstore
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -189,9 +191,9 @@ func TestVerify(t *testing.T) {
 		t.Fatalf("missing data file: Open err = %v, want a refusal naming d01.chk", err)
 	}
 
-	// Values out of order inside a chunk whose counts, range, size and CRC
-	// all hold: 100 distinct values on 100 rows make every posting one
-	// row, so two values can trade places in the value column.
+	// Values out of order inside a chunk whose counts, size and CRC all
+	// hold: a first value of +Inf, whose key leaves every gap after it
+	// past the keys of numbers.
 	ds := dataset.New(dataset.MustSchema("x"), 100)
 	for i := 0; i < 100; i++ {
 		if _, err := ds.Append([]float64{float64(i)}); err != nil {
@@ -208,10 +210,7 @@ func TestVerify(t *testing.T) {
 	}
 	data = readExtentBytes(t, st.dir, meta)
 	body := data[:len(data)-4]
-	a, b := body[headerSize+8:headerSize+16], body[headerSize+16:headerSize+24]
-	for i := range a {
-		a[i], b[i] = b[i], a[i]
-	}
+	binary.LittleEndian.PutUint64(body[20:28], math.Float64bits(math.Inf(1)))
 	writeExtent(t, st.dir, meta, reseal(body))
 	requireVerifyField(t, "values out of order", st, "order", meta.File)
 

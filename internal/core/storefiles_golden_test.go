@@ -119,12 +119,12 @@ func TestGoldenStoreFiles(t *testing.T) {
 		chunks       int
 		chunksDigest string
 	}{
-		{"one shard", BuildOptions{TargetChunkBytes: 2048}, 8, "dca34823a56474e98cae0d6cff52123a546c2c6d7ee9dba1364591b7e9f04d98",
-			75, "39dc817dbc9196092ae6e5b99a9af21e329ad33653f51154fa5c666d418a919e"},
-		{"sharded S=3", BuildOptions{TargetChunkBytes: 2048, Shards: 3}, 23, "92920ed378d8f6305f2aaef26ff37134e29ca2734a36245f91ad57b5827e3e6c",
-			96, "fbe46ae65477211bbb2832da97614e450778ca829a36357cf7a1ce23faf16ae5"},
-		{"live S=2", BuildOptions{TargetChunkBytes: 2048, Shards: 2, LiveIngest: true}, 16, "01b5381a6ed069e03ca2b26b646571e75efcb46d88da173500f4720e7adbcc59",
-			89, "ff3d3a3c583e302048082facebdbf578dfa7c21bd2bf48cc59eb371d6fcbc110"},
+		{"one shard", BuildOptions{TargetChunkBytes: 2048}, 8, "5c38327ddacd24a54d22163a37868c6ecd7e502afea83213bea772f789eceb11",
+			63, "54b67403366c8e46f0c76bb649253dc3b0d355aac5376c367862d6d0bc831b66"},
+		{"sharded S=3", BuildOptions{TargetChunkBytes: 2048, Shards: 3}, 23, "2535d8624ad9ec86b2520c6e3a9c4ffbe5a9a2e8dc572b5562689da03037b11f",
+			84, "68c2ab6295533ea2828702ddbd712e94dd381ed25857555608e674f891777971"},
+		{"live S=2", BuildOptions{TargetChunkBytes: 2048, Shards: 2, LiveIngest: true}, 16, "f645dc006da3782e8b8e6eb2825cdc094809b59e5d1941d62825488d619f92eb",
+			76, "9640af494ab9ccce3363ebb912edd83a278cb07e37f4a841bfa1a461b4e67c7b"},
 	}
 	for _, c := range cases {
 		for from, src := range sources {

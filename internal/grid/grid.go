@@ -33,11 +33,16 @@ type Grid struct {
 // New creates a grid with the same number of segments in every dimension
 // ("equilateral d-dimensional subspaces", Algorithm 2 line 7). With 5
 // dimensions and 5 segments this yields the paper's 3125 symbolic index
-// points.
+// points. A zero-width dimension — a column holding one value — gets one
+// segment, so every layout that builds its grid here (the build, Open,
+// ownership and the writer's chunk cuts) agrees on it.
 func New(bounds vec.Box, segmentsPerDim int) (*Grid, error) {
 	segs := make([]int, bounds.Dims())
 	for i := range segs {
 		segs[i] = segmentsPerDim
+		if segmentsPerDim > 0 && bounds.Max[i]-bounds.Min[i] <= 0 {
+			segs[i] = 1
+		}
 	}
 	return NewWithSegments(bounds, segs)
 }

@@ -3,6 +3,7 @@ package kernel
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 )
 
 // The three chunk kernels below are the decode of a chunk and the
@@ -12,38 +13,148 @@ import (
 // (chunk_amd64.s), and its Go loop finishes the tail, is the whole body
 // everywhere else, and is what the tests hold the assembly to, bit for bit.
 
-// AscendingInto copies the len(dst) little-endian float64s at the start of
-// src into dst and reports whether they strictly ascend from −∞: each
-// value above the one before it and the first above −∞, so a NaN or a −∞
-// anywhere, or two equal neighbours, make it false. The copy is whole
-// either way.
-func AscendingInto(dst []float64, src []byte) bool {
-	src = src[:8*len(dst)]
-	n, ok := 0, true
-	if hasAVX2 {
-		// A block compares its four values with the four after them, so
-		// the last value is the tail's even when the length is a multiple
-		// of four.
-		n = max(len(dst)-1, 0) &^ 3
-		ok = ascendingIntoAVX2(dst, src)
-	}
-	last := math.Inf(-1)
-	if n > 0 {
-		last = dst[n-1]
-	}
-	tail := ascendingIntoGo(dst[n:], src[8*n:], last)
-	return ok && tail
+// OrderKey maps a float64 to a uint64 whose unsigned order is the
+// value's total order: the sign bit of a positive value is set, every bit
+// of a negative one flipped. It is a bijection, −0 keys one below +0, and
+// every NaN keys below −∞ or above +∞.
+func OrderKey(v float64) uint64 {
+	b := math.Float64bits(v)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
 }
 
-func ascendingIntoGo(dst []float64, src []byte, last float64) bool {
-	src = src[:8*len(dst)]
-	ok := true
+// fromKey is OrderKey's inverse, as float64 bits.
+func fromKey(k uint64) uint64 {
+	return k ^ (^uint64(int64(k)>>63) | 1<<63)
+}
+
+// MaxVectorGap is the widest gap the vector body of AscendingGapsInto
+// takes: a bit offset of at most 7 and 57 bits fit one 8-byte lane. A
+// wider one is the Go loop's, several times slower a value.
+const MaxVectorGap = 57
+
+// zeroGaps is the section the vector body loads from at width 0, where
+// every gap is 0 and the gap section itself may be empty.
+var zeroGaps [16]byte
+
+// gapPlan is how the vector body of AscendingGapsInto places the eight
+// gaps of a pass at one width, which take exactly width bytes: gap j
+// starts at bit j·width. Each block of four is two 16-byte loads — at
+// byte 0 and off[0] for gaps 0–3, off[1] and off[2] for gaps 4–7 — whose
+// bytes ctl moves into the gaps' lanes, and shift is each lane's bit
+// offset. The layout is the assembly's.
+type gapPlan struct {
+	ctl   [2][32]byte
+	shift [2][4]uint64
+	off   [3]uint64
+}
+
+// gapPlans holds the plan of every vector width.
+var gapPlans = func() (plans [MaxVectorGap + 1]gapPlan) {
+	for w := range plans {
+		p := &plans[w]
+		byteOf := func(j int) int { return j * w / 8 }
+		p.off = [3]uint64{uint64(byteOf(2)), uint64(byteOf(4)), uint64(byteOf(6))}
+		for j := 0; j < 8; j++ {
+			blk, half, lane := j/4, j/2%2, j%4
+			base := byteOf(j &^ 1) // the byte its half loads from
+			for k := 0; k < 8; k++ {
+				p.ctl[blk][16*half+8*(j%2)+k] = byte(byteOf(j) - base + k)
+			}
+			p.shift[blk][lane] = uint64(j * w % 8)
+		}
+	}
+	return plans
+}()
+
+// AscendingGapsInto decodes an ascending run stored as its first value
+// and the gaps between neighbouring order keys (OrderKey) less one: it
+// sets dst[0] to first and each later dst[i] to the value whose key is
+// dst[i−1]'s plus item i−1 of src plus one, the len(dst)−1 items packed
+// LSB-first at width bits (0…64), item k at bits [k·width, (k+1)·width).
+// src must hold them all; bytes after them are read, never used. It
+// reports whether the values strictly ascend from −∞ — each above the one
+// before, the first above −∞ — which a key that wraps past 2⁶⁴, a NaN
+// anywhere, a −∞ first or a −0 before +0 make false. The decode is whole
+// either way.
+//
+// The AVX2 body takes eight gaps a pass, at widths up to MaxVectorGap,
+// over the passes whose every load ends inside src: two 16-byte loads and
+// a shuffle a block of four, a shift and a mask, a prefix sum carried from
+// block to block, and a test that no key wrapped. Keys that do not wrap
+// ascend, so what else the test asks is settled at the ends of the run:
+// the first value above −∞, the last no NaN, and a −0, if the run holds
+// one, not followed by +0. Wider gaps and the rest are the Go loop's.
+func AscendingGapsInto(dst []float64, first float64, src []byte, width uint) bool {
+	if len(dst) == 0 {
+		return true
+	}
+	dst[0] = first
+	ok := first > math.Inf(-1)
+	n := 0
+	if hasAVX2 && width <= MaxVectorGap {
+		if width == 0 {
+			src = zeroGaps[:]
+		}
+		if n = gapItems(len(dst)-1, len(src), width); n > 0 {
+			if !ascendingGapsAVX2(dst[:n+1], src, width, &gapPlans[width]) {
+				// A run from a value whose sign is clear stores its keys
+				// as bits, which a key that wrapped is not: decode it again.
+				ascendingGapsGo(dst[1:n+1], first, src, 0, width)
+				ok = false
+			}
+			ok = ok && dst[n] <= math.Inf(1) && !zeroPair(dst[:n+1])
+		}
+	}
+	return ascendingGapsGo(dst[n+1:], dst[n], src, uint64(n)*uint64(width), width) && ok
+}
+
+// gapItems is how many of n leading gaps at width the vector body takes
+// from a section of srcLen bytes: the whole passes of eight whose last
+// load — 16 bytes at byte p·width + ⌊6·width/8⌋ of pass p — ends inside it.
+func gapItems(n, srcLen int, width uint) int {
+	if width == 0 {
+		return n &^ 7
+	}
+	reach := int(6*width/8) + 16
+	if srcLen < reach {
+		return 0
+	}
+	return 8 * min(n/8, (srcLen-reach)/int(width)+1)
+}
+
+// zeroPair reports whether the run v, whose keys ascend and hold no NaN,
+// holds a −0 followed by +0: the one pair of neighbouring keys whose
+// values are equal. A −0 can only be the first value not below zero.
+func zeroPair(v []float64) bool {
+	i, _ := slices.BinarySearch(v, 0)
+	return i+1 < len(v) && math.Float64bits(v[i]) == 1<<63 && math.Float64bits(v[i+1]) == 0
+}
+
+// ascendingGapsGo is AscendingGapsInto in Go after its first value: dst
+// follows prev, its gaps start at bit of src, and the test starts from
+// prev. Item k is two unaligned 8-byte loads, a funnel shift and a mask,
+// from a zero-padded copy where the loads would run past src.
+func ascendingGapsGo(dst []float64, prev float64, src []byte, bit uint64, width uint) bool {
+	mask := uint64(1)<<width - 1 // every bit at width 64
+	key, ok := OrderKey(prev), true
+	var pad [16]byte
 	for i := range dst {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-		if !(v > last) {
+		at, shift := bit>>3, uint(bit&7)
+		word := pad[:]
+		if at+16 <= uint64(len(src)) {
+			word = src[at : at+16]
+		} else {
+			clear(pad[:])
+			copy(pad[:], src[min(at, uint64(len(src))):])
+		}
+		gap := binary.LittleEndian.Uint64(word)>>shift | binary.LittleEndian.Uint64(word[8:])<<(64-shift)
+		key += gap&mask + 1
+		v := math.Float64frombits(fromKey(key))
+		if !(v > prev) {
 			ok = false
 		}
-		dst[i], last = v, v
+		dst[i], prev = v, v
+		bit += uint64(width)
 	}
 	return ok
 }

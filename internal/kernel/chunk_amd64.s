@@ -3,10 +3,11 @@
 // The vector bodies of the three chunk kernels (DESIGN.md §17, Vector
 // bodies), under the rules of strip_amd64.s: unaligned loads and stores,
 // nothing read or written past what the Go wrapper hands over, VEX
-// encoding only, VZEROUPPER before returning from 256-bit code. The two
-// gathers read only inside their base slice: Unpack's caller passes just
-// the blocks whose every load ends inside src, and MemberMasks clamps each
-// id into set before it becomes an index.
+// encoding only, VZEROUPPER before returning from 256-bit code. The gap
+// decode's caller passes just the passes whose every 16-byte load ends
+// inside src. The two gathers read only inside their base slice: Unpack's
+// caller passes just the blocks whose every load ends inside src, and
+// MemberMasks clamps each id into set before it becomes an index.
 
 // lanes is 0 … 7, one dword each: the item of a block each lane unpacks.
 DATA lanes<>+0(SB)/4, $0
@@ -19,38 +20,104 @@ DATA lanes<>+24(SB)/4, $6
 DATA lanes<>+28(SB)/4, $7
 GLOBL lanes<>(SB), RODATA|NOPTR, $32
 
-// func ascendingIntoAVX2(dst []float64, src []byte) (ok bool)
+// GAPS leaves in Y13 the keys of the four gaps whose bytes start at lo
+// (the first two) and hi (the last two) and in Y5 the last of them: the
+// two 16-byte halves are loaded, the shuffle control at ctl moves each
+// gap's eight bytes into its lane, the shifts at sh move its bits down and
+// Y2 masks width bits. The steps (gap +
+// 1) are summed in the register — [a, b, c, d] → [a, a+b, a+b+c, a+b+c+d]
+// — onto the key carried in Y5, and a key below it, which only a key that
+// wrapped past 2⁶³ can be, sets Y7.
+#define GAPS(lo, hi, ctl, sh) \
+	VMOVDQU  lo, X13; \
+	VINSERTI128 $1, hi, Y13, Y13; \
+	VPSHUFB  ctl, Y13, Y13; \
+	VPSRLVQ  sh, Y13, Y13; \
+	VPAND    Y2, Y13, Y13; \
+	VPSUBQ   Y4, Y13, Y13; \
+	VPSLLDQ  $8, Y13, Y14; \
+	VPADDQ   Y14, Y13, Y13; /* a, a+b, c, c+d */ \
+	VPERMQ   $0x50, Y13, Y14; \
+	VPBLENDD $0x0F, Y8, Y14, Y14; /* 0, 0, a+b, a+b */ \
+	VPADDQ   Y14, Y13, Y13; \
+	VPERMQ   $0xFF, Y13, Y14; /* the block's sum */ \
+	VPADDQ   Y5, Y13, Y13; \
+	VPCMPGTQ Y13, Y5, Y15; \
+	VPOR     Y15, Y7, Y7; \
+	VPADDQ   Y14, Y5, Y5
+
+// BITS maps the keys in Y13 back to float64 bits: a negative key has
+// every bit but its sign flipped.
+#define BITS \
+	VPCMPGTQ Y13, Y8, Y14; \
+	VPSRLQ   $1, Y14, Y14; \
+	VPXOR    Y14, Y13, Y13
+
+// func ascendingGapsAVX2(dst []float64, src []byte, width uint, plan *gapPlan) (ok bool)
 //
-// Copies the first 4·⌊(len(dst)−1)/4⌋ values and checks each of them
-// against the value after it, the first against −∞; the value after the
-// last block is read, not stored.
-TEXT ·ascendingIntoAVX2(SB), NOSPLIT, $0-49
+// dst[0] holds the first value. (len(dst)−1)/8 passes of eight gaps at
+// width 0 … 57, which take exactly width bytes: gap j of a pass starts at
+// its byte ⌊j·width/8⌋, the plan's shuffle controls and shifts for that
+// width place the four of each block in their lanes, and src advances by
+// width bytes a pass. A value's key is its bits with every bit but the
+// sign flipped when it is negative, so keys order as the values do. A run
+// from a value whose sign is clear stays clear unless a key wraps, so
+// its keys are its bits; a run from a negative value maps each key back.
+// It reports whether no key wrapped.
+TEXT ·ascendingGapsAVX2(SB), NOSPLIT, $0-65
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
 	MOVQ src_base+24(FP), SI
-	MOVB $1, ok+48(FP)
+	MOVQ width+48(FP), BX
+	MOVQ plan+56(FP), DX
+	MOVB $1, ok+64(FP)
 	DECQ CX
-	JLE  done
-	SHRQ $2, CX
+	SHRQ $3, CX
 	JZ   done
-	MOVQ $0xFFF0000000000000, AX
-	VMOVQ AX, X1
-	VPBROADCASTQ X1, Y1 // −∞
-	VBROADCASTSD (SI), Y0
-	VCMPPD $30, Y1, Y0, Y15 // GT_OQ: the first value > −∞
-loop:
-	VMOVUPD 8(SI), Y1 // values i+1 … i+4
-	VMOVUPD (SI), Y0  // values i … i+3
-	VCMPPD  $30, Y0, Y1, Y1 // GT_OQ: each above the one before, false next to a NaN
-	VANDPD  Y1, Y15, Y15
-	VMOVUPD Y0, (DI)
-	ADDQ $32, SI
-	ADDQ $32, DI
+	MOVQ 128(DX), R8    // the byte of gap 2 (block A's controls at 0 and
+	                    // shifts at 64, block B's at 32 and 96)
+	MOVQ 136(DX), R9    // of gap 4
+	MOVQ 144(DX), R10   // of gap 6
+	VPCMPEQQ Y4, Y4, Y4 // ones
+	VPXOR    Y8, Y8, Y8 // zero
+	VPXOR    Y7, Y7, Y7 // no key wrapped yet
+	VMOVQ    BX, X2
+	VPBROADCASTQ X2, Y2
+	VPSLLVQ  Y2, Y4, Y2
+	VPXOR    Y4, Y2, Y2 // the low width bits
+	MOVQ (DI), AX
+	MOVQ AX, R11
+	SARQ $63, R11
+	SHRQ $1, R11
+	XORQ R11, AX // the first value's key
+	VMOVQ AX, X5
+	VPBROADCASTQ X5, Y5 // the carried key
+	TESTQ R11, R11
+	JNZ  negative
+positive:
+	GAPS((SI), (SI)(R8*1), 0(DX), 64(DX))
+	VMOVDQU  Y13, 8(DI)
+	GAPS((SI)(R9*1), (SI)(R10*1), 32(DX), 96(DX))
+	VMOVDQU  Y13, 40(DI)
+	ADDQ BX, SI
+	ADDQ $64, DI
 	DECQ CX
-	JNZ  loop
-	VMOVMSKPD Y15, AX
-	CMPQ AX, $15
-	SETEQ ok+48(FP)
+	JNZ  positive
+	JMP  end
+negative:
+	GAPS((SI), (SI)(R8*1), 0(DX), 64(DX))
+	BITS
+	VMOVDQU  Y13, 8(DI)
+	GAPS((SI)(R9*1), (SI)(R10*1), 32(DX), 96(DX))
+	BITS
+	VMOVDQU  Y13, 40(DI)
+	ADDQ BX, SI
+	ADDQ $64, DI
+	DECQ CX
+	JNZ  negative
+end:
+	VPTEST Y7, Y7
+	SETEQ ok+64(FP)
 	VZEROUPPER
 done:
 	RET

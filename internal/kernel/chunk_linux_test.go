@@ -47,7 +47,8 @@ func wordsAtEnd(page []byte, words []uint32) []uint32 {
 
 // Every section a chunk kernel reads, and MemberMasks' set, placed to end
 // exactly where a PROT_NONE page begins: Unpack at every width 1–32 and
-// item count 0–70, AscendingInto at every length 0–40, MemberMasks over
+// item count 0–70, AscendingGapsInto at every width 0–64 and gap count
+// 0–40, MemberMasks over
 // 0–70 ids against limits either side of a word boundary, ids past the
 // limit included. An over-read faults, and the fault is reported as the
 // case that made it.
@@ -72,13 +73,15 @@ func TestChunkKernelsStayInsideTheirInput(t *testing.T) {
 			Unpack(make([]uint32, n), atEnd(src, packBits(items, width)), width)
 		}
 	}
-	for n := 0; n <= 40; n++ {
-		raw := make([]byte, 8*n)
-		for i := range n {
-			binary.LittleEndian.PutUint64(raw[8*i:], uint64(i))
+	for width := uint(0); width <= 64; width++ {
+		for n := 0; n <= 40; n++ {
+			gaps := make([]uint64, n)
+			for i := range gaps {
+				gaps[i] = rng.Uint64() >> (64 - width)
+			}
+			what = "AscendingGapsInto"
+			AscendingGapsInto(make([]float64, n+1), 1, atEnd(src, packBits(gaps, width)), width)
 		}
-		what = "AscendingInto"
-		AscendingInto(make([]float64, n), atEnd(src, raw))
 	}
 	for _, limit := range []uint32{1, 31, 32, 33, 64, 65} {
 		bits := wordsAtEnd(set, memberSet(rng, limit, 0.5))

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -13,7 +14,7 @@ import (
 
 // packBits packs items LSB-first at width bits into exactly
 // ⌈len(items)·width/8⌉ bytes, one bit at a time: the format as written down.
-func packBits(items []uint32, width uint) []byte {
+func packBits[T uint32 | uint64](items []T, width uint) []byte {
 	out := make([]byte, (len(items)*int(width)+7)/8)
 	for k, v := range items {
 		for i := 0; i < int(width); i++ {
@@ -81,41 +82,106 @@ func checkUnpack(t testing.TB, src []byte, n int, width uint) []uint32 {
 	return want
 }
 
-// checkAscending holds AscendingInto to its Go loop on the little-endian
-// patterns vals placed off bytes into a larger array, copying into a
-// destination of canary words. With the AVX2 body live it is also called
-// on its own: it must copy exactly its blocks, leave the rest alone, and
-// answer for those values and the one after them.
-func checkAscending(t testing.TB, vals []uint64, off int) {
-	t.Helper()
-	n := len(vals)
-	raw := make([]byte, 8*n)
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(raw[8*i:], v)
+// bitsAt reads the width-bit item at bit of sec one bit at a time, zeros
+// past its end: the format as written down.
+func bitsAt(sec []byte, bit uint64, width uint) uint64 {
+	v := uint64(0)
+	for i := uint64(0); i < uint64(width); i++ {
+		if b := bit + i; b/8 < uint64(len(sec)) {
+			v |= uint64(sec[b/8]>>(b%8)&1) << i
+		}
 	}
-	src := placed(raw, off)
-	canaries := make([]uint64, n)
+	return v
+}
+
+// checkGaps holds AscendingGapsInto to its Go loop, and the Go loop to the
+// definition, on the run from first over the n gaps at width in sec, the
+// section placed off bytes into a larger array and decoded into a
+// destination of canary words. With the AVX2 body live it is also called
+// on its own over the passes AscendingGapsInto gives it: it must leave the
+// rest alone and report whether a key wrapped, and where none did, write
+// exactly their values. It returns the run's bits.
+func checkGaps(t testing.TB, first uint64, sec []byte, n int, width uint, off int) []uint64 {
+	t.Helper()
+	src := placed(sec, off)
+	vals := make([]uint64, n+1)
+	vals[0] = first
+	key := OrderKey(math.Float64frombits(first))
+	for k := range n {
+		key += bitsAt(sec, uint64(k)*uint64(width), width) + 1
+		vals[k+1] = fromKey(key)
+	}
+	want := make([]float64, n+1)
+	want[0] = math.Float64frombits(first)
+	wantOK := ascendingGapsGo(want[1:], want[0], src, 0, width) && want[0] > math.Inf(-1)
+	for i, v := range want {
+		if math.Float64bits(v) != vals[i] {
+			t.Fatalf("Go loop: width %d, %d gaps: value %d is %016x, the definition says %016x", width, n, i, math.Float64bits(v), vals[i])
+		}
+	}
+	canaries := make([]uint64, n+1)
 	for i := range canaries {
 		canaries[i] = canary64
 	}
-	want := ascendingIntoGo(make([]float64, n), src, math.Inf(-1))
-
 	back, dst := guarded(canaries, off)
-	if got := AscendingInto(dst, src); got != want {
-		t.Fatalf("AscendingInto(%x) = %v, the Go loop says %v", vals, got, want)
+	if got := AscendingGapsInto(dst, want[0], src, width); got != wantOK {
+		t.Fatalf("AscendingGapsInto(%016x, width %d, %d gaps) = %v, the Go loop says %v", first, width, n, got, wantOK)
 	}
-	sameBits(t, "AscendingInto", off, back, dst, vals)
+	sameBits(t, "AscendingGapsInto", off, back, dst, vals)
 
-	if !hasAVX2 {
+	if !hasAVX2 || width > MaxVectorGap {
+		return vals
+	}
+	vsrc := src
+	if width == 0 {
+		vsrc = zeroGaps[:]
+	}
+	m := gapItems(n, len(vsrc), width)
+	wrapped, key := false, OrderKey(want[0])
+	for k := range m {
+		next := key + bitsAt(sec, uint64(k)*uint64(width), width) + 1
+		wrapped = wrapped || next < key
+		key = next
+	}
+	canaries[0] = first
+	back, dst = guarded(canaries, off)
+	if got := ascendingGapsAVX2(dst[:m+1], vsrc, width, &gapPlans[width]); got == wrapped {
+		t.Fatalf("vector body alone: width %d, %d of %d gaps from %016x: no key wrapped: %v, the definition says %v", width, m, n, first, got, !wrapped)
+	}
+	vecWant := append(vals[:m+1:m+1], canaries[m+1:]...)
+	if wrapped {
+		// Past a wrap the values are AscendingGapsInto's to decode again.
+		for i := 1; i <= m; i++ {
+			vecWant[i] = math.Float64bits(dst[i])
+		}
+	}
+	sameBits(t, "AscendingGapsInto (vector body alone)", off, back, dst, vecWant)
+	return vals
+}
+
+// checkRun holds AscendingGapsInto to its Go loop on the values vals
+// (bits), each gap the difference of neighbouring keys less one, wrapped
+// to 64 bits — so equal, descending and NaN neighbours are runs too — at
+// the width the gaps need and at every width above it by steps of 7, and
+// requires the decode to give vals back.
+func checkRun(t testing.TB, vals []uint64, off int) {
+	t.Helper()
+	if len(vals) == 0 {
+		if !AscendingGapsInto(nil, 0, nil, 0) {
+			t.Fatal("AscendingGapsInto: no values do not ascend")
+		}
 		return
 	}
-	m := max(n-1, 0) &^ 3
-	vecWant := m == 0 || ascendingIntoGo(make([]float64, m+1), src[:8*(m+1)], math.Inf(-1))
-	back, dst = guarded(canaries, off)
-	if got := ascendingIntoAVX2(dst, src); got != vecWant {
-		t.Fatalf("vector body alone on %x: %v, the Go loop over its %d values and the next says %v", vals, got, m, vecWant)
+	gaps, need := make([]uint64, len(vals)-1), uint64(0)
+	for i := range gaps {
+		gaps[i] = OrderKey(math.Float64frombits(vals[i+1])) - OrderKey(math.Float64frombits(vals[i])) - 1
+		need |= gaps[i]
 	}
-	sameBits(t, "AscendingInto (vector body alone)", off, back, dst, append(vals[:m:m], canaries[m:]...))
+	for width := uint(bits.Len64(need)); width <= 64; width += 7 {
+		if got := checkGaps(t, vals[0], packBits(gaps, width), len(gaps), width, off); !slices.Equal(got, vals) {
+			t.Fatalf("width %d: decoded %x, encoded %x", width, got, vals)
+		}
+	}
 }
 
 // checkMemberMasks holds MemberMasks to its Go loop, and the Go loop to the
@@ -225,10 +291,14 @@ func ascendingRun(rng *rand.Rand, n int) []uint64 {
 
 // The chunk kernels against their Go loops: Unpack at every width 1–32,
 // every item count 0–70 and every start offset 0–3, items drawn whole-range
-// and all-ones; AscendingInto on strictly ascending runs of length 0–40
+// and all-ones; AscendingGapsInto at every width 0–64 on 0–40 gaps drawn
+// whole-range and all-ones (most of them wrap past 2⁶⁴) after a first
+// value from the ladder, and on strictly ascending runs of length 0–40
 // through ±0, subnormals and +Inf, and on each of them spoilt at every
-// position — a NaN of either sign, quiet or signalling, −∞, +Inf, a value
-// equal to its neighbour, a zero after the other zero, a swapped pair;
+// position — a NaN of either sign, quiet or signalling (at either end too),
+// −∞ (first too), +Inf, a value equal to its neighbour (a step of 2⁶⁴), a
+// −0 before +0, a swapped pair — each coded at the width its gaps need and
+// wider;
 // MemberMasks on 0–70 ids for limits 0, 1, 2, multiples of 32 and either
 // side of them, ids drawn below limit, at it, past it and at 2³²−1.
 func TestChunkKernelsMatchPortable(t *testing.T) {
@@ -250,6 +320,21 @@ func TestChunkKernelsMatchPortable(t *testing.T) {
 		}
 	}
 
+	for width := uint(0); width <= 64; width++ {
+		for n := 0; n <= 40; n++ {
+			gaps := make([]uint64, n)
+			for i := range gaps {
+				gaps[i] = rng.Uint64() >> (64 - width) // 0 at width 0
+				if rng.Intn(5) == 0 {
+					gaps[i] = 1<<width - 1
+				}
+			}
+			first := ascendingLadder[rng.Intn(len(ascendingLadder))]
+			for off := 0; off <= 3; off++ {
+				checkGaps(t, first, packBits(gaps, width), n, width, off)
+			}
+		}
+	}
 	spoil := []func(v []uint64, p int){
 		func(v []uint64, p int) { v[p] = 0x7FF8000000000001 },
 		func(v []uint64, p int) { v[p] = 0xFFF8000000000002 },
@@ -259,6 +344,11 @@ func TestChunkKernelsMatchPortable(t *testing.T) {
 		func(v []uint64, p int) {
 			if p > 0 {
 				v[p] = v[p-1]
+			}
+		},
+		func(v []uint64, p int) {
+			if p > 0 {
+				v[p-1], v[p] = 0x8000000000000000, 0x0000000000000000
 			}
 		},
 		func(v []uint64, p int) {
@@ -275,12 +365,12 @@ func TestChunkKernelsMatchPortable(t *testing.T) {
 	for n := 0; n <= 40; n++ {
 		base := ascendingRun(rng, n)
 		for off := 0; off <= 3; off++ {
-			checkAscending(t, base, off)
+			checkRun(t, base, off)
 			for p := 0; p < n; p++ {
 				for _, s := range spoil {
 					v := slices.Clone(base)
 					s(v, p)
-					checkAscending(t, v, off)
+					checkRun(t, v, off)
 				}
 			}
 		}
@@ -309,13 +399,47 @@ func TestChunkKernelsMatchPortable(t *testing.T) {
 	}
 }
 
+// TestGapRunsSettledAtTheirEnds: where the vector body takes every gap of
+// a run — its section followed by bytes enough for the last loads — what
+// the order test asks beyond keys that do not wrap is settled at the run's
+// ends. Runs of 16 unit steps at every vector width: through +Inf into NaN
+// keys, from −∞, or through −0 into +0 do not ascend; up to −0, or from
+// +0, they do.
+func TestGapRunsSettledAtTheirEnds(t *testing.T) {
+	negZero := OrderKey(math.Copysign(0, -1))
+	for width := uint(0); width <= MaxVectorGap; width++ {
+		for _, c := range []struct {
+			name  string
+			first uint64 // its key
+			want  bool
+		}{
+			{"through +Inf into NaN keys", OrderKey(math.MaxFloat64) - 1, false},
+			{"from -Inf", OrderKey(math.Inf(-1)), false},
+			{"through -0 into +0", negZero - 15, false},
+			{"up to -0", negZero - 16, true},
+			{"from +0", negZero + 1, true},
+		} {
+			src := make([]byte, (16*int(width)+7)/8+32) // 16 gaps of 0, then slack
+			if hasAVX2 && width > 0 && gapItems(16, len(src), width) != 16 {
+				t.Fatalf("width %d: the vector body takes %d of the 16 gaps", width, gapItems(16, len(src), width))
+			}
+			if got := AscendingGapsInto(make([]float64, 17), math.Float64frombits(fromKey(c.first)), src, width); got != c.want {
+				t.Errorf("width %d, %s: ascends = %v, want %v", width, c.name, got, c.want)
+			}
+		}
+	}
+}
+
 // FuzzChunkKernels reads bytes as (width, offset, limit, body) and holds
 // each chunk kernel to its Go loop on the body: Unpack on it as a section
-// of whole items at width 1–32 (up to 200), AscendingInto on it as float64
-// patterns (up to 96), MemberMasks on it as ids against a limit below 4097
-// and a bitset drawn from the limit. The committed corpus under testdata/fuzz/
-// holds a width-25 section with a tail, a NaN in the first block and an id
-// equal to the limit.
+// of whole items at width 1–32 (up to 200); AscendingGapsInto on it as a
+// first value's bits and then a section of gaps at width 0–64 (up to 200;
+// at width 0 one per byte); MemberMasks on it as ids against a limit below
+// 4097 and a bitset drawn from the limit. The committed corpus under
+// testdata/fuzz/ holds a width-25 section with a tail and an id equal to
+// the limit, and gap runs at widths 0, 57 and 64, of one value, wrapping
+// past 2⁶⁴, through −0 and +0, from −∞, and with a NaN key at either end
+// or in the first block.
 func FuzzChunkKernels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 6 {
@@ -327,11 +451,14 @@ func FuzzChunkKernels(f *testing.F) {
 		n := min(len(body)*8/int(width), 200)
 		checkUnpack(t, placed(body[:(n*int(width)+7)/8], off), n, width)
 
-		vals := make([]uint64, min(len(body)/8, 96))
-		for i := range vals {
-			vals[i] = binary.LittleEndian.Uint64(body[8*i:])
+		if len(body) >= 8 {
+			gw, sec := uint(data[0])%65, body[8:]
+			n := min(len(sec), 200)
+			if gw > 0 {
+				n = min(len(sec)*8/int(gw), 200)
+			}
+			checkGaps(t, binary.LittleEndian.Uint64(body), sec[:(n*int(gw)+7)/8], n, gw, off)
 		}
-		checkAscending(t, vals, off)
 
 		ids := make([]uint32, min(len(body)/4, 200))
 		for i := range ids {
@@ -345,7 +472,9 @@ func FuzzChunkKernels(f *testing.F) {
 // the benchmark stores' shape (6 500 one-row postings), the Go loop beside
 // the exported kernel where that runs the AVX2 body: Unpack at widths 16
 // and 24 (50k and 10M rows) and 26 (past the vector body: both columns are
-// the Go loop), AscendingInto, and MemberMasks with 4 % of 50 000 ids in
+// the Go loop), AscendingGapsInto over gaps of the 50k-row stores' values
+// (width 45) and the 10M-row stores' (width 38), and MemberMasks with 4 %
+// of 50 000 ids in
 // the set (the γ sample). The gathers are microcoded on CPUs carrying the
 // GDS (Downfall) mitigation; this is where that shows.
 func BenchmarkChunkKernels(b *testing.B) {
@@ -365,13 +494,16 @@ func BenchmarkChunkKernels(b *testing.B) {
 		ks = append(ks, kernel{fmt.Sprintf("Unpack/w=%d", width),
 			func() { unpackGo(dst, src, width) }, func() { Unpack(dst, src, width) }})
 	}
-	raw, vals := make([]byte, 8*n), make([]float64, n)
-	for i, v := 0, 0.0; i < n; i++ {
-		v += rng.Float64() + 1e-9
-		binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
+	vals := make([]float64, n)
+	for _, width := range []uint{45, 38} {
+		gaps := make([]uint64, n-1)
+		for i := range gaps {
+			gaps[i] = uint64(rng.Int63n(1 << width))
+		}
+		src := packBits(gaps, width)
+		ks = append(ks, kernel{fmt.Sprintf("AscendingGapsInto/w=%d", width),
+			func() { vals[0] = 1; ascendingGapsGo(vals[1:], 1, src, 0, width) }, func() { AscendingGapsInto(vals, 1, src, width) }})
 	}
-	ks = append(ks, kernel{"AscendingInto",
-		func() { ascendingIntoGo(vals, raw, math.Inf(-1)) }, func() { AscendingInto(vals, raw) }})
 	set, ids, masks := memberSet(rng, rows, 0.04), make([]uint32, n), make([]uint8, (n+7)/8)
 	for i := range ids {
 		ids[i] = uint32(rng.Intn(rows))

@@ -169,8 +169,8 @@ func TestKernelsAcceptEmptyInput(t *testing.T) {
 		t.Errorf("SelectKMin over no rows: %v", nb)
 	}
 	SelectLanes(nil, 0, 0, 3, nil, func(i int, _ []Neighbor) { t.Errorf("SelectLanes over no lanes handed over lane %d", i) })
-	if !AscendingInto(nil, nil) {
-		t.Error("AscendingInto: no values do not ascend")
+	if !AscendingGapsInto(nil, 1, nil, 9) {
+		t.Error("AscendingGapsInto: no values do not ascend")
 	}
 	Unpack(nil, nil, 7)
 	if top := MemberMasks(nil, nil, []uint32{1}, 1); top != 0 {

@@ -35,14 +35,16 @@ func majorityNearerAVX2(masks []uint8, qs []float64, w, dims int, pos []float64,
 //go:noescape
 func selectLanesAVX2(d2 []float64, w, rows, k int, lists []uint64) (odd int)
 
-// The chunk kernels' bodies (chunk_amd64.s). ascendingIntoAVX2 covers the
-// first max(len(dst)-1, 0)&^3 values and reads the one after them;
+// The chunk kernels' bodies (chunk_amd64.s). ascendingGapsAVX2 decodes
+// dst[1:] from dst[0] in (len(dst)-1)/8 passes, each of whose loads must
+// end inside src (gapItems), at a width of at most MaxVectorGap, and
+// reports whether no key wrapped;
 // unpackAVX2 covers len(dst)/8 blocks, each of whose loads must end inside
 // src (unpackItems); memberMasksAVX2 covers len(ids)/8 blocks, set holding
 // bit top.
 
 //go:noescape
-func ascendingIntoAVX2(dst []float64, src []byte) (ok bool)
+func ascendingGapsAVX2(dst []float64, src []byte, width uint, plan *gapPlan) (ok bool)
 
 //go:noescape
 func unpackAVX2(dst []uint32, src []byte, width uint)

@@ -15,6 +15,6 @@ func majorityNearerAVX2(masks []uint8, qs []float64, w, dims int, pos []float64,
 
 func selectLanesAVX2(d2 []float64, w, rows, k int, lists []uint64) (odd int) { return 0 }
 
-func ascendingIntoAVX2(dst []float64, src []byte) (ok bool)                                { return true }
+func ascendingGapsAVX2(dst []float64, src []byte, width uint, plan *gapPlan) (ok bool)     { return true }
 func unpackAVX2(dst []uint32, src []byte, width uint)                                      {}
 func memberMasksAVX2(masks []uint8, ids []uint32, set []uint32, top uint32) (maxID uint32) { return 0 }

@@ -24,8 +24,11 @@ import (
 // ErrClosed is returned by operations on a closed prefetcher.
 var ErrClosed = errors.New("prefetch: prefetcher is closed")
 
-// postingBytes is what Theta charges a cell load per posting it reads: an
-// uncompressed 8-byte value plus a 4-byte row id.
+// postingBytes is what Theta charges a cell load per posting it reads: a
+// decoded posting, an 8-byte value and a 4-byte row id. It models the
+// load, not the bytes on disk — the chunk format gap-codes the values and
+// bit-packs the ids — so θ is the same for every layout and every format;
+// replacing the model with a measured load time is ROADMAP item 5's.
 const postingBytes = 12
 
 // maxTheta bounds θ where τ̂/σ leaves the int range: a swap that far off

@@ -22,7 +22,10 @@ type idMapRefusal struct {
 	data       []byte
 }
 
-// idMapRefusals are the files testdata/fuzz/FuzzLoadIDMap holds.
+// idMapRefusals are the files testdata/fuzz/FuzzLoadIDMap holds. The
+// version-2 defects stand for the ones a gap cannot spell: ids that run
+// past 2³²−1 for a repeated id, a width wider than the gaps need, and
+// nonzero padding.
 func idMapRefusals() []idMapRefusal {
 	good := encodeIDMap([]uint32{1, 5, 9})
 	body := good[:len(good)-4]
@@ -33,13 +36,17 @@ func idMapRefusals() []idMapRefusal {
 	}
 	badCRC := slices.Clone(good)
 	badCRC[len(badCRC)-4] ^= 1
+	wide := append(slices.Clone(body[:idMapHeaderSize]), 0x63, 0x00) // gaps 3, 3 at width 5
+	wide[14] = 5
 	return []idMapRefusal{
 		{"truncated", "truncated", good[:13]},
 		{"wrong-crc", "crc", badCRC},
 		{"wrong-magic", "magic", edit(0, 'U', 'E', 'I', 'X')},
-		{"wrong-version", "version", edit(4, 2, 0)},
-		{"count-disagrees", "count", edit(6, 4)},
-		{"repeated-id", "ascending", edit(14, 1)},
+		{"wrong-version", "version", edit(4, 1, 0)},
+		{"count-disagrees", "count", edit(6, 9)},
+		{"repeated-id", "ascending", edit(10, 0xfa, 0xff, 0xff, 0xff)},
+		{"wide-gaps", "width", resealIDMap(wide)},
+		{"nonzero-padding", "padding", edit(len(body)-1, body[len(body)-1]|0x80)},
 	}
 }
 
@@ -49,7 +56,7 @@ func TestParseIDMapRefuses(t *testing.T) {
 			t.Errorf("%s: got error %v, want one naming %q", c.name, err, c.want)
 		}
 	}
-	for _, ids := range [][]uint32{nil, {0}, {1, 5, 9}, {0, 1 << 31, 1<<32 - 1}} {
+	for _, ids := range idMapRuns() {
 		got, err := parseIDMap(encodeIDMap(ids))
 		if err != nil || !slices.Equal(got, ids) {
 			t.Errorf("%v: read back %v, %v", ids, got, err)
@@ -57,14 +64,54 @@ func TestParseIDMapRefuses(t *testing.T) {
 	}
 }
 
+// idMapRuns are idmaps at the edges of the format: none, one id, gaps of
+// width 0 (a contiguous run, as a live store's one-shard flush writes),
+// gaps at width 32 (from 0 to 2³²−1 in one step), and short runs at every
+// width between, the last gap the widest.
+func idMapRuns() [][]uint32 {
+	runs := [][]uint32{nil, {0}, {1<<32 - 1}, {1, 5, 9}, {7, 8, 9, 10, 11}, {0, 1<<32 - 1}, {0, 1 << 31, 1<<32 - 1}}
+	for width := 1; width <= 31; width++ {
+		run := []uint32{3}
+		for i := 0; i < 9; i++ {
+			run = append(run, run[len(run)-1]+1+uint32(i))
+		}
+		runs = append(runs, append(run, run[len(run)-1]+1<<width))
+	}
+	return runs
+}
+
+// TestIDMapSizes: a contiguous run of ids takes a header and a checksum
+// whatever its length, and gaps below 64 take at most six bits each.
+func TestIDMapSizes(t *testing.T) {
+	run := make([]uint32, 50_000)
+	for i := range run {
+		run[i] = uint32(1000 + i)
+	}
+	if got := len(encodeIDMap(run)); got != idMapHeaderSize+4 {
+		t.Errorf("a contiguous run takes %d bytes, want %d", got, idMapHeaderSize+4)
+	}
+	for i := range run {
+		run[i] = uint32(64 * i)
+	}
+	if got, want := len(encodeIDMap(run)), idMapHeaderSize+(6*(len(run)-1)+7)/8+4; got != want {
+		t.Errorf("gaps of 64 take %d bytes, want %d", got, want)
+	}
+}
+
 // FuzzLoadIDMap feeds bytes to the idmap parser, which must return without
 // panicking; an idmap it accepts is strictly ascending, and SaveIDMap's
 // encoding of it is the input byte for byte. The committed corpus under
 // testdata/fuzz/ holds idMapRefusals, each but the first two re-sealed
-// with a correct CRC.
+// with a correct CRC; the seeds are idmaps at gap widths 0, 6 and 32 and
+// one whose gap runs past 2³²−1.
 func FuzzLoadIDMap(f *testing.F) {
 	f.Add(encodeIDMap([]uint32{0, 3, 70000}))
 	f.Add(encodeIDMap(nil))
+	f.Add(encodeIDMap([]uint32{40, 41, 42, 43}))
+	f.Add(encodeIDMap([]uint32{0, 1<<32 - 1}))
+	past := encodeIDMap([]uint32{2, 1<<32 - 1})
+	past[10] = 3 // first id 3: its one gap of 2³²−2 lands on 2³²
+	f.Add(resealIDMap(past[:len(past)-4]))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ids, err := parseIDMap(data)
 		if err != nil {

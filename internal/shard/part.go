@@ -131,9 +131,9 @@ func (m *Manifest) WriteSegment(dir string, s int, rows IDRows, n int) (vec.Box,
 
 // segments returns the segment function of the epoch grid: over m's
 // bounds, or over min/max, the bounds of the rows being written, when m
-// has none yet. Rows whose bounds no grid of m's segment count can cut (a
-// dimension holding one value) get none, and their chunks are cut by size
-// alone: such a store opens only over one segment per dimension.
+// has none yet. A dimension holding one value is one segment of it
+// (grid.New); bounds no grid can be built over get none, and their chunks
+// are cut by size alone.
 func (m *Manifest) segments(min, max []float64) chunkstore.SegmentFunc {
 	if m.MinValues != nil {
 		min, max = m.MinValues, m.MaxValues
