@@ -144,7 +144,17 @@ func TestVerifyEveryLayout(t *testing.T) {
 	// past the layout.
 	pastLayout := func(part string, layoutRows func(dir string) int) func(dir string) string {
 		return func(dir string) string {
-			ids, err := shard.LoadIDMap(filepath.Join(dir, part))
+			m, err := shard.ReadManifest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := 0
+			for _, seg := range m.Segments {
+				if shard.SegmentDirName(seg.ID) == part {
+					rows = seg.Rows
+				}
+			}
+			ids, err := shard.LoadIDMap(filepath.Join(dir, part), rows)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -127,61 +127,24 @@ func encodeChunk(dim int, entries []Entry) ([]byte, error) {
 	buf[16], buf[17], buf[gapWidthAt] = byte(w), byte(c), byte(g)
 	binary.LittleEndian.PutUint64(buf[20:], math.Float64bits(entries[0].Value))
 	binary.LittleEndian.PutUint64(buf[28:], math.Float64bits(entries[len(entries)-1].Value))
-	var bw bitWriter
+	var bw kernel.BitWriter
 	for i := 1; i < len(entries); i++ {
-		buf = bw.append64(buf, valueGap(entries[i-1].Value, entries[i].Value), g)
+		buf = bw.Append64(buf, valueGap(entries[i-1].Value, entries[i].Value), g)
 	}
-	buf = bw.flush(buf)
+	buf = bw.Flush(buf)
 	if c > 0 {
 		for _, e := range entries {
-			buf = bw.append(buf, uint32(len(e.Rows)-1), c)
+			buf = bw.Append(buf, uint32(len(e.Rows)-1), c)
 		}
-		buf = bw.flush(buf)
+		buf = bw.Flush(buf)
 	}
 	for _, e := range entries {
 		for _, r := range e.Rows {
-			buf = bw.append(buf, r, w)
+			buf = bw.Append(buf, r, w)
 		}
 	}
-	buf = bw.flush(buf)
+	buf = bw.Flush(buf)
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli)), nil
-}
-
-// bitWriter packs values LSB-first: acc holds the n bits not yet
-// written, fewer than 32 between calls, which leave it four bytes at a
-// time.
-type bitWriter struct {
-	acc uint64
-	n   uint
-}
-
-// append packs v at width bits, 0…32.
-func (b *bitWriter) append(buf []byte, v uint32, width uint) []byte {
-	b.acc |= uint64(v) << b.n
-	if b.n += width; b.n >= 32 {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(b.acc))
-		b.acc >>= 32
-		b.n -= 32
-	}
-	return buf
-}
-
-// append64 packs v at width bits, 0…64: its low half, then its high.
-func (b *bitWriter) append64(buf []byte, v uint64, width uint) []byte {
-	if width <= 32 {
-		return b.append(buf, uint32(v), width)
-	}
-	return b.append(b.append(buf, uint32(v), 32), uint32(v>>32), width-32)
-}
-
-// flush writes the last partial bytes, their unused bits zero.
-func (b *bitWriter) flush(buf []byte) []byte {
-	for ; b.n > 0; b.n -= min(b.n, 8) {
-		buf = append(buf, byte(b.acc))
-		b.acc >>= 8
-	}
-	*b = bitWriter{}
-	return buf
 }
 
 // errUnordered marks a CRC-valid chunk whose values or row ids do not

@@ -16,6 +16,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"github.com/uei-db/uei/internal/kernel"
 )
 
 // genChunk draws a codec-valid chunk of about target payload bytes whose
@@ -202,25 +204,25 @@ func rawBody(g, w, c uint, values []float64, counts, ids []uint32) []byte {
 	b = append(b, byte(w), byte(c), byte(g), 0)
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(values[0]))
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(values[len(values)-1]))
-	var bw bitWriter
+	var bw kernel.BitWriter
 	for i := 1; i < len(values); i++ {
 		gap := refKey(values[i]) - refKey(values[i-1]) - 1
 		if g < 64 {
 			gap &= 1<<g - 1
 		}
-		b = bw.append64(b, gap, g)
+		b = bw.Append64(b, gap, g)
 	}
-	b = bw.flush(b)
+	b = bw.Flush(b)
 	if c > 0 {
 		for _, n := range counts {
-			b = bw.append(b, n, c)
+			b = bw.Append(b, n, c)
 		}
-		b = bw.flush(b)
+		b = bw.Flush(b)
 	}
 	for _, id := range ids {
-		b = bw.append(b, id, w)
+		b = bw.Append(b, id, w)
 	}
-	return bw.flush(b)
+	return bw.Flush(b)
 }
 
 // boundaryChunks are chunks at every id width w = 1…32, each holding the

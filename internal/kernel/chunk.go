@@ -96,13 +96,8 @@ func AscendingGapsInto(dst []float64, first float64, src []byte, width uint) boo
 			src = zeroGaps[:]
 		}
 		if n = gapItems(len(dst)-1, len(src), width); n > 0 {
-			if !ascendingGapsAVX2(dst[:n+1], src, width, &gapPlans[width]) {
-				// A run from a value whose sign is clear stores its keys
-				// as bits, which a key that wrapped is not: decode it again.
-				ascendingGapsGo(dst[1:n+1], first, src, 0, width)
-				ok = false
-			}
-			ok = ok && dst[n] <= math.Inf(1) && !zeroPair(dst[:n+1])
+			ok = ascendingGapsAVX2(dst[:n+1], src, width, &gapPlans[width]) && ok &&
+				dst[n] <= math.Inf(1) && !zeroPair(dst[:n+1])
 		}
 	}
 	return ascendingGapsGo(dst[n+1:], dst[n], src, uint64(n)*uint64(width), width) && ok
@@ -210,6 +205,46 @@ func unpackGo(dst []uint32, src []byte, width uint) {
 		dst[k] = uint32(binary.LittleEndian.Uint64(pad[bit>>3:]) >> (bit & 7) & mask)
 		bit += width
 	}
+}
+
+// BitWriter packs items LSB-first, item k at bits [k·width, (k+1)·width)
+// of a section when every item is width bits wide: the layout Unpack and
+// AscendingGapsInto read. acc holds the n bits not yet written, fewer
+// than 32 between calls, which leave it four bytes at a time.
+type BitWriter struct {
+	acc uint64
+	n   uint
+}
+
+// Append packs v, which must fit width bits (0…32), onto buf.
+func (b *BitWriter) Append(buf []byte, v uint32, width uint) []byte {
+	b.acc |= uint64(v) << b.n
+	if b.n += width; b.n >= 32 {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(b.acc))
+		b.acc >>= 32
+		b.n -= 32
+	}
+	return buf
+}
+
+// Append64 packs v, which must fit width bits (0…64), onto buf: its low
+// half, then its high.
+func (b *BitWriter) Append64(buf []byte, v uint64, width uint) []byte {
+	if width <= 32 {
+		return b.Append(buf, uint32(v), width)
+	}
+	return b.Append(b.Append(buf, uint32(v), 32), uint32(v>>32), width-32)
+}
+
+// Flush ends the section: it writes the last partial bytes, their unused
+// bits zero, and leaves b ready for the next section.
+func (b *BitWriter) Flush(buf []byte) []byte {
+	for ; b.n > 0; b.n -= min(b.n, 8) {
+		buf = append(buf, byte(b.acc))
+		b.acc >>= 8
+	}
+	*b = BitWriter{}
+	return buf
 }
 
 // MemberMasks sets bit b of masks[j] where ids[8j+b] is a member of the

@@ -59,11 +59,11 @@ GLOBL lanes<>(SB), RODATA|NOPTR, $32
 // width 0 … 57, which take exactly width bytes: gap j of a pass starts at
 // its byte ⌊j·width/8⌋, the plan's shuffle controls and shifts for that
 // width place the four of each block in their lanes, and src advances by
-// width bytes a pass. A value's key is its bits with every bit but the
-// sign flipped when it is negative, so keys order as the values do. A run
-// from a value whose sign is clear stays clear unless a key wraps, so
-// its keys are its bits; a run from a negative value maps each key back.
-// It reports whether no key wrapped.
+// width bytes a pass. The keys are summed as signed integers — a value's
+// bits with every bit but the sign flipped when it is negative — which
+// order as the values do and wrap where OrderKey's keys wrap past 2⁶⁴, so
+// BITS maps every key, wrapped or not, to the bits the Go loop gives. It
+// reports whether no key wrapped.
 TEXT ·ascendingGapsAVX2(SB), NOSPLIT, $0-65
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
@@ -92,19 +92,7 @@ TEXT ·ascendingGapsAVX2(SB), NOSPLIT, $0-65
 	XORQ R11, AX // the first value's key
 	VMOVQ AX, X5
 	VPBROADCASTQ X5, Y5 // the carried key
-	TESTQ R11, R11
-	JNZ  negative
-positive:
-	GAPS((SI), (SI)(R8*1), 0(DX), 64(DX))
-	VMOVDQU  Y13, 8(DI)
-	GAPS((SI)(R9*1), (SI)(R10*1), 32(DX), 96(DX))
-	VMOVDQU  Y13, 40(DI)
-	ADDQ BX, SI
-	ADDQ $64, DI
-	DECQ CX
-	JNZ  positive
-	JMP  end
-negative:
+loop:
 	GAPS((SI), (SI)(R8*1), 0(DX), 64(DX))
 	BITS
 	VMOVDQU  Y13, 8(DI)
@@ -114,8 +102,7 @@ negative:
 	ADDQ BX, SI
 	ADDQ $64, DI
 	DECQ CX
-	JNZ  negative
-end:
+	JNZ  loop
 	VPTEST Y7, Y7
 	SETEQ ok+64(FP)
 	VZEROUPPER

@@ -26,6 +26,38 @@ func packBits[T uint32 | uint64](items []T, width uint) []byte {
 	return out
 }
 
+// TestBitWriterPacksTheFormat: BitWriter's sections are packBits' byte
+// for byte, at every width 0–64 and 0–40 items, with Flush ending one
+// section and starting the next on a fresh byte.
+func TestBitWriterPacksTheFormat(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	var bw BitWriter
+	for width := uint(0); width <= 64; width++ {
+		for n := 0; n <= 40; n++ {
+			items := make([]uint64, n)
+			for k := range items {
+				items[k] = rng.Uint64() >> (64 - width) & (1<<width - 1)
+			}
+			buf := []byte{0xA5}
+			for _, v := range items {
+				if width <= 32 && v&1 == 0 {
+					buf = bw.Append(buf, uint32(v), width)
+				} else {
+					buf = bw.Append64(buf, v, width)
+				}
+			}
+			buf = bw.Flush(buf)
+			sec := packBits(items, width)
+			if want := append([]byte{0xA5}, sec...); !bytes.Equal(buf, want) {
+				t.Fatalf("width %d, %d items: wrote %x, want %x", width, n, buf, want)
+			}
+			if buf = bw.Flush(bw.Append(buf, 1, 1)); !bytes.Equal(buf[len(buf)-1:], []byte{1}) || len(buf) != len(sec)+2 {
+				t.Fatalf("width %d, %d items: the next section starts at %x", width, n, buf[len(sec)+1:])
+			}
+		}
+	}
+}
+
 // placed returns a copy of sec that starts off bytes into a backing array
 // and is followed by 0xFF bytes, capacity clipped to the copy: a load that
 // strays past the section reads ones.
@@ -99,8 +131,8 @@ func bitsAt(sec []byte, bit uint64, width uint) uint64 {
 // section placed off bytes into a larger array and decoded into a
 // destination of canary words. With the AVX2 body live it is also called
 // on its own over the passes AscendingGapsInto gives it: it must leave the
-// rest alone and report whether a key wrapped, and where none did, write
-// exactly their values. It returns the run's bits.
+// rest alone, report whether a key wrapped and write exactly their
+// values, wrapped or not. It returns the run's bits.
 func checkGaps(t testing.TB, first uint64, sec []byte, n int, width uint, off int) []uint64 {
 	t.Helper()
 	src := placed(sec, off)
@@ -148,14 +180,7 @@ func checkGaps(t testing.TB, first uint64, sec []byte, n int, width uint, off in
 	if got := ascendingGapsAVX2(dst[:m+1], vsrc, width, &gapPlans[width]); got == wrapped {
 		t.Fatalf("vector body alone: width %d, %d of %d gaps from %016x: no key wrapped: %v, the definition says %v", width, m, n, first, got, !wrapped)
 	}
-	vecWant := append(vals[:m+1:m+1], canaries[m+1:]...)
-	if wrapped {
-		// Past a wrap the values are AscendingGapsInto's to decode again.
-		for i := 1; i <= m; i++ {
-			vecWant[i] = math.Float64bits(dst[i])
-		}
-	}
-	sameBits(t, "AscendingGapsInto (vector body alone)", off, back, dst, vecWant)
+	sameBits(t, "AscendingGapsInto (vector body alone)", off, back, dst, append(vals[:m+1:m+1], canaries[m+1:]...))
 	return vals
 }
 

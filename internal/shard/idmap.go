@@ -76,17 +76,11 @@ func encodeIDMap(ids []uint32) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ids)))
 	buf = binary.LittleEndian.AppendUint32(buf, first)
 	buf = append(buf, byte(width))
-	acc, n := uint64(0), uint(0)
+	var bw kernel.BitWriter
 	for i := 1; i < len(ids); i++ {
-		acc |= uint64(ids[i]-ids[i-1]-1) << n
-		for n += width; n >= 8; n -= 8 {
-			buf = append(buf, byte(acc))
-			acc >>= 8
-		}
+		buf = bw.Append(buf, ids[i]-ids[i-1]-1, width)
 	}
-	if n > 0 {
-		buf = append(buf, byte(acc))
-	}
+	buf = bw.Flush(buf)
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
@@ -96,13 +90,14 @@ func gapBytes(count int, width uint) int {
 }
 
 // LoadIDMap reads and verifies dir's idmap file (CRC, magic, version, one
-// encoding, strict ascension below 2³²).
-func LoadIDMap(dir string) ([]uint32, error) {
+// id for each of the part's rows, one encoding, strict ascension below
+// 2³²).
+func LoadIDMap(dir string, rows int) ([]uint32, error) {
 	data, err := os.ReadFile(filepath.Join(dir, idMapFile))
 	if err != nil {
 		return nil, fmt.Errorf("shard: read idmap: %w", err)
 	}
-	return parseIDMap(data)
+	return parseIDMap(data, rows)
 }
 
 // IDMapWidth returns the gap width and the size in bytes of dir's idmap
@@ -125,9 +120,12 @@ func IDMapWidth(dir string) (width int, size int64, err error) {
 	return int(head[14]), info.Size(), nil
 }
 
-// parseIDMap decodes and verifies the bytes of an idmap file. The gaps are
-// unpacked by kernel.Unpack straight into the ids and summed in place.
-func parseIDMap(data []byte) ([]uint32, error) {
+// parseIDMap decodes and verifies the bytes of the idmap file of a part of
+// rows rows. A count other than rows is refused before anything is sized
+// by it: at width 0 a file of any count is header and checksum alone. The
+// gaps are unpacked by kernel.Unpack straight into the ids and summed in
+// place.
+func parseIDMap(data []byte, rows int) ([]uint32, error) {
 	if len(data) < idMapHeaderSize+4 {
 		return nil, fmt.Errorf("shard: idmap truncated: %d bytes", len(data))
 	}
@@ -142,6 +140,9 @@ func parseIDMap(data []byte) ([]uint32, error) {
 		return nil, fmt.Errorf("shard: unsupported idmap version %d", v)
 	}
 	count := binary.LittleEndian.Uint32(body[6:10])
+	if int64(count) != int64(rows) {
+		return nil, fmt.Errorf("shard: idmap count %d, the part has %d rows", count, rows)
+	}
 	first := binary.LittleEndian.Uint32(body[10:14])
 	width := uint(body[14])
 	if width > 32 {
@@ -159,11 +160,6 @@ func parseIDMap(data []byte) ([]uint32, error) {
 	}
 	if used := (uint64(count) - 1) * uint64(width) % 8; used != 0 && gaps[len(gaps)-1]>>used != 0 {
 		return nil, fmt.Errorf("shard: idmap nonzero padding bits")
-	}
-	// Id i is at least first + i, so this bounds what is allocated by
-	// what ascending ids below 2³² can hold.
-	if uint64(first)+uint64(count)-1 > math.MaxUint32 {
-		return nil, fmt.Errorf("shard: idmap not strictly ascending: %d ids from %d run past %d", count, first, uint32(math.MaxUint32))
 	}
 	ids := make([]uint32, count)
 	if width > 0 {

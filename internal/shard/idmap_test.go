@@ -22,10 +22,22 @@ type idMapRefusal struct {
 	data       []byte
 }
 
-// idMapRefusals are the files testdata/fuzz/FuzzLoadIDMap holds. The
-// version-2 defects stand for the ones a gap cannot spell: ids that run
-// past 2³²−1 for a repeated id, a width wider than the gaps need, and
-// nonzero padding.
+// idMapRows is the row count FuzzLoadIDMap and TestParseIDMapRefuses give
+// the parser with data: the count its header claims, at most 2¹⁶, so a
+// file that claims more is refused as a part of 2¹⁶ rows refuses it.
+func idMapRows(data []byte) int {
+	if len(data) < 10 {
+		return 0
+	}
+	return int(min(binary.LittleEndian.Uint32(data[6:10]), 1<<16))
+}
+
+// idMapRefusals are the files testdata/fuzz/FuzzLoadIDMap holds, each
+// refused when parsed for idMapRows rows. The version-2 defects stand for
+// the ones a gap cannot spell: ids that run past 2³²−1 for a repeated id,
+// a width wider than the gaps need, and nonzero padding. count-past-rows
+// claims 2³²−1 ids at width 0 in 19 bytes, which a part of fewer rows
+// refuses before sizing anything by it.
 func idMapRefusals() []idMapRefusal {
 	good := encodeIDMap([]uint32{1, 5, 9})
 	body := good[:len(good)-4]
@@ -38,6 +50,9 @@ func idMapRefusals() []idMapRefusal {
 	badCRC[len(badCRC)-4] ^= 1
 	wide := append(slices.Clone(body[:idMapHeaderSize]), 0x63, 0x00) // gaps 3, 3 at width 5
 	wide[14] = 5
+	huge := slices.Clone(body[:idMapHeaderSize])
+	binary.LittleEndian.PutUint32(huge[6:], 1<<32-1)
+	huge[14] = 0
 	return []idMapRefusal{
 		{"truncated", "truncated", good[:13]},
 		{"wrong-crc", "crc", badCRC},
@@ -47,19 +62,23 @@ func idMapRefusals() []idMapRefusal {
 		{"repeated-id", "ascending", edit(10, 0xfa, 0xff, 0xff, 0xff)},
 		{"wide-gaps", "width", resealIDMap(wide)},
 		{"nonzero-padding", "padding", edit(len(body)-1, body[len(body)-1]|0x80)},
+		{"count-past-rows", "65536 rows", resealIDMap(huge)},
 	}
 }
 
 func TestParseIDMapRefuses(t *testing.T) {
 	for _, c := range idMapRefusals() {
-		if _, err := parseIDMap(c.data); err == nil || !strings.Contains(err.Error(), c.want) {
+		if _, err := parseIDMap(c.data, idMapRows(c.data)); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got error %v, want one naming %q", c.name, err, c.want)
 		}
 	}
 	for _, ids := range idMapRuns() {
-		got, err := parseIDMap(encodeIDMap(ids))
+		got, err := parseIDMap(encodeIDMap(ids), len(ids))
 		if err != nil || !slices.Equal(got, ids) {
 			t.Errorf("%v: read back %v, %v", ids, got, err)
+		}
+		if _, err := parseIDMap(encodeIDMap(ids), len(ids)+1); err == nil || !strings.Contains(err.Error(), "count") {
+			t.Errorf("%v read for a part of %d rows: err = %v, want the count refused", ids, len(ids)+1, err)
 		}
 	}
 }
@@ -103,7 +122,7 @@ func TestIDMapSizes(t *testing.T) {
 // encoding of it is the input byte for byte. The committed corpus under
 // testdata/fuzz/ holds idMapRefusals, each but the first two re-sealed
 // with a correct CRC; the seeds are idmaps at gap widths 0, 6 and 32 and
-// one whose gap runs past 2³²−1.
+// one whose gap runs past 2³²−1. Each input is parsed for idMapRows rows.
 func FuzzLoadIDMap(f *testing.F) {
 	f.Add(encodeIDMap([]uint32{0, 3, 70000}))
 	f.Add(encodeIDMap(nil))
@@ -113,7 +132,7 @@ func FuzzLoadIDMap(f *testing.F) {
 	past[10] = 3 // first id 3: its one gap of 2³²−2 lands on 2³²
 	f.Add(resealIDMap(past[:len(past)-4]))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ids, err := parseIDMap(data)
+		ids, err := parseIDMap(data, idMapRows(data))
 		if err != nil {
 			return
 		}

@@ -191,12 +191,9 @@ func OpenPart(dir string, g *grid.Grid, seg SegmentMeta, layoutRows int, cacheKe
 		}
 		return Part{Store: st, Mapping: mp}, nil
 	}
-	ids, err := LoadIDMap(dir)
+	ids, err := LoadIDMap(dir, rows)
 	if err != nil {
 		return Part{}, err
-	}
-	if len(ids) != rows {
-		return Part{}, fmt.Errorf("idmap has %d entries, store has %d rows", len(ids), rows)
 	}
 	// The idmap ascends strictly, so its last id bounds them all.
 	if rows > 0 && int(ids[rows-1]) >= layoutRows {

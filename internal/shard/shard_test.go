@@ -406,8 +406,12 @@ func TestLoadCellMatchesFlat(t *testing.T) {
 func TestOpenRefusesIDPastStore(t *testing.T) {
 	dir := buildSharded(t, skyDataset(t, 200), 2)
 	openCoordinator(t, dir, OpenOptions{})
+	man, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	shardDir := filepath.Join(dir, SegmentDirName(2))
-	ids, err := LoadIDMap(shardDir)
+	ids, err := LoadIDMap(shardDir, man.Segments[1].Rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +443,7 @@ func TestRefusedOpenHoldsNoFiles(t *testing.T) {
 	}
 	seg := man.Segments[1]
 	shardDir := filepath.Join(dir, SegmentDirName(seg.ID))
-	ids, err := LoadIDMap(shardDir)
+	ids, err := LoadIDMap(shardDir, seg.Rows)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -522,7 +522,7 @@ func TestOpenRefusesIDPastFlushedRows(t *testing.T) {
 	}
 	seg := man.Segments[len(man.Segments)-1]
 	segDir := filepath.Join(dir, shard.SegmentDirName(seg.ID))
-	ids, err := shard.LoadIDMap(segDir)
+	ids, err := shard.LoadIDMap(segDir, seg.Rows)
 	if err != nil {
 		t.Fatal(err)
 	}
