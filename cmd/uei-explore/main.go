@@ -70,9 +70,6 @@ func (h *humanLabeler) Label(id uint32, row []float64) oracle.Label {
 	}
 }
 
-// Count implements ide.Labeler.
-func (h *humanLabeler) Count() int { return h.count }
-
 // allRowIDs enumerates 0..n-1.
 func allRowIDs(n int) []uint32 {
 	out := make([]uint32, n)

@@ -54,7 +54,7 @@ func run() error {
 		queueDepth  = flag.Int("queue-depth", 2, "per-session bound on queued+running steps")
 		idle        = flag.Duration("idle-timeout", 5*time.Minute, "evict sessions idle this long (0 disables)")
 		snapDir     = flag.String("snapshot-dir", "", "directory for evicted sessions' snapshots (default <store>/sessions)")
-		workers     = flag.Int("workers", 0, "shared worker pool size (0 = GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "result retrieval's worker count: how many ways it splits centre posteriors and row classification, and how many shard legs it runs at once (0 = GOMAXPROCS)")
 		cacheBytes  = flag.Int64("block-cache-bytes", 0, "shared decoded-chunk block cache budget in bytes, carved from -budget and yielded back under session pressure (0 disables)")
 		shards      = flag.Int("shards", 0, "store layout: 0 = whatever -store holds (one shard with -gen), 1 = one shard, >1 = require (with -gen, build) exactly that many shards")
 		shardDl     = flag.Duration("shard-deadline", 0, "per-shard operation deadline; slow shards are skipped and steps report degraded (0 disables)")

@@ -1,6 +1,6 @@
 // Package blockcache is a budget-accounted, concurrency-safe cache of
 // decoded chunks. It sits between the chunk store's disk/CRC/decode path
-// and every consumer (session views, the ordered read pipeline, the
+// and every consumer (session views, ordered chunk reads, the
 // prefetcher) so that a hot chunk is read from secondary storage and
 // decoded at most once no matter how many concurrent sessions want it —
 // the multi-session analogue of the §3.1 observation that per-iteration

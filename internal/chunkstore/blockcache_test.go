@@ -133,8 +133,8 @@ func TestBlockCacheWarmHitNoDiskRead(t *testing.T) {
 }
 
 // TestBlockCacheMergeParity proves results are byte-identical to the
-// uncached path: MergeRegion over several boxes, at read fan-outs 1/4/8,
-// cold and warm, must equal the uncached merge exactly.
+// uncached path: MergeRegion over several boxes, cold and warm, must equal
+// the uncached merge exactly.
 func TestBlockCacheMergeParity(t *testing.T) {
 	ctx := context.Background()
 	boxes := []struct{ lo, hi float64 }{
@@ -142,43 +142,39 @@ func TestBlockCacheMergeParity(t *testing.T) {
 		{0.3, 0.7},
 		{0.0, 1.0},
 	}
-	for _, workers := range []int{1, 4, 8} {
-		plain, _ := buildTestStore(t, 3000, 13)
-		plain.SetWorkers(workers)
-		cached, _ := buildTestStore(t, 3000, 13)
-		cached.SetWorkers(workers)
-		withBlockCache(t, cached, 64<<20)
+	plain, _ := buildTestStore(t, 3000, 13)
+	cached, _ := buildTestStore(t, 3000, 13)
+	withBlockCache(t, cached, 64<<20)
 
-		for round := 0; round < 2; round++ { // round 1 hits the warm cache
-			for bi, bx := range boxes {
-				lo := make([]float64, plain.Dims())
-				hi := make([]float64, plain.Dims())
-				b := plain.Bounds()
-				for d := range lo {
-					w := b.Max[d] - b.Min[d]
-					lo[d] = b.Min[d] + bx.lo*w
-					hi[d] = b.Min[d] + bx.hi*w
-				}
-				box := vec.NewBox(lo, hi)
-				wantRows, wantVisited, err := plain.MergeRegion(ctx, box)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotRows, gotVisited, err := cached.MergeRegion(ctx, box)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if wantVisited != gotVisited {
-					t.Fatalf("workers=%d round=%d box=%d: visited %d != %d", workers, round, bi, gotVisited, wantVisited)
-				}
-				if !reflect.DeepEqual(wantRows, gotRows) {
-					t.Fatalf("workers=%d round=%d box=%d: merged rows differ with cache", workers, round, bi)
-				}
+	for round := 0; round < 2; round++ { // round 1 hits the warm cache
+		for bi, bx := range boxes {
+			lo := make([]float64, plain.Dims())
+			hi := make([]float64, plain.Dims())
+			b := plain.Bounds()
+			for d := range lo {
+				w := b.Max[d] - b.Min[d]
+				lo[d] = b.Min[d] + bx.lo*w
+				hi[d] = b.Min[d] + bx.hi*w
+			}
+			box := vec.NewBox(lo, hi)
+			wantRows, wantVisited, err := plain.MergeRegion(ctx, box)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotRows, gotVisited, err := cached.MergeRegion(ctx, box)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantVisited != gotVisited {
+				t.Fatalf("round=%d box=%d: visited %d != %d", round, bi, gotVisited, wantVisited)
+			}
+			if !reflect.DeepEqual(wantRows, gotRows) {
+				t.Fatalf("round=%d box=%d: merged rows differ with cache", round, bi)
 			}
 		}
-		if s := cached.cache.Stats(); s.Hits == 0 {
-			t.Fatalf("workers=%d: expected warm-round cache hits, got stats %+v", workers, s)
-		}
+	}
+	if s := cached.cache.Stats(); s.Hits == 0 {
+		t.Fatalf("expected warm-round cache hits, got stats %+v", s)
 	}
 }
 

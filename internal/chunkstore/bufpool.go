@@ -51,7 +51,7 @@ func readExtent(f *os.File, meta *ChunkMeta) (*[]byte, error) {
 func putFileBuf(bp *[]byte) { fileBufPool.Put(bp) }
 
 // postingsPool recycles the storage ReadChunksOrdered decodes cold chunks
-// into when no block cache keeps them: a Postings is held for one visit
-// (the sequential path: one call) and grows to the largest chunk it has
-// met, ≈ 12 bytes per one-row posting, per concurrent reader.
+// into when no block cache keeps them: a call holds one Postings, decodes
+// each chunk over the last, and grows it to the largest chunk it has met,
+// ≈ 12 bytes per one-row posting, per concurrent reader.
 var postingsPool = sync.Pool{New: func() any { return new(Postings) }}

@@ -214,10 +214,8 @@ func (s *Store) MergeRegion(ctx context.Context, box vec.Box) (rows []MergedRow,
 // filtered through it into one array the returned rows alias, a
 // survivor's place found by a per-word prefix count.
 //
-// Chunk reads fan out concurrently (bounded by SetWorkers) through the
-// ordered read pipeline, overlapping I/O and decode with the merge;
-// entries are still applied strictly in chunk order, so the merged rows
-// are identical to the sequential path.
+// Chunks are read and decoded one at a time through ReadChunksOrdered and
+// applied strictly in chunk order; one decoded chunk is in memory at once.
 func (s *Store) MergeChunks(ctx context.Context, box vec.Box, chunks []ChunkMeta) (rows []MergedRow, entriesVisited int, err error) {
 	dims := s.Dims()
 	if box.Dims() != dims {

@@ -140,64 +140,59 @@ func TestReadChunksOrderedVisitScope(t *testing.T) {
 			&seen[0].Rows[0], &seen[1].Rows[0], &seen[2].Rows[0])
 	}
 
-	for _, workers := range []int{0, 3} {
-		st.SetWorkers(workers)
-		var copies []Postings
-		err := st.ReadChunksOrdered(ctx, metas, func(_ ChunkMeta, p Postings) error {
-			copies = append(copies, clonePostings(p))
-			return nil
-		})
+	var copies []Postings
+	err = st.ReadChunksOrdered(ctx, metas, func(_ ChunkMeta, p Postings) error {
+		copies = append(copies, clonePostings(p))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range metas {
+		own, err := st.readChunkDisk(ctx, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, m := range metas {
-			own, err := st.readChunkDisk(ctx, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(copies[i], own) {
-				t.Fatalf("workers %d: the copy taken in visit %d differs from the owning read of %s", workers, i, m.File)
-			}
+		if !reflect.DeepEqual(copies[i], own) {
+			t.Fatalf("the copy taken in visit %d differs from the owning read of %s", i, m.File)
 		}
 	}
 
 	withBlockCache(t, st, 64<<20)
-	for _, workers := range []int{0, 3} {
-		st.SetWorkers(workers)
-		var kept []Postings
-		err := st.ReadChunksOrdered(ctx, metas, func(_ ChunkMeta, p Postings) error {
-			kept = append(kept, p)
-			return nil
-		})
+	var kept []Postings
+	err = st.ReadChunksOrdered(ctx, metas, func(_ ChunkMeta, p Postings) error {
+		kept = append(kept, p)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range metas {
+		cached, err := st.readChunkFor(ctx, m, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, m := range metas {
-			cached, err := st.readChunkFor(ctx, m, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !samePostings(kept[i], cached) {
-				t.Fatalf("workers %d: visit %d saw arrays that are not the cached ones", workers, i)
-			}
-			disk, err := st.readChunkDisk(ctx, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(kept[i], disk) {
-				t.Fatalf("workers %d: the arrays kept from visit %d no longer equal chunk %s", workers, i, m.File)
-			}
+		if !samePostings(kept[i], cached) {
+			t.Fatalf("visit %d saw arrays that are not the cached ones", i)
+		}
+		disk, err := st.readChunkDisk(ctx, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(kept[i], disk) {
+			t.Fatalf("the arrays kept from visit %d no longer equal chunk %s", i, m.File)
 		}
 	}
 }
 
-// TestPipelinedReadFailuresAndLeaks drives the pipelined path (4 workers)
-// from 8 goroutines while two more cancel mid-call and the test fails a
-// visit at every chunk index in turn. Every completed result must equal
-// the sequential one; a call issued right after each injected failure must
-// be exact, which it would not be had a buffer gone back to the pool while
-// a reader could still write it; and once the calls drain no goroutine is
-// left behind. Run under -race.
+// TestPipelinedReadFailuresAndLeaks drives the ordered read from 8
+// goroutines while two more cancel mid-call and the test fails a visit at
+// every chunk index in turn. Every completed result must equal the one
+// taken alone; a call issued right after each injected failure must be
+// exact, which it would not be had a call's pooled buffer gone back to the
+// pool while that call could still decode into it, or been handed to two
+// calls at once; and once the calls drain no goroutine is left behind.
+// Run under -race.
 func TestPipelinedReadFailuresAndLeaks(t *testing.T) {
 	ctx := context.Background()
 	st, ds := lumpyStore(t, 2500, 3, 60, 256, 41)
@@ -206,7 +201,7 @@ func TestPipelinedReadFailuresAndLeaks(t *testing.T) {
 		all = append(all, dim...)
 	}
 	if len(all) < 12 {
-		t.Fatalf("store has %d chunks, the test wants a pipeline's worth", len(all))
+		t.Fatalf("store has %d chunks, the test wants several per dimension", len(all))
 	}
 	boxes := make([]vec.Box, 8)
 	want := make([][]MergedRow, len(boxes))
@@ -217,7 +212,7 @@ func TestPipelinedReadFailuresAndLeaks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireRows(t, fmt.Sprintf("sequential box %d", i), rows, ds, ds.Select(boxes[i]))
+		requireRows(t, fmt.Sprintf("box %d alone", i), rows, ds, ds.Select(boxes[i]))
 		want[i] = rows
 	}
 	ids := []uint32{2499, 7, 7, 1200, 0}
@@ -227,7 +222,6 @@ func TestPipelinedReadFailuresAndLeaks(t *testing.T) {
 	}
 
 	baseline := runtime.NumGoroutine()
-	st.SetWorkers(4)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := range boxes {
@@ -242,7 +236,7 @@ func TestPipelinedReadFailuresAndLeaks(t *testing.T) {
 				}
 				rows, _, err := st.MergeRegion(ctx, boxes[i])
 				if err == nil && !reflect.DeepEqual(rows, want[i]) {
-					err = errors.New("rows differ from the sequential result")
+					err = errors.New("rows differ from the result taken alone")
 				}
 				if err != nil {
 					t.Errorf("merger %d round %d: merge: %v", i, round, err)
@@ -250,7 +244,7 @@ func TestPipelinedReadFailuresAndLeaks(t *testing.T) {
 				}
 				got, err := st.FetchRows(ctx, ids)
 				if err == nil && !reflect.DeepEqual(got, wantFetch) {
-					err = errors.New("rows differ from the sequential result")
+					err = errors.New("rows differ from the result taken alone")
 				}
 				if err != nil {
 					t.Errorf("merger %d round %d: fetch: %v", i, round, err)
@@ -299,7 +293,6 @@ func TestPipelinedReadFailuresAndLeaks(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// Readers still in flight when a call returned early finish on their own.
 	leakcheck.WaitGoroutines(t, baseline, 10*time.Second)
 	requireScratchClean(t, st)
 }

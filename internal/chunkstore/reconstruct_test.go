@@ -355,7 +355,6 @@ func TestReconstructSurvivesFailures(t *testing.T) {
 // way through; every result equals the serial one. Run under -race.
 func TestReconstructConcurrent(t *testing.T) {
 	st, ds := lumpyStore(t, 1200, 3, 9, 512, 13)
-	st.SetWorkers(2)
 	rng := rand.New(rand.NewSource(14))
 	boxes := make([]vec.Box, 8)
 	for i := range boxes {

@@ -74,12 +74,9 @@ type Store struct {
 	held   int
 	closed atomic.Bool
 	// cache, when non-nil, holds decoded chunks so every consumer —
-	// session views, the ordered read pipeline, the prefetcher — shares
-	// one read+decode per hot chunk. Set at open time, before reads.
+	// session views, ordered reads, the prefetcher — shares one
+	// read+decode per hot chunk. Set at open time, before reads.
 	cache *BlockCache
-	// workers bounds the concurrent chunk reads of the ordered read
-	// pipeline (ReadChunksOrdered); <= 1 means fully sequential.
-	workers int
 	// cachePrefix namespaces this store's block-cache keys. Shard stores
 	// reuse the same chunk names (d00_c00000, ...), so sharing one cache
 	// across shards requires a distinct prefix per store.
@@ -256,9 +253,11 @@ func (s *Store) Instrument(reg *obs.Registry) {
 	})
 }
 
-// SetWorkers bounds the fan-out of concurrent chunk reads during cell
-// reconstruction. Values <= 1 keep every read path fully sequential.
-func (s *Store) SetWorkers(n int) { s.workers = n }
+// SetWorkers does nothing: every read path reads one chunk at a time. It
+// stays declared because benchmark/layers.go, its only caller, calls it and
+// a change outside benchmark/ may not edit that file; the next benchmark
+// change drops both.
+func (s *Store) SetWorkers(int) {}
 
 // SetBlockCache installs a shared decoded-chunk cache on every read path
 // of this store. It must be called before reads begin (it is not
@@ -395,85 +394,24 @@ func DecodedEntriesBytes(entries []Entry) int64 {
 	return n
 }
 
-// ReadChunksOrdered reads and decodes the given chunks — concurrently, with
-// fan-out bounded by SetWorkers — and delivers them to visit strictly in
-// slice order, one at a time. It overlaps chunk I/O and CRC/decode with the
-// caller's merge CPU while preserving the sequential merge semantics, so
-// results are identical to a sequential loop. At most `workers` decoded
-// chunks are in memory at once (the §3.1 one-chunk discipline relaxed to
-// the configured fan-out). With workers <= 1 it degrades to the plain loop.
+// ReadChunksOrdered reads and decodes the given chunks one at a time, in
+// slice order, and delivers each to visit before the next is read: one
+// decoded chunk per call is in memory (§3.1).
 //
 // p is valid until visit returns: without a block cache its arrays are
 // pooled storage the next chunk is decoded over, so a visit copies out what
-// it keeps (as §3.1 has it: one chunk in memory, released before the next).
-// With a block cache they are the cached, shared, immutable arrays.
+// it keeps. With a block cache they are the cached, shared, immutable
+// arrays.
 func (s *Store) ReadChunksOrdered(ctx context.Context, metas []ChunkMeta, visit func(meta ChunkMeta, p Postings) error) error {
-	w := s.workers
-	if w > len(metas) {
-		w = len(metas)
-	}
-	if w <= 1 {
-		buf := postingsPool.Get().(*Postings)
-		defer postingsPool.Put(buf)
-		for _, m := range metas {
-			p, err := s.readChunkFor(ctx, m, buf)
-			if err != nil {
-				return err
-			}
-			if err := visit(m, p); err != nil {
-				return err
-			}
+	buf := postingsPool.Get().(*Postings)
+	defer postingsPool.Put(buf)
+	for _, m := range metas {
+		p, err := s.readChunkFor(ctx, m, buf)
+		if err != nil {
+			return err
 		}
-		return nil
-	}
-
-	type res struct {
-		p   Postings
-		buf *Postings
-		err error
-	}
-	results := make([]chan res, len(metas))
-	for i := range results {
-		results[i] = make(chan res, 1)
-	}
-	// done releases the dispatcher and any in-flight readers when the
-	// consumer returns early (error or cancellation), so no goroutine leaks.
-	done := make(chan struct{})
-	defer close(done)
-	// sem holds one token per dispatched-but-not-consumed chunk, bounding
-	// both concurrent reads and buffered decoded chunks to w.
-	sem := make(chan struct{}, w)
-	go func() {
-		for i, m := range metas {
-			select {
-			case sem <- struct{}{}:
-			case <-done:
-				return
-			}
-			go func(i int, m ChunkMeta) {
-				buf := postingsPool.Get().(*Postings)
-				p, err := s.readChunkFor(ctx, m, buf)
-				select {
-				case results[i] <- res{p, buf, err}:
-					// The consumer pools buf after the visit; if it has
-					// left, buf is dropped with the channel.
-				case <-done:
-					postingsPool.Put(buf)
-				}
-			}(i, m)
-		}
-	}()
-	for i, m := range metas {
-		r := <-results[i]
-		<-sem
-		if r.err == nil {
-			r.err = visit(m, r.p)
-		}
-		// The reader that filled r.buf has finished and the visit is over:
-		// nothing can write or read it until the pool hands it out again.
-		postingsPool.Put(r.buf)
-		if r.err != nil {
-			return r.err
+		if err := visit(m, p); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -39,8 +39,8 @@ func (e *VerifyError) Unwrap() error { return e.Err }
 // every chunk decodes to the recorded entry and row-id counts and value
 // range, values ascend strictly across each dimension's chunk sequence,
 // and every dimension posts each row id below RowCount exactly once. It
-// reads the whole store once through ReadChunksOrdered and returns the
-// first violation as a *VerifyError.
+// reads the whole store once through ReadChunksOrdered, one chunk at a
+// time, and returns the first violation as a *VerifyError.
 func Verify(ctx context.Context, s *Store) error {
 	n := s.RowCount()
 	seen := make([]bool, n)

@@ -88,9 +88,7 @@ func TestVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	piped, _ := lumpyStore(t, 900, 3, 12, 256, 3)
-	piped.SetWorkers(3)
-	for name, st := range map[string]*Store{"Build": mem, "spilled": spilled, "BuildEmpty": empty, "pipelined": piped} {
+	for name, st := range map[string]*Store{"Build": mem, "spilled": spilled, "BuildEmpty": empty} {
 		if err := Verify(ctx, st); err != nil {
 			t.Errorf("%s: a freshly built store fails Verify: %v", name, err)
 		}

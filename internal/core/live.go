@@ -31,7 +31,6 @@ func openLive(dir string, man *shard.Manifest, opts Options) (*Index, error) {
 	}
 	sdb, err := stream.Open(dir, stream.Options{
 		Limiter:       opts.Limiter,
-		Workers:       opts.Workers,
 		BlockCache:    bc,
 		Registry:      opts.Registry,
 		FlushInterval: opts.FlushInterval,

@@ -60,13 +60,12 @@ type Options struct {
 	// Nil creates a private registry, so Stats() keeps counting either
 	// way; pass a shared registry to export the metrics.
 	Registry *obs.Registry
-	// Workers sizes the index's worker pool: result retrieval shards its
-	// cell-centre posteriors and its row classification across it, and
-	// RetrieveStream holds at most this many parts' scratch at once. The
-	// scoring pass is serial at any value (only DWKNN scores, resuming
-	// each point's k-NN scan). Cell reconstruction fans chunk reads out up
-	// to this bound. Zero selects runtime.GOMAXPROCS(0); 1 forces the
-	// fully serial hot path.
+	// Workers sizes the pool that result retrieval uses, and nothing more:
+	// retrieval shards its cell-centre posteriors and its row
+	// classification across it, and RetrieveStream holds at most this many
+	// parts' scratch at once. The scoring pass and cell loads are serial at
+	// any value. Zero selects runtime.GOMAXPROCS(0); 1 forces the fully
+	// serial path.
 	Workers int
 	// Limiter, when non-nil, meters chunk-store read bandwidth. (It was a
 	// positional parameter of Open before the v2 API.)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/uei-db/uei/internal/dataset"
 	"github.com/uei-db/uei/internal/iothrottle"
 	"github.com/uei-db/uei/internal/oracle"
 )
@@ -104,6 +105,52 @@ func TestParallelExplorationParity(t *testing.T) {
 			t.Fatalf("iteration %d: serial swapped to cell %d, parallel to %d", i, serial[i], parallel[i])
 		}
 	}
+}
+
+// TestCellLoadAllocationsIgnoreWorkers: Workers sizes result retrieval's
+// pool and nothing on the load path, so one store opened at one worker and
+// at four loads its densest cell with the same allocations per call (block
+// cache off, every chunk read and decoded).
+func TestCellLoadAllocationsIgnoreWorkers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; the count is only meaningful without it")
+	}
+	ctx := context.Background()
+	ds, err := dataset.GenerateSky(dataset.SkyConfig{N: 6000, Seed: 51})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := Build(dir, ds, BuildOptions{TargetChunkBytes: 2048}); err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(workers int) (cell, rows int, n float64) {
+		idx, err := Open(ctx, dir, Options{MemoryBudgetBytes: 1 << 20, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer idx.Close()
+		for c := 0; c < idx.Grid().NumCells(); c++ {
+			ids, _, err := idx.loadCell(ctx, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ids) > rows {
+				cell, rows = c, len(ids)
+			}
+		}
+		return cell, rows, testing.AllocsPerRun(20, func() {
+			if _, _, err := idx.loadCell(ctx, cell); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	cell, rows, one := allocs(1)
+	_, _, four := allocs(4)
+	if one != four {
+		t.Fatalf("loading cell %d (%d rows): %.0f allocations per call at one worker, %.0f at four", cell, rows, one, four)
+	}
+	t.Logf("cell %d (%d rows): %.0f allocations per load", cell, rows, one)
 }
 
 // TestCloseIdempotent: Close twice (plus the t.Cleanup Close) must not

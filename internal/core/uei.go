@@ -230,7 +230,6 @@ func openOptions(opts Options, pl *pool.Pool, bc *chunkstore.BlockCache) shard.O
 		Pool:       pl,
 		Deadline:   opts.ShardDeadline,
 		Limiter:    opts.Limiter,
-		Workers:    opts.Workers,
 		BlockCache: bc,
 	}
 }

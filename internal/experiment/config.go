@@ -67,8 +67,8 @@ type Config struct {
 	Trace *obs.Tracer
 	// Workers sizes the index worker pool for every run. Zero keeps the
 	// paper's serial per-iteration path (1 worker), so measured latencies
-	// stay comparable to the published numbers; raise it to measure the
-	// parallel hot path.
+	// stay comparable to the published numbers; raise it to measure result
+	// retrieval's fan-outs, the only work it parallelizes.
 	Workers int
 	// BlockCacheBytes, when positive, installs the shared decoded-chunk
 	// block cache on every run's index. Zero keeps it off — the paper's

@@ -119,14 +119,8 @@ func TestOracleLabeler(t *testing.T) {
 	if len(row) != f.ds.Dims() {
 		t.Errorf("seed row has %d dims", len(row))
 	}
-	if l.Count() != 0 {
-		t.Error("IsRelevant/SeedPositive must not count as labels")
-	}
 	if got := l.Label(seed, row); got != oracle.Positive {
 		t.Errorf("Label(seed) = %v", got)
-	}
-	if l.Count() != 1 {
-		t.Errorf("Count = %d", l.Count())
 	}
 }
 
@@ -153,7 +147,6 @@ func TestSeedWithPositiveRequiresSeeder(t *testing.T) {
 // plainLabeler implements Labeler but not PositiveSeeder.
 type plainLabeler struct {
 	o *oracle.Oracle
-	n int
 }
 
 func (p plainLabeler) Label(id uint32, row []float64) oracle.Label {
@@ -162,8 +155,6 @@ func (p plainLabeler) Label(id uint32, row []float64) oracle.Label {
 	}
 	return oracle.Negative
 }
-
-func (p plainLabeler) Count() int { return p.n }
 
 var _ learn.Classifier = (*learn.DWKNN)(nil) // compile-time interface checks
 var _ Labeler = OracleLabeler{}

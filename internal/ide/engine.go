@@ -127,6 +127,11 @@ type Session struct {
 	provider Provider
 	labeler  Labeler
 	rng      *rand.Rand
+	// labels counts the labels this session has solicited (Session.label):
+	// the budget checks, IterationInfo.LabelsGiven and Result.LabelsUsed
+	// read it, so a labeler shared with another session spends nothing of
+	// this one's.
+	labels int
 
 	// Engine instruments (nil without Config.Registry; nil-safe no-ops).
 	hIteration *obs.Histogram
@@ -375,7 +380,7 @@ func (s *Session) finishBootstrap() error {
 // example acquisition (Algorithm 2 line 13: on sparse-target workloads a
 // random tuple is negative with overwhelming probability).
 func (s *Session) proposeBootstrap(ctx context.Context) (*Proposal, error) {
-	if s.labeler.Count() >= s.cfg.MaxLabels {
+	if s.labels >= s.cfg.MaxLabels {
 		hasPos, hasNeg := s.classesPresent()
 		return nil, fmt.Errorf("ide: label budget exhausted before both classes were observed (pos=%v neg=%v)", hasPos, hasNeg)
 	}
@@ -404,7 +409,7 @@ func (s *Session) proposeBootstrap(ctx context.Context) (*Proposal, error) {
 // Run-mode the user's labeling time is part of the response time exactly
 // as before the step refactor.
 func (s *Session) proposeSelect(ctx context.Context) (*Proposal, error) {
-	if s.labeler.Count() >= s.cfg.MaxLabels {
+	if s.labels >= s.cfg.MaxLabels {
 		s.phase = phaseDone
 		s.Release()
 		return nil, ErrExplorationDone
@@ -477,7 +482,7 @@ func (s *Session) Resolve(ctx context.Context) (*IterationInfo, error) {
 	}
 	if p.Bootstrap {
 		s.pending = nil
-		label := s.labeler.Label(p.ID, p.Row)
+		label := s.label(p.ID, p.Row)
 		s.addLabel(p.ID, p.Row, label)
 		s.provider.OnLabeled(p.ID)
 		if hasPos, hasNeg := s.classesPresent(); hasPos && hasNeg {
@@ -489,7 +494,7 @@ func (s *Session) Resolve(ctx context.Context) (*IterationInfo, error) {
 	}
 	s.pending = nil
 	_, lab := obs.StartSpan(ctx, obs.PhaseLabel)
-	label := s.labeler.Label(p.ID, p.Row)
+	label := s.label(p.ID, p.Row)
 	s.hLabel.ObserveDuration(lab.End(map[string]float64{"id": float64(p.ID)}))
 	return s.completeIteration(ctx, p, label)
 }
@@ -544,7 +549,7 @@ func (s *Session) completeIteration(ctx context.Context, p *Proposal, label orac
 	s.mIters.Inc()
 	info := IterationInfo{
 		Iteration:    p.Iteration,
-		LabelsGiven:  s.labeler.Count(),
+		LabelsGiven:  s.labels,
 		SelectedID:   p.ID,
 		Label:        label,
 		Score:        p.Score,
@@ -584,7 +589,7 @@ func (s *Session) Finish(ctx context.Context) (*Result, error) {
 	}
 	span.End(map[string]float64{"positive": float64(len(positive))})
 	return &Result{
-		LabelsUsed: s.labeler.Count(),
+		LabelsUsed: s.labels,
 		Iterations: s.iteration,
 		Positive:   positive,
 		Model:      s.model,
@@ -596,6 +601,13 @@ func (s *Session) Model() learn.Classifier { return s.model }
 
 // LabeledCount returns the size of L.
 func (s *Session) LabeledCount() int { return len(s.labeledY) }
+
+// label solicits one label from the labeler and counts it against this
+// session's budget.
+func (s *Session) label(id uint32, row []float64) oracle.Label {
+	s.labels++
+	return s.labeler.Label(id, row)
+}
 
 // seedPositives bootstraps L with known-relevant examples supplied by the
 // labeler (Config.SeedWithPositive): the standard IDE assumption that the
@@ -611,7 +623,7 @@ func (s *Session) seedPositives(ctx context.Context) error {
 			return fmt.Errorf("ide: no relevant tuples exist to seed the exploration")
 		}
 		for i, id := range ids {
-			label := s.labeler.Label(id, rows[i])
+			label := s.label(id, rows[i])
 			s.addLabel(id, rows[i], label)
 			s.provider.OnLabeled(id)
 		}
@@ -624,7 +636,7 @@ func (s *Session) seedPositives(ctx context.Context) error {
 	if !ok {
 		return fmt.Errorf("ide: no relevant tuple exists to seed the exploration")
 	}
-	label := s.labeler.Label(id, row)
+	label := s.label(id, row)
 	s.addLabel(id, row, label)
 	s.provider.OnLabeled(id)
 	return nil

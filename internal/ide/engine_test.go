@@ -2,6 +2,7 @@ package ide
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -224,6 +225,40 @@ func TestSessionDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("pick %d differs: %d vs %d", i, a[i], b[i])
 		}
+	}
+}
+
+// TestSharedOracleLabelsSessionsInTurn: one oracle labels two sessions in
+// turn. Each session counts its own labels, so the second starts with its
+// whole budget, finishes, and picks what the first picked.
+func TestSharedOracleLabelsSessionsInTurn(t *testing.T) {
+	f := newFixture(t, 1500, 0.02)
+	user := OracleLabeler{O: f.orc}
+	const budget = 20
+	var runs [2][]uint32
+	for i := range runs {
+		cfg := Config{
+			MaxLabels:        budget,
+			EstimatorFactory: f.estimatorFactory(t),
+			Strategy:         al.LeastConfidence{},
+			Seed:             7,
+			SeedWithPositive: true,
+			OnIteration:      func(it IterationInfo) { runs[i] = append(runs[i], it.SelectedID) },
+		}
+		sess, err := NewSession(cfg, f.dbmsProvider(t, 8), user)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sess.Run(context.Background())
+		if err != nil {
+			t.Fatalf("session %d over the shared oracle: %v", i, err)
+		}
+		if res.LabelsUsed != budget {
+			t.Fatalf("session %d used %d labels, want its own %d", i, res.LabelsUsed, budget)
+		}
+	}
+	if len(runs[0]) == 0 || !slices.Equal(runs[0], runs[1]) {
+		t.Fatalf("the sessions picked %v and %v, want the same non-empty sequence", runs[0], runs[1])
 	}
 }
 

@@ -10,8 +10,6 @@ import (
 type Labeler interface {
 	// Label answers one solicitation for the tuple (id, row).
 	Label(id uint32, row []float64) oracle.Label
-	// Count returns how many labels have been solicited so far.
-	Count() int
 }
 
 // PositiveSeeder is implemented by labelers that can bootstrap the session
@@ -44,7 +42,6 @@ type MultiPositiveSeeder interface {
 // within the same call, so a session driven this way is fully passive
 // between requests.
 type ExternalLabeler struct {
-	n      int
 	staged oracle.Label
 	armed  bool
 }
@@ -57,12 +54,8 @@ func (l *ExternalLabeler) Label(uint32, []float64) oracle.Label {
 		panic("ide: ExternalLabeler.Label without a staged answer; drive the session with Feed")
 	}
 	l.armed = false
-	l.n++
 	return l.staged
 }
-
-// Count implements Labeler.
-func (l *ExternalLabeler) Count() int { return l.n }
 
 // stage arms the labeler with the next answer; only Session.Feed calls it.
 func (l *ExternalLabeler) stage(label oracle.Label) {
@@ -79,9 +72,6 @@ type OracleLabeler struct {
 func (l OracleLabeler) Label(_ uint32, row []float64) oracle.Label {
 	return l.O.LabelPoint(row)
 }
-
-// Count implements Labeler.
-func (l OracleLabeler) Count() int { return l.O.LabelsGiven() }
 
 // IsRelevant implements PositiveSeeder by the target's range query on the
 // row.

@@ -360,8 +360,8 @@ func TestSeedLookupErrorConsumesNoLabel(t *testing.T) {
 	if _, err := sess.Propose(ctx); err == nil || !errors.Is(err, ctx.Err()) {
 		t.Fatalf("Propose over a failing seed scan: %v, want %v", err, ctx.Err())
 	}
-	if sess.LabeledCount() != 0 || labeler.Count() != 0 {
-		t.Fatalf("the failed seed lookup left %d labeled rows and consumed %d labels", sess.LabeledCount(), labeler.Count())
+	if sess.LabeledCount() != 0 || sess.labels != 0 {
+		t.Fatalf("the failed seed lookup left %d labeled rows and consumed %d labels", sess.LabeledCount(), sess.labels)
 	}
 	if _, err := sess.Run(context.Background()); err != nil {
 		t.Fatalf("Run once the scan works: %v", err)
@@ -369,7 +369,7 @@ func TestSeedLookupErrorConsumesNoLabel(t *testing.T) {
 	if len(sess.labeledY) == 0 || sess.labeledY[0] != learn.ClassPositive {
 		t.Fatalf("the session did not start from a seeded positive: labels %v", sess.labeledY)
 	}
-	if len(picked) == 0 || labeler.Count() != 8 {
-		t.Fatalf("the session ran %d iterations and consumed %d of 8 labels", len(picked), labeler.Count())
+	if len(picked) == 0 || sess.labels != 8 {
+		t.Fatalf("the session ran %d iterations and consumed %d of 8 labels", len(picked), sess.labels)
 	}
 }

@@ -45,9 +45,6 @@ type Oracle struct {
 	// truth holds the membership predicate — the region or the union of
 	// regions — and the lazily built set.
 	truth *groundTruth
-	// labelsGiven counts label solicitations, the x-axis of Figures 3-5
-	// (user effort).
-	labelsGiven int
 }
 
 // New builds an oracle for the given region over the given dataset. It
@@ -77,18 +74,17 @@ func (o *Oracle) Region() Region { return o.region }
 // the first call.
 func (o *Oracle) RelevantCount() int { return o.truth.count() }
 
-// Relevant reports ground-truth membership for a tuple id without counting
-// as a solicited label (used for accuracy evaluation, not exploration).
+// Relevant reports ground-truth membership for a tuple id. It is not a
+// label solicitation (it serves accuracy evaluation, not exploration).
 func (o *Oracle) Relevant(id dataset.RowID) bool { return o.truth.relevant(id) }
 
-// RelevantPoint reports whether the target accepts x, without counting as
-// a solicited label.
+// RelevantPoint reports whether the target accepts x. It is not a label
+// solicitation.
 func (o *Oracle) RelevantPoint(x vec.Point) bool { return o.truth.target.Contains(x) }
 
-// LabelPoint answers a label solicitation for the tuple with values x,
-// incrementing the user effort counter.
+// LabelPoint answers a label solicitation for the tuple with values x.
+// The oracle is read-only: each session counts its own solicitations.
 func (o *Oracle) LabelPoint(x vec.Point) Label {
-	o.labelsGiven++
 	return labelOf(o.RelevantPoint(x))
 }
 
@@ -99,26 +95,19 @@ func labelOf(relevant bool) Label {
 	return Negative
 }
 
-// LabelsGiven returns how many labels the simulated user has provided.
-func (o *Oracle) LabelsGiven() int { return o.labelsGiven }
-
 // SeedRelevant returns one relevant tuple — the lowest-id member of the
 // ground-truth set — modeling the standard IDE bootstrap where the user
 // shows one example of what they are looking for. The returned row is a
 // copy. ok is false when the target holds no tuple; err is the load error
-// of a NewDeferred oracle. The solicitation is NOT counted here; the
-// caller labels the tuple through LabelPoint as usual.
+// of a NewDeferred oracle. It is not a solicitation: the caller labels the
+// tuple through LabelPoint as usual.
 func (o *Oracle) SeedRelevant() (id dataset.RowID, row []float64, ok bool, err error) {
 	return o.truth.lowest(nil)
 }
 
-// ResetEffort zeroes the label counter (used between experiment runs that
-// share an oracle).
-func (o *Oracle) ResetEffort() { o.labelsGiven = 0 }
-
 // SeedRelevantIn returns the lowest-id relevant tuple inside the given
 // region, for multi-region bootstraps where the user shows one example per
-// interest. Like SeedRelevant, it does not count as a solicited label.
+// interest. Like SeedRelevant, it is not a solicitation.
 func (o *Oracle) SeedRelevantIn(r Region) (id dataset.RowID, row []float64, ok bool, err error) {
 	return o.truth.lowest(r.Contains)
 }

@@ -120,18 +120,8 @@ func TestOracleLabels(t *testing.T) {
 	if o.LabelPoint(vec.Point{0.1, 0.1}) != Positive {
 		t.Error("LabelPoint wrong")
 	}
-	if o.LabelsGiven() != 3 {
-		t.Errorf("LabelsGiven = %d", o.LabelsGiven())
-	}
-	o.ResetEffort()
-	if o.LabelsGiven() != 0 {
-		t.Error("ResetEffort failed")
-	}
 	if !o.Relevant(1) || o.Relevant(2) {
 		t.Error("Relevant wrong")
-	}
-	if o.LabelsGiven() != 0 {
-		t.Error("Relevant must not count as user effort")
 	}
 }
 

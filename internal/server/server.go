@@ -81,7 +81,8 @@ type Config struct {
 	// SnapshotDir holds evicted sessions' labeled sets. Zero value selects
 	// a directory inside StoreDir.
 	SnapshotDir string
-	// Workers sizes the shared index worker pool. Zero selects GOMAXPROCS.
+	// Workers sizes the shared index worker pool, which only result
+	// retrieval uses (core.Options.Workers). Zero selects GOMAXPROCS.
 	Workers int
 	// Shards is the shard count the manager requires of StoreDir: 0
 	// accepts whatever the store holds, 1 requires one shard, > 1 exactly

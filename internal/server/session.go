@@ -194,7 +194,7 @@ func (m *Manager) materializeLocked(ctx context.Context, h *hosted, grant int64)
 		snap = &s
 	}
 
-	// The resumed engine's labeler counts from zero, so its budget is what
+	// The resumed engine counts its labels from zero, so its budget is what
 	// remains of the session's total after the snapshotted effort.
 	remaining := h.spec.MaxLabels
 	if snap != nil {

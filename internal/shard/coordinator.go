@@ -71,7 +71,10 @@ type OpenOptions struct {
 	// Limiter, when non-nil, meters chunk reads of every shard store
 	// (one shared limiter — the shards model one storage device).
 	Limiter *iothrottle.Limiter
-	// Workers bounds each shard store's internal read fan-out.
+	// Workers is unread: every store reads one chunk at a time. The field
+	// stays declared because benchmark/layers.go, its only writer, sets it
+	// and a change outside benchmark/ may not edit that file; the next
+	// benchmark change drops both.
 	Workers int
 	// BlockCache, when non-nil, is shared across all shard stores; each
 	// store is installed with a distinct cache key prefix so identical

@@ -17,7 +17,7 @@ import (
 // names the shard, and the load counts as one degradation of that shard.
 func TestDeadShardErrorChain(t *testing.T) {
 	injected := errors.New("injected")
-	c := openCoordinator(t, buildSharded(t, skyDataset(t, 200), 2), OpenOptions{Workers: 2})
+	c := openCoordinator(t, buildSharded(t, skyDataset(t, 200), 2), OpenOptions{})
 	c.SetFaultHook(func(_ context.Context, s int, op string) error {
 		if s == 0 && op == OpLoad {
 			return injected
@@ -52,7 +52,7 @@ func TestDeadShardErrorChain(t *testing.T) {
 // leg's goroutine ends once the scatter cancels it.
 func TestScatterGatherLeaksNoGoroutines(t *testing.T) {
 	injected := errors.New("injected")
-	c := openCoordinator(t, buildSharded(t, skyDataset(t, 200), 2), OpenOptions{Workers: 2})
+	c := openCoordinator(t, buildSharded(t, skyDataset(t, 200), 2), OpenOptions{})
 	c.SetFaultHook(func(ctx context.Context, s int, _ string) error {
 		if s == 0 {
 			<-ctx.Done()

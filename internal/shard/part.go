@@ -152,7 +152,7 @@ func (m *Manifest) segments(min, max []float64) chunkstore.SegmentFunc {
 // must have g's dimensionality. An identity segment reads no idmap (its
 // part's IDMap is nil) and must not hold more rows than the layout; any
 // other segment fails without its idmap file, naming it.
-// Of opts only Limiter, Workers and BlockCache apply; the cache is
+// Of opts only Limiter and BlockCache apply; the cache is
 // installed under cacheKeyPrefix, which must be unique to the part among
 // the stores sharing it (identical chunk names in different parts must not
 // collide).
@@ -176,7 +176,6 @@ func OpenPart(dir string, g *grid.Grid, seg SegmentMeta, layoutRows int, cacheKe
 	if st.Dims() != g.Dims() {
 		return Part{}, fmt.Errorf("store has %d dims, manifest says %d", st.Dims(), g.Dims())
 	}
-	st.SetWorkers(opts.Workers)
 	if opts.BlockCache != nil {
 		st.SetCacheKeyPrefix(cacheKeyPrefix)
 		st.SetBlockCache(opts.BlockCache)

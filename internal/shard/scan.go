@@ -80,8 +80,8 @@ func resize[T any](s []T, n int) []T {
 // index i of one n-point block, and hits[i] counts the leading dimensions
 // that hit the row. There is no table, no per-row allocation and no sort —
 // local order is global order within a part. The transient cost is
-// n·(8·dims + 1) bytes per part, plus the one decoded chunk of the visit in
-// flight: ps is valid only until the visit returns (see
+// n·(8·dims + 1) bytes per part, plus the one decoded chunk the read
+// holds: ps is valid only until the visit returns (see
 // chunkstore.ReadChunksOrdered), and every value kept is copied into the
 // block inside it. Rows that missed a dimension are squeezed out in place
 // at the end; when none did, IDs is the part's idmap itself.

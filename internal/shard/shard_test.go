@@ -123,7 +123,7 @@ func TestBuildOpenRoundTrip(t *testing.T) {
 	for _, shards := range []int{2, 4, 8, 300} {
 		t.Run(fmt.Sprintf("S=%d", shards), func(t *testing.T) {
 			dir := buildSharded(t, ds, shards)
-			c := openCoordinator(t, dir, OpenOptions{Workers: 2})
+			c := openCoordinator(t, dir, OpenOptions{})
 			if c.NumShards() != shards {
 				t.Fatalf("NumShards = %d, want %d", c.NumShards(), shards)
 			}
@@ -314,7 +314,7 @@ func TestFetchRowsMatchesFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := openCoordinator(t, buildSharded(t, ds, 4), OpenOptions{Workers: 2})
+	c := openCoordinator(t, buildSharded(t, ds, 4), OpenOptions{})
 
 	ids := []uint32{0, 7, 7, 123, 299, 4, 250}
 	want, err := flat.FetchRows(context.Background(), ids)
@@ -351,7 +351,7 @@ func TestLoadCellMatchesFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := openCoordinator(t, buildSharded(t, ds, 4), OpenOptions{Workers: 2})
+	c := openCoordinator(t, buildSharded(t, ds, 4), OpenOptions{})
 	g := c.Meta().Grid
 	fm, err := grid.BuildMapping(g, flat)
 	if err != nil {
@@ -482,7 +482,7 @@ func cellOwnedBy(t *testing.T, c *Coordinator, shard int) grid.CellID {
 // nothing else — loads from other shards, scoring and ranking go on.
 func TestScatterDegradesFailingShard(t *testing.T) {
 	ds := skyDataset(t, 200)
-	c := openCoordinator(t, buildSharded(t, ds, 4), OpenOptions{Workers: 2})
+	c := openCoordinator(t, buildSharded(t, ds, 4), OpenOptions{})
 	reg := obs.NewRegistry()
 	c.Instrument(reg)
 	boom := errors.New("boom")
@@ -529,7 +529,7 @@ func TestScatterDegradesFailingShard(t *testing.T) {
 
 func TestShardDeadlineSkipsSlowShard(t *testing.T) {
 	ds := skyDataset(t, 200)
-	c := openCoordinator(t, buildSharded(t, ds, 2), OpenOptions{Workers: 2, Deadline: 20 * time.Millisecond})
+	c := openCoordinator(t, buildSharded(t, ds, 2), OpenOptions{Deadline: 20 * time.Millisecond})
 	reg := obs.NewRegistry()
 	c.Instrument(reg)
 	c.SetFaultHook(func(ctx context.Context, shard int, _ string) error {
@@ -560,7 +560,7 @@ func TestShardDeadlineSkipsSlowShard(t *testing.T) {
 
 func TestScatterCancellationLeaksNoGoroutines(t *testing.T) {
 	ds := skyDataset(t, 200)
-	c := openCoordinator(t, buildSharded(t, ds, 4), OpenOptions{Workers: 2})
+	c := openCoordinator(t, buildSharded(t, ds, 4), OpenOptions{})
 	release := make(chan struct{})
 	c.SetFaultHook(func(ctx context.Context, shard int, _ string) error {
 		if shard != 0 {
@@ -602,7 +602,7 @@ func TestScatterCancellationLeaksNoGoroutines(t *testing.T) {
 // a skip list passes over exactly the cells the skipped shard owns.
 func TestScoreAllWritesOnlyOwnedCells(t *testing.T) {
 	ds := skyDataset(t, 400)
-	c := openCoordinator(t, buildSharded(t, ds, 4), OpenOptions{Workers: 2})
+	c := openCoordinator(t, buildSharded(t, ds, 4), OpenOptions{})
 	ctx := context.Background()
 	n := c.Meta().Grid.NumCells()
 	var X [][]float64

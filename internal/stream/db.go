@@ -61,8 +61,6 @@ type Options struct {
 	// Limiter meters every segment store's chunk reads (one shared
 	// limiter — the segments model one storage device).
 	Limiter *iothrottle.Limiter
-	// Workers bounds each segment store's internal read fan-out.
-	Workers int
 	// BlockCache, when non-nil, is shared across all segment stores under
 	// per-segment cache key prefixes.
 	BlockCache *chunkstore.BlockCache

@@ -36,7 +36,7 @@ type segment struct {
 // rows for serving (shard.OpenSegments), each store instrumented on the
 // DB's registry.
 func (db *DB) openParts(metas []shard.SegmentMeta, flushedRows int) ([]*segment, error) {
-	opts := shard.OpenOptions{Limiter: db.opts.Limiter, Workers: db.opts.Workers, BlockCache: db.opts.BlockCache}
+	opts := shard.OpenOptions{Limiter: db.opts.Limiter, BlockCache: db.opts.BlockCache}
 	parts, err := shard.OpenSegments(db.dir, db.grid, metas, flushedRows, opts)
 	if err != nil {
 		return nil, fmt.Errorf("stream: %w", err)
